@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs
+.PHONY: build test verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test
 
 build:
 	$(GO) build ./...
@@ -83,14 +83,26 @@ tenant-smoke:
 bench-allocs:
 	timeout 120 $(GO) test -run TestHotPathAllocBudget -count=1 -v .
 
+# benchmark runs the repo benchmark (BENCHMARK.json): all five
+# workloads, end-to-end metrics only. See benchmark/README.md.
+benchmark:
+	bash benchmark/run.sh --workload all --trace 0
+
+# benchmark-test runs the benchmark module's own tests. The module
+# sits outside `go test ./...` (its own go.mod), so this is the only
+# target that notices when an internal/ change stops it compiling.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
 # verify is the pre-merge gate: formatting and docs checks, static
 # analysis, the full test suite (including the chaos soaks) under the
-# race detector, the hot-path allocation gate, and the batching +
-# crash-recovery + replica-repair + elastic-membership +
-# tunable-consistency + multi-tenancy smoke runs.
+# race detector, the benchmark module's tests, the hot-path allocation
+# gate, and the batching + crash-recovery + replica-repair +
+# elastic-membership + tunable-consistency + multi-tenancy smoke runs.
 verify: fmt-check docs-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) benchmark-test
 	$(MAKE) bench-allocs
 	$(MAKE) bench-smoke
 	$(MAKE) storage-smoke

@@ -16,10 +16,15 @@ import (
 // zero slack, so any new per-op allocation on the loopback TCP path
 // fails the gate:
 //
-//   - Lookup = 2 allocs/op: the client's response frame becomes the
-//     application-owned value (one make per op, by design — the value
-//     outlives the transport), and the server materializes the key as
-//     a Go string (decode cannot alias a string into the frame).
+//   - Lookup = 2 allocs/op: the client copies the value out of its
+//     kept read frame into an allocation of exactly its size (one make
+//     per op, by design — the value outlives the transport), and the
+//     server materializes the key as a Go string (decode cannot alias
+//     a string into the frame). Because that copy is right-sized the
+//     lookup also has a bytes budget: the 132 B value plus the key
+//     string round up to 160 B/op, and 512 leaves room for size-class
+//     changes while still failing if a lookup walks off with a whole
+//     4 KiB read frame.
 //   - Insert = 2 allocs/op: the server key string as above; mutation
 //     acks carry no payload, so the client reuses its read frame. The
 //     second slot is headroom for the runtime's occasional timer and
@@ -32,6 +37,7 @@ import (
 // path allocation-free, and EXPERIMENTS.md for measured numbers.
 const (
 	lookupAllocBudget     = 2
+	lookupBytesBudget     = 512
 	insertAllocBudget     = 2
 	batchPerOpAllocBudget = 2
 	allocBenchBatch       = 64 // sub-ops per batched-insert envelope
@@ -271,8 +277,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 	defer cleanup()
 
 	// Warm the pools and the connection cache before measuring: the
-	// first operations populate freelists, grow the demux map, and
-	// dial the mux connection, all of which allocate once.
+	// first operations populate freelists, grow the in-flight map, and
+	// dial the connection, all of which allocate once.
 	for i := 0; i < 2*allocBenchKeys; i++ {
 		if _, err := c.Lookup(keys[i%len(keys)]); err != nil {
 			t.Fatal(err)
@@ -280,18 +286,19 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 
 	check := func(name string, got, budget float64) {
-		t.Logf("%s: %.2f allocs/op (budget %.0f)", name, got, budget)
+		t.Logf("%s: %.2f/op (budget %.0f)", name, got, budget)
 		if got > budget {
-			t.Errorf("%s exceeds alloc budget: %.2f > %.0f allocs/op", name, got, budget)
+			t.Errorf("%s exceeds budget: %.2f > %.0f per op", name, got, budget)
 		}
 	}
 	r := testing.Benchmark(benchLookupAllocs(c, keys))
-	check("lookup", float64(r.AllocsPerOp()), lookupAllocBudget)
+	check("lookup allocs", float64(r.AllocsPerOp()), lookupAllocBudget)
+	check("lookup bytes", float64(r.AllocedBytesPerOp()), lookupBytesBudget)
 	r = testing.Benchmark(benchInsertAllocs(c, keys))
-	check("insert", float64(r.AllocsPerOp()), insertAllocBudget)
+	check("insert allocs", float64(r.AllocsPerOp()), insertAllocBudget)
 	r = testing.Benchmark(benchBatchInsertAllocs(c, keys))
 	perOp := float64(r.AllocsPerOp()) / allocBenchBatch
-	check("batch-insert", perOp, batchPerOpAllocBudget)
+	check("batch-insert allocs", perOp, batchPerOpAllocBudget)
 
 	// The QUORUM read path has its own (structurally higher) floor —
 	// see quorumLookupAllocBudget for the breakdown. Benchmarked on a
@@ -304,5 +311,5 @@ func TestHotPathAllocBudget(t *testing.T) {
 		}
 	}
 	r = testing.Benchmark(benchQuorumLookupAllocs(qc, qkeys))
-	check("quorum-lookup", float64(r.AllocsPerOp()), quorumLookupAllocBudget)
+	check("quorum-lookup allocs", float64(r.AllocsPerOp()), quorumLookupAllocBudget)
 }

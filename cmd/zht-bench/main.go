@@ -337,7 +337,9 @@ func runPaper(c *core.Client, ci, ops, batch int, attempted *atomic.Int64, toler
 // fail unless batching wins by at least minRatio.
 func runSmoke(batch int, minRatio float64) {
 	cfg := core.Config{NumPartitions: 256, RetryBase: time.Millisecond}
-	const clients, rounds = 4, 400
+	// rounds sizes the batched run to ~50 ms: shorter, and connection
+	// warm-up and one GC cycle decide the ratio.
+	const clients, rounds = 4, 2000
 	d, cleanup, _, err := bootNet(clients, cfg, "tcp-cache", nil)
 	if err != nil {
 		log.Fatal(err)

@@ -214,7 +214,9 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 	if req.Hop >= maxHops {
 		return &wire.Response{Status: wire.StatusError, Err: ErrHopLimit.Error()}
 	}
-	// Forward one hop toward the owner.
+	// Forward one hop toward the owner; the call may come back around
+	// the ring to this node, so the connection must stay readable.
+	req.Detach()
 	n.mu.Lock()
 	n.hops++
 	n.mu.Unlock()
@@ -278,6 +280,7 @@ func (n *Node) replicate(t uint64, req *wire.Request) {
 	if n.replicas <= 0 {
 		return
 	}
+	req.Detach() // the legs call other nodes
 	n.ringMu.RLock()
 	ring := n.ring
 	n.ringMu.RUnlock()

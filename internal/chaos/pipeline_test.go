@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,11 @@ import (
 	"zht/internal/wire"
 )
 
-// Pipelining under chaos: many concurrent callers share ONE
-// multiplexed TCP connection, the server answers out of order, and the
-// chaos layer injects delay and drop on top. Whatever interleaving
-// results, every caller must receive the response to its own request —
+// Pipelining under chaos: many concurrent callers share the few
+// multiplexed TCP connections a destination gets (at most GOMAXPROCS),
+// the server answers out of order, and the chaos layer injects delay
+// and drop on top. Whatever interleaving results, every caller must
+// receive the response to its own request —
 // a demux bug (responses matched to the wrong sequence ID) shows up
 // here as a value mismatch, not a hang.
 
@@ -26,6 +28,9 @@ func startEchoTCP(t *testing.T) *transport.TCPServer {
 	t.Helper()
 	var echo func(req *wire.Request) *wire.Response
 	echo = func(req *wire.Request) *wire.Response {
+		// Detach before sleeping, or the sleep would hold the
+		// connection's read loop and nothing could overtake anything.
+		req.Detach()
 		if req.Op == wire.OpBatch {
 			subs, err := wire.DecodeOps(req.Aux)
 			if err != nil {
@@ -92,8 +97,8 @@ func TestPipelinedResponsesMatchCallersUnderDelay(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if tcp.CachedConns() != 1 {
-		t.Fatalf("pipelined callers used %d connections, want 1 shared", tcp.CachedConns())
+	if n := tcp.CachedConns(); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Fatalf("pipelined callers used %d connections, want 1..GOMAXPROCS shared", n)
 	}
 }
 

@@ -154,10 +154,11 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 		}
 	}
 
-	// Migration gate + op lock, exactly as handleKV.
+	// Migration gate + op lock, exactly as handleKV (nothing to detach:
+	// Handle detached the envelope already).
 	lock := in.opLock(p)
 	for {
-		if resp := in.migrationGate(p); resp != nil {
+		if resp := in.migrationGate(p, nil); resp != nil {
 			fan(resp)
 			return
 		}

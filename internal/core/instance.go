@@ -296,7 +296,15 @@ func (in *Instance) store(p int) (storage.KV, error) {
 // every request this instance receives. It wraps the dispatch with
 // the gossip epoch exchange — a newer epoch on the request triggers a
 // catch-up pull, and every response carries our epoch back.
+//
+// A TCP server runs Handle on the goroutine that reads the connection
+// (see transport.Handler), so anything that may block on another
+// request or another server detaches first; only ops that finish on
+// local state alone stay inline.
 func (in *Instance) Handle(req *wire.Request) *wire.Response {
+	if !in.servesInline(req) {
+		req.Detach()
+	}
 	if req.Epoch > in.Epoch() {
 		// The sender knows a newer ring than we do; we cannot reach it
 		// by address, so pull from fallback peers.
@@ -307,6 +315,22 @@ func (in *Instance) Handle(req *wire.Request) *wire.Response {
 		resp.Epoch = in.Epoch()
 	}
 	return resp
+}
+
+// servesInline reports whether req completes without issuing an RPC or
+// waiting on a commit: lookups, and KV mutations and replica applies
+// when nothing replicates from here and the WAL acknowledges before it
+// syncs. (A lookup can still meet a migrating partition; migrationGate
+// detaches before it waits.)
+func (in *Instance) servesInline(req *wire.Request) bool {
+	switch req.Op {
+	case wire.OpLookup:
+		return true
+	case wire.OpInsert, wire.OpRemove, wire.OpAppend, wire.OpCas, wire.OpReplicate:
+		d := in.cfg.Durability
+		return !in.mutates(req) && (d == storage.DurabilityNone || d == storage.DurabilityAsync)
+	}
+	return false
 }
 
 // handle dispatches one request to its op handler.
@@ -390,7 +414,7 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// write.
 	lock := in.opLock(p)
 	for {
-		if resp := in.migrationGate(p); resp != nil {
+		if resp := in.migrationGate(p, req); resp != nil {
 			return resp
 		}
 		lock.RLock()
@@ -1170,9 +1194,11 @@ func (in *Instance) completeMigration(p int, redirect string, ok bool) {
 }
 
 // migrationGate returns nil when partition p is serveable; otherwise
-// it blocks on an in-flight migration and returns the queued verdict,
-// or returns a redirect when p has already moved away.
-func (in *Instance) migrationGate(p int) *wire.Response {
+// it blocks on an in-flight migration (detaching req, if any, first:
+// the delta that ends the wait may arrive on the same connection) and
+// returns the queued verdict, or returns a redirect when p has already
+// moved away.
+func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 	in.pmu.Lock()
 	ps := in.parts[p]
 	var wasMigrating bool
@@ -1186,6 +1212,7 @@ func (in *Instance) migrationGate(p int) *wire.Response {
 		return nil
 	}
 	if wasMigrating {
+		req.Detach()
 		select {
 		case <-done:
 		case <-time.After(migrationTimeout + time.Second):

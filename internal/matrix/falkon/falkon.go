@@ -67,6 +67,7 @@ func (d *Dispatcher) QueueLen() int {
 func (d *Dispatcher) Handle(req *wire.Request) *wire.Response {
 	switch {
 	case req.Op == wire.OpRemove && req.Key == "next":
+		req.Detach() // queues behind every other dispatch, then sleeps
 		d.mu.Lock()
 		if d.serviceTime > 0 {
 			time.Sleep(d.serviceTime)

@@ -160,6 +160,16 @@ func TestAdmissionGateShedsWithBusy(t *testing.T) {
 			t.Cleanup(func() { c.Close() })
 			return c, srv.Addr()
 		},
+		// Both calls on ONE connection: the parked handler has detached,
+		// so the read loop it gave away sheds the second inline.
+		"tcp-shared-conn": func(h Handler) (Caller, string) {
+			srv, err := ListenTCP("127.0.0.1:0", h, EventDriven, gateOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return oneConnClient(t, nil), srv.Addr()
+		},
 		"udp": func(h Handler) (Caller, string) {
 			srv, err := ListenUDP("127.0.0.1:0", h, gateOpts...)
 			if err != nil {
@@ -183,6 +193,7 @@ func TestAdmissionGateShedsWithBusy(t *testing.T) {
 			release := make(chan struct{})
 			entered := make(chan struct{}, 16)
 			slow := func(req *wire.Request) *wire.Response {
+				req.Detach()
 				entered <- struct{}{}
 				<-release
 				return &wire.Response{Status: wire.StatusOK}

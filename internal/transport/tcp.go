@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/metrics"
@@ -16,18 +19,17 @@ import (
 )
 
 // Frame format on TCP: uvarint length followed by the encoded message.
-const maxFrame = 128 << 20
-
-func writeFrame(w *bufio.Writer, payload []byte) error {
-	if err := writeFrameNoFlush(w, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
+const (
+	maxFrame = 128 << 20
+	// frameGrowStart is the most a frame header can make readFrame
+	// allocate before any payload byte has arrived.
+	frameGrowStart = 64 << 10
+	ioBufSize      = 64 << 10
+)
 
 // writeFrameNoFlush stages a frame into the buffered writer without
-// flushing, letting writer loops amortize one flush across a burst of
-// frames.
+// flushing, letting concurrent writers amortize one flush across a
+// burst of frames.
 func writeFrameNoFlush(w *bufio.Writer, payload []byte) error {
 	// The uvarint length goes out byte-by-byte: a local header array
 	// passed to Write escapes to the heap (the writer may hand the
@@ -47,6 +49,12 @@ func writeFrameNoFlush(w *bufio.Writer, payload []byte) error {
 	return err
 }
 
+// readFrame reads one frame into buf, which it owns from here on, and
+// returns the (possibly different) slice holding it. The length header
+// is only a claim: a frame that does not fit buf is read into a buffer
+// that starts at frameGrowStart and doubles as payload actually
+// arrives, so a peer that sends a huge length and nothing else costs
+// one small buffer, not maxFrame of heap.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -56,13 +64,58 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
+		putFrameBuf(buf)
+		buf = make([]byte, 0, min(n, frameGrowStart))
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	for have := 0; ; {
+		buf = buf[:min(n, uint64(cap(buf)))]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(buf); uint64(have) == n {
+			return buf, nil
+		}
+		grown := make([]byte, have, min(n, 2*uint64(have)))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
+}
+
+// frameWriter is the write half of a connection, shared by every
+// goroutine that sends on it: each encodes into buf and writes its own
+// frame under mu — no writer goroutine to wake. queued counts the
+// writers holding or waiting for mu; one that finishes while another
+// is queued leaves the flush to it, so a burst of frames still shares
+// one write syscall. The first error sticks: later sends fail without
+// touching the socket.
+type frameWriter struct {
+	mu     sync.Mutex
+	queued atomic.Int32
+	bw     *bufio.Writer
+	buf    []byte // encode scratch, valid under mu
+	err    error
+}
+
+func (w *frameWriter) lock() {
+	w.queued.Add(1)
+	w.mu.Lock()
+}
+
+// sendAndUnlock writes w.buf as one frame and reports its size.
+func (w *frameWriter) sendAndUnlock() (int, error) {
+	n := len(w.buf)
+	if w.err == nil {
+		w.err = writeFrameNoFlush(w.bw, w.buf)
+	}
+	if cap(w.buf) > maxPooledFrame {
+		w.buf = nil // one huge message must not pin its scratch forever
+	}
+	if w.queued.Add(-1) == 0 && w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	err := w.err
+	w.mu.Unlock()
+	return n, err
 }
 
 // TCPServer serves ZHT requests over TCP.
@@ -72,21 +125,22 @@ type TCPServer struct {
 	mode    ServerMode
 	gate    *gate
 	met     srvMetrics
-	jobs    chan srvJob
-	quit    chan struct{}
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closed  bool
 }
 
-// srvJob is one decoded request plus everything its worker needs to
-// answer it and recycle its buffers.
-type srvJob struct {
-	req   *wire.Request
-	frame []byte
-	out   chan<- *wire.Response
-	hwg   *sync.WaitGroup
+// srvConn is one accepted connection. Exactly one goroutine at a time
+// runs its read loop and owns br.
+type srvConn struct {
+	s  *TCPServer
+	c  net.Conn
+	br *bufio.Reader
+	w  frameWriter
+	// handlers counts handlers still running after they gave the read
+	// loop away (Detach) or were spawned (SpawnPerRequest).
+	handlers sync.WaitGroup
 }
 
 // ListenTCP starts a TCP server on addr (use ":0" for an ephemeral
@@ -103,8 +157,6 @@ func ListenTCP(addr string, h Handler, mode ServerMode, opts ...ServerOption) (*
 		ln: ln, handler: h, mode: mode,
 		gate:  newGate(o),
 		met:   newSrvMetrics(o.Metrics),
-		jobs:  make(chan srvJob),
-		quit:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -130,44 +182,46 @@ func (s *TCPServer) acceptLoop() {
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
+		s.met.conns.Inc()
+		if tc, ok := c.(*net.TCPConn); ok {
+			tc.SetNoDelay(true)
+		}
+		sc := &srvConn{s: s, c: c, br: bufio.NewReaderSize(c, ioBufSize)}
+		sc.w.bw = bufio.NewWriterSize(c, ioBufSize)
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go sc.readLoop()
 	}
 }
 
-// serveConn pipelines one connection: the reader loop never blocks on
-// a handler, so a multiplexing peer can keep many requests in flight
-// on a single cached connection. Handlers complete out of order and a
-// dedicated writer goroutine serializes their responses back onto the
-// wire (the client demultiplexes by sequence ID). Never blocking the
-// reader on handler execution also breaks the distributed deadlock
-// that inline handling would create when two servers hold nested RPCs
-// to each other over one shared connection each (sync replication,
-// delta broadcast, failure-report pings). The admission gate remains
-// the concurrency bound.
-func (s *TCPServer) serveConn(c net.Conn) {
+// readLoop serves the connection with no handoff: the goroutine that
+// read a request decodes it, runs the handler, and encodes and writes
+// the response itself, so an uncontended round trip wakes nobody on
+// this side. The price is that a handler which blocks here stalls the
+// connection behind it, and one that calls another server here can
+// deadlock two servers holding nested RPCs to each other — hence the
+// Handler contract: call req.Detach() first. Detach starts a fresh
+// goroutine on this loop and lets the current one finish its request
+// as a one-shot worker, so pipelined slow requests still overlap and
+// complete out of order (the client demultiplexes by sequence ID). The
+// admission gate remains the concurrency bound.
+func (sc *srvConn) readLoop() {
+	s := sc.s
 	defer s.wg.Done()
-	s.met.conns.Inc()
-	defer func() {
-		s.met.conns.Dec()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
+	detached := false
+	detach := func() {
+		if detached {
+			return
+		}
+		detached = true
+		sc.handlers.Add(1)
+		s.wg.Add(1)
+		go sc.readLoop()
 	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	out := make(chan *wire.Response, 128)
-	writerDone := make(chan struct{})
-	go s.writeLoop(c, out, writerDone)
-	var hwg sync.WaitGroup
-	for {
-		// Pooled buffer per frame: the decoded request aliases it and
-		// handlers run concurrently with subsequent reads, so the
-		// buffer only returns to the pool after its handler finishes.
-		frame, err := readFrame(br, getFrameBuf())
+	for !detached {
+		// Pooled buffer per frame: the decoded request aliases it, and
+		// after a Detach the next read runs concurrently with this
+		// handler, so it returns to the pool when the handler does.
+		frame, err := readFrame(sc.br, getFrameBuf())
 		if err != nil {
 			break
 		}
@@ -178,125 +232,89 @@ func (s *TCPServer) serveConn(c net.Conn) {
 			break // protocol violation: drop the connection
 		}
 		s.met.requests.Inc()
+		seq := req.Seq
 		if !s.gate.tryAcquire() {
-			// Saturated: shed without touching the handler so the
-			// reader loop stays responsive under overload.
+			// Saturated: shed without touching the handler.
 			s.met.sheds.Inc()
-			seq := req.Seq
 			wire.PutRequest(req)
 			putFrameBuf(frame)
-			out <- s.gate.busy(seq)
+			sc.write(s.gate.busy(seq))
 			continue
 		}
-		hwg.Add(1)
-		switch s.mode {
-		case EventDriven:
-			// Hand off to a parked worker when one is free; spawn
-			// one otherwise. Workers park on s.jobs after each job,
-			// so a steady request rate reuses a small goroutine set
-			// instead of allocating a closure and stack per request.
-			job := srvJob{req: req, frame: frame, out: out, hwg: &hwg}
-			select {
-			case s.jobs <- job:
-			default:
-				s.wg.Add(1)
-				go s.worker(job)
-			}
-		case SpawnPerRequest:
-			// The multithreaded prototype spun up a thread per
-			// request and paid a synchronized handoff on top;
-			// reproduce that cost profile: copy the request, spawn a
-			// worker, and rendezvous through a channel before the
-			// response reaches the writer.
-			reqCopy := *req
-			reqCopy.Value = append([]byte(nil), req.Value...)
-			reqCopy.Aux = append([]byte(nil), req.Aux...)
-			seq := req.Seq
-			wire.PutRequest(req)
-			putFrameBuf(frame)
-			done := make(chan *wire.Response, 1)
-			go func() {
-				s.met.inflight.Inc()
-				r := s.handler(&reqCopy)
-				s.met.inflight.Dec()
-				s.gate.release()
-				done <- r
-			}()
-			go func() {
-				defer hwg.Done()
-				resp := <-done
-				resp.Seq = seq
-				out <- resp
-			}()
-		}
-	}
-	hwg.Wait()
-	close(out)
-	<-writerDone
-}
-
-// worker runs job, then parks on the shared job channel so subsequent
-// requests reuse this goroutine. Parked workers exit when the server
-// closes.
-func (s *TCPServer) worker(job srvJob) {
-	defer s.wg.Done()
-	for {
-		s.runJob(job)
-		select {
-		case job = <-s.jobs:
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// runJob invokes the handler and recycles the request and its frame.
-// The Handler contract (see Handler) guarantees neither outlives the
-// call: the response may not alias request memory, and the handler
-// may not retain it, so both go back to their pools before the
-// response is queued for the writer.
-func (s *TCPServer) runJob(job srvJob) {
-	s.met.inflight.Inc()
-	resp := s.handler(job.req)
-	s.met.inflight.Dec()
-	s.gate.release()
-	resp.Seq = job.req.Seq
-	wire.PutRequest(job.req)
-	putFrameBuf(job.frame)
-	job.out <- resp
-	job.hwg.Done()
-}
-
-// writeLoop drains completed responses onto the connection, flushing
-// only when the queue momentarily empties. After a write error it
-// keeps draining so no handler ever blocks on a dead connection.
-func (s *TCPServer) writeLoop(c net.Conn, out <-chan *wire.Response, done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	wbuf := wire.GetBuffer()
-	defer func() { wire.PutBuffer(wbuf) }()
-	dead := false
-	for resp := range out {
-		if dead {
-			// Still release: the writer owns every queued response.
-			wire.PutResponse(resp)
+		if s.mode == SpawnPerRequest {
+			sc.spawn(req, frame)
 			continue
 		}
-		wbuf = wire.EncodeResponse(wbuf[:0], resp)
-		wire.PutResponse(resp)
-		s.met.bytesOut.Add(int64(len(wbuf)))
-		if err := writeFrameNoFlush(bw, wbuf); err != nil {
-			dead = true
-			c.Close()
-			continue
-		}
-		if len(out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-				c.Close()
-			}
-		}
+		req.SetDetach(detach)
+		s.met.inflight.Inc()
+		resp := s.handler(req)
+		s.met.inflight.Dec()
+		s.gate.release()
+		resp.Seq = seq
+		// The Handler contract guarantees neither the request nor its
+		// frame outlives the call, so both are recycled before the
+		// response is written.
+		wire.PutRequest(req)
+		putFrameBuf(frame)
+		sc.write(resp)
 	}
+	if detached {
+		sc.handlers.Done()
+		return
+	}
+	// The stream ended on this goroutine: let detached handlers answer
+	// (the peer may only have closed its write side), then tear down.
+	sc.handlers.Wait()
+	s.met.conns.Dec()
+	s.mu.Lock()
+	delete(s.conns, sc.c)
+	s.mu.Unlock()
+	sc.c.Close()
+}
+
+// spawn is the §III.D ablation: the multithreaded prototype spun up a
+// thread per request and paid a synchronized handoff on top. Reproduce
+// that cost profile — copy the request, spawn a worker, rendezvous
+// through a channel — before the response takes the same write path
+// as every other.
+func (sc *srvConn) spawn(req *wire.Request, frame []byte) {
+	s := sc.s
+	reqCopy := *req
+	reqCopy.Value = append([]byte(nil), req.Value...)
+	reqCopy.Aux = append([]byte(nil), req.Aux...)
+	seq := req.Seq
+	wire.PutRequest(req)
+	putFrameBuf(frame)
+	done := make(chan *wire.Response, 1)
+	sc.handlers.Add(1)
+	go func() {
+		s.met.inflight.Inc()
+		r := s.handler(&reqCopy)
+		s.met.inflight.Dec()
+		s.gate.release()
+		done <- r
+	}()
+	go func() {
+		defer sc.handlers.Done()
+		resp := <-done
+		resp.Seq = seq
+		sc.write(resp)
+	}()
+}
+
+// write encodes and sends one response, which it owns. After a write
+// error the connection is closed (ending the read loop) and later
+// responses are dropped, so no handler ever blocks on a dead peer.
+func (sc *srvConn) write(resp *wire.Response) {
+	sc.w.lock()
+	sc.w.buf = wire.EncodeResponse(sc.w.buf[:0], resp)
+	wire.PutResponse(resp)
+	n, err := sc.w.sendAndUnlock()
+	if err != nil {
+		sc.c.Close()
+		return
+	}
+	sc.s.met.bytesOut.Add(int64(n))
 }
 
 // Close stops accepting, closes all connections, and waits for
@@ -308,7 +326,6 @@ func (s *TCPServer) Close() error {
 		return nil
 	}
 	s.closed = true
-	close(s.quit) // parked workers exit
 	for c := range s.conns {
 		c.Close()
 	}
@@ -320,8 +337,8 @@ func (s *TCPServer) Close() error {
 
 // TCPClientOptions configures a TCP client.
 type TCPClientOptions struct {
-	// ConnCache enables the multiplexed connection cache: one
-	// full-duplex connection per destination shared by all concurrent
+	// ConnCache enables the multiplexed connection cache: full-duplex
+	// connections kept per destination and shared by all concurrent
 	// calls. Without it every Call dials a fresh connection and runs
 	// in lockstep (the paper's "TCP without connection caching"
 	// configuration).
@@ -348,51 +365,54 @@ var (
 	errClientClosed = errors.New("transport: client closed")
 	errConnEvicted  = errors.New("transport: connection evicted from cache")
 	errDialRace     = errors.New("transport: lost dial race")
+	errUncached     = errors.New("transport: uncached call finished")
 )
 
-// TCPClient issues requests over TCP. With ConnCache enabled each
-// destination gets one full-duplex multiplexed connection (§III.F):
-// a writer goroutine pipelines encoded requests onto the wire and a
-// demux reader matches responses back to callers by sequence ID, so
-// any number of concurrent calls share the connection. When a
-// connection fails, every call in flight on it fails with a retriable
-// error (ErrUnreachable taxonomy) — the caller does not know whether
-// its request executed.
+// TCPClient issues requests over TCP. With ConnCache enabled every
+// destination keeps multiplexed full-duplex connections (§III.F) on
+// which the callers do their own socket I/O: a caller writes its frame
+// itself and then either reads responses itself (the connection's
+// read role) or parks until the caller holding that role delivers its
+// response by sequence ID — so an uncontended call wakes no goroutine
+// on this side, and any number of concurrent calls can share one
+// connection. A call that finds every cached connection to its
+// destination busy dials another, up to GOMAXPROCS per destination:
+// callers running in parallel each get a socket to themselves, and
+// beyond that they share. When a connection fails, every call in
+// flight on it fails with a retriable error (ErrUnreachable taxonomy)
+// — the caller does not know whether its request executed.
 type TCPClient struct {
-	opts TCPClientOptions
-	met  cliMetrics
+	opts    TCPClientOptions
+	met     cliMetrics
+	perDest int // connections one destination may hold
 
 	mu     sync.Mutex
 	lru    *list.List // of *muxConn, front = most recently used
-	byAddr map[string]*list.Element
+	byAddr map[string][]*muxConn
 	closed bool
 }
 
-// muxConn is one multiplexed connection: callers register a sequence
-// ID and parking channel, push the encoded frame to the writer, and
-// wait for the demux reader to deliver their response.
+// muxConn is one multiplexed connection. Callers register a sequence
+// ID and a parking channel, send under w, and then contend for the
+// read role (see await).
 type muxConn struct {
-	addr    string
-	c       net.Conn
-	wch     chan []byte
-	closed  chan struct{}
-	timeout time.Duration
-	met     *cliMetrics
+	addr   string
+	c      net.Conn
+	client *TCPClient
+	el     *list.Element // place in client.lru, nil when uncached; guarded by client.mu
+	busy   atomic.Int32  // calls holding this connection; raised under client.mu
+
+	w     frameWriter
+	br    *bufio.Reader // owned by the read-role holder
+	frame []byte        // read frame kept across responses; owned by the read-role holder
 
 	mu       sync.Mutex
 	seq      uint64
 	inflight map[uint64]chan *wire.Response
+	parked   map[uint64]chan *wire.Response // the inflight callers waiting as followers
+	reading  bool                           // a caller holds (or was just sent) the read role
 	failed   bool
 	err      error
-}
-
-// cachedConn is a non-multiplexed connection used by the lockstep
-// (ConnCache=false) path and as the raw dial result.
-type cachedConn struct {
-	addr string
-	c    net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
 }
 
 // NewTCPClient creates a client.
@@ -404,10 +424,11 @@ func NewTCPClient(opts TCPClientOptions) *TCPClient {
 		opts.Timeout = DefaultTimeout
 	}
 	return &TCPClient{
-		opts:   opts,
-		met:    newCliMetrics(opts.Metrics),
-		lru:    list.New(),
-		byAddr: make(map[string]*list.Element),
+		opts:    opts,
+		met:     newCliMetrics(opts.Metrics),
+		perDest: runtime.GOMAXPROCS(0),
+		lru:     list.New(),
+		byAddr:  make(map[string][]*muxConn),
 	}
 }
 
@@ -422,27 +443,29 @@ func (c *TCPClient) Call(addr string, req *wire.Request) (*wire.Response, error)
 		return nil, fmt.Errorf("%w: budget exhausted before dial", ErrTimeout)
 	}
 	if !c.opts.ConnCache {
-		return c.callLockstep(addr, req, deadline)
+		// The uncached configuration: dial, one round trip, close.
+		mc, err := c.dialMux(addr, deadline)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", classify(err), err)
+		}
+		defer mc.fail(errUncached)
+		return mc.roundTrip(req, deadline)
 	}
-	mc, err := c.muxFor(addr, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", classify(err), err)
+	for fresh := false; ; fresh = true {
+		mc, err := c.connFor(addr, deadline, fresh)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", classify(err), err)
+		}
+		resp, err := mc.roundTrip(req, deadline)
+		mc.busy.Add(-1)
+		if err == nil || fresh || errors.Is(err, ErrTimeout) {
+			return resp, err
+		}
+		// The connection failed (server restart, mid-flight reset) and
+		// has left the cache: retry exactly once, on a fresh dial — a
+		// sibling connection cached alongside it is likely just as
+		// stale.
 	}
-	resp, err := mc.roundTrip(req, deadline)
-	if err == nil {
-		return resp, nil
-	}
-	if errors.Is(err, ErrTimeout) {
-		return nil, err
-	}
-	// The multiplexed connection failed (stale cache entry, server
-	// restart, mid-flight reset): retry exactly once on a fresh dial.
-	c.drop(mc)
-	mc, derr := c.muxFor(addr, deadline)
-	if derr != nil {
-		return nil, fmt.Errorf("%w: %v", classify(derr), derr)
-	}
-	return mc.roundTrip(req, deadline)
 }
 
 // CallBatch implements Caller by packing the sub-requests into one
@@ -455,50 +478,23 @@ func (c *TCPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respon
 	return EnvelopeCallBatch(c, addr, reqs)
 }
 
-// callLockstep is the uncached configuration: dial, one round trip,
-// close.
-func (c *TCPClient) callLockstep(addr string, req *wire.Request, deadline time.Time) (*wire.Response, error) {
-	cc, err := c.dial(addr, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", classify(err), err)
-	}
-	defer cc.c.Close()
-	cc.c.SetDeadline(deadline)
-	resp, err := c.roundTrip(cc, req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", classify(err), err)
-	}
-	return resp, nil
-}
-
-func (c *TCPClient) roundTrip(cc *cachedConn, req *wire.Request) (*wire.Response, error) {
-	out := wire.EncodeRequest(wire.GetBuffer(), req)
-	c.met.bytesOut.Add(int64(len(out)))
-	err := writeFrame(cc.bw, out)
-	wire.PutBuffer(out)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := readFrame(cc.br, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.met.bytesIn.Add(int64(len(frame)))
-	return wire.DecodeResponse(frame)
-}
-
-// muxFor returns the destination's multiplexed connection, dialing
-// one if absent. Concurrent dials to the same address are resolved by
-// keeping the first registered connection.
-func (c *TCPClient) muxFor(addr string, deadline time.Time) (*muxConn, error) {
+// connFor returns a connection to addr with its busy count raised for
+// one call: an idle cached one if there is any (unless fresh), a newly
+// dialed one while the destination holds fewer than perDest and the
+// cache has room, the least busy cached one otherwise. Two callers
+// colliding on one connection is the one wake-up left on the lockstep
+// path, which is why a busy connection is a reason to dial.
+func (c *TCPClient) connFor(addr string, deadline time.Time, fresh bool) (*muxConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	if el, ok := c.byAddr[addr]; ok {
-		c.lru.MoveToFront(el)
-		mc := el.Value.(*muxConn)
+	conns := c.byAddr[addr]
+	if mc := leastBusy(conns); mc != nil && !fresh &&
+		(mc.busy.Load() == 0 || len(conns) >= c.perDest || c.lru.Len() >= c.opts.MaxCached) {
+		c.lru.MoveToFront(mc.el)
+		mc.busy.Add(1)
 		c.mu.Unlock()
 		c.met.cachedHits.Inc()
 		return mc, nil
@@ -515,22 +511,24 @@ func (c *TCPClient) muxFor(addr string, deadline time.Time) (*muxConn, error) {
 		mc.fail(errClientClosed)
 		return nil, errClientClosed
 	}
-	if el, ok := c.byAddr[addr]; ok {
-		c.lru.MoveToFront(el)
-		winner := el.Value.(*muxConn)
+	if conns = c.byAddr[addr]; len(conns) >= c.perDest {
+		// Concurrent dials filled the destination first: keep theirs.
+		winner := leastBusy(conns)
+		c.lru.MoveToFront(winner.el)
+		winner.busy.Add(1)
 		c.mu.Unlock()
 		mc.fail(errDialRace)
 		return winner, nil
 	}
-	c.byAddr[addr] = c.lru.PushFront(mc)
+	mc.busy.Add(1)
+	mc.el = c.lru.PushFront(mc)
+	c.byAddr[addr] = append(conns, mc)
 	for c.lru.Len() > c.opts.MaxCached {
-		el := c.evictable()
-		if el == nil {
+		victim := c.evictable()
+		if victim == nil {
 			break
 		}
-		victim := el.Value.(*muxConn)
-		c.lru.Remove(el)
-		delete(c.byAddr, victim.addr)
+		c.unlink(victim)
 		evicted = append(evicted, victim)
 	}
 	c.mu.Unlock()
@@ -540,40 +538,34 @@ func (c *TCPClient) muxFor(addr string, deadline time.Time) (*muxConn, error) {
 	return mc, nil
 }
 
+// leastBusy returns the connection with the fewest calls on it, the
+// earliest cached on ties (so a lone caller keeps reusing one warm
+// socket); nil when conns is empty.
+func leastBusy(conns []*muxConn) *muxConn {
+	var best *muxConn
+	for _, mc := range conns {
+		if best == nil || mc.busy.Load() < best.busy.Load() {
+			best = mc
+		}
+	}
+	return best
+}
+
 // evictable picks the LRU victim, preferring connections with no
-// calls in flight; the front (most recent) element is never evicted.
-func (c *TCPClient) evictable() *list.Element {
+// calls on them; the front (most recent) element is never evicted.
+func (c *TCPClient) evictable() *muxConn {
 	for el := c.lru.Back(); el != nil && el != c.lru.Front(); el = el.Prev() {
-		if el.Value.(*muxConn).idle() {
-			return el
+		if mc := el.Value.(*muxConn); mc.busy.Load() == 0 {
+			return mc
 		}
 	}
 	if el := c.lru.Back(); el != nil && el != c.lru.Front() {
-		return el
+		return el.Value.(*muxConn)
 	}
 	return nil
 }
 
 func (c *TCPClient) dialMux(addr string, deadline time.Time) (*muxConn, error) {
-	cc, err := c.dial(addr, deadline)
-	if err != nil {
-		return nil, err
-	}
-	mc := &muxConn{
-		addr:     addr,
-		c:        cc.c,
-		wch:      make(chan []byte, 128),
-		closed:   make(chan struct{}),
-		timeout:  c.opts.Timeout,
-		met:      &c.met,
-		inflight: make(map[uint64]chan *wire.Response),
-	}
-	go mc.writeLoop(cc.bw)
-	go c.readLoop(mc, cc.br)
-	return mc, nil
-}
-
-func (c *TCPClient) dial(addr string, deadline time.Time) (*cachedConn, error) {
 	c.met.dials.Inc()
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.Dial("tcp", addr)
@@ -583,126 +575,40 @@ func (c *TCPClient) dial(addr string, deadline time.Time) (*cachedConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &cachedConn{
-		addr: addr,
-		c:    conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}, nil
+	mc := &muxConn{
+		addr:     addr,
+		c:        conn,
+		client:   c,
+		br:       bufio.NewReaderSize(conn, ioBufSize),
+		inflight: make(map[uint64]chan *wire.Response),
+		parked:   make(map[uint64]chan *wire.Response),
+	}
+	mc.w.bw = bufio.NewWriterSize(conn, ioBufSize)
+	return mc, nil
 }
 
-// drop removes mc from the cache if it is still the registered
-// connection for its address (a replacement may already be in place).
-func (c *TCPClient) drop(mc *muxConn) {
-	c.mu.Lock()
-	if el, ok := c.byAddr[mc.addr]; ok && el.Value.(*muxConn) == mc {
-		c.lru.Remove(el)
+// unlink removes mc from the cache if it is (still) in it. c.mu held.
+func (c *TCPClient) unlink(mc *muxConn) {
+	if mc.el == nil {
+		return
+	}
+	c.lru.Remove(mc.el)
+	mc.el = nil
+	if conns := c.byAddr[mc.addr]; len(conns) == 1 {
 		delete(c.byAddr, mc.addr)
-	}
-	c.mu.Unlock()
-}
-
-// readLoop demultiplexes responses to their registered callers by
-// sequence ID. Any read or decode error fails the connection and
-// every call in flight on it.
-//
-// The frame buffer is reused across responses whenever the decoded
-// response carries no aliasing payload (no Value, no Table) — the
-// common case for mutation acks. When it does alias, ownership of
-// the frame transfers to the caller along with the response (a
-// Lookup's Value IS the frame) and the loop takes a fresh buffer.
-func (c *TCPClient) readLoop(mc *muxConn, br *bufio.Reader) {
-	var frame []byte
-	for {
-		if frame == nil {
-			frame = getFrameBuf()
-		}
-		f, err := readFrame(br, frame)
-		if err != nil {
-			c.drop(mc)
-			mc.fail(err)
-			return
-		}
-		frame = f
-		c.met.bytesIn.Add(int64(len(f)))
-		resp, err := wire.DecodeResponsePooled(f)
-		if err != nil {
-			c.drop(mc)
-			mc.fail(err)
-			return
-		}
-		aliases := resp.Value != nil || resp.Table != nil
-		// Deliver while holding the lock: a send can then never race
-		// deregister, so a caller that gives up on its sequence ID
-		// knows no response will arrive afterwards and may safely
-		// recycle its parking channel.
-		mc.mu.Lock()
-		ch := mc.inflight[resp.Seq]
-		delete(mc.inflight, resp.Seq)
-		if ch != nil {
-			ch <- resp // cap 1, one send per seq: never blocks
-		}
-		mc.mu.Unlock()
-		if ch == nil {
-			// No waiter (timed out and deregistered): the response
-			// and its frame stay ours.
-			wire.PutResponse(resp)
-			continue
-		}
-		if aliases {
-			frame = nil
-		}
-	}
-}
-
-// writeLoop pushes encoded frames onto the wire, flushing only when
-// the queue momentarily empties so bursts of pipelined requests share
-// one flush.
-func (mc *muxConn) writeLoop(bw *bufio.Writer) {
-	for {
-		var buf []byte
-		select {
-		case buf = <-mc.wch:
-		case <-mc.closed:
-			return
-		}
-		if mc.timeout > 0 {
-			mc.c.SetWriteDeadline(time.Now().Add(mc.timeout))
-		}
-		err := writeFrameNoFlush(bw, buf)
-		wire.PutBuffer(buf)
-		if err != nil {
-			mc.fail(err)
-			return
-		}
-	drain:
-		for {
-			select {
-			case buf = <-mc.wch:
-				err := writeFrameNoFlush(bw, buf)
-				wire.PutBuffer(buf)
-				if err != nil {
-					mc.fail(err)
-					return
-				}
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			mc.fail(err)
-			return
-		}
+	} else {
+		i := slices.Index(conns, mc)
+		c.byAddr[mc.addr] = slices.Delete(conns, i, i+1)
 	}
 }
 
 // respChPool recycles the cap-1 parking channels callers wait on.
 // Safe because a channel only returns to the pool when its owner can
-// prove no further send or close can touch it: after receiving the
-// response (the demux sends at most once per sequence ID), or after
-// deregistering on a healthy connection (sends happen under mc.mu,
-// so deregister ordering is exact). Channels on a failed connection
-// are closed by fail and never pooled.
+// prove no further send or close can touch it: every send and close
+// happens under mc.mu to a channel registered in mc.inflight, so once
+// the entry is gone (deleted on delivery, or by finish) and the
+// connection had not failed, the channel is the owner's alone.
+// Channels on a failed connection are closed by fail and never pooled.
 var respChPool = sync.Pool{New: func() any { return make(chan *wire.Response, 1) }}
 
 // timerPool recycles deadline timers: time.NewTimer allocates the
@@ -718,131 +624,236 @@ func getTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-// putTimer stops t, drains a tick that may have fired between the
-// caller's last select and the Stop, and pools it. The caller must be
-// the only receiver on t.C.
+// putTimer pools t if it could be stopped before firing. A timer that
+// has fired is dropped instead: Stop can report it fired before its
+// tick has reached t.C, and a tick landing after the drain would end
+// the next user's wait the moment it began.
 func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
+	if t.Stop() {
+		timerPool.Put(t)
 	}
-	timerPool.Put(t)
 }
 
-// reclaimRespCh drains a possibly-delivered response and pools the
-// channel. Used on abandonment paths where a response may have
-// landed between the send and the caller giving up.
-func reclaimRespCh(ch chan *wire.Response) {
-	select {
-	case resp := <-ch:
-		wire.PutResponse(resp)
-	default:
-	}
-	respChPool.Put(ch)
-}
-
-// roundTrip issues one request over the multiplexed connection and
-// waits for its demultiplexed response or the deadline.
+// roundTrip issues one request on the connection: register, write the
+// frame on this goroutine, then await the response.
 func (mc *muxConn) roundTrip(req *wire.Request, deadline time.Time) (*wire.Response, error) {
 	ch := respChPool.Get().(chan *wire.Response)
 	mc.mu.Lock()
 	if mc.failed {
-		err := mc.err
 		mc.mu.Unlock()
 		respChPool.Put(ch)
-		return nil, fmt.Errorf("%w: %v", classify(err), err)
+		return nil, mc.failure()
 	}
 	mc.seq++
 	seq := mc.seq
 	mc.inflight[seq] = ch
 	mc.mu.Unlock()
-	mc.met.muxInflight.Inc()
-	defer mc.met.muxInflight.Dec()
+	met := &mc.client.met
+	met.muxInflight.Inc()
+	defer met.muxInflight.Dec()
 
 	r := *req // callers may reuse req concurrently; never mutate it
 	r.Seq = seq
-	buf := wire.EncodeRequest(wire.GetBuffer(), &r)
-	mc.met.bytesOut.Add(int64(len(buf)))
+	mc.w.lock()
+	// Bounded by the client's timeout, not this call's budget: a frame
+	// cut short by one caller's tight deadline would cost every caller
+	// the connection, and a write only blocks at all once the peer has
+	// stopped draining the socket.
+	mc.c.SetWriteDeadline(time.Now().Add(mc.client.opts.Timeout))
+	mc.w.buf = wire.EncodeRequest(mc.w.buf[:0], &r)
+	n, err := mc.w.sendAndUnlock()
+	if err != nil {
+		return nil, mc.broke(err)
+	}
+	met.bytesOut.Add(int64(n))
+	return mc.await(seq, ch, deadline)
+}
 
-	var expire <-chan time.Time
-	if !deadline.IsZero() {
-		timer := getTimer(time.Until(deadline))
-		defer putTimer(timer)
-		expire = timer.C
+// await collects seq's response. Whoever finds the connection's read
+// role free takes it and reads frames itself (lead), delivering other
+// callers' responses to their channels as they come; everyone else
+// parks as a follower until the leader delivers its response, hands
+// it the role (a nil token), the connection fails (ch closed), or its
+// own deadline passes. The role is taken only after the request is
+// written, and handed only to parked callers, so it never sits with a
+// goroutine that is blocked writing while the peer waits to be read.
+func (mc *muxConn) await(seq uint64, ch chan *wire.Response, deadline time.Time) (*wire.Response, error) {
+	mc.mu.Lock()
+	// A leader that has just left may already have put this call's
+	// response in ch; taking the role then would wait for a frame that
+	// is never coming. Sends happen under mu, so len is exact here.
+	lead := !mc.reading && !mc.failed && len(ch) == 0
+	if lead {
+		mc.reading = true
+	} else if !mc.failed && len(ch) == 0 {
+		mc.parked[seq] = ch
 	}
-	select {
-	case mc.wch <- buf: // writer loop now owns buf
-	case <-mc.closed:
-		wire.PutBuffer(buf)
-		if mc.deregister(seq) {
-			reclaimRespCh(ch)
+	mc.mu.Unlock()
+	if !lead {
+		var expire <-chan time.Time
+		if !deadline.IsZero() {
+			timer := getTimer(time.Until(deadline))
+			defer putTimer(timer)
+			expire = timer.C
 		}
-		err := mc.failure()
-		return nil, fmt.Errorf("%w: %v", classify(err), err)
-	case <-expire:
-		wire.PutBuffer(buf)
-		if mc.deregister(seq) {
-			reclaimRespCh(ch)
+		select {
+		case resp, ok := <-ch:
+			if !ok {
+				return nil, mc.failure()
+			}
+			if resp != nil {
+				respChPool.Put(ch) // delivered: the entry is gone, ch is ours
+				return resp, nil
+			}
+		case <-expire:
+			mc.finish(seq, ch, false)
+			return nil, fmt.Errorf("%w: no response within deadline", ErrTimeout)
 		}
-		return nil, fmt.Errorf("%w: no response within deadline", ErrTimeout)
 	}
+	return mc.lead(seq, ch, deadline)
+}
+
+// lead runs the read role for seq's caller until its own response
+// arrives or its deadline passes. The deadline may only abandon this
+// one call at a frame boundary (Peek timed out with nothing read); a
+// timeout — or any error — inside a frame fails the connection,
+// because the next reader would start in the middle of a frame.
+func (mc *muxConn) lead(seq uint64, ch chan *wire.Response, deadline time.Time) (*wire.Response, error) {
+	mc.c.SetReadDeadline(deadline)
+	for {
+		if _, err := mc.br.Peek(1); err != nil {
+			if classify(err) != ErrTimeout {
+				return nil, mc.broke(err)
+			}
+			mc.finish(seq, ch, true)
+			return nil, fmt.Errorf("%w: no response within deadline", ErrTimeout)
+		}
+		if mc.frame == nil {
+			mc.frame = getFrameBuf()
+		}
+		f, err := readFrame(mc.br, mc.frame)
+		mc.frame = f // nil on error: readFrame consumed the buffer
+		if err != nil {
+			return nil, mc.broke(err)
+		}
+		mc.client.met.bytesIn.Add(int64(len(f)))
+		resp, err := wire.DecodeResponsePooled(f)
+		if err != nil {
+			return nil, mc.broke(err)
+		}
+		// A small response is copied out right-sized and the frame
+		// kept for the next read; a large one takes the frame with it
+		// (a Lookup's Value IS the frame) rather than pay the copy.
+		switch aliases := resp.Value != nil || resp.Table != nil; {
+		case aliases && len(f) <= frameBufCap/4:
+			ownPayload(resp)
+		case aliases || cap(f) > maxPooledFrame:
+			mc.frame = nil
+		}
+		if resp.Seq == seq {
+			mc.finish(seq, ch, true)
+			return resp, nil
+		}
+		// Deliver under the lock: a send can then never race finish, so
+		// a caller that gives up on its sequence ID knows no response
+		// will arrive afterwards and may recycle its channel.
+		mc.mu.Lock()
+		to := mc.inflight[resp.Seq]
+		delete(mc.inflight, resp.Seq)
+		delete(mc.parked, resp.Seq)
+		if to != nil {
+			to <- resp // cap 1, one send per seq: never blocks
+		}
+		mc.mu.Unlock()
+		if to == nil {
+			wire.PutResponse(resp) // its caller timed out and left
+		}
+	}
+}
+
+// ownPayload moves resp's frame-aliasing fields into one allocation of
+// exactly their size.
+func ownPayload(resp *wire.Response) {
+	buf := make([]byte, len(resp.Value)+len(resp.Table))
+	n := copy(buf, resp.Value)
+	copy(buf[n:], resp.Table)
+	if resp.Value != nil {
+		resp.Value = buf[:n:n]
+	}
+	if resp.Table != nil {
+		resp.Table = buf[n:]
+	}
+}
+
+// finish retires seq's registration when its caller stops waiting —
+// answered as leader, or out of time — and recycles ch. A caller that
+// holds the read role (leader, or a follower whose token landed in ch
+// as it gave up) hands it to a parked caller, or frees it when none is
+// parked; callers still writing find it free when they get to await.
+func (mc *muxConn) finish(seq uint64, ch chan *wire.Response, leader bool) {
+	mc.mu.Lock()
+	delete(mc.inflight, seq)
+	delete(mc.parked, seq)
 	select {
 	case resp, ok := <-ch:
-		if !ok {
-			// The connection failed with this call in flight. The
-			// error is retriable, but the request may or may not have
-			// executed on the server. fail closed ch; it is not
-			// reusable.
-			err := mc.failure()
-			return nil, fmt.Errorf("%w: in-flight call failed: %v", classify(err), err)
+		if resp != nil {
+			wire.PutResponse(resp)
+		} else if ok {
+			leader = true
 		}
-		// The demux deleted seq before sending, so nothing can touch
-		// ch again: recycle it.
+	default:
+	}
+	if leader {
+		mc.reading = false
+		for next, to := range mc.parked {
+			delete(mc.parked, next)
+			mc.reading = true
+			to <- nil // empty: a parked caller's response has not been delivered
+			break
+		}
+	}
+	failed := mc.failed
+	mc.mu.Unlock()
+	if !failed {
 		respChPool.Put(ch)
-		return resp, nil
-	case <-expire:
-		if mc.deregister(seq) {
-			reclaimRespCh(ch)
-		}
-		return nil, fmt.Errorf("%w: no response within deadline", ErrTimeout)
 	}
 }
 
-// deregister removes seq from the inflight table and reports whether
-// the caller still owns its parking channel: false once the
-// connection has failed, because fail closes every registered
-// channel and a closed channel must never return to the pool.
-func (mc *muxConn) deregister(seq uint64) bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	delete(mc.inflight, seq)
-	return !mc.failed
+// broke fails the connection after an I/O error inside a frame and
+// returns the error for the caller that hit it. A deadline firing
+// mid-frame is that caller's timeout but everybody else's broken
+// connection, so the recorded cause is deliberately not a timeout.
+func (mc *muxConn) broke(err error) error {
+	if classify(err) == ErrTimeout {
+		mc.fail(fmt.Errorf("transport: a call's deadline passed mid-frame (%v)", err))
+		return fmt.Errorf("%w: no response within deadline", ErrTimeout)
+	}
+	mc.fail(err)
+	return mc.failure()
 }
 
+// failure reports why the connection failed, in the error taxonomy.
+// The error is retriable, but a request in flight may or may not have
+// executed on the server.
 func (mc *muxConn) failure() error {
 	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.err == nil {
-		return errors.New("transport: connection closed")
-	}
-	return mc.err
+	err := mc.err
+	mc.mu.Unlock()
+	return fmt.Errorf("%w: in-flight call failed: %v", classify(err), err)
 }
 
-func (mc *muxConn) idle() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return len(mc.inflight) == 0
-}
-
-// fail marks the connection dead exactly once: it closes the socket
-// (stopping both loops) and closes every in-flight caller's channel so
-// all of them fail promptly with a retriable error. The channels are
-// closed while holding mc.mu so that deregister's failed check is
-// exact: a caller that deregisters on a healthy connection can never
-// have its channel closed afterwards.
+// fail marks the connection dead exactly once: it takes the connection
+// out of the cache (first, so a caller woken by the failure cannot be
+// handed it again on its retry), closes every in-flight caller's
+// channel so all of them fail promptly with a retriable error, and
+// closes the socket (unblocking its reader and writers). The channels
+// are closed while holding mc.mu so that finish's failed check is
+// exact: a caller that retires its registration on a healthy
+// connection can never have its channel closed afterwards.
 func (mc *muxConn) fail(err error) {
+	mc.client.mu.Lock()
+	mc.client.unlink(mc)
+	mc.client.mu.Unlock()
 	mc.mu.Lock()
 	if mc.failed {
 		mc.mu.Unlock()
@@ -850,12 +861,12 @@ func (mc *muxConn) fail(err error) {
 	}
 	mc.failed = true
 	mc.err = err
-	for seq, ch := range mc.inflight {
+	for _, ch := range mc.inflight {
 		close(ch)
-		delete(mc.inflight, seq)
 	}
+	clear(mc.inflight)
+	clear(mc.parked)
 	mc.mu.Unlock()
-	close(mc.closed)
 	mc.c.Close()
 }
 
@@ -876,8 +887,9 @@ func (c *TCPClient) Close() error {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		conns = append(conns, el.Value.(*muxConn))
 	}
-	c.lru.Init()
-	c.byAddr = make(map[string]*list.Element)
+	for _, mc := range conns {
+		c.unlink(mc)
+	}
 	c.mu.Unlock()
 	for _, mc := range conns {
 		mc.fail(errClientClosed)

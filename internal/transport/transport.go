@@ -6,6 +6,8 @@
 //
 //   - TCP with an LRU connection cache, "which makes TCP work almost
 //     as fast as UDP does" (the paper's preferred configuration);
+//     callers do their own socket I/O on the cached connections, so
+//     a round trip wakes no goroutine but the peer's;
 //   - TCP without connection caching (a dial per request — the
 //     baseline the paper measures the cache against);
 //   - UDP, acknowledge-message based: every request datagram is
@@ -29,6 +31,16 @@ import (
 
 // Handler processes one request and returns its response. Handlers
 // must be safe for concurrent use.
+//
+// Where it runs: on TCP, on the goroutine that read the request off
+// the connection — nothing else is read from that connection until the
+// handler returns. A handler must therefore call req.Detach(), from
+// the goroutine it was called on, before it blocks (sleeps, waits for
+// a lock or channel another request releases) or calls out through a
+// Caller: Detach moves the connection's reading elsewhere first.
+// Skipping it stalls the connection, and two servers calling each
+// other from undetached handlers can deadlock. Detach is a no-op on
+// transports that already run every handler on its own goroutine.
 //
 // Buffer ownership (DESIGN.md §11): the request, its Key/Value/Aux,
 // and the frame they alias belong to the transport and are recycled
@@ -96,8 +108,10 @@ type ServerMode int
 
 const (
 	// EventDriven handles requests inline on the connection's reader
-	// goroutine — the streamlined architecture the paper converged
-	// on (its epoll server; 3x faster than the multithread design).
+	// goroutine, which also writes the response — the streamlined
+	// architecture the paper converged on (its epoll server; 3x
+	// faster than the multithread design). See Handler for what that
+	// asks of handlers.
 	EventDriven ServerMode = iota
 	// SpawnPerRequest creates a fresh goroutine per request with a
 	// synchronized handoff, reproducing the overhead profile of the

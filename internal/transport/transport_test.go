@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -359,15 +360,12 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 	// affecting later well-formed clients.
 	c := NewTCPClient(TCPClientOptions{Timeout: time.Second})
 	defer c.Close()
-	raw := NewTCPClient(TCPClientOptions{Timeout: time.Second})
-	defer raw.Close()
-	cc, err := raw.dial(srv.Addr(), time.Now().Add(time.Second))
+	raw, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.bw.Write([]byte{5, 'X', 'X', 'X', 'X', 'X'})
-	cc.bw.Flush()
-	cc.c.Close()
+	raw.Write([]byte{5, 'X', 'X', 'X', 'X', 'X'})
+	raw.Close()
 	if _, err := c.Call(srv.Addr(), &wire.Request{Op: wire.OpPing}); err != nil {
 		t.Fatalf("server unusable after malformed frame: %v", err)
 	}

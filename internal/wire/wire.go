@@ -245,6 +245,27 @@ type Request struct {
 	// it last-writer-wins. Zero means unversioned: the receiver stamps
 	// (primary apply) or applies blindly (legacy path).
 	Version uint64
+	// detach is never encoded: a server that runs handlers on the
+	// goroutine that read the request (TCP) installs it so a handler
+	// about to block can give the connection's read loop away first.
+	// Nil on every other transport; PutRequest clears it.
+	detach func()
+}
+
+// SetDetach installs the hook Detach calls; transports set it on the
+// requests they decode.
+func (r *Request) SetDetach(f func()) { r.detach = f }
+
+// Detach tells the serving transport that the handler is about to
+// block — wait on a lock another request releases, sleep, or call
+// another server — so whatever the transport would otherwise do on
+// this goroutine after the handler returns (read the connection's next
+// request) must move elsewhere now. A no-op when the transport has
+// nothing to move (or r is nil) and on every call after the first.
+func (r *Request) Detach() {
+	if r != nil && r.detach != nil {
+		r.detach()
+	}
 }
 
 // Response is a ZHT protocol response.
