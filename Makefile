@@ -3,13 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+vet:
+	$(GO) vet ./...
+
+# test-race is the full suite, chaos soaks included, under the race
+# detector.
+test-race:
+	$(GO) test -race ./...
 
 # fmt-check fails (and lists the offenders) if any file is not gofmt'd.
 fmt-check:
@@ -99,17 +107,32 @@ benchmark-test:
 # race detector, the benchmark module's tests, the hot-path allocation
 # gate, and the batching + crash-recovery + replica-repair +
 # elastic-membership + tunable-consistency + multi-tenancy smoke runs.
-verify: fmt-check docs-check
-	$(GO) vet ./...
-	$(GO) test -race ./...
-	$(MAKE) benchmark-test
-	$(MAKE) bench-allocs
-	$(MAKE) bench-smoke
-	$(MAKE) storage-smoke
-	$(MAKE) repair-smoke
-	$(MAKE) churn-smoke
-	$(MAKE) consistency-smoke
-	$(MAKE) tenant-smoke
+# Every step runs even after one fails, so one red never hides the
+# rest; the last line is the pass/fail census and the exit status is
+# non-zero if any step failed.
+VERIFY_STEPS = fmt-check docs-check vet test-race benchmark-test bench-allocs \
+	bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke
+
+verify:
+	@passed=""; failed=""; \
+	for step in $(VERIFY_STEPS); do \
+		echo "== verify: $$step"; \
+		if $(MAKE) --no-print-directory $$step; then passed="$$passed $$step"; \
+		else failed="$$failed $$step"; fi; \
+	done; \
+	echo "verify: $$(echo $$passed | wc -w) passed, $$(echo $$failed | wc -w) failed:$${failed:- none}"; \
+	[ -z "$$failed" ]
+
+# profile-handle CPU-profiles BenchmarkHandleParallelZipf, the
+# in-process shape of the inproc-parallel-zipf workload (client
+# routing, Instance.Handle, the partition store), and prints the
+# hottest functions. The profile and test binary stay in .profile/ for
+# `go tool pprof -http`.
+profile-handle:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '^BenchmarkHandleParallelZipf$$' -benchtime 5s \
+		-cpuprofile .profile/handle.cpu.pprof -o .profile/zht.test .
+	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/handle.cpu.pprof
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

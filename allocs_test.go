@@ -6,6 +6,7 @@ import (
 
 	"zht"
 	"zht/internal/core"
+	"zht/internal/novoht"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -70,6 +71,45 @@ const (
 // unpooled frame), not single-alloc noise on a path that is
 // deliberately 2 RPCs + 2 goroutines per call.
 const quorumLookupAllocBudget = 16
+
+// appendAccumulatedBytes is the value size at which the append case
+// checks that the partition store's own allocations do not grow with
+// the value: a replicated append reads the whole value into caller
+// scratch and writes it back (core's applyPrimary), and the store's
+// digest upkeep must hash without copying the pre-image.
+const appendAccumulatedBytes = 64 << 10
+
+// storeAppendAllocs reports the partition store's allocations per
+// primary-path append on a key already holding base bytes: GetAppendV
+// into reused scratch, the delta appended, PutV of the whole value —
+// plus one engine-level Append. The store is opened the way an
+// instance opens an in-memory partition.
+func storeAppendAllocs(tb testing.TB, base int) float64 {
+	s, err := novoht.Open(novoht.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.PutV("dir", make([]byte, base), 1); err != nil {
+		tb.Fatal(err)
+	}
+	delta := make([]byte, 16)
+	scratch := make([]byte, 0, 2*base+4096)
+	ver := uint64(1)
+	return testing.AllocsPerRun(200, func() {
+		cur, _, _, err := s.GetAppendV(scratch[:0], "dir")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ver++
+		if err := s.PutV("dir", append(cur, delta...), ver); err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Append("dir", delta); err != nil {
+			tb.Fatal(err)
+		}
+	})
+}
 
 // benchTCPClient boots a single-instance deployment on loopback TCP —
 // the configuration the alloc budgets are defined against — with every
@@ -312,4 +352,9 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 	r = testing.Benchmark(benchQuorumLookupAllocs(qc, qkeys))
 	check("quorum-lookup allocs", float64(r.AllocsPerOp()), quorumLookupAllocBudget)
+
+	// The store side of an append costs the same allocations at 64 KiB
+	// accumulated as at the paper's 132-byte value.
+	check("store append allocs at 64 KiB", storeAppendAllocs(t, appendAccumulatedBytes),
+		storeAppendAllocs(t, allocBenchValueBytes))
 }

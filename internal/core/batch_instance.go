@@ -85,9 +85,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 					releases = append(releases, release)
 				}
 			}
-			in.mu.RLock()
-			p = in.table.Partition(in.hashf(s.Key))
-			in.mu.RUnlock()
+			p = in.tableRef().Partition(in.hashf(s.Key))
 		case wire.OpReplicate:
 			// Batched replication legs apply in input order — the order
 			// the primary applied them — via the ordinary replicate
@@ -172,12 +170,10 @@ func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int,
 	defer lock.RUnlock()
 
 	// Ownership on a post-gate snapshot (see handleKV for why).
-	in.mu.RLock()
-	table := in.table
+	table := in.tableRef()
 	ownerIdx := table.Owner[p]
 	owner := table.Instances[ownerIdx]
 	ownerFailed := table.Status[ownerIdx] != ring.Alive
-	in.mu.RUnlock()
 	if owner.ID != in.self.ID {
 		if !(ownerFailed && in.firstAliveReplica(table, p) == in.self.ID) {
 			fan(&wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)})

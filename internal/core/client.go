@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/gossip"
@@ -30,8 +31,11 @@ type Client struct {
 	breaker *breaker
 	metrics clientMetrics
 
-	mu    sync.RWMutex
-	table *ring.Table
+	// table is the client's own routing table, published immutable so
+	// operations load it without locking; mu serializes the writers
+	// that swap in a new one.
+	mu    sync.Mutex
+	table atomic.Pointer[ring.Table]
 	// shared, when non-nil, is a co-located instance whose table
 	// this client reads instead of its own copy (§III.C 1:1
 	// deployment).
@@ -84,13 +88,13 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 			cfg.Metrics.Counter("zht.client.breaker.trips"),
 			cfg.Metrics.Gauge("zht.client.breaker.open")),
 		metrics: newClientMetrics(cfg.Metrics),
-		table:   table.Clone(),
 		// Seed from the process-global (randomly seeded) source:
 		// time.Now().UnixNano() collides for clients created in the
 		// same nanosecond, which would synchronize their retry
 		// jitter and permutation streams.
 		rng: rand.New(rand.NewSource(rand.Int63())),
 	}
+	c.table.Store(table.Clone())
 	if cfg.GossipCooldown >= 0 {
 		c.gossip, _ = gossip.New(gossip.Options{
 			Epoch:    func() uint64 { return c.snapshot().Epoch },
@@ -147,9 +151,7 @@ func (c *Client) snapshot() *ring.Table {
 	if c.shared != nil {
 		return c.shared.tableRef()
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.table
+	return c.table.Load()
 }
 
 // Table returns a snapshot of the client's current membership table.
@@ -720,12 +722,13 @@ func (c *Client) failLocally(id ring.InstanceID) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, err := c.table.PlanFailure(id, maxInt(c.cfg.Replicas, 1))
+	cur := c.table.Load()
+	d, err := cur.PlanFailure(id, maxInt(c.cfg.Replicas, 1))
 	if err != nil {
 		return
 	}
-	if nt, err := c.table.Apply(d); err == nil {
-		c.table = nt
+	if nt, err := cur.Apply(d); err == nil {
+		c.table.Store(nt)
 	}
 }
 
@@ -735,13 +738,14 @@ func (c *Client) reviveLocally(id ring.InstanceID) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx := c.table.IndexOf(id)
+	cur := c.table.Load()
+	idx := cur.IndexOf(id)
 	if idx >= 0 {
-		// The local table may be a published (shared-immutability)
+		// The local table is a published (shared-immutability)
 		// snapshot; mutate a clone.
-		nt := c.table.Clone()
+		nt := cur.Clone()
 		nt.Status[idx] = ring.Alive
-		c.table = nt
+		c.table.Store(nt)
 	}
 }
 
@@ -757,8 +761,8 @@ func (c *Client) adoptTable(t *ring.Table) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Epoch > c.table.Epoch {
-		c.table = t
+	if t.Epoch > c.table.Load().Epoch {
+		c.table.Store(t)
 	}
 }
 

@@ -124,7 +124,7 @@ type Config struct {
 	// traffic. 0 means DefaultMigrateRate; negative removes the cap.
 	MigrateRate int
 	// MigrateLeavesPerPull is how many Merkle leaves one migration
-	// pull round-trip moves (out of repair.Leaves per partition);
+	// pull round-trip moves (out of storage.Leaves per partition);
 	// smaller values yield finer-grained throttling. 0 means
 	// DefaultMigrateLeavesPerPull.
 	MigrateLeavesPerPull int

@@ -146,13 +146,13 @@ func (in *Instance) gossipPull(addr string) bool {
 // delta log never misses an epoch this instance advanced through.
 func (in *Instance) applyDelta(d ring.Delta, frame []byte) (*ring.Table, error) {
 	in.mu.Lock()
-	nt, err := in.table.Apply(d)
+	old := in.tableRef()
+	nt, err := old.Apply(d)
 	if err != nil {
 		in.mu.Unlock()
 		return nil, err
 	}
-	old := in.table
-	in.table = nt
+	in.table.Store(nt)
 	in.mu.Unlock()
 	in.deltaLog.Record(d.FromEpoch, frame)
 	in.met.epoch.Set(int64(nt.Epoch))
@@ -166,12 +166,12 @@ func (in *Instance) applyDelta(d ring.Delta, frame []byte) (*ring.Table, error) 
 // table too.
 func (in *Instance) adoptTableIfNewer(t *ring.Table) bool {
 	in.mu.Lock()
-	if t.Epoch <= in.table.Epoch {
+	old := in.tableRef()
+	if t.Epoch <= old.Epoch {
 		in.mu.Unlock()
 		return false
 	}
-	old := in.table
-	in.table = t
+	in.table.Store(t)
 	in.mu.Unlock()
 	in.met.epoch.Set(int64(t.Epoch))
 	in.afterTableChange(old, t)
@@ -231,16 +231,17 @@ func (c *Client) gossipPull(addr string) bool {
 			break
 		}
 		c.mu.Lock()
-		if d.FromEpoch < c.table.Epoch {
+		cur := c.table.Load()
+		if d.FromEpoch < cur.Epoch {
 			c.mu.Unlock()
 			continue
 		}
-		nt, err := c.table.Apply(d)
+		nt, err := cur.Apply(d)
 		if err != nil {
 			c.mu.Unlock()
 			break
 		}
-		c.table = nt
+		c.table.Store(nt)
 		c.mu.Unlock()
 	}
 	return c.snapshot().Epoch > before

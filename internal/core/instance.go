@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/gossip"
@@ -38,8 +39,11 @@ type Instance struct {
 	// after everything already applied.
 	clock *hlc
 
-	mu    sync.RWMutex // guards table
-	table *ring.Table
+	// table is the published membership table. Published tables are
+	// immutable, so readers load it without locking; mu serializes the
+	// writers (applyDelta, adoptTableIfNewer), which swap in a new one.
+	mu    sync.Mutex
+	table atomic.Pointer[ring.Table]
 	// deltaLog retains the trailing membership deltas this instance
 	// applied, serving peers' gossip catch-up pulls (wire.OpDeltaPull).
 	deltaLog *ring.DeltaLog
@@ -47,8 +51,11 @@ type Instance struct {
 	// reveal staleness; nil when Config.GossipCooldown is negative.
 	gossip *gossip.Service
 
-	smu    sync.Mutex // guards stores
-	stores map[int]storage.KV
+	// stores holds partition p's store at index p once created. Stores
+	// are never removed, so readers load the slot without locking; smu
+	// serializes creation.
+	smu    sync.Mutex
+	stores []atomic.Pointer[storeRef]
 
 	pmu   sync.Mutex // guards parts
 	parts map[int]*partState
@@ -127,9 +134,8 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		self:     self,
 		hashf:    cfg.hash(),
 		clock:    newHLC(self.ID),
-		table:    table.Clone(),
 		deltaLog: ring.NewDeltaLog(0),
-		stores:   make(map[int]storage.KV),
+		stores:   make([]atomic.Pointer[storeRef], table.NumPartitions),
 		parts:    make(map[int]*partState),
 		bcast:    make(map[string][]byte),
 		met:      newInstanceMetrics(cfg.Metrics),
@@ -141,7 +147,8 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	// wrapper: outgoing requests carry our epoch, incoming responses
 	// feed the gossip staleness detector.
 	in.caller = &epochCaller{inner: caller, in: in}
-	in.met.epoch.Set(int64(in.table.Epoch))
+	in.table.Store(table.Clone())
+	in.met.epoch.Set(int64(table.Epoch))
 	if cfg.GossipCooldown >= 0 {
 		in.gossip, _ = gossip.New(gossip.Options{
 			Epoch:    in.Epoch,
@@ -236,33 +243,36 @@ func (in *Instance) Addr() string { return in.self.Addr }
 
 // Table returns a snapshot of the instance's membership table.
 func (in *Instance) Table() *ring.Table {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.table.Clone()
+	return in.tableRef().Clone()
 }
 
 // tableRef returns the current published table without cloning.
 // Published tables are immutable; callers must not modify it.
 func (in *Instance) tableRef() *ring.Table {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.table
+	return in.table.Load()
 }
 
 // Epoch returns the instance's current membership epoch.
 func (in *Instance) Epoch() uint64 {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.table.Epoch
+	return in.tableRef().Epoch
 }
+
+// storeRef is the immutable cell a stores slot points to.
+type storeRef struct{ storage.PartitionKV }
 
 // store returns (creating on demand) the NoVoHT store backing
 // partition p on this instance.
-func (in *Instance) store(p int) (storage.KV, error) {
+func (in *Instance) store(p int) (storage.PartitionKV, error) {
+	if s := in.storeIfPresent(p); s != nil {
+		return s, nil
+	}
+	if p < 0 || p >= len(in.stores) {
+		return nil, fmt.Errorf("core: bad partition %d", p)
+	}
 	in.smu.Lock()
 	defer in.smu.Unlock()
-	if s, ok := in.stores[p]; ok {
-		return s, nil
+	if r := in.stores[p].Load(); r != nil {
+		return r.PartitionKV, nil
 	}
 	opts := novoht.Options{
 		MaxMemValues: in.cfg.MaxMemValuesPerPartition,
@@ -275,21 +285,15 @@ func (in *Instance) store(p int) (storage.KV, error) {
 	if opts.Path == "" || opts.Durability == storage.DurabilityNone {
 		opts.MaxMemValues = 0 // memory bound requires a persistent log
 	}
+	// The store maintains its own repair digest (built during log
+	// replay on open), so primary applies, replica applies, and
+	// migration imports all keep it current.
 	s, err := novoht.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	// Every partition store is wrapped in a repair.Tracked digest
-	// maintainer: primary applies, replica applies, and migration
-	// imports all flow through the same KV value, so the Merkle digest
-	// stays current on every path (rebuilt from ForEach on open).
-	tr, err := repair.Track(s)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	in.stores[p] = tr
-	return tr, nil
+	in.stores[p].Store(&storeRef{s})
+	return s, nil
 }
 
 // Handle implements transport.Handler: the single entry point for
@@ -388,9 +392,7 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	h := in.hashf(req.Key)
 	// The partition index depends only on NumPartitions, which is
 	// immutable, so it can be computed from any table snapshot.
-	in.mu.RLock()
-	p := in.table.Partition(h)
-	in.mu.RUnlock()
+	p := in.tableRef().Partition(h)
 
 	// Replica reads bypass ownership and the migration gate: a quorum
 	// read's coordinator is asking THIS node for its local copy of the
@@ -430,12 +432,10 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// gate: a request racing a just-completed migration would
 	// otherwise pass the gate, then consult a pre-migration table and
 	// apply a write to a partition that has already moved away.
-	in.mu.RLock()
-	table := in.table
+	table := in.tableRef()
 	ownerIdx := table.Owner[p]
 	owner := table.Instances[ownerIdx]
 	ownerFailed := table.Status[ownerIdx] != ring.Alive
-	in.mu.RUnlock()
 
 	if owner.ID != in.self.ID {
 		// Failover service: a replica answers for a failed primary
@@ -507,10 +507,14 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 
 // storeIfPresent returns partition p's store only if this instance
 // already holds one, never creating it.
-func (in *Instance) storeIfPresent(p int) storage.KV {
-	in.smu.Lock()
-	defer in.smu.Unlock()
-	return in.stores[p]
+func (in *Instance) storeIfPresent(p int) storage.PartitionKV {
+	if p < 0 || p >= len(in.stores) {
+		return nil
+	}
+	if r := in.stores[p].Load(); r != nil {
+		return r.PartitionKV
+	}
+	return nil
 }
 
 // applyPrimary applies a replicated mutation to the owner's store,
@@ -519,13 +523,8 @@ func (in *Instance) storeIfPresent(p int) storage.KV {
 // (append legs carry the full concatenated value: with versions,
 // appends replicate as whole-value inserts so a replica that missed
 // an earlier leg converges to the primary's bytes instead of
-// appending onto a different base). Falls back to the unversioned
-// applyKV when the store does not persist stamps.
-func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*wire.Response, []byte) {
-	vkv, ok := s.(storage.VersionedKV)
-	if !ok {
-		return in.applyKV(s, req), nil
-	}
+// appending onto a different base).
+func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver uint64) (*wire.Response, []byte) {
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent != 0 {
@@ -533,13 +532,13 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 			// atomic with respect to every other writer of this key. An
 			// expired TTL envelope counts as absent — lazy expiry must
 			// not block a fresh add (memcached `add` semantics).
-			if v, _, found, err := vkv.GetV(req.Key); err != nil {
+			if v, _, found, err := s.GetV(req.Key); err != nil {
 				return errResp(err), nil
 			} else if found && !tenant.Expired(v) {
 				return statusResp(wire.StatusExists), nil
 			}
 		}
-		if err := vkv.PutV(req.Key, req.Value, ver); err != nil {
+		if err := s.PutV(req.Key, req.Value, ver); err != nil {
 			return errResp(err), nil
 		}
 		return statusResp(wire.StatusOK), nil
@@ -557,13 +556,13 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		return statusResp(wire.StatusOK), nil
 	case wire.OpAppend:
 		buf := wire.GetBuffer()
-		old, _, _, err := vkv.GetAppendV(buf, req.Key)
+		old, _, _, err := s.GetAppendV(buf, req.Key)
 		if err != nil {
 			wire.PutBuffer(old)
 			return errResp(err), nil
 		}
 		full := append(old, req.Value...)
-		if err := vkv.PutV(req.Key, full, ver); err != nil {
+		if err := s.PutV(req.Key, full, ver); err != nil {
 			wire.PutBuffer(full)
 			return errResp(err), nil
 		}
@@ -580,7 +579,7 @@ func (in *Instance) applyPrimary(s storage.KV, req *wire.Request, ver uint64) (*
 		// byte-identical to the engine's.
 		resp := in.applyKV(s, req)
 		if resp.Status == wire.StatusOK {
-			if err := vkv.PutV(req.Key, req.Value, ver); err != nil {
+			if err := s.PutV(req.Key, req.Value, ver); err != nil {
 				wire.PutResponse(resp)
 				return errResp(err), nil
 			}
@@ -667,7 +666,7 @@ func errResp(err error) *wire.Response {
 // TTL-aware: a value whose tenant envelope has expired answers
 // NotFound (lazy expiry, DESIGN.md §13) — the pair itself is deleted
 // later by the anti-entropy reaper, never on the read path.
-func (in *Instance) applyKV(s storage.KV, req *wire.Request) *wire.Response {
+func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request) *wire.Response {
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent != 0 {
@@ -697,73 +696,33 @@ func (in *Instance) applyKV(s storage.KV, req *wire.Request) *wire.Response {
 		}
 		return statusResp(wire.StatusOK)
 	case wire.OpLookup:
-		// Copy-reduced read: stores that support scratch-buffer reads
-		// copy the value once, shard to pooled buffer, and the buffer
-		// rides the response back to the pool after encoding. Versioned
-		// stores additionally return the pair's stamp — quorum-read
+		// Copy-reduced read: the value is copied once, shard to pooled
+		// buffer, and the buffer rides the response back to the pool
+		// after encoding. The pair's stamp rides along — quorum-read
 		// coordinators resolve copies newest-version-wins.
-		if vg, ok := s.(storage.VersionedKV); ok {
-			buf := wire.GetBuffer()
-			v, ver, found, err := vg.GetAppendV(buf, req.Key)
-			if err != nil {
-				wire.PutBuffer(v)
-				return errResp(err)
-			}
-			if !found || len(v) == 0 {
-				wire.PutBuffer(v)
-				if !found {
-					return statusResp(wire.StatusNotFound)
-				}
-				resp := statusResp(wire.StatusOK)
-				resp.Version = ver
-				return resp
-			}
-			if tenant.Expired(v) {
-				wire.PutBuffer(v)
-				in.met.expiredReads.Inc()
+		buf := wire.GetBuffer()
+		v, ver, found, err := s.GetAppendV(buf, req.Key)
+		if err != nil {
+			wire.PutBuffer(v)
+			return errResp(err)
+		}
+		if !found || len(v) == 0 {
+			wire.PutBuffer(v)
+			if !found {
 				return statusResp(wire.StatusNotFound)
 			}
 			resp := statusResp(wire.StatusOK)
-			resp.SetPooledValue(v)
 			resp.Version = ver
 			return resp
 		}
-		if ag, ok := s.(storage.ScratchGetter); ok {
-			buf := wire.GetBuffer()
-			v, found, err := ag.GetAppend(buf, req.Key)
-			if err != nil {
-				wire.PutBuffer(v)
-				return errResp(err)
-			}
-			if !found || len(v) == 0 {
-				wire.PutBuffer(v)
-				if !found {
-					return statusResp(wire.StatusNotFound)
-				}
-				return statusResp(wire.StatusOK)
-			}
-			if tenant.Expired(v) {
-				wire.PutBuffer(v)
-				in.met.expiredReads.Inc()
-				return statusResp(wire.StatusNotFound)
-			}
-			resp := statusResp(wire.StatusOK)
-			resp.SetPooledValue(v)
-			return resp
-		}
-		v, ok, err := s.Get(req.Key)
-		if err != nil {
-			return errResp(err)
-		}
-		if !ok {
-			return statusResp(wire.StatusNotFound)
-		}
 		if tenant.Expired(v) {
+			wire.PutBuffer(v)
 			in.met.expiredReads.Inc()
 			return statusResp(wire.StatusNotFound)
 		}
 		resp := statusResp(wire.StatusOK)
-		resp.Value = v
+		resp.SetPooledValue(v)
+		resp.Version = ver
 		return resp
 	case wire.OpRemove:
 		ok, err := s.Remove(req.Key)
@@ -939,16 +898,12 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 	// orders after everything it has applied.
 	if req.Version > 0 {
 		in.clock.Observe(req.Version)
-		vkv, ok := s.(storage.VersionedKV)
-		if !ok {
-			return &wire.Response{Status: wire.StatusError, Err: "core: versioned leg on unversioned store"}
-		}
 		var applied bool
 		switch inner.Op {
 		case wire.OpInsert:
-			applied, err = vkv.PutLWW(inner.Key, inner.Value, req.Version)
+			applied, err = s.PutLWW(inner.Key, inner.Value, req.Version)
 		case wire.OpRemove:
-			applied, err = vkv.RemoveLWW(inner.Key, req.Version)
+			applied, err = s.RemoveLWW(inner.Key, req.Version)
 		default:
 			return &wire.Response{Status: wire.StatusError, Err: "core: bad versioned replica op " + inner.Op.String()}
 		}
@@ -975,9 +930,7 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 
 // handleMembership returns the current table.
 func (in *Instance) handleMembership() *wire.Response {
-	in.mu.RLock()
-	enc := ring.EncodeTable(in.table)
-	in.mu.RUnlock()
+	enc := ring.EncodeTable(in.tableRef())
 	return &wire.Response{Status: wire.StatusOK, Table: enc}
 }
 
@@ -1091,10 +1044,8 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 		return &wire.Response{Status: wire.StatusOK}
 	}
 	// Pull: verify ownership.
-	in.mu.RLock()
-	table := in.table
+	table := in.tableRef()
 	ownsIt := table.OwnerOf(p).ID == in.self.ID
-	in.mu.RUnlock()
 	if !ownsIt {
 		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 	}
@@ -1119,10 +1070,8 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 // commits the delta, which resolves the queued requests with
 // redirects. No image travels; content moved through repair pulls.
 func (in *Instance) handleMigrateLock(p int) *wire.Response {
-	in.mu.RLock()
-	table := in.table
+	table := in.tableRef()
 	ownsIt := table.OwnerOf(p).ID == in.self.ID
-	in.mu.RUnlock()
 	if !ownsIt {
 		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 	}
@@ -1256,9 +1205,7 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 }
 
 func (in *Instance) ownsNow(p int) bool {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.table.OwnerOf(p).ID == in.self.ID
+	return in.tableRef().OwnerOf(p).ID == in.self.ID
 }
 
 // firstAliveReplica returns the instance ID of partition p's first
@@ -1286,10 +1233,8 @@ func (in *Instance) firstAliveReplica(table *ring.Table, p int) ring.InstanceID 
 // (manager role, §III.C unplanned departures).
 func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	accused := ring.InstanceID(req.Key)
-	in.mu.RLock()
-	table := in.table
+	table := in.tableRef()
 	idx := table.IndexOf(accused)
-	in.mu.RUnlock()
 	if idx < 0 {
 		return &wire.Response{Status: wire.StatusError, Err: "core: report for unknown instance"}
 	}
@@ -1366,9 +1311,7 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 	in.bcast[req.Key] = append([]byte(nil), req.Value...)
 	in.bmu.Unlock()
 
-	in.mu.RLock()
-	table := in.table
-	in.mu.RUnlock()
+	table := in.tableRef()
 	n := len(table.Instances)
 	origin := int(req.Partition)
 	if origin < 0 || origin >= n {
@@ -1437,7 +1380,7 @@ func (in *Instance) Close() error {
 	in.smu.Lock()
 	defer in.smu.Unlock()
 	var firstErr error
-	for _, s := range in.stores {
+	for _, s := range in.openStores() {
 		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -1445,13 +1388,22 @@ func (in *Instance) Close() error {
 	return firstErr
 }
 
+// openStores lists the partition stores created so far.
+func (in *Instance) openStores() []storage.PartitionKV {
+	var out []storage.PartitionKV
+	for p := range in.stores {
+		if s := in.storeIfPresent(p); s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // LocalKeys reports the number of keys across all local partition
 // stores (owned + replicas).
 func (in *Instance) LocalKeys() int {
-	in.smu.Lock()
-	defer in.smu.Unlock()
 	n := 0
-	for _, s := range in.stores {
+	for _, s := range in.openStores() {
 		n += s.Len()
 	}
 	return n
@@ -1459,10 +1411,8 @@ func (in *Instance) LocalKeys() int {
 
 // PartitionKeys reports keys stored locally for one partition.
 func (in *Instance) PartitionKeys(p int) int {
-	in.smu.Lock()
-	defer in.smu.Unlock()
-	s, ok := in.stores[p]
-	if !ok {
+	s := in.storeIfPresent(p)
+	if s == nil {
 		return 0
 	}
 	return s.Len()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zht/internal/repair"
+	"zht/internal/storage"
 	"zht/internal/wire"
 )
 
@@ -122,11 +123,7 @@ func (in *Instance) migrateDiff(addr string, p int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	local, err := in.digestFor(p)
-	if err != nil {
-		return nil, err
-	}
-	return repair.DiffLeaves(local.Snapshot(), remote), nil
+	return repair.DiffLeaves(in.PartitionDigest(p), remote), nil
 }
 
 // pullLeafChunks fetches the given leaves of partition p from addr in
@@ -193,7 +190,7 @@ func (in *Instance) pushLeafChunks(addr string, p int, leaves []int, thr *repair
 
 // allLeaves lists every Merkle leaf index of a partition.
 func allLeaves() []int {
-	out := make([]int, repair.Leaves)
+	out := make([]int, storage.Leaves)
 	for i := range out {
 		out[i] = i
 	}
@@ -202,8 +199,8 @@ func allLeaves() []int {
 
 // leafChunks splits a leaf set into transfer-sized chunks.
 func leafChunks(leaves []int, size int) [][]int {
-	if size <= 0 || size > repair.Leaves {
-		size = repair.Leaves
+	if size <= 0 || size > storage.Leaves {
+		size = storage.Leaves
 	}
 	var out [][]int
 	for i := 0; i < len(leaves); i += size {

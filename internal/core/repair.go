@@ -58,37 +58,15 @@ func (in *Instance) replaySend(addr string, req *wire.Request) error {
 	return nil
 }
 
-// digestFor returns partition p's maintained digest, creating the
-// (empty) store when absent.
-func (in *Instance) digestFor(p int) (*repair.Digest, error) {
-	s, err := in.store(p)
-	if err != nil {
-		return nil, err
-	}
-	return s.(*repair.Tracked).Digest(), nil
-}
-
-// digestIfPresent returns p's digest without creating a store: peers
-// probing partitions this instance holds nothing for get the empty
-// digest rather than forcing an allocation.
-func (in *Instance) digestIfPresent(p int) *repair.Digest {
-	in.smu.Lock()
-	defer in.smu.Unlock()
-	if s, ok := in.stores[p]; ok {
-		return s.(*repair.Tracked).Digest()
-	}
-	return nil
-}
-
 // PartitionDigest returns the repair digest leaves for partition p's
-// local store (all zeros when no store exists). Tests and the
-// repair-smoke gate compare these across replicas to assert
-// convergence.
+// local store without creating one: a partition this instance holds
+// nothing for has the all-zero digest. Peers' digest probes, tests and
+// the repair-smoke gate read it.
 func (in *Instance) PartitionDigest(p int) []uint64 {
-	if d := in.digestIfPresent(p); d != nil {
-		return d.Snapshot()
+	if s := in.storeIfPresent(p); s != nil {
+		return s.DigestLeaves()
 	}
-	return make([]uint64, repair.Leaves)
+	return make([]uint64, storage.Leaves)
 }
 
 // handleDigest serves wire.OpDigest: the partition's digest snapshot.
@@ -97,13 +75,7 @@ func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 	if p < 0 || p >= in.cfg.NumPartitions {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
-	var leaves []uint64
-	if d := in.digestIfPresent(p); d != nil {
-		leaves = d.Snapshot()
-	} else {
-		leaves = make([]uint64, repair.Leaves)
-	}
-	return &wire.Response{Status: wire.StatusOK, Value: repair.EncodeDigest(leaves)}
+	return &wire.Response{Status: wire.StatusOK, Value: repair.EncodeDigest(in.PartitionDigest(p))}
 }
 
 // handleRepairPull serves wire.OpRepairPull in both directions:
@@ -156,8 +128,8 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 		want[l] = true
 	}
 	var pairs []repair.Pair
-	err = s.(*repair.Tracked).ForEachV(func(k string, v []byte, ver uint64) error {
-		if want[repair.LeafOf(k)] {
+	err = s.ForEachV(func(k string, v []byte, ver uint64) error {
+		if want[storage.LeafOf(k)] {
 			pairs = append(pairs, repair.Pair{Key: k, Value: append([]byte(nil), v...), Ver: ver})
 		}
 		return nil
@@ -195,14 +167,13 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 	if err != nil {
 		return err
 	}
-	tr := s.(*repair.Tracked)
 	want := make(map[int]bool, len(leaves))
 	for _, l := range leaves {
 		want[l] = true
 	}
 	auth := make(map[string]repair.Pair, len(pairs))
 	for _, pr := range pairs {
-		if want[repair.LeafOf(pr.Key)] {
+		if want[storage.LeafOf(pr.Key)] {
 			auth[pr.Key] = pr
 		}
 	}
@@ -211,8 +182,8 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 		ver uint64
 	}
 	var stale []staleKey
-	if err := tr.ForEachV(func(k string, _ []byte, ver uint64) error {
-		if want[repair.LeafOf(k)] {
+	if err := s.ForEachV(func(k string, _ []byte, ver uint64) error {
+		if want[storage.LeafOf(k)] {
 			if _, ok := auth[k]; !ok {
 				stale = append(stale, staleKey{k, ver})
 			}
@@ -225,26 +196,26 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 		if !wholesale && sk.ver > 0 {
 			continue
 		}
-		if _, err := tr.Remove(sk.key); err != nil {
+		if _, err := s.Remove(sk.key); err != nil {
 			return err
 		}
 	}
 	for k, pr := range auth {
 		if pr.Ver > 0 {
-			if _, err := tr.PutLWW(k, pr.Value, pr.Ver); err != nil {
+			if _, err := s.PutLWW(k, pr.Value, pr.Ver); err != nil {
 				return err
 			}
 			in.clock.Observe(pr.Ver)
 			continue
 		}
-		cur, curVer, ok, err := tr.GetV(k)
+		cur, curVer, ok, err := s.GetV(k)
 		if err != nil {
 			return err
 		}
 		if ok && (curVer > 0 || bytes.Equal(cur, pr.Value)) {
 			continue
 		}
-		if err := tr.Put(k, pr.Value); err != nil {
+		if err := s.Put(k, pr.Value); err != nil {
 			return err
 		}
 	}
@@ -318,13 +289,7 @@ func (in *Instance) antiEntropyLoop() {
 // lookup.
 func (in *Instance) reapExpired() {
 	nowMs := time.Now().UnixMilli()
-	in.smu.Lock()
-	stores := make([]storage.KV, 0, len(in.stores))
-	for _, s := range in.stores {
-		stores = append(stores, s)
-	}
-	in.smu.Unlock()
-	for _, s := range stores {
+	for _, s := range in.openStores() {
 		var dead []string
 		s.ForEach(func(key string, val []byte) error {
 			if tenant.ExpiredAt(val, nowMs) {
@@ -389,12 +354,8 @@ func (in *Instance) digestSync(addr string, ps []int) {
 		if err != nil {
 			continue
 		}
-		local, err := in.digestFor(p)
-		if err != nil {
-			continue
-		}
 		in.met.digestSyncs.Inc()
-		diff := repair.DiffLeaves(local.Snapshot(), remote)
+		diff := repair.DiffLeaves(in.PartitionDigest(p), remote)
 		if len(diff) == 0 {
 			continue
 		}
@@ -461,10 +422,6 @@ func (in *Instance) scheduleReadRepair(table *ring.Table, p int) {
 // differs.
 func (in *Instance) readRepair(table *ring.Table, p int) {
 	in.met.readRepairs.Inc()
-	local, err := in.digestFor(p)
-	if err != nil {
-		return
-	}
 	for _, r := range table.ReplicasOf(p, in.cfg.Replicas) {
 		if r.ID == in.self.ID {
 			continue
@@ -480,7 +437,7 @@ func (in *Instance) readRepair(table *ring.Table, p int) {
 		if err != nil {
 			continue
 		}
-		diff := repair.DiffLeaves(local.Snapshot(), remote)
+		diff := repair.DiffLeaves(in.PartitionDigest(p), remote)
 		if len(diff) == 0 {
 			continue
 		}

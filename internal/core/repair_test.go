@@ -8,6 +8,7 @@ import (
 
 	"zht/internal/metrics"
 	"zht/internal/repair"
+	"zht/internal/storage"
 	"zht/internal/wire"
 )
 
@@ -200,8 +201,8 @@ func TestRepairOpsOverWire(t *testing.T) {
 	}
 
 	// b pulls every leaf from a and applies: contents converge.
-	all := make([]int, 0, repair.Leaves)
-	for l := 0; l < repair.Leaves; l++ {
+	all := make([]int, 0, storage.Leaves)
+	for l := 0; l < storage.Leaves; l++ {
 		all = append(all, l)
 	}
 	pull := a.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: 2, Aux: repair.EncodeLeafSet(all)})

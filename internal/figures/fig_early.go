@@ -190,6 +190,14 @@ func Fig05Bootstrap(o Options) (*Series, error) {
 // to the in-memory map, disk stores slower and degrading — is the
 // result under test.
 func Fig06NoVoHT(o Options) (*Series, error) {
+	s, _, err := fig06(o)
+	return s, err
+}
+
+// fig06 builds Figure 6 and also reports, per store, the disk reads
+// per lookup at the largest key count: the structural cause of the
+// latency ordering, which holds however slow the clock runs.
+func fig06(o Options) (*Series, map[string]float64, error) {
 	s := &Series{
 		ID:      "fig06",
 		Title:   "Single-node store latency vs key count (insert+get+remove avg, µs)",
@@ -204,26 +212,28 @@ func Fig06NoVoHT(o Options) (*Series, error) {
 	if !o.Quick {
 		counts = append(counts, 4_000_000)
 	}
+	readsPerGet := map[string]float64{}
 	for _, n := range counts {
 		row := []string{fmt.Sprint(n)}
 		for _, which := range []string{"novoht", "novolatile", "kyoto", "bdb", "map"} {
-			lat, err := storeLatency(which, n)
+			lat, reads, err := storeLatency(which, n)
 			if err != nil {
-				return nil, fmt.Errorf("%s at %d: %w", which, n, err)
+				return nil, nil, fmt.Errorf("%s at %d: %w", which, n, err)
 			}
 			row = append(row, us(lat))
+			readsPerGet[which] = reads
 		}
 		s.Rows = append(s.Rows, row)
 	}
-	return s, nil
+	return s, readsPerGet, nil
 }
 
 // storeLatency measures average per-op latency of n inserts + n gets
-// + n removes on the named store.
-func storeLatency(which string, n int) (time.Duration, error) {
+// + n removes on the named store, and the disk reads per get.
+func storeLatency(which string, n int) (time.Duration, float64, error) {
 	dir, err := mkTempDir()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer rmTempDir(dir)
 	type kv interface {
@@ -231,35 +241,34 @@ func storeLatency(which string, n int) (time.Duration, error) {
 		get(k string) error
 		del(k string) error
 		close() error
+		readProbe() func() uint64
 	}
 	var store kv
 	switch which {
 	case "novoht":
-		st, err := novoht.Open(novoht.Options{Path: dir + "/n.log", CompactEvery: -1, GCRatio: 0.99})
+		store, err = openNovohtKV(novoht.Options{Path: dir + "/n.log", CompactEvery: -1, GCRatio: 0.99})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		store = novohtKV{st}
 	case "novolatile":
-		st, err := novoht.Open(novoht.Options{})
+		store, err = openNovohtKV(novoht.Options{})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		store = novohtKV{st}
 	case "kyoto":
 		store, err = openKyotoKV(dir + "/k.db")
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	case "bdb":
 		store, err = openBdbKV(dir + "/b.db")
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	case "map":
 		store = mapKV{m: map[string][]byte{}}
 	default:
-		return 0, fmt.Errorf("unknown store %q", which)
+		return 0, 0, fmt.Errorf("unknown store %q", which)
 	}
 	defer store.close()
 	// Access keys in a fixed random permutation: ZHT keys arrive in
@@ -270,18 +279,20 @@ func storeLatency(which string, n int) (time.Duration, error) {
 	start := time.Now()
 	for _, i := range perm {
 		if err := store.set(benchKey(0, i), benchValue); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
+	getReads := store.readProbe()
 	for _, i := range perm {
 		if err := store.get(benchKey(0, i)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
+	reads := float64(getReads()) / float64(n)
 	for _, i := range perm {
 		if err := store.del(benchKey(0, i)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return time.Since(start) / time.Duration(3*n), nil
+	return time.Since(start) / time.Duration(3*n), reads, nil
 }

@@ -6,15 +6,31 @@ import (
 
 	"zht/internal/baselines/bdb"
 	"zht/internal/baselines/kyoto"
+	"zht/internal/metrics"
+	"zht/internal/novoht"
 	"zht/internal/storage"
 )
 
-// Small adapters giving the Figure 6 stores one interface.
+// Small adapters giving the Figure 6 stores one interface. Besides
+// set/get/del/close, each adapter offers readProbe: called before a
+// phase, it returns a function that, called after it, reports how many
+// disk reads the phase performed.
 
 func mkTempDir() (string, error) { return os.MkdirTemp("", "zht-fig") }
 func rmTempDir(dir string)       { os.RemoveAll(dir) }
 
-type novohtKV struct{ s storage.KV }
+type novohtKV struct {
+	s     storage.KV
+	loads *metrics.Counter // the store's evicted-value loads
+}
+
+// openNovohtKV opens NoVoHT with a metrics registry so readProbe can
+// count the lookups that go to the log for an evicted value.
+func openNovohtKV(o novoht.Options) (novohtKV, error) {
+	o.Metrics = metrics.NewRegistry()
+	s, err := novoht.Open(o)
+	return novohtKV{s, o.Metrics.Counter("zht.novoht.evicted_loads")}, err
+}
 
 func (k novohtKV) set(key string, v []byte) error { return k.s.Put(key, v) }
 func (k novohtKV) get(key string) error {
@@ -32,6 +48,13 @@ func (k novohtKV) del(key string) error {
 	return err
 }
 func (k novohtKV) close() error { return k.s.Close() }
+
+// readProbe: a NoVoHT lookup reads the disk only to load an evicted
+// value back from the log.
+func (k novohtKV) readProbe() func() uint64 {
+	before := k.loads.Value()
+	return func() uint64 { return uint64(k.loads.Value() - before) }
+}
 
 type kyotoKV struct{ db *kyoto.DB }
 
@@ -52,6 +75,10 @@ func (k kyotoKV) get(key string) error {
 }
 func (k kyotoKV) del(key string) error { return k.db.Delete(key) }
 func (k kyotoKV) close() error         { return k.db.Close() }
+func (k kyotoKV) readProbe() func() uint64 {
+	r0 := k.db.Reads()
+	return func() uint64 { return k.db.Reads() - r0 }
+}
 
 type bdbKV struct{ db *bdb.DB }
 
@@ -75,6 +102,10 @@ func (k bdbKV) del(key string) error {
 	return err
 }
 func (k bdbKV) close() error { return k.db.Close() }
+func (k bdbKV) readProbe() func() uint64 {
+	r0 := k.db.PageReads()
+	return func() uint64 { return k.db.PageReads() - r0 }
+}
 
 type mapKV struct{ m map[string][]byte }
 
@@ -92,4 +123,5 @@ func (k mapKV) del(key string) error {
 	delete(k.m, key)
 	return nil
 }
-func (k mapKV) close() error { return nil }
+func (k mapKV) close() error             { return nil }
+func (k mapKV) readProbe() func() uint64 { return func() uint64 { return 0 } }

@@ -28,6 +28,13 @@
 // write and, per storage.Durability mode, one fsync, acknowledging
 // each mutation only once its record's durability level is met.
 //
+// Each store also keeps its partition's repair digest
+// (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
+// XORs the old and new pair hashes into the key's leaf inside the
+// shard critical section it already holds. Entries cache the FNV state
+// of their pair, so no mutation reads a pre-image to hash it and an
+// Append hashes only its delta.
+//
 // A Store is safe for concurrent use by multiple goroutines.
 package novoht
 
@@ -119,6 +126,12 @@ type Store struct {
 	mutations atomic.Int64 // mutations since last compaction
 	closed    atomic.Bool
 
+	// leaves is the maintained repair digest: leaf l is the XOR of
+	// storage.PairHashV over every live pair whose key is in leaf l.
+	// A key's toggles are ordered by its shard lock; the CAS in toggle
+	// orders them against keys of other shards sharing the leaf.
+	leaves [storage.Leaves]atomic.Uint64
+
 	// compactMu serializes compaction and Sync against each other
 	// (both touch the log file as a whole) and lets auto-compaction
 	// be single-flight.
@@ -151,11 +164,15 @@ type shard struct {
 // entry is one key's state. If val is nil and onDisk is true, the
 // current value lives at [off, off+vlen) in the log file.
 type entry struct {
-	val    []byte
-	off    int64
-	vlen   int64
-	ver    uint64 // HLC version stamp; 0 = unversioned (legacy write)
-	onDisk bool   // an up-to-date contiguous image exists on disk
+	val  []byte
+	off  int64
+	vlen int64
+	ver  uint64 // HLC version stamp; 0 = unversioned (legacy write)
+	// fh is the pair's digest hash state before the version is sealed
+	// in: storage.FNV over storage.PairPrefix(key) and the value. It
+	// stays valid while the value is evicted.
+	fh     uint64
+	onDisk bool // an up-to-date contiguous image exists on disk
 }
 
 // Log record types. The versioned variants carry an extra version
@@ -311,12 +328,39 @@ func (s *Store) replay(f *os.File) (int64, error) {
 		}
 		off += int64(n)
 	}
+	// Every replayed value is resident, so the digest is built here in
+	// one pass over the live pairs.
 	keys := 0
 	for _, sh := range s.shards {
 		keys += len(sh.m)
+		for k, e := range sh.m {
+			e.fh = storage.FNV(storage.PairPrefix(k), e.val)
+			s.toggle(k, storage.PairSeal(e.fh, e.ver))
+		}
 	}
 	s.resident.Store(int64(keys))
 	return off, nil
+}
+
+// toggle XORs x into key's digest leaf.
+func (s *Store) toggle(key string, x uint64) {
+	l := &s.leaves[storage.LeafOf(key)]
+	for {
+		old := l.Load()
+		if l.CompareAndSwap(old, old^x) {
+			return
+		}
+	}
+}
+
+// DigestLeaves returns a copy of the store's repair digest leaves
+// (storage.VersionedKV).
+func (s *Store) DigestLeaves() []uint64 {
+	out := make([]uint64, storage.Leaves)
+	for i := range out {
+		out[i] = s.leaves[i].Load()
+	}
+	return out
 }
 
 // Put stores val under key, replacing any existing value.
@@ -385,26 +429,31 @@ func nopTimer() {}
 // putShardLocked applies a Put under sh's lock: the record is
 // submitted to the WAL (offsets assigned in submission order, which
 // the shard lock makes per-key order) and the in-memory entry
-// updated. It returns the log offset the caller must wait durable.
+// updated along with the digest. It returns the log offset the caller
+// must wait durable.
 func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (int64, error) {
 	voff, end, err := s.appendRecord(recPut, key, val, ver)
 	if err != nil {
 		return 0, err
 	}
+	fh := storage.FNV(storage.PairPrefix(key), val)
+	x := storage.PairSeal(fh, ver)
 	if old, ok := sh.m[key]; ok {
+		x ^= storage.PairSeal(old.fh, old.ver)
 		s.deadBytes.Add(recordSize(key, old.vlen, old.ver))
 		if old.val == nil && old.onDisk {
 			s.resident.Add(1) // evicted entry becomes resident again
 		}
 		old.val = append(old.val[:0], val...)
-		old.off, old.vlen, old.ver, old.onDisk = voff, int64(len(val)), ver, s.wal != nil
+		old.off, old.vlen, old.ver, old.fh, old.onDisk = voff, int64(len(val)), ver, fh, s.wal != nil
 	} else {
 		sh.m[key] = &entry{
 			val: append([]byte(nil), val...), off: voff,
-			vlen: int64(len(val)), ver: ver, onDisk: s.wal != nil,
+			vlen: int64(len(val)), ver: ver, fh: fh, onDisk: s.wal != nil,
 		}
 		s.resident.Add(1)
 	}
+	s.toggle(key, x)
 	s.mutations.Add(1)
 	return end, nil
 }
@@ -558,17 +607,11 @@ func (s *Store) GetV(key string) ([]byte, uint64, bool, error) {
 	return append([]byte(nil), e.val...), e.ver, true, nil
 }
 
-// GetAppend implements storage.ScratchGetter: it appends the value
-// stored under key to dst while holding the shard's read lock, so a
-// hot read path costs one copy into a caller-owned scratch buffer and
-// zero allocations. On a miss or error dst is returned unmodified.
-func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool, error) {
-	v, _, ok, err := s.GetAppendV(dst, key)
-	return v, ok, err
-}
-
-// GetAppendV is GetAppend plus the stored version stamp
-// (storage.VersionedKV).
+// GetAppendV appends the value stored under key to dst while holding
+// the shard's read lock, so a hot read path costs one copy into a
+// caller-owned scratch buffer and zero allocations, and returns the
+// stored version stamp (storage.VersionedKV). On a miss or error dst
+// is returned unmodified.
 func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
 	sh := s.shardOf(key)
@@ -659,6 +702,7 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 		s.resident.Add(-1)
 	}
 	delete(sh.m, key)
+	s.toggle(key, storage.PairSeal(e.fh, e.ver))
 	s.mutations.Add(1)
 	sh.mu.Unlock()
 	return true, s.finishMutation(end)
@@ -687,8 +731,11 @@ func (s *Store) Append(key string, val []byte) error {
 		sh.mu.Unlock()
 		return err
 	}
-	if !ok {
-		e = &entry{}
+	var x uint64
+	if ok {
+		x = storage.PairSeal(e.fh, e.ver)
+	} else {
+		e = &entry{fh: storage.PairPrefix(key)}
 		sh.m[key] = e
 		s.resident.Add(1)
 	}
@@ -697,6 +744,10 @@ func (s *Store) Append(key string, val []byte) error {
 	e.val = append(e.val, val...)
 	e.vlen = int64(len(e.val))
 	e.onDisk = false
+	// The value is the last input of the pair hash, so the digest
+	// continues over just the delta.
+	e.fh = storage.FNV(e.fh, val)
+	s.toggle(key, x^storage.PairSeal(e.fh, e.ver))
 	s.mutations.Add(1)
 	sh.mu.Unlock()
 	return s.finishMutation(end)

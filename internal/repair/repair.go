@@ -3,154 +3,38 @@
 // (paper §III.J) into eventual byte-identical replicas even after the
 // faults internal/chaos injects.
 //
-// Three cooperating mechanisms live here (DESIGN.md §9):
+// Three cooperating mechanisms meet here (DESIGN.md §9):
 //
-//   - Partition digests: an incremental Merkle tree over a partition
-//     store's contents. Every key hashes into one of Leaves leaf
-//     buckets, and each leaf is the XOR of the hashes of the pairs it
-//     covers. XOR is commutative and self-inverse, so a mutation
-//     updates its leaf in O(1) — toggle out the old pair, toggle in
-//     the new one — and the maintained tree is bit-identical to one
-//     rebuilt from scratch. Two replicas compare digests leaf by leaf
-//     and transfer only divergent leaves' contents.
+//   - Partition digests: a 64-leaf XOR Merkle digest over a partition
+//     store's contents, maintained by the store itself inside its
+//     shard locks (storage.VersionedKV.DigestLeaves; the pair and leaf
+//     hashes are storage.PairHashV and storage.LeafOf). Two replicas
+//     compare digests leaf by leaf (DiffLeaves) and transfer only
+//     divergent leaves' contents.
 //   - Hinted handoff: replication legs that fail because the peer is
 //     unreachable are queued per destination (bounded, overflow
 //     counted) and replayed with backoff once the peer answers again.
 //   - Payload codecs for the wire.OpDigest / wire.OpRepairPull
 //     messages: digest snapshots, leaf sets, and pair sets.
 //
-// The package deliberately depends only on internal/storage (the KV
-// seam it instruments), internal/wire (the requests handoff replays),
-// and internal/metrics; the anti-entropy loop and read-repair policy
-// that drive it live in internal/core.
+// The package deliberately depends only on internal/storage (the digest
+// contract), internal/wire (the requests handoff replays), and
+// internal/metrics; the anti-entropy loop and read-repair policy that
+// drive it live in internal/core.
 package repair
 
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
+
+	"zht/internal/storage"
 )
-
-// Leaves is the number of leaf buckets in a partition digest. Each
-// leaf covers 1/Leaves of the key space, so after a fault a replica
-// transfers only the divergent fraction instead of the whole
-// partition.
-const Leaves = 64
-
-// leafBits is log2(Leaves): the top bits of the mixed key hash select
-// the leaf, so leaf membership is uniform and value-independent.
-const leafBits = 6
-
-// fnv1a64 is the FNV-1a hash over s (dependency-free, stable across
-// processes — replicas must compute identical digests).
-func fnv1a64(h uint64, s []byte) uint64 {
-	for _, b := range s {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-// mix64 is the splitmix64 finalizer: FNV alone has weak high bits and
-// the leaf index comes from the top of the hash.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// LeafOf returns the digest leaf covering key.
-func LeafOf(key string) int {
-	return int(mix64(fnv1a64(fnvOffset, []byte(key))) >> (64 - leafBits))
-}
-
-// PairHash hashes one key/value pair. The 0xff separator cannot occur
-// inside FNV's input-length ambiguity window for UTF-8 keys produced
-// by the client API, and even for arbitrary binary keys the key
-// length prefix keeps ("ab","c") distinct from ("a","bc").
-func PairHash(key string, val []byte) uint64 {
-	return PairHashV(key, val, 0)
-}
-
-// PairHashV hashes one versioned pair. The version stamp is part of
-// the digest so two replicas holding equal bytes under different
-// versions still read as divergent (a later LWW compare would resolve
-// them differently). Version 0 hashes exactly as the unversioned
-// PairHash, so digests over never-versioned stores are unchanged.
-func PairHashV(key string, val []byte, ver uint64) uint64 {
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(key)))
-	h := fnv1a64(fnvOffset, lenBuf[:])
-	h = fnv1a64(h, []byte(key))
-	h = fnv1a64(h, val)
-	if ver > 0 {
-		binary.LittleEndian.PutUint64(lenBuf[:], ver)
-		h = fnv1a64(h, lenBuf[:])
-	}
-	return mix64(h)
-}
-
-// Digest is one partition's incremental Merkle digest. The zero value
-// is not usable; call NewDigest. All methods are safe for concurrent
-// use.
-type Digest struct {
-	mu   sync.RWMutex
-	leaf [Leaves]uint64
-}
-
-// NewDigest returns the digest of an empty partition.
-func NewDigest() *Digest { return &Digest{} }
-
-// Toggle XORs the pair's hash into its leaf: called once to add a
-// pair and once more (with the same arguments) to remove it.
-func (d *Digest) Toggle(key string, val []byte) {
-	d.ToggleV(key, val, 0)
-}
-
-// ToggleV is Toggle for a versioned pair: the removal toggle must use
-// the same version the pair was added under or the leaf corrupts.
-func (d *Digest) ToggleV(key string, val []byte, ver uint64) {
-	h := PairHashV(key, val, ver)
-	l := LeafOf(key)
-	d.mu.Lock()
-	d.leaf[l] ^= h
-	d.mu.Unlock()
-}
-
-// Snapshot returns a copy of the leaf hashes.
-func (d *Digest) Snapshot() []uint64 {
-	out := make([]uint64, Leaves)
-	d.mu.RLock()
-	copy(out, d.leaf[:])
-	d.mu.RUnlock()
-	return out
-}
-
-// Root folds the leaves into a single value: equal roots mean equal
-// leaves (up to hash collisions), so replicas compare roots first and
-// diff leaves only on mismatch.
-func (d *Digest) Root() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	h := uint64(fnvOffset)
-	var buf [8]byte
-	for _, l := range d.leaf {
-		binary.LittleEndian.PutUint64(buf[:], l)
-		h = fnv1a64(h, buf[:])
-	}
-	return mix64(h)
-}
 
 // DiffLeaves returns the indices where two digest snapshots disagree.
 // Snapshots of unequal length diff as fully divergent.
 func DiffLeaves(a, b []uint64) []int {
 	if len(a) != len(b) {
-		all := make([]int, Leaves)
+		all := make([]int, storage.Leaves)
 		for i := range all {
 			all[i] = i
 		}
@@ -198,11 +82,11 @@ func EncodeDigest(leaves []uint64) []byte {
 // DecodeDigest decodes an OpDigest response payload.
 func DecodeDigest(b []byte) ([]uint64, error) {
 	n, k := binary.Uvarint(b)
-	if k <= 0 || n != Leaves || len(b[k:]) != 8*Leaves {
+	if k <= 0 || n != storage.Leaves || len(b[k:]) != 8*storage.Leaves {
 		return nil, errBadPayload
 	}
 	b = b[k:]
-	out := make([]uint64, Leaves)
+	out := make([]uint64, storage.Leaves)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
@@ -222,14 +106,14 @@ func EncodeLeafSet(leaves []int) []byte {
 // DecodeLeafSet decodes an OpRepairPull leaf list.
 func DecodeLeafSet(b []byte) ([]int, error) {
 	n, k := binary.Uvarint(b)
-	if k <= 0 || n > Leaves {
+	if k <= 0 || n > storage.Leaves {
 		return nil, errBadPayload
 	}
 	b = b[k:]
 	out := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, k := binary.Uvarint(b)
-		if k <= 0 || l >= Leaves {
+		if k <= 0 || l >= storage.Leaves {
 			return nil, errBadPayload
 		}
 		b = b[k:]

@@ -13,134 +13,90 @@ import (
 	"zht/internal/wire"
 )
 
-func openMem(t *testing.T) storage.KV {
+func openMem(t *testing.T) storage.PartitionKV {
 	t.Helper()
 	s, err := novoht.Open(novoht.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
-// The core incrementality property: a digest maintained mutation by
-// mutation is bit-identical to one rebuilt from scratch over the
-// store's final contents. XOR leaves make this hold regardless of
-// mutation order.
-func TestDigestIncrementality(t *testing.T) {
-	inner := openMem(t)
-	tr, err := Track(inner)
-	if err != nil {
-		t.Fatal(err)
+func TestDigestDetectsDifference(t *testing.T) {
+	a, b := openMem(t), openMem(t)
+	a.Put("k", []byte("v1"))
+	b.Put("k", []byte("v2"))
+	diff := DiffLeaves(a.DigestLeaves(), b.DigestLeaves())
+	if len(diff) != 1 || diff[0] != storage.LeafOf("k") {
+		t.Fatalf("diff = %v, want exactly leaf %d", diff, storage.LeafOf("k"))
 	}
-	defer tr.Close()
+	b.Put("k", []byte("v1"))
+	if d := DiffLeaves(a.DigestLeaves(), b.DigestLeaves()); len(d) != 0 {
+		t.Fatalf("equal stores diff = %v", d)
+	}
+	b.PutV("k", []byte("v1"), 7)
+	if d := DiffLeaves(a.DigestLeaves(), b.DigestLeaves()); len(d) != 1 {
+		t.Fatalf("equal bytes under different versions diff = %v, want one leaf", d)
+	}
+}
 
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 5000; i++ {
-		k := fmt.Sprintf("key-%03d", rng.Intn(200))
-		switch rng.Intn(6) {
-		case 0:
-			if _, err := tr.Remove(k); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
-			if err := tr.Append(k, []byte(fmt.Sprintf("+%d", i))); err != nil {
-				t.Fatal(err)
-			}
-		case 2:
-			if _, err := tr.PutIfAbsent(k, []byte("first")); err != nil {
-				t.Fatal(err)
-			}
-		case 3:
-			cur, ok, err := tr.Get(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var old []byte
-			if ok {
-				old = cur
-			}
-			if _, _, err := tr.Cas(k, old, []byte(fmt.Sprintf("cas-%d", i))); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			if err := tr.Put(k, []byte(fmt.Sprintf("v-%d", i))); err != nil {
+// TestDigestFixedVectors pins the digest contract replicas compare
+// across processes and releases: the leaf and pair hashes are fixed
+// values, and the leaves a NoVoHT store maintains — including through
+// an append, which continues the hash over the delta — are exactly
+// those hashes. A change to either side fails here before it can make
+// replicas of different builds diff as divergent forever.
+func TestDigestFixedVectors(t *testing.T) {
+	vectors := []struct {
+		key, val string
+		ver      uint64
+		leaf     int
+		hash     uint64
+	}{
+		{"", "", 0, 61, 0x813f0174a2367c13},
+		{"k", "v", 0, 34, 0xb427d466f3513e04},
+		{"key-000001", "hello, world", 0, 9, 0x664aa707510c102a},
+		{"ab", "c", 0, 39, 0x238402e0c3104247},
+		{"a", "bc", 0, 0, 0xd05db19d777129f7},
+		{"key-000001", "hello, world", 1, 9, 0x37df7cc9ed11945d},
+		{"tenant/x", "\x00\xff\x10", 0x0123456789abcdef, 3, 0x95fb5720c8d52ef9},
+	}
+	for _, v := range vectors {
+		if got := storage.LeafOf(v.key); got != v.leaf {
+			t.Errorf("LeafOf(%q) = %d, want %d", v.key, got, v.leaf)
+		}
+		if got := storage.PairHashV(v.key, []byte(v.val), v.ver); got != v.hash {
+			t.Errorf("PairHashV(%q, %q, %d) = %#x, want %#x", v.key, v.val, v.ver, got, v.hash)
+		}
+		want := make([]uint64, storage.Leaves)
+		want[v.leaf] = v.hash
+		s := openMem(t)
+		if err := s.PutV(v.key, []byte(v.val), v.ver); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.DigestLeaves(); !reflect.DeepEqual(got, want) {
+			t.Errorf("store digest after PutV(%q) = %x, want %x", v.key, got, want)
+		}
+		// The same pair built by an append chain: an empty put stamps
+		// the version, each byte arrives as its own delta.
+		s = openMem(t)
+		if err := s.PutV(v.key, nil, v.ver); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(v.val); i++ {
+			if err := s.Append(v.key, []byte{v.val[i]}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-
-	rebuilt, err := Track(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := tr.Digest().Snapshot(), rebuilt.Digest().Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("maintained digest != rebuilt digest\n got %v\nwant %v", got, want)
-	}
-	if tr.Digest().Root() != rebuilt.Digest().Root() {
-		t.Fatal("maintained root != rebuilt root")
-	}
-}
-
-// Concurrent mutations must keep the digest exact: the per-leaf locks
-// serialize each pair's read-modify-toggle.
-func TestDigestIncrementalityConcurrent(t *testing.T) {
-	inner := openMem(t)
-	tr, err := Track(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 2000; i++ {
-				k := fmt.Sprintf("key-%03d", rng.Intn(100))
-				switch rng.Intn(4) {
-				case 0:
-					tr.Remove(k)
-				case 1:
-					tr.Append(k, []byte("x"))
-				default:
-					tr.Put(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	rebuilt, err := Track(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr.Digest().Snapshot(), rebuilt.Digest().Snapshot()) {
-		t.Fatal("digest diverged from store contents under concurrent mutations")
-	}
-}
-
-func TestDigestDetectsDifference(t *testing.T) {
-	a, _ := Track(openMem(t))
-	b, _ := Track(openMem(t))
-	a.Put("k", []byte("v1"))
-	b.Put("k", []byte("v2"))
-	diff := DiffLeaves(a.Digest().Snapshot(), b.Digest().Snapshot())
-	if len(diff) != 1 || diff[0] != LeafOf("k") {
-		t.Fatalf("diff = %v, want exactly leaf %d", diff, LeafOf("k"))
-	}
-	b.Put("k", []byte("v1"))
-	if d := DiffLeaves(a.Digest().Snapshot(), b.Digest().Snapshot()); len(d) != 0 {
-		t.Fatalf("equal stores diff = %v", d)
-	}
-	if a.Digest().Root() != b.Digest().Root() {
-		t.Fatal("equal stores, unequal roots")
+		if got := s.DigestLeaves(); !reflect.DeepEqual(got, want) {
+			t.Errorf("store digest after appends to %q = %x, want %x", v.key, got, want)
+		}
 	}
 }
 
 func TestCodecRoundTrips(t *testing.T) {
-	leaves := make([]uint64, Leaves)
+	leaves := make([]uint64, storage.Leaves)
 	for i := range leaves {
 		leaves[i] = rand.Uint64()
 	}

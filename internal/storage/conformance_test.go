@@ -1,0 +1,355 @@
+package storage_test
+
+import (
+	"bytes"
+	"errors"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"zht/internal/baselines/bdb"
+	"zht/internal/baselines/kyoto"
+	"zht/internal/novoht"
+	"zht/internal/storage"
+)
+
+// The storage conformance suite: the contract every engine behind the
+// partition seam must honour, table-driven over the engines. The
+// point-operation tier (Put/Get/Remove) runs against every store,
+// including the Figure 6 disk stand-ins, which offer nothing more; the
+// full tier (storage.KV plus storage.VersionedKV, the digest included)
+// runs against every configuration a ZHT instance can open.
+
+// pointKV is the point-operation subset every store offers.
+type pointKV interface {
+	Put(key string, val []byte) error
+	Get(key string) ([]byte, bool, error)
+	Remove(key string) (bool, error)
+	Close() error
+}
+
+type kyotoStore struct{ *kyoto.DB }
+
+func (k kyotoStore) Put(key string, v []byte) error { return k.Set(key, v) }
+func (k kyotoStore) Remove(key string) (bool, error) {
+	_, ok, err := k.DB.Get(key)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, k.Delete(key)
+}
+
+type bdbStore struct{ *bdb.DB }
+
+func (b bdbStore) Put(key string, v []byte) error { return b.Set([]byte(key), v) }
+func (b bdbStore) Get(key string) ([]byte, bool, error) {
+	return b.DB.Get([]byte(key))
+}
+func (b bdbStore) Remove(key string) (bool, error) { return b.Delete([]byte(key)) }
+
+// fullEngines are the NoVoHT configurations an instance opens:
+// volatile, WAL-backed, and WAL-backed with a memory bound that
+// evicts values to the log.
+func fullEngines() map[string]func(t *testing.T) storage.PartitionKV {
+	open := func(o novoht.Options) func(t *testing.T) storage.PartitionKV {
+		return func(t *testing.T) storage.PartitionKV {
+			if o.Path != "" {
+				o.Path = filepath.Join(t.TempDir(), "kv.log")
+			}
+			s, err := novoht.Open(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}
+	}
+	return map[string]func(t *testing.T) storage.PartitionKV{
+		"novoht-volatile": open(novoht.Options{}),
+		"novoht-wal":      open(novoht.Options{Path: "wal"}),
+		"novoht-evicting": open(novoht.Options{Path: "wal", MaxMemValues: 1}),
+	}
+}
+
+func pointEngines() map[string]func(t *testing.T) pointKV {
+	out := map[string]func(t *testing.T) pointKV{
+		"kyoto": func(t *testing.T) pointKV {
+			db, err := kyoto.Open(filepath.Join(t.TempDir(), "kc.db"), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return kyotoStore{db}
+		},
+		"bdb": func(t *testing.T) pointKV {
+			db, err := bdb.Open(filepath.Join(t.TempDir(), "bdb.db"), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return bdbStore{db}
+		},
+	}
+	for name, open := range fullEngines() {
+		out[name] = func(t *testing.T) pointKV { return open(t) }
+	}
+	return out
+}
+
+func mustGet(t *testing.T, kv pointKV, key string) ([]byte, bool) {
+	t.Helper()
+	v, ok, err := kv.Get(key)
+	if err != nil {
+		t.Fatalf("Get(%q): %v", key, err)
+	}
+	return v, ok
+}
+
+func wantValue(t *testing.T, kv pointKV, key, want string) {
+	t.Helper()
+	if v, ok := mustGet(t, kv, key); !ok || string(v) != want {
+		t.Fatalf("Get(%q) = %q, %v; want %q", key, v, ok, want)
+	}
+}
+
+func wantAbsent(t *testing.T, kv pointKV, key string) {
+	t.Helper()
+	if v, ok := mustGet(t, kv, key); ok {
+		t.Fatalf("Get(%q) = %q, want absent", key, v)
+	}
+}
+
+func TestConformancePointOps(t *testing.T) {
+	for name, open := range pointEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			wantAbsent(t, kv, "k")
+			if err := kv.Put("k", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			wantValue(t, kv, "k", "v1")
+			if err := kv.Put("k", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			wantValue(t, kv, "k", "v2")
+
+			// An empty value is present, not absent.
+			if err := kv.Put("empty", []byte{}); err != nil {
+				t.Fatal(err)
+			}
+			wantValue(t, kv, "empty", "")
+
+			// Neither the caller's input nor a returned value aliases
+			// the store.
+			in := []byte("orig")
+			kv.Put("alias", in)
+			in[0] = 'X'
+			out, _ := mustGet(t, kv, "alias")
+			out[0] = 'Y'
+			wantValue(t, kv, "alias", "orig")
+
+			if ok, err := kv.Remove("k"); err != nil || !ok {
+				t.Fatalf("Remove(present) = %v, %v", ok, err)
+			}
+			wantAbsent(t, kv, "k")
+			if ok, err := kv.Remove("k"); err != nil || ok {
+				t.Fatalf("Remove(absent) = %v, %v", ok, err)
+			}
+		})
+	}
+}
+
+func TestConformanceConditionalOps(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			if ok, err := kv.PutIfAbsent("k", []byte("first")); err != nil || !ok {
+				t.Fatalf("PutIfAbsent(absent) = %v, %v", ok, err)
+			}
+			if ok, err := kv.PutIfAbsent("k", []byte("second")); err != nil || ok {
+				t.Fatalf("PutIfAbsent(present) = %v, %v", ok, err)
+			}
+			wantValue(t, kv, "k", "first")
+
+			if err := kv.Append("k", []byte("+a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Append("new", []byte("created")); err != nil {
+				t.Fatal(err)
+			}
+			wantValue(t, kv, "k", "first+a")
+			wantValue(t, kv, "new", "created")
+			if kv.Len() != 2 {
+				t.Fatalf("Len = %d, want 2", kv.Len())
+			}
+		})
+	}
+}
+
+// Cas distinguishes a nil expectation ("expect absent") from an empty
+// one ("expect present with the empty value"), and a failed swap
+// reports the value it saw (an empty value may come back as nil).
+func TestConformanceCas(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			cas := func(key string, old, new []byte, wantOK bool, wantSeen []byte) {
+				t.Helper()
+				ok, seen, err := kv.Cas(key, old, new)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != wantOK || !bytes.Equal(seen, wantSeen) {
+					t.Fatalf("Cas(%q, %q, %q) = %v, %q; want %v, %q", key, old, new, ok, seen, wantOK, wantSeen)
+				}
+			}
+			cas("k", []byte{}, []byte("x"), false, nil) // empty expects present
+			wantAbsent(t, kv, "k")
+			cas("k", nil, []byte{}, true, nil) // nil expects absent
+			wantValue(t, kv, "k", "")
+			cas("k", nil, []byte("x"), false, []byte{}) // present now
+			cas("k", []byte{}, []byte("v1"), true, nil)
+			cas("k", []byte("other"), []byte("v2"), false, []byte("v1"))
+			cas("k", []byte("v1"), []byte("v2"), true, nil)
+			wantValue(t, kv, "k", "v2")
+		})
+	}
+}
+
+// Versioned writes resolve last-writer-wins: a stamp must be strictly
+// newer than the stored one to apply.
+func TestConformanceLWW(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			lww := func(op string, ver uint64, want bool) {
+				t.Helper()
+				var ok bool
+				var err error
+				if op == "remove" {
+					ok, err = kv.RemoveLWW("k", ver)
+				} else {
+					ok, err = kv.PutLWW("k", []byte(op), ver)
+				}
+				if err != nil || ok != want {
+					t.Fatalf("%s@%d applied = %v, %v; want %v", op, ver, ok, err, want)
+				}
+			}
+			wantVer := func(val string, ver uint64) {
+				t.Helper()
+				v, got, ok, err := kv.GetV("k")
+				if err != nil || !ok || string(v) != val || got != ver {
+					t.Fatalf("GetV = %q@%d (%v, %v), want %q@%d", v, got, ok, err, val, ver)
+				}
+			}
+			lww("a", 5, true)
+			lww("b", 3, false) // stale
+			lww("c", 5, false) // tie keeps the incumbent
+			wantVer("a", 5)
+			lww("remove", 4, false)
+			wantVer("a", 5)
+			lww("d", 9, true)
+			wantVer("d", 9)
+			lww("remove", 10, true)
+			if _, _, ok, _ := kv.GetV("k"); ok {
+				t.Fatal("newer RemoveLWW left the key")
+			}
+			lww("remove", 11, false) // nothing left to remove
+
+			// PutV is unconditional and unversioned writes read as 0.
+			if err := kv.PutV("k", []byte("e"), 2); err != nil {
+				t.Fatal(err)
+			}
+			wantVer("e", 2)
+			if err := kv.Put("k", []byte("f")); err != nil {
+				t.Fatal(err)
+			}
+			wantVer("f", 0)
+		})
+	}
+}
+
+func TestConformanceForEach(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			want := map[string]string{"a": "1", "b": "", "c": "33"}
+			for k, v := range want {
+				kv.PutV(k, []byte(v), uint64(len(k)+len(v)))
+			}
+			kv.Put("gone", []byte("x"))
+			kv.Remove("gone")
+
+			got := map[string]string{}
+			if err := kv.ForEachV(func(k string, v []byte, ver uint64) error {
+				if _, dup := got[k]; dup {
+					t.Errorf("ForEachV visited %q twice", k)
+				}
+				if ver != uint64(len(k)+len(v)) {
+					t.Errorf("ForEachV(%q) ver = %d", k, ver)
+				}
+				got[k] = string(v)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ForEachV saw %v, want %v", got, want)
+			}
+			var keys []string
+			kv.ForEach(func(k string, _ []byte) error { keys = append(keys, k); return nil })
+			sort.Strings(keys)
+			if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
+				t.Fatalf("ForEach keys = %v", keys)
+			}
+
+			stop := errors.New("stop")
+			n := 0
+			err := kv.ForEachV(func(string, []byte, uint64) error { n++; return stop })
+			if !errors.Is(err, stop) || n != 1 {
+				t.Fatalf("ForEachV after fn error: err %v after %d calls", err, n)
+			}
+		})
+	}
+}
+
+// DigestLeaves equals a from-scratch hash of the contents after every
+// kind of mutation.
+func TestConformanceDigest(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			check := func(step string) {
+				t.Helper()
+				want, err := storage.DigestOf(kv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := kv.DigestLeaves(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after %s: DigestLeaves = %x\nrebuilt %x", step, got, want)
+				}
+			}
+			check("open")
+			kv.Put("a", []byte("1"))
+			kv.PutV("b", []byte("2"), 7)
+			check("puts")
+			kv.Append("a", []byte("+x"))
+			kv.Append("c", []byte("fresh"))
+			check("appends")
+			kv.PutIfAbsent("d", []byte("4"))
+			kv.Cas("a", []byte("1+x"), []byte("swapped"))
+			check("conditional writes")
+			kv.PutLWW("b", []byte("newer"), 8)
+			kv.PutLWW("b", []byte("stale"), 3)
+			kv.RemoveLWW("d", 1) // an unversioned pair loses to any stamp
+			check("LWW writes")
+			kv.Remove("c")
+			kv.RemoveLWW("b", 9)
+			check("removes")
+			if kv.Len() != 1 {
+				t.Fatalf("Len = %d, want 1", kv.Len())
+			}
+		})
+	}
+}

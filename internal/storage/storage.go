@@ -1,7 +1,9 @@
 // Package storage defines the pluggable storage-engine boundary of a
 // ZHT instance: the KV interface every partition store implements,
-// the durability modes a write-ahead log can offer, and the
-// engine-agnostic partition snapshot format used by data migration.
+// the durability modes a write-ahead log can offer, the
+// engine-agnostic partition snapshot format used by data migration,
+// and the pair/leaf hashes of the repair digest every versioned store
+// maintains.
 //
 // The paper treats the per-partition store as a swappable component —
 // NoVoHT is "the default storage", with BerkeleyDB and KyotoCabinet
@@ -53,28 +55,16 @@ type KV interface {
 	Close() error
 }
 
-// ScratchGetter is an optional KV extension for allocation-free
-// reads: GetAppend appends the value stored under key to dst (a
-// caller-owned scratch buffer) instead of allocating a fresh copy per
-// read. It returns dst — possibly grown — alongside the same
-// presence/error results as Get; on a miss or error dst is returned
-// unmodified. Engines that can copy a value straight out of their
-// shard under its read lock should implement it; consumers
-// type-assert and fall back to Get.
-type ScratchGetter interface {
-	GetAppend(dst []byte, key string) ([]byte, bool, error)
-}
-
 // VersionedKV is an optional KV extension for stores that persist a
 // version stamp alongside each value. Tunable consistency needs it:
 // replicas resolve concurrent writes last-writer-wins on the version,
 // and quorum reads compare versions across copies. Versions are
 // opaque uint64s ordered by numeric comparison (internal/core stamps
 // them from a hybrid logical clock); version 0 means "unversioned"
-// and loses to any stamped write. Engines that cannot persist the
-// stamp simply do not implement the interface; consumers type-assert
-// and fall back to the unversioned methods (degrading to
-// blind-overwrite semantics, today's behavior).
+// and loses to any stamped write. Replica anti-entropy also needs the
+// store's maintained digest (DigestLeaves), so every partition store
+// inside an instance must implement this interface; engines that
+// cannot (the Figure 6 disk stand-ins) serve only as plain KVs.
 type VersionedKV interface {
 	// PutV stores val under key with the given version,
 	// unconditionally replacing any existing value and version.
@@ -92,11 +82,26 @@ type VersionedKV interface {
 	// GetV is Get plus the stored version (0 for pre-versioning
 	// records).
 	GetV(key string) (val []byte, ver uint64, found bool, err error)
-	// GetAppendV is GetAppend plus the stored version.
+	// GetAppendV appends the value stored under key to dst (caller
+	// scratch) instead of allocating a copy, and returns it — possibly
+	// grown — with the stored version. On a miss or error dst is
+	// returned unmodified.
 	GetAppendV(dst []byte, key string) (val []byte, ver uint64, found bool, err error)
 	// ForEachV calls fn for every pair with its version; fn must not
 	// mutate the store.
 	ForEachV(fn func(key string, val []byte, ver uint64) error) error
+	// DigestLeaves returns a copy of the store's repair digest: Leaves
+	// words, leaf LeafOf(key) holding the XOR of PairHashV over every
+	// stored pair. The store keeps it current on every mutation, so it
+	// always equals DigestOf over the contents.
+	DigestLeaves() []uint64
+}
+
+// PartitionKV is what every partition store inside an instance
+// provides: the KV seam plus its versioned extension.
+type PartitionKV interface {
+	KV
+	VersionedKV
 }
 
 // Stats is a point-in-time snapshot of a store's internals.
