@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle flake
 
 build:
 	$(GO) build ./...
@@ -83,8 +83,8 @@ tenant-smoke:
 	timeout 60 $(GO) run ./internal/tools/tenantsmoke
 
 # bench-allocs is the hot-path allocation gate: it benchmarks the
-# loopback TCP request path in-process and fails if Lookup, Insert, or
-# batched Insert exceeds its allocs/op budget (the budget constants and
+# loopback TCP and in-process request paths and fails if Lookup, Insert,
+# or batched Insert exceeds its allocs/op budget (the budget constants and
 # their analytical derivation live at the top of allocs_test.go). Run
 # without -race: the race detector's instrumentation allocates, so the
 # gate skips itself under it.
@@ -122,6 +122,23 @@ verify:
 	done; \
 	echo "verify: $$(echo $$passed | wc -w) passed, $$(echo $$failed | wc -w) failed:$${failed:- none}"; \
 	[ -z "$$failed" ]
+
+# flake measures how often the chaos and consistency soaks fail: each
+# runs 40 times without the race detector, every failing run is printed
+# with its seeds and first log lines, and the last line is the census.
+# The seeds are fixed, so a failure here is one the scheduler chose.
+# Not part of verify: it takes minutes and measures a rate.
+flake:
+	@$(GO) test -count=40 -v -timeout 60m \
+		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos)$$' \
+		./internal/chaos 2>&1 | awk ' \
+		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; buf = ""; n = 0; next } ; \
+		/^    / { if (n++ < 6) buf = buf "\n" $$0; next } ; \
+		/^--- FAIL/ { fails[$$3]++; bad++; print "FAIL " $$3 " run " runs[$$3] buf; next } ; \
+		/^panic:|^FAIL\t/ { print } ; \
+		END { line = "flake:"; \
+			for (i = 1; i <= k; i++) line = line sprintf(" %s %d/%d failed;", order[i], fails[order[i]], runs[order[i]]); \
+			print line " total " bad + 0 " failed"; exit bad > 0 }'
 
 # profile-handle CPU-profiles BenchmarkHandleParallelZipf, the
 # in-process shape of the inproc-parallel-zipf workload (client

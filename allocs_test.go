@@ -46,6 +46,23 @@ const (
 	allocBenchValueBytes  = 132 // the paper's micro-benchmark value size
 )
 
+// In-process budgets: the same single-instance lookup and insert over
+// transport.Registry, where no socket hides the runtime's cost and the
+// buffer pools are crossed several times per op. Pinned at the measured
+// allocs/op, so a pool change that starts allocating per op fails here
+// rather than disappearing into throughput noise:
+//
+//   - Lookup = 3: the server key string, and the response encoding,
+//     which grows from nil twice (header, then value). The caller's
+//     decoded response aliases that encoding, so it outlives the call
+//     like the TCP client's right-sized value copy.
+//   - Insert = 3: the key string and the same encoding, grown for the
+//     header and then for a varint field.
+const (
+	inprocLookupAllocBudget = 3
+	inprocInsertAllocBudget = 3
+)
+
 // quorumLookupAllocBudget is the gate for the QUORUM read path at
 // Replicas=1 (two instances on loopback TCP, copies=2). Quorum reads
 // are client-coordinated fan-out, so the floor is structurally higher
@@ -147,20 +164,50 @@ func benchTCPClient(tb testing.TB) (*zht.Client, []string, func()) {
 		ln.Close()
 		tb.Fatal(err)
 	}
-	keys := make([]string, allocBenchKeys)
-	val := make([]byte, allocBenchValueBytes)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("alloc-key-%06d", i)
-		if err := c.Insert(keys[i], val); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	cleanup := func() {
 		d.Close()
 		ln.Close()
 		caller.Close()
 	}
-	return c, keys, cleanup
+	return c, preloadAllocKeys(tb, c, zht.ConsistencyDefault), cleanup
+}
+
+// benchInprocClient boots benchTCPClient's deployment on the in-process
+// transport instead of loopback TCP.
+func benchInprocClient(tb testing.TB) (*zht.Client, []string, func()) {
+	tb.Helper()
+	cfg := zht.Config{
+		NumPartitions:  64,
+		Replicas:       0,
+		OpDeadline:     -1,
+		GossipCooldown: -1,
+		AntiEntropy:    -1,
+	}
+	d, _, err := zht.BootstrapInproc(cfg, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := d.NewClient()
+	if err != nil {
+		d.Close()
+		tb.Fatal(err)
+	}
+	return c, preloadAllocKeys(tb, c, zht.ConsistencyDefault), func() { d.Close() }
+}
+
+// preloadAllocKeys inserts allocBenchKeys keys at level so later
+// inserts measure the overwrite path.
+func preloadAllocKeys(tb testing.TB, c *zht.Client, level zht.Consistency) []string {
+	tb.Helper()
+	keys := make([]string, allocBenchKeys)
+	val := make([]byte, allocBenchValueBytes)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("alloc-key-%06d", i)
+		if err := c.InsertWith(keys[i], val, level); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // benchTCPQuorumClient boots a TWO-instance deployment on loopback
@@ -211,14 +258,6 @@ func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 		d.Close()
 		tb.Fatal(err)
 	}
-	keys := make([]string, allocBenchKeys)
-	val := make([]byte, allocBenchValueBytes)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("alloc-key-%06d", i)
-		if err := c.InsertWith(keys[i], val, zht.ConsistencyAll); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	cleanup := func() {
 		d.Close()
 		for _, ln := range lns {
@@ -226,7 +265,7 @@ func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 		}
 		caller.Close()
 	}
-	return c, keys, cleanup
+	return c, preloadAllocKeys(tb, c, zht.ConsistencyAll), cleanup
 }
 
 func benchQuorumLookupAllocs(c *zht.Client, keys []string) func(b *testing.B) {
@@ -300,6 +339,10 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	qc, qkeys, qcleanup := benchTCPQuorumClient(b)
 	defer qcleanup()
 	b.Run("quorum-lookup", benchQuorumLookupAllocs(qc, qkeys))
+	ic, ikeys, icleanup := benchInprocClient(b)
+	defer icleanup()
+	b.Run("inproc-lookup", benchLookupAllocs(ic, ikeys))
+	b.Run("inproc-insert", benchInsertAllocs(ic, ikeys))
 }
 
 // TestHotPathAllocBudget is the allocs/op regression gate (`make
@@ -352,6 +395,20 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 	r = testing.Benchmark(benchQuorumLookupAllocs(qc, qkeys))
 	check("quorum-lookup allocs", float64(r.AllocsPerOp()), quorumLookupAllocBudget)
+
+	// The same lookup and insert in process: nothing but the codec round
+	// trip and the buffer pools between client and instance.
+	ic, ikeys, icleanup := benchInprocClient(t)
+	defer icleanup()
+	for i := 0; i < 2*allocBenchKeys; i++ {
+		if _, err := ic.Lookup(ikeys[i%len(ikeys)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r = testing.Benchmark(benchLookupAllocs(ic, ikeys))
+	check("inproc-lookup allocs", float64(r.AllocsPerOp()), inprocLookupAllocBudget)
+	r = testing.Benchmark(benchInsertAllocs(ic, ikeys))
+	check("inproc-insert allocs", float64(r.AllocsPerOp()), inprocInsertAllocBudget)
 
 	// The store side of an append costs the same allocations at 64 KiB
 	// accumulated as at the paper's 132-byte value.

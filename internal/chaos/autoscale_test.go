@@ -66,6 +66,10 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 	// the "no acked write lost" contract.
 	const workers = 4
 	const keysPerWorker = 300
+	// Worker w's fault stream is seeded chaosSeed+w and its op stream
+	// opSeed+w; `make flake` prints this line for every failing run.
+	const chaosSeed, opSeed = 100, 1000
+	t.Logf("seeds: chaos %d+w, ops %d+w, w < %d", chaosSeed, opSeed, workers)
 	type workerState struct {
 		expected map[string][]byte
 		removed  map[string]bool // last acked op was a remove
@@ -88,7 +92,7 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 		sc := &Scenario{Steps: []Step{
 			{At: 0, Label: "steady loss", Rules: []Rule{Lossy("", "", 0.05)}},
 		}}
-		chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: int64(100 + w), LossTimeout: 10 * time.Millisecond})
+		chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: int64(chaosSeed + w), LossTimeout: 10 * time.Millisecond})
 		client, err := core.NewClient(cfg, d.Instance(0).Table(), chaosCaller)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +100,7 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int, ws *workerState) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			rng := rand.New(rand.NewSource(int64(opSeed + w)))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

@@ -78,7 +78,9 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 		}},
 		{At: 1000 * time.Millisecond, Label: "healed"},
 	}}
-	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: 23, LossTimeout: 25 * time.Millisecond})
+	const seed = 23
+	t.Logf("seeds: chaos %d", seed) // `make flake` prints it for every failing run
+	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: seed, LossTimeout: 25 * time.Millisecond})
 	t0 := time.Now()
 	client, err := core.NewClient(cfg, d.Instance(0).Table(), chaosCaller)
 	if err != nil {

@@ -56,7 +56,9 @@ func TestChaosSoak(t *testing.T) {
 		}},
 		{At: 1200 * time.Millisecond, Label: "healed"},
 	}}
-	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: 7, LossTimeout: 25 * time.Millisecond})
+	const seed = 7
+	t.Logf("seeds: chaos %d", seed) // `make flake` prints it for every failing run
+	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: seed, LossTimeout: 25 * time.Millisecond})
 	t0 := time.Now() // scenario clock epoch (Wrap just started it)
 	client, err := core.NewClient(cfg, d.Instance(0).Table(), chaosCaller)
 	if err != nil {

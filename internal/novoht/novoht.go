@@ -501,6 +501,14 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 // one, wal.append hands it to the writer goroutine, and commit
 // returns it here once its bytes are on the file (records dropped on
 // a failed WAL simply fall to the GC).
+//
+// Unlike wire's per-P FreeList this stays a bounded channel, because a
+// record is a producer→consumer handoff rather than per-core scratch:
+// request goroutines fill records and the WAL writer goroutines return
+// them, so per-P caches would strand records on the writers' Ps while
+// request Ps miss; a per-P list measured slower on durable writes
+// (DESIGN.md §11). 256 records of at most maxPooledRec bytes each caps
+// what the list pins at 16 MiB.
 var recFree = make(chan []byte, 256)
 
 const maxPooledRec = 64 << 10

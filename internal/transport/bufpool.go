@@ -7,22 +7,20 @@ import (
 	"zht/internal/wire"
 )
 
-// Frame-buffer pool for the TCP reader/demux loops and the UDP
-// datagram path. Kept separate from wire's message-scale buffer pool
-// so the two size classes don't pollute each other: frames and
-// datagrams run larger (UDP reads want maxDatagram capacity) than
-// encode scratch. Same shape as wire's pool — a bounded channel
-// freelist whose slice headers move by value, so neither get nor put
-// allocates — and the same single-owner rule: a frame is either
-// handed on or returned, never both. The pool honors
-// wire.SetPoolPoison for use-after-release regression tests.
+// Frame-buffer pool for the TCP reader loops and the UDP datagram
+// path. Kept separate from wire's message-scale buffer pool so the two
+// size classes don't pollute each other: frames and datagrams run
+// larger (UDP reads want maxDatagram capacity) than encode scratch.
+// Same free-list type as wire's pool, so neither get nor put allocates
+// or takes a lock shared between cores, and the same single-owner
+// rule: a frame is either handed on or returned, never both. It
+// honors wire.SetPoolPoison for use-after-release regression tests.
 const (
 	frameBufCap    = 4 << 10
 	maxPooledFrame = 64 << 10
-	frameFreeLimit = 256
 )
 
-var frameFree = make(chan []byte, frameFreeLimit)
+var frameFree = wire.NewFreeList(frameBufCap, maxPooledFrame)
 
 // bufReuse counts frame buffers served from the pool instead of the
 // allocator (zht.transport.buf.reuse); nil when metrics are off.
@@ -39,29 +37,13 @@ func EnableBufMetrics(reg *metrics.Registry) {
 }
 
 func getFrameBuf() []byte {
-	select {
-	case b := <-frameFree:
+	b, reused := frameFree.Get()
+	if reused {
 		if c := bufReuse.Load(); c != nil {
 			c.Inc()
 		}
-		return b
-	default:
-		return make([]byte, 0, frameBufCap)
 	}
+	return b
 }
 
-func putFrameBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledFrame {
-		return
-	}
-	b = b[:cap(b)]
-	if wire.PoolPoisonEnabled() {
-		for i := range b {
-			b[i] = wire.PoisonByte
-		}
-	}
-	select {
-	case frameFree <- b[:0]:
-	default:
-	}
-}
+func putFrameBuf(b []byte) { frameFree.Put(b) }

@@ -105,6 +105,22 @@ func TestNoResponseAliasingAfterRelease(t *testing.T) {
 	}
 }
 
+// TestPutFrameBufPoisonsBacking checks that the frame pool honors
+// wire.SetPoolPoison like wire's own buffer pool.
+func TestPutFrameBufPoisonsBacking(t *testing.T) {
+	wire.SetPoolPoison(true)
+	defer wire.SetPoolPoison(false)
+
+	b := append(getFrameBuf(), "live frame"...)
+	alias := b
+	putFrameBuf(b)
+	for i, c := range alias {
+		if c != wire.PoisonByte {
+			t.Fatalf("frame byte %d survived release: %#x (want poison %#x)", i, c, wire.PoisonByte)
+		}
+	}
+}
+
 // TestServerFramesRecycled pins the server half of the ownership
 // rule from the outside: a burst of sequential calls on one cached
 // connection must drive the frame pool's reuse counter, proving read

@@ -15,12 +15,11 @@
 //   - Buffers from GetBuffer are single-owner: whoever holds one
 //     either passes it on or returns it with PutBuffer, never both.
 //
-// Structs are pooled with sync.Pool. Byte buffers use a fixed-size
-// channel freelist instead: handing a []byte through sync.Pool boxes
-// the slice header (an allocation per Put, defeating the point),
-// while a channel send copies it. The freelist is deliberately
-// bounded — overflow is dropped for the GC — and buffers above
-// maxPooledBuf are never retained, so a burst of large values cannot
+// Structs are pooled with sync.Pool. Byte buffers go through a
+// FreeList: per-P like sync.Pool, so the request path shares no lock
+// between cores, without boxing a slice header per Put. Buffers above
+// maxPooledBuf are never retained, and whatever the list holds is
+// released across two GC cycles, so a burst of large values cannot
 // pin memory.
 package wire
 
@@ -38,11 +37,8 @@ const (
 	pooledBufCap = 1 << 10
 	// maxPooledBuf caps the capacity of buffers the pool retains.
 	// Larger buffers (bulk migration images, batch envelopes) are
-	// left to the GC so the freelist stays small and hot.
+	// left to the GC so the free list stays small and hot.
 	maxPooledBuf = 64 << 10
-	// bufFreeListSize bounds the freelist; with maxPooledBuf this
-	// caps pool-pinned memory at 16 MiB worst case.
-	bufFreeListSize = 256
 )
 
 // poolMetrics holds the pool's instruments; all fields are nil-safe
@@ -61,7 +57,8 @@ var poolMet atomic.Pointer[poolMetrics]
 // accounting off again. gets counts every pooled acquisition
 // (structs and buffers), misses the subset that had to allocate, and
 // puts every successful return — a healthy steady state shows
-// gets ≈ puts with misses flat.
+// gets ≈ puts, with misses stepping up after each GC (which empties
+// the pools) and flat between collections.
 func EnablePoolMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		poolMet.Store(nil)
@@ -74,9 +71,9 @@ func EnablePoolMetrics(reg *metrics.Registry) {
 	})
 }
 
-// poisonPool, when set, makes PutBuffer overwrite returned buffers
-// with poisonByte before pooling them. Tests enable it to turn any
-// use-after-release of a pooled buffer into a loud, deterministic
+// poisonPool, when set, makes every FreeList overwrite returned
+// buffers with PoisonByte before pooling them. Tests enable it to turn
+// any use-after-release of a pooled buffer into a loud, deterministic
 // corruption instead of a silent heisenbug.
 var poisonPool atomic.Bool
 
@@ -84,13 +81,66 @@ var poisonPool atomic.Bool
 // buffers; exported so regression tests can assert against it.
 const PoisonByte = 0xDB
 
-// SetPoolPoison toggles poisoning of released buffers. Test-only:
-// it is global and costs a memset per PutBuffer.
+// SetPoolPoison toggles poisoning of released buffers in every
+// FreeList. Test-only: it is global and costs a memset per Put.
 func SetPoolPoison(on bool) { poisonPool.Store(on) }
 
-// PoolPoisonEnabled reports whether buffer poisoning is on; the
-// transport's own buffer pool honors the same switch.
-func PoolPoisonEnabled() bool { return poisonPool.Load() }
+// FreeList is a per-P free list of byte buffers, safe for concurrent
+// use. It is two sync.Pools of *[]byte cells: full holds cells that
+// carry a buffer, empty holds spent cells. Get moves a buffer out of
+// its cell and parks the cell in empty; Put fills a cell from empty
+// and parks it in full. A pointer boxes into an interface without
+// allocating, so once both pools are warm neither call allocates —
+// what a bare sync.Pool of []byte cannot do, since it boxes the slice
+// header on every Put. Like any sync.Pool, both are emptied across
+// two GC cycles, which is what bounds the memory the list retains.
+// The zero value is not usable; call NewFreeList.
+type FreeList struct {
+	full, empty sync.Pool
+	newCap      int // capacity of buffers Get allocates on a miss
+	maxCap      int // buffers above this capacity are left to the GC
+}
+
+// NewFreeList returns a free list whose misses allocate newCap-byte
+// buffers and which retains buffers of capacity at most maxCap.
+func NewFreeList(newCap, maxCap int) *FreeList {
+	return &FreeList{newCap: newCap, maxCap: maxCap}
+}
+
+// Get returns an empty (length-0) buffer and whether it came from the
+// list rather than the allocator.
+func (l *FreeList) Get() (b []byte, reused bool) {
+	c, _ := l.full.Get().(*[]byte)
+	if c == nil {
+		return make([]byte, 0, l.newCap), false
+	}
+	b = *c
+	*c = nil // the spent cell must not keep the buffer alive
+	l.empty.Put(c)
+	return b, true
+}
+
+// Put hands b's backing array to the list and reports whether it was
+// kept; zero-capacity and oversized buffers are dropped for the GC.
+// The caller must not retain any slice of b.
+func (l *FreeList) Put(b []byte) bool {
+	if cap(b) == 0 || cap(b) > l.maxCap {
+		return false
+	}
+	if poisonPool.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = PoisonByte
+		}
+	}
+	c, _ := l.empty.Get().(*[]byte)
+	if c == nil {
+		c = new([]byte)
+	}
+	*c = b[:0]
+	l.full.Put(c)
+	return true
+}
 
 var requestPool = sync.Pool{New: func() any {
 	if m := poolMet.Load(); m != nil {
@@ -175,48 +225,31 @@ func (r *Response) ShallowCopy() *Response {
 	return cp
 }
 
-// bufFree is the byte-buffer freelist. A channel rather than a
-// sync.Pool: slice headers move through it by value, so neither
-// GetBuffer nor PutBuffer allocates.
-var bufFree = make(chan []byte, bufFreeListSize)
+// bufFree holds message-scale scratch buffers.
+var bufFree = NewFreeList(pooledBufCap, maxPooledBuf)
 
 // GetBuffer returns an empty (length-0) scratch buffer from the
 // pool. Append to it; hand it back with PutBuffer or transfer
 // ownership exactly once.
 func GetBuffer() []byte {
+	b, reused := bufFree.Get()
 	if m := poolMet.Load(); m != nil {
 		m.gets.Inc()
-	}
-	select {
-	case b := <-bufFree:
-		return b
-	default:
-		if m := poolMet.Load(); m != nil {
+		if !reused {
 			m.misses.Inc()
 		}
-		return make([]byte, 0, pooledBufCap)
 	}
+	return b
 }
 
-// PutBuffer returns b's backing array to the pool. Oversized buffers
-// and overflow beyond the freelist's capacity are dropped for the GC.
-// The caller must not retain any slice of b.
+// PutBuffer returns b's backing array to the pool. Zero-capacity and
+// oversized buffers are dropped for the GC. The caller must not retain
+// any slice of b.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:cap(b)]
-	if poisonPool.Load() {
-		for i := range b {
-			b[i] = PoisonByte
-		}
-	}
-	select {
-	case bufFree <- b[:0]:
+	if bufFree.Put(b) {
 		if m := poolMet.Load(); m != nil {
 			m.puts.Inc()
 		}
-	default:
 	}
 }
 

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+
+	"zht/internal/metrics"
 )
 
 // The pool tests run with poisoning on: every buffer released to the
@@ -102,6 +105,114 @@ func TestDecodePooledReleaseDoesNotReachCopies(t *testing.T) {
 			t.Fatalf("frame byte %d survived PutBuffer: %#x", i, c)
 		}
 	}
+}
+
+// TestBufferGetPutAllocFree pins the point of the two-pool cell trick:
+// once warm, a Get/Put pair allocates neither a buffer nor a cell.
+func TestBufferGetPutAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	PutBuffer(GetBuffer()) // the first Put allocates the cell
+	if n := testing.AllocsPerRun(1000, func() { PutBuffer(GetBuffer()) }); n != 0 {
+		t.Fatalf("GetBuffer+PutBuffer allocates %.0f per pair after warm-up", n)
+	}
+}
+
+// TestFreeListDropsUnpoolable checks that zero-capacity buffers and
+// buffers above the retention cap go to the GC, not into the list, and
+// that PutBuffer counts only what it kept.
+func TestFreeListDropsUnpoolable(t *testing.T) {
+	l := NewFreeList(16, maxPooledBuf)
+	if l.Put(nil) || l.Put(make([]byte, 0)) {
+		t.Error("zero-capacity buffer retained")
+	}
+	if l.Put(make([]byte, 0, maxPooledBuf+1)) {
+		t.Error("buffer above the retention cap retained")
+	}
+	if b, reused := l.Get(); reused {
+		t.Errorf("Get served a dropped buffer (cap %d)", cap(b))
+	}
+	if !l.Put(make([]byte, 10, maxPooledBuf)) {
+		t.Error("buffer at the retention cap dropped")
+	}
+
+	reg := metrics.NewRegistry()
+	EnablePoolMetrics(reg)
+	defer EnablePoolMetrics(nil)
+	PutBuffer(nil)
+	PutBuffer(make([]byte, 0, maxPooledBuf+1))
+	if n := reg.Counter("zht.wire.pool.puts").Value(); n != 0 {
+		t.Errorf("puts = %d after two dropped buffers, want 0", n)
+	}
+	PutBuffer(make([]byte, 0, pooledBufCap))
+	if n := reg.Counter("zht.wire.pool.puts").Value(); n != 1 {
+		t.Errorf("puts = %d after one kept buffer, want 1", n)
+	}
+}
+
+// TestFreeListSingleOwnerAcrossGoroutines hands every buffer from the
+// goroutine that got it to another that returns it — the shape of a
+// request frame released by a different goroutine than read it — on
+// eight pairs at once. A buffer given to two owners shows up three
+// ways: a second claim on a backing array still held, a payload
+// overwritten before its consumer read it, or a race report.
+func TestFreeListSingleOwnerAcrossGoroutines(t *testing.T) {
+	SetPoolPoison(true)
+	defer SetPoolPoison(false)
+
+	const pairs, rounds = 8, 2000
+	var (
+		mu    sync.Mutex
+		owner = map[*byte]int{} // first byte of a held backing array → holder
+	)
+	first := func(b []byte) *byte { return &b[:cap(b)][0] }
+	var wg sync.WaitGroup
+	for p := 0; p < pairs; p++ {
+		ch := make(chan []byte, 16) // a few in flight, so Gets overlap Puts
+		wg.Add(2)
+		go func(p int) {
+			defer wg.Done()
+			defer close(ch)
+			for i := 0; i < rounds; i++ {
+				b := GetBuffer()
+				mu.Lock()
+				if prev, held := owner[first(b)]; held {
+					t.Errorf("pair %d got a buffer pair %d still holds", p, prev)
+				}
+				owner[first(b)] = p
+				mu.Unlock()
+				ch <- append(b, bytes.Repeat([]byte{byte(i)}, 64)...)
+			}
+		}(p)
+		go func() {
+			defer wg.Done()
+			i := 0
+			for b := range ch {
+				if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, 64)) {
+					t.Errorf("payload %d overwritten while owned: % x", i, b[:8])
+				}
+				mu.Lock()
+				delete(owner, first(b))
+				mu.Unlock()
+				PutBuffer(b)
+				i++
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkBufferParallel is the free list alone: every goroutine takes
+// a buffer, writes a request-sized payload and returns it.
+func BenchmarkBufferParallel(b *testing.B) {
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			PutBuffer(append(GetBuffer(), payload...))
+		}
+	})
 }
 
 // TestBatchReleaseRoundTrip poisons through the batch envelope path:
