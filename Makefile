@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle flake
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload flake
 
 build:
 	$(GO) build ./...
@@ -150,6 +150,17 @@ profile-handle:
 	$(GO) test -run '^$$' -bench '^BenchmarkHandleParallelZipf$$' -benchtime 5s \
 		-cpuprofile .profile/handle.cpu.pprof -o .profile/zht.test .
 	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/handle.cpu.pprof
+
+# profile-bulkload CPU-profiles BenchmarkBatchReplicatedLoad, the
+# bulk-load shape of the tcp-r1-durable-write set-up (800
+# Client.Batch(256) inserts into a Replicas=1 deployment on async
+# WALs), and prints the hottest functions; profile and test binary
+# stay in .profile/.
+profile-bulkload:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '^BenchmarkBatchReplicatedLoad$$' -benchtime 800x \
+		-cpuprofile .profile/bulkload.cpu.pprof -o .profile/zht.test .
+	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/bulkload.cpu.pprof
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,36 +2,92 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"zht/internal/ring"
+	"zht/internal/storage"
 	"zht/internal/wire"
 )
 
 // Server side of the batched request path: one OpBatch envelope
 // carries N sub-operations, and the instance amortizes the per-request
 // cost — migration gate, ownership check, partition locks, replication
-// round trips — across every sub-op that lands on the same partition.
+// round trips — across the whole envelope: locks are taken once per
+// envelope and replica legs travel as one envelope per destination.
 // This is the apply-loop half of the pipeline the paper's
 // connection-caching ablation (§III.F) motivates at the transport
 // level: once messages are cheap to carry, the next win is making each
 // message carry more work.
 
-// tagPool and groupPool recycle the grouping scratch handleBatch uses
-// per envelope: composite (partition<<32 | index) tags, and the index
-// slice handed to applyBatchPartition (which only iterates it — the
-// slice never outlives the call).
-var (
-	tagPool   = sync.Pool{New: func() any { return new([]int64) }}
-	groupPool = sync.Pool{New: func() any { return new([]int) }}
-)
+// batchScratch is one envelope's working set, pooled so grouping,
+// locking and the replica fan-out allocate nothing per partition
+// group. It is flat: tags order the KV sub-ops by partition, a group is
+// a run of tags, and the leg arrays are indexed by applied position —
+// the envelope's successful mutations in apply order, so each group's
+// legs are one contiguous run of them.
+type batchScratch struct {
+	tags    []int64 // partition<<32 | sub-op index, sorted
+	groups  []batchGroup
+	applied []int           // sub-op index per applied position
+	legVals [][]byte        // leg value where it differs from the request's (appends)
+	fwds    []wire.Request  // the OpReplicate leg per applied position
+	legs    []*wire.Request // the destination envelope being assembled
+	members []int           // groups whose legs that envelope carries
+	pending []int           // groups with a leg still to ship this round
+}
+
+// batchGroup is one partition's run of sub-ops: tags[lo:hi], and
+// applied[alo:ahi] once applied.
+type batchGroup struct {
+	p        int
+	lo, hi   int
+	alo, ahi int
+	live     bool // not yet answered with a routing verdict
+	s        storage.PartitionKV
+	peers    []ring.Instance // non-self replicas in ring order
+	syncNeed int             // replica acks the group's strictest level needs
+	acked    int             // rounds in which every leg of the group succeeded
+}
+
+// syncIn reports whether g's leg in round k is synchronous: always to
+// the first replica, and to later ones while g holds fewer acks than
+// its level needs (straggler promotion).
+func (g *batchGroup) syncIn(k int) bool { return k == 0 || g.acked < g.syncNeed }
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release clears every reference the envelope left in sc — request
+// memory, stores, replica sets — and returns it to the pool.
+func (sc *batchScratch) release() {
+	clear(sc.groups)
+	clear(sc.legVals)
+	clear(sc.fwds)
+	clear(sc.legs)
+	sc.tags, sc.groups, sc.applied = sc.tags[:0], sc.groups[:0], sc.applied[:0]
+	sc.legVals, sc.fwds, sc.legs = sc.legVals[:0], sc.fwds[:0], sc.legs[:0]
+	sc.members, sc.pending = sc.members[:0], sc.pending[:0]
+	batchPool.Put(sc)
+}
+
+// fan answers every slot of group g with its own pooled copy of the
+// routing verdict r and drops g from the rest of the envelope: ops for
+// one partition route all-or-nothing, so the client re-routes them
+// together. handleBatch releases each slot independently, so slots
+// never share one *Response; the copies may share r's Table backing —
+// releasing a Response never frees Table.
+func (sc *batchScratch) fan(g *batchGroup, resps []*wire.Response, r *wire.Response) {
+	for _, t := range sc.tags[g.lo:g.hi] {
+		resps[t&0xffffffff] = r.ShallowCopy()
+	}
+	g.live = false
+}
 
 // handleBatch serves an OpBatch envelope: decode the sub-requests,
-// group them by partition, apply each partition's group under a single
-// lock acquisition, and pack the sub-responses (input order) into the
-// envelope response.
+// group them by partition, apply them under one acquisition of every
+// lock the envelope needs, and pack the sub-responses (input order)
+// into the envelope response.
 func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	subs, err := wire.DecodeOps(req.Aux)
 	if err != nil {
@@ -39,20 +95,14 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	}
 	resps := make([]*wire.Response, len(subs))
 
-	// Group sub-op indices by partition, preserving input order within
-	// each group (same key → same partition → same group, so per-key
-	// ordering matches sequential execution). Each KV sub-op gets a
-	// composite (partition, index) tag; sorting the tags clusters each
-	// partition's ops contiguously, and the index in the low bits keeps
-	// the order within a partition stable. Tag and group scratch come
-	// from pools so grouping allocates nothing — a map of per-partition
-	// slices cost nearly an allocation per sub-op. Partitions are
-	// visited in ascending order (groups hold disjoint locks and
-	// release them before the next group, so visiting order is
-	// correctness-neutral); non-partition ops dispatch immediately so
-	// their position relative to same-batch KV ops is irrelevant.
-	tp := tagPool.Get().(*[]int64)
-	tags := (*tp)[:0]
+	// Each KV sub-op gets a composite (partition, index) tag; sorting
+	// the tags clusters each partition's ops contiguously, and the
+	// index in the low bits keeps the order within a partition stable
+	// (same key → same partition → same group, so per-key ordering
+	// matches sequential execution). Non-partition ops dispatch
+	// immediately, so their position relative to same-batch KV ops is
+	// irrelevant.
+	sc := batchPool.Get().(*batchScratch)
 	// Admission releases collected for admitted KV sub-ops; every one
 	// is called when the envelope finishes.
 	var releases []func()
@@ -62,7 +112,6 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 		}
 	}()
 	for i, s := range subs {
-		var p int
 		switch s.Op {
 		case wire.OpInsert, wire.OpLookup, wire.OpRemove, wire.OpAppend, wire.OpCas:
 			// Each KV sub-op passes the same admission and size gates as
@@ -85,34 +134,21 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 					releases = append(releases, release)
 				}
 			}
-			p = in.tableRef().Partition(in.hashf(s.Key))
+			p := in.tableRef().Partition(in.hashf(s.Key))
+			sc.tags = append(sc.tags, int64(p)<<32|int64(i))
 		case wire.OpReplicate:
 			// Batched replication legs apply in input order — the order
 			// the primary applied them — via the ordinary replicate
 			// handler; grouping would buy nothing (no locks, no fan-out).
 			resps[i] = in.handleReplicate(s)
-			continue
 		default:
 			resps[i] = in.Handle(s)
-			continue
 		}
-		tags = append(tags, int64(p)<<32|int64(i))
 	}
-	slices.Sort(tags)
-	gp := groupPool.Get().(*[]int)
-	idxs := (*gp)[:0]
-	for k := 0; k < len(tags); {
-		p := int(tags[k] >> 32)
-		idxs = idxs[:0]
-		for ; k < len(tags) && int(tags[k]>>32) == p; k++ {
-			idxs = append(idxs, int(tags[k]&0xffffffff))
-		}
-		in.applyBatchPartition(p, subs, idxs, resps)
+	if len(sc.tags) > 0 {
+		in.applyBatch(subs, resps, sc)
 	}
-	*gp = idxs[:0]
-	groupPool.Put(gp)
-	*tp = tags[:0]
-	tagPool.Put(tp)
+	sc.release()
 	// Sub-responses carry the epoch piggyback too: batch transports
 	// unpack the envelope, so the envelope's own stamp is not visible
 	// to the batch client.
@@ -124,226 +160,307 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	}
 	env := wire.NewBatchResponse(resps)
 	// The envelope now carries everything; sub-requests and
-	// sub-responses go back to their pools (applyBatchPartition fans
-	// routing verdicts out as per-slot copies, so each slot is
-	// released exactly once).
+	// sub-responses go back to their pools (routing verdicts were fanned
+	// out as per-slot copies, so each slot is released exactly once).
 	wire.ReleaseOps(subs)
 	wire.ReleaseResponses(resps)
 	return env
 }
 
-// applyBatchPartition runs one partition's sub-ops through the same
-// admission sequence as handleKV — migration gate, post-gate ownership
-// check, store resolution — but pays it once for the whole group.
-// Routing verdicts (WrongOwner, Migrating, errors) are fanned out to
-// every sub-op in the group: ops for one partition route all-or-
-// nothing, so the client re-routes them together. Mutations hold their
-// keys' mutation stripes once across the group, and replication of
-// the successful mutations is coalesced into one batched OpReplicate
-// per replica.
-func (in *Instance) applyBatchPartition(p int, subs []*wire.Request, idxs []int, resps []*wire.Response) {
-	// fan writes a distinct pooled copy of r to every slot in the
-	// group: handleBatch releases each slot independently, so slots
-	// must never share one *Response. The copies may share r's Table
-	// backing — releasing a Response never frees Table.
-	fan := func(r *wire.Response) {
-		for _, i := range idxs {
-			resps[i] = r.ShallowCopy()
+// applyBatch runs the envelope's KV sub-ops through handleKV's
+// sequence — migration gate, post-gate ownership, store, mutation
+// stripes, apply, replicate, enforce the write level — paying each
+// lock and each replica round trip once per envelope rather than once
+// per partition.
+//
+// Lock order: the op-lock stripes of every group that passed its
+// migration gate, then the mutation stripes of every mutated key, each
+// set ascending and deduplicated (partitions p and p+64 share an op
+// stripe, and a goroutine read-locking one RWMutex twice deadlocks
+// against a waiting writer). Single ops take one stripe of each in the
+// same order, so no cycle can form. Both sets are held across the
+// apply and every synchronous replica round, so each key's replica
+// order matches its apply order while envelopes touching disjoint keys
+// overlap — feeding the stores' group-commit WALs whole batches.
+func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+	slices.Sort(sc.tags)
+	tags := sc.tags
+	for k := 0; k < len(tags); {
+		lo, p := k, int(tags[k]>>32)
+		for k < len(tags) && int(tags[k]>>32) == p {
+			k++
 		}
+		sc.groups = append(sc.groups, batchGroup{p: p, lo: lo, hi: k, live: true})
 	}
+	groups := sc.groups
 
-	// Migration gate + op lock, exactly as handleKV (nothing to detach:
+	// Migration gates, then the op stripes of every group that passed;
+	// a migration that began while the stripes were being acquired
+	// sends the envelope back through the gates (nothing to detach:
 	// Handle detached the envelope already).
-	lock := in.opLock(p)
+	var ops uint64
 	for {
-		if resp := in.migrationGate(p, nil); resp != nil {
-			fan(resp)
-			return
+		ops = 0
+		for gi := range groups {
+			g := &groups[gi]
+			if !g.live {
+				continue
+			}
+			if resp := in.migrationGate(g.p, nil); resp != nil {
+				sc.fan(g, resps, resp)
+				continue
+			}
+			ops |= 1 << (g.p % lockStripes)
 		}
-		lock.RLock()
-		if in.isMigrating(p) {
-			lock.RUnlock()
-			continue
+		in.lockOps(ops)
+		if !in.anyMigrating(groups) {
+			break
 		}
-		break
+		in.unlockOps(ops)
 	}
-	defer lock.RUnlock()
+	defer in.unlockOps(ops)
 
-	// Ownership on a post-gate snapshot (see handleKV for why).
+	// Ownership on one post-gate snapshot (see handleKV for why).
 	table := in.tableRef()
-	ownerIdx := table.Owner[p]
-	owner := table.Instances[ownerIdx]
-	ownerFailed := table.Status[ownerIdx] != ring.Alive
-	if owner.ID != in.self.ID {
-		if !(ownerFailed && in.firstAliveReplica(table, p) == in.self.ID) {
-			fan(&wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)})
-			return
+	var wrongOwner *wire.Response
+	var muts uint64
+	for gi := range groups {
+		g := &groups[gi]
+		if !g.live {
+			continue
 		}
-	}
-
-	s, err := in.store(p)
-	if err != nil {
-		fan(&wire.Response{Status: wire.StatusError, Err: err.Error()})
-		return
-	}
-
-	// Lock the mutation stripes of every key the group mutates, in
-	// ascending stripe order (concurrent envelopes acquire in the same
-	// order, so they cannot deadlock), and hold them across apply +
-	// replication: same key → same stripe, so per-key replica order
-	// still matches apply order, while groups touching disjoint keys
-	// overlap — feeding the store's group-commit WAL whole batches.
-	var stripes []int
-	seen := make(map[int]bool)
-	for _, i := range idxs {
-		if in.mutates(subs[i]) {
-			st := int(in.hashf(subs[i].Key) % uint64(len(in.mutLocks)))
-			if !seen[st] {
-				seen[st] = true
-				stripes = append(stripes, st)
+		ownerIdx := table.Owner[g.p]
+		if table.Instances[ownerIdx].ID != in.self.ID &&
+			!(table.Status[ownerIdx] != ring.Alive && in.firstAliveReplica(table, g.p) == in.self.ID) {
+			if wrongOwner == nil {
+				wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
+			}
+			sc.fan(g, resps, wrongOwner)
+			continue
+		}
+		s, err := in.store(g.p)
+		if err != nil {
+			sc.fan(g, resps, &wire.Response{Status: wire.StatusError, Err: err.Error()})
+			continue
+		}
+		g.s = s
+		for _, t := range tags[g.lo:g.hi] {
+			if sub := subs[t&0xffffffff]; in.mutates(sub) {
+				muts |= 1 << (in.hashf(sub.Key) % lockStripes)
 			}
 		}
 	}
-	sort.Ints(stripes)
-	for _, st := range stripes {
-		in.mutLocks[st].Lock()
-		defer in.mutLocks[st].Unlock()
-	}
+	in.lockMuts(muts)
+	defer in.unlockMuts(muts)
+
 	// applied collects the sub-ops whose mutation succeeded, in apply
-	// order — the order replicas must see them in — alongside the
-	// version each was stamped with and, where the leg value differs
-	// from the request's (appends), the full value the legs carry.
-	var applied []int
-	var vers []uint64
-	var legVals [][]byte
-	for _, i := range idxs {
-		if !in.mutates(subs[i]) {
-			resps[i] = in.applyKV(s, subs[i])
+	// order — the order replicas must see them in — alongside each one's
+	// replica leg and, where the leg value differs from the request's
+	// (appends), the scratch holding the full value the leg carries.
+	for gi := range groups {
+		g := &groups[gi]
+		if !g.live {
 			continue
 		}
-		ver := in.clock.Next()
-		r, legVal := in.applyPrimary(s, subs[i], ver)
-		resps[i] = r
-		if r.Status != wire.StatusOK {
-			if legVal != nil {
-				wire.PutBuffer(legVal)
+		g.alo = len(sc.applied)
+		for _, t := range tags[g.lo:g.hi] {
+			i := int(t & 0xffffffff)
+			if !in.mutates(subs[i]) {
+				resps[i] = in.applyKV(g.s, subs[i])
+				continue
 			}
-			continue
+			ver := in.clock.Next()
+			r, legVal := in.applyPrimary(g.s, subs[i], ver)
+			resps[i] = r
+			if r.Status != wire.StatusOK {
+				if legVal != nil {
+					wire.PutBuffer(legVal)
+				}
+				continue
+			}
+			sc.applied = append(sc.applied, i)
+			sc.legVals = append(sc.legVals, legVal)
+			sc.fwds = append(sc.fwds, replicaFwd(g.p, subs[i], ver, legVal))
 		}
-		applied = append(applied, i)
-		vers = append(vers, ver)
-		legVals = append(legVals, legVal)
+		g.ahi = len(sc.applied)
 	}
-	if len(applied) == 0 {
+	if len(sc.applied) == 0 {
 		return
 	}
-	acked, copies := in.replicateBatch(table, p, subs, applied, vers, legVals)
-	for j, i := range applied {
-		if legVals[j] != nil {
-			wire.PutBuffer(legVals[j])
-		}
-		// Each sub-op's own write level is enforced against the acks
-		// the shared envelope fan-out collected: an envelope ack means
-		// that replica applied the whole group, so per-sub-op acks are
-		// identical and only the demanded level differs.
-		if need := in.writeLevel(subs[i]).Acks(copies); need > 1 {
-			in.met.quorumWrites.Inc()
-			if acked+1 < need {
-				resps[i].Status = wire.StatusError
-				resps[i].Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
+	in.replicateEnvelope(table, subs, sc)
+	for gi := range groups {
+		g := &groups[gi]
+		for j := g.alo; j < g.ahi; j++ {
+			i := sc.applied[j]
+			if lv := sc.legVals[j]; lv != nil {
+				wire.PutBuffer(lv)
+			}
+			// Each sub-op's own write level is enforced against the acks
+			// its group collected: an ack means that replica applied the
+			// group's every leg, so per-sub-op acks within a group are
+			// identical and only the demanded level differs.
+			if need := in.writeLevel(subs[i]).Acks(1 + len(g.peers)); need > 1 {
+				in.met.quorumWrites.Inc()
+				if g.acked+1 < need {
+					resps[i].Status = wire.StatusQuorumNotMet
+					resps[i].Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", g.acked+1, need)
+				}
 			}
 		}
 	}
 }
 
-// replicateBatch pushes a partition's successful mutations along the
-// replica chain as one batched OpReplicate envelope per replica
-// instead of one round trip per mutation. Envelopes go synchronously
-// (via CallBatch) to as many replicas as the strictest write level in
-// the group demands — an envelope ack counts only when every leg in
-// it succeeded — and through the per-destination async FIFO to the
-// rest; a single envelope enqueued there preserves the queue's
-// per-key ordering guarantee unchanged. Returns the envelope acks
-// collected and the copy count levels resolve against, so the caller
-// can enforce each sub-op's own level.
-func (in *Instance) replicateBatch(table *ring.Table, p int, subs []*wire.Request, applied []int, vers []uint64, legVals [][]byte) (acked, copies int) {
-	reps := table.ReplicasOf(p, in.cfg.Replicas)
-	copies = 1
-	for _, r := range reps {
-		if r.ID != in.self.ID {
-			copies++
-		}
-	}
-	if copies == 1 {
-		return 0, copies
-	}
-	syncNeed := 0
-	for _, i := range applied {
-		if n := in.writeLevel(subs[i]).Acks(copies) - 1; n > syncNeed {
-			syncNeed = n
-		}
-	}
-	fwds := make([]wire.Request, len(applied))
-	for j, i := range applied {
-		fwds[j] = replicaFwd(p, subs[i], vers[j], legVals[j])
-	}
-	first := true
-	for _, r := range reps {
-		if r.ID == in.self.ID {
+// replicateEnvelope pushes the envelope's applied mutations along
+// their replica chains in rounds. Round k carries every group's legs
+// for its k-th non-self replica, and all legs bound for one
+// destination in a round ride one envelope — so a server envelope
+// costs one replica round trip per destination per round, however
+// many partitions it touched. As in replicate: a group's leg is
+// synchronous in round 0 (the paper's strongly consistent first
+// replica, §III.J, at every level) and in any later round while the
+// group holds fewer acks than its strictest sub-op's level needs
+// (straggler promotion); otherwise it joins the destination's one
+// async envelope, whose FIFO keeps per-key order. A group earns a
+// round's ack only if every one of its legs in the envelope succeeded.
+func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, sc *batchScratch) {
+	groups := sc.groups
+	rounds := 0
+	// The replica set depends only on the owner, so groups with the
+	// same owner — normally all of them — share one.
+	lastOwner := -1
+	var peers []ring.Instance
+	for gi := range groups {
+		g := &groups[gi]
+		if g.alo == g.ahi {
 			continue
 		}
-		legs := make([]*wire.Request, len(fwds))
-		// As in replicate(): the first replica's envelope is always
-		// synchronous; the level only decides how many acks matter.
-		if first || acked < syncNeed {
-			first = false
-			for j := range fwds {
-				f := fwds[j]
-				f.Flags |= wire.FlagSyncReplica
-				legs[j] = &f
-			}
-			// As in replicate(): failed legs are counted and handed to
-			// hinted handoff for replay; an open breaker skips the
-			// transport attempt for a peer already known dead.
-			if !in.rbrk.allow(r.Addr) {
-				in.met.syncErrors.Add(int64(len(legs)))
-				for _, l := range legs {
-					in.hintLeg(r.Addr, l)
+		if o := table.Owner[g.p]; o != lastOwner {
+			lastOwner = o
+			reps := table.ReplicasOf(g.p, in.cfg.Replicas)
+			peers = reps[:0]
+			for _, r := range reps {
+				if r.ID != in.self.ID {
+					peers = append(peers, r)
 				}
-				continue
 			}
-			rs, err := in.caller.CallBatch(r.Addr, legs)
-			if err != nil {
-				in.rbrk.failure(r.Addr)
-				in.met.syncErrors.Add(int64(len(legs)))
-				for _, l := range legs {
-					in.hintLeg(r.Addr, l)
+		}
+		g.peers = peers
+		for j := g.alo; j < g.ahi; j++ {
+			g.syncNeed = max(g.syncNeed, in.writeLevel(subs[sc.applied[j]]).Acks(1+len(peers))-1)
+		}
+		rounds = max(rounds, len(peers))
+	}
+
+	for k := 0; k < rounds; k++ {
+		sc.pending = sc.pending[:0]
+		for gi := range groups {
+			if k < len(groups[gi].peers) {
+				sc.pending = append(sc.pending, gi)
+			}
+		}
+		// Peel off one (destination, sync-ness) envelope at a time. A
+		// group's acks change only once its leg has shipped, so syncIn
+		// is stable for every group still pending in this round.
+		for len(sc.pending) > 0 {
+			lead := &groups[sc.pending[0]]
+			addr, sync := lead.peers[k].Addr, lead.syncIn(k)
+			sc.legs, sc.members = sc.legs[:0], sc.members[:0]
+			rest := sc.pending[:0]
+			for _, gi := range sc.pending {
+				g := &groups[gi]
+				if g.peers[k].Addr != addr || g.syncIn(k) != sync {
+					rest = append(rest, gi)
+					continue
 				}
-				continue
-			}
-			in.rbrk.success(r.Addr)
-			allOK := true
-			for j, resp := range rs {
-				if resp.Status != wire.StatusOK {
-					allOK = false
-					in.met.syncErrors.Inc()
-					if j < len(legs) {
-						in.hintLeg(r.Addr, legs[j])
+				sc.members = append(sc.members, gi)
+				for j := g.alo; j < g.ahi; j++ {
+					f := &sc.fwds[j]
+					f.Flags &^= wire.FlagSyncReplica
+					if sync {
+						f.Flags |= wire.FlagSyncReplica
 					}
+					sc.legs = append(sc.legs, f)
 				}
 			}
-			if allOK && len(rs) == len(legs) {
-				acked++
+			sc.pending = rest
+			if sync {
+				in.syncEnvelope(addr, sc)
+			} else {
+				// The envelope is encoded here, so it holds no reference
+				// to the scratch legs.
+				in.enqueueAsync(addr, wire.NewBatchRequest(sc.legs))
 			}
-			continue
 		}
-		for j := range fwds {
-			f := fwds[j]
-			f.Value = append([]byte(nil), f.Value...)
-			f.Aux = append([]byte(nil), f.Aux...)
-			legs[j] = &f
-		}
-		in.enqueueAsync(r.Addr, wire.NewBatchRequest(legs))
 	}
-	return acked, copies
+}
+
+// syncEnvelope sends sc.legs to addr as one synchronous CallBatch and
+// credits an ack to each member group whose legs all succeeded. As in
+// replicate, a failed leg is counted and handed to hinted handoff, and
+// an open replication breaker (peer already known dead) skips the
+// transport attempt, failing every leg.
+func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
+	var rs []*wire.Response
+	if in.rbrk.allow(addr) {
+		var err error
+		if rs, err = in.caller.CallBatch(addr, sc.legs); err != nil {
+			in.rbrk.failure(addr)
+		} else {
+			in.rbrk.success(addr)
+		}
+	}
+	pos := 0
+	for _, gi := range sc.members {
+		g := &sc.groups[gi]
+		ok := true
+		for j := g.alo; j < g.ahi; j, pos = j+1, pos+1 {
+			if pos < len(rs) && rs[pos].Status == wire.StatusOK {
+				continue
+			}
+			ok = false
+			in.met.syncErrors.Inc()
+			in.hintLeg(addr, sc.legs[pos])
+		}
+		if ok {
+			g.acked++
+		}
+	}
+	wire.ReleaseResponses(rs)
+}
+
+// anyMigrating reports whether a migration began on any live group's
+// partition.
+func (in *Instance) anyMigrating(groups []batchGroup) bool {
+	for gi := range groups {
+		if groups[gi].live && in.isMigrating(groups[gi].p) {
+			return true
+		}
+	}
+	return false
+}
+
+// lockOps read-locks the op stripes set in mask, ascending.
+func (in *Instance) lockOps(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.opLocks[bits.TrailingZeros64(m)].RLock()
+	}
+}
+
+func (in *Instance) unlockOps(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.opLocks[bits.TrailingZeros64(m)].RUnlock()
+	}
+}
+
+// lockMuts locks the mutation stripes set in mask, ascending.
+func (in *Instance) lockMuts(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.mutLocks[bits.TrailingZeros64(m)].Lock()
+	}
+}
+
+func (in *Instance) unlockMuts(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		in.mutLocks[bits.TrailingZeros64(m)].Unlock()
+	}
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"zht/internal/metrics"
 	"zht/internal/ring"
+	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -167,33 +169,261 @@ func errTarget(err error) error {
 	return err
 }
 
-// TestBatchReplicationCoalesced verifies that batched mutations reach
-// the replicas: after a batch insert and a drain, every key must be
-// stored 1+Replicas times across the deployment.
-func TestBatchReplicationCoalesced(t *testing.T) {
-	cfg := Config{NumPartitions: 32, Replicas: 1, RetryBase: time.Millisecond}
-	d, _, c := startDeployment(t, cfg, 4)
-	const n = 64
-	ops := make([]BatchOp, n)
-	for i := range ops {
-		ops[i] = BatchOp{Op: wire.OpInsert, Key: fmt.Sprintf("rep-%03d", i), Value: []byte(fmt.Sprintf("v%03d", i))}
+// envCounter wraps a deployment's transport and counts, per
+// destination, the batch envelopes it carries: synchronous replica
+// envelopes (legs flagged FlagSyncReplica) apart from everything else,
+// which in these tests is the client's envelopes.
+type envCounter struct {
+	transport.Caller
+	mu     sync.Mutex
+	sync   map[string]int
+	client map[string]int
+}
+
+func (c *envCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	c.mu.Lock()
+	if len(reqs) > 0 && reqs[0].Op == wire.OpReplicate && reqs[0].Flags&wire.FlagSyncReplica != 0 {
+		c.sync[addr]++
+	} else {
+		c.client[addr]++
 	}
+	c.mu.Unlock()
+	return c.Caller.CallBatch(addr, reqs)
+}
+
+// startCountedDeployment is startDeployment with every envelope the
+// instances and the client send counted.
+func startCountedDeployment(t *testing.T, cfg Config, n int) (*Deployment, *transport.Registry, *Client, *envCounter) {
+	t.Helper()
+	reg := transport.NewRegistry()
+	ec := &envCounter{Caller: reg.NewClient(), sync: map[string]int{}, client: map[string]int{}}
+	d, err := Bootstrap(cfg, InprocEndpoints(n), func(addr string, h transport.Handler) (transport.Listener, error) {
+		return reg.Listen(addr, h)
+	}, ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, reg, c, ec
+}
+
+// copiesOf counts the instances whose local store holds key.
+func copiesOf(d *Deployment, key string) int {
+	n := 0
+	for _, in := range d.Instances() {
+		if in.Handle(&wire.Request{Op: wire.OpLookup, Key: key, Flags: wire.FlagReplicaRead}).Status == wire.StatusOK {
+			n++
+		}
+	}
+	return n
+}
+
+// mustBatch runs ops as one Batch and fails on any sub-op error.
+func mustBatch(t *testing.T, c *Client, ops []BatchOp) {
+	t.Helper()
 	res, err := c.Batch(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
 		if r.Err != nil {
-			t.Fatalf("op %d: %v", i, r.Err)
+			t.Fatalf("op %d (%s %q): %v", i, ops[i].Op, ops[i].Key, r.Err)
 		}
 	}
-	d.Drain()
-	total := 0
-	for _, in := range d.Instances() {
-		total += in.LocalKeys()
+}
+
+// TestBatchReplicationCoalesced verifies that a server envelope
+// replicates with one synchronous round trip per destination, not one
+// per partition: 256 inserts spread over ~225 of 1024 partitions on
+// two instances cost each instance at most one replica envelope per
+// envelope it served, and every key still ends on two copies.
+func TestBatchReplicationCoalesced(t *testing.T) {
+	cfg := Config{NumPartitions: 1024, Replicas: 1, RetryBase: time.Millisecond}
+	d, _, c, ec := startCountedDeployment(t, cfg, 2)
+	const n = 256
+	ops := make([]BatchOp, n)
+	for i := range ops {
+		ops[i] = BatchOp{Op: wire.OpInsert, Key: fmt.Sprintf("rep-%03d", i), Value: []byte(fmt.Sprintf("v%03d", i))}
 	}
-	if total != n*2 {
-		t.Fatalf("stored copies = %d, want %d (primary + 1 replica each)", total, n*2)
+	mustBatch(t, c, ops)
+	d.Drain()
+
+	a, b := d.Instance(0).Addr(), d.Instance(1).Addr()
+	ec.mu.Lock()
+	served := map[string]int{a: ec.client[a], b: ec.client[b]}
+	// Each instance's replica envelopes land on the other one.
+	legs := map[string]int{a: ec.sync[b], b: ec.sync[a]}
+	ec.mu.Unlock()
+	for _, addr := range []string{a, b} {
+		if served[addr] == 0 {
+			t.Fatalf("%s served no envelope (client envelopes %v)", addr, served)
+		}
+		if legs[addr] < 1 || legs[addr] > served[addr] {
+			t.Errorf("%s sent %d sync replica envelopes for %d served envelopes, want 1..%d",
+				addr, legs[addr], served[addr], served[addr])
+		}
+	}
+	for _, op := range ops {
+		if got := copiesOf(d, op.Key); got != 2 {
+			t.Fatalf("%q stored on %d copies, want 2", op.Key, got)
+		}
+	}
+}
+
+// TestBatchStragglerPromotion pins the round structure of the batched
+// fan-out at Replicas=2 under QUORUM (copies 3, two acks): with every
+// key's first replica down, round 0's synchronous envelope fails, each
+// group is promoted to a synchronous leg in round 1, its second replica
+// acks, and every sub-op still succeeds — with the failed legs counted.
+func TestBatchStragglerPromotion(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	cfg := Config{
+		NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond,
+		WriteLevel: wire.ConsistencyQuorum, Metrics: mreg,
+	}
+	d, reg, c, ec := startCountedDeployment(t, cfg, 4)
+	table := d.Instance(0).Table()
+	victim := d.Instance(1)
+	var ops []BatchOp
+	for i := 0; len(ops) < 32; i++ {
+		key := fmt.Sprintf("promo-%d", i)
+		p := table.Partition(victim.hashf(key))
+		if reps := table.ReplicasOf(p, 2); table.OwnerOf(p).ID != victim.ID() && reps[0].ID == victim.ID() {
+			ops = append(ops, BatchOp{Op: wire.OpInsert, Key: key, Value: []byte("v")})
+		}
+	}
+	reg.SetDown(victim.Addr(), true)
+	mustBatch(t, c, ops)
+	d.Drain()
+
+	if got := mreg.Counter("zht.core.replica.sync_errors").Value(); got < int64(len(ops)) {
+		t.Errorf("sync_errors = %d, want >= %d (one failed first-replica leg per key)", got, len(ops))
+	}
+	ec.mu.Lock()
+	promoted := 0
+	for addr, n := range ec.sync {
+		if addr != victim.Addr() {
+			promoted += n
+		}
+	}
+	ec.mu.Unlock()
+	if promoted == 0 {
+		t.Error("no synchronous replica envelope reached a second replica")
+	}
+	for _, op := range ops {
+		if got := copiesOf(d, op.Key); got != 2 {
+			t.Fatalf("%q stored on %d copies, want 2 (owner + promoted second replica)", op.Key, got)
+		}
+	}
+}
+
+// TestConcurrentReplicatedBatchesConverge runs replicated batches and
+// single ops over one small key set from several goroutines while a
+// node joins — envelopes contend for the same op and mutation stripes
+// and migrations take op stripes exclusively — and then requires every
+// key's copies to agree: per-key replica order held under contention,
+// and no lock order deadlocked. Random per-call latency widens the
+// window in which a leg could overtake an earlier one for its key.
+func TestConcurrentReplicatedBatchesConverge(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond}
+	d, reg, c := startDeployment(t, cfg, 4)
+	reg.SetLatency(func(string) time.Duration { return time.Duration(rand.Intn(200)) * time.Microsecond })
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("conc-%02d", i)
+	}
+	randOp := func(rng *rand.Rand, w int) BatchOp {
+		op := BatchOp{Key: keys[rng.Intn(len(keys))], Value: []byte(fmt.Sprintf("w%d-%d", w, rng.Intn(1000)))}
+		switch rng.Intn(4) {
+		case 0, 1:
+			op.Op = wire.OpInsert
+		case 2:
+			op.Op = wire.OpAppend
+		default:
+			op.Op, op.Value = wire.OpRemove, nil
+		}
+		return op
+	}
+	check := func(op BatchOp, err error) {
+		if err != nil && !(op.Op == wire.OpRemove && errors.Is(err, ErrNotFound)) {
+			t.Errorf("%s %q: %v", op.Op, op.Key, err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for round := 0; round < 100; round++ {
+				if w%3 == 2 {
+					// Single ops share the stripes with the envelopes.
+					op := randOp(rng, w)
+					check(op, seqApply(c, op).Err)
+					continue
+				}
+				ops := make([]BatchOp, 24)
+				for i := range ops {
+					ops[i] = randOp(rng, w)
+				}
+				res, err := c.Batch(ops)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, r := range res {
+					check(ops[i], r.Err)
+				}
+			}
+		}(w)
+	}
+	if _, err := d.Join(Endpoint{Addr: "zht-join-conc", Node: "node-join-conc"}); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	d.Drain()
+
+	table := d.Instance(0).Table()
+	byID := map[ring.InstanceID]*Instance{}
+	for _, in := range d.Instances() {
+		byID[in.ID()] = in
+	}
+	for _, k := range keys {
+		p := table.Partition(d.Instance(0).hashf(k))
+		holders := append([]ring.Instance{table.OwnerOf(p)}, table.ReplicasOf(p, cfg.Replicas)...)
+		var want *wire.Response
+		for _, h := range holders {
+			got := byID[h.ID].Handle(&wire.Request{Op: wire.OpLookup, Key: k, Flags: wire.FlagReplicaRead})
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Status != want.Status || !bytes.Equal(got.Value, want.Value) {
+				t.Errorf("%q diverged: %s %s=%q, %s %s=%q", k,
+					holders[0].ID, want.Status, want.Value, h.ID, got.Status, got.Value)
+			}
+		}
+	}
+}
+
+// TestBatchInsertThenRemoveReplicated checks that two mutations of one
+// key inside one envelope reach the replica in apply order: the key
+// ends absent everywhere.
+func TestBatchInsertThenRemoveReplicated(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	d, _, c := startDeployment(t, cfg, 2)
+	mustBatch(t, c, []BatchOp{
+		{Op: wire.OpInsert, Key: "ephemeral", Value: []byte("v")},
+		{Op: wire.OpRemove, Key: "ephemeral"},
+	})
+	d.Drain()
+	if got := copiesOf(d, "ephemeral"); got != 0 {
+		t.Fatalf("removed key still stored on %d copies", got)
 	}
 }
 

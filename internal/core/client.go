@@ -58,8 +58,9 @@ var (
 	// ErrCasMismatch reports a failed compare-and-swap.
 	ErrCasMismatch = errors.New("zht: cas mismatch")
 	// ErrUnavailable reports that the owning instance (and its
-	// replicas, if any) could not be reached, or that the operation's
-	// deadline budget ran out before routing converged.
+	// replicas, if any) could not be reached, that too few copies
+	// answered for the operation's consistency level, or that the
+	// operation's deadline budget ran out before routing converged.
 	ErrUnavailable = errors.New("zht: partition unavailable")
 	// ErrCircuitOpen reports that an endpoint's circuit breaker is
 	// open: recent consecutive transport failures made the client
@@ -435,6 +436,11 @@ func statusToErr(op wire.Op, resp *wire.Response) (err error, done bool) {
 		return ErrTooLarge, true
 	case wire.StatusError:
 		return fmt.Errorf("zht: %s failed: %s", op, resp.Err), true
+	case wire.StatusQuorumNotMet:
+		// The write's replica set could not reach its level — the
+		// partition is unavailable at that level, the same class as a
+		// read quorum refusal.
+		return fmt.Errorf("%w: %s refused: %s", ErrUnavailable, op, resp.Err), true
 	case wire.StatusWrongOwner, wire.StatusMigrating, wire.StatusBusy:
 		return nil, false
 	default:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -54,8 +55,14 @@ func TestWriteLevelsAgainstDownReplica(t *testing.T) {
 	if err := c.Insert(key, []byte("v")); err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Fatalf("default(ALL) insert with replica down: err = %v, want quorum-not-met", err)
 	}
-	if err := c.InsertWith(key, []byte("v"), wire.ConsistencyQuorum); err == nil || !strings.Contains(err.Error(), "quorum not met") {
+	err := c.InsertWith(key, []byte("v"), wire.ConsistencyQuorum)
+	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Fatalf("QUORUM insert with replica down: err = %v, want quorum-not-met", err)
+	}
+	// A write refused at its level is the partition being unavailable
+	// at that level — the class every chaos soak tolerates.
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("QUORUM insert refusal %v is not ErrUnavailable", err)
 	}
 	// Per-request ONE overrides the ALL default and acks via primary.
 	if err := c.InsertWith(key, []byte("v1"), wire.ConsistencyOne); err != nil {

@@ -63,7 +63,7 @@ type Instance struct {
 	// applications (striped; a migration takes the write side after
 	// marking the partition migrating, draining appliers so the
 	// exported image includes every acknowledged write).
-	opLocks [64]sync.RWMutex
+	opLocks [lockStripes]sync.RWMutex
 	// mutLocks serialize each KEY's mutation+replication pair
 	// (striped by key hash): without it, two concurrent writes to one
 	// key could reach the secondary replica in the opposite order
@@ -72,7 +72,7 @@ type Instance struct {
 	// different keys overlap inside one partition store, which is
 	// what feeds the store's group-commit WAL more than one record
 	// per fsync. Lookups bypass these locks entirely.
-	mutLocks [64]sync.Mutex
+	mutLocks [lockStripes]sync.Mutex
 
 	bmu   sync.Mutex // guards bcast
 	bcast map[string][]byte
@@ -109,6 +109,10 @@ type Instance struct {
 	rrMu   sync.Mutex
 	rrLast map[int]time.Time
 }
+
+// lockStripes is the stripe count of opLocks and mutLocks; 64 lets the
+// batch path name any set of stripes as one uint64 bitmask.
+const lockStripes = 64
 
 // partState tracks a partition's migration lifecycle on the node
 // giving it away. While migrating, requests queue on done.
@@ -226,7 +230,7 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 }
 
 // releaseAsyncLeg recycles a consumed async-queue entry. Only batched
-// envelopes are pooled (replicateBatch builds them with
+// envelopes are pooled (the batch path builds them with
 // wire.NewBatchRequest); single legs are ordinary heap requests the
 // GC owns.
 func (in *Instance) releaseAsyncLeg(r *wire.Request) {
@@ -485,10 +489,10 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 		if acked+1 < need {
 			// The local apply is NOT rolled back: the write exists on
 			// fewer copies than the level demands, and anti-entropy or
-			// handoff replay will finish spreading it. The error tells
+			// handoff replay will finish spreading it. The status tells
 			// the client its durability contract was not met, not that
 			// the write vanished (DESIGN.md §12).
-			resp.Status = wire.StatusError
+			resp.Status = wire.StatusQuorumNotMet
 			resp.Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
 		}
 	}

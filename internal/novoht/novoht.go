@@ -275,9 +275,19 @@ func (s *Store) shardOf(key string) *shard {
 }
 
 // replay loads the log into the shards, stopping at the first corrupt
-// or torn record; it returns the consistent prefix length.
+// or torn record; it returns the consistent prefix length. The read
+// buffer is sized to the log, capped at 1 MiB, and an empty log reads
+// nothing: an instance opens one log per partition, most of them empty
+// or small.
 func (s *Store) replay(f *os.File) (int64, error) {
-	r := bufio.NewReaderSize(f, 1<<20)
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("novoht: stat log: %w", err)
+	}
+	if st.Size() == 0 {
+		return 0, nil
+	}
+	r := bufio.NewReaderSize(f, int(min(st.Size(), 1<<20)))
 	var off int64
 	for {
 		rec, key, val, ver, n, err := readRecord(r)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,36 @@ func TestRecoveryTornTail(t *testing.T) {
 	defer r2.Close()
 	if v, ok, _ := r2.Get("new"); !ok || string(v) != "val" {
 		t.Errorf("post-torn write lost: %q %v", v, ok)
+	}
+}
+
+// TestOpenFreshLogAllocatesLittle pins replay's read buffer to the
+// log's size: an instance opens one log per partition, most of them
+// empty, so a megabyte per open would be gigabytes of garbage per boot.
+func TestOpenFreshLogAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := Open(Options{Path: filepath.Join(dir, name)})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The minimum of several opens filters out allocations other
+	// goroutines make while one is measured.
+	least := open("fresh-0.log")
+	for i := 1; i < 5; i++ {
+		least = min(least, open(fmt.Sprintf("fresh-%d.log", i)))
+	}
+	if least >= 64<<10 {
+		t.Fatalf("Open of a fresh log allocated %d bytes, want < 64 KiB", least)
 	}
 }
 

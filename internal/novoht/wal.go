@@ -11,9 +11,10 @@ import (
 )
 
 // wal is NoVoHT's group-commit write-ahead log: a single writer
-// goroutine drains concurrently submitted records into one buffered
-// file write and — per durability mode — one fsync per commit batch
-// (group), one fsync per record (sync), or none (async). Callers
+// goroutine drains concurrently submitted records as one commit batch,
+// issuing one unbuffered file write per record, and — per durability
+// mode — one fsync per commit batch (group), one fsync per record
+// (sync), or none (async). Callers
 // append under their shard lock (so per-key log order matches memory
 // order) and wait for their record's durability level after releasing
 // it, so a slow fsync never blocks unrelated keys.

@@ -13,7 +13,7 @@ func TestStatusTooLarge(t *testing.T) {
 	// Every named status must stringify to a name, not the numeric
 	// fallback — a new status silently missing from String() would
 	// make shed/error logs unreadable.
-	for s := StatusOK; s <= StatusTooLarge; s++ {
+	for s := StatusOK; s <= StatusQuorumNotMet; s++ {
 		if got := s.String(); len(got) >= 7 && got[:7] == "status(" {
 			t.Errorf("status %d has no name", uint8(s))
 		}

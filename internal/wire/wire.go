@@ -156,6 +156,12 @@ const (
 	// same payload cannot succeed, so clients surface it immediately
 	// instead of re-routing.
 	StatusTooLarge
+	// StatusQuorumNotMet — the owner applied the mutation but collected
+	// fewer replica acks than the request's write level demands; Err
+	// holds the ack count. Not a rollback: handoff and anti-entropy
+	// finish spreading the write. Clients surface it as unavailability
+	// of the partition at that level, as they do a read quorum refusal.
+	StatusQuorumNotMet
 )
 
 func (s Status) String() string {
@@ -178,6 +184,8 @@ func (s Status) String() string {
 		return "busy"
 	case StatusTooLarge:
 		return "too-large"
+	case StatusQuorumNotMet:
+		return "quorum-not-met"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
