@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload flake
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum flake flake-race
 
 build:
 	$(GO) build ./...
@@ -127,16 +127,18 @@ verify:
 # runs 40 times without the race detector, every failing run is printed
 # with its seeds and first log lines, and the last line is the census.
 # The seeds are fixed, so a failure here is one the scheduler chose.
-# Not part of verify: it takes minutes and measures a rate.
-flake:
-	@$(GO) test -count=40 -v -timeout 60m \
+# flake-race is the same census under the race detector, 10 runs each
+# (the schedules verify's test-race step sees). Not part of verify:
+# they take minutes and measure a rate.
+flake flake-race:
+	@$(GO) test $(if $(filter flake-race,$@),-race -count=10,-count=40) -v -timeout 60m \
 		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos)$$' \
 		./internal/chaos 2>&1 | awk ' \
 		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; buf = ""; n = 0; next } ; \
 		/^    / { if (n++ < 6) buf = buf "\n" $$0; next } ; \
 		/^--- FAIL/ { fails[$$3]++; bad++; print "FAIL " $$3 " run " runs[$$3] buf; next } ; \
 		/^panic:|^FAIL\t/ { print } ; \
-		END { line = "flake:"; \
+		END { line = "$@:"; \
 			for (i = 1; i <= k; i++) line = line sprintf(" %s %d/%d failed;", order[i], fails[order[i]], runs[order[i]]); \
 			print line " total " bad + 0 " failed"; exit bad > 0 }'
 
@@ -161,6 +163,16 @@ profile-bulkload:
 	$(GO) test -run '^$$' -bench '^BenchmarkBatchReplicatedLoad$$' -benchtime 800x \
 		-cpuprofile .profile/bulkload.cpu.pprof -o .profile/zht.test .
 	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/bulkload.cpu.pprof
+
+# profile-quorum CPU-profiles BenchmarkQuorumLookupParallel, the QUORUM
+# read of tcp-r1-durable-write alone (2 instances on loopback TCP,
+# Replicas=1, one shared client from every core), and prints the
+# hottest functions; profile and test binary stay in .profile/.
+profile-quorum:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '^BenchmarkQuorumLookupParallel$$' -benchtime 5s -benchmem \
+		-cpuprofile .profile/quorum.cpu.pprof -o .profile/zht.test .
+	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/quorum.cpu.pprof
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -30,9 +30,12 @@ import (
 //     acks carry no payload, so the client reuses its read frame. The
 //     second slot is headroom for the runtime's occasional timer and
 //     channel internals rather than a budgeted allocation.
-//   - Batched insert = 2 allocs per sub-op: the envelope's per-op
-//     decode (key strings, slice headers for the grouped apply)
-//     amortized across the batch.
+//   - Batched insert = 72 allocs per 64-op batch (1.125 per sub-op):
+//     the server's per-op decode (key strings, slice headers for the
+//     grouped apply) and the client's result slice, amortized across
+//     the batch. The client groups sub-ops in pooled flat scratch and
+//     starts its envelope without a goroutine, so nothing on its side
+//     is paid per destination. Pinned with zero slack.
 //
 // See DESIGN.md §11 for the ownership rules that make the rest of the
 // path allocation-free, and EXPERIMENTS.md for measured numbers.
@@ -40,7 +43,7 @@ const (
 	lookupAllocBudget     = 2
 	lookupBytesBudget     = 512
 	insertAllocBudget     = 2
-	batchPerOpAllocBudget = 2
+	batchPerOpAllocBudget = 72.0 / allocBenchBatch
 	allocBenchBatch       = 64 // sub-ops per batched-insert envelope
 	allocBenchKeys        = 512
 	allocBenchValueBytes  = 132 // the paper's micro-benchmark value size
@@ -64,30 +67,23 @@ const (
 )
 
 // quorumLookupAllocBudget is the gate for the QUORUM read path at
-// Replicas=1 (two instances on loopback TCP, copies=2). Quorum reads
-// are client-coordinated fan-out, so the floor is structurally higher
-// than the zero-hop ONE lookup and is paid per read, not per copy:
+// Replicas=1 (two instances on loopback TCP, copies=2). The client
+// starts the replica's probe, reads the owner on its own goroutine and
+// then awaits the probe: no goroutine, channel or vote slice per read,
+// the probe's call handle lives on the stack and its request comes
+// from the pool. What is left is paid per copy or by the routing table:
 //
 //   - the two response values: each answering copy's value is copied
 //     out of its transport frame into application-owned memory
 //     (2 allocs; same "value outlives the transport" rule as the ONE
 //     lookup's single alloc),
-//   - the fan-out scaffolding: the targets slice, the buffered votes
-//     channel, and one goroutine per copy (the goroutine closures and
-//     their stacks' escape-analysis spill),
-//   - the replica leg's request struct and the per-call backoff state
-//     (the ONE path reuses its routed-call scratch; the direct
-//     replica call cannot),
 //   - the server-side key strings on both instances (one per copy, as
-//     in the ONE budget).
+//     in the ONE budget),
+//   - the replica set ring.Table.ReplicasOf builds for the partition.
 //
-// Measured: 12 allocs/op steady-state. The budget adds slack for the
-// runtime's occasional channel/timer internals under the fan-out's
-// goroutine churn rather than for any budgeted allocation; the gate
-// exists to catch structural regressions (a per-op table copy, an
-// unpooled frame), not single-alloc noise on a path that is
-// deliberately 2 RPCs + 2 goroutines per call.
-const quorumLookupAllocBudget = 16
+// Pinned at that floor, 5 allocs/op (12 while each read spawned a
+// goroutine per copy).
+const quorumLookupAllocBudget = 5
 
 // batchR1PerOpAllocBudget is the batched-insert gate on the same
 // Replicas=1 deployment, per sub-op. On top of the unreplicated path's
@@ -95,9 +91,9 @@ const quorumLookupAllocBudget = 16
 // replica its own key string and the primary the leg's one-byte
 // replicated-op Aux, and each server envelope pays for exactly one
 // replica round trip — its legs ride one envelope per destination.
-// Pinned with zero slack at the measured 248 allocs per 64-op batch,
+// Pinned with zero slack at the measured 225 allocs per 64-op batch,
 // so a replica round trip per partition (~18 per sub-op) fails it.
-const batchR1PerOpAllocBudget = 248.0 / allocBenchBatch
+const batchR1PerOpAllocBudget = 225.0 / allocBenchBatch
 
 // appendAccumulatedBytes is the value size at which the append case
 // checks that the partition store's own allocations do not grow with

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zht/internal/core"
+	"zht/internal/hashing"
 	"zht/internal/metrics"
 	"zht/internal/ring"
 )
@@ -296,6 +297,10 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A failure line names its class — the value lost or regressed, or
+	// an acked remove that did not stick (tombstone-free removes,
+	// DESIGN §12 anomaly 3) — and the key's partition.
+	hash := hashing.ByName(cfg.HashName)
 	lost, verified, acked, errsTotal := 0, 0, 0, 0
 	for w, ws := range states {
 		acked += ws.acked
@@ -310,10 +315,12 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 			switch {
 			case present && (err != nil || string(v) != string(want)):
 				lost++
-				t.Errorf("acked write %s lost: got %q/%v want %q", key, v, err, want)
+				t.Errorf("acked write lost (value lost/regressed): %s partition %d: got %q/%v want %q",
+					key, final.Partition(hash(key)), v, err, want)
 			case !present && ws.removed[key] && !errors.Is(err, core.ErrNotFound):
 				lost++
-				t.Errorf("acked removal of %s did not stick: got %q/%v", key, v, err)
+				t.Errorf("acked write lost (removal did not stick): %s partition %d: got %q/%v",
+					key, final.Partition(hash(key)), v, err)
 			}
 			verified++
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 // property of single ops — every sub-op is routed from the local
 // membership table with no forwarding — while amortizing per-message
 // cost: sub-ops for one destination travel as a single OpBatch
-// envelope, and envelopes for different destinations fly concurrently
-// over the multiplexed transport.
+// envelope, and every destination's envelope is on the wire before
+// the first answer is awaited.
 
 // BatchOp is one operation in a Client.Batch call.
 type BatchOp struct {
@@ -35,16 +36,51 @@ type BatchResult struct {
 	Err error
 }
 
+// batchDest is one destination's envelope in a Client.Batch: its run
+// of the sorted tags, and the call carrying it.
+type batchDest struct {
+	addr   string
+	lo, hi int
+	call   transport.Pending
+	err    error // the envelope never went out (breaker open, deadline gone)
+}
+
+// clientBatch is one Client.Batch call's working set, pooled so
+// grouping allocates nothing per destination. It is flat: tags order
+// the sub-ops by destination, a destination's envelope is a run of
+// tags, and subs holds the sub-requests in tag order so each
+// envelope's requests are one contiguous slice of it.
+type clientBatch struct {
+	reqs    []*wire.Request // input order
+	tags    []int64         // destination ring index<<32 | op index, sorted
+	subs    []*wire.Request // tag order
+	dests   []batchDest
+	settled []bool
+}
+
+var clientBatchPool = sync.Pool{New: func() any { return new(clientBatch) }}
+
+// release clears every reference the call left in sb and returns it
+// to the pool.
+func (sb *clientBatch) release() {
+	clear(sb.reqs)
+	clear(sb.subs)
+	clear(sb.dests)
+	sb.reqs, sb.tags, sb.subs, sb.dests = sb.reqs[:0], sb.tags[:0], sb.subs[:0], sb.dests[:0]
+	clientBatchPool.Put(sb)
+}
+
 // Batch executes a mixed set of operations, returning one result per
 // op in input order. Sub-ops are grouped by owning instance from the
 // local table (zero hops) and each group is issued as one batched
-// envelope, all groups concurrently; the whole batch shares one
-// OpDeadline budget under the existing breaker/backoff machinery.
-// Sub-ops the fast path could not settle — WrongOwner after a
-// membership change, an in-flight migration, an unreachable
-// destination — are re-routed individually through the same routing
-// loop single ops use, after adopting any fresher table the servers
-// answered with.
+// envelope: every envelope is started before any is awaited, so the
+// destinations work in parallel while this goroutine waits for each in
+// turn. The whole batch shares one OpDeadline budget under the
+// existing breaker/backoff machinery. Sub-ops the fast path could not
+// settle — WrongOwner after a membership change, an in-flight
+// migration, an unreachable destination — are re-routed individually
+// through the same routing loop single ops use, after adopting any
+// fresher table the servers answered with.
 //
 // Ops on the same key preserve their input order (same key, same
 // partition, same envelope, applied in order server-side), so per-key
@@ -62,15 +98,16 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 			return nil, fmt.Errorf("zht: batch: unsupported op %s", op.Op)
 		}
 	}
-	reqs := make([]*wire.Request, len(ops))
-	for i, op := range ops {
+	sb := clientBatchPool.Get().(*clientBatch)
+	defer sb.release()
+	reqs := sb.reqs[:0]
+	for _, op := range ops {
 		r := wire.GetRequest()
 		r.Op, r.Key, r.Value = op.Op, op.Key, op.Value
-		reqs[i] = r
+		reqs = append(reqs, r)
 	}
-	defer func() {
-		wire.ReleaseOps(reqs)
-	}()
+	sb.reqs = reqs
+	defer wire.ReleaseOps(reqs)
 	c.metrics.batches.Inc()
 	c.metrics.batchSize.Observe(int64(len(ops)))
 	c.metrics.ops.Add(int64(len(ops)))
@@ -81,67 +118,73 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	}
 
 	results := make([]BatchResult, len(ops))
-	settled := make([]bool, len(ops))
+	settled := append(sb.settled[:0], make([]bool, len(ops))...)
+	sb.settled = settled
 
-	// Group sub-op indices by destination address: the partition's
-	// owner, or its first alive replica when the owner is marked
-	// failed. Keys with no route from this snapshot fall through to
-	// the per-op path, which owns failover reporting.
+	// Tag each sub-op with its destination: the partition's owner, or
+	// its first alive replica when the owner is marked failed. Keys with
+	// no route from this snapshot fall through to the per-op path, which
+	// owns failover reporting.
 	table := c.snapshot()
-	groups := make(map[string][]int)
+	tags := sb.tags[:0]
 	for i, r := range reqs {
 		p := table.Partition(c.hashf(r.Key))
 		idx := table.Owner[p]
-		target := table.Instances[idx]
 		if table.Status[idx] != ring.Alive {
 			reps := table.ReplicasOf(p, maxInt(c.cfg.Replicas, 1))
 			if len(reps) == 0 {
 				continue
 			}
-			target = reps[0]
+			idx = table.IndexOf(reps[0].ID)
 		}
-		groups[target.Addr] = append(groups[target.Addr], i)
+		r.Epoch = table.Epoch
+		tags = append(tags, int64(idx)<<32|int64(i))
 	}
+	slices.Sort(tags)
+	sb.tags = tags
+	subs, dests := sb.subs[:0], sb.dests[:0]
+	for k, t := range tags {
+		subs = append(subs, reqs[t&0xffffffff])
+		if k == 0 || t>>32 != tags[k-1]>>32 {
+			dests = append(dests, batchDest{addr: table.Instances[t>>32].Addr, lo: k})
+		}
+		dests[len(dests)-1].hi = k + 1
+	}
+	sb.subs, sb.dests = subs, dests
 
-	// One envelope per destination, all destinations concurrently.
-	// Each goroutine writes only its own disjoint result slots.
-	var wg sync.WaitGroup
-	for addr, idxs := range groups {
-		wg.Add(1)
-		go func(addr string, idxs []int) {
-			defer wg.Done()
-			// Groups partition the index space, so stamping the epoch
-			// on the shared sub-requests is race-free: each request
-			// belongs to exactly one group.
-			sub := make([]*wire.Request, len(idxs))
-			for j, i := range idxs {
-				reqs[i].Epoch = table.Epoch
-				sub[j] = reqs[i]
-			}
-			rs, err := c.callBatchWithBackoff(addr, sub, deadline)
-			if err != nil {
-				return // destination down: stragglers re-route below
-			}
-			for j, resp := range rs {
-				i := idxs[j]
-				switch resp.Status {
-				case wire.StatusWrongOwner:
-					c.metrics.wrongOwner.Inc()
-					if t, terr := ring.DecodeTable(resp.Table); terr == nil {
-						c.adoptTable(t)
-					}
-				case wire.StatusMigrating, wire.StatusBusy:
-					// Straggler path follows the redirect / backs off.
-				default:
-					err, _ := statusToErr(reqs[i].Op, resp)
-					results[i] = BatchResult{Value: resp.Value, Err: err}
-					settled[i] = true
-				}
-				wire.PutResponse(resp)
-			}
-		}(addr, idxs)
+	// One envelope per destination: all of them go out first, then each
+	// is awaited (and retried) in turn.
+	for j := range dests {
+		d := &dests[j]
+		d.call, d.err = c.startBatch(d.addr, subs[d.lo:d.hi], deadline, nil)
 	}
-	wg.Wait()
+	for j := range dests {
+		d := &dests[j]
+		if d.err != nil {
+			continue // stragglers re-route below
+		}
+		rs, err := c.callBatchWithBackoff(d.addr, subs[d.lo:d.hi], deadline, &d.call)
+		if err != nil {
+			continue // destination down: stragglers re-route below
+		}
+		for k, resp := range rs {
+			i := int(tags[d.lo+k] & 0xffffffff)
+			switch resp.Status {
+			case wire.StatusWrongOwner:
+				c.metrics.wrongOwner.Inc()
+				if t, terr := ring.DecodeTable(resp.Table); terr == nil {
+					c.adoptTable(t)
+				}
+			case wire.StatusMigrating, wire.StatusBusy:
+				// Straggler path follows the redirect / backs off.
+			default:
+				err, _ := statusToErr(reqs[i].Op, resp)
+				results[i] = BatchResult{Value: resp.Value, Err: err}
+				settled[i] = true
+			}
+			wire.PutResponse(resp)
+		}
+	}
 
 	// Re-route whatever the fast path left unsettled, one op at a
 	// time in input order, under the batch's remaining budget. The
@@ -165,34 +208,32 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	return results, nil
 }
 
-// callBatchWithBackoff is callWithBackoff for a batched envelope: the
-// same per-endpoint circuit breaker, full-jitter retries for
-// unreachable destinations, and busy-retry handling, with the
-// remaining deadline budget restamped on every sub-request each
-// attempt. A shed envelope comes back as StatusBusy fanned out to
-// every sub-slot, so "all sub-responses busy" is the batch analogue of
-// a single busy response and is retried here without tripping the
-// breaker.
-func (c *Client) callBatchWithBackoff(addr string, reqs []*wire.Request, deadline time.Time) ([]*wire.Response, error) {
+// startBatch clears one envelope attempt to addr with preflight,
+// stamps the remaining budget on every sub-request, and starts it.
+func (c *Client) startBatch(addr string, reqs []*wire.Request, deadline time.Time, lastErr error) (transport.Pending, error) {
+	budget, err := c.preflight(addr, deadline, lastErr)
+	if err != nil {
+		return transport.Pending{}, err
+	}
+	for _, r := range reqs {
+		r.Budget = budget
+	}
+	return transport.StartBatch(c.caller, addr, reqs), nil
+}
+
+// callBatchWithBackoff is callWithBackoff for a batched envelope
+// whose first attempt p is already in flight: the same per-endpoint
+// circuit breaker, full-jitter retries for unreachable destinations,
+// and busy-retry handling, with every retry started through startBatch
+// (which restamps the remaining budget on every sub-request). A shed
+// envelope comes back as StatusBusy fanned out to every sub-slot, so
+// "all sub-responses busy" is the batch analogue of a single busy
+// response and is retried here without tripping the breaker.
+func (c *Client) callBatchWithBackoff(addr string, reqs []*wire.Request, deadline time.Time, p *transport.Pending) ([]*wire.Response, error) {
 	var lastErr error
 	for i := 0; ; i++ {
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				if lastErr == nil {
-					lastErr = transport.ErrTimeout
-				}
-				return nil, lastErr
-			}
-			for _, r := range reqs {
-				r.Budget = uint64(rem)
-			}
-		}
-		if !c.breaker.allow(addr) {
-			c.metrics.fastfails.Inc()
-			return nil, fmt.Errorf("%w: %s", ErrCircuitOpen, addr)
-		}
-		rs, err := c.caller.CallBatch(addr, reqs)
+		late := expired(deadline)
+		rs, err := p.WaitBatch()
 		if err == nil {
 			c.breaker.success(addr)
 			c.observeEpoch(addr, maxRespEpoch(rs))
@@ -218,14 +259,17 @@ func (c *Client) callBatchWithBackoff(addr string, reqs []*wire.Request, deadlin
 				}
 			}
 			c.sleepBounded(d, deadline)
-			continue
+		} else {
+			c.strike(addr, err, late)
+			lastErr = err
+			if i >= c.cfg.OpRetries {
+				return nil, lastErr
+			}
+			c.metrics.retries.Inc()
+			c.sleepBounded(c.backoff(i), deadline)
 		}
-		c.breaker.failure(addr)
-		lastErr = err
-		if i >= c.cfg.OpRetries {
-			return nil, lastErr
+		if *p, err = c.startBatch(addr, reqs, deadline, lastErr); err != nil {
+			return nil, err
 		}
-		c.metrics.retries.Inc()
-		c.sleepBounded(c.backoff(i), deadline)
 	}
 }

@@ -279,7 +279,7 @@ func (c *Client) CasWith(key string, oldVal, newVal []byte, level wire.Consisten
 	return nil, nil
 }
 
-// readVote is one copy's answer to a quorum read fan-out.
+// readVote is one copy's answer to a quorum read.
 type readVote struct {
 	addr  string
 	val   []byte
@@ -288,17 +288,46 @@ type readVote struct {
 	ok    bool // the copy answered at all
 }
 
-// quorumLookup coordinates a Quorum/All read: consult the owner (a
-// full routed read, so stale tables and failovers heal as usual) and
-// the partition's replicas (direct replica-reads of their local
-// copies) in parallel, return once Acks(copies) copies answered, and
-// resolve disagreement newest-version-wins. Any copy observed older
-// than the winner gets an asynchronous read-repair push — a versioned
-// replica leg its LWW compare accepts only if still stale. A removed
-// key can "resurface" at quorum if a replica still holds the
-// pre-remove value: removes are tombstone-free, so an absent copy
-// cannot be distinguished from a never-written one; the winner among
-// FOUND copies is returned (documented in DESIGN.md §12).
+// quorumTally counts a quorum read's answers: the copies that
+// answered and the newest FOUND copy among them.
+type quorumTally struct {
+	acked  int
+	winner readVote
+}
+
+func (t *quorumTally) add(v readVote) {
+	if !v.ok {
+		return
+	}
+	t.acked++
+	if v.found && (!t.winner.found || v.ver > t.winner.ver) {
+		t.winner = v
+	}
+}
+
+// quorumProbe is one replica's part in a quorum read: its replica-read
+// request and the call carrying it.
+type quorumProbe struct {
+	req  *wire.Request
+	call transport.Pending
+	err  error // the probe never went out (breaker open, deadline gone)
+	vote readVote
+}
+
+// quorumLookup coordinates a Quorum/All read without a goroutine per
+// copy. It starts a direct replica-read probe to each of the
+// partition's replicas, runs the owner's read on this goroutine (a full
+// routed read, so stale tables and failovers heal as usual), then
+// awaits the probes in ring order until Acks(copies) copies answered
+// and abandons the rest; a probe that failed or was shed continues
+// through callWithBackoff. Disagreement resolves newest-version-wins,
+// and any copy observed older than the winner gets an asynchronous
+// read-repair push — a versioned replica leg its LWW compare accepts
+// only if still stale. A removed key can "resurface" at quorum if a
+// replica still holds the pre-remove value: removes are
+// tombstone-free, so an absent copy cannot be distinguished from a
+// never-written one; the winner among FOUND copies is returned
+// (documented in DESIGN.md §12).
 func (c *Client) quorumLookup(key string, level wire.Consistency) ([]byte, error) {
 	c.metrics.quorumReads.Inc()
 	var deadline time.Time
@@ -308,73 +337,64 @@ func (c *Client) quorumLookup(key string, level wire.Consistency) ([]byte, error
 	table := c.snapshot()
 	p := table.Partition(c.hashf(key))
 	owner := table.Instances[table.Owner[p]]
-	reps := table.ReplicasOf(p, c.cfg.Replicas)
-	targets := make([]string, 0, 1+len(reps))
-	targets = append(targets, owner.Addr)
-	for _, r := range reps {
+	var scratch [3]quorumProbe
+	probes := scratch[:0]
+	for _, r := range table.ReplicasOf(p, c.cfg.Replicas) {
 		if r.ID != owner.ID {
-			targets = append(targets, r.Addr)
+			probes = append(probes, quorumProbe{vote: readVote{addr: r.Addr}})
 		}
 	}
-	copies := len(targets)
-	need := level.Acks(copies)
-	votes := make(chan readVote, copies) // buffered: stragglers never block
-	go func() {
-		req := wire.GetRequest()
-		req.Op, req.Key, req.Consistency = wire.OpLookup, key, wire.ConsistencyOne
-		resp, err := c.doRoutedDeadline(req, deadline)
-		wire.PutRequest(req)
-		v := readVote{addr: owner.Addr}
-		if err == nil || errors.Is(err, ErrNotFound) {
-			v.ok = true
-			v.found = err == nil
-			if resp != nil {
-				v.val, v.ver = resp.Value, resp.Version
-			}
+	for i := range probes {
+		pr := &probes[i]
+		pr.req = wire.GetRequest()
+		pr.req.Op, pr.req.Key, pr.req.Flags = wire.OpLookup, key, wire.FlagReplicaRead
+		if pr.req.Budget, pr.err = c.preflight(pr.vote.addr, deadline, nil); pr.err == nil {
+			pr.call = transport.Start(c.caller, pr.vote.addr, pr.req)
 		}
-		wire.PutResponse(resp)
-		votes <- v
-	}()
-	for _, addr := range targets[1:] {
-		go func(addr string) {
-			req := wire.GetRequest()
-			req.Op, req.Key, req.Flags = wire.OpLookup, key, wire.FlagReplicaRead
-			resp, err := c.callWithBackoff(addr, req, deadline)
-			wire.PutRequest(req)
-			v := readVote{addr: addr}
+	}
+
+	req := wire.GetRequest()
+	req.Op, req.Key, req.Consistency = wire.OpLookup, key, wire.ConsistencyOne
+	resp, err := c.doRoutedDeadline(req, deadline)
+	wire.PutRequest(req)
+	own := readVote{addr: owner.Addr}
+	if err == nil || errors.Is(err, ErrNotFound) {
+		own.ok, own.found = true, err == nil
+		if resp != nil {
+			own.val, own.ver = resp.Value, resp.Version
+		}
+	}
+	wire.PutResponse(resp)
+
+	need := level.Acks(1 + len(probes))
+	var t quorumTally
+	t.add(own)
+	for i := range probes {
+		pr := &probes[i]
+		switch {
+		case pr.err != nil:
+		case t.acked >= need:
+			pr.call.Abandon()
+		default:
+			resp, err := c.callWithBackoff(pr.vote.addr, pr.req, deadline, &pr.call)
 			if err == nil && (resp.Status == wire.StatusOK || resp.Status == wire.StatusNotFound) {
-				v.ok = true
-				v.found = resp.Status == wire.StatusOK
-				v.val, v.ver = resp.Value, resp.Version
+				pr.vote.ok = true
+				pr.vote.found = resp.Status == wire.StatusOK
+				pr.vote.val, pr.vote.ver = resp.Value, resp.Version
 			}
 			wire.PutResponse(resp)
-			votes <- v
-		}(addr)
-	}
-	var winner readVote
-	acked := 0
-	got := make([]readVote, 0, copies)
-	for i := 0; i < copies && acked < need; i++ {
-		v := <-votes
-		if !v.ok {
-			continue
+			t.add(pr.vote)
 		}
-		acked++
-		got = append(got, v)
-		if v.found && (!winner.found || v.ver > winner.ver) {
-			winner = v
-		}
+		wire.PutRequest(pr.req)
 	}
-	if acked < need {
-		return nil, fmt.Errorf("%w: read quorum not met (%d/%d copies answered)", ErrUnavailable, acked, need)
+	if t.acked < need {
+		return nil, fmt.Errorf("%w: read quorum not met (%d/%d copies answered)", ErrUnavailable, t.acked, need)
 	}
+	winner := t.winner
 	if winner.found && winner.ver > 0 {
-		stale := false
-		for _, v := range got {
-			if !v.found || v.ver < winner.ver {
-				stale = true
-				go c.repairCopy(p, v.addr, key, winner.val, winner.ver)
-			}
+		stale := c.repairIfStale(p, key, own, winner)
+		for i := range probes {
+			stale = c.repairIfStale(p, key, probes[i].vote, winner) || stale
 		}
 		if stale {
 			c.metrics.staleReadsRepaired.Inc()
@@ -386,16 +406,39 @@ func (c *Client) quorumLookup(key string, level wire.Consistency) ([]byte, error
 	return winner.val, nil
 }
 
+// repairIfStale queues a read-repair of v's copy when it answered
+// older than winner (or without the key), and reports whether it did.
+func (c *Client) repairIfStale(p int, key string, v, winner readVote) bool {
+	if !v.ok || (v.found && v.ver >= winner.ver) {
+		return false
+	}
+	go c.repairCopy(p, v.addr, key, winner.val, winner.ver)
+	return true
+}
+
 // repairCopy pushes the quorum-read winner to one stale copy as a
 // versioned replica leg: the target's last-writer-wins compare applies
 // it only if the copy is still older, so a racing newer write is never
-// regressed.
+// regressed. The leg is bounded like an operation (OpDeadline) and
+// skipped while the copy's breaker is open, so a hung or dead copy
+// cannot pile up repair goroutines.
 func (c *Client) repairCopy(p int, addr, key string, val []byte, ver uint64) {
-	c.caller.Call(addr, &wire.Request{
+	if !c.breaker.allow(addr) {
+		return
+	}
+	req := &wire.Request{
 		Op: wire.OpReplicate, Partition: int64(p), Key: key, Value: val,
 		Version: ver, Flags: wire.FlagNoReplicate,
 		Aux: encodeReplicaAux(wire.OpInsert, nil),
-	})
+	}
+	if c.cfg.OpDeadline > 0 {
+		req.Budget = uint64(c.cfg.OpDeadline)
+	}
+	if _, err := c.caller.Call(addr, req); err != nil {
+		c.breaker.failure(addr)
+	} else {
+		c.breaker.success(addr)
+	}
 }
 
 // Broadcast delivers key/val to every instance via the spanning-tree
@@ -524,7 +567,7 @@ func (c *Client) doRoutedDeadline(req *wire.Request, deadline time.Time) (*wire.
 		}
 
 		req.Epoch = table.Epoch
-		resp, err := c.callWithBackoff(target.Addr, req, deadline)
+		resp, err := c.callWithBackoff(target.Addr, req, deadline, nil)
 		if err != nil {
 			lastErr = err
 			if expired(deadline) {
@@ -562,7 +605,7 @@ func (c *Client) doRoutedDeadline(req *wire.Request, deadline time.Time) (*wire.
 			}
 			// Follow the redirect directly; membership will catch up
 			// lazily.
-			r2, err := c.callWithBackoff(resp.Redirect, req, deadline)
+			r2, err := c.callWithBackoff(resp.Redirect, req, deadline, nil)
 			if err != nil {
 				lastErr = err
 				continue
@@ -585,25 +628,25 @@ func (c *Client) doRoutedDeadline(req *wire.Request, deadline time.Time) (*wire.
 // wire.Request.Budget, and the endpoint's circuit breaker fails the
 // call fast while open. StatusBusy responses are retried here too —
 // waiting at least the server's RetryAfter hint — without counting
-// toward the breaker (a shedding server is alive).
-func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.Time) (*wire.Response, error) {
+// toward the breaker (a shedding server is alive). When started is
+// non-nil the first attempt is already in flight (it passed preflight
+// when it was started) and is awaited instead of sent.
+func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.Time, started *transport.Pending) (*wire.Response, error) {
 	var lastErr error
 	for i := 0; ; i++ {
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				if lastErr == nil {
-					lastErr = transport.ErrTimeout
-				}
-				return nil, lastErr
+		var resp *wire.Response
+		var err error
+		late := false
+		if started != nil {
+			late = expired(deadline)
+			resp, err = started.Wait()
+			started = nil
+		} else {
+			if req.Budget, err = c.preflight(addr, deadline, lastErr); err != nil {
+				return nil, err
 			}
-			req.Budget = uint64(rem)
+			resp, err = c.caller.Call(addr, req)
 		}
-		if !c.breaker.allow(addr) {
-			c.metrics.fastfails.Inc()
-			return nil, fmt.Errorf("%w: %s", ErrCircuitOpen, addr)
-		}
-		resp, err := c.caller.Call(addr, req)
 		if err == nil {
 			c.breaker.success(addr)
 			c.observeEpoch(addr, resp.Epoch)
@@ -620,7 +663,7 @@ func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.T
 			c.sleepBounded(d, deadline)
 			continue
 		}
-		c.breaker.failure(addr)
+		c.strike(addr, err, late)
 		lastErr = err
 		if i >= c.cfg.OpRetries {
 			return nil, lastErr
@@ -628,6 +671,41 @@ func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.T
 		c.metrics.retries.Inc()
 		c.sleepBounded(c.backoff(i), deadline)
 	}
+}
+
+// strike charges addr's breaker with a failed attempt — except a
+// timeout of a started attempt first awaited after the deadline had
+// passed (late). Fan-outs await their started calls in turn under one
+// deadline, so such a call had no time of its own to answer in once a
+// slower one awaited before it used the deadline up.
+func (c *Client) strike(addr string, err error, late bool) {
+	if late && errors.Is(err, transport.ErrTimeout) {
+		return
+	}
+	c.breaker.failure(addr)
+}
+
+// preflight clears one attempt at addr to go out: it fails once the
+// deadline has passed (with the previous attempt's error, if any) or
+// while addr's breaker is open, and otherwise returns the remaining
+// budget the attempt's requests carry (0 without a deadline).
+func (c *Client) preflight(addr string, deadline time.Time, lastErr error) (uint64, error) {
+	var budget uint64
+	if !deadline.IsZero() {
+		rem := time.Until(deadline)
+		if rem <= 0 {
+			if lastErr == nil {
+				lastErr = transport.ErrTimeout
+			}
+			return 0, lastErr
+		}
+		budget = uint64(rem)
+	}
+	if !c.breaker.allow(addr) {
+		c.metrics.fastfails.Inc()
+		return 0, fmt.Errorf("%w: %s", ErrCircuitOpen, addr)
+	}
+	return budget, nil
 }
 
 // backoff returns the full-jitter delay for retry attempt i: uniform

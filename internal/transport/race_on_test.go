@@ -1,0 +1,7 @@
+//go:build race
+
+package transport
+
+// raceEnabled reports whether this binary was built with -race, under
+// which wall-clock bounds stop meaning anything.
+const raceEnabled = true

@@ -437,35 +437,8 @@ func NewTCPClient(opts TCPClientOptions) *TCPClient {
 // (wire.Request.Budget), so one over-deadline call can never block
 // past the operation's end-to-end deadline.
 func (c *TCPClient) Call(addr string, req *wire.Request) (*wire.Response, error) {
-	c.met.calls.Inc()
-	deadline := callDeadline(req, c.opts.Timeout)
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return nil, fmt.Errorf("%w: budget exhausted before dial", ErrTimeout)
-	}
-	if !c.opts.ConnCache {
-		// The uncached configuration: dial, one round trip, close.
-		mc, err := c.dialMux(addr, deadline)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", classify(err), err)
-		}
-		defer mc.fail(errUncached)
-		return mc.roundTrip(req, deadline)
-	}
-	for fresh := false; ; fresh = true {
-		mc, err := c.connFor(addr, deadline, fresh)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", classify(err), err)
-		}
-		resp, err := mc.roundTrip(req, deadline)
-		mc.busy.Add(-1)
-		if err == nil || fresh || errors.Is(err, ErrTimeout) {
-			return resp, err
-		}
-		// The connection failed (server restart, mid-flight reset) and
-		// has left the cache: retry exactly once, on a fresh dial — a
-		// sibling connection cached alongside it is likely just as
-		// stale.
-	}
+	p := c.Start(addr, req)
+	return p.Wait()
 }
 
 // CallBatch implements Caller by packing the sub-requests into one
@@ -473,9 +446,119 @@ func (c *TCPClient) Call(addr string, req *wire.Request) (*wire.Response, error)
 // connection, amortizing framing, syscalls, and scheduling across its
 // sub-operations.
 func (c *TCPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	p := c.StartBatch(addr, reqs)
+	return p.WaitBatch()
+}
+
+// Start implements Starter: it takes a connection, registers a
+// sequence ID and writes the frame on the calling goroutine, and
+// returns without reading. Call is Start then Wait, so this is the
+// client's one send path.
+func (c *TCPClient) Start(addr string, req *wire.Request) Pending {
+	c.met.calls.Inc()
+	p := Pending{tcp: c, addr: addr, req: req, deadline: callDeadline(req, c.opts.Timeout)}
+	p.send()
+	return p
+}
+
+// StartBatch implements Starter by starting one OpBatch envelope
+// carrying reqs.
+func (c *TCPClient) StartBatch(addr string, reqs []*wire.Request) Pending {
+	if len(reqs) == 0 {
+		return Pending{}
+	}
 	c.met.batches.Inc()
 	c.met.batchSubs.Observe(int64(len(reqs)))
-	return EnvelopeCallBatch(c, addr, reqs)
+	p := c.Start(addr, wire.NewBatchRequest(reqs))
+	p.subs = len(reqs)
+	return p
+}
+
+// send puts p's request on a connection: a cached one (a fresh dial
+// when p.fresh), or one dialed for this call alone without the cache.
+// A failure is kept in p.err for Wait.
+func (p *Pending) send() {
+	c := p.tcp
+	if !p.deadline.IsZero() && !time.Now().Before(p.deadline) {
+		p.err = fmt.Errorf("%w: budget exhausted before dial", ErrTimeout)
+		return
+	}
+	var err error
+	if c.opts.ConnCache {
+		p.mc, err = c.connFor(p.addr, p.deadline, p.fresh)
+	} else {
+		// The uncached configuration: dial, one round trip, close.
+		p.mc, err = c.dialMux(p.addr, p.deadline)
+	}
+	if err != nil {
+		p.err = fmt.Errorf("%w: %v", classify(err), err)
+		return
+	}
+	p.seq, p.ch, p.err = p.mc.send(p.req)
+}
+
+// lateGrace is the least time a Wait reads for. A caller awaiting
+// several started calls in turn under one deadline may reach the later
+// ones only after it has passed, while their answers sit delivered or
+// on the socket; those must still be collected, not reported as
+// timeouts. The grace is long enough to read what has arrived and too
+// short to wait for what has not.
+const lateGrace = 2 * time.Millisecond
+
+// waitTCP awaits p's response, for at least lateGrace. When the
+// connection failed under the call (server restart, mid-flight reset)
+// it has left the cache, and the call is sent again exactly once, on a
+// fresh dial — a sibling connection cached alongside it is likely just
+// as stale.
+func (p *Pending) waitTCP() (*wire.Response, error) {
+	for {
+		if p.mc == nil {
+			return nil, p.err // no connection to send on
+		}
+		var resp *wire.Response
+		err := p.err
+		if err == nil {
+			deadline := p.deadline
+			if late := time.Now().Add(lateGrace); !deadline.IsZero() && deadline.Before(late) {
+				deadline = late
+			}
+			resp, err = p.mc.await(p.seq, p.ch, deadline)
+		}
+		p.release()
+		if err == nil || p.fresh || !p.tcp.opts.ConnCache || errors.Is(err, ErrTimeout) {
+			return resp, err
+		}
+		p.fresh = true
+		p.send()
+	}
+}
+
+// abandonTCP retires p's registration, if it has one, the way a
+// deadline does: a response already delivered is recycled, and one
+// still to come is dropped by whoever reads it.
+func (p *Pending) abandonTCP() {
+	if p.mc == nil {
+		return
+	}
+	if p.err == nil {
+		wire.PutResponse(p.mc.finish(p.seq, p.ch, false))
+	}
+	p.release()
+}
+
+// release gives back what p held of its connection once the call is
+// over: its share of the busy count, or the whole connection when
+// uncached.
+func (p *Pending) release() {
+	if p.ch != nil {
+		p.tcp.met.muxInflight.Dec()
+	}
+	if p.tcp.opts.ConnCache {
+		p.mc.busy.Add(-1)
+	} else {
+		p.mc.fail(errUncached)
+	}
+	p.mc, p.ch, p.err = nil, nil, nil
 }
 
 // connFor returns a connection to addr with its busy count raised for
@@ -634,23 +717,23 @@ func putTimer(t *time.Timer) {
 	}
 }
 
-// roundTrip issues one request on the connection: register, write the
-// frame on this goroutine, then await the response.
-func (mc *muxConn) roundTrip(req *wire.Request, deadline time.Time) (*wire.Response, error) {
-	ch := respChPool.Get().(chan *wire.Response)
+// send registers a sequence ID for req and writes its frame on this
+// goroutine. ch is nil when the connection had already failed; after
+// a failed write it is registered, and closed by the failure.
+func (mc *muxConn) send(req *wire.Request) (seq uint64, ch chan *wire.Response, err error) {
+	ch = respChPool.Get().(chan *wire.Response)
 	mc.mu.Lock()
 	if mc.failed {
 		mc.mu.Unlock()
 		respChPool.Put(ch)
-		return nil, mc.failure()
+		return 0, nil, mc.failure()
 	}
 	mc.seq++
-	seq := mc.seq
+	seq = mc.seq
 	mc.inflight[seq] = ch
 	mc.mu.Unlock()
 	met := &mc.client.met
 	met.muxInflight.Inc()
-	defer met.muxInflight.Dec()
 
 	r := *req // callers may reuse req concurrently; never mutate it
 	r.Seq = seq
@@ -663,10 +746,10 @@ func (mc *muxConn) roundTrip(req *wire.Request, deadline time.Time) (*wire.Respo
 	mc.w.buf = wire.EncodeRequest(mc.w.buf[:0], &r)
 	n, err := mc.w.sendAndUnlock()
 	if err != nil {
-		return nil, mc.broke(err)
+		return seq, ch, mc.broke(err)
 	}
 	met.bytesOut.Add(int64(n))
-	return mc.await(seq, ch, deadline)
+	return seq, ch, nil
 }
 
 // await collects seq's response. Whoever finds the connection's read
@@ -706,7 +789,9 @@ func (mc *muxConn) await(seq uint64, ch chan *wire.Response, deadline time.Time)
 				return resp, nil
 			}
 		case <-expire:
-			mc.finish(seq, ch, false)
+			if resp := mc.finish(seq, ch, false); resp != nil {
+				return resp, nil // delivered as the deadline fired
+			}
 			return nil, fmt.Errorf("%w: no response within deadline", ErrTimeout)
 		}
 	}
@@ -786,18 +871,20 @@ func ownPayload(resp *wire.Response) {
 }
 
 // finish retires seq's registration when its caller stops waiting —
-// answered as leader, or out of time — and recycles ch. A caller that
-// holds the read role (leader, or a follower whose token landed in ch
-// as it gave up) hands it to a parked caller, or frees it when none is
-// parked; callers still writing find it free when they get to await.
-func (mc *muxConn) finish(seq uint64, ch chan *wire.Response, leader bool) {
+// answered as leader, or out of time — and recycles ch. It returns the
+// caller's response if one was delivered to ch meanwhile (nil when
+// none was), which the caller then owns. A caller that holds the read
+// role (leader, or a follower whose token landed in ch as it gave up)
+// hands it to a parked caller, or frees it when none is parked;
+// callers still writing find it free when they get to await.
+func (mc *muxConn) finish(seq uint64, ch chan *wire.Response, leader bool) (delivered *wire.Response) {
 	mc.mu.Lock()
 	delete(mc.inflight, seq)
 	delete(mc.parked, seq)
 	select {
 	case resp, ok := <-ch:
 		if resp != nil {
-			wire.PutResponse(resp)
+			delivered = resp
 		} else if ok {
 			leader = true
 		}
@@ -817,6 +904,7 @@ func (mc *muxConn) finish(seq uint64, ch chan *wire.Response, leader bool) {
 	if !failed {
 		respChPool.Put(ch)
 	}
+	return delivered
 }
 
 // broke fails the connection after an I/O error inside a frame and

@@ -21,10 +21,20 @@
 // ablation: the event-driven model (the production choice, analogous
 // to the epoll server — Go's netpoller is epoll underneath) and a
 // spawn-per-request model (the discarded multithreaded prototype).
+//
+// A caller that fans one operation out to several servers does not
+// need a goroutine per server either: Start and StartBatch split a
+// call into its send and its receive (see Starter and Pending). On
+// TCP the calling goroutine writes every frame, then awaits the
+// answers one by one under each connection's read role, so the
+// fan-out costs its round trips in parallel and wakes nobody.
+// Transports without a split-phase call get one goroutine per started
+// call instead.
 package transport
 
 import (
 	"errors"
+	"time"
 
 	"zht/internal/wire"
 )
@@ -81,10 +91,16 @@ func EnvelopeCallBatch(c Caller, addr string, reqs []*wire.Request) ([]*wire.Res
 	env := wire.NewBatchRequest(reqs)
 	resp, err := c.Call(addr, env)
 	wire.ReleaseBatchRequest(env)
+	return unpackEnvelope(resp, err, len(reqs))
+}
+
+// unpackEnvelope turns an envelope call's outcome into its n
+// sub-responses.
+func unpackEnvelope(resp *wire.Response, err error, n int) ([]*wire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := wire.UnpackBatchResponses(resp, len(reqs))
+	rs, err := wire.UnpackBatchResponses(resp, n)
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +109,140 @@ func EnvelopeCallBatch(c Caller, addr string, reqs []*wire.Request) ([]*wire.Res
 	// backing stays alive through the sub-response aliases.
 	wire.PutResponse(resp)
 	return rs, nil
+}
+
+// Starter is implemented by callers that can split a call into its
+// send and its receive, so one goroutine can have several calls in
+// flight at once. Use it through the package functions Start and
+// StartBatch, which fall back to a goroutine per call for callers
+// without it.
+//
+// Contract: Start sends req to addr (StartBatch sends reqs as one
+// batched message) and returns at once with the call outstanding.
+// Every Start is followed by exactly one Pending.Wait — WaitBatch for
+// StartBatch — or Pending.Abandon. Until then the caller must leave
+// req (every element of reqs) untouched: a call that fails on its
+// connection is sent again from it. Wait returns what Call (CallBatch)
+// would have, under the same deadline, retry and error rules — except
+// that a Wait begun at or after the call's deadline still collects a
+// response that has already arrived (it reads for a short grace)
+// instead of timing out at once, so calls awaited in turn under one
+// deadline do not lose answers to a slow call awaited first. Abandon
+// retires the call: its response, should one still arrive, is dropped
+// unseen, as a timed-out call's is.
+type Starter interface {
+	Start(addr string, req *wire.Request) Pending
+	StartBatch(addr string, reqs []*wire.Request) Pending
+}
+
+// Pending is one started call (see Starter). It is returned and kept
+// by value — on TCP starting a call allocates nothing — and is waited
+// or abandoned through one copy only.
+type Pending struct {
+	// The native TCP call: its client, the connection it went out on
+	// (nil when none could be had, with err saying why) and its
+	// registration there.
+	tcp      *TCPClient
+	mc       *muxConn
+	addr     string
+	req      *wire.Request // the request as sent: the batch envelope for StartBatch
+	seq      uint64
+	ch       chan *wire.Response // nil when the call never registered
+	deadline time.Time
+	fresh    bool  // sent on a fresh dial: no retry left
+	err      error // the send failed
+	subs     int   // sub-requests in req, for StartBatch
+
+	// done receives the outcome of a call running on its own
+	// goroutine, for callers without Starter.
+	done chan callResult
+}
+
+type callResult struct {
+	resp  *wire.Response
+	resps []*wire.Response
+	err   error
+}
+
+// Start starts one call to addr on c: natively when c implements
+// Starter, otherwise by running c.Call on a goroutine of its own.
+func Start(c Caller, addr string, req *wire.Request) Pending {
+	if s, ok := c.(Starter); ok {
+		return s.Start(addr, req)
+	}
+	r := *req // an abandoned call outlives the caller's hold on req
+	done := make(chan callResult, 1)
+	go func() {
+		resp, err := c.Call(addr, &r)
+		done <- callResult{resp: resp, err: err}
+	}()
+	return Pending{done: done}
+}
+
+// StartBatch starts one batched call to addr on c: natively when c
+// implements Starter, otherwise by running c.CallBatch on a goroutine
+// of its own.
+func StartBatch(c Caller, addr string, reqs []*wire.Request) Pending {
+	if len(reqs) == 0 {
+		return Pending{}
+	}
+	if s, ok := c.(Starter); ok {
+		return s.StartBatch(addr, reqs)
+	}
+	// Copies, as in Start: the goroutine may outlive an Abandon.
+	vals := make([]wire.Request, len(reqs))
+	cp := make([]*wire.Request, len(reqs))
+	for i, r := range reqs {
+		vals[i] = *r
+		cp[i] = &vals[i]
+	}
+	done := make(chan callResult, 1)
+	go func() {
+		rs, err := c.CallBatch(addr, cp)
+		done <- callResult{resps: rs, err: err}
+	}()
+	return Pending{done: done}
+}
+
+// Wait collects the response of a call begun with Start.
+func (p *Pending) Wait() (*wire.Response, error) {
+	if p.done != nil {
+		r := <-p.done
+		p.done = nil
+		return r.resp, r.err
+	}
+	return p.waitTCP()
+}
+
+// WaitBatch collects the sub-responses of a call begun with
+// StartBatch, exactly len(reqs) of them in request order.
+func (p *Pending) WaitBatch() ([]*wire.Response, error) {
+	if p.done != nil {
+		r := <-p.done
+		p.done = nil
+		return r.resps, r.err
+	}
+	if p.subs == 0 {
+		return nil, nil
+	}
+	n := p.subs
+	resp, err := p.waitTCP()
+	wire.ReleaseBatchRequest(p.req)
+	p.req, p.subs = nil, 0
+	return unpackEnvelope(resp, err, n)
+}
+
+// Abandon gives up on a started call without waiting for it.
+func (p *Pending) Abandon() {
+	if p.done != nil {
+		p.done = nil // the goroutine finishes alone; its result is dropped
+		return
+	}
+	p.abandonTCP()
+	if p.subs > 0 {
+		wire.ReleaseBatchRequest(p.req)
+		p.req, p.subs = nil, 0
+	}
 }
 
 // Listener is a running server endpoint.

@@ -114,10 +114,12 @@ func (s *UDPServer) loop() {
 		go func(req *wire.Request, scratch []byte) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
-			defer s.gate.release()
 			s.met.inflight.Inc()
 			resp := s.handler(req)
 			s.met.inflight.Dec()
+			// The slot frees before the answer goes out, as on TCP: a
+			// caller holding its response must find it free again.
+			s.gate.release()
 			resp.Seq = req.Seq
 			wire.PutRequest(req)
 			putFrameBuf(scratch)
