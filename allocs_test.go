@@ -85,6 +85,22 @@ const (
 // goroutine per copy).
 const quorumLookupAllocBudget = 5
 
+// insertR1AllocBudget is the single-insert gate on the same
+// Replicas=1 deployment. The owner runs the insert as a batch of one,
+// and its one replica leg goes out as a plain call, not an envelope:
+//
+//   - the key string on each instance, owner and replica (one per
+//     copy, as in the insert budget),
+//   - the leg's one-byte replicated-op Aux,
+//   - the replica set ring.Table.ReplicasOf builds for the partition,
+//   - the owner connection's detach: the write waits on its replica
+//     leg, so the TCP server hands reading to a fresh goroutine (the
+//     detach closure, its flag and the goroutine's closure: 3).
+//
+// Pinned with zero slack at the measured 7 allocs/op, so a leg copied
+// to the heap, or a leg response dropped instead of recycled, fails it.
+const insertR1AllocBudget = 7
+
 // batchR1PerOpAllocBudget is the batched-insert gate on the same
 // Replicas=1 deployment, per sub-op. On top of the unreplicated path's
 // key string and envelope slices, each sub-op's replica leg costs the
@@ -345,6 +361,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	qc, qkeys, qcleanup := benchTCPQuorumClient(b)
 	defer qcleanup()
 	b.Run("quorum-lookup", benchQuorumLookupAllocs(qc, qkeys))
+	b.Run("insert-r1", benchInsertAllocs(qc, qkeys))
 	b.Run("batch-insert-r1", benchBatchInsertAllocs(qc, qkeys))
 	ic, ikeys, icleanup := benchInprocClient(b)
 	defer icleanup()
@@ -402,6 +419,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 	r = testing.Benchmark(benchQuorumLookupAllocs(qc, qkeys))
 	check("quorum-lookup allocs", float64(r.AllocsPerOp()), quorumLookupAllocBudget)
+	r = testing.Benchmark(benchInsertAllocs(qc, qkeys))
+	check("insert-r1 allocs", float64(r.AllocsPerOp()), insertR1AllocBudget)
 	r = testing.Benchmark(benchBatchInsertAllocs(qc, qkeys))
 	check("batch-insert-r1 allocs", float64(r.AllocsPerOp())/allocBenchBatch, batchR1PerOpAllocBudget)
 

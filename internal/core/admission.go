@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"zht/internal/wire"
+)
 
 // AdmissionHook is the per-request admission gate an instance
 // consults before serving client-facing KV traffic (single ops and
@@ -20,4 +24,33 @@ import "time"
 // an overload verdict into a durability gap.
 type AdmissionHook interface {
 	Admit(key string, cost int) (release func(), retryAfter time.Duration, ok bool)
+}
+
+// admit passes one KV op — a single request or a batch sub-op —
+// through the size and admission gates. A refused op gets its verdict
+// (StatusTooLarge, or StatusBusy with the hook's backoff hint). An
+// admitted one may get a release, which the caller runs once the op's
+// response (or its whole envelope) is done, so the slot is held for
+// the op's full service time. Internal legs (NoReplicate forwards,
+// replica reads) bypass both gates: shedding a replication leg would
+// turn an overload verdict into a durability gap, and internal values
+// (TTL envelopes) may legitimately exceed the user-facing payload
+// bound.
+func (in *Instance) admit(req *wire.Request) (release func(), refused *wire.Response) {
+	if req.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) != 0 {
+		return nil, nil
+	}
+	if in.tooLarge(req) {
+		return nil, statusResp(wire.StatusTooLarge)
+	}
+	if in.cfg.Admission == nil {
+		return nil, nil
+	}
+	release, retry, ok := in.cfg.Admission.Admit(req.Key, len(req.Value))
+	if !ok {
+		r := statusResp(wire.StatusBusy)
+		r.RetryAfter = uint64(retry)
+		return nil, r
+	}
+	return release, nil
 }

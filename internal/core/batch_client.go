@@ -131,7 +131,7 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 		p := table.Partition(c.hashf(r.Key))
 		idx := table.Owner[p]
 		if table.Status[idx] != ring.Alive {
-			reps := table.ReplicasOf(p, maxInt(c.cfg.Replicas, 1))
+			reps := table.ReplicasOf(p, max(c.cfg.Replicas, 1))
 			if len(reps) == 0 {
 				continue
 			}

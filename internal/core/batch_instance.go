@@ -36,6 +36,11 @@ type batchScratch struct {
 	legs    []*wire.Request // the destination envelope being assembled
 	members []int           // groups whose legs that envelope carries
 	pending []int           // groups with a leg still to ship this round
+	// A single op's request and response slots (handleKV runs it as a
+	// batch of one), and the response of a one-leg sync round.
+	one     [1]*wire.Request
+	oneResp [1]*wire.Response
+	legResp [1]*wire.Response
 }
 
 // batchGroup is one partition's run of sub-ops: tags[lo:hi], and
@@ -65,6 +70,7 @@ func (sc *batchScratch) release() {
 	clear(sc.legVals)
 	clear(sc.fwds)
 	clear(sc.legs)
+	sc.one[0], sc.oneResp[0], sc.legResp[0] = nil, nil, nil
 	sc.tags, sc.groups, sc.applied = sc.tags[:0], sc.groups[:0], sc.applied[:0]
 	sc.legVals, sc.fwds, sc.legs = sc.legVals[:0], sc.fwds[:0], sc.legs[:0]
 	sc.members, sc.pending = sc.members[:0], sc.pending[:0]
@@ -115,24 +121,16 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 		switch s.Op {
 		case wire.OpInsert, wire.OpLookup, wire.OpRemove, wire.OpAppend, wire.OpCas:
 			// Each KV sub-op passes the same admission and size gates as
-			// handleKV: a shed or oversized slot gets its verdict here
+			// a single op: a shed or oversized slot gets its verdict here
 			// and never joins a partition group, so one over-quota
 			// tenant's slots cannot ride a well-behaved tenant's batch.
-			if s.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) == 0 {
-				if in.tooLarge(s) {
-					resps[i] = statusResp(wire.StatusTooLarge)
-					continue
-				}
-				if in.cfg.Admission != nil {
-					release, retry, ok := in.cfg.Admission.Admit(s.Key, len(s.Value))
-					if !ok {
-						r := statusResp(wire.StatusBusy)
-						r.RetryAfter = uint64(retry)
-						resps[i] = r
-						continue
-					}
-					releases = append(releases, release)
-				}
+			release, refused := in.admit(s)
+			if refused != nil {
+				resps[i] = refused
+				continue
+			}
+			if release != nil {
+				releases = append(releases, release)
 			}
 			p := in.tableRef().Partition(in.hashf(s.Key))
 			sc.tags = append(sc.tags, int64(p)<<32|int64(i))
@@ -146,7 +144,8 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 		}
 	}
 	if len(sc.tags) > 0 {
-		in.applyBatch(subs, resps, sc)
+		// Nothing to detach: Handle detached the envelope already.
+		in.applyBatch(subs, resps, sc, nil)
 	}
 	sc.release()
 	// Sub-responses carry the epoch piggyback too: batch transports
@@ -167,38 +166,68 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	return env
 }
 
-// applyBatch runs the envelope's KV sub-ops through handleKV's
-// sequence — migration gate, post-gate ownership, store, mutation
-// stripes, apply, replicate, enforce the write level — paying each
-// lock and each replica round trip once per envelope rather than once
-// per partition.
+// applyBatch is the instance's one write pipeline. It runs KV ops —
+// an envelope's sub-ops, or a single op as a batch of one — through
+// migration gate, post-gate ownership, store, mutation stripes, apply,
+// replicate, and write-level enforcement, paying each lock and each
+// replica round trip once per envelope rather than once per partition.
+// A migration gate that must wait detaches detach first (nil when the
+// caller already did).
 //
 // Lock order: the op-lock stripes of every group that passed its
 // migration gate, then the mutation stripes of every mutated key, each
 // set ascending and deduplicated (partitions p and p+64 share an op
 // stripe, and a goroutine read-locking one RWMutex twice deadlocks
-// against a waiting writer). Single ops take one stripe of each in the
-// same order, so no cycle can form. Both sets are held across the
-// apply and every synchronous replica round, so each key's replica
-// order matches its apply order while envelopes touching disjoint keys
-// overlap — feeding the stores' group-commit WALs whole batches.
-func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
-	slices.Sort(sc.tags)
+// against a waiting writer), so no cycle can form between concurrent
+// envelopes. Both sets are held across the apply and every synchronous
+// replica round, so each key's replica order matches its apply order
+// while envelopes touching disjoint keys overlap — feeding the stores'
+// group-commit WALs whole batches.
+//
+// applyBatch only sequences the phases and holds the locks, so its
+// frame stays small under the replica round trip: a TCP server runs a
+// detached request's successor on a fresh goroutine, whose stack each
+// extra frame on this path can force to grow once more.
+func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) {
+	ops, muts, table := in.lockBatch(subs, resps, sc, detach)
+	defer in.unlockOps(ops)
+	defer in.unlockMuts(muts)
+	in.applyGroups(subs, resps, sc)
+	if len(sc.applied) == 0 {
+		return
+	}
+	in.replicateEnvelope(table, subs, sc)
+	in.settleGroups(subs, resps, sc)
+}
+
+// lockBatch groups the sorted tags by partition, answers every group
+// that may not be served here with its routing verdict, and locks the
+// stripes the rest need; it returns them for applyBatch to release,
+// with the table snapshot ownership was judged on.
+func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) (ops, muts uint64, table *ring.Table) {
+	if len(sc.tags) > 1 {
+		slices.Sort(sc.tags)
+	}
 	tags := sc.tags
 	for k := 0; k < len(tags); {
 		lo, p := k, int(tags[k]>>32)
 		for k < len(tags) && int(tags[k]>>32) == p {
 			k++
 		}
-		sc.groups = append(sc.groups, batchGroup{p: p, lo: lo, hi: k, live: true})
+		// Set in place: copying a whole batchGroup literal into the slice
+		// is a measurable share of a single op.
+		sc.groups = append(sc.groups, batchGroup{})
+		g := &sc.groups[len(sc.groups)-1]
+		g.p, g.lo, g.hi, g.live = p, lo, k, true
 	}
 	groups := sc.groups
 
-	// Migration gates, then the op stripes of every group that passed;
-	// a migration that began while the stripes were being acquired
-	// sends the envelope back through the gates (nothing to detach:
-	// Handle detached the envelope already).
-	var ops uint64
+	// Migration gates (a partition being given away queues its ops until
+	// the move resolves, §III.C), then the op stripes of every group
+	// that passed, held through the apply so an export cannot slip in
+	// and lose an acknowledged write; a migration that began while the
+	// stripes were being acquired sends the envelope back through the
+	// gates.
 	for {
 		ops = 0
 		for gi := range groups {
@@ -206,7 +235,7 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 			if !g.live {
 				continue
 			}
-			if resp := in.migrationGate(g.p, nil); resp != nil {
+			if resp := in.migrationGate(g.p, detach); resp != nil {
 				sc.fan(g, resps, resp)
 				continue
 			}
@@ -218,20 +247,24 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 		}
 		in.unlockOps(ops)
 	}
-	defer in.unlockOps(ops)
 
-	// Ownership on one post-gate snapshot (see handleKV for why).
-	table := in.tableRef()
+	// Ownership is evaluated on one table snapshot taken AFTER the
+	// gates: an op racing a just-completed migration would otherwise
+	// pass its gate, then consult a pre-migration table and apply a
+	// write to a partition that has already moved away.
+	table = in.tableRef()
 	var wrongOwner *wire.Response
-	var muts uint64
 	for gi := range groups {
 		g := &groups[gi]
 		if !g.live {
 			continue
 		}
 		ownerIdx := table.Owner[g.p]
-		if table.Instances[ownerIdx].ID != in.self.ID &&
-			!(table.Status[ownerIdx] != ring.Alive && in.firstAliveReplica(table, g.p) == in.self.ID) {
+		// Failover service: the first alive replica answers for a failed
+		// owner (§III.H — queries for data on the failed node are
+		// answered by the replicas).
+		failover := table.Instances[ownerIdx].ID != in.self.ID
+		if failover && !(table.Status[ownerIdx] != ring.Alive && in.firstAliveReplica(table, g.p) == in.self.ID) {
 			if wrongOwner == nil {
 				wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 			}
@@ -240,30 +273,43 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 		}
 		s, err := in.store(g.p)
 		if err != nil {
-			sc.fan(g, resps, &wire.Response{Status: wire.StatusError, Err: err.Error()})
+			sc.fan(g, resps, errResp(err))
 			continue
 		}
 		g.s = s
 		for _, t := range tags[g.lo:g.hi] {
-			if sub := subs[t&0xffffffff]; in.mutates(sub) {
+			sub := subs[t&0xffffffff]
+			if in.mutates(sub) {
 				muts |= 1 << (in.hashf(sub.Key) % lockStripes)
+			} else if failover && sub.Op == wire.OpLookup {
+				// Read-repair: a failover read means this replica is the
+				// partition's acting authority; schedule a digest compare
+				// against the other replicas so stale ranges heal without
+				// waiting for the next anti-entropy tick.
+				in.scheduleReadRepair(table, g.p)
+				failover = false
 			}
 		}
 	}
 	in.lockMuts(muts)
-	defer in.unlockMuts(muts)
+	return ops, muts, table
+}
 
-	// applied collects the sub-ops whose mutation succeeded, in apply
-	// order — the order replicas must see them in — alongside each one's
-	// replica leg and, where the leg value differs from the request's
-	// (appends), the scratch holding the full value the leg carries.
-	for gi := range groups {
-		g := &groups[gi]
+// applyGroups applies every live group's sub-ops. applied collects the
+// ones whose mutation succeeded, in apply order — the order replicas
+// must see them in — alongside each one's replica leg and, where the
+// leg value differs from the request's (appends), the scratch holding
+// the full value the leg carries. Each replicated mutation is
+// version-stamped so replicas resolve reordered legs last-writer-wins
+// instead of diverging.
+func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+	for gi := range sc.groups {
+		g := &sc.groups[gi]
 		if !g.live {
 			continue
 		}
 		g.alo = len(sc.applied)
-		for _, t := range tags[g.lo:g.hi] {
+		for _, t := range sc.tags[g.lo:g.hi] {
 			i := int(t & 0xffffffff)
 			if !in.mutates(subs[i]) {
 				resps[i] = in.applyKV(g.s, subs[i])
@@ -284,21 +330,22 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 		}
 		g.ahi = len(sc.applied)
 	}
-	if len(sc.applied) == 0 {
-		return
-	}
-	in.replicateEnvelope(table, subs, sc)
-	for gi := range groups {
-		g := &groups[gi]
+}
+
+// settleGroups releases the applied legs' value scratch and enforces
+// each sub-op's own write level against the acks its group collected:
+// an ack means that replica applied the group's every leg, so
+// per-sub-op acks within a group are identical and only the demanded
+// level differs. A refused write is not rolled back: handoff replay or
+// anti-entropy finishes spreading it (DESIGN.md §12).
+func (in *Instance) settleGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+	for gi := range sc.groups {
+		g := &sc.groups[gi]
 		for j := g.alo; j < g.ahi; j++ {
 			i := sc.applied[j]
 			if lv := sc.legVals[j]; lv != nil {
 				wire.PutBuffer(lv)
 			}
-			// Each sub-op's own write level is enforced against the acks
-			// its group collected: an ack means that replica applied the
-			// group's every leg, so per-sub-op acks within a group are
-			// identical and only the demanded level differs.
 			if need := in.writeLevel(subs[i]).Acks(1 + len(g.peers)); need > 1 {
 				in.met.quorumWrites.Inc()
 				if g.acked+1 < need {
@@ -315,13 +362,15 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 // for its k-th non-self replica, and all legs bound for one
 // destination in a round ride one envelope — so a server envelope
 // costs one replica round trip per destination per round, however
-// many partitions it touched. As in replicate: a group's leg is
-// synchronous in round 0 (the paper's strongly consistent first
-// replica, §III.J, at every level) and in any later round while the
-// group holds fewer acks than its strictest sub-op's level needs
-// (straggler promotion); otherwise it joins the destination's one
-// async envelope, whose FIFO keeps per-key order. A group earns a
-// round's ack only if every one of its legs in the envelope succeeded.
+// many partitions it touched. A group's leg is synchronous in round 0
+// (the paper's strongly paired first replica, §III.J, at every level:
+// even ONE keeps an eagerly consistent second copy, and the level only
+// decides how many acks success waits on) and in any later round while
+// the group holds fewer acks than its strictest sub-op's level needs
+// (straggler promotion: the level counts acks, not positions);
+// otherwise it joins the destination's one async envelope, whose FIFO
+// keeps per-key order. A group earns a round's ack only if every one
+// of its legs in the envelope succeeded.
 func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, sc *batchScratch) {
 	groups := sc.groups
 	rounds := 0
@@ -394,16 +443,26 @@ func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, s
 	}
 }
 
-// syncEnvelope sends sc.legs to addr as one synchronous CallBatch and
-// credits an ack to each member group whose legs all succeeded. As in
-// replicate, a failed leg is counted and handed to hinted handoff, and
-// an open replication breaker (peer already known dead) skips the
-// transport attempt, failing every leg.
+// syncEnvelope sends sc.legs to addr as one synchronous CallBatch —
+// or, when the round carries a single leg, as a plain Call, which
+// skips the envelope codec and its slices — and credits an ack to each
+// member group whose legs all succeeded. A failed leg is a consistency
+// gap until repaired: it is counted and handed to hinted handoff, so
+// the gap closes when the peer answers again. An open replication
+// breaker (peer already known dead) skips the transport attempt,
+// failing every leg, so a dead peer costs nothing per mutation.
 func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 	var rs []*wire.Response
 	if in.rbrk.allow(addr) {
 		var err error
-		if rs, err = in.caller.CallBatch(addr, sc.legs); err != nil {
+		if len(sc.legs) == 1 {
+			sc.legResp[0], err = in.caller.Call(addr, sc.legs[0])
+			rs = sc.legResp[:]
+		} else {
+			rs, err = in.caller.CallBatch(addr, sc.legs)
+		}
+		if err != nil {
+			rs = nil
 			in.rbrk.failure(addr)
 		} else {
 			in.rbrk.success(addr)
@@ -431,8 +490,10 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 // anyMigrating reports whether a migration began on any live group's
 // partition.
 func (in *Instance) anyMigrating(groups []batchGroup) bool {
+	in.pmu.Lock()
+	defer in.pmu.Unlock()
 	for gi := range groups {
-		if groups[gi].live && in.isMigrating(groups[gi].p) {
+		if ps := in.parts[groups[gi].p]; groups[gi].live && ps != nil && ps.migrating {
 			return true
 		}
 	}

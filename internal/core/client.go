@@ -553,7 +553,7 @@ func (c *Client) doRoutedDeadline(req *wire.Request, deadline time.Time) (*wire.
 			// same election the serving side applies (firstAliveReplica),
 			// so a replica that has itself failed or departed is skipped
 			// instead of dialed.
-			reps := table.ReplicasOf(p, maxInt(c.cfg.Replicas, 1))
+			reps := table.ReplicasOf(p, max(c.cfg.Replicas, 1))
 			found := false
 			for _, r := range reps {
 				if i := table.IndexOf(r.ID); i >= 0 && table.Status[i] == ring.Alive {
@@ -807,7 +807,7 @@ func (c *Client) failLocally(id ring.InstanceID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.table.Load()
-	d, err := cur.PlanFailure(id, maxInt(c.cfg.Replicas, 1))
+	d, err := cur.PlanFailure(id, max(c.cfg.Replicas, 1))
 	if err != nil {
 		return
 	}

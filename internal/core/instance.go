@@ -168,7 +168,7 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		in.handoff = repair.NewHandoff(repair.HandoffOptions{
 			Cap:      cfg.HandoffCap,
 			Base:     cfg.RetryBase,
-			Max:      maxDuration(cfg.RetryMax, time.Second),
+			Max:      max(cfg.RetryMax, time.Second),
 			Send:     in.replaySend,
 			Queued:   in.met.handoffQueued,
 			Replayed: in.met.handoffReplayed,
@@ -182,9 +182,11 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	return in, nil
 }
 
-// enqueueAsync appends an async replication leg to the destination's
-// FIFO, starting its worker on first use. Ordering per destination is
-// preserved; Drain waits for completion.
+// enqueueAsync appends an async replication envelope (built with
+// wire.NewBatchRequest) to the destination's FIFO, starting its worker
+// on first use; the worker releases the envelope once it is sent or
+// handed off. Ordering per destination is preserved; Drain waits for
+// completion.
 func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 	select {
 	case <-in.closed:
@@ -205,7 +207,7 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 				// peer.
 				if !in.rbrk.allow(addr) {
 					in.hintLeg(addr, r)
-					in.releaseAsyncLeg(r)
+					wire.ReleaseBatchRequest(r)
 					in.asyncWG.Done()
 					continue
 				}
@@ -215,7 +217,7 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 				} else {
 					in.rbrk.success(addr)
 				}
-				in.releaseAsyncLeg(r)
+				wire.ReleaseBatchRequest(r)
 				in.asyncWG.Done()
 			}
 		}()
@@ -226,16 +228,6 @@ func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
 	case q <- req:
 	case <-in.closed:
 		in.asyncWG.Done()
-	}
-}
-
-// releaseAsyncLeg recycles a consumed async-queue entry. Only batched
-// envelopes are pooled (the batch path builds them with
-// wire.NewBatchRequest); single legs are ordinary heap requests the
-// GC owns.
-func (in *Instance) releaseAsyncLeg(r *wire.Request) {
-	if r.Op == wire.OpBatch {
-		wire.ReleaseBatchRequest(r)
 	}
 }
 
@@ -372,31 +364,21 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusError, Err: "core: unsupported op " + req.Op.String()}
 }
 
-// handleKV serves the four basic operations plus CAS.
+// handleKV serves the four basic operations plus CAS as a batch of
+// one: past the admission and size gates, the op runs through the same
+// applyBatch an envelope's sub-ops do — migration gate, ownership,
+// stripes, apply, replica legs, write level.
 func (in *Instance) handleKV(req *wire.Request) *wire.Response {
-	// Client-facing traffic passes the admission and size gates;
-	// internal legs (NoReplicate forwards, replica reads) bypass both —
-	// shedding a replication leg would turn an overload verdict into a
-	// durability gap, and internal values (TTL envelopes) may
-	// legitimately exceed the user-facing payload bound.
-	if req.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) == 0 {
-		if in.tooLarge(req) {
-			return statusResp(wire.StatusTooLarge)
-		}
-		if in.cfg.Admission != nil {
-			release, retry, ok := in.cfg.Admission.Admit(req.Key, len(req.Value))
-			if !ok {
-				resp := statusResp(wire.StatusBusy)
-				resp.RetryAfter = uint64(retry)
-				return resp
-			}
-			defer release()
-		}
+	release, refused := in.admit(req)
+	if refused != nil {
+		return refused
 	}
-	h := in.hashf(req.Key)
+	if release != nil {
+		defer release()
+	}
 	// The partition index depends only on NumPartitions, which is
 	// immutable, so it can be computed from any table snapshot.
-	p := in.tableRef().Partition(h)
+	p := in.tableRef().Partition(in.hashf(req.Key))
 
 	// Replica reads bypass ownership and the migration gate: a quorum
 	// read's coordinator is asking THIS node for its local copy of the
@@ -412,90 +394,16 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 		return in.applyKV(s, req)
 	}
 
-	// Migration gate: if this partition is being given away, queue
-	// until the move resolves (paper queues requests during
-	// migration and answers with a redirect). The op lock's read
-	// side is held across gate re-check and application so an
-	// export cannot slip between them and lose an acknowledged
-	// write.
-	lock := in.opLock(p)
-	for {
-		if resp := in.migrationGate(p, req); resp != nil {
-			return resp
-		}
-		lock.RLock()
-		if in.isMigrating(p) {
-			lock.RUnlock()
-			continue // a migration began while we acquired the lock
-		}
-		break
-	}
-	defer lock.RUnlock()
-
-	// Ownership must be evaluated on a table snapshot taken AFTER the
-	// gate: a request racing a just-completed migration would
-	// otherwise pass the gate, then consult a pre-migration table and
-	// apply a write to a partition that has already moved away.
-	table := in.tableRef()
-	ownerIdx := table.Owner[p]
-	owner := table.Instances[ownerIdx]
-	ownerFailed := table.Status[ownerIdx] != ring.Alive
-
-	if owner.ID != in.self.ID {
-		// Failover service: a replica answers for a failed primary
-		// (§III.H — queries for data on the failed node are answered
-		// by the replicas).
-		if !(ownerFailed && in.firstAliveReplica(table, p) == in.self.ID) {
-			return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
-		}
-		if req.Op == wire.OpLookup {
-			// Read-repair: a failover read means this replica is the
-			// partition's acting authority; schedule a digest compare
-			// against the other replicas so stale ranges heal without
-			// waiting for the next anti-entropy tick.
-			in.scheduleReadRepair(table, p)
-		}
-	}
-
-	s, err := in.store(p)
-	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
-	}
-	if !in.mutates(req) {
-		return in.applyKV(s, req)
-	}
-	ml := &in.mutLocks[h%uint64(len(in.mutLocks))]
-	ml.Lock()
-	defer ml.Unlock()
-	// Replicated mutations are version-stamped so replicas resolve
-	// reordered legs last-writer-wins instead of diverging, then
-	// fanned out at the request's write level: success is withheld
-	// until Acks(copies) copies (local apply counts as one) hold the
-	// write.
-	ver := in.clock.Next()
-	resp, legVal := in.applyPrimary(s, req, ver)
-	if resp.Status != wire.StatusOK {
-		return resp
-	}
-	level := in.writeLevel(req)
-	acked, copies := in.replicate(table, p, req, ver, legVal, level)
-	if legVal != nil {
-		// Every leg has copied or finished with the scratch by now
-		// (sync legs completed, async legs and handoff hold copies).
-		wire.PutBuffer(legVal)
-	}
-	if need := level.Acks(copies); need > 1 {
-		in.met.quorumWrites.Inc()
-		if acked+1 < need {
-			// The local apply is NOT rolled back: the write exists on
-			// fewer copies than the level demands, and anti-entropy or
-			// handoff replay will finish spreading it. The status tells
-			// the client its durability contract was not met, not that
-			// the write vanished (DESIGN.md §12).
-			resp.Status = wire.StatusQuorumNotMet
-			resp.Err = fmt.Sprintf("core: quorum not met (%d/%d acks)", acked+1, need)
-		}
-	}
+	// The op rides the pooled scratch's one-element slots, so a single
+	// op allocates nothing a batch of one would not. req is the one to
+	// detach if a migration gate has to wait: the delta that ends the
+	// wait may arrive on this connection.
+	sc := batchPool.Get().(*batchScratch)
+	sc.one[0] = req
+	sc.tags = append(sc.tags, int64(p)<<32)
+	in.applyBatch(sc.one[:], sc.oneResp[:], sc, req)
+	resp := sc.oneResp[0]
+	sc.release()
 	return resp
 }
 
@@ -570,10 +478,9 @@ func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver u
 			wire.PutBuffer(full)
 			return errResp(err), nil
 		}
-		// full escapes into the replica legs (copied per leg by
-		// replicate); recycle the scratch afterwards is unsafe since
-		// legs alias it — the fan-out copies before returning, so the
-		// buffer is released there via legVal ownership passing back.
+		// full escapes into the replica legs, which alias it until the
+		// fan-out has sent or copied them; ownership passes back as
+		// legVal and applyBatch releases it afterwards.
 		return statusResp(wire.StatusOK), full
 	case wire.OpCas:
 		// CAS semantics (nil-vs-empty expectations, current-value
@@ -621,13 +528,6 @@ func (in *Instance) tooLarge(req *wire.Request) bool {
 // along the replica chain.
 func (in *Instance) mutates(req *wire.Request) bool {
 	return req.Op != wire.OpLookup && req.Flags&wire.FlagNoReplicate == 0 && in.cfg.Replicas > 0
-}
-
-func (in *Instance) isMigrating(p int) bool {
-	in.pmu.Lock()
-	defer in.pmu.Unlock()
-	ps := in.parts[p]
-	return ps != nil && ps.migrating
 }
 
 // exportPartition snapshots partition p with the op lock held so the
@@ -769,81 +669,13 @@ func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request) *wire.Resp
 	return r
 }
 
-// replicate pushes a mutation along the replica chain at the given
-// write level. Legs are synchronous until enough acks are in hand to
-// meet the level (local apply counts as the first ack), the rest
-// asynchronous — so Quorum reproduces the seed's
-// first-replica-sync/rest-async shape and All is every leg sync, the
-// old SyncReplication ablation. A failed sync leg promotes the next
-// replica in ring order to synchronous (straggler promotion): the
-// level counts acks, not positions. Returns the replica acks actually
-// collected and the number of copies (self + alive replicas) the
-// level was resolved against.
-func (in *Instance) replicate(table *ring.Table, p int, req *wire.Request, ver uint64, legVal []byte, level wire.Consistency) (acked, copies int) {
-	reps := table.ReplicasOf(p, in.cfg.Replicas)
-	copies = 1
-	for _, r := range reps {
-		if r.ID != in.self.ID {
-			copies++
-		}
-	}
-	syncNeed := level.Acks(copies) - 1
-	fwd := replicaFwd(p, req, ver, legVal)
-	first := true
-	for _, r := range reps {
-		if r.ID == in.self.ID {
-			continue
-		}
-		// The first replica leg is synchronous at every level — the
-		// paper's strongly-paired primary/secondary (§III.J) — so even
-		// ONE keeps an eagerly consistent second copy; the level only
-		// decides how many acks success WAITS on.
-		if first || acked < syncNeed {
-			first = false
-			f := fwd
-			f.Flags |= wire.FlagSyncReplica
-			// A failed sync leg is a consistency gap until repaired —
-			// count it, then hand the leg to hinted handoff so the gap
-			// closes when the peer answers again instead of persisting
-			// until the next full rebuild. An open replication breaker
-			// (peer already known dead) skips the transport attempt
-			// entirely: the dead peer costs nothing per mutation.
-			if !in.rbrk.allow(r.Addr) {
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
-			}
-			resp, err := in.caller.Call(r.Addr, &f)
-			if err != nil {
-				in.rbrk.failure(r.Addr)
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
-			}
-			in.rbrk.success(r.Addr)
-			if resp.Status != wire.StatusOK {
-				in.met.syncErrors.Inc()
-				in.hintLeg(r.Addr, &f)
-				continue
-			}
-			acked++
-			continue
-		}
-		f := fwd
-		f.Value = append([]byte(nil), fwd.Value...)
-		f.Aux = append([]byte(nil), fwd.Aux...)
-		in.enqueueAsync(r.Addr, &f)
-	}
-	return acked, copies
-}
-
 // replicaFwd rewrites a successful primary mutation into the
 // OpReplicate message pushed to the partition's replicas, carrying the
 // version the primary stamped. A successful CAS is replicated as a
 // plain insert of the new value: the decision was already made at the
 // primary, and re-running the comparison on a replica whose async
-// state lags could diverge. Conditional inserts likewise, and
-// versioned appends too — legVal is the full post-append value, so a
+// state lags could diverge. Conditional inserts likewise, and appends
+// too — legVal is the full post-append value, so a
 // replica that missed an earlier leg still converges to the primary's
 // bytes (the LWW compare needs whole-value legs to be meaningful).
 func replicaFwd(p int, req *wire.Request, ver uint64, legVal []byte) wire.Request {
@@ -851,13 +683,8 @@ func replicaFwd(p int, req *wire.Request, ver uint64, legVal []byte) wire.Reques
 	fwd.Op = wire.OpReplicate
 	fwd.Version = ver
 	innerOp, innerAux := req.Op, req.Aux
-	switch req.Op {
-	case wire.OpCas:
+	if req.Op == wire.OpCas || req.Op == wire.OpAppend {
 		innerOp, innerAux = wire.OpInsert, nil
-	case wire.OpAppend:
-		if ver > 0 {
-			innerOp, innerAux = wire.OpInsert, nil
-		}
 	}
 	if legVal != nil {
 		fwd.Value = legVal
@@ -1187,21 +1014,12 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusError, Err: "core: migration failed"}
 	}
-	if in.ownsNow(p) {
-		// ok=true is only ever recorded after the table flipped
-		// ownership away, so owning p again means ownership has since
-		// RETURNED (the receiver itself departed and handed the
-		// partition back before any request arrived here). The
-		// redirect points at the former receiver — likely gone — so
-		// drop the stale record and serve normally.
-		in.pmu.Lock()
-		delete(in.parts, p)
-		in.pmu.Unlock()
-		return nil
-	}
-	// Migration complete and our table reflects it: new arrivals get
-	// WrongOwner + the fresh table so zero-hop routing is restored
-	// (redirects serve only the requests that queued during the move).
+	// Migration complete: drop the record. If our table reflects the
+	// move, the post-gate ownership check answers WrongOwner with the
+	// fresh table, so zero-hop routing is restored. If we own p again,
+	// ownership has since RETURNED (ok=true is only recorded after the
+	// table flipped it away, so the receiver itself departed and handed
+	// the partition back), and the op is served here.
 	in.pmu.Lock()
 	delete(in.parts, p)
 	in.pmu.Unlock()
@@ -1222,7 +1040,7 @@ func (in *Instance) ownsNow(p int) bool {
 // electing a dead replica would both reject this node's valid
 // failover serve and point clients at a node that cannot answer.
 func (in *Instance) firstAliveReplica(table *ring.Table, p int) ring.InstanceID {
-	reps := table.ReplicasOf(p, maxInt(in.cfg.Replicas, 1))
+	reps := table.ReplicasOf(p, max(in.cfg.Replicas, 1))
 	for _, r := range reps {
 		idx := table.IndexOf(r.ID)
 		if idx >= 0 && table.Status[idx] == ring.Alive {
@@ -1253,7 +1071,7 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 			return &wire.Response{Status: wire.StatusError, Err: "core: accused instance is alive"}
 		}
 	}
-	d, err := table.PlanFailure(accused, maxInt(in.cfg.Replicas, 1))
+	d, err := table.PlanFailure(accused, max(in.cfg.Replicas, 1))
 	if err != nil {
 		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
@@ -1420,11 +1238,4 @@ func (in *Instance) PartitionKeys(p int) int {
 		return 0
 	}
 	return s.Len()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -451,10 +451,3 @@ func (in *Instance) readRepair(table *ring.Table, p int) {
 		})
 	}
 }
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@ import (
 
 	"zht/internal/metrics"
 	"zht/internal/repair"
+	"zht/internal/ring"
 	"zht/internal/storage"
 	"zht/internal/wire"
 )
@@ -174,6 +175,82 @@ func TestAntiEntropyRepairsOverflowedHandoff(t *testing.T) {
 	if got := mreg.Counter("zht.repair.ranges_pulled").Value(); got < 1 {
 		t.Fatalf("ranges_pulled = %d after anti-entropy convergence, want >= 1", got)
 	}
+}
+
+// TestFailoverLookupsScheduleReadRepair: a lookup served by a failed
+// owner's first alive replica schedules a read-repair round for its
+// partition, whether it arrives as a single op or inside a batch.
+func TestFailoverLookupsScheduleReadRepair(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	cfg := Config{
+		NumPartitions: 16, Replicas: 1,
+		RetryBase: time.Millisecond,
+		// Long enough that the loop never ticks during the test; the
+		// read-repair rate limit then admits one round per partition.
+		AntiEntropy: time.Hour,
+		Metrics:     mreg,
+	}
+	d, _, c := startDeployment(t, cfg, 3)
+	base := d.Instance(0).Table()
+	victim := d.Instance(1)
+
+	// The victim is marked Failed but keeps its partitions: the state in
+	// which a replica serves for it.
+	failed := base.Clone()
+	failed.Status[failed.IndexOf(victim.ID())] = ring.Failed
+	failed.Epoch = base.Epoch + 1
+
+	// Two keys the victim owns, in different partitions (each lookup
+	// gets its own rate-limit slot), with their acting replicas.
+	var keys []string
+	var serving []*Instance
+	seen := map[int]bool{}
+	for i := 0; len(keys) < 2; i++ {
+		k := fmt.Sprintf("rr-%d", i)
+		p := base.Partition(victim.hashf(k))
+		if base.OwnerOf(p).ID != victim.ID() || seen[p] {
+			continue
+		}
+		seen[p] = true
+		if err := c.Insert(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range d.Instances() {
+			if in.ID() == in.firstAliveReplica(failed, p) {
+				serving = append(serving, in)
+			}
+		}
+		keys = append(keys, k)
+	}
+	d.Drain()
+	for _, in := range serving {
+		if resp := in.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(failed)}); resp.Status != wire.StatusOK {
+			t.Fatalf("table adoption: %s %s", resp.Status, resp.Err)
+		}
+	}
+
+	repairs := mreg.Counter("zht.repair.read_repairs")
+	waitRepairs := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for repairs.Value() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("read_repairs = %d, want %d", repairs.Value(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if resp := serving[0].Handle(&wire.Request{Op: wire.OpLookup, Key: keys[0]}); resp.Status != wire.StatusOK || string(resp.Value) != "v" {
+		t.Fatalf("failover lookup: %s %q", resp.Status, resp.Value)
+	}
+	waitRepairs(1)
+	env := serving[1].Handle(wire.NewBatchRequest([]*wire.Request{{Op: wire.OpLookup, Key: keys[1]}}))
+	rs, err := wire.DecodeResponses(env.Value)
+	if err != nil || len(rs) != 1 || rs[0].Status != wire.StatusOK || string(rs[0].Value) != "v" {
+		t.Fatalf("batched failover lookup: %s %v %+v", env.Status, err, rs)
+	}
+	waitRepairs(2)
 }
 
 // TestRepairOpsOverWire exercises OpDigest and OpRepairPull as a peer

@@ -148,7 +148,7 @@ func DecodePairs(b []byte) ([]Pair, error) {
 		return nil, errBadPayload
 	}
 	b = b[k:]
-	out := make([]Pair, 0, minInt(int(n), 1024))
+	out := make([]Pair, 0, min(int(n), 1024))
 	readBlob := func() ([]byte, bool) {
 		l, k := binary.Uvarint(b)
 		if k <= 0 || l > maxPairLen || uint64(len(b[k:])) < l {
@@ -178,11 +178,4 @@ func DecodePairs(b []byte) ([]Pair, error) {
 		return nil, errBadPayload
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
