@@ -133,18 +133,18 @@ func BenchmarkAblationReplication(b *testing.B) {
 	for _, cfg := range []struct {
 		name     string
 		replicas int
-		sync     bool
+		level    wire.Consistency
 	}{
-		{"r0", 0, false},
-		{"r1-async", 1, false},
-		{"r2-async", 2, false},
-		{"r1-sync", 1, true},
-		{"r2-sync", 2, true},
+		{"r0", 0, wire.ConsistencyDefault},
+		{"r1-async", 1, wire.ConsistencyDefault},
+		{"r2-async", 2, wire.ConsistencyDefault},
+		{"r1-sync", 1, wire.ConsistencyAll},
+		{"r2-sync", 2, wire.ConsistencyAll},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
 			c := zht.Config{NumPartitions: 256, Replicas: cfg.replicas,
-				SyncReplication: cfg.sync, RetryBase: time.Millisecond}
+				WriteLevel: cfg.level, RetryBase: time.Millisecond}
 			d, _, err := zht.BootstrapInproc(c, 4)
 			if err != nil {
 				b.Fatal(err)

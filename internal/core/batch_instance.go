@@ -368,9 +368,9 @@ func (in *Instance) settleGroups(subs []*wire.Request, resps []*wire.Response, s
 // decides how many acks success waits on) and in any later round while
 // the group holds fewer acks than its strictest sub-op's level needs
 // (straggler promotion: the level counts acks, not positions);
-// otherwise it joins the destination's one async envelope, whose FIFO
-// keeps per-key order. A group earns a round's ack only if every one
-// of its legs in the envelope succeeded.
+// otherwise it joins the destination's one async envelope, whose leg
+// queue keeps per-key order. A group earns a round's ack only if every
+// one of its legs in the envelope succeeded.
 func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, sc *batchScratch) {
 	groups := sc.groups
 	rounds := 0
@@ -437,7 +437,7 @@ func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, s
 			} else {
 				// The envelope is encoded here, so it holds no reference
 				// to the scratch legs.
-				in.enqueueAsync(addr, wire.NewBatchRequest(sc.legs))
+				in.legs.Enqueue(addr, wire.NewBatchRequest(sc.legs))
 			}
 		}
 	}
@@ -447,10 +447,11 @@ func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, s
 // or, when the round carries a single leg, as a plain Call, which
 // skips the envelope codec and its slices — and credits an ack to each
 // member group whose legs all succeeded. A failed leg is a consistency
-// gap until repaired: it is counted and handed to hinted handoff, so
-// the gap closes when the peer answers again. An open replication
-// breaker (peer already known dead) skips the transport attempt,
-// failing every leg, so a dead peer costs nothing per mutation.
+// gap until repaired: it is counted, and the round's failed legs are
+// handed off as one envelope to the destination's leg queue, so the gap
+// closes when the peer answers again. An open replication breaker (peer
+// already known dead) skips the transport attempt, failing every leg,
+// so a dead peer costs nothing per mutation.
 func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 	var rs []*wire.Response
 	if in.rbrk.allow(addr) {
@@ -468,7 +469,8 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 			in.rbrk.success(addr)
 		}
 	}
-	pos := 0
+	// Failed legs are compacted to the front of sc.legs in order.
+	pos, failed := 0, 0
 	for _, gi := range sc.members {
 		g := &sc.groups[gi]
 		ok := true
@@ -477,14 +479,18 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 				continue
 			}
 			ok = false
-			in.met.syncErrors.Inc()
-			in.hintLeg(addr, sc.legs[pos])
+			sc.legs[failed] = sc.legs[pos]
+			failed++
 		}
 		if ok {
 			g.acked++
 		}
 	}
 	wire.ReleaseResponses(rs)
+	if failed > 0 {
+		in.met.syncErrors.Add(int64(failed))
+		in.legs.HandOff(addr, wire.NewBatchRequest(sc.legs[:failed]))
+	}
 }
 
 // anyMigrating reports whether a migration began on any live group's

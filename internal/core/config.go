@@ -31,16 +31,11 @@ type Config struct {
 	// to the primary. The first replica is updated synchronously,
 	// the rest asynchronously (§III.J).
 	Replicas int
-	// SyncReplication forces every replica (not only the first) to
-	// be updated synchronously. Deprecated: it survives as a legacy
-	// alias for WriteLevel = wire.ConsistencyAll (the replication
-	// ablation still sets it); prefer WriteLevel.
-	SyncReplication bool
 	// WriteLevel is the default write consistency: how many copies
 	// (primary + replicas) must acknowledge a mutation before the
 	// client sees success (DESIGN.md §12). Zero (ConsistencyDefault)
-	// means Quorum — or All when SyncReplication is set. Clients and
-	// instances resolve per-request overrides against this default.
+	// means Quorum; All updates every replica synchronously. Clients
+	// and instances resolve per-request overrides against this default.
 	WriteLevel wire.Consistency
 	// ReadLevel is the default read consistency: how many copies a
 	// lookup consults before answering, resolving conflicts
@@ -100,11 +95,10 @@ type Config struct {
 	// replicas then converge only through write-time legs, hinted
 	// handoff, and failure-triggered rebuilds.
 	AntiEntropy time.Duration
-	// HandoffCap bounds each destination's hinted-handoff queue of
-	// undeliverable replication legs; at the bound further legs are
-	// dropped (counted by zht.repair.handoff.dropped) and left for
-	// anti-entropy to repair. 0 means DefaultHandoffCap; negative
-	// disables handoff (failed legs are discarded immediately).
+	// HandoffCap bounds a destination's leg queue once sends to it fail
+	// (its hinted-handoff backlog); further entries are dropped (counted
+	// by zht.repair.handoff.dropped) and left for anti-entropy to
+	// repair. 0 means DefaultHandoffCap; negative discards failed legs.
 	HandoffCap int
 	// GossipCooldown is the minimum interval between gossip catch-up
 	// pulls when piggybacked epochs reveal a stale membership table
@@ -183,9 +177,6 @@ func (c *Config) fill() error {
 	}
 	if c.WriteLevel == wire.ConsistencyDefault {
 		c.WriteLevel = wire.ConsistencyQuorum
-		if c.SyncReplication {
-			c.WriteLevel = wire.ConsistencyAll
-		}
 	}
 	if c.ReadLevel == wire.ConsistencyDefault {
 		c.ReadLevel = wire.ConsistencyOne

@@ -83,23 +83,17 @@ type Instance struct {
 	closed  chan struct{}
 	closeMu sync.Mutex
 
-	// asyncQ holds one FIFO per destination for asynchronous
-	// replication legs: async replication is weakly consistent in
-	// *when* it applies, but must preserve per-key mutation order or
-	// replicas would diverge permanently (an insert overtaking the
-	// append that followed it).
-	aqMu   sync.Mutex
-	asyncQ map[string]chan *wire.Request
-
 	// rbrk is the replication-side circuit breaker: once a replica
-	// peer stops answering, further legs to it skip the transport
-	// attempt and go straight to hinted handoff, so a dead peer costs
-	// the primary nothing per mutation. Handoff replay shares the same
-	// breaker state — a successful replay closes the circuit.
+	// peer stops answering, legs to it skip the transport attempt and
+	// wait in its leg queue, so a dead peer costs the primary nothing
+	// per mutation.
 	rbrk *breaker
-	// handoff buffers undeliverable replication legs for replay
-	// (DESIGN.md §9); nil when Config.HandoffCap is negative.
-	handoff *repair.Handoff
+	// legs carries every replica leg outside a synchronous round, async
+	// legs and the hinted-handoff backlog (DESIGN.md §9), in one FIFO per
+	// destination: async replication is weak in *when* it applies, but
+	// an insert overtaking the append that followed it would leave
+	// replicas diverged.
+	legs *repair.LegQueue
 	// loopWG tracks the anti-entropy loop and read-repair goroutines;
 	// Close waits for it after closing `closed` so no repair work
 	// races store shutdown.
@@ -144,7 +138,6 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		bcast:    make(map[string][]byte),
 		met:      newInstanceMetrics(cfg.Metrics),
 		closed:   make(chan struct{}),
-		asyncQ:   make(map[string]chan *wire.Request),
 		rrLast:   make(map[int]time.Time),
 	}
 	// Every server-to-server call flows through the epoch piggyback
@@ -164,71 +157,20 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	}
 	in.rbrk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
 		in.met.repBreakerTrips, in.met.repBreakerOpen)
-	if cfg.HandoffCap > 0 {
-		in.handoff = repair.NewHandoff(repair.HandoffOptions{
-			Cap:      cfg.HandoffCap,
-			Base:     cfg.RetryBase,
-			Max:      max(cfg.RetryMax, time.Second),
-			Send:     in.replaySend,
-			Queued:   in.met.handoffQueued,
-			Replayed: in.met.handoffReplayed,
-			Dropped:  in.met.handoffDropped,
-		})
-	}
+	in.legs = repair.NewLegQueue(repair.LegQueueOptions{
+		Cap:      cfg.HandoffCap,
+		Base:     cfg.RetryBase,
+		Max:      max(cfg.RetryMax, time.Second),
+		Send:     in.sendLeg,
+		Queued:   in.met.handoffQueued,
+		Replayed: in.met.handoffReplayed,
+		Dropped:  in.met.handoffDropped,
+	})
 	if cfg.AntiEntropy > 0 {
 		in.loopWG.Add(1)
 		go in.antiEntropyLoop()
 	}
 	return in, nil
-}
-
-// enqueueAsync appends an async replication envelope (built with
-// wire.NewBatchRequest) to the destination's FIFO, starting its worker
-// on first use; the worker releases the envelope once it is sent or
-// handed off. Ordering per destination is preserved; Drain waits for
-// completion.
-func (in *Instance) enqueueAsync(addr string, req *wire.Request) {
-	select {
-	case <-in.closed:
-		return
-	default:
-	}
-	in.aqMu.Lock()
-	q, ok := in.asyncQ[addr]
-	if !ok {
-		q = make(chan *wire.Request, 4096)
-		in.asyncQ[addr] = q
-		go func() {
-			for r := range q {
-				// An undeliverable async leg moves to hinted handoff
-				// instead of being dropped; an open breaker routes it
-				// there without paying the transport timeout, which
-				// also keeps this FIFO from backing up behind a dead
-				// peer.
-				if !in.rbrk.allow(addr) {
-					in.hintLeg(addr, r)
-					wire.ReleaseBatchRequest(r)
-					in.asyncWG.Done()
-					continue
-				}
-				if _, err := in.caller.Call(addr, r); err != nil {
-					in.rbrk.failure(addr)
-					in.hintLeg(addr, r)
-				} else {
-					in.rbrk.success(addr)
-				}
-				wire.ReleaseBatchRequest(r)
-				in.asyncWG.Done()
-			}
-		}()
-	}
-	in.aqMu.Unlock()
-	in.asyncWG.Add(1)
-	select {
-	case q <- req:
-	case <-in.closed:
-		in.asyncWG.Done()
-	}
 }
 
 // ID returns the instance's ring UUID.
@@ -1174,9 +1116,14 @@ func (in *Instance) BroadcastValue(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Drain waits for in-flight asynchronous work (replication legs,
-// broadcast forwards, replica rebuilds) to finish.
-func (in *Instance) Drain() { in.asyncWG.Wait() }
+// Drain waits for in-flight asynchronous work to finish: broadcast
+// forwards, replica rebuilds, and one send of every leg queued to an
+// answering destination (legs in a failing destination's handoff
+// backlog are not waited for).
+func (in *Instance) Drain() {
+	in.legs.Drain()
+	in.asyncWG.Wait()
+}
 
 // Close flushes and closes all partition stores.
 func (in *Instance) Close() error {
@@ -1190,15 +1137,9 @@ func (in *Instance) Close() error {
 	}
 	in.closeMu.Unlock()
 	in.gossip.Close() // before async drain: a pull can spawn async work
-	in.asyncWG.Wait()
-	in.loopWG.Wait()   // anti-entropy + read-repair exit on closed
-	in.handoff.Close() // after asyncWG: async workers enqueue here
-	in.aqMu.Lock()
-	for _, q := range in.asyncQ {
-		close(q) // workers exit after draining (queues are empty post-Wait)
-	}
-	in.asyncQ = make(map[string]chan *wire.Request)
-	in.aqMu.Unlock()
+	in.Drain()
+	in.loopWG.Wait() // anti-entropy + read-repair exit on closed
+	in.legs.Close()  // discards the handoff backlogs
 	in.smu.Lock()
 	defer in.smu.Unlock()
 	var firstErr error

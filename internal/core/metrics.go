@@ -62,10 +62,10 @@ func newClientMetrics(reg *metrics.Registry) clientMetrics {
 type instanceMetrics struct {
 	// syncErrors counts synchronous replication legs that failed —
 	// transport errors or non-OK statuses from the first replica (or
-	// any replica under SyncReplication). Each failed leg is a window
-	// where primary and secondary have diverged until the next replica
-	// rebuild repairs it; a non-zero rate means reads served by a
-	// failover replica may be stale.
+	// any replica a write level promoted to sync). Each failed leg is
+	// a window where primary and secondary have diverged until handoff
+	// replay or anti-entropy repairs it; a non-zero rate means reads
+	// served by a failover replica may be stale.
 	syncErrors *metrics.Counter // zht.core.replica.sync_errors
 	// divergence counts replica applies whose outcome disagreed with
 	// the primary's (NotFound/CasMismatch/Exists tolerated and

@@ -14,46 +14,32 @@ import (
 
 // Instance-side half of the replica anti-entropy subsystem
 // (DESIGN.md §9). internal/repair owns the mechanisms — digests, the
-// handoff queue, payload codecs — and this file owns the policy:
-// which peer is a partition's authority, when to digest-sync, what a
-// failover read schedules, and how a divergent leaf's contents are
-// replaced.
+// leg queue, payload codecs — and this file owns the policy: how a
+// queued leg is sent, which peer is a partition's authority, when to
+// digest-sync, what a failover read schedules, and how a divergent
+// leaf's contents are replaced.
 
-// hintLeg queues one undeliverable replication leg for hinted-handoff
-// replay. The leg is cloned (its Value/Aux may alias a transport
-// decode buffer that dies with the request) and its propagated
-// deadline budget is cleared: the budget belonged to the client
-// operation that spawned the leg, which was acknowledged long before
-// the replay will run.
-func (in *Instance) hintLeg(addr string, req *wire.Request) {
-	if in.handoff == nil {
-		return
+var errLegNotSent = errors.New("core: replica leg breaker open or shed by peer")
+
+// sendLeg is the leg queue's send policy. An open replication breaker
+// fails the entry without a transport attempt; transport errors feed
+// the breaker, so the queue's retries double as its half-open probe.
+// Any decoded response consumes the entry except StatusBusy (the peer
+// is alive but shedding: back off and retry) — an answering peer has
+// applied or durably rejected the mutation, and anti-entropy covers
+// rejects.
+func (in *Instance) sendLeg(addr string, env *wire.Request) error {
+	if !in.rbrk.allow(addr) {
+		return errLegNotSent
 	}
-	c := *req
-	c.Value = append([]byte(nil), req.Value...)
-	c.Aux = append([]byte(nil), req.Aux...)
-	c.Budget = 0
-	in.handoff.Enqueue(addr, &c)
-}
-
-// errReplayBusy keeps a StatusBusy replay leg queued: the peer is
-// alive but shedding, so back off and try again.
-var errReplayBusy = errors.New("core: handoff replay shed by peer")
-
-// replaySend delivers one handoff leg. Transport errors feed the
-// replication breaker (the replay goroutine doubles as the circuit's
-// half-open probe); any decoded response consumes the leg except
-// StatusBusy — an answering peer has applied (or durably rejected)
-// the mutation, and anti-entropy covers rejects.
-func (in *Instance) replaySend(addr string, req *wire.Request) error {
-	resp, err := in.caller.Call(addr, req)
+	resp, err := in.caller.Call(addr, env)
 	if err != nil {
 		in.rbrk.failure(addr)
 		return err
 	}
 	in.rbrk.success(addr)
 	if resp.Status == wire.StatusBusy {
-		return errReplayBusy
+		return errLegNotSent
 	}
 	return nil
 }

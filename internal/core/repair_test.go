@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,6 +77,86 @@ func TestHandoffReplaysDroppedSyncLeg(t *testing.T) {
 	}
 	if got := mreg.Counter("zht.repair.handoff.replayed").Value(); got < 1 {
 		t.Fatalf("handoff.replayed = %d after recovery, want >= 1", got)
+	}
+}
+
+// TestLegQueueIdlesAfterDrain: once Drain returns, every async leg has
+// landed, and — drainers running only while their queue holds entries —
+// the deployment sheds every goroutine the replicated traffic started.
+func TestLegQueueIdlesAfterDrain(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond}
+	d, _, c := startDeployment(t, cfg, 8)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 2000; i++ {
+		if err := c.Insert(fmt.Sprintf("idle-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Drain()
+	for i := 0; i < 2000; i += 97 {
+		if n := copiesOf(d, fmt.Sprintf("idle-%d", i)); n != 3 {
+			t.Fatalf("idle-%d has %d copies after Drain, want 3", i, n)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after Drain, %d before traffic: idle drainers left running", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainWithPeerDown: async legs to an unreachable replica fall into
+// its handoff backlog, which Drain does not wait for — so Drain returns
+// promptly — and the backlog is replayed once the peer answers again.
+func TestDrainWithPeerDown(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	cfg := Config{NumPartitions: 32, Replicas: 2, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, Metrics: mreg}
+	d, reg, c := startDeployment(t, cfg, 4)
+	table := d.Instance(0).Table()
+	victim := d.Instance(1)
+
+	// Keys whose owner and synchronous first replica are alive and whose
+	// second, async replica is the victim.
+	reg.SetDown(victim.Addr(), true)
+	var keys []string
+	for i := 0; len(keys) < 20; i++ {
+		key := fmt.Sprintf("drain-down-%d", i)
+		p := table.Partition(victim.hashf(key))
+		reps := table.ReplicasOf(p, 2)
+		if table.OwnerOf(p).ID == victim.ID() || len(reps) != 2 || reps[0].ID == victim.ID() || reps[1].ID != victim.ID() {
+			continue
+		}
+		if err := c.Insert(key, []byte("v")); err != nil {
+			t.Fatalf("insert %s: %v", key, err)
+		}
+		keys = append(keys, key)
+	}
+	drained := make(chan struct{})
+	go func() { d.Drain(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(time.Second):
+		t.Fatal("Drain blocked on legs queued to a down peer")
+	}
+
+	reg.SetDown(victim.Addr(), false)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, key := range keys {
+		p := table.Partition(victim.hashf(key))
+		for {
+			if _, ok, err := storeGet(victim, p, key); err == nil && ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("async leg for %s never replayed to the returning peer", key)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := mreg.Counter("zht.repair.handoff.replayed").Value(); got < 1 {
+		t.Fatalf("handoff.replayed = %d after the peer returned, want >= 1", got)
 	}
 }
 

@@ -11,16 +11,18 @@
 //     hashes are storage.PairHashV and storage.LeafOf). Two replicas
 //     compare digests leaf by leaf (DiffLeaves) and transfer only
 //     divergent leaves' contents.
-//   - Hinted handoff: replication legs that fail because the peer is
-//     unreachable are queued per destination (bounded, overflow
-//     counted) and replayed with backoff once the peer answers again.
+//   - The leg queue (LegQueue): one FIFO per destination for every
+//     replication leg outside a synchronous round trip. Async legs
+//     drain through it; a failed send turns it into a hinted-handoff
+//     backlog (bounded, overflow counted) replayed with backoff, in
+//     order, once the peer answers again.
 //   - Payload codecs for the wire.OpDigest / wire.OpRepairPull
 //     messages: digest snapshots, leaf sets, and pair sets.
 //
 // The package deliberately depends only on internal/storage (the digest
-// contract), internal/wire (the requests handoff replays), and
-// internal/metrics; the anti-entropy loop and read-repair policy that
-// drive it live in internal/core.
+// contract), internal/wire (the envelopes the leg queue carries), and
+// internal/metrics; the send policy, anti-entropy loop and read-repair
+// policy that drive it live in internal/core.
 package repair
 
 import (

@@ -25,8 +25,8 @@ const (
 	// copies = 1 primary + Config.Replicas. At Replicas ≤ 2 this is
 	// the paper's mode: primary plus one synchronous replica leg.
 	ConsistencyQuorum
-	// ConsistencyAll requires every copy. For writes this subsumes the
-	// legacy SyncReplication=true mode.
+	// ConsistencyAll requires every copy. For writes every replica leg
+	// is synchronous.
 	ConsistencyAll
 	consistencyMax
 )
