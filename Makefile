@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum flake flake-race
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum profile-batch fuzz-smoke flake flake-race
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,18 @@ consistency-smoke:
 tenant-smoke:
 	timeout 60 $(GO) run ./internal/tools/tenantsmoke
 
+# fuzz-smoke runs every native fuzz target (`func Fuzz*` in any test
+# file of this module) for 10 s each, one target at a time, seeded
+# from its corpus. A failing input is written under the package's
+# testdata/fuzz/ for replay with plain `go test`.
+fuzz-smoke:
+	@fail=0; for t in $$(grep -r --include='*_test.go' --exclude-dir=benchmark -o '^func Fuzz[A-Za-z0-9_]*' . \
+			| sed 's|/[^/]*_test.go:func |:|'); do \
+		dir=$${t%%:*}; fz=$${t##*:}; \
+		echo "== fuzz $$dir $$fz"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 10s $$dir || fail=1; \
+	done; exit $$fail
+
 # bench-allocs is the hot-path allocation gate: it benchmarks the
 # loopback TCP and in-process request paths and fails if Lookup, Insert,
 # or batched Insert exceeds its allocs/op budget (the budget constants and
@@ -104,13 +116,14 @@ benchmark-test:
 
 # verify is the pre-merge gate: formatting and docs checks, static
 # analysis, the full test suite (including the chaos soaks) under the
-# race detector, the benchmark module's tests, the hot-path allocation
-# gate, and the batching + crash-recovery + replica-repair +
-# elastic-membership + tunable-consistency + multi-tenancy smoke runs.
+# race detector, a short pass of every fuzz target, the benchmark
+# module's tests, the hot-path allocation gate, and the batching +
+# crash-recovery + replica-repair + elastic-membership +
+# tunable-consistency + multi-tenancy smoke runs.
 # Every step runs even after one fails, so one red never hides the
 # rest; the last line is the pass/fail census and the exit status is
 # non-zero if any step failed.
-VERIFY_STEPS = fmt-check docs-check vet test-race benchmark-test bench-allocs \
+VERIFY_STEPS = fmt-check docs-check vet test-race fuzz-smoke benchmark-test bench-allocs \
 	bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke
 
 verify:
@@ -173,6 +186,17 @@ profile-quorum:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuorumLookupParallel$$' -benchtime 5s -benchmem \
 		-cpuprofile .profile/quorum.cpu.pprof -o .profile/zht.test .
 	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/quorum.cpu.pprof
+
+# profile-batch CPU-profiles BenchmarkBatchMixedParallel, the envelope
+# path of the tcp-batch64-mixed workload alone (2 unreplicated
+# instances on loopback TCP, Client.Batch of 64 mixed sub-ops from every
+# core), and prints the hottest functions; profile and test binary stay
+# in .profile/.
+profile-batch:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '^BenchmarkBatchMixedParallel$$' -benchtime 5s -benchmem \
+		-cpuprofile .profile/batch.cpu.pprof -o .profile/zht.test .
+	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/batch.cpu.pprof
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -30,12 +30,16 @@ import (
 //     acks carry no payload, so the client reuses its read frame. The
 //     second slot is headroom for the runtime's occasional timer and
 //     channel internals rather than a budgeted allocation.
-//   - Batched insert = 72 allocs per 64-op batch (1.125 per sub-op):
-//     the server's per-op decode (key strings, slice headers for the
-//     grouped apply) and the client's result slice, amortized across
-//     the batch. The client groups sub-ops in pooled flat scratch and
-//     starts its envelope without a goroutine, so nothing on its side
-//     is paid per destination. Pinned with zero slack.
+//   - Batched insert = 66 allocs per 64-op batch (1.03 per sub-op):
+//     the server's key string per sub-op, and per envelope the
+//     client's result slice. Sub-requests and sub-responses live by
+//     value in one pooled slab on each side, the client groups sub-ops
+//     in pooled flat scratch and starts its envelope without a
+//     goroutine, and the server serves an unreplicated envelope on the
+//     connection's read loop without detaching, so nothing else is paid
+//     per sub-op or per envelope. Pinned with zero slack (72 while the
+//     envelope's request and response slices were allocated per call
+//     and every envelope detached).
 //
 // See DESIGN.md §11 for the ownership rules that make the rest of the
 // path allocation-free, and EXPERIMENTS.md for measured numbers.
@@ -43,7 +47,7 @@ const (
 	lookupAllocBudget     = 2
 	lookupBytesBudget     = 512
 	insertAllocBudget     = 2
-	batchPerOpAllocBudget = 72.0 / allocBenchBatch
+	batchPerOpAllocBudget = 66.0 / allocBenchBatch
 	allocBenchBatch       = 64 // sub-ops per batched-insert envelope
 	allocBenchKeys        = 512
 	allocBenchValueBytes  = 132 // the paper's micro-benchmark value size
@@ -103,13 +107,16 @@ const insertR1AllocBudget = 7
 
 // batchR1PerOpAllocBudget is the batched-insert gate on the same
 // Replicas=1 deployment, per sub-op. On top of the unreplicated path's
-// key string and envelope slices, each sub-op's replica leg costs the
+// key string and result slice, each sub-op's replica leg costs the
 // replica its own key string and the primary the leg's one-byte
 // replicated-op Aux, and each server envelope pays for exactly one
-// replica round trip — its legs ride one envelope per destination.
-// Pinned with zero slack at the measured 225 allocs per 64-op batch,
+// replica round trip — its legs ride one envelope per destination,
+// which the replica serves on its read loop. The client envelope
+// detaches on the primary (it waits on that round trip). Pinned with
+// zero slack at the measured 207 allocs per 64-op batch (225 before
+// envelopes lived in slabs and replica-leg envelopes stayed inline),
 // so a replica round trip per partition (~18 per sub-op) fails it.
-const batchR1PerOpAllocBudget = 225.0 / allocBenchBatch
+const batchR1PerOpAllocBudget = 207.0 / allocBenchBatch
 
 // appendAccumulatedBytes is the value size at which the append case
 // checks that the partition store's own allocations do not grow with
@@ -240,15 +247,21 @@ func preloadAllocKeys(tb testing.TB, c *zht.Client, level zht.Consistency) []str
 // steady state: no read-repair legs fire).
 func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 	tb.Helper()
-	cfg := zht.Config{
+	c, cleanup := bootTCPCluster(tb, zht.Config{
 		NumPartitions:  64,
 		Replicas:       1,
 		OpDeadline:     -1,
 		GossipCooldown: -1,
 		AntiEntropy:    -1,
-	}
+	}, 2)
+	return c, preloadAllocKeys(tb, c, zht.ConsistencyAll), cleanup
+}
+
+// bootTCPCluster boots n instances of cfg, each behind its own
+// loopback TCP listener, and returns a client seeded from the first.
+func bootTCPCluster(tb testing.TB, cfg zht.Config, n int) (*zht.Client, func()) {
+	tb.Helper()
 	caller := zht.NewTCPCaller()
-	const n = 2
 	var (
 		lns []transport.Listener
 		hss []*zht.HandlerSwitch
@@ -287,7 +300,7 @@ func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 		}
 		caller.Close()
 	}
-	return c, preloadAllocKeys(tb, c, zht.ConsistencyAll), cleanup
+	return c, cleanup
 }
 
 func benchQuorumLookupAllocs(c *zht.Client, keys []string) func(b *testing.B) {

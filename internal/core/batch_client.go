@@ -46,12 +46,14 @@ type batchDest struct {
 }
 
 // clientBatch is one Client.Batch call's working set, pooled so
-// grouping allocates nothing per destination. It is flat: tags order
-// the sub-ops by destination, a destination's envelope is a run of
-// tags, and subs holds the sub-requests in tag order so each
-// envelope's requests are one contiguous slice of it.
+// neither grouping nor the sub-requests allocate or touch a pool per
+// op. It is flat: vals holds the sub-requests by value, tags order the
+// sub-ops by destination, a destination's envelope is a run of tags,
+// and subs holds the sub-requests in tag order so each envelope's
+// requests are one contiguous slice of it.
 type clientBatch struct {
-	reqs    []*wire.Request // input order
+	vals    []wire.Request  // the sub-requests, input order
+	reqs    []*wire.Request // reqs[i] == &vals[i]
 	tags    []int64         // destination ring index<<32 | op index, sorted
 	subs    []*wire.Request // tag order
 	dests   []batchDest
@@ -63,11 +65,27 @@ var clientBatchPool = sync.Pool{New: func() any { return new(clientBatch) }}
 // release clears every reference the call left in sb and returns it
 // to the pool.
 func (sb *clientBatch) release() {
+	clear(sb.vals)
 	clear(sb.reqs)
 	clear(sb.subs)
 	clear(sb.dests)
-	sb.reqs, sb.tags, sb.subs, sb.dests = sb.reqs[:0], sb.tags[:0], sb.subs[:0], sb.dests[:0]
+	sb.vals, sb.reqs = sb.vals[:0], sb.reqs[:0]
+	sb.tags, sb.subs, sb.dests = sb.tags[:0], sb.subs[:0], sb.dests[:0]
 	clientBatchPool.Put(sb)
+}
+
+// requests fills sb with one zeroed sub-request per op, carrying the
+// op's Op, Key and Value, and returns them in input order.
+func (sb *clientBatch) requests(ops []BatchOp) []*wire.Request {
+	sb.vals = slices.Grow(sb.vals[:0], len(ops))[:len(ops)]
+	reqs := sb.reqs[:0]
+	for i, op := range ops {
+		r := &sb.vals[i]
+		r.Op, r.Key, r.Value = op.Op, op.Key, op.Value
+		reqs = append(reqs, r)
+	}
+	sb.reqs = reqs
+	return reqs
 }
 
 // Batch executes a mixed set of operations, returning one result per
@@ -100,14 +118,7 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	}
 	sb := clientBatchPool.Get().(*clientBatch)
 	defer sb.release()
-	reqs := sb.reqs[:0]
-	for _, op := range ops {
-		r := wire.GetRequest()
-		r.Op, r.Key, r.Value = op.Op, op.Key, op.Value
-		reqs = append(reqs, r)
-	}
-	sb.reqs = reqs
-	defer wire.ReleaseOps(reqs)
+	reqs := sb.requests(ops)
 	c.metrics.batches.Inc()
 	c.metrics.batchSize.Observe(int64(len(ops)))
 	c.metrics.ops.Add(int64(len(ops)))
@@ -182,8 +193,9 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 				results[i] = BatchResult{Value: resp.Value, Err: err}
 				settled[i] = true
 			}
-			wire.PutResponse(resp)
 		}
+		// Result values alias the envelope response, never the slab.
+		wire.ReleaseResponses(rs)
 	}
 
 	// Re-route whatever the fast path left unsettled, one op at a
@@ -258,6 +270,7 @@ func (c *Client) callBatchWithBackoff(addr string, reqs []*wire.Request, deadlin
 					d = hint
 				}
 			}
+			wire.ReleaseResponses(rs)
 			c.sleepBounded(d, deadline)
 		} else {
 			c.strike(addr, err, late)

@@ -36,12 +36,20 @@ type batchScratch struct {
 	legs    []*wire.Request // the destination envelope being assembled
 	members []int           // groups whose legs that envelope carries
 	pending []int           // groups with a leg still to ship this round
+	// vals is an envelope's value arena: every looked-up value of the
+	// envelope is appended here, and its sub-response aliases it until
+	// the envelope response is encoded. A single op does without.
+	vals       []byte
+	inEnvelope bool // lookups answer into vals
 	// A single op's request and response slots (handleKV runs it as a
 	// batch of one), and the response of a one-leg sync round.
 	one     [1]*wire.Request
 	oneResp [1]*wire.Response
 	legResp [1]*wire.Response
 }
+
+// maxArena caps the value arena capacity a pooled scratch keeps.
+const maxArena = 64 << 10
 
 // batchGroup is one partition's run of sub-ops: tags[lo:hi], and
 // applied[alo:ahi] once applied.
@@ -71,21 +79,23 @@ func (sc *batchScratch) release() {
 	clear(sc.fwds)
 	clear(sc.legs)
 	sc.one[0], sc.oneResp[0], sc.legResp[0] = nil, nil, nil
+	sc.vals, sc.inEnvelope = sc.vals[:0], false
+	if cap(sc.vals) > maxArena {
+		sc.vals = nil
+	}
 	sc.tags, sc.groups, sc.applied = sc.tags[:0], sc.groups[:0], sc.applied[:0]
 	sc.legVals, sc.fwds, sc.legs = sc.legVals[:0], sc.fwds[:0], sc.legs[:0]
 	sc.members, sc.pending = sc.members[:0], sc.pending[:0]
 	batchPool.Put(sc)
 }
 
-// fan answers every slot of group g with its own pooled copy of the
-// routing verdict r and drops g from the rest of the envelope: ops for
-// one partition route all-or-nothing, so the client re-routes them
-// together. handleBatch releases each slot independently, so slots
-// never share one *Response; the copies may share r's Table backing —
-// releasing a Response never frees Table.
+// fan answers every slot of group g with a copy of the routing
+// verdict r and drops g from the rest of the envelope: ops for one
+// partition route all-or-nothing, so the client re-routes them
+// together. The copies share r's Table backing but never own it.
 func (sc *batchScratch) fan(g *batchGroup, resps []*wire.Response, r *wire.Response) {
 	for _, t := range sc.tags[g.lo:g.hi] {
-		resps[t&0xffffffff] = r.ShallowCopy()
+		resps[t&0xffffffff].ShareFrom(r)
 	}
 	g.live = false
 }
@@ -94,12 +104,27 @@ func (sc *batchScratch) fan(g *batchGroup, resps []*wire.Response, r *wire.Respo
 // group them by partition, apply them under one acquisition of every
 // lock the envelope needs, and pack the sub-responses (input order)
 // into the envelope response.
+//
+// The envelope costs its memory once, not per sub-op: the
+// sub-requests are decoded by value into one pooled slab, the
+// sub-responses are answered into the same slab, looked-up values are
+// copied into the scratch's one value arena, and all of it is released
+// once the envelope response is encoded. Like a single op, the
+// envelope is served on the connection's read loop unless one of its
+// sub-ops may block (servesInline); only then does it detach.
 func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
-	subs, err := wire.DecodeOps(req.Aux)
+	slab, err := wire.DecodeOpsSlab(req.Aux)
 	if err != nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad batch: " + err.Error()}
 	}
-	resps := make([]*wire.Response, len(subs))
+	subs := slab.Reqs
+	resps := slab.Responses(len(subs))
+	for _, s := range subs {
+		if !in.servesInline(s) {
+			req.Detach()
+			break
+		}
+	}
 
 	// Each KV sub-op gets a composite (partition, index) tag; sorting
 	// the tags clusters each partition's ops contiguously, and the
@@ -109,6 +134,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	// immediately, so their position relative to same-batch KV ops is
 	// irrelevant.
 	sc := batchPool.Get().(*batchScratch)
+	sc.inEnvelope = true
 	// Admission releases collected for admitted KV sub-ops; every one
 	// is called when the envelope finishes.
 	var releases []func()
@@ -126,7 +152,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 			// tenant's slots cannot ride a well-behaved tenant's batch.
 			release, refused := in.admit(s)
 			if refused != nil {
-				resps[i] = refused
+				resps[i].Take(refused)
 				continue
 			}
 			if release != nil {
@@ -138,31 +164,30 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 			// Batched replication legs apply in input order — the order
 			// the primary applied them — via the ordinary replicate
 			// handler; grouping would buy nothing (no locks, no fan-out).
-			resps[i] = in.handleReplicate(s)
+			in.handleReplicate(s, resps[i])
 		default:
-			resps[i] = in.Handle(s)
+			resps[i].Take(in.Handle(s))
 		}
 	}
 	if len(sc.tags) > 0 {
-		// Nothing to detach: Handle detached the envelope already.
-		in.applyBatch(subs, resps, sc, nil)
+		// req detaches if a migration gate has to wait: the delta that
+		// ends the wait may arrive on this connection.
+		in.applyBatch(subs, resps, sc, req)
 	}
-	sc.release()
 	// Sub-responses carry the epoch piggyback too: batch transports
 	// unpack the envelope, so the envelope's own stamp is not visible
 	// to the batch client.
 	epoch := in.Epoch()
 	for _, r := range resps {
-		if r != nil && r.Epoch == 0 {
+		if r.Epoch == 0 {
 			r.Epoch = epoch
 		}
 	}
+	// The envelope now carries everything, so the arena and the slab go
+	// back to their pools.
 	env := wire.NewBatchResponse(resps)
-	// The envelope now carries everything; sub-requests and
-	// sub-responses go back to their pools (routing verdicts were fanned
-	// out as per-slot copies, so each slot is released exactly once).
-	wire.ReleaseOps(subs)
-	wire.ReleaseResponses(resps)
+	sc.release()
+	slab.Release()
 	return env
 }
 
@@ -171,8 +196,8 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // migration gate, post-gate ownership, store, mutation stripes, apply,
 // replicate, and write-level enforcement, paying each lock and each
 // replica round trip once per envelope rather than once per partition.
-// A migration gate that must wait detaches detach first (nil when the
-// caller already did).
+// It answers sub-op i into resps[i], a zeroed response the caller owns.
+// A migration gate that must wait detaches detach first.
 //
 // Lock order: the op-lock stripes of every group that passed its
 // migration gate, then the mutation stripes of every mutated key, each
@@ -303,6 +328,10 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 // version-stamped so replicas resolve reordered legs last-writer-wins
 // instead of diverging.
 func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+	var arena *[]byte
+	if sc.inEnvelope {
+		arena = &sc.vals
+	}
 	for gi := range sc.groups {
 		g := &sc.groups[gi]
 		if !g.live {
@@ -312,13 +341,12 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 		for _, t := range sc.tags[g.lo:g.hi] {
 			i := int(t & 0xffffffff)
 			if !in.mutates(subs[i]) {
-				resps[i] = in.applyKV(g.s, subs[i])
+				in.applyKV(g.s, subs[i], resps[i], arena)
 				continue
 			}
 			ver := in.clock.Next()
-			r, legVal := in.applyPrimary(g.s, subs[i], ver)
-			resps[i] = r
-			if r.Status != wire.StatusOK {
+			legVal := in.applyPrimary(g.s, subs[i], ver, resps[i])
+			if resps[i].Status != wire.StatusOK {
 				if legVal != nil {
 					wire.PutBuffer(legVal)
 				}

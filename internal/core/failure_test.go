@@ -362,3 +362,37 @@ func TestLocalAndPartitionKeyAccounting(t *testing.T) {
 		t.Error("unknown partition reports keys")
 	}
 }
+
+// TestDrainWhileAsyncWorkSpawns runs Drain in a loop while replica
+// rebuilds and broadcast forwards keep being spawned, the way gossip
+// and broadcasts spawn them during a real Drain: the count of async
+// work must accept an add from zero while a wait is in progress (run
+// under -race, a sync.WaitGroup there is reported).
+func TestDrainWhileAsyncWorkSpawns(t *testing.T) {
+	d, _, _ := startDeployment(t, Config{NumPartitions: 16, Replicas: 1, RetryBase: time.Millisecond}, 3)
+	in := d.Instance(0)
+	stop := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				in.Drain()
+			}
+		}
+	}()
+	table := in.Table()
+	for i := 0; i < 300; i++ {
+		in.rebuildReplicas(table, i%table.NumPartitions)
+		in.handleBroadcast(&wire.Request{Op: wire.OpBroadcast, Key: "b", Value: []byte("x"), Partition: 0})
+	}
+	close(stop)
+	<-drained
+	in.Drain()
+	if v, ok := d.Instance(2).BroadcastValue("b"); !ok || string(v) != "x" {
+		t.Errorf("broadcast never reached instance 2: %q %v", v, ok)
+	}
+}

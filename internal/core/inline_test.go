@@ -106,6 +106,14 @@ func TestInlineHandlerNeverCallsOut(t *testing.T) {
 		{Op: wire.OpAppend, Key: key, Value: []byte("+")},
 	})
 	mustDetach("replicated batch", batch, wire.StatusOK)
+	mustDetach("batch with a non-KV sub-op", wire.NewBatchRequest([]*wire.Request{
+		{Op: wire.OpLookup, Key: key},
+		{Op: wire.OpPing},
+	}), wire.StatusOK)
+	mustDetach("batch with a replicated mutation", wire.NewBatchRequest([]*wire.Request{
+		{Op: wire.OpLookup, Key: key},
+		{Op: wire.OpInsert, Key: key, Value: []byte("v2+")},
+	}), wire.StatusOK)
 	mustDetach("broadcast", &wire.Request{Op: wire.OpBroadcast, Key: "b", Value: []byte("x"), Partition: 0}, wire.StatusOK)
 	// The accused answers the verification ping, so the report is refused.
 	mustDetach("report", &wire.Request{Op: wire.OpReport, Key: string(d.Instance(1).ID())}, wire.StatusError)
@@ -113,32 +121,66 @@ func TestInlineHandlerNeverCallsOut(t *testing.T) {
 	if resp, detached := serve(&wire.Request{Op: wire.OpLookup, Key: key}); detached || string(resp.Value) != "v2+" {
 		t.Errorf("plain lookup: detached=%v value=%q, want inline and %q", detached, resp.Value, "v2+")
 	}
-
-	mustDetach("migrate-lock", &wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: migrateLockMarker}, wire.StatusOK)
-	// p is now locked: a lookup must detach before it queues behind the
-	// gate, and is served once the migration rolls back.
-	done := make(chan *wire.Response, 1)
-	var detached atomic.Bool
-	go func() {
-		req := &wire.Request{Op: wire.OpLookup, Key: key}
-		req.SetDetach(func() { detached.Store(true) })
-		done <- in.Handle(req)
-	}()
-	for deadline := time.Now().Add(5 * time.Second); !detached.Load(); {
-		if time.Now().After(deadline) {
-			t.Fatal("lookup behind a migrating partition never detached")
+	lookups := func() *wire.Request {
+		return wire.NewBatchRequest([]*wire.Request{{Op: wire.OpLookup, Key: key}, {Op: wire.OpLookup, Key: key}})
+	}
+	resp, detached := serve(lookups())
+	if detached {
+		t.Error("lookup-only batch at r=1 detached")
+	}
+	for i, r := range batchSubs(t, resp, 2) {
+		if r.Status != wire.StatusOK || string(r.Value) != "v2+" {
+			t.Errorf("lookup-only batch slot %d: %s %q, want ok %q", i, r.Status, r.Value, "v2+")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	select {
-	case resp := <-done:
-		t.Fatalf("lookup answered %s while its partition was locked", resp.Status)
-	default:
+
+	// A lookup, alone or in an envelope, that meets a migrating
+	// partition must detach before it queues behind the gate, and is
+	// served once the migration rolls back.
+	for _, c := range []struct {
+		name string
+		req  *wire.Request
+	}{
+		{"lookup", &wire.Request{Op: wire.OpLookup, Key: key}},
+		{"lookup-only batch", lookups()},
+	} {
+		mustDetach("migrate-lock", &wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: migrateLockMarker}, wire.StatusOK)
+		done := make(chan *wire.Response, 1)
+		var detached atomic.Bool
+		go func() {
+			c.req.SetDetach(func() { detached.Store(true) })
+			done <- in.Handle(c.req)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); !detached.Load(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s behind a migrating partition never detached", c.name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case resp := <-done:
+			t.Fatalf("%s answered %s while its partition was locked", c.name, resp.Status)
+		default:
+		}
+		in.completeMigration(p, "", false)
+		resp := <-done
+		if c.req.Op == wire.OpBatch {
+			resp = batchSubs(t, resp, 2)[0]
+		}
+		if resp.Status != wire.StatusOK || string(resp.Value) != "v2+" {
+			t.Errorf("queued %s: %s %q after rollback", c.name, resp.Status, resp.Value)
+		}
 	}
-	in.completeMigration(p, "", false)
-	if resp := <-done; resp.Status != wire.StatusOK || string(resp.Value) != "v2+" {
-		t.Errorf("queued lookup: %s %q after rollback", resp.Status, resp.Value)
+}
+
+// batchSubs decodes an envelope response's n sub-responses.
+func batchSubs(t *testing.T, env *wire.Response, n int) []*wire.Response {
+	t.Helper()
+	rs, err := wire.UnpackBatchResponses(env, n)
+	if err != nil {
+		t.Fatalf("batch response: %v", err)
 	}
+	return rs
 }
 
 func TestUnreplicatedWritesServeInline(t *testing.T) {
@@ -156,6 +198,29 @@ func TestUnreplicatedWritesServeInline(t *testing.T) {
 		if resp, detached := serve(req); detached || resp.Status != wire.StatusOK {
 			t.Errorf("%s at r=0: detached=%v status=%s (%s), want inline OK", req.Op, detached, resp.Status, resp.Err)
 		}
+	}
+	// A mixed envelope is served inline like its sub-ops alone.
+	mixed := []*wire.Request{
+		{Op: wire.OpInsert, Key: key, Value: []byte("v")},
+		{Op: wire.OpAppend, Key: key, Value: []byte("+")},
+		{Op: wire.OpLookup, Key: key},
+		{Op: wire.OpCas, Key: key, Aux: []byte("v+"), Value: []byte("w")},
+		{Op: wire.OpRemove, Key: key},
+		{Op: wire.OpReplicate, Key: key, Value: []byte("r"), Partition: int64(p),
+			Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpInsert, nil)},
+	}
+	resp, detached := serve(wire.NewBatchRequest(mixed))
+	if detached {
+		t.Error("mixed batch at r=0 detached")
+	}
+	rs := batchSubs(t, resp, len(mixed))
+	for i, r := range rs {
+		if r.Status != wire.StatusOK {
+			t.Errorf("mixed batch slot %d (%s): %s (%s), want OK", i, mixed[i].Op, r.Status, r.Err)
+		}
+	}
+	if string(rs[2].Value) != "v+" {
+		t.Errorf("mixed batch lookup = %q, want %q", rs[2].Value, "v+")
 	}
 }
 

@@ -79,7 +79,7 @@ type Instance struct {
 
 	caller  transport.Caller
 	met     instanceMetrics
-	asyncWG sync.WaitGroup
+	async   asyncGroup
 	closed  chan struct{}
 	closeMu sync.Mutex
 
@@ -102,6 +102,43 @@ type Instance struct {
 	// partition per anti-entropy period.
 	rrMu   sync.Mutex
 	rrLast map[int]time.Time
+}
+
+// asyncGroup runs and counts the instance's asynchronous work —
+// broadcast forwards and replica rebuilds — for Drain. Unlike a
+// sync.WaitGroup it may grow from zero while a wait is in progress,
+// which gossip or a broadcast can make happen at any time: wait
+// returns once the count has reached zero.
+type asyncGroup struct {
+	mu   sync.Mutex
+	n    int
+	idle sync.Cond // L is &mu; broadcast when n drops to zero
+}
+
+// goAsync runs f on a goroutine of its own, counted until it returns.
+func (g *asyncGroup) goAsync(f func()) {
+	g.mu.Lock()
+	g.n++
+	g.mu.Unlock()
+	go func() {
+		defer func() {
+			g.mu.Lock()
+			if g.n--; g.n == 0 {
+				g.idle.Broadcast()
+			}
+			g.mu.Unlock()
+		}()
+		f()
+	}()
+}
+
+// wait blocks until no counted work is running.
+func (g *asyncGroup) wait() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.n > 0 {
+		g.idle.Wait()
+	}
 }
 
 // lockStripes is the stripe count of opLocks and mutLocks; 64 lets the
@@ -144,6 +181,7 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	// wrapper: outgoing requests carry our epoch, incoming responses
 	// feed the gossip staleness detector.
 	in.caller = &epochCaller{inner: caller, in: in}
+	in.async.idle.L = &in.async.mu
 	in.table.Store(table.Clone())
 	in.met.epoch.Set(int64(table.Epoch))
 	if cfg.GossipCooldown >= 0 {
@@ -263,10 +301,12 @@ func (in *Instance) Handle(req *wire.Request) *wire.Response {
 // waiting on a commit: lookups, and KV mutations and replica applies
 // when nothing replicates from here and the WAL acknowledges before it
 // syncs. (A lookup can still meet a migrating partition; migrationGate
-// detaches before it waits.)
+// detaches before it waits.) An envelope is inline here because
+// handleBatch decides once it has decoded its sub-ops: it detaches
+// only if one of them is not inline.
 func (in *Instance) servesInline(req *wire.Request) bool {
 	switch req.Op {
-	case wire.OpLookup:
+	case wire.OpLookup, wire.OpBatch:
 		return true
 	case wire.OpInsert, wire.OpRemove, wire.OpAppend, wire.OpCas, wire.OpReplicate:
 		d := in.cfg.Durability
@@ -283,7 +323,9 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpBatch:
 		return in.handleBatch(req)
 	case wire.OpReplicate:
-		return in.handleReplicate(req)
+		resp := wire.GetResponse()
+		in.handleReplicate(req, resp)
+		return resp
 	case wire.OpMembership:
 		return in.handleMembership()
 	case wire.OpDelta:
@@ -321,6 +363,7 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// The partition index depends only on NumPartitions, which is
 	// immutable, so it can be computed from any table snapshot.
 	p := in.tableRef().Partition(in.hashf(req.Key))
+	resp := wire.GetResponse()
 
 	// Replica reads bypass ownership and the migration gate: a quorum
 	// read's coordinator is asking THIS node for its local copy of the
@@ -329,11 +372,12 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// that is the point — and never instantiate a store for a
 	// partition this node holds nothing of.
 	if req.Op == wire.OpLookup && req.Flags&wire.FlagReplicaRead != 0 {
-		s := in.storeIfPresent(p)
-		if s == nil {
-			return statusResp(wire.StatusNotFound)
+		if s := in.storeIfPresent(p); s == nil {
+			resp.Status = wire.StatusNotFound
+		} else {
+			in.applyKV(s, req, resp, nil)
 		}
-		return in.applyKV(s, req)
+		return resp
 	}
 
 	// The op rides the pooled scratch's one-element slots, so a single
@@ -341,10 +385,9 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	// detach if a migration gate has to wait: the delta that ends the
 	// wait may arrive on this connection.
 	sc := batchPool.Get().(*batchScratch)
-	sc.one[0] = req
+	sc.one[0], sc.oneResp[0] = req, resp
 	sc.tags = append(sc.tags, int64(p)<<32)
 	in.applyBatch(sc.one[:], sc.oneResp[:], sc, req)
-	resp := sc.oneResp[0]
 	sc.release()
 	return resp
 }
@@ -372,13 +415,13 @@ func (in *Instance) storeIfPresent(p int) storage.PartitionKV {
 }
 
 // applyPrimary applies a replicated mutation to the owner's store,
-// stamping the stored pair with ver. It returns the response plus the
-// value the replica legs must carry when it differs from req.Value
+// stamping the stored pair with ver, and answers into resp. It returns
+// the value the replica legs must carry when it differs from req.Value
 // (append legs carry the full concatenated value: with versions,
 // appends replicate as whole-value inserts so a replica that missed
 // an earlier leg converges to the primary's bytes instead of
 // appending onto a different base).
-func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver uint64) (*wire.Response, []byte) {
+func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver uint64, resp *wire.Response) []byte {
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent != 0 {
@@ -387,59 +430,62 @@ func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver u
 			// expired TTL envelope counts as absent — lazy expiry must
 			// not block a fresh add (memcached `add` semantics).
 			if v, _, found, err := s.GetV(req.Key); err != nil {
-				return errResp(err), nil
+				setErr(resp, err)
+				return nil
 			} else if found && !tenant.Expired(v) {
-				return statusResp(wire.StatusExists), nil
+				resp.Status = wire.StatusExists
+				return nil
 			}
 		}
 		if err := s.PutV(req.Key, req.Value, ver); err != nil {
-			return errResp(err), nil
+			setErr(resp, err)
 		}
-		return statusResp(wire.StatusOK), nil
+		return nil
 	case wire.OpRemove:
 		// The owner is the serialization point (mutation stripe), so
 		// the local delete is unconditional; ver rides the replica
 		// legs, where RemoveLWW refuses to delete a newer write.
 		ok, err := s.Remove(req.Key)
 		if err != nil {
-			return errResp(err), nil
+			setErr(resp, err)
+		} else if !ok {
+			resp.Status = wire.StatusNotFound
 		}
-		if !ok {
-			return statusResp(wire.StatusNotFound), nil
-		}
-		return statusResp(wire.StatusOK), nil
+		return nil
 	case wire.OpAppend:
 		buf := wire.GetBuffer()
 		old, _, _, err := s.GetAppendV(buf, req.Key)
 		if err != nil {
 			wire.PutBuffer(old)
-			return errResp(err), nil
+			setErr(resp, err)
+			return nil
 		}
 		full := append(old, req.Value...)
 		if err := s.PutV(req.Key, full, ver); err != nil {
 			wire.PutBuffer(full)
-			return errResp(err), nil
+			setErr(resp, err)
+			return nil
 		}
 		// full escapes into the replica legs, which alias it until the
 		// fan-out has sent or copied them; ownership passes back as
 		// legVal and applyBatch releases it afterwards.
-		return statusResp(wire.StatusOK), full
+		return full
 	case wire.OpCas:
 		// CAS semantics (nil-vs-empty expectations, current-value
 		// reporting) live in the store; re-stamp the winner rather
 		// than re-implementing them here. The extra PutV is off the
 		// hot path — CAS is the rare op — and keeps behavior
 		// byte-identical to the engine's.
-		resp := in.applyKV(s, req)
+		in.applyKV(s, req, resp, nil)
 		if resp.Status == wire.StatusOK {
 			if err := s.PutV(req.Key, req.Value, ver); err != nil {
-				wire.PutResponse(resp)
-				return errResp(err), nil
+				setErr(resp, err)
 			}
 		}
-		return resp, nil
+		return nil
 	}
-	return in.applyKV(s, req), nil
+	in.applyKV(s, req, resp, nil)
+	return nil
 }
 
 func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
@@ -500,25 +546,36 @@ func statusResp(st wire.Status) *wire.Response {
 // errResp draws a pooled StatusError response.
 func errResp(err error) *wire.Response {
 	r := wire.GetResponse()
-	r.Status = wire.StatusError
-	r.Err = err.Error()
+	setErr(r, err)
 	return r
 }
 
-// applyKV executes one KV op against a store. Shared by the primary
-// path and the replica path so both stay byte-identical. Responses
-// are pooled; ownership passes to the caller (ultimately the
-// transport writer, which recycles them after encoding). Lookups are
-// TTL-aware: a value whose tenant envelope has expired answers
-// NotFound (lazy expiry, DESIGN.md §13) — the pair itself is deleted
-// later by the anti-entropy reaper, never on the read path.
-func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request) *wire.Response {
+// setErr answers resp with StatusError and err's text.
+func setErr(resp *wire.Response, err error) {
+	resp.Status = wire.StatusError
+	resp.Err = err.Error()
+}
+
+// applyKV executes one KV op against a store and answers into resp,
+// which arrives zeroed. Shared by the primary path and the replica
+// path so both stay byte-identical. Lookups are TTL-aware: a value
+// whose tenant envelope has expired answers NotFound (lazy expiry,
+// DESIGN.md §13) — the pair itself is deleted later by the
+// anti-entropy reaper, never on the read path.
+//
+// A looked-up value is copied once out of the store: appended to
+// *arena when the caller has one (an envelope's value arena, alive
+// until the envelope response is encoded), otherwise into a pooled
+// buffer that resp owns and the transport writer recycles after
+// encoding.
+func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request, resp *wire.Response, arena *[]byte) {
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent != 0 {
 			ok, err := s.PutIfAbsent(req.Key, req.Value)
 			if err != nil {
-				return errResp(err)
+				setErr(resp, err)
+				return
 			}
 			if !ok {
 				// Occupied — but an expired TTL envelope counts as
@@ -529,61 +586,64 @@ func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request) *wire.Resp
 				// benign race as concurrent adds on a truly absent key.
 				if v, found, gerr := s.Get(req.Key); gerr == nil && found && tenant.Expired(v) {
 					if perr := s.Put(req.Key, req.Value); perr != nil {
-						return errResp(perr)
+						setErr(resp, perr)
 					}
-					return statusResp(wire.StatusOK)
+					return
 				}
-				return statusResp(wire.StatusExists)
+				resp.Status = wire.StatusExists
 			}
-			return statusResp(wire.StatusOK)
+			return
 		}
 		if err := s.Put(req.Key, req.Value); err != nil {
-			return errResp(err)
+			setErr(resp, err)
 		}
-		return statusResp(wire.StatusOK)
 	case wire.OpLookup:
-		// Copy-reduced read: the value is copied once, shard to pooled
-		// buffer, and the buffer rides the response back to the pool
-		// after encoding. The pair's stamp rides along — quorum-read
-		// coordinators resolve copies newest-version-wins.
-		buf := wire.GetBuffer()
+		// The pair's stamp rides along — quorum-read coordinators
+		// resolve copies newest-version-wins.
+		var buf []byte
+		if arena != nil {
+			buf = *arena
+		} else {
+			buf = wire.GetBuffer()
+		}
+		start := len(buf)
 		v, ver, found, err := s.GetAppendV(buf, req.Key)
-		if err != nil {
-			wire.PutBuffer(v)
-			return errResp(err)
-		}
-		if !found || len(v) == 0 {
-			wire.PutBuffer(v)
-			if !found {
-				return statusResp(wire.StatusNotFound)
-			}
-			resp := statusResp(wire.StatusOK)
-			resp.Version = ver
-			return resp
-		}
-		if tenant.Expired(v) {
-			wire.PutBuffer(v)
+		val := v[start:]
+		switch {
+		case err != nil:
+			setErr(resp, err)
+		case !found:
+			resp.Status = wire.StatusNotFound
+		case tenant.Expired(val):
 			in.met.expiredReads.Inc()
-			return statusResp(wire.StatusNotFound)
+			resp.Status = wire.StatusNotFound
+		default:
+			resp.Version = ver
+			if len(val) == 0 {
+				break
+			}
+			if arena != nil {
+				*arena = v
+				resp.Value = val[:len(val):len(val)]
+			} else {
+				resp.SetPooledValue(v)
+			}
+			return
 		}
-		resp := statusResp(wire.StatusOK)
-		resp.SetPooledValue(v)
-		resp.Version = ver
-		return resp
+		if arena == nil {
+			wire.PutBuffer(v)
+		}
 	case wire.OpRemove:
 		ok, err := s.Remove(req.Key)
 		if err != nil {
-			return errResp(err)
+			setErr(resp, err)
+		} else if !ok {
+			resp.Status = wire.StatusNotFound
 		}
-		if !ok {
-			return statusResp(wire.StatusNotFound)
-		}
-		return statusResp(wire.StatusOK)
 	case wire.OpAppend:
 		if err := s.Append(req.Key, req.Value); err != nil {
-			return errResp(err)
+			setErr(resp, err)
 		}
-		return statusResp(wire.StatusOK)
 	case wire.OpCas:
 		// FlagIfAbsent marks "expect absent"; otherwise Aux is the
 		// expected current value (nil Aux = expect empty value,
@@ -597,18 +657,15 @@ func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request) *wire.Resp
 		}
 		swapped, cur, err := s.Cas(req.Key, old, req.Value)
 		if err != nil {
-			return errResp(err)
-		}
-		if !swapped {
-			resp := statusResp(wire.StatusCasMismatch)
+			setErr(resp, err)
+		} else if !swapped {
+			resp.Status = wire.StatusCasMismatch
 			resp.Value = cur
-			return resp
 		}
-		return statusResp(wire.StatusOK)
+	default:
+		resp.Status = wire.StatusError
+		resp.Err = "core: bad kv op"
 	}
-	r := statusResp(wire.StatusError)
-	r.Err = "core: bad kv op"
-	return r
 }
 
 // replicaFwd rewrites a successful primary mutation into the
@@ -648,10 +705,11 @@ func encodeReplicaAux(op wire.Op, origAux []byte) []byte {
 }
 
 // handleReplicate applies a forwarded mutation to the local replica
-// store for the partition.
-func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
+// store for the partition and answers into resp, which arrives zeroed.
+func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	if len(req.Aux) < 1 {
-		return &wire.Response{Status: wire.StatusError, Err: "core: replicate without op"}
+		resp.Status, resp.Err = wire.StatusError, "core: replicate without op"
+		return
 	}
 	inner := *req
 	inner.Op = wire.Op(req.Aux[0])
@@ -661,7 +719,8 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 	}
 	s, err := in.store(int(req.Partition))
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		setErr(resp, err)
+		return
 	}
 	// Versioned legs resolve last-writer-wins: a stale leg (reordered
 	// behind a newer write on the sync/async seam, or replayed from
@@ -678,17 +737,19 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 		case wire.OpRemove:
 			applied, err = s.RemoveLWW(inner.Key, req.Version)
 		default:
-			return &wire.Response{Status: wire.StatusError, Err: "core: bad versioned replica op " + inner.Op.String()}
+			resp.Status, resp.Err = wire.StatusError, "core: bad versioned replica op "+inner.Op.String()
+			return
 		}
 		if err != nil {
-			return errResp(err)
+			setErr(resp, err)
+			return
 		}
 		if !applied {
 			in.met.versionConflicts.Inc()
 		}
-		return statusResp(wire.StatusOK)
+		return
 	}
-	resp := in.applyKV(s, &inner)
+	in.applyKV(s, &inner, resp, nil)
 	// Unversioned replicas tolerate NotFound (a remove may race ahead
 	// of the insert it follows on the async path) — but each tolerated
 	// race is a pair whose replica state disagreed with the primary's
@@ -698,7 +759,6 @@ func (in *Instance) handleReplicate(req *wire.Request) *wire.Response {
 		in.met.divergence.Inc()
 		resp.Status = wire.StatusOK
 	}
-	return resp
 }
 
 // handleMembership returns the current table.
@@ -764,9 +824,7 @@ func (in *Instance) afterTableChange(old, nt *ring.Table) {
 // rebuildReplicas pushes a full image of partition p to every replica
 // in the new replica set, asynchronously.
 func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
-	in.asyncWG.Add(1)
-	go func() {
-		defer in.asyncWG.Done()
+	in.async.goAsync(func() {
 		s, err := in.store(p)
 		if err != nil {
 			return
@@ -784,7 +842,7 @@ func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
 				Flags: wire.FlagNoReplicate, Aux: img.Bytes(),
 			})
 		}
-	}()
+	})
 }
 
 // handleMigrate serves both migration directions:
@@ -1098,11 +1156,7 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 		fwd.Hop = req.Hop + 1
 		fwd.Value = append([]byte(nil), req.Value...)
 		addr := table.Instances[childIdx].Addr
-		in.asyncWG.Add(1)
-		go func() {
-			defer in.asyncWG.Done()
-			in.caller.Call(addr, &fwd)
-		}()
+		in.async.goAsync(func() { in.caller.Call(addr, &fwd) })
 	}
 	return &wire.Response{Status: wire.StatusOK}
 }
@@ -1122,7 +1176,7 @@ func (in *Instance) BroadcastValue(key string) ([]byte, bool) {
 // backlog are not waited for).
 func (in *Instance) Drain() {
 	in.legs.Drain()
-	in.asyncWG.Wait()
+	in.async.wait()
 }
 
 // Close flushes and closes all partition stores.

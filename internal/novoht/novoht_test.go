@@ -509,6 +509,38 @@ func TestExportImport(t *testing.T) {
 	}
 }
 
+// TestImportKeepsNewerVersions: an image is a snapshot, so importing
+// it must not roll back a key the destination has since seen a newer
+// version of — the replica-rebuild push races the key's next replica
+// leg — while keys it holds older or not at all take the image's pair.
+func TestImportKeepsNewerVersions(t *testing.T) {
+	src := openTemp(t, Options{})
+	for k, ver := range map[string]uint64{"raced": 3, "stale": 3, "fresh": 3} {
+		if err := src.PutV(k, []byte("image"), ver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var img bytes.Buffer
+	if err := src.Export(&img); err != nil {
+		t.Fatal(err)
+	}
+	dst := openTemp(t, Options{})
+	if err := dst.PutV("raced", []byte("newer leg"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.PutV("stale", []byte("older leg"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := dst.Import(&img); err != nil || n != 3 {
+		t.Fatalf("Import = %d %v", n, err)
+	}
+	for k, want := range map[string]string{"raced": "newer leg", "stale": "image", "fresh": "image"} {
+		if v, ok, _ := dst.Get(k); !ok || string(v) != want {
+			t.Errorf("%s = %q %v after import, want %q", k, v, ok, want)
+		}
+	}
+}
+
 func TestImportRejectsGarbage(t *testing.T) {
 	s := openTemp(t, Options{})
 	if _, err := s.Import(bytes.NewReader([]byte("not an export"))); err == nil {

@@ -61,11 +61,12 @@ func Export(w io.Writer, kv KV) error {
 	return bw.Flush()
 }
 
-// Import loads pairs from an Export stream into kv, replacing values
-// for keys that already exist. Versioned pairs land through PutV when
-// kv supports it (preserving the stamp for later LWW resolution);
-// otherwise the stamp is dropped and the pair imported plain. It
-// returns the number of pairs imported.
+// Import loads pairs from an Export stream into kv. Versioned pairs
+// land last-writer-wins through PutLWW when kv supports it: an image
+// is a snapshot, and a copy that has since applied a newer write of a
+// key (a replica-rebuild image arriving after the key's next replica
+// leg) must keep it. Otherwise the stamp is dropped and the pair
+// replaces any existing value. It returns the number of pairs read.
 func Import(r io.Reader, kv KV) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(ExportMagic))
@@ -93,7 +94,7 @@ func Import(r io.Reader, kv KV) (int, error) {
 			return count, fmt.Errorf("storage: import: %w", err)
 		}
 		if ver > 0 && vkv != nil {
-			err = vkv.PutV(key, val, ver)
+			_, err = vkv.PutLWW(key, val, ver)
 		} else {
 			err = kv.Put(key, val)
 		}

@@ -74,6 +74,8 @@ type Caller interface {
 	// payload (StatusBusy shed, batch-unaware handler), that verdict
 	// is fanned out to every sub-response. An error means the whole
 	// batch failed in transit and is retriable like a failed Call.
+	// The sub-responses live in one wire.Slab: the caller releases
+	// them with wire.ReleaseResponses (or leaves them to the GC).
 	CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error)
 	// Close releases client resources (cached connections).
 	Close() error

@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"zht/internal/metrics"
 )
 
 func sampleOps() []*Request {
@@ -150,22 +153,129 @@ func TestBatchDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode is the native fuzz entry point for the batch codec;
-// `go test` runs it over the seed corpus, `go test -fuzz` explores.
+// FuzzBatchDecode is the native fuzz entry point for the batch codec's
+// slab decoders, requests and responses alike; `go test` runs it over
+// the seed corpus (the golden envelopes' payloads among it), `go test
+// -fuzz` explores. Whatever the input, a decode must leave nothing
+// drawn from the pool and nothing aliasing the input once its slab is
+// released, and anything it accepts must round-trip.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add(EncodeOps(nil, sampleOps()))
 	f.Add(EncodeResponses(nil, []*Response{{Status: StatusOK}}))
 	f.Add([]byte{})
+	for _, c := range goldenCases() {
+		if c.subs != nil {
+			f.Add(EncodeOps(nil, c.subs))
+		} else {
+			f.Add(EncodeResponses(nil, c.resps))
+		}
+	}
+	reg := metrics.NewRegistry()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if ops, err := DecodeOps(b); err == nil {
-			if _, err2 := DecodeOps(EncodeOps(nil, ops)); err2 != nil {
-				t.Fatalf("accepted op batch does not round-trip: %v", err2)
-			}
-		}
-		if rs, err := DecodeResponses(b); err == nil {
-			if _, err2 := DecodeResponses(EncodeResponses(nil, rs)); err2 != nil {
-				t.Fatalf("accepted response batch does not round-trip: %v", err2)
-			}
-		}
+		EnablePoolMetrics(reg)
+		defer EnablePoolMetrics(nil)
+		checkSlabDecode(t, reg, b)
 	})
+}
+
+// TestSlabDecodeFailsAtEverySubOp breaks one sub-message k of a valid
+// envelope at a time — its length prefix claiming more than is left,
+// or its bytes cut short — so the decode fails after k sub-messages
+// went into the slab, and holds the slab to the same rules as the
+// fuzzer.
+func TestSlabDecodeFailsAtEverySubOp(t *testing.T) {
+	reg := metrics.NewRegistry()
+	EnablePoolMetrics(reg)
+	defer EnablePoolMetrics(nil)
+	ops := sampleOps()
+	resps := goldenFullResps()
+	for _, enc := range [][]byte{EncodeOps(nil, ops), EncodeResponses(nil, resps)} {
+		// Walk the item boundaries: count, then (prefix, item) pairs.
+		_, rest, _ := uvar(enc)
+		for len(rest) > 0 {
+			item, next, err := bytesField(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := len(enc) - len(rest) + (len(rest) - len(next) - len(item))
+			checkSlabDecode(t, reg, append([]byte(nil), enc[:start+len(item)/2]...))
+			bad := append([]byte(nil), enc...)
+			bad[start] ^= 0x40 // the item's message tag
+			checkSlabDecode(t, reg, bad)
+			rest = next
+		}
+	}
+}
+
+// checkSlabDecode decodes b as a request envelope and as a response
+// envelope. Each decoder first fills a slab the check holds, which
+// after Release must hold only zeroed messages — nothing aliasing b;
+// then the pooled entry point must return to the pool every slab it
+// drew, on success and on failure alike. Accepted input must
+// re-encode to a payload that decodes to as many messages.
+func checkSlabDecode(t *testing.T, reg *metrics.Registry, b []byte) {
+	t.Helper()
+	gets, puts := reg.Counter("zht.wire.pool.gets"), reg.Counter("zht.wire.pool.puts")
+
+	s := getSlab()
+	_ = s.decodeOps(b)
+	s.Release() // the slab is reused only by this goroutine's next Get
+	for i, r := range s.reqs[:cap(s.reqs)] {
+		if !reflect.DeepEqual(r, Request{slab: s}) {
+			t.Fatalf("released slab request %d still holds %+v", i, r)
+		}
+	}
+	s = getSlab()
+	_ = s.decodeResponses(b)
+	s.Release()
+	for i, r := range s.resps[:cap(s.resps)] {
+		if !reflect.DeepEqual(r, Response{slab: s}) {
+			t.Fatalf("released slab response %d still holds %+v", i, r)
+		}
+	}
+
+	before := gets.Value() - puts.Value()
+	if ops, err := DecodeOpsSlab(b); err == nil {
+		again, err := DecodeOps(EncodeOps(nil, ops.Reqs))
+		if err != nil || len(again) != len(ops.Reqs) {
+			t.Fatalf("accepted op batch does not round-trip: %v", err)
+		}
+		ReleaseOps(again)
+		ops.Release()
+	}
+	if held := gets.Value() - puts.Value() - before; held != 0 {
+		t.Fatalf("request decode of %x kept %d pooled objects", b, held)
+	}
+	if rs, err := decodeResponsesSlab(b); err == nil {
+		again, err := DecodeResponses(EncodeResponses(nil, rs.Resps))
+		if err != nil || len(again) != len(rs.Resps) {
+			t.Fatalf("accepted response batch does not round-trip: %v", err)
+		}
+		ReleaseResponses(again)
+		rs.Release()
+	}
+	if held := gets.Value() - puts.Value() - before; held != 0 {
+		t.Fatalf("response decode of %x kept %d pooled objects", b, held)
+	}
+}
+
+// TestEncodedLenMatchesEncoding pins requestLen and responseLen, which
+// EncodeOps and EncodeResponses write as length prefixes, to the
+// encoders across varint widths and negative partitions.
+func TestEncodedLenMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	num := func() uint64 { return rng.Uint64() >> rng.Intn(64) }
+	bytesOf := func() []byte { return make([]byte, rng.Intn(300)) }
+	for i := 0; i < 2000; i++ {
+		req := &Request{Op: OpInsert, Seq: num(), Epoch: num(), Partition: int64(num()) - int64(num()),
+			Hop: uint32(num()), Budget: num(), Key: string(bytesOf()), Value: bytesOf(), Aux: bytesOf(), Version: num()}
+		if got, want := requestLen(req), len(EncodeRequest(nil, req)); got != want {
+			t.Fatalf("requestLen(%+v) = %d, encoding is %d bytes", req, got, want)
+		}
+		resp := &Response{Seq: num(), Value: bytesOf(), Table: bytesOf(), Redirect: string(bytesOf()),
+			Err: string(bytesOf()), RetryAfter: num(), Epoch: num(), Version: num()}
+		if got, want := responseLen(resp), len(EncodeResponse(nil, resp)); got != want {
+			t.Fatalf("responseLen(%+v) = %d, encoding is %d bytes", resp, got, want)
+		}
+	}
 }

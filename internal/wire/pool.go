@@ -166,9 +166,10 @@ func GetRequest() *Request {
 
 // PutRequest zeroes r and returns it to the pool. r's Key, Value,
 // and Aux are merely dropped, never recycled — the pool does not own
-// them. Callers must not touch r afterwards.
+// them. Callers must not touch r afterwards. A request living in a
+// Slab is left alone: it is released with its slab.
 func PutRequest(r *Request) {
-	if r == nil {
+	if r == nil || r.slab != nil {
 		return
 	}
 	*r = Request{}
@@ -190,9 +191,10 @@ func GetResponse() *Response {
 // attached with SetPooledValue, the scratch buffer goes back to the
 // buffer pool too. Callers must not touch r (or a pooled Value)
 // afterwards, and must not release a Response whose struct they
-// copied — the copy would alias the recycled Value.
+// copied — the copy would alias the recycled Value. A response living
+// in a Slab is left alone: it is released with its slab.
 func PutResponse(r *Response) {
-	if r == nil {
+	if r == nil || r.slab != nil {
 		return
 	}
 	if r.pooledValue {
@@ -214,15 +216,25 @@ func (r *Response) SetPooledValue(v []byte) {
 	r.pooledValue = true
 }
 
-// ShallowCopy returns a pooled Response with the same visible fields
-// as r. The copy shares r's Value/Table backing but never owns it:
-// releasing the copy recycles only the struct, so fanning one verdict
-// out to many slots stays single-owner per slot.
-func (r *Response) ShallowCopy() *Response {
-	cp := GetResponse()
-	*cp = *r
-	cp.pooledValue = false
-	return cp
+// ShareFrom sets r's visible fields to v's. r shares v's Value/Table
+// backing but never owns it, so fanning one verdict out to many slots
+// stays single-owner per slot. r stays where it lives: a slab's
+// response remains in its slab.
+func (r *Response) ShareFrom(v *Response) {
+	slab := r.slab
+	*r = *v
+	r.pooledValue, r.slab = false, slab
+}
+
+// Take moves v into r — every visible field, and the ownership of a
+// pooled Value — and recycles v's struct. r stays where it lives: a
+// slab's response remains in its slab.
+func (r *Response) Take(v *Response) {
+	slab := r.slab
+	*r = *v
+	r.slab = slab
+	v.pooledValue = false
+	PutResponse(v)
 }
 
 // bufFree holds message-scale scratch buffers.

@@ -46,9 +46,9 @@ func TestPutResponseRecyclesPooledValue(t *testing.T) {
 	}
 }
 
-// TestShallowCopyNeverOwnsValue pins the fan-out contract: releasing
-// a ShallowCopy recycles only the struct, so N copies of one verdict
-// can each be released without double-freeing the shared Value.
+// TestShallowCopyNeverOwnsValue pins the fan-out contract: a slot set
+// with ShareFrom never owns the value it shares, so releasing N copies
+// of one verdict — standalone or in a slab — cannot double-free it.
 func TestShallowCopyNeverOwnsValue(t *testing.T) {
 	SetPoolPoison(true)
 	defer SetPoolPoison(false)
@@ -61,11 +61,20 @@ func TestShallowCopyNeverOwnsValue(t *testing.T) {
 
 	want := append([]byte(nil), r.Value...)
 	for i := 0; i < 4; i++ {
-		cp := r.ShallowCopy()
+		cp := GetResponse()
+		cp.ShareFrom(r)
 		PutResponse(cp)
 		if !bytes.Equal(r.Value, want) {
 			t.Fatalf("releasing shallow copy %d corrupted the original's value: %q", i, r.Value)
 		}
+	}
+	slab := getSlab()
+	for _, cp := range slab.Responses(4) {
+		cp.ShareFrom(r)
+	}
+	slab.Release()
+	if !bytes.Equal(r.Value, want) {
+		t.Fatalf("releasing a slab of shallow copies corrupted the original's value: %q", r.Value)
 	}
 	alias := r.Value
 	PutResponse(r) // the original owns the value; now it gets recycled

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Op is the operation indicator carried by every request.
@@ -258,6 +259,9 @@ type Request struct {
 	// about to block can give the connection's read loop away first.
 	// Nil on every other transport; PutRequest clears it.
 	detach func()
+	// slab is the Slab this request lives in, nil for a standalone
+	// request; a slab's requests are released with it (see batch.go).
+	slab *Slab
 }
 
 // SetDetach installs the hook Detach calls; transports set it on the
@@ -308,6 +312,9 @@ type Response struct {
 	// package's buffer pool (set via SetPooledValue); PutResponse
 	// recycles it. See pool.go.
 	pooledValue bool
+	// slab is the Slab this response lives in, nil for a standalone
+	// response; a slab's responses are released with it (see batch.go).
+	slab *Slab
 }
 
 // maxString caps any single field to guard against corrupt length
@@ -333,6 +340,14 @@ func EncodeRequest(dst []byte, r *Request) []byte {
 	dst = append(dst, byte(r.Consistency))
 	dst = binary.AppendUvarint(dst, r.Version)
 	return dst
+}
+
+// requestLen is len(EncodeRequest(nil, r)), computed without encoding.
+func requestLen(r *Request) int {
+	return 3 + uvarintLen(r.Seq) + uvarintLen(r.Epoch) + varintLen(r.Partition) +
+		uvarintLen(uint64(r.Hop)) + uvarintLen(r.Budget) +
+		bytesLen(len(r.Key)) + bytesLen(len(r.Value)) + bytesLen(len(r.Aux)) +
+		1 + uvarintLen(r.Version)
 }
 
 // DecodeRequest parses a request. The returned request aliases b's
@@ -424,6 +439,14 @@ func EncodeResponse(dst []byte, r *Response) []byte {
 	return dst
 }
 
+// responseLen is len(EncodeResponse(nil, r)), computed without
+// encoding.
+func responseLen(r *Response) int {
+	return 2 + uvarintLen(r.Seq) + bytesLen(len(r.Value)) + bytesLen(len(r.Table)) +
+		bytesLen(len(r.Redirect)) + bytesLen(len(r.Err)) +
+		uvarintLen(r.RetryAfter) + uvarintLen(r.Epoch) + uvarintLen(r.Version)
+}
+
 // DecodeResponse parses a response. Value/Table alias b.
 func DecodeResponse(b []byte) (*Response, error) {
 	r := &Response{}
@@ -478,6 +501,15 @@ func decodeResponseInto(r *Response, b []byte) error {
 	}
 	return nil
 }
+
+// uvarintLen is the encoded size of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the encoded size of x as a zig-zag varint.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// bytesLen is the encoded size of an n-byte length-prefixed field.
+func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 func uvar(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
