@@ -59,15 +59,14 @@ const (
 // allocs/op, so a pool change that starts allocating per op fails here
 // rather than disappearing into throughput noise:
 //
-//   - Lookup = 3: the server key string, and the response encoding,
-//     which grows from nil twice (header, then value). The caller's
-//     decoded response aliases that encoding, so it outlives the call
-//     like the TCP client's right-sized value copy.
-//   - Insert = 3: the key string and the same encoding, grown for the
-//     header and then for a varint field.
+//   - Lookup = 2: the server key string, and the response encoding,
+//     allocated once at its encoded size. The caller's decoded response
+//     aliases that encoding, so it outlives the call like the TCP
+//     client's right-sized value copy.
+//   - Insert = 2: the key string and the same one-allocation encoding.
 const (
-	inprocLookupAllocBudget = 3
-	inprocInsertAllocBudget = 3
+	inprocLookupAllocBudget = 2
+	inprocInsertAllocBudget = 2
 )
 
 // quorumLookupAllocBudget is the gate for the QUORUM read path at
@@ -120,16 +119,16 @@ const batchR1PerOpAllocBudget = 207.0 / allocBenchBatch
 
 // appendAccumulatedBytes is the value size at which the append case
 // checks that the partition store's own allocations do not grow with
-// the value: a replicated append reads the whole value into caller
-// scratch and writes it back (core's applyPrimary), and the store's
-// digest upkeep must hash without copying the pre-image.
+// the value: a replicated append copies the accumulated value into
+// caller scratch for its replica leg (core's applyMutation), and the
+// store's digest upkeep must hash without copying the pre-image.
 const appendAccumulatedBytes = 64 << 10
 
 // storeAppendAllocs reports the partition store's allocations per
-// primary-path append on a key already holding base bytes: GetAppendV
-// into reused scratch, the delta appended, PutV of the whole value —
-// plus one engine-level Append. The store is opened the way an
-// instance opens an in-memory partition.
+// primary-path append pair on a key already holding base bytes: one
+// replicated AppendV, which copies the accumulated value into reused
+// scratch, and one unreplicated AppendV, which copies nothing. The
+// store is opened the way an instance opens an in-memory partition.
 func storeAppendAllocs(tb testing.TB, base int) float64 {
 	s, err := novoht.Open(novoht.Options{})
 	if err != nil {
@@ -143,15 +142,12 @@ func storeAppendAllocs(tb testing.TB, base int) float64 {
 	scratch := make([]byte, 0, 2*base+4096)
 	ver := uint64(1)
 	return testing.AllocsPerRun(200, func() {
-		cur, _, _, err := s.GetAppendV(scratch[:0], "dir")
-		if err != nil {
+		ver++
+		if _, err := s.AppendV(scratch[:0], "dir", delta, ver); err != nil {
 			tb.Fatal(err)
 		}
 		ver++
-		if err := s.PutV("dir", append(cur, delta...), ver); err != nil {
-			tb.Fatal(err)
-		}
-		if err := s.Append("dir", delta); err != nil {
+		if _, err := s.AppendV(nil, "dir", delta, ver); err != nil {
 			tb.Fatal(err)
 		}
 	})

@@ -263,7 +263,7 @@ func (n *Node) apply(req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.OpRemove:
-		ok, err := n.store.Remove(req.Key)
+		ok, err := n.store.RemoveV(req.Key, 0)
 		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
@@ -356,7 +356,7 @@ func (c *Cluster) Join() (*Node, error) {
 	oldOwner := c.nodeByAddr(successorIn(old, newToken).addr)
 	if oldOwner != nil {
 		var moved []string
-		oldOwner.store.ForEach(func(k string, v []byte) error {
+		oldOwner.store.ForEachV(func(k string, v []byte, _ uint64) error {
 			if successorIn(ring, oldOwner.hashf(k)).addr == addr {
 				if err := nd.store.Put(k, v); err != nil {
 					return err
@@ -366,7 +366,7 @@ func (c *Cluster) Join() (*Node, error) {
 			return nil
 		})
 		for _, k := range moved {
-			oldOwner.store.Remove(k)
+			oldOwner.store.RemoveV(k, 0)
 		}
 	}
 	// Converge every node's view.

@@ -31,13 +31,13 @@ type AdmissionHook interface {
 // (StatusTooLarge, or StatusBusy with the hook's backoff hint). An
 // admitted one may get a release, which the caller runs once the op's
 // response (or its whole envelope) is done, so the slot is held for
-// the op's full service time. Internal legs (NoReplicate forwards,
-// replica reads) bypass both gates: shedding a replication leg would
-// turn an overload verdict into a durability gap, and internal values
-// (TTL envelopes) may legitimately exceed the user-facing payload
-// bound.
+// the op's full service time. Only the per-copy lookups of a quorum
+// read (OpLookup with FlagReplicaRead) bypass both gates: they grow no
+// state and serve a read already in flight. Replication legs are
+// OpReplicate and never reach this gate, so no flag on a KV mutation
+// waves it through.
 func (in *Instance) admit(req *wire.Request) (release func(), refused *wire.Response) {
-	if req.Flags&(wire.FlagNoReplicate|wire.FlagReplicaRead) != 0 {
+	if req.Op == wire.OpLookup && req.Flags&wire.FlagReplicaRead != 0 {
 		return nil, nil
 	}
 	if in.tooLarge(req) {

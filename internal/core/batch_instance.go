@@ -58,7 +58,7 @@ type batchGroup struct {
 	lo, hi   int
 	alo, ahi int
 	live     bool // not yet answered with a routing verdict
-	s        storage.PartitionKV
+	s        storage.KV
 	peers    []ring.Instance // non-self replicas in ring order
 	syncNeed int             // replica acks the group's strictest level needs
 	acked    int             // rounds in which every leg of the group succeeded
@@ -320,18 +320,19 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 	return ops, muts, table
 }
 
-// applyGroups applies every live group's sub-ops. applied collects the
-// ones whose mutation succeeded, in apply order — the order replicas
-// must see them in — alongside each one's replica leg and, where the
-// leg value differs from the request's (appends), the scratch holding
-// the full value the leg carries. Each replicated mutation is
-// version-stamped so replicas resolve reordered legs last-writer-wins
-// instead of diverging.
+// applyGroups applies every live group's sub-ops. Every mutation is
+// version-stamped, so replicas resolve reordered legs last-writer-wins
+// instead of diverging. applied collects the replicated ones that
+// succeeded, in apply order — the order replicas must see them in —
+// alongside each one's replica leg and, where the leg value differs
+// from the request's (appends), the scratch holding the full value the
+// leg carries.
 func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
 	var arena *[]byte
 	if sc.inEnvelope {
 		arena = &sc.vals
 	}
+
 	for gi := range sc.groups {
 		g := &sc.groups[gi]
 		if !g.live {
@@ -340,13 +341,12 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 		g.alo = len(sc.applied)
 		for _, t := range sc.tags[g.lo:g.hi] {
 			i := int(t & 0xffffffff)
-			if !in.mutates(subs[i]) {
-				in.applyKV(g.s, subs[i], resps[i], arena)
+			if subs[i].Op == wire.OpLookup {
+				in.applyLookup(g.s, subs[i], resps[i], arena)
 				continue
 			}
-			ver := in.clock.Next()
-			legVal := in.applyPrimary(g.s, subs[i], ver, resps[i])
-			if resps[i].Status != wire.StatusOK {
+			ver, legVal := in.applyMutation(g.s, subs[i], resps[i])
+			if resps[i].Status != wire.StatusOK || !in.mutates(subs[i]) {
 				if legVal != nil {
 					wire.PutBuffer(legVal)
 				}

@@ -429,7 +429,7 @@ func (c *Client) repairCopy(p int, addr, key string, val []byte, ver uint64) {
 	req := &wire.Request{
 		Op: wire.OpReplicate, Partition: int64(p), Key: key, Value: val,
 		Version: ver, Flags: wire.FlagNoReplicate,
-		Aux: encodeReplicaAux(wire.OpInsert, nil),
+		Aux: encodeReplicaAux(wire.OpInsert),
 	}
 	if c.cfg.OpDeadline > 0 {
 		req.Budget = uint64(c.cfg.OpDeadline)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,7 +125,7 @@ func TestQuorumReadNewestWinsAndRepairs(t *testing.T) {
 		Op: wire.OpReplicate, Partition: int64(p), Key: key,
 		Value: []byte("v2"), Version: owner.clock.Next(),
 		Flags: wire.FlagNoReplicate,
-		Aux:   encodeReplicaAux(wire.OpInsert, nil),
+		Aux:   encodeReplicaAux(wire.OpInsert),
 	})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("version bump on owner: %v %s", resp.Status, resp.Err)
@@ -170,7 +171,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 		return in.Handle(&wire.Request{
 			Op: wire.OpReplicate, Partition: 0, Key: "lww",
 			Value: val, Version: ver, Flags: wire.FlagNoReplicate,
-			Aux: encodeReplicaAux(op, nil),
+			Aux: encodeReplicaAux(op),
 		})
 	}
 
@@ -230,5 +231,33 @@ func TestHLCStamps(t *testing.T) {
 	a.Observe(future)
 	if v := a.Next(); v <= future {
 		t.Fatalf("Next() = %x did not advance past observed %x", v, future)
+	}
+
+	// Concurrent writers, one of them also observing ever newer remote
+	// stamps, never receive the same stamp twice.
+	const workers, each = 4, 2000
+	stamps := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range stamps {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				stamps[w] = append(stamps[w], a.Next())
+				if w == 0 {
+					a.Observe(future + uint64(i)<<hlcNodeBits)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, workers*each)
+	for _, ws := range stamps {
+		for _, v := range ws {
+			if seen[v] || v&((1<<hlcNodeBits)-1) != a.node {
+				t.Fatalf("concurrent stamp %x duplicated or lost its node bits", v)
+			}
+			seen[v] = true
+		}
 	}
 }

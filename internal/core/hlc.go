@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/ring"
@@ -16,14 +16,13 @@ import (
 // millisecond still differ and compare deterministically. Next never
 // returns the same or a smaller value twice (a burst faster than the
 // wall clock advances by borrowing future milliseconds, keeping the
-// node bits intact), and Observe folds in
-// stamps seen on incoming replica legs and repair pairs, so a node
-// whose wall clock lags a peer's still stamps its next local write
-// above everything it has already applied.
+// node bits intact), and Observe folds in every stamp installed from
+// elsewhere — replica legs, repair pairs, migration images, replayed
+// logs — so a node whose wall clock lags a peer's still stamps its
+// next local write above everything it holds.
 type hlc struct {
-	mu   sync.Mutex
-	last uint64
-	node uint64 // low 16 bits of every stamp
+	last atomic.Uint64 // the highest stamp returned or observed
+	node uint64        // low 16 bits of every stamp
 }
 
 // hlcNodeBits is how many low bits of a stamp carry the node hash.
@@ -41,31 +40,30 @@ func newHLC(id ring.InstanceID) *hlc {
 }
 
 // Next returns a stamp strictly greater than every stamp this clock
-// has returned or observed.
+// has returned or observed. Next is lock-free, so concurrent writers
+// race on one compare-and-swap instead of queueing on a mutex.
 func (c *hlc) Next() uint64 {
 	phys := uint64(time.Now().UnixMilli())
-	c.mu.Lock()
-	// Bursts faster than the wall clock (or a clock running behind an
-	// observed peer's) borrow the next millisecond rather than bumping
-	// the raw stamp, so the low bits always stay this node's hash.
-	if lastPhys := c.last >> hlcNodeBits; phys <= lastPhys {
-		phys = lastPhys + 1
+	for {
+		last := c.last.Load()
+		// Bursts faster than the wall clock (or a clock running behind an
+		// observed peer's) borrow the next millisecond rather than
+		// bumping the raw stamp, so the low bits always stay this node's
+		// hash.
+		p := max(phys, last>>hlcNodeBits+1)
+		if v := p<<hlcNodeBits | c.node; c.last.CompareAndSwap(last, v) {
+			return v
+		}
 	}
-	v := phys<<hlcNodeBits | c.node
-	c.last = v
-	c.mu.Unlock()
-	return v
 }
 
-// Observe advances the clock past an externally produced stamp; zero
-// (unversioned) observations are no-ops.
+// Observe advances the clock past an externally produced stamp;
+// observing version 0 is a no-op.
 func (c *hlc) Observe(v uint64) {
-	if v == 0 {
-		return
+	for {
+		last := c.last.Load()
+		if v <= last || c.last.CompareAndSwap(last, v) {
+			return
+		}
 	}
-	c.mu.Lock()
-	if v > c.last {
-		c.last = v
-	}
-	c.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -33,10 +34,10 @@ type Instance struct {
 	cfg   Config
 	self  ring.Instance
 	hashf hashing.Func
-	// clock stamps every replicated mutation with a version for
-	// last-writer-wins resolution across replicas (DESIGN.md §12) and
-	// observes stamps on incoming legs so local stamps always order
-	// after everything already applied.
+	// clock stamps every mutation the instance applies as owner with a
+	// version for last-writer-wins resolution across replicas
+	// (DESIGN.md §12), and observes every stamped pair installed from
+	// elsewhere so local stamps always order after it.
 	clock *hlc
 
 	// table is the published membership table. Published tables are
@@ -234,11 +235,11 @@ func (in *Instance) Epoch() uint64 {
 }
 
 // storeRef is the immutable cell a stores slot points to.
-type storeRef struct{ storage.PartitionKV }
+type storeRef struct{ storage.KV }
 
 // store returns (creating on demand) the NoVoHT store backing
 // partition p on this instance.
-func (in *Instance) store(p int) (storage.PartitionKV, error) {
+func (in *Instance) store(p int) (storage.KV, error) {
 	if s := in.storeIfPresent(p); s != nil {
 		return s, nil
 	}
@@ -248,7 +249,7 @@ func (in *Instance) store(p int) (storage.PartitionKV, error) {
 	in.smu.Lock()
 	defer in.smu.Unlock()
 	if r := in.stores[p].Load(); r != nil {
-		return r.PartitionKV, nil
+		return r.KV, nil
 	}
 	opts := novoht.Options{
 		MaxMemValues: in.cfg.MaxMemValuesPerPartition,
@@ -267,6 +268,14 @@ func (in *Instance) store(p int) (storage.PartitionKV, error) {
 	s, err := novoht.Open(opts)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Path != "" {
+		// A replayed log installs stamped pairs too: the clock observes
+		// them, so a restarted node stamps its next write above them.
+		s.ForEachV(func(_ string, _ []byte, ver uint64) error {
+			in.clock.Observe(ver)
+			return nil
+		})
 	}
 	in.stores[p].Store(&storeRef{s})
 	return s, nil
@@ -308,9 +317,14 @@ func (in *Instance) servesInline(req *wire.Request) bool {
 	switch req.Op {
 	case wire.OpLookup, wire.OpBatch:
 		return true
-	case wire.OpInsert, wire.OpRemove, wire.OpAppend, wire.OpCas, wire.OpReplicate:
+	case wire.OpInsert, wire.OpRemove, wire.OpAppend, wire.OpCas:
+		if in.mutates(req) {
+			return false
+		}
+		fallthrough
+	case wire.OpReplicate:
 		d := in.cfg.Durability
-		return !in.mutates(req) && (d == storage.DurabilityNone || d == storage.DurabilityAsync)
+		return d == storage.DurabilityNone || d == storage.DurabilityAsync
 	}
 	return false
 }
@@ -375,7 +389,7 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 		if s := in.storeIfPresent(p); s == nil {
 			resp.Status = wire.StatusNotFound
 		} else {
-			in.applyKV(s, req, resp, nil)
+			in.applyLookup(s, req, resp, nil)
 		}
 		return resp
 	}
@@ -404,88 +418,115 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 
 // storeIfPresent returns partition p's store only if this instance
 // already holds one, never creating it.
-func (in *Instance) storeIfPresent(p int) storage.PartitionKV {
+func (in *Instance) storeIfPresent(p int) storage.KV {
 	if p < 0 || p >= len(in.stores) {
 		return nil
 	}
 	if r := in.stores[p].Load(); r != nil {
-		return r.PartitionKV
+		return r.KV
 	}
 	return nil
 }
 
-// applyPrimary applies a replicated mutation to the owner's store,
-// stamping the stored pair with ver, and answers into resp. It returns
-// the value the replica legs must carry when it differs from req.Value
-// (append legs carry the full concatenated value: with versions,
-// appends replicate as whole-value inserts so a replica that missed
-// an earlier leg converges to the primary's bytes instead of
-// appending onto a different base).
-func (in *Instance) applyPrimary(s storage.PartitionKV, req *wire.Request, ver uint64, resp *wire.Response) []byte {
+// applyMutation stamps one mutation, applies it to the owner's store
+// and answers into resp, which arrives zeroed. Every level of
+// replication shares it. It returns the stamp and the value an
+// append's replica legs carry — the accumulated value, so a replica
+// that missed an earlier leg converges to the primary's bytes instead
+// of appending onto a different base — or nil when the legs carry
+// req.Value.
+//
+// The stamp is drawn before the store's lock is taken, and at r = 0 no
+// mutation stripe orders two writers of one key, so a writer can reach
+// the store after one that drew a newer stamp. The store refuses it
+// (storage.ErrStale) rather than let the key's stamp fall behind its
+// apply order, and the op redraws above the stored version.
+func (in *Instance) applyMutation(s storage.KV, req *wire.Request, resp *wire.Response) (uint64, []byte) {
+	for {
+		ver := in.clock.Next()
+		legVal, err := in.mutate(s, req, ver, resp)
+		if !errors.Is(err, storage.ErrStale) {
+			if err != nil {
+				setErr(resp, err)
+			}
+			return ver, legVal
+		}
+		if _, stored, _, err := s.GetAppendV(nil, req.Key); err == nil {
+			in.clock.Observe(stored)
+		}
+	}
+}
+
+// mutate applies req to s stamped with ver, as one store call in the
+// store's critical section, and answers every outcome but an error
+// into resp.
+func (in *Instance) mutate(s storage.KV, req *wire.Request, ver uint64, resp *wire.Response) ([]byte, error) {
+	var err error
 	switch req.Op {
 	case wire.OpInsert:
-		if req.Flags&wire.FlagIfAbsent != 0 {
-			// The per-key mutation stripe is held: check-then-put is
-			// atomic with respect to every other writer of this key. An
-			// expired TTL envelope counts as absent — lazy expiry must
-			// not block a fresh add (memcached `add` semantics).
-			if v, _, found, err := s.GetV(req.Key); err != nil {
-				setErr(resp, err)
-				return nil
-			} else if found && !tenant.Expired(v) {
-				resp.Status = wire.StatusExists
-				return nil
-			}
+		if req.Flags&wire.FlagIfAbsent == 0 {
+			err = s.PutV(req.Key, req.Value, ver)
+			break
 		}
-		if err := s.PutV(req.Key, req.Value, ver); err != nil {
-			setErr(resp, err)
+		var ok bool
+		if ok, err = s.PutIfAbsentV(req.Key, req.Value, ver); err != nil || ok {
+			break
 		}
-		return nil
+		// Occupied — but an expired TTL envelope counts as absent (lazy
+		// expiry must not block a fresh add, memcached `add` semantics):
+		// overwrite it. Only the occupied path pays the extra Get. With
+		// replicas the key's mutation stripe makes check-then-put
+		// atomic; without, two adds racing an expired pair can both
+		// succeed, the same benign race as two adds on an absent key.
+		if v, found, gerr := s.Get(req.Key); gerr == nil && found && tenant.Expired(v) {
+			err = s.PutV(req.Key, req.Value, ver)
+		} else {
+			resp.Status = wire.StatusExists
+		}
 	case wire.OpRemove:
-		// The owner is the serialization point (mutation stripe), so
-		// the local delete is unconditional; ver rides the replica
-		// legs, where RemoveLWW refuses to delete a newer write.
-		ok, err := s.Remove(req.Key)
-		if err != nil {
-			setErr(resp, err)
-		} else if !ok {
+		// The owner is the serialization point, so the local delete
+		// needs no newer-wins check; ver rides the replica legs, where
+		// RemoveLWW refuses to delete a newer write.
+		var ok bool
+		if ok, err = s.RemoveV(req.Key, ver); err == nil && !ok {
 			resp.Status = wire.StatusNotFound
 		}
-		return nil
 	case wire.OpAppend:
-		buf := wire.GetBuffer()
-		old, _, _, err := s.GetAppendV(buf, req.Key)
-		if err != nil {
-			wire.PutBuffer(old)
-			setErr(resp, err)
-			return nil
-		}
-		full := append(old, req.Value...)
-		if err := s.PutV(req.Key, full, ver); err != nil {
-			wire.PutBuffer(full)
-			setErr(resp, err)
-			return nil
+		var dst []byte
+		if in.cfg.Replicas > 0 {
+			dst = wire.GetBuffer()
 		}
 		// full escapes into the replica legs, which alias it until the
 		// fan-out has sent or copied them; ownership passes back as
 		// legVal and applyBatch releases it afterwards.
-		return full
+		var full []byte
+		if full, err = s.AppendV(dst, req.Key, req.Value, ver); err == nil {
+			return full, nil
+		}
+		if full != nil {
+			wire.PutBuffer(full)
+		}
 	case wire.OpCas:
-		// CAS semantics (nil-vs-empty expectations, current-value
-		// reporting) live in the store; re-stamp the winner rather
-		// than re-implementing them here. The extra PutV is off the
-		// hot path — CAS is the rare op — and keeps behavior
-		// byte-identical to the engine's.
-		in.applyKV(s, req, resp, nil)
-		if resp.Status == wire.StatusOK {
-			if err := s.PutV(req.Key, req.Value, ver); err != nil {
-				setErr(resp, err)
+		// FlagIfAbsent marks "expect absent"; otherwise Aux is the
+		// expected current value (nil Aux = expect empty value, since
+		// the wire layer normalizes empty to nil).
+		var old []byte
+		if req.Flags&wire.FlagIfAbsent == 0 {
+			old = req.Aux
+			if old == nil {
+				old = []byte{}
 			}
 		}
-		return nil
+		var swapped bool
+		var cur []byte
+		if swapped, cur, err = s.CasV(req.Key, old, req.Value, ver); err == nil && !swapped {
+			resp.Status = wire.StatusCasMismatch
+			resp.Value = cur
+		}
+	default:
+		resp.Status, resp.Err = wire.StatusError, "core: bad kv op"
 	}
-	in.applyKV(s, req, resp, nil)
-	return nil
+	return nil, err
 }
 
 func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
@@ -512,10 +553,10 @@ func (in *Instance) tooLarge(req *wire.Request) bool {
 	return in.cfg.MaxValueLen > 0 && len(req.Value) > in.cfg.MaxValueLen
 }
 
-// mutates reports whether req is a mutation this instance must push
-// along the replica chain.
+// mutates reports whether req is a KV mutation with replica legs to
+// push along the chain.
 func (in *Instance) mutates(req *wire.Request) bool {
-	return req.Op != wire.OpLookup && req.Flags&wire.FlagNoReplicate == 0 && in.cfg.Replicas > 0
+	return req.Op != wire.OpLookup && in.cfg.Replicas > 0
 }
 
 // exportPartition snapshots partition p with the op lock held so the
@@ -556,115 +597,51 @@ func setErr(resp *wire.Response, err error) {
 	resp.Err = err.Error()
 }
 
-// applyKV executes one KV op against a store and answers into resp,
-// which arrives zeroed. Shared by the primary path and the replica
-// path so both stay byte-identical. Lookups are TTL-aware: a value
-// whose tenant envelope has expired answers NotFound (lazy expiry,
-// DESIGN.md §13) — the pair itself is deleted later by the
-// anti-entropy reaper, never on the read path.
+// applyLookup serves one lookup from a store and answers into resp,
+// which arrives zeroed, with the pair's stamp: quorum-read
+// coordinators resolve copies newest-version-wins. Lookups are
+// TTL-aware: a value whose tenant envelope has expired answers
+// NotFound (lazy expiry, DESIGN.md §13) — the pair itself is deleted
+// later by the anti-entropy reaper, never on the read path.
 //
 // A looked-up value is copied once out of the store: appended to
 // *arena when the caller has one (an envelope's value arena, alive
 // until the envelope response is encoded), otherwise into a pooled
 // buffer that resp owns and the transport writer recycles after
 // encoding.
-func (in *Instance) applyKV(s storage.PartitionKV, req *wire.Request, resp *wire.Response, arena *[]byte) {
-	switch req.Op {
-	case wire.OpInsert:
-		if req.Flags&wire.FlagIfAbsent != 0 {
-			ok, err := s.PutIfAbsent(req.Key, req.Value)
-			if err != nil {
-				setErr(resp, err)
-				return
-			}
-			if !ok {
-				// Occupied — but an expired TTL envelope counts as
-				// absent (lazy expiry): overwrite it. Only the occupied
-				// path pays the extra Get. On the unreplicated path no
-				// mutation stripe is held, so two concurrent adds racing
-				// an expired pair can both succeed — same class of
-				// benign race as concurrent adds on a truly absent key.
-				if v, found, gerr := s.Get(req.Key); gerr == nil && found && tenant.Expired(v) {
-					if perr := s.Put(req.Key, req.Value); perr != nil {
-						setErr(resp, perr)
-					}
-					return
-				}
-				resp.Status = wire.StatusExists
-			}
-			return
-		}
-		if err := s.Put(req.Key, req.Value); err != nil {
-			setErr(resp, err)
-		}
-	case wire.OpLookup:
-		// The pair's stamp rides along — quorum-read coordinators
-		// resolve copies newest-version-wins.
-		var buf []byte
-		if arena != nil {
-			buf = *arena
-		} else {
-			buf = wire.GetBuffer()
-		}
-		start := len(buf)
-		v, ver, found, err := s.GetAppendV(buf, req.Key)
-		val := v[start:]
-		switch {
-		case err != nil:
-			setErr(resp, err)
-		case !found:
-			resp.Status = wire.StatusNotFound
-		case tenant.Expired(val):
-			in.met.expiredReads.Inc()
-			resp.Status = wire.StatusNotFound
-		default:
-			resp.Version = ver
-			if len(val) == 0 {
-				break
-			}
-			if arena != nil {
-				*arena = v
-				resp.Value = val[:len(val):len(val)]
-			} else {
-				resp.SetPooledValue(v)
-			}
-			return
-		}
-		if arena == nil {
-			wire.PutBuffer(v)
-		}
-	case wire.OpRemove:
-		ok, err := s.Remove(req.Key)
-		if err != nil {
-			setErr(resp, err)
-		} else if !ok {
-			resp.Status = wire.StatusNotFound
-		}
-	case wire.OpAppend:
-		if err := s.Append(req.Key, req.Value); err != nil {
-			setErr(resp, err)
-		}
-	case wire.OpCas:
-		// FlagIfAbsent marks "expect absent"; otherwise Aux is the
-		// expected current value (nil Aux = expect empty value,
-		// since the wire layer normalizes empty to nil).
-		var old []byte
-		if req.Flags&wire.FlagIfAbsent == 0 {
-			old = req.Aux
-			if old == nil {
-				old = []byte{}
-			}
-		}
-		swapped, cur, err := s.Cas(req.Key, old, req.Value)
-		if err != nil {
-			setErr(resp, err)
-		} else if !swapped {
-			resp.Status = wire.StatusCasMismatch
-			resp.Value = cur
-		}
+func (in *Instance) applyLookup(s storage.KV, req *wire.Request, resp *wire.Response, arena *[]byte) {
+	var buf []byte
+	if arena != nil {
+		buf = *arena
+	} else {
+		buf = wire.GetBuffer()
+	}
+	start := len(buf)
+	v, ver, found, err := s.GetAppendV(buf, req.Key)
+	val := v[start:]
+	switch {
+	case err != nil:
+		setErr(resp, err)
+	case !found:
+		resp.Status = wire.StatusNotFound
+	case tenant.Expired(val):
+		in.met.expiredReads.Inc()
+		resp.Status = wire.StatusNotFound
 	default:
-		resp.Status = wire.StatusError
-		resp.Err = "core: bad kv op"
+		resp.Version = ver
+		if len(val) == 0 {
+			break
+		}
+		if arena != nil {
+			*arena = v
+			resp.Value = val[:len(val):len(val)]
+		} else {
+			resp.SetPooledValue(v)
+		}
+		return
+	}
+	if arena == nil {
+		wire.PutBuffer(v)
 	}
 }
 
@@ -681,84 +658,78 @@ func replicaFwd(p int, req *wire.Request, ver uint64, legVal []byte) wire.Reques
 	fwd := *req
 	fwd.Op = wire.OpReplicate
 	fwd.Version = ver
-	innerOp, innerAux := req.Op, req.Aux
+	innerOp := req.Op
 	if req.Op == wire.OpCas || req.Op == wire.OpAppend {
-		innerOp, innerAux = wire.OpInsert, nil
+		innerOp = wire.OpInsert
 	}
 	if legVal != nil {
 		fwd.Value = legVal
 	}
 	fwd.Flags &^= wire.FlagIfAbsent
-	fwd.Aux = encodeReplicaAux(innerOp, innerAux)
+	fwd.Aux = encodeReplicaAux(innerOp)
 	fwd.Partition = int64(p)
 	fwd.Flags |= wire.FlagNoReplicate
 	return fwd
 }
 
-// encodeReplicaAux packs the original op (and CAS expectation) into
-// the Aux field of an OpReplicate message.
-func encodeReplicaAux(op wire.Op, origAux []byte) []byte {
-	out := make([]byte, 1+len(origAux))
-	out[0] = byte(op)
-	copy(out[1:], origAux)
-	return out
-}
+// encodeReplicaAux packs the op a replica applies — insert or remove —
+// into the Aux field of an OpReplicate message.
+func encodeReplicaAux(op wire.Op) []byte { return []byte{byte(op)} }
 
 // handleReplicate applies a forwarded mutation to the local replica
 // store for the partition and answers into resp, which arrives zeroed.
+// Legs resolve last-writer-wins: a stale leg (reordered behind a newer
+// write on the sync/async seam, or replayed from the leg queue after
+// the key moved on) is rejected by the version compare instead of
+// clobbering the newer state. Every sender stamps its legs, so a leg
+// without a version is refused.
 func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
-	if len(req.Aux) < 1 {
-		resp.Status, resp.Err = wire.StatusError, "core: replicate without op"
+	if len(req.Aux) < 1 || req.Version == 0 {
+		resp.Status, resp.Err = wire.StatusError, "core: replicate without op or version"
 		return
-	}
-	inner := *req
-	inner.Op = wire.Op(req.Aux[0])
-	inner.Aux = req.Aux[1:]
-	if len(inner.Aux) == 0 {
-		inner.Aux = nil
 	}
 	s, err := in.store(int(req.Partition))
 	if err != nil {
 		setErr(resp, err)
 		return
 	}
-	// Versioned legs resolve last-writer-wins: a stale leg (reordered
-	// behind a newer write on the sync/async seam, or replayed from
-	// handoff after the key moved on) is rejected by the version
-	// compare instead of clobbering the newer state. The clock
-	// observes every incoming stamp so this node's next local write
-	// orders after everything it has applied.
-	if req.Version > 0 {
+	var applied bool
+	switch op := wire.Op(req.Aux[0]); op {
+	case wire.OpInsert:
+		applied, err = in.install(s, req.Key, req.Value, req.Version)
+	case wire.OpRemove:
 		in.clock.Observe(req.Version)
-		var applied bool
-		switch inner.Op {
-		case wire.OpInsert:
-			applied, err = s.PutLWW(inner.Key, inner.Value, req.Version)
-		case wire.OpRemove:
-			applied, err = s.RemoveLWW(inner.Key, req.Version)
-		default:
-			resp.Status, resp.Err = wire.StatusError, "core: bad versioned replica op "+inner.Op.String()
-			return
-		}
-		if err != nil {
-			setErr(resp, err)
-			return
-		}
-		if !applied {
-			in.met.versionConflicts.Inc()
-		}
+		applied, err = s.RemoveLWW(req.Key, req.Version)
+	default:
+		resp.Status, resp.Err = wire.StatusError, "core: bad replica op "+op.String()
 		return
 	}
-	in.applyKV(s, &inner, resp, nil)
-	// Unversioned replicas tolerate NotFound (a remove may race ahead
-	// of the insert it follows on the async path) — but each tolerated
-	// race is a pair whose replica state disagreed with the primary's
-	// apply order, so count it: silent drift should be observable even
-	// with the repair loop disabled.
-	if resp.Status == wire.StatusNotFound || resp.Status == wire.StatusCasMismatch || resp.Status == wire.StatusExists {
-		in.met.divergence.Inc()
-		resp.Status = wire.StatusOK
+	if err != nil {
+		setErr(resp, err)
+	} else if !applied {
+		in.met.versionConflicts.Inc()
 	}
+}
+
+// installer is a partition store whose PutLWW is install, so a
+// migration image lands through it like every other stamped pair.
+type installer struct {
+	storage.KV
+	in *Instance
+}
+
+func (i installer) PutLWW(key string, val []byte, ver uint64) (bool, error) {
+	return i.in.install(i.KV, key, val, ver)
+}
+
+// install lands a stamped pair another node produced — a replica leg,
+// a repair transfer, a migration image — last-writer-wins. It is the
+// one way such a pair enters a local store: the clock observes the
+// stamp first, so this node's next write of the key stamps above it
+// and is never refused by a copy that holds the installed pair.
+func (in *Instance) install(s storage.KV, key string, val []byte, ver uint64) (bool, error) {
+	in.clock.Observe(ver)
+	return s.PutLWW(key, val, ver)
 }
 
 // handleMembership returns the current table.
@@ -869,7 +840,7 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
-		if _, err := storage.Import(bytes.NewReader(req.Aux), s); err != nil {
+		if _, err := storage.Import(bytes.NewReader(req.Aux), installer{s, in}); err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
 		return &wire.Response{Status: wire.StatusOK}
@@ -1206,8 +1177,8 @@ func (in *Instance) Close() error {
 }
 
 // openStores lists the partition stores created so far.
-func (in *Instance) openStores() []storage.PartitionKV {
-	var out []storage.PartitionKV
+func (in *Instance) openStores() []storage.KV {
+	var out []storage.KV
 	for p := range in.stores {
 		if s := in.storeIfPresent(p); s != nil {
 			out = append(out, s)

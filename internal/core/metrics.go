@@ -67,13 +67,6 @@ type instanceMetrics struct {
 	// replay or anti-entropy repairs it; a non-zero rate means reads
 	// served by a failover replica may be stale.
 	syncErrors *metrics.Counter // zht.core.replica.sync_errors
-	// divergence counts replica applies whose outcome disagreed with
-	// the primary's (NotFound/CasMismatch/Exists tolerated and
-	// normalized to OK): each one is a pair where this replica's state
-	// had drifted from the apply order the primary saw. Non-zero with
-	// repair disabled means silent drift; with repair enabled the
-	// anti-entropy loop re-converges it.
-	divergence *metrics.Counter // zht.core.replica.divergence
 	// repBreakerTrips / repBreakerOpen mirror the client breaker
 	// instruments for the instance's replication breaker: an open
 	// circuit short-circuits replication legs to a dead peer straight
@@ -126,7 +119,6 @@ type instanceMetrics struct {
 func newInstanceMetrics(reg *metrics.Registry) instanceMetrics {
 	return instanceMetrics{
 		syncErrors:       reg.Counter("zht.core.replica.sync_errors"),
-		divergence:       reg.Counter("zht.core.replica.divergence"),
 		repBreakerTrips:  reg.Counter("zht.core.replica.breaker.trips"),
 		repBreakerOpen:   reg.Gauge("zht.core.replica.breaker.open"),
 		quorumWrites:     reg.Counter("zht.consistency.quorum_writes"),

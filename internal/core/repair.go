@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"time"
 
@@ -130,24 +129,19 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 // the authoritative pair set, version-aware in both directions
 // (DESIGN.md §12):
 //
-//   - Upserts apply last-writer-wins: a local pair newer than the
+//   - Upserts install last-writer-wins: a local pair newer than the
 //     authority's copy is kept (the authority's digest predates a
 //     write this replica already holds — repair must never replace
-//     newer with older), and unversioned authority pairs never
-//     clobber a versioned local pair.
+//     newer with older).
 //   - Local keys the authority lacks are deleted only when wholesale
 //     is set — the pair set is a live owner's complete image, so an
-//     absent key was removed (removes carry no tombstones) — or when
-//     the local pair is unversioned (legacy wholesale-replace
-//     behavior). A VERSIONED local extra under a non-wholesale sync
-//     (authority is itself a failover replica) is kept: it may be an
-//     acked write the acting authority missed, and deleting it could
-//     drop the write from its last copy. The cost is bounded
-//     divergence — the leaf re-pulls each round until the true owner
-//     returns or re-replication rebuilds the set.
-//
-// Applied versions feed the instance clock so local stamps order
-// after everything repair installed.
+//     absent key was removed (removes carry no tombstones). Under a
+//     non-wholesale sync (the authority is itself a failover replica)
+//     a local extra is kept: it may be an acked write the acting
+//     authority missed, and deleting it could drop the write from its
+//     last copy. The cost is bounded divergence — the leaf re-pulls
+//     each round until the true owner returns or re-replication
+//     rebuilds the set.
 func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, wholesale bool) error {
 	s, err := in.store(p)
 	if err != nil {
@@ -163,49 +157,42 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 			auth[pr.Key] = pr
 		}
 	}
-	type staleKey struct {
-		key string
-		ver uint64
-	}
-	var stale []staleKey
-	if err := s.ForEachV(func(k string, _ []byte, ver uint64) error {
-		if want[storage.LeafOf(k)] {
-			if _, ok := auth[k]; !ok {
-				stale = append(stale, staleKey{k, ver})
+	if wholesale {
+		var stale []stalePair
+		if err := s.ForEachV(func(k string, _ []byte, ver uint64) error {
+			if _, ok := auth[k]; !ok && want[storage.LeafOf(k)] {
+				stale = append(stale, stalePair{k, ver})
 			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, sk := range stale {
-		if !wholesale && sk.ver > 0 {
-			continue
-		}
-		if _, err := s.Remove(sk.key); err != nil {
+			return nil
+		}); err != nil {
 			return err
+		}
+		for _, sp := range stale {
+			if _, err := sp.remove(s); err != nil {
+				return err
+			}
 		}
 	}
 	for k, pr := range auth {
-		if pr.Ver > 0 {
-			if _, err := s.PutLWW(k, pr.Value, pr.Ver); err != nil {
-				return err
-			}
-			in.clock.Observe(pr.Ver)
-			continue
-		}
-		cur, curVer, ok, err := s.GetV(k)
-		if err != nil {
-			return err
-		}
-		if ok && (curVer > 0 || bytes.Equal(cur, pr.Value)) {
-			continue
-		}
-		if err := s.Put(k, pr.Value); err != nil {
+		if _, err := in.install(s, k, pr.Value, pr.Ver); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stalePair is a pair a sweep found should go: the key and the
+// version it was seen at.
+type stalePair struct {
+	key string
+	ver uint64
+}
+
+// remove deletes the pair only if the store still holds the copy the
+// sweep saw: the remove is stamped just above it, so a write that
+// replaced it since keeps the key.
+func (sp stalePair) remove(s storage.KV) (bool, error) {
+	return s.RemoveLWW(sp.key, sp.ver+1)
 }
 
 // repairAuthority returns the instance whose copy of partition p is
@@ -242,9 +229,8 @@ func (in *Instance) holdsReplica(table *ring.Table, p int) bool {
 
 // antiEntropyLoop periodically digest-syncs every partition this
 // instance replicates against the partition's authority, bounding how
-// long any divergence — dropped legs past the handoff cap, races the
-// divergence counter records, faults internal/chaos injects — can
-// persist.
+// long any divergence — dropped legs past the handoff cap, faults
+// internal/chaos injects — can persist.
 func (in *Instance) antiEntropyLoop() {
 	defer in.loopWG.Done()
 	tick := time.NewTicker(in.cfg.AntiEntropy)
@@ -276,15 +262,15 @@ func (in *Instance) antiEntropyLoop() {
 func (in *Instance) reapExpired() {
 	nowMs := time.Now().UnixMilli()
 	for _, s := range in.openStores() {
-		var dead []string
-		s.ForEach(func(key string, val []byte) error {
+		var dead []stalePair
+		s.ForEachV(func(key string, val []byte, ver uint64) error {
 			if tenant.ExpiredAt(val, nowMs) {
-				dead = append(dead, key)
+				dead = append(dead, stalePair{key, ver})
 			}
 			return nil
 		})
-		for _, key := range dead {
-			if ok, err := s.Remove(key); err == nil && ok {
+		for _, d := range dead {
+			if ok, err := d.remove(s); err == nil && ok {
 				in.met.reaped.Inc()
 			}
 		}

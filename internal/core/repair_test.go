@@ -169,30 +169,6 @@ func storeGet(in *Instance, p int, key string) ([]byte, bool, error) {
 	return s.Get(key)
 }
 
-// TestReplicaDivergenceCounted covers the satellite fix: a replica
-// apply whose outcome disagrees with the primary's (here: a remove
-// for a key the replica never got) is still normalized to OK, but the
-// race must now bump zht.core.replica.divergence instead of passing
-// silently.
-func TestReplicaDivergenceCounted(t *testing.T) {
-	mreg := metrics.NewRegistry()
-	cfg := Config{NumPartitions: 4, Replicas: 1, Metrics: mreg}
-	d, _, _ := startDeployment(t, cfg, 2)
-
-	in := d.Instance(0)
-	resp := in.Handle(&wire.Request{
-		Op: wire.OpReplicate, Partition: 0, Key: "never-inserted",
-		Aux:   []byte{byte(wire.OpRemove)},
-		Flags: wire.FlagNoReplicate,
-	})
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("replica remove race must normalize to OK, got %v %s", resp.Status, resp.Err)
-	}
-	if got := mreg.Counter("zht.core.replica.divergence").Value(); got != 1 {
-		t.Fatalf("divergence = %d, want 1", got)
-	}
-}
-
 // TestAntiEntropyRepairsOverflowedHandoff drives more failed legs than
 // the handoff cap can hold: the overflow is counted as dropped, and
 // the anti-entropy loop — not handoff replay — closes the remaining
@@ -346,7 +322,7 @@ func TestRepairOpsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.Put("alpha", []byte("1")); err != nil {
+	if err := sa.PutV("alpha", []byte("1"), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,19 +354,24 @@ func TestRepairOpsOverWire(t *testing.T) {
 		t.Fatal("digests differ after full-leaf transfer")
 	}
 
-	// Push-apply also deletes stale keys absent from the authority.
+	// A wholesale push-apply (a live owner's complete image) also
+	// deletes stale keys absent from the authority; any other push keeps
+	// them, whatever their version.
 	sb, err := b.store(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.Put("stale", []byte("x")); err != nil {
+	if err := sb.PutV("stale", []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
-	push = b.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: 2, Aux: repair.EncodeLeafSet(all), Value: pull.Value})
-	if push.Status != wire.StatusOK {
-		t.Fatalf("second push-apply: %v %s", push.Status, push.Err)
-	}
-	if _, ok, _ := storeGet(b, 2, "stale"); ok {
-		t.Fatal("stale key survived leaf replacement")
+	for _, flags := range []uint8{0, wire.FlagWholesale} {
+		push = b.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: 2, Flags: flags,
+			Aux: repair.EncodeLeafSet(all), Value: pull.Value})
+		if push.Status != wire.StatusOK {
+			t.Fatalf("push-apply (flags %v): %v %s", flags, push.Status, push.Err)
+		}
+		if _, ok, _ := storeGet(b, 2, "stale"); ok != (flags == 0) {
+			t.Fatalf("stale key present = %v after push-apply with flags %v", ok, flags)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (k novohtKV) get(key string) error {
 	return nil
 }
 func (k novohtKV) del(key string) error {
-	_, err := k.s.Remove(key)
+	_, err := k.s.RemoveV(key, 0)
 	return err
 }
 func (k novohtKV) close() error { return k.s.Close() }

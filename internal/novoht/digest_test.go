@@ -1,6 +1,7 @@
 package novoht
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -46,11 +47,11 @@ func mutateRandomly(t *testing.T, s *Store, rng *rand.Rand, prefix string, n, ke
 		var err error
 		switch rng.Intn(9) {
 		case 0:
-			_, err = s.Remove(k)
+			_, err = s.RemoveV(k, 0)
 		case 1:
-			err = s.Append(k, []byte(fmt.Sprintf("+%d", i)))
+			_, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), 0)
 		case 2:
-			_, err = s.PutIfAbsent(k, val)
+			_, err = s.PutIfAbsentV(k, val, 0)
 		case 3:
 			var cur []byte
 			var ok bool
@@ -59,11 +60,16 @@ func mutateRandomly(t *testing.T, s *Store, rng *rand.Rand, prefix string, n, ke
 				if !ok {
 					cur = nil
 				}
-				_, _, err = s.Cas(k, cur, val)
+				_, _, err = s.CasV(k, cur, val, 0)
 			}
 		case 4:
+			// Writers sharing keys keep separate clocks, so another
+			// writer's newer stamp refuses this one, like a lost
+			// last-writer-wins race.
 			clock++
-			err = s.PutV(k, val, clock)
+			if err = s.PutV(k, val, clock); errors.Is(err, storage.ErrStale) {
+				err = nil
+			}
 		case 5:
 			_, err = s.PutLWW(k, val, stamp())
 		case 6:
@@ -162,7 +168,7 @@ func TestDigestAppendChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		if err := s.Append("dir", []byte(fmt.Sprintf("entry-%05d;", i))); err != nil {
+		if _, err := s.AppendV(nil, "dir", []byte(fmt.Sprintf("entry-%05d;", i)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +195,7 @@ func TestDigestTornTailReplay(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.PutV(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)), uint64(i+1))
 	}
-	s.Append("k3", []byte("-tail"))
+	s.AppendV(nil, "k3", []byte("-tail"), 0)
 	s.Put("k5", []byte("rewritten"))
 	s.Close()
 	fi, err := os.Stat(path)

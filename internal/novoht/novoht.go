@@ -167,7 +167,7 @@ type entry struct {
 	val  []byte
 	off  int64
 	vlen int64
-	ver  uint64 // HLC version stamp; 0 = unversioned (legacy write)
+	ver  uint64 // HLC version stamp; 0 = older than any stamped write
 	// fh is the pair's digest hash state before the version is sealed
 	// in: storage.FNV over storage.PairPrefix(key) and the value. It
 	// stays valid while the value is evicted.
@@ -175,17 +175,30 @@ type entry struct {
 	onDisk bool // an up-to-date contiguous image exists on disk
 }
 
-// Log record types. The versioned variants carry an extra version
-// uvarint between the value length and the key; unversioned writes
-// (ver == 0) keep emitting the legacy types, so a store that never
-// sees a versioned mutation produces byte-identical logs.
+// Log record types. Each base type has a versioned variant, numbered
+// versionedRec above it, that carries an extra version uvarint between
+// the value length and the key. A mutation stamped with version 0
+// emits the base type, so records written before versioning keep
+// their exact bytes and meaning.
 const (
 	recPut     = 1
 	recRemove  = 2
 	recAppend  = 3
 	recPutV    = 4
 	recRemoveV = 5
+	recAppendV = 6
+
+	versionedRec = recPutV - recPut
 )
+
+// recordType returns the record type a mutation of base type typ
+// stamped with ver is logged as.
+func recordType(typ byte, ver uint64) byte {
+	if ver > 0 {
+		return typ + versionedRec
+	}
+	return typ
+}
 
 var (
 	// ErrClosed reports use after Close.
@@ -290,7 +303,7 @@ func (s *Store) replay(f *os.File) (int64, error) {
 	r := bufio.NewReaderSize(f, int(min(st.Size(), 1<<20)))
 	var off int64
 	for {
-		rec, key, val, ver, n, err := readRecord(r)
+		rec, key, val, ver, n, err := readRecord(r, st.Size()-off)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errBadRecord) {
 				break // torn tail: keep the consistent prefix
@@ -301,9 +314,11 @@ func (s *Store) replay(f *os.File) (int64, error) {
 		switch rec {
 		case recPut, recPutV:
 			if old, ok := sh.m[key]; ok {
-				// Crash replay keeps the newest version: a versioned
-				// record that lost a last-writer-wins race with a record
-				// already replayed is dead bytes, not the live state.
+				// Crash replay keeps the newest version. The store
+				// refuses a stamp older than the stored one
+				// (storage.ErrStale), so this skips only records of logs
+				// written before that rule, where an older stamp was
+				// applied over a newer one.
 				if ver > 0 && old.ver > ver {
 					s.deadBytes.Add(recordSize(key, int64(len(val)), ver))
 					break
@@ -321,20 +336,21 @@ func (s *Store) replay(f *os.File) (int64, error) {
 				s.deadBytes.Add(recordSize(key, old.vlen, old.ver) + recordSize(key, 0, ver))
 				delete(sh.m, key)
 			}
-		case recAppend:
+		case recAppend, recAppendV:
+			// An append applies unconditionally, as it did live; an
+			// unversioned one keeps the pair's stamp, a versioned one
+			// replaces it.
 			e, ok := sh.m[key]
 			if !ok {
 				e = &entry{}
 				sh.m[key] = e
 			}
-			if e.onDisk && e.val == nil {
-				// Shouldn't happen during replay (values are loaded),
-				// but guard anyway.
-				return 0, errors.New("novoht: replay: append to evicted entry")
-			}
 			e.val = append(e.val, val...)
 			e.vlen = int64(len(e.val))
 			e.onDisk = false // value no longer contiguous on disk
+			if rec == recAppendV {
+				e.ver = ver
+			}
 		}
 		off += int64(n)
 	}
@@ -363,8 +379,7 @@ func (s *Store) toggle(key string, x uint64) {
 	}
 }
 
-// DigestLeaves returns a copy of the store's repair digest leaves
-// (storage.VersionedKV).
+// DigestLeaves returns a copy of the store's repair digest leaves.
 func (s *Store) DigestLeaves() []uint64 {
 	out := make([]uint64, storage.Leaves)
 	for i := range out {
@@ -378,10 +393,10 @@ func (s *Store) Put(key string, val []byte) error {
 	return s.PutV(key, val, 0)
 }
 
-// PutV stores val under key with the given version stamp,
-// unconditionally replacing any existing value and version
-// (storage.VersionedKV). Version 0 is the legacy unversioned write —
-// Put is exactly PutV(key, val, 0).
+// PutV stores val under key with the given version stamp, replacing
+// any existing value and version; a non-zero ver at or below the
+// stored version is refused with storage.ErrStale. Put is exactly
+// PutV(key, val, 0).
 func (s *Store) PutV(key string, val []byte, ver uint64) error {
 	defer s.timeOp(s.putLat)()
 	sh := s.shardOf(key)
@@ -399,8 +414,8 @@ func (s *Store) PutV(key string, val []byte, ver uint64) error {
 }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
-// stored version; an absent key always accepts the write
-// (storage.VersionedKV). It reports whether the store was modified.
+// stored version; an absent key always accepts the write. It reports
+// whether the store was modified.
 func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 	defer s.timeOp(s.putLat)()
 	sh := s.shardOf(key)
@@ -440,15 +455,20 @@ func nopTimer() {}
 // submitted to the WAL (offsets assigned in submission order, which
 // the shard lock makes per-key order) and the in-memory entry
 // updated along with the digest. It returns the log offset the caller
-// must wait durable.
+// must wait durable, or storage.ErrStale when the stored version is
+// at least ver (stale).
 func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (int64, error) {
+	old, ok := sh.m[key]
+	if stale(old, ok, ver) {
+		return 0, storage.ErrStale
+	}
 	voff, end, err := s.appendRecord(recPut, key, val, ver)
 	if err != nil {
 		return 0, err
 	}
 	fh := storage.FNV(storage.PairPrefix(key), val)
 	x := storage.PairSeal(fh, ver)
-	if old, ok := sh.m[key]; ok {
+	if ok {
 		x ^= storage.PairSeal(old.fh, old.ver)
 		s.deadBytes.Add(recordSize(key, old.vlen, old.ver))
 		if old.val == nil && old.onDisk {
@@ -468,23 +488,20 @@ func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (i
 	return end, nil
 }
 
+// stale reports whether a mutation stamped ver must be refused with
+// storage.ErrStale because the present entry e is at least as new, so
+// a key's stamps rise in log order. Version 0 applies unconditionally.
+func stale(e *entry, ok bool, ver uint64) bool { return ok && ver > 0 && e.ver >= ver }
+
 // appendRecord encodes and submits one log record, returning the
 // in-log offset of its value bytes and the offset its last byte will
 // occupy (the durability target). A non-zero ver upgrades the record
-// to its versioned variant (recPut→recPutV, recRemove→recRemoveV)
-// carrying the stamp.
+// to its versioned variant (recordType) carrying the stamp.
 func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff, end int64, err error) {
 	if s.wal == nil {
 		return 0, 0, nil
 	}
-	if ver > 0 {
-		switch typ {
-		case recPut:
-			typ = recPutV
-		case recRemove:
-			typ = recRemoveV
-		}
-	}
+	typ = recordType(typ, ver)
 	// The record is built in a pooled buffer the WAL writer returns
 	// after committing it, and the checksum runs once over the
 	// assembled bytes — no per-record hasher or string conversion.
@@ -492,7 +509,7 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 	rec = append(rec, typ)
 	rec = binary.AppendUvarint(rec, uint64(len(key)))
 	rec = binary.AppendUvarint(rec, uint64(len(val)))
-	if typ == recPutV || typ == recRemoveV {
+	if ver > 0 {
 		rec = binary.AppendUvarint(rec, ver)
 	}
 	n := len(rec)
@@ -560,9 +577,10 @@ func (s *Store) finishMutation(end int64) error {
 	return s.maybeCompact()
 }
 
-// PutIfAbsent stores val only when key is not present; it reports
-// whether the store was modified.
-func (s *Store) PutIfAbsent(key string, val []byte) (bool, error) {
+// PutIfAbsentV stores (val, ver) only when key is not present; it
+// reports whether the store was modified.
+func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, error) {
+	defer s.timeOp(s.putLat)()
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	if s.closed.Load() {
@@ -573,7 +591,7 @@ func (s *Store) PutIfAbsent(key string, val []byte) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putShardLocked(sh, key, val, 0)
+	end, err := s.putShardLocked(sh, key, val, ver)
 	sh.mu.Unlock()
 	if err != nil {
 		return false, err
@@ -583,53 +601,14 @@ func (s *Store) PutIfAbsent(key string, val []byte) (bool, error) {
 
 // Get returns a copy of the value stored under key.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	v, _, ok, err := s.GetV(key)
+	v, _, ok, err := s.GetAppendV(nil, key)
 	return v, ok, err
-}
-
-// GetV is Get plus the stored version stamp (storage.VersionedKV);
-// the version is 0 for pre-versioning records.
-func (s *Store) GetV(key string) ([]byte, uint64, bool, error) {
-	defer s.timeOp(s.getLat)()
-	sh := s.shardOf(key)
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	if !ok {
-		sh.mu.RUnlock()
-		return nil, 0, false, nil
-	}
-	if e.val != nil || e.vlen == 0 {
-		v := append([]byte(nil), e.val...)
-		ver := e.ver
-		sh.mu.RUnlock()
-		return v, ver, true, nil
-	}
-	sh.mu.RUnlock()
-	// Evicted: fault the value in while holding only this shard's
-	// write lock — a slow disk read stalls this shard's keys, never
-	// the other shards'.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.closed.Load() {
-		return nil, 0, false, ErrClosed
-	}
-	e, ok = sh.m[key]
-	if !ok {
-		return nil, 0, false, nil
-	}
-	if e.val == nil && e.vlen > 0 {
-		if err := s.loadEvicted(e); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	return append([]byte(nil), e.val...), e.ver, true, nil
 }
 
 // GetAppendV appends the value stored under key to dst while holding
 // the shard's read lock, so a hot read path costs one copy into a
 // caller-owned scratch buffer and zero allocations, and returns the
-// stored version stamp (storage.VersionedKV). On a miss or error dst
-// is returned unmodified.
+// stored version stamp. On a miss or error dst is returned unmodified.
 func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
 	sh := s.shardOf(key)
@@ -680,14 +659,15 @@ func (s *Store) loadEvicted(e *entry) error {
 	return nil
 }
 
-// Remove deletes key, reporting whether it was present.
-func (s *Store) Remove(key string) (bool, error) {
-	return s.removeVer(key, 0, false)
+// RemoveV deletes key, reporting whether it was present; the log
+// record carries ver. A non-zero ver at or below the stored version
+// is refused with storage.ErrStale.
+func (s *Store) RemoveV(key string, ver uint64) (bool, error) {
+	return s.removeVer(key, ver, false)
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
-// stored version (storage.VersionedKV), reporting whether the key was
-// removed.
+// stored version, reporting whether the key was removed.
 func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
 	return s.removeVer(key, ver, true)
 }
@@ -710,6 +690,10 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
+	if stale(e, ok, ver) {
+		sh.mu.Unlock()
+		return false, storage.ErrStale
+	}
 	_, end, err := s.appendRecord(recRemove, key, nil, ver)
 	if err != nil {
 		sh.mu.Unlock()
@@ -726,28 +710,39 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 	return true, s.finishMutation(end)
 }
 
-// Append concatenates val to the value stored under key, creating the
-// key when absent. This is the operation FusionFS uses for lock-free
-// concurrent directory updates: only the key's shard lock is held.
-func (s *Store) Append(key string, val []byte) error {
+// AppendV concatenates delta to the value stored under key, creating
+// the key when absent, and stamps the pair with ver (version 0 leaves
+// the stamp as it was, as a pre-versioning append record replays; a
+// non-zero ver at or below the stored version is refused with
+// storage.ErrStale). It logs only the delta, as one record, and holds
+// only the key's shard lock: the operation FusionFS uses for lock-free
+// concurrent directory updates.
+// When dst is non-nil the accumulated value is appended to it and
+// returned (a replica leg carries the whole value); a nil dst copies
+// nothing.
+func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, error) {
 	defer s.timeOp(s.appendLat)()
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	if s.closed.Load() {
 		sh.mu.Unlock()
-		return ErrClosed
+		return dst, ErrClosed
 	}
 	e, ok := sh.m[key]
+	if stale(e, ok, ver) {
+		sh.mu.Unlock()
+		return dst, storage.ErrStale
+	}
 	if ok && e.val == nil && e.vlen > 0 {
 		if err := s.loadEvicted(e); err != nil {
 			sh.mu.Unlock()
-			return err
+			return dst, err
 		}
 	}
-	_, end, err := s.appendRecord(recAppend, key, val, 0)
+	_, end, err := s.appendRecord(recAppend, key, delta, ver)
 	if err != nil {
 		sh.mu.Unlock()
-		return err
+		return dst, err
 	}
 	var x uint64
 	if ok {
@@ -759,22 +754,30 @@ func (s *Store) Append(key string, val []byte) error {
 	}
 	// Append records never supersede earlier log bytes (replay needs
 	// the whole chain), so deadBytes is unchanged until compaction.
-	e.val = append(e.val, val...)
+	e.val = append(e.val, delta...)
 	e.vlen = int64(len(e.val))
+	if ver > 0 {
+		e.ver = ver
+	}
 	e.onDisk = false
 	// The value is the last input of the pair hash, so the digest
 	// continues over just the delta.
-	e.fh = storage.FNV(e.fh, val)
+	e.fh = storage.FNV(e.fh, delta)
 	s.toggle(key, x^storage.PairSeal(e.fh, e.ver))
 	s.mutations.Add(1)
+	if dst != nil {
+		dst = append(dst, e.val...)
+	}
 	sh.mu.Unlock()
-	return s.finishMutation(end)
+	return dst, s.finishMutation(end)
 }
 
-// Cas atomically replaces the value under key with newVal when the
-// current value equals oldVal. A nil oldVal means "expect absent".
-// It returns the value observed when the swap fails.
-func (s *Store) Cas(key string, oldVal, newVal []byte) (bool, []byte, error) {
+// CasV atomically replaces the value under key with (newVal, ver)
+// when the current value equals oldVal. A nil oldVal means "expect
+// absent". It returns the value observed when the swap fails, and
+// storage.ErrStale when it would swap but a non-zero ver is at or
+// below the stored version.
+func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	if s.closed.Load() {
@@ -792,30 +795,17 @@ func (s *Store) Cas(key string, oldVal, newVal []byte) (bool, []byte, error) {
 	case !ok && oldVal != nil:
 		sh.mu.Unlock()
 		return false, nil, nil
-	case ok && oldVal == nil:
-		v := append([]byte(nil), e.val...)
-		sh.mu.Unlock()
-		return false, v, nil
-	case ok && string(e.val) != string(oldVal):
+	case ok && (oldVal == nil || string(e.val) != string(oldVal)):
 		v := append([]byte(nil), e.val...)
 		sh.mu.Unlock()
 		return false, v, nil
 	}
-	end, err := s.putShardLocked(sh, key, newVal, e.loadVer())
+	end, err := s.putShardLocked(sh, key, newVal, ver)
 	sh.mu.Unlock()
 	if err != nil {
 		return false, nil, err
 	}
 	return true, nil, s.finishMutation(end)
-}
-
-// loadVer returns the entry's version, tolerating the nil entry the
-// Cas "expect absent" success path holds.
-func (e *entry) loadVer() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.ver
 }
 
 // Len reports the number of keys stored.
@@ -843,18 +833,11 @@ func (s *Store) unlockAll() {
 	}
 }
 
-// ForEach calls fn for every pair; fn must not mutate the store. The
-// value passed to fn for evicted entries is loaded from disk. The
-// whole store is locked for the duration, so the iteration is a
-// consistent snapshot (partition export depends on this).
-func (s *Store) ForEach(fn func(key string, val []byte) error) error {
-	return s.ForEachV(func(key string, val []byte, _ uint64) error {
-		return fn(key, val)
-	})
-}
-
-// ForEachV is ForEach with each pair's version stamp
-// (storage.VersionedKV).
+// ForEachV calls fn for every pair with its version stamp; fn must
+// not mutate the store. The value passed to fn for evicted entries is
+// loaded from disk. The whole store is locked for the duration, so the
+// iteration is a consistent snapshot (partition export depends on
+// this).
 func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
 	s.lockAll()
 	defer s.unlockAll()
@@ -1115,9 +1098,11 @@ func (s *Store) Stats() storage.Stats {
 
 var errBadRecord = errors.New("novoht: bad record checksum")
 
-// readRecord reads one log record, returning its type, key, value,
-// version stamp (0 for unversioned types) and total encoded size.
-func readRecord(r *bufio.Reader) (typ byte, key string, val []byte, ver uint64, n int, err error) {
+// readRecord reads one log record of at most limit bytes, returning its
+// type, key, value, version stamp (0 for unversioned types) and total
+// encoded size. A header claiming more bytes than limit is a torn
+// record, rejected before anything is allocated for it.
+func readRecord(r *bufio.Reader, limit int64) (typ byte, key string, val []byte, ver uint64, n int, err error) {
 	crc := crc32.NewIEEE()
 	typ, err = r.ReadByte()
 	if err != nil {
@@ -1126,7 +1111,7 @@ func readRecord(r *bufio.Reader) (typ byte, key string, val []byte, ver uint64, 
 	crc.Write([]byte{typ})
 	n = 1
 	switch typ {
-	case recPut, recRemove, recAppend, recPutV, recRemoveV:
+	case recPut, recRemove, recAppend, recPutV, recRemoveV, recAppendV:
 	default:
 		return 0, "", nil, 0, 0, errBadRecord
 	}
@@ -1140,7 +1125,7 @@ func readRecord(r *bufio.Reader) (typ byte, key string, val []byte, ver uint64, 
 		return 0, "", nil, 0, 0, err
 	}
 	n += vn
-	if typ == recPutV || typ == recRemoveV {
+	if typ >= recPutV { // a versioned variant
 		var rn int
 		if ver, rn, err = readUvarintCRC(r, crc); err != nil {
 			return 0, "", nil, 0, 0, err
@@ -1149,6 +1134,9 @@ func readRecord(r *bufio.Reader) (typ byte, key string, val []byte, ver uint64, 
 	}
 	if klen > 1<<20 || vlen > 1<<30 {
 		return 0, "", nil, 0, 0, errBadRecord
+	}
+	if int64(n)+int64(klen)+int64(vlen)+4 > limit {
+		return 0, "", nil, 0, 0, io.ErrUnexpectedEOF
 	}
 	kb := make([]byte, klen)
 	if _, err := io.ReadFull(r, kb); err != nil {
@@ -1198,20 +1186,12 @@ func readUvarintCRC(r *bufio.Reader, crc io.Writer) (uint64, int, error) {
 // the record length and the value offset. As in appendRecord, a
 // non-zero ver upgrades the type to its versioned variant.
 func writeRecordTo(w io.Writer, base int64, typ byte, key string, val []byte, ver uint64) (int64, int64, error) {
-	if ver > 0 {
-		switch typ {
-		case recPut:
-			typ = recPutV
-		case recRemove:
-			typ = recRemoveV
-		}
-	}
 	var hdr [1 + 3*binary.MaxVarintLen64]byte
-	hdr[0] = typ
+	hdr[0] = recordType(typ, ver)
 	n := 1
 	n += binary.PutUvarint(hdr[n:], uint64(len(key)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(val)))
-	if typ == recPutV || typ == recRemoveV {
+	if ver > 0 {
 		n += binary.PutUvarint(hdr[n:], ver)
 	}
 	crc := crc32.NewIEEE()

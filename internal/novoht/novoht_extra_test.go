@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"zht/internal/storage"
 )
 
 // Additional edge-case coverage for NoVoHT.
@@ -54,7 +56,7 @@ func TestRecoveryAppendOnlyKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.log")
 	s, _ := Open(Options{Path: path})
 	for i := 0; i < 5; i++ {
-		if err := s.Append("dir", []byte{byte('a' + i)}); err != nil {
+		if _, err := s.AppendV(nil, "dir", []byte{byte('a' + i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,11 +81,11 @@ func TestExportIncludesEvictedValues(t *testing.T) {
 		t.Fatalf("eviction ineffective: %d resident", st.Resident)
 	}
 	var buf bytes.Buffer
-	if err := s.Export(&buf); err != nil {
+	if err := storage.Export(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTemp(t, Options{})
-	n, err := dst.Import(&buf)
+	n, err := storage.Import(&buf, dst)
 	if err != nil || n != 20 {
 		t.Fatalf("import = %d %v", n, err)
 	}
@@ -117,7 +119,7 @@ func TestRemoveEvictedEntry(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("k%d", i), []byte("value"))
 	}
-	removed, err := s.Remove("k0")
+	removed, err := s.RemoveV("k0", 0)
 	if err != nil || !removed {
 		t.Fatalf("remove evicted = %v %v", removed, err)
 	}
@@ -132,7 +134,7 @@ func TestCasOnEvictedEntry(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("fill%d", i), []byte("x"))
 	}
-	ok, _, err := s.Cas("target", []byte("old"), []byte("new"))
+	ok, _, err := s.CasV("target", []byte("old"), []byte("new"), 0)
 	if err != nil || !ok {
 		t.Fatalf("cas on evicted = %v %v", ok, err)
 	}
@@ -148,7 +150,7 @@ func TestAppendToEvictedEntry(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("fill%d", i), []byte("x"))
 	}
-	if err := s.Append("log", []byte("+more")); err != nil {
+	if _, err := s.AppendV(nil, "log", []byte("+more"), 0); err != nil {
 		t.Fatal(err)
 	}
 	v, _, _ := s.Get("log")

@@ -44,14 +44,14 @@ func TestPutGetRemove(t *testing.T) {
 	if v, _, _ := s.Get("a"); string(v) != "2" {
 		t.Errorf("overwrite: got %q", v)
 	}
-	removed, err := s.Remove("a")
+	removed, err := s.RemoveV("a", 0)
 	if err != nil || !removed {
 		t.Fatalf("Remove = %v %v", removed, err)
 	}
 	if _, ok, _ := s.Get("a"); ok {
 		t.Error("key present after Remove")
 	}
-	if removed, _ := s.Remove("a"); removed {
+	if removed, _ := s.RemoveV("a", 0); removed {
 		t.Error("second Remove reported true")
 	}
 	if s.Len() != 0 {
@@ -72,11 +72,11 @@ func TestEmptyValueAndKey(t *testing.T) {
 
 func TestPutIfAbsent(t *testing.T) {
 	s := openTemp(t, Options{})
-	ok, err := s.PutIfAbsent("k", []byte("v1"))
+	ok, err := s.PutIfAbsentV("k", []byte("v1"), 0)
 	if err != nil || !ok {
 		t.Fatalf("first PutIfAbsent = %v %v", ok, err)
 	}
-	ok, err = s.PutIfAbsent("k", []byte("v2"))
+	ok, err = s.PutIfAbsentV("k", []byte("v2"), 0)
 	if err != nil || ok {
 		t.Fatalf("second PutIfAbsent = %v %v", ok, err)
 	}
@@ -89,13 +89,13 @@ func TestAppend(t *testing.T) {
 	s := openTemp(t, Options{})
 	// Append creates when absent (FusionFS appends directory entries
 	// under a key that may not exist yet).
-	if err := s.Append("dir", []byte("a,")); err != nil {
+	if _, err := s.AppendV(nil, "dir", []byte("a,"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("dir", []byte("b,")); err != nil {
+	if _, err := s.AppendV(nil, "dir", []byte("b,"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("dir", []byte("c")); err != nil {
+	if _, err := s.AppendV(nil, "dir", []byte("c"), 0); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := s.Get("dir")
@@ -113,7 +113,7 @@ func TestAppendConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := s.Append("shared", []byte{byte('a' + w)}); err != nil {
+				if _, err := s.AppendV(nil, "shared", []byte{byte('a' + w)}, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -139,17 +139,17 @@ func TestAppendConcurrent(t *testing.T) {
 func TestCas(t *testing.T) {
 	s := openTemp(t, Options{})
 	// Expect-absent insert.
-	ok, cur, err := s.Cas("t", nil, []byte("queued"))
+	ok, cur, err := s.CasV("t", nil, []byte("queued"), 0)
 	if err != nil || !ok || cur != nil {
 		t.Fatalf("cas absent = %v %q %v", ok, cur, err)
 	}
 	// Wrong expectation.
-	ok, cur, err = s.Cas("t", []byte("running"), []byte("done"))
+	ok, cur, err = s.CasV("t", []byte("running"), []byte("done"), 0)
 	if err != nil || ok || string(cur) != "queued" {
 		t.Fatalf("cas mismatch = %v %q %v", ok, cur, err)
 	}
 	// Correct swap.
-	ok, _, err = s.Cas("t", []byte("queued"), []byte("running"))
+	ok, _, err = s.CasV("t", []byte("queued"), []byte("running"), 0)
 	if err != nil || !ok {
 		t.Fatalf("cas swap = %v %v", ok, err)
 	}
@@ -157,12 +157,12 @@ func TestCas(t *testing.T) {
 		t.Errorf("after cas: %q", v)
 	}
 	// Expect-absent on present key fails and reports current.
-	ok, cur, _ = s.Cas("t", nil, []byte("x"))
+	ok, cur, _ = s.CasV("t", nil, []byte("x"), 0)
 	if ok || string(cur) != "running" {
 		t.Errorf("cas expect-absent on present = %v %q", ok, cur)
 	}
 	// Cas on missing key with expectation fails.
-	ok, cur, _ = s.Cas("missing", []byte("x"), []byte("y"))
+	ok, cur, _ = s.CasV("missing", []byte("x"), []byte("y"), 0)
 	if ok || cur != nil {
 		t.Errorf("cas missing = %v %q", ok, cur)
 	}
@@ -180,11 +180,11 @@ func TestRecovery(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i += 2 {
-		if _, err := s.Remove(fmt.Sprintf("k%03d", i)); err != nil {
+		if _, err := s.RemoveV(fmt.Sprintf("k%03d", i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Append("k099", []byte("-suffix")); err != nil {
+	if _, err := s.AppendV(nil, "k099", []byte("-suffix"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -399,7 +399,7 @@ func TestEvictionWithAppendsAndCompaction(t *testing.T) {
 		if err := s.Put(k, []byte("base")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(k, []byte("+more")); err != nil {
+		if _, err := s.AppendV(nil, k, []byte("+more"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,10 +447,10 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Put("k", nil); err != ErrClosed {
 		t.Errorf("Put after close = %v", err)
 	}
-	if _, err := s.Remove("k"); err != ErrClosed {
+	if _, err := s.RemoveV("k", 0); err != ErrClosed {
 		t.Errorf("Remove after close = %v", err)
 	}
-	if err := s.Append("k", nil); err != ErrClosed {
+	if _, err := s.AppendV(nil, "k", nil, 0); err != ErrClosed {
 		t.Errorf("Append after close = %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -465,7 +465,7 @@ func TestForEach(t *testing.T) {
 		s.Put(k, []byte(v))
 	}
 	got := map[string]string{}
-	err := s.ForEach(func(k string, v []byte) error {
+	err := s.ForEachV(func(k string, v []byte, _ uint64) error {
 		got[k] = string(v)
 		return nil
 	})
@@ -481,7 +481,7 @@ func TestForEach(t *testing.T) {
 		}
 	}
 	sentinel := fmt.Errorf("stop")
-	if err := s.ForEach(func(string, []byte) error { return sentinel }); err != sentinel {
+	if err := s.ForEachV(func(string, []byte, uint64) error { return sentinel }); err != sentinel {
 		t.Errorf("ForEach error propagation = %v", err)
 	}
 }
@@ -492,11 +492,11 @@ func TestExportImport(t *testing.T) {
 		src.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%02d", i)))
 	}
 	var buf bytes.Buffer
-	if err := src.Export(&buf); err != nil {
+	if err := storage.Export(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTemp(t, Options{})
-	n, err := dst.Import(&buf)
+	n, err := storage.Import(&buf, dst)
 	if err != nil || n != 20 {
 		t.Fatalf("Import = %d %v", n, err)
 	}
@@ -521,7 +521,7 @@ func TestImportKeepsNewerVersions(t *testing.T) {
 		}
 	}
 	var img bytes.Buffer
-	if err := src.Export(&img); err != nil {
+	if err := storage.Export(&img, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTemp(t, Options{})
@@ -531,7 +531,7 @@ func TestImportKeepsNewerVersions(t *testing.T) {
 	if err := dst.PutV("stale", []byte("older leg"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := dst.Import(&img); err != nil || n != 3 {
+	if n, err := storage.Import(&img, dst); err != nil || n != 3 {
 		t.Fatalf("Import = %d %v", n, err)
 	}
 	for k, want := range map[string]string{"raced": "newer leg", "stale": "image", "fresh": "image"} {
@@ -543,14 +543,14 @@ func TestImportKeepsNewerVersions(t *testing.T) {
 
 func TestImportRejectsGarbage(t *testing.T) {
 	s := openTemp(t, Options{})
-	if _, err := s.Import(bytes.NewReader([]byte("not an export"))); err == nil {
+	if _, err := storage.Import(bytes.NewReader([]byte("not an export")), s); err == nil {
 		t.Error("garbage import accepted")
 	}
-	if _, err := s.Import(bytes.NewReader(nil)); err == nil {
+	if _, err := storage.Import(bytes.NewReader(nil), s); err == nil {
 		t.Error("empty import accepted")
 	}
 	// Truncated stream (magic but no terminator).
-	if _, err := s.Import(bytes.NewReader(storage.ExportMagic)); err == nil {
+	if _, err := storage.Import(bytes.NewReader(storage.ExportMagic), s); err == nil {
 		t.Error("unterminated import accepted")
 	}
 }
@@ -570,16 +570,17 @@ func TestPropertyModelCheck(t *testing.T) {
 			return false
 		}
 		model := map[string][]byte{}
-		for _, op := range ops {
+		for i, op := range ops {
 			key := fmt.Sprintf("k%d", op.Key%16)
+			ver := uint64(i + 1) // stamped like an instance's writes
 			switch op.Kind % 4 {
 			case 0:
-				if s.Put(key, op.Val) != nil {
+				if s.PutV(key, op.Val, ver) != nil {
 					return false
 				}
 				model[key] = append([]byte{}, op.Val...)
 			case 1:
-				removed, err := s.Remove(key)
+				removed, err := s.RemoveV(key, ver)
 				if err != nil {
 					return false
 				}
@@ -589,7 +590,7 @@ func TestPropertyModelCheck(t *testing.T) {
 				}
 				delete(model, key)
 			case 2:
-				if s.Append(key, op.Val) != nil {
+				if _, err := s.AppendV(nil, key, op.Val, ver); err != nil {
 					return false
 				}
 				model[key] = append(model[key], op.Val...)

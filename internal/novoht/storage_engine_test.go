@@ -60,7 +60,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 							}
 							model[k] = v
 						case 2:
-							ok, err := s.PutIfAbsent(k, v)
+							ok, err := s.PutIfAbsentV(k, v, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -74,13 +74,13 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 								model[k] = v
 							}
 						case 3:
-							if err := s.Append(k, v); err != nil {
+							if _, err := s.AppendV(nil, k, v, 0); err != nil {
 								errCh <- err
 								return
 							}
 							model[k] = append(append([]byte(nil), model[k]...), v...)
 						case 4:
-							ok, cur, err := s.Cas(k, model[k], v)
+							ok, cur, err := s.CasV(k, model[k], v, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -91,7 +91,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 							}
 							model[k] = v
 						case 5:
-							ok, err := s.Remove(k)
+							ok, err := s.RemoveV(k, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -163,7 +163,7 @@ func checkEqualsModel(t *testing.T, s *Store, model map[string][]byte) {
 		t.Errorf("store has %d keys, model %d", s.Len(), len(model))
 	}
 	seen := 0
-	err := s.ForEach(func(k string, v []byte) error {
+	err := s.ForEachV(func(k string, v []byte, _ uint64) error {
 		want, ok := model[k]
 		if !ok {
 			return fmt.Errorf("store has unexpected key %q", k)
@@ -415,14 +415,14 @@ func TestCloseReopenEquivalence(t *testing.T) {
 	}
 	for i := 0; i < 64; i += 3 {
 		k := fmt.Sprintf("k%03d", i)
-		if _, err := s.Remove(k); err != nil {
+		if _, err := s.RemoveV(k, 0); err != nil {
 			t.Fatal(err)
 		}
 		delete(model, k)
 	}
 	for i := 1; i < 64; i += 3 {
 		k := fmt.Sprintf("k%03d", i)
-		if err := s.Append(k, []byte("+tail")); err != nil {
+		if _, err := s.AppendV(nil, k, []byte("+tail"), 0); err != nil {
 			t.Fatal(err)
 		}
 		model[k] = append(model[k], []byte("+tail")...)

@@ -7,7 +7,7 @@
 //
 //   - Partition digests: a 64-leaf XOR Merkle digest over a partition
 //     store's contents, maintained by the store itself inside its
-//     shard locks (storage.VersionedKV.DigestLeaves; the pair and leaf
+//     shard locks (storage.KV.DigestLeaves; the pair and leaf
 //     hashes are storage.PairHashV and storage.LeafOf). Two replicas
 //     compare digests leaf by leaf (DiffLeaves) and transfer only
 //     divergent leaves' contents.
@@ -52,7 +52,7 @@ func DiffLeaves(a, b []uint64) []int {
 }
 
 // Pair is one key/value pair in a repair-pull payload, with the
-// version stamp it is stored under (0 = unversioned).
+// version stamp it is stored under (0 = older than any stamped write).
 type Pair struct {
 	Key   string
 	Value []byte

@@ -15,7 +15,7 @@ import (
 	"zht/internal/wire"
 )
 
-func openMem(t *testing.T) storage.PartitionKV {
+func openMem(t *testing.T) storage.KV {
 	t.Helper()
 	s, err := novoht.Open(novoht.Options{})
 	if err != nil {
@@ -81,13 +81,14 @@ func TestDigestFixedVectors(t *testing.T) {
 			t.Errorf("store digest after PutV(%q) = %x, want %x", v.key, got, want)
 		}
 		// The same pair built by an append chain: an empty put stamps
-		// the version, each byte arrives as its own delta.
+		// the version, each byte arrives as its own delta (version 0
+		// keeps the stamp).
 		s = openMem(t)
 		if err := s.PutV(v.key, nil, v.ver); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < len(v.val); i++ {
-			if err := s.Append(v.key, []byte{v.val[i]}); err != nil {
+			if _, err := s.AppendV(nil, v.key, []byte{v.val[i]}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"zht/internal/baselines/bdb"
@@ -18,7 +17,7 @@ import (
 // partition seam must honour, table-driven over the engines. The
 // point-operation tier (Put/Get/Remove) runs against every store,
 // including the Figure 6 disk stand-ins, which offer nothing more; the
-// full tier (storage.KV plus storage.VersionedKV, the digest included)
+// full tier (storage.KV, every mutation stamped, the digest included)
 // runs against every configuration a ZHT instance can open.
 
 // pointKV is the point-operation subset every store offers.
@@ -48,12 +47,18 @@ func (b bdbStore) Get(key string) ([]byte, bool, error) {
 }
 func (b bdbStore) Remove(key string) (bool, error) { return b.Delete([]byte(key)) }
 
+// novohtPoint offers a full store's version-0 remove as the point
+// tier's Remove.
+type novohtPoint struct{ storage.KV }
+
+func (n novohtPoint) Remove(key string) (bool, error) { return n.RemoveV(key, 0) }
+
 // fullEngines are the NoVoHT configurations an instance opens:
 // volatile, WAL-backed, and WAL-backed with a memory bound that
 // evicts values to the log.
-func fullEngines() map[string]func(t *testing.T) storage.PartitionKV {
-	open := func(o novoht.Options) func(t *testing.T) storage.PartitionKV {
-		return func(t *testing.T) storage.PartitionKV {
+func fullEngines() map[string]func(t *testing.T) storage.KV {
+	open := func(o novoht.Options) func(t *testing.T) storage.KV {
+		return func(t *testing.T) storage.KV {
 			if o.Path != "" {
 				o.Path = filepath.Join(t.TempDir(), "kv.log")
 			}
@@ -65,7 +70,7 @@ func fullEngines() map[string]func(t *testing.T) storage.PartitionKV {
 			return s
 		}
 	}
-	return map[string]func(t *testing.T) storage.PartitionKV{
+	return map[string]func(t *testing.T) storage.KV{
 		"novoht-volatile": open(novoht.Options{}),
 		"novoht-wal":      open(novoht.Options{Path: "wal"}),
 		"novoht-evicting": open(novoht.Options{Path: "wal", MaxMemValues: 1}),
@@ -92,12 +97,17 @@ func pointEngines() map[string]func(t *testing.T) pointKV {
 		},
 	}
 	for name, open := range fullEngines() {
-		out[name] = func(t *testing.T) pointKV { return open(t) }
+		out[name] = func(t *testing.T) pointKV { return novohtPoint{open(t)} }
 	}
 	return out
 }
 
-func mustGet(t *testing.T, kv pointKV, key string) ([]byte, bool) {
+// reader is what the value checks need of either tier.
+type reader interface {
+	Get(key string) ([]byte, bool, error)
+}
+
+func mustGet(t *testing.T, kv reader, key string) ([]byte, bool) {
 	t.Helper()
 	v, ok, err := kv.Get(key)
 	if err != nil {
@@ -106,14 +116,14 @@ func mustGet(t *testing.T, kv pointKV, key string) ([]byte, bool) {
 	return v, ok
 }
 
-func wantValue(t *testing.T, kv pointKV, key, want string) {
+func wantValue(t *testing.T, kv reader, key, want string) {
 	t.Helper()
 	if v, ok := mustGet(t, kv, key); !ok || string(v) != want {
 		t.Fatalf("Get(%q) = %q, %v; want %q", key, v, ok, want)
 	}
 }
 
-func wantAbsent(t *testing.T, kv pointKV, key string) {
+func wantAbsent(t *testing.T, kv reader, key string) {
 	t.Helper()
 	if v, ok := mustGet(t, kv, key); ok {
 		t.Fatalf("Get(%q) = %q, want absent", key, v)
@@ -164,19 +174,20 @@ func TestConformanceConditionalOps(t *testing.T) {
 	for name, open := range fullEngines() {
 		t.Run(name, func(t *testing.T) {
 			kv := open(t)
-			if ok, err := kv.PutIfAbsent("k", []byte("first")); err != nil || !ok {
-				t.Fatalf("PutIfAbsent(absent) = %v, %v", ok, err)
+			if ok, err := kv.PutIfAbsentV("k", []byte("first"), 1); err != nil || !ok {
+				t.Fatalf("PutIfAbsentV(absent) = %v, %v", ok, err)
 			}
-			if ok, err := kv.PutIfAbsent("k", []byte("second")); err != nil || ok {
-				t.Fatalf("PutIfAbsent(present) = %v, %v", ok, err)
+			if ok, err := kv.PutIfAbsentV("k", []byte("second"), 2); err != nil || ok {
+				t.Fatalf("PutIfAbsentV(present) = %v, %v", ok, err)
 			}
 			wantValue(t, kv, "k", "first")
 
-			if err := kv.Append("k", []byte("+a")); err != nil {
-				t.Fatal(err)
+			// AppendV hands back the accumulated value only when asked.
+			if got, err := kv.AppendV([]byte("dst:"), "k", []byte("+a"), 3); err != nil || string(got) != "dst:first+a" {
+				t.Fatalf("AppendV(dst) = %q, %v", got, err)
 			}
-			if err := kv.Append("new", []byte("created")); err != nil {
-				t.Fatal(err)
+			if got, err := kv.AppendV(nil, "new", []byte("created"), 4); err != nil || got != nil {
+				t.Fatalf("AppendV(nil) = %q, %v", got, err)
 			}
 			wantValue(t, kv, "k", "first+a")
 			wantValue(t, kv, "new", "created")
@@ -187,21 +198,26 @@ func TestConformanceConditionalOps(t *testing.T) {
 	}
 }
 
-// Cas distinguishes a nil expectation ("expect absent") from an empty
+// CasV distinguishes a nil expectation ("expect absent") from an empty
 // one ("expect present with the empty value"), and a failed swap
 // reports the value it saw (an empty value may come back as nil).
 func TestConformanceCas(t *testing.T) {
 	for name, open := range fullEngines() {
 		t.Run(name, func(t *testing.T) {
 			kv := open(t)
+			var ver uint64
 			cas := func(key string, old, new []byte, wantOK bool, wantSeen []byte) {
 				t.Helper()
-				ok, seen, err := kv.Cas(key, old, new)
+				ver++
+				ok, seen, err := kv.CasV(key, old, new, ver)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if ok != wantOK || !bytes.Equal(seen, wantSeen) {
-					t.Fatalf("Cas(%q, %q, %q) = %v, %q; want %v, %q", key, old, new, ok, seen, wantOK, wantSeen)
+					t.Fatalf("CasV(%q, %q, %q) = %v, %q; want %v, %q", key, old, new, ok, seen, wantOK, wantSeen)
+				}
+				if _, got, _, _ := kv.GetAppendV(nil, key); ok && got != ver {
+					t.Fatalf("CasV stamped %d, want %d", got, ver)
 				}
 			}
 			cas("k", []byte{}, []byte("x"), false, nil) // empty expects present
@@ -238,9 +254,9 @@ func TestConformanceLWW(t *testing.T) {
 			}
 			wantVer := func(val string, ver uint64) {
 				t.Helper()
-				v, got, ok, err := kv.GetV("k")
+				v, got, ok, err := kv.GetAppendV(nil, "k")
 				if err != nil || !ok || string(v) != val || got != ver {
-					t.Fatalf("GetV = %q@%d (%v, %v), want %q@%d", v, got, ok, err, val, ver)
+					t.Fatalf("GetAppendV = %q@%d (%v, %v), want %q@%d", v, got, ok, err, val, ver)
 				}
 			}
 			lww("a", 5, true)
@@ -252,14 +268,19 @@ func TestConformanceLWW(t *testing.T) {
 			lww("d", 9, true)
 			wantVer("d", 9)
 			lww("remove", 10, true)
-			if _, _, ok, _ := kv.GetV("k"); ok {
+			if _, _, ok, _ := kv.GetAppendV(nil, "k"); ok {
 				t.Fatal("newer RemoveLWW left the key")
 			}
 			lww("remove", 11, false) // nothing left to remove
 
-			// PutV is unconditional and unversioned writes read as 0.
+			// PutV replaces the pair unless its stamp is not newer
+			// (ErrStale), and Put writes version 0 over any stamp.
 			if err := kv.PutV("k", []byte("e"), 2); err != nil {
 				t.Fatal(err)
+			}
+			wantVer("e", 2)
+			if err := kv.PutV("k", []byte("stale"), 2); !errors.Is(err, storage.ErrStale) {
+				t.Fatalf("PutV at the stored stamp = %v, want ErrStale", err)
 			}
 			wantVer("e", 2)
 			if err := kv.Put("k", []byte("f")); err != nil {
@@ -278,8 +299,8 @@ func TestConformanceForEach(t *testing.T) {
 			for k, v := range want {
 				kv.PutV(k, []byte(v), uint64(len(k)+len(v)))
 			}
-			kv.Put("gone", []byte("x"))
-			kv.Remove("gone")
+			kv.PutV("gone", []byte("x"), 1)
+			kv.RemoveV("gone", 2)
 
 			got := map[string]string{}
 			if err := kv.ForEachV(func(k string, v []byte, ver uint64) error {
@@ -297,13 +318,6 @@ func TestConformanceForEach(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ForEachV saw %v, want %v", got, want)
 			}
-			var keys []string
-			kv.ForEach(func(k string, _ []byte) error { keys = append(keys, k); return nil })
-			sort.Strings(keys)
-			if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
-				t.Fatalf("ForEach keys = %v", keys)
-			}
-
 			stop := errors.New("stop")
 			n := 0
 			err := kv.ForEachV(func(string, []byte, uint64) error { n++; return stop })
@@ -334,21 +348,24 @@ func TestConformanceDigest(t *testing.T) {
 			kv.Put("a", []byte("1"))
 			kv.PutV("b", []byte("2"), 7)
 			check("puts")
-			kv.Append("a", []byte("+x"))
-			kv.Append("c", []byte("fresh"))
+			kv.AppendV(nil, "a", []byte("+x"), 2)
+			kv.AppendV(nil, "c", []byte("fresh"), 3)
+			kv.Put("e", []byte("5"))
+			kv.AppendV(nil, "e", []byte("+y"), 0) // keeps version 0
 			check("appends")
-			kv.PutIfAbsent("d", []byte("4"))
-			kv.Cas("a", []byte("1+x"), []byte("swapped"))
+			kv.PutIfAbsentV("d", []byte("4"), 4)
+			kv.CasV("a", []byte("1+x"), []byte("swapped"), 5)
 			check("conditional writes")
 			kv.PutLWW("b", []byte("newer"), 8)
 			kv.PutLWW("b", []byte("stale"), 3)
-			kv.RemoveLWW("d", 1) // an unversioned pair loses to any stamp
+			kv.RemoveLWW("e", 1) // a version-0 pair loses to any stamp
 			check("LWW writes")
-			kv.Remove("c")
+			kv.RemoveV("c", 6)
 			kv.RemoveLWW("b", 9)
+			kv.RemoveLWW("d", 4) // a tie keeps the pair
 			check("removes")
-			if kv.Len() != 1 {
-				t.Fatalf("Len = %d, want 1", kv.Len())
+			if kv.Len() != 2 {
+				t.Fatalf("Len = %d, want 2", kv.Len())
 			}
 		})
 	}

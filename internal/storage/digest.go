@@ -96,7 +96,7 @@ func PairHashV(key string, val []byte, ver uint64) uint64 {
 
 // DigestOf rebuilds a store's digest leaves from its contents — the
 // reference every maintained digest must equal.
-func DigestOf(kv VersionedKV) ([]uint64, error) {
+func DigestOf(kv KV) ([]uint64, error) {
 	leaves := make([]uint64, Leaves)
 	err := kv.ForEachV(func(key string, val []byte, ver uint64) error {
 		leaves[LeafOf(key)] ^= PairHashV(key, val, ver)

@@ -23,9 +23,8 @@ var ExportMagic = []byte("NOVOEXP1")
 // key and value lengths, the key, the value, and a CRC32 of all of
 // the preceding bytes; tag 0 marks a clean end of stream. Tag 2 is a
 // versioned pair: identical, plus a version-stamp uvarint between the
-// value length and the key. Versioned sources emit tag 2 only for
-// pairs with a non-zero stamp, so an unversioned store's stream is
-// byte-identical to the pre-versioning format.
+// value length and the key. Sources emit tag 2 only for pairs with a
+// non-zero stamp, so a version-0 pair keeps the pre-versioning format.
 const (
 	expPair  = 1
 	expEnd   = 0
@@ -34,24 +33,16 @@ const (
 
 var errBadExportRecord = errors.New("storage: bad export record checksum")
 
-// Export writes a self-contained snapshot of kv to w. When kv
-// persists version stamps (VersionedKV), they travel with the pairs
-// so an import applies last-writer-wins correctly.
+// Export writes a self-contained snapshot of kv to w; version stamps
+// travel with the pairs so an import applies last-writer-wins.
 func Export(w io.Writer, kv KV) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(ExportMagic); err != nil {
 		return err
 	}
-	var err error
-	if vkv, ok := kv.(VersionedKV); ok {
-		err = vkv.ForEachV(func(key string, val []byte, ver uint64) error {
-			return writeExportRecord(bw, key, val, ver)
-		})
-	} else {
-		err = kv.ForEach(func(key string, val []byte) error {
-			return writeExportRecord(bw, key, val, 0)
-		})
-	}
+	err := kv.ForEachV(func(key string, val []byte, ver uint64) error {
+		return writeExportRecord(bw, key, val, ver)
+	})
 	if err != nil {
 		return err
 	}
@@ -61,12 +52,11 @@ func Export(w io.Writer, kv KV) error {
 	return bw.Flush()
 }
 
-// Import loads pairs from an Export stream into kv. Versioned pairs
-// land last-writer-wins through PutLWW when kv supports it: an image
-// is a snapshot, and a copy that has since applied a newer write of a
-// key (a replica-rebuild image arriving after the key's next replica
-// leg) must keep it. Otherwise the stamp is dropped and the pair
-// replaces any existing value. It returns the number of pairs read.
+// Import loads pairs from an Export stream into kv, each through
+// PutLWW: an image is a snapshot, and a copy that has since applied a
+// newer write of a key (a replica-rebuild image arriving after the
+// key's next replica leg) must keep it. A version-0 pair lands only
+// where the key is absent. It returns the number of pairs read.
 func Import(r io.Reader, kv KV) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(ExportMagic))
@@ -76,7 +66,6 @@ func Import(r io.Reader, kv KV) (int, error) {
 	if string(magic) != string(ExportMagic) {
 		return 0, errors.New("storage: import: bad magic")
 	}
-	vkv, _ := kv.(VersionedKV)
 	count := 0
 	for {
 		tag, err := br.ReadByte()
@@ -93,12 +82,7 @@ func Import(r io.Reader, kv KV) (int, error) {
 		if err != nil {
 			return count, fmt.Errorf("storage: import: %w", err)
 		}
-		if ver > 0 && vkv != nil {
-			_, err = vkv.PutLWW(key, val, ver)
-		} else {
-			err = kv.Put(key, val)
-		}
-		if err != nil {
+		if _, err := kv.PutLWW(key, val, ver); err != nil {
 			return count, err
 		}
 		count++

@@ -2,8 +2,7 @@
 // ZHT instance: the KV interface every partition store implements,
 // the durability modes a write-ahead log can offer, the
 // engine-agnostic partition snapshot format used by data migration,
-// and the pair/leaf hashes of the repair digest every versioned store
-// maintains.
+// and the pair/leaf hashes of the repair digest every store maintains.
 //
 // The paper treats the per-partition store as a swappable component —
 // NoVoHT is "the default storage", with BerkeleyDB and KyotoCabinet
@@ -26,67 +25,58 @@ import (
 
 // KV is one partition store. Implementations must be safe for
 // concurrent use by multiple goroutines.
+//
+// Every mutation carries a version stamp: an opaque uint64 ordered by
+// numeric comparison (internal/core stamps them from a hybrid logical
+// clock). Replicas resolve concurrent writes last-writer-wins on the
+// version, and quorum reads compare versions across copies. Version 0
+// means "older than any stamped write": it is what pairs logged before
+// versioning replay with, and what Put writes.
+//
+// A key's stamps rise in the order its writes apply: PutV,
+// PutIfAbsentV, AppendV, CasV and RemoveV given a non-zero ver apply
+// nothing and return ErrStale when the key holds a version at least as
+// new. So crash replay, which keeps the newest version, rebuilds
+// exactly the live store, and a sweep that removes "the copy it saw"
+// by stamping just above it cannot remove a later write.
 type KV interface {
-	// Put stores val under key, replacing any existing value.
+	// Put stores val under key at version 0, replacing any existing
+	// value. It serves stores used outside an instance (benchmarks,
+	// figures); an instance stamps every write.
 	Put(key string, val []byte) error
-	// PutIfAbsent stores val only when key is not present; it
-	// reports whether the store was modified.
-	PutIfAbsent(key string, val []byte) (bool, error)
 	// Get returns a copy of the value stored under key.
 	Get(key string) ([]byte, bool, error)
-	// Remove deletes key, reporting whether it was present.
-	Remove(key string) (bool, error)
-	// Append concatenates val to the value under key, creating the
-	// key when absent (ZHT's fourth basic operation).
-	Append(key string, val []byte) error
-	// Cas atomically replaces the value under key with newVal when
-	// the current value equals oldVal (nil oldVal = "expect absent").
-	// It returns the value observed when the swap fails.
-	Cas(key string, oldVal, newVal []byte) (bool, []byte, error)
-	// Len reports the number of keys stored.
-	Len() int
-	// ForEach calls fn for every pair; fn must not mutate the store.
-	ForEach(fn func(key string, val []byte) error) error
-	// Sync flushes buffered state and fsyncs backing storage.
-	Sync() error
-	// Stats returns a snapshot of store statistics.
-	Stats() Stats
-	// Close flushes durable state and closes the store.
-	Close() error
-}
-
-// VersionedKV is an optional KV extension for stores that persist a
-// version stamp alongside each value. Tunable consistency needs it:
-// replicas resolve concurrent writes last-writer-wins on the version,
-// and quorum reads compare versions across copies. Versions are
-// opaque uint64s ordered by numeric comparison (internal/core stamps
-// them from a hybrid logical clock); version 0 means "unversioned"
-// and loses to any stamped write. Replica anti-entropy also needs the
-// store's maintained digest (DigestLeaves), so every partition store
-// inside an instance must implement this interface; engines that
-// cannot (the Figure 6 disk stand-ins) serve only as plain KVs.
-type VersionedKV interface {
-	// PutV stores val under key with the given version,
-	// unconditionally replacing any existing value and version.
-	PutV(key string, val []byte, ver uint64) error
-	// PutLWW stores (val, ver) only when ver is strictly newer than
-	// the stored version (absent = version 0 when the key predates
-	// versioning, loses to any ver > 0; a missing key always loses).
-	// It reports whether the store was modified: false means the
-	// stored value is at least as new and was kept.
-	PutLWW(key string, val []byte, ver uint64) (bool, error)
-	// RemoveLWW deletes key only when ver is strictly newer than the
-	// stored version, reporting whether the key was removed. Removing
-	// an absent key reports false with no error.
-	RemoveLWW(key string, ver uint64) (bool, error)
-	// GetV is Get plus the stored version (0 for pre-versioning
-	// records).
-	GetV(key string) (val []byte, ver uint64, found bool, err error)
 	// GetAppendV appends the value stored under key to dst (caller
 	// scratch) instead of allocating a copy, and returns it — possibly
 	// grown — with the stored version. On a miss or error dst is
 	// returned unmodified.
 	GetAppendV(dst []byte, key string) (val []byte, ver uint64, found bool, err error)
+	// PutV stores val under key with the given version, replacing any
+	// existing value and older version.
+	PutV(key string, val []byte, ver uint64) error
+	// PutIfAbsentV stores (val, ver) only when key is not present; it
+	// reports whether the store was modified.
+	PutIfAbsentV(key string, val []byte, ver uint64) (bool, error)
+	// AppendV concatenates delta to the value under key, creating the
+	// key when absent (ZHT's fourth basic operation), and stamps the
+	// pair with ver; version 0 leaves the stamp as it was. A non-nil
+	// dst receives the accumulated value.
+	AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, error)
+	// CasV atomically replaces the value under key with (newVal, ver)
+	// when the current value equals oldVal (nil oldVal = "expect
+	// absent"). It returns the value observed when the swap fails.
+	CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, error)
+	// RemoveV deletes key, reporting whether it was present.
+	RemoveV(key string, ver uint64) (bool, error)
+	// PutLWW stores (val, ver) only when ver is strictly newer than the
+	// stored version (a missing key always accepts). It reports
+	// whether the store was modified: false means the stored value is
+	// at least as new and was kept.
+	PutLWW(key string, val []byte, ver uint64) (bool, error)
+	// RemoveLWW deletes key only when ver is strictly newer than the
+	// stored version, reporting whether the key was removed. Removing
+	// an absent key reports false with no error.
+	RemoveLWW(key string, ver uint64) (bool, error)
 	// ForEachV calls fn for every pair with its version; fn must not
 	// mutate the store.
 	ForEachV(fn func(key string, val []byte, ver uint64) error) error
@@ -95,13 +85,14 @@ type VersionedKV interface {
 	// stored pair. The store keeps it current on every mutation, so it
 	// always equals DigestOf over the contents.
 	DigestLeaves() []uint64
-}
-
-// PartitionKV is what every partition store inside an instance
-// provides: the KV seam plus its versioned extension.
-type PartitionKV interface {
-	KV
-	VersionedKV
+	// Len reports the number of keys stored.
+	Len() int
+	// Sync flushes buffered state and fsyncs backing storage.
+	Sync() error
+	// Stats returns a snapshot of store statistics.
+	Stats() Stats
+	// Close flushes durable state and closes the store.
+	Close() error
 }
 
 // Stats is a point-in-time snapshot of a store's internals.
@@ -198,6 +189,12 @@ type Fault interface {
 	// unacknowledged).
 	BeforeSync() error
 }
+
+// ErrStale reports a stamped mutation refused because the key holds a
+// version at least as new. A writer that drew its stamp before taking
+// the store's lock lost a race with a concurrent writer of the key;
+// it redraws a stamp and retries.
+var ErrStale = errors.New("storage: version stamp is not newer than the stored pair's")
 
 // ErrBroken reports an operation on a store whose WAL failed (a
 // crash-injection fault or a real I/O error); the store is read-only

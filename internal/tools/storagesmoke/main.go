@@ -103,19 +103,22 @@ func crashIteration(seed int64, mode storage.Durability) error {
 				cur := h.states[len(h.states)-1]
 				var next string
 				var err error
+				// Stamped like an instance's writes: rising per key,
+				// distinct per worker.
+				ver := uint64(i+1)*workers + uint64(w)
 				switch op := rng.Intn(4); {
 				case op == 0 && cur != "":
 					next = ""
 					h.states = append(h.states, next)
-					_, err = s.Remove(k)
+					_, err = s.RemoveV(k, ver)
 				case op == 1 && cur != "":
 					next = cur + fmt.Sprintf("+a%d", i)
 					h.states = append(h.states, next)
-					err = s.Append(k, []byte(fmt.Sprintf("+a%d", i)))
+					_, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+a%d", i)), ver)
 				default:
 					next = fmt.Sprintf("w%d-v%d", w, i)
 					h.states = append(h.states, next)
-					err = s.Put(k, []byte(next))
+					err = s.PutV(k, []byte(next), ver)
 				}
 				if err != nil {
 					if errors.Is(err, storage.ErrBroken) {

@@ -193,8 +193,10 @@ func (s Status) String() string {
 
 // Request flag bits.
 const (
-	// FlagNoReplicate marks a mutation already traveling along the
-	// replica chain; the receiver must not re-replicate it.
+	// FlagNoReplicate marks internal traffic already traveling along
+	// the replica chain (replica legs, migration pushes), which no
+	// receiver replicates further. A client KV op carrying it is
+	// gated, stamped and replicated like any other.
 	FlagNoReplicate uint8 = 1 << iota
 	// FlagIfAbsent makes insert fail with StatusExists when the key
 	// is already present.
@@ -251,8 +253,8 @@ type Request struct {
 	Consistency Consistency
 	// Version is the HLC version stamp a mutation carries along the
 	// replica chain and through repair pushes, so every copy applies
-	// it last-writer-wins. Zero means unversioned: the receiver stamps
-	// (primary apply) or applies blindly (legacy path).
+	// it last-writer-wins. A client request leaves it zero (the owner
+	// stamps the write); a replica leg without one is refused.
 	Version uint64
 	// detach is never encoded: a server that runs handlers on the
 	// goroutine that read the request (TCP) installs it so a handler
@@ -422,7 +424,12 @@ func decodeRequestInto(r *Request, b []byte) error {
 }
 
 // EncodeResponse appends the encoded response to dst and returns it.
+// A nil dst is allocated at the encoded size, so the encoding costs
+// one allocation however many fields it carries.
 func EncodeResponse(dst []byte, r *Response) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, responseLen(r))
+	}
 	dst = append(dst, 'S', byte(r.Status))
 	dst = binary.AppendUvarint(dst, r.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
