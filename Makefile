@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum profile-batch fuzz-smoke flake flake-race
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum profile-durable profile-batch fuzz-smoke flake flake-race
 
 build:
 	$(GO) build ./...
@@ -186,6 +186,17 @@ profile-quorum:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuorumLookupParallel$$' -benchtime 5s -benchmem \
 		-cpuprofile .profile/quorum.cpu.pprof -o .profile/zht.test .
 	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/quorum.cpu.pprof
+
+# profile-durable CPU-profiles BenchmarkDurableWriteParallel, the
+# steady-state write of tcp-r1-durable-write alone (2 instances on
+# loopback TCP, Replicas=1, every partition on an async WAL, one shared
+# client inserting from every core), and prints the hottest functions;
+# profile and test binary stay in .profile/.
+profile-durable:
+	@mkdir -p .profile
+	$(GO) test -run '^$$' -bench '^BenchmarkDurableWriteParallel$$' -benchtime 5s -benchmem \
+		-cpuprofile .profile/durable.cpu.pprof -o .profile/zht.test .
+	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/durable.cpu.pprof
 
 # profile-batch CPU-profiles BenchmarkBatchMixedParallel, the envelope
 # path of the tcp-batch64-mixed workload alone (2 unreplicated

@@ -309,10 +309,11 @@ func (in *Instance) Handle(req *wire.Request) *wire.Response {
 // servesInline reports whether req completes without issuing an RPC or
 // waiting on a commit: lookups, and KV mutations and replica applies
 // when nothing replicates from here and the WAL acknowledges before it
-// syncs. (A lookup can still meet a migrating partition; migrationGate
-// detaches before it waits.) An envelope is inline here because
-// handleBatch decides once it has decoded its sub-ops: it detaches
-// only if one of them is not inline.
+// syncs. An async mutation writes its WAL record inline, which is a
+// syscall but never waits on another request. (A lookup can still meet
+// a migrating partition; migrationGate detaches before it waits.) An
+// envelope is inline here because handleBatch decides once it has
+// decoded its sub-ops: it detaches only if one of them is not inline.
 func (in *Instance) servesInline(req *wire.Request) bool {
 	switch req.Op {
 	case wire.OpLookup, wire.OpBatch:

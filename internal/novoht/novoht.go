@@ -23,10 +23,11 @@
 // split into power-of-two lock shards, so operations on different
 // keys — including the disk read that faults an evicted value back
 // in — proceed in parallel instead of serializing on one store-wide
-// RWMutex. And the log is a group-commit write-ahead log (wal.go): a
-// single writer coalesces concurrently submitted records into one
-// write and, per storage.Durability mode, one fsync, acknowledging
-// each mutation only once its record's durability level is met.
+// RWMutex. And the log is a group-commit write-ahead log (wal.go)
+// with no goroutine of its own: the caller that finds records pending
+// and nobody committing writes them as one batch with, per
+// storage.Durability mode, one fsync, and each mutation is
+// acknowledged only once its record's durability level is met.
 //
 // Each store also keeps its partition's repair digest
 // (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
@@ -502,8 +503,8 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 		return 0, 0, nil
 	}
 	typ = recordType(typ, ver)
-	// The record is built in a pooled buffer the WAL writer returns
-	// after committing it, and the checksum runs once over the
+	// The record is built in a pooled buffer the WAL's committer
+	// returns after writing it, and the checksum runs once over the
 	// assembled bytes — no per-record hasher or string conversion.
 	rec := getRec()
 	rec = append(rec, typ)
@@ -525,16 +526,18 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 }
 
 // Pooled WAL record buffers. Ownership is linear: appendRecord fills
-// one, wal.append hands it to the writer goroutine, and commit
-// returns it here once its bytes are on the file (records dropped on
-// a failed WAL simply fall to the GC).
+// one, wal.append queues it, and the committer that takes it returns it
+// here once its bytes are on the file (records dropped on a failed WAL
+// simply fall to the GC). An async mutation usually commits its own
+// record inline, but a group or sync committer writes the records of
+// the callers that queued behind it, so a record is still filled on
+// one goroutine and often returned on another.
 //
-// Unlike wire's per-P FreeList this stays a bounded channel, because a
-// record is a producer→consumer handoff rather than per-core scratch:
-// request goroutines fill records and the WAL writer goroutines return
-// them, so per-P caches would strand records on the writers' Ps while
-// request Ps miss; a per-P list measured slower on durable writes
-// (DESIGN.md §11). 256 records of at most maxPooledRec bytes each caps
+// Unlike wire's per-P FreeList this stays a bounded channel. The list
+// was chosen when records crossed from request goroutines to per-store
+// writer goroutines, where a per-P list measured slower on durable
+// writes (DESIGN.md §11); it has not been re-measured since the writers
+// were removed. 256 records of at most maxPooledRec bytes each caps
 // what the list pins at 16 MiB.
 var recFree = make(chan []byte, 256)
 

@@ -182,74 +182,85 @@ func checkEqualsModel(t *testing.T, s *Store, model map[string][]byte) {
 	}
 }
 
-// TestGroupCrashReplay injects a WAL crash mid-run under group
-// durability and verifies the recovery contract: every acknowledged
-// mutation survives reopen, and any key's recovered state is a
-// prefix-consistent point of its own submission order (acknowledged
-// prefix, possibly extended by submitted-but-unacknowledged writes
-// that physically reached the file before the tear).
+// TestGroupCrashReplay injects a WAL crash mid-run under group and
+// sync durability and verifies the recovery contract: every
+// acknowledged mutation survives reopen, and any key's recovered state
+// is a prefix-consistent point of its own submission order
+// (acknowledged prefix, possibly extended by submitted-but-
+// unacknowledged writes that physically reached the file before the
+// tear). Under sync the tear hits a committer that fsyncs per record.
 func TestGroupCrashReplay(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "crash.log")
-			fault := chaos.NewWALCrash(seed, 2_000, 20_000)
-			s, err := Open(Options{Path: path, Durability: storage.DurabilityGroup, Fault: fault})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers = 4
-			acked := make([]int, workers)     // highest acked sequence per worker
-			submitted := make([]int, workers) // highest submitted sequence per worker
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 1; i <= 500; i++ {
-						submitted[w] = i
-						err := s.Put(fmt.Sprintf("w%d", w), []byte(fmt.Sprintf("seq%06d", i)))
-						if err != nil {
-							if !errors.Is(err, storage.ErrBroken) {
-								t.Errorf("worker %d: unexpected error %v", w, err)
-							}
-							return
-						}
-						acked[w] = i
-					}
-				}(w)
-			}
-			wg.Wait()
-			if !fault.Crashed() {
-				t.Fatal("crash never fired; widen the byte budget")
-			}
-			s.Close() // returns the sticky error; the log is what matters
+	modes := []struct {
+		suffix string
+		mode   storage.Durability
+	}{{"", storage.DurabilityGroup}, {"-sync", storage.DurabilitySync}}
+	for _, m := range modes {
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("seed%d%s", seed, m.suffix), func(t *testing.T) {
+				crashReplay(t, seed, m.mode)
+			})
+		}
+	}
+}
 
-			r, err := Open(Options{Path: path, Durability: storage.DurabilityGroup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for w := 0; w < workers; w++ {
-				v, ok, err := r.Get(fmt.Sprintf("w%d", w))
+func crashReplay(t *testing.T, seed int64, mode storage.Durability) {
+	path := filepath.Join(t.TempDir(), "crash.log")
+	fault := chaos.NewWALCrash(seed, 2_000, 20_000)
+	s, err := Open(Options{Path: path, Durability: mode, Fault: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	acked := make([]int, workers)     // highest acked sequence per worker
+	submitted := make([]int, workers) // highest submitted sequence per worker
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= 500; i++ {
+				submitted[w] = i
+				err := s.Put(fmt.Sprintf("w%d", w), []byte(fmt.Sprintf("seq%06d", i)))
 				if err != nil {
-					t.Fatal(err)
+					if !errors.Is(err, storage.ErrBroken) {
+						t.Errorf("worker %d: unexpected error %v", w, err)
+					}
+					return
 				}
-				if acked[w] == 0 {
-					continue // nothing guaranteed for this key
-				}
-				if !ok {
-					t.Fatalf("worker %d: lost all %d acked writes", w, acked[w])
-				}
-				var seq int
-				if _, err := fmt.Sscanf(string(v), "seq%d", &seq); err != nil {
-					t.Fatalf("worker %d: unparseable recovered value %q", w, v)
-				}
-				if seq < acked[w] || seq > submitted[w] {
-					t.Errorf("worker %d: recovered seq %d outside [acked %d, submitted %d]",
-						w, seq, acked[w], submitted[w])
-				}
+				acked[w] = i
 			}
-		})
+		}(w)
+	}
+	wg.Wait()
+	if !fault.Crashed() {
+		t.Fatal("crash never fired; widen the byte budget")
+	}
+	s.Close() // returns the sticky error; the log is what matters
+
+	r, err := Open(Options{Path: path, Durability: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for w := 0; w < workers; w++ {
+		v, ok, err := r.Get(fmt.Sprintf("w%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acked[w] == 0 {
+			continue // nothing guaranteed for this key
+		}
+		if !ok {
+			t.Fatalf("worker %d: lost all %d acked writes", w, acked[w])
+		}
+		var seq int
+		if _, err := fmt.Sscanf(string(v), "seq%d", &seq); err != nil {
+			t.Fatalf("worker %d: unparseable recovered value %q", w, v)
+		}
+		if seq < acked[w] || seq > submitted[w] {
+			t.Errorf("worker %d: recovered seq %d outside [acked %d, submitted %d]",
+				w, seq, acked[w], submitted[w])
+		}
 	}
 }
 

@@ -10,14 +10,16 @@ import (
 	"zht/internal/storage"
 )
 
-// wal is NoVoHT's group-commit write-ahead log: a single writer
-// goroutine drains concurrently submitted records as one commit batch,
-// issuing one unbuffered file write per record, and — per durability
-// mode — one fsync per commit batch (group), one fsync per record
-// (sync), or none (async). Callers
-// append under their shard lock (so per-key log order matches memory
-// order) and wait for their record's durability level after releasing
-// it, so a slow fsync never blocks unrelated keys.
+// wal is NoVoHT's group-commit write-ahead log. It has no goroutine of
+// its own: a caller that finds records pending and nobody committing
+// becomes the committer. It takes every pending record as one batch
+// and, outside the mutex, issues one unbuffered file write per record
+// and — per durability mode — one fsync per batch (group), one fsync
+// per record (sync), or none (async). One committer runs at a time, so
+// records reach the file in offset order. Callers append under their
+// shard lock (so per-key log order matches memory order) and wait for
+// their record's durability level after releasing it, so a slow fsync
+// never blocks unrelated keys.
 //
 // Offsets are assigned at append time under the wal mutex, which is
 // what lets the sharded table record an evicted value's future file
@@ -25,22 +27,22 @@ import (
 // flushTo to force the prefix they need onto the file first.
 type wal struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond *sync.Cond // broadcast after every commit, failure and swap
 
 	f      *os.File
 	mode   storage.Durability
 	fault  storage.Fault
-	window time.Duration // group mode: how long a commit waits for company
+	window time.Duration // group mode: how long a committer waits for company
 
-	pending [][]byte // records appended but not yet handed to the writer
-	size    int64    // logical log length, including pending records
-	written int64    // bytes physically written to f
-	synced  int64    // bytes covered by an fsync
-	epoch   uint64   // bumped by swapFile; offsets from older epochs are stale
+	pending    [][]byte // records appended but not yet taken by a committer
+	committing bool     // a caller is committing a batch; no other may start
+	size       int64    // logical log length, including pending records
+	written    int64    // bytes physically written to f
+	synced     int64    // bytes covered by an fsync
+	epoch      uint64   // bumped by swapFile; offsets from older epochs are stale
 
-	err     error // sticky: fault injection or real I/O failure
-	closed  bool  // close requested; writer drains then exits
-	stopped bool  // writer goroutine has exited
+	err    error // sticky: fault injection or real I/O failure
+	closed bool  // close requested; appends are refused
 
 	// Instruments; all nil-safe when metrics are disabled.
 	commits *metrics.Counter   // zht.storage.wal.commits
@@ -49,8 +51,11 @@ type wal struct {
 }
 
 // newWAL wraps an open log file whose consistent prefix ends at size.
-// The writer goroutine starts immediately.
+// The window applies to group mode only.
 func newWAL(f *os.File, size int64, mode storage.Durability, window time.Duration, fault storage.Fault, reg *metrics.Registry) *wal {
+	if mode != storage.DurabilityGroup {
+		window = 0
+	}
 	w := &wal{f: f, mode: mode, fault: fault, window: window, size: size, written: size, synced: size}
 	w.cond = sync.NewCond(&w.mu)
 	if reg != nil {
@@ -58,7 +63,6 @@ func newWAL(f *os.File, size int64, mode storage.Durability, window time.Duratio
 		w.batchSz = reg.Histogram("zht.storage.wal.batch.size")
 		w.fsyncNs = reg.Histogram("zht.storage.wal.fsync_ns")
 	}
-	go w.run()
 	return w
 }
 
@@ -77,63 +81,116 @@ func (w *wal) append(rec []byte) (off int64, err error) {
 	off = w.size
 	w.size += int64(len(rec))
 	w.pending = append(w.pending, rec)
-	w.cond.Broadcast()
 	return off, nil
 }
 
-// waitDurable blocks until the log prefix [0, target) has reached
-// this WAL's durability level: written for async, fsynced for group
-// and sync. It returns the sticky error if the WAL broke first.
+// waitDurable returns once the log prefix [0, target) has reached this
+// WAL's durability level, committing pending records itself whenever
+// no other caller is. It returns the sticky error if the WAL broke
+// first.
+//
+// Async waits on nobody. The caller commits until nothing is pending,
+// or returns at once if another caller is committing: that committer
+// keeps going until pending is empty, so once the last concurrent call
+// on a store returns, every acknowledged record is in the file.
+//
+// Group and sync wait for an fsync. A committer makes one pass, which
+// covers its own record, and hands over to the waiters the pass wakes:
+// the first of them whose record is still pending commits next.
+//
+// In group mode a committer does not commit the instant it takes over:
+// it sleeps for the commit window first, so concurrent callers whose
+// arrivals are staggered by scheduling or network round trips still
+// share one fsync. Without the window, a closed loop of clients
+// phase-locks with the commits — each fsync releases one waiter, which
+// submits the next record just after the following commit has begun —
+// and group commit degenerates into sync (batch size 1). This is the
+// same knob as PostgreSQL's commit_delay and MySQL's
+// binlog_group_commit_sync_delay.
 func (w *wal) waitDurable(target int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	watermark := func() int64 {
-		if w.mode == storage.DurabilityGroup || w.mode == storage.DurabilitySync {
-			return w.synced
-		}
-		return w.written
-	}
 	if w.mode == storage.DurabilityAsync {
-		// Async acknowledges on submission — today's seed behavior:
-		// the writer pushes the bytes to the OS in the background.
-		return nil
-	}
-	// A compaction can retire this record's offset while we wait: the
-	// checkpoint rewrite drains the log, persists every record
-	// appended so far (group and sync compactions fsync the new
-	// file), and swapFile rebases the watermarks to the new — often
-	// smaller — file. Our target offset then names a position in a
-	// file that no longer exists, so comparing it against the rebased
-	// watermark would block forever. An epoch change therefore means
-	// the record is durable in the checkpoint.
-	epoch := w.epoch
-	for watermark() < target && w.epoch == epoch && w.err == nil && !w.stopped {
-		w.cond.Wait()
-	}
-	if w.epoch != epoch || watermark() >= target {
-		return nil
-	}
-	if w.err != nil {
+		if w.committing {
+			return nil
+		}
+		for len(w.pending) > 0 && w.err == nil {
+			w.commitPending(0)
+		}
 		return w.err
 	}
-	return ErrClosed
+	return w.commitUntil(&w.synced, target, w.window)
 }
 
-// flushTo blocks until the log prefix [0, target) is physically in
-// the file, so ReadAt on it is valid.
+// flushTo returns once the log prefix [0, target) is physically in
+// the file, so ReadAt on it is valid. It commits pending records
+// itself, without the group window, and waits out a committer that is
+// already running.
 func (w *wal) flushTo(target int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.written < target && w.err == nil && !w.stopped {
-		w.cond.Wait()
+	return w.commitUntil(&w.written, target, 0)
+}
+
+// commitUntil runs with w.mu held until the watermark mark (written
+// or synced) reaches target: it waits while another caller commits and
+// otherwise commits the pending records itself.
+//
+// A compaction can retire the target offset while we wait: the
+// checkpoint rewrite drains the log, persists every record appended so
+// far (group and sync compactions fsync the new file), and swapFile
+// rebases the watermarks to the new — often smaller — file. The target
+// then names a position in a file that no longer exists, so comparing
+// it against the rebased watermark would block forever. An epoch change
+// therefore means the record is durable in the checkpoint.
+func (w *wal) commitUntil(mark *int64, target int64, window time.Duration) error {
+	epoch := w.epoch
+	for *mark < target && w.epoch == epoch && w.err == nil {
+		switch {
+		case w.committing:
+			w.cond.Wait()
+		case len(w.pending) > 0:
+			w.commitPending(window)
+		default:
+			// Every record is pending, being committed or committed, so
+			// only a closed log leaves the target short: never wait for
+			// a commit nobody will make.
+			return ErrClosed
+		}
 	}
-	if w.written >= target {
+	if w.epoch != epoch || *mark >= target {
 		return nil
 	}
-	if w.err != nil {
-		return w.err
+	return w.err
+}
+
+// commitPending is one committer pass, entered and left with w.mu held
+// and w.pending non-empty: it sleeps the window, takes every pending
+// record, commits them with the mutex released, then publishes the new
+// watermarks and wakes every waiter.
+func (w *wal) commitPending(window time.Duration) {
+	w.committing = true
+	if window > 0 {
+		// Gather a cohort. Appends only need the mutex briefly, so they
+		// accumulate in pending while the committer sleeps.
+		w.mu.Unlock()
+		time.Sleep(window)
+		w.mu.Lock()
 	}
-	return ErrClosed
+	batch := w.pending
+	w.pending = nil
+	w.mu.Unlock()
+
+	written, synced, err := w.commit(batch)
+
+	w.mu.Lock()
+	w.written += written
+	w.synced += synced
+	if err != nil && w.err == nil {
+		w.err = fmt.Errorf("%w: %v", storage.ErrBroken, err)
+	}
+	w.committing = false
+	w.cond.Broadcast()
 }
 
 // readAt reads a previously flushed byte range from the log file.
@@ -193,17 +250,17 @@ func (w *wal) swapFile(f *os.File, size int64) {
 	w.cond.Broadcast()
 }
 
-// close drains pending records, fsyncs the file (so a clean shutdown
-// never loses an acknowledged — or even an async-buffered — write),
-// and closes it. Safe to call once; the store serializes callers.
+// close commits pending records, waits out a running committer,
+// fsyncs the file (so a clean shutdown never loses an acknowledged —
+// or even an async-buffered — write), and closes it. Safe to call
+// once; the store serializes callers.
 func (w *wal) close() error {
 	w.mu.Lock()
 	w.closed = true
-	w.cond.Broadcast()
-	for !w.stopped {
+	err := w.commitUntil(&w.written, w.size, 0)
+	for w.committing {
 		w.cond.Wait()
 	}
-	err := w.err
 	w.mu.Unlock()
 	if err != nil {
 		w.f.Close() // broken WAL: nothing more to save
@@ -226,13 +283,6 @@ func (w *wal) fail(err error) {
 	w.mu.Unlock()
 }
 
-// broken reports the sticky error, if any.
-func (w *wal) broken() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 func (w *wal) faultWrite(n int) (int, error) {
 	if w.fault == nil {
 		return n, nil
@@ -245,54 +295,6 @@ func (w *wal) faultSync() error {
 		return nil
 	}
 	return w.fault.BeforeSync()
-}
-
-// run is the single writer: it swaps out the pending batch, writes it
-// in one pass, issues the mode's fsyncs, then publishes the new
-// watermarks and wakes the batch's waiters.
-//
-// In group mode the writer does not commit the instant the first
-// record lands: it sleeps for the commit window first, so concurrent
-// callers whose arrivals are staggered by scheduling or network
-// round trips still share one fsync. Without the window, a closed
-// loop of clients phase-locks with the writer — each fsync releases
-// one waiter, which submits the next record just after the following
-// commit has begun — and group commit degenerates into sync (batch
-// size 1). This is the same knob as PostgreSQL's commit_delay and
-// MySQL's binlog_group_commit_sync_delay.
-func (w *wal) run() {
-	w.mu.Lock()
-	for {
-		for len(w.pending) == 0 && !w.closed && w.err == nil {
-			w.cond.Wait()
-		}
-		if w.err != nil || (w.closed && len(w.pending) == 0) {
-			w.stopped = true
-			w.cond.Broadcast()
-			w.mu.Unlock()
-			return
-		}
-		if w.mode == storage.DurabilityGroup && w.window > 0 && !w.closed {
-			// Gather a cohort. Appends only need the mutex briefly, so
-			// they accumulate in pending while the writer sleeps.
-			w.mu.Unlock()
-			time.Sleep(w.window)
-			w.mu.Lock()
-		}
-		batch := w.pending
-		w.pending = nil
-		w.mu.Unlock()
-
-		written, synced, err := w.commit(batch)
-
-		w.mu.Lock()
-		w.written += written
-		w.synced += synced
-		if err != nil && w.err == nil {
-			w.err = fmt.Errorf("%w: %v", storage.ErrBroken, err)
-		}
-		w.cond.Broadcast()
-	}
 }
 
 // commit writes one batch, returning how many bytes were fully

@@ -12,10 +12,11 @@
 // baselines consume only KV, so replication and durability policy can
 // change without touching the routing layer.
 //
-// Durability levels follow the classic group-commit design: a single
-// WAL writer coalesces concurrently submitted records into one
-// buffered write and (per mode) one fsync, acknowledging each caller
-// only once its record's durability level is satisfied.
+// Durability levels follow the classic group-commit design, with the
+// callers themselves as the log writer: the caller that finds records
+// pending and nobody committing writes every pending record as one
+// batch and (per mode) issues one fsync, and each caller is
+// acknowledged only once its record's durability level is satisfied.
 package storage
 
 import (
@@ -124,10 +125,13 @@ type Stats struct {
 type Durability int
 
 const (
-	// DurabilityAsync hands the record to the WAL writer and returns
-	// immediately: data reaches the OS promptly (surviving process
-	// crashes) but no fsync is issued, so power loss can lose the
-	// tail. This matches the paper's measured ~3µs persistence cost.
+	// DurabilityAsync issues no fsync and waits on no other call: the
+	// mutation writes its record to the OS itself or, if another call
+	// is already committing, leaves it to that call, which writes
+	// everything queued before it returns. So once every call on a
+	// store has returned, each acknowledged record is in the file and
+	// survives a process crash; power loss can lose the tail. This is
+	// the mode of the paper's measured ~3µs persistence cost.
 	DurabilityAsync Durability = iota
 	// DurabilityNone disables persistence entirely: the store is
 	// volatile and any configured log path is ignored (the paper's
