@@ -40,7 +40,7 @@ func main() {
 		joinAddr   = flag.String("addr", "", "this server's address when using -join")
 		partitions = flag.Int("partitions", 1024, "fixed partition count n (deployment-wide)")
 		replicas   = flag.Int("replicas", 2, "replicas per partition")
-		dataDir    = flag.String("data", "", "directory for NoVoHT partition logs ('' = memory only)")
+		dataDir    = flag.String("data", "", "directory for the instance's NoVoHT log, <instance ID>.log ('' = memory only)")
 		proto      = flag.String("proto", "tcp", "transport: tcp or udp")
 		hashName   = flag.String("hash", "", "ring hash function (default lookup3)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")

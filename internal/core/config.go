@@ -45,9 +45,11 @@ type Config struct {
 	// HashName selects the ring hash function (see hashing.ByName);
 	// empty selects the default.
 	HashName string
-	// DataDir, when non-empty, persists each partition to
-	// DataDir/p<ID>.log via NoVoHT. Empty keeps all partitions in
-	// memory (the Blue Gene/P nodes used ramdisks).
+	// DataDir, when non-empty, persists every partition store of an
+	// instance to one NoVoHT log, DataDir/<instance ID>.log (a DataDir
+	// holding the older <instance ID>-pNNNNNN.log files is imported at
+	// boot). Empty keeps all partitions in memory (the Blue Gene/P
+	// nodes used ramdisks).
 	DataDir string
 	// MaxMemValuesPerPartition bounds resident values per partition
 	// store (NoVoHT's memory-footprint control). 0 = unbounded.

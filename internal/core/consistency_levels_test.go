@@ -166,10 +166,11 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	d, _, _ := startDeployment(t, cfg, 2)
 	in := d.Instance(0)
 	conflicts := mreg.Counter("zht.consistency.version_conflicts")
+	key := keyForPartition(t, cfg, in.Table(), 0)
 
 	apply := func(op wire.Op, val []byte, ver uint64) *wire.Response {
 		return in.Handle(&wire.Request{
-			Op: wire.OpReplicate, Partition: 0, Key: "lww",
+			Op: wire.OpReplicate, Partition: 0, Key: key,
 			Value: val, Version: ver, Flags: wire.FlagNoReplicate,
 			Aux: encodeReplicaAux(op),
 		})
@@ -182,7 +183,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	if r := apply(wire.OpInsert, []byte("old"), 50<<hlcNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("stale insert must normalize to OK: %v %s", r.Status, r.Err)
 	}
-	if v, ok, _ := storeGet(in, 0, "lww"); !ok || string(v) != "new" {
+	if v, ok, _ := storeGet(in, 0, key); !ok || string(v) != "new" {
 		t.Fatalf("older insert overwrote newer value: %q %v", v, ok)
 	}
 	if got := conflicts.Value(); got != 1 {
@@ -192,7 +193,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	if r := apply(wire.OpRemove, nil, 60<<hlcNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("stale remove: %v %s", r.Status, r.Err)
 	}
-	if v, ok, _ := storeGet(in, 0, "lww"); !ok || string(v) != "new" {
+	if v, ok, _ := storeGet(in, 0, key); !ok || string(v) != "new" {
 		t.Fatalf("older remove deleted newer value: %q %v", v, ok)
 	}
 	if got := conflicts.Value(); got != 2 {
@@ -202,7 +203,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	if r := apply(wire.OpRemove, nil, 200<<hlcNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("newer remove: %v %s", r.Status, r.Err)
 	}
-	if _, ok, _ := storeGet(in, 0, "lww"); ok {
+	if _, ok, _ := storeGet(in, 0, key); ok {
 		t.Fatal("newer-versioned remove did not delete")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -112,15 +113,16 @@ func Bootstrap(cfg Config, eps []Endpoint, listen ListenFunc, caller transport.C
 		return nil, err
 	}
 	d := &Deployment{cfg: cfg, listen: listen, caller: caller}
-	for i, m := range members {
-		inst, err := NewInstance(cfg, m, table, caller)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
+	insts, err := newInstances(cfg, members, table, caller)
+	if err != nil {
+		return nil, err
+	}
+	for i, inst := range insts {
 		ln, err := listen(eps[i].Addr, inst.Handle)
 		if err != nil {
-			inst.Close()
+			for _, rest := range insts[i:] {
+				rest.Close()
+			}
 			d.Close()
 			return nil, fmt.Errorf("core: bind %s: %w", eps[i].Addr, err)
 		}
@@ -130,6 +132,33 @@ func Bootstrap(cfg Config, eps []Endpoint, listen ListenFunc, caller transport.C
 		d.mu.Unlock()
 	}
 	return d, nil
+}
+
+// newInstances creates one instance per member, concurrently: a
+// durable instance replays its whole log before it returns, and that
+// replay is most of a durable deployment's boot. On error it closes
+// every instance it created.
+func newInstances(cfg Config, members []ring.Instance, table *ring.Table, caller transport.Caller) ([]*Instance, error) {
+	insts := make([]*Instance, len(members))
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			insts[i], errs[i] = NewInstance(cfg, m, table, caller)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for _, inst := range insts {
+			if inst != nil {
+				inst.Close()
+			}
+		}
+		return nil, err
+	}
+	return insts, nil
 }
 
 // InprocEndpoints builds n endpoints named zht-<i>, one per simulated

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +54,13 @@ type Instance struct {
 	// reveal staleness; nil when Config.GossipCooldown is negative.
 	gossip *gossip.Service
 
-	// stores holds partition p's store at index p once created. Stores
-	// are never removed, so readers load the slot without locking; smu
-	// serializes creation.
+	// log holds every partition store of the instance and, with a
+	// DataDir, their one write-ahead log file, DataDir/<id>.log.
+	log *novoht.Log
+	// stores holds partition p's store at index p once created: at
+	// boot for every partition the log replayed, on demand for the
+	// rest. Stores are never removed, so readers load the slot without
+	// locking; smu serializes creation.
 	smu    sync.Mutex
 	stores []atomic.Pointer[storeRef]
 
@@ -184,6 +190,9 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	in.caller = &epochCaller{inner: caller, in: in}
 	in.async.idle.L = &in.async.mu
 	in.table.Store(table.Clone())
+	if err := in.openLog(); err != nil {
+		return nil, err
+	}
 	in.met.epoch.Set(int64(table.Epoch))
 	if cfg.GossipCooldown >= 0 {
 		in.gossip, _ = gossip.New(gossip.Options{
@@ -237,8 +246,107 @@ func (in *Instance) Epoch() uint64 {
 // storeRef is the immutable cell a stores slot points to.
 type storeRef struct{ storage.KV }
 
-// store returns (creating on demand) the NoVoHT store backing
-// partition p on this instance.
+// openLog opens the instance's log and replays it before the instance
+// serves anything: every partition the log holds gets its store, and
+// the clock observes every replayed stamp, so a restarted node stamps
+// its next write above them. A key's partition is fixed for the life
+// of a DataDir, so replay routes each record by hashing its key.
+func (in *Instance) openLog() error {
+	opts := novoht.Options{
+		MaxMemValues: in.cfg.MaxMemValuesPerPartition,
+		Durability:   in.cfg.Durability,
+		Metrics:      in.cfg.Metrics,
+	}
+	if in.cfg.DataDir != "" && in.cfg.Durability != storage.DurabilityNone {
+		opts.Path = filepath.Join(in.cfg.DataDir, string(in.self.ID)+".log")
+	} else {
+		opts.MaxMemValues = 0 // memory bound requires a persistent log
+	}
+	// The stores maintain their own repair digests (built during log
+	// replay on open), so primary applies, replica applies, and
+	// migration imports all keep them current.
+	l, err := novoht.OpenLog(opts, in.partitionOf)
+	if err != nil {
+		return err
+	}
+	in.log = l
+	for _, p := range l.IDs() {
+		in.stores[p].Store(&storeRef{l.Store(p)})
+	}
+	in.clock.Observe(l.MaxVersion())
+	if err := in.importPartitionLogs(opts.Path); err != nil {
+		l.Close()
+		return err
+	}
+	return nil
+}
+
+// importPartitionLogs moves a DataDir written with one log per
+// partition (<id>-pNNNNNN.log) into the instance's log at path: it
+// replays each old file, installs every pair through install, which
+// keeps its stamp and advances the clock, syncs the log, and only then
+// unlinks the old files. A crash before the unlink repeats the import,
+// which installs nothing new: every pair is already held at its stamp.
+func (in *Instance) importPartitionLogs(path string) error {
+	if path == "" {
+		return nil
+	}
+	ents, err := os.ReadDir(in.cfg.DataDir)
+	if err != nil {
+		return fmt.Errorf("core: read data dir: %w", err)
+	}
+	var old []string
+	prefix := string(in.self.ID) + "-p"
+	for _, e := range ents {
+		name := e.Name()
+		if rest, ok := strings.CutPrefix(name, prefix); ok && len(rest) == len("000000.log") &&
+			strings.HasSuffix(rest, ".log") && strings.Trim(rest[:6], "0123456789") == "" {
+			old = append(old, filepath.Join(in.cfg.DataDir, name))
+		}
+	}
+	for _, name := range old {
+		src, err := novoht.Open(novoht.Options{Path: name, CompactEvery: -1})
+		if err != nil {
+			return fmt.Errorf("core: import %s: %w", name, err)
+		}
+		err = src.ForEachV(func(key string, val []byte, ver uint64) error {
+			p := in.partitionOf(key)
+			s, err := in.store(p)
+			if err == nil {
+				_, err = in.install(p, s, key, val, ver)
+			}
+			return err
+		})
+		if cerr := src.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("core: import %s: %w", name, err)
+		}
+	}
+	if len(old) == 0 {
+		return nil
+	}
+	if err := in.log.Sync(); err != nil {
+		return err
+	}
+	for _, name := range old {
+		if err := os.Remove(name); err != nil {
+			return fmt.Errorf("core: import: %w", err)
+		}
+	}
+	return nil
+}
+
+// partitionOf returns the partition key hashes to. The index depends
+// only on NumPartitions, which is immutable, so any table snapshot
+// computes it.
+func (in *Instance) partitionOf(key string) int {
+	return in.tableRef().Partition(in.hashf(key))
+}
+
+// store returns (creating on demand) the store backing partition p on
+// this instance.
 func (in *Instance) store(p int) (storage.KV, error) {
 	if s := in.storeIfPresent(p); s != nil {
 		return s, nil
@@ -251,32 +359,7 @@ func (in *Instance) store(p int) (storage.KV, error) {
 	if r := in.stores[p].Load(); r != nil {
 		return r.KV, nil
 	}
-	opts := novoht.Options{
-		MaxMemValues: in.cfg.MaxMemValuesPerPartition,
-		Durability:   in.cfg.Durability,
-		Metrics:      in.cfg.Metrics,
-	}
-	if in.cfg.DataDir != "" {
-		opts.Path = filepath.Join(in.cfg.DataDir, fmt.Sprintf("%s-p%06d.log", in.self.ID, p))
-	}
-	if opts.Path == "" || opts.Durability == storage.DurabilityNone {
-		opts.MaxMemValues = 0 // memory bound requires a persistent log
-	}
-	// The store maintains its own repair digest (built during log
-	// replay on open), so primary applies, replica applies, and
-	// migration imports all keep it current.
-	s, err := novoht.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Path != "" {
-		// A replayed log installs stamped pairs too: the clock observes
-		// them, so a restarted node stamps its next write above them.
-		s.ForEachV(func(_ string, _ []byte, ver uint64) error {
-			in.clock.Observe(ver)
-			return nil
-		})
-	}
+	s := in.log.Store(p)
 	in.stores[p].Store(&storeRef{s})
 	return s, nil
 }
@@ -375,9 +458,7 @@ func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	if release != nil {
 		defer release()
 	}
-	// The partition index depends only on NumPartitions, which is
-	// immutable, so it can be computed from any table snapshot.
-	p := in.tableRef().Partition(in.hashf(req.Key))
+	p := in.partitionOf(req.Key)
 	resp := wire.GetResponse()
 
 	// Replica reads bypass ownership and the migration gate: a quorum
@@ -689,7 +770,8 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 		resp.Status, resp.Err = wire.StatusError, "core: replicate without op or version"
 		return
 	}
-	s, err := in.store(int(req.Partition))
+	p := int(req.Partition)
+	s, err := in.store(p)
 	if err != nil {
 		setErr(resp, err)
 		return
@@ -697,10 +779,12 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	var applied bool
 	switch op := wire.Op(req.Aux[0]); op {
 	case wire.OpInsert:
-		applied, err = in.install(s, req.Key, req.Value, req.Version)
+		applied, err = in.install(p, s, req.Key, req.Value, req.Version)
 	case wire.OpRemove:
-		in.clock.Observe(req.Version)
-		applied, err = s.RemoveLWW(req.Key, req.Version)
+		if err = in.checkPartition(p, req.Key); err == nil {
+			in.clock.Observe(req.Version)
+			applied, err = s.RemoveLWW(req.Key, req.Version)
+		}
 	default:
 		resp.Status, resp.Err = wire.StatusError, "core: bad replica op "+op.String()
 		return
@@ -712,25 +796,40 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	}
 }
 
-// installer is a partition store whose PutLWW is install, so a
+// installer is partition p's store whose PutLWW is install, so a
 // migration image lands through it like every other stamped pair.
 type installer struct {
 	storage.KV
 	in *Instance
+	p  int
 }
 
 func (i installer) PutLWW(key string, val []byte, ver uint64) (bool, error) {
-	return i.in.install(i.KV, key, val, ver)
+	return i.in.install(i.p, i.KV, key, val, ver)
 }
 
 // install lands a stamped pair another node produced — a replica leg,
-// a repair transfer, a migration image — last-writer-wins. It is the
-// one way such a pair enters a local store: the clock observes the
+// a repair transfer, a migration image — into partition p's store s,
+// last-writer-wins. It is the one way such a pair enters a local
+// store. It refuses a key that does not hash to p: the log replays each
+// record into the partition its key hashes to. The clock observes the
 // stamp first, so this node's next write of the key stamps above it
 // and is never refused by a copy that holds the installed pair.
-func (in *Instance) install(s storage.KV, key string, val []byte, ver uint64) (bool, error) {
+func (in *Instance) install(p int, s storage.KV, key string, val []byte, ver uint64) (bool, error) {
+	if err := in.checkPartition(p, key); err != nil {
+		return false, err
+	}
 	in.clock.Observe(ver)
 	return s.PutLWW(key, val, ver)
+}
+
+// checkPartition refuses a pair that names partition p but whose key
+// hashes elsewhere.
+func (in *Instance) checkPartition(p int, key string) error {
+	if q := in.partitionOf(key); q != p {
+		return fmt.Errorf("core: key hashes to partition %d, not %d", q, p)
+	}
+	return nil
 }
 
 // handleMembership returns the current table.
@@ -841,7 +940,7 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
-		if _, err := storage.Import(bytes.NewReader(req.Aux), installer{s, in}); err != nil {
+		if _, err := storage.Import(bytes.NewReader(req.Aux), installer{s, in, p}); err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
 		return &wire.Response{Status: wire.StatusOK}
@@ -1151,7 +1250,7 @@ func (in *Instance) Drain() {
 	in.async.wait()
 }
 
-// Close flushes and closes all partition stores.
+// Close closes every partition store, then flushes and closes the log.
 func (in *Instance) Close() error {
 	in.closeMu.Lock()
 	select {
@@ -1166,15 +1265,7 @@ func (in *Instance) Close() error {
 	in.Drain()
 	in.loopWG.Wait() // anti-entropy + read-repair exit on closed
 	in.legs.Close()  // discards the handoff backlogs
-	in.smu.Lock()
-	defer in.smu.Unlock()
-	var firstErr error
-	for _, s := range in.openStores() {
-		if err := s.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return in.log.Close()
 }
 
 // openStores lists the partition stores created so far.

@@ -174,7 +174,7 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 		}
 	}
 	for k, pr := range auth {
-		if _, err := in.install(s, k, pr.Value, pr.Ver); err != nil {
+		if _, err := in.install(p, s, k, pr.Value, pr.Ver); err != nil {
 			return err
 		}
 	}

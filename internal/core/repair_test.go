@@ -317,12 +317,14 @@ func TestRepairOpsOverWire(t *testing.T) {
 	d, _, _ := startDeployment(t, cfg, 2)
 	a, b := d.Instance(0), d.Instance(1)
 
-	// Seed partition 2 of a directly (bypassing routing).
+	// Seed partition 2 of a directly (bypassing the client) with a key
+	// that hashes to it: an installed pair must.
+	alpha := keyForPartition(t, cfg, a.Table(), 2)
 	sa, err := a.store(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.PutV("alpha", []byte("1"), 1); err != nil {
+	if err := sa.PutV(alpha, []byte("1"), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -347,7 +349,7 @@ func TestRepairOpsOverWire(t *testing.T) {
 	if push.Status != wire.StatusOK {
 		t.Fatalf("push-apply: %v %s", push.Status, push.Err)
 	}
-	if v, ok, err := storeGet(b, 2, "alpha"); err != nil || !ok || string(v) != "1" {
+	if v, ok, err := storeGet(b, 2, alpha); err != nil || !ok || string(v) != "1" {
 		t.Fatalf("pair did not transfer: %q %v %v", v, ok, err)
 	}
 	if !reflect.DeepEqual(a.PartitionDigest(2), b.PartitionDigest(2)) {
@@ -357,11 +359,15 @@ func TestRepairOpsOverWire(t *testing.T) {
 	// A wholesale push-apply (a live owner's complete image) also
 	// deletes stale keys absent from the authority; any other push keeps
 	// them, whatever their version.
+	stale := alpha + "-stale"
+	for i := 0; b.partitionOf(stale) != 2; i++ {
+		stale = fmt.Sprintf("%s-stale-%d", alpha, i)
+	}
 	sb, err := b.store(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.PutV("stale", []byte("x"), 2); err != nil {
+	if err := sb.PutV(stale, []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, flags := range []uint8{0, wire.FlagWholesale} {
@@ -370,7 +376,7 @@ func TestRepairOpsOverWire(t *testing.T) {
 		if push.Status != wire.StatusOK {
 			t.Fatalf("push-apply (flags %v): %v %s", flags, push.Status, push.Err)
 		}
-		if _, ok, _ := storeGet(b, 2, "stale"); ok != (flags == 0) {
+		if _, ok, _ := storeGet(b, 2, stale); ok != (flags == 0) {
 			t.Fatalf("stale key present = %v after push-apply with flags %v", ok, flags)
 		}
 	}

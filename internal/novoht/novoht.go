@@ -8,9 +8,9 @@
 // the paper:
 //
 //   - log-based persistence with periodic checkpointing: mutations are
-//     appended to a log; compaction periodically rewrites the log with
-//     only live records (reclaiming space — the paper's "garbage
-//     collection"), which doubles as the checkpoint;
+//     appended to a log; a clean periodically copies the live records
+//     out of the log's older part and drops it (reclaiming space — the
+//     paper's "garbage collection"), which doubles as the checkpoint;
 //   - a configurable bound on the number of values held in memory
 //     ("specifying a size to control memory footprint"): past the
 //     bound, cold values are evicted to their on-disk image and read
@@ -25,9 +25,11 @@
 // in — proceed in parallel instead of serializing on one store-wide
 // RWMutex. And the log is a group-commit write-ahead log (wal.go)
 // with no goroutine of its own: the caller that finds records pending
-// and nobody committing writes them as one batch with, per
-// storage.Durability mode, one fsync, and each mutation is
-// acknowledged only once its record's durability level is met.
+// and nobody committing writes them as one batch with one write and,
+// per storage.Durability mode, one fsync, and each mutation is
+// acknowledged only once its record's durability level is met. Many
+// stores can share one log (log.go): a ZHT instance keeps all of its
+// partition stores in one file.
 //
 // Each store also keeps its partition's repair digest
 // (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
@@ -43,10 +45,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +55,7 @@ import (
 	"zht/internal/storage"
 )
 
-// Options configures a Store.
+// Options configures a Log and the stores it holds.
 type Options struct {
 	// Path is the log file. Empty means a volatile, memory-only
 	// store (the paper's "NoVoHT no persistence" configuration).
@@ -75,18 +75,19 @@ type Options struct {
 	// fsync (0 = DefaultGroupWindow; negative = commit immediately).
 	// Ignored outside group mode.
 	GroupWindow time.Duration
-	// CompactEvery triggers log compaction after this many mutations
-	// (0 = use DefaultCompactEvery; negative = never auto-compact).
+	// CompactEvery triggers a clean of the log after this many
+	// mutations across its stores (0 = use DefaultCompactEvery;
+	// negative = never clean automatically).
 	CompactEvery int
-	// GCRatio triggers compaction when dead log bytes exceed this
-	// fraction of the log (0 = use DefaultGCRatio).
+	// GCRatio triggers a clean when the dead bytes of the log's active
+	// file exceed this fraction of it (0 = use DefaultGCRatio).
 	GCRatio float64
-	// MaxMemValues bounds how many values stay resident in memory;
-	// 0 means unbounded. Keys always stay resident. Requires
-	// persistence (a Path and a Durability other than None).
+	// MaxMemValues bounds how many values each store keeps resident
+	// in memory; 0 means unbounded. Keys always stay resident.
+	// Requires persistence (a Path and a Durability other than None).
 	MaxMemValues int
-	// SyncOnCompact fsyncs the rewritten log during compaction.
-	// Group and sync durability modes always do.
+	// SyncOnCompact fsyncs the log's new file before a clean drops the
+	// old one. Group and sync durability modes always do.
 	SyncOnCompact bool
 	// Fault, when non-nil, injects storage-level crash faults into
 	// the WAL (see storage.Fault and internal/chaos); production
@@ -96,8 +97,8 @@ type Options struct {
 	// histograms (zht.novoht.{get,put,append}.latency_ns),
 	// eviction/compaction counters, and the WAL's
 	// zht.storage.wal.{commits,batch.size,fsync_ns} instruments.
-	// Stores sharing a registry (e.g. all partitions of one
-	// instance) aggregate into the same instruments. Nil disables
+	// Stores and logs sharing a registry aggregate into the same
+	// instruments. Nil disables
 	// measurement entirely — the hot paths skip even their time.Now
 	// calls.
 	Metrics *metrics.Registry
@@ -117,15 +118,15 @@ const (
 
 // Store is a NoVoHT hash table. It implements storage.KV.
 type Store struct {
-	opts   Options
-	shards []*shard
-	mask   uint32
-	wal    *wal // nil for a volatile store
+	opts    Options
+	shards  []*shard
+	mask    uint32
+	log     *Log
+	wal     *wal // the log's WAL; nil for a volatile store
+	ownsLog bool // opened by Open: closing the store closes its log
 
-	resident  atomic.Int64 // values currently held in memory
-	deadBytes atomic.Int64 // log bytes belonging to superseded records
-	mutations atomic.Int64 // mutations since last compaction
-	closed    atomic.Bool
+	resident atomic.Int64 // values currently held in memory
+	closed   atomic.Bool
 
 	// leaves is the maintained repair digest: leaf l is the XOR of
 	// storage.PairHashV over every live pair whose key is in leaf l.
@@ -133,10 +134,6 @@ type Store struct {
 	// orders them against keys of other shards sharing the leaf.
 	leaves [storage.Leaves]atomic.Uint64
 
-	// compactMu serializes compaction and Sync against each other
-	// (both touch the log file as a whole) and lets auto-compaction
-	// be single-flight.
-	compactMu sync.Mutex
 	// evictCursor rotates the shard eviction starts so no shard's
 	// values are systematically the first to be spilled.
 	evictCursor atomic.Uint32
@@ -148,7 +145,6 @@ type Store struct {
 	appendLat    *metrics.Histogram // zht.novoht.append.latency_ns
 	evictions    *metrics.Counter   // zht.novoht.evictions
 	evictedLoads *metrics.Counter   // zht.novoht.evicted_loads
-	compactions  *metrics.Counter   // zht.novoht.compactions
 }
 
 // shard is one lock stripe of the in-memory table.
@@ -214,68 +210,41 @@ var (
 // to make one shard's disk read observably slow.
 var testSlowLoad func()
 
-// Open creates or recovers a store. If opts.Path exists, its log is
-// replayed; a torn final record (from a crash mid-write) is truncated
-// away, recovering the longest consistent prefix.
+// Open creates or recovers a store that owns its log: a Log holding
+// one store. If opts.Path exists, its log is replayed; a torn final
+// record (from a crash mid-write) is truncated away, recovering the
+// longest consistent prefix.
 func Open(opts Options) (*Store, error) {
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = DefaultCompactEvery
+	l, err := OpenLog(opts, nil)
+	if err != nil {
+		return nil, err
 	}
-	if opts.GCRatio == 0 {
-		opts.GCRatio = DefaultGCRatio
-	}
-	if opts.GroupWindow == 0 {
-		opts.GroupWindow = DefaultGroupWindow
-	} else if opts.GroupWindow < 0 {
-		opts.GroupWindow = 0
-	}
-	if opts.Durability == storage.DurabilityNone {
-		opts.Path = "" // volatile: the log path is ignored
-	}
-	if opts.MaxMemValues > 0 && opts.Path == "" {
-		return nil, errors.New("novoht: MaxMemValues requires a persistent log")
-	}
-	nShards := opts.Shards
+	s := l.store(0)
+	s.ownsLog = true
+	return s, nil
+}
+
+// newStore creates an empty store that logs to l.
+func newStore(l *Log) *Store {
+	nShards := l.opts.Shards
 	if nShards <= 0 {
 		nShards = DefaultShards
 	}
 	for nShards&(nShards-1) != 0 {
 		nShards++
 	}
-	s := &Store{opts: opts, shards: make([]*shard, nShards), mask: uint32(nShards - 1)}
+	s := &Store{opts: l.opts, shards: make([]*shard, nShards), mask: uint32(nShards - 1), log: l, wal: l.wal}
 	for i := range s.shards {
 		s.shards[i] = &shard{m: make(map[string]*entry)}
 	}
-	if reg := opts.Metrics; reg != nil {
+	if reg := l.opts.Metrics; reg != nil {
 		s.getLat = reg.Histogram("zht.novoht.get.latency_ns")
 		s.putLat = reg.Histogram("zht.novoht.put.latency_ns")
 		s.appendLat = reg.Histogram("zht.novoht.append.latency_ns")
 		s.evictions = reg.Counter("zht.novoht.evictions")
 		s.evictedLoads = reg.Counter("zht.novoht.evicted_loads")
-		s.compactions = reg.Counter("zht.novoht.compactions")
 	}
-	if opts.Path == "" {
-		return s, nil
-	}
-	f, err := os.OpenFile(opts.Path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("novoht: open log: %w", err)
-	}
-	logSize, err := s.replay(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(logSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("novoht: seek log end: %w", err)
-	}
-	if err := f.Truncate(logSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("novoht: truncate torn tail: %w", err)
-	}
-	s.wal = newWAL(f, logSize, opts.Durability, opts.GroupWindow, opts.Fault, opts.Metrics)
-	return s, nil
+	return s
 }
 
 // shardOf returns the lock shard owning key (FNV-1a).
@@ -286,87 +255,6 @@ func (s *Store) shardOf(key string) *shard {
 		h *= 16777619
 	}
 	return s.shards[h&s.mask]
-}
-
-// replay loads the log into the shards, stopping at the first corrupt
-// or torn record; it returns the consistent prefix length. The read
-// buffer is sized to the log, capped at 1 MiB, and an empty log reads
-// nothing: an instance opens one log per partition, most of them empty
-// or small.
-func (s *Store) replay(f *os.File) (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("novoht: stat log: %w", err)
-	}
-	if st.Size() == 0 {
-		return 0, nil
-	}
-	r := bufio.NewReaderSize(f, int(min(st.Size(), 1<<20)))
-	var off int64
-	for {
-		rec, key, val, ver, n, err := readRecord(r, st.Size()-off)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errBadRecord) {
-				break // torn tail: keep the consistent prefix
-			}
-			return 0, err
-		}
-		sh := s.shardOf(key)
-		switch rec {
-		case recPut, recPutV:
-			if old, ok := sh.m[key]; ok {
-				// Crash replay keeps the newest version. The store
-				// refuses a stamp older than the stored one
-				// (storage.ErrStale), so this skips only records of logs
-				// written before that rule, where an older stamp was
-				// applied over a newer one.
-				if ver > 0 && old.ver > ver {
-					s.deadBytes.Add(recordSize(key, int64(len(val)), ver))
-					break
-				}
-				s.deadBytes.Add(recordSize(key, old.vlen, old.ver))
-			}
-			voff := off + int64(n) - int64(len(val)) - 4
-			sh.m[key] = &entry{val: val, off: voff, vlen: int64(len(val)), ver: ver, onDisk: true}
-		case recRemove, recRemoveV:
-			if old, ok := sh.m[key]; ok {
-				if ver > 0 && old.ver > ver {
-					s.deadBytes.Add(recordSize(key, 0, ver))
-					break
-				}
-				s.deadBytes.Add(recordSize(key, old.vlen, old.ver) + recordSize(key, 0, ver))
-				delete(sh.m, key)
-			}
-		case recAppend, recAppendV:
-			// An append applies unconditionally, as it did live; an
-			// unversioned one keeps the pair's stamp, a versioned one
-			// replaces it.
-			e, ok := sh.m[key]
-			if !ok {
-				e = &entry{}
-				sh.m[key] = e
-			}
-			e.val = append(e.val, val...)
-			e.vlen = int64(len(e.val))
-			e.onDisk = false // value no longer contiguous on disk
-			if rec == recAppendV {
-				e.ver = ver
-			}
-		}
-		off += int64(n)
-	}
-	// Every replayed value is resident, so the digest is built here in
-	// one pass over the live pairs.
-	keys := 0
-	for _, sh := range s.shards {
-		keys += len(sh.m)
-		for k, e := range sh.m {
-			e.fh = storage.FNV(storage.PairPrefix(k), e.val)
-			s.toggle(k, storage.PairSeal(e.fh, e.ver))
-		}
-	}
-	s.resident.Store(int64(keys))
-	return off, nil
 }
 
 // toggle XORs x into key's digest leaf.
@@ -471,7 +359,7 @@ func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (i
 	x := storage.PairSeal(fh, ver)
 	if ok {
 		x ^= storage.PairSeal(old.fh, old.ver)
-		s.deadBytes.Add(recordSize(key, old.vlen, old.ver))
+		s.superseded(old, recordSize(key, old.vlen, old.ver))
 		if old.val == nil && old.onDisk {
 			s.resident.Add(1) // evicted entry becomes resident again
 		}
@@ -485,8 +373,25 @@ func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (i
 		s.resident.Add(1)
 	}
 	s.toggle(key, x)
-	s.mutations.Add(1)
+	s.counted()
 	return end, nil
+}
+
+// superseded counts the n bytes of the record holding e's current
+// image as dead.
+func (s *Store) superseded(e *entry, n int64) {
+	if s.wal != nil {
+		s.log.supersede(e, n, s.wal.base.Load())
+	}
+}
+
+// counted counts one mutation toward the log's clean policy. A
+// volatile store never cleans, so its mutations skip the counter the
+// log's stores share.
+func (s *Store) counted() {
+	if s.wal != nil {
+		s.log.mutations.Add(1)
+	}
 }
 
 // stale reports whether a mutation stamped ver must be refused with
@@ -502,27 +407,15 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 	if s.wal == nil {
 		return 0, 0, nil
 	}
-	typ = recordType(typ, ver)
 	// The record is built in a pooled buffer the WAL's committer
-	// returns after writing it, and the checksum runs once over the
-	// assembled bytes — no per-record hasher or string conversion.
-	rec := getRec()
-	rec = append(rec, typ)
-	rec = binary.AppendUvarint(rec, uint64(len(key)))
-	rec = binary.AppendUvarint(rec, uint64(len(val)))
-	if ver > 0 {
-		rec = binary.AppendUvarint(rec, ver)
-	}
-	n := len(rec)
-	rec = append(rec, key...)
-	rec = append(rec, val...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	// returns after writing it.
+	rec, v := encodeRecord(getRec(), typ, key, val, ver)
 	off, err := s.wal.append(rec)
 	if err != nil {
 		putRec(rec)
 		return 0, 0, err
 	}
-	return off + int64(n) + int64(len(key)), off + int64(len(rec)), nil
+	return off + int64(v), off + int64(len(rec)), nil
 }
 
 // Pooled WAL record buffers. Ownership is linear: appendRecord fills
@@ -564,7 +457,7 @@ func putRec(b []byte) {
 
 // finishMutation runs the post-apply policy with no shard lock held:
 // enforce the memory bound, wait for the record's durability level,
-// and trigger auto-compaction.
+// and start a clean of the log when its policy asks for one.
 func (s *Store) finishMutation(end int64) error {
 	if s.opts.MaxMemValues > 0 && s.resident.Load() > int64(s.opts.MaxMemValues) {
 		if err := s.evictToBound(); err != nil {
@@ -577,7 +470,8 @@ func (s *Store) finishMutation(end int64) error {
 	if err := s.wal.waitDurable(end); err != nil {
 		return err
 	}
-	return s.maybeCompact()
+	s.log.maybeClean()
+	return nil
 }
 
 // PutIfAbsentV stores (val, ver) only when key is not present; it
@@ -702,13 +596,16 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 		sh.mu.Unlock()
 		return false, err
 	}
-	s.deadBytes.Add(recordSize(key, e.vlen, e.ver) + recordSize(key, 0, ver))
+	if s.wal != nil {
+		s.log.deadBytes.Add(recordSize(key, 0, ver))
+	}
+	s.superseded(e, recordSize(key, e.vlen, e.ver))
 	if e.val != nil || e.vlen == 0 {
 		s.resident.Add(-1)
 	}
 	delete(sh.m, key)
 	s.toggle(key, storage.PairSeal(e.fh, e.ver))
-	s.mutations.Add(1)
+	s.counted()
 	sh.mu.Unlock()
 	return true, s.finishMutation(end)
 }
@@ -756,7 +653,7 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 		s.resident.Add(1)
 	}
 	// Append records never supersede earlier log bytes (replay needs
-	// the whole chain), so deadBytes is unchanged until compaction.
+	// the whole chain), so no bytes die until the next clean.
 	e.val = append(e.val, delta...)
 	e.vlen = int64(len(e.val))
 	if ver > 0 {
@@ -767,7 +664,7 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 	// continues over just the delta.
 	e.fh = storage.FNV(e.fh, delta)
 	s.toggle(key, x^storage.PairSeal(e.fh, e.ver))
-	s.mutations.Add(1)
+	s.counted()
 	if dst != nil {
 		dst = append(dst, e.val...)
 	}
@@ -823,7 +720,7 @@ func (s *Store) Len() int {
 }
 
 // lockAll acquires every shard lock in index order (the store-wide
-// stop-the-world used by ForEach, compaction, and Close).
+// stop-the-world used by ForEach and Close).
 func (s *Store) lockAll() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -926,155 +823,45 @@ func (s *Store) evictShardLocked(sh *shard, bound int64) error {
 	return nil
 }
 
-// maybeCompact runs auto-compaction when the mutation count or
-// dead-byte ratio policy asks for it. Single-flight: concurrent
-// mutations that all cross the threshold compact once.
-func (s *Store) maybeCompact() error {
-	if s.wal == nil {
-		return nil
-	}
-	need := false
-	if s.opts.CompactEvery > 0 && s.mutations.Load() >= int64(s.opts.CompactEvery) {
-		need = true
-	}
-	size := s.wal.logicalSize()
-	if dead := s.deadBytes.Load(); size > 0 && float64(dead)/float64(size) > s.opts.GCRatio && dead > 1<<16 {
-		need = true
-	}
-	if !need {
-		return nil
-	}
-	return s.Compact()
-}
-
-// Compact rewrites the log to contain exactly one Put record per live
-// key, reclaiming dead space; this is the periodic checkpoint + GC the
-// paper describes. The WAL is quiesced (drained, no appender can run)
-// for the duration: compaction holds every shard lock.
+// Compact cleans the log synchronously: its live records are copied
+// out of the part written before the call, which is then dropped,
+// reclaiming dead space. This is the periodic checkpoint + GC the
+// paper describes. It locks one shard at a time, never the log.
 func (s *Store) Compact() error {
-	if s.wal == nil {
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		return ErrNoPersistence
-	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.lockAll()
-	defer s.unlockAll()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	return s.compactLocked()
+	if s.wal == nil {
+		return ErrNoPersistence
+	}
+	return s.log.compact()
 }
 
-func (s *Store) compactLocked() error {
-	// Quiesce: every shard lock is held, so no new record can be
-	// submitted; drain what is already in flight.
-	if err := s.wal.flushTo(s.wal.logicalSize()); err != nil {
-		return err
-	}
-	tmpPath := s.opts.Path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("novoht: compact: %w", err)
-	}
-	defer os.Remove(tmpPath)
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-
-	type relocation struct {
-		e   *entry
-		off int64
-	}
-	var relocs []relocation
-	var newSize int64
-	for _, sh := range s.shards {
-		for k, e := range sh.m {
-			v := e.val
-			if v == nil && e.vlen > 0 {
-				buf := make([]byte, e.vlen)
-				if err := s.wal.readAt(buf, e.off); err != nil {
-					tmp.Close()
-					return fmt.Errorf("novoht: compact read: %w", err)
-				}
-				v = buf
-			}
-			n, voff, err := writeRecordTo(bw, newSize, recPut, k, v, e.ver)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			relocs = append(relocs, relocation{e, voff})
-			newSize += n
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if s.opts.SyncOnCompact || s.opts.Durability == storage.DurabilityGroup || s.opts.Durability == storage.DurabilitySync {
-		// The crash-recovery contract: records acknowledged durable
-		// must stay durable across the checkpoint rewrite.
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, s.opts.Path); err != nil {
-		return fmt.Errorf("novoht: compact rename: %w", err)
-	}
-	old := s.wal.f
-	f, err := os.OpenFile(s.opts.Path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("novoht: reopen after compact: %w", err)
-	}
-	old.Close()
-	if _, err := f.Seek(newSize, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	s.wal.swapFile(f, newSize)
-	for _, r := range relocs {
-		r.e.off = r.off
-		r.e.onDisk = true
-	}
-	s.deadBytes.Store(0)
-	s.mutations.Store(0)
-	s.compactions.Inc()
-	return nil
-}
-
-// Sync flushes buffered log data and fsyncs the file.
+// Sync commits buffered log records and fsyncs the log.
 func (s *Store) Sync() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if s.wal == nil {
-		return nil
-	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	return s.wal.syncAll()
+	return s.log.Sync()
 }
 
-// Close drains and fsyncs the WAL, then closes the store: a clean
-// shutdown never loses an acknowledged write of any durability mode.
-// The store is unusable afterwards.
+// Close closes the store; a store opened by Open also drains, fsyncs
+// and closes its log, so a clean shutdown never loses an acknowledged
+// write of any durability mode. The store is unusable afterwards.
 func (s *Store) Close() error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	if s.ownsLog {
+		return s.log.Close()
+	}
+	s.markClosed()
+	return nil
+}
+
+// markClosed refuses every later call. It takes every shard lock, so
+// no mutation is left between its closed check and its log append.
+func (s *Store) markClosed() {
 	s.lockAll()
-	defer s.unlockAll()
-	if s.closed.Swap(true) {
-		return nil
-	}
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.close()
+	s.closed.Store(true)
+	s.unlockAll()
 }
 
 // Stats returns a snapshot of store statistics (storage.Stats).
@@ -1088,129 +875,93 @@ func (s *Store) Stats() storage.Stats {
 	st := storage.Stats{
 		Keys:       keys,
 		Resident:   int(s.resident.Load()),
-		DeadBytes:  s.deadBytes.Load(),
-		Mutations:  int(s.mutations.Load()),
 		Persistent: s.wal != nil,
 		Shards:     len(s.shards),
 	}
 	if s.wal != nil {
-		st.LogBytes = s.wal.logicalSize()
+		st.LogBytes = s.wal.activeSize()
+		st.DeadBytes = s.log.deadBytes.Load()
+		st.Mutations = int(s.log.mutations.Load())
 	}
 	return st
 }
 
 var errBadRecord = errors.New("novoht: bad record checksum")
 
+// maxHeader bounds a record header: the type and three uvarints.
+const maxHeader = 1 + 3*binary.MaxVarintLen64
+
 // readRecord reads one log record of at most limit bytes, returning its
 // type, key, value, version stamp (0 for unversioned types) and total
 // encoded size. A header claiming more bytes than limit is a torn
-// record, rejected before anything is allocated for it.
-func readRecord(r *bufio.Reader, limit int64) (typ byte, key string, val []byte, ver uint64, n int, err error) {
-	crc := crc32.NewIEEE()
-	typ, err = r.ReadByte()
-	if err != nil {
-		return 0, "", nil, 0, 0, err
+// record, rejected before anything is allocated for it. The header is
+// decoded in place in r's buffer; then the whole record is read into
+// one allocation and checksummed in one pass. Key and value are slices
+// of it, the value capped, so appending to it never writes past it.
+func readRecord(r *bufio.Reader, limit int64) (typ byte, key, val []byte, ver uint64, n int, err error) {
+	hdr, err := r.Peek(min(maxHeader, r.Size()))
+	if len(hdr) == 0 {
+		return 0, nil, nil, 0, 0, err
 	}
-	crc.Write([]byte{typ})
-	n = 1
+	typ = hdr[0]
 	switch typ {
 	case recPut, recRemove, recAppend, recPutV, recRemoveV, recAppendV:
 	default:
-		return 0, "", nil, 0, 0, errBadRecord
+		return 0, nil, nil, 0, 0, errBadRecord
 	}
-	klen, kn, err := readUvarintCRC(r, crc)
-	if err != nil {
-		return 0, "", nil, 0, 0, err
-	}
-	n += kn
-	vlen, vn, err := readUvarintCRC(r, crc)
-	if err != nil {
-		return 0, "", nil, 0, 0, err
-	}
-	n += vn
+	n = 1
+	var fields [3]uint64
+	nf := 2
 	if typ >= recPutV { // a versioned variant
-		var rn int
-		if ver, rn, err = readUvarintCRC(r, crc); err != nil {
-			return 0, "", nil, 0, 0, err
-		}
-		n += rn
+		nf = 3
 	}
+	for i := range nf {
+		v, m := binary.Uvarint(hdr[n:])
+		if m == 0 {
+			return 0, nil, nil, 0, 0, io.ErrUnexpectedEOF
+		}
+		if m < 0 {
+			return 0, nil, nil, 0, 0, errBadRecord
+		}
+		fields[i] = v
+		n += m
+	}
+	klen, vlen, ver := fields[0], fields[1], fields[2]
 	if klen > 1<<20 || vlen > 1<<30 {
-		return 0, "", nil, 0, 0, errBadRecord
+		return 0, nil, nil, 0, 0, errBadRecord
 	}
-	if int64(n)+int64(klen)+int64(vlen)+4 > limit {
-		return 0, "", nil, 0, 0, io.ErrUnexpectedEOF
+	total := int64(n) + int64(klen) + int64(vlen) + 4
+	if total > limit {
+		return 0, nil, nil, 0, 0, io.ErrUnexpectedEOF
 	}
-	kb := make([]byte, klen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return 0, "", nil, 0, 0, err
+	rec := make([]byte, total)
+	if _, err := io.ReadFull(r, rec); err != nil {
+		return 0, nil, nil, 0, 0, err
 	}
-	crc.Write(kb)
-	n += int(klen)
-	val = make([]byte, vlen)
-	if _, err := io.ReadFull(r, val); err != nil {
-		return 0, "", nil, 0, 0, err
+	end := total - 4
+	if binary.LittleEndian.Uint32(rec[end:]) != crc32.ChecksumIEEE(rec[:end]) {
+		return 0, nil, nil, 0, 0, errBadRecord
 	}
-	crc.Write(val)
-	n += int(vlen)
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return 0, "", nil, 0, 0, err
-	}
-	n += 4
-	if binary.LittleEndian.Uint32(sum[:]) != crc.Sum32() {
-		return 0, "", nil, 0, 0, errBadRecord
-	}
-	return typ, string(kb), val, ver, n, nil
+	voff := int64(n) + int64(klen)
+	return typ, rec[n:voff], rec[voff:end:end], ver, int(total), nil
 }
 
-func readUvarintCRC(r *bufio.Reader, crc io.Writer) (uint64, int, error) {
-	var v uint64
-	var shift, n int
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, n, err
-		}
-		crc.Write([]byte{b})
-		n++
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, n, nil
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, n, errBadRecord
-		}
-	}
-}
-
-// writeRecordTo writes a record at logical offset base to w, returning
-// the record length and the value offset. As in appendRecord, a
-// non-zero ver upgrades the type to its versioned variant.
-func writeRecordTo(w io.Writer, base int64, typ byte, key string, val []byte, ver uint64) (int64, int64, error) {
-	var hdr [1 + 3*binary.MaxVarintLen64]byte
-	hdr[0] = recordType(typ, ver)
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(val)))
+// encodeRecord appends one log record to dst, returning the grown
+// slice and the index in it where the value starts. A non-zero ver
+// upgrades the type to its versioned variant (recordType) carrying the
+// stamp.
+func encodeRecord(dst []byte, typ byte, key string, val []byte, ver uint64) ([]byte, int) {
+	start := len(dst)
+	dst = append(dst, recordType(typ, ver))
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	if ver > 0 {
-		n += binary.PutUvarint(hdr[n:], ver)
+		dst = binary.AppendUvarint(dst, ver)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:n])
-	crc.Write([]byte(key))
-	crc.Write(val)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	for _, chunk := range [][]byte{hdr[:n], []byte(key), val, sum[:]} {
-		if _, err := w.Write(chunk); err != nil {
-			return 0, 0, fmt.Errorf("novoht: compact write: %w", err)
-		}
-	}
-	total := int64(n) + int64(len(key)) + int64(len(val)) + 4
-	voff := base + int64(n) + int64(len(key))
-	return total, voff, nil
+	dst = append(dst, key...)
+	voff := len(dst)
+	dst = append(dst, val...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), voff
 }
 
 // recordSize returns the encoded size of a record with the given key,

@@ -4,42 +4,56 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/metrics"
 	"zht/internal/storage"
 )
 
-// wal is NoVoHT's group-commit write-ahead log. It has no goroutine of
-// its own: a caller that finds records pending and nobody committing
-// becomes the committer. It takes every pending record as one batch
-// and, outside the mutex, issues one unbuffered file write per record
-// and — per durability mode — one fsync per batch (group), one fsync
-// per record (sync), or none (async). One committer runs at a time, so
-// records reach the file in offset order. Callers append under their
-// shard lock (so per-key log order matches memory order) and wait for
-// their record's durability level after releasing it, so a slow fsync
-// never blocks unrelated keys.
+// oldSuffix names the frozen file a clean is emptying: <path>.old.
+const oldSuffix = ".old"
+
+// wal is NoVoHT's group-commit write-ahead log, shared by every store
+// of one Log. It has no goroutine of its own: a caller that finds
+// records pending and nobody committing becomes the committer. It
+// takes every pending record as one batch and, outside the mutex,
+// writes the batch with one file write and — per durability mode —
+// one fsync per batch (group) or none (async); sync mode commits one
+// record at a time, so each record gets its own fsync. One committer
+// runs at a time, so records reach the file in offset order. Callers
+// append under their shard lock (so per-key log order matches memory
+// order) and wait for their record's durability level after releasing
+// it, so a slow fsync never blocks unrelated keys.
 //
+// Offsets are logical: they count every byte ever appended to the log
+// and only grow. The log lives in at most two files. The active file
+// holds the offsets from base on; while a clean runs, the frozen file
+// it empties (<path>.old) holds the offsets from oldBase to base.
 // Offsets are assigned at append time under the wal mutex, which is
 // what lets the sharded table record an evicted value's future file
-// position before the bytes have physically landed; readers call
-// flushTo to force the prefix they need onto the file first.
+// position before the bytes have physically landed; readAt forces the
+// prefix it needs onto the file first.
 type wal struct {
 	mu   sync.Mutex
-	cond *sync.Cond // broadcast after every commit, failure and swap
+	cond *sync.Cond // broadcast after every commit, failure and hold release
 
-	f      *os.File
+	path    string
+	f       *os.File     // the active file
+	base    atomic.Int64 // logical offset of f's first byte; written under mu
+	old     *os.File     // the frozen file a clean is emptying, or nil
+	oldBase int64        // logical offset of old's first byte
+
 	mode   storage.Durability
 	fault  storage.Fault
 	window time.Duration // group mode: how long a committer waits for company
 
-	pending    [][]byte // records appended but not yet taken by a committer
-	committing bool     // a caller is committing a batch; no other may start
-	size       int64    // logical log length, including pending records
-	written    int64    // bytes physically written to f
-	synced     int64    // bytes covered by an fsync
-	epoch      uint64   // bumped by swapFile; offsets from older epochs are stale
+	pending    [][]byte     // records appended but not yet taken by a committer
+	committing bool         // a caller holds the file; no other may commit
+	size       atomic.Int64 // logical log length, including pending records; written under mu
+	written    int64        // logical length physically written
+	synced     int64        // logical length covered by an fsync
+	buf        []byte       // the committer's batch buffer, reused across commits
 
 	err    error // sticky: fault injection or real I/O failure
 	closed bool  // close requested; appends are refused
@@ -50,13 +64,19 @@ type wal struct {
 	fsyncNs *metrics.Histogram // zht.storage.wal.fsync_ns
 }
 
-// newWAL wraps an open log file whose consistent prefix ends at size.
-// The window applies to group mode only.
-func newWAL(f *os.File, size int64, mode storage.Durability, window time.Duration, fault storage.Fault, reg *metrics.Registry) *wal {
+// maxBatchBuf caps the batch buffer a committer keeps between commits.
+const maxBatchBuf = 1 << 20
+
+// newWAL wraps the open active file f at path, whose first byte is
+// logical offset base and whose consistent prefix ends at logical
+// offset size. The window applies to group mode only.
+func newWAL(path string, f *os.File, base, size int64, mode storage.Durability, window time.Duration, fault storage.Fault, reg *metrics.Registry) *wal {
 	if mode != storage.DurabilityGroup {
 		window = 0
 	}
-	w := &wal{f: f, mode: mode, fault: fault, window: window, size: size, written: size, synced: size}
+	w := &wal{path: path, f: f, mode: mode, fault: fault, window: window, written: size, synced: size}
+	w.base.Store(base)
+	w.size.Store(size)
 	w.cond = sync.NewCond(&w.mu)
 	if reg != nil {
 		w.commits = reg.Counter("zht.storage.wal.commits")
@@ -78,8 +98,8 @@ func (w *wal) append(rec []byte) (off int64, err error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	off = w.size
-	w.size += int64(len(rec))
+	off = w.size.Load()
+	w.size.Store(off + int64(len(rec)))
 	w.pending = append(w.pending, rec)
 	return off, nil
 }
@@ -92,7 +112,7 @@ func (w *wal) append(rec []byte) (off int64, err error) {
 // Async waits on nobody. The caller commits until nothing is pending,
 // or returns at once if another caller is committing: that committer
 // keeps going until pending is empty, so once the last concurrent call
-// on a store returns, every acknowledged record is in the file.
+// on the log returns, every acknowledged record is in the file.
 //
 // Group and sync wait for an fsync. A committer makes one pass, which
 // covers its own record, and hands over to the waiters the pass wakes:
@@ -111,10 +131,7 @@ func (w *wal) waitDurable(target int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.mode == storage.DurabilityAsync {
-		if w.committing {
-			return nil
-		}
-		for len(w.pending) > 0 && w.err == nil {
+		if !w.committing && len(w.pending) > 0 {
 			w.commitPending(0)
 		}
 		return w.err
@@ -123,9 +140,8 @@ func (w *wal) waitDurable(target int64) error {
 }
 
 // flushTo returns once the log prefix [0, target) is physically in
-// the file, so ReadAt on it is valid. It commits pending records
-// itself, without the group window, and waits out a committer that is
-// already running.
+// the files. It commits pending records itself, without the group
+// window, and waits out a committer that is already running.
 func (w *wal) flushTo(target int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -133,19 +149,10 @@ func (w *wal) flushTo(target int64) error {
 }
 
 // commitUntil runs with w.mu held until the watermark mark (written
-// or synced) reaches target: it waits while another caller commits and
-// otherwise commits the pending records itself.
-//
-// A compaction can retire the target offset while we wait: the
-// checkpoint rewrite drains the log, persists every record appended so
-// far (group and sync compactions fsync the new file), and swapFile
-// rebases the watermarks to the new — often smaller — file. The target
-// then names a position in a file that no longer exists, so comparing
-// it against the rebased watermark would block forever. An epoch change
-// therefore means the record is durable in the checkpoint.
+// or synced) reaches target: it waits while another caller holds the
+// file and otherwise commits the pending records itself.
 func (w *wal) commitUntil(mark *int64, target int64, window time.Duration) error {
-	epoch := w.epoch
-	for *mark < target && w.epoch == epoch && w.err == nil {
+	for *mark < target && w.err == nil {
 		switch {
 		case w.committing:
 			w.cond.Wait()
@@ -158,16 +165,19 @@ func (w *wal) commitUntil(mark *int64, target int64, window time.Duration) error
 			return ErrClosed
 		}
 	}
-	if w.epoch != epoch || *mark >= target {
+	if *mark >= target {
 		return nil
 	}
 	return w.err
 }
 
 // commitPending is one committer pass, entered and left with w.mu held
-// and w.pending non-empty: it sleeps the window, takes every pending
-// record, commits them with the mutex released, then publishes the new
-// watermarks and wakes every waiter.
+// and w.pending non-empty: it sleeps the window, takes the pending
+// records (only the first in sync mode), commits them with the mutex
+// released, then publishes the new watermarks and wakes every waiter.
+// An async committer keeps taking batches until nothing is pending: the
+// callers that appended meanwhile returned without waiting, and no one
+// else will write their records.
 func (w *wal) commitPending(window time.Duration) {
 	w.committing = true
 	if window > 0 {
@@ -177,100 +187,185 @@ func (w *wal) commitPending(window time.Duration) {
 		time.Sleep(window)
 		w.mu.Lock()
 	}
-	batch := w.pending
-	w.pending = nil
-	w.mu.Unlock()
+	for {
+		batch := w.pending
+		if w.mode == storage.DurabilitySync {
+			batch = batch[:1:1]
+			w.pending = w.pending[1:]
+		} else {
+			w.pending = nil
+		}
+		w.mu.Unlock()
 
-	written, synced, err := w.commit(batch)
+		written, synced, err := w.commit(batch)
 
-	w.mu.Lock()
-	w.written += written
-	w.synced += synced
-	if err != nil && w.err == nil {
-		w.err = fmt.Errorf("%w: %v", storage.ErrBroken, err)
+		w.mu.Lock()
+		w.written += written
+		w.synced += synced
+		if err != nil && w.err == nil {
+			w.err = fmt.Errorf("%w: %v", storage.ErrBroken, err)
+		}
+		if w.mode != storage.DurabilityAsync || len(w.pending) == 0 || w.err != nil {
+			break
+		}
 	}
 	w.committing = false
 	w.cond.Broadcast()
 }
 
-// readAt reads a previously flushed byte range from the log file.
-func (w *wal) readAt(buf []byte, off int64) error {
-	if err := w.flushTo(off + int64(len(buf))); err != nil {
+// hold drains every pending record onto the file and keeps other
+// committers out until release, so the caller may fsync or swap files
+// with nothing in flight. Appends still queue meanwhile.
+func (w *wal) hold() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.committing || (w.err == nil && len(w.pending) > 0) {
+		if w.committing {
+			w.cond.Wait()
+		} else {
+			w.commitPending(0)
+		}
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.committing = true
+	return nil
+}
+
+// release ends a hold. synced reports that the caller fsynced every
+// file, err that it failed (which breaks the log). Records appended
+// during the hold are committed on the way out, since an async caller
+// that met the hold did not wait for them.
+func (w *wal) release(synced bool, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil && w.err == nil {
+		w.err = fmt.Errorf("%w: %v", storage.ErrBroken, err)
+	}
+	if synced && err == nil {
+		w.synced = w.written
+	}
+	w.committing = false
+	w.cond.Broadcast()
+	if len(w.pending) > 0 && w.err == nil {
+		w.commitPending(0)
+	}
+}
+
+// rotate freezes the active file as <path>.old and starts an empty
+// active file at the current logical size, so a clean can move the
+// live entries out of the frozen one. Offsets keep their meaning.
+func (w *wal) rotate() error {
+	if err := w.hold(); err != nil {
 		return err
 	}
-	if _, err := w.f.ReadAt(buf, off); err != nil {
+	if err := os.Rename(w.path, w.path+oldSuffix); err != nil {
+		w.release(false, nil) // nothing changed
+		return fmt.Errorf("novoht: rotate: %w", err)
+	}
+	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		w.mu.Lock()
+		// Records appended during the hold are still pending: they
+		// go to the new file, which starts where the old one ends.
+		w.old, w.oldBase = w.f, w.base.Load()
+		w.f = f
+		w.base.Store(w.written)
+		w.mu.Unlock()
+	}
+	w.release(false, err)
+	return err
+}
+
+// dropOld ends a clean: with every copy written, it fsyncs the active
+// file when sync is set, then closes and unlinks the frozen file.
+func (w *wal) dropOld(sync bool) error {
+	if err := w.hold(); err != nil {
+		return err
+	}
+	var err error
+	if sync {
+		err = w.fsync(w.f)
+	}
+	w.mu.Lock()
+	old := w.old
+	if err == nil {
+		w.old = nil
+	}
+	w.mu.Unlock()
+	w.release(sync, err)
+	if err != nil {
+		return err
+	}
+	old.Close()
+	if err := os.Remove(w.path + oldSuffix); err != nil {
+		return fmt.Errorf("novoht: drop old log: %w", err)
+	}
+	return nil
+}
+
+// readAt reads a byte range at logical offset off, committing it onto
+// its file first if it is still pending.
+func (w *wal) readAt(buf []byte, off int64) error {
+	w.mu.Lock()
+	err := w.commitUntil(&w.written, off+int64(len(buf)), 0)
+	f, at := w.f, off-w.base.Load()
+	if at < 0 {
+		f, at = w.old, off-w.oldBase
+	}
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if f == nil || at < 0 {
+		return fmt.Errorf("novoht: read log: offset %d precedes the log", off)
+	}
+	if _, err := f.ReadAt(buf, at); err != nil {
 		return fmt.Errorf("novoht: read log: %w", err)
 	}
 	return nil
 }
 
-// logicalSize returns the log length including not-yet-written
-// records.
-func (w *wal) logicalSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
+// activeSize returns the length of the active file, including records
+// not yet written.
+func (w *wal) activeSize() int64 {
+	return w.size.Load() - w.base.Load()
 }
 
-// syncAll forces every appended record onto the file and fsyncs it.
+// syncAll forces every appended record onto the files and fsyncs them.
 func (w *wal) syncAll() error {
-	w.mu.Lock()
-	target := w.size
-	w.mu.Unlock()
-	if err := w.flushTo(target); err != nil {
+	if err := w.hold(); err != nil {
 		return err
 	}
-	if err := w.faultSync(); err != nil {
-		w.fail(err)
-		return err
+	err := w.fsync(w.f)
+	if err == nil && w.old != nil {
+		err = w.fsync(w.old)
 	}
-	if err := w.f.Sync(); err != nil {
-		w.fail(err)
-		return err
-	}
-	w.mu.Lock()
-	if target > w.synced {
-		w.synced = target
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return nil
-}
-
-// swapFile installs a freshly compacted log file (all shard locks are
-// held and the WAL is drained, so no record is in flight). The epoch
-// bump releases waitDurable callers still holding pre-compaction
-// offsets — their records are durable in the checkpoint.
-func (w *wal) swapFile(f *os.File, size int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.f = f
-	w.size, w.written, w.synced = size, size, size
-	w.epoch++
-	w.cond.Broadcast()
+	w.release(true, err)
+	return err
 }
 
 // close commits pending records, waits out a running committer,
 // fsyncs the file (so a clean shutdown never loses an acknowledged —
 // or even an async-buffered — write), and closes it. Safe to call
-// once; the store serializes callers.
+// once; the log serializes callers.
 func (w *wal) close() error {
 	w.mu.Lock()
 	w.closed = true
-	err := w.commitUntil(&w.written, w.size, 0)
-	for w.committing {
-		w.cond.Wait()
-	}
 	w.mu.Unlock()
-	if err != nil {
-		w.f.Close() // broken WAL: nothing more to save
-		return err
+	err := w.hold()
+	if err == nil {
+		err = w.f.Sync()
+		w.release(true, err)
 	}
-	if serr := w.f.Sync(); serr != nil {
-		w.f.Close()
-		return serr
+	if w.old != nil {
+		w.old.Close() // a clean that failed: replay reads it next time
 	}
-	return w.f.Close()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // fail records the sticky error and wakes every waiter.
@@ -290,68 +385,69 @@ func (w *wal) faultWrite(n int) (int, error) {
 	return w.fault.BeforeWrite(n)
 }
 
-func (w *wal) faultSync() error {
-	if w.fault == nil {
-		return nil
-	}
-	return w.fault.BeforeSync()
-}
-
-// commit writes one batch, returning how many bytes were fully
-// written and how many of those are covered by an fsync. A fault or
-// I/O error may leave a torn record on disk — the same state a real
-// crash mid-commit leaves — and is returned for the sticky error.
+// commit writes one batch with one file write, returning how many
+// bytes were fully written and how many of those are covered by an
+// fsync. A batch of one is written from its own buffer; a larger one is
+// first copied into the committer's batch buffer. A fault or I/O error
+// may leave a torn batch on disk — the same state a real crash
+// mid-commit leaves — and is returned for the sticky error.
 func (w *wal) commit(batch [][]byte) (written, synced int64, err error) {
 	w.commits.Inc()
 	w.batchSz.Observe(int64(len(batch)))
-	for _, rec := range batch {
-		keep, ferr := w.faultWrite(len(rec))
-		if keep > 0 {
-			if keep > len(rec) {
-				keep = len(rec)
-			}
-			if _, werr := w.f.Write(rec[:keep]); werr != nil && ferr == nil {
-				ferr = werr
-			}
-		}
-		if ferr == nil && keep < len(rec) {
-			ferr = fmt.Errorf("novoht: torn write (%d of %d bytes)", keep, len(rec))
-		}
-		if ferr != nil {
-			return written, synced, ferr
-		}
-		written += int64(len(rec))
-		// The record's bytes are on the file and nothing else holds a
-		// reference (reads go through readAt on the file, compaction
-		// rewrites from the in-memory table), so its buffer goes back
-		// to the pool appendRecord draws from.
-		putRec(rec)
-		if w.mode == storage.DurabilitySync {
-			if serr := w.fsync(); serr != nil {
-				return written, synced, serr
-			}
-			synced = written
+	out := batch[0]
+	if len(batch) > 1 {
+		out = w.buf[:0]
+		for _, rec := range batch {
+			out = append(out, rec...)
 		}
 	}
-	if w.mode == storage.DurabilityGroup {
-		if serr := w.fsync(); serr != nil {
-			return written, synced, serr
+	keep, ferr := w.faultWrite(len(out))
+	if keep > 0 {
+		if keep > len(out) {
+			keep = len(out)
+		}
+		if _, werr := w.f.Write(out[:keep]); werr != nil && ferr == nil {
+			ferr = werr
+		}
+	}
+	if ferr == nil && keep < len(out) {
+		ferr = fmt.Errorf("novoht: torn write (%d of %d bytes)", keep, len(out))
+	}
+	if len(batch) > 1 && cap(out) <= maxBatchBuf {
+		w.buf = out[:0]
+	}
+	if ferr != nil {
+		return 0, 0, ferr
+	}
+	// The records' bytes are on the file and nothing else holds a
+	// reference (reads go through readAt on the file, cleaning copies
+	// from the in-memory table), so their buffers go back to the pool
+	// appendRecord draws from.
+	for _, rec := range batch {
+		putRec(rec)
+	}
+	written = int64(len(out))
+	if w.mode == storage.DurabilityGroup || w.mode == storage.DurabilitySync {
+		if err := w.fsync(w.f); err != nil {
+			return written, 0, err
 		}
 		synced = written
 	}
 	return written, synced, nil
 }
 
-// fsync hardens the file, timing the call.
-func (w *wal) fsync() error {
-	if err := w.faultSync(); err != nil {
-		return err
+// fsync hardens f, timing the call.
+func (w *wal) fsync(f *os.File) error {
+	if w.fault != nil {
+		if err := w.fault.BeforeSync(); err != nil {
+			return err
+		}
 	}
 	start := time.Time{}
 	if w.fsyncNs.ShouldSample() {
 		start = time.Now()
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	if !start.IsZero() {

@@ -103,13 +103,15 @@ type Stats struct {
 	// Resident is how many values are held in memory (the rest are
 	// evicted to their on-disk image).
 	Resident int
-	// LogBytes is the current log length, including superseded
-	// records not yet compacted away.
+	// LogBytes is the length of the log file the store appends to,
+	// including superseded records not yet cleaned away. Stores that
+	// share a log report the same log.
 	LogBytes int64
 	// DeadBytes is the portion of LogBytes owned by superseded
-	// records (reclaimed by the next compaction).
+	// records (reclaimed by the next clean).
 	DeadBytes int64
-	// Mutations counts mutations since the last compaction.
+	// Mutations counts mutations of the log's stores since the last
+	// clean.
 	Mutations int
 	// Persistent reports whether the store is backed by a log file.
 	Persistent bool
@@ -129,7 +131,7 @@ const (
 	// mutation writes its record to the OS itself or, if another call
 	// is already committing, leaves it to that call, which writes
 	// everything queued before it returns. So once every call on a
-	// store has returned, each acknowledged record is in the file and
+	// log has returned, each acknowledged record is in the file and
 	// survives a process crash; power loss can lose the tail. This is
 	// the mode of the paper's measured ~3µs persistence cost.
 	DurabilityAsync Durability = iota
