@@ -108,11 +108,12 @@ bench-allocs:
 benchmark:
 	bash benchmark/run.sh --workload all --trace 0
 
-# benchmark-test runs the benchmark module's own tests. The module
-# sits outside `go test ./...` (its own go.mod), so this is the only
-# target that notices when an internal/ change stops it compiling.
+# benchmark-test vets and runs the benchmark module's own tests. The
+# module sits outside `go vet ./...` and `go test ./...` (its own
+# go.mod), so this is the only target that notices when an internal/
+# change stops it compiling.
 benchmark-test:
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the pre-merge gate: formatting and docs checks, static
 # analysis, the full test suite (including the chaos soaks) under the

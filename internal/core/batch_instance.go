@@ -289,7 +289,7 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 		// owner (§III.H — queries for data on the failed node are
 		// answered by the replicas).
 		failover := table.Instances[ownerIdx].ID != in.self.ID
-		if failover && !(table.Status[ownerIdx] != ring.Alive && in.firstAliveReplica(table, g.p) == in.self.ID) {
+		if failover && !(table.Status[ownerIdx] != ring.Alive && failoverTarget(table, g.p, in.cfg.Replicas).ID == in.self.ID) {
 			if wrongOwner == nil {
 				wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 			}

@@ -501,7 +501,7 @@ func TestSyncReplicationErrorsCounted(t *testing.T) {
 }
 
 // TestFailoverServeWithTwoFailedNodes is the regression test for
-// firstAliveReplica: with the partition's owner AND the next node
+// failoverTarget: with the partition's owner AND the next node
 // clockwise both failed, the first alive successor must elect itself
 // and serve — even in a Replicas=0 deployment, where the old code
 // (ReplicasOf with a zero count, no status scan) returned nothing and
@@ -539,8 +539,8 @@ func TestFailoverServeWithTwoFailedNodes(t *testing.T) {
 	if resp := serving.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(nt)}); resp.Status != wire.StatusOK {
 		t.Fatalf("table adoption: %s %s", resp.Status, resp.Err)
 	}
-	if got := serving.firstAliveReplica(serving.Table(), p); got != serving.ID() {
-		t.Fatalf("firstAliveReplica = %q, want self %q (two failed nodes skipped)", got, serving.ID())
+	if got := failoverTarget(serving.Table(), p, cfg.Replicas).ID; got != serving.ID() {
+		t.Fatalf("failoverTarget = %q, want self %q (two failed nodes skipped)", got, serving.ID())
 	}
 
 	// Find a key in partition p and serve it on the failover node.

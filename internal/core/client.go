@@ -23,6 +23,9 @@ import (
 // and the client fails over to replicas when it detects a dead
 // primary, reporting the failure to a manager (§III.H).
 //
+// Every op runs through one routing loop (route): a single op is a
+// route of one request, a Batch a route of many.
+//
 // A Client is safe for concurrent use.
 type Client struct {
 	cfg     Config
@@ -36,6 +39,9 @@ type Client struct {
 	// that swap in a new one.
 	mu    sync.Mutex
 	table atomic.Pointer[ring.Table]
+	// unmarked is the last table a server issued while table carries
+	// local failure marks on top of it (failLocally), nil otherwise.
+	unmarked atomic.Pointer[ring.Table]
 	// shared, when non-nil, is a co-located instance whose table
 	// this client reads instead of its own copy (§III.C 1:1
 	// deployment).
@@ -72,8 +78,9 @@ var (
 	ErrTooLarge = errors.New("zht: key or value too large")
 )
 
-// routeAttempts bounds how many times one operation may re-route
-// (table refresh, redirect, failover) before giving up.
+// routeAttempts bounds the rounds one routed call may run (each
+// re-route follows a table refresh, redirect, shed or failover) before
+// its unsettled requests give up.
 const routeAttempts = 8
 
 // NewClient creates a client from a bootstrap membership table.
@@ -98,7 +105,7 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 	c.table.Store(table.Clone())
 	if cfg.GossipCooldown >= 0 {
 		c.gossip, _ = gossip.New(gossip.Options{
-			Epoch:    func() uint64 { return c.snapshot().Epoch },
+			Epoch:    func() uint64 { return c.issued().Epoch },
 			Pull:     c.gossipPull,
 			Peers:    c.gossipPeers,
 			Cooldown: cfg.GossipCooldown,
@@ -160,17 +167,50 @@ func (c *Client) Table() *ring.Table {
 	return c.snapshot().Clone()
 }
 
-// doOp runs one KV operation through a pooled request, releasing the
-// request once routing settles. The response stays with the caller
-// (its Value may be handed to the application); callers that do not
-// need it release it with wire.PutResponse.
-func (c *Client) doOp(op wire.Op, key string, val, aux []byte, flags uint8, cons wire.Consistency) (*wire.Response, error) {
-	req := wire.GetRequest()
+// doOp runs one KV operation as a route of one request and returns
+// its answer's value. It also takes the client-side measurements: one
+// ops count per operation and, for one op in metrics.SampleEvery, an
+// end-to-end latency observation (per-op-type and aggregate). The
+// sampling decision reuses the op count the path already pays for, so
+// the untimed ops cost no clock reads; with metrics disabled the whole
+// thing degrades to nil checks.
+func (c *Client) doOp(op wire.Op, key string, val, aux []byte, flags uint8, cons wire.Consistency) ([]byte, error) {
+	n := c.metrics.ops.Inc()
+	var start time.Time
+	timed := c.metrics.allLat != nil && n%metrics.SampleEvery == 0
+	if timed {
+		start = time.Now()
+	}
+	rt := getRoute(1)
+	req := rt.reqs[0]
 	req.Op, req.Key, req.Value, req.Aux, req.Flags = op, key, val, aux, flags
 	req.Consistency = cons
-	resp, err := c.do(req)
-	wire.PutRequest(req)
-	return resp, err
+	c.route(rt, c.opDeadline())
+	o := rt.outs[0]
+	rt.release()
+	if timed {
+		el := time.Since(start).Nanoseconds()
+		c.metrics.allLat.Observe(el)
+		c.metrics.opLat[op].Observe(el)
+	}
+	c.countUnavailable(o.err)
+	return o.val, o.err
+}
+
+// countUnavailable counts an op that failed with ErrUnavailable.
+func (c *Client) countUnavailable(err error) {
+	if err != nil && errors.Is(err, ErrUnavailable) {
+		c.metrics.unavailable.Inc()
+	}
+}
+
+// opDeadline is the deadline of an op starting now: OpDeadline away,
+// or none.
+func (c *Client) opDeadline() time.Time {
+	if c.cfg.OpDeadline > 0 {
+		return time.Now().Add(c.cfg.OpDeadline)
+	}
+	return time.Time{}
 }
 
 // Insert stores val under key (unconditional) at the deployment's
@@ -183,15 +223,13 @@ func (c *Client) Insert(key string, val []byte) error {
 // success means at least Acks(copies) copies hold the write
 // (DESIGN.md §12). ConsistencyDefault defers to Config.WriteLevel.
 func (c *Client) InsertWith(key string, val []byte, level wire.Consistency) error {
-	resp, err := c.doOp(wire.OpInsert, key, val, nil, 0, level)
-	wire.PutResponse(resp)
+	_, err := c.doOp(wire.OpInsert, key, val, nil, 0, level)
 	return err
 }
 
 // InsertIfAbsent stores val only when key is absent.
 func (c *Client) InsertIfAbsent(key string, val []byte) error {
-	resp, err := c.doOp(wire.OpInsert, key, val, nil, wire.FlagIfAbsent, wire.ConsistencyDefault)
-	wire.PutResponse(resp)
+	_, err := c.doOp(wire.OpInsert, key, val, nil, wire.FlagIfAbsent, wire.ConsistencyDefault)
 	return err
 }
 
@@ -214,13 +252,10 @@ func (c *Client) LookupWith(key string, level wire.Consistency) ([]byte, error) 
 	if level > wire.ConsistencyOne && c.cfg.Replicas > 0 {
 		return c.quorumLookup(key, level)
 	}
-	resp, err := c.doOp(wire.OpLookup, key, nil, nil, 0, level)
+	v, err := c.doOp(wire.OpLookup, key, nil, nil, 0, level)
 	if err != nil {
-		wire.PutResponse(resp)
 		return nil, err
 	}
-	v := resp.Value
-	wire.PutResponse(resp)
 	return v, nil
 }
 
@@ -231,8 +266,7 @@ func (c *Client) Remove(key string) error {
 
 // RemoveWith is Remove at an explicit write consistency level.
 func (c *Client) RemoveWith(key string, level wire.Consistency) error {
-	resp, err := c.doOp(wire.OpRemove, key, nil, nil, 0, level)
-	wire.PutResponse(resp)
+	_, err := c.doOp(wire.OpRemove, key, nil, nil, 0, level)
 	return err
 }
 
@@ -245,8 +279,7 @@ func (c *Client) Append(key string, val []byte) error {
 
 // AppendWith is Append at an explicit write consistency level.
 func (c *Client) AppendWith(key string, val []byte, level wire.Consistency) error {
-	resp, err := c.doOp(wire.OpAppend, key, val, nil, 0, level)
-	wire.PutResponse(resp)
+	_, err := c.doOp(wire.OpAppend, key, val, nil, 0, level)
 	return err
 }
 
@@ -265,18 +298,11 @@ func (c *Client) CasWith(key string, oldVal, newVal []byte, level wire.Consisten
 	if oldVal == nil {
 		flags = wire.FlagIfAbsent
 	}
-	resp, err := c.doOp(wire.OpCas, key, newVal, oldVal, flags, level)
-	if err != nil {
-		if errors.Is(err, ErrCasMismatch) && resp != nil {
-			cur := resp.Value
-			wire.PutResponse(resp)
-			return cur, err
-		}
-		wire.PutResponse(resp)
-		return nil, err
+	cur, err := c.doOp(wire.OpCas, key, newVal, oldVal, flags, level)
+	if errors.Is(err, ErrCasMismatch) {
+		return cur, err
 	}
-	wire.PutResponse(resp)
-	return nil, nil
+	return nil, err
 }
 
 // readVote is one copy's answer to a quorum read.
@@ -305,96 +331,84 @@ func (t *quorumTally) add(v readVote) {
 	}
 }
 
-// quorumProbe is one replica's part in a quorum read: its replica-read
-// request and the call carrying it.
-type quorumProbe struct {
-	req  *wire.Request
-	call transport.Pending
-	err  error // the probe never went out (breaker open, deadline gone)
-	vote readVote
-}
-
 // quorumLookup coordinates a Quorum/All read without a goroutine per
 // copy. It starts a direct replica-read probe to each of the
-// partition's replicas, runs the owner's read on this goroutine (a full
-// routed read, so stale tables and failovers heal as usual), then
-// awaits the probes in ring order until Acks(copies) copies answered
-// and abandons the rest; a probe that failed or was shed continues
-// through callWithBackoff. Disagreement resolves newest-version-wins,
-// and any copy observed older than the winner gets an asynchronous
-// read-repair push — a versioned replica leg its LWW compare accepts
-// only if still stale. A removed key can "resurface" at quorum if a
-// replica still holds the pre-remove value: removes are
-// tombstone-free, so an absent copy cannot be distinguished from a
-// never-written one; the winner among FOUND copies is returned
-// (documented in DESIGN.md §12).
+// partition's replicas, runs the owner's read on this goroutine (a
+// route of one, so stale tables and failovers heal as usual), then
+// awaits the probes in ring order through the retry engine until
+// Acks(copies) copies answered and abandons the rest. Disagreement
+// resolves newest-version-wins, and any copy observed older than the
+// winner gets an asynchronous read-repair push — a versioned replica
+// leg its LWW compare accepts only if still stale. A removed key can
+// "resurface" at quorum if a replica still holds the pre-remove value:
+// removes are tombstone-free, so an absent copy cannot be
+// distinguished from a never-written one; the winner among FOUND
+// copies is returned (documented in DESIGN.md §12).
 func (c *Client) quorumLookup(key string, level wire.Consistency) ([]byte, error) {
 	c.metrics.quorumReads.Inc()
-	var deadline time.Time
-	if c.cfg.OpDeadline > 0 {
-		deadline = time.Now().Add(c.cfg.OpDeadline)
-	}
+	deadline := c.opDeadline()
 	table := c.snapshot()
 	p := table.Partition(c.hashf(key))
 	owner := table.Instances[table.Owner[p]]
-	var scratch [3]quorumProbe
-	probes := scratch[:0]
-	for _, r := range table.ReplicasOf(p, c.cfg.Replicas) {
-		if r.ID != owner.ID {
-			probes = append(probes, quorumProbe{vote: readVote{addr: r.Addr}})
-		}
+	reps := table.ReplicasOf(p, c.cfg.Replicas)
+	// The probes only borrow a route's storage: each is a message of
+	// one request to a fixed copy.
+	probes := getRoute(len(reps))
+	defer probes.release()
+	var scratch [3]readVote
+	votes := scratch[:0]
+	for i, r := range reps {
+		req := probes.reqs[i]
+		req.Op, req.Key, req.Flags = wire.OpLookup, key, wire.FlagReplicaRead
+		probes.msgs = append(probes.msgs, message{addr: r.Addr, reqs: probes.reqs[i : i+1]})
+		votes = append(votes, readVote{addr: r.Addr})
 	}
-	for i := range probes {
-		pr := &probes[i]
-		pr.req = wire.GetRequest()
-		pr.req.Op, pr.req.Key, pr.req.Flags = wire.OpLookup, key, wire.FlagReplicaRead
-		if pr.req.Budget, pr.err = c.preflight(pr.vote.addr, deadline, nil); pr.err == nil {
-			pr.call = transport.Start(c.caller, pr.vote.addr, pr.req)
-		}
+	for j := range probes.msgs {
+		c.launch(&probes.msgs[j], deadline)
 	}
 
-	req := wire.GetRequest()
+	rt := getRoute(1)
+	req := rt.reqs[0]
 	req.Op, req.Key, req.Consistency = wire.OpLookup, key, wire.ConsistencyOne
-	resp, err := c.doRoutedDeadline(req, deadline)
-	wire.PutRequest(req)
+	c.route(rt, deadline)
+	o := rt.outs[0]
+	rt.release()
 	own := readVote{addr: owner.Addr}
-	if err == nil || errors.Is(err, ErrNotFound) {
-		own.ok, own.found = true, err == nil
-		if resp != nil {
-			own.val, own.ver = resp.Value, resp.Version
-		}
+	if o.err == nil || errors.Is(o.err, ErrNotFound) {
+		own.ok, own.found = true, o.err == nil
+		own.val, own.ver = o.val, o.ver
 	}
-	wire.PutResponse(resp)
 
-	need := level.Acks(1 + len(probes))
+	need := level.Acks(1 + len(votes))
 	var t quorumTally
 	t.add(own)
-	for i := range probes {
-		pr := &probes[i]
+	for j := range probes.msgs {
+		m, v := &probes.msgs[j], &votes[j]
 		switch {
-		case pr.err != nil:
+		case m.err != nil:
 		case t.acked >= need:
-			pr.call.Abandon()
+			m.call.Abandon()
 		default:
-			resp, err := c.callWithBackoff(pr.vote.addr, pr.req, deadline, &pr.call)
-			if err == nil && (resp.Status == wire.StatusOK || resp.Status == wire.StatusNotFound) {
-				pr.vote.ok = true
-				pr.vote.found = resp.Status == wire.StatusOK
-				pr.vote.val, pr.vote.ver = resp.Value, resp.Version
+			if rs, err := c.exchange(m, deadline); err == nil {
+				if resp := rs[0]; resp.Status == wire.StatusOK || resp.Status == wire.StatusNotFound {
+					v.ok, v.found = true, resp.Status == wire.StatusOK
+					v.val, v.ver = resp.Value, resp.Version
+				}
+				m.release(rs)
 			}
-			wire.PutResponse(resp)
-			t.add(pr.vote)
+			t.add(*v)
 		}
-		wire.PutRequest(pr.req)
 	}
 	if t.acked < need {
-		return nil, fmt.Errorf("%w: read quorum not met (%d/%d copies answered)", ErrUnavailable, t.acked, need)
+		err := fmt.Errorf("%w: read quorum not met (%d/%d copies answered)", ErrUnavailable, t.acked, need)
+		c.countUnavailable(err)
+		return nil, err
 	}
 	winner := t.winner
 	if winner.found && winner.ver > 0 {
 		stale := c.repairIfStale(p, key, own, winner)
-		for i := range probes {
-			stale = c.repairIfStale(p, key, probes[i].vote, winner) || stale
+		for _, v := range votes {
+			stale = c.repairIfStale(p, key, v, winner) || stale
 		}
 		if stale {
 			c.metrics.staleReadsRepaired.Inc()
@@ -491,179 +505,47 @@ func statusToErr(op wire.Op, resp *wire.Response) (err error, done bool) {
 	}
 }
 
-// do wraps doRouted with the client-side measurements: one ops count
-// per operation and, for one op in metrics.SampleEvery, an end-to-end
-// latency observation (per-op-type and aggregate). The sampling
-// decision reuses the op count the path already pays for, so the
-// untimed ops cost no clock reads; with metrics disabled the whole
-// thing degrades to nil checks.
-func (c *Client) do(req *wire.Request) (*wire.Response, error) {
-	n := c.metrics.ops.Inc()
-	var start time.Time
-	timed := c.metrics.allLat != nil && n%metrics.SampleEvery == 0
-	if timed {
-		start = time.Now()
-	}
-	resp, err := c.doRouted(req)
-	if timed {
-		el := time.Since(start).Nanoseconds()
-		c.metrics.allLat.Observe(el)
-		c.metrics.opLat[req.Op].Observe(el)
-	}
-	if errors.Is(err, ErrUnavailable) {
-		c.metrics.unavailable.Inc()
-	}
-	return resp, err
-}
-
-// doRouted routes one request: pick the owner from the local table,
-// call it, and react to routing feedback (stale table, migration
-// redirect, server overload, owner failure) until the operation
-// resolves. The whole loop — transport retries, redirects, failovers,
-// backoff sleeps — shares one OpDeadline budget, propagated to every
-// transport call via wire.Request.Budget, so an operation resolves
-// or fails with ErrUnavailable within its deadline instead of
-// compounding per-layer timeouts.
-func (c *Client) doRouted(req *wire.Request) (*wire.Response, error) {
-	var deadline time.Time
-	if c.cfg.OpDeadline > 0 {
-		deadline = time.Now().Add(c.cfg.OpDeadline)
-	}
-	return c.doRoutedDeadline(req, deadline)
-}
-
-// doRoutedDeadline is doRouted under an externally supplied deadline,
-// so a batch's stragglers can re-route individually while still
-// sharing the batch's overall budget.
-func (c *Client) doRoutedDeadline(req *wire.Request, deadline time.Time) (*wire.Response, error) {
-	h := c.hashf(req.Key)
-	var lastErr error
-	for attempt := 0; attempt < routeAttempts; attempt++ {
-		if expired(deadline) {
-			return nil, fmt.Errorf("%w: op deadline exceeded: %v", ErrUnavailable, lastErr)
-		}
-		table := c.snapshot()
-		p := table.Partition(h)
-		idx := table.Owner[p]
-		target := table.Instances[idx]
-		targetAlive := table.Status[idx] == ring.Alive
-
-		if !targetAlive {
-			// Owner known dead: address the first alive replica — the
-			// same election the serving side applies (firstAliveReplica),
-			// so a replica that has itself failed or departed is skipped
-			// instead of dialed.
-			reps := table.ReplicasOf(p, max(c.cfg.Replicas, 1))
-			found := false
-			for _, r := range reps {
-				if i := table.IndexOf(r.ID); i >= 0 && table.Status[i] == ring.Alive {
-					target, found = r, true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("%w: no alive replica for partition %d", ErrUnavailable, p)
-			}
-		}
-
-		req.Epoch = table.Epoch
-		resp, err := c.callWithBackoff(target.Addr, req, deadline, nil)
-		if err != nil {
-			lastErr = err
-			if expired(deadline) {
-				return nil, fmt.Errorf("%w: op deadline exceeded: %v", ErrUnavailable, err)
-			}
-			// Exhausted retries: declare the instance failed, tell a
-			// random manager, and adopt the resulting table.
-			if rerr := c.reportFailure(table, target.ID, deadline); rerr != nil {
-				return nil, fmt.Errorf("%w: %s unreachable and failover failed: %v", ErrUnavailable, target.Addr, rerr)
-			}
-			continue
-		}
-		if err, done := statusToErr(req.Op, resp); done {
-			return resp, err
-		}
-		switch resp.Status {
-		case wire.StatusBusy:
-			// The owner shed us; callWithBackoff already slept
-			// through its retry budget, so just re-route (the table
-			// may even have changed) until the deadline runs out.
-			lastErr = fmt.Errorf("zht: %s overloaded", target.Addr)
-			c.sleepBounded(c.busyDelay(resp, attempt), deadline)
-			continue
-		case wire.StatusWrongOwner:
-			c.metrics.wrongOwner.Inc()
-			if t, err := ring.DecodeTable(resp.Table); err == nil {
-				c.adoptTable(t)
-			}
-			lastErr = fmt.Errorf("zht: wrong owner for %q (epoch %d)", req.Key, table.Epoch)
-			continue
-		case wire.StatusMigrating:
-			if resp.Redirect == "" {
-				lastErr = errors.New("zht: partition migrating")
-				continue
-			}
-			// Follow the redirect directly; membership will catch up
-			// lazily.
-			r2, err := c.callWithBackoff(resp.Redirect, req, deadline, nil)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if err, done := statusToErr(req.Op, r2); done {
-				return r2, err
-			}
-			lastErr = fmt.Errorf("zht: redirect to %s answered %s", resp.Redirect, r2.Status)
-			continue
-		}
-	}
-	return nil, fmt.Errorf("%w: routing did not converge: %v", ErrUnavailable, lastErr)
-}
-
-// callWithBackoff retries an unreachable destination with capped,
-// full-jitter exponential backoff (§III.H: failures are tagged
-// lazily, "using exponential back off"; the jitter keeps concurrent
-// clients from synchronizing retry storms against a recovering
-// node). Every attempt carries the operation's remaining budget in
+// exchange is the client's one retry engine: it delivers message m —
+// awaiting it when launch already started it — and returns its answers
+// in request order. An unreachable destination is retried with capped,
+// full-jitter exponential backoff (§III.H: failures are tagged lazily,
+// "using exponential back off"; the jitter keeps concurrent clients
+// from synchronizing retry storms against a recovering node). Every
+// attempt carries the operation's remaining budget in
 // wire.Request.Budget, and the endpoint's circuit breaker fails the
-// call fast while open. StatusBusy responses are retried here too —
-// waiting at least the server's RetryAfter hint — without counting
-// toward the breaker (a shedding server is alive). When started is
-// non-nil the first attempt is already in flight (it passed preflight
-// when it was started) and is awaited instead of sent.
-func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.Time, started *transport.Pending) (*wire.Response, error) {
+// message fast while open. A shed message — one whose every answer is
+// StatusBusy, as a shed envelope's are — is retried too, waiting at
+// least the largest RetryAfter hint, without counting toward the
+// breaker (a shedding server is alive).
+func (c *Client) exchange(m *message, deadline time.Time) ([]*wire.Response, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
 	var lastErr error
 	for i := 0; ; i++ {
-		var resp *wire.Response
-		var err error
-		late := false
-		if started != nil {
-			late = expired(deadline)
-			resp, err = started.Wait()
-			started = nil
-		} else {
-			if req.Budget, err = c.preflight(addr, deadline, lastErr); err != nil {
+		late := m.started && expired(deadline)
+		if !m.started {
+			if err := c.preflight(m, deadline, lastErr); err != nil {
 				return nil, err
 			}
-			resp, err = c.caller.Call(addr, req)
 		}
+		rs, err := m.await(c.caller)
 		if err == nil {
-			c.breaker.success(addr)
-			c.observeEpoch(addr, resp.Epoch)
-			if resp.Status == wire.StatusBusy {
-				c.metrics.busyRetries.Inc()
+			c.breaker.success(m.addr)
+			c.observeEpoch(m.addr, maxRespEpoch(rs))
+			hint, shed := shedHint(rs)
+			if !shed {
+				return rs, nil
 			}
-			if resp.Status != wire.StatusBusy || i >= c.cfg.OpRetries {
-				return resp, nil
+			c.metrics.busyRetries.Inc()
+			if i >= c.cfg.OpRetries {
+				return rs, nil
 			}
-			d := c.backoff(i)
-			if hint := time.Duration(resp.RetryAfter); hint > d {
-				d = hint
-			}
-			c.sleepBounded(d, deadline)
+			m.release(rs)
+			c.sleepBounded(max(c.backoff(i), hint), deadline)
 			continue
 		}
-		c.strike(addr, err, late)
+		c.strike(m.addr, err, late)
 		lastErr = err
 		if i >= c.cfg.OpRetries {
 			return nil, lastErr
@@ -671,6 +553,21 @@ func (c *Client) callWithBackoff(addr string, req *wire.Request, deadline time.T
 		c.metrics.retries.Inc()
 		c.sleepBounded(c.backoff(i), deadline)
 	}
+}
+
+// shedHint reports whether every answer is StatusBusy and, if so, the
+// largest RetryAfter among them: sub-responses can carry distinct
+// hints (per-tenant admission sheds each slot with its own bucket's
+// wait), and retrying before the largest would hit a still-closed gate.
+func shedHint(rs []*wire.Response) (time.Duration, bool) {
+	var hint time.Duration
+	for _, r := range rs {
+		if r.Status != wire.StatusBusy {
+			return 0, false
+		}
+		hint = max(hint, time.Duration(r.RetryAfter))
+	}
+	return hint, len(rs) > 0
 }
 
 // strike charges addr's breaker with a failed attempt — except a
@@ -685,11 +582,11 @@ func (c *Client) strike(addr string, err error, late bool) {
 	c.breaker.failure(addr)
 }
 
-// preflight clears one attempt at addr to go out: it fails once the
+// preflight clears one attempt of m to go out: it fails once the
 // deadline has passed (with the previous attempt's error, if any) or
-// while addr's breaker is open, and otherwise returns the remaining
-// budget the attempt's requests carry (0 without a deadline).
-func (c *Client) preflight(addr string, deadline time.Time, lastErr error) (uint64, error) {
+// while the destination's breaker is open, and otherwise stamps the
+// remaining budget (0 without a deadline) on every request of m.
+func (c *Client) preflight(m *message, deadline time.Time, lastErr error) error {
 	var budget uint64
 	if !deadline.IsZero() {
 		rem := time.Until(deadline)
@@ -697,15 +594,18 @@ func (c *Client) preflight(addr string, deadline time.Time, lastErr error) (uint
 			if lastErr == nil {
 				lastErr = transport.ErrTimeout
 			}
-			return 0, lastErr
+			return lastErr
 		}
 		budget = uint64(rem)
 	}
-	if !c.breaker.allow(addr) {
+	if !c.breaker.allow(m.addr) {
 		c.metrics.fastfails.Inc()
-		return 0, fmt.Errorf("%w: %s", ErrCircuitOpen, addr)
+		return fmt.Errorf("%w: %s", ErrCircuitOpen, m.addr)
 	}
-	return budget, nil
+	for _, r := range m.reqs {
+		r.Budget = budget
+	}
+	return nil
 }
 
 // backoff returns the full-jitter delay for retry attempt i: uniform
@@ -721,16 +621,6 @@ func (c *Client) backoff(i int) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return time.Duration(c.rng.Int63n(int64(d))) + 1
-}
-
-// busyDelay is the wait before re-routing after an exhausted Busy
-// exchange: the server's hint when present, otherwise one jittered
-// backoff step.
-func (c *Client) busyDelay(resp *wire.Response, attempt int) time.Duration {
-	if hint := time.Duration(resp.RetryAfter); hint > 0 {
-		return hint
-	}
-	return c.backoff(attempt)
 }
 
 // sleepBounded sleeps for d, clamped so it never crosses deadline.
@@ -785,7 +675,7 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadl
 		}
 		if resp.Status == wire.StatusError && resp.Err == "core: accused instance is alive" {
 			// False alarm (transient glitch): undo the local mark.
-			c.reviveLocally(accused)
+			c.unmark()
 			return nil
 		}
 	}
@@ -795,9 +685,13 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadl
 	return nil // local mark stands; broadcast will arrive eventually
 }
 
-// failLocally marks an instance failed in the client's table and
-// fails its partitions over to first replicas, mirroring what the
-// manager will broadcast.
+// failLocally marks an instance failed in the client's table and fails
+// its partitions over to first replicas, mirroring what the manager
+// will broadcast, so the next round avoids it before the verdict lands.
+// The marked table's epoch is forged — one past the table it marks,
+// the number the servers' next table gets too — so the marked table is
+// kept in unmarked: server tables are measured against its epoch
+// (adoptTable), and a rejected report returns to it (unmark).
 func (c *Client) failLocally(id ring.InstanceID) {
 	if c.shared != nil {
 		// The shared instance learns through the manager broadcast
@@ -811,31 +705,39 @@ func (c *Client) failLocally(id ring.InstanceID) {
 	if err != nil {
 		return
 	}
-	if nt, err := cur.Apply(d); err == nil {
-		c.table.Store(nt)
-	}
-}
-
-func (c *Client) reviveLocally(id ring.InstanceID) {
-	if c.shared != nil {
+	nt, err := cur.Apply(d)
+	if err != nil {
 		return
 	}
+	if c.unmarked.Load() == nil {
+		c.unmarked.Store(cur)
+	}
+	c.table.Store(nt)
+}
+
+// unmark drops the local failure marks, returning to the last table a
+// server issued.
+func (c *Client) unmark() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur := c.table.Load()
-	idx := cur.IndexOf(id)
-	if idx >= 0 {
-		// The local table is a published (shared-immutability)
-		// snapshot; mutate a clone.
-		nt := cur.Clone()
-		nt.Status[idx] = ring.Alive
-		c.table.Store(nt)
+	if u := c.unmarked.Swap(nil); u != nil {
+		c.table.Store(u)
 	}
 }
 
-// adoptTable replaces the local table when t is newer; shared clients
-// forward it to their co-located instance instead, which is the
-// authoritative holder.
+// issued returns the last table a server issued: the routing table, or
+// the one under its local failure marks.
+func (c *Client) issued() *ring.Table {
+	if u := c.unmarked.Load(); u != nil {
+		return u
+	}
+	return c.snapshot()
+}
+
+// adoptTable replaces the local table, and any local failure marks on
+// it, when t is newer than the last table a server issued; shared
+// clients forward it to their co-located instance instead, which is
+// the authoritative holder.
 func (c *Client) adoptTable(t *ring.Table) {
 	if c.shared != nil {
 		if t.Epoch > c.shared.Epoch() {
@@ -845,8 +747,14 @@ func (c *Client) adoptTable(t *ring.Table) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Epoch > c.table.Load().Epoch {
+	c.adoptLocked(t)
+}
+
+// adoptLocked is adoptTable for a standalone client holding c.mu.
+func (c *Client) adoptLocked(t *ring.Table) {
+	if t.Epoch > c.issued().Epoch {
 		c.table.Store(t)
+		c.unmarked.Store(nil)
 	}
 }
 

@@ -104,10 +104,10 @@ func TestReviveLocally(t *testing.T) {
 	if tab.Status[tab.IndexOf(id)] != ring.Failed {
 		t.Fatal("failLocally had no effect")
 	}
-	c.reviveLocally(id)
+	c.unmark()
 	tab = c.Table()
 	if tab.Status[tab.IndexOf(id)] != ring.Alive {
-		t.Error("reviveLocally had no effect")
+		t.Error("unmark had no effect")
 	}
 }
 
@@ -141,7 +141,7 @@ func TestTransientGlitchRevives(t *testing.T) {
 }
 
 func TestDeltaHandlerFromPeerInstance(t *testing.T) {
-	// firstAliveReplica exercised through failover reads: covered in
+	// failoverTarget exercised through failover reads: covered in
 	// failure tests; here exercise the OpMembership fetch path used
 	// by seeding.
 	d, reg, _ := startDeployment(t, testCfg(), 2)

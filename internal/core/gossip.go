@@ -206,9 +206,10 @@ func (c *Client) gossipPeers() []string {
 }
 
 // gossipPull fetches membership state from addr into the client's
-// table, reporting whether its epoch advanced.
+// table, reporting whether its epoch advanced. Deltas apply to the last
+// table a server issued, never to local failure marks.
 func (c *Client) gossipPull(addr string) bool {
-	before := c.snapshot().Epoch
+	before := c.issued().Epoch
 	resp, err := c.caller.Call(addr, &wire.Request{Op: wire.OpDeltaPull, Epoch: before})
 	if err != nil || resp.Status != wire.StatusOK {
 		return false
@@ -223,7 +224,7 @@ func (c *Client) gossipPull(addr string) bool {
 			return false
 		}
 		c.adoptTable(t)
-		return c.snapshot().Epoch > before
+		return c.issued().Epoch > before
 	}
 	for _, f := range frames {
 		d, err := ring.DecodeDelta(f)
@@ -231,7 +232,7 @@ func (c *Client) gossipPull(addr string) bool {
 			break
 		}
 		c.mu.Lock()
-		cur := c.table.Load()
+		cur := c.issued()
 		if d.FromEpoch < cur.Epoch {
 			c.mu.Unlock()
 			continue
@@ -241,8 +242,8 @@ func (c *Client) gossipPull(addr string) bool {
 			c.mu.Unlock()
 			break
 		}
-		c.table.Store(nt)
+		c.adoptLocked(nt)
 		c.mu.Unlock()
 	}
-	return c.snapshot().Epoch > before
+	return c.issued().Epoch > before
 }

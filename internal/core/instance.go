@@ -1101,24 +1101,19 @@ func (in *Instance) ownsNow(p int) bool {
 	return in.tableRef().OwnerOf(p).ID == in.self.ID
 }
 
-// firstAliveReplica returns the instance ID of partition p's first
-// Alive replica, or empty. The replica count is floored at 1 — the
-// same floor the client's failover routing and handleReport's
-// PlanFailure use — so a Replicas=0 deployment can still elect a
-// failover target instead of rejecting every request for a dead
-// owner's partitions. The explicit Status scan guards against table
-// snapshots where a listed replica has since been marked failed:
-// electing a dead replica would both reject this node's valid
-// failover serve and point clients at a node that cannot answer.
-func (in *Instance) firstAliveReplica(table *ring.Table, p int) ring.InstanceID {
-	reps := table.ReplicasOf(p, max(in.cfg.Replicas, 1))
-	for _, r := range reps {
-		idx := table.IndexOf(r.ID)
-		if idx >= 0 && table.Status[idx] == ring.Alive {
-			return r.ID
-		}
+// failoverTarget returns the instance that serves partition p while its
+// owner is not Alive — the one clients address and the one that accepts
+// the failover serve: p's first replica, which is Alive because
+// ReplicasOf lists only Alive instances. The replica count is floored
+// at 1, the floor handleReport's PlanFailure uses too, so a Replicas=0
+// deployment can still elect a failover target instead of rejecting
+// every request for a dead owner's partitions. The zero Instance means
+// no replica is alive.
+func failoverTarget(table *ring.Table, p, replicas int) ring.Instance {
+	if reps := table.ReplicasOf(p, max(replicas, 1)); len(reps) > 0 {
+		return reps[0]
 	}
-	return ""
+	return ring.Instance{}
 }
 
 // handleReport processes a failure report: verify the accused is

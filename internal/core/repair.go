@@ -197,23 +197,16 @@ func (sp stalePair) remove(s storage.KV) (bool, error) {
 
 // repairAuthority returns the instance whose copy of partition p is
 // authoritative for repair: the owner while it is alive, else the
-// first alive replica (the same election handleKV's failover serve
-// and the client's failover routing use, so reads and repair agree on
-// who is canonical). Returns nil when nobody alive holds p.
+// failover target (failoverTarget: the same election the failover
+// serve and the client's failover routing use, so reads and repair
+// agree on who is canonical). Returns false when nobody alive holds p.
 func (in *Instance) repairAuthority(table *ring.Table, p int) (ring.Instance, bool) {
 	idx := table.Owner[p]
 	if table.Status[idx] == ring.Alive {
 		return table.Instances[idx], true
 	}
-	id := in.firstAliveReplica(table, p)
-	if id == "" {
-		return ring.Instance{}, false
-	}
-	i := table.IndexOf(id)
-	if i < 0 {
-		return ring.Instance{}, false
-	}
-	return table.Instances[i], true
+	rep := failoverTarget(table, p, in.cfg.Replicas)
+	return rep, rep.ID != ""
 }
 
 // holdsReplica reports whether this instance is in partition p's

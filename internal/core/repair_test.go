@@ -273,7 +273,7 @@ func TestFailoverLookupsScheduleReadRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, in := range d.Instances() {
-			if in.ID() == in.firstAliveReplica(failed, p) {
+			if in.ID() == failoverTarget(failed, p, in.cfg.Replicas).ID {
 				serving = append(serving, in)
 			}
 		}

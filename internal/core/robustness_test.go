@@ -236,7 +236,7 @@ func TestCircuitOpensOnDeadEndpointAndOpsFailFast(t *testing.T) {
 	// Recovery: node returns, cooldown elapses, probe closes circuit.
 	reg.SetDown(addr, false)
 	c.breaker.success(addr) // stand in for cooldown expiry in test time
-	c.reviveLocally(d.Instance(0).ID())
+	c.unmark()
 	if err := c.Insert("revived", []byte("v")); err != nil {
 		t.Fatalf("op after recovery: %v", err)
 	}
