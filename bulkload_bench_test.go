@@ -7,6 +7,8 @@ import (
 
 	"zht"
 	"zht/internal/core"
+	"zht/internal/metrics"
+	"zht/internal/storage"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -36,15 +38,28 @@ func (c *replicaEnvCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wir
 // BenchmarkBatchReplicatedLoad is the bulk-load shape of the
 // tcp-r1-durable-write workload's set-up, small enough to profile: a
 // 2-instance, 1024-partition, Replicas=1 deployment on the in-process
-// transport with every partition on an async WAL, loaded through
-// Client.Batch(256) inserts of fresh keys with 132-byte values. The
-// first iterations open all 2048 partition logs. It reports ns per key
-// and the replica envelopes each batch cost; `make profile-bulkload`
-// runs 800 batches (the workload's 200 000-key preload) under
-// -cpuprofile.
+// transport, each instance keeping all of its partitions on one async
+// WAL, loaded through Client.Batch(256) inserts of fresh keys with
+// 132-byte values. It reports ns per key, the replica envelopes each
+// batch cost, and the WAL commits each batch cost across both logs (an
+// instance commits once per envelope it applies); `make
+// profile-bulkload` runs 800 batches (the workload's 200 000-key
+// preload) under -cpuprofile.
 func BenchmarkBatchReplicatedLoad(b *testing.B) {
+	benchBatchReplicatedLoad(b, storage.DurabilityAsync)
+}
+
+// BenchmarkBatchReplicatedLoadGroup is BenchmarkBatchReplicatedLoad
+// with both logs at group durability, where every commit waits out the
+// group window and an fsync: the cost a bulk load pays per commit.
+func BenchmarkBatchReplicatedLoadGroup(b *testing.B) {
+	benchBatchReplicatedLoad(b, storage.DurabilityGroup)
+}
+
+func benchBatchReplicatedLoad(b *testing.B, durability storage.Durability) {
 	const batch = 256
-	cfg := zht.Config{NumPartitions: 1024, Replicas: 1, DataDir: b.TempDir()}
+	met := metrics.NewRegistry()
+	cfg := zht.Config{NumPartitions: 1024, Replicas: 1, DataDir: b.TempDir(), Durability: durability, Metrics: met}
 	reg := transport.NewRegistry()
 	legs := &replicaEnvCounter{Caller: reg.NewClient()}
 	d, err := core.Bootstrap(cfg, core.InprocEndpoints(2), func(addr string, h transport.Handler) (transport.Listener, error) {
@@ -58,6 +73,7 @@ func BenchmarkBatchReplicatedLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	commits := met.Counter("zht.storage.wal.commits")
 
 	val := make([]byte, 132)
 	ops := make([]core.BatchOp, batch)
@@ -82,4 +98,5 @@ func BenchmarkBatchReplicatedLoad(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	b.ReportMetric(float64(legs.n.Load())/float64(b.N), "replica-envs/batch")
+	b.ReportMetric(float64(commits.Value())/float64(b.N), "wal-commits/batch")
 }

@@ -135,6 +135,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	// irrelevant.
 	sc := batchPool.Get().(*batchScratch)
 	sc.inEnvelope = true
+	hasLegs := false
 	// Admission releases collected for admitted KV sub-ops; every one
 	// is called when the envelope finishes.
 	var releases []func()
@@ -165,8 +166,20 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 			// the primary applied them — via the ordinary replicate
 			// handler; grouping would buy nothing (no locks, no fan-out).
 			in.handleReplicate(s, resps[i])
+			hasLegs = true
 		default:
 			resps[i].Take(in.Handle(s))
+		}
+	}
+	if hasLegs {
+		// One commit for every leg of the envelope — a sync round, a leg
+		// queue drain or a handoff replay — before any of them is acked.
+		if err := in.log.Commit(); err != nil {
+			for i, s := range subs {
+				if s.Op == wire.OpReplicate {
+					setErr(resps[i], err)
+				}
+			}
 		}
 	}
 	if len(sc.tags) > 0 {
@@ -194,8 +207,9 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // applyBatch is the instance's one write pipeline. It runs KV ops —
 // an envelope's sub-ops, or a single op as a batch of one — through
 // migration gate, post-gate ownership, store, mutation stripes, apply,
-// replicate, and write-level enforcement, paying each lock and each
-// replica round trip once per envelope rather than once per partition.
+// commit, replicate, and write-level enforcement, paying each lock,
+// the WAL commit and each replica round trip once per envelope rather
+// than once per partition or per record.
 // It answers sub-op i into resps[i], a zeroed response the caller owns.
 // A migration gate that must wait detaches detach first.
 //
@@ -217,7 +231,9 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 	ops, muts, table := in.lockBatch(subs, resps, sc, detach)
 	defer in.unlockOps(ops)
 	defer in.unlockMuts(muts)
-	in.applyGroups(subs, resps, sc)
+	if in.applyGroups(subs, resps, sc) {
+		in.commitGroups(subs, resps, sc)
+	}
 	if len(sc.applied) == 0 {
 		return
 	}
@@ -326,8 +342,9 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 // succeeded, in apply order — the order replicas must see them in —
 // alongside each one's replica leg and, where the leg value differs
 // from the request's (appends), the scratch holding the full value the
-// leg carries.
-func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+// leg carries. The stores only stage the mutations' log records; it
+// reports whether any mutation ran, so applyBatch owes a commit.
+func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) (mutated bool) {
 	var arena *[]byte
 	if sc.inEnvelope {
 		arena = &sc.vals
@@ -345,6 +362,7 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 				in.applyLookup(g.s, subs[i], resps[i], arena)
 				continue
 			}
+			mutated = true
 			ver, legVal := in.applyMutation(g.s, subs[i], resps[i])
 			if resps[i].Status != wire.StatusOK || !in.mutates(subs[i]) {
 				if legVal != nil {
@@ -358,6 +376,41 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 		}
 		g.ahi = len(sc.applied)
 	}
+	return mutated
+}
+
+// commitGroups commits the log records the envelope's mutations
+// staged — one WAL commit for the whole envelope, at the log's
+// durability mode — before any replica leg leaves, so a replica never
+// holds a write its primary could still lose. If the commit fails, no
+// mutation of the envelope is acknowledged or replicated: each answers
+// the error, since a prefix of the envelope's records may be lost.
+func (in *Instance) commitGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) {
+	err := in.log.Commit()
+	if err == nil {
+		return
+	}
+	for gi := range sc.groups {
+		g := &sc.groups[gi]
+		if !g.live {
+			continue
+		}
+		for _, t := range sc.tags[g.lo:g.hi] {
+			if i := t & 0xffffffff; subs[i].Op != wire.OpLookup {
+				resps[i].Value = nil
+				setErr(resps[i], err)
+			}
+		}
+		g.ahi = g.alo
+	}
+	for _, lv := range sc.legVals {
+		if lv != nil {
+			wire.PutBuffer(lv)
+		}
+	}
+	clear(sc.legVals)
+	clear(sc.fwds)
+	sc.applied, sc.legVals, sc.fwds = sc.applied[:0], sc.legVals[:0], sc.fwds[:0]
 }
 
 // settleGroups releases the applied legs' value scratch and enforces

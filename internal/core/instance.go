@@ -284,9 +284,10 @@ func (in *Instance) openLog() error {
 // importPartitionLogs moves a DataDir written with one log per
 // partition (<id>-pNNNNNN.log) into the instance's log at path: it
 // replays each old file, installs every pair through install, which
-// keeps its stamp and advances the clock, syncs the log, and only then
-// unlinks the old files. A crash before the unlink repeats the import,
-// which installs nothing new: every pair is already held at its stamp.
+// keeps its stamp and advances the clock, commits each file's pairs
+// once, syncs the log, and only then unlinks the old files. A crash
+// before the unlink repeats the import, which installs nothing new:
+// every pair is already held at its stamp.
 func (in *Instance) importPartitionLogs(path string) error {
 	if path == "" {
 		return nil
@@ -317,6 +318,10 @@ func (in *Instance) importPartitionLogs(path string) error {
 			}
 			return err
 		})
+		// One commit per old file bounds what the import holds staged.
+		if cerr := in.log.Commit(); err == nil {
+			err = cerr
+		}
 		if cerr := src.Close(); err == nil {
 			err = cerr
 		}
@@ -423,6 +428,9 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpReplicate:
 		resp := wire.GetResponse()
 		in.handleReplicate(req, resp)
+		if err := in.log.Commit(); err != nil {
+			setErr(resp, err)
+		}
 		return resp
 	case wire.OpMembership:
 		return in.handleMembership()
@@ -940,7 +948,12 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
-		if _, err := storage.Import(bytes.NewReader(req.Aux), installer{s, in, p}); err != nil {
+		// The image's pairs are staged one by one and committed once.
+		_, err = storage.Import(bytes.NewReader(req.Aux), installer{s, in, p})
+		if cerr := in.log.Commit(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 		}
 		return &wire.Response{Status: wire.StatusOK}

@@ -142,11 +142,19 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 //     last copy. The cost is bounded divergence — the leaf re-pulls
 //     each round until the true owner returns or re-replication
 //     rebuilds the set.
-func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, wholesale bool) error {
+//
+// Its deletes and installs are staged and committed once, as one
+// request, before it returns.
+func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, wholesale bool) (err error) {
 	s, err := in.store(p)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := in.log.Commit(); err == nil {
+			err = cerr
+		}
+	}()
 	want := make(map[int]bool, len(leaves))
 	for _, l := range leaves {
 		want[l] = true
@@ -268,6 +276,10 @@ func (in *Instance) reapExpired() {
 			}
 		}
 	}
+	// One commit for the sweep's removes. A failure breaks the log,
+	// which reports it to every later request; the sweep has no caller
+	// to tell.
+	_ = in.log.Commit()
 }
 
 // antiEntropyRound runs one sweep: partitions are grouped by

@@ -22,6 +22,12 @@ import (
 // appends to the same group-commit WAL, so one commit can carry the
 // records of many stores.
 //
+// The unit of durability is the caller's request, not the store call:
+// a mutation of a store the Log holds stages its record under its
+// shard lock and returns, and whoever acknowledges the request calls
+// Commit once, for all of its records. A store that Open returns owns
+// its log and commits inside each mutation instead.
+//
 // A record names no store: route maps its key to the store it belongs
 // to, and must do so for the whole life of the log file. (An instance
 // routes a key to its partition, and the partition count is fixed for
@@ -511,6 +517,38 @@ func (s *Store) copyShard(sh *shard, base int64) (end, n int64, err error) {
 		m.e.off, m.e.onDisk = off+m.rel, true
 	}
 	return off + int64(len(blob)), int64(len(blob)), nil
+}
+
+// Commit makes every record the log's stores have staged so far
+// durable at the log's durability mode, then starts a clean when the
+// log's policy asks for one. A mutation of a store OpenLog created
+// stages its record and returns without waiting: the caller that
+// acknowledges it owes one Commit first, and one Commit covers every
+// record staged before it — a whole request's, whatever its size. So
+// a request costs one write (async) or one share of a group fsync
+// (group), not one per record; sync mode still fsyncs each record
+// alone. Commit is a no-op on a volatile log.
+//
+// After a failed Commit none of the records it covers may be
+// acknowledged. A failed write or fsync also breaks the log
+// (storage.ErrBroken), and a prefix of those records, in staging
+// order, may be on disk.
+func (l *Log) Commit() error {
+	if l.wal == nil {
+		return nil
+	}
+	return l.commit(l.wal.size.Load())
+}
+
+// commit waits until the log prefix [0, target) is durable, committing
+// pending records itself when no other caller is, and then runs the
+// clean policy.
+func (l *Log) commit(target int64) error {
+	if err := l.wal.waitDurable(target); err != nil {
+		return err
+	}
+	l.maybeClean()
+	return nil
 }
 
 // Sync commits every appended record and fsyncs the log.

@@ -26,10 +26,14 @@
 // RWMutex. And the log is a group-commit write-ahead log (wal.go)
 // with no goroutine of its own: the caller that finds records pending
 // and nobody committing writes them as one batch with one write and,
-// per storage.Durability mode, one fsync, and each mutation is
-// acknowledged only once its record's durability level is met. Many
-// stores can share one log (log.go): a ZHT instance keeps all of its
-// partition stores in one file.
+// per storage.Durability mode, one fsync. Many stores can share one
+// log (log.go): a ZHT instance keeps all of its partition stores in
+// one file. A mutation of a shared log's store only stages its record;
+// the instance commits once per request (Log.Commit), before it
+// acknowledges, so an envelope's records share one write. A store
+// opened alone (Open) commits inside each mutation, so each of its
+// mutations is acknowledged only once its record's durability level
+// is met.
 //
 // Each store also keeps its partition's repair digest
 // (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
@@ -53,6 +57,7 @@ import (
 
 	"zht/internal/metrics"
 	"zht/internal/storage"
+	"zht/internal/wire"
 )
 
 // Options configures a Log and the stores it holds.
@@ -60,8 +65,10 @@ type Options struct {
 	// Path is the log file. Empty means a volatile, memory-only
 	// store (the paper's "NoVoHT no persistence" configuration).
 	Path string
-	// Durability selects how much WAL durability a mutation must
-	// reach before it is acknowledged. The zero value is
+	// Durability selects how much WAL durability a commit reaches
+	// before it returns, and so what an acknowledged mutation has: a
+	// store from Open commits each mutation, a Log's owner each
+	// request (Log.Commit). The zero value is
 	// storage.DurabilityAsync (the seed store's behavior);
 	// storage.DurabilityNone makes the store volatile, ignoring
 	// Path.
@@ -421,57 +428,43 @@ func (s *Store) appendRecord(typ byte, key string, val []byte, ver uint64) (voff
 // Pooled WAL record buffers. Ownership is linear: appendRecord fills
 // one, wal.append queues it, and the committer that takes it returns it
 // here once its bytes are on the file (records dropped on a failed WAL
-// simply fall to the GC). An async mutation usually commits its own
-// record inline, but a group or sync committer writes the records of
-// the callers that queued behind it, so a record is still filled on
-// one goroutine and often returned on another.
+// simply fall to the GC). A request stages all of its records before
+// its one commit, and a group or sync committer writes the records of
+// the callers queued behind it, so a record can be filled on one
+// goroutine and returned on another.
 //
-// Unlike wire's per-P FreeList this stays a bounded channel. The list
-// was chosen when records crossed from request goroutines to per-store
-// writer goroutines, where a per-P list measured slower on durable
-// writes (DESIGN.md §11); it has not been re-measured since the writers
-// were removed. 256 records of at most maxPooledRec bytes each caps
-// what the list pins at 16 MiB.
-var recFree = make(chan []byte, 256)
+// The list is wire's per-P FreeList, the one every other hot-path
+// buffer uses. It replaced a 256-slot channel once commits moved onto
+// the request goroutines: in alternating pairs on a 2-core VM the
+// per-P list won 11 of 14 on BenchmarkBatchReplicatedLoad (median 4.84
+// against 5.09 µs per key, allocs/op within 2 of 2 664) and 3 of 4 on
+// BenchmarkDurableWriteParallel (B/op 460 against 790), DESIGN.md §11.
+// Records above maxPooledRec bytes are left to the GC.
+var recFree = wire.NewFreeList(512, maxPooledRec)
 
 const maxPooledRec = 64 << 10
 
 func getRec() []byte {
-	select {
-	case b := <-recFree:
-		return b
-	default:
-		return make([]byte, 0, 512)
-	}
+	b, _ := recFree.Get()
+	return b
 }
 
-func putRec(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledRec {
-		return
-	}
-	select {
-	case recFree <- b[:0]:
-	default:
-	}
-}
+func putRec(b []byte) { recFree.Put(b) }
 
 // finishMutation runs the post-apply policy with no shard lock held:
-// enforce the memory bound, wait for the record's durability level,
-// and start a clean of the log when its policy asks for one.
+// enforce the memory bound and, on a store that owns its log (Open),
+// commit the record, which ends at log offset end. A store of a shared
+// Log leaves its record staged for the caller's Log.Commit.
 func (s *Store) finishMutation(end int64) error {
 	if s.opts.MaxMemValues > 0 && s.resident.Load() > int64(s.opts.MaxMemValues) {
 		if err := s.evictToBound(); err != nil {
 			return err
 		}
 	}
-	if s.wal == nil {
+	if s.wal == nil || !s.ownsLog {
 		return nil
 	}
-	if err := s.wal.waitDurable(end); err != nil {
-		return err
-	}
-	s.log.maybeClean()
-	return nil
+	return s.log.commit(end)
 }
 
 // PutIfAbsentV stores (val, ver) only when key is not present; it

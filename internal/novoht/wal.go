@@ -23,8 +23,9 @@ const oldSuffix = ".old"
 // record at a time, so each record gets its own fsync. One committer
 // runs at a time, so records reach the file in offset order. Callers
 // append under their shard lock (so per-key log order matches memory
-// order) and wait for their record's durability level after releasing
-// it, so a slow fsync never blocks unrelated keys.
+// order) and wait for durability after releasing it, so a slow fsync
+// never blocks unrelated keys; a caller that appended many records —
+// one request's — waits once, for the last of them (Log.Commit).
 //
 // Offsets are logical: they count every byte ever appended to the log
 // and only grow. The log lives in at most two files. The active file
@@ -87,8 +88,8 @@ func newWAL(path string, f *os.File, base, size int64, mode storage.Durability, 
 }
 
 // append enqueues one record and returns the logical offset its first
-// byte will occupy. The caller owes a matching waitDurable(off +
-// len(rec)) before acknowledging the mutation.
+// byte will occupy. Before the mutation is acknowledged, a
+// waitDurable whose target covers off + len(rec) must return.
 func (w *wal) append(rec []byte) (off int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -15,8 +15,12 @@
 // Durability levels follow the classic group-commit design, with the
 // callers themselves as the log writer: the caller that finds records
 // pending and nobody committing writes every pending record as one
-// batch and (per mode) issues one fsync, and each caller is
-// acknowledged only once its record's durability level is satisfied.
+// batch and (per mode) issues one fsync. The unit of acknowledgement
+// is the request: a request stages the records of all of its
+// mutations — one op, an envelope of sub-ops or replica legs, a
+// migration image, a repair transfer — and commits them once, and it
+// is acknowledged only once every one of them meets its durability
+// level.
 package storage
 
 import (
