@@ -53,12 +53,13 @@ repair-smoke:
 	timeout 60 $(GO) run ./internal/tools/repairsmoke
 
 # churn-smoke is the elastic-membership gate: a randomized loop that
-# scales a loaded deployment up and back down (one iteration with the
-# manager's delta broadcast suppressed, so gossip alone must converge
-# the ring), and requires zero lost acked writes, epoch agreement,
-# digest convergence, and evidence that data moved through the
-# throttled migration engine (see internal/tools/churnsmoke). Seeds
-# are printed, so a failure is replayable with -seed.
+# scales a loaded deployment up and back down (each change reaches only
+# the instances whose copies it moves, so gossip must converge the
+# rest of the ring), and requires zero lost acked writes, epoch
+# agreement, a gossip advance, digest convergence, and evidence that
+# data moved through the throttled migration engine (see
+# internal/tools/churnsmoke). Seeds are printed, so a failure is
+# replayable with -seed.
 churn-smoke:
 	timeout 90 $(GO) run ./internal/tools/churnsmoke
 

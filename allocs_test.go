@@ -156,17 +156,17 @@ func storeAppendAllocs(tb testing.TB, base int) float64 {
 // benchTCPClient boots a single-instance deployment on loopback TCP —
 // the configuration the alloc budgets are defined against — with every
 // background allocator disabled: no replicas, no anti-entropy, no
-// gossip, no op-deadline timers, no metrics. Keys are pre-inserted so
-// insert benchmarks measure the overwrite path (a steady-state store
-// neither grows nor allocates).
+// op-deadline timers, no metrics. Gossip stays on: on a ring that does
+// not change it never pulls. Keys are pre-inserted so insert benchmarks
+// measure the overwrite path (a steady-state store neither grows nor
+// allocates).
 func benchTCPClient(tb testing.TB) (*zht.Client, []string, func()) {
 	tb.Helper()
 	cfg := zht.Config{
-		NumPartitions:  64,
-		Replicas:       0,
-		OpDeadline:     -1, // disable: deadline timers cost allocations
-		GossipCooldown: -1,
-		AntiEntropy:    -1,
+		NumPartitions: 64,
+		Replicas:      0,
+		OpDeadline:    -1, // disable: deadline timers cost allocations
+		AntiEntropy:   -1,
 	}
 	caller := zht.NewTCPCaller()
 	hs := &zht.HandlerSwitch{}
@@ -202,11 +202,10 @@ func benchTCPClient(tb testing.TB) (*zht.Client, []string, func()) {
 func benchInprocClient(tb testing.TB) (*zht.Client, []string, func()) {
 	tb.Helper()
 	cfg := zht.Config{
-		NumPartitions:  64,
-		Replicas:       0,
-		OpDeadline:     -1,
-		GossipCooldown: -1,
-		AntiEntropy:    -1,
+		NumPartitions: 64,
+		Replicas:      0,
+		OpDeadline:    -1,
+		AntiEntropy:   -1,
 	}
 	d, _, err := zht.BootstrapInproc(cfg, 1)
 	if err != nil {
@@ -244,11 +243,10 @@ func preloadAllocKeys(tb testing.TB, c *zht.Client, level zht.Consistency) []str
 func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 	tb.Helper()
 	c, cleanup := bootTCPCluster(tb, zht.Config{
-		NumPartitions:  64,
-		Replicas:       1,
-		OpDeadline:     -1,
-		GossipCooldown: -1,
-		AntiEntropy:    -1,
+		NumPartitions: 64,
+		Replicas:      1,
+		OpDeadline:    -1,
+		AntiEntropy:   -1,
 	}, 2)
 	return c, preloadAllocKeys(tb, c, zht.ConsistencyAll), cleanup
 }

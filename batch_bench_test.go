@@ -28,10 +28,9 @@ func BenchmarkBatchMixedParallel(b *testing.B) {
 		batchSize = 64
 	)
 	c, cleanup := bootTCPCluster(b, zht.Config{
-		NumPartitions:  1024,
-		OpDeadline:     -1,
-		GossipCooldown: -1,
-		AntiEntropy:    -1,
+		NumPartitions: 1024,
+		OpDeadline:    -1,
+		AntiEntropy:   -1,
 	}, 2)
 	defer cleanup()
 	names := make([]string, keys)

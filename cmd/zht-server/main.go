@@ -233,7 +233,8 @@ func startMemcached(addr, tenantName string, inst *core.Instance, caller transpo
 
 // runJoin performs a dynamic join: bind the address first (peers may
 // contact the newcomer the moment the membership delta lands), then
-// run the join protocol — fetch table, migrate partitions, broadcast.
+// run the join protocol — fetch table, migrate partitions, commit and
+// announce.
 func runJoin(cfg core.Config, seed, addr, proto, mcAddr, mcTenant string) {
 	var caller transport.Caller
 	if proto == "udp" {

@@ -19,11 +19,10 @@ import (
 // profile-durable` runs it under -cpuprofile.
 func BenchmarkDurableWriteParallel(b *testing.B) {
 	cfg := zht.Config{
-		NumPartitions:  1024,
-		Replicas:       1,
-		DataDir:        b.TempDir(),
-		GossipCooldown: -1,
-		AntiEntropy:    -1,
+		NumPartitions: 1024,
+		Replicas:      1,
+		DataDir:       b.TempDir(),
+		AntiEntropy:   -1,
 	}
 	c, cleanup := bootTCPCluster(b, cfg, 2)
 	defer cleanup()

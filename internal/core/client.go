@@ -47,8 +47,7 @@ type Client struct {
 	// deployment).
 	shared *Instance
 	// gossip heals a stale table from piggybacked response epochs
-	// (DESIGN.md §10); nil for shared clients (the instance pulls) and
-	// when Config.GossipCooldown is negative.
+	// (DESIGN.md §10); nil for shared clients (the instance pulls).
 	gossip *gossip.Service
 
 	rngMu sync.Mutex
@@ -103,15 +102,13 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 		rng: rand.New(rand.NewSource(rand.Int63())),
 	}
 	c.table.Store(table.Clone())
-	if cfg.GossipCooldown >= 0 {
-		c.gossip, _ = gossip.New(gossip.Options{
-			Epoch:    func() uint64 { return c.issued().Epoch },
-			Pull:     c.gossipPull,
-			Peers:    c.gossipPeers,
-			Cooldown: cfg.GossipCooldown,
-			Metrics:  cfg.Metrics,
-		})
-	}
+	c.gossip, _ = gossip.New(gossip.Options{
+		Epoch:    func() uint64 { return c.issued().Epoch },
+		Pull:     c.gossipPull,
+		Peers:    func() []string { return alivePeers(c.snapshot(), "") },
+		Cooldown: cfg.GossipCooldown,
+		Metrics:  cfg.Metrics,
+	})
 	return c, nil
 }
 
@@ -122,7 +119,7 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 // physical node, to reduce the number of membership tables that need
 // to be synchronized"). The client sees the instance's table updates
 // immediately; its own lazy refreshes are no-ops against the shared
-// view (the instance's broadcasts are authoritative).
+// view (the instance's table is authoritative).
 func NewLocalClient(in *Instance, caller transport.Caller) (*Client, error) {
 	cfg := in.cfg
 	c, err := NewClient(cfg, in.Table(), caller)
@@ -647,7 +644,7 @@ func expired(deadline time.Time) bool {
 // shares the calling operation's deadline budget.
 func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadline time.Time) error {
 	// Mark locally first so subsequent attempts avoid the dead node
-	// even before the manager broadcast lands.
+	// even before the manager's verdict lands.
 	c.failLocally(accused)
 
 	idxs := c.rngPerm(len(table.Instances))
@@ -682,20 +679,20 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadl
 	if table.AliveCount() <= 1 {
 		return fmt.Errorf("no manager reachable for failure report")
 	}
-	return nil // local mark stands; broadcast will arrive eventually
+	return nil // local mark stands; gossip brings the verdict eventually
 }
 
 // failLocally marks an instance failed in the client's table and fails
 // its partitions over to first replicas, mirroring what the manager
-// will broadcast, so the next round avoids it before the verdict lands.
+// will announce, so the next round avoids it before the verdict lands.
 // The marked table's epoch is forged — one past the table it marks,
 // the number the servers' next table gets too — so the marked table is
 // kept in unmarked: server tables are measured against its epoch
 // (adoptTable), and a rejected report returns to it (unmark).
 func (c *Client) failLocally(id ring.InstanceID) {
 	if c.shared != nil {
-		// The shared instance learns through the manager broadcast
-		// that reportFailure triggers synchronously.
+		// The shared instance learns from the manager's answer, which
+		// reportFailure hands it synchronously (adoptTable).
 		return
 	}
 	c.mu.Lock()
@@ -735,14 +732,12 @@ func (c *Client) issued() *ring.Table {
 }
 
 // adoptTable replaces the local table, and any local failure marks on
-// it, when t is newer than the last table a server issued; shared
-// clients forward it to their co-located instance instead, which is
-// the authoritative holder.
+// it, when t orders after the last table a server issued
+// (ring.Table.After); shared clients forward it to their co-located
+// instance instead, which is the authoritative holder.
 func (c *Client) adoptTable(t *ring.Table) {
 	if c.shared != nil {
-		if t.Epoch > c.shared.Epoch() {
-			c.shared.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(t)})
-		}
+		c.shared.adoptTableIfNewer(t)
 		return
 	}
 	c.mu.Lock()
@@ -752,30 +747,32 @@ func (c *Client) adoptTable(t *ring.Table) {
 
 // adoptLocked is adoptTable for a standalone client holding c.mu.
 func (c *Client) adoptLocked(t *ring.Table) {
-	if t.Epoch > c.issued().Epoch {
+	if t.After(c.issued()) {
 		c.table.Store(t)
 		c.unmarked.Store(nil)
 	}
 }
 
-// RefreshMembership pulls the current table from a random alive
-// instance (useful after out-of-band membership changes).
+// RefreshMembership asks every alive instance for its table and adopts
+// the newest (useful after out-of-band membership changes). Asking one
+// is not enough: an instance whose copies a change did not move hears
+// of it only through gossip (DESIGN.md §10).
 func (c *Client) RefreshMembership() error {
 	table := c.snapshot()
-	for _, i := range c.rngPerm(len(table.Instances)) {
-		if table.Status[i] != ring.Alive {
-			continue
-		}
-		resp, err := c.caller.Call(table.Instances[i].Addr, &wire.Request{Op: wire.OpMembership})
-		if err != nil || resp.Status != wire.StatusOK {
-			continue
-		}
-		if t, err := ring.DecodeTable(resp.Table); err == nil {
-			c.adoptTable(t)
-			return nil
+	var newest *ring.Table
+	for i, peer := range table.Instances {
+		if table.Status[i] == ring.Alive {
+			resp, err := c.caller.Call(peer.Addr, &wire.Request{Op: wire.OpMembership})
+			if err == nil && resp.Status == wire.StatusOK {
+				newest = newerTable(newest, tableOf(resp))
+			}
 		}
 	}
-	return errors.New("zht: no instance reachable for membership refresh")
+	if newest == nil {
+		return errors.New("zht: no instance reachable for membership refresh")
+	}
+	c.adoptTable(newest)
+	return nil
 }
 
 func (c *Client) rngPerm(n int) []int {

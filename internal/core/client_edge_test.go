@@ -29,6 +29,30 @@ func TestRefreshMembership(t *testing.T) {
 	}
 }
 
+// TestRefreshMembershipAsksEveryInstance departs an instance from a
+// 16-instance ring, so instance 0 — which holds none of the copies the
+// departure moves and, with its gossip stopped, never catches up — keeps
+// the old table. A refresh must still adopt the newest table.
+func TestRefreshMembershipAsksEveryInstance(t *testing.T) {
+	d, _, c := startDeployment(t, Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}, 16)
+	c.gossip = nil
+	bystander := d.Instance(0)
+	bystander.gossip.Close()
+	if err := d.Depart(4); err != nil {
+		t.Fatal(err)
+	}
+	newest := d.Instance(5).Epoch()
+	if bystander.Epoch() >= newest {
+		t.Fatalf("instance 0 at epoch %d heard of the departure (epoch %d); test is vacuous", bystander.Epoch(), newest)
+	}
+	if err := c.RefreshMembership(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Table().Epoch; got != newest {
+		t.Errorf("refreshed to epoch %d, want the newest, %d", got, newest)
+	}
+}
+
 func TestRefreshMembershipAllDown(t *testing.T) {
 	d, reg, c := startDeployment(t, Config{NumPartitions: 8, RetryBase: time.Millisecond}, 2)
 	for _, in := range d.Instances() {

@@ -105,7 +105,7 @@ func TestEnvelopeCommitsOncePerLog(t *testing.T) {
 	for _, mode := range []storage.Durability{storage.DurabilityGroup, storage.DurabilityAsync} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := Config{NumPartitions: 64, Replicas: 1, DataDir: t.TempDir(), Durability: mode,
-				RetryBase: time.Millisecond, GossipCooldown: -1}
+				RetryBase: time.Millisecond}
 			d, _, c := startDeployment(t, cfg, 2)
 			faults := [2]*logFault{{}, {}}
 			for i, f := range faults {
@@ -197,7 +197,7 @@ func eventuallyCommitted(t *testing.T, what string, in *Instance, done func() bo
 func TestNoRecordPendingAtAck(t *testing.T) {
 	async := func(t *testing.T, replicas int) Config {
 		return Config{NumPartitions: 16, Replicas: replicas, DataDir: t.TempDir(),
-			RetryBase: time.Millisecond, GossipCooldown: -1}
+			RetryBase: time.Millisecond}
 	}
 
 	t.Run("single-ops", func(t *testing.T) {
@@ -373,7 +373,7 @@ func TestNoRecordPendingAtAck(t *testing.T) {
 // holds a prefix of the envelope's records in apply order —
 // partition by partition, each partition's ops in request order.
 func TestTornEnvelopeCommit(t *testing.T) {
-	cfg := Config{NumPartitions: 4, Replicas: 0, RetryBase: time.Millisecond, OpRetries: 1, GossipCooldown: -1}
+	cfg := Config{NumPartitions: 4, Replicas: 0, RetryBase: time.Millisecond, OpRetries: 1}
 	var ops []BatchOp
 	for i := 0; i < 6; i++ {
 		ops = append(ops, BatchOp{Op: wire.OpInsert, Key: fmt.Sprintf("torn-%d", i), Value: []byte(fmt.Sprintf("value-%d", i))})

@@ -104,17 +104,10 @@ type Config struct {
 	HandoffCap int
 	// GossipCooldown is the minimum interval between gossip catch-up
 	// pulls when piggybacked epochs reveal a stale membership table
-	// (DESIGN.md §10). 0 means DefaultGossipCooldown; negative
-	// disables gossip-driven membership entirely (epochs still ride
-	// the wire, but staleness only heals through broadcasts and
-	// StatusWrongOwner refreshes — the pre-gossip behavior).
+	// (DESIGN.md §10); gossip is how most of the ring learns of a
+	// membership change, so it cannot be turned off. 0 means
+	// DefaultGossipCooldown; negative is rejected.
 	GossipCooldown time.Duration
-	// GossipOnly suppresses the manager's best-effort delta broadcast
-	// to bystander instances: only instances gaining partitions hear
-	// the commit directly, and everyone else converges through the
-	// epoch piggyback. Used by the chaos suite to prove gossip alone
-	// reaches epoch agreement.
-	GossipOnly bool
 	// MigrateRate caps migration streaming throughput per transfer in
 	// bytes/second, so a join or departure cannot starve foreground
 	// traffic. 0 means DefaultMigrateRate; negative removes the cap.
@@ -212,6 +205,9 @@ func (c *Config) fill() error {
 	}
 	if c.AntiEntropy < 0 {
 		c.AntiEntropy = 0
+	}
+	if c.GossipCooldown < 0 {
+		return errors.New("core: GossipCooldown must be non-negative")
 	}
 	if c.GossipCooldown == 0 {
 		c.GossipCooldown = DefaultGossipCooldown

@@ -12,8 +12,9 @@ import (
 // newer epoch pulls the missing deltas (wire.OpDeltaPull) from the
 // peer it just talked to, replaying them from the peer's delta log —
 // or adopting the peer's full table when the log no longer covers the
-// gap. The manager's delta broadcast remains as a best-effort latency
-// hint; correctness no longer depends on it reaching every node.
+// gap. A manager announces a change only to the instances whose copies
+// it moves (Instance.announce); gossip is how every other instance and
+// every client learns of it.
 
 // epochCaller wraps an instance's transport so every outgoing request
 // carries the instance's epoch and every response's epoch feeds the
@@ -75,13 +76,12 @@ func (in *Instance) observePeerEpoch(addr string, peerEpoch uint64) {
 	in.gossip.Observe(addr, peerEpoch)
 }
 
-// gossipPeers lists the alive peers this instance can pull membership
-// state from.
-func (in *Instance) gossipPeers() []string {
-	t := in.tableRef()
+// alivePeers lists the addresses of t's alive instances other than
+// self: the fallback sources of a gossip round.
+func alivePeers(t *ring.Table, self ring.InstanceID) []string {
 	out := make([]string, 0, len(t.Instances))
 	for i, p := range t.Instances {
-		if p.ID != in.self.ID && t.Status[i] == ring.Alive {
+		if p.ID != self && t.Status[i] == ring.Alive {
 			out = append(out, p.Addr)
 		}
 	}
@@ -103,11 +103,14 @@ func (in *Instance) handleDeltaPull(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusOK, Value: gossip.EncodeFullTable(ring.EncodeTable(cur))}
 }
 
-// gossipPull fetches membership state from addr and applies it,
-// reporting whether the local epoch advanced. It is the Pull callback
-// of the instance's gossip service.
-func (in *Instance) gossipPull(addr string) bool {
-	resp, err := in.caller.Call(addr, &wire.Request{Op: wire.OpDeltaPull, Epoch: in.Epoch()})
+// pullMembership is the gossip Pull of an instance and of a client: it
+// fetches the membership state past epoch() from addr and hands the
+// holder a full table to adopt, or each delta to apply in order up to
+// the first that fails, reporting whether epoch() advanced.
+func pullMembership(caller transport.Caller, addr string, epoch func() uint64,
+	adopt func(*ring.Table), apply func(ring.Delta, []byte) error) bool {
+	before := epoch()
+	resp, err := caller.Call(addr, &wire.Request{Op: wire.OpDeltaPull, Epoch: before})
 	if err != nil || resp.Status != wire.StatusOK {
 		return false
 	}
@@ -116,32 +119,37 @@ func (in *Instance) gossipPull(addr string) bool {
 		return false
 	}
 	if tableEnc != nil {
-		t, err := ring.DecodeTable(tableEnc)
-		if err != nil {
-			return false
+		if t, err := ring.DecodeTable(tableEnc); err == nil {
+			adopt(t)
 		}
-		return in.adoptTableIfNewer(t)
 	}
-	advanced := false
 	for _, f := range frames {
 		d, err := ring.DecodeDelta(f)
 		if err != nil {
 			break
 		}
-		if d.FromEpoch < in.Epoch() {
+		if d.FromEpoch < epoch() {
 			continue // already applied (raced another update)
 		}
-		if _, err := in.applyDelta(d, f); err != nil {
+		if apply(d, f) != nil {
 			break // gap or concurrent change; a later round re-pulls
 		}
-		advanced = true
 	}
-	return advanced
+	return epoch() > before
+}
+
+// gossipPull is the Pull callback of the instance's gossip service.
+func (in *Instance) gossipPull(addr string) bool {
+	return pullMembership(in.caller, addr, in.Epoch, in.adoptTableIfNewer,
+		func(d ring.Delta, f []byte) error {
+			_, err := in.applyDelta(d, f)
+			return err
+		})
 }
 
 // applyDelta applies a membership delta on top of the current table,
 // records its encoded frame for peers' catch-up pulls, and reconciles
-// local state with the new table. Every delta path — broadcast
+// local state with the new table. Every delta path — announce
 // receipt, manager apply, gossip replay — funnels through here so the
 // delta log never misses an epoch this instance advanced through.
 func (in *Instance) applyDelta(d ring.Delta, frame []byte) (*ring.Table, error) {
@@ -153,29 +161,29 @@ func (in *Instance) applyDelta(d ring.Delta, frame []byte) (*ring.Table, error) 
 		return nil, err
 	}
 	in.table.Store(nt)
+	in.deltaLog.Record(d.FromEpoch, frame) // under mu, as the reset on adoption is
 	in.mu.Unlock()
-	in.deltaLog.Record(d.FromEpoch, frame)
 	in.met.epoch.Set(int64(nt.Epoch))
 	in.afterTableChange(old, nt)
 	return nt, nil
 }
 
-// adoptTableIfNewer replaces the local table when t is strictly newer,
-// reporting whether it did. Adoption skips epochs, leaving a gap in
-// the delta log on purpose: peers behind the gap must fetch the full
-// table too.
-func (in *Instance) adoptTableIfNewer(t *ring.Table) bool {
+// adoptTableIfNewer replaces the local table when t orders after it
+// (ring.Table.After): a newer epoch, or the winner of two tables of one
+// epoch. Adoption resets the delta log: peers behind t must fetch the
+// full table too.
+func (in *Instance) adoptTableIfNewer(t *ring.Table) {
 	in.mu.Lock()
 	old := in.tableRef()
-	if t.Epoch <= old.Epoch {
+	if !t.After(old) {
 		in.mu.Unlock()
-		return false
+		return
 	}
 	in.table.Store(t)
+	in.deltaLog.Reset()
 	in.mu.Unlock()
 	in.met.epoch.Set(int64(t.Epoch))
 	in.afterTableChange(old, t)
-	return true
 }
 
 // Client-side gossip: a standalone client (no co-located instance)
@@ -193,57 +201,18 @@ func (c *Client) observeEpoch(addr string, peerEpoch uint64) {
 	c.gossip.Observe(addr, peerEpoch)
 }
 
-// gossipPeers lists alive instances the client can pull from.
-func (c *Client) gossipPeers() []string {
-	t := c.snapshot()
-	out := make([]string, 0, len(t.Instances))
-	for i, p := range t.Instances {
-		if t.Status[i] == ring.Alive {
-			out = append(out, p.Addr)
-		}
-	}
-	return out
-}
-
-// gossipPull fetches membership state from addr into the client's
-// table, reporting whether its epoch advanced. Deltas apply to the last
-// table a server issued, never to local failure marks.
+// gossipPull is the Pull callback of the client's gossip service.
+// Deltas apply to the last table a server issued, never to local
+// failure marks.
 func (c *Client) gossipPull(addr string) bool {
-	before := c.issued().Epoch
-	resp, err := c.caller.Call(addr, &wire.Request{Op: wire.OpDeltaPull, Epoch: before})
-	if err != nil || resp.Status != wire.StatusOK {
-		return false
-	}
-	frames, tableEnc, err := gossip.DecodePull(resp.Value)
-	if err != nil {
-		return false
-	}
-	if tableEnc != nil {
-		t, err := ring.DecodeTable(tableEnc)
-		if err != nil {
-			return false
-		}
-		c.adoptTable(t)
-		return c.issued().Epoch > before
-	}
-	for _, f := range frames {
-		d, err := ring.DecodeDelta(f)
-		if err != nil {
-			break
-		}
-		c.mu.Lock()
-		cur := c.issued()
-		if d.FromEpoch < cur.Epoch {
-			c.mu.Unlock()
-			continue
-		}
-		nt, err := cur.Apply(d)
-		if err != nil {
-			c.mu.Unlock()
-			break
-		}
-		c.adoptLocked(nt)
-		c.mu.Unlock()
-	}
-	return c.issued().Epoch > before
+	return pullMembership(c.caller, addr, func() uint64 { return c.issued().Epoch }, c.adoptTable,
+		func(d ring.Delta, _ []byte) error {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			nt, err := c.issued().Apply(d)
+			if err == nil {
+				c.adoptLocked(nt)
+			}
+			return err
+		})
 }

@@ -46,7 +46,7 @@ func (g *guardCaller) Close() error { return nil }
 // whether the handler detached.
 func guarded(t *testing.T, cfg Config, n int) (*Deployment, func(*wire.Request) (*wire.Response, bool)) {
 	t.Helper()
-	cfg.GossipCooldown, cfg.AntiEntropy = -1, -1 // no background callers
+	cfg.AntiEntropy = -1 // no background callers; a stable ring never gossips
 	g := &guardCaller{t: t, handlers: make(map[string]transport.Handler)}
 	d, err := Bootstrap(cfg, InprocEndpoints(n), func(addr string, h transport.Handler) (transport.Listener, error) {
 		g.mu.Lock()

@@ -51,7 +51,7 @@ type Instance struct {
 	// applied, serving peers' gossip catch-up pulls (wire.OpDeltaPull).
 	deltaLog *ring.DeltaLog
 	// gossip pulls missing membership state when piggybacked epochs
-	// reveal staleness; nil when Config.GossipCooldown is negative.
+	// reveal staleness.
 	gossip *gossip.Service
 
 	// log holds every partition store of the instance and, with a
@@ -163,7 +163,7 @@ type partState struct {
 
 // NewInstance creates an instance. self must already appear in table.
 // caller is the transport the instance uses for server-to-server
-// communication (replication, migration, delta broadcast).
+// communication (replication, migration, membership announces).
 func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller transport.Caller) (*Instance, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -194,15 +194,13 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		return nil, err
 	}
 	in.met.epoch.Set(int64(table.Epoch))
-	if cfg.GossipCooldown >= 0 {
-		in.gossip, _ = gossip.New(gossip.Options{
-			Epoch:    in.Epoch,
-			Pull:     in.gossipPull,
-			Peers:    in.gossipPeers,
-			Cooldown: cfg.GossipCooldown,
-			Metrics:  cfg.Metrics,
-		})
-	}
+	in.gossip, _ = gossip.New(gossip.Options{
+		Epoch:    in.Epoch,
+		Pull:     in.gossipPull,
+		Peers:    func() []string { return alivePeers(in.tableRef(), in.self.ID) },
+		Cooldown: cfg.GossipCooldown,
+		Metrics:  cfg.Metrics,
+	})
 	in.rbrk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
 		in.met.repBreakerTrips, in.met.repBreakerOpen)
 	in.legs = repair.NewLegQueue(repair.LegQueueOptions{
@@ -1130,7 +1128,7 @@ func failoverTarget(table *ring.Table, p, replicas int) ring.Instance {
 }
 
 // handleReport processes a failure report: verify the accused is
-// really unreachable, then fail it over and broadcast the update
+// really unreachable, then fail it over and announce the update
 // (manager role, §III.C unplanned departures).
 func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	accused := ring.InstanceID(req.Key)
@@ -1150,57 +1148,82 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 			return &wire.Response{Status: wire.StatusError, Err: "core: accused instance is alive"}
 		}
 	}
+	// This table may not show yet that the accused departed or failed
+	// over. The failover target of its partitions hears every such
+	// change: catch up from it before planning.
+	if parts := table.PartitionsOf(idx); len(parts) > 0 {
+		if tgt := failoverTarget(table, parts[0], in.cfg.Replicas); tgt.ID != "" && tgt.ID != in.self.ID {
+			in.gossipPull(tgt.Addr)
+			if table = in.tableRef(); table.Status[idx] != ring.Alive {
+				return &wire.Response{Status: wire.StatusOK, Table: ring.EncodeTable(table)}
+			}
+		}
+	}
 	d, err := table.PlanFailure(accused, max(in.cfg.Replicas, 1))
 	if err != nil {
 		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
-	nt, err := in.applyAndBroadcast(d)
+	nt, err := in.applyAndAnnounce(table, d)
 	if err != nil {
 		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
 	return &wire.Response{Status: wire.StatusOK, Table: ring.EncodeTable(nt)}
 }
 
-// applyAndBroadcast applies a delta locally and pushes it to every
-// other alive instance, falling back to the full table for instances
-// whose epoch diverged.
-func (in *Instance) applyAndBroadcast(d ring.Delta) (*ring.Table, error) {
-	nt, err := in.applyDelta(d, ring.EncodeDelta(d))
+// applyAndAnnounce applies d, planned on old, to the local table and
+// announces it.
+func (in *Instance) applyAndAnnounce(old *ring.Table, d ring.Delta) (*ring.Table, error) {
+	frame := ring.EncodeDelta(d)
+	nt, err := in.applyDelta(d, frame)
 	if err != nil {
 		return nil, err
 	}
-	in.broadcastDelta(nt, d)
-	return nt, nil
+	_, err = in.announce(old, nt, frame, "")
+	return nt, err
 }
 
-// broadcastDelta sends the delta to all alive peers; on epoch
-// mismatch it retries with the full table. Under GossipOnly the
-// fan-out shrinks to the instances the delta reassigns partitions to
-// (they must hear the commit to release migration state promptly);
-// everyone else converges through the epoch piggyback instead.
-func (in *Instance) broadcastDelta(nt *ring.Table, d ring.Delta) {
-	encD := ring.EncodeDelta(d)
+// errLostRace reports a membership change that another change,
+// committed elsewhere at the same epoch, won (see announce).
+var errLostRace = errors.New("core: a concurrent membership change won the epoch")
+
+// announce, the one sender of membership changes, pushes the delta
+// frame that took old to nt to the alive ring.CopyHolders of the change
+// but this instance, or the full table to a holder at another epoch;
+// gossip reaches the rest (DESIGN.md §10). A non-empty commit must
+// accept first (a join's relieved instance); a refusal returns the
+// table it carried. A holder answering with a table of nt's epoch that
+// orders after nt (ring.Table.After) wins the race: announce adopts it,
+// hands it to every holder it told, and returns it with errLostRace.
+func (in *Instance) announce(old, nt *ring.Table, frame []byte, commit string) (*ring.Table, error) {
+	var told []string
+	if commit != "" {
+		resp, err := in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		if err != nil || resp.Status != wire.StatusOK {
+			return tableOf(resp), fmt.Errorf("core: %s refused the commit (epoch race): %v %s", commit, err, respErr(resp))
+		}
+		told = append(told, commit)
+	}
+	holders := ring.CopyHolders(old, nt, in.cfg.Replicas)
 	encT := ring.EncodeTable(nt)
-	var gaining map[ring.InstanceID]bool
-	if in.cfg.GossipOnly {
-		gaining = make(map[ring.InstanceID]bool, len(d.Reassign))
-		for _, id := range d.Reassign {
-			gaining[id] = true
-		}
-	}
 	for i, peer := range nt.Instances {
-		if peer.ID == in.self.ID || nt.Status[i] != ring.Alive {
+		if !holders[peer.ID] || peer.ID == in.self.ID || peer.Addr == commit || nt.Status[i] != ring.Alive {
 			continue
 		}
-		if in.cfg.GossipOnly && !gaining[peer.ID] {
-			continue
+		resp, err := in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		if err != nil || resp.Status != wire.StatusOK {
+			if w := tableOf(resp); w != nil && w.Epoch == nt.Epoch && w.After(nt) {
+				in.adoptTableIfNewer(w)
+				encW := ring.EncodeTable(w)
+				for _, addr := range told {
+					in.caller.Call(addr, &wire.Request{Op: wire.OpDelta, Aux: encW})
+				}
+				return w, errLostRace
+			}
+			in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encT})
 		}
-		resp, err := in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encD})
-		if err == nil && resp.Status == wire.StatusOK {
-			continue
-		}
-		in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encT})
+		told = append(told, peer.Addr)
 	}
+	return nil, nil
 }
 
 // handleBroadcast stores the pair locally and forwards it down the

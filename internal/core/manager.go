@@ -25,20 +25,24 @@ import (
 //     while the relieved instance keeps serving, then lock each
 //     partition for a short final sync (no whole-partition pauses,
 //     no rehashing),
-//  4. broadcast the incremental membership update; the relieved
-//     instance releases its queued requests with redirects when the
-//     delta lands.
+//  4. commit the incremental membership update on the relieved
+//     instance, which releases its queued requests with redirects
+//     when the delta lands, then announce it to the other instances
+//     whose copies it moves (Instance.announce); the rest of the ring
+//     learns of it through gossip.
 //
 // The newcomer's handler must already be reachable at newcomer.Addr
 // before Join is called (use a HandlerSwitch to bind the address
-// first); peers start sending it traffic the moment the delta
-// broadcast lands. Join retries with a fresh table when it loses an
-// epoch race with a concurrent membership change, backing off with
-// full jitter between attempts so racing joiners do not re-collide.
+// first); peers start sending it traffic the moment the commit lands.
+// Join retries when it loses an epoch race with a concurrent
+// membership change, backing off with full jitter between attempts so
+// racing joiners do not re-collide, and plans each retry on the newest
+// table it has seen: a seed may lag until gossip reaches it.
 func Join(cfg Config, newcomer ring.Instance, seedAddr string, caller transport.Caller, bind func(*Instance)) (*Instance, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	var newest *ring.Table // the newest table a turned-down attempt carried
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -48,35 +52,39 @@ func Join(cfg Config, newcomer ring.Instance, seedAddr string, caller transport.
 			}
 			time.Sleep(time.Duration(rand.Int63n(int64(d))) + 1)
 		}
-		inst, err := joinOnce(cfg, newcomer, seedAddr, caller, bind)
+		inst, seen, err := joinOnce(cfg, newcomer, seedAddr, newest, caller, bind)
 		if err == nil {
 			return inst, nil
 		}
-		lastErr = err
+		newest, lastErr = newerTable(newest, seen), err
 	}
 	return nil, fmt.Errorf("core: join failed: %w", lastErr)
 }
 
-func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, caller transport.Caller, bind func(*Instance)) (*Instance, error) {
+// joinOnce runs one join attempt, planned on the seed's table or on
+// newest if that is newer. When the attempt is turned down, it also
+// returns the table the refusal carried.
+func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.Table, caller transport.Caller, bind func(*Instance)) (*Instance, *ring.Table, error) {
 	resp, err := caller.Call(seedAddr, &wire.Request{Op: wire.OpMembership})
 	if err != nil {
-		return nil, fmt.Errorf("fetch table from seed: %w", err)
+		return nil, nil, fmt.Errorf("fetch table from seed: %w", err)
 	}
 	table, err := ring.DecodeTable(resp.Table)
 	if err != nil {
-		return nil, fmt.Errorf("bad table from seed: %w", err)
+		return nil, nil, fmt.Errorf("bad table from seed: %w", err)
 	}
+	table = newerTable(table, newest)
 	delta, parts, err := table.PlanJoin(newcomer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nt, err := table.Apply(delta)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	inst, err := NewInstance(cfg, newcomer, nt, caller)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bind(inst)
 
@@ -103,7 +111,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, caller transp
 	for _, p := range parts {
 		if err := inst.migratePull(giver.Addr, p, thr); err != nil {
 			abort()
-			return nil, fmt.Errorf("stream partition %d from %s: %w", p, giver.Addr, err)
+			return nil, nil, fmt.Errorf("stream partition %d from %s: %w", p, giver.Addr, err)
 		}
 	}
 
@@ -116,47 +124,36 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, caller transp
 		})
 		if err != nil || mresp.Status != wire.StatusOK {
 			abort()
-			return nil, fmt.Errorf("lock partition %d on %s: %v %s", p, giver.Addr, err, respErr(mresp))
+			return nil, tableOf(mresp), fmt.Errorf("lock partition %d on %s: %v %s", p, giver.Addr, err, respErr(mresp))
 		}
 		if err := inst.migrateFinalPull(giver.Addr, p); err != nil {
 			abort()
-			return nil, fmt.Errorf("final sync of partition %d from %s: %w", p, giver.Addr, err)
+			return nil, nil, fmt.Errorf("final sync of partition %d from %s: %w", p, giver.Addr, err)
 		}
 		inst.met.migPartitions.Inc()
 	}
 
-	// Commit: the relieved instance must accept the delta (it
-	// releases its queued requests on apply); then broadcast to the
-	// rest — unless gossip-only, where bystanders converge through
-	// epoch piggybacking instead.
-	encD := ring.EncodeDelta(delta)
+	// Commit: the relieved instance must accept the delta first (it
+	// releases its queued requests on apply).
+	var commit string
 	if len(parts) > 0 {
-		dresp, err := caller.Call(giver.Addr, &wire.Request{Op: wire.OpDelta, Aux: encD})
-		if err != nil || dresp.Status != wire.StatusOK {
-			abort()
-			return nil, fmt.Errorf("giver rejected join delta (epoch race): %v %s", err, respErr(dresp))
-		}
+		commit = giver.Addr
 	}
-	if !cfg.GossipOnly {
-		for i, peer := range table.Instances {
-			if peer.ID == giver.ID || table.Status[i] != ring.Alive {
-				continue
-			}
-			if r, err := caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encD}); err != nil || r.Status != wire.StatusOK {
-				caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(nt)})
-			}
-		}
+	if seen, err := inst.announce(table, nt, ring.EncodeDelta(delta), commit); err != nil {
+		abort()
+		return nil, seen, err
 	}
 	inst.met.migCutovers.Add(int64(len(parts)))
-	return inst, nil
+	return inst, nil, nil
 }
 
 // Depart performs a planned departure (§III.C): the departing
 // instance streams each of its partitions to alive ring neighbours in
 // throttled leaf chunks while it keeps serving, then locks each
-// partition for a short final sync and broadcasts the membership
-// update marking itself Departing. The caller should Close the
-// instance afterwards.
+// partition for a short final sync and announces the membership update
+// marking itself Departing to the instances whose copies it moves
+// (Instance.announce); the rest of the ring learns of it through
+// gossip. The caller should Close the instance afterwards.
 func Depart(inst *Instance) error {
 	table := inst.Table()
 	delta, moves, err := table.PlanDeparture(inst.self.ID)
@@ -208,9 +205,8 @@ func Depart(inst *Instance) error {
 	}
 
 	// Applying the delta locally flips ownership and releases the
-	// queued requests with redirects; then it is broadcast (gossip-only
-	// deployments notify just the receiving instances).
-	if _, err := inst.applyAndBroadcast(delta); err != nil {
+	// queued requests with redirects; then it is announced.
+	if _, err := inst.applyAndAnnounce(table, delta); err != nil {
 		rollback()
 		return err
 	}
@@ -225,6 +221,24 @@ func pickFirst(parts []int, table *ring.Table) int {
 		return 0
 	}
 	return parts[0]
+}
+
+// newerTable returns whichever of a and b has the higher epoch; either
+// may be nil.
+func newerTable(a, b *ring.Table) *ring.Table {
+	if a == nil || (b != nil && b.Epoch > a.Epoch) {
+		return b
+	}
+	return a
+}
+
+// tableOf decodes the membership table a response carries, or nil.
+func tableOf(r *wire.Response) *ring.Table {
+	if r == nil {
+		return nil
+	}
+	t, _ := ring.DecodeTable(r.Table)
+	return t
 }
 
 func respErr(r *wire.Response) string {

@@ -132,13 +132,12 @@ func TestRejectedReportRestoresUnmarkedTable(t *testing.T) {
 // published; the servers' table must still replace it, so every
 // insert succeeds.
 func TestStaleClientAdoptsServerTableOverLocalMark(t *testing.T) {
-	cfg := testCfg()
-	cfg.GossipCooldown = -1
-	d, _, _ := startDeployment(t, cfg, 4)
+	d, _, _ := startDeployment(t, testCfg(), 4)
 	stale, err := d.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stale.gossip = nil
 	if err := d.Depart(1); err != nil {
 		t.Fatal(err)
 	}

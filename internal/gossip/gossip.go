@@ -3,12 +3,12 @@
 // request/response traffic (wire.Request.Epoch / wire.Response.Epoch),
 // and a holder that observes a newer epoch pulls the missing
 // ring.Deltas — or the full table when the peer's delta log no longer
-// covers the gap — from the peer it just talked to. The central
-// manager broadcast (core.Manager) thus becomes a best-effort latency
-// optimization rather than a correctness requirement: a partitioned or
-// crashed node re-converges on its own, the way epoch-stamped
-// single-hop DHTs (Monnerat, arXiv:1408.7070) keep full routing tables
-// fresh with low maintenance traffic.
+// covers the gap — from the peer it just talked to. A manager pushes a
+// change only to the instances whose copies it moves (core's announce
+// rule); gossip is how every other instance and every client learns of
+// it, and how a partitioned or crashed node re-converges on its own,
+// the way epoch-stamped single-hop DHTs (Monnerat, arXiv:1408.7070)
+// keep full routing tables fresh with low maintenance traffic.
 //
 // The package owns the mechanism — staleness detection, single-flight
 // rate-limited pull rounds, and the pull payload codec — while
@@ -62,8 +62,9 @@ type Options struct {
 }
 
 // Service watches epoch observations and runs catch-up pulls. All
-// methods are safe for concurrent use and nil-safe, so holders without
-// gossip (disabled via configuration) pass a nil *Service around.
+// methods are safe for concurrent use and nil-safe, so a holder that
+// leaves pulling to another (a client sharing an instance's table)
+// passes a nil *Service around.
 type Service struct {
 	opts Options
 

@@ -3,12 +3,13 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
-// Delta is an incremental membership update, broadcast by managers so
-// every table converges without shipping the full table (paper §III.C:
-// "the manager broadcasts out the incremental information of
-// membership in an atomic manner").
+// Delta is an incremental membership update, sent by managers so every
+// table converges without shipping the full table (paper §III.C: "the
+// manager broadcasts out the incremental information of membership in
+// an atomic manner"; here a manager sends it to the CopyHolders only).
 type Delta struct {
 	// FromEpoch is the epoch this delta applies on top of; applying
 	// it yields FromEpoch+1.
@@ -160,4 +161,33 @@ func (t *Table) PlanFailure(id InstanceID, replicas int) (Delta, error) {
 		d.Reassign[p] = reps[0].ID
 	}
 	return d, nil
+}
+
+// CopyHolders returns the instances holding a copy of a partition whose
+// copy set — the owner plus ReplicasOf(p, replicas) — differs between
+// old and nt. Holders in either table count: the instances that give up
+// a copy as well as those that take one on or must rebuild one. These
+// are the instances a membership change must reach directly; every
+// other table converges through gossip.
+func CopyHolders(old, nt *Table, replicas int) map[InstanceID]bool {
+	holders := make(map[InstanceID]bool)
+	for p := 0; p < nt.NumPartitions; p++ {
+		was, is := old.copySet(p, replicas), nt.copySet(p, replicas)
+		if slices.Equal(was, is) {
+			continue
+		}
+		for _, id := range append(was, is...) {
+			holders[id] = true
+		}
+	}
+	return holders
+}
+
+// copySet lists the IDs of partition p's owner and replicas.
+func (t *Table) copySet(p, replicas int) []InstanceID {
+	ids := []InstanceID{t.OwnerOf(p).ID}
+	for _, in := range t.ReplicasOf(p, replicas) {
+		ids = append(ids, in.ID)
+	}
+	return ids
 }

@@ -75,6 +75,19 @@ func (l *DeltaLog) Since(from, to uint64) (frames [][]byte, ok bool) {
 	return frames, true
 }
 
+// Reset drops every retained delta. A holder that adopts a full table
+// resets its log: the deltas it holds led to the table it replaced,
+// which may be another table of the same epoch.
+func (l *DeltaLog) Reset() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.frames)
+	l.max = 0
+}
+
 // Len reports how many deltas the log currently retains.
 func (l *DeltaLog) Len() int {
 	if l == nil {

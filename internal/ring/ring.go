@@ -9,12 +9,15 @@
 // departures, failures) are expressed purely as partition reassignments
 // in the membership table — stored key/value pairs are never rehashed.
 //
-// The table is versioned by an epoch counter. Managers broadcast
-// incremental updates (Delta values); clients refresh lazily when a
-// server tells them their table is stale (§III.C "Client Side State").
+// The table is versioned by an epoch counter. Managers send
+// incremental updates (Delta values) to the instances whose copies they
+// move, and gossip carries them to the rest; clients refresh lazily
+// when a server tells them their table is stale (§III.C "Client Side
+// State").
 package ring
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -244,6 +247,21 @@ func (t *Table) Clone() *Table {
 	}
 	nt.buildIndex()
 	return nt
+}
+
+// After reports whether t orders after u: a higher epoch or, when two
+// managers committed different changes at one epoch, the deterministic
+// winner of the tie — more instances first (a join cannot be undone),
+// then the greater encoding. Every holder breaks the tie the same way,
+// so two tables of one epoch resolve to one wherever they meet.
+func (t *Table) After(u *Table) bool {
+	if t.Epoch != u.Epoch {
+		return t.Epoch > u.Epoch
+	}
+	if len(t.Instances) != len(u.Instances) {
+		return len(t.Instances) > len(u.Instances)
+	}
+	return bytes.Compare(EncodeTable(t), EncodeTable(u)) > 0
 }
 
 // AliveCount reports how many instances are currently alive.

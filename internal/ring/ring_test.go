@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 	"testing/quick"
@@ -330,10 +331,111 @@ func TestPlanFailureFailsOverToFirstReplica(t *testing.T) {
 	}
 }
 
+// TestCopyHolders checks the announce set of a join and a failure on
+// an 8-instance ring with one replica: the instances whose copies move,
+// old holders and new, and nobody else.
+func TestCopyHolders(t *testing.T) {
+	tab, _ := New(32, mkInstances(8, 1))
+	ids := func(idx ...int) map[InstanceID]bool {
+		m := make(map[InstanceID]bool)
+		for _, i := range idx {
+			m[tab.Instances[i].ID] = true
+		}
+		return m
+	}
+	if got := CopyHolders(tab, tab.Clone(), 1); len(got) != 0 {
+		t.Errorf("no change: holders %v, want none", got)
+	}
+
+	newcomer := Instance{ID: "uuid-new", Addr: "new:5000", Node: "node-new"}
+	d, _, err := tab.PlanJoin(newcomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := tab.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instance 0 gives half its partitions to the newcomer, which is
+	// appended after instance 7: the moved partitions go from {0, 1} to
+	// {new, 0}, and instance 7's from {7, 0} to {7, new}.
+	want := ids(0, 1, 7)
+	want[newcomer.ID] = true
+	if got := CopyHolders(tab, joined, 1); !maps.Equal(got, want) {
+		t.Errorf("join: holders %v, want %v", got, want)
+	}
+
+	d, err = tab.PlanFailure(tab.Instances[3].ID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := tab.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instance 3's partitions go from {3, 4} to {4, 5}, and instance
+	// 2's from {2, 3} to {2, 4}.
+	if got, want := CopyHolders(tab, failed, 1), ids(2, 3, 4, 5); !maps.Equal(got, want) {
+		t.Errorf("failure: holders %v, want %v", got, want)
+	}
+}
+
 func TestPlanFailureUnknown(t *testing.T) {
 	tab, _ := New(8, mkInstances(2, 1))
 	if _, err := tab.PlanFailure("ghost", 1); err == nil {
 		t.Error("want error for unknown instance")
+	}
+}
+
+// TestAfterOrdersTablesOfOneEpoch checks the total order adoption uses:
+// epochs first, then at one epoch more instances, then the greater
+// encoding, so exactly one of two different tables of an epoch wins and
+// a table never orders after itself.
+func TestAfterOrdersTablesOfOneEpoch(t *testing.T) {
+	tab, _ := New(32, mkInstances(8, 1))
+	plan := func(d Delta, err error) *Table {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nt, err := tab.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nt
+	}
+	failA := plan(tab.PlanFailure(tab.Instances[2].ID, 1))
+	failB := plan(tab.PlanFailure(tab.Instances[5].ID, 1))
+	d, _, err := tab.PlanJoin(Instance{ID: "uuid-new", Addr: "new:5000", Node: "node-new"})
+	joined := plan(d, err)
+
+	if !failA.After(tab) || tab.After(failA) {
+		t.Error("a newer epoch must order after an older one")
+	}
+	if failA.After(failA.Clone()) {
+		t.Error("a table must not order after an identical one")
+	}
+	if failA.After(failB) == failB.After(failA) {
+		t.Error("exactly one of two different tables of one epoch must win")
+	}
+	if !joined.After(failA) || !joined.After(failB) {
+		t.Error("at one epoch, the table with more instances must win")
+	}
+}
+
+// TestDeltaLogReset checks that a reset log covers no range, so a
+// puller behind a replaced table fetches the full table.
+func TestDeltaLogReset(t *testing.T) {
+	l := NewDeltaLog(0)
+	l.Record(1, []byte("a"))
+	l.Record(2, []byte("b"))
+	l.Reset()
+	if _, ok := l.Since(1, 3); ok || l.Len() != 0 {
+		t.Fatalf("reset log still covers [1, 3) or holds %d deltas", l.Len())
+	}
+	l.Record(3, []byte("c"))
+	if f, ok := l.Since(3, 4); !ok || string(f[0]) != "c" {
+		t.Fatalf("log after reset: Since(3, 4) = %q, %v", f, ok)
 	}
 }
 
