@@ -36,52 +36,66 @@ docs-check:
 bench-smoke:
 	timeout 30 $(GO) run ./cmd/zht-bench -smoke
 
-# storage-smoke is the crash-recovery gate: a randomized loop that
-# tears the write-ahead log mid-commit via the chaos fault hooks,
-# reopens the store, and checks that every acknowledged mutation
-# survived (see internal/tools/storagesmoke). Seeds are printed, so a
-# failure is replayable with -seed.
+# The five smoke targets below are verify's randomized gates. Each one
+# runs a test that `go test ./...` also runs, on that test's fixed
+# seeds; here it runs on fresh ones. The target sets ZHT_SEED to a new
+# base seed (the clock in nanoseconds, unless ZHT_SEED is already set),
+# and the test then runs the consecutive seeds base, base+1, ... (see
+# chaos.Seeds, which logs every seed). The first line a target prints
+# is its base and the command that replays the run exactly:
+#
+#   ZHT_SEED=<base> go test -count=1 -run '^<Test>$' ./<package>
+#
+# `ZHT_SEED=<base> make <target>` replays it too.
+smoke = seed=$${ZHT_SEED:-$$(date +%s%N)}; \
+	echo "$@: ZHT_SEED=$$seed; replay: ZHT_SEED=$$seed $(GO) test -count=1 -run '$(1)' $(2)"; \
+	ZHT_SEED=$$seed timeout $(3) $(GO) test -count=1 -run '$(1)' $(2)
+
+# storage-smoke is the crash-recovery gate: novoht's
+# TestGroupCrashReplay on 10 fresh seeds, under group and sync
+# durability. Each run tears the write-ahead log mid-commit via the
+# chaos fault hooks while mixed put/append/remove histories and log
+# cleans run, reopens the store, and checks that every acknowledged
+# mutation survived and each key recovered to a state of its own
+# history.
 storage-smoke:
-	timeout 60 $(GO) run ./internal/tools/storagesmoke
+	@$(call smoke,^TestGroupCrashReplay$$,./internal/novoht,60)
 
-# repair-smoke is the replica-convergence gate: a randomized loop
-# that partitions a replica away mid-load, heals it, and requires
-# digest equality across replicas plus zero lost acked writes (see
-# internal/tools/repairsmoke). Seeds are printed, so a failure is
-# replayable with -seed.
+# repair-smoke is the replica-convergence gate: chaos's
+# TestAntiEntropyConvergesAfterPartition on 3 fresh seeds. Each run
+# partitions a replica away mid-load, heals it, and requires digest
+# equality across replicas plus zero lost acked writes.
 repair-smoke:
-	timeout 60 $(GO) run ./internal/tools/repairsmoke
+	@$(call smoke,^TestAntiEntropyConvergesAfterPartition$$,./internal/chaos,60)
 
-# churn-smoke is the elastic-membership gate: a randomized loop that
-# scales a loaded deployment up and back down (each change reaches only
-# the instances whose copies it moves, so gossip must converge the
+# churn-smoke is the elastic-membership gate: chaos's
+# TestGossipOnlyEpochConvergence on 2 fresh seeds. Each run scales a
+# loaded deployment up by two and back down by two (each change reaches
+# only the instances whose copies it moves, so gossip must converge the
 # rest of the ring), and requires zero lost acked writes, epoch
 # agreement, a gossip advance, digest convergence, and evidence that
-# data moved through the throttled migration engine (see
-# internal/tools/churnsmoke). Seeds are printed, so a failure is
-# replayable with -seed.
+# data moved through the throttled migration engine.
 churn-smoke:
-	timeout 90 $(GO) run ./internal/tools/churnsmoke
+	@$(call smoke,^TestGossipOnlyEpochConvergence$$,./internal/chaos,90)
 
-# consistency-smoke is the tunable-consistency gate: a randomized
-# loop of sequential QUORUM write+read pairs through a replica
-# partition and a node crash, requiring read-your-writes on every
-# acked write, enforced quorum refusals while the replica is
-# unreachable, and zero lost acked writes (see
-# internal/tools/consistencysmoke). Seeds are printed, so a failure
-# is replayable with -seed.
+# consistency-smoke is the tunable-consistency gate: chaos's
+# TestQuorumReadYourWritesUnderChaos on 3 fresh seeds. Each run drives
+# sequential QUORUM write+read pairs through a clean phase, a replica
+# partition and a lossy phase with a node crash, requiring
+# read-your-writes on every acked write, enforced quorum refusals while
+# the replica is unreachable, and zero lost acked writes.
 consistency-smoke:
-	timeout 60 $(GO) run ./internal/tools/consistencysmoke
+	@$(call smoke,^TestQuorumReadYourWritesUnderChaos$$,./internal/chaos,60)
 
-# tenant-smoke is the multi-tenancy gate: a randomized loop that
-# floods one quota-capped tenant while pacing another, and requires
-# the capped tenant to be shed at the admission gate, the in-quota
-# tenant to run loss- and shed-free, namespace isolation between the
-# two, and TTL expiry + reaping to hold end to end (see
-# internal/tools/tenantsmoke). Seeds are printed, so a failure is
-# replayable with -seed.
+# tenant-smoke is the multi-tenancy gate: tenant's
+# TestNoisyNeighborIsolation on 3 fresh seeds, plus core's
+# TestTTLLazyExpiryAndReap. The first floods one quota-capped tenant
+# while pacing another, and requires the capped tenant to be shed at
+# the admission gate, the in-quota tenant to run loss- and shed-free,
+# and namespace isolation between the two. The second requires TTL
+# expiry + reaping to hold end to end.
 tenant-smoke:
-	timeout 60 $(GO) run ./internal/tools/tenantsmoke
+	@$(call smoke,^(TestNoisyNeighborIsolation|TestTTLLazyExpiryAndReap)$$,./internal/tenant ./internal/core,60)
 
 # fuzz-smoke runs every native fuzz target (`func Fuzz*` in any test
 # file of this module) for 10 s each, one target at a time, seeded

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,35 +61,20 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 	defer d.Close()
 
 	// Workers: each owns a chaos-wrapped client (steady seeded packet
-	// loss), a private key space, and its own view of acked state. An
-	// op error taints the key (its state is ambiguous: the mutation may
-	// or may not have applied); a later acked op on the same key
-	// untaints it. Only untainted keys are verified — that is exactly
-	// the "no acked write lost" contract.
+	// loss), a private key space, and a ledger of its acked state.
 	const workers = 4
 	const keysPerWorker = 300
 	// Worker w's fault stream is seeded chaosSeed+w and its op stream
 	// opSeed+w; `make flake` prints this line for every failing run.
 	const chaosSeed, opSeed = 100, 1000
 	t.Logf("seeds: chaos %d+w, ops %d+w, w < %d", chaosSeed, opSeed, workers)
-	type workerState struct {
-		expected map[string][]byte
-		removed  map[string]bool // last acked op was a remove
-		tainted  map[string]bool
-		acked    int
-		errs     int
-	}
-	states := make([]*workerState, workers)
+	states := make([]*ledger, workers)
 	var (
 		wg   sync.WaitGroup
 		stop = make(chan struct{})
 	)
 	for w := 0; w < workers; w++ {
-		ws := &workerState{
-			expected: make(map[string][]byte),
-			removed:  make(map[string]bool),
-			tainted:  make(map[string]bool),
-		}
+		ws := newLedger()
 		states[w] = ws
 		sc := &Scenario{Steps: []Step{
 			{At: 0, Label: "steady loss", Rules: []Rule{Lossy("", "", 0.05)}},
@@ -99,7 +85,7 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(w int, ws *workerState) {
+		go func(w int, ws *ledger) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(opSeed + w)))
 			for i := 0; ; i++ {
@@ -111,28 +97,12 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 				key := fmt.Sprintf("as-%d-%04d", w, rng.Intn(keysPerWorker))
 				switch r := rng.Float64(); {
 				case r < 0.10 && ws.expected[key] != nil:
-					if err := client.Remove(key); err != nil {
-						ws.tainted[key] = true
-						ws.errs++
-						continue
-					}
-					delete(ws.expected, key)
-					ws.removed[key] = true
-					delete(ws.tainted, key)
-					ws.acked++
+					ws.record(key, nil, client.Remove(key))
 				case r < 0.30:
 					client.Lookup(key) // read traffic; no state to track
 				default:
 					val := []byte(fmt.Sprintf("w%d-%d", w, i))
-					if err := client.Insert(key, val); err != nil {
-						ws.tainted[key] = true
-						ws.errs++
-						continue
-					}
-					ws.expected[key] = val
-					delete(ws.removed, key)
-					delete(ws.tainted, key)
-					ws.acked++
+					ws.record(key, val, client.Insert(key, val))
 				}
 			}
 		}(w, ws)
@@ -297,9 +267,6 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A failure line names its class — the value lost or regressed, or
-	// an acked remove that did not stick (tombstone-free removes,
-	// DESIGN §12 anomaly 3) — and the key's partition.
 	hash := hashing.ByName(cfg.HashName)
 	lost, verified, acked, errsTotal := 0, 0, 0, 0
 	for w, ws := range states {
@@ -310,17 +277,9 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 			if ws.tainted[key] {
 				continue
 			}
-			want, present := ws.expected[key]
-			v, err := verifier.Lookup(key)
-			switch {
-			case present && (err != nil || string(v) != string(want)):
+			if msg := ws.check(verifier, key); msg != "" {
 				lost++
-				t.Errorf("acked write lost (value lost/regressed): %s partition %d: got %q/%v want %q",
-					key, final.Partition(hash(key)), v, err, want)
-			case !present && ws.removed[key] && !errors.Is(err, core.ErrNotFound):
-				lost++
-				t.Errorf("acked write lost (removal did not stick): %s partition %d: got %q/%v",
-					key, final.Partition(hash(key)), v, err)
+				t.Errorf("%s (partition %d)", msg, final.Partition(hash(key)))
 			}
 			verified++
 		}
@@ -362,15 +321,34 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 }
 
 // The gossip convergence test (acceptance criterion for the epoch
-// piggyback): a membership change is announced only to the instances
-// whose copies it moves, so bystanders can learn of it only by
-// noticing newer epochs on ordinary traffic and pulling the missing
-// deltas. After a join and a departure under load, every instance must
-// still agree on the epoch.
+// piggyback and the migration engine, chaos-free): a membership change
+// is announced only to the instances whose copies it moves, so
+// bystanders can learn of it only by noticing newer epochs on ordinary
+// traffic and pulling the missing deltas. The deployment scales up by
+// two instances and back down by two — an original member first, then
+// the newest — under concurrent writes, and then
+//
+//  1. every instance agrees on the epoch, and at least one gossip pull
+//     advanced a table;
+//  2. every replica's partition digest matches its owner's;
+//  3. no acked write is lost: every key whose last mutation was
+//     acknowledged reads back with that state through a fresh client;
+//  4. the data moved through the throttled migration engine
+//     (cutovers and bytes), and the workload acked at least ops/2.
+//
+// `make churn-smoke` runs it on fresh seeds (see Seeds).
 func TestGossipOnlyEpochConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gossip convergence soak skipped in -short mode")
 	}
+	for _, seed := range Seeds(t, 2, 1) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			churnConvergence(t, seed)
+		})
+	}
+}
+
+func churnConvergence(t *testing.T, seed int64) {
 	mreg := metrics.NewRegistry()
 	cfg := core.Config{
 		NumPartitions:  64,
@@ -380,66 +358,113 @@ func TestGossipOnlyEpochConvergence(t *testing.T) {
 		RetryBase:      time.Millisecond,
 		RetryMax:       10 * time.Millisecond,
 		OpDeadline:     2 * time.Second,
+		MigrateRate:    1 << 20,
 		GossipCooldown: 2 * time.Millisecond,
 		Metrics:        mreg,
 	}
-	const n = 5
+	const n = 4
 	d, _, err := core.BootstrapInproc(cfg, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
+	// Workers: each owns a client, a private key space and a ledger of
+	// its acked state. ErrUnavailable is the only error class expected
+	// while instances move.
+	const workers, keysPerWorker, ops = 3, 200, 1500
+	states := make([]*ledger, workers)
 	var (
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+		churning atomic.Bool
+		acked    atomic.Int64 // across workers
 	)
-	for w := 0; w < 3; w++ {
+	churning.Store(true)
+	for w := 0; w < workers; w++ {
 		client, err := d.NewClient()
 		if err != nil {
 			t.Fatal(err)
 		}
+		ws := newLedger()
+		states[w] = ws
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				key := fmt.Sprintf("go-%d-%04d", w, i%200)
-				if err := client.Insert(key, []byte("x")); err != nil && !errors.Is(err, core.ErrUnavailable) {
-					t.Errorf("insert %s: %v", key, err)
+				key := fmt.Sprintf("go-%d-%04d", w, rng.Intn(keysPerWorker))
+				var val []byte // nil: a remove
+				var err error
+				if rng.Float64() < 0.10 {
+					if err = client.Remove(key); errors.Is(err, core.ErrNotFound) {
+						err = nil
+					}
+				} else {
+					val = []byte(fmt.Sprintf("w%d-%d", w, i))
+					err = client.Insert(key, val)
+				}
+				if err != nil && !errors.Is(err, core.ErrUnavailable) {
+					t.Errorf("worker %d op on %s: %v", w, key, err)
 					return
+				}
+				ws.record(key, val, err)
+				if err == nil {
+					acked.Add(1)
+				}
+				// Full speed while the ring changes and until ops are
+				// acked, so migrations race writes; then a trickle that
+				// keeps carrying epochs but seldom overwrites a key
+				// written mid-migration before it is verified.
+				if i%64 == 0 || (!churning.Load() && acked.Load() >= ops) {
+					time.Sleep(time.Millisecond)
 				}
 			}
 		}(w)
 	}
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond)
 
-	if _, err := d.Join(core.Endpoint{Addr: "zht-gossip-join", Node: "node-gossip"}); err != nil {
-		t.Fatalf("join: %v", err)
+	// Scale up by two, then down by two, all under load. Join and Depart
+	// retry internally; a change that still fails is a finding.
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("%s: %v", what, err)
+		}
+		time.Sleep(50 * time.Millisecond) // let traffic carry the new epoch around
 	}
-	time.Sleep(200 * time.Millisecond) // let traffic carry the new epoch around
-	if err := d.Depart(1); err != nil {
-		t.Fatalf("depart: %v", err)
+	for j := 0; j < 2; j++ {
+		ep := core.Endpoint{Addr: fmt.Sprintf("zht-gossip-join-%d", j), Node: fmt.Sprintf("node-gossip-%d", j)}
+		_, err := d.Join(ep)
+		step("join "+ep.Addr, err)
 	}
+	step("depart an original member", d.Depart(1))
+	step("depart the newest member", d.Depart(d.Size()-1))
+	churning.Store(false)
 
-	// Keep load flowing while polling: the piggyback needs traffic.
+	// Keep load flowing while polling: the piggyback needs traffic. The
+	// workload must also reach its floor of ops/2 acked ops; a slow
+	// (race-instrumented) build may need the time after the churn.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		epochs := make(map[uint64]bool)
 		for _, in := range d.Instances() {
 			epochs[in.Table().Epoch] = true
 		}
-		if len(epochs) == 1 {
+		if len(epochs) == 1 && acked.Load() >= ops/2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("epochs never converged: %v", epochs)
+			t.Fatalf("no convergence: epochs %v, %d acked ops (want one epoch and >= %d acked)", epochs, acked.Load(), ops/2)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -457,4 +482,126 @@ func TestGossipOnlyEpochConvergence(t *testing.T) {
 		mreg.Counter("zht.membership.gossip.pulls").Value(),
 		mreg.Counter("zht.membership.gossip.advanced").Value(),
 		mreg.Counter("zht.membership.gossip.full_tables").Value())
+
+	// Replica digests converge on the post-churn ring.
+	final := d.Instance(0).Table()
+	byID := make(map[ring.InstanceID]*core.Instance)
+	for _, in := range d.Instances() {
+		byID[in.ID()] = in
+	}
+	converged := func() (bool, string) {
+		for p := 0; p < cfg.NumPartitions; p++ {
+			owner := byID[final.OwnerOf(p).ID]
+			if owner == nil {
+				return false, fmt.Sprintf("partition %d owned by a departed instance", p)
+			}
+			od := owner.PartitionDigest(p)
+			for _, r := range final.ReplicasOf(p, cfg.Replicas) {
+				if rep := byID[r.ID]; rep != nil && rep != owner && !reflect.DeepEqual(od, rep.PartitionDigest(p)) {
+					return false, fmt.Sprintf("partition %d replica %s", p, r.ID)
+				}
+			}
+		}
+		return true, ""
+	}
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		ok, where := converged()
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never reached digest equality after churn (stuck at %s)", where)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// No acked write lost, read through a fresh client.
+	verifier, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errsTotal, verified := 0, 0
+	for w, ws := range states {
+		errsTotal += ws.errs
+		for i := 0; i < keysPerWorker; i++ {
+			key := fmt.Sprintf("go-%d-%04d", w, i)
+			if ws.tainted[key] {
+				continue
+			}
+			if msg := ws.check(verifier, key); msg != "" {
+				t.Error(msg)
+			}
+			verified++
+		}
+	}
+	// The data moved through the throttled migration engine, not a
+	// lucky empty ring.
+	if c := mreg.Counter("zht.migrate.cutovers").Value(); c < 1 {
+		t.Error("no migration cutovers recorded")
+	}
+	if b := mreg.Counter("zht.migrate.bytes").Value(); b < 1 {
+		t.Error("no migrated bytes recorded")
+	}
+	t.Logf("churn: %d acked (%d ambiguous), %d keys verified; cutovers %d, pairs %d, bytes %d",
+		acked.Load(), errsTotal, verified,
+		mreg.Counter("zht.migrate.cutovers").Value(),
+		mreg.Counter("zht.migrate.pairs").Value(),
+		mreg.Counter("zht.migrate.bytes").Value())
+}
+
+// ledger is one worker's record of the acked state of its private
+// keys. An op error taints the key (its state is ambiguous: the
+// mutation may or may not have applied); a later acked op on the key
+// untaints it. Only untainted keys are checked — that is exactly the
+// "no acked write lost" contract.
+type ledger struct {
+	expected map[string][]byte
+	removed  map[string]bool // last acked op was a remove
+	tainted  map[string]bool
+	acked    int
+	errs     int
+}
+
+func newLedger() *ledger {
+	return &ledger{
+		expected: make(map[string][]byte),
+		removed:  make(map[string]bool),
+		tainted:  make(map[string]bool),
+	}
+}
+
+// record books one op on key: an insert of val, or a remove when val is
+// nil, that answered err.
+func (l *ledger) record(key string, val []byte, err error) {
+	switch {
+	case err != nil:
+		l.tainted[key] = true
+		l.errs++
+		return
+	case val == nil:
+		delete(l.expected, key)
+		l.removed[key] = true
+	default:
+		l.expected[key] = val
+		delete(l.removed, key)
+	}
+	delete(l.tainted, key)
+	l.acked++
+}
+
+// check reads an untainted key back through c. It returns "" when the
+// key holds its last acked state, or else a line that names the class
+// of loss: the value lost or regressed, or an acked remove that did
+// not stick (tombstone-free removes, DESIGN §12 anomaly 3).
+func (l *ledger) check(c *core.Client, key string) string {
+	want, present := l.expected[key]
+	v, err := c.Lookup(key)
+	switch {
+	case present && (err != nil || string(v) != string(want)):
+		return fmt.Sprintf("acked write lost (value lost/regressed): %s: got %q/%v want %q", key, v, err, want)
+	case !present && l.removed[key] && !errors.Is(err, core.ErrNotFound):
+		return fmt.Sprintf("acked write lost (removal did not stick): %s: got %q/%v", key, v, err)
+	}
+	return ""
 }

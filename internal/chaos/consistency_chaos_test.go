@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,15 +49,33 @@ func replicaRead(in *core.Instance, p int, key string) ([]byte, bool) {
 }
 
 // TestQuorumReadYourWritesUnderChaos is the W+R>N acceptance soak:
-// QUORUM writes followed immediately by QUORUM reads of the same key,
-// under seeded message loss, ack loss, and one node crash mid-run.
+// QUORUM writes, each followed immediately by a QUORUM read of the same
+// key, through three fault phases:
+//
+//  1. a clean warm-up;
+//  2. a replica partitioned away — still Alive in every table, so
+//     writes whose sole replica it is must refuse with quorum-not-met,
+//     and at least one must (the level is actually enforced);
+//  3. seeded message loss, then ack loss, with one node crashed
+//     mid-phase, failure-reported and re-replicated.
+//
 // Every write that acks must be read back at its written value — a
 // read may refuse (quorum unreachable) but may never return a stale
 // value — and zero acked writes may be lost once the dust settles.
+// `make consistency-smoke` runs it on fresh seeds (see Seeds); each
+// seed drives both the key stream and the phase-3 faults.
 func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("consistency chaos soak skipped in -short mode")
 	}
+	for _, seed := range Seeds(t, 3, 23) {
+		quorumReadYourWrites(t, seed)
+	}
+}
+
+func quorumReadYourWrites(t *testing.T, seed int64) {
+	t.Logf("seed %d", seed) // `make flake` prints it for every failing run
+	mreg := metrics.NewRegistry()
 	cfg := core.Config{
 		NumPartitions: 64,
 		Replicas:      1, // copies=2 ⇒ QUORUM = both ⇒ W+R > N
@@ -62,6 +83,7 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 		RetryBase:     time.Millisecond,
 		RetryMax:      8 * time.Millisecond,
 		OpDeadline:    600 * time.Millisecond,
+		Metrics:       mreg,
 	}
 	const n = 5
 	d, reg, err := core.BootstrapInproc(cfg, n)
@@ -69,23 +91,8 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	everyone := ""
-	sc := &Scenario{Steps: []Step{
-		{At: 0, Label: "mild loss", Rules: []Rule{Lossy(everyone, everyone, 0.08)}},
-		{At: 500 * time.Millisecond, Label: "loss + ack loss", Rules: []Rule{
-			{To: everyone, Drop: 0.10, DropReply: 0.08},
-		}},
-		{At: 1000 * time.Millisecond, Label: "healed"},
-	}}
-	const seed = 23
-	t.Logf("seeds: chaos %d", seed) // `make flake` prints it for every failing run
-	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: seed, LossTimeout: 25 * time.Millisecond})
-	t0 := time.Now()
-	client, err := core.NewClient(cfg, d.Instance(0).Table(), chaosCaller)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := d.Instance(0).Table()
+	partitioned := d.Instance(1) // phase 2: network-partitioned, stays Alive
 
 	// kill: crash a node mid-traffic (soak_test.go's recipe: down it,
 	// file the failure report, wait for every survivor's table, drain
@@ -127,28 +134,49 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 	}
 
 	tolerable := func(err error) bool {
-		return errors.Is(err, core.ErrUnavailable) ||
-			strings.Contains(err.Error(), "quorum not met")
+		return errors.Is(err, core.ErrUnavailable) || isQuorumNotMet(err)
 	}
 
-	acked := map[string][]byte{}
-	staleReads, refusedReads, killed := 0, 0, false
-	for i := 0; time.Since(t0) < 1200*time.Millisecond; i++ {
-		if !killed && time.Since(t0) > 400*time.Millisecond {
-			kill(2)
-			killed = true
+	// The key pool leaves out keys the partitioned node owns, so phase
+	// 2's acks depend only on replica legs; keys it replicates stay in
+	// on purpose — they produce the asserted refusals.
+	rng := rand.New(rand.NewSource(seed))
+	hashf := hashing.ByName("")
+	var pool []string
+	for i := 0; len(pool) < 2000; i++ {
+		key := fmt.Sprintf("ryw-%d-%04d", seed, i)
+		if table.OwnerOf(table.Partition(hashf(key))).ID != partitioned.ID() {
+			pool = append(pool, key)
 		}
-		key := fmt.Sprintf("ryw-%05d", i)
-		val := []byte("v:" + key)
+	}
+
+	// A refused write is an ack refusal, NOT a rollback: the primary
+	// may already have applied it, so any value refused since a key's
+	// last ack may legitimately win over the acked one.
+	acked := map[string][]byte{}
+	ambiguous := map[string][][]byte{}
+	staleReads, refusedReads, quorumRefusals, ackedWrites := 0, 0, 0, 0
+	op := 0
+	pair := func(client *core.Client) {
+		t.Helper()
+		op++
+		key := pool[rng.Intn(len(pool))]
+		val := []byte(fmt.Sprintf("v%d-%d", seed, op))
 		if err := client.InsertWith(key, val, wire.ConsistencyQuorum); err != nil {
 			if !tolerable(err) {
 				t.Fatalf("write %s: unexpected error class: %v", key, err)
 			}
-			continue // refused writes carry no read-back obligation
+			if isQuorumNotMet(err) {
+				quorumRefusals++
+			}
+			ambiguous[key] = append(ambiguous[key], val)
+			return // refused writes carry no read-back obligation
 		}
 		acked[key] = val
+		ackedWrites++
+		delete(ambiguous, key)
 		// Read-your-writes: the immediate QUORUM read may refuse under
-		// loss (retry a few times), but a returned value must be ours.
+		// faults (retry a few times), but a returned value must be ours.
 		var got []byte
 		var rerr error
 		for attempt := 0; attempt < 3; attempt++ {
@@ -170,15 +198,59 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 			t.Errorf("stale read-your-write on %s: got %q want %q", key, got, val)
 		}
 	}
+
+	// Phases 1 and 2 run through a fault-free client.
+	client, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 300; k++ {
+		pair(client)
+	}
+	reg.SetDown(partitioned.Addr(), true)
+	before := quorumRefusals
+	for k := 0; k < 600; k++ {
+		pair(client)
+	}
+	if quorumRefusals == before {
+		t.Fatal("no quorum refusals while a replica was partitioned — the level is not enforced")
+	}
+	reg.SetDown(partitioned.Addr(), false)
+
+	// Phase 3 runs through a chaos-wrapped client, whose scenario clock
+	// starts here.
+	everyone := ""
+	sc := &Scenario{Steps: []Step{
+		{At: 0, Label: "mild loss", Rules: []Rule{Lossy(everyone, everyone, 0.08)}},
+		{At: 500 * time.Millisecond, Label: "loss + ack loss", Rules: []Rule{
+			{To: everyone, Drop: 0.10, DropReply: 0.08},
+		}},
+		{At: 1000 * time.Millisecond, Label: "healed"},
+	}}
+	chaosCaller := Wrap(reg.NewClient(), sc, Options{Seed: seed, LossTimeout: 25 * time.Millisecond})
+	t0 := time.Now()
+	lossy, err := core.NewClient(cfg, d.Instance(0).Table(), chaosCaller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := false
+	for time.Since(t0) < 1200*time.Millisecond {
+		if !killed && time.Since(t0) > 400*time.Millisecond {
+			kill(2)
+			killed = true
+		}
+		pair(lossy)
+	}
 	if len(acked) == 0 {
 		t.Fatal("soak acked nothing; no invariant exercised")
 	}
 	if staleReads > 0 {
-		t.Fatalf("%d stale or lost read-your-writes under chaos", staleReads)
+		t.Fatalf("%d stale or lost read-your-writes", staleReads)
 	}
 
 	// Quiesce, then the durability half: every acked write readable at
-	// QUORUM through a fault-free client.
+	// QUORUM through a fault-free client — at its acked value, or at a
+	// value refused after it.
 	d.Drain()
 	verifier, err := d.NewClient()
 	if err != nil {
@@ -187,16 +259,25 @@ func TestQuorumReadYourWritesUnderChaos(t *testing.T) {
 	lost := 0
 	for key, want := range acked {
 		v, err := verifier.LookupWith(key, wire.ConsistencyQuorum)
-		if err != nil || string(v) != string(want) {
-			lost++
-			t.Errorf("acked QUORUM write %s lost: %q %v", key, v, err)
+		if err == nil && (bytes.Equal(v, want) || slices.ContainsFunc(ambiguous[key], func(a []byte) bool { return bytes.Equal(v, a) })) {
+			continue
 		}
+		lost++
+		t.Errorf("acked QUORUM write %s lost: %q %v", key, v, err)
 	}
 	if lost > 0 {
-		t.Fatalf("%d acked QUORUM writes lost across chaos + crash", lost)
+		t.Fatalf("%d acked QUORUM writes lost across partition, chaos and crash", lost)
 	}
-	t.Logf("read-your-writes soak: %d acked, %d reads refused (permitted), 0 stale", len(acked), refusedReads)
+	for _, name := range []string{"zht.consistency.quorum_writes", "zht.consistency.quorum_reads"} {
+		if got := mreg.Counter(name).Value(); got < 1 {
+			t.Errorf("%s = %d; the quorum path went unexercised", name, got)
+		}
+	}
+	t.Logf("read-your-writes soak: %d writes acked on %d keys, %d quorum refusals, %d reads refused (permitted), 0 stale",
+		ackedWrites, len(acked), quorumRefusals, refusedReads)
 }
+
+func isQuorumNotMet(err error) bool { return strings.Contains(err.Error(), "quorum not met") }
 
 // TestOneStalenessAndQuorumRefusal is the deterministic contrast
 // between the levels at Replicas=1: with the sole replica
@@ -237,8 +318,7 @@ func TestOneStalenessAndQuorumRefusal(t *testing.T) {
 	reg.SetDown(victim.Addr(), true)
 
 	// QUORUM refuses (needs 2/2, the replica can't ack)...
-	if err := client.InsertWith(key, []byte("v2"), wire.ConsistencyQuorum); err == nil ||
-		!strings.Contains(err.Error(), "quorum not met") {
+	if err := client.InsertWith(key, []byte("v2"), wire.ConsistencyQuorum); err == nil || !isQuorumNotMet(err) {
 		t.Fatalf("QUORUM write with replica partitioned: err = %v, want quorum-not-met", err)
 	}
 	// ...while ONE acks through the primary alone.

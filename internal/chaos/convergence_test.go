@@ -16,8 +16,9 @@ import (
 )
 
 // The anti-entropy convergence soak (acceptance criterion for the
-// repair subsystem): partition one replica away, drive 10k mixed
-// mutations under load, heal, and require that
+// repair subsystem): after a warm load, partition one replica away,
+// drive mixed mutations under the fault, heal, and keep mutating, so
+// the partition falls mid-load. Then require that
 //
 //  1. every replica's partition digest equals its primary's — the
 //     partitioned node converges through hinted-handoff replay plus
@@ -29,11 +30,20 @@ import (
 //
 // The victim is never failure-reported, so the membership table keeps
 // it Alive throughout: this is a pure network partition, the exact
-// fault write-time replication cannot heal on its own.
+// fault write-time replication cannot heal on its own. `make
+// repair-smoke` runs it on fresh seeds (see Seeds).
 func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence soak skipped in -short mode")
 	}
+	for _, seed := range Seeds(t, 3, 11) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			antiEntropyAfterPartition(t, seed)
+		})
+	}
+}
+
+func antiEntropyAfterPartition(t *testing.T, seed int64) {
 	mreg := metrics.NewRegistry()
 	const antiEntropy = 150 * time.Millisecond
 	cfg := core.Config{
@@ -45,8 +55,8 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 		RetryBase:     time.Millisecond,
 		RetryMax:      8 * time.Millisecond,
 		OpDeadline:    2 * time.Second,
-		// ONE: the whole soak writes into a partition whose sole replica
-		// is unreachable — the point is that primaries keep acking while
+		// ONE: the soak writes into a partition whose sole replica is
+		// unreachable — the point is that primaries keep acking while
 		// handoff + anti-entropy carry the repair debt.
 		WriteLevel: wire.ConsistencyOne,
 		Metrics:    mreg,
@@ -70,19 +80,15 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 	}
 	hashf := hashing.ByName("")
 
-	// Partition the victim: unreachable, but still Alive in every
-	// table — primaries keep acking and their sync legs to it fail.
-	reg.SetDown(victim.Addr(), true)
-
-	// 10k mixed mutations over keys owned by reachable primaries
-	// (keys owned by the victim would just go unavailable — a
-	// different test's concern). expected tracks each key's final
-	// acked state; nil means removed.
-	rng := rand.New(rand.NewSource(11))
+	// 10k mixed mutations over a per-seed pool of keys owned by
+	// reachable primaries (keys owned by the victim would just go
+	// unavailable — a different test's concern). expected tracks each
+	// key's final acked state; nil means removed.
+	rng := rand.New(rand.NewSource(seed))
 	expected := make(map[string][]byte)
 	var pool []string
 	for i := 0; len(pool) < 2000; i++ {
-		key := fmt.Sprintf("conv-%05d", i)
+		key := fmt.Sprintf("conv-%d-%05d", seed, i)
 		p := table.Partition(hashf(key))
 		if table.OwnerOf(p).ID == victim.ID() {
 			continue
@@ -90,39 +96,51 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 		pool = append(pool, key)
 	}
 	const ops = 10000
-	for i := 0; i < ops; i++ {
-		key := pool[rng.Intn(len(pool))]
-		switch r := rng.Float64(); {
-		case r < 0.15 && expected[key] != nil:
-			if err := client.Remove(key); err != nil {
-				t.Fatalf("remove %s: %v", key, err)
+	i := 0 // op index, running across the phases
+	mutate := func(count int) {
+		t.Helper()
+		for end := i + count; i < end; i++ {
+			key := pool[rng.Intn(len(pool))]
+			switch r := rng.Float64(); {
+			case r < 0.15 && expected[key] != nil:
+				if err := client.Remove(key); err != nil {
+					t.Fatalf("remove %s: %v", key, err)
+				}
+				delete(expected, key)
+			case r < 0.40:
+				chunk := []byte(fmt.Sprintf("+%d", i))
+				if err := client.Append(key, chunk); err != nil {
+					t.Fatalf("append %s: %v", key, err)
+				}
+				expected[key] = append(expected[key], chunk...)
+			default:
+				val := []byte(fmt.Sprintf("v%d", i))
+				if err := client.Insert(key, val); err != nil {
+					t.Fatalf("insert %s: %v", key, err)
+				}
+				expected[key] = append([]byte(nil), val...)
 			}
-			delete(expected, key)
-		case r < 0.40:
-			chunk := []byte(fmt.Sprintf("+%d", i))
-			if err := client.Append(key, chunk); err != nil {
-				t.Fatalf("append %s: %v", key, err)
-			}
-			expected[key] = append(expected[key], chunk...)
-		default:
-			val := []byte(fmt.Sprintf("v%d", i))
-			if err := client.Insert(key, val); err != nil {
-				t.Fatalf("insert %s: %v", key, err)
-			}
-			expected[key] = append([]byte(nil), val...)
 		}
 	}
+
+	// Warm load; then partition the victim — unreachable, but still
+	// Alive in every table, so primaries keep acking and their sync
+	// legs to it fail — and load under the fault; then heal mid-load.
+	mutate(ops / 4)
+	reg.SetDown(victim.Addr(), true)
+	mutate(ops / 2)
 	if q := mreg.Counter("zht.repair.handoff.queued").Value(); q < 1 {
 		t.Fatalf("no legs entered hinted handoff during the partition (queued=%d)", q)
 	}
 	if dr := mreg.Counter("zht.repair.handoff.dropped").Value(); dr < 1 {
 		t.Fatalf("handoff cap never overflowed (dropped=%d); the anti-entropy backstop went unexercised", dr)
 	}
-
-	// Heal and wait for digest equality: every partition, every
-	// replica vs its primary.
 	reg.SetDown(victim.Addr(), false)
 	healed := time.Now()
+	mutate(ops / 4)
+
+	// Wait for digest equality: every partition, every replica vs its
+	// primary.
 	converged := func() (bool, string) {
 		for p := 0; p < cfg.NumPartitions; p++ {
 			owner := byID[table.OwnerOf(p).ID]
@@ -177,10 +195,7 @@ func TestAntiEntropyConvergesAfterPartition(t *testing.T) {
 			lost++
 			t.Errorf("removed key %s resurfaced as %q", key, v)
 		case !present && !errors.Is(err, core.ErrNotFound):
-			// a removed key must read back as not-found, not an error
-			if err != nil && !errors.Is(err, core.ErrNotFound) {
-				t.Errorf("removed key %s: unexpected error %v", key, err)
-			}
+			t.Errorf("removed key %s: unexpected error %v", key, err)
 		}
 	}
 	if lost > 0 {

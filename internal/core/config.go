@@ -51,9 +51,6 @@ type Config struct {
 	// boot). Empty keeps all partitions in memory (the Blue Gene/P
 	// nodes used ramdisks).
 	DataDir string
-	// MaxMemValuesPerPartition bounds resident values per partition
-	// store (NoVoHT's memory-footprint control). 0 = unbounded.
-	MaxMemValuesPerPartition int
 	// Durability selects the write-ahead-log acknowledgement level
 	// for every partition store (see storage.Durability). The zero
 	// value is async — buffered writes, the seed behavior;
@@ -112,11 +109,6 @@ type Config struct {
 	// bytes/second, so a join or departure cannot starve foreground
 	// traffic. 0 means DefaultMigrateRate; negative removes the cap.
 	MigrateRate int
-	// MigrateLeavesPerPull is how many Merkle leaves one migration
-	// pull round-trip moves (out of storage.Leaves per partition);
-	// smaller values yield finer-grained throttling. 0 means
-	// DefaultMigrateLeavesPerPull.
-	MigrateLeavesPerPull int
 	// Metrics, when non-nil, receives every client-, instance-, and
 	// store-level measurement (latency histograms, retry/shed/breaker
 	// counters — see OBSERVABILITY.md for the catalogue). Nil disables
@@ -155,9 +147,6 @@ const (
 	DefaultHandoffCap       = 1024
 	DefaultGossipCooldown   = 25 * time.Millisecond
 	DefaultMigrateRate      = 8 << 20 // 8 MiB/s
-	// DefaultMigrateLeavesPerPull moves an eighth of a partition's
-	// Merkle leaves per round-trip.
-	DefaultMigrateLeavesPerPull = 8
 )
 
 func (c *Config) fill() error {
@@ -214,9 +203,6 @@ func (c *Config) fill() error {
 	}
 	if c.MigrateRate == 0 {
 		c.MigrateRate = DefaultMigrateRate
-	}
-	if c.MigrateLeavesPerPull <= 0 {
-		c.MigrateLeavesPerPull = DefaultMigrateLeavesPerPull
 	}
 	if c.MaxKeyLen < 0 || c.MaxValueLen < 0 {
 		return errors.New("core: size limits must be non-negative")

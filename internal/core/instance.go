@@ -251,14 +251,11 @@ type storeRef struct{ storage.KV }
 // of a DataDir, so replay routes each record by hashing its key.
 func (in *Instance) openLog() error {
 	opts := novoht.Options{
-		MaxMemValues: in.cfg.MaxMemValuesPerPartition,
-		Durability:   in.cfg.Durability,
-		Metrics:      in.cfg.Metrics,
+		Durability: in.cfg.Durability,
+		Metrics:    in.cfg.Metrics,
 	}
 	if in.cfg.DataDir != "" && in.cfg.Durability != storage.DurabilityNone {
 		opts.Path = filepath.Join(in.cfg.DataDir, string(in.self.ID)+".log")
-	} else {
-		opts.MaxMemValues = 0 // memory bound requires a persistent log
 	}
 	// The stores maintain their own repair digests (built during log
 	// replay on open), so primary applies, replica applies, and

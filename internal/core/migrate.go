@@ -24,6 +24,11 @@ import (
 // locked final sync.
 const migrateCatchupRounds = 5
 
+// migrateLeavesPerPull is how many Merkle leaves one migration pull or
+// push round trip moves: an eighth of a partition's storage.Leaves, so
+// the throttle paces a transfer in fine steps.
+const migrateLeavesPerPull = 8
+
 // migrateLockMarker is the OpMigrate Aux that asks the current owner
 // to lock a partition for cutover: begin the migration (queue new
 // requests), drain in-flight appliers, and hold until the membership
@@ -34,7 +39,7 @@ var migrateLockMarker = []byte("lock")
 
 // migratePull streams partition p from the owner at src into the
 // local store: one full pass over all Merkle leaves in chunks of
-// MigrateLeavesPerPull, then unlocked digest catch-up rounds. src
+// migrateLeavesPerPull, then unlocked digest catch-up rounds. src
 // keeps serving throughout; thr caps the transfer rate. A non-nil
 // error aborts the join.
 func (in *Instance) migratePull(src string, p int, thr *repair.Throttle) error {
@@ -127,11 +132,11 @@ func (in *Instance) migrateDiff(addr string, p int) ([]int, error) {
 }
 
 // pullLeafChunks fetches the given leaves of partition p from addr in
-// chunks of MigrateLeavesPerPull, replacing local leaf contents
+// chunks of migrateLeavesPerPull, replacing local leaf contents
 // wholesale; thr (nil = unlimited) paces the transfer by response
 // bytes.
 func (in *Instance) pullLeafChunks(addr string, p int, leaves []int, thr *repair.Throttle) error {
-	for _, ls := range leafChunks(leaves, in.cfg.MigrateLeavesPerPull) {
+	for _, ls := range leafChunks(leaves) {
 		resp, err := in.caller.Call(addr, &wire.Request{
 			Op: wire.OpRepairPull, Partition: int64(p),
 			Aux: repair.EncodeLeafSet(ls),
@@ -162,7 +167,7 @@ func (in *Instance) pullLeafChunks(addr string, p int, leaves []int, thr *repair
 // pushLeafChunks sends the given leaves of partition p to addr in
 // chunks, as repair pushes the receiver applies wholesale.
 func (in *Instance) pushLeafChunks(addr string, p int, leaves []int, thr *repair.Throttle) error {
-	for _, ls := range leafChunks(leaves, in.cfg.MigrateLeavesPerPull) {
+	for _, ls := range leafChunks(leaves) {
 		pairs, err := in.collectLeafPairs(p, ls)
 		if err != nil {
 			return err
@@ -197,14 +202,11 @@ func allLeaves() []int {
 	return out
 }
 
-// leafChunks splits a leaf set into transfer-sized chunks.
-func leafChunks(leaves []int, size int) [][]int {
-	if size <= 0 || size > storage.Leaves {
-		size = storage.Leaves
-	}
+// leafChunks splits a leaf set into chunks of migrateLeavesPerPull.
+func leafChunks(leaves []int) [][]int {
 	var out [][]int
-	for i := 0; i < len(leaves); i += size {
-		end := i + size
+	for i := 0; i < len(leaves); i += migrateLeavesPerPull {
+		end := i + migrateLeavesPerPull
 		if end > len(leaves) {
 			end = len(leaves)
 		}

@@ -45,8 +45,8 @@ func (in *Instance) sendLeg(addr string, env *wire.Request) error {
 
 // PartitionDigest returns the repair digest leaves for partition p's
 // local store without creating one: a partition this instance holds
-// nothing for has the all-zero digest. Peers' digest probes, tests and
-// the repair-smoke gate read it.
+// nothing for has the all-zero digest. Peers' digest probes and the
+// convergence tests read it.
 func (in *Instance) PartitionDigest(p int) []uint64 {
 	if s := in.storeIfPresent(p); s != nil {
 		return s.DigestLeaves()

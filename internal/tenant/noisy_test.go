@@ -1,13 +1,16 @@
 package tenant_test
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"zht/internal/chaos"
 	"zht/internal/core"
 	"zht/internal/metrics"
 	"zht/internal/tenant"
@@ -17,11 +20,22 @@ import (
 // a quota-capped tenant flooding the deployment at many times its
 // allowance must be shed at the admission gate (StatusBusy), and the
 // well-behaved tenant sharing the deployment must keep completing its
-// ops with a sane tail. The latency bound is absolute and generous —
-// an in-process deployment answers in microseconds, so a p99 past
-// 100ms means the calm tenant queued behind the flood rather than
-// being isolated from it.
+// ops, reading back its own writes, with a sane tail. The latency
+// bound is absolute and generous — an in-process deployment answers
+// in microseconds, so a p99 past 100ms means the calm tenant queued
+// behind the flood rather than being isolated from it. After the
+// flood, the namespaces must still hold: a key the noisy tenant writes
+// is invisible through the calm tenant's scope. `make tenant-smoke`
+// runs it on fresh seeds (see chaos.Seeds).
 func TestNoisyNeighborIsolation(t *testing.T) {
+	for _, seed := range chaos.Seeds(t, 3, 1) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			noisyNeighbor(t, seed)
+		})
+	}
+}
+
+func noisyNeighbor(t *testing.T, seed int64) {
 	treg := tenant.NewRegistry()
 	if err := treg.Register(tenant.Tenant{Name: "noisy", Rate: 500, Burst: 50}); err != nil {
 		t.Fatal(err)
@@ -85,17 +99,23 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	calm := tenant.NewClient(cc, tenant.Tenant{Name: "calm"})
+	rng := rand.New(rand.NewSource(seed))
 	lats := make([]time.Duration, 0, calmOps)
 	for i := 0; i < calmOps; i++ {
-		key := fmt.Sprintf("calm-%d", i)
+		key := fmt.Sprintf("calm-%d-%04d", seed, rng.Intn(calmOps))
+		val := []byte(fmt.Sprintf("v-%d-%d", seed, i))
 		start := time.Now()
-		if err := calm.Insert(key, []byte("v")); err != nil {
+		if err := calm.Insert(key, val); err != nil {
 			t.Fatalf("calm tenant op %d failed under noisy load: %v", i, err)
 		}
-		if _, err := calm.Lookup(key); err != nil {
+		got, err := calm.Lookup(key)
+		if err != nil {
 			t.Fatalf("calm tenant read %d failed under noisy load: %v", i, err)
 		}
 		lats = append(lats, time.Since(start))
+		if string(got) != string(val) {
+			t.Fatalf("calm read-your-write %s: got %q want %q", key, got, val)
+		}
 	}
 	flooding.Store(false)
 	wg.Wait()
@@ -113,5 +133,19 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	}
 	if got := mreg.Counter("zht.tenant.shed").Value(); got < 1 {
 		t.Errorf("zht.tenant.shed = %d, want >= 1", got)
+	}
+
+	// Namespace isolation: once its bucket refills, the noisy tenant's
+	// write lands, and the calm tenant's scope cannot see it.
+	nc, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := tenant.NewClient(nc, tenant.Tenant{Name: "noisy"})
+	if err := noisy.Insert("iso", []byte("noisy-owned")); err != nil {
+		t.Fatalf("noisy insert after the flood: %v", err)
+	}
+	if _, err := calm.Lookup("iso"); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("namespace leak: the calm tenant sees the noisy tenant's key (err=%v)", err)
 	}
 }
