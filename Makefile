@@ -171,16 +171,19 @@ flake flake-race:
 			for (i = 1; i <= k; i++) line = line sprintf(" %s %d/%d failed;", order[i], fails[order[i]], runs[order[i]]); \
 			print line " total " bad + 0 " failed"; exit bad > 0 }'
 
-# profile-handle CPU-profiles BenchmarkHandleParallelZipf, the
-# in-process shape of the inproc-parallel-zipf workload (client
+# profile-handle CPU- and mutex-profiles BenchmarkHandleParallelZipf,
+# the in-process shape of the inproc-parallel-zipf workload (client
 # routing, Instance.Handle, the partition store), and prints the
-# hottest functions. The profile and test binary stay in .profile/ for
-# `go tool pprof -http`.
+# hottest functions, then the 20 zht functions whose locks waited
+# longest (the lock ladder of DESIGN.md §7). The profiles and test
+# binary stay in .profile/ for `go tool pprof -http`.
 profile-handle:
 	@mkdir -p .profile
 	$(GO) test -run '^$$' -bench '^BenchmarkHandleParallelZipf$$' -benchtime 5s \
-		-cpuprofile .profile/handle.cpu.pprof -o .profile/zht.test .
+		-cpuprofile .profile/handle.cpu.pprof -mutexprofile .profile/handle.mutex.pprof \
+		-o .profile/zht.test .
 	$(GO) tool pprof -top -nodecount 40 .profile/zht.test .profile/handle.cpu.pprof
+	$(GO) tool pprof -top -nodecount 20 -show '^zht/' .profile/zht.test .profile/handle.mutex.pprof
 
 # profile-bulkload CPU-profiles BenchmarkBatchReplicatedLoad, the
 # bulk-load shape of the tcp-r1-durable-write set-up (800

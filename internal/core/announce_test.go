@@ -147,6 +147,69 @@ func TestBackToBackJoinsThroughStaleSeed(t *testing.T) {
 	}
 }
 
+// TestJoinCommitsOnLaggingGiver joins twice at Replicas=0. The first
+// join moves none of one instance's copies, so no announce tells that
+// instance, and with its gossip closed nothing else does. The second
+// join, planned on the newer table, relieves exactly that instance,
+// whose commit then arrives one epoch ahead of its table. The joiner
+// must hand it the table the join was planned on and commit, not lose
+// every attempt to an epoch race.
+func TestJoinCommitsOnLaggingGiver(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 0, RetryBase: time.Millisecond}
+	d, reg, _ := startDeployment(t, cfg, 2)
+	join := func(seed string, j int) *Instance {
+		t.Helper()
+		addr := fmt.Sprintf("zht-lag-join-%d", j)
+		var hs HandlerSwitch
+		ln, err := reg.Listen(addr, hs.Handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newcomer := ring.Instance{ID: ring.InstanceID(addr), Addr: addr, Node: "node-" + addr}
+		inst, err := Join(cfg, newcomer, seed, reg.NewClient(), func(i *Instance) { hs.Set(i.Handle) })
+		if err != nil {
+			ln.Close()
+			t.Fatalf("join %d through %s: %v", j, seed, err)
+		}
+		t.Cleanup(func() {
+			ln.Close()
+			inst.Close()
+		})
+		return inst
+	}
+	// relieved names the instance a join planned on tab relieves.
+	relieved := func(tab *ring.Table, j int) ring.InstanceID {
+		t.Helper()
+		addr := fmt.Sprintf("zht-lag-join-%d", j)
+		_, parts, err := tab.PlanJoin(ring.Instance{ID: ring.InstanceID(addr), Addr: addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.OwnerOf(parts[0]).ID
+	}
+
+	base := d.Instance(0).Table()
+	first, lagger := d.Instance(0), d.Instance(1)
+	if relieved(base, 0) == lagger.ID() {
+		first, lagger = lagger, first
+	}
+	lagger.gossip.Close()
+	join(first.Addr(), 0)
+	if lagger.Epoch() != base.Epoch {
+		t.Fatalf("%s at epoch %d after a join that moved none of its copies, want the stale %d", lagger.ID(), lagger.Epoch(), base.Epoch)
+	}
+	if got := relieved(first.Table(), 1); got != lagger.ID() {
+		t.Fatalf("the second join relieves %s, not the lagging %s; test is vacuous", got, lagger.ID())
+	}
+	second := join(first.Addr(), 1)
+	if got, want := lagger.Epoch(), base.Epoch+2; got != want {
+		t.Fatalf("%s at epoch %d after committing the second join, want %d", lagger.ID(), got, want)
+	}
+	if got, want := second.Epoch(), base.Epoch+2; got != want {
+		t.Fatalf("second joiner at epoch %d, want %d", got, want)
+	}
+}
+
 // TestStaleManagerSeesDeparture reports a departed instance to a
 // manager that no announce of the departure reached and that does not
 // gossip. The accused does not answer its ping; the manager must still

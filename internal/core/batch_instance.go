@@ -370,6 +370,9 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 				}
 				continue
 			}
+			if subs[i].Op == wire.OpRemove {
+				in.removes[g.p].note(subs[i].Key, ver)
+			}
 			sc.applied = append(sc.applied, i)
 			sc.legVals = append(sc.legVals, legVal)
 			sc.fwds = append(sc.fwds, replicaFwd(g.p, subs[i], ver, legVal))
@@ -577,10 +580,8 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 // anyMigrating reports whether a migration began on any live group's
 // partition.
 func (in *Instance) anyMigrating(groups []batchGroup) bool {
-	in.pmu.Lock()
-	defer in.pmu.Unlock()
 	for gi := range groups {
-		if ps := in.parts[groups[gi].p]; groups[gi].live && ps != nil && ps.migrating {
+		if ps := in.parts[groups[gi].p].Load(); groups[gi].live && ps != nil && ps.migrating.Load() {
 			return true
 		}
 	}

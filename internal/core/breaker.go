@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/metrics"
@@ -24,6 +25,12 @@ import (
 // Only transport-level failures count: a server answering anything —
 // including StatusBusy — is alive, so responses never trip the
 // breaker. A nil *breaker (disabled) admits everything.
+//
+// A circuit is tracked from an endpoint's first failure until its next
+// success. tracked mirrors how many there are, so while no circuit is
+// tracked — every endpoint answering, the common case — allow and
+// success return after one atomic load, without the mutex every
+// client call on every core would otherwise share.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -31,6 +38,8 @@ type breaker struct {
 	// circuits are open right now. Both are nil-safe.
 	trips *metrics.Counter
 	openG *metrics.Gauge
+
+	tracked atomic.Int64 // len(eps), written under mu
 
 	mu  sync.Mutex
 	eps map[string]*circuit
@@ -61,7 +70,7 @@ func newBreaker(threshold int, cooldown time.Duration, trips *metrics.Counter, o
 // state it admits a single half-open probe once the cooldown has
 // elapsed and rejects everything else.
 func (b *breaker) allow(addr string) bool {
-	if b == nil {
+	if b == nil || b.tracked.Load() == 0 {
 		return true
 	}
 	b.mu.Lock()
@@ -80,14 +89,17 @@ func (b *breaker) allow(addr string) bool {
 // success records a successful call: the circuit closes and the
 // failure count resets.
 func (b *breaker) success(addr string) {
-	if b == nil {
+	if b == nil || b.tracked.Load() == 0 {
 		return
 	}
 	b.mu.Lock()
-	if c := b.eps[addr]; c != nil && c.open {
-		b.openG.Dec()
+	if c := b.eps[addr]; c != nil {
+		if c.open {
+			b.openG.Dec()
+		}
+		delete(b.eps, addr)
+		b.tracked.Add(-1)
 	}
-	delete(b.eps, addr)
 	b.mu.Unlock()
 }
 
@@ -103,6 +115,7 @@ func (b *breaker) failure(addr string) {
 	if c == nil {
 		c = &circuit{}
 		b.eps[addr] = c
+		b.tracked.Add(1)
 	}
 	c.fails++
 	if c.open {

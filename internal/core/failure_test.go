@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,49 @@ func TestMigrateAbortRollsBack(t *testing.T) {
 	}
 	if v, err := c.Lookup(key); err != nil || string(v) != "post-abort" {
 		t.Fatalf("lookup after abort: %q %v", v, err)
+	}
+}
+
+// TestMigrationGateKeepsNewerRecord: a gate that finds a completed
+// migration drops its record, but a migration of the same partition
+// that began after the gate read the verdict keeps its own record, so
+// ops still queue behind it instead of being served during its export.
+func TestMigrationGateKeepsNewerRecord(t *testing.T) {
+	d, _, _ := startDeployment(t, Config{NumPartitions: 16, RetryBase: time.Millisecond}, 2)
+	in := d.Instance(0)
+	p := in.Table().PartitionsOf(0)[0]
+	if !in.beginMigration(p) {
+		t.Fatal("first migration did not begin")
+	}
+	in.completeMigration(p, "joiner-addr", true)
+	testGateVerdict = func(gin *Instance, gp int) {
+		if gin == in && gp == p && !in.beginMigration(p) {
+			t.Error("second migration did not begin")
+		}
+	}
+	resp := in.migrationGate(p, &wire.Request{})
+	testGateVerdict = nil
+	if resp != nil {
+		t.Fatalf("gate over a completed migration answered %s (%s), want nil", resp.Status, resp.Err)
+	}
+	if !in.anyMigrating([]batchGroup{{p: p, live: true}}) {
+		t.Fatal("partition lost the record of the migration that began after the gate's verdict")
+	}
+	// An op on p queues behind the new migration until it resolves.
+	req := &wire.Request{}
+	var detached atomic.Bool
+	req.SetDetach(func() { detached.Store(true) })
+	queued := make(chan *wire.Response, 1)
+	go func() { queued <- in.migrationGate(p, req) }()
+	for deadline := time.Now().Add(5 * time.Second); !detached.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("op on a migrating partition never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	in.completeMigration(p, "", false)
+	if resp := <-queued; resp != nil {
+		t.Fatalf("queued op after rollback: %s (%s), want served", resp.Status, resp.Err)
 	}
 }
 

@@ -64,8 +64,11 @@ type Instance struct {
 	smu    sync.Mutex
 	stores []atomic.Pointer[storeRef]
 
-	pmu   sync.Mutex // guards parts
-	parts map[int]*partState
+	// parts holds partition p's migration record at index p, nil while
+	// p is not being given away, so the gate on every op costs one
+	// load; pmu serializes the transitions that store or clear one.
+	pmu   sync.Mutex
+	parts []atomic.Pointer[partState]
 	// opLocks serialize partition exports against in-flight KV
 	// applications (striped; a migration takes the write side after
 	// marking the partition migrating, draining appliers so the
@@ -80,6 +83,9 @@ type Instance struct {
 	// what feeds the store's group-commit WAL more than one record
 	// per fsync. Lookups bypass these locks entirely.
 	mutLocks [lockStripes]sync.Mutex
+	// removes holds partition p's recent remove stamps at index p, so
+	// a stale copy of a removed pair cannot install (removeStamps).
+	removes []removeStamps
 
 	bmu   sync.Mutex // guards bcast
 	bcast map[string][]byte
@@ -154,8 +160,11 @@ const lockStripes = 64
 
 // partState tracks a partition's migration lifecycle on the node
 // giving it away. While migrating, requests queue on done.
+// completeMigration writes the verdict (redirect, ok) before it clears
+// migrating and closes done, so a reader that sees migrating false, or
+// waited on done, reads the final verdict.
 type partState struct {
-	migrating bool
+	migrating atomic.Bool
 	done      chan struct{}
 	redirect  string // new owner address once complete; empty = failed
 	ok        bool
@@ -178,7 +187,8 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		clock:    newHLC(self.ID),
 		deltaLog: ring.NewDeltaLog(0),
 		stores:   make([]atomic.Pointer[storeRef], table.NumPartitions),
-		parts:    make(map[int]*partState),
+		parts:    make([]atomic.Pointer[partState], table.NumPartitions),
+		removes:  make([]removeStamps, table.NumPartitions),
 		bcast:    make(map[string][]byte),
 		met:      newInstanceMetrics(cfg.Metrics),
 		closed:   make(chan struct{}),
@@ -250,9 +260,13 @@ type storeRef struct{ storage.KV }
 // its next write above them. A key's partition is fixed for the life
 // of a DataDir, so replay routes each record by hashing its key.
 func (in *Instance) openLog() error {
+	// One lock shard per store: the partition already is the lock
+	// stripe, and partition stores never evict, so there is no slow
+	// disk read for more shards to isolate (DESIGN.md §8).
 	opts := novoht.Options{
 		Durability: in.cfg.Durability,
 		Metrics:    in.cfg.Metrics,
+		Shards:     1,
 	}
 	if in.cfg.DataDir != "" && in.cfg.Durability != storage.DurabilityNone {
 		opts.Path = filepath.Join(in.cfg.DataDir, string(in.self.ID)+".log")
@@ -786,7 +800,9 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	case wire.OpRemove:
 		if err = in.checkPartition(p, req.Key); err == nil {
 			in.clock.Observe(req.Version)
-			applied, err = s.RemoveLWW(req.Key, req.Version)
+			if applied, err = s.RemoveLWW(req.Key, req.Version); applied {
+				in.removes[p].note(req.Key, req.Version)
+			}
 		}
 	default:
 		resp.Status, resp.Err = wire.StatusError, "core: bad replica op "+op.String()
@@ -817,12 +833,17 @@ func (i installer) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 // store. It refuses a key that does not hash to p: the log replays each
 // record into the partition its key hashes to. The clock observes the
 // stamp first, so this node's next write of the key stamps above it
-// and is never refused by a copy that holds the installed pair.
+// and is never refused by a copy that holds the installed pair. A pair
+// no newer than a remove of the key this node applied is not installed
+// (removeStamps), as the store would refuse it had it kept the remove.
 func (in *Instance) install(p int, s storage.KV, key string, val []byte, ver uint64) (bool, error) {
 	if err := in.checkPartition(p, key); err != nil {
 		return false, err
 	}
 	in.clock.Observe(ver)
+	if in.removes[p].covers(key, ver) {
+		return false, nil
+	}
 	return s.PutLWW(key, val, ver)
 }
 
@@ -1004,9 +1025,7 @@ func (in *Instance) migrationWatchdog(p int) {
 	go func() {
 		timer := time.NewTimer(migrationTimeout)
 		defer timer.Stop()
-		in.pmu.Lock()
-		ps := in.parts[p]
-		in.pmu.Unlock()
+		ps := in.parts[p].Load()
 		if ps == nil {
 			return
 		}
@@ -1024,11 +1043,12 @@ func (in *Instance) migrationWatchdog(p int) {
 func (in *Instance) beginMigration(p int) bool {
 	in.pmu.Lock()
 	defer in.pmu.Unlock()
-	ps := in.parts[p]
-	if ps != nil && ps.migrating {
+	if ps := in.parts[p].Load(); ps != nil && ps.migrating.Load() {
 		return false
 	}
-	in.parts[p] = &partState{migrating: true, done: make(chan struct{})}
+	ps := &partState{done: make(chan struct{})}
+	ps.migrating.Store(true)
+	in.parts[p].Store(ps)
 	return true
 }
 
@@ -1037,19 +1057,18 @@ func (in *Instance) beginMigration(p int) bool {
 // with errors (the paper's rollback path).
 func (in *Instance) completeMigration(p int, redirect string, ok bool) {
 	in.pmu.Lock()
-	ps := in.parts[p]
-	if ps == nil || !ps.migrating {
-		in.pmu.Unlock()
+	defer in.pmu.Unlock()
+	ps := in.parts[p].Load()
+	if ps == nil || !ps.migrating.Load() {
 		return
 	}
-	ps.migrating = false
 	ps.redirect = redirect
 	ps.ok = ok
+	ps.migrating.Store(false)
 	close(ps.done)
 	if !ok {
-		delete(in.parts, p) // rolled back: we still own the partition
+		in.parts[p].Store(nil) // rolled back: we still own the partition
 	}
-	in.pmu.Unlock()
 }
 
 // migrationGate returns nil when partition p is serveable; otherwise
@@ -1058,52 +1077,45 @@ func (in *Instance) completeMigration(p int, redirect string, ok bool) {
 // returns the queued verdict, or returns a redirect when p has already
 // moved away.
 func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
-	in.pmu.Lock()
-	ps := in.parts[p]
-	var wasMigrating bool
-	var done chan struct{}
-	if ps != nil {
-		wasMigrating = ps.migrating
-		done = ps.done
-	}
-	in.pmu.Unlock()
+	ps := in.parts[p].Load()
 	if ps == nil {
 		return nil
 	}
-	if wasMigrating {
+	if ps.migrating.Load() {
 		req.Detach()
 		select {
-		case <-done:
+		case <-ps.done:
 		case <-time.After(migrationTimeout + time.Second):
 			return &wire.Response{Status: wire.StatusError, Err: "core: migration stuck"}
 		case <-in.closed:
 			return &wire.Response{Status: wire.StatusError, Err: "core: instance closed"}
 		}
 	}
-	in.pmu.Lock()
-	redirect, ok, migrating := ps.redirect, ps.ok, ps.migrating
-	in.pmu.Unlock()
-	if migrating {
-		return &wire.Response{Status: wire.StatusError, Err: "core: migration restarted"}
-	}
-	if !ok {
-		if redirect == "" && in.ownsNow(p) {
+	if !ps.ok {
+		if ps.redirect == "" && in.ownsNow(p) {
 			// Migration rolled back; serve normally.
 			return nil
 		}
 		return &wire.Response{Status: wire.StatusError, Err: "core: migration failed"}
+	}
+	if testGateVerdict != nil {
+		testGateVerdict(in, p)
 	}
 	// Migration complete: drop the record. If our table reflects the
 	// move, the post-gate ownership check answers WrongOwner with the
 	// fresh table, so zero-hop routing is restored. If we own p again,
 	// ownership has since RETURNED (ok=true is only recorded after the
 	// table flipped it away, so the receiver itself departed and handed
-	// the partition back), and the op is served here.
-	in.pmu.Lock()
-	delete(in.parts, p)
-	in.pmu.Unlock()
+	// the partition back), and the op is served here. Only the record
+	// judged here is dropped: a migration of p that began since keeps
+	// its own.
+	in.parts[p].CompareAndSwap(ps, nil)
 	return nil
 }
+
+// testGateVerdict, when non-nil, runs inside migrationGate between
+// reading a completed migration's verdict and dropping its record.
+var testGateVerdict func(in *Instance, p int)
 
 func (in *Instance) ownsNow(p int) bool {
 	return in.tableRef().OwnerOf(p).ID == in.self.ID
@@ -1188,13 +1200,20 @@ var errLostRace = errors.New("core: a concurrent membership change won the epoch
 // but this instance, or the full table to a holder at another epoch;
 // gossip reaches the rest (DESIGN.md §10). A non-empty commit must
 // accept first (a join's relieved instance); a refusal returns the
-// table it carried. A holder answering with a table of nt's epoch that
-// orders after nt (ring.Table.After) wins the race: announce adopts it,
-// hands it to every holder it told, and returns it with errLostRace.
+// table it carried. A commit holder that lags old is handed old and
+// asked again: a change whose copies it held none of reaches it only
+// by gossip, which need not have arrived. A holder answering with a
+// table of nt's epoch that orders after nt (ring.Table.After) wins the
+// race: announce adopts it, hands it to every holder it told, and
+// returns it with errLostRace.
 func (in *Instance) announce(old, nt *ring.Table, frame []byte, commit string) (*ring.Table, error) {
 	var told []string
 	if commit != "" {
 		resp, err := in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		if w := tableOf(resp); err == nil && resp.Status != wire.StatusOK && w != nil && w.Epoch < old.Epoch {
+			in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(old)})
+			resp, err = in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		}
 		if err != nil || resp.Status != wire.StatusOK {
 			return tableOf(resp), fmt.Errorf("core: %s refused the commit (epoch race): %v %s", commit, err, respErr(resp))
 		}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/repair"
@@ -176,8 +179,12 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 			return err
 		}
 		for _, sp := range stale {
-			if _, err := sp.remove(s); err != nil {
+			ok, err := sp.remove(s)
+			if err != nil {
 				return err
+			}
+			if ok {
+				in.removes[p].note(sp.key, sp.ver+1)
 			}
 		}
 	}
@@ -201,6 +208,60 @@ type stalePair struct {
 // replaced it since keeps the key.
 func (sp stalePair) remove(s storage.KV) (bool, error) {
 	return s.RemoveLWW(sp.key, sp.ver+1)
+}
+
+// removeGrace is how long a remove's stamp keeps refusing stale copies
+// of the pair. It outlasts a migration (migrationTimeout), the longest
+// an exported image can wait before it lands.
+const removeGrace = 2 * migrationTimeout
+
+// removeStamps remembers the stamps of one partition's recent removes:
+// the owner's replicated removes, replica remove legs, and the deletes
+// of a wholesale repair or migration sync. The stores keep no
+// tombstones, so an absent key carries no version and PutLWW onto it
+// applies: without these, a rebuild image, a repair pull or a
+// migration stream exported before a remove would bring the removed
+// pair back when it lands after the remove (DESIGN.md §12). The stamps
+// live in memory only, for removeGrace past each remove, and are
+// dropped as note grows the set.
+type removeStamps struct {
+	n       atomic.Int64 // len(m), so install skips mu while none is kept
+	mu      sync.Mutex
+	m       map[string]uint64
+	sweepAt int // len(m) at which note next drops expired stamps
+}
+
+// note records a remove of key stamped ver.
+func (r *removeStamps) note(key string, ver uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.m == nil {
+		r.m = make(map[string]uint64)
+	}
+	// The key may alias a pooled request buffer; the map keeps a copy.
+	r.m[strings.Clone(key)] = max(ver, r.m[key])
+	if len(r.m) >= r.sweepAt {
+		cutoff := uint64(time.Now().Add(-removeGrace).UnixMilli()) << hlcNodeBits
+		for k, v := range r.m {
+			if v < cutoff {
+				delete(r.m, k)
+			}
+		}
+		r.sweepAt = max(64, 2*len(r.m))
+	}
+	r.n.Store(int64(len(r.m)))
+}
+
+// covers reports whether a pair of key stamped ver is no newer than a
+// remembered remove of key.
+func (r *removeStamps) covers(key string, ver uint64) bool {
+	if r.n.Load() == 0 {
+		return false
+	}
+	r.mu.Lock()
+	v, ok := r.m[key]
+	r.mu.Unlock()
+	return ok && ver <= v
 }
 
 // repairAuthority returns the instance whose copy of partition p is

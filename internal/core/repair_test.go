@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -379,5 +380,62 @@ func TestRepairOpsOverWire(t *testing.T) {
 		if _, ok, _ := storeGet(b, 2, stale); ok != (flags == 0) {
 			t.Fatalf("stale key present = %v after push-apply with flags %v", ok, flags)
 		}
+	}
+}
+
+// TestStaleCopyDoesNotResurrectRemove pins the removal half of the
+// autoscale soak's "no acked write lost" contract: a copy of a pair
+// exported before an acknowledged remove — a replica-rebuild image, an
+// upsert-only repair pull — lands after it on the owner and the
+// replica, and the key must stay removed on both. A later write of the
+// key, stamped above the remove, still reaches both copies.
+func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	d, _, c := startDeployment(t, cfg, 2)
+	owner, replica := d.Instance(0), d.Instance(1)
+	key := ownedKeys(t, owner, "grave", 1)[0].Key
+	p := owner.partitionOf(key)
+	if err := c.Insert(key, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	img, err := owner.exportPartition(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := owner.collectLeafPairs(p, allLeaves())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(key); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, in := range []*Instance{owner, replica} {
+		resp := in.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Flags: wire.FlagNoReplicate, Aux: img})
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("%s: stale image: %s %s", in.ID(), resp.Status, resp.Err)
+		}
+		if err := in.applyLeafContent(p, allLeaves(), pairs, false); err != nil {
+			t.Fatalf("%s: stale repair pull: %v", in.ID(), err)
+		}
+		if n := in.PartitionKeys(p); n != 0 {
+			t.Errorf("%s holds %d keys of partition %d after stale copies of a removed pair landed, want 0", in.ID(), n, p)
+		}
+	}
+	if v, err := c.Lookup(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lookup after the remove = %q, %v; want ErrNotFound", v, err)
+	}
+
+	if err := c.Insert(key, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	d.Drain()
+	for _, in := range []*Instance{owner, replica} {
+		if n := in.PartitionKeys(p); n != 1 {
+			t.Errorf("%s holds %d keys of partition %d after the key was written again, want 1", in.ID(), n, p)
+		}
+	}
+	if v, err := c.Lookup(key); err != nil || string(v) != "after" {
+		t.Fatalf("lookup after the rewrite = %q, %v; want \"after\"", v, err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,6 +74,69 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 	if openG.Value() != 0 {
 		t.Fatalf("open gauge = %d, want 0 after recovery", openG.Value())
+	}
+	if n := b.tracked.Load(); n != 0 {
+		t.Fatalf("tracked = %d with every circuit closed, want 0", n)
+	}
+
+	// Concurrent phase (meaningful under -race): callers on several
+	// goroutines trip, probe and close circuits on a few endpoints at
+	// once, racing the lock-free fast path against the transitions.
+	eps := []string{"c-0", "c-1", "c-2", "c-3"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				ep := eps[(g+i)%len(eps)]
+				if !b.allow(ep) {
+					continue
+				}
+				if (g*7+i)%5 < 3 {
+					b.failure(ep)
+				} else {
+					b.success(ep)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.mu.Lock()
+	held, open := len(b.eps), 0
+	for _, c := range b.eps {
+		if c.open {
+			open++
+		}
+	}
+	b.mu.Unlock()
+	if n := b.tracked.Load(); n != int64(held) {
+		t.Fatalf("after concurrent use: tracked = %d, but %d circuits are held", n, held)
+	}
+	if openG.Value() != int64(open) {
+		t.Fatalf("after concurrent use: open gauge = %d, but %d circuits are open", openG.Value(), open)
+	}
+	// The machine still works: a tripped circuit fails fast, and one
+	// successful half-open probe closes it.
+	for i := 0; i < 3; i++ {
+		b.failure("c-0")
+	}
+	if b.allow("c-0") {
+		t.Fatal("tripped circuit admitted a call before the cooldown")
+	}
+	time.Sleep(60 * time.Millisecond)
+	if !b.allow("c-0") {
+		t.Fatal("no probe admitted after cooldown")
+	}
+	b.success("c-0")
+	if !b.allow("c-0") {
+		t.Fatal("circuit still rejects after a successful probe")
+	}
+	for _, ep := range eps {
+		b.success(ep)
+	}
+	if n := b.tracked.Load(); n != 0 || openG.Value() != 0 {
+		t.Fatalf("after every endpoint answered: tracked = %d, open gauge = %d, want 0/0", n, openG.Value())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"zht/internal/metrics"
 )
 
 // TestLargeDeployment boots 512 instances in one process — the scale
@@ -14,7 +16,8 @@ func TestLargeDeployment(t *testing.T) {
 		t.Skip("large deployment")
 	}
 	const n = 512
-	cfg := Config{NumPartitions: 4096, Replicas: 1, RetryBase: time.Millisecond}
+	cfg := Config{NumPartitions: 4096, Replicas: 1, RetryBase: time.Millisecond, Metrics: metrics.NewRegistry()}
+	calls := cfg.Metrics.Counter("zht.transport.calls")
 	start := time.Now()
 	d, reg, err := BootstrapInproc(cfg, n)
 	if err != nil {
@@ -40,14 +43,14 @@ func TestLargeDeployment(t *testing.T) {
 	}
 	// Zero-hop property: exactly one network call per op (no
 	// forwarding, no table refreshes) once the table is current.
-	before := reg.Calls()
+	before := calls.Value()
 	const probes = 500
 	for i := 0; i < probes; i++ {
 		if _, err := c.Lookup(fmt.Sprintf("big-%06d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	callsPerOp := float64(reg.Calls()-before) / probes
+	callsPerOp := float64(calls.Value()-before) / probes
 	if callsPerOp > 1.01 {
 		t.Errorf("lookups averaged %.2f network calls; zero-hop routing should need exactly 1", callsPerOp)
 	}
@@ -63,21 +66,21 @@ func TestLargeDeployment(t *testing.T) {
 // TestZeroHopCallCount pins the headline routing property at small
 // scale: after warmup, every read costs exactly one network call.
 func TestZeroHopCallCount(t *testing.T) {
-	cfg := Config{NumPartitions: 64, Replicas: 0, RetryBase: time.Millisecond}
-	d, reg, c := startDeployment(t, cfg, 8)
-	_ = d
+	cfg := Config{NumPartitions: 64, Replicas: 0, RetryBase: time.Millisecond, Metrics: metrics.NewRegistry()}
+	calls := cfg.Metrics.Counter("zht.transport.calls")
+	_, _, c := startDeployment(t, cfg, 8)
 	for i := 0; i < 100; i++ {
 		if err := c.Insert(fmt.Sprintf("zh-%03d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := reg.Calls()
+	before := calls.Value()
 	for i := 0; i < 100; i++ {
 		if _, err := c.Lookup(fmt.Sprintf("zh-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := reg.Calls() - before; got != 100 {
+	if got := calls.Value() - before; got != 100 {
 		t.Errorf("100 lookups used %d network calls; want exactly 100 (zero hops)", got)
 	}
 }

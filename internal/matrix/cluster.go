@@ -58,6 +58,13 @@ func (c *Cluster) Submit(tasks []*Task, mode string) error {
 	}
 	switch mode {
 	case "balanced":
+		// Every share lands at once. Filled one node after another, a
+		// worker whose share had not arrived yet would find its queue
+		// empty and steal half of a filled node's queue, and the run
+		// would end a task round late.
+		for _, nd := range c.Nodes {
+			nd.mu.Lock()
+		}
 		per := (len(tasks) + len(c.Nodes) - 1) / len(c.Nodes)
 		for i, nd := range c.Nodes {
 			lo := i * per
@@ -68,7 +75,10 @@ func (c *Cluster) Submit(tasks []*Task, mode string) error {
 			if hi > len(tasks) {
 				hi = len(tasks)
 			}
-			nd.Enqueue(tasks[lo:hi]...)
+			nd.queue = append(nd.queue, tasks[lo:hi]...)
+		}
+		for _, nd := range c.Nodes {
+			nd.mu.Unlock()
 		}
 	case "single":
 		c.Nodes[0].Enqueue(tasks...)

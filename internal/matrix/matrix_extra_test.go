@@ -124,3 +124,63 @@ func TestPopBatchFraction(t *testing.T) {
 		t.Errorf("stole %d of 2, want 1", len(got))
 	}
 }
+
+// arrivingCaller runs arrive once, just before the first call it
+// forwards: work landing on the caller's node while a steal is in
+// flight.
+type arrivingCaller struct {
+	*transport.InprocClient
+	arrive func()
+}
+
+func (c *arrivingCaller) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	if c.arrive != nil {
+		c.arrive()
+		c.arrive = nil
+	}
+	return c.InprocClient.Call(addr, req)
+}
+
+// TestSurplusStealHandedBack steals half of a victim's queue twice.
+// Into an idle thief the batch stays; into a thief whose own share
+// landed while the steal was in flight it goes back to the victim, so
+// a submission that races a steal still leaves every node its share.
+func TestSurplusStealHandedBack(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		arrives               bool
+		wantThief, wantVictim int
+	}{
+		{"idle thief keeps the batch", false, 4, 4},
+		{"busy thief hands it back", true, 1, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := transport.NewRegistry()
+			victim := NewNode("victim", nil, nil, nil, NodeOptions{})
+			victim.Enqueue(MakeSleepTasks(8, 0)...)
+			if _, err := reg.Listen("victim", victim.Handle); err != nil {
+				t.Fatal(err)
+			}
+			var thief *Node
+			caller := &arrivingCaller{InprocClient: reg.NewClient()}
+			if tc.arrives {
+				caller.arrive = func() { thief.Enqueue(&Task{ID: "own"}) }
+			}
+			thief = NewNode("thief", []string{"thief", "victim"}, nil, caller, NodeOptions{})
+			// A probe that picks the thief itself fails without a call.
+			stole := false
+			for i := 0; i < 100 && !stole; i++ {
+				stole = thief.trySteal()
+			}
+			if !stole {
+				t.Fatal("no steal from a victim with 8 queued tasks in 100 probes")
+			}
+			if got := thief.QueueLen(); got != tc.wantThief {
+				t.Errorf("thief queues %d tasks, want %d", got, tc.wantThief)
+			}
+			if got := victim.QueueLen(); got != tc.wantVictim {
+				t.Errorf("victim queues %d tasks, want %d", got, tc.wantVictim)
+			}
+		})
+	}
+}

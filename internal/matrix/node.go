@@ -247,6 +247,15 @@ func (n *Node) trySteal() bool {
 	if err != nil || len(ts) == 0 {
 		return false
 	}
+	// Work that reached this node while the steal was in flight (a
+	// submission, or the other worker's steal) makes the batch surplus
+	// here: hand it back rather than leave the victim short.
+	if n.QueueLen() > 0 {
+		back, err := n.caller.Call(victim, &wire.Request{Op: wire.OpInsert, Key: keySubmit, Value: resp.Value})
+		if err == nil && back.Status == wire.StatusOK {
+			return true
+		}
+	}
 	n.Enqueue(ts...)
 	return true
 }

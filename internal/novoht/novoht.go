@@ -254,8 +254,12 @@ func newStore(l *Log) *Store {
 	return s
 }
 
-// shardOf returns the lock shard owning key (FNV-1a).
+// shardOf returns the lock shard owning key (FNV-1a); a one-shard
+// store skips the hash.
 func (s *Store) shardOf(key string) *shard {
+	if s.mask == 0 {
+		return s.shards[0]
+	}
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])

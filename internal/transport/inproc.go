@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,23 +19,41 @@ import (
 
 // Registry is an in-process network. The zero value is not usable;
 // call NewRegistry.
+//
+// A call reads the network from one immutable view published behind an
+// atomic pointer, so calls on every core take no lock; Listen, Close,
+// SetDown and SetLatency are rare and copy the view, serialized by mu.
 type Registry struct {
-	mu        sync.RWMutex
+	mu   sync.Mutex // serializes view writers
+	view atomic.Pointer[regView]
+	cmet cliMetrics
+}
+
+// regView is one published state of a Registry; it is never modified
+// once stored.
+type regView struct {
 	endpoints map[string]*InprocServer
 	down      map[string]bool
 	// latency, when set, is invoked per call to simulate network
-	// delay between src (may be empty) and dst.
+	// delay to dst.
 	latency func(dst string) time.Duration
-	calls   atomic.Int64
-	cmet    cliMetrics
 }
 
 // NewRegistry creates an empty in-process network.
 func NewRegistry() *Registry {
-	return &Registry{
-		endpoints: make(map[string]*InprocServer),
-		down:      make(map[string]bool),
-	}
+	r := &Registry{}
+	r.view.Store(&regView{endpoints: map[string]*InprocServer{}, down: map[string]bool{}})
+	return r
+}
+
+// update publishes a copy of the current view after f edits it; f
+// clones any map it changes.
+func (r *Registry) update(f func(v *regView)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := *r.view.Load()
+	f(&v)
+	r.view.Store(&v)
 }
 
 // SetMetrics points the registry's caller-side instruments
@@ -47,22 +66,22 @@ func (r *Registry) SetMetrics(reg *metrics.Registry) {
 // SetLatency installs a synthetic per-call latency function (nil to
 // disable).
 func (r *Registry) SetLatency(f func(dst string) time.Duration) {
-	r.mu.Lock()
-	r.latency = f
-	r.mu.Unlock()
+	r.update(func(v *regView) { v.latency = f })
 }
 
 // SetDown marks an endpoint unreachable (true) or reachable (false),
-// simulating a node failure without tearing down its state.
+// simulating a node failure without tearing down its state. It takes
+// effect on the next call.
 func (r *Registry) SetDown(addr string, down bool) {
-	r.mu.Lock()
-	r.down[addr] = down
-	r.mu.Unlock()
+	r.update(func(v *regView) {
+		v.down = maps.Clone(v.down)
+		if down {
+			v.down[addr] = true
+		} else {
+			delete(v.down, addr)
+		}
+	})
 }
-
-// Calls reports the total number of calls dispatched through the
-// registry.
-func (r *Registry) Calls() int64 { return r.calls.Load() }
 
 // InprocServer is an endpoint in a Registry.
 type InprocServer struct {
@@ -72,20 +91,30 @@ type InprocServer struct {
 	gate    *gate
 	met     srvMetrics
 	closed  atomic.Bool
-	// inflight tracks handler executions so Close can drain.
-	inflight sync.WaitGroup
+	// active counts handler executions so Close can drain them. A call
+	// enters the count and then checks closed; Close sets closed and
+	// then waits for the count to reach zero. Whichever check comes
+	// second sees the other side's write, so no handler starts once
+	// Close has returned.
+	active atomic.Int64
 }
 
 // Listen registers a new endpoint under addr.
 func (r *Registry) Listen(addr string, h Handler, opts ...ServerOption) (*InprocServer, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.endpoints[addr]; ok {
-		return nil, fmt.Errorf("transport: inproc address %q already bound", addr)
-	}
 	o := resolveOptions(opts)
 	s := &InprocServer{reg: r, addr: addr, handler: h, gate: newGate(o), met: newSrvMetrics(o.Metrics)}
-	r.endpoints[addr] = s
+	var err error
+	r.update(func(v *regView) {
+		if _, ok := v.endpoints[addr]; ok {
+			err = fmt.Errorf("transport: inproc address %q already bound", addr)
+			return
+		}
+		v.endpoints = maps.Clone(v.endpoints)
+		v.endpoints[addr] = s
+	})
+	if err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -97,12 +126,28 @@ func (s *InprocServer) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.reg.mu.Lock()
-	delete(s.reg.endpoints, s.addr)
-	s.reg.mu.Unlock()
-	s.inflight.Wait()
+	s.reg.update(func(v *regView) {
+		v.endpoints = maps.Clone(v.endpoints)
+		delete(v.endpoints, s.addr)
+	})
+	for s.active.Load() > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	return nil
 }
+
+// enter admits one handler execution, reporting false once Close has
+// begun; an admitted execution ends with exit.
+func (s *InprocServer) enter() bool {
+	s.active.Add(1)
+	if s.closed.Load() {
+		s.active.Add(-1)
+		return false
+	}
+	return true
+}
+
+func (s *InprocServer) exit() { s.active.Add(-1) }
 
 // InprocClient issues calls within a Registry.
 type InprocClient struct {
@@ -121,19 +166,16 @@ func (r *Registry) NewClient() *InprocClient { return &InprocClient{reg: r} }
 // what a datagram client sees when the ack arrives too late.
 func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, error) {
 	deadline := callDeadline(req, 0)
-	c.reg.mu.RLock()
-	srv := c.reg.endpoints[addr]
-	down := c.reg.down[addr]
-	lat := c.reg.latency
-	c.reg.mu.RUnlock()
-	if down || srv == nil || srv.closed.Load() {
+	v := c.reg.view.Load()
+	srv := v.endpoints[addr]
+	if v.down[addr] || srv == nil || srv.closed.Load() {
 		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		return nil, fmt.Errorf("%w: inproc %q: budget exhausted", ErrTimeout, addr)
 	}
-	if lat != nil {
-		if d := lat(addr); d > 0 {
+	if v.latency != nil {
+		if d := v.latency(addr); d > 0 {
 			if !deadline.IsZero() {
 				if rem := time.Until(deadline); d >= rem {
 					// The request (or its ack) lands past the
@@ -145,25 +187,14 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 			time.Sleep(d)
 		}
 	}
-	c.reg.calls.Add(1)
 	c.reg.cmet.calls.Inc()
-	// Register as in-flight under the registry lock: Close deletes
-	// the endpoint under the same lock before waiting, so this Add
-	// either strictly precedes the Wait or the endpoint is gone —
-	// never the Add/Wait-at-zero race the WaitGroup contract forbids.
-	c.reg.mu.RLock()
-	live := c.reg.endpoints[addr] == srv
-	if live {
-		srv.inflight.Add(1)
-	}
-	c.reg.mu.RUnlock()
-	if !live {
+	if !srv.enter() {
 		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	srv.met.requests.Inc()
 	if !srv.gate.tryAcquire() {
 		srv.met.sheds.Inc()
-		srv.inflight.Done()
+		srv.exit()
 		return srv.gate.busy(req.Seq), nil
 	}
 	// Serialize through the wire codec: this keeps in-proc behaviour
@@ -178,7 +209,7 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 	if err != nil {
 		wire.PutBuffer(enc)
 		srv.gate.release()
-		srv.inflight.Done()
+		srv.exit()
 		return nil, err
 	}
 	if deadline.IsZero() {
@@ -186,7 +217,7 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		resp := srv.handler(dreq)
 		srv.met.inflight.Dec()
 		srv.gate.release()
-		srv.inflight.Done()
+		srv.exit()
 		wire.PutRequest(dreq)
 		wire.PutBuffer(enc)
 		return c.copyResponse(srv, resp, req.Seq)
@@ -197,7 +228,7 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		resp := srv.handler(dreq)
 		srv.met.inflight.Dec()
 		srv.gate.release()
-		srv.inflight.Done()
+		srv.exit()
 		wire.PutRequest(dreq)
 		wire.PutBuffer(enc)
 		done <- resp

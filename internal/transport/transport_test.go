@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,6 +328,81 @@ func TestInprocCloseUnblocks(t *testing.T) {
 	// Address is reusable after close.
 	if _, err := reg.Listen("a", echoHandler); err != nil {
 		t.Errorf("rebind after close: %v", err)
+	}
+
+	// Calls racing Close, then a re-Listen on the same address: once
+	// Close returns, no handler of the closed server runs, and the new
+	// server takes the calls that follow. The injected latency holds
+	// each call between finding the server and entering it, where
+	// Close can overtake it.
+	c := reg.NewClient()
+	ping := &wire.Request{Op: wire.OpPing}
+	reg.SetLatency(func(string) time.Duration { return 200 * time.Microsecond })
+	for round := 0; round < 20; round++ {
+		var entered, running atomic.Int64
+		srv, err := reg.Listen("b", func(req *wire.Request) *wire.Response {
+			entered.Add(1)
+			running.Add(1)
+			defer running.Add(-1)
+			time.Sleep(50 * time.Microsecond)
+			return echoHandler(req)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						c.Call("b", ping) // unreachable once closed
+					}
+				}
+			}()
+		}
+		for entered.Load() == 0 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		srv.Close()
+		if n := running.Load(); n != 0 {
+			t.Fatalf("round %d: %d handlers still running after Close returned", round, n)
+		}
+		after := entered.Load()
+		time.Sleep(time.Millisecond)
+		if n := entered.Load(); n != after {
+			t.Fatalf("round %d: %d handlers of a closed server started after Close returned", round, n-after)
+		}
+		next, err := reg.Listen("b", echoHandler)
+		if err != nil {
+			t.Fatalf("round %d: rebind while calls race: %v", round, err)
+		}
+		if _, err := c.Call("b", ping); err != nil {
+			t.Fatalf("round %d: call to the rebound address: %v", round, err)
+		}
+		close(stop)
+		wg.Wait()
+		next.Close()
+	}
+
+	reg.SetLatency(nil)
+
+	// SetDown takes effect on the next call, and so does its reversal.
+	if _, err := c.Call("a", ping); err != nil {
+		t.Fatal(err)
+	}
+	reg.SetDown("a", true)
+	if _, err := c.Call("a", ping); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("call right after SetDown(true): %v, want ErrUnreachable", err)
+	}
+	reg.SetDown("a", false)
+	if _, err := c.Call("a", ping); err != nil {
+		t.Errorf("call right after SetDown(false): %v", err)
 	}
 }
 
