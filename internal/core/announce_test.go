@@ -15,14 +15,15 @@ import (
 
 // countingDeployment boots n in-process instances — and, through the
 // same listen function, every instance that joins later — behind
-// handlers that count the membership frames (wire.OpDelta) they handle.
-func countingDeployment(t *testing.T, cfg Config, n int) (*Deployment, *transport.Registry, *atomic.Int64) {
+// handlers that count the requests of op (wire.OpDelta: membership
+// frames) they handle.
+func countingDeployment(t *testing.T, cfg Config, n int, op wire.Op) (*Deployment, *transport.Registry, *atomic.Int64) {
 	t.Helper()
 	reg := transport.NewRegistry()
 	frames := new(atomic.Int64)
 	d, err := Bootstrap(cfg, InprocEndpoints(n), func(addr string, h transport.Handler) (transport.Listener, error) {
 		return reg.Listen(addr, func(req *wire.Request) *wire.Response {
-			if req.Op == wire.OpDelta {
+			if req.Op == op {
 				frames.Add(1)
 			}
 			return h(req)
@@ -47,7 +48,7 @@ func TestMembershipChangeTraffic(t *testing.T) {
 	for _, n := range []int{8, 64} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			cfg := Config{NumPartitions: 4 * n, Replicas: 1, RetryBase: time.Millisecond}
-			d, reg, frames := countingDeployment(t, cfg, n)
+			d, reg, frames := countingDeployment(t, cfg, n, wire.OpDelta)
 			c, err := d.NewClient()
 			if err != nil {
 				t.Fatal(err)

@@ -265,10 +265,10 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 
 	// Migration gates (a partition being given away queues its ops until
 	// the move resolves, §III.C), then the op stripes of every group
-	// that passed, held through the apply so an export cannot slip in
-	// and lose an acknowledged write; a migration that began while the
-	// stripes were being acquired sends the envelope back through the
-	// gates.
+	// that passed, held through the apply so a migration's drain waits
+	// for it and its final sync cannot miss an acknowledged write; a
+	// migration that began while the stripes were being acquired sends
+	// the envelope back through the gates.
 	for {
 		ops = 0
 		for gi := range groups {

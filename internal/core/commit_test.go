@@ -2,7 +2,7 @@ package core
 
 // Tests for the per-request WAL commit: an instance's stores only stage
 // their log records, and the code that acknowledges a request — an
-// envelope's primaries, a leg envelope, a migration image, a repair
+// envelope's primaries, a leg envelope, a migration push, a repair
 // pull, a reaper sweep, the legacy import — commits them once.
 
 import (
@@ -277,16 +277,20 @@ func TestNoRecordPendingAtAck(t *testing.T) {
 		ops := ownedKeys(t, src, "mig", 8)
 		mustBatch(t, c, ops)
 		p := src.partitionOf(ops[0].Key)
-		img, err := src.exportPartition(p)
+		pairs, err := src.collectLeafPairs(p, allLeaves())
 		if err != nil {
 			t.Fatal(err)
 		}
 		grew(t, "migration push", dst, func() {
-			resp := dst.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Flags: wire.FlagNoReplicate, Aux: img})
+			resp := dst.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p), Flags: wire.FlagWholesale,
+				Aux: repair.EncodeLeafSet(allLeaves()), Value: repair.EncodePairs(pairs)})
 			if resp.Status != wire.StatusOK {
 				t.Fatalf("migration push: %s %s", resp.Status, resp.Err)
 			}
 		})
+		if dst.PartitionKeys(p) != src.PartitionKeys(p) {
+			t.Fatalf("push moved %d of %d keys", dst.PartitionKeys(p), src.PartitionKeys(p))
+		}
 	})
 
 	t.Run("repair-pull", func(t *testing.T) {
@@ -295,7 +299,7 @@ func TestNoRecordPendingAtAck(t *testing.T) {
 		ops := ownedKeys(t, src, "pull", 8)
 		mustBatch(t, c, ops)
 		p := src.partitionOf(ops[0].Key)
-		grew(t, "repair pull", dst, func() { dst.pullLeaves(src.Addr(), p, allLeaves()) })
+		grew(t, "repair pull", dst, func() { dst.pullChunks(src.Addr(), p, allLeaves(), true, nil) })
 		if dst.PartitionKeys(p) != src.PartitionKeys(p) {
 			t.Fatalf("pull moved %d of %d keys", dst.PartitionKeys(p), src.PartitionKeys(p))
 		}

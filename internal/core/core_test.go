@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -314,6 +315,73 @@ func TestReplicaRebuildAfterFailure(t *testing.T) {
 	want := 3 * (n + 1)
 	if total < want {
 		t.Errorf("copies on survivors = %d, want >= %d (rebuild incomplete)", total, want)
+	}
+	// Every copy the new table names holds exactly the owner's pairs.
+	byID := map[ring.InstanceID]*Instance{}
+	table := d.Instance(0).Table()
+	for _, in := range d.Instances() {
+		byID[in.ID()] = in
+		if in != victim {
+			table = newerTable(table, in.Table())
+		}
+	}
+	for p := 0; p < table.NumPartitions; p++ {
+		owner := byID[table.OwnerOf(p).ID]
+		for _, r := range table.ReplicasOf(p, testCfg().Replicas) {
+			if !reflect.DeepEqual(byID[r.ID].PartitionDigest(p), owner.PartitionDigest(p)) {
+				t.Errorf("partition %d: replica %s's digest differs from owner %s's", p, r.ID, owner.ID())
+			}
+		}
+	}
+}
+
+// TestRebuildOnlyWhatLostACopy: a failover rebuilds the partitions
+// whose copy set it changed, and no other. With anti-entropy off the
+// rebuild is the only sender of digest probes, so the owners send
+// exactly one per replica of each such partition.
+func TestRebuildOnlyWhatLostACopy(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	d, reg, probes := countingDeployment(t, cfg, 8, wire.OpDigest)
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := d.Instance(3)
+	old := d.Instance(0).Table()
+	for i := 0; i < 200; i++ {
+		if err := c.Insert(fmt.Sprintf("key-%04d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Drain()
+	reg.SetDown(victim.Addr(), true)
+	// A write to one of the victim's partitions detects the failure.
+	if err := c.Insert(keyForPartition(t, cfg, old, old.PartitionsOf(old.IndexOf(victim.ID()))[0]), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	d.Drain()
+	nt := old
+	for _, in := range d.Instances() {
+		if in != victim {
+			nt = newerTable(nt, in.Table())
+		}
+	}
+	if nt.Epoch != old.Epoch+1 {
+		t.Fatalf("epoch %d after one failover from %d", nt.Epoch, old.Epoch)
+	}
+	want, every := 0, 0
+	for p := 0; p < nt.NumPartitions; p++ {
+		reps := len(nt.ReplicasOf(p, cfg.Replicas))
+		every += reps
+		if ring.CopySetChanged(old, nt, p, cfg.Replicas) {
+			want += reps
+		}
+	}
+	if want == 0 || want >= every {
+		t.Fatalf("%d probes for the changed copy sets against %d for every partition: the test cannot tell them apart", want, every)
+	}
+	if got := probes.Load(); got != int64(want) {
+		t.Fatalf("owners sent %d digest probes, want %d: one per replica of each partition whose copy set changed", got, want)
 	}
 }
 

@@ -116,9 +116,18 @@ func TestDeltaGarbagePayload(t *testing.T) {
 func TestMigrateBadPartition(t *testing.T) {
 	d, _, _ := startDeployment(t, testCfg(), 2)
 	for _, p := range []int64{-1, 1 << 40} {
-		resp := d.Instance(0).Handle(&wire.Request{Op: wire.OpMigrate, Partition: p})
+		resp := d.Instance(0).Handle(&wire.Request{Op: wire.OpMigrate, Partition: p, Aux: migrateLockMarker})
 		if resp.Status != wire.StatusError {
 			t.Errorf("partition %d accepted: %v", p, resp.Status)
+		}
+	}
+	// OpMigrate carries a lock or an abort, never pairs: an empty Aux
+	// or any other marker is refused, on a partition the instance owns.
+	p := int64(d.Instance(0).Table().PartitionsOf(0)[0])
+	for _, aux := range [][]byte{nil, []byte("NOVOEXP1"), []byte("locks")} {
+		resp := d.Instance(0).Handle(&wire.Request{Op: wire.OpMigrate, Partition: p, Aux: aux})
+		if resp.Status != wire.StatusError {
+			t.Errorf("OpMigrate with Aux %q = %v, want an error", aux, resp.Status)
 		}
 	}
 }
@@ -128,9 +137,9 @@ func TestMigratePullFromNonOwner(t *testing.T) {
 	// Ask instance 1 for a partition instance 0 owns.
 	tab := d.Instance(0).Table()
 	p0 := tab.PartitionsOf(0)[0]
-	resp := d.Instance(1).Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p0), Key: "thief"})
+	resp := d.Instance(1).Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p0), Key: "thief", Aux: migrateLockMarker})
 	if resp.Status != wire.StatusWrongOwner {
-		t.Errorf("pull from non-owner: %v", resp.Status)
+		t.Errorf("lock on a non-owner: %v", resp.Status)
 	}
 	if resp.Table == nil {
 		t.Error("WrongOwner response should carry the table")
@@ -143,13 +152,13 @@ func TestMigrateAbortRollsBack(t *testing.T) {
 	in0 := d.Instance(0)
 	tab := in0.Table()
 	p := tab.PartitionsOf(0)[0]
-	// Start a pull (locks the partition), then abort it: the owner
-	// must resume serving the partition itself.
-	resp := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "joiner-addr"})
+	// Lock the partition for a move, then abort it: the owner must
+	// resume serving the partition itself.
+	resp := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "joiner-addr", Aux: migrateLockMarker})
 	if resp.Status != wire.StatusOK {
-		t.Fatalf("pull failed: %v %s", resp.Status, resp.Err)
+		t.Fatalf("lock failed: %v %s", resp.Status, resp.Err)
 	}
-	abort := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: []byte("abort")})
+	abort := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: migrateAbortMarker})
 	if abort.Status != wire.StatusOK {
 		t.Fatalf("abort failed: %v", abort.Status)
 	}
@@ -211,14 +220,14 @@ func TestDoublePullRejected(t *testing.T) {
 	d, _, _ := startDeployment(t, Config{NumPartitions: 16, RetryBase: time.Millisecond}, 2)
 	in0 := d.Instance(0)
 	p := in0.Table().PartitionsOf(0)[0]
-	if r := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "a"}); r.Status != wire.StatusOK {
-		t.Fatalf("first pull: %v", r.Status)
+	if r := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "a", Aux: migrateLockMarker}); r.Status != wire.StatusOK {
+		t.Fatalf("first lock: %v", r.Status)
 	}
-	if r := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "b"}); r.Status != wire.StatusError {
-		t.Fatalf("concurrent second pull accepted: %v", r.Status)
+	if r := in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Key: "b", Aux: migrateLockMarker}); r.Status != wire.StatusError {
+		t.Fatalf("concurrent second lock accepted: %v", r.Status)
 	}
 	// Clean up the lock.
-	in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: []byte("abort")})
+	in0.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: migrateAbortMarker})
 }
 
 // keyForPartition brute-forces a key hashing into partition p.
@@ -285,6 +294,23 @@ func TestBroadcastSurvivesFailedInterior(t *testing.T) {
 	}
 	if got != 7 {
 		t.Errorf("broadcast reached %d/7 alive instances", got)
+	}
+}
+
+// TestBroadcastRefusedIsNotDelivered: a broadcast the instance refuses
+// — an origin outside the ring — is not delivered locally either.
+func TestBroadcastRefusedIsNotDelivered(t *testing.T) {
+	d, _, _ := startDeployment(t, testCfg(), 2)
+	in := d.Instance(0)
+	for _, origin := range []int64{-1, 2} {
+		resp := in.Handle(&wire.Request{Op: wire.OpBroadcast, Key: "bad", Value: []byte("x"), Partition: origin})
+		if resp.Status != wire.StatusError {
+			t.Errorf("broadcast from origin %d = %s, want an error", origin, resp.Status)
+		}
+	}
+	d.Drain()
+	if v, ok := in.BroadcastValue("bad"); ok {
+		t.Fatalf("a refused broadcast was delivered: %q", v)
 	}
 }
 

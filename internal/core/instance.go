@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -69,10 +68,10 @@ type Instance struct {
 	// load; pmu serializes the transitions that store or clear one.
 	pmu   sync.Mutex
 	parts []atomic.Pointer[partState]
-	// opLocks serialize partition exports against in-flight KV
+	// opLocks order a migration's cutover after in-flight KV
 	// applications (striped; a migration takes the write side after
-	// marking the partition migrating, draining appliers so the
-	// exported image includes every acknowledged write).
+	// marking the partition migrating, draining appliers so its final
+	// sync includes every acknowledged write).
 	opLocks [lockStripes]sync.RWMutex
 	// mutLocks serialize each KEY's mutation+replication pair
 	// (striped by key hash): without it, two concurrent writes to one
@@ -658,23 +657,6 @@ func (in *Instance) mutates(req *wire.Request) bool {
 	return req.Op != wire.OpLookup && in.cfg.Replicas > 0
 }
 
-// exportPartition snapshots partition p with the op lock held so the
-// image contains every acknowledged write.
-func (in *Instance) exportPartition(p int) ([]byte, error) {
-	s, err := in.store(p)
-	if err != nil {
-		return nil, err
-	}
-	lock := in.opLock(p)
-	lock.Lock()
-	defer lock.Unlock()
-	var img bytes.Buffer
-	if err := storage.Export(&img, s); err != nil {
-		return nil, err
-	}
-	return img.Bytes(), nil
-}
-
 // statusResp draws a pooled response carrying just a status; the
 // transport writer recycles it after encoding (see transport.Handler).
 func statusResp(st wire.Status) *wire.Response {
@@ -815,20 +797,8 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	}
 }
 
-// installer is partition p's store whose PutLWW is install, so a
-// migration image lands through it like every other stamped pair.
-type installer struct {
-	storage.KV
-	in *Instance
-	p  int
-}
-
-func (i installer) PutLWW(key string, val []byte, ver uint64) (bool, error) {
-	return i.in.install(i.p, i.KV, key, val, ver)
-}
-
-// install lands a stamped pair another node produced — a replica leg,
-// a repair transfer, a migration image — into partition p's store s,
+// install lands a stamped pair another node produced — a replica leg
+// or a leaf-stream transfer — into partition p's store s,
 // last-writer-wins. It is the one way such a pair enters a local
 // store. It refuses a key that does not hash to p: the log replays each
 // record into the partition its key hashes to. The clock observes the
@@ -883,9 +853,8 @@ func (in *Instance) handleDelta(req *wire.Request) *wire.Response {
 }
 
 // afterTableChange reconciles local state with a new table: completes
-// outgoing migrations whose partitions moved away, and rebuilds
-// replicas for partitions this instance just inherited from a failed
-// node.
+// outgoing migrations whose partitions moved away, and rebuilds the
+// replicas of owned partitions that lost a copy.
 func (in *Instance) afterTableChange(old, nt *ring.Table) {
 	myOld := old.IndexOf(in.self.ID)
 	myNew := nt.IndexOf(in.self.ID)
@@ -894,7 +863,7 @@ func (in *Instance) afterTableChange(old, nt *ring.Table) {
 	// redundancy; the paper's manager "initiates a rebuilding of the
 	// replicas, specifically increasing replication on all partitions
 	// stored on the failed physical node". Each current owner
-	// re-pushes its partitions.
+	// re-pushes the partitions whose copy set the update changed.
 	nodeFailed := false
 	for i := range old.Status {
 		if old.Status[i] == ring.Alive && i < len(nt.Status) && nt.Status[i] != ring.Alive {
@@ -910,112 +879,68 @@ func (in *Instance) afterTableChange(old, nt *ring.Table) {
 			// with a redirect to the new owner.
 			in.completeMigration(p, nt.OwnerOf(p).Addr, true)
 		}
-		if ownedNow && nodeFailed && in.cfg.Replicas > 0 {
+		if ownedNow && nodeFailed && in.cfg.Replicas > 0 && ring.CopySetChanged(old, nt, p, in.cfg.Replicas) {
 			in.rebuildReplicas(nt, p)
 		}
 	}
 }
 
-// rebuildReplicas pushes a full image of partition p to every replica
-// in the new replica set, asynchronously.
+// rebuildReplicas converges partition p's replicas in table toward
+// this owner's copy, asynchronously: a digest diff and an upsert-only
+// leaf push to each (pushToReplicas).
 func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
-	in.async.goAsync(func() {
-		s, err := in.store(p)
-		if err != nil {
-			return
-		}
-		var img bytes.Buffer
-		if err := storage.Export(&img, s); err != nil {
-			return
-		}
-		for _, r := range table.ReplicasOf(p, in.cfg.Replicas) {
-			if r.ID == in.self.ID {
-				continue
-			}
-			in.caller.Call(r.Addr, &wire.Request{
-				Op: wire.OpMigrate, Partition: int64(p),
-				Flags: wire.FlagNoReplicate, Aux: img.Bytes(),
-			})
-		}
-	})
+	in.async.goAsync(func() { in.pushToReplicas(table, p) })
 }
 
-// handleMigrate serves both migration directions:
-//
-//   - pull (Aux empty): the requester (a joining node, named by Key)
-//     asks for partition p; we lock p, export its image, and keep the
-//     partition locked until the membership delta confirms the move.
-//   - push (Aux = image): we import the image into our local store
-//     (used for departures and replica rebuilds).
+// handleMigrate serves a streaming migration's two cutover requests,
+// named by Aux: "lock" (handleMigrateLock) and "abort", which rolls a
+// lock back. Anything else is an error: pairs move through the leaf
+// stream, never in an OpMigrate.
 func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if p < 0 || p >= in.cfg.NumPartitions {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
-	if len(req.Aux) > 0 {
-		if string(req.Aux) == "abort" {
-			in.completeMigration(p, "", false)
-			return &wire.Response{Status: wire.StatusOK}
-		}
-		if string(req.Aux) == string(migrateLockMarker) {
-			return in.handleMigrateLock(p)
-		}
-		s, err := in.store(p)
-		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
-		}
-		// The image's pairs are staged one by one and committed once.
-		_, err = storage.Import(bytes.NewReader(req.Aux), installer{s, in, p})
-		if cerr := in.log.Commit(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
-		}
+	switch string(req.Aux) {
+	case string(migrateLockMarker):
+		return in.handleMigrateLock(p)
+	case string(migrateAbortMarker):
+		in.completeMigration(p, "", false)
 		return &wire.Response{Status: wire.StatusOK}
 	}
-	// Pull: verify ownership.
-	table := in.tableRef()
-	ownsIt := table.OwnerOf(p).ID == in.self.ID
-	if !ownsIt {
-		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
-	}
-	if !in.beginMigration(p) {
-		return &wire.Response{Status: wire.StatusError, Err: "core: partition already migrating"}
-	}
-	img, err := in.exportPartition(p)
-	if err != nil {
-		in.completeMigration(p, "", false)
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
-	}
-	resp := &wire.Response{Status: wire.StatusOK, Value: img}
-	in.migrationWatchdog(p)
-	return resp
+	return &wire.Response{Status: wire.StatusError, Err: "core: unknown migrate request"}
 }
 
-// handleMigrateLock serves the streaming path's cutover request: the
-// incoming owner has already streamed the partition's content and now
-// asks us to stop serving it. We begin the migration (new requests
-// queue behind the gate), drain in-flight appliers by cycling the op
-// lock, and reply — the requester then runs its locked final sync and
-// commits the delta, which resolves the queued requests with
-// redirects. No image travels; content moved through repair pulls.
+// handleMigrateLock serves the cutover request: the incoming owner has
+// already streamed the partition's content and now asks us to stop
+// serving it. We lock the partition (lockForMove) and reply — the
+// requester then runs its locked final sync and commits the delta,
+// which resolves the queued requests with redirects.
 func (in *Instance) handleMigrateLock(p int) *wire.Response {
 	table := in.tableRef()
-	ownsIt := table.OwnerOf(p).ID == in.self.ID
-	if !ownsIt {
+	if table.OwnerOf(p).ID != in.self.ID {
 		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 	}
-	if !in.beginMigration(p) {
+	if !in.lockForMove(p) {
 		return &wire.Response{Status: wire.StatusError, Err: "core: partition already migrating"}
 	}
-	// Drain: anyone holding the op lock in read mode finished applying
-	// (and replicating) once we can take it exclusively.
+	in.migrationWatchdog(p)
+	return &wire.Response{Status: wire.StatusOK}
+}
+
+// lockForMove begins an outgoing migration of partition p — new
+// requests queue behind its gate — and drains the appliers already
+// past the gate: anyone holding the op lock in read mode finished
+// applying (and replicating) once it can be taken exclusively. It
+// reports false when p is already migrating.
+func (in *Instance) lockForMove(p int) bool {
+	if !in.beginMigration(p) {
+		return false
+	}
 	l := in.opLock(p)
 	l.Lock()
 	l.Unlock() //nolint:staticcheck // cycle, not critical section
-	in.migrationWatchdog(p)
-	return &wire.Response{Status: wire.StatusOK}
+	return true
 }
 
 // migrationWatchdog fails an open migration on partition p if the
@@ -1242,15 +1167,12 @@ func (in *Instance) announce(old, nt *ring.Table, frame []byte, commit string) (
 	return nil, nil
 }
 
-// handleBroadcast stores the pair locally and forwards it down the
-// spanning tree (future-work broadcast primitive, implemented). The
-// tree is a binary tree over ring indices relabeled so the origin
-// (req.Partition) is the root.
+// handleBroadcast checks the origin and this instance's membership,
+// then stores the pair locally and forwards it down the spanning tree
+// (future-work broadcast primitive, implemented). The tree is a binary
+// tree over ring indices relabeled so the origin (req.Partition) is
+// the root. A refused broadcast is not delivered.
 func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
-	in.bmu.Lock()
-	in.bcast[req.Key] = append([]byte(nil), req.Value...)
-	in.bmu.Unlock()
-
 	table := in.tableRef()
 	n := len(table.Instances)
 	origin := int(req.Partition)
@@ -1261,6 +1183,10 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 	if myIdx < 0 {
 		return &wire.Response{Status: wire.StatusError, Err: "core: not a member"}
 	}
+	in.bmu.Lock()
+	in.bcast[req.Key] = append([]byte(nil), req.Value...)
+	in.bmu.Unlock()
+
 	pos := (myIdx - origin + n) % n
 	for _, childPos := range []int{2*pos + 1, 2*pos + 2} {
 		if childPos >= n {

@@ -6,7 +6,6 @@ package core
 // stamped pair must hash to the partition it names.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -247,7 +246,7 @@ func TestImportPartitionLogs(t *testing.T) {
 
 // TestInstallRefusesForeignPartition pins the routing invariant where
 // stamped pairs arrive from the network: a replica leg, a migration
-// image or a repair transfer naming partition p must carry keys that
+// push or a repair transfer naming partition p must carry keys that
 // hash to p, because the log replays each record into the partition its
 // key hashes to.
 func TestInstallRefusesForeignPartition(t *testing.T) {
@@ -257,31 +256,17 @@ func TestInstallRefusesForeignPartition(t *testing.T) {
 	key := keyForPartition(t, cfg, in.Table(), 1)
 	ver := uint64(7) << hlcNodeBits
 
-	src, err := novoht.Open(novoht.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if err := src.PutV(key, []byte("v"), ver); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := storage.Export(&img, src); err != nil {
-		t.Fatal(err)
-	}
-	all := make([]int, storage.Leaves)
-	for l := range all {
-		all[l] = l
-	}
+	all := allLeaves()
+	pairs := repair.EncodePairs([]repair.Pair{{Key: key, Value: []byte("v"), Ver: ver}})
 	foreign := func(p int64) map[string]*wire.Request {
 		return map[string]*wire.Request{
 			"replica insert": {Op: wire.OpReplicate, Partition: p, Key: key, Value: []byte("v"), Version: ver,
 				Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpInsert)},
 			"replica remove": {Op: wire.OpReplicate, Partition: p, Key: key, Version: ver + 1,
 				Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpRemove)},
-			"migration image": {Op: wire.OpMigrate, Partition: p, Flags: wire.FlagNoReplicate, Aux: img.Bytes()},
-			"repair leaves": {Op: wire.OpRepairPull, Partition: p, Aux: repair.EncodeLeafSet(all),
-				Value: repair.EncodePairs([]repair.Pair{{Key: key, Value: []byte("v"), Ver: ver}})},
+			"migration push": {Op: wire.OpRepairPull, Partition: p, Flags: wire.FlagWholesale,
+				Aux: repair.EncodeLeafSet(all), Value: pairs},
+			"repair leaves": {Op: wire.OpRepairPull, Partition: p, Aux: repair.EncodeLeafSet(all), Value: pairs},
 		}
 	}
 	for name, req := range foreign(0) {

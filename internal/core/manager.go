@@ -98,7 +98,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 		inst.met.migAborts.Inc()
 		for _, p := range parts {
 			caller.Call(giver.Addr, &wire.Request{
-				Op: wire.OpMigrate, Partition: int64(p), Aux: []byte("abort"),
+				Op: wire.OpMigrate, Partition: int64(p), Aux: migrateAbortMarker,
 			})
 		}
 		inst.Close()
@@ -109,7 +109,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 	// giver still owns p at its epoch; the newcomer converges toward
 	// the live copy with digest catch-up rounds).
 	for _, p := range parts {
-		if err := inst.migratePull(giver.Addr, p, thr); err != nil {
+		if err := inst.migrateStream(giver.Addr, p, inst.pullChunks, thr); err != nil {
 			abort()
 			return nil, nil, fmt.Errorf("stream partition %d from %s: %w", p, giver.Addr, err)
 		}
@@ -126,7 +126,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 			abort()
 			return nil, tableOf(mresp), fmt.Errorf("lock partition %d on %s: %v %s", p, giver.Addr, err, respErr(mresp))
 		}
-		if err := inst.migrateFinalPull(giver.Addr, p); err != nil {
+		if err := inst.migrateFinal(giver.Addr, p, inst.pullChunks); err != nil {
 			abort()
 			return nil, nil, fmt.Errorf("final sync of partition %d from %s: %w", p, giver.Addr, err)
 		}
@@ -168,7 +168,7 @@ func Depart(inst *Instance) error {
 	for tgtIdx, parts := range moves {
 		tgt := table.Instances[tgtIdx]
 		for _, p := range parts {
-			if err := inst.migratePush(tgt.Addr, p, thr); err != nil {
+			if err := inst.migrateStream(tgt.Addr, p, inst.pushChunks, thr); err != nil {
 				return fmt.Errorf("core: stream partition %d to %s: %w", p, tgt.Addr, err)
 			}
 		}
@@ -188,15 +188,12 @@ func Depart(inst *Instance) error {
 	for tgtIdx, parts := range moves {
 		tgt := table.Instances[tgtIdx]
 		for _, p := range parts {
-			if !inst.beginMigration(p) {
+			if !inst.lockForMove(p) {
 				rollback()
 				return fmt.Errorf("core: partition %d already migrating", p)
 			}
 			begun = append(begun, p)
-			l := inst.opLock(p)
-			l.Lock()
-			l.Unlock() //nolint:staticcheck // cycle, not critical section
-			if err := inst.migrateFinalPush(tgt.Addr, p); err != nil {
+			if err := inst.migrateFinal(tgt.Addr, p, inst.pushChunks); err != nil {
 				rollback()
 				return fmt.Errorf("core: final sync of partition %d to %s: %w", p, tgt.Addr, err)
 			}

@@ -8,15 +8,16 @@ import (
 	"zht/internal/wire"
 )
 
-// Throttled streaming migration (DESIGN.md §10): instead of moving a
-// partition as one unthrottled whole-partition image while requests
-// queue, membership changes stream its contents in bounded leaf
-// chunks — reusing the repair subsystem's Merkle digests and leaf
-// transfer codec — while the old owner keeps serving. Multi-round
-// digest catch-up shrinks the divergence the live traffic reopens;
-// only the final sync runs behind the migration lock, so the
-// unavailability window covers the residue of one round, not the
-// whole partition.
+// The leaf stream: the one way stamped pairs move between copies of a
+// partition outside replica legs (DESIGN.md §10). Migration, replica
+// rebuild, anti-entropy and read-repair all diff Merkle digests
+// (OpDigest) and move the divergent leaves' contents in chunks of
+// OpRepairPull pulls or pushes, so a transfer costs what diverged, not
+// what exists. A migration streams while the old owner keeps serving:
+// a full pass, then digest catch-up rounds that shrink the divergence
+// the live traffic reopens; only the final sync runs behind the
+// migration lock, so the unavailability window covers the residue of
+// one round, not the whole partition.
 
 // migrateCatchupRounds bounds the unlocked digest catch-up passes one
 // streaming transfer runs before cutover. Whatever divergence survives
@@ -24,99 +25,124 @@ import (
 // locked final sync.
 const migrateCatchupRounds = 5
 
-// migrateLeavesPerPull is how many Merkle leaves one migration pull or
-// push round trip moves: an eighth of a partition's storage.Leaves, so
-// the throttle paces a transfer in fine steps.
+// migrateLeavesPerPull is how many Merkle leaves one pull or push
+// round trip moves: an eighth of a partition's storage.Leaves, so the
+// throttle paces a transfer in fine steps.
 const migrateLeavesPerPull = 8
 
-// migrateLockMarker is the OpMigrate Aux that asks the current owner
-// to lock a partition for cutover: begin the migration (queue new
+// The OpMigrate requests, by Aux. A lock asks the current owner to
+// lock a partition for cutover: begin the migration (queue new
 // requests), drain in-flight appliers, and hold until the membership
-// delta — or the watchdog — resolves the move. Unlike the legacy pull
-// path it carries no image back; the requester streams content
-// through repair pulls instead.
-var migrateLockMarker = []byte("lock")
+// delta — or the watchdog — resolves the move. An abort rolls a lock
+// back. No pairs travel in either; content moves through the leaf
+// stream.
+var (
+	migrateLockMarker  = []byte("lock")
+	migrateAbortMarker = []byte("abort")
+)
 
-// migratePull streams partition p from the owner at src into the
-// local store: one full pass over all Merkle leaves in chunks of
-// migrateLeavesPerPull, then unlocked digest catch-up rounds. src
-// keeps serving throughout; thr caps the transfer rate. A non-nil
-// error aborts the join.
-func (in *Instance) migratePull(src string, p int, thr *repair.Throttle) error {
-	if err := in.pullLeafChunks(src, p, allLeaves(), thr); err != nil {
-		return err
-	}
-	for r := 0; r < migrateCatchupRounds; r++ {
-		diff, err := in.migrateDiff(src, p)
+// tally counts what a leaf transfer moved; callers decide which
+// metrics it feeds.
+type tally struct {
+	leaves, pairs, bytes int
+	rounds               int // diffs that found divergence (converge)
+}
+
+func (t *tally) add(o tally) {
+	t.leaves += o.leaves
+	t.pairs += o.pairs
+	t.bytes += o.bytes
+	t.rounds += o.rounds
+}
+
+// chunkMover moves the given leaves of partition p between this
+// instance and the peer at addr, migrateLeavesPerPull at a time:
+// pullChunks or pushChunks. wholesale says the source's image is
+// complete, so the receiver deletes keys absent from it; thr (nil =
+// unlimited) paces the transfer by payload bytes.
+type chunkMover func(addr string, p int, leaves []int, wholesale bool, thr *repair.Throttle) (tally, error)
+
+// pullChunks fetches the given leaves of partition p from addr and
+// converges the local ranges toward each chunk (applyLeafContent).
+func (in *Instance) pullChunks(addr string, p int, leaves []int, wholesale bool, thr *repair.Throttle) (tally, error) {
+	var t tally
+	for _, ls := range leafChunks(leaves) {
+		resp, err := in.caller.Call(addr, &wire.Request{
+			Op: wire.OpRepairPull, Partition: int64(p),
+			Aux: repair.EncodeLeafSet(ls),
+		})
 		if err != nil {
-			return err
+			return t, err
 		}
-		if len(diff) == 0 {
-			return nil
+		if resp.Status != wire.StatusOK {
+			return t, fmt.Errorf("core: pull partition %d leaves from %s: %s", p, addr, resp.Err)
 		}
-		in.met.migRounds.Inc()
-		if err := in.pullLeafChunks(src, p, diff, thr); err != nil {
-			return err
-		}
-	}
-	return nil // residue closes in the locked final sync
-}
-
-// migrateFinalPull converges partition p against the now-quiesced
-// owner at src: one digest diff, one unthrottled pull of whatever
-// divergence the live traffic left. Runs inside the cutover window, so
-// it is deliberately not rate-limited.
-func (in *Instance) migrateFinalPull(src string, p int) error {
-	diff, err := in.migrateDiff(src, p)
-	if err != nil {
-		return err
-	}
-	if len(diff) == 0 {
-		return nil
-	}
-	return in.pullLeafChunks(src, p, diff, nil)
-}
-
-// migratePush is migratePull with the roles reversed: the departing
-// owner streams partition p into dst, which passively applies leaf
-// content. Same full pass + catch-up round structure.
-func (in *Instance) migratePush(dst string, p int, thr *repair.Throttle) error {
-	if err := in.pushLeafChunks(dst, p, allLeaves(), thr); err != nil {
-		return err
-	}
-	for r := 0; r < migrateCatchupRounds; r++ {
-		diff, err := in.migrateDiff(dst, p)
+		thr.Take(len(resp.Value))
+		pairs, err := repair.DecodePairs(resp.Value)
 		if err != nil {
-			return err
+			return t, err
 		}
-		if len(diff) == 0 {
-			return nil
+		if err := in.applyLeafContent(p, ls, pairs, wholesale); err != nil {
+			return t, err
 		}
-		in.met.migRounds.Inc()
-		if err := in.pushLeafChunks(dst, p, diff, thr); err != nil {
-			return err
-		}
+		t.add(tally{leaves: len(ls), pairs: len(pairs), bytes: len(resp.Value)})
 	}
-	return nil
+	return t, nil
 }
 
-// migrateFinalPush converges dst's copy of partition p after this
-// instance locked and drained it; unthrottled for the same reason as
-// migrateFinalPull.
-func (in *Instance) migrateFinalPush(dst string, p int) error {
-	diff, err := in.migrateDiff(dst, p)
-	if err != nil {
-		return err
+// pushChunks sends the given leaves of partition p to addr as repair
+// pushes, flagged wire.FlagWholesale when wholesale is set.
+func (in *Instance) pushChunks(addr string, p int, leaves []int, wholesale bool, thr *repair.Throttle) (tally, error) {
+	var flags uint8
+	if wholesale {
+		flags = wire.FlagWholesale
 	}
-	if len(diff) == 0 {
-		return nil
+	var t tally
+	for _, ls := range leafChunks(leaves) {
+		pairs, err := in.collectLeafPairs(p, ls)
+		if err != nil {
+			return t, err
+		}
+		enc := repair.EncodePairs(pairs)
+		thr.Take(len(enc))
+		resp, err := in.caller.Call(addr, &wire.Request{
+			Op: wire.OpRepairPull, Partition: int64(p), Flags: flags,
+			Aux: repair.EncodeLeafSet(ls), Value: enc,
+		})
+		if err != nil {
+			return t, err
+		}
+		if resp.Status != wire.StatusOK {
+			return t, fmt.Errorf("core: push partition %d leaves to %s: %s", p, addr, resp.Err)
+		}
+		t.add(tally{leaves: len(ls), pairs: len(pairs), bytes: len(enc)})
 	}
-	return in.pushLeafChunks(dst, p, diff, nil)
+	return t, nil
 }
 
-// migrateDiff returns the Merkle leaves of partition p where the
-// local store and the peer at addr diverge.
-func (in *Instance) migrateDiff(addr string, p int) ([]int, error) {
+// converge runs up to rounds digest diffs of partition p against the
+// peer at addr, each followed by moving the divergent leaves, and
+// stops at the first diff that finds none.
+func (in *Instance) converge(addr string, p, rounds int, move chunkMover, wholesale bool, thr *repair.Throttle) (tally, error) {
+	var t tally
+	for r := 0; r < rounds; r++ {
+		diff, err := in.diffLeaves(addr, p)
+		if err != nil || len(diff) == 0 {
+			return t, err
+		}
+		t.rounds++
+		m, err := move(addr, p, diff, wholesale, thr)
+		t.add(m)
+		if err != nil {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// diffLeaves returns the Merkle leaves of partition p where the local
+// store and the peer at addr diverge.
+func (in *Instance) diffLeaves(addr string, p int) ([]int, error) {
 	resp, err := in.caller.Call(addr, &wire.Request{Op: wire.OpDigest, Partition: int64(p)})
 	if err != nil {
 		return nil, err
@@ -131,66 +157,38 @@ func (in *Instance) migrateDiff(addr string, p int) ([]int, error) {
 	return repair.DiffLeaves(in.PartitionDigest(p), remote), nil
 }
 
-// pullLeafChunks fetches the given leaves of partition p from addr in
-// chunks of migrateLeavesPerPull, replacing local leaf contents
-// wholesale; thr (nil = unlimited) paces the transfer by response
-// bytes.
-func (in *Instance) pullLeafChunks(addr string, p int, leaves []int, thr *repair.Throttle) error {
-	for _, ls := range leafChunks(leaves) {
-		resp, err := in.caller.Call(addr, &wire.Request{
-			Op: wire.OpRepairPull, Partition: int64(p),
-			Aux: repair.EncodeLeafSet(ls),
-		})
-		if err != nil {
-			return err
-		}
-		if resp.Status != wire.StatusOK {
-			return fmt.Errorf("core: pull partition %d leaves from %s: %s", p, addr, resp.Err)
-		}
-		thr.Take(len(resp.Value))
-		pairs, err := repair.DecodePairs(resp.Value)
-		if err != nil {
-			return err
-		}
-		// The source holds the partition locked (or is its live owner
-		// mid-stream): its leaf image is complete, so the pull is
-		// wholesale — local absentees are deleted.
-		if err := in.applyLeafContent(p, ls, pairs, true); err != nil {
-			return err
-		}
-		in.met.migBytes.Add(int64(len(resp.Value)))
-		in.met.migPairs.Add(int64(len(pairs)))
+// migrateStream streams partition p between this instance and the peer
+// at addr while the owner keeps serving: one full pass over every leaf,
+// then up to migrateCatchupRounds digest catch-up rounds, all paced by
+// thr. move is pullChunks for a join (the peer is the live owner) and
+// pushChunks for a departure (this instance is); either way the
+// source's image is complete, so the transfer is wholesale. A non-nil
+// error aborts the membership change.
+func (in *Instance) migrateStream(addr string, p int, move chunkMover, thr *repair.Throttle) error {
+	t, err := move(addr, p, allLeaves(), true, thr)
+	if err == nil {
+		var c tally
+		c, err = in.converge(addr, p, migrateCatchupRounds, move, true, thr)
+		in.met.migRounds.Add(int64(c.rounds))
+		t.add(c)
 	}
-	return nil
+	in.countMigration(t)
+	return err // residue closes in the locked final sync
 }
 
-// pushLeafChunks sends the given leaves of partition p to addr in
-// chunks, as repair pushes the receiver applies wholesale.
-func (in *Instance) pushLeafChunks(addr string, p int, leaves []int, thr *repair.Throttle) error {
-	for _, ls := range leafChunks(leaves) {
-		pairs, err := in.collectLeafPairs(p, ls)
-		if err != nil {
-			return err
-		}
-		enc := repair.EncodePairs(pairs)
-		thr.Take(len(enc))
-		resp, err := in.caller.Call(addr, &wire.Request{
-			Op: wire.OpRepairPull, Partition: int64(p),
-			Aux: repair.EncodeLeafSet(ls), Value: enc,
-			// The pusher is the partition's owner giving it away: its
-			// image is complete, so the receiver may delete absentees.
-			Flags: wire.FlagWholesale,
-		})
-		if err != nil {
-			return err
-		}
-		if resp.Status != wire.StatusOK {
-			return fmt.Errorf("core: push partition %d leaves to %s: %s", p, addr, resp.Err)
-		}
-		in.met.migBytes.Add(int64(len(enc)))
-		in.met.migPairs.Add(int64(len(pairs)))
-	}
-	return nil
+// migrateFinal converges partition p against addr once the owner has
+// locked and drained it: one digest diff, one move of whatever
+// divergence the live traffic left. It runs inside the cutover window,
+// so it is deliberately not rate-limited.
+func (in *Instance) migrateFinal(addr string, p int, move chunkMover) error {
+	t, err := in.converge(addr, p, 1, move, true, nil)
+	in.countMigration(t)
+	return err
+}
+
+func (in *Instance) countMigration(t tally) {
+	in.met.migBytes.Add(int64(t.bytes))
+	in.met.migPairs.Add(int64(t.pairs))
 }
 
 // allLeaves lists every Merkle leaf index of a partition.
@@ -206,11 +204,7 @@ func allLeaves() []int {
 func leafChunks(leaves []int) [][]int {
 	var out [][]int
 	for i := 0; i < len(leaves); i += migrateLeavesPerPull {
-		end := i + migrateLeavesPerPull
-		if end > len(leaves) {
-			end = len(leaves)
-		}
-		out = append(out, leaves[i:end])
+		out = append(out, leaves[i:min(i+migrateLeavesPerPull, len(leaves))])
 	}
 	return out
 }

@@ -212,15 +212,15 @@ func (sp stalePair) remove(s storage.KV) (bool, error) {
 
 // removeGrace is how long a remove's stamp keeps refusing stale copies
 // of the pair. It outlasts a migration (migrationTimeout), the longest
-// an exported image can wait before it lands.
+// a streamed chunk collected before a remove can wait before it lands.
 const removeGrace = 2 * migrationTimeout
 
 // removeStamps remembers the stamps of one partition's recent removes:
 // the owner's replicated removes, replica remove legs, and the deletes
 // of a wholesale repair or migration sync. The stores keep no
 // tombstones, so an absent key carries no version and PutLWW onto it
-// applies: without these, a rebuild image, a repair pull or a
-// migration stream exported before a remove would bring the removed
+// applies: without these, a rebuild push, a repair pull or a
+// migration chunk collected before a remove would bring the removed
 // pair back when it lands after the remove (DESIGN.md §12). The stamps
 // live in memory only, for removeGrace past each remove, and are
 // dropped as note grows the set.
@@ -397,31 +397,14 @@ func (in *Instance) digestSync(addr string, ps []int) {
 		if len(diff) == 0 {
 			continue
 		}
-		in.pullLeaves(addr, p, diff)
-	}
-}
-
-// pullLeaves fetches the authoritative contents of the given leaves
-// and converges the local ranges toward them. The sync is wholesale
-// (local absentees deleted) only when the authority is the
-// partition's live owner — the one node whose image is complete.
-func (in *Instance) pullLeaves(addr string, p int, leaves []int) {
-	resp, err := in.caller.Call(addr, &wire.Request{
-		Op: wire.OpRepairPull, Partition: int64(p),
-		Aux: repair.EncodeLeafSet(leaves),
-	})
-	if err != nil || resp.Status != wire.StatusOK {
-		return
-	}
-	pairs, err := repair.DecodePairs(resp.Value)
-	if err != nil {
-		return
-	}
-	table := in.tableRef()
-	idx := table.Owner[p]
-	wholesale := table.Status[idx] == ring.Alive && table.Instances[idx].Addr == addr
-	if err := in.applyLeafContent(p, leaves, pairs, wholesale); err == nil {
-		in.met.rangesPulled.Add(int64(len(leaves)))
+		// The pull is wholesale (local absentees deleted) only when the
+		// authority is the partition's live owner — the one node whose
+		// image is complete.
+		table := in.tableRef()
+		idx := table.Owner[p]
+		wholesale := table.Status[idx] == ring.Alive && table.Instances[idx].Addr == addr
+		t, _ := in.pullChunks(addr, p, diff, wholesale, nil)
+		in.met.rangesPulled.Add(int64(t.leaves))
 	}
 }
 
@@ -450,42 +433,20 @@ func (in *Instance) scheduleReadRepair(table *ring.Table, p int) {
 	in.loopWG.Add(1)
 	go func() {
 		defer in.loopWG.Done()
-		in.readRepair(table, p)
+		in.met.readRepairs.Inc()
+		in.pushToReplicas(table, p)
 	}()
 }
 
-// readRepair pushes this instance's (authoritative) divergent leaf
-// contents of partition p to every other alive replica: compare
-// digests behind the response, then OpRepairPull-push only what
-// differs.
-func (in *Instance) readRepair(table *ring.Table, p int) {
-	in.met.readRepairs.Inc()
+// pushToReplicas converges every other replica of partition p in table
+// toward this instance's copy: per replica, one digest diff, then an
+// upsert-only push of the divergent leaves. Errors are dropped: a
+// rebuild or read-repair is best effort, and anti-entropy, where it
+// runs, retries what a push missed.
+func (in *Instance) pushToReplicas(table *ring.Table, p int) {
 	for _, r := range table.ReplicasOf(p, in.cfg.Replicas) {
-		if r.ID == in.self.ID {
-			continue
+		if r.ID != in.self.ID {
+			in.converge(r.Addr, p, 1, in.pushChunks, false, nil)
 		}
-		if idx := table.IndexOf(r.ID); idx < 0 || table.Status[idx] != ring.Alive {
-			continue
-		}
-		resp, err := in.caller.Call(r.Addr, &wire.Request{Op: wire.OpDigest, Partition: int64(p)})
-		if err != nil || resp.Status != wire.StatusOK {
-			continue
-		}
-		remote, err := repair.DecodeDigest(resp.Value)
-		if err != nil {
-			continue
-		}
-		diff := repair.DiffLeaves(in.PartitionDigest(p), remote)
-		if len(diff) == 0 {
-			continue
-		}
-		pairs, err := in.collectLeafPairs(p, diff)
-		if err != nil {
-			continue
-		}
-		in.caller.Call(r.Addr, &wire.Request{
-			Op: wire.OpRepairPull, Partition: int64(p),
-			Aux: repair.EncodeLeafSet(diff), Value: repair.EncodePairs(pairs),
-		})
 	}
 }

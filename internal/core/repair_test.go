@@ -383,11 +383,53 @@ func TestRepairOpsOverWire(t *testing.T) {
 	}
 }
 
+// TestUpsertPushKeepsNewerVersions: a non-wholesale push (a rebuild or
+// read-repair) carries a snapshot of the pusher's leaves, so it must
+// not roll back a key the receiver has since taken a newer version of
+// — the push races the key's next replica leg — while keys it holds
+// older or not at all take the pushed pair.
+func TestUpsertPushKeepsNewerVersions(t *testing.T) {
+	cfg := Config{NumPartitions: 4, Replicas: 1}
+	d, _, _ := startDeployment(t, cfg, 2)
+	in := d.Instance(1)
+	const p = 2
+	keys := map[string]string{} // role -> a key of partition p
+	for i := 0; len(keys) < 3; i++ {
+		if k := fmt.Sprintf("upsert-%d", i); in.partitionOf(k) == p {
+			keys[[]string{"raced", "stale", "fresh"}[len(keys)]] = k
+		}
+	}
+	s, err := in.store(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutV(keys["raced"], []byte("newer leg"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutV(keys["stale"], []byte("older leg"), 2); err != nil {
+		t.Fatal(err)
+	}
+	var pushed []repair.Pair
+	for _, k := range keys {
+		pushed = append(pushed, repair.Pair{Key: k, Value: []byte("pushed"), Ver: 3})
+	}
+	resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: p,
+		Aux: repair.EncodeLeafSet(allLeaves()), Value: repair.EncodePairs(pushed)})
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("push: %s %s", resp.Status, resp.Err)
+	}
+	for role, want := range map[string]string{"raced": "newer leg", "stale": "pushed", "fresh": "pushed"} {
+		if v, ok, _ := storeGet(in, p, keys[role]); !ok || string(v) != want {
+			t.Errorf("%s key = %q %v after the push, want %q", role, v, ok, want)
+		}
+	}
+}
+
 // TestStaleCopyDoesNotResurrectRemove pins the removal half of the
 // autoscale soak's "no acked write lost" contract: a copy of a pair
-// exported before an acknowledged remove — a replica-rebuild image, an
-// upsert-only repair pull — lands after it on the owner and the
-// replica, and the key must stay removed on both. A later write of the
+// collected before an acknowledged remove — an upsert-only rebuild or
+// read-repair push, an upsert-only repair pull — lands after it on the
+// owner and the replica, and the key must stay removed on both. A later write of the
 // key, stamped above the remove, still reaches both copies.
 func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
 	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
@@ -396,10 +438,6 @@ func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
 	key := ownedKeys(t, owner, "grave", 1)[0].Key
 	p := owner.partitionOf(key)
 	if err := c.Insert(key, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	img, err := owner.exportPartition(p)
-	if err != nil {
 		t.Fatal(err)
 	}
 	pairs, err := owner.collectLeafPairs(p, allLeaves())
@@ -411,9 +449,10 @@ func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
 	}
 
 	for _, in := range []*Instance{owner, replica} {
-		resp := in.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Flags: wire.FlagNoReplicate, Aux: img})
+		resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p),
+			Aux: repair.EncodeLeafSet(allLeaves()), Value: repair.EncodePairs(pairs)})
 		if resp.Status != wire.StatusOK {
-			t.Fatalf("%s: stale image: %s %s", in.ID(), resp.Status, resp.Err)
+			t.Fatalf("%s: stale rebuild push: %s %s", in.ID(), resp.Status, resp.Err)
 		}
 		if err := in.applyLeafContent(p, allLeaves(), pairs, false); err != nil {
 			t.Fatalf("%s: stale repair pull: %v", in.ID(), err)

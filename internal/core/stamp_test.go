@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"zht/internal/novoht"
+	"zht/internal/repair"
 	"zht/internal/storage"
 	"zht/internal/transport"
 	"zht/internal/wire"
@@ -85,32 +85,23 @@ func TestInternalFlagsDoNotBypassGates(t *testing.T) {
 }
 
 // A migration push installs stamped pairs, so it advances the clock
-// like a replica leg or a repair transfer: the owner's next write of an
-// imported key stamps above the imported version, and the replica's
-// last-writer-wins compare accepts it.
+// like a replica leg: the owner's next write of a pushed key stamps
+// above the pushed version, and the replica's last-writer-wins compare
+// accepts it.
 func TestMigrationImportAdvancesClock(t *testing.T) {
 	d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1}, 2)
 	owner := d.Instance(0)
 	key, p := ownedKey(t, owner)
 	replica := replicaOf(t, d, p)
 
-	// An image whose stamp runs an hour ahead of every clock here, as a
-	// peer's stamps do after a burst of writes borrowed milliseconds.
+	// A pair whose stamp runs an hour ahead of every clock here, as a
+	// peer's stamps do after a burst of writes borrowed milliseconds,
+	// pushed as a departing owner's migration stream pushes it.
 	ahead := uint64(time.Now().Add(time.Hour).UnixMilli()) << hlcNodeBits
-	src, err := novoht.Open(novoht.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if err := src.PutV(key, []byte("imported"), ahead); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := storage.Export(&img, src); err != nil {
-		t.Fatal(err)
-	}
 	for _, in := range []*Instance{owner, replica} {
-		resp := in.Handle(&wire.Request{Op: wire.OpMigrate, Partition: int64(p), Aux: img.Bytes()})
+		resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p), Flags: wire.FlagWholesale,
+			Aux:   repair.EncodeLeafSet([]int{storage.LeafOf(key)}),
+			Value: repair.EncodePairs([]repair.Pair{{Key: key, Value: []byte("imported"), Ver: ahead}})})
 		if resp.Status != wire.StatusOK {
 			t.Fatalf("migration push to %s: %s (%s)", in.ID(), resp.Status, resp.Err)
 		}
@@ -119,11 +110,11 @@ func TestMigrationImportAdvancesClock(t *testing.T) {
 	resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("fresh"),
 		Consistency: wire.ConsistencyAll})
 	if resp.Status != wire.StatusOK {
-		t.Fatalf("insert after import = %s (%s)", resp.Status, resp.Err)
+		t.Fatalf("insert after the push = %s (%s)", resp.Status, resp.Err)
 	}
 	_, ownerVer, _ := storeVer(t, owner, p, key)
 	if ownerVer <= ahead {
-		t.Fatalf("owner stamped %d, not above the imported %d", ownerVer, ahead)
+		t.Fatalf("owner stamped %d, not above the pushed %d", ownerVer, ahead)
 	}
 	if v, ver, _ := storeVer(t, replica, p, key); string(v) != "fresh" || ver != ownerVer {
 		t.Fatalf("replica holds %q@%d, want the acked %q@%d", v, ver, "fresh", ownerVer)

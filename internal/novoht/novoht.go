@@ -733,8 +733,8 @@ func (s *Store) unlockAll() {
 // ForEachV calls fn for every pair with its version stamp; fn must
 // not mutate the store. The value passed to fn for evicted entries is
 // loaded from disk. The whole store is locked for the duration, so the
-// iteration is a consistent snapshot (partition export depends on
-// this).
+// iteration is a consistent snapshot (a leaf-stream transfer depends
+// on this).
 func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
 	s.lockAll()
 	defer s.unlockAll()

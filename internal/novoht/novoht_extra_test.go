@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"zht/internal/storage"
 )
 
 // Additional edge-case coverage for NoVoHT.
@@ -72,28 +70,33 @@ func TestRecoveryAppendOnlyKey(t *testing.T) {
 	}
 }
 
-func TestExportIncludesEvictedValues(t *testing.T) {
+// TestForEachVYieldsEvictedValues: a leaf-stream transfer reads a
+// store through ForEachV, so an evicted value must come back from disk
+// with its stamp.
+func TestForEachVYieldsEvictedValues(t *testing.T) {
 	s := openTemp(t, Options{MaxMemValues: 2, CompactEvery: -1, GCRatio: 0.99})
 	for i := 0; i < 20; i++ {
-		s.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%02d", i)))
+		if err := s.PutV(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%02d", i)), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := s.Stats(); st.Resident > 3 {
 		t.Fatalf("eviction ineffective: %d resident", st.Resident)
 	}
-	var buf bytes.Buffer
-	if err := storage.Export(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	dst := openTemp(t, Options{})
-	n, err := storage.Import(&buf, dst)
-	if err != nil || n != 20 {
-		t.Fatalf("import = %d %v", n, err)
-	}
-	for i := 0; i < 20; i++ {
-		v, ok, _ := dst.Get(fmt.Sprintf("k%02d", i))
-		if !ok || string(v) != fmt.Sprintf("v%02d", i) {
-			t.Fatalf("k%02d = %q %v", i, v, ok)
+	seen := 0
+	err := s.ForEachV(func(k string, v []byte, ver uint64) error {
+		var i int
+		if _, err := fmt.Sscanf(k, "k%02d", &i); err != nil {
+			return err
 		}
+		if string(v) != fmt.Sprintf("v%02d", i) || ver != uint64(i+1) {
+			t.Errorf("%s = %q@%d, want v%02d@%d", k, v, ver, i, i+1)
+		}
+		seen++
+		return nil
+	})
+	if err != nil || seen != 20 {
+		t.Fatalf("ForEachV visited %d pairs, err %v; want 20", seen, err)
 	}
 }
 

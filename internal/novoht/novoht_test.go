@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"zht/internal/storage"
 )
 
 func openTemp(t *testing.T, opts Options) *Store {
@@ -483,75 +481,6 @@ func TestForEach(t *testing.T) {
 	sentinel := fmt.Errorf("stop")
 	if err := s.ForEachV(func(string, []byte, uint64) error { return sentinel }); err != sentinel {
 		t.Errorf("ForEach error propagation = %v", err)
-	}
-}
-
-func TestExportImport(t *testing.T) {
-	src := openTemp(t, Options{MaxMemValues: 3, CompactEvery: -1, GCRatio: 0.99})
-	for i := 0; i < 20; i++ {
-		src.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%02d", i)))
-	}
-	var buf bytes.Buffer
-	if err := storage.Export(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := openTemp(t, Options{})
-	n, err := storage.Import(&buf, dst)
-	if err != nil || n != 20 {
-		t.Fatalf("Import = %d %v", n, err)
-	}
-	for i := 0; i < 20; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		v, ok, _ := dst.Get(k)
-		if !ok || string(v) != fmt.Sprintf("v%02d", i) {
-			t.Errorf("%s = %q %v", k, v, ok)
-		}
-	}
-}
-
-// TestImportKeepsNewerVersions: an image is a snapshot, so importing
-// it must not roll back a key the destination has since seen a newer
-// version of — the replica-rebuild push races the key's next replica
-// leg — while keys it holds older or not at all take the image's pair.
-func TestImportKeepsNewerVersions(t *testing.T) {
-	src := openTemp(t, Options{})
-	for k, ver := range map[string]uint64{"raced": 3, "stale": 3, "fresh": 3} {
-		if err := src.PutV(k, []byte("image"), ver); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var img bytes.Buffer
-	if err := storage.Export(&img, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := openTemp(t, Options{})
-	if err := dst.PutV("raced", []byte("newer leg"), 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.PutV("stale", []byte("older leg"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := storage.Import(&img, dst); err != nil || n != 3 {
-		t.Fatalf("Import = %d %v", n, err)
-	}
-	for k, want := range map[string]string{"raced": "newer leg", "stale": "image", "fresh": "image"} {
-		if v, ok, _ := dst.Get(k); !ok || string(v) != want {
-			t.Errorf("%s = %q %v after import, want %q", k, v, ok, want)
-		}
-	}
-}
-
-func TestImportRejectsGarbage(t *testing.T) {
-	s := openTemp(t, Options{})
-	if _, err := storage.Import(bytes.NewReader([]byte("not an export")), s); err == nil {
-		t.Error("garbage import accepted")
-	}
-	if _, err := storage.Import(bytes.NewReader(nil), s); err == nil {
-		t.Error("empty import accepted")
-	}
-	// Truncated stream (magic but no terminator).
-	if _, err := storage.Import(bytes.NewReader(storage.ExportMagic), s); err == nil {
-		t.Error("unterminated import accepted")
 	}
 }
 

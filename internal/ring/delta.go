@@ -172,15 +172,22 @@ func (t *Table) PlanFailure(id InstanceID, replicas int) (Delta, error) {
 func CopyHolders(old, nt *Table, replicas int) map[InstanceID]bool {
 	holders := make(map[InstanceID]bool)
 	for p := 0; p < nt.NumPartitions; p++ {
-		was, is := old.copySet(p, replicas), nt.copySet(p, replicas)
-		if slices.Equal(was, is) {
+		if !CopySetChanged(old, nt, p, replicas) {
 			continue
 		}
-		for _, id := range append(was, is...) {
+		for _, id := range append(old.copySet(p, replicas), nt.copySet(p, replicas)...) {
 			holders[id] = true
 		}
 	}
 	return holders
+}
+
+// CopySetChanged reports whether partition p's copy set — the owner
+// plus ReplicasOf(p, replicas) — differs between old and nt: whether
+// the change moved a copy of p, so some instance lost or must take on
+// one.
+func CopySetChanged(old, nt *Table, p, replicas int) bool {
+	return !slices.Equal(old.copySet(p, replicas), nt.copySet(p, replicas))
 }
 
 // copySet lists the IDs of partition p's owner and replicas.

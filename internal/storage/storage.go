@@ -18,7 +18,7 @@
 // batch and (per mode) issues one fsync. The unit of acknowledgement
 // is the request: a request stages the records of all of its
 // mutations — one op, an envelope of sub-ops or replica legs, a
-// migration image, a repair transfer — and commits them once, and it
+// leaf-stream chunk — and commits them once, and it
 // is acknowledged only once every one of them meets its durability
 // level.
 package storage

@@ -41,8 +41,11 @@ const (
 	// OpDelta carries an incremental membership update broadcast by a
 	// manager.
 	OpDelta
-	// OpMigrate transfers a whole partition's contents to a new
-	// owner (migration moves partitions, never rehashes pairs).
+	// OpMigrate asks a partition's owner to lock it for a move to a
+	// new owner (Aux "lock") or to roll that lock back (Aux "abort").
+	// It carries no pairs: a migration streams the partition's leaves
+	// through OpDigest and OpRepairPull (migration moves partitions,
+	// never rehashes pairs).
 	OpMigrate
 	// OpPing is the failure detector's liveness probe.
 	OpPing
@@ -234,7 +237,7 @@ type Request struct {
 	Key       string
 	Value     []byte
 	// Aux carries secondary payloads: expected value for CAS,
-	// encoded deltas/tables, or a migration image.
+	// encoded deltas/tables, a repair leaf set, or a migration marker.
 	Aux []byte
 	// Hop counts spanning-tree depth for OpBroadcast.
 	Hop uint32
