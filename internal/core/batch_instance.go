@@ -507,12 +507,7 @@ func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, s
 				}
 				sc.members = append(sc.members, gi)
 				for j := g.alo; j < g.ahi; j++ {
-					f := &sc.fwds[j]
-					f.Flags &^= wire.FlagSyncReplica
-					if sync {
-						f.Flags |= wire.FlagSyncReplica
-					}
-					sc.legs = append(sc.legs, f)
+					sc.legs = append(sc.legs, &sc.fwds[j])
 				}
 			}
 			sc.pending = rest

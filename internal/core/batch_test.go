@@ -171,8 +171,9 @@ func errTarget(err error) error {
 
 // envCounter wraps a deployment's transport and counts, per
 // destination, the batch envelopes it carries: synchronous replica
-// envelopes (legs flagged FlagSyncReplica) apart from everything else,
-// which in these tests is the client's envelopes.
+// envelopes apart from everything else, which in these tests is the
+// client's envelopes. Only a synchronous replica round sends legs
+// through CallBatch; queued legs travel as prebuilt envelopes (Call).
 type envCounter struct {
 	transport.Caller
 	mu     sync.Mutex
@@ -182,7 +183,7 @@ type envCounter struct {
 
 func (c *envCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
 	c.mu.Lock()
-	if len(reqs) > 0 && reqs[0].Op == wire.OpReplicate && reqs[0].Flags&wire.FlagSyncReplica != 0 {
+	if len(reqs) > 0 && reqs[0].Op == wire.OpReplicate {
 		c.sync[addr]++
 	} else {
 		c.client[addr]++

@@ -241,10 +241,10 @@ func (c *Client) Lookup(key string) ([]byte, error) {
 // owner plus the partition's replicas in parallel and return the copy
 // with the newest version stamp, queueing an asynchronous read-repair
 // of any stale copy observed (DESIGN.md §12). ConsistencyDefault
-// defers to Config.ReadLevel.
+// reads at One.
 func (c *Client) LookupWith(key string, level wire.Consistency) ([]byte, error) {
 	if level == wire.ConsistencyDefault {
-		level = c.cfg.ReadLevel
+		level = wire.ConsistencyOne
 	}
 	if level > wire.ConsistencyOne && c.cfg.Replicas > 0 {
 		return c.quorumLookup(key, level)
@@ -439,8 +439,7 @@ func (c *Client) repairCopy(p int, addr, key string, val []byte, ver uint64) {
 	}
 	req := &wire.Request{
 		Op: wire.OpReplicate, Partition: int64(p), Key: key, Value: val,
-		Version: ver, Flags: wire.FlagNoReplicate,
-		Aux: encodeReplicaAux(wire.OpInsert),
+		Version: ver, Aux: encodeReplicaAux(wire.OpInsert),
 	}
 	if c.cfg.OpDeadline > 0 {
 		req.Budget = uint64(c.cfg.OpDeadline)

@@ -37,11 +37,6 @@ type Config struct {
 	// means Quorum; All updates every replica synchronously. Clients
 	// and instances resolve per-request overrides against this default.
 	WriteLevel wire.Consistency
-	// ReadLevel is the default read consistency: how many copies a
-	// lookup consults before answering, resolving conflicts
-	// newest-version-wins. Zero (ConsistencyDefault) means One — the
-	// owner's copy, today's zero-hop read.
-	ReadLevel wire.Consistency
 	// HashName selects the ring hash function (see hashing.ByName);
 	// empty selects the default.
 	HashName string
@@ -156,14 +151,11 @@ func (c *Config) fill() error {
 	if c.Replicas < 0 {
 		return errors.New("core: Replicas must be non-negative")
 	}
-	if c.WriteLevel > wire.ConsistencyAll || c.ReadLevel > wire.ConsistencyAll {
+	if c.WriteLevel > wire.ConsistencyAll {
 		return errors.New("core: unknown consistency level")
 	}
 	if c.WriteLevel == wire.ConsistencyDefault {
 		c.WriteLevel = wire.ConsistencyQuorum
-	}
-	if c.ReadLevel == wire.ConsistencyDefault {
-		c.ReadLevel = wire.ConsistencyOne
 	}
 	if hashing.ByName(c.HashName) == nil {
 		return errors.New("core: unknown hash function " + c.HashName)

@@ -124,8 +124,7 @@ func TestQuorumReadNewestWinsAndRepairs(t *testing.T) {
 	resp := owner.Handle(&wire.Request{
 		Op: wire.OpReplicate, Partition: int64(p), Key: key,
 		Value: []byte("v2"), Version: owner.clock.Next(),
-		Flags: wire.FlagNoReplicate,
-		Aux:   encodeReplicaAux(wire.OpInsert),
+		Aux: encodeReplicaAux(wire.OpInsert),
 	})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("version bump on owner: %v %s", resp.Status, resp.Err)
@@ -171,8 +170,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	apply := func(op wire.Op, val []byte, ver uint64) *wire.Response {
 		return in.Handle(&wire.Request{
 			Op: wire.OpReplicate, Partition: 0, Key: key,
-			Value: val, Version: ver, Flags: wire.FlagNoReplicate,
-			Aux: encodeReplicaAux(op),
+			Value: val, Version: ver, Aux: encodeReplicaAux(op),
 		})
 	}
 

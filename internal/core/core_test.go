@@ -335,6 +335,45 @@ func TestReplicaRebuildAfterFailure(t *testing.T) {
 	}
 }
 
+// TestJoinFillsNewReplicas: a join changes copy sets twice over. The
+// newcomer owns partitions whose replicas it must fill, and the
+// newcomer is itself a new replica of partitions other owners keep.
+// Once the join's asynchronous work drains, every copy the new table
+// names holds its owner's pairs, anti-entropy off.
+func TestJoinFillsNewReplicas(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	d, _, c := startDeployment(t, cfg, 3)
+	for i := 0; i < 300; i++ {
+		if err := c.Insert(fmt.Sprintf("key-%04d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Drain()
+	if _, err := d.Join(Endpoint{Addr: "zht-fill", Node: "node-fill"}); err != nil {
+		t.Fatal(err)
+	}
+	d.Drain()
+	byID := map[ring.InstanceID]*Instance{}
+	table := d.Instance(0).Table()
+	for _, in := range d.Instances() {
+		byID[in.ID()] = in
+		table = newerTable(table, in.Table())
+	}
+	differ := 0
+	for p := 0; p < table.NumPartitions; p++ {
+		owner := byID[table.OwnerOf(p).ID]
+		for _, r := range table.ReplicasOf(p, cfg.Replicas) {
+			if !reflect.DeepEqual(byID[r.ID].PartitionDigest(p), owner.PartitionDigest(p)) {
+				differ++
+				t.Errorf("partition %d: replica %s's digest differs from owner %s's", p, r.ID, owner.ID())
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d partitions have a replica that differs from its owner", differ, table.NumPartitions)
+	}
+}
+
 // TestRebuildOnlyWhatLostACopy: a failover rebuilds the partitions
 // whose copy set it changed, and no other. With anti-entropy off the
 // rebuild is the only sender of digest probes, so the owners send

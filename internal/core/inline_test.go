@@ -193,7 +193,7 @@ func TestUnreplicatedWritesServeInline(t *testing.T) {
 		{Op: wire.OpLookup, Key: key},
 		{Op: wire.OpRemove, Key: key},
 		{Op: wire.OpReplicate, Key: key, Value: []byte("r"), Partition: int64(p), Version: 1,
-			Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpInsert)},
+			Aux: encodeReplicaAux(wire.OpInsert)},
 	} {
 		if resp, detached := serve(req); detached || resp.Status != wire.StatusOK {
 			t.Errorf("%s at r=0: detached=%v status=%s (%s), want inline OK", req.Op, detached, resp.Status, resp.Err)
@@ -207,7 +207,7 @@ func TestUnreplicatedWritesServeInline(t *testing.T) {
 		{Op: wire.OpCas, Key: key, Aux: []byte("v+"), Value: []byte("w")},
 		{Op: wire.OpRemove, Key: key},
 		{Op: wire.OpReplicate, Key: key, Value: []byte("r"), Partition: int64(p), Version: 1,
-			Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpInsert)},
+			Aux: encodeReplicaAux(wire.OpInsert)},
 	}
 	resp, detached := serve(wire.NewBatchRequest(mixed))
 	if detached {

@@ -259,14 +259,7 @@ type storeRef struct{ storage.KV }
 // its next write above them. A key's partition is fixed for the life
 // of a DataDir, so replay routes each record by hashing its key.
 func (in *Instance) openLog() error {
-	// One lock shard per store: the partition already is the lock
-	// stripe, and partition stores never evict, so there is no slow
-	// disk read for more shards to isolate (DESIGN.md §8).
-	opts := novoht.Options{
-		Durability: in.cfg.Durability,
-		Metrics:    in.cfg.Metrics,
-		Shards:     1,
-	}
+	opts := novoht.Options{Durability: in.cfg.Durability, Metrics: in.cfg.Metrics}
 	if in.cfg.DataDir != "" && in.cfg.Durability != storage.DurabilityNone {
 		opts.Path = filepath.Join(in.cfg.DataDir, string(in.self.ID)+".log")
 	}
@@ -749,7 +742,6 @@ func replicaFwd(p int, req *wire.Request, ver uint64, legVal []byte) wire.Reques
 	fwd.Flags &^= wire.FlagIfAbsent
 	fwd.Aux = encodeReplicaAux(innerOp)
 	fwd.Partition = int64(p)
-	fwd.Flags |= wire.FlagNoReplicate
 	return fwd
 }
 
@@ -853,24 +845,17 @@ func (in *Instance) handleDelta(req *wire.Request) *wire.Response {
 }
 
 // afterTableChange reconciles local state with a new table: completes
-// outgoing migrations whose partitions moved away, and rebuilds the
-// replicas of owned partitions that lost a copy.
+// outgoing migrations whose partitions moved away, and fills the
+// replicas of owned partitions whose copy set changed.
 func (in *Instance) afterTableChange(old, nt *ring.Table) {
 	myOld := old.IndexOf(in.self.ID)
 	myNew := nt.IndexOf(in.self.ID)
-	// A node failing (or departing) in this update means every
-	// partition that kept a copy — primary or replica — on it lost
-	// redundancy; the paper's manager "initiates a rebuilding of the
-	// replicas, specifically increasing replication on all partitions
-	// stored on the failed physical node". Each current owner
+	// A failure, departure or join that changes a partition's copy set
+	// leaves a copy to fill: the paper's manager "initiates a
+	// rebuilding of the replicas, specifically increasing replication
+	// on all partitions stored on the failed physical node", and a
+	// join's newcomer may be a new replica. Each current owner
 	// re-pushes the partitions whose copy set the update changed.
-	nodeFailed := false
-	for i := range old.Status {
-		if old.Status[i] == ring.Alive && i < len(nt.Status) && nt.Status[i] != ring.Alive {
-			nodeFailed = true
-			break
-		}
-	}
 	for p := 0; p < nt.NumPartitions; p++ {
 		ownedBefore := myOld >= 0 && old.Owner[p] == myOld
 		ownedNow := myNew >= 0 && nt.Owner[p] == myNew
@@ -879,7 +864,7 @@ func (in *Instance) afterTableChange(old, nt *ring.Table) {
 			// with a redirect to the new owner.
 			in.completeMigration(p, nt.OwnerOf(p).Addr, true)
 		}
-		if ownedNow && nodeFailed && in.cfg.Replicas > 0 && ring.CopySetChanged(old, nt, p, in.cfg.Replicas) {
+		if ownedNow && in.cfg.Replicas > 0 && ring.CopySetChanged(old, nt, p, in.cfg.Replicas) {
 			in.rebuildReplicas(nt, p)
 		}
 	}

@@ -38,10 +38,8 @@ func dataDirFiles(t *testing.T, dir string) []string {
 
 // TestDurableDeploymentKeepsOneLogPerInstance writes to every partition
 // of a durable 2-instance, 1 024-partition deployment with a replica
-// each: every instance holds all 1 024 partitions, each store has one
-// lock shard (the partition is already the lock stripe) where a
-// standalone store has DefaultShards, and the DataDir holds one log
-// per instance.
+// each: every instance holds all 1 024 partitions, and the DataDir
+// holds one log per instance.
 func TestDurableDeploymentKeepsOneLogPerInstance(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{NumPartitions: 1024, Replicas: 1, DataDir: dir, RetryBase: time.Millisecond}
@@ -63,19 +61,6 @@ func TestDurableDeploymentKeepsOneLogPerInstance(t *testing.T) {
 		if n := d.Instance(i).LocalKeys(); n != cfg.NumPartitions {
 			t.Fatalf("instance %d holds %d keys, want one in each of %d partitions", i, n, cfg.NumPartitions)
 		}
-		for _, s := range d.Instance(i).openStores() {
-			if n := s.Stats().Shards; n != 1 {
-				t.Fatalf("instance %d: partition store has %d shards, want 1", i, n)
-			}
-		}
-	}
-	standalone, err := novoht.Open(novoht.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer standalone.Close()
-	if n := standalone.Stats().Shards; n != novoht.DefaultShards {
-		t.Fatalf("standalone store has %d shards, want DefaultShards (%d)", n, novoht.DefaultShards)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -261,9 +246,9 @@ func TestInstallRefusesForeignPartition(t *testing.T) {
 	foreign := func(p int64) map[string]*wire.Request {
 		return map[string]*wire.Request{
 			"replica insert": {Op: wire.OpReplicate, Partition: p, Key: key, Value: []byte("v"), Version: ver,
-				Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpInsert)},
+				Aux: encodeReplicaAux(wire.OpInsert)},
 			"replica remove": {Op: wire.OpReplicate, Partition: p, Key: key, Version: ver + 1,
-				Flags: wire.FlagNoReplicate, Aux: encodeReplicaAux(wire.OpRemove)},
+				Aux: encodeReplicaAux(wire.OpRemove)},
 			"migration push": {Op: wire.OpRepairPull, Partition: p, Flags: wire.FlagWholesale,
 				Aux: repair.EncodeLeafSet(all), Value: pairs},
 			"repair leaves": {Op: wire.OpRepairPull, Partition: p, Aux: repair.EncodeLeafSet(all), Value: pairs},

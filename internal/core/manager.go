@@ -144,6 +144,13 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 		return nil, seen, err
 	}
 	inst.met.migCutovers.Add(int64(len(parts)))
+	// The newcomer's partitions have new replicas: fill them, as every
+	// other owner does for its changed copy sets (afterTableChange).
+	if cfg.Replicas > 0 {
+		for _, p := range parts {
+			inst.rebuildReplicas(nt, p)
+		}
+	}
 	return inst, nil, nil
 }
 

@@ -21,7 +21,7 @@ type clientMetrics struct {
 	batches     *metrics.Counter   // zht.client.batches
 	batchSize   *metrics.Histogram // zht.client.batch.size
 	// quorumReads counts lookups the client fanned out to replicas
-	// for newest-version-wins resolution (ReadLevel Quorum/All);
+	// for newest-version-wins resolution (a Quorum or All read);
 	// staleReadsRepaired counts those fan-outs that observed at least
 	// one copy older than the winner and queued an async read-repair
 	// of it (DESIGN.md §12).

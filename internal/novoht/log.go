@@ -24,7 +24,7 @@ import (
 //
 // The unit of durability is the caller's request, not the store call:
 // a mutation of a store the Log holds stages its record under its
-// shard lock and returns, and whoever acknowledges the request calls
+// store lock and returns, and whoever acknowledges the request calls
 // Commit once, for all of its records. A store that Open returns owns
 // its log and commits inside each mutation instead.
 //
@@ -34,9 +34,9 @@ import (
 // the life of a DataDir.) Replay reads the log once and hands each
 // record to its store.
 //
-// Space is reclaimed a shard at a time, never by stopping the log. A
+// Space is reclaimed a store at a time, never by stopping the log. A
 // clean freezes the active file as <path>.old and starts an empty one;
-// then, holding one shard's lock at a time, it re-appends every live
+// then, holding one store's lock at a time, it re-appends every live
 // entry whose last full image lies in the frozen file; then it fsyncs
 // the new file and unlinks the frozen one. A crash mid-clean leaves
 // both files, and replay reads the frozen one first: every copy comes
@@ -67,9 +67,9 @@ type Log struct {
 	compactions *metrics.Counter // zht.novoht.compactions
 }
 
-// testCleanShard, when non-nil, runs inside copyShard with the shard's
+// testCleanStore, when non-nil, runs inside copyLive with the store's
 // lock held; the no-stop-the-world test uses it to park a clean.
-var testCleanShard func(s *Store, sh *shard)
+var testCleanStore func(s *Store)
 
 // cleanFlushBytes is how many bytes of copies a clean queues before it
 // commits them, bounding what a clean holds in the WAL's pending list.
@@ -95,9 +95,6 @@ func OpenLog(opts Options, route func(key string) int) (*Log, error) {
 	}
 	if opts.Durability == storage.DurabilityNone {
 		opts.Path = "" // volatile: the log path is ignored
-	}
-	if opts.MaxMemValues > 0 && opts.Path == "" {
-		return nil, errors.New("novoht: MaxMemValues requires a persistent log")
 	}
 	if route == nil {
 		route = func(string) int { return 0 }
@@ -245,8 +242,7 @@ func (s *Store) replayRecord(r replayed, base int64) {
 			s.log.deadBytes.Add(n)
 		}
 	}
-	sh := s.shardOf(key)
-	old, ok := sh.m[key]
+	old, ok := s.m[key]
 	switch r.typ {
 	case recPut, recPutV:
 		if ok {
@@ -258,11 +254,11 @@ func (s *Store) replayRecord(r replayed, base int64) {
 				dead(recordSize(key, int64(len(val)), ver))
 				return
 			}
-			s.log.supersede(old, recordSize(key, old.vlen, old.ver), base)
-			old.val, old.off, old.vlen, old.ver, old.onDisk = val, voff, int64(len(val)), ver, true
+			s.log.supersede(key, old, base)
+			old.val, old.off, old.ver = val, voff, ver
 			return
 		}
-		sh.m[key] = &entry{val: val, off: voff, vlen: int64(len(val)), ver: ver, onDisk: true}
+		s.m[key] = &entry{val: val, off: voff, ver: ver}
 	case recRemove, recRemoveV:
 		if !ok {
 			return
@@ -271,38 +267,30 @@ func (s *Store) replayRecord(r replayed, base int64) {
 		if ver > 0 && old.ver > ver {
 			return
 		}
-		s.log.supersede(old, recordSize(key, old.vlen, old.ver), base)
-		delete(sh.m, key)
+		s.log.supersede(key, old, base)
+		delete(s.m, key)
 	case recAppend, recAppendV:
 		// An append applies unconditionally, as it did live; an
 		// unversioned one keeps the pair's stamp, a versioned one
 		// replaces it.
 		if !ok {
 			old = &entry{}
-			sh.m[key] = old
+			s.m[key] = old
 		}
 		old.val = append(old.val, val...)
-		old.vlen = int64(len(old.val))
-		old.onDisk = false // value no longer contiguous on disk
 		if r.typ == recAppendV {
 			old.ver = ver
 		}
 	}
 }
 
-// seal builds a replayed store's digest and resident count. Every
-// replayed value is resident, so the digest is built in one pass over
-// the live pairs.
+// seal builds a replayed store's digest in one pass over the live
+// pairs.
 func (s *Store) seal() {
-	keys := 0
-	for _, sh := range s.shards {
-		keys += len(sh.m)
-		for k, e := range sh.m {
-			e.fh = storage.FNV(storage.PairPrefix(k), e.val)
-			s.toggle(k, storage.PairSeal(e.fh, e.ver))
-		}
+	for k, e := range s.m {
+		e.fh = storage.FNV(storage.PairPrefix(k), e.val)
+		s.toggle(k, storage.PairSeal(e.fh, e.ver))
 	}
-	s.resident.Store(int64(keys))
 }
 
 // store returns the store with the given id, creating an empty one on
@@ -351,12 +339,12 @@ func (l *Log) storeList() []*Store {
 	return out
 }
 
-// supersede counts n bytes of the record holding e's current image as
-// dead, unless that image lies before base, in a file a clean drops
-// whole.
-func (l *Log) supersede(e *entry, n int64, base int64) {
+// supersede counts the bytes of the record holding key's current image
+// e as dead, unless that image lies before base, in a file a clean
+// drops whole.
+func (l *Log) supersede(key string, e *entry, base int64) {
 	if e.off >= base {
-		l.deadBytes.Add(n)
+		l.deadBytes.Add(recordSize(key, int64(len(e.val)), e.ver))
 	}
 }
 
@@ -437,28 +425,26 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// clean moves every live entry out of the frozen file: one shard at a
+// clean moves every live entry out of the frozen file: one store at a
 // time, it re-appends each entry whose last full image lies before the
-// active file, then it hardens the active file (per SyncOnCompact and
-// the durability mode) and unlinks the frozen one.
+// active file, then it hardens the active file (in group and sync
+// durability modes) and unlinks the frozen one.
 func (l *Log) clean() error {
 	base := l.wal.base.Load()
 	var queued int64
 	for _, s := range l.storeList() {
-		for _, sh := range s.shards {
-			end, n, err := s.copyShard(sh, base)
-			if err != nil {
+		end, n, err := s.copyLive(base)
+		if err != nil {
+			return err
+		}
+		if queued += n; queued >= cleanFlushBytes {
+			if err := l.wal.flushTo(end); err != nil {
 				return err
 			}
-			if queued += n; queued >= cleanFlushBytes {
-				if err := l.wal.flushTo(end); err != nil {
-					return err
-				}
-				queued = 0
-			}
+			queued = 0
 		}
 	}
-	sync := l.opts.SyncOnCompact || l.opts.Durability == storage.DurabilityGroup || l.opts.Durability == storage.DurabilitySync
+	sync := l.opts.Durability == storage.DurabilityGroup || l.opts.Durability == storage.DurabilitySync
 	if err := l.wal.dropOld(sync); err != nil {
 		return err
 	}
@@ -466,47 +452,40 @@ func (l *Log) clean() error {
 	return nil
 }
 
-// copyShard re-appends, as one WAL record batch, a Put of every entry
-// of sh whose last full image lies before base — including entries
-// built only from appends, whose offset is 0 — and moves the entries
-// to their copies. It returns the log offset the copies end at and
-// their size. Evicted values are read back, and stay evicted.
-func (s *Store) copyShard(sh *shard, base int64) (end, n int64, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if testCleanShard != nil {
-		testCleanShard(s, sh)
+// copyLive re-appends, as one WAL record batch, a Put of every entry
+// whose last full image lies before base — including entries built
+// only from appends, whose offset is 0 — and moves the entries to
+// their copies. It returns the log offset the copies end at and their
+// size.
+func (s *Store) copyLive(base int64) (end, n int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if testCleanStore != nil {
+		testCleanStore(s)
 	}
 	type move struct {
 		e   *entry
 		rel int64
 	}
 	size := 0
-	for k, e := range sh.m {
+	for k, e := range s.m {
 		if e.off < base {
-			size += int(recordSize(k, e.vlen, e.ver))
+			size += int(recordSize(k, int64(len(e.val)), e.ver))
 		}
 	}
 	if size == 0 {
 		return 0, 0, nil
 	}
-	moves := make([]move, 0, len(sh.m))
+	moves := make([]move, 0, len(s.m))
 	// The batch is a pooled record buffer: the committer that writes it
-	// returns it, so a clean of many small shards allocates little.
+	// returns it, so a clean of many small stores allocates little.
 	blob := slices.Grow(getRec(), size)
-	for k, e := range sh.m {
+	for k, e := range s.m {
 		if e.off >= base {
 			continue
 		}
-		v := e.val
-		if v == nil && e.vlen > 0 {
-			v = make([]byte, e.vlen)
-			if err := s.wal.readAt(v, e.off); err != nil {
-				return 0, 0, err
-			}
-		}
 		var voff int
-		blob, voff = encodeRecord(blob, recPut, k, v, e.ver)
+		blob, voff = encodeRecord(blob, recPut, k, e.val, e.ver)
 		moves = append(moves, move{e, int64(voff)})
 	}
 	off, err := s.wal.append(blob)
@@ -514,7 +493,7 @@ func (s *Store) copyShard(sh *shard, base int64) (end, n int64, err error) {
 		return 0, 0, err
 	}
 	for _, m := range moves {
-		m.e.off, m.e.onDisk = off+m.rel, true
+		m.e.off = off + m.rel
 	}
 	return off + int64(len(blob)), int64(len(blob)), nil
 }

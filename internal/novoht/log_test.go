@@ -2,7 +2,7 @@ package novoht
 
 // Tests for the shared log: many stores append to one WAL file, replay
 // routes each record back to its store by key, and a clean reclaims
-// space a shard at a time without stopping the log.
+// space a store at a time without stopping the log.
 
 import (
 	"fmt"
@@ -150,7 +150,7 @@ func TestSharedLogTornTailEveryOffset(t *testing.T) {
 }
 
 // TestSharedLogCrashMidClean crashes a clean between its rotation and
-// its unlink, before any shard is copied, halfway and after every
+// its unlink, before any store is copied, halfway and after every
 // copy: replay reads the frozen file, then the active one, and every
 // store comes back exactly, with matching digests. The open finishes
 // the clean.
@@ -159,7 +159,7 @@ func TestSharedLogCrashMidClean(t *testing.T) {
 	for _, copied := range []int{0, stores / 2, stores} {
 		t.Run(fmt.Sprintf("copied-%d-of-%d", copied, stores), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "shared.log")
-			l := openLogT(t, Options{Path: path, CompactEvery: -1, MaxMemValues: 4}, stores)
+			l := openLogT(t, Options{Path: path, CompactEvery: -1}, stores)
 			rng := rand.New(rand.NewSource(int64(copied) + 1))
 			writeInterleaved(t, l, stores, 0, 400, rng)
 			// No clean trips on its own: CompactEvery is off and too
@@ -171,11 +171,8 @@ func TestSharedLogCrashMidClean(t *testing.T) {
 			writeInterleaved(t, l, stores, 400, 450, rng)
 			base := l.wal.base.Load()
 			for id := 0; id < copied; id++ {
-				s := l.store(id)
-				for _, sh := range s.shards {
-					if _, _, err := s.copyShard(sh, base); err != nil {
-						t.Fatal(err)
-					}
+				if _, _, err := l.store(id).copyLive(base); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if err := l.wal.flushTo(l.wal.size.Load()); err != nil {
@@ -200,15 +197,14 @@ func TestSharedLogCrashMidClean(t *testing.T) {
 	}
 }
 
-// TestCleanRacesWritersAppendsEviction runs cleans back to back while
-// writers put, append and remove across eight stores whose memory
-// bound keeps evicting: every store keeps exactly its writers' pairs
-// and stamps, with a digest matching its contents, live and after
-// reopen.
-func TestCleanRacesWritersAppendsEviction(t *testing.T) {
+// TestCleanRacesWritersAndAppends runs cleans back to back while
+// writers put, append and remove across eight stores: every store
+// keeps exactly its writers' pairs and stamps, with a digest matching
+// its contents, live and after reopen.
+func TestCleanRacesWritersAndAppends(t *testing.T) {
 	const stores, writers, ops = 8, 4, 2000
 	path := filepath.Join(t.TempDir(), "shared.log")
-	l := openLogT(t, Options{Path: path, CompactEvery: 150, MaxMemValues: 8}, stores)
+	l := openLogT(t, Options{Path: path, CompactEvery: 150}, stores)
 	models := make([]map[string]pair, writers)
 	var wg sync.WaitGroup
 	written, stop := make(chan struct{}), make(chan struct{})
@@ -287,54 +283,41 @@ func TestCleanRacesWritersAppendsEviction(t *testing.T) {
 	}
 }
 
-// TestCleanDoesNotStopTheWorld parks the cleaner inside one shard of
-// one store and requires a Put to another store, and to another shard
-// of the same store, to complete: a clean holds one shard's lock at a
-// time, never the log's.
+// TestCleanDoesNotStopTheWorld parks the cleaner inside one store and
+// requires a Put to another store to complete: a clean holds one
+// store's lock at a time, never the log's.
 func TestCleanDoesNotStopTheWorld(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.log")
 	l := openLogT(t, Options{Path: path, CompactEvery: -1}, 2)
 	a, b := l.store(0), l.store(1)
-	keyA := "a0"
-	if err := firstErr(a.Put(keyA, []byte("old")), b.Put("b1", []byte("old"))); err != nil {
+	if err := firstErr(a.Put("a0", []byte("old")), b.Put("b1", []byte("old"))); err != nil {
 		t.Fatal(err)
-	}
-	otherA := ""
-	for i := 0; otherA == ""; i++ {
-		if k := fmt.Sprintf("other%d0", i); a.shardOf(k) != a.shardOf(keyA) {
-			otherA = k
-		}
 	}
 
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	testCleanShard = func(s *Store, sh *shard) {
-		if s == a && sh == a.shardOf(keyA) {
+	testCleanStore = func(s *Store) {
+		if s == a {
 			once.Do(func() {
 				close(parked)
 				<-release
 			})
 		}
 	}
-	defer func() { testCleanShard = nil }()
+	defer func() { testCleanStore = nil }()
 	cleaned := make(chan error, 1)
 	go func() { cleaned <- a.Compact() }()
 	<-parked
 
-	for _, w := range []struct {
-		s   *Store
-		key string
-	}{{b, "b1"}, {a, otherA}} {
-		done := make(chan error, 1)
-		go func() { done <- w.s.Put(w.key, []byte("new")) }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("Put(%s) blocked behind a clean parked in another shard", w.key)
+	done := make(chan error, 1)
+	go func() { done <- b.Put("b1", []byte("new")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Put(b1) blocked behind a clean parked in another store")
 	}
 	close(release)
 	if err := <-cleaned; err != nil {
@@ -343,7 +326,7 @@ func TestCleanDoesNotStopTheWorld(t *testing.T) {
 	for _, c := range []struct {
 		s        *Store
 		key, val string
-	}{{a, keyA, "old"}, {a, otherA, "new"}, {b, "b1", "new"}} {
+	}{{a, "a0", "old"}, {b, "b1", "new"}} {
 		if v, ok, err := c.s.Get(c.key); err != nil || !ok || string(v) != c.val {
 			t.Fatalf("%s = %q %v %v, want %q", c.key, v, ok, err, c.val)
 		}

@@ -11,19 +11,17 @@
 //     appended to a log; a clean periodically copies the live records
 //     out of the log's older part and drops it (reclaiming space — the
 //     paper's "garbage collection"), which doubles as the checkpoint;
-//   - a configurable bound on the number of values held in memory
-//     ("specifying a size to control memory footprint"): past the
-//     bound, cold values are evicted to their on-disk image and read
-//     back on demand;
 //   - a fourth basic operation, Append, that concatenates to an
 //     existing value under a local lock, enabling ZHT's lock-free
 //     concurrent key/value modification.
 //
-// Two structural choices serve concurrency. The in-memory table is
-// split into power-of-two lock shards, so operations on different
-// keys — including the disk read that faults an evicted value back
-// in — proceed in parallel instead of serializing on one store-wide
-// RWMutex. And the log is a group-commit write-ahead log (wal.go)
+// The paper's bound on the number of values held in memory is not
+// kept: every value stays resident, so no read touches the disk
+// (EXPERIMENTS.md records the deviation).
+//
+// A store is one map under one RWMutex. A ZHT instance keeps one store
+// per partition, so the partition is the lock stripe. The log is a
+// group-commit write-ahead log (wal.go)
 // with no goroutine of its own: the caller that finds records pending
 // and nobody committing writes them as one batch with one write and,
 // per storage.Durability mode, one fsync. Many stores can share one
@@ -38,7 +36,7 @@
 // Each store also keeps its partition's repair digest
 // (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
 // XORs the old and new pair hashes into the key's leaf inside the
-// shard critical section it already holds. Entries cache the FNV state
+// critical section it already holds. Entries cache the FNV state
 // of their pair, so no mutation reads a pre-image to hash it and an
 // Append hashes only its delta.
 //
@@ -73,9 +71,6 @@ type Options struct {
 	// storage.DurabilityNone makes the store volatile, ignoring
 	// Path.
 	Durability storage.Durability
-	// Shards is the lock-shard count for the in-memory table,
-	// rounded up to a power of two (0 = DefaultShards).
-	Shards int
 	// GroupWindow is how long a group-mode commit waits after its
 	// first record for more to arrive before fsyncing, so callers
 	// staggered by scheduling or network round trips still share one
@@ -89,20 +84,13 @@ type Options struct {
 	// GCRatio triggers a clean when the dead bytes of the log's active
 	// file exceed this fraction of it (0 = use DefaultGCRatio).
 	GCRatio float64
-	// MaxMemValues bounds how many values each store keeps resident
-	// in memory; 0 means unbounded. Keys always stay resident.
-	// Requires persistence (a Path and a Durability other than None).
-	MaxMemValues int
-	// SyncOnCompact fsyncs the log's new file before a clean drops the
-	// old one. Group and sync durability modes always do.
-	SyncOnCompact bool
 	// Fault, when non-nil, injects storage-level crash faults into
 	// the WAL (see storage.Fault and internal/chaos); production
 	// stores leave it nil.
 	Fault storage.Fault
 	// Metrics, when non-nil, receives per-operation latency
-	// histograms (zht.novoht.{get,put,append}.latency_ns),
-	// eviction/compaction counters, and the WAL's
+	// histograms (zht.novoht.{get,put,append}.latency_ns), the
+	// compaction counter, and the WAL's
 	// zht.storage.wal.{commits,batch.size,fsync_ns} instruments.
 	// Stores and logs sharing a registry aggregate into the same
 	// instruments. Nil disables
@@ -115,7 +103,6 @@ type Options struct {
 const (
 	DefaultCompactEvery = 1 << 20
 	DefaultGCRatio      = 0.5
-	DefaultShards       = 16
 	// DefaultGroupWindow trades ~0.5ms of commit latency for batching:
 	// wide enough for a closed loop of clients to resubmit after an
 	// ack (a scheduler pass plus a loopback round trip), narrow
@@ -125,58 +112,38 @@ const (
 
 // Store is a NoVoHT hash table. It implements storage.KV.
 type Store struct {
-	opts    Options
-	shards  []*shard
-	mask    uint32
 	log     *Log
 	wal     *wal // the log's WAL; nil for a volatile store
 	ownsLog bool // opened by Open: closing the store closes its log
 
-	resident atomic.Int64 // values currently held in memory
-	closed   atomic.Bool
+	// mu orders every read and mutation of m and leaves; closed is
+	// written under it.
+	mu     sync.RWMutex
+	m      map[string]*entry
+	closed atomic.Bool
 
 	// leaves is the maintained repair digest: leaf l is the XOR of
 	// storage.PairHashV over every live pair whose key is in leaf l.
-	// A key's toggles are ordered by its shard lock; the CAS in toggle
-	// orders them against keys of other shards sharing the leaf.
-	leaves [storage.Leaves]atomic.Uint64
-
-	// evictCursor rotates the shard eviction starts so no shard's
-	// values are systematically the first to be spilled.
-	evictCursor atomic.Uint32
+	leaves [storage.Leaves]uint64
 
 	// Instruments resolved once at Open; all nil when metrics are
 	// disabled.
-	getLat       *metrics.Histogram // zht.novoht.get.latency_ns
-	putLat       *metrics.Histogram // zht.novoht.put.latency_ns
-	appendLat    *metrics.Histogram // zht.novoht.append.latency_ns
-	evictions    *metrics.Counter   // zht.novoht.evictions
-	evictedLoads *metrics.Counter   // zht.novoht.evicted_loads
+	getLat    *metrics.Histogram // zht.novoht.get.latency_ns
+	putLat    *metrics.Histogram // zht.novoht.put.latency_ns
+	appendLat *metrics.Histogram // zht.novoht.append.latency_ns
 }
 
-// shard is one lock stripe of the in-memory table.
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*entry
-
-	// clock hand for eviction (iteration order is fine: eviction is
-	// best-effort cache management, not a correctness property).
-	evictKeys []string
-	evictPos  int
-}
-
-// entry is one key's state. If val is nil and onDisk is true, the
-// current value lives at [off, off+vlen) in the log file.
+// entry is one key's state. off is the log offset of the value bytes of
+// the record holding its last full image (0 for a value built only from
+// appends); a clean copies the entries whose image lies in the frozen
+// file.
 type entry struct {
-	val  []byte
-	off  int64
-	vlen int64
-	ver  uint64 // HLC version stamp; 0 = older than any stamped write
+	val []byte
+	off int64
+	ver uint64 // HLC version stamp; 0 = older than any stamped write
 	// fh is the pair's digest hash state before the version is sealed
-	// in: storage.FNV over storage.PairPrefix(key) and the value. It
-	// stays valid while the value is evicted.
-	fh     uint64
-	onDisk bool // an up-to-date contiguous image exists on disk
+	// in: storage.FNV over storage.PairPrefix(key) and the value.
+	fh uint64
 }
 
 // Log record types. Each base type has a versioned variant, numbered
@@ -212,11 +179,6 @@ var (
 	ErrNoPersistence = errors.New("novoht: store has no persistence")
 )
 
-// testSlowLoad, when non-nil, runs inside loadEvicted with the owning
-// shard's lock held; the eviction-isolation regression test uses it
-// to make one shard's disk read observably slow.
-var testSlowLoad func()
-
 // Open creates or recovers a store that owns its log: a Log holding
 // one store. If opts.Path exists, its log is replayed; a torn final
 // record (from a crash mid-write) is truncated away, recovering the
@@ -233,59 +195,25 @@ func Open(opts Options) (*Store, error) {
 
 // newStore creates an empty store that logs to l.
 func newStore(l *Log) *Store {
-	nShards := l.opts.Shards
-	if nShards <= 0 {
-		nShards = DefaultShards
-	}
-	for nShards&(nShards-1) != 0 {
-		nShards++
-	}
-	s := &Store{opts: l.opts, shards: make([]*shard, nShards), mask: uint32(nShards - 1), log: l, wal: l.wal}
-	for i := range s.shards {
-		s.shards[i] = &shard{m: make(map[string]*entry)}
-	}
+	s := &Store{log: l, wal: l.wal, m: make(map[string]*entry)}
 	if reg := l.opts.Metrics; reg != nil {
 		s.getLat = reg.Histogram("zht.novoht.get.latency_ns")
 		s.putLat = reg.Histogram("zht.novoht.put.latency_ns")
 		s.appendLat = reg.Histogram("zht.novoht.append.latency_ns")
-		s.evictions = reg.Counter("zht.novoht.evictions")
-		s.evictedLoads = reg.Counter("zht.novoht.evicted_loads")
 	}
 	return s
 }
 
-// shardOf returns the lock shard owning key (FNV-1a); a one-shard
-// store skips the hash.
-func (s *Store) shardOf(key string) *shard {
-	if s.mask == 0 {
-		return s.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return s.shards[h&s.mask]
-}
-
-// toggle XORs x into key's digest leaf.
+// toggle XORs x into key's digest leaf; s.mu must be held for writing.
 func (s *Store) toggle(key string, x uint64) {
-	l := &s.leaves[storage.LeafOf(key)]
-	for {
-		old := l.Load()
-		if l.CompareAndSwap(old, old^x) {
-			return
-		}
-	}
+	s.leaves[storage.LeafOf(key)] ^= x
 }
 
 // DigestLeaves returns a copy of the store's repair digest leaves.
 func (s *Store) DigestLeaves() []uint64 {
-	out := make([]uint64, storage.Leaves)
-	for i := range out {
-		out[i] = s.leaves[i].Load()
-	}
-	return out
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]uint64(nil), s.leaves[:]...)
 }
 
 // Put stores val under key, replacing any existing value.
@@ -299,14 +227,13 @@ func (s *Store) Put(key string, val []byte) error {
 // PutV(key, val, 0).
 func (s *Store) PutV(key string, val []byte, ver uint64) error {
 	defer s.timeOp(s.putLat)()
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	end, err := s.putShardLocked(sh, key, val, ver)
-	sh.mu.Unlock()
+	end, err := s.putLocked(key, val, ver)
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -318,18 +245,17 @@ func (s *Store) PutV(key string, val []byte, ver uint64) error {
 // whether the store was modified.
 func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 	defer s.timeOp(s.putLat)()
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	if e, ok := sh.m[key]; ok && e.ver >= ver {
-		sh.mu.Unlock()
+	if e, ok := s.m[key]; ok && e.ver >= ver {
+		s.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putShardLocked(sh, key, val, ver)
-	sh.mu.Unlock()
+	end, err := s.putLocked(key, val, ver)
+	s.mu.Unlock()
 	if err != nil {
 		return false, err
 	}
@@ -351,14 +277,13 @@ func (s *Store) timeOp(h *metrics.Histogram) func() {
 
 func nopTimer() {}
 
-// putShardLocked applies a Put under sh's lock: the record is
-// submitted to the WAL (offsets assigned in submission order, which
-// the shard lock makes per-key order) and the in-memory entry
-// updated along with the digest. It returns the log offset the caller
-// must wait durable, or storage.ErrStale when the stored version is
-// at least ver (stale).
-func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (int64, error) {
-	old, ok := sh.m[key]
+// putLocked applies a Put under s.mu: the record is submitted to the
+// WAL (offsets assigned in submission order, which the store lock makes
+// per-key order) and the in-memory entry updated along with the
+// digest. It returns the log offset the caller must wait durable, or
+// storage.ErrStale when the stored version is at least ver (stale).
+func (s *Store) putLocked(key string, val []byte, ver uint64) (int64, error) {
+	old, ok := s.m[key]
 	if stale(old, ok, ver) {
 		return 0, storage.ErrStale
 	}
@@ -370,29 +295,22 @@ func (s *Store) putShardLocked(sh *shard, key string, val []byte, ver uint64) (i
 	x := storage.PairSeal(fh, ver)
 	if ok {
 		x ^= storage.PairSeal(old.fh, old.ver)
-		s.superseded(old, recordSize(key, old.vlen, old.ver))
-		if old.val == nil && old.onDisk {
-			s.resident.Add(1) // evicted entry becomes resident again
-		}
+		s.superseded(key, old)
 		old.val = append(old.val[:0], val...)
-		old.off, old.vlen, old.ver, old.fh, old.onDisk = voff, int64(len(val)), ver, fh, s.wal != nil
+		old.off, old.ver, old.fh = voff, ver, fh
 	} else {
-		sh.m[key] = &entry{
-			val: append([]byte(nil), val...), off: voff,
-			vlen: int64(len(val)), ver: ver, fh: fh, onDisk: s.wal != nil,
-		}
-		s.resident.Add(1)
+		s.m[key] = &entry{val: append([]byte(nil), val...), off: voff, ver: ver, fh: fh}
 	}
 	s.toggle(key, x)
 	s.counted()
 	return end, nil
 }
 
-// superseded counts the n bytes of the record holding e's current
-// image as dead.
-func (s *Store) superseded(e *entry, n int64) {
+// superseded counts the bytes of the record holding key's current
+// image e as dead.
+func (s *Store) superseded(key string, e *entry) {
 	if s.wal != nil {
-		s.log.supersede(e, n, s.wal.base.Load())
+		s.log.supersede(key, e, s.wal.base.Load())
 	}
 }
 
@@ -455,16 +373,11 @@ func getRec() []byte {
 
 func putRec(b []byte) { recFree.Put(b) }
 
-// finishMutation runs the post-apply policy with no shard lock held:
-// enforce the memory bound and, on a store that owns its log (Open),
-// commit the record, which ends at log offset end. A store of a shared
-// Log leaves its record staged for the caller's Log.Commit.
+// finishMutation runs with the store lock released: on a store that
+// owns its log (Open) it commits the record, which ends at log offset
+// end. A store of a shared Log leaves its record staged for the
+// caller's Log.Commit.
 func (s *Store) finishMutation(end int64) error {
-	if s.opts.MaxMemValues > 0 && s.resident.Load() > int64(s.opts.MaxMemValues) {
-		if err := s.evictToBound(); err != nil {
-			return err
-		}
-	}
 	if s.wal == nil || !s.ownsLog {
 		return nil
 	}
@@ -475,18 +388,17 @@ func (s *Store) finishMutation(end int64) error {
 // reports whether the store was modified.
 func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, error) {
 	defer s.timeOp(s.putLat)()
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	if _, ok := sh.m[key]; ok {
-		sh.mu.Unlock()
+	if _, ok := s.m[key]; ok {
+		s.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putShardLocked(sh, key, val, ver)
-	sh.mu.Unlock()
+	end, err := s.putLocked(key, val, ver)
+	s.mu.Unlock()
 	if err != nil {
 		return false, err
 	}
@@ -500,57 +412,19 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 }
 
 // GetAppendV appends the value stored under key to dst while holding
-// the shard's read lock, so a hot read path costs one copy into a
+// the store's read lock, so a hot read path costs one copy into a
 // caller-owned scratch buffer and zero allocations, and returns the
-// stored version stamp. On a miss or error dst is returned unmodified.
+// stored version stamp. On a miss dst is returned unmodified. The
+// error is always nil: every value is in memory.
 func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
-	sh := s.shardOf(key)
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	if !ok {
-		sh.mu.RUnlock()
-		return dst, 0, false, nil
-	}
-	if e.val != nil || e.vlen == 0 {
-		dst = append(dst, e.val...)
-		ver := e.ver
-		sh.mu.RUnlock()
-		return dst, ver, true, nil
-	}
-	sh.mu.RUnlock()
-	// Evicted: fault the value in exactly like Get.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s.closed.Load() {
-		return dst, 0, false, ErrClosed
-	}
-	e, ok = sh.m[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.m[key]
 	if !ok {
 		return dst, 0, false, nil
-	}
-	if e.val == nil && e.vlen > 0 {
-		if err := s.loadEvicted(e); err != nil {
-			return dst, 0, false, err
-		}
 	}
 	return append(dst, e.val...), e.ver, true, nil
-}
-
-// loadEvicted reads an evicted entry's value back from the log; the
-// owning shard's lock must be held.
-func (s *Store) loadEvicted(e *entry) error {
-	if testSlowLoad != nil {
-		testSlowLoad()
-	}
-	buf := make([]byte, e.vlen)
-	if err := s.wal.readAt(buf, e.off); err != nil {
-		return err
-	}
-	e.val = buf
-	s.resident.Add(1)
-	s.evictedLoads.Inc()
-	return nil
 }
 
 // RemoveV deletes key, reporting whether it was present; the log
@@ -569,41 +443,37 @@ func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
 // removeVer is the shared remove path; when lww is set the delete is
 // skipped unless ver beats the stored version.
 func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	e, ok := sh.m[key]
+	e, ok := s.m[key]
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, nil
 	}
 	if lww && e.ver >= ver {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, nil
 	}
 	if stale(e, ok, ver) {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, storage.ErrStale
 	}
 	_, end, err := s.appendRecord(recRemove, key, nil, ver)
 	if err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, err
 	}
 	if s.wal != nil {
 		s.log.deadBytes.Add(recordSize(key, 0, ver))
 	}
-	s.superseded(e, recordSize(key, e.vlen, e.ver))
-	if e.val != nil || e.vlen == 0 {
-		s.resident.Add(-1)
-	}
-	delete(sh.m, key)
+	s.superseded(key, e)
+	delete(s.m, key)
 	s.toggle(key, storage.PairSeal(e.fh, e.ver))
 	s.counted()
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return true, s.finishMutation(end)
 }
 
@@ -612,33 +482,26 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 // the stamp as it was, as a pre-versioning append record replays; a
 // non-zero ver at or below the stored version is refused with
 // storage.ErrStale). It logs only the delta, as one record, and holds
-// only the key's shard lock: the operation FusionFS uses for lock-free
+// only the store's lock: the operation FusionFS uses for lock-free
 // concurrent directory updates.
 // When dst is non-nil the accumulated value is appended to it and
 // returned (a replica leg carries the whole value); a nil dst copies
 // nothing.
 func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, error) {
 	defer s.timeOp(s.appendLat)()
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return dst, ErrClosed
 	}
-	e, ok := sh.m[key]
+	e, ok := s.m[key]
 	if stale(e, ok, ver) {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return dst, storage.ErrStale
-	}
-	if ok && e.val == nil && e.vlen > 0 {
-		if err := s.loadEvicted(e); err != nil {
-			sh.mu.Unlock()
-			return dst, err
-		}
 	}
 	_, end, err := s.appendRecord(recAppend, key, delta, ver)
 	if err != nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return dst, err
 	}
 	var x uint64
@@ -646,17 +509,14 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 		x = storage.PairSeal(e.fh, e.ver)
 	} else {
 		e = &entry{fh: storage.PairPrefix(key)}
-		sh.m[key] = e
-		s.resident.Add(1)
+		s.m[key] = e
 	}
 	// Append records never supersede earlier log bytes (replay needs
 	// the whole chain), so no bytes die until the next clean.
 	e.val = append(e.val, delta...)
-	e.vlen = int64(len(e.val))
 	if ver > 0 {
 		e.ver = ver
 	}
-	e.onDisk = false
 	// The value is the last input of the pair hash, so the digest
 	// continues over just the delta.
 	e.fh = storage.FNV(e.fh, delta)
@@ -665,7 +525,7 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 	if dst != nil {
 		dst = append(dst, e.val...)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return dst, s.finishMutation(end)
 }
 
@@ -675,30 +535,23 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 // storage.ErrStale when it would swap but a non-zero ver is at or
 // below the stored version.
 func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, error) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, nil, ErrClosed
 	}
-	e, ok := sh.m[key]
-	if ok && e.val == nil && e.vlen > 0 {
-		if err := s.loadEvicted(e); err != nil {
-			sh.mu.Unlock()
-			return false, nil, err
-		}
-	}
+	e, ok := s.m[key]
 	switch {
 	case !ok && oldVal != nil:
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, nil, nil
 	case ok && (oldVal == nil || string(e.val) != string(oldVal)):
 		v := append([]byte(nil), e.val...)
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return false, v, nil
 	}
-	end, err := s.putShardLocked(sh, key, newVal, ver)
-	sh.mu.Unlock()
+	end, err := s.putLocked(key, newVal, ver)
+	s.mu.Unlock()
 	if err != nil {
 		return false, nil, err
 	}
@@ -707,115 +560,25 @@ func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byt
 
 // Len reports the number of keys stored.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// lockAll acquires every shard lock in index order (the store-wide
-// stop-the-world used by ForEach and Close).
-func (s *Store) lockAll() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-}
-
-func (s *Store) unlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.m)
 }
 
 // ForEachV calls fn for every pair with its version stamp; fn must
-// not mutate the store. The value passed to fn for evicted entries is
-// loaded from disk. The whole store is locked for the duration, so the
+// not mutate the store. The store is locked for the duration, so the
 // iteration is a consistent snapshot (a leaf-stream transfer depends
 // on this).
 func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	for _, sh := range s.shards {
-		for k, e := range sh.m {
-			v := e.val
-			if v == nil && e.vlen > 0 {
-				if err := s.loadEvicted(e); err != nil {
-					return err
-				}
-				v = e.val
-			}
-			if err := fn(k, v, e.ver); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// evictToBound spills resident values until the memory bound is met,
-// visiting each shard at most once per call (a shard whose remaining
-// values are unevictable — empty values keep their slot — is skipped
-// rather than rescanned forever). The rotating cursor spreads the
-// spill across shards.
-func (s *Store) evictToBound() error {
-	n := uint32(len(s.shards))
-	start := s.evictCursor.Add(1)
-	bound := int64(s.opts.MaxMemValues)
-	for i := uint32(0); i < n && s.resident.Load() > bound; i++ {
-		sh := s.shards[(start+i)&s.mask]
-		sh.mu.Lock()
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-		err := s.evictShardLocked(sh, bound)
-		sh.mu.Unlock()
-		if err != nil {
+	for k, e := range s.m {
+		if err := fn(k, e.val, e.ver); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// evictShardLocked advances sh's clock hand, spilling values whose
-// latest image is contiguous on disk; values mutated by Append since
-// their last full write are first rewritten so an image exists.
-func (s *Store) evictShardLocked(sh *shard, bound int64) error {
-	if len(sh.evictKeys) == 0 || sh.evictPos >= len(sh.evictKeys) {
-		sh.evictKeys = sh.evictKeys[:0]
-		for k := range sh.m {
-			sh.evictKeys = append(sh.evictKeys, k)
-		}
-		sh.evictPos = 0
-	}
-	for s.resident.Load() > bound && sh.evictPos < len(sh.evictKeys) {
-		k := sh.evictKeys[sh.evictPos]
-		sh.evictPos++
-		e, ok := sh.m[k]
-		if !ok || e.val == nil {
-			continue
-		}
-		if !e.onDisk {
-			// Rewrite the full value so a contiguous image exists,
-			// preserving the entry's version stamp.
-			voff, _, err := s.appendRecord(recPut, k, e.val, e.ver)
-			if err != nil {
-				return err
-			}
-			e.off, e.onDisk = voff, true
-		}
-		if e.vlen == 0 {
-			continue // nothing to reclaim; keep resident
-		}
-		e.val = nil
-		s.resident.Add(-1)
-		s.evictions.Inc()
 	}
 	return nil
 }
@@ -823,7 +586,7 @@ func (s *Store) evictShardLocked(sh *shard, bound int64) error {
 // Compact cleans the log synchronously: its live records are copied
 // out of the part written before the call, which is then dropped,
 // reclaiming dead space. This is the periodic checkpoint + GC the
-// paper describes. It locks one shard at a time, never the log.
+// paper describes. It locks one store at a time, never the log.
 func (s *Store) Compact() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -853,28 +616,17 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// markClosed refuses every later call. It takes every shard lock, so
-// no mutation is left between its closed check and its log append.
+// markClosed refuses every later call. It takes the store lock, so no
+// mutation is left between its closed check and its log append.
 func (s *Store) markClosed() {
-	s.lockAll()
+	s.mu.Lock()
 	s.closed.Store(true)
-	s.unlockAll()
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of store statistics (storage.Stats).
 func (s *Store) Stats() storage.Stats {
-	keys := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		keys += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	st := storage.Stats{
-		Keys:       keys,
-		Resident:   int(s.resident.Load()),
-		Persistent: s.wal != nil,
-		Shards:     len(s.shards),
-	}
+	st := storage.Stats{Keys: s.Len(), Persistent: s.wal != nil}
 	if s.wal != nil {
 		st.LogBytes = s.wal.activeSize()
 		st.DeadBytes = s.log.deadBytes.Load()

@@ -366,59 +366,6 @@ func TestAutoCompactByDeadRatio(t *testing.T) {
 	}
 }
 
-func TestEviction(t *testing.T) {
-	s := openTemp(t, Options{MaxMemValues: 10, CompactEvery: -1, GCRatio: 0.99})
-	for i := 0; i < 100; i++ {
-		if err := s.Put(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("value-%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Resident > 11 {
-		t.Errorf("resident = %d, want <= bound+1", st.Resident)
-	}
-	if st.Keys != 100 {
-		t.Errorf("keys = %d", st.Keys)
-	}
-	// Every value, resident or evicted, must read back correctly.
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		v, ok, err := s.Get(k)
-		if err != nil || !ok || string(v) != fmt.Sprintf("value-%03d", i) {
-			t.Fatalf("%s = %q %v %v", k, v, ok, err)
-		}
-	}
-}
-
-func TestEvictionWithAppendsAndCompaction(t *testing.T) {
-	s := openTemp(t, Options{MaxMemValues: 5, CompactEvery: -1, GCRatio: 0.99})
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		if err := s.Put(k, []byte("base")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AppendV(nil, k, []byte("+more"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		v, ok, err := s.Get(k)
-		if err != nil || !ok || string(v) != "base+more" {
-			t.Fatalf("%s = %q %v %v", k, v, ok, err)
-		}
-	}
-}
-
-func TestEvictionRequiresPath(t *testing.T) {
-	if _, err := Open(Options{MaxMemValues: 5}); err == nil {
-		t.Error("MaxMemValues without Path should fail")
-	}
-}
-
 func TestMemoryOnlyStore(t *testing.T) {
 	s, err := Open(Options{})
 	if err != nil {

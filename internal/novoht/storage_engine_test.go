@@ -1,6 +1,6 @@
 package novoht
 
-// Tests for the storage-engine rebuild: the sharded table + group-
+// Tests for the storage engine: the locked table + group-
 // commit WAL must stay observably equivalent to the seed store's
 // sequential semantics — under concurrency, across clean close and
 // reopen, and across injected crashes at arbitrary byte offsets.
@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"zht/internal/chaos"
 	"zht/internal/storage"
@@ -35,7 +34,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "eq.log")
-			s, err := Open(Options{Path: path, Durability: mode, Shards: 4, CompactEvery: 200})
+			s, err := Open(Options{Path: path, Durability: mode, CompactEvery: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,15 +143,6 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 			checkEqualsModel(t, r, merged)
 		})
 	}
-}
-
-// isEvicted reports whether key's value currently lives only on disk.
-func isEvicted(s *Store, key string) bool {
-	sh := s.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.m[key]
-	return ok && e.val == nil && e.vlen > 0
 }
 
 // checkEqualsModel asserts the store and the model hold exactly the
@@ -397,86 +387,13 @@ func TestTornWriteEveryByteOffset(t *testing.T) {
 	}
 }
 
-// TestSlowEvictedReadDoesNotBlockOtherShards pins the sharding win
-// the refactor exists for: a disk read faulting an evicted value back
-// in holds only its own shard's lock, so a Put to a key in a
-// different shard proceeds while the read is stuck.
-func TestSlowEvictedReadDoesNotBlockOtherShards(t *testing.T) {
-	s := openTemp(t, Options{MaxMemValues: 1, Shards: 4})
-	victim := "victim"
-	// Pick a second key that provably hashes to a different shard.
-	other := ""
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("other%02d", i)
-		if s.shardOf(k) != s.shardOf(victim) {
-			other = k
-			break
-		}
-	}
-	if other == "" {
-		t.Fatal("no key found outside the victim's shard")
-	}
-	if err := s.Put(victim, []byte("evict-me")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(other, []byte("resident")); err != nil {
-		t.Fatal(err)
-	}
-	// One of the two values is now on disk (bound = 1). Whichever it
-	// is, the update below targets the *resident* one, so the Put
-	// neither needs the evicted key's shard lock nor triggers
-	// eviction (updates don't grow the resident count).
-	resident := other
-	if !isEvicted(s, victim) {
-		victim, resident = resident, victim
-	}
-	if !isEvicted(s, victim) || isEvicted(s, resident) {
-		t.Fatalf("expected exactly one evicted value (victim=%v resident=%v)",
-			isEvicted(s, victim), isEvicted(s, resident))
-	}
-
-	inRead := make(chan struct{})
-	release := make(chan struct{})
-	testSlowLoad = func() {
-		close(inRead)
-		<-release
-	}
-	defer func() { testSlowLoad = nil }()
-
-	readDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.Get(victim)
-		readDone <- err
-	}()
-	<-inRead // evicted read is parked holding the victim's shard lock
-
-	putDone := make(chan error, 1)
-	go func() { putDone <- s.Put(resident, []byte("updated")) }()
-	select {
-	case err := <-putDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Put to a different shard blocked behind a slow evicted read")
-	}
-
-	close(release)
-	if err := <-readDone; err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := s.Get(resident); err != nil || !ok || string(v) != "updated" {
-		t.Fatalf("resident key = %q %v %v", v, ok, err)
-	}
-}
-
 // TestCloseReopenEquivalence checks the clean-shutdown half of the
 // durability contract: Close drains and fsyncs the WAL even in async
 // mode, so a close-then-reopen round trip preserves the exact store
-// contents — including values that were evicted to disk.
+// contents.
 func TestCloseReopenEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.log")
-	s, err := Open(Options{Path: path, Durability: storage.DurabilityAsync, MaxMemValues: 8})
+	s, err := Open(Options{Path: path, Durability: storage.DurabilityAsync})
 	if err != nil {
 		t.Fatal(err)
 	}

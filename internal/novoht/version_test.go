@@ -151,23 +151,6 @@ func TestVersionSurvivesCompaction(t *testing.T) {
 	}
 }
 
-func TestVersionedEviction(t *testing.T) {
-	s := openTemp(t, Options{MaxMemValues: 2})
-	for i, k := range []string{"a", "b", "c", "d"} {
-		if err := s.PutV(k, []byte("value-"+k), uint64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Some values are now evicted; reads must fault them back with
-	// their stamps intact.
-	for i, k := range []string{"a", "b", "c", "d"} {
-		v, ver, ok, err := s.GetAppendV(nil, k)
-		if err != nil || !ok || string(v) != "value-"+k || ver != uint64(i+1) {
-			t.Fatalf("%s after eviction = %q %d %v %v", k, v, ver, ok, err)
-		}
-	}
-}
-
 // A stamped mutation never lowers a key's stamp: one at or below the
 // stored version applies nothing, logs nothing and returns
 // storage.ErrStale. So the log's stamps rise per key in apply order

@@ -22,28 +22,25 @@ const oldSuffix = ".old"
 // one fsync per batch (group) or none (async); sync mode commits one
 // record at a time, so each record gets its own fsync. One committer
 // runs at a time, so records reach the file in offset order. Callers
-// append under their shard lock (so per-key log order matches memory
+// append under their store lock (so per-key log order matches memory
 // order) and wait for durability after releasing it, so a slow fsync
-// never blocks unrelated keys; a caller that appended many records —
+// never blocks the store; a caller that appended many records —
 // one request's — waits once, for the last of them (Log.Commit).
 //
 // Offsets are logical: they count every byte ever appended to the log
 // and only grow. The log lives in at most two files. The active file
 // holds the offsets from base on; while a clean runs, the frozen file
-// it empties (<path>.old) holds the offsets from oldBase to base.
-// Offsets are assigned at append time under the wal mutex, which is
-// what lets the sharded table record an evicted value's future file
-// position before the bytes have physically landed; readAt forces the
-// prefix it needs onto the file first.
+// it empties (<path>.old) holds the offsets before base. Offsets are
+// assigned at append time under the wal mutex, so an entry records
+// where its image will lie before the bytes have physically landed.
 type wal struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast after every commit, failure and hold release
 
-	path    string
-	f       *os.File     // the active file
-	base    atomic.Int64 // logical offset of f's first byte; written under mu
-	old     *os.File     // the frozen file a clean is emptying, or nil
-	oldBase int64        // logical offset of old's first byte
+	path string
+	f    *os.File     // the active file
+	base atomic.Int64 // logical offset of f's first byte; written under mu
+	old  *os.File     // the frozen file a clean is emptying, or nil
 
 	mode   storage.Durability
 	fault  storage.Fault
@@ -270,8 +267,7 @@ func (w *wal) rotate() error {
 		w.mu.Lock()
 		// Records appended during the hold are still pending: they
 		// go to the new file, which starts where the old one ends.
-		w.old, w.oldBase = w.f, w.base.Load()
-		w.f = f
+		w.old, w.f = w.f, f
 		w.base.Store(w.written)
 		w.mu.Unlock()
 	}
@@ -302,28 +298,6 @@ func (w *wal) dropOld(sync bool) error {
 	old.Close()
 	if err := os.Remove(w.path + oldSuffix); err != nil {
 		return fmt.Errorf("novoht: drop old log: %w", err)
-	}
-	return nil
-}
-
-// readAt reads a byte range at logical offset off, committing it onto
-// its file first if it is still pending.
-func (w *wal) readAt(buf []byte, off int64) error {
-	w.mu.Lock()
-	err := w.commitUntil(&w.written, off+int64(len(buf)), 0)
-	f, at := w.f, off-w.base.Load()
-	if at < 0 {
-		f, at = w.old, off-w.oldBase
-	}
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if f == nil || at < 0 {
-		return fmt.Errorf("novoht: read log: offset %d precedes the log", off)
-	}
-	if _, err := f.ReadAt(buf, at); err != nil {
-		return fmt.Errorf("novoht: read log: %w", err)
 	}
 	return nil
 }
@@ -421,9 +395,8 @@ func (w *wal) commit(batch [][]byte) (written, synced int64, err error) {
 		return 0, 0, ferr
 	}
 	// The records' bytes are on the file and nothing else holds a
-	// reference (reads go through readAt on the file, cleaning copies
-	// from the in-memory table), so their buffers go back to the pool
-	// appendRecord draws from.
+	// reference (cleaning copies from the in-memory table), so their
+	// buffers go back to the pool appendRecord draws from.
 	for _, rec := range batch {
 		putRec(rec)
 	}

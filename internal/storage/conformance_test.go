@@ -53,9 +53,10 @@ type novohtPoint struct{ storage.KV }
 
 func (n novohtPoint) Remove(key string) (bool, error) { return n.RemoveV(key, 0) }
 
-// fullEngines are the NoVoHT configurations an instance opens:
-// volatile, WAL-backed, and WAL-backed with a memory bound that
-// evicts values to the log.
+// fullEngines are the NoVoHT configurations a ZHT deployment opens:
+// a volatile store, a WAL-backed store that owns its log, and one
+// store of a shared log (an instance's partition store), whose
+// mutations stage their records for the log owner's Commit.
 func fullEngines() map[string]func(t *testing.T) storage.KV {
 	open := func(o novoht.Options) func(t *testing.T) storage.KV {
 		return func(t *testing.T) storage.KV {
@@ -73,7 +74,14 @@ func fullEngines() map[string]func(t *testing.T) storage.KV {
 	return map[string]func(t *testing.T) storage.KV{
 		"novoht-volatile": open(novoht.Options{}),
 		"novoht-wal":      open(novoht.Options{Path: "wal"}),
-		"novoht-evicting": open(novoht.Options{Path: "wal", MaxMemValues: 1}),
+		"novoht-shared-log": func(t *testing.T) storage.KV {
+			l, err := novoht.OpenLog(novoht.Options{Path: filepath.Join(t.TempDir(), "kv.log")}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			return l.Store(0)
+		},
 	}
 }
 

@@ -104,9 +104,6 @@ type KV interface {
 type Stats struct {
 	// Keys is the number of live keys.
 	Keys int
-	// Resident is how many values are held in memory (the rest are
-	// evicted to their on-disk image).
-	Resident int
 	// LogBytes is the length of the log file the store appends to,
 	// including superseded records not yet cleaned away. Stores that
 	// share a log report the same log.
@@ -119,9 +116,6 @@ type Stats struct {
 	Mutations int
 	// Persistent reports whether the store is backed by a log file.
 	Persistent bool
-	// Shards is the store's internal lock-shard count (1 for
-	// unsharded engines).
-	Shards int
 }
 
 // Durability selects how much of the write-ahead log's durability a

@@ -11,31 +11,12 @@
 //     so the engine stays swappable (constructing one via
 //     novoht.Open/novoht.Options is fine; depending on the concrete
 //     type is not), or
-//   - the replica repair contract is broken: the canonical
-//     zht.repair.* metrics (digest syncs, ranges pulled, handoff
-//     queued/replayed/dropped) must both be registered in
-//     internal/repair or internal/core source AND be catalogued in
-//     OBSERVABILITY.md — convergence debugging depends on them, so
-//     neither side may silently drop one, or
-//   - the pool contract is broken: the canonical pool health metrics
-//     (zht.wire.pool.{gets,puts,misses}, zht.transport.buf.reuse)
-//     must both be registered in internal/wire or internal/transport
-//     source AND be catalogued in OBSERVABILITY.md — they are how a
-//     pooled-buffer leak (gets outrunning puts) is diagnosed in the
-//     field, or
-//   - the consistency contract is broken: the canonical
-//     zht.consistency.* metrics (quorum reads/writes, stale reads
-//     repaired, version conflicts) must both be registered in
-//     internal/core source AND be catalogued in OBSERVABILITY.md —
-//     they are the observable surface of the tunable-consistency
-//     subsystem (DESIGN.md §12), or
-//   - the tenancy contract is broken: the canonical zht.tenant.* and
-//     zht.memcached.* metrics (admission verdicts, in-flight gauge,
-//     lazy-expiry reads, reaped pairs, front-door connections and
-//     command/hit/miss counts) must both be registered in
-//     internal/{tenant,memcached,core} source AND be catalogued in
-//     OBSERVABILITY.md — they are how a shed tenant or a cold cache
-//     is told apart from an outage (DESIGN.md §13).
+//   - a metric contract is broken: each subsystem in the contracts
+//     table — replica repair, membership and migration, the hot-path
+//     pools, tunable consistency, and the multi-tenant front door —
+//     names its canonical metrics, and each must both be registered
+//     in that subsystem's source AND be catalogued in
+//     OBSERVABILITY.md, so neither side may silently drop one.
 //
 // Run from the repository root: go run ./internal/tools/docscheck
 package main
@@ -65,11 +46,9 @@ func main() {
 	}
 	checkMetricCatalogue(fail)
 	checkStorageBoundary(fail)
-	checkRepairContract(fail)
-	checkMembershipContract(fail)
-	checkPoolContract(fail)
-	checkConsistencyContract(fail)
-	checkTenantContract(fail)
+	for _, c := range contracts {
+		checkContract(c, fail)
+	}
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -297,239 +276,120 @@ func checkStorageBoundary(fail func(string, ...any)) {
 	}
 }
 
-// repairMetrics is the canonical metric set of the replica repair
-// subsystem (DESIGN.md §9). checkMetricCatalogue only verifies
-// registered → catalogued; this check pins both directions for these
-// names, so deleting either the registration or the catalogue row
-// fails the gate.
-var repairMetrics = []string{
-	"zht.repair.digest_syncs",
-	"zht.repair.ranges_pulled",
-	"zht.repair.handoff.queued",
-	"zht.repair.handoff.replayed",
-	"zht.repair.handoff.dropped",
+// A contract is a subsystem's canonical metric set. checkMetricCatalogue
+// only verifies registered → catalogued; a contract pins both
+// directions for its names, so deleting either the registration or the
+// catalogue row fails the gate.
+type contract struct {
+	label    string   // names the contract in failure messages
+	metrics  []string // the canonical names
+	roots    []string // directories under internal/ whose non-test source must register them
+	required []string // directories under internal/ that must exist (their package comments are enforced by checkPackageComments)
+	what     string   // what a missing required directory removes
 }
 
-// checkRepairContract requires every canonical repair metric to be
-// registered in internal/{repair,core} non-test source and catalogued
-// in OBSERVABILITY.md, and internal/repair itself to exist (its
-// package comment is enforced by checkPackageComments).
-func checkRepairContract(fail func(string, ...any)) {
-	if fi, err := os.Stat(filepath.Join("internal", "repair")); err != nil || !fi.IsDir() {
-		fail("internal/repair is missing; the replica repair subsystem is mandatory")
-		return
-	}
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "repair"), filepath.Join("internal", "core")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range repairMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("repair metric %q is not registered in internal/repair or internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("repair metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
+var contracts = []contract{
+	// The replica repair subsystem (DESIGN.md §9): convergence
+	// debugging depends on these.
+	{
+		label: "repair",
+		metrics: []string{
+			"zht.repair.digest_syncs",
+			"zht.repair.ranges_pulled",
+			"zht.repair.handoff.queued",
+			"zht.repair.handoff.replayed",
+			"zht.repair.handoff.dropped",
+		},
+		roots:    []string{"repair", "core"},
+		required: []string{"repair"},
+		what:     "the replica repair subsystem",
+	},
+	// Elastic membership: epoch gossip plus the throttled online
+	// migration engine (DESIGN.md §10).
+	{
+		label: "membership",
+		metrics: []string{
+			"zht.membership.epoch",
+			"zht.membership.stale_detected",
+			"zht.membership.gossip.pulls",
+			"zht.membership.gossip.advanced",
+			"zht.membership.gossip.full_tables",
+			"zht.migrate.partitions",
+			"zht.migrate.pairs",
+			"zht.migrate.bytes",
+			"zht.migrate.rounds",
+			"zht.migrate.cutovers",
+			"zht.migrate.aborts",
+			"zht.migrate.throttle_ns",
+		},
+		roots:    []string{"gossip", "core"},
+		required: []string{"gossip"},
+		what:     "the membership gossip subsystem",
+	},
+	// The hot-path message and buffer pools (DESIGN.md §11): a
+	// pooled-buffer leak (gets outrunning puts) is diagnosed by exactly
+	// these counters.
+	{
+		label: "pool",
+		metrics: []string{
+			"zht.wire.pool.gets",
+			"zht.wire.pool.puts",
+			"zht.wire.pool.misses",
+			"zht.transport.buf.reuse",
+		},
+		roots: []string{"wire", "transport"},
+	},
+	// Tunable consistency (DESIGN.md §12): quorum traffic, read-repair
+	// activity and LWW conflict resolution.
+	{
+		label: "consistency",
+		metrics: []string{
+			"zht.consistency.quorum_reads",
+			"zht.consistency.quorum_writes",
+			"zht.consistency.stale_reads_repaired",
+			"zht.consistency.version_conflicts",
+		},
+		roots: []string{"core"},
+	},
+	// The multi-tenant front door (DESIGN.md §13): admission verdicts
+	// and in-flight pressure, lazy-expiry and reaper activity, and the
+	// memcached gateway's connection and command counters tell a shed
+	// tenant or a cold cache apart from an outage.
+	{
+		label: "tenancy",
+		metrics: []string{
+			"zht.tenant.admitted",
+			"zht.tenant.shed",
+			"zht.tenant.inflight",
+			"zht.tenant.expired_reads",
+			"zht.tenant.reaped",
+			"zht.memcached.conns",
+			"zht.memcached.cmds",
+			"zht.memcached.hits",
+			"zht.memcached.misses",
+			"zht.memcached.errors",
+		},
+		roots:    []string{"tenant", "memcached", "core"},
+		required: []string{"tenant", "memcached"},
+		what:     "the multi-tenant front door",
+	},
 }
 
-// membershipMetrics is the canonical metric set of the elastic
-// membership subsystem — epoch gossip plus the throttled online
-// migration engine (DESIGN.md §10). As with the repair contract, both
-// directions are pinned: registration in source and a catalogue row.
-var membershipMetrics = []string{
-	"zht.membership.epoch",
-	"zht.membership.stale_detected",
-	"zht.membership.gossip.pulls",
-	"zht.membership.gossip.advanced",
-	"zht.membership.gossip.full_tables",
-	"zht.migrate.partitions",
-	"zht.migrate.pairs",
-	"zht.migrate.bytes",
-	"zht.migrate.rounds",
-	"zht.migrate.cutovers",
-	"zht.migrate.aborts",
-	"zht.migrate.throttle_ns",
-}
-
-// checkMembershipContract requires every canonical membership metric
-// to be registered in internal/{gossip,core} non-test source and
-// catalogued in OBSERVABILITY.md, and internal/gossip itself to
-// exist.
-func checkMembershipContract(fail func(string, ...any)) {
-	if fi, err := os.Stat(filepath.Join("internal", "gossip")); err != nil || !fi.IsDir() {
-		fail("internal/gossip is missing; the membership gossip subsystem is mandatory")
-		return
-	}
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "gossip"), filepath.Join("internal", "core")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range membershipMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("membership metric %q is not registered in internal/gossip or internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("membership metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// poolMetrics is the canonical metric set of the hot-path message and
-// buffer pools (DESIGN.md §11). As with the repair and membership
-// contracts, both directions are pinned: deleting either the
-// registration (internal/wire or internal/transport) or the catalogue
-// row in OBSERVABILITY.md fails the gate, because a pooled-buffer
-// leak is diagnosed by exactly these counters.
-var poolMetrics = []string{
-	"zht.wire.pool.gets",
-	"zht.wire.pool.puts",
-	"zht.wire.pool.misses",
-	"zht.transport.buf.reuse",
-}
-
-// checkPoolContract requires every canonical pool metric to be
-// registered in internal/{wire,transport} non-test source and
-// catalogued in OBSERVABILITY.md.
-func checkPoolContract(fail func(string, ...any)) {
-	var src strings.Builder
-	for _, root := range []string{filepath.Join("internal", "wire"), filepath.Join("internal", "transport")} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			if b, err := os.ReadFile(path); err == nil {
-				src.Write(b)
-			}
-			return nil
-		})
-	}
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range poolMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("pool metric %q is not registered in internal/wire or internal/transport", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("pool metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// consistencyMetrics is the canonical metric set of the tunable
-// consistency subsystem (DESIGN.md §12). Both directions are pinned,
-// as with the other contracts: quorum traffic, read-repair activity,
-// and LWW conflict resolution must stay observable, and the
-// catalogue may not advertise rows the code no longer registers.
-var consistencyMetrics = []string{
-	"zht.consistency.quorum_reads",
-	"zht.consistency.quorum_writes",
-	"zht.consistency.stale_reads_repaired",
-	"zht.consistency.version_conflicts",
-}
-
-// checkConsistencyContract requires every canonical consistency
-// metric to be registered in internal/core non-test source and
-// catalogued in OBSERVABILITY.md.
-func checkConsistencyContract(fail func(string, ...any)) {
-	var src strings.Builder
-	filepath.WalkDir(filepath.Join("internal", "core"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-			strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		if b, err := os.ReadFile(path); err == nil {
-			src.Write(b)
-		}
-		return nil
-	})
-	catalogue, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		fail("OBSERVABILITY.md: %v", err)
-		return
-	}
-	for _, name := range consistencyMetrics {
-		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("consistency metric %q is not registered in internal/core", name)
-		}
-		if !strings.Contains(string(catalogue), name) {
-			fail("consistency metric %q is not catalogued in OBSERVABILITY.md", name)
-		}
-	}
-}
-
-// tenantMetrics is the canonical metric set of the multi-tenant front
-// door (DESIGN.md §13): admission verdicts and in-flight pressure in
-// internal/tenant, lazy-expiry/reaper activity in internal/core, and
-// the memcached gateway's connection and command counters in
-// internal/memcached. Both directions are pinned, as with the other
-// contracts: a shed tenant or a cold cache is diagnosed with exactly
-// these names, so neither the registration nor the catalogue row may
-// silently disappear.
-var tenantMetrics = []string{
-	"zht.tenant.admitted",
-	"zht.tenant.shed",
-	"zht.tenant.inflight",
-	"zht.tenant.expired_reads",
-	"zht.tenant.reaped",
-	"zht.memcached.conns",
-	"zht.memcached.cmds",
-	"zht.memcached.hits",
-	"zht.memcached.misses",
-	"zht.memcached.errors",
-}
-
-// checkTenantContract requires every canonical tenancy metric to be
-// registered in internal/{tenant,memcached,core} non-test source and
-// catalogued in OBSERVABILITY.md, and the tenant and memcached
-// packages themselves to exist (their package comments are enforced
-// by checkPackageComments).
-func checkTenantContract(fail func(string, ...any)) {
-	for _, dir := range []string{"tenant", "memcached"} {
+// checkContract requires c's required directories to exist and every
+// one of its metrics to be registered in the non-test source under its
+// roots and catalogued in OBSERVABILITY.md.
+func checkContract(c contract, fail func(string, ...any)) {
+	for _, dir := range c.required {
 		if fi, err := os.Stat(filepath.Join("internal", dir)); err != nil || !fi.IsDir() {
-			fail("internal/%s is missing; the multi-tenant front door is mandatory", dir)
+			fail("internal/%s is missing; %s is mandatory", dir, c.what)
 			return
 		}
 	}
 	var src strings.Builder
-	for _, root := range []string{
-		filepath.Join("internal", "tenant"),
-		filepath.Join("internal", "memcached"),
-		filepath.Join("internal", "core"),
-	} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	where := make([]string, len(c.roots))
+	for i, root := range c.roots {
+		where[i] = "internal/" + root
+		filepath.WalkDir(filepath.Join("internal", root), func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
 				strings.HasSuffix(path, "_test.go") {
 				return nil
@@ -545,13 +405,25 @@ func checkTenantContract(fail func(string, ...any)) {
 		fail("OBSERVABILITY.md: %v", err)
 		return
 	}
-	for _, name := range tenantMetrics {
+	for _, name := range c.metrics {
 		if !strings.Contains(src.String(), `"`+name+`"`) {
-			fail("tenancy metric %q is not registered in internal/tenant, internal/memcached, or internal/core", name)
+			fail("%s metric %q is not registered in %s", c.label, name, orList(where))
 		}
 		if !strings.Contains(string(catalogue), name) {
-			fail("tenancy metric %q is not catalogued in OBSERVABILITY.md", name)
+			fail("%s metric %q is not catalogued in OBSERVABILITY.md", c.label, name)
 		}
+	}
+}
+
+// orList joins items as prose: "a", "a or b", "a, b, or c".
+func orList(items []string) string {
+	switch n := len(items); n {
+	case 1:
+		return items[0]
+	case 2:
+		return items[0] + " or " + items[1]
+	default:
+		return strings.Join(items[:n-1], ", ") + ", or " + items[n-1]
 	}
 }
 

@@ -15,7 +15,7 @@ func sampleOps() []*Request {
 		{Op: OpLookup, Key: "beta", Epoch: 3},
 		{Op: OpRemove, Key: "gamma", Epoch: 7},
 		{Op: OpAppend, Key: "alpha", Value: []byte("+more"), Aux: []byte("aux")},
-		{Op: OpReplicate, Partition: 42, Key: "delta", Value: []byte("rv"), Flags: FlagNoReplicate},
+		{Op: OpReplicate, Partition: 42, Key: "delta", Value: []byte("rv"), Flags: 1 << 0},
 	}
 }
 

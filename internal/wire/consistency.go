@@ -12,8 +12,8 @@ import "fmt"
 type Consistency uint8
 
 const (
-	// ConsistencyDefault defers to the node's configured default
-	// (Config.WriteLevel / Config.ReadLevel). Zero on the wire, so
+	// ConsistencyDefault defers to the default: the node's configured
+	// Config.WriteLevel for writes, One for reads. Zero on the wire, so
 	// envelopes from older senders decode as "use the default" and the
 	// field costs nothing when unused.
 	ConsistencyDefault Consistency = iota

@@ -20,12 +20,14 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files in testdata/")
 
 // goldenFullOps sets every field a sub-request carries on the wire.
+// Bits 0 and 2 of Flags are retired flags, written as literals: the
+// pinned bytes still carry them and must decode to the same value.
 func goldenFullOps() []*Request {
 	return []*Request{
-		{Op: OpInsert, Flags: FlagIfAbsent | FlagSyncReplica, Seq: 9, Epoch: 12, Partition: 3,
+		{Op: OpInsert, Flags: FlagIfAbsent | 1<<2, Seq: 9, Epoch: 12, Partition: 3,
 			Key: "key-a", Value: []byte("value-a"), Aux: []byte("aux-a"), Hop: 2, Budget: 250_000,
 			Consistency: ConsistencyQuorum, Version: 1 << 40},
-		{Op: OpReplicate, Flags: FlagNoReplicate | FlagWholesale, Seq: 1 << 33, Epoch: 1, Partition: -1,
+		{Op: OpReplicate, Flags: 1<<0 | FlagWholesale, Seq: 1 << 33, Epoch: 1, Partition: -1,
 			Key: "key-b", Value: []byte{0, 0xff}, Aux: []byte{byte(OpInsert)}, Hop: 1 << 20, Budget: 1,
 			Consistency: ConsistencyAll, Version: 7},
 	}

@@ -194,19 +194,15 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
-// Request flag bits.
+// Request flag bits. Bits 0 and 2 are retired: no sender sets them
+// and no receiver reads them, and they stay unassigned so the other
+// flags keep their values on the wire.
 const (
-	// FlagNoReplicate marks internal traffic already traveling along
-	// the replica chain (replica legs, migration pushes), which no
-	// receiver replicates further. A client KV op carrying it is
-	// gated, stamped and replicated like any other.
-	FlagNoReplicate uint8 = 1 << iota
+	_ uint8 = 1 << iota // retired (marked replica-chain traffic)
 	// FlagIfAbsent makes insert fail with StatusExists when the key
 	// is already present.
 	FlagIfAbsent
-	// FlagSyncReplica marks the synchronous (secondary) replication
-	// leg; async legs omit it.
-	FlagSyncReplica
+	_ // retired (marked the synchronous replica leg)
 	// FlagReplicaRead marks a lookup addressed to a replica rather
 	// than the partition's owner: the receiver serves it from its
 	// local copy (with its stored version) instead of answering

@@ -12,10 +12,10 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpInsert, Key: "k", Value: []byte("v")},
 		{Op: OpLookup, Seq: 42, Epoch: 7, Key: "some/longer/key-000001"},
 		{Op: OpRemove, Key: ""},
-		{Op: OpAppend, Key: "dir", Value: []byte("entry,"), Flags: FlagNoReplicate},
+		{Op: OpAppend, Key: "dir", Value: []byte("entry,"), Flags: 1 << 0}, // a retired bit still round-trips
 		{Op: OpCas, Key: "task", Value: []byte("new"), Aux: []byte("old")},
 		{Op: OpMigrate, Partition: 1023, Aux: bytes.Repeat([]byte{0xab}, 4096)},
-		{Op: OpReplicate, Partition: -1, Flags: FlagSyncReplica, Key: "k", Value: []byte("v")},
+		{Op: OpReplicate, Partition: -1, Flags: 1 << 2, Key: "k", Value: []byte("v")},
 		{Op: OpBroadcast, Hop: 12, Key: "announce", Value: []byte("x")},
 		{Op: OpPing, Seq: 1<<63 + 5},
 		{Op: OpDelta, Aux: []byte("ZHTD...")},

@@ -60,9 +60,9 @@ type HandlerSwitch = core.HandlerSwitch
 type Table = ring.Table
 
 // Consistency selects how many replicas a read or write waits on.
-// Set deployment defaults with Config.WriteLevel / Config.ReadLevel,
-// or override per operation via the client's *With methods
-// (InsertWith, LookupWith, ...).
+// Set the deployment's write default with Config.WriteLevel, or
+// override per operation via the client's *With methods (InsertWith,
+// LookupWith, ...); a read defaults to ONE.
 type Consistency = wire.Consistency
 
 // Consistency levels. Default resolves to the deployment's configured
