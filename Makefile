@@ -51,15 +51,18 @@ smoke = seed=$${ZHT_SEED:-$$(date +%s%N)}; \
 	echo "$@: ZHT_SEED=$$seed; replay: ZHT_SEED=$$seed $(GO) test -count=1 -run '$(1)' $(2)"; \
 	ZHT_SEED=$$seed timeout $(3) $(GO) test -count=1 -run '$(1)' $(2)
 
-# storage-smoke is the crash-recovery gate: novoht's
+# storage-smoke is the crash-recovery and index gate: novoht's
 # TestGroupCrashReplay on 10 fresh seeds, under group and sync
-# durability. Each run tears the write-ahead log mid-commit via the
-# chaos fault hooks while mixed put/append/remove histories and log
-# cleans run, reopens the store, and checks that every acknowledged
-# mutation survived and each key recovered to a state of its own
-# history.
+# durability, and TestIndexEquivalence on 4. Each crash run tears the
+# write-ahead log mid-commit via the chaos fault hooks while mixed
+# put/append/remove histories and log cleans run, reopens the store,
+# and checks that every acknowledged mutation survived and each key
+# recovered to a state of its own history. Each index run drives a
+# store and a Go map with one random history, with the seeded probe
+# hash and with one that forces long, wrapping collision chains, and
+# requires them to agree after every step.
 storage-smoke:
-	@$(call smoke,^TestGroupCrashReplay$$,./internal/novoht,60)
+	@$(call smoke,^(TestGroupCrashReplay|TestIndexEquivalence)$$,./internal/novoht,60)
 
 # repair-smoke is the replica-convergence gate: chaos's
 # TestAntiEntropyConvergesAfterPartition on 3 fresh seeds. Each run

@@ -111,15 +111,9 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 	if err != nil {
 		return nil, err
 	}
-	want := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		want[l] = true
-	}
 	var pairs []repair.Pair
-	err = s.ForEachV(func(k string, v []byte, ver uint64) error {
-		if want[storage.LeafOf(k)] {
-			pairs = append(pairs, repair.Pair{Key: k, Value: append([]byte(nil), v...), Ver: ver})
-		}
+	err = s.ForEachLeafV(leaves, func(k string, v []byte, ver uint64) error {
+		pairs = append(pairs, repair.Pair{Key: k, Value: append([]byte(nil), v...), Ver: ver})
 		return nil
 	})
 	if err != nil {
@@ -170,8 +164,8 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 	}
 	if wholesale {
 		var stale []stalePair
-		if err := s.ForEachV(func(k string, _ []byte, ver uint64) error {
-			if _, ok := auth[k]; !ok && want[storage.LeafOf(k)] {
+		if err := s.ForEachLeafV(leaves, func(k string, _ []byte, ver uint64) error {
+			if _, ok := auth[k]; !ok {
 				stale = append(stale, stalePair{k, ver})
 			}
 			return nil

@@ -37,7 +37,7 @@ import (
 // Space is reclaimed a store at a time, never by stopping the log. A
 // clean freezes the active file as <path>.old and starts an empty one;
 // then, holding one store's lock at a time, it re-appends every live
-// entry whose last full image lies in the frozen file; then it fsyncs
+// pair whose last full image lies in the frozen file; then it fsyncs
 // the new file and unlinks the frozen one. A crash mid-clean leaves
 // both files, and replay reads the frozen one first: every copy comes
 // later in the log than what it copies, so replay is still exact.
@@ -242,54 +242,65 @@ func (s *Store) replayRecord(r replayed, base int64) {
 			s.log.deadBytes.Add(n)
 		}
 	}
-	old, ok := s.m[key]
+	h, i := s.lookup(key)
+	old := s.cellAt(i)
+	var p cell
 	switch r.typ {
 	case recPut, recPutV:
-		if ok {
+		if old != nil {
 			// Crash replay keeps the newest version. The store refuses a
 			// stamp older than the stored one (storage.ErrStale), so this
 			// skips only records of logs written before that rule, where
 			// an older stamp was applied over a newer one.
-			if ver > 0 && old.ver > ver {
+			if ver > 0 && old.ver() > ver {
 				dead(recordSize(key, int64(len(val)), ver))
 				return
 			}
-			s.log.supersede(key, old, base)
-			old.val, old.off, old.ver = val, voff, ver
-			return
+			s.log.supersede(old, base)
+			p = old.withVal(val)
+			s.idx.slots[i].p = p
+		} else {
+			p = newCell(key, val)
+			s.idx.add(h, storage.LeafOf(key), p)
 		}
-		s.m[key] = &entry{val: val, off: voff, ver: ver}
+		p.setOff(voff)
+		p.setVer(ver)
 	case recRemove, recRemoveV:
-		if !ok {
+		if old == nil {
 			return
 		}
 		dead(recordSize(key, 0, ver))
-		if ver > 0 && old.ver > ver {
+		if ver > 0 && old.ver() > ver {
 			return
 		}
-		s.log.supersede(key, old, base)
-		delete(s.m, key)
+		s.log.supersede(old, base)
+		s.idx.remove(i)
 	case recAppend, recAppendV:
 		// An append applies unconditionally, as it did live; an
 		// unversioned one keeps the pair's stamp, a versioned one
 		// replaces it.
-		if !ok {
-			old = &entry{}
-			s.m[key] = old
+		if old != nil {
+			p = append(old, val...)
+			s.idx.slots[i].p = p
+		} else {
+			p = newCell(key, val)
+			s.idx.add(h, storage.LeafOf(key), p)
 		}
-		old.val = append(old.val, val...)
 		if r.typ == recAppendV {
-			old.ver = ver
+			p.setVer(ver)
 		}
 	}
 }
 
 // seal builds a replayed store's digest in one pass over the live
-// pairs.
+// pairs, caching each pair's FNV state.
 func (s *Store) seal() {
-	for k, e := range s.m {
-		e.fh = storage.FNV(storage.PairPrefix(k), e.val)
-		s.toggle(k, storage.PairSeal(e.fh, e.ver))
+	for i := range s.idx.slots {
+		sl := &s.idx.slots[i]
+		if p := sl.p; p != nil {
+			p.setFH(storage.FNV(storage.PairPrefix(p.key()), p.val()))
+			s.leaves[sl.leaf()] ^= storage.PairSeal(p.fh(), p.ver())
+		}
 	}
 }
 
@@ -339,12 +350,12 @@ func (l *Log) storeList() []*Store {
 	return out
 }
 
-// supersede counts the bytes of the record holding key's current image
-// e as dead, unless that image lies before base, in a file a clean
+// supersede counts the bytes of the record holding pair p's current
+// image as dead, unless that image lies before base, in a file a clean
 // drops whole.
-func (l *Log) supersede(key string, e *entry, base int64) {
-	if e.off >= base {
-		l.deadBytes.Add(recordSize(key, int64(len(e.val)), e.ver))
+func (l *Log) supersede(p cell, base int64) {
+	if p.off() >= base {
+		l.deadBytes.Add(recordSize(p.key(), int64(len(p.val())), p.ver()))
 	}
 }
 
@@ -425,8 +436,8 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// clean moves every live entry out of the frozen file: one store at a
-// time, it re-appends each entry whose last full image lies before the
+// clean moves every live pair out of the frozen file: one store at a
+// time, it re-appends each pair whose last full image lies before the
 // active file, then it hardens the active file (in group and sync
 // durability modes) and unlinks the frozen one.
 func (l *Log) clean() error {
@@ -452,11 +463,10 @@ func (l *Log) clean() error {
 	return nil
 }
 
-// copyLive re-appends, as one WAL record batch, a Put of every entry
-// whose last full image lies before base — including entries built
-// only from appends, whose offset is 0 — and moves the entries to
-// their copies. It returns the log offset the copies end at and their
-// size.
+// copyLive re-appends, as one WAL record batch, a Put of every pair
+// whose last full image lies before base — including pairs built only
+// from appends, whose offset is 0 — and moves the pairs to their
+// copies. It returns the log offset the copies end at and their size.
 func (s *Store) copyLive(base int64) (end, n int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -464,36 +474,37 @@ func (s *Store) copyLive(base int64) (end, n int64, err error) {
 		testCleanStore(s)
 	}
 	type move struct {
-		e   *entry
+		p   cell
 		rel int64
 	}
 	size := 0
-	for k, e := range s.m {
-		if e.off < base {
-			size += int(recordSize(k, int64(len(e.val)), e.ver))
+	for _, sl := range s.idx.slots {
+		if p := sl.p; p != nil && p.off() < base {
+			size += int(recordSize(p.key(), int64(len(p.val())), p.ver()))
 		}
 	}
 	if size == 0 {
 		return 0, 0, nil
 	}
-	moves := make([]move, 0, len(s.m))
+	moves := make([]move, 0, s.idx.n)
 	// The batch is a pooled record buffer: the committer that writes it
 	// returns it, so a clean of many small stores allocates little.
 	blob := slices.Grow(getRec(), size)
-	for k, e := range s.m {
-		if e.off >= base {
+	for _, sl := range s.idx.slots {
+		p := sl.p
+		if p == nil || p.off() >= base {
 			continue
 		}
 		var voff int
-		blob, voff = encodeRecord(blob, recPut, k, e.val, e.ver)
-		moves = append(moves, move{e, int64(voff)})
+		blob, voff = encodeRecord(blob, recPut, p.key(), p.val(), p.ver())
+		moves = append(moves, move{p, int64(voff)})
 	}
 	off, err := s.wal.append(blob)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, m := range moves {
-		m.e.off = off + m.rel
+		m.p.setOff(off + m.rel)
 	}
 	return off + int64(len(blob)), int64(len(blob)), nil
 }

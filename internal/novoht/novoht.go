@@ -19,12 +19,13 @@
 // kept: every value stays resident, so no read touches the disk
 // (EXPERIMENTS.md records the deviation).
 //
-// A store is one map under one RWMutex. A ZHT instance keeps one store
-// per partition, so the partition is the lock stripe. The log is a
-// group-commit write-ahead log (wal.go)
-// with no goroutine of its own: the caller that finds records pending
-// and nobody committing writes them as one batch with one write and,
-// per storage.Durability mode, one fsync. Many stores can share one
+// A store is one open-addressed index of pairs (index.go) under one
+// RWMutex; each pair is one pointer-free allocation. A ZHT instance
+// keeps one store per partition, so the partition is the lock stripe.
+// The log is a group-commit write-ahead log (wal.go) with no goroutine
+// of its own: the caller that finds records pending and nobody
+// committing writes them as one batch with one write and, per
+// storage.Durability mode, one fsync. Many stores can share one
 // log (log.go): a ZHT instance keeps all of its partition stores in
 // one file. A mutation of a shared log's store only stages its record;
 // the instance commits once per request (Log.Commit), before it
@@ -36,9 +37,10 @@
 // Each store also keeps its partition's repair digest
 // (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
 // XORs the old and new pair hashes into the key's leaf inside the
-// critical section it already holds. Entries cache the FNV state
-// of their pair, so no mutation reads a pre-image to hash it and an
-// Append hashes only its delta.
+// critical section it already holds. Pairs cache their FNV state and
+// index slots their leaf, so no mutation reads a pre-image to hash it,
+// an Append hashes only its delta, and only a new key computes its
+// leaf.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 package novoht
@@ -48,6 +50,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -116,10 +119,11 @@ type Store struct {
 	wal     *wal // the log's WAL; nil for a volatile store
 	ownsLog bool // opened by Open: closing the store closes its log
 
-	// mu orders every read and mutation of m and leaves; closed is
+	// mu orders every read and mutation of idx and leaves; closed is
 	// written under it.
 	mu     sync.RWMutex
-	m      map[string]*entry
+	idx    index
+	seed   maphash.Seed // of idx's probe hash
 	closed atomic.Bool
 
 	// leaves is the maintained repair digest: leaf l is the XOR of
@@ -131,19 +135,6 @@ type Store struct {
 	getLat    *metrics.Histogram // zht.novoht.get.latency_ns
 	putLat    *metrics.Histogram // zht.novoht.put.latency_ns
 	appendLat *metrics.Histogram // zht.novoht.append.latency_ns
-}
-
-// entry is one key's state. off is the log offset of the value bytes of
-// the record holding its last full image (0 for a value built only from
-// appends); a clean copies the entries whose image lies in the frozen
-// file.
-type entry struct {
-	val []byte
-	off int64
-	ver uint64 // HLC version stamp; 0 = older than any stamped write
-	// fh is the pair's digest hash state before the version is sealed
-	// in: storage.FNV over storage.PairPrefix(key) and the value.
-	fh uint64
 }
 
 // Log record types. Each base type has a versioned variant, numbered
@@ -195,7 +186,7 @@ func Open(opts Options) (*Store, error) {
 
 // newStore creates an empty store that logs to l.
 func newStore(l *Log) *Store {
-	s := &Store{log: l, wal: l.wal, m: make(map[string]*entry)}
+	s := &Store{log: l, wal: l.wal, seed: maphash.MakeSeed()}
 	if reg := l.opts.Metrics; reg != nil {
 		s.getLat = reg.Histogram("zht.novoht.get.latency_ns")
 		s.putLat = reg.Histogram("zht.novoht.put.latency_ns")
@@ -204,9 +195,19 @@ func newStore(l *Log) *Store {
 	return s
 }
 
-// toggle XORs x into key's digest leaf; s.mu must be held for writing.
-func (s *Store) toggle(key string, x uint64) {
-	s.leaves[storage.LeafOf(key)] ^= x
+// lookup returns key's probe hash and the index of its slot, -1 when
+// absent; s.mu must be held.
+func (s *Store) lookup(key string) (h uint64, i int) {
+	h = probeHash(s.seed, key)
+	return h, s.idx.find(key, h)
+}
+
+// cellAt returns the cell of slot i, nil when i is -1.
+func (s *Store) cellAt(i int) cell {
+	if i < 0 {
+		return nil
+	}
+	return s.idx.slots[i].p
 }
 
 // DigestLeaves returns a copy of the store's repair digest leaves.
@@ -232,7 +233,8 @@ func (s *Store) PutV(key string, val []byte, ver uint64) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	end, err := s.putLocked(key, val, ver)
+	h, i := s.lookup(key)
+	end, err := s.putLocked(key, h, i, val, ver)
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -250,11 +252,12 @@ func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	if e, ok := s.m[key]; ok && e.ver >= ver {
+	h, i := s.lookup(key)
+	if p := s.cellAt(i); p != nil && p.ver() >= ver {
 		s.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putLocked(key, val, ver)
+	end, err := s.putLocked(key, h, i, val, ver)
 	s.mu.Unlock()
 	if err != nil {
 		return false, err
@@ -277,14 +280,15 @@ func (s *Store) timeOp(h *metrics.Histogram) func() {
 
 func nopTimer() {}
 
-// putLocked applies a Put under s.mu: the record is submitted to the
-// WAL (offsets assigned in submission order, which the store lock makes
-// per-key order) and the in-memory entry updated along with the
-// digest. It returns the log offset the caller must wait durable, or
-// storage.ErrStale when the stored version is at least ver (stale).
-func (s *Store) putLocked(key string, val []byte, ver uint64) (int64, error) {
-	old, ok := s.m[key]
-	if stale(old, ok, ver) {
+// putLocked applies a Put under s.mu to key, whose probe hash is h and
+// slot i (-1 when absent): the record is submitted to the WAL (offsets
+// assigned in submission order, which the store lock makes per-key
+// order) and the pair updated along with the digest. It returns the
+// log offset the caller must wait durable, or storage.ErrStale when the
+// stored version is at least ver (stale).
+func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (int64, error) {
+	old := s.cellAt(i)
+	if stale(old, ver) {
 		return 0, storage.ErrStale
 	}
 	voff, end, err := s.appendRecord(recPut, key, val, ver)
@@ -293,24 +297,31 @@ func (s *Store) putLocked(key string, val []byte, ver uint64) (int64, error) {
 	}
 	fh := storage.FNV(storage.PairPrefix(key), val)
 	x := storage.PairSeal(fh, ver)
-	if ok {
-		x ^= storage.PairSeal(old.fh, old.ver)
-		s.superseded(key, old)
-		old.val = append(old.val[:0], val...)
-		old.off, old.ver, old.fh = voff, ver, fh
+	var p cell
+	var leaf int
+	if old != nil {
+		x ^= storage.PairSeal(old.fh(), old.ver())
+		s.superseded(old)
+		sl := &s.idx.slots[i]
+		p = old.withVal(val)
+		sl.p, leaf = p, sl.leaf()
 	} else {
-		s.m[key] = &entry{val: append([]byte(nil), val...), off: voff, ver: ver, fh: fh}
+		p, leaf = newCell(key, val), storage.LeafOf(key)
+		s.idx.add(h, leaf, p)
 	}
-	s.toggle(key, x)
+	p.setOff(voff)
+	p.setVer(ver)
+	p.setFH(fh)
+	s.leaves[leaf] ^= x
 	s.counted()
 	return end, nil
 }
 
-// superseded counts the bytes of the record holding key's current
-// image e as dead.
-func (s *Store) superseded(key string, e *entry) {
+// superseded counts the bytes of the record holding pair p's current
+// image as dead.
+func (s *Store) superseded(p cell) {
 	if s.wal != nil {
-		s.log.supersede(key, e, s.wal.base.Load())
+		s.log.supersede(p, s.wal.base.Load())
 	}
 }
 
@@ -324,9 +335,10 @@ func (s *Store) counted() {
 }
 
 // stale reports whether a mutation stamped ver must be refused with
-// storage.ErrStale because the present entry e is at least as new, so
-// a key's stamps rise in log order. Version 0 applies unconditionally.
-func stale(e *entry, ok bool, ver uint64) bool { return ok && ver > 0 && e.ver >= ver }
+// storage.ErrStale because the present pair p (nil when absent) is at
+// least as new, so a key's stamps rise in log order. Version 0 applies
+// unconditionally.
+func stale(p cell, ver uint64) bool { return p != nil && ver > 0 && p.ver() >= ver }
 
 // appendRecord encodes and submits one log record, returning the
 // in-log offset of its value bytes and the offset its last byte will
@@ -393,11 +405,12 @@ func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	if _, ok := s.m[key]; ok {
+	h, i := s.lookup(key)
+	if i >= 0 {
 		s.mu.Unlock()
 		return false, nil
 	}
-	end, err := s.putLocked(key, val, ver)
+	end, err := s.putLocked(key, h, i, val, ver)
 	s.mu.Unlock()
 	if err != nil {
 		return false, err
@@ -418,13 +431,14 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 // error is always nil: every value is in memory.
 func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error) {
 	defer s.timeOp(s.getLat)()
+	h := probeHash(s.seed, key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.m[key]
-	if !ok {
+	p := s.cellAt(s.idx.find(key, h))
+	if p == nil {
 		return dst, 0, false, nil
 	}
-	return append(dst, e.val...), e.ver, true, nil
+	return append(dst, p.val()...), p.ver(), true, nil
 }
 
 // RemoveV deletes key, reporting whether it was present; the log
@@ -448,16 +462,17 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	e, ok := s.m[key]
-	if !ok {
+	_, i := s.lookup(key)
+	p := s.cellAt(i)
+	if p == nil {
 		s.mu.Unlock()
 		return false, nil
 	}
-	if lww && e.ver >= ver {
+	if lww && p.ver() >= ver {
 		s.mu.Unlock()
 		return false, nil
 	}
-	if stale(e, ok, ver) {
+	if stale(p, ver) {
 		s.mu.Unlock()
 		return false, storage.ErrStale
 	}
@@ -469,9 +484,9 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 	if s.wal != nil {
 		s.log.deadBytes.Add(recordSize(key, 0, ver))
 	}
-	s.superseded(key, e)
-	delete(s.m, key)
-	s.toggle(key, storage.PairSeal(e.fh, e.ver))
+	s.superseded(p)
+	s.leaves[s.idx.slots[i].leaf()] ^= storage.PairSeal(p.fh(), p.ver())
+	s.idx.remove(i)
 	s.counted()
 	s.mu.Unlock()
 	return true, s.finishMutation(end)
@@ -494,8 +509,9 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 		s.mu.Unlock()
 		return dst, ErrClosed
 	}
-	e, ok := s.m[key]
-	if stale(e, ok, ver) {
+	h, i := s.lookup(key)
+	p := s.cellAt(i)
+	if stale(p, ver) {
 		s.mu.Unlock()
 		return dst, storage.ErrStale
 	}
@@ -504,26 +520,28 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 		s.mu.Unlock()
 		return dst, err
 	}
-	var x uint64
-	if ok {
-		x = storage.PairSeal(e.fh, e.ver)
-	} else {
-		e = &entry{fh: storage.PairPrefix(key)}
-		s.m[key] = e
-	}
 	// Append records never supersede earlier log bytes (replay needs
 	// the whole chain), so no bytes die until the next clean.
-	e.val = append(e.val, delta...)
+	var x uint64
+	if p != nil {
+		x = storage.PairSeal(p.fh(), p.ver())
+		p = append(p, delta...)
+		s.idx.slots[i].p = p
+	} else {
+		p = newCell(key, delta)
+		p.setFH(storage.PairPrefix(key))
+		i = s.idx.add(h, storage.LeafOf(key), p)
+	}
 	if ver > 0 {
-		e.ver = ver
+		p.setVer(ver)
 	}
 	// The value is the last input of the pair hash, so the digest
 	// continues over just the delta.
-	e.fh = storage.FNV(e.fh, delta)
-	s.toggle(key, x^storage.PairSeal(e.fh, e.ver))
+	p.setFH(storage.FNV(p.fh(), delta))
+	s.leaves[s.idx.slots[i].leaf()] ^= x ^ storage.PairSeal(p.fh(), p.ver())
 	s.counted()
 	if dst != nil {
-		dst = append(dst, e.val...)
+		dst = append(dst, p.val()...)
 	}
 	s.mu.Unlock()
 	return dst, s.finishMutation(end)
@@ -540,17 +558,18 @@ func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byt
 		s.mu.Unlock()
 		return false, nil, ErrClosed
 	}
-	e, ok := s.m[key]
+	h, i := s.lookup(key)
+	p := s.cellAt(i)
 	switch {
-	case !ok && oldVal != nil:
+	case p == nil && oldVal != nil:
 		s.mu.Unlock()
 		return false, nil, nil
-	case ok && (oldVal == nil || string(e.val) != string(oldVal)):
-		v := append([]byte(nil), e.val...)
+	case p != nil && (oldVal == nil || string(p.val()) != string(oldVal)):
+		v := append([]byte(nil), p.val()...)
 		s.mu.Unlock()
 		return false, v, nil
 	}
-	end, err := s.putLocked(key, newVal, ver)
+	end, err := s.putLocked(key, h, i, newVal, ver)
 	s.mu.Unlock()
 	if err != nil {
 		return false, nil, err
@@ -562,21 +581,45 @@ func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byt
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.m)
+	return s.idx.n
 }
 
 // ForEachV calls fn for every pair with its version stamp; fn must
 // not mutate the store. The store is locked for the duration, so the
 // iteration is a consistent snapshot (a leaf-stream transfer depends
-// on this).
+// on this). The key fn gets may be kept: its bytes never change. The
+// value aliases the store and must be copied to be kept.
 func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) error {
+	return s.forEach(^uint64(0), fn)
+}
+
+// ForEachLeafV is ForEachV over only the pairs whose digest leaf
+// (storage.LeafOf of the key) is in leaves. It reads the slots of the
+// whole index but the pairs of those leaves alone: every slot keeps
+// its pair's leaf.
+func (s *Store) ForEachLeafV(leaves []int, fn func(key string, val []byte, ver uint64) error) error {
+	var want uint64
+	for _, l := range leaves {
+		if l >= 0 && l < storage.Leaves {
+			want |= 1 << l
+		}
+	}
+	return s.forEach(want, fn)
+}
+
+// forEach calls fn for every pair whose leaf is in the bit set want.
+func (s *Store) forEach(want uint64, fn func(key string, val []byte, ver uint64) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	for k, e := range s.m {
-		if err := fn(k, e.val, e.ver); err != nil {
+	for i := range s.idx.slots {
+		sl := &s.idx.slots[i]
+		if sl.p == nil || want&(1<<sl.leaf()) == 0 {
+			continue
+		}
+		if err := fn(sl.p.key(), sl.p.val(), sl.p.ver()); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package novoht
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -545,6 +546,50 @@ func BenchmarkNoVoHTGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok, _ := s.Get(fmt.Sprintf("key-%010d", i%n)); !ok {
 			b.Fatal("missing")
+		}
+	}
+}
+
+// BenchmarkNoVoHTSpread times the store alone in the regime the
+// end-to-end workloads put it in: 200 000 pre-built 15-byte keys with
+// 132-byte values spread over the 1 024 stores of one volatile Log (an
+// instance's partitions), uniform random access, half GetAppendV into
+// scratch and half same-length PutV. The pairs far outgrow the CPU
+// caches, so it times the memory touches of a lookup, where
+// BenchmarkNoVoHTGet mostly times Sprintf.
+func BenchmarkNoVoHTSpread(b *testing.B) {
+	const keys, stores = 200_000, 1024
+	l, err := OpenLog(Options{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	ss := make([]*Store, stores)
+	for i := range ss {
+		ss[i] = l.store(i)
+	}
+	ks := make([]string, keys)
+	val := bytes.Repeat([]byte{'v'}, 132)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("key-%011d", i)
+		ss[i%stores].PutV(ks[i], val, 0)
+	}
+	// The access order is drawn up front, so the loop times the store.
+	order := make([]int32, 1<<20)
+	rng := rand.New(rand.NewSource(1))
+	for i := range order {
+		order[i] = int32(rng.Intn(keys))
+	}
+	scratch := make([]byte, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := order[i&(len(order)-1)]
+		s := ss[int(j)%stores]
+		if i&1 == 0 {
+			scratch, _, _, _ = s.GetAppendV(scratch[:0], ks[j])
+		} else if err := s.PutV(ks[j], val, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

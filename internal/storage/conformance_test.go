@@ -3,6 +3,8 @@ package storage_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -331,6 +333,64 @@ func TestConformanceForEach(t *testing.T) {
 			err := kv.ForEachV(func(string, []byte, uint64) error { n++; return stop })
 			if !errors.Is(err, stop) || n != 1 {
 				t.Fatalf("ForEachV after fn error: err %v after %d calls", err, n)
+			}
+		})
+	}
+}
+
+// ForEachLeafV yields exactly the pairs whose leaf was asked for, each
+// once with its stamp, for random leaf sets (the empty set and leaves
+// outside [0, Leaves) select nothing), and stops at fn's first error.
+func TestConformanceForEachLeaf(t *testing.T) {
+	for name, open := range fullEngines() {
+		t.Run(name, func(t *testing.T) {
+			kv := open(t)
+			const n = 2000
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("key-%05d", i)
+				kv.PutV(k, []byte(k), uint64(i+1))
+			}
+			for i := 0; i < n; i += 3 {
+				kv.RemoveV(fmt.Sprintf("key-%05d", i), 0)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for round := 0; round < 50; round++ {
+				leaves := rng.Perm(storage.Leaves)[:rng.Intn(storage.Leaves+1)]
+				if round%10 == 0 {
+					leaves = append(leaves, -1, storage.Leaves)
+				}
+				in := map[int]bool{}
+				for _, l := range leaves {
+					in[l] = true
+				}
+				want := map[string]uint64{}
+				for i := 0; i < n; i++ {
+					if k := fmt.Sprintf("key-%05d", i); i%3 != 0 && in[storage.LeafOf(k)] {
+						want[k] = uint64(i + 1)
+					}
+				}
+				got := map[string]uint64{}
+				if err := kv.ForEachLeafV(leaves, func(k string, v []byte, ver uint64) error {
+					if _, dup := got[k]; dup {
+						t.Errorf("ForEachLeafV visited %q twice", k)
+					}
+					if string(v) != k {
+						t.Errorf("ForEachLeafV(%q) value %q", k, v)
+					}
+					got[k] = ver
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("ForEachLeafV(%v) yielded %d pairs, want %d", leaves, len(got), len(want))
+				}
+			}
+			stop := errors.New("stop")
+			calls := 0
+			all := rng.Perm(storage.Leaves)
+			if err := kv.ForEachLeafV(all, func(string, []byte, uint64) error { calls++; return stop }); !errors.Is(err, stop) || calls != 1 {
+				t.Fatalf("ForEachLeafV after fn error: err %v after %d calls", err, calls)
 			}
 		})
 	}

@@ -85,6 +85,10 @@ type KV interface {
 	// ForEachV calls fn for every pair with its version; fn must not
 	// mutate the store.
 	ForEachV(fn func(key string, val []byte, ver uint64) error) error
+	// ForEachLeafV is ForEachV over only the pairs whose digest leaf,
+	// LeafOf(key), is in leaves; leaves outside [0, Leaves) select
+	// nothing. A leaf-stream chunk reads its leaves this way.
+	ForEachLeafV(leaves []int, fn func(key string, val []byte, ver uint64) error) error
 	// DigestLeaves returns a copy of the store's repair digest: Leaves
 	// words, leaf LeafOf(key) holding the XOR of PairHashV over every
 	// stored pair. The store keeps it current on every mutation, so it
