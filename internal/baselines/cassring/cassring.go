@@ -31,7 +31,6 @@ import (
 
 	"zht/internal/hashing"
 	"zht/internal/novoht"
-	"zht/internal/storage"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -50,7 +49,7 @@ const maxHops = 64
 type Node struct {
 	token    uint64 // position on the ring
 	addr     string
-	store    storage.KV
+	store    *novoht.Store
 	caller   transport.Caller
 	hashf    hashing.Func
 	replicas int

@@ -42,16 +42,14 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 	}
 	mreg := metrics.NewRegistry()
 	cfg := core.Config{
-		NumPartitions:  64,
-		Replicas:       1,
-		AntiEntropy:    25 * time.Millisecond,
-		OpRetries:      3,
-		RetryBase:      time.Millisecond,
-		RetryMax:       10 * time.Millisecond,
-		OpDeadline:     3 * time.Second,
-		MigrateRate:    1 << 20, // 1 MiB/s keeps rebalances from starving traffic
-		GossipCooldown: 5 * time.Millisecond,
-		Metrics:        mreg,
+		NumPartitions: 64,
+		Replicas:      1,
+		AntiEntropy:   25 * time.Millisecond,
+		OpRetries:     3,
+		RetryBase:     time.Millisecond,
+		RetryMax:      10 * time.Millisecond,
+		OpDeadline:    3 * time.Second,
+		Metrics:       mreg,
 	}
 	const n = 4
 	d, reg, err := core.BootstrapInproc(cfg, n)
@@ -351,16 +349,14 @@ func TestGossipOnlyEpochConvergence(t *testing.T) {
 func churnConvergence(t *testing.T, seed int64) {
 	mreg := metrics.NewRegistry()
 	cfg := core.Config{
-		NumPartitions:  64,
-		Replicas:       1,
-		AntiEntropy:    25 * time.Millisecond,
-		OpRetries:      3,
-		RetryBase:      time.Millisecond,
-		RetryMax:       10 * time.Millisecond,
-		OpDeadline:     2 * time.Second,
-		MigrateRate:    1 << 20,
-		GossipCooldown: 2 * time.Millisecond,
-		Metrics:        mreg,
+		NumPartitions: 64,
+		Replicas:      1,
+		AntiEntropy:   25 * time.Millisecond,
+		OpRetries:     3,
+		RetryBase:     time.Millisecond,
+		RetryMax:      10 * time.Millisecond,
+		OpDeadline:    2 * time.Second,
+		Metrics:       mreg,
 	}
 	const n = 4
 	d, _, err := core.BootstrapInproc(cfg, n)

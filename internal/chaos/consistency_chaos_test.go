@@ -289,7 +289,6 @@ func TestOneStalenessAndQuorumRefusal(t *testing.T) {
 	cfg := core.Config{
 		NumPartitions: 32, Replicas: 1,
 		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-		BreakerCooldown: 5 * time.Millisecond,
 	}
 	d, reg, err := core.BootstrapInproc(cfg, 3)
 	if err != nil {
@@ -369,7 +368,6 @@ func TestRepairNeverRegressesVersions(t *testing.T) {
 		AntiEntropy: 20 * time.Millisecond,
 		HandoffCap:  8, // overflow under the flap → anti-entropy must close the gap
 		RetryBase:   time.Millisecond, RetryMax: 4 * time.Millisecond,
-		BreakerCooldown: 5 * time.Millisecond,
 		// ONE: writes keep acking while the replica flaps; every ack is
 		// a version the repair machinery must preserve.
 		WriteLevel: wire.ConsistencyOne,

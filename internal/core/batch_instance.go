@@ -6,8 +6,8 @@ import (
 	"slices"
 	"sync"
 
+	"zht/internal/novoht"
 	"zht/internal/ring"
-	"zht/internal/storage"
 	"zht/internal/wire"
 )
 
@@ -58,7 +58,7 @@ type batchGroup struct {
 	lo, hi   int
 	alo, ahi int
 	live     bool // not yet answered with a routing verdict
-	s        storage.KV
+	s        *novoht.Store
 	peers    []ring.Instance // non-self replicas in ring order
 	syncNeed int             // replica acks the group's strictest level needs
 	acked    int             // rounds in which every leg of the group succeeded

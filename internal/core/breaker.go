@@ -24,7 +24,7 @@ import (
 //
 // Only transport-level failures count: a server answering anything —
 // including StatusBusy — is alive, so responses never trip the
-// breaker. A nil *breaker (disabled) admits everything.
+// breaker.
 //
 // A circuit is tracked from an endpoint's first failure until its next
 // success. tracked mirrors how many there are, so while no circuit is
@@ -52,25 +52,31 @@ type circuit struct {
 	probing  bool
 }
 
-// newBreaker builds a breaker; threshold < 0 disables it (nil).
-func newBreaker(threshold int, cooldown time.Duration, trips *metrics.Counter, openG *metrics.Gauge) *breaker {
-	if threshold < 0 {
-		return nil
-	}
-	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
+// newBreaker builds a breaker tuned by breakerThreshold and breakerCooldown.
+func newBreaker(trips *metrics.Counter, openG *metrics.Gauge) *breaker {
+	b := &breaker{
+		threshold: breakerThreshold,
+		cooldown:  breakerCooldown,
 		trips:     trips,
 		openG:     openG,
 		eps:       make(map[string]*circuit),
 	}
+	if testBreakerTuning != nil {
+		testBreakerTuning(b)
+	}
+	return b
 }
+
+// testBreakerTuning, when non-nil, retunes every breaker newBreaker
+// builds: tests trip circuits after one or two failures and hold them
+// open from 1 ms to 1 h.
+var testBreakerTuning func(b *breaker)
 
 // allow reports whether a call to addr may proceed. In the open
 // state it admits a single half-open probe once the cooldown has
 // elapsed and rejects everything else.
 func (b *breaker) allow(addr string) bool {
-	if b == nil || b.tracked.Load() == 0 {
+	if b.tracked.Load() == 0 {
 		return true
 	}
 	b.mu.Lock()
@@ -89,7 +95,7 @@ func (b *breaker) allow(addr string) bool {
 // success records a successful call: the circuit closes and the
 // failure count resets.
 func (b *breaker) success(addr string) {
-	if b == nil || b.tracked.Load() == 0 {
+	if b.tracked.Load() == 0 {
 		return
 	}
 	b.mu.Lock()
@@ -106,9 +112,6 @@ func (b *breaker) success(addr string) {
 // failure records a transport failure to addr, opening the circuit at
 // the threshold and re-opening it when a half-open probe fails.
 func (b *breaker) failure(addr string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.eps[addr]

@@ -91,8 +91,7 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 		cfg:    cfg,
 		caller: caller,
 		hashf:  cfg.hash(),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
-			cfg.Metrics.Counter("zht.client.breaker.trips"),
+		breaker: newBreaker(cfg.Metrics.Counter("zht.client.breaker.trips"),
 			cfg.Metrics.Gauge("zht.client.breaker.open")),
 		metrics: newClientMetrics(cfg.Metrics),
 		// Seed from the process-global (randomly seeded) source:
@@ -106,7 +105,7 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 		Epoch:    func() uint64 { return c.issued().Epoch },
 		Pull:     c.gossipPull,
 		Peers:    func() []string { return alivePeers(c.snapshot(), "") },
-		Cooldown: cfg.GossipCooldown,
+		Cooldown: gossipCooldown,
 		Metrics:  cfg.Metrics,
 	})
 	return c, nil

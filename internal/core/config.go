@@ -71,15 +71,6 @@ type Config struct {
 	// timeouts. Past it the operation fails with ErrUnavailable.
 	// 0 means DefaultOpDeadline; negative disables the deadline.
 	OpDeadline time.Duration
-	// BreakerThreshold is how many consecutive transport failures to
-	// one endpoint trip its circuit breaker; while open, calls to
-	// that endpoint fail fast instead of burning OpRetries×RetryBase
-	// per operation. 0 means DefaultBreakerThreshold; negative
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before
-	// admitting a half-open probe. 0 means DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// AntiEntropy is the period of the instance's replica anti-entropy
 	// loop: each tick, every partition this instance replicates is
 	// digest-synced against the partition's authority (owner, or first
@@ -94,27 +85,12 @@ type Config struct {
 	// by zht.repair.handoff.dropped) and left for anti-entropy to
 	// repair. 0 means DefaultHandoffCap; negative discards failed legs.
 	HandoffCap int
-	// GossipCooldown is the minimum interval between gossip catch-up
-	// pulls when piggybacked epochs reveal a stale membership table
-	// (DESIGN.md §10); gossip is how most of the ring learns of a
-	// membership change, so it cannot be turned off. 0 means
-	// DefaultGossipCooldown; negative is rejected.
-	GossipCooldown time.Duration
-	// MigrateRate caps migration streaming throughput per transfer in
-	// bytes/second, so a join or departure cannot starve foreground
-	// traffic. 0 means DefaultMigrateRate; negative removes the cap.
-	MigrateRate int
 	// Metrics, when non-nil, receives every client-, instance-, and
 	// store-level measurement (latency histograms, retry/shed/breaker
 	// counters — see OBSERVABILITY.md for the catalogue). Nil disables
 	// metrics at near-zero cost: instruments degrade to nil pointers
 	// whose methods no-op.
 	Metrics *metrics.Registry
-	// NetworkAware orders the bootstrap ring by the endpoints' torus
-	// coordinates (Z-order) so that replica traffic — which flows to
-	// ring neighbours — stays network-local (§VI future work,
-	// implemented).
-	NetworkAware bool
 	// Admission, when non-nil, gates every client-facing KV request
 	// (single ops and batch sub-ops) before it is served; over-quota
 	// requests are shed with wire.StatusBusy plus the hook's
@@ -133,15 +109,19 @@ type Config struct {
 
 // Defaults for Config zero values.
 const (
-	DefaultOpRetries        = 3
-	DefaultRetryBase        = 2 * time.Millisecond
-	DefaultRetryMax         = 100 * time.Millisecond
-	DefaultOpDeadline       = 10 * time.Second
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 250 * time.Millisecond
-	DefaultHandoffCap       = 1024
-	DefaultGossipCooldown   = 25 * time.Millisecond
-	DefaultMigrateRate      = 8 << 20 // 8 MiB/s
+	DefaultOpRetries  = 3
+	DefaultRetryBase  = 2 * time.Millisecond
+	DefaultRetryMax   = 100 * time.Millisecond
+	DefaultOpDeadline = 10 * time.Second
+	DefaultHandoffCap = 1024
+)
+
+// Fixed tuning, not knobs (tests retune breakers via testBreakerTuning).
+const (
+	breakerThreshold = 5                      // consecutive transport failures that open a circuit
+	breakerCooldown  = 250 * time.Millisecond // an open circuit's wait before one half-open probe
+	gossipCooldown   = 25 * time.Millisecond  // least gap between gossip catch-up pulls (DESIGN.md §10)
+	migrateRate      = 8 << 20                // migration bytes/s per transfer, so a rebalance cannot starve foreground traffic
 )
 
 func (c *Config) fill() error {
@@ -175,26 +155,11 @@ func (c *Config) fill() error {
 	if c.OpDeadline == 0 {
 		c.OpDeadline = DefaultOpDeadline
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
 	if c.HandoffCap == 0 {
 		c.HandoffCap = DefaultHandoffCap
 	}
 	if c.AntiEntropy < 0 {
 		c.AntiEntropy = 0
-	}
-	if c.GossipCooldown < 0 {
-		return errors.New("core: GossipCooldown must be non-negative")
-	}
-	if c.GossipCooldown == 0 {
-		c.GossipCooldown = DefaultGossipCooldown
-	}
-	if c.MigrateRate == 0 {
-		c.MigrateRate = DefaultMigrateRate
 	}
 	if c.MaxKeyLen < 0 || c.MaxValueLen < 0 {
 		return errors.New("core: size limits must be non-negative")

@@ -41,10 +41,10 @@ func TestWriteLevelsAgainstDownReplica(t *testing.T) {
 	cfg := Config{
 		NumPartitions: 32, Replicas: 1,
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
-		BreakerCooldown: time.Millisecond,
-		WriteLevel:      wire.ConsistencyAll, // deployment default: strictest
-		Metrics:         mreg,
+		WriteLevel: wire.ConsistencyAll, // deployment default: strictest
+		Metrics:    mreg,
 	}
+	tuneBreakers(t, breakerThreshold, time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 3)
 	table := d.Instance(0).Table()
 	victim := d.Instance(2)

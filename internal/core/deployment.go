@@ -25,11 +25,12 @@ type ListenFunc func(addr string, h transport.Handler) (transport.Listener, erro
 type Endpoint struct {
 	Addr string // transport address to bind
 	Node string // physical node identifier (for replica placement)
-	// Coord is the node's position in the machine's 3D torus. When
-	// Config.NetworkAware is set, bootstrap orders the ring by
-	// Z-order over these coordinates so ring neighbours — which hold
-	// each other's replicas — are also network neighbours (the
-	// paper's future-work network-aware topology, §VI).
+	// Coord is the node's position in the machine's 3D torus.
+	// Bootstrap orders the ring by Z-order over these coordinates so
+	// ring neighbours — which hold each other's replicas — are also
+	// network neighbours (the paper's future-work network-aware
+	// topology, §VI). The order is stable: endpoints with equal
+	// coordinates (all zero, when none are given) keep their order.
 	Coord [3]int
 }
 
@@ -85,28 +86,17 @@ func Bootstrap(cfg Config, eps []Endpoint, listen ListenFunc, caller transport.C
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if cfg.NetworkAware {
-		coords := make(map[string][3]int, len(eps))
-		for _, ep := range eps {
-			coords[ep.Addr] = ep.Coord
-		}
-		eps = append([]Endpoint(nil), eps...)
-		members := make([]ring.Instance, len(eps))
-		for i, ep := range eps {
-			members[i] = ring.Instance{ID: ring.InstanceID(ep.Addr), Addr: ep.Addr, Node: ep.Node}
-		}
-		ring.SortNetworkAware(members, func(in ring.Instance) [3]int { return coords[in.Addr] })
-		for i, m := range members {
-			eps[i] = Endpoint{Addr: m.Addr, Node: m.Node, Coord: coords[m.Addr]}
-		}
-	}
+	// Ring order is Z-order over the endpoints' coordinates (see
+	// Endpoint.Coord); ids follow ring order.
+	coords := make(map[string][3]int, len(eps))
 	members := make([]ring.Instance, len(eps))
 	for i, ep := range eps {
-		members[i] = ring.Instance{
-			ID:   ring.InstanceID(fmt.Sprintf("zht-%04d", i)),
-			Addr: ep.Addr,
-			Node: ep.Node,
-		}
+		coords[ep.Addr] = ep.Coord
+		members[i] = ring.Instance{Addr: ep.Addr, Node: ep.Node}
+	}
+	ring.SortNetworkAware(members, func(in ring.Instance) [3]int { return coords[in.Addr] })
+	for i := range members {
+		members[i].ID = ring.InstanceID(fmt.Sprintf("zht-%04d", i))
 	}
 	table, err := ring.New(cfg.NumPartitions, members)
 	if err != nil {
@@ -118,13 +108,13 @@ func Bootstrap(cfg Config, eps []Endpoint, listen ListenFunc, caller transport.C
 		return nil, err
 	}
 	for i, inst := range insts {
-		ln, err := listen(eps[i].Addr, inst.Handle)
+		ln, err := listen(members[i].Addr, inst.Handle)
 		if err != nil {
 			for _, rest := range insts[i:] {
 				rest.Close()
 			}
 			d.Close()
-			return nil, fmt.Errorf("core: bind %s: %w", eps[i].Addr, err)
+			return nil, fmt.Errorf("core: bind %s: %w", members[i].Addr, err)
 		}
 		d.mu.Lock()
 		d.instances = append(d.instances, inst)

@@ -253,7 +253,8 @@ func wantBreakersClosed(t *testing.T, c *Client, hung string) {
 // hung destination had used the deadline up.
 func TestBatchBesideHungDestination(t *testing.T) {
 	cfg := Config{NumPartitions: 16, Replicas: 1, RetryBase: time.Millisecond,
-		OpDeadline: 200 * time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Hour}
+		OpDeadline: 200 * time.Millisecond}
+	tuneBreakers(t, 1, time.Hour)
 	var slow atomic.Bool
 	d, _, healthy := tcpDeployment(t, cfg, 2, 2*cfg.OpDeadline, &slow)
 	ops := make([]BatchOp, 16)
@@ -302,7 +303,8 @@ func TestBatchBesideHungDestination(t *testing.T) {
 // time, without charging their breakers.
 func TestQuorumReadBesideHungCopy(t *testing.T) {
 	cfg := Config{NumPartitions: 16, Replicas: 2, RetryBase: time.Millisecond,
-		OpDeadline: 200 * time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Hour}
+		OpDeadline: 200 * time.Millisecond}
+	tuneBreakers(t, 1, time.Hour)
 	d, _, healthy := tcpDeployment(t, cfg, 3, 0, nil)
 	const key = "hung-copy"
 	if err := healthy.InsertWith(key, []byte("v"), wire.ConsistencyAll); err != nil {
@@ -333,7 +335,8 @@ func TestQuorumReadBesideHungCopy(t *testing.T) {
 func TestReadRepairLegIsBounded(t *testing.T) {
 	hung, accepted := hungListener(t)
 	cfg := Config{NumPartitions: 16, Replicas: 1, RetryBase: time.Millisecond,
-		OpDeadline: 150 * time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Hour}
+		OpDeadline: 150 * time.Millisecond}
+	tuneBreakers(t, 1, time.Hour)
 	d, _, _ := startDeployment(t, cfg, 2)
 	caller := transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true})
 	defer caller.Close()

@@ -61,7 +61,7 @@ type Instance struct {
 	// rest. Stores are never removed, so readers load the slot without
 	// locking; smu serializes creation.
 	smu    sync.Mutex
-	stores []atomic.Pointer[storeRef]
+	stores []atomic.Pointer[novoht.Store]
 
 	// parts holds partition p's migration record at index p, nil while
 	// p is not being given away, so the gate on every op costs one
@@ -185,7 +185,7 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		hashf:    cfg.hash(),
 		clock:    newHLC(self.ID),
 		deltaLog: ring.NewDeltaLog(0),
-		stores:   make([]atomic.Pointer[storeRef], table.NumPartitions),
+		stores:   make([]atomic.Pointer[novoht.Store], table.NumPartitions),
 		parts:    make([]atomic.Pointer[partState], table.NumPartitions),
 		removes:  make([]removeStamps, table.NumPartitions),
 		bcast:    make(map[string][]byte),
@@ -207,11 +207,10 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		Epoch:    in.Epoch,
 		Pull:     in.gossipPull,
 		Peers:    func() []string { return alivePeers(in.tableRef(), in.self.ID) },
-		Cooldown: cfg.GossipCooldown,
+		Cooldown: gossipCooldown,
 		Metrics:  cfg.Metrics,
 	})
-	in.rbrk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown,
-		in.met.repBreakerTrips, in.met.repBreakerOpen)
+	in.rbrk = newBreaker(in.met.repBreakerTrips, in.met.repBreakerOpen)
 	in.legs = repair.NewLegQueue(repair.LegQueueOptions{
 		Cap:      cfg.HandoffCap,
 		Base:     cfg.RetryBase,
@@ -250,9 +249,6 @@ func (in *Instance) Epoch() uint64 {
 	return in.tableRef().Epoch
 }
 
-// storeRef is the immutable cell a stores slot points to.
-type storeRef struct{ storage.KV }
-
 // openLog opens the instance's log and replays it before the instance
 // serves anything: every partition the log holds gets its store, and
 // the clock observes every replayed stamp, so a restarted node stamps
@@ -272,7 +268,7 @@ func (in *Instance) openLog() error {
 	}
 	in.log = l
 	for _, p := range l.IDs() {
-		in.stores[p].Store(&storeRef{l.Store(p)})
+		in.stores[p].Store(l.Store(p))
 	}
 	in.clock.Observe(l.MaxVersion())
 	if err := in.importPartitionLogs(opts.Path); err != nil {
@@ -353,7 +349,7 @@ func (in *Instance) partitionOf(key string) int {
 
 // store returns (creating on demand) the store backing partition p on
 // this instance.
-func (in *Instance) store(p int) (storage.KV, error) {
+func (in *Instance) store(p int) (*novoht.Store, error) {
 	if s := in.storeIfPresent(p); s != nil {
 		return s, nil
 	}
@@ -362,11 +358,11 @@ func (in *Instance) store(p int) (storage.KV, error) {
 	}
 	in.smu.Lock()
 	defer in.smu.Unlock()
-	if r := in.stores[p].Load(); r != nil {
-		return r.KV, nil
+	if s := in.stores[p].Load(); s != nil {
+		return s, nil
 	}
 	s := in.log.Store(p)
-	in.stores[p].Store(&storeRef{s})
+	in.stores[p].Store(s)
 	return s, nil
 }
 
@@ -509,14 +505,11 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 
 // storeIfPresent returns partition p's store only if this instance
 // already holds one, never creating it.
-func (in *Instance) storeIfPresent(p int) storage.KV {
+func (in *Instance) storeIfPresent(p int) *novoht.Store {
 	if p < 0 || p >= len(in.stores) {
 		return nil
 	}
-	if r := in.stores[p].Load(); r != nil {
-		return r.KV
-	}
-	return nil
+	return in.stores[p].Load()
 }
 
 // applyMutation stamps one mutation, applies it to the owner's store
@@ -532,7 +525,7 @@ func (in *Instance) storeIfPresent(p int) storage.KV {
 // the store after one that drew a newer stamp. The store refuses it
 // (storage.ErrStale) rather than let the key's stamp fall behind its
 // apply order, and the op redraws above the stored version.
-func (in *Instance) applyMutation(s storage.KV, req *wire.Request, resp *wire.Response) (uint64, []byte) {
+func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire.Response) (uint64, []byte) {
 	for {
 		ver := in.clock.Next()
 		legVal, err := in.mutate(s, req, ver, resp)
@@ -551,7 +544,7 @@ func (in *Instance) applyMutation(s storage.KV, req *wire.Request, resp *wire.Re
 // mutate applies req to s stamped with ver, as one store call in the
 // store's critical section, and answers every outcome but an error
 // into resp.
-func (in *Instance) mutate(s storage.KV, req *wire.Request, ver uint64, resp *wire.Response) ([]byte, error) {
+func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp *wire.Response) ([]byte, error) {
 	var err error
 	switch req.Op {
 	case wire.OpInsert:
@@ -683,7 +676,7 @@ func setErr(resp *wire.Response, err error) {
 // until the envelope response is encoded), otherwise into a pooled
 // buffer that resp owns and the transport writer recycles after
 // encoding.
-func (in *Instance) applyLookup(s storage.KV, req *wire.Request, resp *wire.Response, arena *[]byte) {
+func (in *Instance) applyLookup(s *novoht.Store, req *wire.Request, resp *wire.Response, arena *[]byte) {
 	var buf []byte
 	if arena != nil {
 		buf = *arena
@@ -798,7 +791,7 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 // and is never refused by a copy that holds the installed pair. A pair
 // no newer than a remove of the key this node applied is not installed
 // (removeStamps), as the store would refuse it had it kept the remove.
-func (in *Instance) install(p int, s storage.KV, key string, val []byte, ver uint64) (bool, error) {
+func (in *Instance) install(p int, s *novoht.Store, key string, val []byte, ver uint64) (bool, error) {
 	if err := in.checkPartition(p, key); err != nil {
 		return false, err
 	}
@@ -1227,8 +1220,8 @@ func (in *Instance) Close() error {
 }
 
 // openStores lists the partition stores created so far.
-func (in *Instance) openStores() []storage.KV {
-	var out []storage.KV
+func (in *Instance) openStores() []*novoht.Store {
+	var out []*novoht.Store
 	for p := range in.stores {
 		if s := in.storeIfPresent(p); s != nil {
 			out = append(out, s)

@@ -125,7 +125,7 @@ func TestImportPartitionLogs(t *testing.T) {
 		ver uint64
 	}
 	wants := map[string]want{}
-	old := map[string]storage.KV{}
+	old := map[string]*novoht.Store{}
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("legacy-%d", i)
 		p := table.Partition(hash(k))

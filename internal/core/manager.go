@@ -93,7 +93,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 	// in nobody's peer list — so the advanced epoch the newcomer stamps
 	// on its pulls cannot propagate early through gossip.
 	giver := table.OwnerOf(pickFirst(parts, table))
-	thr := repair.NewThrottle(cfg.MigrateRate, inst.met.migThrottleNs)
+	thr := repair.NewThrottle(migrateRate, inst.met.migThrottleNs)
 	abort := func() {
 		inst.met.migAborts.Inc()
 		for _, p := range parts {
@@ -167,7 +167,7 @@ func Depart(inst *Instance) error {
 	if err != nil {
 		return err
 	}
-	thr := repair.NewThrottle(inst.cfg.MigrateRate, inst.met.migThrottleNs)
+	thr := repair.NewThrottle(migrateRate, inst.met.migThrottleNs)
 
 	// Phase 1: stream while serving. No migration state exists yet, so
 	// a failure here needs no rollback — the receivers just hold a

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zht/internal/novoht"
 	"zht/internal/repair"
 	"zht/internal/ring"
 	"zht/internal/storage"
@@ -200,7 +201,7 @@ type stalePair struct {
 // remove deletes the pair only if the store still holds the copy the
 // sweep saw: the remove is stamped just above it, so a write that
 // replaced it since keeps the key.
-func (sp stalePair) remove(s storage.KV) (bool, error) {
+func (sp stalePair) remove(s *novoht.Store) (bool, error) {
 	return s.RemoveLWW(sp.key, sp.ver+1)
 }
 

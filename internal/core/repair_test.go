@@ -24,13 +24,13 @@ func TestHandoffReplaysDroppedSyncLeg(t *testing.T) {
 	cfg := Config{
 		NumPartitions: 16, Replicas: 1,
 		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-		BreakerCooldown: 10 * time.Millisecond,
 		// ONE: the write must ack via the primary alone while the sole
 		// replica is down; the failed (still-synchronous) first leg is
 		// what feeds hinted handoff here.
 		WriteLevel: wire.ConsistencyOne,
 		Metrics:    mreg,
 	}
+	tuneBreakers(t, breakerThreshold, 10*time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 3)
 
 	// A key whose owner is alive and whose sole replica is the victim.
@@ -181,12 +181,12 @@ func TestAntiEntropyRepairsOverflowedHandoff(t *testing.T) {
 		HandoffCap:  4, // overflow after 4 queued legs per destination
 		AntiEntropy: 25 * time.Millisecond,
 		RetryBase:   time.Millisecond, RetryMax: 4 * time.Millisecond,
-		BreakerCooldown: 5 * time.Millisecond,
 		// ONE: every write targets a dead sole replica; the test needs
 		// them acked so the overflow + anti-entropy path is what heals.
 		WriteLevel: wire.ConsistencyOne,
 		Metrics:    mreg,
 	}
+	tuneBreakers(t, breakerThreshold, 5*time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 2)
 
 	// With two nodes every partition's sole replica is the other node;

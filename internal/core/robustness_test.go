@@ -16,11 +16,19 @@ import (
 // Tests for the robustness layer: per-endpoint circuit breaker,
 // StatusBusy retry handling, and the end-to-end operation deadline.
 
+// tuneBreakers makes every breaker built until the test ends trip
+// after threshold consecutive failures and cool down for cooldown.
+func tuneBreakers(t *testing.T, threshold int, cooldown time.Duration) {
+	testBreakerTuning = func(b *breaker) { b.threshold, b.cooldown = threshold, cooldown }
+	t.Cleanup(func() { testBreakerTuning = nil })
+}
+
 func TestBreakerTripAndRecover(t *testing.T) {
 	reg := metrics.NewRegistry()
 	trips := reg.Counter("zht.client.breaker.trips")
 	openG := reg.Gauge("zht.client.breaker.open")
-	b := newBreaker(3, 50*time.Millisecond, trips, openG)
+	b := newBreaker(trips, openG)
+	b.threshold, b.cooldown = 3, 50*time.Millisecond
 	const ep = "node-1"
 	// Closed: failures below the threshold keep admitting.
 	for i := 0; i < 2; i++ {
@@ -140,21 +148,6 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(-1, time.Millisecond, nil, nil)
-	if b != nil {
-		t.Fatal("negative threshold should disable the breaker")
-	}
-	// nil breaker: every method is a safe no-op that admits.
-	for i := 0; i < 10; i++ {
-		b.failure("x")
-	}
-	if !b.allow("x") {
-		t.Fatal("nil breaker rejected a call")
-	}
-	b.success("x")
-}
-
 // busyFirst answers the first k calls with StatusBusy (as an
 // overloaded server's admission gate would) and then delegates.
 type busyFirst struct {
@@ -200,10 +193,9 @@ func TestClientRetriesThroughBusy(t *testing.T) {
 func TestBusyDoesNotTripBreaker(t *testing.T) {
 	d, reg, _ := startDeployment(t, testCfg(), 3)
 	shim := &busyFirst{inner: reg.NewClient()}
-	shim.remaining.Store(8) // well past BreakerThreshold
-	cfg := testCfg()
-	cfg.BreakerThreshold = 2
-	c, err := NewClient(cfg, d.Instance(0).Table(), shim)
+	shim.remaining.Store(8) // well past the breaker threshold
+	tuneBreakers(t, 2, breakerCooldown)
+	c, err := NewClient(testCfg(), d.Instance(0).Table(), shim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +265,8 @@ func (f callerFunc) Close() error { return nil }
 
 func TestCircuitOpensOnDeadEndpointAndOpsFailFast(t *testing.T) {
 	cfg := Config{NumPartitions: 8, Replicas: 0, RetryBase: time.Millisecond,
-		OpRetries: 1, BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
-		OpDeadline: 2 * time.Second}
+		OpRetries: 1, OpDeadline: 2 * time.Second}
+	tuneBreakers(t, 2, 10*time.Second)
 	d, reg, c := startDeployment(t, cfg, 1)
 	addr := d.Instance(0).Addr()
 	reg.SetDown(addr, true)

@@ -37,9 +37,9 @@ func torusDist(a, b [3]int, side int) int {
 }
 
 // TestNetworkAwareReplicaLocality verifies the future-work topology
-// feature: with NetworkAware bootstrap, replicas (ring successors)
-// sit at a smaller mean torus distance from their primaries than with
-// arbitrary placement.
+// feature: when endpoints give their torus coordinates, replicas (ring
+// successors) sit at a smaller mean torus distance from their
+// primaries than with arbitrary placement.
 func TestNetworkAwareReplicaLocality(t *testing.T) {
 	const side = 4 // 64 nodes on a 4x4x4 torus
 	const n = side * side * side
@@ -56,9 +56,16 @@ func TestNetworkAwareReplicaLocality(t *testing.T) {
 	}
 
 	meanReplicaDist := func(aware bool) float64 {
-		cfg := Config{NumPartitions: 256, Replicas: 2, NetworkAware: aware, RetryBase: time.Millisecond}
+		cfg := Config{NumPartitions: 256, Replicas: 2, RetryBase: time.Millisecond}
+		given := append([]Endpoint(nil), eps...)
+		if !aware {
+			// Without coordinates bootstrap keeps the scrambled order.
+			for i := range given {
+				given[i].Coord = [3]int{}
+			}
+		}
 		reg := transport.NewRegistry()
-		d, err := Bootstrap(cfg, eps, func(addr string, h transport.Handler) (transport.Listener, error) {
+		d, err := Bootstrap(cfg, given, func(addr string, h transport.Handler) (transport.Listener, error) {
 			return reg.Listen(addr, h)
 		}, reg.NewClient())
 		if err != nil {
@@ -88,7 +95,7 @@ func TestNetworkAwareReplicaLocality(t *testing.T) {
 // TestNetworkAwareStillCorrect runs the basic workload on a
 // network-aware deployment.
 func TestNetworkAwareStillCorrect(t *testing.T) {
-	cfg := Config{NumPartitions: 64, Replicas: 1, NetworkAware: true, RetryBase: time.Millisecond}
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
 	reg := transport.NewRegistry()
 	d, err := Bootstrap(cfg, torusEndpoints(8, 2), func(addr string, h transport.Handler) (transport.Listener, error) {
 		return reg.Listen(addr, h)
@@ -108,6 +115,33 @@ func TestNetworkAwareStillCorrect(t *testing.T) {
 		}
 		if v, err := c.Lookup(k); err != nil || string(v) != "v" {
 			t.Fatalf("%s = %q %v", k, v, err)
+		}
+	}
+}
+
+// TestBootstrapWithoutCoordsKeepsOrder pins what every caller that
+// gives no coordinates gets: the ring-order sort is stable, so the
+// instance ids zht-0000, zht-0001, ... go to the endpoints in the
+// order they were given.
+func TestBootstrapWithoutCoordsKeepsOrder(t *testing.T) {
+	eps := []Endpoint{{Addr: "c", Node: "n2"}, {Addr: "a", Node: "n0"}, {Addr: "b", Node: "n1"}}
+	reg := transport.NewRegistry()
+	d, err := Bootstrap(Config{NumPartitions: 16}, eps, func(addr string, h transport.Handler) (transport.Listener, error) {
+		return reg.Listen(addr, h)
+	}, reg.NewClient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tab := d.Instance(0).Table()
+	for i, ep := range eps {
+		want := fmt.Sprintf("zht-%04d", i)
+		in := d.Instance(i)
+		if string(in.ID()) != want || in.Addr() != ep.Addr {
+			t.Errorf("instance %d = %s at %s, want %s at %s", i, in.ID(), in.Addr(), want, ep.Addr)
+		}
+		if got := tab.Instances[i]; string(got.ID) != want || got.Addr != ep.Addr || got.Node != ep.Node {
+			t.Errorf("table entry %d = %+v, want %s at %s on %s", i, got, want, ep.Addr, ep.Node)
 		}
 	}
 }

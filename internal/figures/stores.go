@@ -7,7 +7,6 @@ import (
 	"zht/internal/baselines/bdb"
 	"zht/internal/baselines/kyoto"
 	"zht/internal/novoht"
-	"zht/internal/storage"
 )
 
 // Small adapters giving the Figure 6 stores one interface. Besides
@@ -18,7 +17,7 @@ import (
 func mkTempDir() (string, error) { return os.MkdirTemp("", "zht-fig") }
 func rmTempDir(dir string)       { os.RemoveAll(dir) }
 
-type novohtKV struct{ s storage.KV }
+type novohtKV struct{ s *novoht.Store }
 
 func openNovohtKV(o novoht.Options) (novohtKV, error) {
 	s, err := novoht.Open(o)

@@ -21,7 +21,7 @@ import (
 
 func checkDigest(t *testing.T, s *Store, when string) {
 	t.Helper()
-	want, err := storage.DigestOf(s)
+	want, err := storage.DigestOf(s.ForEachV)
 	if err != nil {
 		t.Fatal(err)
 	}

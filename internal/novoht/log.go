@@ -193,7 +193,7 @@ func (l *Log) decode(f *os.File, base int64, queues map[*Store][]replayed) (int6
 			return 0, err
 		}
 		k := string(key)
-		s := l.store(l.route(k))
+		s := l.Store(l.route(k))
 		l.maxVer = max(l.maxVer, ver)
 		queues[s] = append(queues[s], replayed{k, val, off + int64(n) - int64(len(val)) - 4, ver, typ})
 		off += int64(n)
@@ -304,9 +304,9 @@ func (s *Store) seal() {
 	}
 }
 
-// store returns the store with the given id, creating an empty one on
+// Store returns the store with the given id, creating an empty one on
 // demand. A store created after Close is closed.
-func (l *Log) store(id int) *Store {
+func (l *Log) Store(id int) *Store {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stores[id]
@@ -317,10 +317,6 @@ func (l *Log) store(id int) *Store {
 	}
 	return s
 }
-
-// Store returns the store with the given id, creating an empty one on
-// demand.
-func (l *Log) Store(id int) storage.KV { return l.store(id) }
 
 // IDs lists the ids of the stores the log holds, ascending: after
 // OpenLog, every store a replayed record was routed to.

@@ -44,7 +44,7 @@ func logPairs(t *testing.T, l *Log, when string) map[int]map[string]pair {
 	t.Helper()
 	out := map[int]map[string]pair{}
 	for _, id := range l.IDs() {
-		s := l.store(id)
+		s := l.Store(id)
 		checkDigest(t, s, fmt.Sprintf("%s, store %d", when, id))
 		if got := pairsOf(t, s); len(got) > 0 {
 			out[id] = got
@@ -60,7 +60,7 @@ func writeInterleaved(t *testing.T, l *Log, stores, from, to int, rng *rand.Rand
 	t.Helper()
 	for i := from; i < to; i++ {
 		k := fmt.Sprintf("k%02d-%d", rng.Intn(12), i%stores)
-		s := l.store(l.route(k))
+		s := l.Store(l.route(k))
 		ver := uint64(i + 1)
 		var err error
 		switch rng.Intn(4) {
@@ -122,7 +122,7 @@ func TestSharedLogTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := int64(len(snapshotFiles(t, path)[""]))
-	last := l.store(l.route("last-3"))
+	last := l.Store(l.route("last-3"))
 	if err := last.PutV("last-3", []byte("the record cut at every offset"), 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSharedLogTornTailEveryOffset(t *testing.T) {
 		if got := logPairs(t, r, fmt.Sprintf("cut %d", cut)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %d: replayed\n %v\nwant %v", cut, got, want)
 		}
-		if err := r.store(0).PutV("after-0", []byte("x"), 2000); err != nil {
+		if err := r.Store(0).PutV("after-0", []byte("x"), 2000); err != nil {
 			t.Fatalf("cut %d: write after recovery: %v", cut, err)
 		}
 		if err := r.Close(); err != nil {
@@ -171,7 +171,7 @@ func TestSharedLogCrashMidClean(t *testing.T) {
 			writeInterleaved(t, l, stores, 400, 450, rng)
 			base := l.wal.base.Load()
 			for id := 0; id < copied; id++ {
-				if _, _, err := l.store(id).copyLive(base); err != nil {
+				if _, _, err := l.Store(id).copyLive(base); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -217,7 +217,7 @@ func TestCleanRacesWritersAndAppends(t *testing.T) {
 				return
 			default:
 			}
-			if err := l.store(0).Compact(); err != nil {
+			if err := l.Store(0).Compact(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -233,7 +233,7 @@ func TestCleanRacesWritersAndAppends(t *testing.T) {
 			model := models[w]
 			for i := 0; i < ops; i++ {
 				k := fmt.Sprintf("w%d-%02d-%d", w, rng.Intn(10), rng.Intn(stores))
-				s := l.store(l.route(k))
+				s := l.Store(l.route(k))
 				ver := uint64(i+1)*writers + uint64(w)
 				var err error
 				switch rng.Intn(5) {
@@ -289,7 +289,7 @@ func TestCleanRacesWritersAndAppends(t *testing.T) {
 func TestCleanDoesNotStopTheWorld(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.log")
 	l := openLogT(t, Options{Path: path, CompactEvery: -1}, 2)
-	a, b := l.store(0), l.store(1)
+	a, b := l.Store(0), l.Store(1)
 	if err := firstErr(a.Put("a0", []byte("old")), b.Put("b1", []byte("old"))); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestCleanDoesNotStopTheWorld(t *testing.T) {
 func TestOneWritePerCommit(t *testing.T) {
 	fault := &countingFault{}
 	l := openLogT(t, Options{Path: filepath.Join(t.TempDir(), "w.log"), Fault: fault, CompactEvery: -1}, 4)
-	s := l.store(0)
+	s := l.Store(0)
 	for i := 0; i < 5; i++ {
 		if _, err := s.wal.append(mustRecord(t, fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package novoht implements NoVoHT, ZHT's Non-Volatile Hash Table
-// (paper §III.I and reference [49]) — the flagship implementation of
-// the storage.KV interface.
+// (paper §III.I and reference [49]) — ZHT's one storage engine: every
+// partition store of an instance is a *Store.
 //
 // NoVoHT keeps every key/value pair in memory for constant-time
 // lookups and appends each mutation to an on-disk log so the full
@@ -113,7 +113,21 @@ const (
 	DefaultGroupWindow = 500 * time.Microsecond
 )
 
-// Store is a NoVoHT hash table. It implements storage.KV.
+// Store is a NoVoHT hash table: one partition store.
+//
+// Every mutation carries a version stamp: an opaque uint64 ordered by
+// numeric comparison (internal/core stamps them from a hybrid logical
+// clock). Replicas resolve concurrent writes last-writer-wins on the
+// version, and quorum reads compare versions across copies. Version 0
+// means "older than any stamped write": it is what pairs logged before
+// versioning replay with, and what Put writes.
+//
+// A key's stamps rise in the order its writes apply: PutV,
+// PutIfAbsentV, AppendV, CasV and RemoveV given a non-zero ver apply
+// nothing and return storage.ErrStale when the key holds a version at
+// least as new. So crash replay, which keeps the newest version,
+// rebuilds exactly the live store, and a sweep that removes "the copy
+// it saw" by stamping just above it cannot remove a later write.
 type Store struct {
 	log     *Log
 	wal     *wal // the log's WAL; nil for a volatile store
@@ -179,7 +193,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := l.store(0)
+	s := l.Store(0)
 	s.ownsLog = true
 	return s, nil
 }
@@ -210,14 +224,19 @@ func (s *Store) cellAt(i int) cell {
 	return s.idx.slots[i].p
 }
 
-// DigestLeaves returns a copy of the store's repair digest leaves.
+// DigestLeaves returns a copy of the store's repair digest:
+// storage.Leaves words, leaf storage.LeafOf(key) holding the XOR of
+// storage.PairHashV over every stored pair. Every mutation keeps it
+// current, so it always equals storage.DigestOf over the contents.
 func (s *Store) DigestLeaves() []uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]uint64(nil), s.leaves[:]...)
 }
 
-// Put stores val under key, replacing any existing value.
+// Put stores val under key at version 0, replacing any existing
+// value. It serves stores used outside an instance (benchmarks,
+// figures); an instance stamps every write.
 func (s *Store) Put(key string, val []byte) error {
 	return s.PutV(key, val, 0)
 }
@@ -594,9 +613,10 @@ func (s *Store) ForEachV(fn func(key string, val []byte, ver uint64) error) erro
 }
 
 // ForEachLeafV is ForEachV over only the pairs whose digest leaf
-// (storage.LeafOf of the key) is in leaves. It reads the slots of the
-// whole index but the pairs of those leaves alone: every slot keeps
-// its pair's leaf.
+// (storage.LeafOf of the key) is in leaves; leaves outside
+// [0, storage.Leaves) select nothing. A leaf-stream chunk reads its
+// leaves this way. It reads the slots of the whole index but the pairs
+// of those leaves alone: every slot keeps its pair's leaf.
 func (s *Store) ForEachLeafV(leaves []int, fn func(key string, val []byte, ver uint64) error) error {
 	var want uint64
 	for _, l := range leaves {

@@ -566,7 +566,7 @@ func BenchmarkNoVoHTSpread(b *testing.B) {
 	defer l.Close()
 	ss := make([]*Store, stores)
 	for i := range ss {
-		ss[i] = l.store(i)
+		ss[i] = l.Store(i)
 	}
 	ks := make([]string, keys)
 	val := bytes.Repeat([]byte{'v'}, 132)

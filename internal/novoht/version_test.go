@@ -9,14 +9,14 @@ import (
 	"zht/internal/storage"
 )
 
-// The versioned storage.KV contract on the flagship engine: stamps
+// The store's versioned contract: stamps
 // persist with their values, last-writer-wins mutations never let an
 // older version replace a newer one, a stamp never goes backwards, and
 // crash replay + compaction both keep the newest stamp.
 
 func TestVersionedPutGet(t *testing.T) {
 	s := openTemp(t, Options{})
-	var _ storage.KV = s
+	var _ storage.KV = s // the benchmark module's view of a store
 
 	if err := s.PutV("k", []byte("v1"), 10); err != nil {
 		t.Fatal(err)

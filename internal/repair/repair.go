@@ -7,7 +7,7 @@
 //
 //   - Partition digests: a 64-leaf XOR Merkle digest over a partition
 //     store's contents, maintained by the store itself under its
-//     lock (storage.KV.DigestLeaves; the pair and leaf
+//     lock (novoht.Store.DigestLeaves; the pair and leaf
 //     hashes are storage.PairHashV and storage.LeafOf). Two replicas
 //     compare digests leaf by leaf (DiffLeaves) and transfer only
 //     divergent leaves' contents.

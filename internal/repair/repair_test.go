@@ -15,7 +15,7 @@ import (
 	"zht/internal/wire"
 )
 
-func openMem(t *testing.T) storage.KV {
+func openMem(t *testing.T) *novoht.Store {
 	t.Helper()
 	s, err := novoht.Open(novoht.Options{})
 	if err != nil {

@@ -15,12 +15,12 @@ import (
 	"zht/internal/storage"
 )
 
-// The storage conformance suite: the contract every engine behind the
-// partition seam must honour, table-driven over the engines. The
+// The storage conformance suite, table-driven over the stores. The
 // point-operation tier (Put/Get/Remove) runs against every store,
 // including the Figure 6 disk stand-ins, which offer nothing more; the
-// full tier (storage.KV, every mutation stamped, the digest included)
-// runs against every configuration a ZHT instance can open.
+// full tier (the whole *novoht.Store contract, every mutation stamped,
+// the digest included) runs against every configuration a ZHT instance
+// can open.
 
 // pointKV is the point-operation subset every store offers.
 type pointKV interface {
@@ -51,7 +51,7 @@ func (b bdbStore) Remove(key string) (bool, error) { return b.Delete([]byte(key)
 
 // novohtPoint offers a full store's version-0 remove as the point
 // tier's Remove.
-type novohtPoint struct{ storage.KV }
+type novohtPoint struct{ *novoht.Store }
 
 func (n novohtPoint) Remove(key string) (bool, error) { return n.RemoveV(key, 0) }
 
@@ -59,9 +59,9 @@ func (n novohtPoint) Remove(key string) (bool, error) { return n.RemoveV(key, 0)
 // a volatile store, a WAL-backed store that owns its log, and one
 // store of a shared log (an instance's partition store), whose
 // mutations stage their records for the log owner's Commit.
-func fullEngines() map[string]func(t *testing.T) storage.KV {
-	open := func(o novoht.Options) func(t *testing.T) storage.KV {
-		return func(t *testing.T) storage.KV {
+func fullEngines() map[string]func(t *testing.T) *novoht.Store {
+	open := func(o novoht.Options) func(t *testing.T) *novoht.Store {
+		return func(t *testing.T) *novoht.Store {
 			if o.Path != "" {
 				o.Path = filepath.Join(t.TempDir(), "kv.log")
 			}
@@ -73,10 +73,10 @@ func fullEngines() map[string]func(t *testing.T) storage.KV {
 			return s
 		}
 	}
-	return map[string]func(t *testing.T) storage.KV{
+	return map[string]func(t *testing.T) *novoht.Store{
 		"novoht-volatile": open(novoht.Options{}),
 		"novoht-wal":      open(novoht.Options{Path: "wal"}),
-		"novoht-shared-log": func(t *testing.T) storage.KV {
+		"novoht-shared-log": func(t *testing.T) *novoht.Store {
 			l, err := novoht.OpenLog(novoht.Options{Path: filepath.Join(t.TempDir(), "kv.log")}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -404,7 +404,7 @@ func TestConformanceDigest(t *testing.T) {
 			kv := open(t)
 			check := func(step string) {
 				t.Helper()
-				want, err := storage.DigestOf(kv)
+				want, err := storage.DigestOf(kv.ForEachV)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,8 +9,8 @@ import "encoding/binary"
 // — and the maintained leaves are bit-identical to a rebuild from
 // scratch. Replicas compare leaves and transfer only divergent ones.
 //
-// The functions live here, on the seam, so the engines that maintain
-// digests and the repair code that compares them cannot drift apart.
+// The functions live here, below both the store that maintains digests
+// and the repair code that compares them, so the two cannot drift apart.
 
 // Leaves is the number of leaf buckets in a partition digest. Each
 // leaf covers 1/Leaves of the key space, so after a fault a replica
@@ -94,11 +94,12 @@ func PairHashV(key string, val []byte, ver uint64) uint64 {
 	return PairSeal(FNV(PairPrefix(key), val), ver)
 }
 
-// DigestOf rebuilds a store's digest leaves from its contents — the
-// reference every maintained digest must equal.
-func DigestOf(kv KV) ([]uint64, error) {
+// DigestOf rebuilds a store's digest leaves from its contents, read
+// through its ForEachV method — the reference every maintained digest
+// must equal.
+func DigestOf(forEachV func(fn func(key string, val []byte, ver uint64) error) error) ([]uint64, error) {
 	leaves := make([]uint64, Leaves)
-	err := kv.ForEachV(func(key string, val []byte, ver uint64) error {
+	err := forEachV(func(key string, val []byte, ver uint64) error {
 		leaves[LeafOf(key)] ^= PairHashV(key, val, ver)
 		return nil
 	})

@@ -1,16 +1,15 @@
-// Package storage defines the pluggable storage-engine boundary of a
-// ZHT instance: the KV interface every partition store implements,
-// the durability modes a write-ahead log can offer, the
-// engine-agnostic partition snapshot format used by data migration,
-// and the pair/leaf hashes of the repair digest every store maintains.
+// Package storage holds what ZHT's storage engine, NoVoHT
+// (internal/novoht), shares with the code around it: the durability
+// modes a write-ahead log can offer, the crash-injection fault hooks,
+// the store statistics and errors, and the pair/leaf hashes of the
+// repair digest every store maintains.
 //
-// The paper treats the per-partition store as a swappable component —
-// NoVoHT is "the default storage", with BerkeleyDB and KyotoCabinet
-// evaluated as alternatives (§III.I, Figure 6) — but the seed
-// implementation hard-wired consumers to the concrete NoVoHT type.
-// This package is the seam: internal/core, internal/figures, and the
-// baselines consume only KV, so replication and durability policy can
-// change without touching the routing layer.
+// The paper makes NoVoHT ZHT's storage (§III.I) and tries BerkeleyDB
+// and KyotoCabinet only as Figure 6 comparisons; in this tree those two
+// are Figure 6 adapters (internal/baselines) that no instance opens.
+// So there is one store type, *novoht.Store, and every consumer in the
+// module holds it directly; its methods carry the store contract (the
+// version stamp rules, ErrStale, the digest).
 //
 // Durability levels follow the classic group-commit design, with the
 // callers themselves as the log writer: the caller that finds records
@@ -28,79 +27,12 @@ import (
 	"fmt"
 )
 
-// KV is one partition store. Implementations must be safe for
-// concurrent use by multiple goroutines.
-//
-// Every mutation carries a version stamp: an opaque uint64 ordered by
-// numeric comparison (internal/core stamps them from a hybrid logical
-// clock). Replicas resolve concurrent writes last-writer-wins on the
-// version, and quorum reads compare versions across copies. Version 0
-// means "older than any stamped write": it is what pairs logged before
-// versioning replay with, and what Put writes.
-//
-// A key's stamps rise in the order its writes apply: PutV,
-// PutIfAbsentV, AppendV, CasV and RemoveV given a non-zero ver apply
-// nothing and return ErrStale when the key holds a version at least as
-// new. So crash replay, which keeps the newest version, rebuilds
-// exactly the live store, and a sweep that removes "the copy it saw"
-// by stamping just above it cannot remove a later write.
+// KV is the three-method view of a store that the benchmark module's
+// storage microbenchmark holds a *novoht.Store as; that benchmark is
+// its only user.
 type KV interface {
-	// Put stores val under key at version 0, replacing any existing
-	// value. It serves stores used outside an instance (benchmarks,
-	// figures); an instance stamps every write.
 	Put(key string, val []byte) error
-	// Get returns a copy of the value stored under key.
 	Get(key string) ([]byte, bool, error)
-	// GetAppendV appends the value stored under key to dst (caller
-	// scratch) instead of allocating a copy, and returns it — possibly
-	// grown — with the stored version. On a miss or error dst is
-	// returned unmodified.
-	GetAppendV(dst []byte, key string) (val []byte, ver uint64, found bool, err error)
-	// PutV stores val under key with the given version, replacing any
-	// existing value and older version.
-	PutV(key string, val []byte, ver uint64) error
-	// PutIfAbsentV stores (val, ver) only when key is not present; it
-	// reports whether the store was modified.
-	PutIfAbsentV(key string, val []byte, ver uint64) (bool, error)
-	// AppendV concatenates delta to the value under key, creating the
-	// key when absent (ZHT's fourth basic operation), and stamps the
-	// pair with ver; version 0 leaves the stamp as it was. A non-nil
-	// dst receives the accumulated value.
-	AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, error)
-	// CasV atomically replaces the value under key with (newVal, ver)
-	// when the current value equals oldVal (nil oldVal = "expect
-	// absent"). It returns the value observed when the swap fails.
-	CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, error)
-	// RemoveV deletes key, reporting whether it was present.
-	RemoveV(key string, ver uint64) (bool, error)
-	// PutLWW stores (val, ver) only when ver is strictly newer than the
-	// stored version (a missing key always accepts). It reports
-	// whether the store was modified: false means the stored value is
-	// at least as new and was kept.
-	PutLWW(key string, val []byte, ver uint64) (bool, error)
-	// RemoveLWW deletes key only when ver is strictly newer than the
-	// stored version, reporting whether the key was removed. Removing
-	// an absent key reports false with no error.
-	RemoveLWW(key string, ver uint64) (bool, error)
-	// ForEachV calls fn for every pair with its version; fn must not
-	// mutate the store.
-	ForEachV(fn func(key string, val []byte, ver uint64) error) error
-	// ForEachLeafV is ForEachV over only the pairs whose digest leaf,
-	// LeafOf(key), is in leaves; leaves outside [0, Leaves) select
-	// nothing. A leaf-stream chunk reads its leaves this way.
-	ForEachLeafV(leaves []int, fn func(key string, val []byte, ver uint64) error) error
-	// DigestLeaves returns a copy of the store's repair digest: Leaves
-	// words, leaf LeafOf(key) holding the XOR of PairHashV over every
-	// stored pair. The store keeps it current on every mutation, so it
-	// always equals DigestOf over the contents.
-	DigestLeaves() []uint64
-	// Len reports the number of keys stored.
-	Len() int
-	// Sync flushes buffered state and fsyncs backing storage.
-	Sync() error
-	// Stats returns a snapshot of store statistics.
-	Stats() Stats
-	// Close flushes durable state and closes the store.
 	Close() error
 }
 

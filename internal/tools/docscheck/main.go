@@ -6,11 +6,9 @@
 //     flag to a zht-* binary that the binary does not define, or
 //   - a metric name registered anywhere in the source ("zht.*" string
 //     literal) is missing from the OBSERVABILITY.md catalogue, or
-//   - code outside internal/novoht names the concrete novoht.Store
-//     type — consumers must hold stores as the storage.KV interface,
-//     so the engine stays swappable (constructing one via
-//     novoht.Open/novoht.Options is fine; depending on the concrete
-//     type is not), or
+//   - an exported core.Config field is set only by tests — a knob
+//     no binary, example, figure or benchmark sets is a test hook and
+//     belongs unexported in internal/core, or
 //   - a metric contract is broken: each subsystem in the contracts
 //     table — replica repair, membership and migration, the hot-path
 //     pools, tunable consistency, and the multi-tenant front door —
@@ -23,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -45,7 +44,7 @@ func main() {
 		checkDocFlags(doc, cmdFlags, fail)
 	}
 	checkMetricCatalogue(fail)
-	checkStorageBoundary(fail)
+	checkConfigKnobs(fail)
 	for _, c := range contracts {
 		checkContract(c, fail)
 	}
@@ -248,32 +247,129 @@ func checkMetricCatalogue(fail func(string, ...any)) {
 	}
 }
 
-var storeLeakRe = regexp.MustCompile(`novoht\.Store`)
+// testSetKnobs are the exported core.Config fields only tests set
+// today, with why each stays exported. A listed field that gains a
+// non-test setter fails too, so the list cannot go stale.
+var testSetKnobs = map[string]string{
+	"MaxKeyLen":   "payload bound for embedders of zht.Config; no in-tree binary sets it yet",
+	"MaxValueLen": "payload bound for embedders of zht.Config; no in-tree binary sets it yet",
+}
 
-// checkStorageBoundary enforces the storage.KV seam: no file outside
-// internal/novoht may name the concrete novoht.Store type. Callers
-// construct stores with novoht.Open and hold them as storage.KV, so
-// the engine can be swapped without touching its consumers.
-func checkStorageBoundary(fail func(string, ...any)) {
-	for _, root := range []string{"internal", "cmd"} {
+// checkConfigKnobs requires every exported core.Config field to be set
+// by name outside tests — as a key of a core.Config or zht.Config
+// literal, or by assignment to a field of a variable of that type — in
+// a non-test file under cmd/, internal/, examples/ or benchmark/, or in
+// zht.go. internal/core only reads and defaults its knobs, so its own
+// files do not count.
+func checkConfigKnobs(fail func(string, ...any)) {
+	decl, err := parser.ParseFile(token.NewFileSet(), "internal/core/config.go", nil, 0)
+	if err != nil || decl.Scope.Lookup("Config") == nil {
+		fail("internal/core/config.go: no Config type (%v)", err)
+		return
+	}
+	set := map[string]bool{}
+	files := []string{"zht.go"}
+	for _, root := range []string{"cmd", "internal", "examples", "benchmark"} {
 		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-				strings.HasPrefix(path, filepath.Join("internal", "novoht")) ||
-				strings.HasPrefix(path, filepath.Join("internal", "tools")) {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				if storeLeakRe.MatchString(line) {
-					fail("%s:%d: names concrete type novoht.Store; hold stores as storage.KV", path, i+1)
-				}
+			if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") &&
+				filepath.Dir(path) != filepath.Join("internal", "core") {
+				files = append(files, path)
 			}
 			return nil
 		})
 	}
+	for _, path := range files {
+		if f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0); err != nil {
+			fail("%s: %v", path, err)
+		} else {
+			knobsSet(f, set)
+		}
+	}
+	for _, fld := range decl.Scope.Lookup("Config").Decl.(*ast.TypeSpec).Type.(*ast.StructType).Fields.List {
+		for _, id := range fld.Names {
+			why, listed := testSetKnobs[id.Name]
+			if !id.IsExported() || set[id.Name] != listed {
+				continue
+			}
+			if listed {
+				fail("core.Config.%s is set outside tests now; drop it from testSetKnobs (%s)", id.Name, why)
+			} else {
+				fail("core.Config.%s is set only by tests; make it an unexported constant or test hook in internal/core", id.Name)
+			}
+		}
+	}
+}
+
+// knobsSet adds to set the core.Config fields file f sets by name.
+func knobsSet(f *ast.File, set map[string]bool) {
+	isConfig := func(e ast.Expr) bool {
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X // &Config{...}
+		}
+		if lit, ok := e.(*ast.CompositeLit); ok {
+			e = lit.Type
+		}
+		if st, ok := e.(*ast.StarExpr); ok {
+			e = st.X
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			return f.Name.Name == "zht" && id.Name == "Config"
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && (pkg.Name == "core" || pkg.Name == "zht") && sel.Sel.Name == "Config"
+		}
+		return false
+	}
+	// vars names the variables, parameters and struct fields that hold
+	// a Config: declared with its type or assigned a Config literal.
+	vars := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			for _, id := range n.Names {
+				vars[id.Name] = vars[id.Name] || isConfig(n.Type)
+			}
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				vars[id.Name] = vars[id.Name] || n.Type != nil && isConfig(n.Type) || i < len(n.Values) && isConfig(n.Values[i])
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && len(n.Lhs) == len(n.Rhs) {
+					vars[id.Name] = vars[id.Name] || isConfig(n.Rhs[i])
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if !isConfig(n) {
+				break
+			}
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[id.Name] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					switch x := sel.X.(type) {
+					case *ast.Ident:
+						set[sel.Sel.Name] = set[sel.Sel.Name] || vars[x.Name]
+					case *ast.SelectorExpr:
+						set[sel.Sel.Name] = set[sel.Sel.Name] || vars[x.Sel.Name]
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // A contract is a subsystem's canonical metric set. checkMetricCatalogue
