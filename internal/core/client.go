@@ -71,10 +71,6 @@ var (
 	// open: recent consecutive transport failures made the client
 	// fail fast instead of retrying into a dead node.
 	ErrCircuitOpen = errors.New("zht: circuit open")
-	// ErrTooLarge reports a key or value rejected by the deployment's
-	// size limits (Config.MaxKeyLen/MaxValueLen). Terminal: the same
-	// payload can never succeed on retry.
-	ErrTooLarge = errors.New("zht: key or value too large")
 )
 
 // routeAttempts bounds the rounds one routed call may run (each
@@ -484,8 +480,6 @@ func statusToErr(op wire.Op, resp *wire.Response) (err error, done bool) {
 		return ErrExists, true
 	case wire.StatusCasMismatch:
 		return ErrCasMismatch, true
-	case wire.StatusTooLarge:
-		return ErrTooLarge, true
 	case wire.StatusError:
 		return fmt.Errorf("zht: %s failed: %s", op, resp.Err), true
 	case wire.StatusQuorumNotMet:

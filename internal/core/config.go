@@ -98,13 +98,6 @@ type Config struct {
 	// reads, migration) bypasses it. See AdmissionHook and
 	// internal/tenant.
 	Admission AdmissionHook
-	// MaxKeyLen / MaxValueLen bound the payloads the write path
-	// accepts (Insert/Append/Cas; Append is checked per-op, not
-	// against the accumulated value). Oversized requests are rejected
-	// with wire.StatusTooLarge, a terminal verdict. 0 = unbounded,
-	// the pre-gateway behavior.
-	MaxKeyLen   int
-	MaxValueLen int
 }
 
 // Defaults for Config zero values.
@@ -160,9 +153,6 @@ func (c *Config) fill() error {
 	}
 	if c.AntiEntropy < 0 {
 		c.AntiEntropy = 0
-	}
-	if c.MaxKeyLen < 0 || c.MaxValueLen < 0 {
-		return errors.New("core: size limits must be non-negative")
 	}
 	return nil
 }

@@ -615,28 +615,6 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 
 func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
 
-// tooLarge screens client requests against the deployment-wide
-// payload bounds (Config.MaxKeyLen/MaxValueLen; 0 = unbounded). Only
-// ops that grow state are screened: Lookup and Remove of an oversized
-// key are harmless and must stay able to read/delete pairs written
-// before a limit was tightened. Append is bounded per-op — the
-// accumulated value can still grow past MaxValueLen across appends,
-// which is documented in DESIGN.md §13.
-func (in *Instance) tooLarge(req *wire.Request) bool {
-	if in.cfg.MaxKeyLen == 0 && in.cfg.MaxValueLen == 0 {
-		return false
-	}
-	switch req.Op {
-	case wire.OpInsert, wire.OpAppend, wire.OpCas:
-	default:
-		return false
-	}
-	if in.cfg.MaxKeyLen > 0 && len(req.Key) > in.cfg.MaxKeyLen {
-		return true
-	}
-	return in.cfg.MaxValueLen > 0 && len(req.Value) > in.cfg.MaxValueLen
-}
-
 // mutates reports whether req is a KV mutation with replica legs to
 // push along the chain.
 func (in *Instance) mutates(req *wire.Request) bool {

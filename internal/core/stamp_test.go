@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,26 +46,38 @@ func storeVer(t *testing.T, in *Instance, p int, key string) ([]byte, uint64, bo
 	return v, ver, ok
 }
 
-// An internal flag on a client KV op buys nothing: the size gate still
-// screens it, and a write carrying a retired flag bit is replicated
-// and stamped like any other. Only a replica read (a Lookup with
-// FlagReplicaRead) bypasses the gates.
+// shutHook is an AdmissionHook that refuses every request while shut.
+type shutHook struct{ shut atomic.Bool }
+
+func (h *shutHook) Admit(string, int) (func(), time.Duration, bool) {
+	if h.shut.Load() {
+		return nil, time.Millisecond, false
+	}
+	return func() {}, 0, true
+}
+
+// An internal flag on a client KV op buys nothing: the admission hook
+// still screens it, and a write carrying a retired flag bit is
+// replicated and stamped like any other. Only a replica read (a Lookup
+// with FlagReplicaRead) bypasses the hook.
 func TestInternalFlagsDoNotBypassGates(t *testing.T) {
-	d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1, MaxValueLen: 8}, 2)
+	hook := &shutHook{}
+	hook.shut.Store(true)
+	d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1, Admission: hook}, 2)
 	owner := d.Instance(0)
 	key, p := ownedKey(t, owner)
 	replica := replicaOf(t, d, p)
 
-	big := bytes.Repeat([]byte("x"), 64)
 	const retired = 1 << 0 // a retired flag bit, once set on replica legs
 	for _, flags := range []uint8{retired, wire.FlagReplicaRead} {
-		resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: big,
+		resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("shed"),
 			Flags: flags, Consistency: wire.ConsistencyAll})
-		if resp.Status != wire.StatusTooLarge {
-			t.Fatalf("64 B insert with flags %#x = %s (%s), want too-large", flags, resp.Status, resp.Err)
+		if resp.Status != wire.StatusBusy {
+			t.Fatalf("insert with flags %#x past a shut hook = %s (%s), want busy", flags, resp.Status, resp.Err)
 		}
 	}
 
+	hook.shut.Store(false)
 	resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("small"),
 		Flags: retired, Consistency: wire.ConsistencyAll})
 	if resp.Status != wire.StatusOK {
@@ -79,6 +92,7 @@ func TestInternalFlagsDoNotBypassGates(t *testing.T) {
 	}
 
 	// A replica read is the one bypass, and still served.
+	hook.shut.Store(true)
 	resp = replica.Handle(&wire.Request{Op: wire.OpLookup, Key: key, Flags: wire.FlagReplicaRead})
 	if resp.Status != wire.StatusOK || resp.Version != ownerVer {
 		t.Fatalf("replica read = %s@%d, want ok@%d", resp.Status, resp.Version, ownerVer)

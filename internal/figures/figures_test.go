@@ -174,7 +174,17 @@ func TestFig10ThroughputGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := s.Rows[len(s.Rows)-1]
-	if gap := parseF(t, last[4]); gap < 1.3 {
+	gap := parseF(t, last[4])
+	if gap <= 0 {
+		t.Fatalf("zht/cassandra throughput gap = %.1fx at %s nodes, want a positive ratio", gap, last[0])
+	}
+	// The gap is a ratio of wall-clock throughputs; under the race
+	// detector the instrumentation's overhead, not the two designs,
+	// decides it.
+	if raceEnabled {
+		return
+	}
+	if gap < 1.3 {
 		t.Errorf("zht/cassandra throughput gap = %.1fx at %s nodes; paper shows ~7x at 64", gap, last[0])
 	}
 }

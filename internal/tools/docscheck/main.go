@@ -247,14 +247,6 @@ func checkMetricCatalogue(fail func(string, ...any)) {
 	}
 }
 
-// testSetKnobs are the exported core.Config fields only tests set
-// today, with why each stays exported. A listed field that gains a
-// non-test setter fails too, so the list cannot go stale.
-var testSetKnobs = map[string]string{
-	"MaxKeyLen":   "payload bound for embedders of zht.Config; no in-tree binary sets it yet",
-	"MaxValueLen": "payload bound for embedders of zht.Config; no in-tree binary sets it yet",
-}
-
 // checkConfigKnobs requires every exported core.Config field to be set
 // by name outside tests — as a key of a core.Config or zht.Config
 // literal, or by assignment to a field of a variable of that type — in
@@ -287,13 +279,7 @@ func checkConfigKnobs(fail func(string, ...any)) {
 	}
 	for _, fld := range decl.Scope.Lookup("Config").Decl.(*ast.TypeSpec).Type.(*ast.StructType).Fields.List {
 		for _, id := range fld.Names {
-			why, listed := testSetKnobs[id.Name]
-			if !id.IsExported() || set[id.Name] != listed {
-				continue
-			}
-			if listed {
-				fail("core.Config.%s is set outside tests now; drop it from testSetKnobs (%s)", id.Name, why)
-			} else {
+			if id.IsExported() && !set[id.Name] {
 				fail("core.Config.%s is set only by tests; make it an unexported constant or test hook in internal/core", id.Name)
 			}
 		}

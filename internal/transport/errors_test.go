@@ -144,96 +144,3 @@ func TestExpiredBudgetIsTimeout(t *testing.T) {
 		})
 	}
 }
-
-// gateTransports starts each transport with a one-slot admission
-// gate in front of a handler that parks until released.
-func TestAdmissionGateShedsWithBusy(t *testing.T) {
-	gateOpts := []ServerOption{WithMaxInflight(1), WithRetryAfter(3 * time.Millisecond)}
-	cases := map[string]func(h Handler) (Caller, string){
-		"tcp": func(h Handler) (Caller, string) {
-			srv, err := ListenTCP("127.0.0.1:0", h, EventDriven, gateOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c := NewTCPClient(TCPClientOptions{Timeout: 5 * time.Second})
-			t.Cleanup(func() { c.Close() })
-			return c, srv.Addr()
-		},
-		// Both calls on ONE connection: the parked handler has detached,
-		// so the read loop it gave away sheds the second inline.
-		"tcp-shared-conn": func(h Handler) (Caller, string) {
-			srv, err := ListenTCP("127.0.0.1:0", h, EventDriven, gateOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			return oneConnClient(t, nil), srv.Addr()
-		},
-		"udp": func(h Handler) (Caller, string) {
-			srv, err := ListenUDP("127.0.0.1:0", h, gateOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c := NewUDPClient(UDPClientOptions{Timeout: 5 * time.Second, Retries: -1})
-			t.Cleanup(func() { c.Close() })
-			return c, srv.Addr()
-		},
-		"inproc": func(h Handler) (Caller, string) {
-			reg := NewRegistry()
-			if _, err := reg.Listen("node-a", h, gateOpts...); err != nil {
-				t.Fatal(err)
-			}
-			return reg.NewClient(), "node-a"
-		},
-	}
-	for name, mk := range cases {
-		t.Run(name, func(t *testing.T) {
-			release := make(chan struct{})
-			entered := make(chan struct{}, 16)
-			slow := func(req *wire.Request) *wire.Response {
-				req.Detach()
-				entered <- struct{}{}
-				<-release
-				return &wire.Response{Status: wire.StatusOK}
-			}
-			c, addr := mk(slow)
-			// Park one request in the handler, filling the gate.
-			first := make(chan error, 1)
-			go func() {
-				_, err := c.Call(addr, &wire.Request{Op: wire.OpPing})
-				first <- err
-			}()
-			<-entered
-			// The second concurrent request must be shed immediately.
-			resp, err := c.Call(addr, &wire.Request{Op: wire.OpLookup, Key: "x"})
-			if err != nil {
-				t.Fatalf("shed call errored: %v", err)
-			}
-			if resp.Status != wire.StatusBusy {
-				t.Fatalf("got status %s, want busy", resp.Status)
-			}
-			if resp.RetryAfter == 0 {
-				t.Fatal("busy response carries no retry-after hint")
-			}
-			// Release the parked request; the slot frees and new
-			// requests are admitted again.
-			close(release)
-			if err := <-first; err != nil {
-				t.Fatalf("parked call errored: %v", err)
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				resp, err := c.Call(addr, &wire.Request{Op: wire.OpPing})
-				if err == nil && resp.Status == wire.StatusOK {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("gate never re-admitted: resp=%+v err=%v", resp, err)
-				}
-				<-entered // drain the re-admitted ping's marker
-			}
-		})
-	}
-}

@@ -88,7 +88,6 @@ type InprocServer struct {
 	reg     *Registry
 	addr    string
 	handler Handler
-	gate    *gate
 	met     srvMetrics
 	closed  atomic.Bool
 	// active counts handler executions so Close can drain them. A call
@@ -101,8 +100,7 @@ type InprocServer struct {
 
 // Listen registers a new endpoint under addr.
 func (r *Registry) Listen(addr string, h Handler, opts ...ServerOption) (*InprocServer, error) {
-	o := resolveOptions(opts)
-	s := &InprocServer{reg: r, addr: addr, handler: h, gate: newGate(o), met: newSrvMetrics(o.Metrics)}
+	s := &InprocServer{reg: r, addr: addr, handler: h, met: serverMetrics(opts)}
 	var err error
 	r.update(func(v *regView) {
 		if _, ok := v.endpoints[addr]; ok {
@@ -192,11 +190,6 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	srv.met.requests.Inc()
-	if !srv.gate.tryAcquire() {
-		srv.met.sheds.Inc()
-		srv.exit()
-		return srv.gate.busy(req.Seq), nil
-	}
 	// Serialize through the wire codec: this keeps in-proc behaviour
 	// byte-identical to the real transports (copy semantics, field
 	// normalization) at modest cost. The decoded request aliases the
@@ -208,7 +201,6 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 	dreq, err := wire.DecodeRequestPooled(enc)
 	if err != nil {
 		wire.PutBuffer(enc)
-		srv.gate.release()
 		srv.exit()
 		return nil, err
 	}
@@ -216,7 +208,6 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		srv.met.inflight.Inc()
 		resp := srv.handler(dreq)
 		srv.met.inflight.Dec()
-		srv.gate.release()
 		srv.exit()
 		wire.PutRequest(dreq)
 		wire.PutBuffer(enc)
@@ -227,7 +218,6 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		srv.met.inflight.Inc()
 		resp := srv.handler(dreq)
 		srv.met.inflight.Dec()
-		srv.gate.release()
 		srv.exit()
 		wire.PutRequest(dreq)
 		wire.PutBuffer(enc)

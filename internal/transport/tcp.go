@@ -123,7 +123,6 @@ type TCPServer struct {
 	ln      net.Listener
 	handler Handler
 	mode    ServerMode
-	gate    *gate
 	met     srvMetrics
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -144,19 +143,15 @@ type srvConn struct {
 }
 
 // ListenTCP starts a TCP server on addr (use ":0" for an ephemeral
-// port) dispatching to h with the given mode. Options configure the
-// admission gate (WithMaxInflight) shedding excess load as
-// StatusBusy.
+// port) dispatching to h with the given mode.
 func ListenTCP(addr string, h Handler, mode ServerMode, opts ...ServerOption) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	o := resolveOptions(opts)
 	s := &TCPServer{
 		ln: ln, handler: h, mode: mode,
-		gate:  newGate(o),
-		met:   newSrvMetrics(o.Metrics),
+		met:   serverMetrics(opts),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -202,8 +197,9 @@ func (s *TCPServer) acceptLoop() {
 // Handler contract: call req.Detach() first. Detach starts a fresh
 // goroutine on this loop and lets the current one finish its request
 // as a one-shot worker, so pipelined slow requests still overlap and
-// complete out of order (the client demultiplexes by sequence ID). The
-// admission gate remains the concurrency bound.
+// complete out of order (the client demultiplexes by sequence ID).
+// The transport bounds no concurrency: refusing a request is the
+// handler's decision (StatusBusy from core's admission hook).
 func (sc *srvConn) readLoop() {
 	s := sc.s
 	defer s.wg.Done()
@@ -233,14 +229,6 @@ func (sc *srvConn) readLoop() {
 		}
 		s.met.requests.Inc()
 		seq := req.Seq
-		if !s.gate.tryAcquire() {
-			// Saturated: shed without touching the handler.
-			s.met.sheds.Inc()
-			wire.PutRequest(req)
-			putFrameBuf(frame)
-			sc.write(s.gate.busy(seq))
-			continue
-		}
 		if s.mode == SpawnPerRequest {
 			sc.spawn(req, frame)
 			continue
@@ -249,7 +237,6 @@ func (sc *srvConn) readLoop() {
 		s.met.inflight.Inc()
 		resp := s.handler(req)
 		s.met.inflight.Dec()
-		s.gate.release()
 		resp.Seq = seq
 		// The Handler contract guarantees neither the request nor its
 		// frame outlives the call, so both are recycled before the
@@ -291,7 +278,6 @@ func (sc *srvConn) spawn(req *wire.Request, frame []byte) {
 		s.met.inflight.Inc()
 		r := s.handler(&reqCopy)
 		s.met.inflight.Dec()
-		s.gate.release()
 		done <- r
 	}()
 	go func() {

@@ -27,15 +27,12 @@ const maxDatagram = 60 * 1024
 type UDPServer struct {
 	pc      *net.UDPConn
 	handler Handler
-	gate    *gate
 	met     srvMetrics
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 }
 
 // ListenUDP starts a UDP server on addr (":0" for ephemeral).
-// Options configure the admission gate (WithMaxInflight) shedding
-// excess load as StatusBusy.
 func ListenUDP(addr string, h Handler, opts ...ServerOption) (*UDPServer, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -45,8 +42,7 @@ func ListenUDP(addr string, h Handler, opts ...ServerOption) (*UDPServer, error)
 	if err != nil {
 		return nil, err
 	}
-	o := resolveOptions(opts)
-	s := &UDPServer{pc: pc, handler: h, gate: newGate(o), met: newSrvMetrics(o.Metrics)}
+	s := &UDPServer{pc: pc, handler: h, met: serverMetrics(opts)}
 	s.wg.Add(1)
 	go s.loop()
 	return s, nil
@@ -95,20 +91,6 @@ func (s *UDPServer) loop() {
 			}
 		}
 		dst := *from
-		if !s.gate.tryAcquire() {
-			// Admission gate saturated: shed from the read loop with
-			// StatusBusy instead of queueing behind the worker pool.
-			s.met.sheds.Inc()
-			busy := s.gate.busy(req.Seq)
-			out := wire.EncodeResponse(wire.GetBuffer(), busy)
-			wire.PutResponse(busy)
-			wire.PutRequest(req)
-			putFrameBuf(scratch)
-			s.met.bytesOut.Add(int64(len(out)))
-			s.pc.WriteToUDP(out, &dst)
-			wire.PutBuffer(out)
-			continue
-		}
 		sem <- struct{}{}
 		s.wg.Add(1)
 		go func(req *wire.Request, scratch []byte) {
@@ -117,9 +99,6 @@ func (s *UDPServer) loop() {
 			s.met.inflight.Inc()
 			resp := s.handler(req)
 			s.met.inflight.Dec()
-			// The slot frees before the answer goes out, as on TCP: a
-			// caller holding its response must find it free again.
-			s.gate.release()
 			resp.Seq = req.Seq
 			wire.PutRequest(req)
 			putFrameBuf(scratch)

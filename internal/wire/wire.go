@@ -148,18 +148,17 @@ const (
 	StatusExists
 	// StatusError — server-side failure; Err holds detail.
 	StatusError
-	// StatusBusy — the server's admission gate shed the request
-	// because too many were already in flight. The response's
+	// StatusBusy — the instance's admission hook (core.AdmissionHook)
+	// shed the request, or the address is bound but its instance is
+	// not installed yet (core.HandlerSwitch). The response's
 	// RetryAfter carries a backoff hint; clients retry with full
 	// jitter. Busy is an overload signal, not a failure: it must not
 	// count toward failure detection.
 	StatusBusy
-	// StatusTooLarge — the request's key or value exceeds the
-	// receiving deployment's configured size limits (core.Config
-	// MaxKeyLen/MaxValueLen, off by default). Terminal: retrying the
-	// same payload cannot succeed, so clients surface it immediately
-	// instead of re-routing.
-	StatusTooLarge
+	// Status 8 is retired (a size-limit refusal): no server sends it,
+	// and it stays unassigned so the statuses after it keep their
+	// values on the wire.
+	_
 	// StatusQuorumNotMet — the owner applied the mutation but collected
 	// fewer replica acks than the request's write level demands; Err
 	// holds the ack count. Not a rollback: handoff and anti-entropy
@@ -186,8 +185,6 @@ func (s Status) String() string {
 		return "error"
 	case StatusBusy:
 		return "busy"
-	case StatusTooLarge:
-		return "too-large"
 	case StatusQuorumNotMet:
 		return "quorum-not-met"
 	}

@@ -80,7 +80,6 @@ var (
 	ErrExists      = core.ErrExists
 	ErrCasMismatch = core.ErrCasMismatch
 	ErrUnavailable = core.ErrUnavailable
-	ErrTooLarge    = core.ErrTooLarge
 )
 
 // Bootstrap starts one instance per endpoint on the given transport.
