@@ -25,8 +25,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # docs-check keeps the prose honest: every package has a godoc
-# comment, doc code blocks only reference real CLI flags, and every
-# registered metric name is catalogued in OBSERVABILITY.md.
+# comment, doc code blocks only reference real CLI flags, every
+# registered metric name is catalogued in OBSERVABILITY.md, and the
+# knob rule holds: every exported field of the options structs
+# zht-server links (core.Config, novoht.Options, the transport client
+# options, gossip.Options, tenant.Tenant, tenant.AdmissionOptions,
+# memcached.Options, repair.LegQueueOptions) is set by a non-test
+# file outside its own package, seams excepted. The rule's own test
+# runs under `go test ./...`.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 

@@ -21,6 +21,7 @@ import (
 
 	"zht/internal/chaos"
 	"zht/internal/core"
+	"zht/internal/figures"
 	"zht/internal/hashing"
 	"zht/internal/loadgen"
 	"zht/internal/metrics"
@@ -138,7 +139,7 @@ func main() {
 		d, cleanup = dep, func() { dep.Close() }
 		rawCaller = func() transport.Caller { return reg.NewClient() }
 	default:
-		dep, cl, caller, err := bootNet(*nodes, cfg, *trans, reg)
+		dep, cl, caller, err := figures.NetDeployment(*nodes, cfg, *trans)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func runSmoke(batch int, minRatio float64) {
 	// rounds sizes the batched run to ~50 ms: shorter, and connection
 	// warm-up and one GC cycle decide the ratio.
 	const clients, rounds = 4, 2000
-	d, cleanup, _, err := bootNet(clients, cfg, "tcp-cache", nil)
+	d, cleanup, _, err := figures.NetDeployment(clients, cfg, "tcp-cache")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func runDurabilitySweep(rounds int) {
 			NumPartitions: partitions, RetryBase: time.Millisecond,
 			DataDir: dir, Durability: mode,
 		}
-		d, cleanup, _, err := bootNet(servers, cfg, "tcp-cache", nil)
+		d, cleanup, _, err := figures.NetDeployment(servers, cfg, "tcp-cache")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -876,65 +877,6 @@ func runGeneratedBatched(c *core.Client, g *loadgen.Generator, nOps, batch int, 
 	return flush()
 }
 
-// bootNet mirrors the figures harness: n instances over real loopback
-// sockets. reg (may be nil) wires the transport-level instruments.
-func bootNet(n int, cfg core.Config, kind string, reg *metrics.Registry) (*core.Deployment, func(), transport.Caller, error) {
-	var caller transport.Caller
-	switch kind {
-	case "tcp-cache":
-		caller = transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true, Metrics: reg})
-	case "tcp-nocache":
-		caller = transport.NewTCPClient(transport.TCPClientOptions{ConnCache: false, Metrics: reg})
-	case "udp":
-		caller = transport.NewUDPClient(transport.UDPClientOptions{Timeout: 2 * time.Second, Metrics: reg})
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown transport %q", kind)
-	}
-	var lns []transport.Listener
-	var switches []*core.HandlerSwitch
-	eps := make([]core.Endpoint, n)
-	for i := range eps {
-		hs := &core.HandlerSwitch{}
-		var ln transport.Listener
-		var err error
-		if kind == "udp" {
-			ln, err = transport.ListenUDP("127.0.0.1:0", hs.Handle, transport.WithServerMetrics(reg))
-		} else {
-			ln, err = transport.ListenTCP("127.0.0.1:0", hs.Handle, transport.EventDriven, transport.WithServerMetrics(reg))
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		lns = append(lns, ln)
-		switches = append(switches, hs)
-		eps[i] = core.Endpoint{Addr: ln.Addr(), Node: fmt.Sprintf("n%03d", i)}
-	}
-	d, err := core.Bootstrap(cfg, eps, func(addr string, h transport.Handler) (transport.Listener, error) {
-		for i, ep := range eps {
-			if ep.Addr == addr {
-				switches[i].Set(h)
-				return nopListener{addr}, nil
-			}
-		}
-		return nil, fmt.Errorf("unbound %s", addr)
-	}, caller)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return d, func() {
-		d.Close()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		caller.Close()
-	}, caller, nil
-}
-
-type nopListener struct{ addr string }
-
-func (l nopListener) Addr() string { return l.addr }
-func (l nopListener) Close() error { return nil }
-
 // runTenantSweep prices admission control the way an operator would
 // see it: two tenants share one deployment, the noisy one offering
 // roughly an order of magnitude more load than the calm one, and the
@@ -1006,16 +948,15 @@ func runTenantSweep(rounds int) {
 				started.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					nc, err := d.NewClient()
+					noisy, err := d.NewClient()
 					if err != nil {
 						started.Done()
 						return
 					}
-					noisy := tenant.NewClient(nc, tenant.Tenant{Name: "noisy"})
 					for i := 0; flooding.Load(); i++ {
 						// Errors (ErrUnavailable after busy retries
 						// exhaust) are the quota doing its job.
-						if noisy.Insert(fmt.Sprintf("flood-%d-%d", g, i), []byte("x")) == nil {
+						if noisy.Insert(tenant.Prefix("noisy", fmt.Sprintf("flood-%d-%d", g, i)), []byte("x")) == nil {
 							noisyOK.Add(1)
 						}
 						if i == 0 {
@@ -1027,15 +968,14 @@ func runTenantSweep(rounds int) {
 			started.Wait()
 		}
 
-		cc, err := d.NewClient()
+		calm, err := d.NewClient()
 		if err != nil {
 			log.Fatal(err)
 		}
-		calm := tenant.NewClient(cc, tenant.Tenant{Name: "calm"})
 		lats := make([]time.Duration, 0, rounds)
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
-			k := fmt.Sprintf("calm-%09d", i)
+			k := tenant.Prefix("calm", fmt.Sprintf("calm-%09d", i))
 			t0 := time.Now()
 			if err := calm.Insert(k, []byte("v")); err != nil {
 				log.Fatalf("calm insert: %v", err)

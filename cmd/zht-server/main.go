@@ -112,22 +112,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("membership: %v", err)
 	}
-	var caller transport.Caller
-	if *proto == "udp" {
-		caller = transport.NewUDPClient(transport.UDPClientOptions{Metrics: reg})
-	} else {
-		caller = transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true, Metrics: reg})
-	}
+	caller, listen := transportFor(*proto, reg)
 	inst, err := core.NewInstance(cfg, members[*index], table, caller)
 	if err != nil {
 		log.Fatalf("instance: %v", err)
 	}
-	var ln transport.Listener
-	if *proto == "udp" {
-		ln, err = transport.ListenUDP(members[*index].Addr, inst.Handle, transport.WithServerMetrics(reg))
-	} else {
-		ln, err = transport.ListenTCP(members[*index].Addr, inst.Handle, transport.EventDriven, transport.WithServerMetrics(reg))
-	}
+	ln, err := listen(members[*index].Addr, inst.Handle)
 	if err != nil {
 		log.Fatalf("listen %s: %v", members[*index].Addr, err)
 	}
@@ -231,25 +221,30 @@ func startMemcached(addr, tenantName string, inst *core.Instance, caller transpo
 	return func() { gw.Close() }, nil
 }
 
+// transportFor returns the caller and the listen function -proto
+// selects: "udp", or TCP with the multiplexed connection cache for
+// anything else. reg (may be nil) receives both sides' instruments.
+func transportFor(proto string, reg *metrics.Registry) (transport.Caller, func(addr string, h transport.Handler) (transport.Listener, error)) {
+	if proto == "udp" {
+		return transport.NewUDPClient(transport.UDPClientOptions{Metrics: reg}),
+			func(addr string, h transport.Handler) (transport.Listener, error) {
+				return transport.ListenUDP(addr, h, transport.WithServerMetrics(reg))
+			}
+	}
+	return transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true, Metrics: reg}),
+		func(addr string, h transport.Handler) (transport.Listener, error) {
+			return transport.ListenTCP(addr, h, transport.EventDriven, transport.WithServerMetrics(reg))
+		}
+}
+
 // runJoin performs a dynamic join: bind the address first (peers may
 // contact the newcomer the moment the membership delta lands), then
 // run the join protocol — fetch table, migrate partitions, commit and
 // announce.
 func runJoin(cfg core.Config, seed, addr, proto, mcAddr, mcTenant string) {
-	var caller transport.Caller
-	if proto == "udp" {
-		caller = transport.NewUDPClient(transport.UDPClientOptions{Metrics: cfg.Metrics})
-	} else {
-		caller = transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true, Metrics: cfg.Metrics})
-	}
+	caller, listen := transportFor(proto, cfg.Metrics)
 	var hs core.HandlerSwitch
-	var ln transport.Listener
-	var err error
-	if proto == "udp" {
-		ln, err = transport.ListenUDP(addr, hs.Handle, transport.WithServerMetrics(cfg.Metrics))
-	} else {
-		ln, err = transport.ListenTCP(addr, hs.Handle, transport.EventDriven, transport.WithServerMetrics(cfg.Metrics))
-	}
+	ln, err := listen(addr, hs.Handle)
 	if err != nil {
 		log.Fatalf("listen %s: %v", addr, err)
 	}

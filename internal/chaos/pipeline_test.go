@@ -60,10 +60,7 @@ func startEchoTCP(t *testing.T) *transport.TCPServer {
 
 func TestPipelinedResponsesMatchCallersUnderDelay(t *testing.T) {
 	srv := startEchoTCP(t)
-	tcp := transport.NewTCPClient(transport.TCPClientOptions{
-		ConnCache: true,
-		Timeout:   5 * time.Second,
-	})
+	tcp := transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true})
 	defer tcp.Close()
 	// Jittered link: request and reply legs see different injected
 	// delays per call, reordering arrivals even further.
@@ -104,10 +101,7 @@ func TestPipelinedResponsesMatchCallersUnderDelay(t *testing.T) {
 
 func TestPipelinedCallsSurviveDropsOnSharedConn(t *testing.T) {
 	srv := startEchoTCP(t)
-	tcp := transport.NewTCPClient(transport.TCPClientOptions{
-		ConnCache: true,
-		Timeout:   5 * time.Second,
-	})
+	tcp := transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true})
 	defer tcp.Close()
 	// 30% of requests are lost in flight; the caller gets a retriable
 	// timeout. Survivors sharing the connection must still demux to
@@ -158,10 +152,7 @@ func TestBatchEnvelopeSharesOneFaultVerdict(t *testing.T) {
 	// sub-op fails together; when it passes, every sub-response must
 	// line up with its sub-request positionally.
 	srv := startEchoTCP(t)
-	tcp := transport.NewTCPClient(transport.TCPClientOptions{
-		ConnCache: true,
-		Timeout:   5 * time.Second,
-	})
+	tcp := transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true})
 	defer tcp.Close()
 	c := Wrap(tcp, always([]Rule{
 		{To: srv.Addr(), Drop: 0.4},

@@ -12,9 +12,12 @@ import (
 	"zht/internal/transport"
 )
 
-// netDeployment boots n ZHT instances over a real loopback transport.
+// NetDeployment boots n ZHT instances over a real loopback transport —
+// kind is "tcp-cache", "tcp-nocache" or "udp" — and returns the
+// deployment, its cleanup, and the caller its instances and clients
+// share (so a harness can wrap it, as zht-bench -chaos does).
 // cfg.Metrics, when set, also wires the transport-level instruments.
-func netDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(), error) {
+func NetDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(), transport.Caller, error) {
 	var caller transport.Caller
 	switch kind {
 	case "tcp-cache":
@@ -24,7 +27,7 @@ func netDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(
 	case "udp":
 		caller = transport.NewUDPClient(transport.UDPClientOptions{Timeout: 2 * time.Second, Metrics: cfg.Metrics})
 	default:
-		return nil, nil, fmt.Errorf("figures: unknown transport %q", kind)
+		return nil, nil, nil, fmt.Errorf("figures: unknown transport %q", kind)
 	}
 	var lns []transport.Listener
 	var switches []*core.HandlerSwitch
@@ -43,7 +46,7 @@ func netDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(
 				l.Close()
 			}
 			caller.Close()
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		lns = append(lns, ln)
 		switches = append(switches, hs)
@@ -63,7 +66,7 @@ func netDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(
 			l.Close()
 		}
 		caller.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cleanup := func() {
 		d.Close()
@@ -72,7 +75,7 @@ func netDeployment(n int, cfg core.Config, kind string) (*core.Deployment, func(
 		}
 		caller.Close()
 	}
-	return d, cleanup, nil
+	return d, cleanup, caller, nil
 }
 
 type nopListener struct{ addr string }
@@ -84,7 +87,7 @@ func (l nopListener) Close() error { return nil }
 // transport and returns the stats.
 func measureNet(o Options, n, opsPer int, kind string) (opStats, error) {
 	cfg := core.Config{NumPartitions: 1024, Replicas: 0, RetryBase: time.Millisecond, Metrics: o.Metrics}
-	d, cleanup, err := netDeployment(n, cfg, kind)
+	d, cleanup, _, err := NetDeployment(n, cfg, kind)
 	if err != nil {
 		return opStats{}, err
 	}

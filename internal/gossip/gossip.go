@@ -32,10 +32,11 @@ import (
 // collapses those bursts into one catch-up pull per interval.
 const DefaultCooldown = 25 * time.Millisecond
 
-// DefaultMaxFallback bounds how many fallback peers one round tries
-// when the staleness signal names no source (an inbound request from
-// an unknown sender carried the newer epoch).
-const DefaultMaxFallback = 3
+// maxFallback bounds how many fallback peers one round tries when the
+// staleness signal names no source (an inbound request from an unknown
+// sender carried the newer epoch) or the named source does not bring
+// the holder current.
+const maxFallback = 3
 
 // Options configures a Service. Epoch and Pull are mandatory.
 type Options struct {
@@ -53,9 +54,6 @@ type Options struct {
 	// Cooldown is the minimum interval between pull rounds; 0 means
 	// DefaultCooldown.
 	Cooldown time.Duration
-	// MaxFallback bounds fallback sources tried per round; 0 means
-	// DefaultMaxFallback.
-	MaxFallback int
 	// Metrics, when non-nil, receives the zht.membership.* gossip
 	// instruments.
 	Metrics *metrics.Registry
@@ -88,9 +86,6 @@ func New(opts Options) (*Service, error) {
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = DefaultCooldown
 	}
-	if opts.MaxFallback <= 0 {
-		opts.MaxFallback = DefaultMaxFallback
-	}
 	return &Service{
 		opts:          opts,
 		staleDetected: opts.Metrics.Counter("zht.membership.stale_detected"),
@@ -122,7 +117,7 @@ func (s *Service) Observe(addr string, peerEpoch uint64) {
 }
 
 // round runs one catch-up pull: the named source first, then up to
-// MaxFallback peers, stopping as soon as the local epoch reaches the
+// maxFallback peers, stopping as soon as the local epoch reaches the
 // observed target (later observations start fresh rounds for anything
 // newer still).
 func (s *Service) round(addr string, target uint64) {
@@ -156,7 +151,7 @@ func (s *Service) round(addr string, target uint64) {
 	start := s.rot
 	s.rot++
 	s.mu.Unlock()
-	for i := 0; i < len(peers) && i < s.opts.MaxFallback; i++ {
+	for i := 0; i < len(peers) && i < maxFallback; i++ {
 		p := peers[(start+i)%len(peers)]
 		if p == addr {
 			continue

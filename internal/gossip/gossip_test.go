@@ -114,14 +114,14 @@ func TestObserveCoalescesBursts(t *testing.T) {
 }
 
 func TestFallbackPeersWhenSourceUnknown(t *testing.T) {
-	h, s := newHarness(t, Options{Cooldown: time.Millisecond, MaxFallback: 2})
-	h.peers = func() []string { return []string{"p1", "p2", "p3"} }
+	h, s := newHarness(t, Options{Cooldown: time.Millisecond})
+	h.peers = func() []string { return []string{"p1", "p2", "p3", "p4", "p5"} }
 	// Pull never advances, so the round walks the fallback list.
 	s.Observe("", 5)
-	waitFor(t, "fallback pulls", func() bool { return len(h.sources()) >= 2 })
+	waitFor(t, "fallback pulls", func() bool { return len(h.sources()) >= maxFallback })
 	time.Sleep(20 * time.Millisecond)
-	if n := len(h.sources()); n != 2 {
-		t.Fatalf("%d pulls, want exactly MaxFallback=2", n)
+	if n := len(h.sources()); n != maxFallback {
+		t.Fatalf("%d pulls from 5 peers, want exactly maxFallback=%d", n, maxFallback)
 	}
 	for _, src := range h.sources() {
 		if src == "" {
@@ -131,7 +131,7 @@ func TestFallbackPeersWhenSourceUnknown(t *testing.T) {
 }
 
 func TestFallbackStopsOnceCurrent(t *testing.T) {
-	h, s := newHarness(t, Options{Cooldown: time.Millisecond, MaxFallback: 3})
+	h, s := newHarness(t, Options{Cooldown: time.Millisecond})
 	h.peers = func() []string { return []string{"p1", "p2", "p3"} }
 	h.advanceTo.Store(6)
 	s.Observe("", 6)

@@ -27,8 +27,7 @@
 //     lost races).
 //
 // The gateway enforces memcached's own limits (250-byte keys, 1 MiB
-// values) at the protocol edge; the deployment-wide core.Config
-// limits are independent and off by default.
+// values) at the protocol edge; core itself bounds neither.
 package memcached
 
 import (
@@ -79,10 +78,6 @@ type Options struct {
 	// Tenant is the namespace cache traffic is scoped to; empty uses
 	// the default (un-prefixed) keyspace.
 	Tenant string
-	// DefaultTTL is applied when a storage command's exptime is 0
-	// (memcached semantics keep 0 = never; this is an operator
-	// override for cache-shaped deployments). Zero keeps 0 = never.
-	DefaultTTL time.Duration
 	// Metrics receives the zht.memcached.* instruments; nil = no-op.
 	Metrics *metrics.Registry
 }
@@ -304,15 +299,11 @@ func validKey(key string) bool {
 }
 
 // expiry converts a memcached exptime to an absolute expiry time.
-// 0 = never (unless the gateway has a DefaultTTL); negative =
-// already expired; <= 30 days = relative seconds; otherwise absolute
-// unix seconds.
-func (g *Gateway) expiry(exptime int64) time.Time {
+// 0 = never (the zero time); negative = already expired; <= 30 days =
+// relative seconds; otherwise absolute unix seconds.
+func expiry(exptime int64) time.Time {
 	switch {
 	case exptime == 0:
-		if g.opts.DefaultTTL > 0 {
-			return time.Now().Add(g.opts.DefaultTTL)
-		}
 		return time.Time{}
 	case exptime < 0:
 		return time.Now().Add(-time.Second)
@@ -424,7 +415,7 @@ func (g *Gateway) cmdStore(w *bufio.Writer, r *bufio.Reader, cmd string, args []
 		return reply("CLIENT_ERROR bad key")
 	}
 	pkey := tenant.Prefix(g.opts.Tenant, key)
-	env := tenant.Wrap(data, uint32(flags), g.expiry(exptime))
+	env := tenant.Wrap(data, uint32(flags), expiry(exptime))
 	switch cmd {
 	case "set":
 		if err := g.store.Insert(pkey, env); err != nil {
@@ -598,7 +589,7 @@ func (g *Gateway) cmdTouch(w *bufio.Writer, args []string) error {
 			return g.serverError(w, err)
 		}
 		val, flags, _, _ := tenant.Unwrap(raw)
-		env := tenant.Wrap(val, flags, g.expiry(exptime))
+		env := tenant.Wrap(val, flags, expiry(exptime))
 		if _, err := g.store.Cas(pkey, raw, env); err != nil {
 			if errors.Is(err, core.ErrCasMismatch) {
 				continue

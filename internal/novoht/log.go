@@ -88,11 +88,6 @@ func OpenLog(opts Options, route func(key string) int) (*Log, error) {
 	if opts.GCRatio == 0 {
 		opts.GCRatio = DefaultGCRatio
 	}
-	if opts.GroupWindow == 0 {
-		opts.GroupWindow = DefaultGroupWindow
-	} else if opts.GroupWindow < 0 {
-		opts.GroupWindow = 0
-	}
 	if opts.Durability == storage.DurabilityNone {
 		opts.Path = "" // volatile: the log path is ignored
 	}
@@ -147,7 +142,7 @@ func (l *Log) open() (err error) {
 	if err != nil {
 		return fmt.Errorf("novoht: truncate torn tail: %w", err)
 	}
-	l.wal = newWAL(path, f, base, size, l.opts.Durability, l.opts.GroupWindow, l.opts.Fault, l.opts.Metrics)
+	l.wal = newWAL(path, f, base, size, l.opts.Durability, l.opts.Fault, l.opts.Metrics)
 	l.wal.old = old
 	for _, s := range l.stores {
 		s.wal = l.wal // decode created them before the WAL

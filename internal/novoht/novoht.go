@@ -74,12 +74,6 @@ type Options struct {
 	// storage.DurabilityNone makes the store volatile, ignoring
 	// Path.
 	Durability storage.Durability
-	// GroupWindow is how long a group-mode commit waits after its
-	// first record for more to arrive before fsyncing, so callers
-	// staggered by scheduling or network round trips still share one
-	// fsync (0 = DefaultGroupWindow; negative = commit immediately).
-	// Ignored outside group mode.
-	GroupWindow time.Duration
 	// CompactEvery triggers a clean of the log after this many
 	// mutations across its stores (0 = use DefaultCompactEvery;
 	// negative = never clean automatically).
@@ -106,12 +100,16 @@ type Options struct {
 const (
 	DefaultCompactEvery = 1 << 20
 	DefaultGCRatio      = 0.5
-	// DefaultGroupWindow trades ~0.5ms of commit latency for batching:
-	// wide enough for a closed loop of clients to resubmit after an
-	// ack (a scheduler pass plus a loopback round trip), narrow
-	// enough to stay well under a typical storage fsync budget.
-	DefaultGroupWindow = 500 * time.Microsecond
 )
+
+// groupWindow is how long a group-mode commit waits after its first
+// record for more to arrive before fsyncing, so callers staggered by
+// scheduling or network round trips still share one fsync. It trades
+// ~0.5ms of commit latency for batching: wide enough for a closed loop
+// of clients to resubmit after an ack (a scheduler pass plus a
+// loopback round trip), narrow enough to stay well under a typical
+// storage fsync budget.
+const groupWindow = 500 * time.Microsecond
 
 // Store is a NoVoHT hash table: one partition store.
 //

@@ -42,9 +42,8 @@ type wal struct {
 	base atomic.Int64 // logical offset of f's first byte; written under mu
 	old  *os.File     // the frozen file a clean is emptying, or nil
 
-	mode   storage.Durability
-	fault  storage.Fault
-	window time.Duration // group mode: how long a committer waits for company
+	mode  storage.Durability
+	fault storage.Fault
 
 	pending    [][]byte     // records appended but not yet taken by a committer
 	committing bool         // a caller holds the file; no other may commit
@@ -67,12 +66,9 @@ const maxBatchBuf = 1 << 20
 
 // newWAL wraps the open active file f at path, whose first byte is
 // logical offset base and whose consistent prefix ends at logical
-// offset size. The window applies to group mode only.
-func newWAL(path string, f *os.File, base, size int64, mode storage.Durability, window time.Duration, fault storage.Fault, reg *metrics.Registry) *wal {
-	if mode != storage.DurabilityGroup {
-		window = 0
-	}
-	w := &wal{path: path, f: f, mode: mode, fault: fault, window: window, written: size, synced: size}
+// offset size.
+func newWAL(path string, f *os.File, base, size int64, mode storage.Durability, fault storage.Fault, reg *metrics.Registry) *wal {
+	w := &wal{path: path, f: f, mode: mode, fault: fault, written: size, synced: size}
 	w.base.Store(base)
 	w.size.Store(size)
 	w.cond = sync.NewCond(&w.mu)
@@ -117,9 +113,9 @@ func (w *wal) append(rec []byte) (off int64, err error) {
 // the first of them whose record is still pending commits next.
 //
 // In group mode a committer does not commit the instant it takes over:
-// it sleeps for the commit window first, so concurrent callers whose
-// arrivals are staggered by scheduling or network round trips still
-// share one fsync. Without the window, a closed loop of clients
+// it sleeps for the commit window (groupWindow) first, so concurrent
+// callers whose arrivals are staggered by scheduling or network round
+// trips still share one fsync. Without the window, a closed loop of clients
 // phase-locks with the commits — each fsync releases one waiter, which
 // submits the next record just after the following commit has begun —
 // and group commit degenerates into sync (batch size 1). This is the
@@ -134,7 +130,10 @@ func (w *wal) waitDurable(target int64) error {
 		}
 		return w.err
 	}
-	return w.commitUntil(&w.synced, target, w.window)
+	if w.mode == storage.DurabilityGroup {
+		return w.commitUntil(&w.synced, target, groupWindow)
+	}
+	return w.commitUntil(&w.synced, target, 0)
 }
 
 // flushTo returns once the log prefix [0, target) is physically in

@@ -29,7 +29,7 @@ func TestWALStartsNoGoroutine(t *testing.T) {
 			base := runtime.NumGoroutine()
 			stores := make([]*Store, 64)
 			for i := range stores {
-				s, err := Open(Options{Path: filepath.Join(dir, fmt.Sprintf("p%02d.log", i)), Durability: mode, GroupWindow: -1})
+				s, err := Open(Options{Path: filepath.Join(dir, fmt.Sprintf("p%02d.log", i)), Durability: mode})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,9 +7,10 @@ import (
 	"zht/internal/metrics"
 )
 
-// Admission is the per-tenant quota gate. It layers two policies on
-// top of core's existing bounded-inflight transport gate (which
-// protects the NODE; this protects tenants from each other):
+// Admission is the per-tenant quota gate. Installed as
+// core.Config.Admission, it is the core.AdmissionHook that
+// Instance.admit consults — the node's one request gate — and it
+// protects tenants from each other with two policies:
 //
 //  1. Token buckets: a tenant with Rate > 0 holds a bucket of Burst
 //     tokens refilled at Rate/s; each admitted request spends one.
@@ -30,9 +31,6 @@ type Admission struct {
 	// pressure is the total-inflight threshold past which weighted
 	// shares engage; <= 0 disables weighted shedding.
 	pressure int
-	// weightRetry is the RetryAfter hint attached to weight sheds
-	// (bucket sheds compute an exact hint instead).
-	weightRetry time.Duration
 
 	mu    sync.Mutex
 	total int // inflight requests currently admitted
@@ -48,25 +46,22 @@ type AdmissionOptions struct {
 	// PressureInflight is the total admitted-inflight level at which
 	// weighted shares engage; <= 0 disables weighted shedding.
 	PressureInflight int
-	// WeightRetryAfter is the backoff hint for weight-based sheds
-	// (default 2ms).
-	WeightRetryAfter time.Duration
 	// Metrics receives zht.tenant.* instruments; nil = no-op.
 	Metrics *metrics.Registry
 }
 
+// weightRetryAfter is the RetryAfter hint attached to weight sheds
+// (bucket sheds compute an exact hint instead).
+const weightRetryAfter = 2 * time.Millisecond
+
 // NewAdmission builds the quota gate over a tenant registry.
 func NewAdmission(reg *Registry, opts AdmissionOptions) *Admission {
-	if opts.WeightRetryAfter <= 0 {
-		opts.WeightRetryAfter = 2 * time.Millisecond
-	}
 	return &Admission{
-		reg:         reg,
-		pressure:    opts.PressureInflight,
-		weightRetry: opts.WeightRetryAfter,
-		met:         NewMetrics(opts.Metrics),
-		now:         time.Now,
-		shed:        make(map[string]*int64),
+		reg:      reg,
+		pressure: opts.PressureInflight,
+		met:      NewMetrics(opts.Metrics),
+		now:      time.Now,
+		shed:     make(map[string]*int64),
 	}
 }
 
@@ -111,7 +106,7 @@ func (a *Admission) Admit(key string, cost int) (release func(), retryAfter time
 			}
 			a.met.Shed.Inc()
 			a.countShed(name)
-			return nil, a.weightRetry, false
+			return nil, weightRetryAfter, false
 		}
 	}
 	a.total++

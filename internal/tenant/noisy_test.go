@@ -25,7 +25,8 @@ import (
 // in microseconds, so a p99 past 100ms means the calm tenant queued
 // behind the flood rather than being isolated from it. After the
 // flood, the namespaces must still hold: a key the noisy tenant writes
-// is invisible through the calm tenant's scope. `make tenant-smoke`
+// is invisible under the calm tenant's prefix. Each tenant scopes its
+// keys with tenant.Prefix, as the memcached gateway does. `make tenant-smoke`
 // runs it on fresh seeds (see chaos.Seeds).
 func TestNoisyNeighborIsolation(t *testing.T) {
 	for _, seed := range chaos.Seeds(t, 3, 1) {
@@ -74,15 +75,14 @@ func noisyNeighbor(t *testing.T, seed int64) {
 		started.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			nc, err := d.NewClient()
+			noisy, err := d.NewClient()
 			if err != nil {
 				t.Error(err)
 				started.Done()
 				return
 			}
-			noisy := tenant.NewClient(nc, tenant.Tenant{Name: "noisy"})
 			for i := 0; flooding.Load(); i++ {
-				noisy.Insert(fmt.Sprintf("flood-%d-%d", g, i), []byte("x")) //nolint:errcheck
+				noisy.Insert(tenant.Prefix("noisy", fmt.Sprintf("flood-%d-%d", g, i)), []byte("x")) //nolint:errcheck
 				if i == 0 {
 					started.Done()
 				}
@@ -94,15 +94,14 @@ func noisyNeighbor(t *testing.T, seed int64) {
 	// tenant has even drained its burst.
 	started.Wait()
 
-	cc, err := d.NewClient()
+	calm, err := d.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	calm := tenant.NewClient(cc, tenant.Tenant{Name: "calm"})
 	rng := rand.New(rand.NewSource(seed))
 	lats := make([]time.Duration, 0, calmOps)
 	for i := 0; i < calmOps; i++ {
-		key := fmt.Sprintf("calm-%d-%04d", seed, rng.Intn(calmOps))
+		key := tenant.Prefix("calm", fmt.Sprintf("calm-%d-%04d", seed, rng.Intn(calmOps)))
 		val := []byte(fmt.Sprintf("v-%d-%d", seed, i))
 		start := time.Now()
 		if err := calm.Insert(key, val); err != nil {
@@ -137,15 +136,14 @@ func noisyNeighbor(t *testing.T, seed int64) {
 
 	// Namespace isolation: once its bucket refills, the noisy tenant's
 	// write lands, and the calm tenant's scope cannot see it.
-	nc, err := d.NewClient()
+	noisy, err := d.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := tenant.NewClient(nc, tenant.Tenant{Name: "noisy"})
-	if err := noisy.Insert("iso", []byte("noisy-owned")); err != nil {
+	if err := noisy.Insert(tenant.Prefix("noisy", "iso"), []byte("noisy-owned")); err != nil {
 		t.Fatalf("noisy insert after the flood: %v", err)
 	}
-	if _, err := calm.Lookup("iso"); !errors.Is(err, core.ErrNotFound) {
+	if _, err := calm.Lookup(tenant.Prefix("calm", "iso")); !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("namespace leak: the calm tenant sees the noisy tenant's key (err=%v)", err)
 	}
 }

@@ -1,29 +1,30 @@
 // Package tenant is ZHT's multi-tenancy layer: keyspace namespaces,
-// per-tenant admission quotas, and per-tenant TTL policy for
+// per-tenant admission quotas, and the TTL value envelope for
 // cache-shaped workloads.
 //
 // The paper positions ZHT as shared infrastructure — FusionFS
 // metadata, IStore, and MATRIX all ride one table (§V) — but the core
 // treats every key and every request identically, so one noisy client
-// system can saturate the single bounded-inflight gate and starve the
+// system can take every request slot a node serves and starve the
 // rest. This package makes the sharing explicit while leaving the
 // routing/replication/repair core untouched:
 //
-//   - Namespaces: a tenant's keys are transparently prefixed below
-//     the client API (Prefix/Split), so two tenants' identical user
-//     keys land on different ring keys and cannot collide. Routing
-//     hashes the prefixed key like any other — zero hops, no new
-//     metadata.
+//   - Namespaces: a tenant's keys are prefixed below the client API
+//     (Prefix/Split), so two tenants' identical user keys land on
+//     different ring keys and cannot collide. Routing hashes the
+//     prefixed key like any other — zero hops, no new metadata.
 //   - Admission: per-tenant token-bucket rate limits plus weighted
-//     inflight shares, layered on the existing transport admission
-//     gate through core.Config.Admission. Over-quota requests are
-//     shed with wire.StatusBusy + RetryAfter, so the client's
-//     existing backoff/breaker machinery handles them for free.
-//   - TTL: cache-shaped tenants stamp an expiry into the stored value
-//     envelope (see envelope.go). Reads treat an expired envelope as
-//     absent (lazy expiry, enforced in internal/core's apply path)
-//     and a background reaper riding the anti-entropy tick deletes
-//     expired pairs so replicas converge on expiry.
+//     inflight shares, installed as core.Config.Admission — the
+//     core.AdmissionHook that Instance.admit consults, the node's one
+//     request gate. Over-quota requests are shed with wire.StatusBusy
+//     and a RetryAfter hint, so the client's existing backoff/breaker
+//     machinery handles them for free.
+//   - TTL: cache-shaped writers (the memcached gateway) stamp an
+//     expiry into the stored value envelope (see envelope.go). Reads
+//     treat an expired envelope as absent (lazy expiry, enforced in
+//     internal/core's apply path) and a background reaper riding the
+//     anti-entropy tick deletes expired pairs so replicas converge on
+//     expiry.
 //
 // The import direction is deliberate: this package depends only on
 // internal/metrics, and internal/core depends on it (for the envelope
@@ -46,15 +47,9 @@ import (
 // key that does not START with it belongs to the default tenant "".
 const Sep = "\x1d"
 
-// Errors returned by the tenancy layer.
-var (
-	// ErrTooLarge reports a key or value exceeding the tenant's
-	// configured size limits.
-	ErrTooLarge = errors.New("tenant: key or value exceeds tenant size limit")
-	// ErrBadName reports a tenant name containing the reserved
-	// separator byte.
-	ErrBadName = errors.New("tenant: name contains reserved separator")
-)
+// ErrBadName reports a tenant name containing the reserved separator
+// byte.
+var ErrBadName = errors.New("tenant: name contains reserved separator")
 
 // Prefix namespaces a user key into tenant name's keyspace. The
 // default tenant "" owns the un-prefixed keyspace, so pre-tenancy
@@ -81,9 +76,9 @@ func Split(key string) (name, userKey string) {
 	return rest[:i], rest[i+1:]
 }
 
-// Tenant is one tenant's declared policy. The zero value (and the
-// default tenant "") is unlimited: no quota, no weight pressure, no
-// TTL, no size limits.
+// Tenant is one tenant's declared admission policy. The zero value
+// (and the default tenant "") is unlimited: no quota, no weight
+// pressure.
 type Tenant struct {
 	// Name identifies the tenant; it is the namespace prefix.
 	Name string
@@ -95,17 +90,6 @@ type Tenant struct {
 	// Weight is the tenant's share of admission capacity under
 	// pressure (see Admission); <= 0 means 1.
 	Weight int
-	// DefaultTTL, when positive, marks the tenant cache-shaped: the
-	// tenant client (and the memcached gateway) stamp every write's
-	// envelope with now+DefaultTTL unless the caller chose another
-	// expiry.
-	DefaultTTL time.Duration
-	// MaxKeyLen / MaxValueLen bound this tenant's keys and values
-	// (user key, before namespacing); 0 = unlimited. Enforced by the
-	// tenant client and the gateway, not by core — core-wide limits
-	// live in core.Config.
-	MaxKeyLen   int
-	MaxValueLen int
 }
 
 // tenantState is a registered tenant plus its runtime admission
@@ -157,35 +141,6 @@ func (r *Registry) Register(t Tenant) error {
 	r.tenants[t.Name] = &tenantState{cfg: t, tokens: t.Burst}
 	r.totalWeight += t.Weight
 	return nil
-}
-
-// Get returns the declared policy for name and whether it was
-// registered.
-func (r *Registry) Get(name string) (Tenant, bool) {
-	if r == nil {
-		return Tenant{}, false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	st, ok := r.tenants[name]
-	if !ok {
-		return Tenant{}, false
-	}
-	return st.cfg, true
-}
-
-// Names returns the registered tenant names (unsorted).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.tenants))
-	for n := range r.tenants {
-		out = append(out, n)
-	}
-	return out
 }
 
 // state resolves the runtime state for a tenant name; unregistered

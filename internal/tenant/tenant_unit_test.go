@@ -219,9 +219,8 @@ func TestRegistryValidation(t *testing.T) {
 	if err := reg.Register(Tenant{Name: "t", Rate: 5}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := reg.Get("t")
-	if !ok || got.Burst != 5 || got.Weight != 1 {
-		t.Errorf("defaults not applied: %+v ok=%v", got, ok)
+	if st, _ := reg.state("t"); st == nil || st.cfg.Burst != 5 || st.cfg.Weight != 1 {
+		t.Errorf("defaults not applied: %+v", st)
 	}
 	// Re-registration replaces, keeping total weight consistent.
 	if err := reg.Register(Tenant{Name: "t", Rate: 5, Weight: 4}); err != nil {
@@ -234,110 +233,5 @@ func TestRegistryValidation(t *testing.T) {
 	var a *Admission
 	if _, _, ok := a.Admit("k", 1); !ok {
 		t.Error("nil Admission shed a request")
-	}
-}
-
-// fakeKV records the raw keys/values crossing the tenancy boundary.
-type fakeKV struct {
-	store map[string][]byte
-}
-
-func newFakeKV() *fakeKV { return &fakeKV{store: make(map[string][]byte)} }
-
-var errFakeNotFound = errors.New("fake: not found")
-
-func (f *fakeKV) Insert(k string, v []byte) error {
-	f.store[k] = append([]byte(nil), v...)
-	return nil
-}
-
-func (f *fakeKV) InsertIfAbsent(k string, v []byte) error {
-	if _, ok := f.store[k]; ok {
-		return errors.New("fake: exists")
-	}
-	return f.Insert(k, v)
-}
-
-func (f *fakeKV) Lookup(k string) ([]byte, error) {
-	v, ok := f.store[k]
-	if !ok {
-		return nil, errFakeNotFound
-	}
-	return v, nil
-}
-
-func (f *fakeKV) Remove(k string) error { delete(f.store, k); return nil }
-
-func (f *fakeKV) Append(k string, v []byte) error {
-	f.store[k] = append(f.store[k], v...)
-	return nil
-}
-
-func (f *fakeKV) Cas(k string, old, new []byte) ([]byte, error) {
-	cur := f.store[k]
-	if !bytes.Equal(cur, old) {
-		return cur, errors.New("fake: cas mismatch")
-	}
-	f.store[k] = append([]byte(nil), new...)
-	return nil, nil
-}
-
-func TestScopedClient(t *testing.T) {
-	kv := newFakeKV()
-	c := NewClient(kv, Tenant{Name: "fs", MaxKeyLen: 8, MaxValueLen: 16})
-
-	if err := c.Insert("inode", []byte("meta")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := kv.store["inode"]; ok {
-		t.Fatal("key stored un-namespaced")
-	}
-	if _, ok := kv.store[Prefix("fs", "inode")]; !ok {
-		t.Fatal("namespaced key missing from store")
-	}
-	v, err := c.Lookup("inode")
-	if err != nil || string(v) != "meta" {
-		t.Fatalf("Lookup = %q, %v", v, err)
-	}
-	if err := c.Insert("way-too-long-key", []byte("v")); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversized key accepted: %v", err)
-	}
-	if err := c.Insert("k", bytes.Repeat([]byte("x"), 17)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversized value accepted: %v", err)
-	}
-	if err := c.Append("inode", []byte("+more")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := c.Lookup("inode"); string(v) != "meta+more" {
-		t.Errorf("append result %q", v)
-	}
-	if err := c.Remove("inode"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Lookup("inode"); !errors.Is(err, errFakeNotFound) {
-		t.Errorf("lookup after remove: %v", err)
-	}
-
-	// A TTL tenant wraps on write, unwraps on read, and rejects the
-	// envelope-incompatible operations.
-	ttl := NewClient(kv, Tenant{Name: "cache", DefaultTTL: time.Hour})
-	if err := ttl.Insert("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	raw := kv.store[Prefix("cache", "k")]
-	if _, _, _, wrapped := Unwrap(raw); !wrapped {
-		t.Fatal("TTL tenant stored a bare value")
-	}
-	if Expired(raw) {
-		t.Fatal("fresh TTL value already expired")
-	}
-	if v, err := ttl.Lookup("k"); err != nil || string(v) != "v" {
-		t.Fatalf("TTL Lookup = %q, %v", v, err)
-	}
-	if err := ttl.Append("k", []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("TTL append: %v", err)
-	}
-	if _, err := ttl.Cas("k", []byte("v"), []byte("w")); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("TTL cas: %v", err)
 	}
 }

@@ -6,9 +6,11 @@
 //     flag to a zht-* binary that the binary does not define, or
 //   - a metric name registered anywhere in the source ("zht.*" string
 //     literal) is missing from the OBSERVABILITY.md catalogue, or
-//   - an exported core.Config field is set only by tests — a knob
-//     no binary, example, figure or benchmark sets is a test hook and
-//     belongs unexported in internal/core, or
+//   - an exported field of an options struct zht-server links
+//     (core.Config, novoht.Options, ... — the knobs table) is set only
+//     by tests or its own package — a knob no binary, example, figure
+//     or benchmark sets is a test hook and belongs unexported in its
+//     package, or
 //   - a metric contract is broken: each subsystem in the contracts
 //     table — replica repair, membership and migration, the hot-path
 //     pools, tunable consistency, and the multi-tenant front door —
@@ -44,7 +46,7 @@ func main() {
 		checkDocFlags(doc, cmdFlags, fail)
 	}
 	checkMetricCatalogue(fail)
-	checkConfigKnobs(fail)
+	checkKnobs(".", knobs, fail)
 	for _, c := range contracts {
 		checkContract(c, fail)
 	}
@@ -59,11 +61,14 @@ func main() {
 }
 
 // goSourceDirs yields every directory under the given roots that
-// contains at least one non-test .go file.
+// contains at least one non-test .go file, outside testdata/ trees.
 func goSourceDirs(roots ...string) []string {
 	seen := map[string]bool{}
 	for _, root := range roots {
 		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
 				strings.HasSuffix(path, "_test.go") {
 				return nil
@@ -247,50 +252,136 @@ func checkMetricCatalogue(fail func(string, ...any)) {
 	}
 }
 
-// checkConfigKnobs requires every exported core.Config field to be set
-// by name outside tests — as a key of a core.Config or zht.Config
-// literal, or by assignment to a field of a variable of that type — in
-// a non-test file under cmd/, internal/, examples/ or benchmark/, or in
-// zht.go. internal/core only reads and defaults its knobs, so its own
-// files do not count.
-func checkConfigKnobs(fail func(string, ...any)) {
-	decl, err := parser.ParseFile(token.NewFileSet(), "internal/core/config.go", nil, 0)
-	if err != nil || decl.Scope.Lookup("Config") == nil {
-		fail("internal/core/config.go: no Config type (%v)", err)
-		return
-	}
-	set := map[string]bool{}
-	files := []string{"zht.go"}
-	for _, root := range []string{"cmd", "internal", "examples", "benchmark"} {
-		filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") &&
-				filepath.Dir(path) != filepath.Join("internal", "core") {
+// A knob is one exported options struct of a package zht-server links
+// (go list -deps ./cmd/zht-server). Each of its exported fields must be
+// set by name in non-test code outside its declaring package — a field
+// no binary, example, figure or benchmark sets is a test hook and
+// belongs unexported in that package.
+type knob struct {
+	dir   string   // declaring package directory, slash-separated, relative to the root
+	typ   string   // the struct type's name
+	quals []string // package names a literal qualifies it with; a file of one of these packages may also name it bare
+	seams []string // fields kept as test substitution points
+}
+
+var knobs = []knob{
+	{dir: "internal/core", typ: "Config", quals: []string{"core", "zht"}},
+	{dir: "internal/novoht", typ: "Options", quals: []string{"novoht"}, seams: []string{"Fault"}},
+	{dir: "internal/transport", typ: "TCPClientOptions", quals: []string{"transport"}},
+	{dir: "internal/transport", typ: "UDPClientOptions", quals: []string{"transport"}},
+	{dir: "internal/gossip", typ: "Options", quals: []string{"gossip"}},
+	{dir: "internal/tenant", typ: "Tenant", quals: []string{"tenant"}},
+	{dir: "internal/tenant", typ: "AdmissionOptions", quals: []string{"tenant"}},
+	{dir: "internal/memcached", typ: "Options", quals: []string{"memcached"}},
+	{dir: "internal/repair", typ: "LegQueueOptions", quals: []string{"repair"}},
+}
+
+// checkKnobs requires every exported field of each knob under root to
+// be set by name — as a key of a literal of its type, or by assignment
+// to a field of a variable, parameter or struct field of that type — in
+// a non-test file of the root package, cmd/, internal/, examples/ or
+// benchmark/, outside the knob's own package (which only reads and
+// defaults it) and outside testdata/ trees.
+func checkKnobs(root string, knobs []knob, fail func(string, ...any)) {
+	files, _ := filepath.Glob(filepath.Join(root, "*.go"))
+	for _, dir := range []string{"cmd", "internal", "examples", "benchmark"} {
+		filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if err == nil && strings.HasSuffix(path, ".go") {
 				files = append(files, path)
 			}
 			return nil
 		})
 	}
+	var parsed []*ast.File
+	var dirs []string
 	for _, path := range files {
-		if f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0); err != nil {
-			fail("%s: %v", path, err)
-		} else {
-			knobsSet(f, set)
+		if strings.HasSuffix(path, "_test.go") {
+			continue // a test's setter makes no knob
 		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			fail("%s: %v", path, err)
+			continue
+		}
+		parsed = append(parsed, f)
+		dirs = append(dirs, filepath.Dir(path))
 	}
-	for _, fld := range decl.Scope.Lookup("Config").Decl.(*ast.TypeSpec).Type.(*ast.StructType).Fields.List {
-		for _, id := range fld.Names {
-			if id.IsExported() && !set[id.Name] {
-				fail("core.Config.%s is set only by tests; make it an unexported constant or test hook in internal/core", id.Name)
+	for _, k := range knobs {
+		fields, err := exportedFields(filepath.Join(root, filepath.FromSlash(k.dir)), k.typ)
+		if err != nil {
+			fail("%s: %v", k.dir, err)
+			continue
+		}
+		set := map[string]bool{}
+		for _, s := range k.seams {
+			set[s] = true
+		}
+		for i, f := range parsed {
+			if dirs[i] != filepath.Join(root, filepath.FromSlash(k.dir)) {
+				knobsSet(f, k, set)
+			}
+		}
+		for _, name := range fields {
+			if !set[name] {
+				fail("%s.%s.%s is set only by tests or its own package; make it an unexported constant or test hook in %s",
+					k.quals[0], k.typ, name, k.dir)
 			}
 		}
 	}
 }
 
-// knobsSet adds to set the core.Config fields file f sets by name.
-func knobsSet(f *ast.File, set map[string]bool) {
-	isConfig := func(e ast.Expr) bool {
+// exportedFields returns the exported field names of struct type typ
+// declared in the non-test files of dir.
+func exportedFields(dir, typ string) ([]string, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			obj := f.Scope.Lookup(typ)
+			if obj == nil {
+				continue
+			}
+			var st *ast.StructType
+			if ts, ok := obj.Decl.(*ast.TypeSpec); ok {
+				st, _ = ts.Type.(*ast.StructType)
+			}
+			if st == nil {
+				return nil, fmt.Errorf("%s is not a struct", typ)
+			}
+			var names []string
+			for _, fld := range st.Fields.List {
+				for _, id := range fld.Names {
+					if id.IsExported() {
+						names = append(names, id.Name)
+					}
+				}
+			}
+			return names, nil
+		}
+	}
+	return nil, fmt.Errorf("no %s type", typ)
+}
+
+// knobsSet adds to set the fields of knob k that file f sets by name.
+func knobsSet(f *ast.File, k knob, set map[string]bool) {
+	qualified := func(pkg string) bool {
+		for _, q := range k.quals {
+			if q == pkg {
+				return true
+			}
+		}
+		return false
+	}
+	isKnob := func(e ast.Expr) bool {
 		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = u.X // &Config{...}
+			e = u.X // &T{...}
 		}
 		if lit, ok := e.(*ast.CompositeLit); ok {
 			e = lit.Type
@@ -299,31 +390,31 @@ func knobsSet(f *ast.File, set map[string]bool) {
 			e = st.X
 		}
 		if id, ok := e.(*ast.Ident); ok {
-			return f.Name.Name == "zht" && id.Name == "Config"
+			return qualified(f.Name.Name) && id.Name == k.typ
 		}
 		if sel, ok := e.(*ast.SelectorExpr); ok {
 			pkg, ok := sel.X.(*ast.Ident)
-			return ok && (pkg.Name == "core" || pkg.Name == "zht") && sel.Sel.Name == "Config"
+			return ok && qualified(pkg.Name) && sel.Sel.Name == k.typ
 		}
 		return false
 	}
 	// vars names the variables, parameters and struct fields that hold
-	// a Config: declared with its type or assigned a Config literal.
+	// a k: declared with its type or assigned a literal of it.
 	vars := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Field:
 			for _, id := range n.Names {
-				vars[id.Name] = vars[id.Name] || isConfig(n.Type)
+				vars[id.Name] = vars[id.Name] || isKnob(n.Type)
 			}
 		case *ast.ValueSpec:
 			for i, id := range n.Names {
-				vars[id.Name] = vars[id.Name] || n.Type != nil && isConfig(n.Type) || i < len(n.Values) && isConfig(n.Values[i])
+				vars[id.Name] = vars[id.Name] || n.Type != nil && isKnob(n.Type) || i < len(n.Values) && isKnob(n.Values[i])
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok && len(n.Lhs) == len(n.Rhs) {
-					vars[id.Name] = vars[id.Name] || isConfig(n.Rhs[i])
+					vars[id.Name] = vars[id.Name] || isKnob(n.Rhs[i])
 				}
 			}
 		}
@@ -332,7 +423,7 @@ func knobsSet(f *ast.File, set map[string]bool) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
-			if !isConfig(n) {
+			if !isKnob(n) {
 				break
 			}
 			for _, e := range n.Elts {

@@ -1,0 +1,6 @@
+// Command srv sets Path.
+package main
+
+import "zht/internal/novoht"
+
+func main() { _ = novoht.Options{Path: "p.log"} }

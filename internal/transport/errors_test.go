@@ -26,7 +26,8 @@ func taxonomyTransports(t *testing.T, h Handler) map[string]func() (Caller, stri
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			c := NewTCPClient(TCPClientOptions{Timeout: 150 * time.Millisecond})
+			c := NewTCPClient(TCPClientOptions{})
+			c.timeout = 150 * time.Millisecond
 			t.Cleanup(func() { c.Close() })
 			return c, srv.Addr()
 		},
@@ -36,7 +37,8 @@ func taxonomyTransports(t *testing.T, h Handler) map[string]func() (Caller, stri
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond, Retries: 1})
+			c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond})
+			c.retries = 1
 			t.Cleanup(func() { c.Close() })
 			return c, srv.Addr()
 		},
@@ -62,12 +64,14 @@ func TestDownEndpointIsUnreachable(t *testing.T) {
 	reg.SetDown("node-a", true)
 	cases := map[string]func() (Caller, string){
 		"tcp": func() (Caller, string) {
-			c := NewTCPClient(TCPClientOptions{Timeout: 200 * time.Millisecond})
+			c := NewTCPClient(TCPClientOptions{})
+			c.timeout = 200 * time.Millisecond
 			t.Cleanup(func() { c.Close() })
 			return c, "127.0.0.1:1" // reserved port: dial refused
 		},
 		"udp": func() (Caller, string) {
-			c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond, Retries: 1})
+			c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond})
+			c.retries = 1
 			t.Cleanup(func() { c.Close() })
 			return c, "127.0.0.1:1"
 		},

@@ -329,22 +329,19 @@ type TCPClientOptions struct {
 	// in lockstep (the paper's "TCP without connection caching"
 	// configuration).
 	ConnCache bool
-	// MaxCached bounds the number of cached connections across all
-	// destinations; the least recently used is evicted (idle ones
-	// first). 0 means DefaultMaxCached.
-	MaxCached int
-	// Timeout bounds dial + round trip per call. 0 means
-	// DefaultTimeout.
-	Timeout time.Duration
 	// Metrics, when non-nil, receives the caller-side instruments
 	// (zht.transport.* — calls, dials, cache hits, bytes).
 	Metrics *metrics.Registry
 }
 
-// Defaults for TCPClientOptions zero values.
+// Fixed client tuning, not knobs (in-package tests retune the copies
+// a fresh client holds, as they do perDest).
 const (
-	DefaultMaxCached = 1024
-	DefaultTimeout   = 10 * time.Second
+	// maxCached bounds the cached connections across all destinations;
+	// the least recently used is evicted (idle ones first).
+	maxCached = 1024
+	// callTimeout bounds dial + round trip per call.
+	callTimeout = 10 * time.Second
 )
 
 var (
@@ -368,9 +365,11 @@ var (
 // flight on it fails with a retriable error (ErrUnreachable taxonomy)
 // — the caller does not know whether its request executed.
 type TCPClient struct {
-	opts    TCPClientOptions
-	met     cliMetrics
-	perDest int // connections one destination may hold
+	opts      TCPClientOptions
+	met       cliMetrics
+	perDest   int           // connections one destination may hold
+	maxCached int           // connections all destinations may hold
+	timeout   time.Duration // dial + round trip per call
 
 	mu     sync.Mutex
 	lru    *list.List // of *muxConn, front = most recently used
@@ -403,18 +402,14 @@ type muxConn struct {
 
 // NewTCPClient creates a client.
 func NewTCPClient(opts TCPClientOptions) *TCPClient {
-	if opts.MaxCached == 0 {
-		opts.MaxCached = DefaultMaxCached
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = DefaultTimeout
-	}
 	return &TCPClient{
-		opts:    opts,
-		met:     newCliMetrics(opts.Metrics),
-		perDest: runtime.GOMAXPROCS(0),
-		lru:     list.New(),
-		byAddr:  make(map[string][]*muxConn),
+		opts:      opts,
+		met:       newCliMetrics(opts.Metrics),
+		perDest:   runtime.GOMAXPROCS(0),
+		maxCached: maxCached,
+		timeout:   callTimeout,
+		lru:       list.New(),
+		byAddr:    make(map[string][]*muxConn),
 	}
 }
 
@@ -442,7 +437,7 @@ func (c *TCPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respon
 // client's one send path.
 func (c *TCPClient) Start(addr string, req *wire.Request) Pending {
 	c.met.calls.Inc()
-	p := Pending{tcp: c, addr: addr, req: req, deadline: callDeadline(req, c.opts.Timeout)}
+	p := Pending{tcp: c, addr: addr, req: req, deadline: callDeadline(req, c.timeout)}
 	p.send()
 	return p
 }
@@ -561,7 +556,7 @@ func (c *TCPClient) connFor(addr string, deadline time.Time, fresh bool) (*muxCo
 	}
 	conns := c.byAddr[addr]
 	if mc := leastBusy(conns); mc != nil && !fresh &&
-		(mc.busy.Load() == 0 || len(conns) >= c.perDest || c.lru.Len() >= c.opts.MaxCached) {
+		(mc.busy.Load() == 0 || len(conns) >= c.perDest || c.lru.Len() >= c.maxCached) {
 		c.lru.MoveToFront(mc.el)
 		mc.busy.Add(1)
 		c.mu.Unlock()
@@ -592,7 +587,7 @@ func (c *TCPClient) connFor(addr string, deadline time.Time, fresh bool) (*muxCo
 	mc.busy.Add(1)
 	mc.el = c.lru.PushFront(mc)
 	c.byAddr[addr] = append(conns, mc)
-	for c.lru.Len() > c.opts.MaxCached {
+	for c.lru.Len() > c.maxCached {
 		victim := c.evictable()
 		if victim == nil {
 			break
@@ -728,7 +723,7 @@ func (mc *muxConn) send(req *wire.Request) (seq uint64, ch chan *wire.Response, 
 	// cut short by one caller's tight deadline would cost every caller
 	// the connection, and a write only blocks at all once the peer has
 	// stopped draining the socket.
-	mc.c.SetWriteDeadline(time.Now().Add(mc.client.opts.Timeout))
+	mc.c.SetWriteDeadline(time.Now().Add(mc.client.timeout))
 	mc.w.buf = wire.EncodeRequest(mc.w.buf[:0], &r)
 	n, err := mc.w.sendAndUnlock()
 	if err != nil {

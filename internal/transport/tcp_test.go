@@ -113,8 +113,8 @@ func wantValue(t *testing.T, who string, o outcome, want string) {
 // oneConnClient returns a caching client held to one connection per
 // destination, so concurrent callers must share it.
 func oneConnClient(t *testing.T, reg *metrics.Registry) *TCPClient {
-	c := NewTCPClient(TCPClientOptions{ConnCache: true, Timeout: 5 * time.Second, Metrics: reg})
-	c.perDest = 1
+	c := NewTCPClient(TCPClientOptions{ConnCache: true, Metrics: reg})
+	c.perDest, c.timeout = 1, 5*time.Second
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -363,7 +363,8 @@ func TestNestedCallsBetweenServersAfterDetach(t *testing.T) {
 		defer srv.Close()
 		addrs[i] = srv.Addr()
 	}
-	c := NewTCPClient(TCPClientOptions{ConnCache: true, Timeout: 20 * time.Second})
+	c := NewTCPClient(TCPClientOptions{ConnCache: true})
+	c.timeout = 20 * time.Second
 	defer c.Close()
 	const calls = 1000
 	var wg sync.WaitGroup

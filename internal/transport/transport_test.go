@@ -159,7 +159,8 @@ func TestLRUEviction(t *testing.T) {
 		defer s.Close()
 		srvs = append(srvs, s)
 	}
-	c := NewTCPClient(TCPClientOptions{ConnCache: true, MaxCached: 3})
+	c := NewTCPClient(TCPClientOptions{ConnCache: true})
+	c.maxCached = 3
 	defer c.Close()
 	for _, s := range srvs {
 		if _, err := c.Call(s.Addr(), &wire.Request{Op: wire.OpPing}); err != nil {
@@ -182,7 +183,8 @@ func TestStaleCachedConnectionRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	c := NewTCPClient(TCPClientOptions{ConnCache: true, Timeout: 2 * time.Second})
+	c := NewTCPClient(TCPClientOptions{ConnCache: true})
+	c.timeout = 2 * time.Second
 	defer c.Close()
 	if _, err := c.Call(addr, &wire.Request{Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
@@ -205,7 +207,8 @@ func TestStaleCachedConnectionRedials(t *testing.T) {
 }
 
 func TestUnreachableDestination(t *testing.T) {
-	tcp := NewTCPClient(TCPClientOptions{Timeout: 300 * time.Millisecond})
+	tcp := NewTCPClient(TCPClientOptions{})
+	tcp.timeout = 300 * time.Millisecond
 	defer tcp.Close()
 	if _, err := tcp.Call("127.0.0.1:1", &wire.Request{Op: wire.OpPing}); err == nil {
 		t.Error("tcp call to closed port succeeded")
@@ -237,7 +240,7 @@ func TestUDPTimeoutAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := NewUDPClient(UDPClientOptions{Timeout: 100 * time.Millisecond, Retries: 3})
+	c := NewUDPClient(UDPClientOptions{Timeout: 100 * time.Millisecond})
 	defer c.Close()
 	resp, err := c.Call(srv.Addr(), &wire.Request{Op: wire.OpPing})
 	if err != nil {
@@ -249,7 +252,8 @@ func TestUDPTimeoutAndRetry(t *testing.T) {
 }
 
 func TestUDPTimeoutNoServer(t *testing.T) {
-	c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond, Retries: 1})
+	c := NewUDPClient(UDPClientOptions{Timeout: 50 * time.Millisecond})
+	c.retries = 1
 	defer c.Close()
 	start := time.Now()
 	_, err := c.Call("127.0.0.1:9", &wire.Request{Op: wire.OpPing})
@@ -435,7 +439,8 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 	defer srv.Close()
 	// Handshake with garbage; the server must drop us without
 	// affecting later well-formed clients.
-	c := NewTCPClient(TCPClientOptions{Timeout: time.Second})
+	c := NewTCPClient(TCPClientOptions{})
+	c.timeout = time.Second
 	defer c.Close()
 	raw, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
 	if err != nil {

@@ -132,25 +132,25 @@ type UDPClientOptions struct {
 	// Timeout is the per-attempt ack deadline. 0 means
 	// DefaultUDPTimeout.
 	Timeout time.Duration
-	// Retries is the number of retransmissions after the first
-	// attempt. 0 means DefaultUDPRetries; negative means none.
-	Retries int
 	// Metrics, when non-nil, receives the caller-side instruments
 	// (zht.transport.* — calls, retransmits, bytes).
 	Metrics *metrics.Registry
 }
 
-// Defaults for UDPClientOptions zero values.
-const (
-	DefaultUDPTimeout = 500 * time.Millisecond
-	DefaultUDPRetries = 3
-)
+// DefaultUDPTimeout is the per-attempt ack deadline when
+// UDPClientOptions.Timeout is 0.
+const DefaultUDPTimeout = 500 * time.Millisecond
+
+// udpRetries is the number of retransmissions after the first attempt
+// (in-package tests lower it on a fresh client).
+const udpRetries = 3
 
 // UDPClient issues acknowledge-based UDP requests.
 type UDPClient struct {
-	opts UDPClientOptions
-	met  cliMetrics
-	seq  atomic.Uint64
+	opts    UDPClientOptions
+	met     cliMetrics
+	retries int // retransmissions after the first attempt
+	seq     atomic.Uint64
 
 	mu     sync.Mutex
 	socks  map[string][]*net.UDPConn // idle sockets per destination
@@ -162,10 +162,7 @@ func NewUDPClient(opts UDPClientOptions) *UDPClient {
 	if opts.Timeout == 0 {
 		opts.Timeout = DefaultUDPTimeout
 	}
-	if opts.Retries == 0 {
-		opts.Retries = DefaultUDPRetries
-	}
-	return &UDPClient{opts: opts, met: newCliMetrics(opts.Metrics), socks: make(map[string][]*net.UDPConn)}
+	return &UDPClient{opts: opts, met: newCliMetrics(opts.Metrics), retries: udpRetries, socks: make(map[string][]*net.UDPConn)}
 }
 
 // Call implements Caller: send, await the matching ack, retransmit on
@@ -195,11 +192,7 @@ func (c *UDPClient) Call(addr string, req *wire.Request) (*wire.Response, error)
 	}
 	buf = buf[:maxDatagram]
 	defer func() { putFrameBuf(buf) }()
-	attempts := 1 + c.opts.Retries
-	if c.opts.Retries < 0 {
-		attempts = 1
-	}
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= c.retries; a++ {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			c.putSock(addr, conn)
 			return nil, ErrTimeout
