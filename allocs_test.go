@@ -6,8 +6,8 @@ import (
 
 	"zht"
 	"zht/internal/core"
+	"zht/internal/figures"
 	"zht/internal/novoht"
-	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -162,38 +162,12 @@ func storeAppendAllocs(tb testing.TB, base int) float64 {
 // allocates).
 func benchTCPClient(tb testing.TB) (*zht.Client, []string, func()) {
 	tb.Helper()
-	cfg := zht.Config{
+	c, cleanup := bootTCPCluster(tb, zht.Config{
 		NumPartitions: 64,
 		Replicas:      0,
 		OpDeadline:    -1, // disable: deadline timers cost allocations
 		AntiEntropy:   -1,
-	}
-	caller := zht.NewTCPCaller()
-	hs := &zht.HandlerSwitch{}
-	ln, err := zht.ListenTCP("127.0.0.1:0", hs.Handle)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eps := []zht.Endpoint{{Addr: ln.Addr(), Node: "n0"}}
-	d, err := zht.Bootstrap(cfg, eps, func(addr string, h transport.Handler) (transport.Listener, error) {
-		hs.Set(h)
-		return nopListener{addr}, nil
-	}, caller)
-	if err != nil {
-		ln.Close()
-		tb.Fatal(err)
-	}
-	c, err := zht.NewClientFromSeed(cfg, eps[0].Addr, caller)
-	if err != nil {
-		d.Close()
-		ln.Close()
-		tb.Fatal(err)
-	}
-	cleanup := func() {
-		d.Close()
-		ln.Close()
-		caller.Close()
-	}
+	}, 1)
 	return c, preloadAllocKeys(tb, c, zht.ConsistencyDefault), cleanup
 }
 
@@ -251,48 +225,19 @@ func benchTCPQuorumClient(tb testing.TB) (*zht.Client, []string, func()) {
 	return c, preloadAllocKeys(tb, c, zht.ConsistencyAll), cleanup
 }
 
-// bootTCPCluster boots n instances of cfg, each behind its own
-// loopback TCP listener, and returns a client seeded from the first.
+// bootTCPCluster boots n instances of cfg on loopback TCP with a
+// caching caller (figures.NetDeployment) and returns a client seeded
+// from the first.
 func bootTCPCluster(tb testing.TB, cfg zht.Config, n int) (*zht.Client, func()) {
 	tb.Helper()
-	caller := zht.NewTCPCaller()
-	var (
-		lns []transport.Listener
-		hss []*zht.HandlerSwitch
-		eps []zht.Endpoint
-	)
-	for i := 0; i < n; i++ {
-		hs := &zht.HandlerSwitch{}
-		ln, err := zht.ListenTCP("127.0.0.1:0", hs.Handle)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		lns = append(lns, ln)
-		hss = append(hss, hs)
-		eps = append(eps, zht.Endpoint{Addr: ln.Addr(), Node: fmt.Sprintf("n%d", i)})
-	}
-	d, err := zht.Bootstrap(cfg, eps, func(addr string, h transport.Handler) (transport.Listener, error) {
-		for i := range eps {
-			if eps[i].Addr == addr {
-				hss[i].Set(h)
-			}
-		}
-		return nopListener{addr}, nil
-	}, caller)
+	d, cleanup, caller, err := figures.NetDeployment(n, cfg, "tcp-cache")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := zht.NewClientFromSeed(cfg, eps[0].Addr, caller)
+	c, err := zht.NewClientFromSeed(cfg, d.Instance(0).Addr(), caller)
 	if err != nil {
-		d.Close()
+		cleanup()
 		tb.Fatal(err)
-	}
-	cleanup := func() {
-		d.Close()
-		for _, ln := range lns {
-			ln.Close()
-		}
-		caller.Close()
 	}
 	return c, cleanup
 }

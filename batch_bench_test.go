@@ -11,8 +11,56 @@ import (
 
 	"zht"
 	"zht/internal/core"
+	"zht/internal/figures"
 	"zht/internal/wire"
 )
+
+// batchSpeedupMin is the floor BenchmarkBatchSpeedup gates on. Batching
+// that sent one message per sub-op would score about 1.
+const batchSpeedupMin = 3.0
+
+// BenchmarkBatchSpeedup is the batching regression gate (`make
+// bench-smoke`): the paper's §IV.A workload through
+// figures.RunAllToAll on 4 loopback tcp-cache instances with 4
+// clients of 2 000 rounds each, once lockstep and once with one
+// Client.Batch of 64 per phase. It fails unless the batched run's
+// throughput is at least batchSpeedupMin times the lockstep run's. It
+// is a benchmark, not a test, so `go test ./...` never times a
+// wall-clock ratio under CPU contention.
+func BenchmarkBatchSpeedup(b *testing.B) {
+	// rounds sizes the batched run to ~50 ms: shorter, and connection
+	// warm-up and one GC cycle decide the ratio.
+	const clients, rounds, batch = 4, 2000, 64
+	d, cleanup, _, err := figures.NetDeployment(clients,
+		zht.Config{NumPartitions: 256, RetryBase: time.Millisecond}, "tcp-cache")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cleanup()
+	cs := make([]*zht.Client, clients)
+	for i := range cs {
+		if cs[i], err = d.NewClient(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		lockstep, err := figures.RunAllToAll(cs, rounds, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batched, err := figures.RunAllToAll(cs, rounds, batch, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio := batched.Throughput() / lockstep.Throughput()
+		b.ReportMetric(lockstep.Throughput(), "lockstep-ops/s")
+		b.ReportMetric(batched.Throughput(), "batch-ops/s")
+		b.ReportMetric(ratio, "speedup")
+		if ratio < batchSpeedupMin {
+			b.Fatalf("batch=%d speedup %.2fx is below %.1fx", batch, ratio, batchSpeedupMin)
+		}
+	}
+}
 
 // BenchmarkBatchMixedParallel is the tcp-batch64-mixed workload's
 // envelope path alone: two unreplicated instances on loopback TCP,

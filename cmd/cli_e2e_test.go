@@ -149,3 +149,28 @@ func TestServerClientEndToEnd(t *testing.T) {
 		t.Errorf("lookup after join = %q", got)
 	}
 }
+
+// TestBenchCLI runs zht-bench's §IV.A micro-benchmark twice, batched
+// over loopback TCP and in process behind the degraded chaos network,
+// and checks each run's summary line.
+func TestBenchCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bench := buildTool(t, t.TempDir(), "./cmd/zht-bench")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "2", "-ops", "50", "-transport", "tcp-cache", "-batch", "8"}, "throughput"},
+		{[]string{"-nodes", "2", "-ops", "50", "-chaos", "7", "-metrics"}, "chaos seed=7:"},
+	} {
+		out, err := exec.Command(bench, tc.args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("zht-bench %v: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("zht-bench %v: no %q line:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

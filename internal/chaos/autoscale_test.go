@@ -45,9 +45,7 @@ func TestAutoscaleChaosSoak(t *testing.T) {
 		NumPartitions: 64,
 		Replicas:      1,
 		AntiEntropy:   25 * time.Millisecond,
-		OpRetries:     3,
 		RetryBase:     time.Millisecond,
-		RetryMax:      10 * time.Millisecond,
 		OpDeadline:    3 * time.Second,
 		Metrics:       mreg,
 	}
@@ -352,9 +350,7 @@ func churnConvergence(t *testing.T, seed int64) {
 		NumPartitions: 64,
 		Replicas:      1,
 		AntiEntropy:   25 * time.Millisecond,
-		OpRetries:     3,
 		RetryBase:     time.Millisecond,
-		RetryMax:      10 * time.Millisecond,
 		OpDeadline:    2 * time.Second,
 		Metrics:       mreg,
 	}

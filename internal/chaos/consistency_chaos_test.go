@@ -79,9 +79,7 @@ func quorumReadYourWrites(t *testing.T, seed int64) {
 	cfg := core.Config{
 		NumPartitions: 64,
 		Replicas:      1, // copies=2 ⇒ QUORUM = both ⇒ W+R > N
-		OpRetries:     2,
 		RetryBase:     time.Millisecond,
-		RetryMax:      8 * time.Millisecond,
 		OpDeadline:    600 * time.Millisecond,
 		Metrics:       mreg,
 	}
@@ -288,7 +286,7 @@ func isQuorumNotMet(err error) bool { return strings.Contains(err.Error(), "quor
 func TestOneStalenessAndQuorumRefusal(t *testing.T) {
 	cfg := core.Config{
 		NumPartitions: 32, Replicas: 1,
-		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+		RetryBase: time.Millisecond,
 	}
 	d, reg, err := core.BootstrapInproc(cfg, 3)
 	if err != nil {
@@ -367,7 +365,7 @@ func TestRepairNeverRegressesVersions(t *testing.T) {
 		NumPartitions: 32, Replicas: 1,
 		AntiEntropy: 20 * time.Millisecond,
 		HandoffCap:  8, // overflow under the flap → anti-entropy must close the gap
-		RetryBase:   time.Millisecond, RetryMax: 4 * time.Millisecond,
+		RetryBase:   time.Millisecond,
 		// ONE: writes keep acking while the replica flaps; every ack is
 		// a version the repair machinery must preserve.
 		WriteLevel: wire.ConsistencyOne,

@@ -51,9 +51,7 @@ func antiEntropyAfterPartition(t *testing.T, seed int64) {
 		Replicas:      1,
 		AntiEntropy:   antiEntropy,
 		HandoffCap:    256, // force overflow: ~2.5k legs target the victim
-		OpRetries:     2,
 		RetryBase:     time.Millisecond,
-		RetryMax:      8 * time.Millisecond,
 		OpDeadline:    2 * time.Second,
 		// ONE: the soak writes into a partition whose sole replica is
 		// unreachable — the point is that primaries keep acking while

@@ -30,9 +30,7 @@ func TestChaosSoak(t *testing.T) {
 	cfg := core.Config{
 		NumPartitions: 64,
 		Replicas:      1, // first replica synchronous: acked ⇒ two copies
-		OpRetries:     2,
 		RetryBase:     time.Millisecond,
-		RetryMax:      8 * time.Millisecond,
 		OpDeadline:    600 * time.Millisecond,
 	}
 	const n = 6

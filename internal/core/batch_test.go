@@ -433,7 +433,7 @@ func TestBatchInsertThenRemoveReplicated(t *testing.T) {
 // every sub-op.
 func TestBatchSurvivesFailedNode(t *testing.T) {
 	cfg := testCfg()
-	cfg.OpRetries = 1
+	cfg.opRetries = 1
 	cfg.OpDeadline = 5 * time.Second
 	d, reg, c := startDeployment(t, cfg, 4)
 	if err := c.Insert("pre-fail", []byte("v")); err != nil {

@@ -16,7 +16,7 @@ import (
 //	open      — threshold reached: calls fail fast (no transport
 //	            attempt, no backoff sleeps) until the cooldown
 //	            elapses. This is what stops a dead primary from
-//	            costing OpRetries×RetryBase on every operation
+//	            costing opRetries×RetryBase on every operation
 //	            before failover.
 //	half-open — after the cooldown exactly one probe call is let
 //	            through; success closes the circuit, failure

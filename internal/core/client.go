@@ -527,7 +527,7 @@ func (c *Client) exchange(m *message, deadline time.Time) ([]*wire.Response, err
 				return rs, nil
 			}
 			c.metrics.busyRetries.Inc()
-			if i >= c.cfg.OpRetries {
+			if i >= c.cfg.opRetries {
 				return rs, nil
 			}
 			m.release(rs)
@@ -536,7 +536,7 @@ func (c *Client) exchange(m *message, deadline time.Time) ([]*wire.Response, err
 		}
 		c.strike(m.addr, err, late)
 		lastErr = err
-		if i >= c.cfg.OpRetries {
+		if i >= c.cfg.opRetries {
 			return nil, lastErr
 		}
 		c.metrics.retries.Inc()
@@ -598,14 +598,14 @@ func (c *Client) preflight(m *message, deadline time.Time, lastErr error) error 
 }
 
 // backoff returns the full-jitter delay for retry attempt i: uniform
-// in (0, min(RetryMax, RetryBase<<i)].
+// in (0, min(retryMax, RetryBase<<i)].
 func (c *Client) backoff(i int) time.Duration {
 	if i > 20 {
 		i = 20 // avoid shifting into the sign bit
 	}
 	d := c.cfg.RetryBase << uint(i)
-	if d <= 0 || d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
+	if d <= 0 || d > c.cfg.retryMax {
+		d = c.cfg.retryMax
 	}
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()

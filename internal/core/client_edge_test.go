@@ -88,7 +88,7 @@ func TestNewInstanceValidation(t *testing.T) {
 func TestSingleInstanceTotalFailure(t *testing.T) {
 	// With no replicas and the only owner dead, ops must fail with
 	// ErrUnavailable rather than hang.
-	cfg := Config{NumPartitions: 8, Replicas: 0, RetryBase: time.Millisecond, OpRetries: 1}
+	cfg := Config{NumPartitions: 8, Replicas: 0, RetryBase: time.Millisecond, opRetries: 1}
 	d, reg, c := startDeployment(t, cfg, 1)
 	reg.SetDown(d.Instance(0).Addr(), true)
 	start := time.Now()
@@ -106,7 +106,7 @@ func TestSingleInstanceTotalFailure(t *testing.T) {
 
 func TestReplicasExhausted(t *testing.T) {
 	// Owner and its only replica both dead: the op must error.
-	cfg := Config{NumPartitions: 8, Replicas: 1, RetryBase: time.Millisecond, OpRetries: 1}
+	cfg := Config{NumPartitions: 8, Replicas: 1, RetryBase: time.Millisecond, opRetries: 1}
 	d, reg, c := startDeployment(t, cfg, 2)
 	// Insert succeeds first so we know the key's owner.
 	if err := c.Insert("doomed", []byte("v")); err != nil {
@@ -139,7 +139,7 @@ func TestTransientGlitchRevives(t *testing.T) {
 	// An instance that drops exactly one window of requests and then
 	// recovers: the manager's verification ping finds it alive, the
 	// report is rejected, and the client keeps using it.
-	cfg := Config{NumPartitions: 16, Replicas: 1, RetryBase: time.Millisecond, OpRetries: 0}
+	cfg := Config{NumPartitions: 16, Replicas: 1, RetryBase: time.Millisecond, opRetries: 0}
 	d, reg, c := startDeployment(t, cfg, 2)
 	victim := d.Instance(1)
 	reg.SetDown(victim.Addr(), true)

@@ -377,7 +377,7 @@ func TestNoRecordPendingAtAck(t *testing.T) {
 // holds a prefix of the envelope's records in apply order —
 // partition by partition, each partition's ops in request order.
 func TestTornEnvelopeCommit(t *testing.T) {
-	cfg := Config{NumPartitions: 4, Replicas: 0, RetryBase: time.Millisecond, OpRetries: 1}
+	cfg := Config{NumPartitions: 4, Replicas: 0, RetryBase: time.Millisecond, opRetries: 1}
 	var ops []BatchOp
 	for i := 0; i < 6; i++ {
 		ops = append(ops, BatchOp{Op: wire.OpInsert, Key: fmt.Sprintf("torn-%d", i), Value: []byte(fmt.Sprintf("value-%d", i))})

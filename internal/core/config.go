@@ -52,18 +52,18 @@ type Config struct {
 	// storage.DurabilityNone makes every partition volatile even
 	// when DataDir is set.
 	Durability storage.Durability
-	// OpRetries is how many times a client retries an unreachable
+	// opRetries is how many times a client retries an unreachable
 	// instance (with exponential backoff) before declaring it failed.
-	// 0 means DefaultOpRetries.
-	OpRetries int
+	// 0 means DefaultOpRetries. A test hook: no binary sets it.
+	opRetries int
 	// RetryBase is the first backoff delay; the delay doubles per
-	// retry up to RetryMax, and each sleep is full-jitter randomized
+	// retry up to retryMax, and each sleep is full-jitter randomized
 	// so concurrent clients do not synchronize retry storms.
 	// 0 means DefaultRetryBase.
 	RetryBase time.Duration
-	// RetryMax caps the exponential backoff delay.
-	// 0 means DefaultRetryMax.
-	RetryMax time.Duration
+	// retryMax caps the exponential backoff delay. 0 means
+	// DefaultRetryMax. A test hook: no binary sets it.
+	retryMax time.Duration
 	// OpDeadline bounds one client operation end to end: all of its
 	// transport retries, table refreshes, redirects, and replica
 	// failovers share this single time budget (propagated to servers
@@ -133,17 +133,17 @@ func (c *Config) fill() error {
 	if hashing.ByName(c.HashName) == nil {
 		return errors.New("core: unknown hash function " + c.HashName)
 	}
-	if c.OpRetries == 0 {
-		c.OpRetries = DefaultOpRetries
+	if c.opRetries == 0 {
+		c.opRetries = DefaultOpRetries
 	}
 	if c.RetryBase == 0 {
 		c.RetryBase = DefaultRetryBase
 	}
-	if c.RetryMax == 0 {
-		c.RetryMax = DefaultRetryMax
+	if c.retryMax == 0 {
+		c.retryMax = DefaultRetryMax
 	}
-	if c.RetryMax < c.RetryBase {
-		c.RetryMax = c.RetryBase
+	if c.retryMax < c.RetryBase {
+		c.retryMax = c.RetryBase
 	}
 	if c.OpDeadline == 0 {
 		c.OpDeadline = DefaultOpDeadline

@@ -40,7 +40,7 @@ func TestWriteLevelsAgainstDownReplica(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	cfg := Config{
 		NumPartitions: 32, Replicas: 1,
-		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
+		RetryBase: time.Millisecond, retryMax: 2 * time.Millisecond,
 		WriteLevel: wire.ConsistencyAll, // deployment default: strictest
 		Metrics:    mreg,
 	}

@@ -214,7 +214,7 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 	in.legs = repair.NewLegQueue(repair.LegQueueOptions{
 		Cap:      cfg.HandoffCap,
 		Base:     cfg.RetryBase,
-		Max:      max(cfg.RetryMax, time.Second),
+		Max:      max(cfg.retryMax, time.Second),
 		Send:     in.sendLeg,
 		Queued:   in.met.handoffQueued,
 		Replayed: in.met.handoffReplayed,

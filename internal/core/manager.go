@@ -47,8 +47,8 @@ func Join(cfg Config, newcomer ring.Instance, seedAddr string, caller transport.
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			d := cfg.RetryBase << uint(attempt-1)
-			if d <= 0 || d > cfg.RetryMax {
-				d = cfg.RetryMax
+			if d <= 0 || d > cfg.retryMax {
+				d = cfg.retryMax
 			}
 			time.Sleep(time.Duration(rand.Int63n(int64(d))) + 1)
 		}

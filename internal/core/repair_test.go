@@ -23,7 +23,7 @@ func TestHandoffReplaysDroppedSyncLeg(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	cfg := Config{
 		NumPartitions: 16, Replicas: 1,
-		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+		RetryBase: time.Millisecond, retryMax: 4 * time.Millisecond,
 		// ONE: the write must ack via the primary alone while the sole
 		// replica is down; the failed (still-synchronous) first leg is
 		// what feeds hinted handoff here.
@@ -113,7 +113,7 @@ func TestLegQueueIdlesAfterDrain(t *testing.T) {
 // promptly — and the backlog is replayed once the peer answers again.
 func TestDrainWithPeerDown(t *testing.T) {
 	mreg := metrics.NewRegistry()
-	cfg := Config{NumPartitions: 32, Replicas: 2, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, Metrics: mreg}
+	cfg := Config{NumPartitions: 32, Replicas: 2, RetryBase: time.Millisecond, retryMax: 4 * time.Millisecond, Metrics: mreg}
 	d, reg, c := startDeployment(t, cfg, 4)
 	table := d.Instance(0).Table()
 	victim := d.Instance(1)
@@ -180,7 +180,7 @@ func TestAntiEntropyRepairsOverflowedHandoff(t *testing.T) {
 		NumPartitions: 8, Replicas: 1,
 		HandoffCap:  4, // overflow after 4 queued legs per destination
 		AntiEntropy: 25 * time.Millisecond,
-		RetryBase:   time.Millisecond, RetryMax: 4 * time.Millisecond,
+		RetryBase:   time.Millisecond, retryMax: 4 * time.Millisecond,
 		// ONE: every write targets a dead sole replica; the test needs
 		// them acked so the overflow + anti-entropy path is what heals.
 		WriteLevel: wire.ConsistencyOne,

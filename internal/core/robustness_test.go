@@ -213,7 +213,7 @@ func TestBusyDoesNotTripBreaker(t *testing.T) {
 func TestOpDeadlineBoundsSlowDeployment(t *testing.T) {
 	cfg := testCfg()
 	cfg.OpDeadline = 100 * time.Millisecond
-	cfg.OpRetries = 10 // would take seconds without the deadline
+	cfg.opRetries = 10 // would take seconds without the deadline
 	d, reg, c := startDeployment(t, cfg, 3)
 	_ = d
 	// Every hop — including retries and failover probes — crawls.
@@ -265,7 +265,7 @@ func (f callerFunc) Close() error { return nil }
 
 func TestCircuitOpensOnDeadEndpointAndOpsFailFast(t *testing.T) {
 	cfg := Config{NumPartitions: 8, Replicas: 0, RetryBase: time.Millisecond,
-		OpRetries: 1, OpDeadline: 2 * time.Second}
+		opRetries: 1, OpDeadline: 2 * time.Second}
 	tuneBreakers(t, 2, 10*time.Second)
 	d, reg, c := startDeployment(t, cfg, 1)
 	addr := d.Instance(0).Addr()
@@ -301,7 +301,7 @@ func TestCircuitOpensOnDeadEndpointAndOpsFailFast(t *testing.T) {
 func TestBackoffIsCappedAndJittered(t *testing.T) {
 	cfg := testCfg()
 	cfg.RetryBase = 4 * time.Millisecond
-	cfg.RetryMax = 16 * time.Millisecond
+	cfg.retryMax = 16 * time.Millisecond
 	d, reg, _ := startDeployment(t, cfg, 1)
 	_ = d
 	c, err := NewClient(cfg, d.Instance(0).Table(), reg.NewClient())
@@ -315,12 +315,12 @@ func TestBackoffIsCappedAndJittered(t *testing.T) {
 			if got <= 0 {
 				t.Fatalf("backoff(%d) = %v, want positive", attempt, got)
 			}
-			if got > cfg.RetryMax {
-				t.Fatalf("backoff(%d) = %v exceeds cap %v", attempt, got, cfg.RetryMax)
+			if got > cfg.retryMax {
+				t.Fatalf("backoff(%d) = %v exceeds cap %v", attempt, got, cfg.retryMax)
 			}
 			ceil := cfg.RetryBase << uint(attempt)
-			if ceil > cfg.RetryMax || ceil <= 0 {
-				ceil = cfg.RetryMax
+			if ceil > cfg.retryMax || ceil <= 0 {
+				ceil = cfg.retryMax
 			}
 			if got > ceil {
 				t.Fatalf("backoff(%d) = %v exceeds exponential ceiling %v", attempt, got, ceil)

@@ -175,9 +175,9 @@ func TestBatchBusyRetryHonorsMaxHint(t *testing.T) {
 	fake := &busyHintCaller{small: time.Millisecond, big: 150 * time.Millisecond}
 	c, err := NewClient(Config{
 		NumPartitions: 8,
-		OpRetries:     2,
+		opRetries:     2,
 		RetryBase:     time.Millisecond,
-		RetryMax:      2 * time.Millisecond,
+		retryMax:      2 * time.Millisecond,
 		OpDeadline:    5 * time.Second,
 	}, tab, fake)
 	if err != nil {

@@ -85,11 +85,11 @@ func (l nopListener) Close() error { return nil }
 
 // measureNet runs the all-to-all workload at scale n over the given
 // transport and returns the stats.
-func measureNet(o Options, n, opsPer int, kind string) (opStats, error) {
+func measureNet(o Options, n, opsPer int, kind string) (Stats, error) {
 	cfg := core.Config{NumPartitions: 1024, Replicas: 0, RetryBase: time.Millisecond, Metrics: o.Metrics}
 	d, cleanup, _, err := NetDeployment(n, cfg, kind)
 	if err != nil {
-		return opStats{}, err
+		return Stats{}, err
 	}
 	defer cleanup()
 	return runAllToAll(d, n, opsPer)
@@ -97,7 +97,7 @@ func measureNet(o Options, n, opsPer int, kind string) (opStats, error) {
 
 // measureMemcache runs set/get/delete over n real memcached-style
 // servers on loopback TCP.
-func measureMemcache(n, opsPer int) (opStats, error) {
+func measureMemcache(n, opsPer int) (Stats, error) {
 	caller := transport.NewTCPClient(transport.TCPClientOptions{ConnCache: true})
 	defer caller.Close()
 	var addrs []string
@@ -111,12 +111,12 @@ func measureMemcache(n, opsPer int) (opStats, error) {
 		srv := memcache.NewServer(0)
 		ln, err := transport.ListenTCP("127.0.0.1:0", srv.Handle, transport.EventDriven)
 		if err != nil {
-			return opStats{}, err
+			return Stats{}, err
 		}
 		lns = append(lns, ln)
 		addrs = append(addrs, ln.Addr())
 	}
-	stats := opStats{}
+	stats := Stats{}
 	start := time.Now()
 	done := make(chan error, n)
 	for ci := 0; ci < n; ci++ {
@@ -146,7 +146,7 @@ func measureMemcache(n, opsPer int) (opStats, error) {
 	}
 	for i := 0; i < n; i++ {
 		if err := <-done; err != nil {
-			return opStats{}, err
+			return Stats{}, err
 		}
 	}
 	stats.Ops = n * opsPer * 3
@@ -305,9 +305,9 @@ const clusterNetLatency = 120 * time.Microsecond
 
 // runClusterComparison measures ZHT, Cassandra (cassring) and
 // Memcached on the same in-process network with injected latency.
-func runClusterComparison(o Options) (map[string]map[int]opStats, error) {
+func runClusterComparison(o Options) (map[string]map[int]Stats, error) {
 	ops := o.scale(400, 60)
-	out := map[string]map[int]opStats{"zht": {}, "cass": {}, "memcached": {}}
+	out := map[string]map[int]Stats{"zht": {}, "cass": {}, "memcached": {}}
 	for _, n := range clusterScales(o) {
 		// ZHT.
 		d, reg, err := core.BootstrapInproc(core.Config{NumPartitions: 1024, Replicas: 0, RetryBase: time.Millisecond, Metrics: o.Metrics}, n)
@@ -350,7 +350,7 @@ func runClusterComparison(o Options) (map[string]map[int]opStats, error) {
 	return out, nil
 }
 
-func runCassWorkload(cl *cassring.Cluster, reg *transport.Registry, nClients, opsPer int) (opStats, error) {
+func runCassWorkload(cl *cassring.Cluster, reg *transport.Registry, nClients, opsPer int) (Stats, error) {
 	done := make(chan error, nClients)
 	start := time.Now()
 	for ci := 0; ci < nClients; ci++ {
@@ -376,19 +376,19 @@ func runCassWorkload(cl *cassring.Cluster, reg *transport.Registry, nClients, op
 	}
 	for i := 0; i < nClients; i++ {
 		if err := <-done; err != nil {
-			return opStats{}, err
+			return Stats{}, err
 		}
 	}
-	return opStats{Ops: nClients * opsPer * 3, Elapsed: time.Since(start)}, nil
+	return Stats{Ops: nClients * opsPer * 3, Elapsed: time.Since(start)}, nil
 }
 
-func runMemcacheInproc(reg *transport.Registry, n, opsPer int) (opStats, error) {
+func runMemcacheInproc(reg *transport.Registry, n, opsPer int) (Stats, error) {
 	var addrs []string
 	for i := 0; i < n; i++ {
 		srv := memcache.NewServer(0)
 		addr := fmt.Sprintf("mc-%03d", i)
 		if _, err := reg.Listen(addr, srv.Handle); err != nil {
-			return opStats{}, err
+			return Stats{}, err
 		}
 		addrs = append(addrs, addr)
 	}
@@ -421,10 +421,10 @@ func runMemcacheInproc(reg *transport.Registry, n, opsPer int) (opStats, error) 
 	}
 	for i := 0; i < n; i++ {
 		if err := <-done; err != nil {
-			return opStats{}, err
+			return Stats{}, err
 		}
 	}
-	return opStats{Ops: n * opsPer * 3, Elapsed: time.Since(start)}, nil
+	return Stats{Ops: n * opsPer * 3, Elapsed: time.Since(start)}, nil
 }
 
 // Fig08ClusterLatency — ZHT vs Cassandra vs Memcached latency on the

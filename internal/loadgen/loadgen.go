@@ -46,14 +46,6 @@ type Mix struct {
 	Insert, Lookup, Remove, Append float64
 }
 
-// PaperMicrobench is the §IV.A sequence expressed as a mix: equal
-// parts insert, lookup, remove.
-func PaperMicrobench() Mix { return Mix{Insert: 1, Lookup: 1, Remove: 1} }
-
-// MetadataHeavy approximates FusionFS metadata traffic: many creates
-// (insert+append) with frequent stats.
-func MetadataHeavy() Mix { return Mix{Insert: 2, Lookup: 5, Append: 2, Remove: 1} }
-
 // pick selects a kind according to the weights.
 func (m Mix) pick(rng *rand.Rand) OpKind {
 	total := m.Insert + m.Lookup + m.Remove + m.Append

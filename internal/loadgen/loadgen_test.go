@@ -7,7 +7,7 @@ import (
 
 func TestReproducible(t *testing.T) {
 	mk := func() []Op {
-		g, err := New(Options{Mix: PaperMicrobench(), Dist: Uniform{Keys: 1000}, Seed: 7})
+		g, err := New(Options{Mix: Mix{Insert: 1, Lookup: 1, Remove: 1}, Dist: Uniform{Keys: 1000}, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestMixProportions(t *testing.T) {
 }
 
 func TestValuesOnlyForMutations(t *testing.T) {
-	g, _ := New(Options{Mix: PaperMicrobench(), Dist: Uniform{Keys: 10}, Seed: 2})
+	g, _ := New(Options{Mix: Mix{Insert: 1, Lookup: 1, Remove: 1}, Dist: Uniform{Keys: 10}, Seed: 2})
 	for i := 0; i < 200; i++ {
 		op := g.Next()
 		switch op.Kind {
@@ -88,13 +88,13 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Options{Mix: PaperMicrobench()}); err == nil {
+	if _, err := New(Options{Mix: Mix{Insert: 1, Lookup: 1, Remove: 1}}); err == nil {
 		t.Error("missing distribution accepted")
 	}
 	if _, err := New(Options{Dist: Uniform{Keys: 10}}); err == nil {
 		t.Error("empty mix accepted")
 	}
-	if _, err := New(Options{Mix: PaperMicrobench(), Dist: Uniform{Keys: 0}}); err == nil {
+	if _, err := New(Options{Mix: Mix{Insert: 1, Lookup: 1, Remove: 1}, Dist: Uniform{Keys: 0}}); err == nil {
 		t.Error("empty keyspace accepted")
 	}
 }

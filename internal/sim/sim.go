@@ -88,7 +88,7 @@ type Params struct {
 	// background traffic — it never extends the acknowledged op path,
 	// but it occupies the server, NIC, and rack-link queues both at
 	// the issuing replica and at the serving authority, which is the
-	// throughput overhead zht-bench's -repair-sweep measures. 0 (the
+	// throughput overhead the root BenchmarkRepairSweep measures. 0 (the
 	// default) disables the term, leaving the calibrated anchor
 	// points untouched.
 	RepairRate float64

@@ -50,8 +50,6 @@ func noisyNeighbor(t *testing.T, seed int64) {
 		NumPartitions: 32,
 		Replicas:      1,
 		RetryBase:     time.Millisecond,
-		RetryMax:      4 * time.Millisecond,
-		OpRetries:     1,
 		OpDeadline:    2 * time.Second,
 		Admission:     adm,
 		Metrics:       mreg,

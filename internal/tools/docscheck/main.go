@@ -2,8 +2,8 @@
 // honest against the code. It fails when
 //
 //   - any package under internal/ or cmd/ lacks a package comment,
-//   - a shell code block in README.md or OBSERVABILITY.md passes a
-//     flag to a zht-* binary that the binary does not define, or
+//   - a shell code block in one of the flagDocs passes a flag to a
+//     zht-* binary that the binary does not define, or
 //   - a metric name registered anywhere in the source ("zht.*" string
 //     literal) is missing from the OBSERVABILITY.md catalogue, or
 //   - an exported field of an options struct zht-server links
@@ -42,7 +42,7 @@ func main() {
 
 	checkPackageComments(fail)
 	cmdFlags := collectCmdFlags(fail)
-	for _, doc := range []string{"README.md", "OBSERVABILITY.md"} {
+	for _, doc := range flagDocs {
 		checkDocFlags(doc, cmdFlags, fail)
 	}
 	checkMetricCatalogue(fail)
@@ -143,6 +143,10 @@ func collectCmdFlags(fail func(string, ...any)) map[string]map[string]bool {
 	}
 	return out
 }
+
+// flagDocs are the markdown files whose code blocks checkDocFlags
+// reads: every file that shows zht-* command lines.
+var flagDocs = []string{"README.md", "OBSERVABILITY.md", "EXPERIMENTS.md", "DESIGN.md"}
 
 // checkDocFlags scans fenced code blocks in one markdown file; any
 // line invoking a zht-* binary may only pass flags that binary

@@ -80,3 +80,16 @@ func TestKnobRuleMissingType(t *testing.T) {
 		t.Errorf("failures = %q, want one \"no Gone type\"", got)
 	}
 }
+
+// TestDocFlagsRemovedFlag pins that a code block passing a flag its
+// binary no longer defines fails, and that prose naming one does not.
+func TestDocFlagsRemovedFlag(t *testing.T) {
+	var got []string
+	flags := map[string]map[string]bool{"zht-bench": {"nodes": true, "batch": true}}
+	checkDocFlags("testdata/docflags/EXPERIMENTS.md", flags,
+		func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+	want := []string{"testdata/docflags/EXPERIMENTS.md:7: zht-bench has no flag -smoke"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failures = %q, want %q", got, want)
+	}
+}

@@ -48,6 +48,7 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	caller := zht.NewTCPCaller()
 	defer caller.Close()
 
+	var lns []transport.Listener
 	var switches []*zht.HandlerSwitch
 	var eps []zht.Endpoint
 	for i := 0; i < 2; i++ {
@@ -57,6 +58,7 @@ func TestPublicAPIOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
+		lns = append(lns, ln)
 		switches = append(switches, hs)
 		eps = append(eps, zht.Endpoint{Addr: ln.Addr(), Node: fmt.Sprintf("n%d", i)})
 	}
@@ -64,7 +66,7 @@ func TestPublicAPIOverTCP(t *testing.T) {
 		for i, ep := range eps {
 			if ep.Addr == addr {
 				switches[i].Set(h)
-				return nopListener{addr}, nil
+				return lns[i], nil
 			}
 		}
 		return nil, fmt.Errorf("no listener for %s", addr)
@@ -88,8 +90,3 @@ func TestPublicAPIOverTCP(t *testing.T) {
 		}
 	}
 }
-
-type nopListener struct{ addr string }
-
-func (l nopListener) Addr() string { return l.addr }
-func (l nopListener) Close() error { return nil }
