@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"zht/internal/core"
+	"zht/internal/figures"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -91,22 +92,12 @@ func main() {
 				in.ID, in.Addr, t.Status[i], in.Node, len(t.PartitionsOf(i)))
 		}
 	case "bench":
-		val := make([]byte, 132)
-		start := time.Now()
-		for i := 0; i < *ops; i++ {
-			k := fmt.Sprintf("bench-%010d", i)
-			die(c.Insert(k, val))
-			if _, err := c.Lookup(k); err != nil {
-				die(err)
-			}
-			die(c.Remove(k))
-		}
-		el := time.Since(start)
-		total := *ops * 3
+		// The paper's micro-benchmark (§IV.A) with this one client.
+		st, err := figures.RunAllToAll([]*core.Client{c}, *ops, 1, nil)
+		die(err)
 		fmt.Printf("%d ops in %s: %.3f ms/op, %.0f ops/s\n",
-			total, el.Round(time.Millisecond),
-			float64(el.Nanoseconds())/1e6/float64(total),
-			float64(total)/el.Seconds())
+			st.Ops, st.Elapsed.Round(time.Millisecond),
+			float64(st.Elapsed.Nanoseconds())/1e6/float64(st.Ops), st.Throughput())
 	default:
 		fmt.Fprintf(os.Stderr, "unknown command %q\n", args[0])
 		os.Exit(2)

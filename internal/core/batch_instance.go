@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"zht/internal/novoht"
 	"zht/internal/ring"
 	"zht/internal/wire"
 )
@@ -58,7 +57,7 @@ type batchGroup struct {
 	lo, hi   int
 	alo, ahi int
 	live     bool // not yet answered with a routing verdict
-	s        *novoht.Store
+	part     *partition
 	peers    []ring.Instance // non-self replicas in ring order
 	syncNeed int             // replica acks the group's strictest level needs
 	acked    int             // rounds in which every leg of the group succeeded
@@ -312,12 +311,7 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 			sc.fan(g, resps, wrongOwner)
 			continue
 		}
-		s, err := in.store(g.p)
-		if err != nil {
-			sc.fan(g, resps, errResp(err))
-			continue
-		}
-		g.s = s
+		g.part = &in.parts[g.p]
 		for _, t := range tags[g.lo:g.hi] {
 			sub := subs[t&0xffffffff]
 			if in.mutates(sub) {
@@ -356,14 +350,15 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 			continue
 		}
 		g.alo = len(sc.applied)
+		s := in.open(g.part)
 		for _, t := range sc.tags[g.lo:g.hi] {
 			i := int(t & 0xffffffff)
 			if subs[i].Op == wire.OpLookup {
-				in.applyLookup(g.s, subs[i], resps[i], arena)
+				in.applyLookup(s, subs[i], resps[i], arena)
 				continue
 			}
 			mutated = true
-			ver, legVal := in.applyMutation(g.s, subs[i], resps[i])
+			ver, legVal := in.applyMutation(s, subs[i], resps[i])
 			if resps[i].Status != wire.StatusOK || !in.mutates(subs[i]) {
 				if legVal != nil {
 					wire.PutBuffer(legVal)
@@ -371,7 +366,7 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 				continue
 			}
 			if subs[i].Op == wire.OpRemove {
-				in.removes[g.p].note(subs[i].Key, ver)
+				g.part.note(subs[i].Key, ver)
 			}
 			sc.applied = append(sc.applied, i)
 			sc.legVals = append(sc.legVals, legVal)
@@ -576,7 +571,7 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 // partition.
 func (in *Instance) anyMigrating(groups []batchGroup) bool {
 	for gi := range groups {
-		if ps := in.parts[groups[gi].p].Load(); groups[gi].live && ps != nil && ps.migrating.Load() {
+		if ps := in.part(groups[gi].p).mig.Load(); groups[gi].live && ps != nil && ps.migrating.Load() {
 			return true
 		}
 	}

@@ -56,18 +56,8 @@ type Instance struct {
 	// log holds every partition store of the instance and, with a
 	// DataDir, their one write-ahead log file, DataDir/<id>.log.
 	log *novoht.Log
-	// stores holds partition p's store at index p once created: at
-	// boot for every partition the log replayed, on demand for the
-	// rest. Stores are never removed, so readers load the slot without
-	// locking; smu serializes creation.
-	smu    sync.Mutex
-	stores []atomic.Pointer[novoht.Store]
-
-	// parts holds partition p's migration record at index p, nil while
-	// p is not being given away, so the gate on every op costs one
-	// load; pmu serializes the transitions that store or clear one.
-	pmu   sync.Mutex
-	parts []atomic.Pointer[partState]
+	// parts holds partition p's state at index p (partition).
+	parts []partition
 	// opLocks order a migration's cutover after in-flight KV
 	// applications (striped; a migration takes the write side after
 	// marking the partition migrating, draining appliers so its final
@@ -82,9 +72,6 @@ type Instance struct {
 	// what feeds the store's group-commit WAL more than one record
 	// per fsync. Lookups bypass these locks entirely.
 	mutLocks [lockStripes]sync.Mutex
-	// removes holds partition p's recent remove stamps at index p, so
-	// a stale copy of a removed pair cannot install (removeStamps).
-	removes []removeStamps
 
 	bmu   sync.Mutex // guards bcast
 	bcast map[string][]byte
@@ -110,10 +97,6 @@ type Instance struct {
 	// Close waits for it after closing `closed` so no repair work
 	// races store shutdown.
 	loopWG sync.WaitGroup
-	// rrLast rate-limits read-repair to one scheduled round per
-	// partition per anti-entropy period.
-	rrMu   sync.Mutex
-	rrLast map[int]time.Time
 }
 
 // asyncGroup runs and counts the instance's asynchronous work —
@@ -169,6 +152,30 @@ type partState struct {
 	ok        bool
 }
 
+// partition is one partition's state on this instance. The hot path
+// reads store and mig with one atomic load each. mu serialises the
+// migration transitions and the remove-stamp map; each of its critical
+// sections is a leaf, taking no other core lock.
+type partition struct {
+	id int // its index in Instance.parts
+	// store is the partition's store once created: at boot when the log
+	// replayed some of it, on demand otherwise (open). It is never
+	// removed.
+	store atomic.Pointer[novoht.Store]
+	// mig is the migration record, nil while the partition is not being
+	// given away.
+	mig atomic.Pointer[partState]
+	// rrAt is when the last read-repair round was admitted, in Unix
+	// nanoseconds (scheduleReadRepair).
+	rrAt atomic.Int64
+	mu   sync.Mutex
+	// removed holds the stamps of recent removes (note), nRemoved its
+	// length, so covers skips mu while none is kept.
+	removed  map[string]uint64
+	nRemoved atomic.Int64
+	sweepAt  int // len(removed) at which note next drops expired stamps
+}
+
 // NewInstance creates an instance. self must already appear in table.
 // caller is the transport the instance uses for server-to-server
 // communication (replication, migration, membership announces).
@@ -185,13 +192,13 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		hashf:    cfg.hash(),
 		clock:    newHLC(self.ID),
 		deltaLog: ring.NewDeltaLog(0),
-		stores:   make([]atomic.Pointer[novoht.Store], table.NumPartitions),
-		parts:    make([]atomic.Pointer[partState], table.NumPartitions),
-		removes:  make([]removeStamps, table.NumPartitions),
+		parts:    make([]partition, table.NumPartitions),
 		bcast:    make(map[string][]byte),
 		met:      newInstanceMetrics(cfg.Metrics),
 		closed:   make(chan struct{}),
-		rrLast:   make(map[int]time.Time),
+	}
+	for p := range in.parts {
+		in.parts[p].id = p
 	}
 	// Every server-to-server call flows through the epoch piggyback
 	// wrapper: outgoing requests carry our epoch, incoming responses
@@ -268,7 +275,7 @@ func (in *Instance) openLog() error {
 	}
 	in.log = l
 	for _, p := range l.IDs() {
-		in.stores[p].Store(l.Store(p))
+		in.parts[p].store.Store(l.Store(p))
 	}
 	in.clock.Observe(l.MaxVersion())
 	if err := in.importPartitionLogs(opts.Path); err != nil {
@@ -308,11 +315,7 @@ func (in *Instance) importPartitionLogs(path string) error {
 			return fmt.Errorf("core: import %s: %w", name, err)
 		}
 		err = src.ForEachV(func(key string, val []byte, ver uint64) error {
-			p := in.partitionOf(key)
-			s, err := in.store(p)
-			if err == nil {
-				_, err = in.install(p, s, key, val, ver)
-			}
+			_, err := in.install(&in.parts[in.partitionOf(key)], key, val, ver)
 			return err
 		})
 		// One commit per old file bounds what the import holds staged.
@@ -347,23 +350,33 @@ func (in *Instance) partitionOf(key string) int {
 	return in.tableRef().Partition(in.hashf(key))
 }
 
+// part returns partition p's state, or nil when p is out of range.
+func (in *Instance) part(p int) *partition {
+	if p < 0 || p >= len(in.parts) {
+		return nil
+	}
+	return &in.parts[p]
+}
+
 // store returns (creating on demand) the store backing partition p on
 // this instance.
 func (in *Instance) store(p int) (*novoht.Store, error) {
-	if s := in.storeIfPresent(p); s != nil {
-		return s, nil
-	}
-	if p < 0 || p >= len(in.stores) {
+	pt := in.part(p)
+	if pt == nil {
 		return nil, fmt.Errorf("core: bad partition %d", p)
 	}
-	in.smu.Lock()
-	defer in.smu.Unlock()
-	if s := in.stores[p].Load(); s != nil {
-		return s, nil
+	return in.open(pt), nil
+}
+
+// open returns pt's store, creating it on first use. Log.Store returns
+// one store per id, so racing creators publish the same one.
+func (in *Instance) open(pt *partition) *novoht.Store {
+	s := pt.store.Load()
+	if s == nil {
+		s = in.log.Store(pt.id)
+		pt.store.Store(s)
 	}
-	s := in.log.Store(p)
-	in.stores[p].Store(s)
-	return s, nil
+	return s
 }
 
 // Handle implements transport.Handler: the single entry point for
@@ -506,10 +519,10 @@ func (in *Instance) writeLevel(req *wire.Request) wire.Consistency {
 // storeIfPresent returns partition p's store only if this instance
 // already holds one, never creating it.
 func (in *Instance) storeIfPresent(p int) *novoht.Store {
-	if p < 0 || p >= len(in.stores) {
-		return nil
+	if pt := in.part(p); pt != nil {
+		return pt.store.Load()
 	}
-	return in.stores[p].Load()
+	return nil
 }
 
 // applyMutation stamps one mutation, applies it to the owner's store
@@ -629,13 +642,6 @@ func statusResp(st wire.Status) *wire.Response {
 	return r
 }
 
-// errResp draws a pooled StatusError response.
-func errResp(err error) *wire.Response {
-	r := wire.GetResponse()
-	setErr(r, err)
-	return r
-}
-
 // setErr answers resp with StatusError and err's text.
 func setErr(resp *wire.Response, err error) {
 	resp.Status = wire.StatusError
@@ -732,21 +738,21 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 		resp.Status, resp.Err = wire.StatusError, "core: replicate without op or version"
 		return
 	}
-	p := int(req.Partition)
-	s, err := in.store(p)
-	if err != nil {
-		setErr(resp, err)
+	pt := in.part(int(req.Partition))
+	if pt == nil {
+		resp.Status, resp.Err = wire.StatusError, fmt.Sprintf("core: bad partition %d", req.Partition)
 		return
 	}
 	var applied bool
+	var err error
 	switch op := wire.Op(req.Aux[0]); op {
 	case wire.OpInsert:
-		applied, err = in.install(p, s, req.Key, req.Value, req.Version)
+		applied, err = in.install(pt, req.Key, req.Value, req.Version)
 	case wire.OpRemove:
-		if err = in.checkPartition(p, req.Key); err == nil {
+		if err = in.checkPartition(pt.id, req.Key); err == nil {
 			in.clock.Observe(req.Version)
-			if applied, err = s.RemoveLWW(req.Key, req.Version); applied {
-				in.removes[p].note(req.Key, req.Version)
+			if applied, err = in.open(pt).RemoveLWW(req.Key, req.Version); applied {
+				pt.note(req.Key, req.Version)
 			}
 		}
 	default:
@@ -761,23 +767,24 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 }
 
 // install lands a stamped pair another node produced — a replica leg
-// or a leaf-stream transfer — into partition p's store s,
+// or a leaf-stream transfer — into partition pt's store,
 // last-writer-wins. It is the one way such a pair enters a local
-// store. It refuses a key that does not hash to p: the log replays each
-// record into the partition its key hashes to. The clock observes the
-// stamp first, so this node's next write of the key stamps above it
+// store. It refuses a key that does not hash to pt: the log replays
+// each record into the partition its key hashes to. The clock observes
+// the stamp first, so this node's next write of the key stamps above it
 // and is never refused by a copy that holds the installed pair. A pair
 // no newer than a remove of the key this node applied is not installed
-// (removeStamps), as the store would refuse it had it kept the remove.
-func (in *Instance) install(p int, s *novoht.Store, key string, val []byte, ver uint64) (bool, error) {
-	if err := in.checkPartition(p, key); err != nil {
+// (partition.note), as the store would refuse it had it kept the
+// remove.
+func (in *Instance) install(pt *partition, key string, val []byte, ver uint64) (bool, error) {
+	if err := in.checkPartition(pt.id, key); err != nil {
 		return false, err
 	}
 	in.clock.Observe(ver)
-	if in.removes[p].covers(key, ver) {
+	if pt.covers(key, ver) {
 		return false, nil
 	}
-	return s.PutLWW(key, val, ver)
+	return in.open(pt).PutLWW(key, val, ver)
 }
 
 // checkPartition refuses a pair that names partition p but whose key
@@ -854,7 +861,7 @@ func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
 // stream, never in an OpMigrate.
 func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
-	if p < 0 || p >= in.cfg.NumPartitions {
+	if in.part(p) == nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
 	switch string(req.Aux) {
@@ -877,10 +884,11 @@ func (in *Instance) handleMigrateLock(p int) *wire.Response {
 	if table.OwnerOf(p).ID != in.self.ID {
 		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 	}
-	if !in.lockForMove(p) {
+	ps := in.lockForMove(p)
+	if ps == nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: partition already migrating"}
 	}
-	in.migrationWatchdog(p)
+	in.migrationWatchdog(p, ps)
 	return &wire.Response{Status: wire.StatusOK}
 }
 
@@ -888,28 +896,24 @@ func (in *Instance) handleMigrateLock(p int) *wire.Response {
 // requests queue behind its gate — and drains the appliers already
 // past the gate: anyone holding the op lock in read mode finished
 // applying (and replicating) once it can be taken exclusively. It
-// reports false when p is already migrating.
-func (in *Instance) lockForMove(p int) bool {
-	if !in.beginMigration(p) {
-		return false
+// returns the migration's record, or nil when p is already migrating.
+func (in *Instance) lockForMove(p int) *partState {
+	ps := in.part(p).beginMigration()
+	if ps != nil {
+		l := in.opLock(p)
+		l.Lock()
+		l.Unlock() //nolint:staticcheck // cycle, not critical section
 	}
-	l := in.opLock(p)
-	l.Lock()
-	l.Unlock() //nolint:staticcheck // cycle, not critical section
-	return true
+	return ps
 }
 
-// migrationWatchdog fails an open migration on partition p if the
+// migrationWatchdog fails partition p's open migration ps if the
 // confirming delta never arrives, so queued requests are not stuck
 // forever.
-func (in *Instance) migrationWatchdog(p int) {
+func (in *Instance) migrationWatchdog(p int, ps *partState) {
 	go func() {
 		timer := time.NewTimer(migrationTimeout)
 		defer timer.Stop()
-		ps := in.parts[p].Load()
-		if ps == nil {
-			return
-		}
 		select {
 		case <-ps.done:
 		case <-timer.C:
@@ -919,27 +923,28 @@ func (in *Instance) migrationWatchdog(p int) {
 	}()
 }
 
-// beginMigration locks partition p for an outgoing move; it reports
-// false when a migration is already in flight.
-func (in *Instance) beginMigration(p int) bool {
-	in.pmu.Lock()
-	defer in.pmu.Unlock()
-	if ps := in.parts[p].Load(); ps != nil && ps.migrating.Load() {
-		return false
+// beginMigration locks pt for an outgoing move and returns the
+// migration's record, or nil when a migration is already in flight.
+func (pt *partition) beginMigration() *partState {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if ps := pt.mig.Load(); ps != nil && ps.migrating.Load() {
+		return nil
 	}
 	ps := &partState{done: make(chan struct{})}
 	ps.migrating.Store(true)
-	in.parts[p].Store(ps)
-	return true
+	pt.mig.Store(ps)
+	return ps
 }
 
 // completeMigration resolves a pending outgoing migration. ok=true
 // publishes redirect to the queued requests; ok=false discards them
 // with errors (the paper's rollback path).
 func (in *Instance) completeMigration(p int, redirect string, ok bool) {
-	in.pmu.Lock()
-	defer in.pmu.Unlock()
-	ps := in.parts[p].Load()
+	pt := in.part(p)
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	ps := pt.mig.Load()
 	if ps == nil || !ps.migrating.Load() {
 		return
 	}
@@ -948,7 +953,7 @@ func (in *Instance) completeMigration(p int, redirect string, ok bool) {
 	ps.migrating.Store(false)
 	close(ps.done)
 	if !ok {
-		in.parts[p].Store(nil) // rolled back: we still own the partition
+		pt.mig.Store(nil) // rolled back: we still own the partition
 	}
 }
 
@@ -958,7 +963,8 @@ func (in *Instance) completeMigration(p int, redirect string, ok bool) {
 // returns the queued verdict, or returns a redirect when p has already
 // moved away.
 func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
-	ps := in.parts[p].Load()
+	pt := in.part(p)
+	ps := pt.mig.Load()
 	if ps == nil {
 		return nil
 	}
@@ -990,7 +996,7 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 	// the partition back), and the op is served here. Only the record
 	// judged here is dropped: a migration of p that began since keeps
 	// its own.
-	in.parts[p].CompareAndSwap(ps, nil)
+	pt.mig.CompareAndSwap(ps, nil)
 	return nil
 }
 
@@ -1200,8 +1206,8 @@ func (in *Instance) Close() error {
 // openStores lists the partition stores created so far.
 func (in *Instance) openStores() []*novoht.Store {
 	var out []*novoht.Store
-	for p := range in.stores {
-		if s := in.storeIfPresent(p); s != nil {
+	for p := range in.parts {
+		if s := in.parts[p].store.Load(); s != nil {
 			out = append(out, s)
 		}
 	}

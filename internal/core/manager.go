@@ -195,7 +195,7 @@ func Depart(inst *Instance) error {
 	for tgtIdx, parts := range moves {
 		tgt := table.Instances[tgtIdx]
 		for _, p := range parts {
-			if !inst.lockForMove(p) {
+			if inst.lockForMove(p) == nil {
 				rollback()
 				return fmt.Errorf("core: partition %d already migrating", p)
 			}

@@ -2,9 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zht/internal/novoht"
@@ -61,7 +60,7 @@ func (in *Instance) PartitionDigest(p int) []uint64 {
 // handleDigest serves wire.OpDigest: the partition's digest snapshot.
 func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
-	if p < 0 || p >= in.cfg.NumPartitions {
+	if in.part(p) == nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
 	return &wire.Response{Status: wire.StatusOK, Value: repair.EncodeDigest(in.PartitionDigest(p))}
@@ -76,7 +75,7 @@ func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 //     read-repair.
 func (in *Instance) handleRepairPull(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
-	if p < 0 || p >= in.cfg.NumPartitions {
+	if in.part(p) == nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
 	leaves, err := repair.DecodeLeafSet(req.Aux)
@@ -144,10 +143,11 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 // Its deletes and installs are staged and committed once, as one
 // request, before it returns.
 func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, wholesale bool) (err error) {
-	s, err := in.store(p)
-	if err != nil {
-		return err
+	pt := in.part(p)
+	if pt == nil {
+		return fmt.Errorf("core: bad partition %d", p)
 	}
+	s := in.open(pt)
 	defer func() {
 		if cerr := in.log.Commit(); err == nil {
 			err = cerr
@@ -179,12 +179,12 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 				return err
 			}
 			if ok {
-				in.removes[p].note(sp.key, sp.ver+1)
+				pt.note(sp.key, sp.ver+1)
 			}
 		}
 	}
 	for k, pr := range auth {
-		if _, err := in.install(p, s, k, pr.Value, pr.Ver); err != nil {
+		if _, err := in.install(pt, k, pr.Value, pr.Ver); err != nil {
 			return err
 		}
 	}
@@ -210,52 +210,44 @@ func (sp stalePair) remove(s *novoht.Store) (bool, error) {
 // a streamed chunk collected before a remove can wait before it lands.
 const removeGrace = 2 * migrationTimeout
 
-// removeStamps remembers the stamps of one partition's recent removes:
-// the owner's replicated removes, replica remove legs, and the deletes
-// of a wholesale repair or migration sync. The stores keep no
-// tombstones, so an absent key carries no version and PutLWW onto it
-// applies: without these, a rebuild push, a repair pull or a
-// migration chunk collected before a remove would bring the removed
-// pair back when it lands after the remove (DESIGN.md §12). The stamps
-// live in memory only, for removeGrace past each remove, and are
-// dropped as note grows the set.
-type removeStamps struct {
-	n       atomic.Int64 // len(m), so install skips mu while none is kept
-	mu      sync.Mutex
-	m       map[string]uint64
-	sweepAt int // len(m) at which note next drops expired stamps
-}
-
-// note records a remove of key stamped ver.
-func (r *removeStamps) note(key string, ver uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]uint64)
+// note records a remove of key stamped ver in pt. The stamps of
+// recent removes — the owner's replicated removes, replica remove legs,
+// and the deletes of a wholesale repair or migration sync — refuse
+// stale copies of the pair. The stores keep no tombstones, so an absent
+// key carries no version and PutLWW onto it applies: without these, a
+// rebuild push, a repair pull or a migration chunk collected before a
+// remove would bring the removed pair back when it lands after the
+// remove (DESIGN.md §12). The stamps live in memory only, for
+// removeGrace past each remove, and are dropped as note grows the set.
+func (pt *partition) note(key string, ver uint64) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.removed == nil {
+		pt.removed = make(map[string]uint64)
 	}
 	// The key may alias a pooled request buffer; the map keeps a copy.
-	r.m[strings.Clone(key)] = max(ver, r.m[key])
-	if len(r.m) >= r.sweepAt {
+	pt.removed[strings.Clone(key)] = max(ver, pt.removed[key])
+	if len(pt.removed) >= pt.sweepAt {
 		cutoff := uint64(time.Now().Add(-removeGrace).UnixMilli()) << hlcNodeBits
-		for k, v := range r.m {
+		for k, v := range pt.removed {
 			if v < cutoff {
-				delete(r.m, k)
+				delete(pt.removed, k)
 			}
 		}
-		r.sweepAt = max(64, 2*len(r.m))
+		pt.sweepAt = max(64, 2*len(pt.removed))
 	}
-	r.n.Store(int64(len(r.m)))
+	pt.nRemoved.Store(int64(len(pt.removed)))
 }
 
 // covers reports whether a pair of key stamped ver is no newer than a
 // remembered remove of key.
-func (r *removeStamps) covers(key string, ver uint64) bool {
-	if r.n.Load() == 0 {
+func (pt *partition) covers(key string, ver uint64) bool {
+	if pt.nRemoved.Load() == 0 {
 		return false
 	}
-	r.mu.Lock()
-	v, ok := r.m[key]
-	r.mu.Unlock()
+	pt.mu.Lock()
+	v, ok := pt.removed[key]
+	pt.mu.Unlock()
 	return ok && ver <= v
 }
 
@@ -412,23 +404,21 @@ func (in *Instance) scheduleReadRepair(table *ring.Table, p int) {
 	if in.cfg.AntiEntropy <= 0 || in.cfg.Replicas <= 0 {
 		return
 	}
-	now := time.Now()
-	in.rrMu.Lock()
-	if now.Sub(in.rrLast[p]) < in.cfg.AntiEntropy {
-		in.rrMu.Unlock()
+	// One CAS admits one round per period: of two racing failover
+	// reads, the loser sees the winner's time, or fails its swap.
+	pt, now := in.part(p), time.Now().UnixNano()
+	if last := pt.rrAt.Load(); now-last < int64(in.cfg.AntiEntropy) || !pt.rrAt.CompareAndSwap(last, now) {
 		return
 	}
-	in.rrLast[p] = now
-	in.rrMu.Unlock()
 	select {
 	case <-in.closed:
 		return
 	default:
 	}
+	in.met.readRepairs.Inc()
 	in.loopWG.Add(1)
 	go func() {
 		defer in.loopWG.Done()
-		in.met.readRepairs.Inc()
 		in.pushToReplicas(table, p)
 	}()
 }

@@ -287,28 +287,34 @@ func TestFailoverLookupsScheduleReadRepair(t *testing.T) {
 		}
 	}
 
+	// The counter counts rounds as they are admitted, before the lookup
+	// answers, so each check is exact.
 	repairs := mreg.Counter("zht.repair.read_repairs")
-	waitRepairs := func(want int64) {
+	wantRepairs := func(want int64) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for repairs.Value() < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("read_repairs = %d, want %d", repairs.Value(), want)
-			}
-			time.Sleep(time.Millisecond)
+		if got := repairs.Value(); got != want {
+			t.Fatalf("read_repairs = %d, want %d", got, want)
+		}
+	}
+	lookup := func(in *Instance, key string) {
+		t.Helper()
+		if resp := in.Handle(&wire.Request{Op: wire.OpLookup, Key: key}); resp.Status != wire.StatusOK || string(resp.Value) != "v" {
+			t.Fatalf("failover lookup: %s %q", resp.Status, resp.Value)
 		}
 	}
 
-	if resp := serving[0].Handle(&wire.Request{Op: wire.OpLookup, Key: keys[0]}); resp.Status != wire.StatusOK || string(resp.Value) != "v" {
-		t.Fatalf("failover lookup: %s %q", resp.Status, resp.Value)
-	}
-	waitRepairs(1)
+	lookup(serving[0], keys[0])
+	wantRepairs(1)
 	env := serving[1].Handle(wire.NewBatchRequest([]*wire.Request{{Op: wire.OpLookup, Key: keys[1]}}))
 	rs, err := wire.DecodeResponses(env.Value)
 	if err != nil || len(rs) != 1 || rs[0].Status != wire.StatusOK || string(rs[0].Value) != "v" {
 		t.Fatalf("batched failover lookup: %s %v %+v", env.Status, err, rs)
 	}
-	waitRepairs(2)
+	wantRepairs(2)
+	// A second failover read of keys[0]'s partition within the period
+	// is served but schedules no round: the rate limit holds.
+	lookup(serving[0], keys[0])
+	wantRepairs(2)
 }
 
 // TestRepairOpsOverWire exercises OpDigest and OpRepairPull as a peer
