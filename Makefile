@@ -36,13 +36,18 @@ fmt-check:
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 
-# bench-smoke is the batching regression gate: the root
+# bench-smoke holds the wall-clock ratio gates, each run alone so no
+# other package's tests contend for the CPU. The root
 # BenchmarkBatchSpeedup runs the paper's micro-benchmark over loopback
 # TCP once lockstep and once with Client.Batch of 64, and fails unless
-# batching wins by batchSpeedupMin (3x). The cap leaves room to compile
-# the root test binary from a cold build cache.
+# batching wins by batchSpeedupMin (3x). figures'
+# BenchmarkFig19MatrixEfficiency runs Figure 19's quick rows and fails
+# unless MATRIX beats Falkon and reaches 50 % efficiency at every task
+# duration. The caps leave room to compile each test binary from a
+# cold build cache.
 bench-smoke:
 	timeout 120 $(GO) test -run '^$$' -bench '^BenchmarkBatchSpeedup$$' -benchtime 1x .
+	timeout 120 $(GO) test -run '^$$' -bench '^BenchmarkFig19MatrixEfficiency$$' -benchtime 1x ./internal/figures
 
 # The five smoke targets below are verify's randomized gates. Each one
 # runs a test that `go test ./...` also runs, on that test's fixed
@@ -144,9 +149,9 @@ benchmark-test:
 # verify is the pre-merge gate: formatting and docs checks, static
 # analysis, the full test suite (including the chaos soaks) under the
 # race detector, a short pass of every fuzz target, the benchmark
-# module's tests, the hot-path allocation gate, and the batching +
-# crash-recovery + replica-repair + elastic-membership +
-# tunable-consistency + multi-tenancy smoke runs.
+# module's tests, the hot-path allocation gate, and the wall-clock
+# ratio (batching, Figure 19) + crash-recovery + replica-repair +
+# elastic-membership + tunable-consistency + multi-tenancy smoke runs.
 # Every step runs even after one fails, so one red never hides the
 # rest; the last line is the pass/fail census and the exit status is
 # non-zero if any step failed.

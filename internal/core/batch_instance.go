@@ -12,7 +12,7 @@ import (
 
 // Server side of the batched request path: one OpBatch envelope
 // carries N sub-operations, and the instance amortizes the per-request
-// cost — migration gate, ownership check, partition locks, replication
+// cost — migration gate, in-flight count, ownership, locks, replica
 // round trips — across the whole envelope: locks are taken once per
 // envelope and replica legs travel as one envelope per destination.
 // This is the apply-loop half of the pipeline the paper's
@@ -212,23 +212,21 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // It answers sub-op i into resps[i], a zeroed response the caller owns.
 // A migration gate that must wait detaches detach first.
 //
-// Lock order: the op-lock stripes of every group that passed its
-// migration gate, then the mutation stripes of every mutated key, each
-// set ascending and deduplicated (partitions p and p+64 share an op
-// stripe, and a goroutine read-locking one RWMutex twice deadlocks
-// against a waiting writer), so no cycle can form between concurrent
-// envelopes. Both sets are held across the apply and every synchronous
-// replica round, so each key's replica order matches its apply order
-// while envelopes touching disjoint keys overlap — feeding the stores'
-// group-commit WALs whole batches.
+// Every group that passed its migration gate holds its partition's
+// in-flight count, and the mutation stripes of every mutated key are
+// locked ascending, so no cycle can form between concurrent envelopes.
+// Both are held across the apply and every synchronous replica round:
+// a migration's drain waits for the group, and each key's replica
+// order matches its apply order while envelopes touching disjoint keys
+// overlap — feeding the stores' group-commit WALs whole batches.
 //
 // applyBatch only sequences the phases and holds the locks, so its
 // frame stays small under the replica round trip: a TCP server runs a
 // detached request's successor on a fresh goroutine, whose stack each
 // extra frame on this path can force to grow once more.
 func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) {
-	ops, muts, table := in.lockBatch(subs, resps, sc, detach)
-	defer in.unlockOps(ops)
+	muts, table := in.lockBatch(subs, resps, sc, detach)
+	defer addInflight(sc.groups, -1)
 	defer in.unlockMuts(muts)
 	if in.applyGroups(subs, resps, sc) {
 		in.commitGroups(subs, resps, sc)
@@ -241,10 +239,11 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 }
 
 // lockBatch groups the sorted tags by partition, answers every group
-// that may not be served here with its routing verdict, and locks the
-// stripes the rest need; it returns them for applyBatch to release,
-// with the table snapshot ownership was judged on.
-func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) (ops, muts uint64, table *ring.Table) {
+// that may not be served here with its routing verdict, enters the
+// in-flight count of the rest (applyBatch exits those still live) and
+// locks the stripes they need; it returns the stripes for applyBatch
+// to release, with the table snapshot ownership was judged on.
+func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) (muts uint64, table *ring.Table) {
 	if len(sc.tags) > 1 {
 		slices.Sort(sc.tags)
 	}
@@ -258,34 +257,31 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 		// is a measurable share of a single op.
 		sc.groups = append(sc.groups, batchGroup{})
 		g := &sc.groups[len(sc.groups)-1]
-		g.p, g.lo, g.hi, g.live = p, lo, k, true
+		g.p, g.lo, g.hi, g.live, g.part = p, lo, k, true, &in.parts[p]
 	}
 	groups := sc.groups
 
 	// Migration gates (a partition being given away queues its ops until
-	// the move resolves, §III.C), then the op stripes of every group
-	// that passed, held through the apply so a migration's drain waits
-	// for it and its final sync cannot miss an acknowledged write; a
-	// migration that began while the stripes were being acquired sends
-	// the envelope back through the gates.
+	// the move resolves, §III.C), then the in-flight count of every
+	// group that passed, held through the apply so a migration's drain
+	// waits for it and its final sync cannot miss an acknowledged write.
+	// A migration that began before the counts were entered, whose drain
+	// may have read zero, sends the envelope back through the gates. No
+	// count is held while a gate waits: a join moves its partitions one
+	// at a time before it commits.
 	for {
-		ops = 0
 		for gi := range groups {
-			g := &groups[gi]
-			if !g.live {
-				continue
+			if g := &groups[gi]; g.live {
+				if resp := in.migrationGate(g.p, detach); resp != nil {
+					sc.fan(g, resps, resp)
+				}
 			}
-			if resp := in.migrationGate(g.p, detach); resp != nil {
-				sc.fan(g, resps, resp)
-				continue
-			}
-			ops |= 1 << (g.p % lockStripes)
 		}
-		in.lockOps(ops)
+		addInflight(groups, 1)
 		if !in.anyMigrating(groups) {
 			break
 		}
-		in.unlockOps(ops)
+		addInflight(groups, -1)
 	}
 
 	// Ownership is evaluated on one table snapshot taken AFTER the
@@ -308,10 +304,10 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 			if wrongOwner == nil {
 				wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 			}
+			g.part.inflight.Add(-1)
 			sc.fan(g, resps, wrongOwner)
 			continue
 		}
-		g.part = &in.parts[g.p]
 		for _, t := range tags[g.lo:g.hi] {
 			sub := subs[t&0xffffffff]
 			if in.mutates(sub) {
@@ -327,7 +323,7 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 		}
 	}
 	in.lockMuts(muts)
-	return ops, muts, table
+	return muts, table
 }
 
 // applyGroups applies every live group's sub-ops. Every mutation is
@@ -578,16 +574,13 @@ func (in *Instance) anyMigrating(groups []batchGroup) bool {
 	return false
 }
 
-// lockOps read-locks the op stripes set in mask, ascending.
-func (in *Instance) lockOps(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		in.opLocks[bits.TrailingZeros64(m)].RLock()
-	}
-}
-
-func (in *Instance) unlockOps(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		in.opLocks[bits.TrailingZeros64(m)].RUnlock()
+// addInflight adds d to the in-flight count of every live group's
+// partition: 1 enters the groups, -1 exits them.
+func addInflight(groups []batchGroup, d int32) {
+	for gi := range groups {
+		if groups[gi].live {
+			groups[gi].part.inflight.Add(d)
+		}
 	}
 }
 

@@ -324,8 +324,8 @@ func TestBatchStragglerPromotion(t *testing.T) {
 
 // TestConcurrentReplicatedBatchesConverge runs replicated batches and
 // single ops over one small key set from several goroutines while a
-// node joins — envelopes contend for the same op and mutation stripes
-// and migrations take op stripes exclusively — and then requires every
+// node joins — envelopes contend for the same mutation stripes and
+// migrations drain the partitions' in-flight counts — and then requires every
 // key's copies to agree: per-key replica order held under contention,
 // and no lock order deadlocked. Random per-call latency widens the
 // window in which a leg could overtake an earlier one for its key.

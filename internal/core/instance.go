@@ -58,11 +58,6 @@ type Instance struct {
 	log *novoht.Log
 	// parts holds partition p's state at index p (partition).
 	parts []partition
-	// opLocks order a migration's cutover after in-flight KV
-	// applications (striped; a migration takes the write side after
-	// marking the partition migrating, draining appliers so its final
-	// sync includes every acknowledged write).
-	opLocks [lockStripes]sync.RWMutex
 	// mutLocks serialize each KEY's mutation+replication pair
 	// (striped by key hash): without it, two concurrent writes to one
 	// key could reach the secondary replica in the opposite order
@@ -136,8 +131,8 @@ func (g *asyncGroup) wait() {
 	}
 }
 
-// lockStripes is the stripe count of opLocks and mutLocks; 64 lets the
-// batch path name any set of stripes as one uint64 bitmask.
+// lockStripes is the stripe count of mutLocks; 64 lets the batch path
+// name any set of stripes as one uint64 bitmask.
 const lockStripes = 64
 
 // partState tracks a partition's migration lifecycle on the node
@@ -153,9 +148,10 @@ type partState struct {
 }
 
 // partition is one partition's state on this instance. The hot path
-// reads store and mig with one atomic load each. mu serialises the
-// migration transitions and the remove-stamp map; each of its critical
-// sections is a leaf, taking no other core lock.
+// reads store and mig with one atomic load each and enters and exits
+// inflight once; the struct fills one 64-byte cache line. mu serialises
+// the migration transitions and the remove-stamp map; each of its
+// critical sections is a leaf, taking no other core lock.
 type partition struct {
 	id int // its index in Instance.parts
 	// store is the partition's store once created: at boot when the log
@@ -173,7 +169,10 @@ type partition struct {
 	// length, so covers skips mu while none is kept.
 	removed  map[string]uint64
 	nRemoved atomic.Int64
-	sweepAt  int // len(removed) at which note next drops expired stamps
+	sweepAt  int32 // len(removed) at which note next drops expired stamps
+	// inflight counts the envelopes past the gate still applying or
+	// replicating ops on the partition (lockBatch); lockForMove drains it.
+	inflight atomic.Int32
 }
 
 // NewInstance creates an instance. self must already appear in table.
@@ -466,8 +465,8 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 
 // handleKV serves the four basic operations plus CAS as a batch of
 // one: past the admission and size gates, the op runs through the same
-// applyBatch an envelope's sub-ops do — migration gate, ownership,
-// stripes, apply, replica legs, write level.
+// applyBatch an envelope's sub-ops do — migration gate, in-flight
+// count, ownership, mutation stripe, apply, replica legs, write level.
 func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	release, refused := in.admit(req)
 	if refused != nil {
@@ -625,8 +624,6 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 	}
 	return nil, err
 }
-
-func (in *Instance) opLock(p int) *sync.RWMutex { return &in.opLocks[p%len(in.opLocks)] }
 
 // mutates reports whether req is a KV mutation with replica legs to
 // push along the chain.
@@ -894,15 +891,17 @@ func (in *Instance) handleMigrateLock(p int) *wire.Response {
 
 // lockForMove begins an outgoing migration of partition p — new
 // requests queue behind its gate — and drains the appliers already
-// past the gate: anyone holding the op lock in read mode finished
-// applying (and replicating) once it can be taken exclusively. It
-// returns the migration's record, or nil when p is already migrating.
+// past the gate: once p's in-flight count reads zero, every envelope
+// that entered it has finished applying (and replicating), and any
+// that enters later sees the migration on its re-check and backs out.
+// It returns the migration's record, or nil when p is already migrating.
 func (in *Instance) lockForMove(p int) *partState {
-	ps := in.part(p).beginMigration()
+	pt := in.part(p)
+	ps := pt.beginMigration()
 	if ps != nil {
-		l := in.opLock(p)
-		l.Lock()
-		l.Unlock() //nolint:staticcheck // cycle, not critical section
+		for pt.inflight.Load() > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	return ps
 }
@@ -966,6 +965,9 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 	pt := in.part(p)
 	ps := pt.mig.Load()
 	if ps == nil {
+		if testGatePass != nil {
+			testGatePass(in, p)
+		}
 		return nil
 	}
 	if ps.migrating.Load() {
@@ -1000,9 +1002,11 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 	return nil
 }
 
-// testGateVerdict, when non-nil, runs inside migrationGate between
-// reading a completed migration's verdict and dropping its record.
-var testGateVerdict func(in *Instance, p int)
+// Test hooks in migrationGate, nil outside tests: testGateVerdict runs
+// between reading a completed migration's verdict and dropping its
+// record, testGatePass when p has no record, before the caller enters
+// p's in-flight count.
+var testGateVerdict, testGatePass func(in *Instance, p int)
 
 func (in *Instance) ownsNow(p int) bool {
 	return in.tableRef().OwnerOf(p).ID == in.self.ID

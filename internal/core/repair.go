@@ -227,14 +227,14 @@ func (pt *partition) note(key string, ver uint64) {
 	}
 	// The key may alias a pooled request buffer; the map keeps a copy.
 	pt.removed[strings.Clone(key)] = max(ver, pt.removed[key])
-	if len(pt.removed) >= pt.sweepAt {
+	if len(pt.removed) >= int(pt.sweepAt) {
 		cutoff := uint64(time.Now().Add(-removeGrace).UnixMilli()) << hlcNodeBits
 		for k, v := range pt.removed {
 			if v < cutoff {
 				delete(pt.removed, k)
 			}
 		}
-		pt.sweepAt = max(64, 2*len(pt.removed))
+		pt.sweepAt = int32(max(64, 2*len(pt.removed)))
 	}
 	pt.nRemoved.Store(int64(len(pt.removed)))
 }
