@@ -95,13 +95,17 @@ churn-smoke:
 	@$(call smoke,^TestGossipOnlyEpochConvergence$$,./internal/chaos,90)
 
 # consistency-smoke is the tunable-consistency gate: chaos's
-# TestQuorumReadYourWritesUnderChaos on 3 fresh seeds. Each run drives
-# sequential QUORUM write+read pairs through a clean phase, a replica
-# partition and a lossy phase with a node crash, requiring
-# read-your-writes on every acked write, enforced quorum refusals while
-# the replica is unreachable, and zero lost acked writes.
+# TestQuorumReadYourWritesUnderChaos and TestClientOnlyOutageHeals on 3
+# fresh seeds each. Each quorum run drives sequential QUORUM write+read
+# pairs through a clean phase, a replica partition and a lossy phase
+# with a node crash, requiring read-your-writes on every acked write,
+# enforced quorum refusals while the replica is unreachable, and zero
+# lost acked writes. Each outage run cuts every link of one client for
+# 100 ms while the servers stay healthy, and requires every key served
+# one breaker cooldown after the heal, from a table equal to the
+# servers'.
 consistency-smoke:
-	@$(call smoke,^TestQuorumReadYourWritesUnderChaos$$,./internal/chaos,60)
+	@$(call smoke,^(TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals)$$,./internal/chaos,60)
 
 # tenant-smoke is the multi-tenancy gate: tenant's
 # TestNoisyNeighborIsolation on 3 fresh seeds, plus core's
@@ -168,16 +172,17 @@ verify:
 	echo "verify: $$(echo $$passed | wc -w) passed, $$(echo $$failed | wc -w) failed:$${failed:- none}"; \
 	[ -z "$$failed" ]
 
-# flake measures how often the chaos and consistency soaks fail: each
-# runs 40 times without the race detector, every failing run is printed
-# with its seeds and first log lines, and the last line is the census.
+# flake measures how often the chaos and consistency soaks and the
+# client outage run fail: each runs 40 times without the race
+# detector, every failing run is printed with its seeds and first log
+# lines, and the last line is the census.
 # The seeds are fixed, so a failure here is one the scheduler chose.
 # flake-race is the same census under the race detector, 10 runs each
 # (the schedules verify's test-race step sees). Not part of verify:
 # they take minutes and measure a rate.
 flake flake-race:
 	@$(GO) test $(if $(filter flake-race,$@),-race -count=10,-count=40) -v -timeout 60m \
-		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos)$$' \
+		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals)$$' \
 		./internal/chaos 2>&1 | awk ' \
 		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; buf = ""; n = 0; next } ; \
 		/^    / { if (n++ < 6) buf = buf "\n" $$0; next } ; \

@@ -267,7 +267,6 @@ func (c *Client) route(rt *route, deadline time.Time) {
 // once every request settled. A request with no destination settles as
 // unavailable.
 func (c *Client) group(rt *route, table *ring.Table) []message {
-	epoch := c.issued().Epoch
 	n := len(table.Instances)
 	for i, r := range rt.reqs {
 		o := &rt.outs[i]
@@ -293,7 +292,7 @@ func (c *Client) group(rt *route, table *ring.Table) []message {
 				dst = table.IndexOf(rep.ID)
 			}
 		}
-		r.Epoch = epoch
+		r.Epoch = table.Epoch
 		rt.tags = append(rt.tags, int64(dst)<<32|int64(i))
 	}
 	slices.Sort(rt.tags)

@@ -18,9 +18,10 @@ import (
 //	            elapses. This is what stops a dead primary from
 //	            costing opRetries×RetryBase on every operation
 //	            before failover.
-//	half-open — after the cooldown exactly one probe call is let
-//	            through; success closes the circuit, failure
-//	            re-opens it and restarts the cooldown.
+//	half-open — after the cooldown one probe call is let through,
+//	            restarting the cooldown; success closes the circuit,
+//	            failure restarts the cooldown again. A probe that
+//	            never reports back holds nothing past its cooldown.
 //
 // Only transport-level failures count: a server answering anything —
 // including StatusBusy — is alive, so responses never trip the
@@ -48,8 +49,7 @@ type breaker struct {
 type circuit struct {
 	fails    int
 	open     bool
-	openedAt time.Time
-	probing  bool
+	openedAt time.Time // when the circuit opened or last admitted a probe
 }
 
 // newBreaker builds a breaker tuned by breakerThreshold and breakerCooldown.
@@ -73,8 +73,9 @@ func newBreaker(trips *metrics.Counter, openG *metrics.Gauge) *breaker {
 var testBreakerTuning func(b *breaker)
 
 // allow reports whether a call to addr may proceed. In the open
-// state it admits a single half-open probe once the cooldown has
-// elapsed and rejects everything else.
+// state it admits a half-open probe once the cooldown has elapsed,
+// restarting the cooldown, and rejects everything else, so at most
+// one probe goes out per cooldown.
 func (b *breaker) allow(addr string) bool {
 	if b.tracked.Load() == 0 {
 		return true
@@ -85,8 +86,8 @@ func (b *breaker) allow(addr string) bool {
 	if c == nil || !c.open {
 		return true
 	}
-	if !c.probing && time.Since(c.openedAt) >= b.cooldown {
-		c.probing = true
+	if now := time.Now(); now.Sub(c.openedAt) >= b.cooldown {
+		c.openedAt = now
 		return true
 	}
 	return false
@@ -123,13 +124,11 @@ func (b *breaker) failure(addr string) {
 	c.fails++
 	if c.open {
 		// A failed half-open probe restarts the cooldown.
-		c.probing = false
 		c.openedAt = time.Now()
 		return
 	}
 	if c.fails >= b.threshold {
 		c.open = true
-		c.probing = false
 		c.openedAt = time.Now()
 		b.trips.Inc()
 		b.openG.Inc()

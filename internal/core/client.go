@@ -20,8 +20,9 @@ import (
 // routes each operation directly to the owning instance (zero hops).
 // The table refreshes lazily — only when a server answers
 // StatusWrongOwner with a newer table (§III.C "Client Side State") —
-// and the client fails over to replicas when it detects a dead
-// primary, reporting the failure to a manager (§III.H).
+// and the client reports a dead primary to a manager (§III.H), failing
+// over to its replicas once the manager's table says so: it routes
+// only on tables a server issued.
 //
 // Every op runs through one routing loop (route): a single op is a
 // route of one request, a Batch a route of many.
@@ -39,9 +40,6 @@ type Client struct {
 	// that swap in a new one.
 	mu    sync.Mutex
 	table atomic.Pointer[ring.Table]
-	// unmarked is the last table a server issued while table carries
-	// local failure marks on top of it (failLocally), nil otherwise.
-	unmarked atomic.Pointer[ring.Table]
 	// shared, when non-nil, is a co-located instance whose table
 	// this client reads instead of its own copy (§III.C 1:1
 	// deployment).
@@ -98,7 +96,7 @@ func NewClient(cfg Config, table *ring.Table, caller transport.Caller) (*Client,
 	}
 	c.table.Store(table.Clone())
 	c.gossip, _ = gossip.New(gossip.Options{
-		Epoch:    func() uint64 { return c.issued().Epoch },
+		Epoch:    func() uint64 { return c.snapshot().Epoch },
 		Pull:     c.gossipPull,
 		Peers:    func() []string { return alivePeers(c.snapshot(), "") },
 		Cooldown: gossipCooldown,
@@ -630,15 +628,12 @@ func expired(deadline time.Time) bool {
 }
 
 // reportFailure tells a random alive manager that accused is down and
-// adopts the table the manager answers with. As a last resort (every
-// other instance unreachable — e.g. a single-node deployment) it
-// fails the instance in the local table only. The walk over managers
-// shares the calling operation's deadline budget.
+// adopts the table the manager answers with. Until one does, the table
+// stands and the next round reports the accused again. It errs only
+// when no other instance is alive to report to (e.g. a single-node
+// deployment). The walk over managers shares the calling operation's
+// deadline budget.
 func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadline time.Time) error {
-	// Mark locally first so subsequent attempts avoid the dead node
-	// even before the manager's verdict lands.
-	c.failLocally(accused)
-
 	idxs := c.rngPerm(len(table.Instances))
 	for _, i := range idxs {
 		if expired(deadline) {
@@ -663,68 +658,16 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadl
 			return nil
 		}
 		if resp.Status == wire.StatusError && resp.Err == "core: accused instance is alive" {
-			// False alarm (transient glitch): undo the local mark.
-			c.unmark()
-			return nil
+			return nil // false alarm (transient glitch)
 		}
 	}
 	if table.AliveCount() <= 1 {
 		return fmt.Errorf("no manager reachable for failure report")
 	}
-	return nil // local mark stands; gossip brings the verdict eventually
+	return nil // the next round retries; gossip brings a verdict eventually
 }
 
-// failLocally marks an instance failed in the client's table and fails
-// its partitions over to first replicas, mirroring what the manager
-// will announce, so the next round avoids it before the verdict lands.
-// The marked table's epoch is forged — one past the table it marks,
-// the number the servers' next table gets too — so the marked table is
-// kept in unmarked: server tables are measured against its epoch
-// (adoptTable), and a rejected report returns to it (unmark).
-func (c *Client) failLocally(id ring.InstanceID) {
-	if c.shared != nil {
-		// The shared instance learns from the manager's answer, which
-		// reportFailure hands it synchronously (adoptTable).
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.table.Load()
-	d, err := cur.PlanFailure(id, max(c.cfg.Replicas, 1))
-	if err != nil {
-		return
-	}
-	nt, err := cur.Apply(d)
-	if err != nil {
-		return
-	}
-	if c.unmarked.Load() == nil {
-		c.unmarked.Store(cur)
-	}
-	c.table.Store(nt)
-}
-
-// unmark drops the local failure marks, returning to the last table a
-// server issued.
-func (c *Client) unmark() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if u := c.unmarked.Swap(nil); u != nil {
-		c.table.Store(u)
-	}
-}
-
-// issued returns the last table a server issued: the routing table, or
-// the one under its local failure marks.
-func (c *Client) issued() *ring.Table {
-	if u := c.unmarked.Load(); u != nil {
-		return u
-	}
-	return c.snapshot()
-}
-
-// adoptTable replaces the local table, and any local failure marks on
-// it, when t orders after the last table a server issued
+// adoptTable replaces the local table when t orders after it
 // (ring.Table.After); shared clients forward it to their co-located
 // instance instead, which is the authoritative holder.
 func (c *Client) adoptTable(t *ring.Table) {
@@ -739,9 +682,8 @@ func (c *Client) adoptTable(t *ring.Table) {
 
 // adoptLocked is adoptTable for a standalone client holding c.mu.
 func (c *Client) adoptLocked(t *ring.Table) {
-	if t.After(c.issued()) {
+	if t.After(c.table.Load()) {
 		c.table.Store(t)
-		c.unmarked.Store(nil)
 	}
 }
 

@@ -120,21 +120,6 @@ func TestReplicasExhausted(t *testing.T) {
 	}
 }
 
-func TestReviveLocally(t *testing.T) {
-	d, _, c := startDeployment(t, testCfg(), 3)
-	id := d.Instance(1).ID()
-	c.failLocally(id)
-	tab := c.Table()
-	if tab.Status[tab.IndexOf(id)] != ring.Failed {
-		t.Fatal("failLocally had no effect")
-	}
-	c.unmark()
-	tab = c.Table()
-	if tab.Status[tab.IndexOf(id)] != ring.Alive {
-		t.Error("unmark had no effect")
-	}
-}
-
 func TestTransientGlitchRevives(t *testing.T) {
 	// An instance that drops exactly one window of requests and then
 	// recovers: the manager's verification ping finds it alive, the

@@ -202,14 +202,12 @@ func (c *Client) observeEpoch(addr string, peerEpoch uint64) {
 }
 
 // gossipPull is the Pull callback of the client's gossip service.
-// Deltas apply to the last table a server issued, never to local
-// failure marks.
 func (c *Client) gossipPull(addr string) bool {
-	return pullMembership(c.caller, addr, func() uint64 { return c.issued().Epoch }, c.adoptTable,
+	return pullMembership(c.caller, addr, func() uint64 { return c.snapshot().Epoch }, c.adoptTable,
 		func(d ring.Delta, _ []byte) error {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			nt, err := c.issued().Apply(d)
+			nt, err := c.snapshot().Apply(d)
 			if err == nil {
 				c.adoptLocked(nt)
 			}

@@ -59,13 +59,15 @@ type Instance struct {
 	// parts holds partition p's state at index p (partition).
 	parts []partition
 	// mutLocks serialize each KEY's mutation+replication pair
-	// (striped by key hash): without it, two concurrent writes to one
-	// key could reach the secondary replica in the opposite order
-	// from the primary's apply order and diverge permanently.
-	// Striping by key rather than by partition lets mutations of
-	// different keys overlap inside one partition store, which is
-	// what feeds the store's group-commit WAL more than one record
-	// per fsync. Lookups bypass these locks entirely.
+	// (striped by key hash). Stamps (PutLWW) refuse a reordered
+	// insert, append or CAS leg; the stripes still keep a remove from
+	// overtaking an older write of the key on a copy that lacks it (no
+	// tombstones, ROADMAP item 2: partition.note refuses the older leg
+	// only for removeGrace, in memory) and make mutate's add over an
+	// expired pair one check-then-put. Striping by key rather than by
+	// partition lets mutations of different keys overlap inside one
+	// partition store, which is what feeds the store's group-commit
+	// WAL more than one record per fsync. Lookups bypass these locks.
 	mutLocks [lockStripes]sync.Mutex
 
 	bmu   sync.Mutex // guards bcast
@@ -84,9 +86,10 @@ type Instance struct {
 	rbrk *breaker
 	// legs carries every replica leg outside a synchronous round, async
 	// legs and the hinted-handoff backlog (DESIGN.md §9), in one FIFO per
-	// destination: async replication is weak in *when* it applies, but
-	// an insert overtaking the append that followed it would leave
-	// replicas diverged.
+	// destination. A write leg overtaking a newer one would be refused
+	// by its stamp anyway; the order guards a remove overtaking an
+	// older write on a copy that lacks the key, which a backlog held
+	// past removeGrace would otherwise bring back (mutLocks).
 	legs *repair.LegQueue
 	// loopWG tracks the anti-entropy loop and read-repair goroutines;
 	// Close waits for it after closing `closed` so no repair work
@@ -748,7 +751,9 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	case wire.OpRemove:
 		if err = in.checkPartition(pt.id, req.Key); err == nil {
 			in.clock.Observe(req.Version)
-			if applied, err = in.open(pt).RemoveLWW(req.Key, req.Version); applied {
+			// Noted even on a copy that lacks the key (a missed leg, a
+			// rebuild still filling it), so no stale copy revives it.
+			if applied, err = in.open(pt).RemoveLWW(req.Key, req.Version); err == nil {
 				pt.note(req.Key, req.Version)
 			}
 		}

@@ -435,9 +435,23 @@ func TestUpsertPushKeepsNewerVersions(t *testing.T) {
 // autoscale soak's "no acked write lost" contract: a copy of a pair
 // collected before an acknowledged remove — an upsert-only rebuild or
 // read-repair push, an upsert-only repair pull — lands after it on the
-// owner and the replica, and the key must stay removed on both. A later write of the
-// key, stamped above the remove, still reaches both copies.
+// owner and the replica, and the key must stay removed on both. That
+// holds too when the replica lacked the pair as the remove leg reached
+// it (it missed a leg, or a rebuild was still filling it). A later
+// write of the key, stamped above the remove, still reaches both
+// copies.
 func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		dropReplica bool
+	}{{"replica-holds-pair", false}, {"replica-lacks-pair", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			staleCopyAfterRemove(t, tc.dropReplica)
+		})
+	}
+}
+
+func staleCopyAfterRemove(t *testing.T, dropReplica bool) {
 	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
 	d, _, c := startDeployment(t, cfg, 2)
 	owner, replica := d.Instance(0), d.Instance(1)
@@ -450,9 +464,16 @@ func TestStaleCopyDoesNotResurrectRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if dropReplica {
+		d.Drain()
+		if ok, err := replica.open(replica.part(p)).RemoveV(key, 0); !ok || err != nil {
+			t.Fatalf("dropping the replica's copy: %v, %v", ok, err)
+		}
+	}
 	if err := c.Remove(key); err != nil {
 		t.Fatal(err)
 	}
+	d.Drain()
 
 	for _, in := range []*Instance{owner, replica} {
 		resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p),

@@ -148,6 +148,28 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeWithoutVerdict pins that a half-open probe whose
+// call never reports back — abandoned by a quorum read, or a late
+// timeout strike skips — holds the circuit for one cooldown only: the
+// next cooldown admits the next probe.
+func TestBreakerProbeWithoutVerdict(t *testing.T) {
+	b := newBreaker(nil, nil)
+	b.threshold, b.cooldown = 1, 20*time.Millisecond
+	const ep = "node-1"
+	b.failure(ep)
+	time.Sleep(30 * time.Millisecond)
+	if !b.allow(ep) {
+		t.Fatal("no probe admitted after the cooldown")
+	}
+	if b.allow(ep) {
+		t.Fatal("second probe admitted within one cooldown")
+	}
+	time.Sleep(30 * time.Millisecond)
+	if !b.allow(ep) {
+		t.Fatal("a probe that reported no verdict still holds the circuit a cooldown later")
+	}
+}
+
 // busyFirst answers the first k calls with StatusBusy (as an
 // overloaded server's admission gate would) and then delegates.
 type busyFirst struct {
@@ -292,9 +314,87 @@ func TestCircuitOpensOnDeadEndpointAndOpsFailFast(t *testing.T) {
 	// Recovery: node returns, cooldown elapses, probe closes circuit.
 	reg.SetDown(addr, false)
 	c.breaker.success(addr) // stand in for cooldown expiry in test time
-	c.unmark()
 	if err := c.Insert("revived", []byte("v")); err != nil {
 		t.Fatalf("op after recovery: %v", err)
+	}
+}
+
+// TestClientOutageHeals cuts every link of one client for the span of
+// one Lookup while the servers stay healthy. The client must not keep
+// its own record of the outage: once the breaker's cooldown has passed
+// it serves every key again, and its table is the servers' (same
+// epoch, no instance Failed).
+func TestClientOutageHeals(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	const cooldown = 20 * time.Millisecond
+	tuneBreakers(t, breakerThreshold, cooldown)
+	d, reg, _ := startDeployment(t, cfg, 3)
+	inner := reg.NewClient()
+	var cut atomic.Bool
+	c, err := NewClient(cfg, d.Instance(0).Table(), callerFunc(func(addr string, req *wire.Request) (*wire.Response, error) {
+		if cut.Load() {
+			return nil, transport.ErrUnreachable
+		}
+		return inner.Call(addr, req)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("outage-%d", i)
+		if err := c.Insert(keys[i], []byte(keys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut.Store(true)
+	if _, err := c.Lookup(keys[0]); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("lookup with every client link cut: %v, want ErrUnavailable", err)
+	}
+	cut.Store(false)
+	time.Sleep(2 * cooldown)
+	for _, k := range keys {
+		if v, err := c.Lookup(k); err != nil || string(v) != k {
+			t.Fatalf("lookup %s after the outage = %q, %v", k, v, err)
+		}
+	}
+	tab, srv := c.Table(), d.Instance(0).Table()
+	if tab.Epoch != srv.Epoch || tab.AliveCount() != len(tab.Instances) {
+		t.Fatalf("client table at epoch %d with %d of %d alive; servers at epoch %d",
+			tab.Epoch, tab.AliveCount(), len(tab.Instances), srv.Epoch)
+	}
+}
+
+// TestAbandonedQuorumProbeReleasesCircuit trips the circuit of a
+// partition's second replica X, then runs a QUORUM read of the
+// partition after the cooldown: the read admits X's half-open probe
+// and abandons it once the owner and the first replica answered. X
+// must still be reachable afterwards — the abandoned probe holds its
+// circuit for one cooldown, not for good.
+func TestAbandonedQuorumProbeReleasesCircuit(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond}
+	const cooldown = 5 * time.Millisecond
+	tuneBreakers(t, 1, cooldown)
+	d, _, c := startDeployment(t, cfg, 3)
+	table := c.Table()
+	const key = "probe"
+	x := table.ReplicasOf(table.Partition(c.hashf(key)), cfg.Replicas)[1]
+	if err := c.Insert(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	c.breaker.failure(x.Addr) // one failed call trips X's circuit
+	time.Sleep(2 * cooldown)
+	if v, err := c.LookupWith(key, wire.ConsistencyQuorum); err != nil || string(v) != "v" {
+		t.Fatalf("quorum read = %q, %v", v, err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	for _, op := range ownedKeys(t, d.Instance(table.IndexOf(x.ID)), "x-owned", 8) {
+		if err := c.Insert(op.Key, op.Value); err != nil {
+			t.Fatalf("insert on a key %s owns, 100 ms after the quorum read: %v", x.ID, err)
+		}
+	}
+	if n := c.breaker.tracked.Load(); n != 0 {
+		t.Fatalf("%d circuits still tracked after %s answered", n, x.ID)
 	}
 }
 

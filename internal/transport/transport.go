@@ -1,7 +1,7 @@
 // Package transport provides ZHT's 1-to-1 communication layer
 // (paper §III.F "Lightweight 1-1 Communication").
 //
-// Three interchangeable transports implement the same Caller/listener
+// Four interchangeable transports implement the same Caller/listener
 // contract:
 //
 //   - TCP with an LRU connection cache, "which makes TCP work almost
