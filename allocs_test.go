@@ -55,18 +55,21 @@ const (
 
 // In-process budgets: the same single-instance lookup and insert over
 // transport.Registry, where no socket hides the runtime's cost and the
-// buffer pools are crossed several times per op. Pinned at the measured
+// buffer pools are crossed several times per op. A call copies its
+// request into a pooled struct and buffer and its response into a
+// pooled struct (wire.CopyRequest, wire.CopyResponse); the request's
+// Key is shared, not rebuilt as a string. Pinned at the measured
 // allocs/op, so a pool change that starts allocating per op fails here
 // rather than disappearing into throughput noise:
 //
-//   - Lookup = 2: the server key string, and the response encoding,
-//     allocated once at its encoded size. The caller's decoded response
-//     aliases that encoding, so it outlives the call like the TCP
-//     client's right-sized value copy.
-//   - Insert = 2: the key string and the same one-allocation encoding.
+//   - Lookup = 1: the response's value copy, allocated at its size. It
+//     outlives the call like the TCP client's right-sized value copy.
+//   - Insert = 0: the ack carries no value or table, so nothing is
+//     allocated (2 each while a call encoded and decoded both messages:
+//     the server key string and the response encoding).
 const (
-	inprocLookupAllocBudget = 2
-	inprocInsertAllocBudget = 2
+	inprocLookupAllocBudget = 1
+	inprocInsertAllocBudget = 0
 )
 
 // quorumLookupAllocBudget is the gate for the QUORUM read path at
@@ -376,8 +379,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 	r = testing.Benchmark(benchBatchInsertAllocs(qc, qkeys))
 	check("batch-insert-r1 allocs", float64(r.AllocsPerOp())/allocBenchBatch, batchR1PerOpAllocBudget)
 
-	// The same lookup and insert in process: nothing but the codec round
-	// trip and the buffer pools between client and instance.
+	// The same lookup and insert in process: nothing but the message
+	// copies and the buffer pools between client and instance.
 	ic, ikeys, icleanup := benchInprocClient(t)
 	defer icleanup()
 	for i := 0; i < 2*allocBenchKeys; i++ {

@@ -18,8 +18,9 @@ import (
 // deadline timers, 200 000 preloaded 132-byte values, and a zipf 1.1
 // mix of 45 % lookups, 45 % inserts and 10 % 16-byte appends issued
 // through one shared client from every core. Nothing crosses a socket,
-// so client routing, Instance.Handle and the partition store are the
-// whole cost. `make profile-handle` runs it under -cpuprofile.
+// so client routing, the in-process transport's message copies,
+// Instance.Handle and the partition store are the whole cost. `make
+// profile-handle` runs it under -cpuprofile.
 func BenchmarkHandleParallelZipf(b *testing.B) {
 	const (
 		keys      = 200_000

@@ -209,7 +209,7 @@ func (c *Client) route(rt *route, deadline time.Time) {
 				if m.id == "" || expired(deadline) {
 					continue
 				}
-				if rerr := c.reportFailure(table, m.id, deadline); rerr != nil {
+				if rerr := c.reportFailure(table, m.id, m.addr, deadline); rerr != nil {
 					for k := range m.reqs {
 						rt.settle(int(rt.tags[m.lo+k]&0xffffffff), nil, 0,
 							fmt.Errorf("%w: %s unreachable and failover failed: %v", ErrUnavailable, m.addr, rerr))

@@ -93,6 +93,22 @@ func (b *breaker) allow(addr string) bool {
 	return false
 }
 
+// probe lets the next call to addr through as a half-open probe, as
+// if its open circuit's cooldown had just elapsed; a closed circuit is
+// left alone. The client calls it when a manager found addr alive, so
+// a healed instance is probed again at once instead of after the
+// cooldown.
+func (b *breaker) probe(addr string) {
+	if b.tracked.Load() == 0 {
+		return
+	}
+	b.mu.Lock()
+	if c := b.eps[addr]; c != nil && c.open {
+		c.openedAt = time.Time{}
+	}
+	b.mu.Unlock()
+}
+
 // success records a successful call: the circuit closes and the
 // failure count resets.
 func (b *breaker) success(addr string) {

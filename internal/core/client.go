@@ -627,13 +627,15 @@ func expired(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// reportFailure tells a random alive manager that accused is down and
-// adopts the table the manager answers with. Until one does, the table
-// stands and the next round reports the accused again. It errs only
-// when no other instance is alive to report to (e.g. a single-node
-// deployment). The walk over managers shares the calling operation's
-// deadline budget.
-func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadline time.Time) error {
+// reportFailure tells a random alive manager that accused (at addr) is
+// down and adopts the table the manager answers with. Until one does,
+// the table stands and the next round reports the accused again. A
+// manager that finds the accused alive lets addr's circuit half-open,
+// so the next round probes it instead of failing fast and reporting
+// it again. It errs only when no other instance is alive to report to
+// (e.g. a single-node deployment). The walk over managers shares the
+// calling operation's deadline budget.
+func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, addr string, deadline time.Time) error {
 	idxs := c.rngPerm(len(table.Instances))
 	for _, i := range idxs {
 		if expired(deadline) {
@@ -658,6 +660,7 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, deadl
 			return nil
 		}
 		if resp.Status == wire.StatusError && resp.Err == "core: accused instance is alive" {
+			c.breaker.probe(addr)
 			return nil // false alarm (transient glitch)
 		}
 	}

@@ -170,6 +170,30 @@ func TestBreakerProbeWithoutVerdict(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeOnAliveVerdict pins probe: an open circuit admits
+// exactly one call at once, as if its cooldown had elapsed, and a
+// closed or untracked endpoint stays untracked.
+func TestBreakerProbeOnAliveVerdict(t *testing.T) {
+	b := newBreaker(nil, nil)
+	b.threshold, b.cooldown = 1, time.Hour
+	const ep = "node-1"
+	b.probe(ep)
+	if n := b.tracked.Load(); n != 0 {
+		t.Fatalf("probe of a closed circuit tracked %d circuits", n)
+	}
+	b.failure(ep)
+	if b.allow(ep) {
+		t.Fatal("open circuit admitted a call before the cooldown")
+	}
+	b.probe(ep)
+	if !b.allow(ep) {
+		t.Fatal("no probe admitted after the alive verdict")
+	}
+	if b.allow(ep) {
+		t.Fatal("second call admitted after one alive verdict")
+	}
+}
+
 // busyFirst answers the first k calls with StatusBusy (as an
 // overloaded server's admission gate would) and then delegates.
 type busyFirst struct {
@@ -362,6 +386,57 @@ func TestClientOutageHeals(t *testing.T) {
 	if tab.Epoch != srv.Epoch || tab.AliveCount() != len(tab.Instances) {
 		t.Fatalf("client table at epoch %d with %d of %d alive; servers at epoch %d",
 			tab.Epoch, tab.AliveCount(), len(tab.Instances), srv.Epoch)
+	}
+}
+
+// TestHealedOwnerWithOpenCircuit cuts the client's link to one owner
+// for the span of one Lookup, which opens the owner's circuit, then
+// heals the link well inside the cooldown. The manager finds the owner
+// alive when the client reports it, and that verdict must let the
+// circuit half-open: every lookup on the owner's keys succeeds at
+// once, and none costs more than one failure report.
+func TestHealedOwnerWithOpenCircuit(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 1, RetryBase: time.Millisecond}
+	tuneBreakers(t, 1, 200*time.Millisecond)
+	d, reg, _ := startDeployment(t, cfg, 3)
+	inner := reg.NewClient()
+	owner := d.Instance(1)
+	var cut atomic.Bool
+	var reports atomic.Int64
+	c, err := NewClient(cfg, d.Instance(0).Table(), callerFunc(func(addr string, req *wire.Request) (*wire.Response, error) {
+		if req.Op == wire.OpReport {
+			reports.Add(1)
+		}
+		if cut.Load() && addr == owner.Addr() {
+			return nil, transport.ErrUnreachable
+		}
+		return inner.Call(addr, req)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := ownedKeys(t, owner, "healed", 10)
+	for _, op := range ops {
+		if err := c.Insert(op.Key, op.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut.Store(true)
+	if _, err := c.Lookup(ops[0].Key); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("lookup with the owner's link cut: %v, want ErrUnavailable", err)
+	}
+	cut.Store(false)
+	if c.breaker.tracked.Load() == 0 {
+		t.Fatal("the cut lookup left the owner's circuit closed")
+	}
+	for _, op := range ops {
+		reports.Store(0)
+		if v, err := c.Lookup(op.Key); err != nil || string(v) != string(op.Value) {
+			t.Fatalf("lookup %s after the heal = %q, %v", op.Key, v, err)
+		}
+		if n := reports.Load(); n > 1 {
+			t.Fatalf("lookup %s after the heal sent %d failure reports, want at most 1", op.Key, n)
+		}
 	}
 }
 

@@ -64,20 +64,29 @@ func Unwrap(b []byte) (value []byte, flags uint32, expiry time.Time, wrapped boo
 // Expired reports whether b is an envelope whose expiry stamp has
 // passed. Plain values and envelopes without an expiry never expire.
 // The check is designed for the storage read path: one two-byte
-// comparison for plain values, one uvarint decode for envelopes.
+// comparison for plain values, one uvarint decode for envelopes. The
+// clock is read only for an envelope with an expiry.
 func Expired(b []byte) bool {
-	return ExpiredAt(b, time.Now().UnixMilli())
+	ms, ok := expiryOf(b)
+	return ok && ms <= time.Now().UnixMilli()
 }
 
 // ExpiredAt is Expired against an explicit clock (Unix milliseconds),
 // for the reaper and for deterministic tests.
 func ExpiredAt(b []byte, nowMilli int64) bool {
+	ms, ok := expiryOf(b)
+	return ok && ms <= nowMilli
+}
+
+// expiryOf returns the expiry stamp (Unix milliseconds) of an envelope
+// that carries one.
+func expiryOf(b []byte) (int64, bool) {
 	if len(b) < 3 || b[0] != envMagic0 || b[1] != envMagic1 {
-		return false
+		return 0, false
 	}
 	ms, n := binary.Uvarint(b[2:])
 	if n <= 0 || ms == 0 {
-		return false
+		return 0, false
 	}
-	return int64(ms) <= nowMilli
+	return int64(ms), true
 }

@@ -156,8 +156,9 @@ type InprocClient struct {
 func (r *Registry) NewClient() *InprocClient { return &InprocClient{reg: r} }
 
 // Call implements Caller by direct dispatch. Requests and responses
-// are deep-copied across the boundary so callers and handlers cannot
-// alias each other's buffers, matching real-transport semantics. The
+// are copied across the boundary (wire.CopyRequest, wire.CopyResponse)
+// so callers and handlers cannot alias each other's buffers and each
+// side sees exactly the message a real transport would deliver. The
 // request's Budget (remaining deadline) bounds synthetic latency and
 // handler execution; a handler still running at the deadline keeps
 // running server-side, but the caller observes ErrTimeout — matching
@@ -166,7 +167,10 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 	deadline := callDeadline(req, 0)
 	v := c.reg.view.Load()
 	srv := v.endpoints[addr]
-	if v.down[addr] || srv == nil || srv.closed.Load() {
+	// A closing server is refused by enter below; reading closed here
+	// too would cost a cache miss on the line every core's enter and
+	// exit write.
+	if v.down[addr] || srv == nil {
 		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -190,17 +194,13 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	srv.met.requests.Inc()
-	// Serialize through the wire codec: this keeps in-proc behaviour
-	// byte-identical to the real transports (copy semantics, field
-	// normalization) at modest cost. The decoded request aliases the
-	// pooled encode buffer; both are recycled once the handler
-	// returns, exactly like a TCP frame.
-	enc := wire.EncodeRequest(wire.GetBuffer(), req)
-	srv.met.bytesIn.Add(int64(len(enc)))
-	c.reg.cmet.bytesOut.Add(int64(len(enc)))
-	dreq, err := wire.DecodeRequestPooled(enc)
+	// The handler's request lives in a pooled struct and buffer, both
+	// recycled once the handler returns, exactly like a decoded TCP
+	// frame. Byte accounting counts the encoded size.
+	dreq, buf, n, err := wire.CopyRequest(req)
+	srv.met.bytesIn.Add(int64(n))
+	c.reg.cmet.bytesOut.Add(int64(n))
 	if err != nil {
-		wire.PutBuffer(enc)
 		srv.exit()
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		srv.met.inflight.Dec()
 		srv.exit()
 		wire.PutRequest(dreq)
-		wire.PutBuffer(enc)
+		wire.PutBuffer(buf)
 		return c.copyResponse(srv, resp, req.Seq)
 	}
 	done := make(chan *wire.Response, 1)
@@ -220,7 +220,7 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 		srv.met.inflight.Dec()
 		srv.exit()
 		wire.PutRequest(dreq)
-		wire.PutBuffer(enc)
+		wire.PutBuffer(buf)
 		done <- resp
 	}()
 	timer := getTimer(time.Until(deadline))
@@ -233,17 +233,18 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 	}
 }
 
-// copyResponse deep-copies a handler response through the wire codec,
-// stamps the caller's sequence number, and accounts the response
-// bytes to both sides. The handler's response is recycled after
-// encoding (the transport owns it; see Handler); the caller's copy
-// aliases rEnc, which therefore stays with the GC.
+// copyResponse copies a handler response for the caller
+// (wire.CopyResponse), stamps the caller's sequence number, and
+// accounts the response's encoded size to both sides. The handler's
+// response is recycled after the copy (the transport owns it; see
+// Handler); the caller's copy holds its Value and Table in one
+// allocation of their size, which outlives the call like the TCP
+// client's right-sized value copy.
 func (c *InprocClient) copyResponse(srv *InprocServer, resp *wire.Response, seq uint64) (*wire.Response, error) {
-	rEnc := wire.EncodeResponse(nil, resp)
+	dresp, n, err := wire.CopyResponse(resp)
 	wire.PutResponse(resp)
-	srv.met.bytesOut.Add(int64(len(rEnc)))
-	c.reg.cmet.bytesIn.Add(int64(len(rEnc)))
-	dresp, err := wire.DecodeResponsePooled(rEnc)
+	srv.met.bytesOut.Add(int64(n))
+	c.reg.cmet.bytesIn.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}
@@ -252,9 +253,9 @@ func (c *InprocClient) copyResponse(srv *InprocServer, resp *wire.Response, seq 
 }
 
 // CallBatch implements Caller by dispatching one OpBatch envelope; the
-// serialize-through-the-codec semantics of Call apply to the whole
-// envelope, so sub-requests and sub-responses are copied exactly as a
-// real transport would.
+// copy semantics of Call apply to the whole envelope, whose
+// sub-requests and sub-responses travel encoded in its Aux and Value,
+// so they are copied exactly as a real transport would copy them.
 func (c *InprocClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil

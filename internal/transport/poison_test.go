@@ -164,3 +164,66 @@ func TestServerFramesRecycled(t *testing.T) {
 		t.Error("frame pool reuse counter stayed at zero across a sequential burst: frames are not being recycled")
 	}
 }
+
+// TestCopySemanticsBothWays pins that a call copies its messages both
+// ways on every transport. The handler retains a copy of each request
+// Value, then overwrites the Value it was handed; it answers with a
+// pooled response Value, which the transport recycles (poisoned) once
+// the response is on its way. The caller overwrites the Value it sent
+// as soon as Call returns and keeps every response. Neither side may
+// see the other's bytes: the caller's sent Value is intact when Call
+// returns, the handler's copies match what was sent, and each response
+// still reads as answered after its pooled buffer was recycled.
+func TestCopySemanticsBothWays(t *testing.T) {
+	wire.SetPoolPoison(true)
+	defer wire.SetPoolPoison(false)
+
+	var mu sync.Mutex
+	kept := map[string][]byte{}
+	handler := func(req *wire.Request) *wire.Response {
+		mu.Lock()
+		kept[req.Key] = append([]byte(nil), req.Value...)
+		mu.Unlock()
+		for i := range req.Value {
+			req.Value[i] = 0xA5
+		}
+		resp := wire.GetResponse()
+		resp.Status = wire.StatusOK
+		resp.SetPooledValue(append(wire.GetBuffer(), "answer:"+req.Key...))
+		return resp
+	}
+	for name, mk := range callersUnderTest(t, handler) {
+		t.Run(name, func(t *testing.T) {
+			c, addr := mk()
+			const calls = 64
+			resps := make([][]byte, calls)
+			for i := range calls {
+				key := fmt.Sprintf("%s-%d", name, i)
+				sent := fmt.Sprintf("value-%s-%d", name, i)
+				val := []byte(sent)
+				resp, err := c.Call(addr, &wire.Request{Op: wire.OpInsert, Key: key, Value: val})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(val) != sent {
+					t.Fatalf("call %d: the handler's write reached the caller's Value: %q", i, val)
+				}
+				for j := range val {
+					val[j] = 0x5A
+				}
+				resps[i] = resp.Value
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, got := range resps {
+				key := fmt.Sprintf("%s-%d", name, i)
+				if want := fmt.Sprintf("value-%s-%d", name, i); string(kept[key]) != want {
+					t.Errorf("call %d: the handler kept %q, want %q", i, kept[key], want)
+				}
+				if want := "answer:" + key; string(got) != want {
+					t.Errorf("call %d: the caller's response reads %q after later calls, want %q", i, got, want)
+				}
+			}
+		})
+	}
+}

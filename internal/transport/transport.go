@@ -57,9 +57,9 @@ import (
 // the moment the handler returns — a handler that retains any of
 // them must copy. The returned response transfers to the transport,
 // which recycles it (and any wire.SetPooledValue scratch) after
-// encoding: handlers must return a response they exclusively own —
-// freshly built or pool-drawn, never shared between calls — and its
-// fields must not alias request memory.
+// encoding it (in process, after copying it): handlers must return a
+// response they exclusively own — freshly built or pool-drawn, never
+// shared between calls — and its fields must not alias request memory.
 type Handler func(req *wire.Request) *wire.Response
 
 // Caller issues requests to remote instances. Implementations must be

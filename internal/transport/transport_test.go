@@ -23,12 +23,12 @@ func echoHandler(req *wire.Request) *wire.Response {
 }
 
 // callersUnderTest builds each transport configuration against a
-// freshly started echo server and returns (caller, addr, cleanup).
-func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
+// freshly started server running h and returns (caller, addr).
+func callersUnderTest(t *testing.T, h Handler) map[string]func() (Caller, string) {
 	t.Helper()
 	return map[string]func() (Caller, string){
 		"tcp-cached": func() (Caller, string) {
-			srv, err := ListenTCP("127.0.0.1:0", echoHandler, EventDriven)
+			srv, err := ListenTCP("127.0.0.1:0", h, EventDriven)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
 			return c, srv.Addr()
 		},
 		"tcp-uncached": func() (Caller, string) {
-			srv, err := ListenTCP("127.0.0.1:0", echoHandler, EventDriven)
+			srv, err := ListenTCP("127.0.0.1:0", h, EventDriven)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
 			return c, srv.Addr()
 		},
 		"tcp-spawn": func() (Caller, string) {
-			srv, err := ListenTCP("127.0.0.1:0", echoHandler, SpawnPerRequest)
+			srv, err := ListenTCP("127.0.0.1:0", h, SpawnPerRequest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
 			return c, srv.Addr()
 		},
 		"udp": func() (Caller, string) {
-			srv, err := ListenUDP("127.0.0.1:0", echoHandler)
+			srv, err := ListenUDP("127.0.0.1:0", h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
 		},
 		"inproc": func() (Caller, string) {
 			reg := NewRegistry()
-			srv, err := reg.Listen("node-a", echoHandler)
+			srv, err := reg.Listen("node-a", h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func callersUnderTest(t *testing.T) map[string]func() (Caller, string) {
 }
 
 func TestRoundTripAllTransports(t *testing.T) {
-	for name, mk := range callersUnderTest(t) {
+	for name, mk := range callersUnderTest(t, echoHandler) {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			c, addr := mk()
@@ -114,7 +114,7 @@ func TestSequentialCallsReuseConnection(t *testing.T) {
 }
 
 func TestConcurrentCallsAllTransports(t *testing.T) {
-	for name, mk := range callersUnderTest(t) {
+	for name, mk := range callersUnderTest(t, echoHandler) {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			c, addr := mk()

@@ -420,12 +420,7 @@ func decodeRequestInto(r *Request, b []byte) error {
 }
 
 // EncodeResponse appends the encoded response to dst and returns it.
-// A nil dst is allocated at the encoded size, so the encoding costs
-// one allocation however many fields it carries.
 func EncodeResponse(dst []byte, r *Response) []byte {
-	if dst == nil {
-		dst = make([]byte, 0, responseLen(r))
-	}
 	dst = append(dst, 'S', byte(r.Status))
 	dst = binary.AppendUvarint(dst, r.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
