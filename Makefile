@@ -26,8 +26,8 @@ fmt-check:
 
 # docs-check keeps the prose honest: every package has a godoc
 # comment, doc code blocks only reference real CLI flags, every
-# registered metric name is catalogued in OBSERVABILITY.md, and the
-# knob rule holds: every exported field of the options structs
+# registered metric name is catalogued in OBSERVABILITY.md and every
+# name in its tables is registered, and the knob rule holds: every exported field of the options structs
 # zht-server links (core.Config, novoht.Options, the transport client
 # options, gossip.Options, tenant.Tenant, tenant.AdmissionOptions,
 # memcached.Options, repair.LegQueueOptions) is set by a non-test

@@ -46,7 +46,7 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		durability = flag.String("durability", "async", "WAL acknowledgement mode: none, async, group, or sync")
 		antiEnt    = flag.Duration("anti-entropy", 0, "anti-entropy period: diff partition digests against each partition's authority and pull divergent ranges this often (0 = off)")
-		handoffCap = flag.Int("handoff-cap", 0, "entries a replica leg queue keeps once sends to its destination fail (0 = default 1024, negative disables hinted handoff)")
+		handoffCap = flag.Int("handoff-cap", 0, "entries a replica leg queue keeps once sends to its destination fail (0 = default 1024; must not be negative)")
 		writeLevel = flag.String("write-level", "", "default write consistency level when the request does not name one: one, quorum, all (empty = quorum); reads are client-coordinated, so their default lives in the client")
 		mcAddr     = flag.String("memcached-addr", "", "serve the memcached text protocol on this address (front door for stock cache clients)")
 		mcTenant   = flag.String("memcached-tenant", "cache", "tenant namespace memcached traffic is scoped to ('' = unscoped keyspace)")

@@ -519,12 +519,13 @@ func (in *Instance) replicateEnvelope(table *ring.Table, subs []*wire.Request, s
 // member group whose legs all succeeded. A failed leg is a consistency
 // gap until repaired: it is counted, and the round's failed legs are
 // handed off as one envelope to the destination's leg queue, so the gap
-// closes when the peer answers again. An open replication breaker (peer
-// already known dead) skips the transport attempt, failing every leg,
-// so a dead peer costs nothing per mutation.
+// closes when the peer answers again. While the leg queue holds the
+// destination failing, the round skips the transport and hands every
+// leg off, so a dead peer costs nothing per mutation and the legs land
+// behind the ones that failed first.
 func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 	var rs []*wire.Response
-	if in.rbrk.allow(addr) {
+	if !in.legs.Failing(addr) {
 		var err error
 		if len(sc.legs) == 1 {
 			sc.legResp[0], err = in.caller.Call(addr, sc.legs[0])
@@ -534,9 +535,6 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 		}
 		if err != nil {
 			rs = nil
-			in.rbrk.failure(addr)
-		} else {
-			in.rbrk.success(addr)
 		}
 	}
 	// Failed legs are compacted to the front of sc.legs in order.

@@ -437,11 +437,13 @@ func (c *Client) repairCopy(p int, addr, key string, val []byte, ver uint64) {
 	if c.cfg.OpDeadline > 0 {
 		req.Budget = uint64(c.cfg.OpDeadline)
 	}
-	if _, err := c.caller.Call(addr, req); err != nil {
+	resp, err := c.caller.Call(addr, req)
+	if err != nil {
 		c.breaker.failure(addr)
-	} else {
-		c.breaker.success(addr)
+		return
 	}
+	c.breaker.success(addr)
+	wire.PutResponse(resp)
 }
 
 // Broadcast delivers key/val to every instance via the spanning-tree

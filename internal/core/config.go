@@ -83,7 +83,8 @@ type Config struct {
 	// HandoffCap bounds a destination's leg queue once sends to it fail
 	// (its hinted-handoff backlog); further entries are dropped (counted
 	// by zht.repair.handoff.dropped) and left for anti-entropy to
-	// repair. 0 means DefaultHandoffCap; negative discards failed legs.
+	// repair. 0 means DefaultHandoffCap; negative is refused, since the
+	// backlog's head is the failing destination's only probe.
 	HandoffCap int
 	// Metrics, when non-nil, receives every client-, instance-, and
 	// store-level measurement (latency histograms, retry/shed/breaker
@@ -147,6 +148,9 @@ func (c *Config) fill() error {
 	}
 	if c.OpDeadline == 0 {
 		c.OpDeadline = DefaultOpDeadline
+	}
+	if c.HandoffCap < 0 {
+		return errors.New("core: HandoffCap must be non-negative")
 	}
 	if c.HandoffCap == 0 {
 		c.HandoffCap = DefaultHandoffCap

@@ -44,7 +44,6 @@ func TestWriteLevelsAgainstDownReplica(t *testing.T) {
 		WriteLevel: wire.ConsistencyAll, // deployment default: strictest
 		Metrics:    mreg,
 	}
-	tuneBreakers(t, breakerThreshold, time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 3)
 	table := d.Instance(0).Table()
 	victim := d.Instance(2)
@@ -78,7 +77,8 @@ func TestWriteLevelsAgainstDownReplica(t *testing.T) {
 		t.Fatalf("quorum_writes = %d after two quorum-demanding writes, want >= 2", got)
 	}
 
-	// Heal; once the breaker cooldown lapses QUORUM writes ack again.
+	// Heal; once the leg queue's next retry reaches the replica, QUORUM
+	// writes ack again.
 	reg.SetDown(victim.Addr(), false)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -152,6 +152,55 @@ func TestQuorumReadNewestWinsAndRepairs(t *testing.T) {
 	}
 	if got := mreg.Counter("zht.consistency.stale_reads_repaired").Value(); got < 1 {
 		t.Fatalf("stale_reads_repaired = %d, want >= 1", got)
+	}
+}
+
+// TestRemovedKeyResurfacesUnderQuorumRead pins DESIGN.md §12 anomaly
+// (3): removes leave no tombstone, so a replica copy that missed a
+// remove outranks the owner's absence in a QUORUM vote. The read
+// answers FOUND with the old value and fires a read-repair push at the
+// owner, which its remembered remove stamp refuses, so the owner still
+// lacks the key. Stamped tombstones (ROADMAP item 2) flip this test: the
+// owner's tombstone would win the vote.
+func TestRemovedKeyResurfacesUnderQuorumRead(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	cfg := Config{NumPartitions: 32, Replicas: 1, RetryBase: time.Millisecond, Metrics: mreg}
+	d, _, c := startDeployment(t, cfg, 3)
+	table := d.Instance(0).Table()
+	victim := d.Instance(2)
+	key, p := keyReplicatedOn(t, table, d.Instance(0), victim.ID())
+	owner := d.Instance(table.IndexOf(table.OwnerOf(p).ID))
+
+	if err := c.InsertWith(key, []byte("old"), wire.ConsistencyAll); err != nil {
+		t.Fatal(err)
+	}
+	s, err := victim.store(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ver, ok, err := s.GetAppendV(nil, key)
+	if err != nil || !ok {
+		t.Fatalf("replica copy after the ALL insert: ok=%v err=%v", ok, err)
+	}
+	if err := c.RemoveWith(key, wire.ConsistencyAll); err != nil {
+		t.Fatal(err)
+	}
+	// A copy that missed the remove: the pre-remove pair at its stamp.
+	if err := s.PutV(key, []byte("old"), ver); err != nil {
+		t.Fatal(err)
+	}
+	conflicts := mreg.Counter("zht.consistency.version_conflicts")
+	before := conflicts.Value()
+
+	if v, err := c.LookupWith(key, wire.ConsistencyQuorum); err != nil || string(v) != "old" {
+		t.Fatalf("QUORUM read of the removed key = %q, %v; want the stale copy's FOUND \"old\"", v, err)
+	}
+	await(t, "the owner's refusal of the read-repair push", func() bool { return conflicts.Value() > before })
+	if _, ok, err := storeGet(owner, p, key); err != nil || ok {
+		t.Fatalf("owner holds the removed key after the read-repair push: ok=%v err=%v", ok, err)
+	}
+	if got := mreg.Counter("zht.consistency.stale_reads_repaired").Value(); got != 1 {
+		t.Fatalf("stale_reads_repaired = %d, want 1", got)
 	}
 }
 

@@ -60,13 +60,13 @@ type Instance struct {
 	parts []partition
 	// mutLocks serialize each KEY's mutation+replication pair
 	// (striped by key hash). Stamps (PutLWW) refuse a reordered
-	// insert, append or CAS leg; the stripes still keep a remove from
-	// overtaking an older write of the key on a copy that lacks it (no
-	// tombstones, ROADMAP item 2: partition.note refuses the older leg
-	// only for removeGrace, in memory) and make mutate's add over an
-	// expired pair one check-then-put. Striping by key rather than by
-	// partition lets mutations of different keys overlap inside one
-	// partition store, which is what feeds the store's group-commit
+	// insert, append or CAS leg; the stripes, with legs, still keep a
+	// remove from overtaking an older write of the key on a copy that
+	// lacks it (no tombstones, ROADMAP item 2: partition.note refuses the
+	// older leg only for removeGrace, in memory) and make mutate's add
+	// over an expired pair one check-then-put. Striping by key rather
+	// than by partition lets mutations of different keys overlap inside
+	// one partition store, which is what feeds the store's group-commit
 	// WAL more than one record per fsync. Lookups bypass these locks.
 	mutLocks [lockStripes]sync.Mutex
 
@@ -79,17 +79,14 @@ type Instance struct {
 	closed  chan struct{}
 	closeMu sync.Mutex
 
-	// rbrk is the replication-side circuit breaker: once a replica
-	// peer stops answering, legs to it skip the transport attempt and
-	// wait in its leg queue, so a dead peer costs the primary nothing
-	// per mutation.
-	rbrk *breaker
 	// legs carries every replica leg outside a synchronous round, async
 	// legs and the hinted-handoff backlog (DESIGN.md §9), in one FIFO per
-	// destination. A write leg overtaking a newer one would be refused
-	// by its stamp anyway; the order guards a remove overtaking an
-	// older write on a copy that lacks the key, which a backlog held
-	// past removeGrace would otherwise bring back (mutLocks).
+	// destination, and is the one record of a down replica: sync rounds
+	// hand a failing destination's legs to its FIFO (syncEnvelope). A
+	// write leg overtaking a newer one would be refused by its stamp
+	// anyway; the order guards a remove overtaking an older write on a
+	// copy that lacks the key, which a backlog held past removeGrace
+	// would otherwise bring back (mutLocks).
 	legs *repair.LegQueue
 	// loopWG tracks the anti-entropy loop and read-repair goroutines;
 	// Close waits for it after closing `closed` so no repair work
@@ -219,7 +216,6 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		Cooldown: gossipCooldown,
 		Metrics:  cfg.Metrics,
 	})
-	in.rbrk = newBreaker(in.met.repBreakerTrips, in.met.repBreakerOpen)
 	in.legs = repair.NewLegQueue(repair.LegQueueOptions{
 		Cap:      cfg.HandoffCap,
 		Base:     cfg.RetryBase,
@@ -228,6 +224,7 @@ func NewInstance(cfg Config, self ring.Instance, table *ring.Table, caller trans
 		Queued:   in.met.handoffQueued,
 		Replayed: in.met.handoffReplayed,
 		Dropped:  in.met.handoffDropped,
+		Failing:  in.met.handoffFailing,
 	})
 	if cfg.AntiEntropy > 0 {
 		in.loopWG.Add(1)

@@ -62,18 +62,12 @@ func newClientMetrics(reg *metrics.Registry) clientMetrics {
 type instanceMetrics struct {
 	// syncErrors counts synchronous replication legs that failed —
 	// transport errors or non-OK statuses from the first replica (or
-	// any replica a write level promoted to sync). Each failed leg is
+	// any replica a write level promoted to sync), or legs handed off
+	// unsent to a failing destination. Each failed leg is
 	// a window where primary and secondary have diverged until handoff
 	// replay or anti-entropy repairs it; a non-zero rate means reads
 	// served by a failover replica may be stale.
 	syncErrors *metrics.Counter // zht.core.replica.sync_errors
-	// repBreakerTrips / repBreakerOpen mirror the client breaker
-	// instruments for the instance's replication breaker: an open
-	// circuit short-circuits replication legs to a dead peer straight
-	// into hinted handoff instead of paying a transport timeout per
-	// mutation.
-	repBreakerTrips *metrics.Counter // zht.core.replica.breaker.trips
-	repBreakerOpen  *metrics.Gauge   // zht.core.replica.breaker.open
 
 	// Consistency instruments (DESIGN.md §12; see OBSERVABILITY.md
 	// "Consistency"). quorumWrites counts mutations the owner
@@ -92,6 +86,7 @@ type instanceMetrics struct {
 	handoffQueued   *metrics.Counter // zht.repair.handoff.queued
 	handoffReplayed *metrics.Counter // zht.repair.handoff.replayed
 	handoffDropped  *metrics.Counter // zht.repair.handoff.dropped
+	handoffFailing  *metrics.Gauge   // zht.repair.handoff.failing
 
 	// Membership instruments (DESIGN.md §10; the gossip service
 	// registers the zht.membership.gossip pull/advance counters and
@@ -119,8 +114,6 @@ type instanceMetrics struct {
 func newInstanceMetrics(reg *metrics.Registry) instanceMetrics {
 	return instanceMetrics{
 		syncErrors:       reg.Counter("zht.core.replica.sync_errors"),
-		repBreakerTrips:  reg.Counter("zht.core.replica.breaker.trips"),
-		repBreakerOpen:   reg.Gauge("zht.core.replica.breaker.open"),
 		quorumWrites:     reg.Counter("zht.consistency.quorum_writes"),
 		versionConflicts: reg.Counter("zht.consistency.version_conflicts"),
 
@@ -130,6 +123,7 @@ func newInstanceMetrics(reg *metrics.Registry) instanceMetrics {
 		handoffQueued:   reg.Counter("zht.repair.handoff.queued"),
 		handoffReplayed: reg.Counter("zht.repair.handoff.replayed"),
 		handoffDropped:  reg.Counter("zht.repair.handoff.dropped"),
+		handoffFailing:  reg.Gauge("zht.repair.handoff.failing"),
 
 		epoch:            reg.Gauge("zht.membership.epoch"),
 		gossipFullTables: reg.Counter("zht.membership.gossip.full_tables"),

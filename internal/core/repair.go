@@ -11,6 +11,7 @@ import (
 	"zht/internal/ring"
 	"zht/internal/storage"
 	"zht/internal/tenant"
+	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -21,26 +22,28 @@ import (
 // digest-sync, what a failover read schedules, and how a divergent
 // leaf's contents are replaced.
 
-var errLegNotSent = errors.New("core: replica leg breaker open or shed by peer")
+var errLegNotSent = errors.New("core: replica leg shed by a busy peer")
 
-// sendLeg is the leg queue's send policy. An open replication breaker
-// fails the entry without a transport attempt; transport errors feed
-// the breaker, so the queue's retries double as its half-open probe.
-// Any decoded response consumes the entry except StatusBusy (the peer
-// is alive but shedding: back off and retry) — an answering peer has
-// applied or durably rejected the mutation, and anti-entropy covers
-// rejects.
+// sendLeg is the leg queue's send policy. A transport error
+// (unreachable or timed out) fails the entry, and the queue backs off
+// and retries it: those retries are the only probe of a failing
+// destination. Any other error means the transport can never carry the
+// entry (UDP's datagram limit, say), so it is dropped as undeliverable
+// and anti-entropy repairs the gap. Any decoded response consumes the
+// entry except StatusBusy (the peer is alive but shedding: back off and
+// retry) — an answering peer has applied or durably rejected the
+// mutation, and anti-entropy covers rejects.
 func (in *Instance) sendLeg(addr string, env *wire.Request) error {
-	if !in.rbrk.allow(addr) {
-		return errLegNotSent
-	}
 	resp, err := in.caller.Call(addr, env)
 	if err != nil {
-		in.rbrk.failure(addr)
-		return err
+		if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, transport.ErrTimeout) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", repair.ErrUndeliverable, err)
 	}
-	in.rbrk.success(addr)
-	if resp.Status == wire.StatusBusy {
+	busy := resp.Status == wire.StatusBusy
+	wire.PutResponse(resp)
+	if busy {
 		return errLegNotSent
 	}
 	return nil
@@ -58,12 +61,16 @@ func (in *Instance) PartitionDigest(p int) []uint64 {
 }
 
 // handleDigest serves wire.OpDigest: the partition's digest snapshot.
+// The response is drawn from the pool the transport returns it to, so
+// an anti-entropy round keeps the pool's gets and puts level.
 func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
-	return &wire.Response{Status: wire.StatusOK, Value: repair.EncodeDigest(in.PartitionDigest(p))}
+	resp := wire.GetResponse()
+	resp.Status, resp.Value = wire.StatusOK, repair.EncodeDigest(in.PartitionDigest(p))
+	return resp
 }
 
 // handleRepairPull serves wire.OpRepairPull in both directions:
@@ -368,7 +375,11 @@ func (in *Instance) digestSync(addr string, ps []int) {
 		reqs[i] = &wire.Request{Op: wire.OpDigest, Partition: int64(p)}
 	}
 	resps, err := in.caller.CallBatch(addr, reqs)
-	if err != nil || len(resps) != len(ps) {
+	if err != nil {
+		return
+	}
+	defer wire.ReleaseResponses(resps)
+	if len(resps) != len(ps) {
 		return
 	}
 	for i, p := range ps {

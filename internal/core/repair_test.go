@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"zht/internal/repair"
 	"zht/internal/ring"
 	"zht/internal/storage"
+	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -30,7 +32,6 @@ func TestHandoffReplaysDroppedSyncLeg(t *testing.T) {
 		WriteLevel: wire.ConsistencyOne,
 		Metrics:    mreg,
 	}
-	tuneBreakers(t, breakerThreshold, 10*time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 3)
 
 	// A key whose owner is alive and whose sole replica is the victim.
@@ -186,7 +187,6 @@ func TestAntiEntropyRepairsOverflowedHandoff(t *testing.T) {
 		WriteLevel: wire.ConsistencyOne,
 		Metrics:    mreg,
 	}
-	tuneBreakers(t, breakerThreshold, 5*time.Millisecond)
 	d, reg, c := startDeployment(t, cfg, 2)
 
 	// With two nodes every partition's sole replica is the other node;
@@ -503,5 +503,283 @@ func staleCopyAfterRemove(t *testing.T, dropReplica bool) {
 	}
 	if v, err := c.Lookup(key); err != nil || string(v) != "after" {
 		t.Fatalf("lookup after the rewrite = %q, %v; want \"after\"", v, err)
+	}
+}
+
+// legTap wraps a deployment's transport and watches the replica legs
+// bound for one destination: every attempt to send it legs, the
+// synchronous rounds' attempts among them (a sync round sends its legs
+// bare, a queued entry travels as a prebuilt OpBatch envelope), and the
+// legs it received, in order. An envelope carrying the refused key fails with a plain error,
+// as a transport refuses a message it can never carry.
+type legTap struct {
+	transport.Caller
+	dst string
+
+	mu        sync.Mutex
+	refused   string
+	tries     int
+	syncTries int
+	delivered []string // "op key" of each leg dst received
+}
+
+func (lt *legTap) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	if addr != lt.dst || (req.Op != wire.OpReplicate && req.Op != wire.OpBatch) {
+		return lt.Caller.Call(addr, req)
+	}
+	legs := []*wire.Request{req}
+	if req.Op == wire.OpBatch {
+		subs, err := wire.DecodeOps(req.Aux)
+		if err != nil {
+			return nil, err
+		}
+		defer wire.ReleaseOps(subs)
+		if len(subs) == 0 || subs[0].Op != wire.OpReplicate {
+			return lt.Caller.Call(addr, req)
+		}
+		legs = subs
+	}
+	lt.mu.Lock()
+	lt.tries++
+	if req.Op == wire.OpReplicate {
+		lt.syncTries++
+	}
+	refused := lt.refused
+	lt.mu.Unlock()
+	for _, l := range legs {
+		if refused != "" && l.Key == refused {
+			return nil, errors.New("tap: message refused")
+		}
+	}
+	resp, err := lt.Caller.Call(addr, req)
+	if err == nil {
+		lt.record(legs)
+	}
+	return resp, err
+}
+
+func (lt *legTap) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	if addr != lt.dst || len(reqs) == 0 || reqs[0].Op != wire.OpReplicate {
+		return lt.Caller.CallBatch(addr, reqs)
+	}
+	lt.mu.Lock()
+	lt.tries++
+	lt.syncTries++
+	lt.mu.Unlock()
+	rs, err := lt.Caller.CallBatch(addr, reqs)
+	if err == nil {
+		lt.record(reqs)
+	}
+	return rs, err
+}
+
+func (lt *legTap) record(legs []*wire.Request) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	for _, l := range legs {
+		lt.delivered = append(lt.delivered, fmt.Sprintf("%v %s", wire.Op(l.Aux[0]), l.Key))
+	}
+}
+
+// counts returns the attempts to send dst legs, the sync rounds'
+// attempts among them, and the legs it received so far.
+func (lt *legTap) counts() (tries, syncTries int, delivered []string) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	return lt.tries, lt.syncTries, append([]string(nil), lt.delivered...)
+}
+
+// await polls until cond holds, failing the test after 5 s.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// startTappedDeployment boots n in-process instances whose every call
+// goes through a legTap for instance dst's address.
+func startTappedDeployment(t *testing.T, cfg Config, n, dst int) (*Deployment, *transport.Registry, *Client, *legTap) {
+	t.Helper()
+	reg := transport.NewRegistry()
+	lt := &legTap{Caller: reg.NewClient(), dst: InprocEndpoints(n)[dst].Addr}
+	d, err := Bootstrap(cfg, InprocEndpoints(n), func(addr string, h transport.Handler) (transport.Listener, error) {
+		return reg.Listen(addr, h)
+	}, lt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, reg, c, lt
+}
+
+// TestDownReplicaCostsOneSyncAttempt: with the sole replica down, the
+// first write's sync round fails and hands its leg off, which makes the
+// replica failing in the leg queue; every later write hands its leg
+// straight to the queue without a transport attempt. The queue's
+// backed-off retry is the replica's only probe.
+func TestDownReplicaCostsOneSyncAttempt(t *testing.T) {
+	cfg := Config{NumPartitions: 16, Replicas: 1, WriteLevel: wire.ConsistencyOne,
+		RetryBase: time.Minute} // the queue's first retry comes after the test
+	d, reg, c, lt := startTappedDeployment(t, cfg, 2, 1)
+	reg.SetDown(lt.dst, true)
+	for _, op := range ownedKeys(t, d.Instance(0), "down", 10) {
+		if err := c.Insert(op.Key, op.Value); err != nil {
+			t.Fatalf("insert %s at ONE with the replica down: %v", op.Key, err)
+		}
+	}
+	if _, syncTries, _ := lt.counts(); syncTries != 1 {
+		t.Fatalf("10 writes made %d sync-path attempts to the down replica, want 1", syncTries)
+	}
+	if !d.Instance(0).legs.Failing(lt.dst) {
+		t.Fatal("the down replica is not failing in the owner's leg queue")
+	}
+}
+
+// TestNegativeHandoffCapRefused: the backlog's head is a failing
+// destination's only probe, so a cap that would keep nothing is refused.
+func TestNegativeHandoffCapRefused(t *testing.T) {
+	if d, _, err := BootstrapInproc(Config{NumPartitions: 4, HandoffCap: -1}, 1); err == nil {
+		d.Close()
+		t.Fatal("HandoffCap -1 accepted")
+	}
+}
+
+// TestLegsDuringOutageLandInOrder: an insert is handed off while the
+// sole replica is down, and the queue is backing off when the replica
+// heals. A remove of the same key issued then must not overtake the
+// insert: the replica is still failing until the queue's next send
+// succeeds, so the remove's leg queues behind the insert's.
+func TestLegsDuringOutageLandInOrder(t *testing.T) {
+	cfg := Config{NumPartitions: 16, Replicas: 1, WriteLevel: wire.ConsistencyOne,
+		RetryBase: 200 * time.Millisecond} // the queue's backoff spans the heal and the remove
+	d, reg, c, lt := startTappedDeployment(t, cfg, 2, 1)
+	key := ownedKeys(t, d.Instance(0), "order", 1)[0].Key
+	reg.SetDown(lt.dst, true)
+	if err := c.Insert(key, []byte("v")); err != nil {
+		t.Fatalf("insert at ONE with the replica down: %v", err)
+	}
+	// The sync round's attempt and the queue's first send have failed.
+	await(t, "the queue's first send", func() bool { tries, _, _ := lt.counts(); return tries >= 2 })
+	reg.SetDown(lt.dst, false)
+	if err := c.Remove(key); err != nil {
+		t.Fatalf("remove after the heal: %v", err)
+	}
+	await(t, "both legs", func() bool { _, _, got := lt.counts(); return len(got) >= 2 })
+	_, _, got := lt.counts()
+	if want := []string{wire.OpInsert.String() + " " + key, wire.OpRemove.String() + " " + key}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the replica received %q, want %q", got, want)
+	}
+	p := d.Instance(1).partitionOf(key)
+	if _, ok, err := storeGet(d.Instance(1), p, key); err != nil || ok {
+		t.Fatalf("replica holds the removed key: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestUndeliverableLegIsDropped: the transport refuses one async
+// envelope for good with a plain error (as UDP refuses a datagram past
+// its limit). The leg queue drops it instead of retrying it at the
+// head of the FIFO, so the legs behind it still arrive.
+func TestUndeliverableLegIsDropped(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	cfg := Config{NumPartitions: 16, Replicas: 2, RetryBase: time.Millisecond, Metrics: mreg}
+	d, _, c, lt := startTappedDeployment(t, cfg, 3, 2)
+	table := d.Instance(0).Table()
+	// Keys whose second, async replica is the tapped instance.
+	var keys []string
+	for i := 0; len(keys) < 5; i++ {
+		key := fmt.Sprintf("refused-%d", i)
+		reps := table.ReplicasOf(table.Partition(c.hashf(key)), 2)
+		if len(reps) == 2 && reps[1].Addr == lt.dst {
+			keys = append(keys, key)
+		}
+	}
+	lt.mu.Lock()
+	lt.refused = keys[0]
+	lt.mu.Unlock()
+	for _, k := range keys {
+		if err := c.Insert(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await(t, "the legs behind the refused one", func() bool {
+		_, _, got := lt.counts()
+		return len(got) >= len(keys)-1
+	})
+	_, _, got := lt.counts()
+	var want []string
+	for _, k := range keys[1:] {
+		want = append(want, wire.OpInsert.String()+" "+k)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the replica received %q, want %q", got, want)
+	}
+	if n := mreg.Counter("zht.repair.handoff.dropped").Value(); n != 1 {
+		t.Fatalf("handoff.dropped = %d, want the refused entry", n)
+	}
+}
+
+// TestReplicationReturnsPooledResponses: at Replicas=2 every write
+// sends an async leg through the leg queue, an anti-entropy round
+// probes digests through CallBatch, and an ALL read that finds stale
+// copies pushes the newest version to them (ALL awaits every copy, so
+// no probe is abandoned); each must return the
+// responses it draws from the wire pools, so gets == puts once traffic
+// settles.
+func TestReplicationReturnsPooledResponses(t *testing.T) {
+	for _, level := range []wire.Consistency{wire.ConsistencyOne, wire.ConsistencyQuorum} {
+		t.Run(level.String(), func(t *testing.T) {
+			cfg := Config{NumPartitions: 16, Replicas: 2, RetryBase: time.Millisecond, WriteLevel: level}
+			d, _, c := startDeployment(t, cfg, 3)
+			write := func(prefix string, n int) {
+				for i := 0; i < n; i++ {
+					if err := c.Insert(fmt.Sprintf("%s-%d", prefix, i), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d.Drain()
+				for _, in := range d.Instances() {
+					in.antiEntropyRound()
+				}
+			}
+			write("warm", 100)
+			reg := metrics.NewRegistry()
+			wire.EnablePoolMetrics(reg)
+			defer wire.EnablePoolMetrics(nil)
+			write("counted", 500)
+			gets, puts := reg.Counter("zht.wire.pool.gets"), reg.Counter("zht.wire.pool.puts")
+			if gets.Value() != puts.Value() {
+				t.Fatalf("pool gets %d, puts %d after 500 writes at Replicas=2: %d not returned", gets.Value(), puts.Value(), gets.Value()-puts.Value())
+			}
+
+			table := d.Instance(0).Table()
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("counted-%d", i)
+				p := table.Partition(c.hashf(key))
+				owner := d.Instance(table.Owner[p])
+				wire.PutResponse(owner.Handle(&wire.Request{
+					Op: wire.OpReplicate, Partition: int64(p), Key: key, Value: []byte("v2"),
+					Version: owner.clock.Next(), Aux: encodeReplicaAux(wire.OpInsert),
+				}))
+				if v, err := c.LookupWith(key, wire.ConsistencyAll); err != nil || string(v) != "v2" {
+					t.Fatalf("ALL read of %s = %q, %v", key, v, err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for gets.Value() != puts.Value() {
+				if time.Now().After(deadline) {
+					t.Fatalf("pool gets %d, puts %d after 20 ALL reads that repaired stale copies: %d not returned", gets.Value(), puts.Value(), gets.Value()-puts.Value())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

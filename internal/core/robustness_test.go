@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zht/internal/metrics"
+	"zht/internal/ring"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -424,6 +425,21 @@ func TestHealedOwnerWithOpenCircuit(t *testing.T) {
 	cut.Store(true)
 	if _, err := c.Lookup(ops[0].Key); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("lookup with the owner's link cut: %v, want ErrUnavailable", err)
+	}
+	// DESIGN.md §5's asymmetric-partition anomaly: the lookup failed
+	// although a live replica holds the value and no instance saw the
+	// owner fail, because the client serves a key from its replica
+	// only once the table marks the owner down.
+	table := d.Instance(0).Table()
+	p := table.Partition(c.hashf(ops[0].Key))
+	replica := d.Instance(table.IndexOf(table.ReplicasOf(p, cfg.Replicas)[0].ID))
+	if v, ok, err := storeGet(replica, p, ops[0].Key); err != nil || !ok || string(v) != string(ops[0].Value) {
+		t.Fatalf("replica copy during the cut = %q, %v, %v", v, ok, err)
+	}
+	for _, in := range d.Instances() {
+		if tab := in.Table(); tab.Status[tab.IndexOf(owner.ID())] != ring.Alive {
+			t.Fatalf("%s's table shows the owner %v after the client's cut lookup", in.ID(), tab.Status[tab.IndexOf(owner.ID())])
+		}
 	}
 	cut.Store(false)
 	if c.breaker.tracked.Load() == 0 {

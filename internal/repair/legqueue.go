@@ -1,7 +1,9 @@
 package repair
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/metrics"
@@ -12,22 +14,31 @@ import (
 // enqueue waits once this many entries are queued for it.
 const maxFresh = 4096
 
+// ErrUndeliverable marks a Send error as final: the entry can never
+// be delivered (the transport refuses to carry it), so the queue drops
+// it instead of retrying it, and the anti-entropy loop repairs the gap.
+var ErrUndeliverable = errors.New("repair: leg cannot be delivered")
+
 // LegQueueOptions configures a LegQueue. Nil counters no-op.
 type LegQueueOptions struct {
 	// Cap bounds a failing destination's queue: at most Cap entries
 	// stay queued and newer ones are dropped — the anti-entropy loop is
-	// the backstop for what overflows. Cap <= 0 drops every failed entry.
+	// the backstop for what overflows. The head entry is the failing
+	// destination's probe, so Cap below 1 counts as 1.
 	Cap int
 	// Base and Max bound the retry backoff, which doubles from Base per
 	// failed send and resets on success.
 	Base, Max time.Duration
-	// Send delivers one entry; an error keeps it at the head of its
-	// queue for the next attempt.
+	// Send delivers one entry. An error keeps it at the head of its
+	// queue for the next attempt, unless it wraps ErrUndeliverable,
+	// which drops it.
 	Send func(addr string, env *wire.Request) error
 	// Queued counts entries handed off — their first send failed, or
 	// they were queued behind a failing head; Replayed those later
-	// delivered; Dropped those refused or cut by Cap.
+	// delivered; Dropped those refused, cut by Cap or undeliverable.
 	Queued, Replayed, Dropped *metrics.Counter
+	// Failing tracks how many destinations are failing (Failing).
+	Failing *metrics.Gauge
 }
 
 // LegQueue carries every replica leg that does not travel inside a
@@ -40,9 +51,14 @@ type LegQueueOptions struct {
 // While a destination answers, fresh legs queue with backpressure at
 // maxFresh. A failed send — or a leg whose synchronous send already
 // failed (HandOff) — turns its FIFO into a hinted-handoff backlog,
-// bounded by Cap and retried with backoff until it has been replayed.
+// bounded by Cap and retried with backoff until it has been replayed,
+// and makes the destination failing until its next successful send:
+// the queue holds the instance's one verdict on a down replica.
 type LegQueue struct {
 	opts LegQueueOptions
+	// failing mirrors how many destinations are failing, so Failing
+	// returns after one atomic load while none is. Written under mu.
+	failing atomic.Int64
 
 	mu sync.Mutex
 	// cond wakes backpressured enqueuers and Drain; it is broadcast
@@ -62,8 +78,8 @@ type peerQueue struct {
 	entries []*wire.Request
 	head    int
 	backlog bool // every entry is handed off: a send failed since the FIFO was last empty
+	failing bool // a send failed since the last successful one
 	active  bool // a drainer owns the FIFO
-	sending bool // the drainer is sending entries[head]
 	drain   func()
 }
 
@@ -73,6 +89,7 @@ func NewLegQueue(opts LegQueueOptions) *LegQueue {
 		opts.Base = 10 * time.Millisecond
 	}
 	opts.Max = max(opts.Max, opts.Base)
+	opts.Cap = max(opts.Cap, 1)
 	lq := &LegQueue{opts: opts, peers: make(map[string]*peerQueue), done: make(chan struct{})}
 	lq.cond.L = &lq.mu
 	return lq
@@ -81,8 +98,22 @@ func NewLegQueue(opts LegQueueOptions) *LegQueue {
 // Enqueue queues a fresh leg envelope for addr.
 func (lq *LegQueue) Enqueue(addr string, env *wire.Request) { lq.add(addr, env, false) }
 
-// HandOff queues a leg envelope whose synchronous send to addr failed.
+// HandOff queues a leg envelope whose synchronous send to addr failed,
+// or was skipped because addr is failing.
 func (lq *LegQueue) HandOff(addr string, env *wire.Request) { lq.add(addr, env, true) }
+
+// Failing reports whether addr is failing: a send to it failed, or a
+// leg bound for it was handed off, since its last successful send.
+// While no destination is failing it costs one atomic load.
+func (lq *LegQueue) Failing(addr string) bool {
+	if lq.failing.Load() == 0 {
+		return false
+	}
+	lq.mu.Lock()
+	defer lq.mu.Unlock()
+	pq := lq.peers[addr]
+	return pq != nil && pq.failing
+}
 
 // add queues env, or releases it when the queue is closed or addr's
 // backlog is full. A queued leg outlives the client operation that
@@ -106,9 +137,6 @@ func (lq *LegQueue) add(addr string, env *wire.Request, failed bool) {
 		if !lq.closed {
 			lq.opts.Dropped.Inc()
 		}
-		if !pq.active {
-			pq.backlog = false // Cap <= 0 keeps nothing to replay
-		}
 		lq.mu.Unlock()
 		wire.ReleaseBatchRequest(env)
 		return
@@ -127,15 +155,12 @@ func (lq *LegQueue) add(addr string, env *wire.Request, failed bool) {
 	lq.mu.Unlock()
 }
 
-// handOff makes pq a backlog: it cuts the FIFO to Cap entries, newest
-// first (an entry being sent stays until its send returns), and counts
-// the rest as handed off. Called with mu held.
+// handOff makes pq a failing backlog: it cuts the FIFO to Cap entries,
+// newest first, so the head — the entry being sent, if any — stays as
+// the probe, and counts the rest as handed off. Called with mu held.
 func (lq *LegQueue) handOff(pq *peerQueue) {
-	keep := max(lq.opts.Cap, 0)
-	if pq.sending {
-		keep = max(keep, 1)
-	}
-	for pq.len() > keep {
+	lq.setFailing(pq, true)
+	for pq.len() > lq.opts.Cap {
 		last := len(pq.entries) - 1
 		wire.ReleaseBatchRequest(pq.entries[last])
 		pq.entries = pq.entries[:last]
@@ -152,6 +177,21 @@ func (lq *LegQueue) handOff(pq *peerQueue) {
 	lq.cond.Broadcast()
 }
 
+// setFailing records whether pq's destination is failing. Called with
+// mu held.
+func (lq *LegQueue) setFailing(pq *peerQueue, on bool) {
+	if pq.failing == on {
+		return
+	}
+	pq.failing = on
+	d := int64(-1)
+	if on {
+		d = 1
+	}
+	lq.failing.Add(d)
+	lq.opts.Failing.Add(d)
+}
+
 // run drains pq until it is empty or the queue closes.
 func (lq *LegQueue) run(pq *peerQueue) {
 	defer lq.wg.Done()
@@ -159,16 +199,11 @@ func (lq *LegQueue) run(pq *peerQueue) {
 	lq.mu.Lock()
 	for !lq.closed && pq.len() > 0 {
 		env := pq.entries[pq.head]
-		pq.sending = true
 		lq.mu.Unlock()
 		err := lq.opts.Send(pq.addr, env)
 		lq.mu.Lock()
-		pq.sending = false
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrUndeliverable) {
 			lq.handOff(pq)
-			if pq.len() == 0 {
-				break
-			}
 			lq.mu.Unlock()
 			select {
 			case <-lq.done:
@@ -180,17 +215,29 @@ func (lq *LegQueue) run(pq *peerQueue) {
 		}
 		pq.entries[pq.head] = nil
 		pq.head++
-		if pq.backlog {
-			lq.opts.Replayed.Inc()
-		} else {
+		if !pq.backlog {
 			lq.unsettled--
+		}
+		if err != nil {
+			lq.opts.Dropped.Inc()
+		} else {
+			if pq.backlog {
+				lq.opts.Replayed.Inc()
+			}
+			lq.setFailing(pq, false)
+			backoff = lq.opts.Base
 		}
 		wire.ReleaseBatchRequest(env)
 		lq.cond.Broadcast()
-		backoff = lq.opts.Base
 	}
 	pq.active = false
-	pq.backlog = pq.backlog && pq.len() > 0
+	if pq.len() == 0 {
+		// An empty FIFO is no backlog. It is still failing only when
+		// undeliverable drops emptied it before any send succeeded; with
+		// no probe left, the destination is not known to be down.
+		pq.backlog = false
+		lq.setFailing(pq, false)
+	}
 	lq.mu.Unlock()
 }
 

@@ -283,25 +283,75 @@ func TestHandoffBoundsAndClose(t *testing.T) {
 	}
 }
 
-// TestLegQueueNegativeCapDropsOnlyFailed: with handoff disabled, a
-// failed entry is dropped, and the fresh legs after it still go out.
-func TestLegQueueNegativeCapDropsOnlyFailed(t *testing.T) {
-	peer := &flakyPeer{down: true}
+// TestLegQueueDropsUndeliverable: an entry whose send fails with
+// ErrUndeliverable is dropped at once, without a backoff, and the legs
+// behind it still go out in order; once the FIFO empties that way the
+// destination is not left failing.
+func TestLegQueueDropsUndeliverable(t *testing.T) {
+	peer := &flakyPeer{}
 	reg := metrics.NewRegistry()
 	dropped := reg.Counter("dropped")
-	lq := NewLegQueue(LegQueueOptions{Cap: -1, Base: time.Millisecond, Send: peer.send, Dropped: dropped})
+	lq := NewLegQueue(LegQueueOptions{
+		Cap:  16,
+		Base: time.Hour, // a retried entry would stall the test
+		Send: func(addr string, env *wire.Request) error {
+			if legKey(env) == "too-big" {
+				return fmt.Errorf("%w: exceeds the datagram limit", ErrUndeliverable)
+			}
+			return peer.send(addr, env)
+		},
+		Dropped: dropped,
+	})
 	defer lq.Close()
 
-	lq.HandOff("p", leg("failed-sync"))
-	lq.Enqueue("p", leg("async-to-down-peer"))
-	lq.Drain()
-	if dropped.Value() != 2 {
-		t.Fatalf("dropped=%d, want both entries to a down peer dropped", dropped.Value())
+	lq.HandOff("p", leg("too-big"))
+	lq.Enqueue("p", leg("after"))
+	peer.await(t, []string{"after"})
+	if dropped.Value() != 1 {
+		t.Fatalf("dropped=%d, want the undeliverable entry dropped", dropped.Value())
+	}
+	lq.HandOff("p", leg("too-big"))
+	deadline := time.Now().Add(2 * time.Second)
+	for lq.Failing("p") {
+		if time.Now().After(deadline) {
+			t.Fatal("destination still failing after its only entry was dropped as undeliverable")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLegQueueFailing: a destination is failing from a failed send, or
+// a HandOff, until its next successful send, and the gauge counts the
+// failing destinations.
+func TestLegQueueFailing(t *testing.T) {
+	peer := &flakyPeer{down: true}
+	reg := metrics.NewRegistry()
+	gauge := reg.Gauge("failing")
+	lq := NewLegQueue(LegQueueOptions{Cap: 16, Base: time.Millisecond, Max: 4 * time.Millisecond, Send: peer.send, Failing: gauge})
+	defer lq.Close()
+
+	if lq.Failing("p") {
+		t.Fatal("an unknown destination is failing")
+	}
+	lq.Enqueue("p", leg("k0"))
+	deadline := time.Now().Add(2 * time.Second)
+	for !lq.Failing("p") {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed send did not make the destination failing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	lq.HandOff("q", leg("q0"))
+	if !lq.Failing("q") || gauge.Value() != 2 {
+		t.Fatalf("after a HandOff: failing(q)=%v gauge=%d, want true and 2", lq.Failing("q"), gauge.Value())
 	}
 	peer.setDown(false)
-	lq.HandOff("p", leg("failed-again"))
-	lq.Enqueue("p", leg("fresh"))
-	peer.await(t, []string{"fresh"})
+	for lq.Failing("p") || lq.Failing("q") || gauge.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("failing(p)=%v failing(q)=%v gauge=%d after both destinations answered", lq.Failing("p"), lq.Failing("q"), gauge.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestLegQueueBackpressure: while the destination answers, an enqueue

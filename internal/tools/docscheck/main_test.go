@@ -93,3 +93,21 @@ func TestDocFlagsRemovedFlag(t *testing.T) {
 		t.Errorf("failures = %q, want %q", got, want)
 	}
 }
+
+// TestMetricCatalogueBothWays pins the catalogue rule in both
+// directions: a registered name missing from OBSERVABILITY.md fails,
+// and so does a table row naming a metric no non-test source
+// registers; prose mentions and wildcard rows are not metrics.
+func TestMetricCatalogueBothWays(t *testing.T) {
+	var got []string
+	checkMetricCatalogue("testdata/catalogue",
+		func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+	want := []string{
+		`metric "zht.x.uncatalogued" (registered in testdata/catalogue/internal/x/x.go) is not catalogued in OBSERVABILITY.md`,
+		`OBSERVABILITY.md:9: metric "zht.x.stale" is catalogued but registered in no non-test source`,
+		`OBSERVABILITY.md:10: metric "zht.x.testonly" is catalogued but registered in no non-test source`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failures = %q, want %q", got, want)
+	}
+}
