@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -62,7 +63,7 @@ type route struct {
 	vals   []wire.Request  // the requests, input order
 	reqs   []*wire.Request // reqs[i] == &vals[i]
 	outs   []outcome       // input order
-	tags   []int64         // destination<<32 | request index, sorted
+	tags   []int64         // destination, partition, request index: sorted (group)
 	subs   []*wire.Request // tag order
 	msgs   []message
 	redirs []string // this round's redirect destinations
@@ -265,14 +266,25 @@ func (c *Client) route(rt *route, deadline time.Time) {
 // table, its first alive replica while the owner is not Alive, or a
 // migration redirect — and returns one message per destination, none
 // once every request settled. A request with no destination settles as
-// unavailable.
+// unavailable. Within a destination the requests run in partition
+// order, and in input order within a partition, so a key's ops keep
+// their order and each envelope reaches its instance already in the
+// order the instance's apply sorts it into. A partition number too wide
+// to fit in a tag beside the destination is left out, leaving input
+// order within a destination.
 func (c *Client) group(rt *route, table *ring.Table) []message {
 	n := len(table.Instances)
+	pBits := bits.Len(uint(table.NumPartitions - 1))
+	if bits.Len(uint(n+len(rt.reqs)))+pBits > 31 {
+		pBits = 0
+	}
+	dstShift := 32 + pBits
 	for i, r := range rt.reqs {
 		o := &rt.outs[i]
 		if o.done {
 			continue
 		}
+		p := table.Partition(c.hashf(r.Key))
 		var dst int
 		if o.redirect != "" {
 			if dst = slices.Index(rt.redirs, o.redirect); dst < 0 {
@@ -282,7 +294,6 @@ func (c *Client) group(rt *route, table *ring.Table) []message {
 			dst += n
 			o.redirect = ""
 		} else {
-			p := table.Partition(c.hashf(r.Key))
 			if dst = table.Owner[p]; table.Status[dst] != ring.Alive {
 				rep := failoverTarget(table, p, c.cfg.Replicas)
 				if rep.ID == "" {
@@ -293,18 +304,18 @@ func (c *Client) group(rt *route, table *ring.Table) []message {
 			}
 		}
 		r.Epoch = table.Epoch
-		rt.tags = append(rt.tags, int64(dst)<<32|int64(i))
+		rt.tags = append(rt.tags, int64(dst)<<dstShift|int64(p&(1<<pBits-1))<<32|int64(i))
 	}
 	slices.Sort(rt.tags)
 	tags := rt.tags
 	for k, t := range tags {
 		rt.subs = append(rt.subs, rt.reqs[t&0xffffffff])
-		if k > 0 && t>>32 == tags[k-1]>>32 {
+		if k > 0 && t>>dstShift == tags[k-1]>>dstShift {
 			continue
 		}
 		rt.msgs = append(rt.msgs, message{lo: k})
 		m := &rt.msgs[len(rt.msgs)-1]
-		if d := int(t >> 32); d < n {
+		if d := int(t >> dstShift); d < n {
 			m.addr, m.id = table.Instances[d].Addr, table.Instances[d].ID
 		} else {
 			m.addr = rt.redirs[d-n]

@@ -559,3 +559,43 @@ func TestFailoverServeWithTwoFailedNodes(t *testing.T) {
 		t.Fatalf("failover read-back: %s %q", resp.Status, resp.Value)
 	}
 }
+
+// TestGroupOrdersByPartition: the client sends each destination's
+// sub-ops in partition order, and in input order within a partition, so
+// a key's ops keep their input order and the instance's sort of the
+// envelope finds its input already in order.
+func TestGroupOrdersByPartition(t *testing.T) {
+	_, _, c := startDeployment(t, Config{NumPartitions: 64}, 3)
+	table := c.snapshot()
+	const n = 200
+	rt := getRoute(n)
+	defer rt.release()
+	index := make(map[*wire.Request]int, n)
+	for i, r := range rt.reqs {
+		r.Op, r.Key = wire.OpInsert, fmt.Sprintf("order-%d", i%70)
+		index[r] = i
+	}
+	rt.left = n
+	msgs := c.group(rt, table)
+	if len(msgs) != len(table.Instances) {
+		t.Fatalf("%d messages for %d instances", len(msgs), len(table.Instances))
+	}
+	sent := 0
+	for _, m := range msgs {
+		lastP, lastI := -1, -1
+		for _, r := range m.reqs {
+			p, i := table.Partition(c.hashf(r.Key)), index[r]
+			if owner := table.OwnerOf(p); owner.Addr != m.addr {
+				t.Fatalf("%s (partition %d, owner %s) sent to %s", r.Key, p, owner.Addr, m.addr)
+			}
+			if p < lastP || p == lastP && i < lastI {
+				t.Fatalf("to %s: request %d (partition %d) after request %d (partition %d)", m.addr, i, p, lastI, lastP)
+			}
+			lastP, lastI = p, i
+			sent++
+		}
+	}
+	if sent != n {
+		t.Fatalf("%d of %d requests sent", sent, n)
+	}
+}

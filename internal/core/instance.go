@@ -167,7 +167,7 @@ type partition struct {
 	mu   sync.Mutex
 	// removed holds the stamps of recent removes (note), nRemoved its
 	// length, so covers skips mu while none is kept.
-	removed  map[string]uint64
+	removed  map[string]removeNote
 	nRemoved atomic.Int64
 	sweepAt  int32 // len(removed) at which note next drops expired stamps
 	// inflight counts the envelopes past the gate still applying or
@@ -524,7 +524,7 @@ func (in *Instance) storeIfPresent(p int) *novoht.Store {
 	return nil
 }
 
-// applyMutation stamps one mutation, applies it to the owner's store
+// applyMutation applies one mutation stamped ver to the owner's store
 // and answers into resp, which arrives zeroed. Every level of
 // replication shares it. It returns the stamp and the value an
 // append's replica legs carry — the accumulated value, so a replica
@@ -537,9 +537,8 @@ func (in *Instance) storeIfPresent(p int) *novoht.Store {
 // the store after one that drew a newer stamp. The store refuses it
 // (storage.ErrStale) rather than let the key's stamp fall behind its
 // apply order, and the op redraws above the stored version.
-func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire.Response) (uint64, []byte) {
+func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire.Response, ver uint64) (uint64, []byte) {
 	for {
-		ver := in.clock.Next()
 		legVal, err := in.mutate(s, req, ver, resp)
 		if !errors.Is(err, storage.ErrStale) {
 			if err != nil {
@@ -550,6 +549,7 @@ func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire
 		if _, stored, _, err := s.GetAppendV(nil, req.Key); err == nil {
 			in.clock.Observe(stored)
 		}
+		ver = in.clock.Next()
 	}
 }
 

@@ -81,6 +81,7 @@ type instanceMetrics struct {
 
 	// Anti-entropy instruments (see OBSERVABILITY.md "Repair").
 	digestSyncs     *metrics.Counter // zht.repair.digest_syncs
+	digestSkips     *metrics.Counter // zht.repair.digest_version_skips
 	rangesPulled    *metrics.Counter // zht.repair.ranges_pulled
 	readRepairs     *metrics.Counter // zht.repair.read_repairs
 	handoffQueued   *metrics.Counter // zht.repair.handoff.queued
@@ -118,6 +119,7 @@ func newInstanceMetrics(reg *metrics.Registry) instanceMetrics {
 		versionConflicts: reg.Counter("zht.consistency.version_conflicts"),
 
 		digestSyncs:     reg.Counter("zht.repair.digest_syncs"),
+		digestSkips:     reg.Counter("zht.repair.digest_version_skips"),
 		rangesPulled:    reg.Counter("zht.repair.ranges_pulled"),
 		readRepairs:     reg.Counter("zht.repair.read_repairs"),
 		handoffQueued:   reg.Counter("zht.repair.handoff.queued"),

@@ -150,7 +150,7 @@ func (in *Instance) diffLeaves(addr string, p int) ([]int, error) {
 	if resp.Status != wire.StatusOK {
 		return nil, fmt.Errorf("core: digest of partition %d from %s: %s", p, addr, resp.Err)
 	}
-	remote, err := repair.DecodeDigest(resp.Value)
+	remote, err := in.remoteDigest(resp.Value)
 	if err != nil {
 		return nil, err
 	}

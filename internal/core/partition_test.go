@@ -303,3 +303,33 @@ func TestMoveAfterGateRequeues(t *testing.T) {
 		t.Fatalf("insert after rollback: %s (%s)", resp.Status, resp.Err)
 	}
 }
+
+// TestRemoveNotesExpireByWallTime: with the instance clock an hour
+// ahead of wall time, as a burst of writes leaves it, a remove note
+// taken longer than removeGrace ago by wall time is swept and a younger
+// one is kept. Swept by their stamps, neither would expire while the
+// clock leads.
+func TestRemoveNotesExpireByWallTime(t *testing.T) {
+	d, _, _ := startDeployment(t, Config{NumPartitions: 8}, 1)
+	in := d.Instance(0)
+	in.clock.Observe(uint64(time.Now().Add(time.Hour).UnixMilli()) << hlcNodeBits)
+	pt := in.part(0)
+
+	oldVer := in.clock.Next()
+	pt.note("old", oldVer)
+	pt.mu.Lock()
+	n := pt.removed["old"]
+	n.at -= (removeGrace + time.Second).Milliseconds()
+	pt.removed["old"] = n
+	pt.sweepAt = 0 // the next note sweeps
+	pt.mu.Unlock()
+	youngVer := in.clock.Next()
+	pt.note("young", youngVer)
+
+	if pt.covers("old", oldVer) {
+		t.Error("a note older than removeGrace by wall time was kept")
+	}
+	if !pt.covers("young", youngVer) {
+		t.Error("a note younger than removeGrace by wall time was swept")
+	}
+}

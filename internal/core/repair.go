@@ -69,8 +69,25 @@ func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
 	}
 	resp := wire.GetResponse()
-	resp.Status, resp.Value = wire.StatusOK, repair.EncodeDigest(in.PartitionDigest(p))
+	resp.Status, resp.Value = wire.StatusOK, repair.EncodeDigest(storage.DigestVersion, in.PartitionDigest(p))
 	return resp
+}
+
+// remoteDigest decodes a peer's digest payload, refusing and counting
+// one made of another pair-hash version than this build's: its leaves
+// differ wherever a pair lives, so a diff against it would move every
+// non-empty leaf. Anti-entropy and read-repair skip that peer, and a
+// migration catch-up fails on it.
+func (in *Instance) remoteDigest(b []byte) ([]uint64, error) {
+	ver, leaves, err := repair.DecodeDigest(b)
+	if err != nil {
+		return nil, err
+	}
+	if ver != storage.DigestVersion {
+		in.met.digestSkips.Inc()
+		return nil, fmt.Errorf("core: peer digest of pair-hash version %d, this build's is %d", ver, storage.DigestVersion)
+	}
+	return leaves, nil
 }
 
 // handleRepairPull serves wire.OpRepairPull in both directions:
@@ -225,25 +242,37 @@ const removeGrace = 2 * migrationTimeout
 // rebuild push, a repair pull or a migration chunk collected before a
 // remove would bring the removed pair back when it lands after the
 // remove (DESIGN.md §12). The stamps live in memory only, for
-// removeGrace past each remove, and are dropped as note grows the set.
+// removeGrace of wall time past each note, and are dropped as note
+// grows the set. A note expires by the wall time it was taken at, not
+// by its stamp: a burst of writes runs the clock ahead of wall time
+// (§12), and a stamp that leads it would outlive the grace for as long
+// as the load lasts.
 func (pt *partition) note(key string, ver uint64) {
+	now := time.Now().UnixMilli()
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if pt.removed == nil {
-		pt.removed = make(map[string]uint64)
+		pt.removed = make(map[string]removeNote)
 	}
 	// The key may alias a pooled request buffer; the map keeps a copy.
-	pt.removed[strings.Clone(key)] = max(ver, pt.removed[key])
+	pt.removed[strings.Clone(key)] = removeNote{ver: max(ver, pt.removed[key].ver), at: now}
 	if len(pt.removed) >= int(pt.sweepAt) {
-		cutoff := uint64(time.Now().Add(-removeGrace).UnixMilli()) << hlcNodeBits
-		for k, v := range pt.removed {
-			if v < cutoff {
+		cutoff := now - removeGrace.Milliseconds()
+		for k, n := range pt.removed {
+			if n.at < cutoff {
 				delete(pt.removed, k)
 			}
 		}
 		pt.sweepAt = int32(max(64, 2*len(pt.removed)))
 	}
 	pt.nRemoved.Store(int64(len(pt.removed)))
+}
+
+// removeNote is one remembered remove: its stamp, and the wall time in
+// Unix milliseconds at which it was last noted.
+type removeNote struct {
+	ver uint64
+	at  int64
 }
 
 // covers reports whether a pair of key stamped ver is no newer than a
@@ -253,9 +282,9 @@ func (pt *partition) covers(key string, ver uint64) bool {
 		return false
 	}
 	pt.mu.Lock()
-	v, ok := pt.removed[key]
+	n, ok := pt.removed[key]
 	pt.mu.Unlock()
-	return ok && ver <= v
+	return ok && ver <= n.ver
 }
 
 // repairAuthority returns the instance whose copy of partition p is
@@ -386,7 +415,7 @@ func (in *Instance) digestSync(addr string, ps []int) {
 		if resps[i].Status != wire.StatusOK {
 			continue
 		}
-		remote, err := repair.DecodeDigest(resps[i].Value)
+		remote, err := in.remoteDigest(resps[i].Value)
 		if err != nil {
 			continue
 		}

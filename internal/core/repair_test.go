@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -729,11 +732,11 @@ func TestUndeliverableLegIsDropped(t *testing.T) {
 
 // TestReplicationReturnsPooledResponses: at Replicas=2 every write
 // sends an async leg through the leg queue, an anti-entropy round
-// probes digests through CallBatch, and an ALL read that finds stale
+// probes digests through CallBatch, an ALL read that finds stale
 // copies pushes the newest version to them (ALL awaits every copy, so
-// no probe is abandoned); each must return the
-// responses it draws from the wire pools, so gets == puts once traffic
-// settles.
+// no probe is abandoned), and a QUORUM read abandons its third probe
+// once two copies answered; each must return the responses it draws
+// from the wire pools, so gets == puts once traffic settles.
 func TestReplicationReturnsPooledResponses(t *testing.T) {
 	for _, level := range []wire.Consistency{wire.ConsistencyOne, wire.ConsistencyQuorum} {
 		t.Run(level.String(), func(t *testing.T) {
@@ -773,13 +776,112 @@ func TestReplicationReturnsPooledResponses(t *testing.T) {
 					t.Fatalf("ALL read of %s = %q, %v", key, v, err)
 				}
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for gets.Value() != puts.Value() {
-				if time.Now().After(deadline) {
-					t.Fatalf("pool gets %d, puts %d after 20 ALL reads that repaired stale copies: %d not returned", gets.Value(), puts.Value(), gets.Value()-puts.Value())
+			settled := func(what string) {
+				deadline := time.Now().Add(5 * time.Second)
+				for gets.Value() != puts.Value() {
+					if time.Now().After(deadline) {
+						t.Fatalf("pool gets %d, puts %d after %s: %d not returned", gets.Value(), puts.Value(), what, gets.Value()-puts.Value())
+					}
+					time.Sleep(time.Millisecond)
 				}
-				time.Sleep(time.Millisecond)
 			}
+			settled("20 ALL reads that repaired stale copies")
+
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("counted-%d", i)
+				if v, err := c.LookupWith(key, wire.ConsistencyQuorum); err != nil || string(v) != "v2" {
+					t.Fatalf("QUORUM read of %s = %q, %v", key, v, err)
+				}
+			}
+			settled("20 QUORUM reads that abandoned a probe each")
 		})
+	}
+}
+
+// digestTap answers every OpDigest a caller sends with payload instead
+// of the peer's digest, as a peer built on another pair-hash version
+// would.
+type digestTap struct {
+	transport.Caller
+	payload atomic.Pointer[[]byte]
+}
+
+func (dt *digestTap) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	resp, err := dt.Caller.Call(addr, req)
+	if p := dt.payload.Load(); p != nil && err == nil && req.Op == wire.OpDigest && resp.Status == wire.StatusOK {
+		resp.Value = *p
+	}
+	return resp, err
+}
+
+func (dt *digestTap) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	rs, err := dt.Caller.CallBatch(addr, reqs)
+	if p := dt.payload.Load(); p != nil && err == nil {
+		for i, r := range reqs {
+			if r.Op == wire.OpDigest && rs[i].Status == wire.StatusOK {
+				rs[i].Value = *p
+			}
+		}
+	}
+	return rs, err
+}
+
+// TestDigestOfAnotherVersionIsSkipped feeds a version-1 digest payload,
+// the repair package's golden, to anti-entropy on a replica whose copy
+// diverges from the owner's: the round diffs no leaf, pulls no range,
+// and counts one digest_version_skips. The digest diff that migration
+// catch-ups and read-repair pushes run fails on it, counting one more.
+// Answered with the owner's own digest again, the round pulls the
+// divergent leaf.
+func TestDigestOfAnotherVersionIsSkipped(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "repair", "testdata", "digest-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mreg := metrics.NewRegistry()
+	cfg := Config{NumPartitions: 2, Replicas: 1, WriteLevel: wire.ConsistencyAll, Metrics: mreg}
+	reg := transport.NewRegistry()
+	dt := &digestTap{Caller: reg.NewClient()}
+	d, err := Bootstrap(cfg, InprocEndpoints(2), func(addr string, h transport.Handler) (transport.Listener, error) {
+		return reg.Listen(addr, h)
+	}, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	owner := d.Instance(0)
+	key, p := ownedKey(t, owner)
+	replica := replicaOf(t, d, p)
+	if resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("v")}); resp.Status != wire.StatusOK {
+		t.Fatalf("insert: %s (%s)", resp.Status, resp.Err)
+	}
+	// The replica misses a remove: its copy of key outlives the owner's.
+	if ok, err := owner.storeIfPresent(p).RemoveV(key, 0); !ok || err != nil {
+		t.Fatalf("owner-only remove: %v, %v", ok, err)
+	}
+
+	dt.payload.Store(&v1)
+	replica.antiEntropyRound()
+	skips := mreg.Counter("zht.repair.digest_version_skips")
+	syncs, pulled := mreg.Counter("zht.repair.digest_syncs"), mreg.Counter("zht.repair.ranges_pulled")
+	if skips.Value() != 1 || syncs.Value() != 0 || pulled.Value() != 0 {
+		t.Fatalf("round against a v1 digest: version skips %d, digest syncs %d, ranges pulled %d; want 1, 0, 0",
+			skips.Value(), syncs.Value(), pulled.Value())
+	}
+	if _, _, ok := storeVer(t, replica, p, key); !ok {
+		t.Fatal("the replica's copy changed after a skipped round")
+	}
+	if diff, err := replica.diffLeaves(owner.self.Addr, p); err == nil || skips.Value() != 2 {
+		t.Fatalf("digest diff against a v1 digest = %v, %v with %d version skips; want an error and 2", diff, err, skips.Value())
+	}
+
+	dt.payload.Store(nil)
+	replica.antiEntropyRound()
+	if syncs.Value() != 1 || pulled.Value() != 1 || skips.Value() != 2 {
+		t.Fatalf("round against the owner's digest: digest syncs %d, ranges pulled %d, version skips %d; want 1, 1, 2",
+			syncs.Value(), pulled.Value(), skips.Value())
+	}
+	if _, _, ok := storeVer(t, replica, p, key); ok {
+		t.Fatal("the pull kept the key the owner removed")
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"zht/internal/repair"
+	"zht/internal/ring"
 	"zht/internal/storage"
 	"zht/internal/transport"
 	"zht/internal/wire"
@@ -270,6 +272,105 @@ func TestConcurrentWritersReplayToLiveState(t *testing.T) {
 	for k, got := range replayed {
 		if _, ok := live[k]; !ok {
 			t.Errorf("%s: absent live, replayed %s", k, got)
+		}
+	}
+}
+
+// TestEnvelopeDrawsStampsOnce: an envelope of n mutations reserves its
+// n stamps from the clock at once, counted through the clock's hooks as
+// one wall-clock read and one compare-and-swap. The stamps go out in
+// apply order (partition order, then envelope order within a
+// partition) one tick apart, so a key written twice in one envelope
+// ends at the later, larger stamp.
+func TestEnvelopeDrawsStampsOnce(t *testing.T) {
+	d, _, _ := startDeployment(t, Config{NumPartitions: 8}, 1)
+	in := d.Instance(0)
+	var walls, swaps atomic.Int32
+	in.clock.wall = func() uint64 { walls.Add(1); return wallMillis() }
+	in.clock.casHook = func() { swaps.Add(1) }
+
+	keys := make([]string, 6)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("env-%d", i)
+	}
+	subs := []*wire.Request{
+		{Op: wire.OpInsert, Key: keys[0], Value: []byte("a")},
+		{Op: wire.OpLookup, Key: keys[1]},
+		{Op: wire.OpInsert, Key: keys[1], Value: []byte("b")},
+		{Op: wire.OpInsert, Key: keys[2], Value: []byte("c")},
+		{Op: wire.OpAppend, Key: keys[0], Value: []byte("+")},
+		{Op: wire.OpInsert, Key: keys[3], Value: []byte("d")},
+		{Op: wire.OpInsert, Key: keys[4], Value: []byte("e")},
+		{Op: wire.OpLookup, Key: keys[5]},
+		{Op: wire.OpAppend, Key: keys[5], Value: []byte("f")},
+	}
+	// Apply order: the rank of each mutation, and the rank of each key's
+	// last one.
+	var order []int
+	for i, r := range subs {
+		if r.Op != wire.OpLookup {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return in.partitionOf(subs[order[a]].Key) < in.partitionOf(subs[order[b]].Key)
+	})
+	last := make(map[string]int)
+	for rank, i := range order {
+		last[subs[i].Key] = rank
+	}
+
+	resp := in.Handle(wire.NewBatchRequest(subs))
+	for i, r := range batchSubs(t, resp, len(subs)) {
+		if subs[i].Op != wire.OpLookup && r.Status != wire.StatusOK {
+			t.Fatalf("sub-op %d (%s %s): %s (%s)", i, subs[i].Op, subs[i].Key, r.Status, r.Err)
+		}
+	}
+	if walls.Load() != 1 || swaps.Load() != 1 {
+		t.Fatalf("an envelope of %d mutations read the wall clock %d times and swapped the clock %d times, want 1 and 1",
+			len(order), walls.Load(), swaps.Load())
+	}
+	var first uint64
+	for k, rank := range last {
+		v, ver, ok := storeVer(t, in, in.partitionOf(k), k)
+		if !ok {
+			t.Fatalf("%s not stored", k)
+		}
+		base := ver - uint64(rank)*hlcTick
+		if first == 0 {
+			first = base
+		}
+		if base != first {
+			t.Fatalf("%s (apply rank %d) stamped %#x: not %d ticks above the envelope's first stamp %#x", k, rank, ver, rank, first)
+		}
+		if k == keys[0] && string(v) != "a+" {
+			t.Fatalf("%s = %q, want the insert then the append", k, v)
+		}
+	}
+	if first&(hlcTick-1) != in.clock.node {
+		t.Fatalf("first stamp %#x lost the node bits %#x", first, in.clock.node)
+	}
+}
+
+// TestBurstLeadsWallClock pins DESIGN §12's lead: stamps borrow future
+// milliseconds, so n stamps drawn in elapsed < n ms leave the clock's
+// next stamp at least n - elapsed ms ahead of the wall clock, whether
+// they are drawn one by one or reserved for envelopes of 32.
+func TestBurstLeadsWallClock(t *testing.T) {
+	const n = 20000
+	for _, per := range []int{1, 32} {
+		c := newHLC(ring.InstanceID(fmt.Sprintf("burst-%d", per)))
+		start := wallMillis()
+		for drawn := 0; drawn < n; drawn += per {
+			c.Reserve(per)
+		}
+		end := wallMillis()
+		elapsed := end - start
+		if elapsed >= n {
+			t.Fatalf("%d stamps took %d ms: no burst", n, elapsed)
+		}
+		if lead := int64(c.Next()>>hlcNodeBits) - int64(end); lead < int64(n-elapsed) {
+			t.Fatalf("%d stamps in %d ms (%d per draw) lead the wall clock by %d ms, want >= %d", n, elapsed, per, lead, n-elapsed)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"unsafe"
+
+	"zht/internal/storage"
 )
 
 // A cell is the record of one stored pair, in one allocation:
@@ -14,8 +16,9 @@ import (
 // is the log offset of the value bytes of the log record holding the
 // pair's last full image (0 for a value built only from appends); a
 // clean copies the cells whose image lies in the frozen file. fh is the
-// pair's digest hash state before the version is sealed in:
-// storage.FNV over storage.PairPrefix(key) and the value. The fields
+// pair's digest hash state over the whole words of its stream, the key
+// and then the value (storage.PairWords from storage.PairStart); the
+// pair hash seals it with the stream's tail and the version. The fields
 // are little-endian.
 //
 // A cell holds no Go pointers, so the GC marks it without scanning it.
@@ -69,6 +72,14 @@ func (p cell) key() string {
 // val returns the pair's value, aliasing the cell: a caller that keeps
 // it past the store's lock must copy it.
 func (p cell) val() []byte { return p[cellHdr+p.klen():] }
+
+// stream returns the pair's key and value bytes, the stream its digest
+// hash reads.
+func (p cell) stream() []byte { return p[cellHdr:] }
+
+// pairHash is the pair's digest hash (storage.PairHashV2), sealed from
+// its cached state.
+func (p cell) pairHash() uint64 { return storage.PairSeal(p.fh(), p.stream(), p.ver()) }
 
 // withVal returns the cell with its value replaced by val: p itself
 // when val fits its capacity, else a new cell with p's header and key.

@@ -288,13 +288,13 @@ func (s *Store) replayRecord(r replayed, base int64) {
 }
 
 // seal builds a replayed store's digest in one pass over the live
-// pairs, caching each pair's FNV state.
+// pairs, caching each pair's hash state.
 func (s *Store) seal() {
 	for i := range s.idx.slots {
 		sl := &s.idx.slots[i]
 		if p := sl.p; p != nil {
-			p.setFH(storage.FNV(storage.PairPrefix(p.key()), p.val()))
-			s.leaves[sl.leaf()] ^= storage.PairSeal(p.fh(), p.ver())
+			p.setFH(storage.PairWords(storage.PairStart(p.klen()), p.stream()))
+			s.leaves[sl.leaf()] ^= p.pairHash()
 		}
 	}
 }

@@ -35,12 +35,12 @@
 // is met.
 //
 // Each store also keeps its partition's repair digest
-// (storage.LeafOf/PairHashV, DESIGN.md §9) current: every mutation
+// (storage.LeafOf/PairHashV2, DESIGN.md §9) current: every mutation
 // XORs the old and new pair hashes into the key's leaf inside the
-// critical section it already holds. Pairs cache their FNV state and
-// index slots their leaf, so no mutation reads a pre-image to hash it,
-// an Append hashes only its delta, and only a new key computes its
-// leaf.
+// critical section it already holds. Pairs cache their hash state over
+// whole words and index slots their leaf, so a mutation hashes no more
+// of a pre-image than its last partial word, an Append hashes only its
+// delta and that word, and only a new key computes its leaf.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 package novoht
@@ -139,7 +139,7 @@ type Store struct {
 	closed atomic.Bool
 
 	// leaves is the maintained repair digest: leaf l is the XOR of
-	// storage.PairHashV over every live pair whose key is in leaf l.
+	// storage.PairHashV2 over every live pair whose key is in leaf l.
 	leaves [storage.Leaves]uint64
 
 	// Instruments resolved once at Open; all nil when metrics are
@@ -224,7 +224,7 @@ func (s *Store) cellAt(i int) cell {
 
 // DigestLeaves returns a copy of the store's repair digest:
 // storage.Leaves words, leaf storage.LeafOf(key) holding the XOR of
-// storage.PairHashV over every stored pair. Every mutation keeps it
+// storage.PairHashV2 over every stored pair. Every mutation keeps it
 // current, so it always equals storage.DigestOf over the contents.
 func (s *Store) DigestLeaves() []uint64 {
 	s.mu.RLock()
@@ -312,12 +312,12 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 	if err != nil {
 		return 0, err
 	}
-	fh := storage.FNV(storage.PairPrefix(key), val)
-	x := storage.PairSeal(fh, ver)
 	var p cell
 	var leaf int
+	var x uint64
 	if old != nil {
-		x ^= storage.PairSeal(old.fh(), old.ver())
+		// Sealed before withVal may overwrite the old value in place.
+		x = old.pairHash()
 		s.superseded(old)
 		sl := &s.idx.slots[i]
 		p = old.withVal(val)
@@ -328,8 +328,8 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 	}
 	p.setOff(voff)
 	p.setVer(ver)
-	p.setFH(fh)
-	s.leaves[leaf] ^= x
+	p.setFH(storage.PairWords(storage.PairStart(len(key)), p.stream()))
+	s.leaves[leaf] ^= x ^ p.pairHash()
 	s.counted()
 	return end, nil
 }
@@ -502,7 +502,7 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 		s.log.deadBytes.Add(recordSize(key, 0, ver))
 	}
 	s.superseded(p)
-	s.leaves[s.idx.slots[i].leaf()] ^= storage.PairSeal(p.fh(), p.ver())
+	s.leaves[s.idx.slots[i].leaf()] ^= p.pairHash()
 	s.idx.remove(i)
 	s.counted()
 	s.mu.Unlock()
@@ -539,23 +539,24 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 	}
 	// Append records never supersede earlier log bytes (replay needs
 	// the whole chain), so no bytes die until the next clean.
-	var x uint64
+	// The value is the last input of the pair hash, so the digest
+	// continues from the word the old stream's tail began in, over that
+	// tail and the delta.
+	var x, fh uint64
+	var from int
 	if p != nil {
-		x = storage.PairSeal(p.fh(), p.ver())
+		x, fh, from = p.pairHash(), p.fh(), len(p.stream())&^7
 		p = append(p, delta...)
 		s.idx.slots[i].p = p
 	} else {
-		p = newCell(key, delta)
-		p.setFH(storage.PairPrefix(key))
+		p, fh = newCell(key, delta), storage.PairStart(len(key))
 		i = s.idx.add(h, storage.LeafOf(key), p)
 	}
 	if ver > 0 {
 		p.setVer(ver)
 	}
-	// The value is the last input of the pair hash, so the digest
-	// continues over just the delta.
-	p.setFH(storage.FNV(p.fh(), delta))
-	s.leaves[s.idx.slots[i].leaf()] ^= x ^ storage.PairSeal(p.fh(), p.ver())
+	p.setFH(storage.PairWords(fh, p.stream()[from:]))
+	s.leaves[s.idx.slots[i].leaf()] ^= x ^ p.pairHash()
 	s.counted()
 	if dst != nil {
 		dst = append(dst, p.val()...)

@@ -13,9 +13,10 @@ import (
 
 // The repair payload golden files pin the bytes of the leaf stream,
 // the one format stamped pairs travel in between copies outside
-// replica legs: an OpRepairPull leaf set and a pair set. Old bytes must
-// keep decoding to the same values, and today's encoder must reproduce
-// them exactly. Regenerate (only for a deliberate format change) with
+// replica legs: an OpRepairPull leaf set and a pair set, and the
+// OpDigest snapshots of both pair-hash versions. Old bytes must keep
+// decoding to the same values, and today's encoder must reproduce them
+// exactly. Regenerate (only for a deliberate format change) with
 //
 //	go test ./internal/repair -run TestPayloadGolden -update
 var update = flag.Bool("update", false, "rewrite the golden files in testdata/")
@@ -35,6 +36,35 @@ func goldenPairs() []Pair {
 // goldenLeafSet names the first, a middle and the last leaf.
 func goldenLeafSet() []int { return []int{0, 5, 63} }
 
+// goldenDigest is the digest, under pair-hash version ver, of a store
+// holding two pairs in different leaves: both fold the version stamp
+// in, and the second's stream (22 bytes) ends in a partial word.
+func goldenDigest(ver uint64) []uint64 {
+	hash := storage.PairHashV1
+	if ver == 2 {
+		hash = storage.PairHashV2
+	}
+	leaves := make([]uint64, storage.Leaves)
+	for _, p := range []Pair{
+		{Key: "k", Value: []byte("v"), Ver: 7},
+		{Key: "key-000001", Value: []byte("hello, world"), Ver: 1},
+	} {
+		leaves[storage.LeafOf(p.Key)] ^= hash(p.Key, p.Value, p.Ver)
+	}
+	return leaves
+}
+
+// versionedDigest is what DecodeDigest returns.
+type versionedDigest struct {
+	Ver    uint64
+	Leaves []uint64
+}
+
+func decodeVersioned(b []byte) (any, error) {
+	ver, leaves, err := DecodeDigest(b)
+	return versionedDigest{ver, leaves}, err
+}
+
 type payloadGolden struct {
 	name   string
 	enc    []byte
@@ -48,6 +78,8 @@ func payloadGoldens() []payloadGolden {
 			func(b []byte) (any, error) { return DecodePairs(b) }, goldenPairs()},
 		{"leafset.bin", EncodeLeafSet(goldenLeafSet()),
 			func(b []byte) (any, error) { return DecodeLeafSet(b) }, goldenLeafSet()},
+		{"digest-v1.bin", EncodeDigest(1, goldenDigest(1)), decodeVersioned, versionedDigest{1, goldenDigest(1)}},
+		{"digest-v2.bin", EncodeDigest(2, goldenDigest(2)), decodeVersioned, versionedDigest{2, goldenDigest(2)}},
 	}
 }
 
@@ -81,7 +113,8 @@ func TestPayloadGolden(t *testing.T) {
 // FuzzRepairPayloads feeds arbitrary bytes to the three leaf-stream
 // decoders, as a peer's OpDigest response or OpRepairPull request can:
 // none may panic, and whatever one accepts must decode to the same
-// value again after re-encoding.
+// value again after re-encoding. The goldens of every format, both
+// digest versions among them, seed it.
 func FuzzRepairPayloads(f *testing.F) {
 	for _, c := range payloadGoldens() {
 		golden, err := os.ReadFile(filepath.Join("testdata", c.name))
@@ -90,13 +123,13 @@ func FuzzRepairPayloads(f *testing.F) {
 		}
 		f.Add(golden)
 	}
-	f.Add(EncodeDigest(make([]uint64, storage.Leaves)))
+	f.Add(EncodeDigest(storage.DigestVersion, make([]uint64, storage.Leaves)))
 	f.Add(EncodePairs(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if d, err := DecodeDigest(b); err == nil {
-			if again, err := DecodeDigest(EncodeDigest(d)); err != nil || !reflect.DeepEqual(again, d) {
-				t.Fatalf("digest %x re-decodes as %v, %v", d, again, err)
+		if ver, d, err := DecodeDigest(b); err == nil {
+			if aver, again, err := DecodeDigest(EncodeDigest(ver, d)); err != nil || aver != ver || !reflect.DeepEqual(again, d) {
+				t.Fatalf("digest v%d %x re-decodes as v%d %v, %v", ver, d, aver, again, err)
 			}
 		}
 		if ls, err := DecodeLeafSet(b); err == nil {

@@ -8,9 +8,9 @@
 //   - Partition digests: a 64-leaf XOR Merkle digest over a partition
 //     store's contents, maintained by the store itself under its
 //     lock (novoht.Store.DigestLeaves; the pair and leaf
-//     hashes are storage.PairHashV and storage.LeafOf). Two replicas
-//     compare digests leaf by leaf (DiffLeaves) and transfer only
-//     divergent leaves' contents.
+//     hashes are storage.PairHashV2 and storage.LeafOf). Two replicas
+//     compare digests of one pair-hash version leaf by leaf
+//     (DiffLeaves) and transfer only divergent leaves' contents.
 //   - The leg queue (LegQueue): one FIFO per destination for every
 //     replication leg outside a synchronous round trip. Async legs
 //     drain through it; a failed send turns it into a hinted-handoff
@@ -69,30 +69,47 @@ const (
 
 var errBadPayload = errors.New("repair: malformed payload")
 
-// EncodeDigest encodes a digest snapshot for an OpDigest response.
-func EncodeDigest(leaves []uint64) []byte {
-	out := make([]byte, 0, 2+8*len(leaves))
+// EncodeDigest encodes a digest snapshot whose leaves are made of pair
+// hashes of version ver (storage.DigestVersion) for an OpDigest
+// response. A version-1 payload is the leaf count and the leaves, each
+// 8 bytes little-endian. Any later version leads with a zero byte and
+// then the version, which a version-1 decoder reads as a leaf count of
+// zero and refuses: a build never diffs leaves of a hash it does not
+// make.
+func EncodeDigest(ver uint64, leaves []uint64) []byte {
+	out := make([]byte, 0, 4+8*len(leaves))
+	if ver != 1 {
+		out = binary.AppendUvarint(append(out, 0), ver)
+	}
 	out = binary.AppendUvarint(out, uint64(len(leaves)))
-	var buf [8]byte
 	for _, l := range leaves {
-		binary.LittleEndian.PutUint64(buf[:], l)
-		out = append(out, buf[:]...)
+		out = binary.LittleEndian.AppendUint64(out, l)
 	}
 	return out
 }
 
-// DecodeDigest decodes an OpDigest response payload.
-func DecodeDigest(b []byte) ([]uint64, error) {
+// DecodeDigest decodes an OpDigest response payload: the version of the
+// pair hash its leaves are made of, and the storage.Leaves leaves.
+func DecodeDigest(b []byte) (ver uint64, leaves []uint64, err error) {
 	n, k := binary.Uvarint(b)
+	ver = 1
+	if k > 0 && n == 0 {
+		b = b[k:]
+		if ver, k = binary.Uvarint(b); k <= 0 || ver < 2 {
+			return 0, nil, errBadPayload
+		}
+		b = b[k:]
+		n, k = binary.Uvarint(b)
+	}
 	if k <= 0 || n != storage.Leaves || len(b[k:]) != 8*storage.Leaves {
-		return nil, errBadPayload
+		return 0, nil, errBadPayload
 	}
 	b = b[k:]
-	out := make([]uint64, storage.Leaves)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	leaves = make([]uint64, storage.Leaves)
+	for i := range leaves {
+		leaves[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	return out, nil
+	return ver, leaves, nil
 }
 
 // EncodeLeafSet encodes the divergent-leaf list of an OpRepairPull

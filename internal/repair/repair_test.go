@@ -43,19 +43,23 @@ func TestDigestDetectsDifference(t *testing.T) {
 	}
 }
 
+// digestVector is one pinned pair hash: the pair, its leaf and its
+// hash.
+type digestVector struct {
+	key, val string
+	ver      uint64
+	leaf     int
+	hash     uint64
+}
+
 // TestDigestFixedVectors pins the digest contract replicas compare
 // across processes and releases: the leaf and pair hashes are fixed
-// values, and the leaves a NoVoHT store maintains — including through
-// an append, which continues the hash over the delta — are exactly
-// those hashes. A change to either side fails here before it can make
-// replicas of different builds diff as divergent forever.
+// values. A change to either fails here before it can make replicas of
+// different builds diff as divergent forever. The version-1 rows pin
+// storage.PairHashV1, the hash a digest marked version 1 is made of;
+// TestDigestFixedVectorsV2 pins the hash stores maintain today.
 func TestDigestFixedVectors(t *testing.T) {
-	vectors := []struct {
-		key, val string
-		ver      uint64
-		leaf     int
-		hash     uint64
-	}{
+	vectors := []digestVector{
 		{"", "", 0, 61, 0x813f0174a2367c13},
 		{"k", "v", 0, 34, 0xb427d466f3513e04},
 		{"key-000001", "hello, world", 0, 9, 0x664aa707510c102a},
@@ -68,27 +72,77 @@ func TestDigestFixedVectors(t *testing.T) {
 		if got := storage.LeafOf(v.key); got != v.leaf {
 			t.Errorf("LeafOf(%q) = %d, want %d", v.key, got, v.leaf)
 		}
-		if got := storage.PairHashV(v.key, []byte(v.val), v.ver); got != v.hash {
-			t.Errorf("PairHashV(%q, %q, %d) = %#x, want %#x", v.key, v.val, v.ver, got, v.hash)
+		if got := storage.PairHashV1(v.key, []byte(v.val), v.ver); got != v.hash {
+			t.Errorf("PairHashV1(%q, %q, %d) = %#x, want %#x", v.key, v.val, v.ver, got, v.hash)
+		}
+	}
+}
+
+// TestDigestFixedVectorsV2 pins storage.PairHashV2, and that the leaves
+// a NoVoHT store maintains are exactly those hashes, both after a put
+// over an earlier value and after an append chain, which continues the
+// hash over each delta from the word the stream's tail began in. The rows cover an empty
+// stream, streams ending on and off a word boundary, a value that
+// differs only by a trailing zero byte, and a word that straddles the
+// key and the value.
+func TestDigestFixedVectorsV2(t *testing.T) {
+	if storage.DigestVersion != 2 {
+		t.Fatalf("DigestVersion = %d, want 2", storage.DigestVersion)
+	}
+	vectors := []digestVector{
+		{"", "", 0, 61, 0x7640aa5dd8399e9f},
+		{"k", "v", 0, 34, 0xe55de94b7d1178b0},
+		{"k", "v\x00", 0, 34, 0x54d2d4c316bc02e2},
+		{"key-000001", "hello, world", 0, 9, 0x7185cbb2e13b804c},
+		{"ab", "c", 0, 39, 0x96d544112370a4b7},
+		{"a", "bc", 0, 0, 0xce2385d9ac6c2e1a},
+		{"key-000001", "hello, world", 1, 9, 0x9da3d9a2190a830a},
+		{"tenant/x", "\x00\xff\x10", 0x0123456789abcdef, 3, 0x111d7591540a33be},
+		{"exactly8", "", 5, 59, 0x04514cacde836fb1},
+		{"12345678", "abcdefgh12345678", 9, 26, 0x80f48a4ccb04379b},
+	}
+	for _, v := range vectors {
+		if got := storage.LeafOf(v.key); got != v.leaf {
+			t.Errorf("LeafOf(%q) = %d, want %d", v.key, got, v.leaf)
+		}
+		if got := storage.PairHashV2(v.key, []byte(v.val), v.ver); got != v.hash {
+			t.Errorf("PairHashV2(%q, %q, %d) = %#x, want %#x", v.key, v.val, v.ver, got, v.hash)
 		}
 		want := make([]uint64, storage.Leaves)
 		want[v.leaf] = v.hash
+		// The put overwrites an earlier value of the same length in
+		// place, so the old pair's hash must be sealed before its bytes
+		// change.
 		s := openMem(t)
+		earlier := []byte(v.val)
+		for i := range earlier {
+			earlier[i] ^= 0xff
+		}
+		if err := s.PutV(v.key, earlier, 0); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.PutV(v.key, []byte(v.val), v.ver); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.DigestLeaves(); !reflect.DeepEqual(got, want) {
 			t.Errorf("store digest after PutV(%q) = %x, want %x", v.key, got, want)
 		}
-		// The same pair built by an append chain: an empty put stamps
-		// the version, each byte arrives as its own delta (version 0
-		// keeps the stamp).
+		// The same pair built by an append chain: an empty put, then each
+		// byte as its own delta. The last append stamps the version (the
+		// others, at version 0, keep the stamp); an empty value takes
+		// it from the put.
 		s = openMem(t)
-		if err := s.PutV(v.key, nil, v.ver); err != nil {
+		stamp := func(last bool) uint64 {
+			if last {
+				return v.ver
+			}
+			return 0
+		}
+		if err := s.PutV(v.key, nil, stamp(v.val == "")); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < len(v.val); i++ {
-			if _, err := s.AppendV(nil, v.key, []byte{v.val[i]}, 0); err != nil {
+			if _, err := s.AppendV(nil, v.key, []byte{v.val[i]}, stamp(i == len(v.val)-1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,12 +157,26 @@ func TestCodecRoundTrips(t *testing.T) {
 	for i := range leaves {
 		leaves[i] = rand.Uint64()
 	}
-	got, err := DecodeDigest(EncodeDigest(leaves))
-	if err != nil || !reflect.DeepEqual(got, leaves) {
-		t.Fatalf("digest round trip: %v %v", got, err)
+	for _, ver := range []uint64{1, 2, 300} {
+		gotVer, got, err := DecodeDigest(EncodeDigest(ver, leaves))
+		if err != nil || gotVer != ver || !reflect.DeepEqual(got, leaves) {
+			t.Fatalf("digest v%d round trip: v%d %v %v", ver, gotVer, got, err)
+		}
 	}
-	if _, err := DecodeDigest([]byte{1, 2, 3}); err == nil {
+	if _, _, err := DecodeDigest([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated digest decoded")
+	}
+	// A version above 1 leads with a zero byte, which a version-1
+	// decoder reads as a leaf count of zero and refuses; under that
+	// marker, versions 0 and 1 are malformed.
+	if enc := EncodeDigest(2, leaves); enc[0] != 0 {
+		t.Fatalf("v2 digest starts %#x, want the zero marker", enc[0])
+	}
+	for _, ver := range []uint64{0, 1} {
+		enc := append([]byte{0, byte(ver), storage.Leaves}, make([]byte, 8*storage.Leaves)...)
+		if _, _, err := DecodeDigest(enc); err == nil {
+			t.Fatalf("digest marked version %d decoded", ver)
+		}
 	}
 
 	ls := []int{0, 5, 63}

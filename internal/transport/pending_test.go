@@ -319,3 +319,48 @@ func TestStartBatchOverTCP(t *testing.T) {
 		t.Fatalf("batch after an abandoned one = %v, %v", rs, err)
 	}
 }
+
+// pooledCaller answers every call with responses drawn from the wire
+// pools, and does not implement Starter.
+type pooledCaller struct{}
+
+func (pooledCaller) Call(string, *wire.Request) (*wire.Response, error) {
+	return wire.GetResponse(), nil
+}
+
+func (pooledCaller) CallBatch(_ string, reqs []*wire.Request) ([]*wire.Response, error) {
+	rs := make([]*wire.Response, len(reqs))
+	for i := range rs {
+		rs[i] = wire.GetResponse()
+	}
+	return rs, nil
+}
+
+func (pooledCaller) Close() error { return nil }
+
+// An abandoned fallback call returns its response to the pools exactly
+// once, whether Abandon runs before or after the call's goroutine
+// finishes: gets and puts end level, never puts ahead.
+func TestAbandonedFallbackReturnsResponses(t *testing.T) {
+	reg := metrics.NewRegistry()
+	wire.EnablePoolMetrics(reg)
+	defer wire.EnablePoolMetrics(nil)
+	gets, puts := reg.Counter("zht.wire.pool.gets"), reg.Counter("zht.wire.pool.puts")
+	const n = 200
+	for i := 0; i < n; i++ {
+		p := Start(pooledCaller{}, "fallback", lookup("a"))
+		b := StartBatch(pooledCaller{}, "fallback", []*wire.Request{lookup("x"), lookup("y")})
+		if i%2 == 1 {
+			time.Sleep(10 * time.Microsecond) // let some calls finish first
+		}
+		p.Abandon()
+		b.Abandon()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gets.Value() != 3*n || puts.Value() != gets.Value() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d abandoned calls of 3 responses: pool gets %d, puts %d", n, gets.Value(), puts.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

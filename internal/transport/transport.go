@@ -34,6 +34,8 @@ package transport
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"zht/internal/wire"
@@ -131,7 +133,8 @@ func unpackEnvelope(resp *wire.Response, err error, n int) ([]*wire.Response, er
 // instead of timing out at once, so calls awaited in turn under one
 // deadline do not lose answers to a slow call awaited first. Abandon
 // retires the call: its response, should one still arrive, is dropped
-// unseen, as a timed-out call's is.
+// unseen, as a timed-out call's is, and one already delivered goes
+// back to the wire pools.
 type Starter interface {
 	Start(addr string, req *wire.Request) Pending
 	StartBatch(addr string, reqs []*wire.Request) Pending
@@ -155,15 +158,53 @@ type Pending struct {
 	err      error // the send failed
 	subs     int   // sub-requests in req, for StartBatch
 
-	// done receives the outcome of a call running on its own
-	// goroutine, for callers without Starter.
-	done chan callResult
+	// bg is a call running on its own goroutine, for callers without
+	// Starter.
+	bg *bgCall
 }
+
+// bgCall is a call running on a goroutine of its own. Exactly one of
+// Wait and Abandon settles it. An abandoned call's response goes back
+// to the wire pools, released by whichever of Abandon and the goroutine
+// comes second: both swap state away from bgRunning, and the one whose
+// swap fails releases.
+type bgCall struct {
+	req   wire.Request    // Start's copy: the goroutine may outlive an Abandon
+	reqs  []*wire.Request // StartBatch's copies; nil for Start
+	res   callResult
+	wg    sync.WaitGroup // done once res is set
+	state atomic.Int32   // bgRunning, bgFinished or bgAbandoned
+}
+
+const (
+	bgRunning = iota
+	bgFinished
+	bgAbandoned
+)
 
 type callResult struct {
 	resp  *wire.Response
 	resps []*wire.Response
 	err   error
+}
+
+// run makes the call on c and settles its result.
+func (b *bgCall) run(c Caller, addr string) {
+	if b.reqs != nil {
+		b.res.resps, b.res.err = c.CallBatch(addr, b.reqs)
+	} else {
+		b.res.resp, b.res.err = c.Call(addr, &b.req)
+	}
+	if !b.state.CompareAndSwap(bgRunning, bgFinished) {
+		b.res.release()
+	}
+	b.wg.Done()
+}
+
+// release returns an abandoned call's responses to the wire pools.
+func (r *callResult) release() {
+	wire.PutResponse(r.resp)
+	wire.ReleaseResponses(r.resps)
 }
 
 // Start starts one call to addr on c: natively when c implements
@@ -172,13 +213,10 @@ func Start(c Caller, addr string, req *wire.Request) Pending {
 	if s, ok := c.(Starter); ok {
 		return s.Start(addr, req)
 	}
-	r := *req // an abandoned call outlives the caller's hold on req
-	done := make(chan callResult, 1)
-	go func() {
-		resp, err := c.Call(addr, &r)
-		done <- callResult{resp: resp, err: err}
-	}()
-	return Pending{done: done}
+	b := &bgCall{req: *req}
+	b.wg.Add(1)
+	go b.run(c, addr)
+	return Pending{bg: b}
 }
 
 // StartBatch starts one batched call to addr on c: natively when c
@@ -198,20 +236,18 @@ func StartBatch(c Caller, addr string, reqs []*wire.Request) Pending {
 		vals[i] = *r
 		cp[i] = &vals[i]
 	}
-	done := make(chan callResult, 1)
-	go func() {
-		rs, err := c.CallBatch(addr, cp)
-		done <- callResult{resps: rs, err: err}
-	}()
-	return Pending{done: done}
+	b := &bgCall{reqs: cp}
+	b.wg.Add(1)
+	go b.run(c, addr)
+	return Pending{bg: b}
 }
 
 // Wait collects the response of a call begun with Start.
 func (p *Pending) Wait() (*wire.Response, error) {
-	if p.done != nil {
-		r := <-p.done
-		p.done = nil
-		return r.resp, r.err
+	if b := p.bg; b != nil {
+		p.bg = nil
+		b.wg.Wait()
+		return b.res.resp, b.res.err
 	}
 	return p.waitTCP()
 }
@@ -219,10 +255,10 @@ func (p *Pending) Wait() (*wire.Response, error) {
 // WaitBatch collects the sub-responses of a call begun with
 // StartBatch, exactly len(reqs) of them in request order.
 func (p *Pending) WaitBatch() ([]*wire.Response, error) {
-	if p.done != nil {
-		r := <-p.done
-		p.done = nil
-		return r.resps, r.err
+	if b := p.bg; b != nil {
+		p.bg = nil
+		b.wg.Wait()
+		return b.res.resps, b.res.err
 	}
 	if p.subs == 0 {
 		return nil, nil
@@ -236,8 +272,11 @@ func (p *Pending) WaitBatch() ([]*wire.Response, error) {
 
 // Abandon gives up on a started call without waiting for it.
 func (p *Pending) Abandon() {
-	if p.done != nil {
-		p.done = nil // the goroutine finishes alone; its result is dropped
+	if b := p.bg; b != nil {
+		p.bg = nil
+		if !b.state.CompareAndSwap(bgRunning, bgAbandoned) {
+			b.res.release() // the goroutine finished first
+		}
 		return
 	}
 	p.abandonTCP()
