@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum profile-durable profile-batch fuzz-smoke flake flake-race
+.PHONY: build test vet test-race verify bench clean docs-check fmt-check bench-smoke storage-smoke repair-smoke churn-smoke consistency-smoke tenant-smoke bench-allocs benchmark benchmark-test profile-handle profile-bulkload profile-quorum profile-durable profile-batch fuzz-smoke flake flake-race loc
 
 build:
 	$(GO) build ./...
@@ -254,3 +254,14 @@ bench:
 
 clean:
 	$(GO) clean ./...
+
+# loc prints the size rows of ROADMAP.md's snapshot: non-test Go lines
+# under internal/, all Go lines outside benchmark/ (tests included),
+# non-test lines of internal/core and internal/novoht, and DESIGN.md's
+# lines.
+loc:
+	@echo "non-test internal/: $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "all Go outside benchmark/: $$(find . -name '*.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "non-test internal/core: $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "non-test internal/novoht: $$(find internal/novoht -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "DESIGN.md: $$(wc -l < DESIGN.md)"

@@ -380,9 +380,6 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 				}
 				continue
 			}
-			if subs[i].Op == wire.OpRemove {
-				g.part.note(subs[i].Key, ver)
-			}
 			sc.applied = append(sc.applied, i)
 			sc.legVals = append(sc.legVals, legVal)
 			sc.fwds = append(sc.fwds, replicaFwd(g.p, subs[i], ver, legVal))

@@ -132,6 +132,7 @@ func NewClientFromSeed(cfg Config, seedAddr string, caller transport.Caller) (*C
 		return nil, fmt.Errorf("zht: fetch membership from %s: %w", seedAddr, err)
 	}
 	t, err := ring.DecodeTable(resp.Table)
+	wire.PutResponse(resp)
 	if err != nil {
 		return nil, fmt.Errorf("zht: bad membership table from seed: %w", err)
 	}
@@ -454,14 +455,14 @@ func (c *Client) Broadcast(key string, val []byte) error {
 	// Root the tree at the key's owner so repeated broadcasts spread
 	// root load across instances.
 	origin := table.Owner[table.Partition(c.hashf(key))]
-	resp, err := c.caller.Call(table.Instances[origin].Addr, &wire.Request{
+	r, err := call(c.caller, table.Instances[origin].Addr, &wire.Request{
 		Op: wire.OpBroadcast, Key: key, Value: val, Partition: int64(origin),
 	})
 	if err != nil {
 		return err
 	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("zht: broadcast: %s", resp.Err)
+	if r.status != wire.StatusOK {
+		return fmt.Errorf("zht: broadcast: %s", r.err)
 	}
 	return nil
 }
@@ -651,17 +652,17 @@ func (c *Client) reportFailure(table *ring.Table, accused ring.InstanceID, addr 
 		if !deadline.IsZero() {
 			req.Budget = uint64(time.Until(deadline))
 		}
-		resp, err := c.caller.Call(peer.Addr, req)
+		r, err := call(c.caller, peer.Addr, req)
 		if err != nil {
 			continue
 		}
-		if resp.Status == wire.StatusOK {
-			if t, terr := ring.DecodeTable(resp.Table); terr == nil {
-				c.adoptTable(t)
+		if r.status == wire.StatusOK {
+			if r.table != nil {
+				c.adoptTable(r.table)
 			}
 			return nil
 		}
-		if resp.Status == wire.StatusError && resp.Err == "core: accused instance is alive" {
+		if r.status == wire.StatusError && r.err == "core: accused instance is alive" {
 			c.breaker.probe(addr)
 			return nil // false alarm (transient glitch)
 		}
@@ -701,9 +702,8 @@ func (c *Client) RefreshMembership() error {
 	var newest *ring.Table
 	for i, peer := range table.Instances {
 		if table.Status[i] == ring.Alive {
-			resp, err := c.caller.Call(peer.Addr, &wire.Request{Op: wire.OpMembership})
-			if err == nil && resp.Status == wire.StatusOK {
-				newest = newerTable(newest, tableOf(resp))
+			if r, _ := call(c.caller, peer.Addr, &wire.Request{Op: wire.OpMembership}); r.status == wire.StatusOK {
+				newest = newerTable(newest, r.table)
 			}
 		}
 	}

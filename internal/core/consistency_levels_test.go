@@ -156,16 +156,16 @@ func TestQuorumReadNewestWinsAndRepairs(t *testing.T) {
 }
 
 // TestRemovedKeyResurfacesUnderQuorumRead pins DESIGN.md §12 anomaly
-// (3): removes leave no tombstone, so a replica copy that missed a
+// (3): the vote sees no tombstone, so a replica copy that missed a
 // remove outranks the owner's absence in a QUORUM vote. The read
 // answers FOUND with the old value and fires a read-repair push at the
-// owner, which its remembered remove stamp refuses, so the owner still
-// lacks the key. Stamped tombstones (ROADMAP item 2) flip this test: the
-// owner's tombstone would win the vote.
+// owner, which the remove's tombstone refuses, so the owner still
+// lacks the key. Tombstones the vote reads (ROADMAP item 2) flip this
+// test: the owner's tombstone would win the vote.
 func TestRemovedKeyResurfacesUnderQuorumRead(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	cfg := Config{NumPartitions: 32, Replicas: 1, RetryBase: time.Millisecond, Metrics: mreg}
-	d, _, c := startDeployment(t, cfg, 3)
+	d, _, c, lt := startTappedDeployment(t, cfg, 3, 2)
 	table := d.Instance(0).Table()
 	victim := d.Instance(2)
 	key, p := keyReplicatedOn(t, table, d.Instance(0), victim.ID())
@@ -174,20 +174,17 @@ func TestRemovedKeyResurfacesUnderQuorumRead(t *testing.T) {
 	if err := c.InsertWith(key, []byte("old"), wire.ConsistencyAll); err != nil {
 		t.Fatal(err)
 	}
-	s, err := victim.store(p)
-	if err != nil {
+	// The replica misses the remove: the transport refuses its leg,
+	// which the leg queue drops as undeliverable.
+	lt.mu.Lock()
+	lt.refused = key
+	lt.mu.Unlock()
+	if err := c.RemoveWith(key, wire.ConsistencyOne); err != nil {
 		t.Fatal(err)
 	}
-	_, ver, ok, err := s.GetAppendV(nil, key)
-	if err != nil || !ok {
-		t.Fatalf("replica copy after the ALL insert: ok=%v err=%v", ok, err)
-	}
-	if err := c.RemoveWith(key, wire.ConsistencyAll); err != nil {
-		t.Fatal(err)
-	}
-	// A copy that missed the remove: the pre-remove pair at its stamp.
-	if err := s.PutV(key, []byte("old"), ver); err != nil {
-		t.Fatal(err)
+	d.Drain()
+	if v, ok, err := storeGet(victim, p, key); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("replica copy after the missed remove = %q, ok=%v err=%v; want the pre-remove pair", v, ok, err)
 	}
 	conflicts := mreg.Counter("zht.consistency.version_conflicts")
 	before := conflicts.Value()

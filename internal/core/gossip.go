@@ -111,7 +111,11 @@ func pullMembership(caller transport.Caller, addr string, epoch func() uint64,
 	adopt func(*ring.Table), apply func(ring.Delta, []byte) error) bool {
 	before := epoch()
 	resp, err := caller.Call(addr, &wire.Request{Op: wire.OpDeltaPull, Epoch: before})
-	if err != nil || resp.Status != wire.StatusOK {
+	if err != nil {
+		return false
+	}
+	defer wire.PutResponse(resp)
+	if resp.Status != wire.StatusOK {
 		return false
 	}
 	frames, tableEnc, err := gossip.DecodePull(resp.Value)

@@ -28,6 +28,12 @@ import (
 // report errors, rolling back to the consistent state).
 const migrationTimeout = 10 * time.Second
 
+// A tombstone must outlast the longest a streamed chunk collected
+// before a remove can wait before it lands, a migration, with room to
+// spare: this constant fails to compile if novoht.RemoveGrace falls
+// below twice migrationTimeout.
+const _ = uint64(novoht.RemoveGrace - 2*migrationTimeout)
+
 // Instance is one ZHT server process: it owns a set of partitions,
 // holds replica stores for its ring neighbours, answers client
 // requests, and plays the manager role in membership changes.
@@ -62,9 +68,9 @@ type Instance struct {
 	// (striped by key hash). Stamps (PutLWW) refuse a reordered
 	// insert, append or CAS leg; the stripes, with legs, still keep a
 	// remove from overtaking an older write of the key on a copy that
-	// lacks it (no tombstones, ROADMAP item 2: partition.note refuses the
-	// older leg only for removeGrace, in memory) and make mutate's add
-	// over an expired pair one check-then-put. Striping by key rather
+	// lacks it (the remove's tombstone refuses the older leg only for
+	// novoht.RemoveGrace, in memory; ROADMAP item 2) and make mutate's
+	// add over an expired pair one check-then-put. Striping by key rather
 	// than by partition lets mutations of different keys overlap inside
 	// one partition store, which is what feeds the store's group-commit
 	// WAL more than one record per fsync. Lookups bypass these locks.
@@ -85,8 +91,8 @@ type Instance struct {
 	// hand a failing destination's legs to its FIFO (syncEnvelope). A
 	// write leg overtaking a newer one would be refused by its stamp
 	// anyway; the order guards a remove overtaking an older write on a
-	// copy that lacks the key, which a backlog held past removeGrace
-	// would otherwise bring back (mutLocks).
+	// copy that lacks the key, which a backlog held past the remove
+	// tombstone's grace would otherwise bring back (mutLocks).
 	legs *repair.LegQueue
 	// loopWG tracks the anti-entropy loop and read-repair goroutines;
 	// Close waits for it after closing `closed` so no repair work
@@ -149,9 +155,10 @@ type partState struct {
 
 // partition is one partition's state on this instance. The hot path
 // reads store and mig with one atomic load each and enters and exits
-// inflight once; the struct fills one 64-byte cache line. mu serialises
-// the migration transitions and the remove-stamp map; each of its
-// critical sections is a leaf, taking no other core lock.
+// inflight once; the struct is padded to one 64-byte cache line, so no
+// two partitions' in-flight counts share one. mu serialises the
+// migration transitions and nothing else; each of its critical
+// sections is a leaf, taking no other core lock.
 type partition struct {
 	id int // its index in Instance.parts
 	// store is the partition's store once created: at boot when the log
@@ -165,14 +172,10 @@ type partition struct {
 	// nanoseconds (scheduleReadRepair).
 	rrAt atomic.Int64
 	mu   sync.Mutex
-	// removed holds the stamps of recent removes (note), nRemoved its
-	// length, so covers skips mu while none is kept.
-	removed  map[string]removeNote
-	nRemoved atomic.Int64
-	sweepAt  int32 // len(removed) at which note next drops expired stamps
 	// inflight counts the envelopes past the gate still applying or
 	// replicating ops on the partition (lockBatch); lockForMove drains it.
 	inflight atomic.Int32
+	_        [16]byte
 }
 
 // NewInstance creates an instance. self must already appear in table.
@@ -546,9 +549,7 @@ func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire
 			}
 			return ver, legVal
 		}
-		if _, stored, _, err := s.GetAppendV(nil, req.Key); err == nil {
-			in.clock.Observe(stored)
-		}
+		in.clock.Observe(s.Version(req.Key))
 		ver = in.clock.Next()
 	}
 }
@@ -582,9 +583,16 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 	case wire.OpRemove:
 		// The owner is the serialization point, so the local delete
 		// needs no newer-wins check; ver rides the replica legs, where
-		// RemoveLWW refuses to delete a newer write.
+		// BuryLWW refuses to delete a newer write. A replicated remove
+		// leaves a tombstone, so no copy of the pair collected before
+		// it, from a replica or a repair, lands after it.
 		var ok bool
-		if ok, err = s.RemoveV(req.Key, ver); err == nil && !ok {
+		if in.cfg.Replicas > 0 {
+			ok, err = s.BuryV(req.Key, ver)
+		} else {
+			ok, err = s.RemoveV(req.Key, ver)
+		}
+		if err == nil && !ok {
 			resp.Status = wire.StatusNotFound
 		}
 	case wire.OpAppend:
@@ -748,11 +756,9 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 	case wire.OpRemove:
 		if err = in.checkPartition(pt.id, req.Key); err == nil {
 			in.clock.Observe(req.Version)
-			// Noted even on a copy that lacks the key (a missed leg, a
+			// Buried even on a copy that lacks the key (a missed leg, a
 			// rebuild still filling it), so no stale copy revives it.
-			if applied, err = in.open(pt).RemoveLWW(req.Key, req.Version); err == nil {
-				pt.note(req.Key, req.Version)
-			}
+			applied, err = in.open(pt).BuryLWW(req.Key, req.Version)
 		}
 	default:
 		resp.Status, resp.Err = wire.StatusError, "core: bad replica op "+op.String()
@@ -772,17 +778,13 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 // each record into the partition its key hashes to. The clock observes
 // the stamp first, so this node's next write of the key stamps above it
 // and is never refused by a copy that holds the installed pair. A pair
-// no newer than a remove of the key this node applied is not installed
-// (partition.note), as the store would refuse it had it kept the
-// remove.
+// no newer than a remove of the key this node buried is refused by the
+// remove's tombstone, in the store's critical section.
 func (in *Instance) install(pt *partition, key string, val []byte, ver uint64) (bool, error) {
 	if err := in.checkPartition(pt.id, key); err != nil {
 		return false, err
 	}
 	in.clock.Observe(ver)
-	if pt.covers(key, ver) {
-		return false, nil
-	}
 	return in.open(pt).PutLWW(key, val, ver)
 }
 
@@ -1046,7 +1048,7 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	// Verify: a single ping with the transport's timeout. The client
 	// already retried with exponential backoff before reporting.
 	if accused != in.self.ID {
-		if resp, err := in.caller.Call(table.Instances[idx].Addr, &wire.Request{Op: wire.OpPing}); err == nil && resp.Status == wire.StatusOK {
+		if r, _ := call(in.caller, table.Instances[idx].Addr, &wire.Request{Op: wire.OpPing}); r.status == wire.StatusOK {
 			return &wire.Response{Status: wire.StatusError, Err: "core: accused instance is alive"}
 		}
 	}
@@ -1102,13 +1104,13 @@ var errLostRace = errors.New("core: a concurrent membership change won the epoch
 func (in *Instance) announce(old, nt *ring.Table, frame []byte, commit string) (*ring.Table, error) {
 	var told []string
 	if commit != "" {
-		resp, err := in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
-		if w := tableOf(resp); err == nil && resp.Status != wire.StatusOK && w != nil && w.Epoch < old.Epoch {
-			in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(old)})
-			resp, err = in.caller.Call(commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		r, _ := call(in.caller, commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
+		if w := r.table; r.status != wire.StatusOK && w != nil && w.Epoch < old.Epoch {
+			call(in.caller, commit, &wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(old)})
+			r, _ = call(in.caller, commit, &wire.Request{Op: wire.OpDelta, Aux: frame})
 		}
-		if err != nil || resp.Status != wire.StatusOK {
-			return tableOf(resp), fmt.Errorf("core: %s refused the commit (epoch race): %v %s", commit, err, respErr(resp))
+		if r.status != wire.StatusOK {
+			return r.table, fmt.Errorf("core: %s refused the commit (epoch race): %s", commit, r.err)
 		}
 		told = append(told, commit)
 	}
@@ -1118,17 +1120,16 @@ func (in *Instance) announce(old, nt *ring.Table, frame []byte, commit string) (
 		if !holders[peer.ID] || peer.ID == in.self.ID || peer.Addr == commit || nt.Status[i] != ring.Alive {
 			continue
 		}
-		resp, err := in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: frame})
-		if err != nil || resp.Status != wire.StatusOK {
-			if w := tableOf(resp); w != nil && w.Epoch == nt.Epoch && w.After(nt) {
+		if r, _ := call(in.caller, peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: frame}); r.status != wire.StatusOK {
+			if w := r.table; w != nil && w.Epoch == nt.Epoch && w.After(nt) {
 				in.adoptTableIfNewer(w)
 				encW := ring.EncodeTable(w)
 				for _, addr := range told {
-					in.caller.Call(addr, &wire.Request{Op: wire.OpDelta, Aux: encW})
+					call(in.caller, addr, &wire.Request{Op: wire.OpDelta, Aux: encW})
 				}
 				return w, errLostRace
 			}
-			in.caller.Call(peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encT})
+			call(in.caller, peer.Addr, &wire.Request{Op: wire.OpDelta, Aux: encT})
 		}
 		told = append(told, peer.Addr)
 	}
@@ -1168,7 +1169,7 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 		fwd.Hop = req.Hop + 1
 		fwd.Value = append([]byte(nil), req.Value...)
 		addr := table.Instances[childIdx].Addr
-		in.async.goAsync(func() { in.caller.Call(addr, &fwd) })
+		in.async.goAsync(func() { call(in.caller, addr, &fwd) })
 	}
 	return &wire.Response{Status: wire.StatusOK}
 }

@@ -70,6 +70,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 		return nil, nil, fmt.Errorf("fetch table from seed: %w", err)
 	}
 	table, err := ring.DecodeTable(resp.Table)
+	wire.PutResponse(resp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad table from seed: %w", err)
 	}
@@ -97,7 +98,7 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 	abort := func() {
 		inst.met.migAborts.Inc()
 		for _, p := range parts {
-			caller.Call(giver.Addr, &wire.Request{
+			call(caller, giver.Addr, &wire.Request{
 				Op: wire.OpMigrate, Partition: int64(p), Aux: migrateAbortMarker,
 			})
 		}
@@ -119,12 +120,12 @@ func joinOnce(cfg Config, newcomer ring.Instance, seedAddr string, newest *ring.
 	// in-flight appliers drain), then close the residual divergence
 	// with one unthrottled final sync.
 	for _, p := range parts {
-		mresp, err := caller.Call(giver.Addr, &wire.Request{
+		r, _ := call(caller, giver.Addr, &wire.Request{
 			Op: wire.OpMigrate, Partition: int64(p), Key: newcomer.Addr, Aux: migrateLockMarker,
 		})
-		if err != nil || mresp.Status != wire.StatusOK {
+		if r.status != wire.StatusOK {
 			abort()
-			return nil, tableOf(mresp), fmt.Errorf("lock partition %d on %s: %v %s", p, giver.Addr, err, respErr(mresp))
+			return nil, r.table, fmt.Errorf("lock partition %d on %s: %s", p, giver.Addr, r.err)
 		}
 		if err := inst.migrateFinal(giver.Addr, p, inst.pullChunks); err != nil {
 			abort()
@@ -236,18 +237,26 @@ func newerTable(a, b *ring.Table) *ring.Table {
 	return a
 }
 
-// tableOf decodes the membership table a response carries, or nil.
-func tableOf(r *wire.Response) *ring.Table {
-	if r == nil {
-		return nil
-	}
-	t, _ := ring.DecodeTable(r.Table)
-	return t
+// reply is what a control-plane call keeps of its response: the
+// status, the error text and the membership table it carries, decoded
+// (nil when it carries none).
+type reply struct {
+	status wire.Status
+	err    string
+	table  *ring.Table
 }
 
-func respErr(r *wire.Response) string {
-	if r == nil {
-		return ""
+// call sends req to addr through c and returns the reply, having put
+// the pooled response back. A transport error answers StatusError.
+func call(c transport.Caller, addr string, req *wire.Request) (reply, error) {
+	resp, err := c.Call(addr, req)
+	if err != nil {
+		return reply{status: wire.StatusError, err: err.Error()}, err
 	}
-	return r.Err
+	r := reply{status: resp.Status, err: resp.Err}
+	if len(resp.Table) > 0 {
+		r.table, _ = ring.DecodeTable(resp.Table)
+	}
+	wire.PutResponse(resp)
+	return r, nil
 }

@@ -67,27 +67,37 @@ type chunkMover func(addr string, p int, leaves []int, wholesale bool, thr *repa
 func (in *Instance) pullChunks(addr string, p int, leaves []int, wholesale bool, thr *repair.Throttle) (tally, error) {
 	var t tally
 	for _, ls := range leafChunks(leaves) {
-		resp, err := in.caller.Call(addr, &wire.Request{
-			Op: wire.OpRepairPull, Partition: int64(p),
-			Aux: repair.EncodeLeafSet(ls),
-		})
+		c, err := in.pullChunk(addr, p, ls, wholesale, thr)
+		t.add(c)
 		if err != nil {
 			return t, err
 		}
-		if resp.Status != wire.StatusOK {
-			return t, fmt.Errorf("core: pull partition %d leaves from %s: %s", p, addr, resp.Err)
-		}
-		thr.Take(len(resp.Value))
-		pairs, err := repair.DecodePairs(resp.Value)
-		if err != nil {
-			return t, err
-		}
-		if err := in.applyLeafContent(p, ls, pairs, wholesale); err != nil {
-			return t, err
-		}
-		t.add(tally{leaves: len(ls), pairs: len(pairs), bytes: len(resp.Value)})
 	}
 	return t, nil
+}
+
+// pullChunk is pullChunks for one chunk of leaves, ls.
+func (in *Instance) pullChunk(addr string, p int, ls []int, wholesale bool, thr *repair.Throttle) (tally, error) {
+	resp, err := in.caller.Call(addr, &wire.Request{
+		Op: wire.OpRepairPull, Partition: int64(p),
+		Aux: repair.EncodeLeafSet(ls),
+	})
+	if err != nil {
+		return tally{}, err
+	}
+	defer wire.PutResponse(resp)
+	if resp.Status != wire.StatusOK {
+		return tally{}, fmt.Errorf("core: pull partition %d leaves from %s: %s", p, addr, resp.Err)
+	}
+	thr.Take(len(resp.Value))
+	pairs, err := repair.DecodePairs(resp.Value)
+	if err != nil {
+		return tally{}, err
+	}
+	if err := in.applyLeafContent(p, ls, pairs, wholesale); err != nil {
+		return tally{}, err
+	}
+	return tally{leaves: len(ls), pairs: len(pairs), bytes: len(resp.Value)}, nil
 }
 
 // pushChunks sends the given leaves of partition p to addr as repair
@@ -105,15 +115,15 @@ func (in *Instance) pushChunks(addr string, p int, leaves []int, wholesale bool,
 		}
 		enc := repair.EncodePairs(pairs)
 		thr.Take(len(enc))
-		resp, err := in.caller.Call(addr, &wire.Request{
+		r, err := call(in.caller, addr, &wire.Request{
 			Op: wire.OpRepairPull, Partition: int64(p), Flags: flags,
 			Aux: repair.EncodeLeafSet(ls), Value: enc,
 		})
 		if err != nil {
 			return t, err
 		}
-		if resp.Status != wire.StatusOK {
-			return t, fmt.Errorf("core: push partition %d leaves to %s: %s", p, addr, resp.Err)
+		if r.status != wire.StatusOK {
+			return t, fmt.Errorf("core: push partition %d leaves to %s: %s", p, addr, r.err)
 		}
 		t.add(tally{leaves: len(ls), pairs: len(pairs), bytes: len(enc)})
 	}
@@ -147,6 +157,7 @@ func (in *Instance) diffLeaves(addr string, p int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer wire.PutResponse(resp)
 	if resp.Status != wire.StatusOK {
 		return nil, fmt.Errorf("core: digest of partition %d from %s: %s", p, addr, resp.Err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"zht/internal/novoht"
 	"zht/internal/wire"
@@ -16,10 +17,10 @@ import (
 func (in *Instance) beginMigration(p int) bool { return in.part(p).beginMigration() != nil }
 
 // TestPartitionConcurrentFirstUse races many goroutines on one fresh
-// partition's one lock: every store caller gets the same store, a
-// migration is begun exactly once until it completes, and installs
-// racing note and covers never land a pair stamped at or below a
-// remove noted before the install began.
+// partition: every store caller gets the same store, a migration is
+// begun exactly once until it completes, and installs racing the
+// store's tombstones never land a pair stamped at or below a remove
+// buried before the install began.
 func TestPartitionConcurrentFirstUse(t *testing.T) {
 	d, _, _ := startDeployment(t, Config{NumPartitions: 16, RetryBase: time.Millisecond}, 1)
 	in := d.Instance(0)
@@ -43,7 +44,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Keys of p: each removed key is noted at its stamp and only then
+	// Keys of p: each removed key is buried at its stamp and only then
 	// offered to install; each kept key is installed once.
 	var removed, kept []string
 	for i := 0; len(kept) < n; i++ {
@@ -59,7 +60,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 	for i := range stamps {
 		stamps[i] = in.clock.Next()
 	}
-	noted := make([]atomic.Bool, n)
+	buried := make([]atomic.Bool, n)
 	stores := make([]*novoht.Store, workers)
 	var wins atomic.Int32
 	race(func(w int) {
@@ -73,12 +74,14 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 			wins.Add(1)
 		}
 		for i := w; i < n; i += workers {
-			pt.note(removed[i], stamps[i])
-			noted[i].Store(true)
+			if _, err := s.BuryLWW(removed[i], stamps[i]); err != nil {
+				t.Error(err)
+			}
+			buried[i].Store(true)
 			// Another worker's key, at its remove's stamp or just below.
-			if j := (i*7 + 3) % n; noted[j].Load() {
+			if j := (i*7 + 3) % n; buried[j].Load() {
 				if ok, err := in.install(pt, removed[j], []byte("stale"), stamps[j]-uint64(i%2)); ok || err != nil {
-					t.Errorf("install of %s at or below its noted remove: applied %v, err %v", removed[j], ok, err)
+					t.Errorf("install of %s at or below its buried remove: applied %v, err %v", removed[j], ok, err)
 				}
 			}
 			if ok, err := in.install(pt, kept[i], []byte("v"), in.clock.Next()); !ok || err != nil {
@@ -304,32 +307,11 @@ func TestMoveAfterGateRequeues(t *testing.T) {
 	}
 }
 
-// TestRemoveNotesExpireByWallTime: with the instance clock an hour
-// ahead of wall time, as a burst of writes leaves it, a remove note
-// taken longer than removeGrace ago by wall time is swept and a younger
-// one is kept. Swept by their stamps, neither would expire while the
-// clock leads.
-func TestRemoveNotesExpireByWallTime(t *testing.T) {
-	d, _, _ := startDeployment(t, Config{NumPartitions: 8}, 1)
-	in := d.Instance(0)
-	in.clock.Observe(uint64(time.Now().Add(time.Hour).UnixMilli()) << hlcNodeBits)
-	pt := in.part(0)
-
-	oldVer := in.clock.Next()
-	pt.note("old", oldVer)
-	pt.mu.Lock()
-	n := pt.removed["old"]
-	n.at -= (removeGrace + time.Second).Milliseconds()
-	pt.removed["old"] = n
-	pt.sweepAt = 0 // the next note sweeps
-	pt.mu.Unlock()
-	youngVer := in.clock.Next()
-	pt.note("young", youngVer)
-
-	if pt.covers("old", oldVer) {
-		t.Error("a note older than removeGrace by wall time was kept")
-	}
-	if !pt.covers("young", youngVer) {
-		t.Error("a note younger than removeGrace by wall time was swept")
+// TestPartitionFillsOneCacheLine pins the partition's size: one 64-byte
+// line each, so no two partitions' in-flight counts, which every op
+// writes twice, share a line.
+func TestPartitionFillsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(partition{}); n != 64 {
+		t.Fatalf("partition is %d bytes, want 64", n)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"zht/internal/novoht"
@@ -156,7 +155,7 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 //     newer with older).
 //   - Local keys the authority lacks are deleted only when wholesale
 //     is set — the pair set is a live owner's complete image, so an
-//     absent key was removed (removes carry no tombstones). Under a
+//     absent key was removed (tombstones do not travel). Under a
 //     non-wholesale sync (the authority is itself a failover replica)
 //     a local extra is kept: it may be an acked write the acting
 //     authority missed, and deleting it could drop the write from its
@@ -197,13 +196,12 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 		}); err != nil {
 			return err
 		}
+		// Each delete removes only the copy the sweep saw (stamped just
+		// above it) and buries the key, so a stale copy of the pair in
+		// a later chunk does not bring it back.
 		for _, sp := range stale {
-			ok, err := sp.remove(s)
-			if err != nil {
+			if _, err := s.BuryLWW(sp.key, sp.ver+1); err != nil {
 				return err
-			}
-			if ok {
-				pt.note(sp.key, sp.ver+1)
 			}
 		}
 	}
@@ -227,64 +225,6 @@ type stalePair struct {
 // replaced it since keeps the key.
 func (sp stalePair) remove(s *novoht.Store) (bool, error) {
 	return s.RemoveLWW(sp.key, sp.ver+1)
-}
-
-// removeGrace is how long a remove's stamp keeps refusing stale copies
-// of the pair. It outlasts a migration (migrationTimeout), the longest
-// a streamed chunk collected before a remove can wait before it lands.
-const removeGrace = 2 * migrationTimeout
-
-// note records a remove of key stamped ver in pt. The stamps of
-// recent removes — the owner's replicated removes, replica remove legs,
-// and the deletes of a wholesale repair or migration sync — refuse
-// stale copies of the pair. The stores keep no tombstones, so an absent
-// key carries no version and PutLWW onto it applies: without these, a
-// rebuild push, a repair pull or a migration chunk collected before a
-// remove would bring the removed pair back when it lands after the
-// remove (DESIGN.md §12). The stamps live in memory only, for
-// removeGrace of wall time past each note, and are dropped as note
-// grows the set. A note expires by the wall time it was taken at, not
-// by its stamp: a burst of writes runs the clock ahead of wall time
-// (§12), and a stamp that leads it would outlive the grace for as long
-// as the load lasts.
-func (pt *partition) note(key string, ver uint64) {
-	now := time.Now().UnixMilli()
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.removed == nil {
-		pt.removed = make(map[string]removeNote)
-	}
-	// The key may alias a pooled request buffer; the map keeps a copy.
-	pt.removed[strings.Clone(key)] = removeNote{ver: max(ver, pt.removed[key].ver), at: now}
-	if len(pt.removed) >= int(pt.sweepAt) {
-		cutoff := now - removeGrace.Milliseconds()
-		for k, n := range pt.removed {
-			if n.at < cutoff {
-				delete(pt.removed, k)
-			}
-		}
-		pt.sweepAt = int32(max(64, 2*len(pt.removed)))
-	}
-	pt.nRemoved.Store(int64(len(pt.removed)))
-}
-
-// removeNote is one remembered remove: its stamp, and the wall time in
-// Unix milliseconds at which it was last noted.
-type removeNote struct {
-	ver uint64
-	at  int64
-}
-
-// covers reports whether a pair of key stamped ver is no newer than a
-// remembered remove of key.
-func (pt *partition) covers(key string, ver uint64) bool {
-	if pt.nRemoved.Load() == 0 {
-		return false
-	}
-	pt.mu.Lock()
-	n, ok := pt.removed[key]
-	pt.mu.Unlock()
-	return ok && ver <= n.ver
 }
 
 // repairAuthority returns the instance whose copy of partition p is

@@ -27,6 +27,10 @@ import (
 // the pair to a new cell, leaving the old one as it was. So a key
 // string that aliases a cell (cell.key) stays valid after the store's
 // lock is released.
+//
+// A tombstone (Store.BuryV) is a cell of a key and a stamp with no
+// value whose off is tombOff: it has no log record, and no share in the
+// digest, so its fh is unused.
 type cell []byte
 
 const (
@@ -35,6 +39,8 @@ const (
 	cellFH   = 16
 	cellKLen = 24
 	cellHdr  = 28
+
+	tombOff = -1 // a tombstone's off
 )
 
 // newCell allocates a cell holding key and val with a zero header but
@@ -53,6 +59,16 @@ func newCell(key string, val []byte) cell {
 // of 16), so a slightly longer later value still fits in place for
 // free.
 func allocCell(n int) cell { return make(cell, n, (n+15)&^15) }
+
+// newTomb allocates a tombstone of key stamped ver.
+func newTomb(key string, ver uint64) cell {
+	p := newCell(key, nil)
+	p.setVer(ver)
+	p.setOff(tombOff)
+	return p
+}
+
+func (p cell) tomb() bool { return p.off() == tombOff }
 
 func (p cell) ver() uint64 { return binary.LittleEndian.Uint64(p[cellVer:]) }
 func (p cell) off() int64  { return int64(binary.LittleEndian.Uint64(p[cellOff:])) }
@@ -128,7 +144,8 @@ type slot struct {
 func (sl *slot) leaf() int { return int(sl.h >> leafShift) }
 
 // index is an open-addressed hash table of cells: linear probing on
-// the probe hash, backward-shift delete (so it keeps no tombstones),
+// the probe hash, backward-shift delete (so a freed slot needs no
+// deleted marker),
 // and a doubling at 3/4 load. A lookup touches one slot per probe and
 // the cell of a slot whose probe hash matches. Its length is 0 or a
 // power of two.
@@ -192,7 +209,7 @@ func (x *index) grow() {
 
 // remove empties slot i, shifting back each later slot of its run
 // that may move closer to its home, so every probe chain stays
-// unbroken without tombstones.
+// unbroken without deleted markers.
 func (x *index) remove(i int) {
 	mask := uint64(len(x.slots) - 1)
 	hole := uint64(i)

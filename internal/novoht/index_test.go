@@ -14,9 +14,10 @@ import (
 // TestIndexEquivalence drives a volatile store and a Go map with the
 // same random history: puts of new keys, overwrites that fit the cell
 // and ones that outgrow it, appends, removes of present and absent
-// keys, enough keys to grow the index several times, and full and
-// per-leaf iterations. After every step the store must agree with the
-// map. The "collide" variant swaps the probe hash for one with four
+// keys, buries that leave tombstones, stale writes the tombstones
+// refuse, reclaims as the store's clock passes RemoveGrace, enough
+// keys to grow the index several times, and full and per-leaf
+// iterations. After every step the store must agree with the map. The "collide" variant swaps the probe hash for one with four
 // values, all homed in the last slots of the table, so every probe
 // chain is long and wraps around the end, and backward-shift delete
 // runs on long runs of equal hashes. `make storage-smoke` runs it on
@@ -49,6 +50,19 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 	}
 	defer s.Close()
 	model := map[string]pair{}
+	// tombs models the store's tombstones: each key's buried stamp and
+	// the step it was laid at. The store's wall clock moves stepMs per
+	// step, so a tombstone is reclaimed graceSteps after it is laid,
+	// when the next one is laid.
+	type tomb struct {
+		ver uint64
+		at  int
+	}
+	tombs := map[string]tomb{}
+	const stepMs = 10
+	graceSteps := int(RemoveGrace.Milliseconds() / stepMs)
+	var now int64
+	s.SetWallClock(func() int64 { return now })
 	var clock uint64
 	value := func(i int) []byte {
 		// Lengths from 0 to ~300 bytes: overwrites land both in place
@@ -61,6 +75,7 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 		// mixes runs of different homes.
 		k := fmt.Sprintf("k%0*d", 1+rng.Intn(6), rng.Intn(keys))
 		cur, present := model[k]
+		now = int64(i) * stepMs
 		switch op := rng.Intn(10); {
 		case op < 4:
 			v := value(i)
@@ -72,6 +87,7 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 				t.Fatal(err)
 			}
 			model[k] = pair{string(v), clock}
+			delete(tombs, k)
 		case op < 6:
 			d := value(i)
 			d = d[:min(len(d), rng.Intn(20))]
@@ -86,15 +102,43 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 				t.Fatal(err)
 			}
 			model[k] = pair{cur.val + string(d), keep}
+			delete(tombs, k)
 			if string(got) != model[k].val {
 				t.Fatalf("step %d: AppendV(%q) returned %q, want %q", i, k, got, model[k].val)
 			}
-		case op < 8:
+		case op < 8 && rng.Intn(2) == 0:
 			ok, err := s.RemoveV(k, 0)
 			if err != nil || ok != present {
 				t.Fatalf("step %d: RemoveV(%q) = %v, %v; present %v", i, k, ok, err, present)
 			}
 			delete(model, k)
+		case op < 8:
+			clock++
+			ok, err := s.BuryV(k, clock)
+			if err != nil || ok != present {
+				t.Fatalf("step %d: BuryV(%q) = %v, %v; present %v", i, k, ok, err, present)
+			}
+			delete(model, k)
+			tombs[k] = tomb{clock, i}
+			for tk, tb := range tombs {
+				if tb.at < i-graceSteps {
+					delete(tombs, tk)
+				}
+			}
+		case op < 9:
+			// A stale copy: at the tombstone's stamp or the pair's, it
+			// is refused; onto a key with neither, it lands.
+			ver := cur.ver
+			if tb, ok := tombs[k]; ok {
+				ver = tb.ver
+			}
+			ok, err := s.PutLWW(k, []byte("stale"), ver)
+			if err != nil || ok == (present || tombs[k].ver > 0) {
+				t.Fatalf("step %d: PutLWW(%q, v%d) = %v, %v; present %v, tombstone %+v", i, k, ver, ok, err, present, tombs[k])
+			}
+			if ok {
+				model[k] = pair{"stale", ver}
+			}
 		default:
 			v, ver, ok, _ := s.GetAppendV(scratch[:0], k)
 			scratch = v
@@ -104,6 +148,14 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 		}
 		if i%(steps/20) == 0 || i == steps-1 {
 			checkIndex(t, s, model, rng)
+			if s.ntomb != len(tombs) {
+				t.Fatalf("step %d: store keeps %d tombstones, model %d", i, s.ntomb, len(tombs))
+			}
+			for k, tb := range tombs {
+				if ver := s.Version(k); ver != tb.ver {
+					t.Fatalf("step %d: Version(%q) = %d, want the tombstone's %d", i, k, ver, tb.ver)
+				}
+			}
 		}
 	}
 }
@@ -147,6 +199,9 @@ func checkIndex(t *testing.T, s *Store, model map[string]pair, rng *rand.Rand) {
 	}
 	if occupied != s.idx.n {
 		t.Fatalf("%d occupied slots, index counts %d", occupied, s.idx.n)
+	}
+	if occupied != len(model)+s.ntomb {
+		t.Fatalf("%d occupied slots, %d pairs and %d tombstones", occupied, len(model), s.ntomb)
 	}
 }
 

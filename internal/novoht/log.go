@@ -456,8 +456,8 @@ func (l *Log) clean() error {
 
 // copyLive re-appends, as one WAL record batch, a Put of every pair
 // whose last full image lies before base — including pairs built only
-// from appends, whose offset is 0 — and moves the pairs to their
-// copies. It returns the log offset the copies end at and their size.
+// from appends, whose offset is 0, and never a tombstone — and moves
+// the pairs to their copies. It returns the log offset the copies end at and their size.
 func (s *Store) copyLive(base int64) (end, n int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -470,7 +470,7 @@ func (s *Store) copyLive(base int64) (end, n int64, err error) {
 	}
 	size := 0
 	for _, sl := range s.idx.slots {
-		if p := sl.p; p != nil && p.off() < base {
+		if p := sl.p; p != nil && p.off() < base && !p.tomb() {
 			size += int(recordSize(p.key(), int64(len(p.val())), p.ver()))
 		}
 	}
@@ -483,7 +483,7 @@ func (s *Store) copyLive(base int64) (end, n int64, err error) {
 	blob := slices.Grow(getRec(), size)
 	for _, sl := range s.idx.slots {
 		p := sl.p
-		if p == nil || p.off() >= base {
+		if p == nil || p.off() >= base || p.tomb() {
 			continue
 		}
 		var voff int

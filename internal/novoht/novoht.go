@@ -42,6 +42,11 @@
 // of a pre-image than its last partial word, an Append hashes only its
 // delta and that word, and only a new key computes its leaf.
 //
+// A remove may keep a tombstone (BuryV, BuryLWW): a cell holding the
+// key and the remove's stamp, which reads as absent and refuses every
+// write of the key stamped at or below it until RemoveGrace of wall
+// time has passed. Tombstones live in memory only.
+//
 // A Store is safe for concurrent use by multiple goroutines.
 package novoht
 
@@ -55,6 +60,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"zht/internal/metrics"
 	"zht/internal/storage"
@@ -111,6 +117,13 @@ const (
 // storage fsync budget.
 const groupWindow = 500 * time.Microsecond
 
+// RemoveGrace is how long a tombstone refuses stale copies of its key:
+// the store reclaims it once this much wall time has passed since its
+// remove. It must outlast the longest a copy of a pair collected before
+// a remove can travel before it lands; internal/core pins it to at
+// least twice its migration timeout.
+const RemoveGrace = 20 * time.Second
+
 // Store is a NoVoHT hash table: one partition store.
 //
 // Every mutation carries a version stamp: an opaque uint64 ordered by
@@ -122,10 +135,11 @@ const groupWindow = 500 * time.Microsecond
 //
 // A key's stamps rise in the order its writes apply: PutV,
 // PutIfAbsentV, AppendV, CasV and RemoveV given a non-zero ver apply
-// nothing and return storage.ErrStale when the key holds a version at
-// least as new. So crash replay, which keeps the newest version,
-// rebuilds exactly the live store, and a sweep that removes "the copy
-// it saw" by stamping just above it cannot remove a later write.
+// nothing and return storage.ErrStale when the key holds a version, a
+// tombstone's included, at least as new. So crash replay, which keeps
+// the newest version, rebuilds exactly the live store, and a sweep
+// that removes "the copy it saw" by stamping just above it cannot
+// remove a later write.
 type Store struct {
 	log     *Log
 	wal     *wal // the log's WAL; nil for a volatile store
@@ -141,6 +155,15 @@ type Store struct {
 	// leaves is the maintained repair digest: leaf l is the XOR of
 	// storage.PairHashV2 over every live pair whose key is in leaf l.
 	leaves [storage.Leaves]uint64
+
+	// tombs lists the tombstones in the order they were laid, from
+	// tombs[tombHead] on; ntomb counts those idx still holds. wall, when
+	// non-nil, replaces the wall clock they are timed by
+	// (SetWallClock).
+	tombs    []tombEntry
+	tombHead int
+	ntomb    int
+	wall     func() int64
 
 	// Instruments resolved once at Open; all nil when metrics are
 	// disabled.
@@ -260,8 +283,8 @@ func (s *Store) PutV(key string, val []byte, ver uint64) error {
 }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
-// stored version; an absent key always accepts the write. It reports
-// whether the store was modified.
+// stored version, a pair's or a tombstone's; a key with neither always
+// accepts the write. It reports whether the store was modified.
 func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
 	defer s.timeOp(s.putLat)()
 	s.mu.Lock()
@@ -302,7 +325,7 @@ func nopTimer() {}
 // assigned in submission order, which the store lock makes per-key
 // order) and the pair updated along with the digest. It returns the
 // log offset the caller must wait durable, or storage.ErrStale when the
-// stored version is at least ver (stale).
+// stored version, a pair's or a tombstone's, is at least ver (stale).
 func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (int64, error) {
 	old := s.cellAt(i)
 	if stale(old, ver) {
@@ -315,7 +338,7 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 	var p cell
 	var leaf int
 	var x uint64
-	if old != nil {
+	if old != nil && !old.tomb() {
 		// Sealed before withVal may overwrite the old value in place.
 		x = old.pairHash()
 		s.superseded(old)
@@ -323,8 +346,9 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 		p = old.withVal(val)
 		sl.p, leaf = p, sl.leaf()
 	} else {
-		p, leaf = newCell(key, val), storage.LeafOf(key)
-		s.idx.add(h, leaf, p)
+		p = newCell(key, val)
+		i = s.addCell(h, i, key, p)
+		leaf = s.idx.slots[i].leaf()
 	}
 	p.setOff(voff)
 	p.setVer(ver)
@@ -332,6 +356,18 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 	s.leaves[leaf] ^= x ^ p.pairHash()
 	s.counted()
 	return end, nil
+}
+
+// addCell puts p, a new cell of key, in slot i when i holds key's
+// tombstone, which p replaces, and in a new slot when i is -1. It
+// returns p's slot.
+func (s *Store) addCell(h uint64, i int, key string, p cell) int {
+	if i >= 0 {
+		s.ntomb--
+		s.idx.slots[i].p = p
+		return i
+	}
+	return s.idx.add(h, storage.LeafOf(key), p)
 }
 
 // superseded counts the bytes of the record holding pair p's current
@@ -352,9 +388,9 @@ func (s *Store) counted() {
 }
 
 // stale reports whether a mutation stamped ver must be refused with
-// storage.ErrStale because the present pair p (nil when absent) is at
-// least as new, so a key's stamps rise in log order. Version 0 applies
-// unconditionally.
+// storage.ErrStale because the stored pair or tombstone p (nil when
+// none) is at least as new, so a key's stamps rise in log order.
+// Version 0 applies unconditionally.
 func stale(p cell, ver uint64) bool { return p != nil && ver > 0 && p.ver() >= ver }
 
 // appendRecord encodes and submits one log record, returning the
@@ -423,7 +459,7 @@ func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, error) {
 		return false, ErrClosed
 	}
 	h, i := s.lookup(key)
-	if i >= 0 {
+	if p := s.cellAt(i); p != nil && !p.tomb() {
 		s.mu.Unlock()
 		return false, nil
 	}
@@ -452,36 +488,72 @@ func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := s.cellAt(s.idx.find(key, h))
-	if p == nil {
+	if p == nil || p.tomb() {
 		return dst, 0, false, nil
 	}
 	return append(dst, p.val()...), p.ver(), true, nil
+}
+
+// Version returns the stamp stored for key, a pair's or a tombstone's,
+// and 0 when there is neither: the stamp a write refused with
+// storage.ErrStale must draw above.
+func (s *Store) Version(key string) uint64 {
+	h := probeHash(s.seed, key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if p := s.cellAt(s.idx.find(key, h)); p != nil {
+		return p.ver()
+	}
+	return 0
 }
 
 // RemoveV deletes key, reporting whether it was present; the log
 // record carries ver. A non-zero ver at or below the stored version
 // is refused with storage.ErrStale.
 func (s *Store) RemoveV(key string, ver uint64) (bool, error) {
-	return s.removeVer(key, ver, false)
+	return s.removeVer(key, ver, false, false)
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
 // stored version, reporting whether the key was removed.
 func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
-	return s.removeVer(key, ver, true)
+	return s.removeVer(key, ver, true, false)
+}
+
+// BuryV is RemoveV that leaves a tombstone stamped ver in key's place,
+// also when key is absent. Until the store reclaims it, RemoveGrace of
+// wall time later, every write of key stamped at or below ver is
+// refused as if the pair were still stored at ver, so a copy of the
+// pair collected before the remove cannot land after it. A tombstone
+// reads as absent, is never logged or copied by a clean, and has no
+// share in the digest, so a restart loses it. A version-0 bury keeps
+// none: it would refuse nothing.
+func (s *Store) BuryV(key string, ver uint64) (bool, error) {
+	return s.removeVer(key, ver, false, true)
+}
+
+// BuryLWW is RemoveLWW that leaves a tombstone, as BuryV does.
+func (s *Store) BuryLWW(key string, ver uint64) (bool, error) {
+	return s.removeVer(key, ver, true, true)
 }
 
 // removeVer is the shared remove path; when lww is set the delete is
-// skipped unless ver beats the stored version.
-func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
+// skipped unless ver beats the stored version, and when bury is set a
+// tombstone stamped ver takes the key's place unless one at least as
+// new is there.
+func (s *Store) removeVer(key string, ver uint64, lww, bury bool) (bool, error) {
+	bury = bury && ver > 0
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return false, ErrClosed
 	}
-	_, i := s.lookup(key)
+	h, i := s.lookup(key)
 	p := s.cellAt(i)
-	if p == nil {
+	if p == nil || p.tomb() {
+		if bury && (p == nil || p.ver() < ver) {
+			s.layTomb(h, i, key, ver)
+		}
 		s.mu.Unlock()
 		return false, nil
 	}
@@ -503,10 +575,79 @@ func (s *Store) removeVer(key string, ver uint64, lww bool) (bool, error) {
 	}
 	s.superseded(p)
 	s.leaves[s.idx.slots[i].leaf()] ^= p.pairHash()
-	s.idx.remove(i)
+	if bury {
+		s.layTomb(h, i, key, ver)
+	} else {
+		s.idx.remove(i)
+	}
 	s.counted()
 	s.mu.Unlock()
 	return true, s.finishMutation(end)
+}
+
+// tombEntry is one laid tombstone and the wall time, in Unix
+// milliseconds, it was laid at.
+type tombEntry struct {
+	p  cell
+	at int64
+}
+
+// layTomb puts a new tombstone of key stamped ver in slot i, over key's
+// pair or older tombstone, or in a new slot when i is -1, then
+// reclaims the tombstones laid more than RemoveGrace ago. A tombstone
+// cell is never reused, so a reclaim knows its own by address. s.mu is
+// held.
+func (s *Store) layTomb(h uint64, i int, key string, ver uint64) {
+	t := newTomb(key, ver)
+	if i < 0 {
+		s.idx.add(h, storage.LeafOf(key), t)
+		s.ntomb++
+	} else {
+		if !s.idx.slots[i].p.tomb() {
+			s.ntomb++
+		}
+		s.idx.slots[i].p = t
+	}
+	now := time.Now().UnixMilli()
+	if s.wall != nil {
+		now = s.wall()
+	}
+	s.tombs = append(s.tombs, tombEntry{t, now})
+	s.reclaim(now)
+}
+
+// reclaim drops, oldest first, the tombstones laid before now minus
+// RemoveGrace: by the wall time of their removes, not by their stamps,
+// which a burst of writes runs ahead of wall time. An entry whose key
+// was written or buried again since no longer holds the key's slot and
+// is only dropped from the list.
+func (s *Store) reclaim(now int64) {
+	cutoff := now - RemoveGrace.Milliseconds()
+	for s.tombHead < len(s.tombs) && s.tombs[s.tombHead].at < cutoff {
+		t := s.tombs[s.tombHead].p
+		s.tombs[s.tombHead] = tombEntry{}
+		s.tombHead++
+		if i := s.idx.find(t.key(), probeHash(s.seed, t.key())); i >= 0 && unsafe.SliceData(s.idx.slots[i].p) == unsafe.SliceData(t) {
+			s.idx.remove(i)
+			s.ntomb--
+		}
+	}
+	// Once the dropped entries are half of the list, move the rest to
+	// its front: each entry moves at most once per entry dropped.
+	if s.tombHead > 0 && 2*s.tombHead >= len(s.tombs) {
+		n := copy(s.tombs, s.tombs[s.tombHead:])
+		clear(s.tombs[n:])
+		s.tombs, s.tombHead = s.tombs[:n], 0
+	}
+}
+
+// SetWallClock replaces the clock, in Unix milliseconds, that times the
+// store's tombstones; nil restores the wall clock. Tests age tombstones
+// past RemoveGrace with it.
+func (s *Store) SetWallClock(now func() int64) {
+	s.mu.Lock()
+	s.wall = now
+	s.mu.Unlock()
 }
 
 // AppendV concatenates delta to the value stored under key, creating
@@ -544,13 +685,13 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 	// tail and the delta.
 	var x, fh uint64
 	var from int
-	if p != nil {
+	if p != nil && !p.tomb() {
 		x, fh, from = p.pairHash(), p.fh(), len(p.stream())&^7
 		p = append(p, delta...)
 		s.idx.slots[i].p = p
 	} else {
 		p, fh = newCell(key, delta), storage.PairStart(len(key))
-		i = s.idx.add(h, storage.LeafOf(key), p)
+		i = s.addCell(h, i, key, p)
 	}
 	if ver > 0 {
 		p.setVer(ver)
@@ -578,6 +719,9 @@ func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byt
 	}
 	h, i := s.lookup(key)
 	p := s.cellAt(i)
+	if p != nil && p.tomb() {
+		p = nil
+	}
 	switch {
 	case p == nil && oldVal != nil:
 		s.mu.Unlock()
@@ -595,11 +739,11 @@ func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byt
 	return true, nil, s.finishMutation(end)
 }
 
-// Len reports the number of keys stored.
+// Len reports the number of keys stored, tombstones not counted.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.idx.n
+	return s.idx.n - s.ntomb
 }
 
 // ForEachV calls fn for every pair with its version stamp; fn must
@@ -635,7 +779,7 @@ func (s *Store) forEach(want uint64, fn func(key string, val []byte, ver uint64)
 	}
 	for i := range s.idx.slots {
 		sl := &s.idx.slots[i]
-		if sl.p == nil || want&(1<<sl.leaf()) == 0 {
+		if sl.p == nil || want&(1<<sl.leaf()) == 0 || sl.p.tomb() {
 			continue
 		}
 		if err := fn(sl.p.key(), sl.p.val(), sl.p.ver()); err != nil {

@@ -1,0 +1,154 @@
+package novoht
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"testing"
+	"time"
+
+	"zht/internal/storage"
+)
+
+// A tombstone reads as absent, refuses every write of its key stamped
+// at or below it, and lets a newer write through; it has no share in
+// the digest and no place in Len or an iteration.
+func TestTombstoneRefusesStaleWrites(t *testing.T) {
+	s := openTemp(t, Options{})
+	if err := s.PutV("k", []byte("v"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.BuryV("k", 7); err != nil || !ok {
+		t.Fatalf("BuryV of a present key = %v, %v", ok, err)
+	}
+	if ok, err := s.BuryLWW("absent", 9); err != nil || ok {
+		t.Fatalf("BuryLWW of an absent key = %v, %v; want false, nil", ok, err)
+	}
+	checkDigest(t, s, "after two buries")
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d with only tombstones, want 0", n)
+	}
+	if got := pairsOf(t, s); len(got) != 0 {
+		t.Fatalf("ForEachV yielded %v, want nothing", got)
+	}
+	for key, ver := range map[string]uint64{"k": 7, "absent": 9} {
+		if _, ok, _ := s.Get(key); ok {
+			t.Errorf("Get(%q) found a tombstone", key)
+		}
+		if got := s.Version(key); got != ver {
+			t.Errorf("Version(%q) = %d, want the tombstone's %d", key, got, ver)
+		}
+		if ok, err := s.PutLWW(key, []byte("stale"), ver); ok || err != nil {
+			t.Errorf("PutLWW(%q) at the tombstone's stamp = %v, %v", key, ok, err)
+		}
+		if err := s.PutV(key, []byte("stale"), ver-1); !errors.Is(err, storage.ErrStale) {
+			t.Errorf("PutV(%q) below the tombstone = %v, want ErrStale", key, err)
+		}
+		if _, err := s.AppendV(nil, key, []byte("+"), ver); !errors.Is(err, storage.ErrStale) {
+			t.Errorf("AppendV(%q) at the tombstone = %v, want ErrStale", key, err)
+		}
+		if _, err := s.PutIfAbsentV(key, []byte("stale"), ver); !errors.Is(err, storage.ErrStale) {
+			t.Errorf("PutIfAbsentV(%q) at the tombstone = %v, want ErrStale", key, err)
+		}
+		if ok, err := s.RemoveV(key, ver+1); ok || err != nil {
+			t.Errorf("RemoveV(%q) of a tombstone = %v, %v; want absent", key, ok, err)
+		}
+	}
+	// A newer write replaces the tombstone; a CAS expecting absence
+	// sees it absent.
+	if ok, err := s.PutLWW("k", []byte("new"), 8); !ok || err != nil {
+		t.Fatalf("PutLWW above the tombstone = %v, %v", ok, err)
+	}
+	if ok, _, err := s.CasV("absent", nil, []byte("cas"), 10); !ok || err != nil {
+		t.Fatalf("CasV expecting absence over a tombstone = %v, %v", ok, err)
+	}
+	checkDigest(t, s, "after the tombstones were written over")
+	if got := pairsOf(t, s); len(got) != 2 || got["k"] != (pair{"new", 8}) || got["absent"] != (pair{"cas", 10}) {
+		t.Fatalf("contents = %v", got)
+	}
+	if s.ntomb != 0 {
+		t.Fatalf("%d tombstones left after both keys were written", s.ntomb)
+	}
+}
+
+// TestTombstonesExpireByWallTime: with stamps an hour ahead of wall
+// time, as a burst of writes leaves an instance's clock, a tombstone
+// laid longer than RemoveGrace ago by wall time is reclaimed when the
+// next is laid, and a younger one is kept. Reclaimed by their stamps,
+// neither would expire while the clock leads.
+func TestTombstonesExpireByWallTime(t *testing.T) {
+	s := openTemp(t, Options{})
+	now := time.Now().UnixMilli()
+	s.SetWallClock(func() int64 { return now })
+	stamp := uint64(time.Now().Add(time.Hour).UnixMilli()) << 16
+
+	if _, err := s.BuryLWW("old", stamp); err != nil {
+		t.Fatal(err)
+	}
+	now += (RemoveGrace + time.Second).Milliseconds()
+	if _, err := s.BuryLWW("young", stamp+1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Version("old"); got != 0 {
+		t.Errorf("a tombstone older than RemoveGrace by wall time was kept at stamp %d", got)
+	}
+	if ok, err := s.PutLWW("old", []byte("v"), stamp); !ok || err != nil {
+		t.Errorf("PutLWW over a reclaimed tombstone = %v, %v; want it applied", ok, err)
+	}
+	if got := s.Version("young"); got != stamp+1 {
+		t.Errorf("a tombstone younger than RemoveGrace by wall time was reclaimed: Version = %d", got)
+	}
+	if ok, err := s.PutLWW("young", []byte("v"), stamp+1); ok || err != nil {
+		t.Errorf("PutLWW at a kept tombstone = %v, %v; want it refused", ok, err)
+	}
+}
+
+// A log clean after a kept remove, then a reopen: the key stays absent,
+// and the clean wrote no record of the tombstone, in particular no pair
+// with an empty value.
+func TestCleanDropsTombstones(t *testing.T) {
+	s := openTemp(t, Options{})
+	path := s.log.opts.Path
+	for _, k := range []string{"gone", "kept"} {
+		if err := s.PutV(k, []byte("v-"+k), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := s.BuryV("gone", 4); !ok || err != nil {
+		t.Fatalf("BuryV = %v, %v", ok, err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(bytes.NewReader(log))
+	for off := int64(0); ; {
+		typ, key, val, ver, n, err := readRecord(r, int64(len(log))-off)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("cleaned log at offset %d: %v", off, err)
+		}
+		if string(key) != "kept" || typ != recPutV || len(val) == 0 {
+			t.Errorf("cleaned log holds a record of type %d for %q (value %q, v%d)", typ, key, val, ver)
+		}
+		off += int64(n)
+	}
+	re, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := pairsOf(t, re); len(got) != 1 || got["kept"] != (pair{"v-kept", 3}) {
+		t.Fatalf("reopened store holds %v, want only kept", got)
+	}
+}

@@ -229,6 +229,8 @@ func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, err
 	case resp := <-done:
 		return c.copyResponse(srv, resp, req.Seq)
 	case <-timer.C:
+		// The handler's response, once it comes, goes back to the pool.
+		go func() { wire.PutResponse(<-done) }()
 		return nil, fmt.Errorf("%w: inproc %q: handler exceeded budget", ErrTimeout, addr)
 	}
 }

@@ -364,3 +364,40 @@ func TestAbandonedFallbackReturnsResponses(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// An in-process call that runs out of budget before its handler
+// answers returns the handler's response to the pool once the handler
+// finishes: gets and puts end level.
+func TestInprocTimedOutCallReturnsResponse(t *testing.T) {
+	reg := NewRegistry()
+	ln, err := reg.Listen("slow", func(*wire.Request) *wire.Response {
+		time.Sleep(30 * time.Millisecond)
+		r := wire.GetResponse()
+		r.Status = wire.StatusOK
+		return r
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c := reg.NewClient()
+	mreg := metrics.NewRegistry()
+	wire.EnablePoolMetrics(mreg)
+	defer wire.EnablePoolMetrics(nil)
+	gets, puts := mreg.Counter("zht.wire.pool.gets"), mreg.Counter("zht.wire.pool.puts")
+	const n = 10
+	for i := 0; i < n; i++ {
+		req := lookup("k")
+		req.Budget = uint64(5 * time.Millisecond)
+		if _, err := c.Call("slow", req); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("call %d past its budget: %v, want ErrTimeout", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for puts.Value() != gets.Value() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d timed-out calls: pool gets %d, puts %d", n, gets.Value(), puts.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
