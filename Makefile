@@ -257,11 +257,13 @@ clean:
 
 # loc prints the size rows of ROADMAP.md's snapshot: non-test Go lines
 # under internal/, all Go lines outside benchmark/ (tests included),
-# non-test lines of internal/core and internal/novoht, and DESIGN.md's
-# lines.
+# non-test lines of internal/core, internal/novoht, internal/transport
+# and internal/chaos, and DESIGN.md's lines.
 loc:
 	@echo "non-test internal/: $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "all Go outside benchmark/: $$(find . -name '*.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "non-test internal/core: $$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test internal/novoht: $$(find internal/novoht -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "non-test internal/transport: $$(find internal/transport -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "non-test internal/chaos: $$(find internal/chaos -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "DESIGN.md: $$(wc -l < DESIGN.md)"

@@ -10,6 +10,23 @@
 // each call consults the rule set active at the current offset into
 // the scenario and may be dropped, delayed, duplicated, or blocked.
 //
+// A started call (Start, StartBatch) meets its faults in two places.
+// At Start the layer draws the call's decisions and applies the
+// request leg's: a down destination fails the call, and a cut, dropped
+// or too-late request is lost — the handler never runs, and Wait
+// reports ErrTimeout once the loss-detection time has passed. A
+// request the layer lets through goes out at once on the wrapped
+// caller's Start, unless its link has latency: then it goes out at
+// Wait, once the request leg's latency has passed since Start. At
+// Wait, timed from Start, the rest takes effect too: the duplicate is
+// sent once the original is answered, a lost reply surfaces as
+// ErrTimeout after the handler ran, and the answer is held until both
+// legs' latency has passed since Start. Call and CallBatch are Start,
+// then Wait. A decision is traced, and its fault counted, once it is
+// final: at Start when no rule is active or the request leg faults, at
+// Wait otherwise, so an abandoned call that got through is counted in
+// zht.chaos.calls but not traced.
+//
 // Every decision derives from a stateless hash of (seed, destination,
 // per-destination call counter, rule index, fault kind) — not from a
 // shared RNG stream — so the same seed and the same per-destination
@@ -310,8 +327,8 @@ func (c *Caller) resolve(rules []Rule, dst string, n uint64) (req, reply effects
 	return req, reply
 }
 
+// record counts one fault and traces one decision.
 func (c *Caller) record(dst string, n uint64, v Verdict, delay time.Duration) {
-	c.calls.Inc()
 	if v != VerdictOK {
 		c.faults[v].Inc() // nil-map lookup yields a nil (no-op) counter
 	}
@@ -323,37 +340,55 @@ func (c *Caller) record(dst string, n uint64, v Verdict, delay time.Duration) {
 	c.mu.Unlock()
 }
 
+// errLoss is what a lost request or reply surfaces as.
+var errLoss = fmt.Errorf("%w: injected loss", transport.ErrTimeout)
+
 // sleepLost burns the caller's loss-detection time for a blackholed
-// leg — the request's remaining budget when it carries one, the
-// emulated loss timeout otherwise — and returns ErrTimeout.
-func (c *Caller) sleepLost(deadline time.Time) error {
-	d := c.loss
-	if !deadline.IsZero() {
-		if rem := time.Until(deadline); rem < d {
-			d = rem
-		}
+// leg, counted from the call's start: the request's budget when it
+// carries one, the emulated loss timeout otherwise.
+func (c *Caller) sleepLost(start, deadline time.Time) {
+	wake := start.Add(c.loss)
+	if !deadline.IsZero() && deadline.Before(wake) {
+		wake = deadline
 	}
-	if d > 0 {
-		time.Sleep(d)
-	}
-	return fmt.Errorf("%w: injected loss", transport.ErrTimeout)
+	time.Sleep(time.Until(wake))
 }
 
-// perturbed runs one message send through the fault pipeline: it
-// resolves the active rules for this call, applies request-leg faults
-// and latency, shrinks the forwarded budget by the time chaos
-// consumed, invokes send (and sendDup on duplication), then applies
-// reply-leg faults. Call and CallBatch share this pipeline — a batch
+// lost is a call whose request the layer lost: its Wait reports
+// ErrTimeout once the loss-detection time has passed.
+func (c *Caller) lost(start, deadline time.Time) transport.Pending {
+	return transport.Then(transport.Settled(nil, nil), func(*transport.Pending) transport.Outcome {
+		c.sleepLost(start, deadline)
+		return transport.Outcome{Err: errLoss}
+	})
+}
+
+// perturbed runs one message through the fault pipeline. It draws the
+// call's faults from the per-destination counter and applies the
+// request leg's at once: a down destination fails the call, and a cut,
+// dropped or too-late request loses it. A request without latency
+// goes out at once on the wrapped caller (send); a delayed one goes
+// out when the call is waited for, once its latency has passed since
+// the start, with the budget it has left then, so the wrapped
+// transport still honors the end-to-end deadline. The rest happens
+// when the call is waited for too: the duplicate (sent and waited for
+// once the original is answered), a lost reply, and the reply leg's
+// latency, the answer being held until both legs' latency has passed
+// since the start. Call and CallBatch share this pipeline — a batch
 // envelope is one message on the wire, so one verdict covers every
-// sub-operation in it.
-func (c *Caller) perturbed(addr string, budget uint64, send func(fwdBudget uint64) error, sendDup func(fwdBudget uint64)) error {
-	elapsed := time.Since(c.start)
-	rules := c.sc.active(elapsed)
+// sub-operation in it; wait collects a started message as Wait or
+// WaitBatch.
+func (c *Caller) perturbed(addr string, budget uint64,
+	send func(fwdBudget uint64) transport.Pending,
+	wait func(*transport.Pending) transport.Outcome) transport.Pending {
+	start := time.Now()
+	rules := c.sc.active(start.Sub(c.start))
 
 	c.mu.Lock()
 	n := c.counters[addr]
 	c.counters[addr] = n + 1
 	c.mu.Unlock()
+	c.calls.Inc()
 
 	if len(rules) == 0 {
 		c.record(addr, n, VerdictOK, 0)
@@ -363,11 +398,11 @@ func (c *Caller) perturbed(addr string, budget uint64, send func(fwdBudget uint6
 
 	var deadline time.Time
 	if budget > 0 {
-		deadline = time.Now().Add(time.Duration(budget))
+		deadline = start.Add(time.Duration(budget))
 	}
 	if reqFx.down {
 		c.record(addr, n, VerdictDown, 0)
-		return fmt.Errorf("%w: injected crash of %q", transport.ErrUnreachable, addr)
+		return transport.Settled(nil, fmt.Errorf("%w: injected crash of %q", transport.ErrUnreachable, addr))
 	}
 	if reqFx.cut || reqFx.drop {
 		v := VerdictCut
@@ -375,83 +410,73 @@ func (c *Caller) perturbed(addr string, budget uint64, send func(fwdBudget uint6
 			v = VerdictDrop
 		}
 		c.record(addr, n, v, 0)
-		return c.sleepLost(deadline)
+		return c.lost(start, deadline)
 	}
-
 	// Request-leg latency: the message arrives late; if it lands past
 	// the deadline the ack cannot possibly return in time.
-	if reqFx.delay > 0 {
-		if !deadline.IsZero() && reqFx.delay >= time.Until(deadline) {
-			c.record(addr, n, VerdictCut, reqFx.delay)
-			return c.sleepLost(deadline)
+	if !deadline.IsZero() && reqFx.delay >= deadline.Sub(start) {
+		c.record(addr, n, VerdictCut, reqFx.delay)
+		return c.lost(start, deadline)
+	}
+	msg := transport.Settled(nil, nil) // a delayed message goes out at Wait
+	if reqFx.delay == 0 {
+		msg = send(0)
+	}
+	return transport.Then(msg, func(p *transport.Pending) (o transport.Outcome) {
+		fwdBudget := uint64(0)
+		if reqFx.delay == 0 {
+			o = wait(p)
+		} else {
+			time.Sleep(time.Until(start.Add(reqFx.delay)))
+			if !deadline.IsZero() {
+				rem := time.Until(deadline)
+				if rem <= 0 {
+					c.record(addr, n, VerdictCut, reqFx.delay)
+					return transport.Outcome{Err: errLoss}
+				}
+				fwdBudget = uint64(rem)
+			}
+			q := send(fwdBudget)
+			o = wait(&q)
 		}
-		time.Sleep(reqFx.delay)
-	}
-
-	// Shrink the forwarded budget by the time chaos consumed so the
-	// wrapped transport still honors the end-to-end deadline.
-	fwdBudget := uint64(0)
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return c.sleepLost(deadline)
+		if reqFx.dup {
+			// At-least-once delivery: the retransmitted duplicate lands
+			// after the original; its response is discarded.
+			d := send(fwdBudget)
+			wait(&d).Release()
 		}
-		fwdBudget = uint64(rem)
-	}
-	err := send(fwdBudget)
-	if reqFx.dup {
-		// At-least-once delivery: the retransmitted duplicate lands
-		// after the original; its response is discarded.
-		sendDup(fwdBudget)
-	}
-
-	if err == nil && (replyFx.cut || replyFx.replyLost) {
-		// The op ran — possibly mutating state — but its ack never
-		// reaches us: indistinguishable from a lost request to the
-		// caller, which is exactly the ambiguity worth testing.
-		c.record(addr, n, VerdictReplyLost, reqFx.delay)
-		return c.sleepLost(deadline)
-	}
-	if replyFx.delay > 0 && err == nil {
-		if !deadline.IsZero() && replyFx.delay >= time.Until(deadline) {
-			c.record(addr, n, VerdictReplyLost, reqFx.delay+replyFx.delay)
-			return c.sleepLost(deadline)
+		delay := reqFx.delay + replyFx.delay
+		if o.Err == nil {
+			late := replyFx.delay > 0 && !deadline.IsZero() && !start.Add(delay).Before(deadline)
+			if replyFx.cut || replyFx.replyLost || late {
+				// The op ran — possibly mutating state — but its ack
+				// never reaches us: indistinguishable from a lost
+				// request to the caller, which is exactly the ambiguity
+				// worth testing.
+				if !late {
+					delay = reqFx.delay
+				}
+				o.Release()
+				c.record(addr, n, VerdictReplyLost, delay)
+				c.sleepLost(start, deadline)
+				return transport.Outcome{Err: errLoss}
+			}
+			time.Sleep(time.Until(start.Add(delay)))
 		}
-		time.Sleep(replyFx.delay)
-	}
-	v := VerdictOK
-	if reqFx.dup {
-		v = VerdictDup
-	}
-	c.record(addr, n, v, reqFx.delay+replyFx.delay)
-	return err
+		v := VerdictOK
+		if reqFx.dup {
+			v = VerdictDup
+		}
+		c.record(addr, n, v, delay)
+		return o
+	})
 }
 
 // Call implements transport.Caller with fault injection around the
-// wrapped caller.
+// wrapped caller: it is Start, then Wait.
 func (c *Caller) Call(addr string, req *wire.Request) (*wire.Response, error) {
-	var out *wire.Response
-	err := c.perturbed(addr, req.Budget,
-		func(b uint64) error {
-			fwd := *req
-			if b > 0 {
-				fwd.Budget = b
-			}
-			var e error
-			out, e = c.inner.Call(addr, &fwd)
-			return e
-		},
-		func(b uint64) {
-			dup := *req
-			if b > 0 {
-				dup.Budget = b
-			}
-			c.inner.Call(addr, &dup)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	p := c.Start(addr, req)
+	return p.Wait()
 }
 
 // CallBatch implements transport.Caller. The batch travels as one
@@ -460,14 +485,31 @@ func (c *Caller) Call(addr string, req *wire.Request) (*wire.Response, error) {
 // them all — the same blast-radius a real batched datagram or frame
 // would have.
 func (c *Caller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	p := c.StartBatch(addr, reqs)
+	return p.WaitBatch()
+}
+
+// Start implements transport.Caller: a call the layer lets through
+// goes out on the wrapped caller's Start, so over TCP it takes the
+// multiplexed path production runs.
+func (c *Caller) Start(addr string, req *wire.Request) transport.Pending {
+	return c.perturbed(addr, req.Budget,
+		func(b uint64) transport.Pending { return c.inner.Start(addr, withBudget(req, b)) },
+		func(p *transport.Pending) (o transport.Outcome) {
+			o.Resp, o.Err = p.Wait()
+			return o
+		})
+}
+
+// StartBatch implements transport.Caller with CallBatch's one verdict
+// per envelope.
+func (c *Caller) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
 	if len(reqs) == 0 {
-		return nil, nil
+		return transport.Pending{}
 	}
 	budget := uint64(0)
 	for _, r := range reqs {
-		if r.Budget > budget {
-			budget = r.Budget
-		}
+		budget = max(budget, r.Budget)
 	}
 	shrunk := func(b uint64) []*wire.Request {
 		if b == 0 {
@@ -475,26 +517,26 @@ func (c *Caller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response,
 		}
 		fwd := make([]*wire.Request, len(reqs))
 		for i, r := range reqs {
-			cp := *r
-			cp.Budget = b
-			fwd[i] = &cp
+			fwd[i] = withBudget(r, b)
 		}
 		return fwd
 	}
-	var out []*wire.Response
-	err := c.perturbed(addr, budget,
-		func(b uint64) error {
-			var e error
-			out, e = c.inner.CallBatch(addr, shrunk(b))
-			return e
-		},
-		func(b uint64) {
-			c.inner.CallBatch(addr, shrunk(b))
+	return c.perturbed(addr, budget,
+		func(b uint64) transport.Pending { return c.inner.StartBatch(addr, shrunk(b)) },
+		func(p *transport.Pending) (o transport.Outcome) {
+			o.Resps, o.Err = p.WaitBatch()
+			return o
 		})
-	if err != nil {
-		return nil, err
+}
+
+// withBudget returns req carrying budget b, copied when b is set.
+func withBudget(req *wire.Request, b uint64) *wire.Request {
+	if b == 0 {
+		return req
 	}
-	return out, nil
+	fwd := *req
+	fwd.Budget = b
+	return &fwd
 }
 
 // Close implements transport.Caller.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"zht/internal/core"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -35,12 +36,15 @@ func always(sc []Rule) *Scenario { return &Scenario{Steps: []Step{{At: 0, Rules:
 
 func TestDeterministicPerSeed(t *testing.T) {
 	// Probabilistic rules on two destinations: same seed must yield an
-	// identical decision trace; a different seed must diverge.
+	// identical decision trace, whether the calls are made with Call or
+	// started and then waited for; a different seed must diverge.
 	rules := []Rule{
 		{To: "a", Drop: 0.5, Dup: 0.3},
 		{To: "b", DropReply: 0.5, Jitter: time.Millisecond},
 	}
-	run := func(seed int64) []Decision {
+	// run makes 40 calls to each destination, in turn, or starts each
+	// pair of calls and then waits for them in the same order.
+	run := func(seed int64, started bool) []Decision {
 		h := newHarness(t, "a")
 		if _, err := h.reg.Listen("b", func(req *wire.Request) *wire.Response {
 			return &wire.Response{Status: wire.StatusOK}
@@ -51,20 +55,33 @@ func TestDeterministicPerSeed(t *testing.T) {
 			Seed: seed, LossTimeout: time.Microsecond, Trace: true,
 		})
 		for i := 0; i < 40; i++ {
-			c.Call("a", &wire.Request{Op: wire.OpLookup, Key: fmt.Sprint(i)})
-			c.Call("b", &wire.Request{Op: wire.OpPing})
+			ra := &wire.Request{Op: wire.OpLookup, Key: fmt.Sprint(i)}
+			rb := &wire.Request{Op: wire.OpPing}
+			if started {
+				pa, pb := c.Start("a", ra), c.Start("b", rb)
+				pa.Wait()
+				pb.Wait()
+			} else {
+				c.Call("a", ra)
+				c.Call("b", rb)
+			}
 		}
 		return c.Trace()
 	}
-	t1, t2, t3 := run(42), run(42), run(43)
-	if len(t1) != len(t2) {
-		t.Fatalf("trace lengths differ for same seed: %d vs %d", len(t1), len(t2))
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, t1[i], t2[i])
+	same := func(what string, t1, t2 []Decision) {
+		t.Helper()
+		if len(t1) != len(t2) {
+			t.Fatalf("%s: trace lengths differ: %d vs %d", what, len(t1), len(t2))
+		}
+		for i := range t1 {
+			if t1[i] != t2[i] {
+				t.Fatalf("%s: diverged at %d: %+v vs %+v", what, i, t1[i], t2[i])
+			}
 		}
 	}
+	t1, t2, t3 := run(42, false), run(42, false), run(43, false)
+	same("same seed", t1, t2)
+	same("started and then waited for, against called", t1, run(42, true))
 	differs := len(t3) != len(t1)
 	for i := 0; !differs && i < len(t1); i++ {
 		differs = t1[i].Verdict != t3[i].Verdict || t1[i].Delay != t3[i].Delay
@@ -139,6 +156,24 @@ func TestSlowLinkRespectsBudget(t *testing.T) {
 	}
 }
 
+// A request on a link with latency goes out when its call is waited
+// for, so a started call abandoned before then never reaches its
+// handler (a QUORUM read abandons the probes it no longer needs) and
+// leaves no decision in the trace.
+func TestAbandonedDelayedCallIsNeverSent(t *testing.T) {
+	h := newHarness(t, "a")
+	c := Wrap(h.reg.NewClient(), always([]Rule{SlowLink("", "a", time.Millisecond, 0)}), Options{Trace: true})
+	p := c.Start("a", &wire.Request{Op: wire.OpPing})
+	p.Abandon()
+	time.Sleep(10 * time.Millisecond)
+	if n := h.calls.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for an abandoned delayed call", n)
+	}
+	if tr := c.Trace(); len(tr) != 0 {
+		t.Fatalf("trace = %+v, want no decision", tr)
+	}
+}
+
 func TestPartitionIsSymmetric(t *testing.T) {
 	h := newHarness(t, "a")
 	// Our source is "x": Partition("x","a") matched in either
@@ -188,5 +223,82 @@ func TestNoScenarioPassesThrough(t *testing.T) {
 	tr := c.Trace()
 	if len(tr) != 1 || tr[0].Verdict != VerdictOK {
 		t.Fatalf("trace = %+v, want one ok decision", tr)
+	}
+}
+
+// startCounter counts what reaches the caller it wraps: calls (Call,
+// CallBatch) and started calls (Start, StartBatch).
+type startCounter struct {
+	transport.Caller
+	calls, starts atomic.Int64
+}
+
+func (s *startCounter) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	s.calls.Add(1)
+	return s.Caller.Call(addr, req)
+}
+
+func (s *startCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	s.calls.Add(1)
+	return s.Caller.CallBatch(addr, reqs)
+}
+
+func (s *startCounter) Start(addr string, req *wire.Request) transport.Pending {
+	s.starts.Add(1)
+	return s.Caller.Start(addr, req)
+}
+
+func (s *startCounter) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	s.starts.Add(1)
+	return s.Caller.StartBatch(addr, reqs)
+}
+
+// A client's fan-out through the chaos layer reaches the wrapped
+// caller as started calls, the path it takes without the layer, while
+// a scenario is active (its rules match no link the client uses): the
+// soaks exercise the start path production runs. The fan-outs are a
+// batch spread over every instance and a QUORUM read's replica probes.
+func TestFanOutStartsThroughChaos(t *testing.T) {
+	cfg := core.Config{NumPartitions: 32, Replicas: 2, RetryBase: time.Millisecond}
+	d, reg, err := core.BootstrapInproc(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	inner := &startCounter{Caller: reg.NewClient()}
+	cc := Wrap(inner, always([]Rule{Down("elsewhere"), Partition("x", "y")}), Options{Seed: 1, Trace: true})
+	c, err := core.NewClient(cfg, d.Instance(0).Table(), cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]core.BatchOp, 64)
+	for i := range ops {
+		ops[i] = core.BatchOp{Op: wire.OpInsert, Key: fmt.Sprintf("fan-%d", i), Value: []byte("v")}
+	}
+	res, err := c.Batch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("insert %d: %v", i, r.Err)
+		}
+	}
+	if calls, starts := inner.calls.Load(), inner.starts.Load(); calls != 0 || starts != 3 {
+		t.Fatalf("a batch over 3 instances reached the wrapped caller as %d calls and %d started calls, want 0 and 3", calls, starts)
+	}
+	inner.starts.Store(0)
+	if v, err := c.LookupWith("fan-0", wire.ConsistencyQuorum); err != nil || string(v) != "v" {
+		t.Fatalf("quorum read = %q, %v", v, err)
+	}
+	// The two replica probes are started; the owner's read, a route of
+	// one, is a Call, which the layer makes as Start, then Wait.
+	if calls, starts := inner.calls.Load(), inner.starts.Load(); calls != 0 || starts != 3 {
+		t.Fatalf("a QUORUM read at r=2 reached the wrapped caller as %d calls and %d started calls, want 0 and 3", calls, starts)
+	}
+	for _, dec := range cc.Trace() {
+		if dec.Verdict != VerdictOK {
+			t.Fatalf("a rule matched a client link: %+v", dec)
+		}
 	}
 }

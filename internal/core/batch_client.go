@@ -338,9 +338,9 @@ func (c *Client) launch(m *message, deadline time.Time) {
 		return
 	}
 	if len(m.reqs) == 1 {
-		m.call = transport.Start(c.caller, m.addr, m.reqs[0])
+		m.call = c.caller.Start(m.addr, m.reqs[0])
 	} else {
-		m.call = transport.StartBatch(c.caller, m.addr, m.reqs)
+		m.call = c.caller.StartBatch(m.addr, m.reqs)
 	}
 	m.started = true
 }

@@ -114,7 +114,7 @@ func (sc *batchScratch) fan(g *batchGroup, resps []*wire.Response, r *wire.Respo
 func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	slab, err := wire.DecodeOpsSlab(req.Aux)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: bad batch: " + err.Error()}
+		return errResp("core: bad batch: " + err.Error())
 	}
 	subs := slab.Reqs
 	resps := slab.Responses(len(subs))

@@ -174,6 +174,7 @@ func errTarget(err error) error {
 // envelopes apart from everything else, which in these tests is the
 // client's envelopes. Only a synchronous replica round sends legs
 // through CallBatch; queued legs travel as prebuilt envelopes (Call).
+// The client starts its envelopes when it fans out (StartBatch).
 type envCounter struct {
 	transport.Caller
 	mu     sync.Mutex
@@ -181,7 +182,7 @@ type envCounter struct {
 	client map[string]int
 }
 
-func (c *envCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+func (c *envCounter) count(addr string, reqs []*wire.Request) {
 	c.mu.Lock()
 	if len(reqs) > 0 && reqs[0].Op == wire.OpReplicate {
 		c.sync[addr]++
@@ -189,7 +190,16 @@ func (c *envCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respo
 		c.client[addr]++
 	}
 	c.mu.Unlock()
+}
+
+func (c *envCounter) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	c.count(addr, reqs)
 	return c.Caller.CallBatch(addr, reqs)
+}
+
+func (c *envCounter) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	c.count(addr, reqs)
+	return c.Caller.StartBatch(addr, reqs)
 }
 
 // startCountedDeployment is startDeployment with every envelope the

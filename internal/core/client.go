@@ -332,9 +332,9 @@ func (t *quorumTally) add(v readVote) {
 // winner gets an asynchronous read-repair push — a versioned replica
 // leg its LWW compare accepts only if still stale. A removed key can
 // "resurface" at quorum if a replica still holds the pre-remove value:
-// removes are tombstone-free, so an absent copy cannot be
-// distinguished from a never-written one; the winner among FOUND
-// copies is returned (documented in DESIGN.md §12).
+// the stores keep a remove's tombstone, but the vote cannot see it —
+// an absent copy answers like a never-written one (ROADMAP item 2) —
+// so the winner among FOUND copies is returned (DESIGN.md §12).
 func (c *Client) quorumLookup(key string, level wire.Consistency) ([]byte, error) {
 	c.metrics.quorumReads.Inc()
 	deadline := c.opDeadline()

@@ -52,11 +52,9 @@ func (hs *HandlerSwitch) Handle(req *wire.Request) *wire.Response {
 	h := hs.h
 	hs.mu.RUnlock()
 	if h == nil {
-		return &wire.Response{
-			Status:     wire.StatusBusy,
-			Err:        "core: instance still bootstrapping",
-			RetryAfter: uint64(2 * time.Millisecond),
-		}
+		r := statusResp(wire.StatusBusy)
+		r.Err, r.RetryAfter = "core: instance still bootstrapping", uint64(2*time.Millisecond)
+		return r
 	}
 	return h(req)
 }

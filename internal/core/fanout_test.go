@@ -12,8 +12,8 @@ import (
 	"zht/internal/wire"
 )
 
-// Tests for the client's fan-outs over TCP — QUORUM reads and batch
-// envelopes — which start every call before awaiting any.
+// Tests for the client's fan-outs — QUORUM reads and batch envelopes —
+// which start every call before awaiting any, over TCP and in process.
 
 // tcpDeployment boots n instances on loopback TCP, each handler
 // delayed by delay while slow is set, and returns the deployment, its
@@ -143,7 +143,7 @@ func TestQuorumReadSkipsClosedReplica(t *testing.T) {
 
 // probeCounter counts the replica-read probes a client sends, and
 // starts calls through the wrapped caller so TCP keeps its split
-// phase.
+// phase; batches go straight through.
 type probeCounter struct {
 	transport.Caller
 	probes atomic.Int64
@@ -162,11 +162,7 @@ func (p *probeCounter) Call(addr string, req *wire.Request) (*wire.Response, err
 
 func (p *probeCounter) Start(addr string, req *wire.Request) transport.Pending {
 	p.count(req)
-	return transport.Start(p.Caller, addr, req)
-}
-
-func (p *probeCounter) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
-	return transport.StartBatch(p.Caller, addr, reqs)
+	return p.Caller.Start(addr, req)
 }
 
 func TestQuorumReadSendsOneProbePerReplica(t *testing.T) {
@@ -189,6 +185,36 @@ func TestQuorumReadSendsOneProbePerReplica(t *testing.T) {
 	}
 	if n := pc.probes.Load(); n != reads {
 		t.Fatalf("%d replica probes for %d QUORUM reads at Replicas=1, want exactly one each", n, reads)
+	}
+}
+
+// inprocQuorumReadAllocs pins what an in-process QUORUM read at
+// Replicas=2 allocates under the default OpDeadline: the owner's read
+// is a budgeted call and each of the two replica probes a started one,
+// so each of the three costs its goroutine's closure and its answer
+// channel (the call itself lives in its Pending, by value); the probe
+// the quorum does not need is abandoned. The rest is the owner's
+// value copy and what the instances pay per read. 18 while a started
+// call ran on a fallback goroutine of its own that then made a
+// budgeted Call (its record, a second goroutine and a second channel).
+const inprocQuorumReadAllocs = 14
+
+func TestInprocQuorumReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	cfg := Config{NumPartitions: 16, Replicas: 2, AntiEntropy: -1}
+	_, _, c := startDeployment(t, cfg, 3)
+	if err := c.InsertWith("quorum-key", []byte("v"), wire.ConsistencyAll); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if v, err := c.LookupWith("quorum-key", wire.ConsistencyQuorum); err != nil || string(v) != "v" {
+			t.Fatalf("quorum read = %q, %v", v, err)
+		}
+	})
+	if allocs > inprocQuorumReadAllocs {
+		t.Fatalf("in-process QUORUM read at r=2: %.2f allocs/op, budget %d", allocs, inprocQuorumReadAllocs)
 	}
 }
 

@@ -55,6 +55,16 @@ func (e *epochCaller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Resp
 	return resps, err
 }
 
+// Start and StartBatch complete the call before returning: an
+// instance only ever calls, so nothing needs its calls split.
+func (e *epochCaller) Start(addr string, req *wire.Request) transport.Pending {
+	return transport.Settled(e.Call(addr, req))
+}
+
+func (e *epochCaller) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	return transport.SettledBatch(e.CallBatch(addr, reqs))
+}
+
 func (e *epochCaller) Close() error { return e.inner.Close() }
 
 // maxRespEpoch returns the freshest epoch piggybacked on a batch of
@@ -94,13 +104,19 @@ func alivePeers(t *ring.Table, self ring.InstanceID) []string {
 func (in *Instance) handleDeltaPull(req *wire.Request) *wire.Response {
 	cur := in.tableRef()
 	if req.Epoch >= cur.Epoch {
-		return &wire.Response{Status: wire.StatusOK, Value: gossip.EncodeDeltas(nil)}
+		r := statusResp(wire.StatusOK)
+		r.Value = gossip.EncodeDeltas(nil)
+		return r
 	}
 	if frames, ok := in.deltaLog.Since(req.Epoch, cur.Epoch); ok {
-		return &wire.Response{Status: wire.StatusOK, Value: gossip.EncodeDeltas(frames)}
+		r := statusResp(wire.StatusOK)
+		r.Value = gossip.EncodeDeltas(frames)
+		return r
 	}
 	in.met.gossipFullTables.Inc()
-	return &wire.Response{Status: wire.StatusOK, Value: gossip.EncodeFullTable(ring.EncodeTable(cur))}
+	r := statusResp(wire.StatusOK)
+	r.Value = gossip.EncodeFullTable(ring.EncodeTable(cur))
+	return r
 }
 
 // pullMembership is the gossip Pull of an instance and of a client: it

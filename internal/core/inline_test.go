@@ -38,6 +38,14 @@ func (g *guardCaller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Resp
 	return transport.EnvelopeCallBatch(g, addr, reqs)
 }
 
+func (g *guardCaller) Start(addr string, req *wire.Request) transport.Pending {
+	return transport.Settled(g.Call(addr, req))
+}
+
+func (g *guardCaller) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	return transport.SettledBatch(g.CallBatch(addr, reqs))
+}
+
 func (g *guardCaller) Close() error { return nil }
 
 // guarded boots n instances wired through a guardCaller and returns a

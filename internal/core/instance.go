@@ -451,7 +451,7 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpMigrate:
 		return in.handleMigrate(req)
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return statusResp(wire.StatusOK)
 	case wire.OpReport:
 		return in.handleReport(req)
 	case wire.OpBroadcast:
@@ -463,7 +463,7 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpDeltaPull:
 		return in.handleDeltaPull(req)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "core: unsupported op " + req.Op.String()}
+	return errResp("core: unsupported op " + req.Op.String())
 }
 
 // handleKV serves the four basic operations plus CAS as a batch of
@@ -647,6 +647,19 @@ func statusResp(st wire.Status) *wire.Response {
 	return r
 }
 
+// errResp draws a pooled StatusError response carrying msg. Handlers
+// answer only with pooled responses (statusResp, errResp, or one drawn
+// and filled in), since the transport returns every handler response to
+// the pool. Neither helper takes a Response by value: a Response
+// literal in a function on the request path (migrationGate,
+// HandlerSwitch.Handle) grows that function's stack frame even where
+// it never runs, and every request pays for the larger frames.
+func errResp(msg string) *wire.Response {
+	r := statusResp(wire.StatusError)
+	r.Err = msg
+	return r
+}
+
 // setErr answers resp with StatusError and err's text.
 func setErr(resp *wire.Response, err error) {
 	resp.Status = wire.StatusError
@@ -800,7 +813,9 @@ func (in *Instance) checkPartition(p int, key string) error {
 // handleMembership returns the current table.
 func (in *Instance) handleMembership() *wire.Response {
 	enc := ring.EncodeTable(in.tableRef())
-	return &wire.Response{Status: wire.StatusOK, Table: enc}
+	r := statusResp(wire.StatusOK)
+	r.Table = enc
+	return r
 }
 
 // handleDelta applies an incremental membership update (or adopts a
@@ -810,17 +825,18 @@ func (in *Instance) handleMembership() *wire.Response {
 func (in *Instance) handleDelta(req *wire.Request) *wire.Response {
 	if d, err := ring.DecodeDelta(req.Aux); err == nil {
 		if _, err := in.applyDelta(d, req.Aux); err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error(),
-				Table: ring.EncodeTable(in.tableRef())}
+			r := errResp(err.Error())
+			r.Table = ring.EncodeTable(in.tableRef())
+			return r
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return statusResp(wire.StatusOK)
 	}
 	t, err := ring.DecodeTable(req.Aux)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: delta payload is neither delta nor table"}
+		return errResp("core: delta payload is neither delta nor table")
 	}
 	in.adoptTableIfNewer(t) // an older table is a no-op: already current
-	return &wire.Response{Status: wire.StatusOK}
+	return statusResp(wire.StatusOK)
 }
 
 // afterTableChange reconciles local state with a new table: completes
@@ -863,16 +879,16 @@ func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
 func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
+		return errResp("core: bad partition")
 	}
 	switch string(req.Aux) {
 	case string(migrateLockMarker):
 		return in.handleMigrateLock(p)
 	case string(migrateAbortMarker):
 		in.completeMigration(p, "", false)
-		return &wire.Response{Status: wire.StatusOK}
+		return statusResp(wire.StatusOK)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "core: unknown migrate request"}
+	return errResp("core: unknown migrate request")
 }
 
 // handleMigrateLock serves the cutover request: the incoming owner has
@@ -883,14 +899,16 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 func (in *Instance) handleMigrateLock(p int) *wire.Response {
 	table := in.tableRef()
 	if table.OwnerOf(p).ID != in.self.ID {
-		return &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
+		r := statusResp(wire.StatusWrongOwner)
+		r.Table = ring.EncodeTable(table)
+		return r
 	}
 	ps := in.lockForMove(p)
 	if ps == nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: partition already migrating"}
+		return errResp("core: partition already migrating")
 	}
 	in.migrationWatchdog(p, ps)
-	return &wire.Response{Status: wire.StatusOK}
+	return statusResp(wire.StatusOK)
 }
 
 // lockForMove begins an outgoing migration of partition p — new
@@ -979,9 +997,9 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 		select {
 		case <-ps.done:
 		case <-time.After(migrationTimeout + time.Second):
-			return &wire.Response{Status: wire.StatusError, Err: "core: migration stuck"}
+			return errResp("core: migration stuck")
 		case <-in.closed:
-			return &wire.Response{Status: wire.StatusError, Err: "core: instance closed"}
+			return errResp("core: instance closed")
 		}
 	}
 	if !ps.ok {
@@ -989,7 +1007,7 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 			// Migration rolled back; serve normally.
 			return nil
 		}
-		return &wire.Response{Status: wire.StatusError, Err: "core: migration failed"}
+		return errResp("core: migration failed")
 	}
 	if testGateVerdict != nil {
 		testGateVerdict(in, p)
@@ -1039,17 +1057,19 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	table := in.tableRef()
 	idx := table.IndexOf(accused)
 	if idx < 0 {
-		return &wire.Response{Status: wire.StatusError, Err: "core: report for unknown instance"}
+		return errResp("core: report for unknown instance")
 	}
 	if table.Status[idx] != ring.Alive {
 		// Already handled; return the fresher table.
-		return &wire.Response{Status: wire.StatusOK, Table: ring.EncodeTable(table)}
+		r := statusResp(wire.StatusOK)
+		r.Table = ring.EncodeTable(table)
+		return r
 	}
 	// Verify: a single ping with the transport's timeout. The client
 	// already retried with exponential backoff before reporting.
 	if accused != in.self.ID {
 		if r, _ := call(in.caller, table.Instances[idx].Addr, &wire.Request{Op: wire.OpPing}); r.status == wire.StatusOK {
-			return &wire.Response{Status: wire.StatusError, Err: "core: accused instance is alive"}
+			return errResp("core: accused instance is alive")
 		}
 	}
 	// This table may not show yet that the accused departed or failed
@@ -1059,19 +1079,23 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 		if tgt := failoverTarget(table, parts[0], in.cfg.Replicas); tgt.ID != "" && tgt.ID != in.self.ID {
 			in.gossipPull(tgt.Addr)
 			if table = in.tableRef(); table.Status[idx] != ring.Alive {
-				return &wire.Response{Status: wire.StatusOK, Table: ring.EncodeTable(table)}
+				r := statusResp(wire.StatusOK)
+				r.Table = ring.EncodeTable(table)
+				return r
 			}
 		}
 	}
 	d, err := table.PlanFailure(accused, max(in.cfg.Replicas, 1))
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		return errResp(err.Error())
 	}
 	nt, err := in.applyAndAnnounce(table, d)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		return errResp(err.Error())
 	}
-	return &wire.Response{Status: wire.StatusOK, Table: ring.EncodeTable(nt)}
+	r := statusResp(wire.StatusOK)
+	r.Table = ring.EncodeTable(nt)
+	return r
 }
 
 // applyAndAnnounce applies d, planned on old, to the local table and
@@ -1146,11 +1170,11 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 	n := len(table.Instances)
 	origin := int(req.Partition)
 	if origin < 0 || origin >= n {
-		return &wire.Response{Status: wire.StatusError, Err: "core: bad broadcast origin"}
+		return errResp("core: bad broadcast origin")
 	}
 	myIdx := table.IndexOf(in.self.ID)
 	if myIdx < 0 {
-		return &wire.Response{Status: wire.StatusError, Err: "core: not a member"}
+		return errResp("core: not a member")
 	}
 	in.bmu.Lock()
 	in.bcast[req.Key] = append([]byte(nil), req.Value...)
@@ -1171,7 +1195,7 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 		addr := table.Instances[childIdx].Addr
 		in.async.goAsync(func() { call(in.caller, addr, &fwd) })
 	}
-	return &wire.Response{Status: wire.StatusOK}
+	return statusResp(wire.StatusOK)
 }
 
 // BroadcastValue returns the locally delivered broadcast value for

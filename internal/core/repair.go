@@ -65,7 +65,7 @@ func (in *Instance) PartitionDigest(p int) []uint64 {
 func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
+		return errResp("core: bad partition")
 	}
 	resp := wire.GetResponse()
 	resp.Status, resp.Value = wire.StatusOK, repair.EncodeDigest(storage.DigestVersion, in.PartitionDigest(p))
@@ -99,30 +99,32 @@ func (in *Instance) remoteDigest(b []byte) ([]uint64, error) {
 func (in *Instance) handleRepairPull(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return &wire.Response{Status: wire.StatusError, Err: "core: bad partition"}
+		return errResp("core: bad partition")
 	}
 	leaves, err := repair.DecodeLeafSet(req.Aux)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		return errResp(err.Error())
 	}
 	if len(req.Value) > 0 {
 		pairs, err := repair.DecodePairs(req.Value)
 		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return errResp(err.Error())
 		}
 		// FlagWholesale distinguishes a live owner's complete image
 		// (migration pushes — absentees may be deleted) from an acting
 		// authority's best-effort push (read-repair — upsert only).
 		if err := in.applyLeafContent(p, leaves, pairs, req.Flags&wire.FlagWholesale != 0); err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return errResp(err.Error())
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return statusResp(wire.StatusOK)
 	}
 	pairs, err := in.collectLeafPairs(p, leaves)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		return errResp(err.Error())
 	}
-	return &wire.Response{Status: wire.StatusOK, Value: repair.EncodePairs(pairs)}
+	r := statusResp(wire.StatusOK)
+	r.Value = repair.EncodePairs(pairs)
+	return r
 }
 
 // collectLeafPairs snapshots the local pairs falling in the given

@@ -215,6 +215,14 @@ func (b *busyFirst) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respon
 	return transport.EnvelopeCallBatch(b, addr, reqs)
 }
 
+func (b *busyFirst) Start(addr string, req *wire.Request) transport.Pending {
+	return transport.Settled(b.Call(addr, req))
+}
+
+func (b *busyFirst) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	return transport.SettledBatch(b.CallBatch(addr, reqs))
+}
+
 func (b *busyFirst) Close() error { return b.inner.Close() }
 
 func TestClientRetriesThroughBusy(t *testing.T) {
@@ -307,6 +315,12 @@ func (f callerFunc) Call(addr string, req *wire.Request) (*wire.Response, error)
 }
 func (f callerFunc) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
 	return transport.EnvelopeCallBatch(f, addr, reqs)
+}
+func (f callerFunc) Start(addr string, req *wire.Request) transport.Pending {
+	return transport.Settled(f(addr, req))
+}
+func (f callerFunc) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	return transport.SettledBatch(f.CallBatch(addr, reqs))
 }
 func (f callerFunc) Close() error { return nil }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,58 +15,65 @@ import (
 )
 
 // countingCaller counts the messages a client sends through it: plain
-// calls (by op) and batched envelopes. It does not implement
-// transport.Starter, so a started call runs on a goroutine of its own;
-// offGoroutine counts the calls that did not run on the test's
-// goroutine.
+// calls (by op) and batched envelopes, and among both the ones started
+// (Start, StartBatch) rather than called.
 type countingCaller struct {
 	inner transport.Caller
 
-	mu           sync.Mutex
-	calls        map[wire.Op]int
-	envelopes    int
-	offGoroutine int
+	mu        sync.Mutex
+	calls     map[wire.Op]int
+	envelopes int
+	started   int
 }
 
 func newCountingCaller(inner transport.Caller) *countingCaller {
 	return &countingCaller{inner: inner, calls: make(map[wire.Op]int)}
 }
 
-// onTestGoroutine reports whether the caller's stack leads back to the
-// testing package's runner, i.e. whether it runs on a test goroutine.
-func onTestGoroutine() bool {
-	buf := make([]byte, 64<<10)
-	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("testing.tRunner("))
+func (cc *countingCaller) count(op wire.Op, envelope, started bool) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if envelope {
+		cc.envelopes++
+	} else {
+		cc.calls[op]++
+	}
+	if started {
+		cc.started++
+	}
 }
 
 func (cc *countingCaller) Call(addr string, req *wire.Request) (*wire.Response, error) {
-	off := !onTestGoroutine()
-	cc.mu.Lock()
-	cc.calls[req.Op]++
-	if off {
-		cc.offGoroutine++
-	}
-	cc.mu.Unlock()
+	cc.count(req.Op, false, false)
 	return cc.inner.Call(addr, req)
 }
 
 func (cc *countingCaller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
-	cc.mu.Lock()
-	cc.envelopes++
-	cc.mu.Unlock()
+	cc.count(wire.OpBatch, true, false)
 	return cc.inner.CallBatch(addr, reqs)
+}
+
+func (cc *countingCaller) Start(addr string, req *wire.Request) transport.Pending {
+	cc.count(req.Op, false, true)
+	return cc.inner.Start(addr, req)
+}
+
+func (cc *countingCaller) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	cc.count(wire.OpBatch, true, true)
+	return cc.inner.StartBatch(addr, reqs)
 }
 
 func (cc *countingCaller) Close() error { return cc.inner.Close() }
 
-// totals returns the plain calls of every op and the envelopes sent.
-func (cc *countingCaller) totals() (calls, envelopes, off int) {
+// totals returns the plain calls of every op, the envelopes sent, and
+// how many of either were started.
+func (cc *countingCaller) totals() (calls, envelopes, started int) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for _, n := range cc.calls {
 		calls += n
 	}
-	return calls, cc.envelopes, cc.offGoroutine
+	return calls, cc.envelopes, cc.started
 }
 
 // keysOwnedBy returns n keys whose partitions the instance at ring
@@ -242,9 +247,8 @@ func TestStragglersRerouteAsEnvelopes(t *testing.T) {
 }
 
 // TestSingleOpIsPlainCall pins that a single op of every kind is one
-// plain Call on the calling goroutine — no envelope and no goroutine —
-// over a transport without a native split-phase call, and that the
-// single-op metrics keep counting single ops only.
+// plain Call on the calling goroutine — no envelope and no started
+// call — and that the single-op metrics keep counting single ops only.
 func TestSingleOpIsPlainCall(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	cfg := testCfg()
@@ -277,11 +281,11 @@ func TestSingleOpIsPlainCall(t *testing.T) {
 			n++
 		}
 	}
-	calls, envelopes, off := cc.totals()
-	if calls != n || envelopes != 0 || off != 0 {
+	calls, envelopes, started := cc.totals()
+	if calls != n || envelopes != 0 || started != 0 {
 		cc.mu.Lock()
-		t.Fatalf("%d single ops made %d calls (%v), %d envelopes, %d calls off the calling goroutine; want %d, 0, 0",
-			n, calls, cc.calls, envelopes, off, n)
+		t.Fatalf("%d single ops made %d calls (%v), %d envelopes, %d started calls; want %d, 0, 0",
+			n, calls, cc.calls, envelopes, started, n)
 	}
 	if got := mreg.Counter("zht.client.ops").Value(); got != int64(n) {
 		t.Fatalf("zht.client.ops = %d, want %d", got, n)
@@ -298,9 +302,9 @@ func TestSingleOpIsPlainCall(t *testing.T) {
 	if _, err := c.Batch([]BatchOp{{Op: wire.OpLookup, Key: "single-0"}}); err != nil {
 		t.Fatal(err)
 	}
-	if calls, envelopes, off := cc.totals(); calls != n+1 || envelopes != 0 || off != 0 {
-		t.Fatalf("a batch of one made %d calls, %d envelopes, %d off the calling goroutine; want 1, 0, 0",
-			calls-n, envelopes, off)
+	if calls, envelopes, started := cc.totals(); calls != n+1 || envelopes != 0 || started != 0 {
+		t.Fatalf("a batch of one made %d calls, %d envelopes, %d started calls; want 1, 0, 0",
+			calls-n, envelopes, started)
 	}
 	if got := mreg.Counter("zht.client.batches").Value(); got != 1 {
 		t.Fatalf("zht.client.batches = %d after one Batch, want 1", got)

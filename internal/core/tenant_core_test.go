@@ -9,6 +9,7 @@ import (
 	"zht/internal/metrics"
 	"zht/internal/ring"
 	"zht/internal/tenant"
+	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -163,6 +164,14 @@ func (f *busyHintCaller) CallBatch(addr string, reqs []*wire.Request) ([]*wire.R
 		rs[i] = &wire.Response{Status: wire.StatusOK}
 	}
 	return rs, nil
+}
+
+func (f *busyHintCaller) Start(addr string, req *wire.Request) transport.Pending {
+	return transport.Settled(f.Call(addr, req))
+}
+
+func (f *busyHintCaller) StartBatch(addr string, reqs []*wire.Request) transport.Pending {
+	return transport.SettledBatch(f.CallBatch(addr, reqs))
 }
 
 func (f *busyHintCaller) Close() error { return nil }

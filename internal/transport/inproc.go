@@ -158,95 +158,151 @@ func (r *Registry) NewClient() *InprocClient { return &InprocClient{reg: r} }
 // Call implements Caller by direct dispatch. Requests and responses
 // are copied across the boundary (wire.CopyRequest, wire.CopyResponse)
 // so callers and handlers cannot alias each other's buffers and each
-// side sees exactly the message a real transport would deliver. The
-// request's Budget (remaining deadline) bounds synthetic latency and
-// handler execution; a handler still running at the deadline keeps
-// running server-side, but the caller observes ErrTimeout — matching
-// what a datagram client sees when the ack arrives too late.
+// side sees exactly the message a real transport would deliver. A call
+// without a Budget runs the handler on the calling goroutine; one with
+// a Budget is Start then Wait.
 func (c *InprocClient) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	if req.Budget > 0 {
+		p := c.Start(addr, req)
+		return p.Wait()
+	}
+	srv, dreq, buf, delay, err := c.send(addr, req, time.Time{})
+	if err != nil {
+		return nil, err
+	}
+	return srv.copyOut(srv.serve(dreq, buf, delay), addr, req.Seq)
+}
+
+// Start implements Caller: it copies req, as Call does, and runs the
+// handler on a goroutine of its own. The budget bounds synthetic
+// latency and handler execution: a handler still running at the
+// deadline keeps running server-side, but Wait reports ErrTimeout —
+// what a datagram client sees when the ack arrives too late.
+func (c *InprocClient) Start(addr string, req *wire.Request) Pending {
 	deadline := callDeadline(req, 0)
+	srv, dreq, buf, delay, err := c.send(addr, req, deadline)
+	if err != nil {
+		return Pending{err: err}
+	}
+	p := Pending{srv: srv, addr: addr, seq: req.Seq, deadline: deadline}
+	if dreq != nil {
+		ch := make(chan *wire.Response, 1)
+		go func() { ch <- srv.serve(dreq, buf, delay) }()
+		p.ch = ch
+	}
+	return p
+}
+
+// StartBatch implements Caller by starting one OpBatch envelope
+// carrying reqs.
+func (c *InprocClient) StartBatch(addr string, reqs []*wire.Request) Pending {
+	if len(reqs) == 0 {
+		return Pending{}
+	}
+	c.reg.cmet.batches.Inc()
+	c.reg.cmet.batchSubs.Observe(int64(len(reqs)))
+	env := wire.NewBatchRequest(reqs)
+	p := c.Start(addr, env)
+	p.req, p.subs = env, len(reqs)
+	return p
+}
+
+// send finds addr's server and copies req for its handler: a pooled
+// struct and buffer, recycled once the handler returns, exactly like a
+// decoded TCP frame (byte accounting counts the encoded size). It
+// refuses a down or unbound address and a spent budget; a closing
+// server is refused by enter instead, as reading closed here too would
+// cost a cache miss on the line every core's enter and exit write. It
+// reports the call's synthetic latency, and copies nothing when that
+// outlasts the deadline: the request lands too late for any handler.
+func (c *InprocClient) send(addr string, req *wire.Request, deadline time.Time) (srv *InprocServer, dreq *wire.Request, buf []byte, delay time.Duration, err error) {
 	v := c.reg.view.Load()
-	srv := v.endpoints[addr]
-	// A closing server is refused by enter below; reading closed here
-	// too would cost a cache miss on the line every core's enter and
-	// exit write.
+	srv = v.endpoints[addr]
 	if v.down[addr] || srv == nil {
-		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
+		return nil, nil, nil, 0, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
 	}
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return nil, fmt.Errorf("%w: inproc %q: budget exhausted", ErrTimeout, addr)
+		return nil, nil, nil, 0, fmt.Errorf("%w: inproc %q: budget exhausted", ErrTimeout, addr)
 	}
 	if v.latency != nil {
-		if d := v.latency(addr); d > 0 {
-			if !deadline.IsZero() {
-				if rem := time.Until(deadline); d >= rem {
-					// The request (or its ack) lands past the
-					// deadline; the caller observes a timeout.
-					time.Sleep(rem)
-					return nil, fmt.Errorf("%w: inproc %q", ErrTimeout, addr)
-				}
-			}
-			time.Sleep(d)
+		if delay = v.latency(addr); !deadline.IsZero() && delay >= time.Until(deadline) {
+			return srv, nil, nil, delay, nil
 		}
 	}
 	c.reg.cmet.calls.Inc()
-	if !srv.enter() {
-		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
-	}
-	srv.met.requests.Inc()
-	// The handler's request lives in a pooled struct and buffer, both
-	// recycled once the handler returns, exactly like a decoded TCP
-	// frame. Byte accounting counts the encoded size.
 	dreq, buf, n, err := wire.CopyRequest(req)
 	srv.met.bytesIn.Add(int64(n))
 	c.reg.cmet.bytesOut.Add(int64(n))
-	if err != nil {
-		srv.exit()
-		return nil, err
+	return srv, dreq, buf, delay, err
+}
+
+// serve runs the handler on a copied request once the synthetic
+// latency has passed, and recycles the copy. It returns nil, without
+// running the handler, once Close has begun.
+func (s *InprocServer) serve(dreq *wire.Request, buf []byte, delay time.Duration) *wire.Response {
+	if delay > 0 {
+		time.Sleep(delay)
 	}
-	if deadline.IsZero() {
-		srv.met.inflight.Inc()
-		resp := srv.handler(dreq)
-		srv.met.inflight.Dec()
-		srv.exit()
-		wire.PutRequest(dreq)
-		wire.PutBuffer(buf)
-		return c.copyResponse(srv, resp, req.Seq)
+	var resp *wire.Response
+	if s.enter() {
+		s.met.requests.Inc()
+		s.met.inflight.Inc()
+		resp = s.handler(dreq)
+		s.met.inflight.Dec()
+		s.exit()
 	}
-	done := make(chan *wire.Response, 1)
-	go func() {
-		srv.met.inflight.Inc()
-		resp := srv.handler(dreq)
-		srv.met.inflight.Dec()
-		srv.exit()
-		wire.PutRequest(dreq)
-		wire.PutBuffer(buf)
-		done <- resp
-	}()
-	timer := getTimer(time.Until(deadline))
-	defer putTimer(timer)
+	wire.PutRequest(dreq)
+	wire.PutBuffer(buf)
+	return resp
+}
+
+// waitInproc collects a call started in process: its handler's
+// response arrives on p.ch, which is nil when no handler runs.
+func (p *Pending) waitInproc() (*wire.Response, error) {
+	var expire <-chan time.Time
+	if !p.deadline.IsZero() {
+		timer := getTimer(max(time.Until(p.deadline), lateGrace))
+		defer putTimer(timer)
+		expire = timer.C
+	}
 	select {
-	case resp := <-done:
-		return c.copyResponse(srv, resp, req.Seq)
-	case <-timer.C:
-		// The handler's response, once it comes, goes back to the pool.
-		go func() { wire.PutResponse(<-done) }()
-		return nil, fmt.Errorf("%w: inproc %q: handler exceeded budget", ErrTimeout, addr)
+	case resp := <-p.ch:
+		return p.srv.copyOut(resp, p.addr, p.seq)
+	case <-expire:
+		p.abandonInproc()
+		return nil, fmt.Errorf("%w: inproc %q: no answer within the budget", ErrTimeout, p.addr)
 	}
 }
 
-// copyResponse copies a handler response for the caller
+// abandonInproc puts the handler's response back in the pool: at once
+// when it has arrived, otherwise from a goroutine that waits for it.
+func (p *Pending) abandonInproc() {
+	select {
+	case resp := <-p.ch:
+		wire.PutResponse(resp)
+	default:
+		if p.ch != nil {
+			go func(ch chan *wire.Response) { wire.PutResponse(<-ch) }(p.ch)
+		}
+	}
+}
+
+// copyOut copies a handler response for the caller
 // (wire.CopyResponse), stamps the caller's sequence number, and
-// accounts the response's encoded size to both sides. The handler's
-// response is recycled after the copy (the transport owns it; see
-// Handler); the caller's copy holds its Value and Table in one
-// allocation of their size, which outlives the call like the TCP
-// client's right-sized value copy.
-func (c *InprocClient) copyResponse(srv *InprocServer, resp *wire.Response, seq uint64) (*wire.Response, error) {
+// accounts the response's encoded size to both sides; a nil response
+// (the server was closing) is ErrUnreachable. The handler's response
+// is recycled after the copy (the transport owns it; see Handler); the
+// caller's copy holds its Value and Table in one allocation of their
+// size, which outlives the call like the TCP client's right-sized
+// value copy.
+func (s *InprocServer) copyOut(resp *wire.Response, addr string, seq uint64) (*wire.Response, error) {
+	if resp == nil {
+		return nil, fmt.Errorf("%w: inproc %q", ErrUnreachable, addr)
+	}
 	dresp, n, err := wire.CopyResponse(resp)
 	wire.PutResponse(resp)
-	srv.met.bytesOut.Add(int64(n))
-	c.reg.cmet.bytesIn.Add(int64(n))
+	s.met.bytesOut.Add(int64(n))
+	s.reg.cmet.bytesIn.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}

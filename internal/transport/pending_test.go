@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,11 +12,10 @@ import (
 	"zht/internal/wire"
 )
 
-// Tests for the split-phase call (Starter, Pending): several calls in
-// flight from one goroutine and awaited in any order, abandoned,
-// failed under, or timed out — and the goroutine fallback for callers
-// without a native Start. Run under -race -count=50 when the TCP
-// client's read role changes.
+// Tests for the split-phase call (Caller.Start, Pending): several calls
+// in flight from one goroutine and awaited in any order, abandoned,
+// failed under, or timed out, on TCP, in process and over UDP. Run
+// under -race -count=50 when the TCP client's read role changes.
 
 // batchEcho answers an OpBatch envelope with echoHandler's answer per
 // sub-request, and anything else with echoHandler's.
@@ -42,7 +43,7 @@ func TestStartsOnOneConnectionWaitedInReverse(t *testing.T) {
 	const n = 8
 	var calls [n]Pending
 	for i := range calls {
-		calls[i] = Start(c, peer.addr(), lookup(fmt.Sprintf("k%d", i)))
+		calls[i] = c.Start(peer.addr(), lookup(fmt.Sprintf("k%d", i)))
 	}
 	conn := peer.accept()
 	keyOf := make(map[uint64]string)
@@ -99,7 +100,7 @@ func TestStartedCallsOverlap(t *testing.T) {
 	start := time.Now()
 	var calls [2]Pending
 	for i, addr := range addrs {
-		calls[i] = Start(c, addr, lookup("slow"))
+		calls[i] = c.Start(addr, lookup("slow"))
 	}
 	for i := range calls {
 		resp, err := calls[i].Wait()
@@ -116,7 +117,7 @@ func TestAbandonedReplyIsNeverDelivered(t *testing.T) {
 	peer := newScriptPeer(t)
 	reg := metrics.NewRegistry()
 	c := oneConnClient(t, reg)
-	a := Start(c, peer.addr(), lookup("abandoned"))
+	a := c.Start(peer.addr(), lookup("abandoned"))
 	conn := peer.accept()
 	ra := conn.next()
 	a.Abandon()
@@ -135,7 +136,7 @@ func TestAbandonedReplyIsNeverDelivered(t *testing.T) {
 	var held [][]byte
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("k%d", i)
-		p := Start(c, peer.addr(), lookup(key))
+		p := c.Start(peer.addr(), lookup(key))
 		r := conn.next()
 		if i == 0 {
 			conn.reply(ra)
@@ -160,7 +161,7 @@ func TestResetBetweenStartAndWait(t *testing.T) {
 		peer := newScriptPeer(t)
 		reg := metrics.NewRegistry()
 		c := oneConnClient(t, reg)
-		p := Start(c, peer.addr(), lookup("a"))
+		p := c.Start(peer.addr(), lookup("a"))
 		conn := peer.accept()
 		conn.next()
 		conn.c.Close()
@@ -183,7 +184,7 @@ func TestResetBetweenStartAndWait(t *testing.T) {
 	t.Run("destination gone", func(t *testing.T) {
 		peer := newScriptPeer(t)
 		c := oneConnClient(t, nil)
-		p := Start(c, peer.addr(), lookup("a"))
+		p := c.Start(peer.addr(), lookup("a"))
 		conn := peer.accept()
 		conn.next()
 		peer.ln.Close()
@@ -200,7 +201,7 @@ func TestDeadlinePassesInsideWait(t *testing.T) {
 	c := oneConnClient(t, reg)
 	req := lookup("late")
 	req.Budget = uint64(50 * time.Millisecond)
-	p := Start(c, peer.addr(), req)
+	p := c.Start(peer.addr(), req)
 	conn := peer.accept()
 	rl := conn.next()
 	start := time.Now()
@@ -234,7 +235,7 @@ func TestLateWaitCollectsArrivedAnswers(t *testing.T) {
 	for i := range calls {
 		req := lookup(fmt.Sprintf("k%d", i))
 		req.Budget = uint64(20 * time.Millisecond)
-		calls[i] = Start(c, peer.addr(), req)
+		calls[i] = c.Start(peer.addr(), req)
 	}
 	conn := peer.accept()
 	r0, r1 := conn.next(), conn.next()
@@ -247,40 +248,6 @@ func TestLateWaitCollectsArrivedAnswers(t *testing.T) {
 	}
 	if d := reg.Counter("zht.transport.dials").Value(); d != 1 {
 		t.Fatalf("%d dials, want 1", d)
-	}
-}
-
-func TestStartFallsBackToAGoroutine(t *testing.T) {
-	reg := NewRegistry()
-	srv, err := reg.Listen("fallback", batchEcho)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	reg.SetLatency(func(string) time.Duration { return 20 * time.Millisecond })
-	var c Caller = reg.NewClient()
-	if _, ok := c.(Starter); ok {
-		t.Fatal("the in-process client starts calls natively: this test no longer covers the fallback")
-	}
-
-	req := lookup("a")
-	p := Start(c, "fallback", req)
-	abandoned := Start(c, "fallback", lookup("abandoned"))
-	abandoned.Abandon() // returns at once; the call finishes on its goroutine
-	*req = wire.Request{Key: "reused"}
-	resp, err := p.Wait()
-	wantValue(t, "fallback call", outcome{resp, err}, "echo:a:")
-
-	reqs := []*wire.Request{lookup("x"), lookup("y")}
-	b := StartBatch(c, "fallback", reqs)
-	reqs[0].Key = "reused"
-	rs, err := b.WaitBatch()
-	if err != nil || len(rs) != 2 || string(rs[0].Value) != "echo:x:" || string(rs[1].Value) != "echo:y:" {
-		t.Fatalf("fallback batch = %v, %v", rs, err)
-	}
-	empty := StartBatch(c, "fallback", nil)
-	if rs, err := empty.WaitBatch(); rs != nil || err != nil {
-		t.Fatalf("empty batch = %v, %v", rs, err)
 	}
 }
 
@@ -300,7 +267,7 @@ func TestStartBatchOverTCP(t *testing.T) {
 	defer c.Close()
 	var calls [2]Pending
 	for i, addr := range addrs {
-		calls[i] = StartBatch(c, addr, []*wire.Request{lookup(fmt.Sprintf("s%d-a", i)), lookup(fmt.Sprintf("s%d-b", i))})
+		calls[i] = c.StartBatch(addr, []*wire.Request{lookup(fmt.Sprintf("s%d-a", i)), lookup(fmt.Sprintf("s%d-b", i))})
 	}
 	for i := range calls {
 		rs, err := calls[i].WaitBatch()
@@ -313,55 +280,148 @@ func TestStartBatchOverTCP(t *testing.T) {
 			}
 		}
 	}
-	abandoned := StartBatch(c, addrs[0], []*wire.Request{lookup("gone")})
+	abandoned := c.StartBatch(addrs[0], []*wire.Request{lookup("gone")})
 	abandoned.Abandon()
 	if rs, err := c.CallBatch(addrs[0], []*wire.Request{lookup("after")}); err != nil || string(rs[0].Value) != "echo:after:" {
 		t.Fatalf("batch after an abandoned one = %v, %v", rs, err)
 	}
 }
 
-// pooledCaller answers every call with responses drawn from the wire
-// pools, and does not implement Starter.
-type pooledCaller struct{}
-
-func (pooledCaller) Call(string, *wire.Request) (*wire.Response, error) {
-	return wire.GetResponse(), nil
+// Started calls and batches answer as Call and CallBatch do on every
+// transport, and the transport keeps nothing of the requests once they
+// are waited for: the caller overwrites them, and the answers it holds
+// and the calls that follow are unchanged.
+func TestStartedCallsAllTransports(t *testing.T) {
+	for name, mk := range callersUnderTest(t, batchEcho) {
+		t.Run(name, func(t *testing.T) {
+			c, addr := mk()
+			req := lookup("a")
+			reqs := []*wire.Request{lookup("x"), lookup("y")}
+			p := c.Start(addr, req)
+			b := c.StartBatch(addr, reqs)
+			resp, err := p.Wait()
+			wantValue(t, "started call", outcome{resp, err}, "echo:a:")
+			rs, err := b.WaitBatch()
+			if err != nil || len(rs) != 2 {
+				t.Fatalf("started batch = %v, %v", rs, err)
+			}
+			*req = wire.Request{Op: wire.OpLookup, Key: "reused"}
+			*reqs[0] = wire.Request{Op: wire.OpLookup, Key: "reused"}
+			if again, err := c.Call(addr, req); err != nil || string(again.Value) != "echo:reused:" {
+				t.Fatalf("call on the reused request = %v, %v", again, err)
+			}
+			if string(resp.Value) != "echo:a:" || string(rs[0].Value) != "echo:x:" || string(rs[1].Value) != "echo:y:" {
+				t.Fatalf("answers changed after their requests were reused: %q, %q, %q", resp.Value, rs[0].Value, rs[1].Value)
+			}
+			empty := c.StartBatch(addr, nil)
+			if rs, err := empty.WaitBatch(); rs != nil || err != nil {
+				t.Fatalf("empty batch = %v, %v", rs, err)
+			}
+		})
+	}
 }
 
-func (pooledCaller) CallBatch(_ string, reqs []*wire.Request) ([]*wire.Response, error) {
-	rs := make([]*wire.Response, len(reqs))
-	for i := range rs {
-		rs[i] = wire.GetResponse()
+// A UDP batch too large for one datagram goes out as several
+// envelopes, one after another, inside StartBatch; WaitBatch hands
+// back every answer in request order.
+func TestUDPStartBatchAcrossDatagrams(t *testing.T) {
+	var served atomic.Int64
+	srv, err := ListenUDP("127.0.0.1:0", func(req *wire.Request) *wire.Response {
+		served.Add(1)
+		return batchEcho(req)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rs, nil
+	defer srv.Close()
+	c := NewUDPClient(UDPClientOptions{})
+	defer c.Close()
+	big := bytes.Repeat([]byte{'v'}, 20<<10)
+	reqs := make([]*wire.Request, 4)
+	for i := range reqs {
+		reqs[i] = &wire.Request{Op: wire.OpInsert, Key: fmt.Sprint(i), Value: big}
+	}
+	p := c.StartBatch(srv.Addr(), reqs)
+	if n := served.Load(); n < 2 {
+		t.Fatalf("%d envelopes served when StartBatch returned, want every chunk (>= 2)", n)
+	}
+	rs, err := p.WaitBatch()
+	if err != nil || len(rs) != len(reqs) {
+		t.Fatalf("batch across datagrams = %d answers, %v", len(rs), err)
+	}
+	for i, r := range rs {
+		if want := fmt.Sprintf("echo:%d:", i); !bytes.HasPrefix(r.Value, []byte(want)) || len(r.Value) != len(want)+len(big) {
+			t.Fatalf("answer %d = %d bytes starting %q, want the echo of request %d", i, len(r.Value), r.Value[:min(len(r.Value), 16)], i)
+		}
+	}
 }
 
-func (pooledCaller) Close() error { return nil }
+// gatedHandler answers with a pooled response once gate lets it, and
+// counts the answers it has given.
+type gatedHandler struct {
+	gate     chan struct{}
+	answered atomic.Int64
+}
 
-// An abandoned fallback call returns its response to the pools exactly
-// once, whether Abandon runs before or after the call's goroutine
-// finishes: gets and puts end level, never puts ahead.
-func TestAbandonedFallbackReturnsResponses(t *testing.T) {
-	reg := metrics.NewRegistry()
-	wire.EnablePoolMetrics(reg)
-	defer wire.EnablePoolMetrics(nil)
-	gets, puts := reg.Counter("zht.wire.pool.gets"), reg.Counter("zht.wire.pool.puts")
-	const n = 200
-	for i := 0; i < n; i++ {
-		p := Start(pooledCaller{}, "fallback", lookup("a"))
-		b := StartBatch(pooledCaller{}, "fallback", []*wire.Request{lookup("x"), lookup("y")})
-		if i%2 == 1 {
-			time.Sleep(10 * time.Microsecond) // let some calls finish first
-		}
-		p.Abandon()
-		b.Abandon()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for gets.Value() != 3*n || puts.Value() != gets.Value() {
-		if time.Now().After(deadline) {
-			t.Fatalf("after %d abandoned calls of 3 responses: pool gets %d, puts %d", n, gets.Value(), puts.Value())
-		}
-		time.Sleep(time.Millisecond)
+func (g *gatedHandler) handle(*wire.Request) *wire.Response {
+	<-g.gate
+	r := wire.GetResponse()
+	r.Status = wire.StatusOK
+	r.SetPooledValue(append(wire.GetBuffer(), "pooled"...))
+	g.answered.Add(1)
+	return r
+}
+
+// An abandoned started call returns every pooled object it drew to the
+// pools exactly once, whether it is abandoned before its handler
+// answers or after the answer has arrived: once the servers are quiet,
+// gets and puts are level. In process, "after" means the answer sits
+// in the call's channel; over UDP, in the socket, where the next call
+// on it drops it as stale.
+func TestAbandonedStartedCallsReturnResponses(t *testing.T) {
+	for _, name := range []string{"inproc", "udp"} {
+		t.Run(name, func(t *testing.T) {
+			g := &gatedHandler{gate: make(chan struct{})}
+			c, addr := callersUnderTest(t, g.handle)[name]()
+			reg := metrics.NewRegistry()
+			wire.EnablePoolMetrics(reg)
+			defer wire.EnablePoolMetrics(nil)
+			gets, puts := reg.Counter("zht.wire.pool.gets"), reg.Counter("zht.wire.pool.puts")
+			const n = 50
+			for i := 0; i < n; i++ {
+				p := c.Start(addr, lookup("k"))
+				if i%2 == 0 {
+					p.Abandon() // before the handler answers
+					g.gate <- struct{}{}
+				} else {
+					g.gate <- struct{}{}
+					for g.answered.Load() < int64(i+1) {
+						time.Sleep(10 * time.Microsecond)
+					}
+					if p.srv != nil {
+						for len(p.ch) == 0 {
+							time.Sleep(10 * time.Microsecond)
+						}
+					} else {
+						time.Sleep(time.Millisecond) // the datagram reaches the socket
+					}
+					p.Abandon()
+				}
+			}
+			close(g.gate)
+			// A call that follows reads any stale datagram left in the
+			// socket it reuses.
+			resp, err := c.Call(addr, lookup("last"))
+			wantValue(t, "call after the abandoned ones", outcome{resp, err}, "pooled")
+			wire.PutResponse(resp)
+			deadline := time.Now().Add(5 * time.Second)
+			for gets.Value() == 0 || puts.Value() != gets.Value() {
+				if time.Now().After(deadline) {
+					t.Fatalf("after %d abandoned calls: pool gets %d, puts %d", n, gets.Value(), puts.Value())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

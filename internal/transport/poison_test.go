@@ -166,13 +166,14 @@ func TestServerFramesRecycled(t *testing.T) {
 }
 
 // TestCopySemanticsBothWays pins that a call copies its messages both
-// ways on every transport. The handler retains a copy of each request
+// ways on every transport, whether it is made with Call or started and
+// then waited for (every other call). The handler retains a copy of each request
 // Value, then overwrites the Value it was handed; it answers with a
 // pooled response Value, which the transport recycles (poisoned) once
 // the response is on its way. The caller overwrites the Value it sent
-// as soon as Call returns and keeps every response. Neither side may
-// see the other's bytes: the caller's sent Value is intact when Call
-// returns, the handler's copies match what was sent, and each response
+// as soon as the call returns and keeps every response. Neither side
+// may see the other's bytes: the caller's sent Value is intact when
+// the call returns, the handler's copies match what was sent, and each response
 // still reads as answered after its pooled buffer was recycled.
 func TestCopySemanticsBothWays(t *testing.T) {
 	wire.SetPoolPoison(true)
@@ -201,7 +202,15 @@ func TestCopySemanticsBothWays(t *testing.T) {
 				key := fmt.Sprintf("%s-%d", name, i)
 				sent := fmt.Sprintf("value-%s-%d", name, i)
 				val := []byte(sent)
-				resp, err := c.Call(addr, &wire.Request{Op: wire.OpInsert, Key: key, Value: val})
+				req := &wire.Request{Op: wire.OpInsert, Key: key, Value: val}
+				var resp *wire.Response
+				var err error
+				if i%2 == 0 {
+					resp, err = c.Call(addr, req)
+				} else {
+					p := c.Start(addr, req)
+					resp, err = p.Wait()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

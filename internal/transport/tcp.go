@@ -431,7 +431,7 @@ func (c *TCPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respon
 	return p.WaitBatch()
 }
 
-// Start implements Starter: it takes a connection, registers a
+// Start implements Caller: it takes a connection, registers a
 // sequence ID and writes the frame on the calling goroutine, and
 // returns without reading. Call is Start then Wait, so this is the
 // client's one send path.
@@ -442,7 +442,7 @@ func (c *TCPClient) Start(addr string, req *wire.Request) Pending {
 	return p
 }
 
-// StartBatch implements Starter by starting one OpBatch envelope
+// StartBatch implements Caller by starting one OpBatch envelope
 // carrying reqs.
 func (c *TCPClient) StartBatch(addr string, reqs []*wire.Request) Pending {
 	if len(reqs) == 0 {

@@ -23,19 +23,16 @@
 // spawn-per-request model (the discarded multithreaded prototype).
 //
 // A caller that fans one operation out to several servers does not
-// need a goroutine per server either: Start and StartBatch split a
-// call into its send and its receive (see Starter and Pending). On
-// TCP the calling goroutine writes every frame, then awaits the
-// answers one by one under each connection's read role, so the
-// fan-out costs its round trips in parallel and wakes nobody.
-// Transports without a split-phase call get one goroutine per started
-// call instead.
+// need a goroutine per server either: every Caller splits a call into
+// its send (Start, StartBatch) and its receive (Pending.Wait), under
+// one contract written on Pending. On TCP the calling goroutine writes
+// every frame, then awaits the answers one by one under each
+// connection's read role, so the fan-out costs its round trips in
+// parallel and wakes nobody.
 package transport
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zht/internal/wire"
@@ -79,6 +76,13 @@ type Caller interface {
 	// The sub-responses live in one wire.Slab: the caller releases
 	// them with wire.ReleaseResponses (or leaves them to the GC).
 	CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error)
+	// Start sends req to addr and returns at once with the call
+	// outstanding, so one goroutine can have several calls in flight;
+	// StartBatch does the same for reqs as one batched message (see
+	// Pending for what the caller owes a started call). An empty reqs
+	// starts nothing: its WaitBatch returns nil, nil.
+	Start(addr string, req *wire.Request) Pending
+	StartBatch(addr string, reqs []*wire.Request) Pending
 	// Close releases client resources (cached connections).
 	Close() error
 }
@@ -115,38 +119,29 @@ func unpackEnvelope(resp *wire.Response, err error, n int) ([]*wire.Response, er
 	return rs, nil
 }
 
-// Starter is implemented by callers that can split a call into its
-// send and its receive, so one goroutine can have several calls in
-// flight at once. Use it through the package functions Start and
-// StartBatch, which fall back to a goroutine per call for callers
-// without it.
+// Pending is one started call (Caller.Start, Caller.StartBatch). It is
+// returned and kept by value — on TCP starting a call allocates
+// nothing — and is waited or abandoned through one copy only.
 //
-// Contract: Start sends req to addr (StartBatch sends reqs as one
-// batched message) and returns at once with the call outstanding.
-// Every Start is followed by exactly one Pending.Wait — WaitBatch for
-// StartBatch — or Pending.Abandon. Until then the caller must leave
-// req (every element of reqs) untouched: a call that fails on its
+// Contract, the same on every transport: Start has sent the request
+// (StartBatch, reqs as one batched message) and returned with the call
+// outstanding. Every Start is followed by exactly one Wait — WaitBatch
+// for StartBatch — or Abandon. Until then the caller must leave req
+// (every element of reqs) untouched: a call that fails on its
 // connection is sent again from it. Wait returns what Call (CallBatch)
 // would have, under the same deadline, retry and error rules — except
 // that a Wait begun at or after the call's deadline still collects a
 // response that has already arrived (it reads for a short grace)
 // instead of timing out at once, so calls awaited in turn under one
 // deadline do not lose answers to a slow call awaited first. Abandon
-// retires the call: its response, should one still arrive, is dropped
-// unseen, as a timed-out call's is, and one already delivered goes
-// back to the wire pools.
-type Starter interface {
-	Start(addr string, req *wire.Request) Pending
-	StartBatch(addr string, reqs []*wire.Request) Pending
-}
-
-// Pending is one started call (see Starter). It is returned and kept
-// by value — on TCP starting a call allocates nothing — and is waited
-// or abandoned through one copy only.
+// retires the call: its response, should one still arrive, goes back
+// to the wire pools unseen, as a timed-out call's does, and one
+// already delivered goes back at once. A failure known at Start
+// (unreachable, budget already spent) is kept for Wait.
 type Pending struct {
-	// The native TCP call: its client, the connection it went out on
-	// (nil when none could be had, with err saying why) and its
-	// registration there.
+	// A TCP call: its client, the connection it went out on (nil when
+	// none could be had, with err saying why) and its registration
+	// there.
 	tcp      *TCPClient
 	mc       *muxConn
 	addr     string
@@ -155,99 +150,86 @@ type Pending struct {
 	ch       chan *wire.Response // nil when the call never registered
 	deadline time.Time
 	fresh    bool  // sent on a fresh dial: no retry left
-	err      error // the send failed
+	err      error // the call failed before it could be awaited
 	subs     int   // sub-requests in req, for StartBatch
 
-	// bg is a call running on its own goroutine, for callers without
-	// Starter.
-	bg *bgCall
+	// srv is the server of a call started in process, whose handler's
+	// response arrives on ch; addr, seq and deadline are the call's.
+	srv *InprocServer
+
+	// leg is the receive half of a UDP call, or of a settled or
+	// wrapped one (Settled, Then); nil on TCP and in process.
+	leg leg
 }
 
-// bgCall is a call running on a goroutine of its own. Exactly one of
-// Wait and Abandon settles it. An abandoned call's response goes back
-// to the wire pools, released by whichever of Abandon and the goroutine
-// comes second: both swap state away from bgRunning, and the one whose
-// swap fails releases.
-type bgCall struct {
-	req   wire.Request    // Start's copy: the goroutine may outlive an Abandon
-	reqs  []*wire.Request // StartBatch's copies; nil for Start
-	res   callResult
-	wg    sync.WaitGroup // done once res is set
-	state atomic.Int32   // bgRunning, bgFinished or bgAbandoned
+// leg is the receive half of a started call that is neither a TCP
+// nor an in-process one. Exactly one of wait and abandon is called.
+type leg interface {
+	wait() Outcome
+	abandon()
 }
 
-const (
-	bgRunning = iota
-	bgFinished
-	bgAbandoned
-)
-
-type callResult struct {
-	resp  *wire.Response
-	resps []*wire.Response
-	err   error
+// Outcome is what a started call yields: Resp for Wait, Resps for
+// WaitBatch, and the error either returns.
+type Outcome struct {
+	Resp  *wire.Response
+	Resps []*wire.Response
+	Err   error
 }
 
-// run makes the call on c and settles its result.
-func (b *bgCall) run(c Caller, addr string) {
-	if b.reqs != nil {
-		b.res.resps, b.res.err = c.CallBatch(addr, b.reqs)
-	} else {
-		b.res.resp, b.res.err = c.Call(addr, &b.req)
-	}
-	if !b.state.CompareAndSwap(bgRunning, bgFinished) {
-		b.res.release()
-	}
-	b.wg.Done()
+// Release returns o's responses to the wire pools.
+func (o Outcome) Release() {
+	wire.PutResponse(o.Resp)
+	wire.ReleaseResponses(o.Resps)
 }
 
-// release returns an abandoned call's responses to the wire pools.
-func (r *callResult) release() {
-	wire.PutResponse(r.resp)
-	wire.ReleaseResponses(r.resps)
+// settled is a call that was over before Start returned.
+type settled Outcome
+
+func (s *settled) wait() Outcome { return Outcome(*s) }
+func (s *settled) abandon()      { Outcome(*s).Release() }
+
+// Settled returns a started call that is already over: Wait returns
+// resp and err, and Abandon puts resp back in the wire pools. A caller
+// that cannot split a call starts it with Settled(c.Call(addr, req)).
+func Settled(resp *wire.Response, err error) Pending {
+	return Pending{leg: &settled{Resp: resp, Err: err}}
 }
 
-// Start starts one call to addr on c: natively when c implements
-// Starter, otherwise by running c.Call on a goroutine of its own.
-func Start(c Caller, addr string, req *wire.Request) Pending {
-	if s, ok := c.(Starter); ok {
-		return s.Start(addr, req)
-	}
-	b := &bgCall{req: *req}
-	b.wg.Add(1)
-	go b.run(c, addr)
-	return Pending{bg: b}
+// SettledBatch is Settled for StartBatch: WaitBatch returns resps and
+// err.
+func SettledBatch(resps []*wire.Response, err error) Pending {
+	return Pending{leg: &settled{Resps: resps, Err: err}}
 }
 
-// StartBatch starts one batched call to addr on c: natively when c
-// implements Starter, otherwise by running c.CallBatch on a goroutine
-// of its own.
-func StartBatch(c Caller, addr string, reqs []*wire.Request) Pending {
-	if len(reqs) == 0 {
-		return Pending{}
-	}
-	if s, ok := c.(Starter); ok {
-		return s.StartBatch(addr, reqs)
-	}
-	// Copies, as in Start: the goroutine may outlive an Abandon.
-	vals := make([]wire.Request, len(reqs))
-	cp := make([]*wire.Request, len(reqs))
-	for i, r := range reqs {
-		vals[i] = *r
-		cp[i] = &vals[i]
-	}
-	b := &bgCall{reqs: cp}
-	b.wg.Add(1)
-	go b.run(c, addr)
-	return Pending{bg: b}
+// then is a started call that f collects at Wait.
+type then struct {
+	p Pending
+	f func(*Pending) Outcome
+}
+
+func (t *then) wait() Outcome { return t.f(&t.p) }
+func (t *then) abandon()      { t.p.Abandon() }
+
+// Then returns a started call whose Wait (WaitBatch) hands p to f, on
+// the waiting goroutine, and returns what f yields. It is how a
+// wrapping Caller acts on a started call's answer without a goroutine
+// of its own. f waits for p itself (Settled(nil, nil) holds nothing
+// and may be left unwaited) and owns what p yields: what it does not
+// return, it releases. Abandon abandons p and never calls f.
+func Then(p Pending, f func(*Pending) Outcome) Pending {
+	return Pending{leg: &then{p: p, f: f}}
 }
 
 // Wait collects the response of a call begun with Start.
 func (p *Pending) Wait() (*wire.Response, error) {
-	if b := p.bg; b != nil {
-		p.bg = nil
-		b.wg.Wait()
-		return b.res.resp, b.res.err
+	if l := p.leg; l != nil {
+		p.leg = nil
+		o := l.wait()
+		return o.Resp, o.Err
+	}
+	if p.srv != nil {
+		return p.waitInproc()
 	}
 	return p.waitTCP()
 }
@@ -255,16 +237,16 @@ func (p *Pending) Wait() (*wire.Response, error) {
 // WaitBatch collects the sub-responses of a call begun with
 // StartBatch, exactly len(reqs) of them in request order.
 func (p *Pending) WaitBatch() ([]*wire.Response, error) {
-	if b := p.bg; b != nil {
-		p.bg = nil
-		b.wg.Wait()
-		return b.res.resps, b.res.err
-	}
 	if p.subs == 0 {
-		return nil, nil
+		if l := p.leg; l != nil {
+			p.leg = nil
+			o := l.wait()
+			return o.Resps, o.Err
+		}
+		return nil, p.err // an empty batch, or one that failed at Start
 	}
 	n := p.subs
-	resp, err := p.waitTCP()
+	resp, err := p.Wait()
 	wire.ReleaseBatchRequest(p.req)
 	p.req, p.subs = nil, 0
 	return unpackEnvelope(resp, err, n)
@@ -272,14 +254,15 @@ func (p *Pending) WaitBatch() ([]*wire.Response, error) {
 
 // Abandon gives up on a started call without waiting for it.
 func (p *Pending) Abandon() {
-	if b := p.bg; b != nil {
-		p.bg = nil
-		if !b.state.CompareAndSwap(bgRunning, bgAbandoned) {
-			b.res.release() // the goroutine finished first
-		}
-		return
+	switch l := p.leg; {
+	case l != nil:
+		p.leg = nil
+		l.abandon()
+	case p.srv != nil:
+		p.abandonInproc()
+	default:
+		p.abandonTCP()
 	}
-	p.abandonTCP()
 	if p.subs > 0 {
 		wire.ReleaseBatchRequest(p.req)
 		p.req, p.subs = nil, 0

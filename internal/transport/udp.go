@@ -165,26 +165,130 @@ func NewUDPClient(opts UDPClientOptions) *UDPClient {
 	return &UDPClient{opts: opts, met: newCliMetrics(opts.Metrics), retries: udpRetries, socks: make(map[string][]*net.UDPConn)}
 }
 
-// Call implements Caller: send, await the matching ack, retransmit on
-// timeout. Retransmission stops at the request's remaining budget
-// (wire.Request.Budget) even when attempts remain.
+// Call implements Caller: Start, then Wait.
 func (c *UDPClient) Call(addr string, req *wire.Request) (*wire.Response, error) {
+	p := c.Start(addr, req)
+	return p.Wait()
+}
+
+// CallBatch implements Caller: StartBatch, then WaitBatch.
+func (c *UDPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
+	p := c.StartBatch(addr, reqs)
+	return p.WaitBatch()
+}
+
+// Start implements Caller: it writes the request datagram. Wait awaits
+// the matching ack and retransmits on timeout, until the attempts or
+// the request's remaining budget (wire.Request.Budget) run out.
+func (c *UDPClient) Start(addr string, req *wire.Request) Pending {
 	c.met.calls.Inc()
+	l := &udpCall{c: c, addr: addr, seq: c.seq.Add(1), deadline: callDeadline(req, 0)}
 	r := *req
-	r.Seq = c.seq.Add(1)
-	out := wire.EncodeRequest(wire.GetBuffer(), &r)
-	defer func() { wire.PutBuffer(out) }()
-	if len(out) > maxDatagram {
-		return nil, fmt.Errorf("transport: request of %d bytes exceeds datagram limit", len(out))
+	r.Seq = l.seq
+	l.out = wire.EncodeRequest(wire.GetBuffer(), &r)
+	var err error
+	switch {
+	case len(l.out) > maxDatagram:
+		err = fmt.Errorf("transport: request of %d bytes exceeds datagram limit", len(l.out))
+	case !l.deadline.IsZero() && !time.Now().Before(l.deadline):
+		err = fmt.Errorf("%w: budget exhausted before send", ErrTimeout)
+	default:
+		if l.conn, err = c.getSock(addr); err == nil {
+			if err = l.send(); err == nil {
+				return Pending{leg: l}
+			}
+			return Pending{err: err}
+		}
+		err = fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	deadline := callDeadline(req, 0)
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return nil, fmt.Errorf("%w: budget exhausted before send", ErrTimeout)
+	wire.PutBuffer(l.out)
+	return Pending{err: err}
+}
+
+// StartBatch implements Caller by packing sub-requests into OpBatch
+// envelopes, each sized to fit in one datagram. A batch that fits in
+// one is started like any call; a larger one is sent chunk after chunk,
+// each awaited in turn, before StartBatch returns. An error fails the
+// remainder of the batch (retriable, like Call — earlier chunks may
+// have executed).
+func (c *UDPClient) StartBatch(addr string, reqs []*wire.Request) Pending {
+	if len(reqs) == 0 {
+		return Pending{}
 	}
-	conn, err := c.getSock(addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
+	c.met.batches.Inc()
+	c.met.batchSubs.Observe(int64(len(reqs)))
+	// Reserve headroom for the envelope header and the per-item count
+	// and length prefixes.
+	const slack = 64
+	var chunks [][]*wire.Request
+	lo, size := 0, 0
+	scratch := wire.GetBuffer()
+	for i, r := range reqs {
+		scratch = wire.EncodeRequest(scratch[:0], r)
+		n := len(scratch) + binary.MaxVarintLen64
+		if n+slack > maxDatagram {
+			wire.PutBuffer(scratch)
+			return Pending{err: fmt.Errorf("transport: batched request of %d bytes exceeds datagram limit", len(scratch))}
+		}
+		if size+n+slack > maxDatagram {
+			chunks, lo, size = append(chunks, reqs[lo:i]), i, 0
+		}
+		size += n
 	}
+	wire.PutBuffer(scratch)
+	if len(chunks) == 0 {
+		env := wire.NewBatchRequest(reqs)
+		p := c.Start(addr, env)
+		p.req, p.subs = env, len(reqs)
+		return p
+	}
+	var out []*wire.Response
+	for _, chunk := range append(chunks, reqs[lo:]) {
+		rs, err := EnvelopeCallBatch(c, addr, chunk)
+		if err != nil {
+			wire.ReleaseResponses(out)
+			return Pending{err: err}
+		}
+		out = append(out, rs...)
+	}
+	return SettledBatch(out, nil)
+}
+
+// udpCall is a request datagram awaiting its ack on a socket of its own.
+type udpCall struct {
+	c        *UDPClient
+	addr     string
+	conn     *net.UDPConn
+	out      []byte // the encoded request, pooled
+	seq      uint64
+	deadline time.Time
+	sent     time.Time // the last attempt's write
+}
+
+// send writes one attempt of the request; a failed write ends the call.
+func (l *udpCall) send() error {
+	l.c.met.bytesOut.Add(int64(len(l.out)))
+	l.sent = time.Now()
+	if _, err := l.conn.Write(l.out); err != nil {
+		l.conn.Close()
+		wire.PutBuffer(l.out)
+		return fmt.Errorf("%w: %v", ErrUnreachable, err)
+	}
+	return nil
+}
+
+// abandon gives the socket back: an ack still to come is a stale
+// datagram to the next call on it, which drops it by its sequence ID.
+func (l *udpCall) abandon() {
+	wire.PutBuffer(l.out)
+	l.c.putSock(l.addr, l.conn)
+}
+
+// wait reads until the ack matching l.seq arrives, retransmitting each
+// time an attempt's timeout, counted from its write, passes; the first
+// read lasts at least lateGrace (see Pending).
+func (l *udpCall) wait() (o Outcome) {
+	c := l.c
 	// Datagram receive buffer: pooled, full datagram capacity.
 	buf := getFrameBuf()
 	if cap(buf) < maxDatagram {
@@ -192,36 +296,29 @@ func (c *UDPClient) Call(addr string, req *wire.Request) (*wire.Response, error)
 	}
 	buf = buf[:maxDatagram]
 	defer func() { putFrameBuf(buf) }()
-	for a := 0; a <= c.retries; a++ {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			c.putSock(addr, conn)
-			return nil, ErrTimeout
+	for a := 0; ; a++ {
+		readBy := l.sent.Add(c.opts.Timeout)
+		if !l.deadline.IsZero() && l.deadline.Before(readBy) {
+			readBy = l.deadline
 		}
-		if a > 0 {
-			c.met.retransmits.Inc()
+		if late := time.Now().Add(lateGrace); a == 0 && readBy.Before(late) {
+			readBy = late
 		}
-		c.met.bytesOut.Add(int64(len(out)))
-		if _, err := conn.Write(out); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-		}
-		attemptDeadline := time.Now().Add(c.opts.Timeout)
-		if !deadline.IsZero() && deadline.Before(attemptDeadline) {
-			attemptDeadline = deadline
-		}
-		conn.SetReadDeadline(attemptDeadline)
+		l.conn.SetReadDeadline(readBy)
 		for {
-			n, err := conn.Read(buf)
+			n, err := l.conn.Read(buf)
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					break // retransmit
 				}
-				conn.Close()
-				return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
+				l.conn.Close()
+				wire.PutBuffer(l.out)
+				o.Err = fmt.Errorf("%w: %v", ErrUnreachable, err)
+				return o
 			}
 			c.met.bytesIn.Add(int64(n))
 			resp, derr := wire.DecodeResponsePooled(buf[:n])
-			if derr != nil || resp.Seq != r.Seq {
+			if derr != nil || resp.Seq != l.seq {
 				if derr == nil {
 					wire.PutResponse(resp)
 				}
@@ -236,64 +333,20 @@ func (c *UDPClient) Call(addr string, req *wire.Request) (*wire.Response, error)
 			if len(resp.Table) == 0 {
 				resp.Table = nil
 			}
-			c.putSock(addr, conn)
-			return resp, nil
+			l.abandon()
+			o.Resp = resp
+			return o
+		}
+		if a == c.retries || !l.deadline.IsZero() && !time.Now().Before(l.deadline) {
+			l.abandon()
+			o.Err = ErrTimeout
+			return o
+		}
+		c.met.retransmits.Inc()
+		if o.Err = l.send(); o.Err != nil {
+			return o
 		}
 	}
-	c.putSock(addr, conn)
-	return nil, ErrTimeout
-}
-
-// CallBatch implements Caller by packing sub-requests into OpBatch
-// envelopes, splitting at the datagram budget: each chunk is sized so
-// its encoded envelope fits in maxDatagram. Chunks are issued
-// sequentially; an error fails the remainder of the batch (retriable,
-// like Call — earlier chunks may have executed).
-func (c *UDPClient) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	c.met.batches.Inc()
-	c.met.batchSubs.Observe(int64(len(reqs)))
-	// Reserve headroom for the envelope header and the per-item count
-	// and length prefixes.
-	const slack = 64
-	out := make([]*wire.Response, 0, len(reqs))
-	var chunk []*wire.Request
-	size := 0
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		rs, err := EnvelopeCallBatch(c, addr, chunk)
-		if err != nil {
-			return err
-		}
-		out = append(out, rs...)
-		chunk = nil
-		size = 0
-		return nil
-	}
-	scratch := wire.GetBuffer()
-	defer func() { wire.PutBuffer(scratch) }()
-	for _, r := range reqs {
-		scratch = wire.EncodeRequest(scratch[:0], r)
-		n := len(scratch) + binary.MaxVarintLen64
-		if n+slack > maxDatagram {
-			return nil, fmt.Errorf("transport: batched request of %d bytes exceeds datagram limit", len(scratch))
-		}
-		if size+n+slack > maxDatagram {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-		chunk = append(chunk, r)
-		size += n
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (c *UDPClient) getSock(addr string) (*net.UDPConn, error) {
