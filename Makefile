@@ -31,8 +31,9 @@ fmt-check:
 # zht-server links (core.Config, novoht.Options, the transport client
 # options, gossip.Options, tenant.Tenant, tenant.AdmissionOptions,
 # memcached.Options, repair.LegQueueOptions) is set by a non-test
-# file outside its own package, seams excepted. The rule's own test
-# runs under `go test ./...`.
+# file outside its own package, seams excepted, and every test name the
+# docs cite in backticks is a func of some _test.go. The rules' own
+# tests run under `go test ./...`.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 

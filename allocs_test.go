@@ -138,7 +138,7 @@ func storeAppendAllocs(tb testing.TB, base int) float64 {
 		tb.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.PutV("dir", make([]byte, base), 1); err != nil {
+	if _, err := s.PutV("dir", make([]byte, base), 1); err != nil {
 		tb.Fatal(err)
 	}
 	delta := make([]byte, 16)
@@ -146,11 +146,11 @@ func storeAppendAllocs(tb testing.TB, base int) float64 {
 	ver := uint64(1)
 	return testing.AllocsPerRun(200, func() {
 		ver++
-		if _, err := s.AppendV(scratch[:0], "dir", delta, ver); err != nil {
+		if _, _, err := s.AppendV(scratch[:0], "dir", delta, ver); err != nil {
 			tb.Fatal(err)
 		}
 		ver++
-		if _, err := s.AppendV(nil, "dir", delta, ver); err != nil {
+		if _, _, err := s.AppendV(nil, "dir", delta, ver); err != nil {
 			tb.Fatal(err)
 		}
 	})

@@ -196,11 +196,11 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 	switch req.Op {
 	case wire.OpInsert, wire.OpLookup, wire.OpRemove:
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpReplicate:
 		return n.apply(req)
 	default:
-		return &wire.Response{Status: wire.StatusError, Err: "cassring: unsupported op (no append — Table 1)"}
+		return wire.ErrorReply("cassring: unsupported op (no append — Table 1)")
 	}
 	t := n.hashf(req.Key)
 	if n.owns(t) {
@@ -211,7 +211,7 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 		return resp
 	}
 	if req.Hop >= maxHops {
-		return &wire.Response{Status: wire.StatusError, Err: ErrHopLimit.Error()}
+		return wire.ErrorReply(ErrHopLimit.Error())
 	}
 	// Forward one hop toward the owner; the call may come back around
 	// the ring to this node, so the connection must stay readable.
@@ -224,7 +224,7 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 	next := n.nextHopTo(t)
 	resp, err := n.caller.Call(next.addr, &fwd)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+		return wire.ErrorReply(err.Error())
 	}
 	return resp
 }
@@ -240,38 +240,38 @@ func (n *Node) apply(req *wire.Request) *wire.Response {
 	case wire.OpInsert:
 		cur, ok, err := n.store.Get(req.Key)
 		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return wire.ErrorReply(err.Error())
 		}
 		incoming := req.Value
 		if ok && decodeTS(cur) > decodeTS(incoming) {
 			// Stale write: accepted (always writable) but loses
 			// the timestamp resolution.
-			return &wire.Response{Status: wire.StatusOK}
+			return wire.Reply(wire.StatusOK, nil)
 		}
 		if err := n.store.Put(req.Key, incoming); err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return wire.ErrorReply(err.Error())
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpLookup:
 		v, ok, err := n.store.Get(req.Key)
 		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return wire.ErrorReply(err.Error())
 		}
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
-		return &wire.Response{Status: wire.StatusOK, Value: v}
+		return wire.Reply(wire.StatusOK, v)
 	case wire.OpRemove:
-		ok, err := n.store.RemoveV(req.Key, 0)
+		ok, _, err := n.store.RemoveV(req.Key, 0)
 		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return wire.ErrorReply(err.Error())
 		}
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "cassring: bad op"}
+	return wire.ErrorReply("cassring: bad op")
 }
 
 // replicate copies the mutation to successor nodes.
@@ -292,7 +292,9 @@ func (n *Node) replicate(t uint64, req *wire.Request) {
 			fwd := *req
 			fwd.Op = wire.OpReplicate
 			fwd.Aux = []byte{byte(req.Op)}
-			n.caller.Call(succ.addr, &fwd)
+			if resp, err := n.caller.Call(succ.addr, &fwd); err == nil {
+				wire.PutResponse(resp)
+			}
 		}
 		break
 	}
@@ -444,6 +446,7 @@ func (c *Client) Put(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
+	defer wire.PutResponse(resp)
 	if resp.Status != wire.StatusOK {
 		return fmt.Errorf("cassring: put: %s", resp.Err)
 	}
@@ -456,9 +459,11 @@ func (c *Client) Get(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer wire.PutResponse(resp)
 	switch resp.Status {
 	case wire.StatusOK:
-		return unstamp(resp.Value), nil
+		// A pooled Value goes back with the response.
+		return append([]byte(nil), unstamp(resp.Value)...), nil
 	case wire.StatusNotFound:
 		return nil, ErrNotFound
 	}
@@ -471,6 +476,7 @@ func (c *Client) Delete(key string) error {
 	if err != nil {
 		return err
 	}
+	defer wire.PutResponse(resp)
 	switch resp.Status {
 	case wire.StatusOK:
 		return nil

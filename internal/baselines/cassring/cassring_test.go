@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"zht/internal/metrics"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -259,5 +260,52 @@ func TestEmptyClusterRejected(t *testing.T) {
 		return reg.Listen(addr, h)
 	}, reg.NewClient()); err == nil {
 		t.Error("empty cluster accepted")
+	}
+}
+
+// TestRingReturnsPooledResponses: a node answers only with responses
+// drawn from the pool, and the client, the forwarding hops and the
+// replica legs return every response they get. So after a mix of puts,
+// hits, misses, deletes and unsupported ops, sent through the ring over
+// the in-process transport (which returns each handler response to the
+// pool) and to each node's Handle directly, the pool's gets and puts
+// are level.
+func TestRingReturnsPooledResponses(t *testing.T) {
+	cluster, c := newTestCluster(t, 8, Options{Replicas: 2})
+	reg := metrics.NewRegistry()
+	wire.EnablePoolMetrics(reg)
+	defer wire.EnablePoolMetrics(nil)
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("pool-%03d", i)
+		if err := c.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Get(k); err != nil || string(v) != "v" {
+			t.Fatalf("Get(%s) = %q, %v", k, v, err)
+		}
+		if _, err := c.Get(k + "-absent"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of an absent key: %v", err)
+		}
+		if i%3 == 0 {
+			if err := c.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, n := range cluster.Nodes {
+		for _, req := range []*wire.Request{
+			{Op: wire.OpPing},
+			{Op: wire.OpAppend, Key: "k"},
+			{Op: wire.OpReplicate, Key: "direct", Value: []byte("v"), Aux: []byte{byte(wire.OpInsert)}},
+			{Op: wire.OpReplicate, Key: "direct", Aux: []byte{byte(wire.OpLookup)}},
+			{Op: wire.OpReplicate, Key: "direct", Aux: []byte{byte(wire.OpRemove)}},
+			{Op: wire.OpReplicate, Key: "direct", Aux: []byte{byte(wire.OpRemove)}},
+		} {
+			wire.PutResponse(n.Handle(req))
+		}
+	}
+	gets, puts := reg.Counter("zht.wire.pool.gets").Value(), reg.Counter("zht.wire.pool.puts").Value()
+	if gets == 0 || gets != puts {
+		t.Fatalf("pool gets %d, puts %d after the ring's ops, want equal and non-zero", gets, puts)
 	}
 }

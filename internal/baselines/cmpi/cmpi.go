@@ -138,33 +138,33 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 		n.hopMu.Unlock()
 		var target uint64
 		fmt.Sscanf(req.Key, "%d", &target)
-		return &wire.Response{Status: wire.StatusOK, Value: encodeContacts(n.closest(target, K))}
+		return wire.Reply(wire.StatusOK, encodeContacts(n.closest(target, K)))
 	case req.Op == wire.OpInsert:
 		n.mu.Lock()
 		n.store[req.Key] = append([]byte(nil), req.Value...)
 		n.mu.Unlock()
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case req.Op == wire.OpLookup:
 		n.mu.RLock()
 		v, ok := n.store[req.Key]
 		n.mu.RUnlock()
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
-		return &wire.Response{Status: wire.StatusOK, Value: append([]byte(nil), v...)}
+		return wire.Reply(wire.StatusOK, append([]byte(nil), v...))
 	case req.Op == wire.OpRemove:
 		n.mu.Lock()
 		_, ok := n.store[req.Key]
 		delete(n.store, req.Key)
 		n.mu.Unlock()
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case req.Op == wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "cmpi: unsupported op (no append/persistence/replication — Table 1)"}
+	return wire.ErrorReply("cmpi: unsupported op (no append/persistence/replication — Table 1)")
 }
 
 // findNodeMark distinguishes FIND_NODE from FIND_VALUE on OpLookup.

@@ -61,34 +61,34 @@ func NewServer(memCap int64) *Server {
 // Memcached supports no append, no persistence).
 func (s *Server) Handle(req *wire.Request) *wire.Response {
 	if len(req.Key) > MaxKeyLen || len(req.Value) > MaxValueLen {
-		return &wire.Response{Status: wire.StatusError, Err: ErrTooLarge.Error()}
+		return wire.ErrorReply(ErrTooLarge.Error())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch req.Op {
 	case wire.OpInsert:
 		s.setLocked(req.Key, req.Value)
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpLookup:
 		el, ok := s.items[req.Key]
 		if !ok {
 			s.misses++
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
 		s.hits++
 		s.lru.MoveToFront(el)
-		return &wire.Response{Status: wire.StatusOK, Value: append([]byte(nil), el.Value.(*item).val...)}
+		return wire.Reply(wire.StatusOK, append([]byte(nil), el.Value.(*item).val...))
 	case wire.OpRemove:
 		el, ok := s.items[req.Key]
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
 		s.removeLocked(el)
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "memcache: unsupported op " + req.Op.String()}
+	return wire.ErrorReply("memcache: unsupported op " + req.Op.String())
 }
 
 func (s *Server) setLocked(key string, val []byte) {

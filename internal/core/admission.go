@@ -44,7 +44,7 @@ func (in *Instance) admit(req *wire.Request) (release func(), refused *wire.Resp
 	}
 	release, retry, ok := in.cfg.Admission.Admit(req.Key, len(req.Value))
 	if !ok {
-		r := statusResp(wire.StatusBusy)
+		r := wire.Reply(wire.StatusBusy, nil)
 		r.RetryAfter = uint64(retry)
 		return nil, r
 	}

@@ -114,7 +114,7 @@ func (sc *batchScratch) fan(g *batchGroup, resps []*wire.Response, r *wire.Respo
 func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 	slab, err := wire.DecodeOpsSlab(req.Aux)
 	if err != nil {
-		return errResp("core: bad batch: " + err.Error())
+		return wire.ErrorReply("core: bad batch: " + err.Error())
 	}
 	subs := slab.Reqs
 	resps := slab.Responses(len(subs))
@@ -328,36 +328,22 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 
 // applyGroups applies every live group's sub-ops. Every mutation is
 // version-stamped, so replicas resolve reordered legs last-writer-wins
-// instead of diverging: the envelope reserves one stamp per mutation
-// from the clock at once and hands them out in apply order, so a key
-// touched twice in one envelope gets rising stamps. applied collects
-// the replicated ones that succeeded, in apply order — the order
-// replicas must see them in — alongside each one's replica leg and,
-// where the leg value differs from the request's (appends), the
-// scratch holding the full value the leg carries. The stores only
-// stage the mutations' log records; it reports whether any mutation
-// ran, so applyBatch owes a commit.
+// instead of diverging: the envelope reads the clock's floor once, at
+// its first mutation, and each store stamps a write at that floor or
+// above the key's stored stamp, so a key touched twice in one envelope
+// gets rising stamps. applied collects the replicated ones that
+// succeeded, in apply order — the order replicas must see them in —
+// alongside each one's replica leg and, where the leg value differs
+// from the request's (appends), the scratch holding the full value the
+// leg carries. The stores only stage the mutations' log records; it
+// reports whether any mutation ran, so applyBatch owes a commit.
 func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc *batchScratch) (mutated bool) {
 	var arena *[]byte
 	if sc.inEnvelope {
 		arena = &sc.vals
 	}
 
-	var n int
-	for gi := range sc.groups {
-		if g := &sc.groups[gi]; g.live {
-			for _, t := range sc.tags[g.lo:g.hi] {
-				if subs[t&0xffffffff].Op != wire.OpLookup {
-					n++
-				}
-			}
-		}
-	}
-	var next uint64
-	if n > 0 {
-		next = in.clock.Reserve(n)
-	}
-
+	var floor uint64
 	for gi := range sc.groups {
 		g := &sc.groups[gi]
 		if !g.live {
@@ -371,9 +357,10 @@ func (in *Instance) applyGroups(subs []*wire.Request, resps []*wire.Response, sc
 				in.applyLookup(s, subs[i], resps[i], arena)
 				continue
 			}
-			mutated = true
-			ver, legVal := in.applyMutation(s, subs[i], resps[i], next)
-			next += hlcTick
+			if !mutated {
+				mutated, floor = true, in.clock.Floor()
+			}
+			ver, legVal := in.applyMutation(s, subs[i], resps[i], floor)
 			if resps[i].Status != wire.StatusOK || !in.mutates(subs[i]) {
 				if legVal != nil {
 					wire.PutBuffer(legVal)

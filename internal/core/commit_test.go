@@ -350,7 +350,7 @@ func TestNoRecordPendingAtAck(t *testing.T) {
 		n := 0
 		for i := 0; n < 8; i++ {
 			if k := fmt.Sprintf("legacy-%d", i); table.Partition(hash(k)) == 3 {
-				if err := old.PutV(k, []byte("v"), uint64(i+1)<<hlcNodeBits); err != nil {
+				if _, err := old.PutV(k, []byte("v"), uint64(i+1)<<storage.StampNodeBits); err != nil {
 					t.Fatal(err)
 				}
 				n++

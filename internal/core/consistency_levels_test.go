@@ -10,6 +10,7 @@ import (
 
 	"zht/internal/metrics"
 	"zht/internal/ring"
+	"zht/internal/storage"
 	"zht/internal/wire"
 )
 
@@ -123,7 +124,7 @@ func TestQuorumReadNewestWinsAndRepairs(t *testing.T) {
 	}
 	resp := owner.Handle(&wire.Request{
 		Op: wire.OpReplicate, Partition: int64(p), Key: key,
-		Value: []byte("v2"), Version: owner.clock.Next(),
+		Value: []byte("v2"), Version: owner.clock.nextStamp(),
 		Aux: encodeReplicaAux(wire.OpInsert),
 	})
 	if resp.Status != wire.StatusOK {
@@ -220,11 +221,11 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 		})
 	}
 
-	if r := apply(wire.OpInsert, []byte("new"), 100<<hlcNodeBits); r.Status != wire.StatusOK {
+	if r := apply(wire.OpInsert, []byte("new"), 100<<storage.StampNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("seed insert: %v %s", r.Status, r.Err)
 	}
 	// Older insert: normalized OK, not applied, conflict counted.
-	if r := apply(wire.OpInsert, []byte("old"), 50<<hlcNodeBits); r.Status != wire.StatusOK {
+	if r := apply(wire.OpInsert, []byte("old"), 50<<storage.StampNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("stale insert must normalize to OK: %v %s", r.Status, r.Err)
 	}
 	if v, ok, _ := storeGet(in, 0, key); !ok || string(v) != "new" {
@@ -234,7 +235,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 		t.Fatalf("version_conflicts = %d after stale insert, want 1", got)
 	}
 	// Older remove: also loses.
-	if r := apply(wire.OpRemove, nil, 60<<hlcNodeBits); r.Status != wire.StatusOK {
+	if r := apply(wire.OpRemove, nil, 60<<storage.StampNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("stale remove: %v %s", r.Status, r.Err)
 	}
 	if v, ok, _ := storeGet(in, 0, key); !ok || string(v) != "new" {
@@ -244,7 +245,7 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 		t.Fatalf("version_conflicts = %d after stale remove, want 2", got)
 	}
 	// Newer remove wins.
-	if r := apply(wire.OpRemove, nil, 200<<hlcNodeBits); r.Status != wire.StatusOK {
+	if r := apply(wire.OpRemove, nil, 200<<storage.StampNodeBits); r.Status != wire.StatusOK {
 		t.Fatalf("newer remove: %v %s", r.Status, r.Err)
 	}
 	if _, ok, _ := storeGet(in, 0, key); ok {
@@ -252,57 +253,55 @@ func TestReplicaLWWIgnoresOlderVersions(t *testing.T) {
 	}
 }
 
-// TestHLCStamps pins the version clock: stamps are strictly monotonic
-// per node, carry the node discriminant in the low bits, and Observe
-// ratchets the clock past remotely seen stamps.
+// TestHLCStamps pins the version clock's floor: it never falls, carries
+// the node discriminant in the low bits, and passes every stamp the
+// clock observed, also while writers observe stamps concurrently.
 func TestHLCStamps(t *testing.T) {
 	a := newHLC(ring.InstanceID("node-a"))
 	b := newHLC(ring.InstanceID("node-b"))
 	if a.node == b.node {
 		t.Fatal("distinct instance IDs hashed to the same node bits")
 	}
+	const nodeMask = 1<<storage.StampNodeBits - 1
 	prev := uint64(0)
 	for i := 0; i < 1000; i++ {
-		v := a.Next()
-		if v <= prev {
-			t.Fatalf("stamp %d not monotonic: %d after %d", i, v, prev)
+		v := a.Floor()
+		if v < prev {
+			t.Fatalf("floor %d fell: %x after %x", i, v, prev)
 		}
-		if v&((1<<hlcNodeBits)-1) != a.node {
-			t.Fatalf("stamp %x lost node bits %x", v, a.node)
+		if v&nodeMask != a.node {
+			t.Fatalf("floor %x lost node bits %x", v, a.node)
 		}
 		prev = v
 	}
-	future := (uint64(time.Now().UnixMilli()) + 1_000_000) << hlcNodeBits
+	future := storage.Stamp(wallMillis()+1_000_000, b.node)
 	a.Observe(future)
-	if v := a.Next(); v <= future {
-		t.Fatalf("Next() = %x did not advance past observed %x", v, future)
+	if v := a.Floor(); v <= future {
+		t.Fatalf("Floor() = %x did not pass observed %x", v, future)
 	}
 
-	// Concurrent writers, one of them also observing ever newer remote
-	// stamps, never receive the same stamp twice.
+	// Concurrent writers each observe ever newer stamps of another node
+	// and read the floor after each: every read passes the stamp its
+	// writer just observed, keeps the node bits, and never falls below
+	// that writer's previous read.
 	const workers, each = 4, 2000
-	stamps := make([][]uint64, workers)
 	var wg sync.WaitGroup
-	for w := range stamps {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			prev := uint64(0)
 			for i := 0; i < each; i++ {
-				stamps[w] = append(stamps[w], a.Next())
-				if w == 0 {
-					a.Observe(future + uint64(i)<<hlcNodeBits)
+				seen := storage.Stamp(future>>storage.StampNodeBits+uint64(w*each+i+1), b.node)
+				a.Observe(seen)
+				v := a.Floor()
+				if v <= seen || v < prev || v&nodeMask != a.node {
+					t.Errorf("floor %x after observing %x (previous floor %x, node %x)", v, seen, prev, a.node)
+					return
 				}
+				prev = v
 			}
 		}(w)
 	}
 	wg.Wait()
-	seen := make(map[uint64]bool, workers*each)
-	for _, ws := range stamps {
-		for _, v := range ws {
-			if seen[v] || v&((1<<hlcNodeBits)-1) != a.node {
-				t.Fatalf("concurrent stamp %x duplicated or lost its node bits", v)
-			}
-			seen[v] = true
-		}
-	}
 }

@@ -52,7 +52,7 @@ func (hs *HandlerSwitch) Handle(req *wire.Request) *wire.Response {
 	h := hs.h
 	hs.mu.RUnlock()
 	if h == nil {
-		r := statusResp(wire.StatusBusy)
+		r := wire.Reply(wire.StatusBusy, nil)
 		r.Err, r.RetryAfter = "core: instance still bootstrapping", uint64(2*time.Millisecond)
 		return r
 	}

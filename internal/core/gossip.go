@@ -104,19 +104,13 @@ func alivePeers(t *ring.Table, self ring.InstanceID) []string {
 func (in *Instance) handleDeltaPull(req *wire.Request) *wire.Response {
 	cur := in.tableRef()
 	if req.Epoch >= cur.Epoch {
-		r := statusResp(wire.StatusOK)
-		r.Value = gossip.EncodeDeltas(nil)
-		return r
+		return wire.Reply(wire.StatusOK, gossip.EncodeDeltas(nil))
 	}
 	if frames, ok := in.deltaLog.Since(req.Epoch, cur.Epoch); ok {
-		r := statusResp(wire.StatusOK)
-		r.Value = gossip.EncodeDeltas(frames)
-		return r
+		return wire.Reply(wire.StatusOK, gossip.EncodeDeltas(frames))
 	}
 	in.met.gossipFullTables.Inc()
-	r := statusResp(wire.StatusOK)
-	r.Value = gossip.EncodeFullTable(ring.EncodeTable(cur))
-	return r
+	return wire.Reply(wire.StatusOK, gossip.EncodeFullTable(ring.EncodeTable(cur)))
 }
 
 // pullMembership is the gossip Pull of an instance and of a client: it

@@ -41,10 +41,10 @@ type Instance struct {
 	cfg   Config
 	self  ring.Instance
 	hashf hashing.Func
-	// clock stamps every mutation the instance applies as owner with a
-	// version for last-writer-wins resolution across replicas
-	// (DESIGN.md §12), and observes every stamped pair installed from
-	// elsewhere so local stamps always order after it.
+	// clock is the floor of the version stamps the instance's owner
+	// writes carry for last-writer-wins resolution across replicas
+	// (DESIGN.md §12); it observes every stamp above it, stored here or
+	// installed from elsewhere.
 	clock *hlc
 
 	// table is the published membership table. Published tables are
@@ -451,7 +451,7 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpMigrate:
 		return in.handleMigrate(req)
 	case wire.OpPing:
-		return statusResp(wire.StatusOK)
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpReport:
 		return in.handleReport(req)
 	case wire.OpBroadcast:
@@ -463,7 +463,7 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 	case wire.OpDeltaPull:
 		return in.handleDeltaPull(req)
 	}
-	return errResp("core: unsupported op " + req.Op.String())
+	return wire.ErrorReply("core: unsupported op " + req.Op.String())
 }
 
 // handleKV serves the four basic operations plus CAS as a batch of
@@ -527,46 +527,30 @@ func (in *Instance) storeIfPresent(p int) *novoht.Store {
 	return nil
 }
 
-// applyMutation applies one mutation stamped ver to the owner's store
-// and answers into resp, which arrives zeroed. Every level of
-// replication shares it. It returns the stamp and the value an
-// append's replica legs carry — the accumulated value, so a replica
-// that missed an earlier leg converges to the primary's bytes instead
-// of appending onto a different base — or nil when the legs carry
-// req.Value.
-//
-// The stamp is drawn before the store's lock is taken, and at r = 0 no
-// mutation stripe orders two writers of one key, so a writer can reach
-// the store after one that drew a newer stamp. The store refuses it
-// (storage.ErrStale) rather than let the key's stamp fall behind its
-// apply order, and the op redraws above the stored version.
-func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire.Response, ver uint64) (uint64, []byte) {
-	for {
-		legVal, err := in.mutate(s, req, ver, resp)
-		if !errors.Is(err, storage.ErrStale) {
-			if err != nil {
-				setErr(resp, err)
-			}
-			return ver, legVal
-		}
-		in.clock.Observe(s.Version(req.Key))
-		ver = in.clock.Next()
-	}
-}
-
-// mutate applies req to s stamped with ver, as one store call in the
-// store's critical section, and answers every outcome but an error
-// into resp.
-func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp *wire.Response) ([]byte, error) {
+// applyMutation applies one mutation given the envelope's floor stamp
+// to the owner's store, as one store call in the store's critical
+// section, and answers into resp, which arrives zeroed. Every level of
+// replication shares it. It returns the stamp the store stored — the
+// floor, or above the key's stored stamp, where the store orders the
+// key's writes — and the value an append's replica legs carry: the
+// accumulated value, so a replica that missed an earlier leg converges
+// to the primary's bytes instead of appending onto a different base, or
+// nil when the legs carry req.Value. A replicated remove's stamp is
+// observed, floor included, so the floor passes it before the key's
+// tombstone, the store's one memory of it, can be reclaimed; a pair's
+// stamp needs no observe, as the store keeps it.
+func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire.Response, floor uint64) (uint64, []byte) {
+	var ver uint64
+	var legVal []byte
 	var err error
 	switch req.Op {
 	case wire.OpInsert:
 		if req.Flags&wire.FlagIfAbsent == 0 {
-			err = s.PutV(req.Key, req.Value, ver)
+			ver, err = s.PutV(req.Key, req.Value, floor)
 			break
 		}
 		var ok bool
-		if ok, err = s.PutIfAbsentV(req.Key, req.Value, ver); err != nil || ok {
+		if ok, ver, err = s.PutIfAbsentV(req.Key, req.Value, floor); err != nil || ok {
 			break
 		}
 		// Occupied — but an expired TTL envelope counts as absent (lazy
@@ -576,21 +560,22 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 		// atomic; without, two adds racing an expired pair can both
 		// succeed, the same benign race as two adds on an absent key.
 		if v, found, gerr := s.Get(req.Key); gerr == nil && found && tenant.Expired(v) {
-			err = s.PutV(req.Key, req.Value, ver)
+			ver, err = s.PutV(req.Key, req.Value, floor)
 		} else {
 			resp.Status = wire.StatusExists
 		}
 	case wire.OpRemove:
 		// The owner is the serialization point, so the local delete
-		// needs no newer-wins check; ver rides the replica legs, where
-		// BuryLWW refuses to delete a newer write. A replicated remove
-		// leaves a tombstone, so no copy of the pair collected before
-		// it, from a replica or a repair, lands after it.
+		// needs no newer-wins check; its stamp rides the replica legs,
+		// where BuryLWW refuses to delete a newer write. A replicated
+		// remove leaves a tombstone, so no copy of the pair collected
+		// before it, from a replica or a repair, lands after it.
 		var ok bool
 		if in.cfg.Replicas > 0 {
-			ok, err = s.BuryV(req.Key, ver)
+			ok, ver, err = s.BuryV(req.Key, floor)
+			in.clock.Observe(ver)
 		} else {
-			ok, err = s.RemoveV(req.Key, ver)
+			ok, ver, err = s.RemoveV(req.Key, floor)
 		}
 		if err == nil && !ok {
 			resp.Status = wire.StatusNotFound
@@ -600,15 +585,12 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 		if in.cfg.Replicas > 0 {
 			dst = wire.GetBuffer()
 		}
-		// full escapes into the replica legs, which alias it until the
-		// fan-out has sent or copied them; ownership passes back as
+		// The value escapes into the replica legs, which alias it until
+		// the fan-out has sent or copied them; ownership passes back as
 		// legVal and applyBatch releases it afterwards.
-		var full []byte
-		if full, err = s.AppendV(dst, req.Key, req.Value, ver); err == nil {
-			return full, nil
-		}
-		if full != nil {
-			wire.PutBuffer(full)
+		if legVal, ver, err = s.AppendV(dst, req.Key, req.Value, floor); err != nil && legVal != nil {
+			wire.PutBuffer(legVal)
+			legVal = nil
 		}
 	case wire.OpCas:
 		// FlagIfAbsent marks "expect absent"; otherwise Aux is the
@@ -623,41 +605,23 @@ func (in *Instance) mutate(s *novoht.Store, req *wire.Request, ver uint64, resp 
 		}
 		var swapped bool
 		var cur []byte
-		if swapped, cur, err = s.CasV(req.Key, old, req.Value, ver); err == nil && !swapped {
+		if swapped, cur, ver, err = s.CasV(req.Key, old, req.Value, floor); err == nil && !swapped {
 			resp.Status = wire.StatusCasMismatch
 			resp.Value = cur
 		}
 	default:
 		resp.Status, resp.Err = wire.StatusError, "core: bad kv op"
 	}
-	return nil, err
+	if err != nil {
+		setErr(resp, err)
+	}
+	return ver, legVal
 }
 
 // mutates reports whether req is a KV mutation with replica legs to
 // push along the chain.
 func (in *Instance) mutates(req *wire.Request) bool {
 	return req.Op != wire.OpLookup && in.cfg.Replicas > 0
-}
-
-// statusResp draws a pooled response carrying just a status; the
-// transport writer recycles it after encoding (see transport.Handler).
-func statusResp(st wire.Status) *wire.Response {
-	r := wire.GetResponse()
-	r.Status = st
-	return r
-}
-
-// errResp draws a pooled StatusError response carrying msg. Handlers
-// answer only with pooled responses (statusResp, errResp, or one drawn
-// and filled in), since the transport returns every handler response to
-// the pool. Neither helper takes a Response by value: a Response
-// literal in a function on the request path (migrationGate,
-// HandlerSwitch.Handle) grows that function's stack frame even where
-// it never runs, and every request pays for the larger frames.
-func errResp(msg string) *wire.Response {
-	r := statusResp(wire.StatusError)
-	r.Err = msg
-	return r
 }
 
 // setErr answers resp with StatusError and err's text.
@@ -788,16 +752,15 @@ func (in *Instance) handleReplicate(req *wire.Request, resp *wire.Response) {
 // or a leaf-stream transfer — into partition pt's store,
 // last-writer-wins. It is the one way such a pair enters a local
 // store. It refuses a key that does not hash to pt: the log replays
-// each record into the partition its key hashes to. The clock observes
-// the stamp first, so this node's next write of the key stamps above it
-// and is never refused by a copy that holds the installed pair. A pair
-// no newer than a remove of the key this node buried is refused by the
+// each record into the partition its key hashes to. The store keeps
+// the stamp, so this node's next write of the key lands above it and is
+// never refused by a copy that holds the installed pair. A pair no
+// newer than a remove of the key this node buried is refused by the
 // remove's tombstone, in the store's critical section.
 func (in *Instance) install(pt *partition, key string, val []byte, ver uint64) (bool, error) {
 	if err := in.checkPartition(pt.id, key); err != nil {
 		return false, err
 	}
-	in.clock.Observe(ver)
 	return in.open(pt).PutLWW(key, val, ver)
 }
 
@@ -813,7 +776,7 @@ func (in *Instance) checkPartition(p int, key string) error {
 // handleMembership returns the current table.
 func (in *Instance) handleMembership() *wire.Response {
 	enc := ring.EncodeTable(in.tableRef())
-	r := statusResp(wire.StatusOK)
+	r := wire.Reply(wire.StatusOK, nil)
 	r.Table = enc
 	return r
 }
@@ -825,18 +788,18 @@ func (in *Instance) handleMembership() *wire.Response {
 func (in *Instance) handleDelta(req *wire.Request) *wire.Response {
 	if d, err := ring.DecodeDelta(req.Aux); err == nil {
 		if _, err := in.applyDelta(d, req.Aux); err != nil {
-			r := errResp(err.Error())
+			r := wire.ErrorReply(err.Error())
 			r.Table = ring.EncodeTable(in.tableRef())
 			return r
 		}
-		return statusResp(wire.StatusOK)
+		return wire.Reply(wire.StatusOK, nil)
 	}
 	t, err := ring.DecodeTable(req.Aux)
 	if err != nil {
-		return errResp("core: delta payload is neither delta nor table")
+		return wire.ErrorReply("core: delta payload is neither delta nor table")
 	}
 	in.adoptTableIfNewer(t) // an older table is a no-op: already current
-	return statusResp(wire.StatusOK)
+	return wire.Reply(wire.StatusOK, nil)
 }
 
 // afterTableChange reconciles local state with a new table: completes
@@ -879,16 +842,16 @@ func (in *Instance) rebuildReplicas(table *ring.Table, p int) {
 func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return errResp("core: bad partition")
+		return wire.ErrorReply("core: bad partition")
 	}
 	switch string(req.Aux) {
 	case string(migrateLockMarker):
 		return in.handleMigrateLock(p)
 	case string(migrateAbortMarker):
 		in.completeMigration(p, "", false)
-		return statusResp(wire.StatusOK)
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return errResp("core: unknown migrate request")
+	return wire.ErrorReply("core: unknown migrate request")
 }
 
 // handleMigrateLock serves the cutover request: the incoming owner has
@@ -899,16 +862,16 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 func (in *Instance) handleMigrateLock(p int) *wire.Response {
 	table := in.tableRef()
 	if table.OwnerOf(p).ID != in.self.ID {
-		r := statusResp(wire.StatusWrongOwner)
+		r := wire.Reply(wire.StatusWrongOwner, nil)
 		r.Table = ring.EncodeTable(table)
 		return r
 	}
 	ps := in.lockForMove(p)
 	if ps == nil {
-		return errResp("core: partition already migrating")
+		return wire.ErrorReply("core: partition already migrating")
 	}
 	in.migrationWatchdog(p, ps)
-	return statusResp(wire.StatusOK)
+	return wire.Reply(wire.StatusOK, nil)
 }
 
 // lockForMove begins an outgoing migration of partition p — new
@@ -997,9 +960,9 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 		select {
 		case <-ps.done:
 		case <-time.After(migrationTimeout + time.Second):
-			return errResp("core: migration stuck")
+			return wire.ErrorReply("core: migration stuck")
 		case <-in.closed:
-			return errResp("core: instance closed")
+			return wire.ErrorReply("core: instance closed")
 		}
 	}
 	if !ps.ok {
@@ -1007,7 +970,7 @@ func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
 			// Migration rolled back; serve normally.
 			return nil
 		}
-		return errResp("core: migration failed")
+		return wire.ErrorReply("core: migration failed")
 	}
 	if testGateVerdict != nil {
 		testGateVerdict(in, p)
@@ -1057,11 +1020,11 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	table := in.tableRef()
 	idx := table.IndexOf(accused)
 	if idx < 0 {
-		return errResp("core: report for unknown instance")
+		return wire.ErrorReply("core: report for unknown instance")
 	}
 	if table.Status[idx] != ring.Alive {
 		// Already handled; return the fresher table.
-		r := statusResp(wire.StatusOK)
+		r := wire.Reply(wire.StatusOK, nil)
 		r.Table = ring.EncodeTable(table)
 		return r
 	}
@@ -1069,7 +1032,7 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	// already retried with exponential backoff before reporting.
 	if accused != in.self.ID {
 		if r, _ := call(in.caller, table.Instances[idx].Addr, &wire.Request{Op: wire.OpPing}); r.status == wire.StatusOK {
-			return errResp("core: accused instance is alive")
+			return wire.ErrorReply("core: accused instance is alive")
 		}
 	}
 	// This table may not show yet that the accused departed or failed
@@ -1079,7 +1042,7 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 		if tgt := failoverTarget(table, parts[0], in.cfg.Replicas); tgt.ID != "" && tgt.ID != in.self.ID {
 			in.gossipPull(tgt.Addr)
 			if table = in.tableRef(); table.Status[idx] != ring.Alive {
-				r := statusResp(wire.StatusOK)
+				r := wire.Reply(wire.StatusOK, nil)
 				r.Table = ring.EncodeTable(table)
 				return r
 			}
@@ -1087,13 +1050,13 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	}
 	d, err := table.PlanFailure(accused, max(in.cfg.Replicas, 1))
 	if err != nil {
-		return errResp(err.Error())
+		return wire.ErrorReply(err.Error())
 	}
 	nt, err := in.applyAndAnnounce(table, d)
 	if err != nil {
-		return errResp(err.Error())
+		return wire.ErrorReply(err.Error())
 	}
-	r := statusResp(wire.StatusOK)
+	r := wire.Reply(wire.StatusOK, nil)
 	r.Table = ring.EncodeTable(nt)
 	return r
 }
@@ -1170,11 +1133,11 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 	n := len(table.Instances)
 	origin := int(req.Partition)
 	if origin < 0 || origin >= n {
-		return errResp("core: bad broadcast origin")
+		return wire.ErrorReply("core: bad broadcast origin")
 	}
 	myIdx := table.IndexOf(in.self.ID)
 	if myIdx < 0 {
-		return errResp("core: not a member")
+		return wire.ErrorReply("core: not a member")
 	}
 	in.bmu.Lock()
 	in.bcast[req.Key] = append([]byte(nil), req.Value...)
@@ -1195,7 +1158,7 @@ func (in *Instance) handleBroadcast(req *wire.Request) *wire.Response {
 		addr := table.Instances[childIdx].Addr
 		in.async.goAsync(func() { call(in.caller, addr, &fwd) })
 	}
-	return statusResp(wire.StatusOK)
+	return wire.Reply(wire.StatusOK, nil)
 }
 
 // BroadcastValue returns the locally delivered broadcast value for

@@ -137,15 +137,15 @@ func TestImportPartitionLogs(t *testing.T) {
 			}
 			old[name] = s
 		}
-		w := want{fmt.Sprintf("v%d", i), uint64(100+i) << hlcNodeBits}
+		w := want{fmt.Sprintf("v%d", i), uint64(100+i) << storage.StampNodeBits}
 		switch i % 4 {
 		case 0:
 			w.ver = 0 // written before versioning
 			err = s.Put(k, []byte(w.val))
 		case 1:
-			_, err = s.AppendV(nil, k, []byte(w.val), w.ver)
+			_, _, err = s.AppendV(nil, k, []byte(w.val), w.ver)
 		default:
-			err = s.PutV(k, []byte(w.val), w.ver)
+			_, err = s.PutV(k, []byte(w.val), w.ver)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestInstallRefusesForeignPartition(t *testing.T) {
 	d, _, _ := startDeployment(t, cfg, 2)
 	in := d.Instance(0)
 	key := keyForPartition(t, cfg, in.Table(), 1)
-	ver := uint64(7) << hlcNodeBits
+	ver := uint64(7) << storage.StampNodeBits
 
 	all := allLeaves()
 	pairs := repair.EncodePairs([]repair.Pair{{Key: key, Value: []byte("v"), Ver: ver}})

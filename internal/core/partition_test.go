@@ -58,7 +58,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 	}
 	stamps := make([]uint64, n)
 	for i := range stamps {
-		stamps[i] = in.clock.Next()
+		stamps[i] = in.clock.nextStamp()
 	}
 	buried := make([]atomic.Bool, n)
 	stores := make([]*novoht.Store, workers)
@@ -84,7 +84,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 					t.Errorf("install of %s at or below its buried remove: applied %v, err %v", removed[j], ok, err)
 				}
 			}
-			if ok, err := in.install(pt, kept[i], []byte("v"), in.clock.Next()); !ok || err != nil {
+			if ok, err := in.install(pt, kept[i], []byte("v"), in.clock.nextStamp()); !ok || err != nil {
 				t.Errorf("install of %s: applied %v, err %v", kept[i], ok, err)
 			}
 		}

@@ -65,7 +65,7 @@ func (in *Instance) PartitionDigest(p int) []uint64 {
 func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return errResp("core: bad partition")
+		return wire.ErrorReply("core: bad partition")
 	}
 	resp := wire.GetResponse()
 	resp.Status, resp.Value = wire.StatusOK, repair.EncodeDigest(storage.DigestVersion, in.PartitionDigest(p))
@@ -99,32 +99,30 @@ func (in *Instance) remoteDigest(b []byte) ([]uint64, error) {
 func (in *Instance) handleRepairPull(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
-		return errResp("core: bad partition")
+		return wire.ErrorReply("core: bad partition")
 	}
 	leaves, err := repair.DecodeLeafSet(req.Aux)
 	if err != nil {
-		return errResp(err.Error())
+		return wire.ErrorReply(err.Error())
 	}
 	if len(req.Value) > 0 {
 		pairs, err := repair.DecodePairs(req.Value)
 		if err != nil {
-			return errResp(err.Error())
+			return wire.ErrorReply(err.Error())
 		}
 		// FlagWholesale distinguishes a live owner's complete image
 		// (migration pushes — absentees may be deleted) from an acting
 		// authority's best-effort push (read-repair — upsert only).
 		if err := in.applyLeafContent(p, leaves, pairs, req.Flags&wire.FlagWholesale != 0); err != nil {
-			return errResp(err.Error())
+			return wire.ErrorReply(err.Error())
 		}
-		return statusResp(wire.StatusOK)
+		return wire.Reply(wire.StatusOK, nil)
 	}
 	pairs, err := in.collectLeafPairs(p, leaves)
 	if err != nil {
-		return errResp(err.Error())
+		return wire.ErrorReply(err.Error())
 	}
-	r := statusResp(wire.StatusOK)
-	r.Value = repair.EncodePairs(pairs)
-	return r
+	return wire.Reply(wire.StatusOK, repair.EncodePairs(pairs))
 }
 
 // collectLeafPairs snapshots the local pairs falling in the given
@@ -200,8 +198,10 @@ func (in *Instance) applyLeafContent(p int, leaves []int, pairs []repair.Pair, w
 		}
 		// Each delete removes only the copy the sweep saw (stamped just
 		// above it) and buries the key, so a stale copy of the pair in
-		// a later chunk does not bring it back.
+		// a later chunk does not bring it back. The clock observes the
+		// tombstone's stamp, which the store forgets at reclaim.
 		for _, sp := range stale {
+			in.clock.Observe(sp.ver + 1)
 			if _, err := s.BuryLWW(sp.key, sp.ver+1); err != nil {
 				return err
 			}
@@ -285,7 +285,9 @@ func (in *Instance) antiEntropyLoop() {
 // expired pair through anti-entropy until their own sweep deletes it
 // — the documented lazy-expiry anomaly (DESIGN.md §13). Reads never
 // see the stale copy either way: the expiry check runs on every
-// lookup.
+// lookup. The clock observes each reaped pair's stamp, which its store
+// no longer holds: the owner's next write of the key must land above a
+// copy that has not been reaped yet.
 func (in *Instance) reapExpired() {
 	nowMs := time.Now().UnixMilli()
 	for _, s := range in.openStores() {
@@ -298,6 +300,7 @@ func (in *Instance) reapExpired() {
 		})
 		for _, d := range dead {
 			if ok, err := d.remove(s); err == nil && ok {
+				in.clock.Observe(d.ver)
 				in.met.reaped.Inc()
 			}
 		}

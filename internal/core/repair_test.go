@@ -335,7 +335,7 @@ func TestRepairOpsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.PutV(alpha, []byte("1"), 1); err != nil {
+	if _, err := sa.PutV(alpha, []byte("1"), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,7 +378,7 @@ func TestRepairOpsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.PutV(stale, []byte("x"), 2); err != nil {
+	if _, err := sb.PutV(stale, []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, flags := range []uint8{0, wire.FlagWholesale} {
@@ -413,10 +413,10 @@ func TestUpsertPushKeepsNewerVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutV(keys["raced"], []byte("newer leg"), 5); err != nil {
+	if _, err := s.PutV(keys["raced"], []byte("newer leg"), 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutV(keys["stale"], []byte("older leg"), 2); err != nil {
+	if _, err := s.PutV(keys["stale"], []byte("older leg"), 2); err != nil {
 		t.Fatal(err)
 	}
 	var pushed []repair.Pair
@@ -470,7 +470,7 @@ func staleCopyAfterRemove(t *testing.T, dropReplica bool) {
 	}
 	if dropReplica {
 		d.Drain()
-		if ok, err := replica.open(replica.part(p)).RemoveV(key, 0); !ok || err != nil {
+		if ok, _, err := replica.open(replica.part(p)).RemoveV(key, 0); !ok || err != nil {
 			t.Fatalf("dropping the replica's copy: %v, %v", ok, err)
 		}
 	}
@@ -534,13 +534,13 @@ func TestRemoveLegRacesStaleInstall(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	copied := replica.clock.Next()
+	copied := replica.clock.nextStamp()
 	for _, k := range keys {
 		if ok, err := replica.install(pt, k, []byte("before"), copied); !ok || err != nil {
 			t.Fatalf("install of %s: %v, %v", k, ok, err)
 		}
 	}
-	removed := replica.clock.Next()
+	removed := replica.clock.nextStamp()
 
 	// The two appliers meet at every key before they apply it.
 	arrived := make([]atomic.Int32, n)
@@ -972,7 +972,7 @@ func TestReplicationReturnsPooledResponses(t *testing.T) {
 				owner := d.Instance(table.Owner[p])
 				wire.PutResponse(owner.Handle(&wire.Request{
 					Op: wire.OpReplicate, Partition: int64(p), Key: key, Value: []byte("v2"),
-					Version: owner.clock.Next(), Aux: encodeReplicaAux(wire.OpInsert),
+					Version: owner.clock.nextStamp(), Aux: encodeReplicaAux(wire.OpInsert),
 				}))
 				if v, err := c.LookupWith(key, wire.ConsistencyAll); err != nil || string(v) != "v2" {
 					t.Fatalf("ALL read of %s = %q, %v", key, v, err)
@@ -1058,7 +1058,7 @@ func TestDigestOfAnotherVersionIsSkipped(t *testing.T) {
 		t.Fatalf("insert: %s (%s)", resp.Status, resp.Err)
 	}
 	// The replica misses a remove: its copy of key outlives the owner's.
-	if ok, err := owner.storeIfPresent(p).RemoveV(key, 0); !ok || err != nil {
+	if ok, _, err := owner.storeIfPresent(p).RemoveV(key, 0); !ok || err != nil {
 		t.Fatalf("owner-only remove: %v, %v", ok, err)
 	}
 

@@ -470,6 +470,60 @@ func TestHealedOwnerWithOpenCircuit(t *testing.T) {
 	}
 }
 
+// TestQuorumReadWithOwnerCircuitOpen pins what a QUORUM read does at
+// r = 2 while the client's link to a live owner stays cut and the
+// owner's circuit is open: DESIGN.md §5's asymmetric partition, one
+// replica more than TestHealedOwnerWithOpenCircuit. It pins today's
+// outcome, not a rule (ROADMAP item 21).
+func TestQuorumReadWithOwnerCircuitOpen(t *testing.T) {
+	cfg := Config{NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond}
+	tuneBreakers(t, 1, time.Minute)
+	d, reg, _ := startDeployment(t, cfg, 3)
+	inner := reg.NewClient()
+	owner := d.Instance(1)
+	var cut atomic.Bool
+	var reports, toOwner atomic.Int64
+	c, err := NewClient(cfg, d.Instance(0).Table(), callerFunc(func(addr string, req *wire.Request) (*wire.Response, error) {
+		if req.Op == wire.OpReport {
+			reports.Add(1)
+		}
+		if cut.Load() && addr == owner.Addr() {
+			toOwner.Add(1)
+			return nil, transport.ErrUnreachable
+		}
+		return inner.Call(addr, req)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := ownedKeys(t, owner, "quorum-cut", 2)
+	for _, op := range ops {
+		if err := c.Insert(op.Key, op.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut.Store(true)
+	if _, err := c.Lookup(ops[0].Key); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("lookup with the owner's link cut: %v, want ErrUnavailable", err)
+	}
+	if c.breaker.tracked.Load() == 0 {
+		t.Fatal("the cut lookup left the owner's circuit closed")
+	}
+	// The read succeeds. The owner's leg runs all routeAttempts rounds,
+	// each calling the owner and sending one failure report (each
+	// report's alive verdict lets the circuit half-open), and fails;
+	// the two replica probes answer, which meets the quorum of 2 of 3.
+	reports.Store(0)
+	toOwner.Store(0)
+	if v, err := c.LookupWith(ops[1].Key, wire.ConsistencyQuorum); err != nil || string(v) != string(ops[1].Value) {
+		t.Fatalf("quorum read with the owner cut = %q, %v; want %q", v, err, ops[1].Value)
+	}
+	if n, m := reports.Load(), toOwner.Load(); n != routeAttempts || m != routeAttempts {
+		t.Fatalf("quorum read with the owner cut sent %d reports and %d calls to the owner, want %d and %d",
+			n, m, routeAttempts, routeAttempts)
+	}
+}
+
 // TestAbandonedQuorumProbeReleasesCircuit trips the circuit of a
 // partition's second replica X, then runs a QUORUM read of the
 // partition after the cooldown: the read admits X's half-open probe

@@ -4,15 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"zht/internal/novoht"
 	"zht/internal/repair"
-	"zht/internal/ring"
 	"zht/internal/storage"
+	"zht/internal/tenant"
 	"zht/internal/transport"
 	"zht/internal/wire"
 )
@@ -112,9 +112,9 @@ func TestMigrationImportAdvancesClock(t *testing.T) {
 	replica := replicaOf(t, d, p)
 
 	// A pair whose stamp runs an hour ahead of every clock here, as a
-	// peer's stamps do after a burst of writes borrowed milliseconds,
+	// hot key's stamps do after a burst of writes to it,
 	// pushed as a departing owner's migration stream pushes it.
-	ahead := uint64(time.Now().Add(time.Hour).UnixMilli()) << hlcNodeBits
+	ahead := uint64(time.Now().Add(time.Hour).UnixMilli()) << storage.StampNodeBits
 	for _, in := range []*Instance{owner, replica} {
 		resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p), Flags: wire.FlagWholesale,
 			Aux:   repair.EncodeLeafSet([]int{storage.LeafOf(key)}),
@@ -135,6 +135,31 @@ func TestMigrationImportAdvancesClock(t *testing.T) {
 	}
 	if v, ver, _ := storeVer(t, replica, p, key); string(v) != "fresh" || ver != ownerVer {
 		t.Fatalf("replica holds %q@%d, want the acked %q@%d", v, ver, "fresh", ownerVer)
+	}
+}
+
+// A wholesale repair pull deletes a local pair the authority lacks by
+// burying it just above its stamp, and the clock observes the
+// tombstone's stamp: once the store reclaims it, the floor still passes
+// it.
+func TestSweptStampAdvancesClock(t *testing.T) {
+	d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1}, 2)
+	in := d.Instance(0)
+	key, p := ownedKey(t, in)
+	ahead := uint64(time.Now().Add(time.Hour).UnixMilli()) << storage.StampNodeBits
+	if _, err := in.install(in.part(p), key, []byte("stale"), ahead); err != nil {
+		t.Fatal(err)
+	}
+	resp := in.Handle(&wire.Request{Op: wire.OpRepairPull, Partition: int64(p), Flags: wire.FlagWholesale,
+		Aux: repair.EncodeLeafSet([]int{storage.LeafOf(key)}), Value: repair.EncodePairs(nil)})
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("wholesale pull: %s (%s)", resp.Status, resp.Err)
+	}
+	if _, _, ok := storeVer(t, in, p, key); ok {
+		t.Fatal("the sweep left the pair the authority lacks")
+	}
+	if floor := in.clock.Floor(); floor <= ahead+1 {
+		t.Fatalf("floor %#x after the sweep buried %#x", floor, ahead+1)
 	}
 }
 
@@ -220,11 +245,11 @@ func partitionPairs(t *testing.T, in *Instance, partitions int) map[string]strin
 }
 
 // At r = 0 no mutation stripe orders two writers of one key, so they
-// can draw their stamps in one order and reach the store in the
-// other. The store refuses the stale stamp and the op redraws, so a
-// key's stamps rise in log order and a restart replays exactly the
-// live state. Each round races four writers on a fresh key: two
-// inserts against two inserts, appends or removes.
+// can read their floors in one order and reach the store in the other.
+// The store stamps the later arrival above the stored stamp, so a key's
+// stamps rise in log order and a restart replays exactly the live
+// state. Each round races four writers on a fresh key: two inserts
+// against two inserts, appends or removes.
 func TestConcurrentWritersReplayToLiveState(t *testing.T) {
 	cfg := Config{NumPartitions: 8, Replicas: 0, DataDir: t.TempDir()}
 	d, _, _ := startDeployment(t, cfg, 1)
@@ -276,101 +301,218 @@ func TestConcurrentWritersReplayToLiveState(t *testing.T) {
 	}
 }
 
-// TestEnvelopeDrawsStampsOnce: an envelope of n mutations reserves its
-// n stamps from the clock at once, counted through the clock's hooks as
-// one wall-clock read and one compare-and-swap. The stamps go out in
-// apply order (partition order, then envelope order within a
-// partition) one tick apart, so a key written twice in one envelope
-// ends at the later, larger stamp.
+// nextStamp returns a stamp above every stamp c issued or observed, and
+// observes it: the rising stamps tests hand-craft legs and installs
+// with. Every stamp issued is at most the floor, since one above it is
+// observed, so one millisecond past the floor is above them all.
+func (c *hlc) nextStamp() uint64 {
+	v := storage.Stamp(c.Floor()>>storage.StampNodeBits+1, c.node)
+	c.Observe(v)
+	return v
+}
+
+// TestEnvelopeDrawsStampsOnce: an envelope reads the clock's floor once,
+// at its first mutation, so it reads the wall clock once, and an
+// envelope of distinct keys stamps them all at that floor and leaves
+// the clock as it found it: no swap. A key written twice in one
+// envelope stores rising stamps, the second one millisecond above the
+// first with the node's bits, and the clock is still untouched: the
+// store keeps a pair's stamp.
 func TestEnvelopeDrawsStampsOnce(t *testing.T) {
 	d, _, _ := startDeployment(t, Config{NumPartitions: 8}, 1)
 	in := d.Instance(0)
-	var walls, swaps atomic.Int32
+	var walls atomic.Int32
 	in.clock.wall = func() uint64 { walls.Add(1); return wallMillis() }
-	in.clock.casHook = func() { swaps.Add(1) }
+	send := func(subs []*wire.Request) []*wire.Response {
+		t.Helper()
+		walls.Store(0)
+		rs := batchSubs(t, in.Handle(wire.NewBatchRequest(subs)), len(subs))
+		for i, r := range rs {
+			if subs[i].Op != wire.OpLookup && r.Status != wire.StatusOK {
+				t.Fatalf("sub-op %d (%s %s): %s (%s)", i, subs[i].Op, subs[i].Key, r.Status, r.Err)
+			}
+		}
+		if walls.Load() != 1 {
+			t.Fatalf("an envelope of %d sub-ops read the wall clock %d times, want 1", len(subs), walls.Load())
+		}
+		return rs
+	}
 
-	keys := make([]string, 6)
+	keys := make([]string, 5)
+	subs := []*wire.Request{{Op: wire.OpLookup, Key: "env-absent"}}
 	for i := range keys {
 		keys[i] = fmt.Sprintf("env-%d", i)
-	}
-	subs := []*wire.Request{
-		{Op: wire.OpInsert, Key: keys[0], Value: []byte("a")},
-		{Op: wire.OpLookup, Key: keys[1]},
-		{Op: wire.OpInsert, Key: keys[1], Value: []byte("b")},
-		{Op: wire.OpInsert, Key: keys[2], Value: []byte("c")},
-		{Op: wire.OpAppend, Key: keys[0], Value: []byte("+")},
-		{Op: wire.OpInsert, Key: keys[3], Value: []byte("d")},
-		{Op: wire.OpInsert, Key: keys[4], Value: []byte("e")},
-		{Op: wire.OpLookup, Key: keys[5]},
-		{Op: wire.OpAppend, Key: keys[5], Value: []byte("f")},
-	}
-	// Apply order: the rank of each mutation, and the rank of each key's
-	// last one.
-	var order []int
-	for i, r := range subs {
-		if r.Op != wire.OpLookup {
-			order = append(order, i)
+		op := wire.OpInsert
+		if i%2 == 1 {
+			op = wire.OpAppend
 		}
+		subs = append(subs, &wire.Request{Op: op, Key: keys[i], Value: []byte("v")})
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.partitionOf(subs[order[a]].Key) < in.partitionOf(subs[order[b]].Key)
-	})
-	last := make(map[string]int)
-	for rank, i := range order {
-		last[subs[i].Key] = rank
+	last := in.clock.last.Load()
+	send(subs)
+	if got := in.clock.last.Load(); got != last {
+		t.Fatalf("an envelope of distinct keys moved the clock from %#x to %#x", last, got)
 	}
-
-	resp := in.Handle(wire.NewBatchRequest(subs))
-	for i, r := range batchSubs(t, resp, len(subs)) {
-		if subs[i].Op != wire.OpLookup && r.Status != wire.StatusOK {
-			t.Fatalf("sub-op %d (%s %s): %s (%s)", i, subs[i].Op, subs[i].Key, r.Status, r.Err)
-		}
-	}
-	if walls.Load() != 1 || swaps.Load() != 1 {
-		t.Fatalf("an envelope of %d mutations read the wall clock %d times and swapped the clock %d times, want 1 and 1",
-			len(order), walls.Load(), swaps.Load())
-	}
-	var first uint64
-	for k, rank := range last {
-		v, ver, ok := storeVer(t, in, in.partitionOf(k), k)
+	var floor uint64
+	for _, k := range keys {
+		_, ver, ok := storeVer(t, in, in.partitionOf(k), k)
 		if !ok {
 			t.Fatalf("%s not stored", k)
 		}
-		base := ver - uint64(rank)*hlcTick
-		if first == 0 {
-			first = base
+		if floor == 0 {
+			floor = ver
 		}
-		if base != first {
-			t.Fatalf("%s (apply rank %d) stamped %#x: not %d ticks above the envelope's first stamp %#x", k, rank, ver, rank, first)
-		}
-		if k == keys[0] && string(v) != "a+" {
-			t.Fatalf("%s = %q, want the insert then the append", k, v)
+		if ver != floor {
+			t.Fatalf("%s stamped %#x, not the envelope's floor %#x", k, ver, floor)
 		}
 	}
-	if first&(hlcTick-1) != in.clock.node {
-		t.Fatalf("first stamp %#x lost the node bits %#x", first, in.clock.node)
+	if floor&(1<<storage.StampNodeBits-1) != in.clock.node {
+		t.Fatalf("floor %#x lost the node bits %#x", floor, in.clock.node)
+	}
+
+	rs := send([]*wire.Request{
+		{Op: wire.OpInsert, Key: "twice", Value: []byte("a")},
+		{Op: wire.OpLookup, Key: "twice"},
+		{Op: wire.OpAppend, Key: "twice", Value: []byte("+")},
+	})
+	first := rs[1].Version
+	v, ver, _ := storeVer(t, in, in.partitionOf("twice"), "twice")
+	if want := storage.Stamp(first>>storage.StampNodeBits+1, in.clock.node); string(v) != "a+" || ver != want {
+		t.Fatalf("twice = %q@%#x after a write at %#x, want %q@%#x", v, ver, first, "a+", want)
+	}
+	if got := in.clock.last.Load(); got != last {
+		t.Fatalf("a key written twice moved the clock from %#x to %#x", last, got)
 	}
 }
 
-// TestBurstLeadsWallClock pins DESIGN §12's lead: stamps borrow future
-// milliseconds, so n stamps drawn in elapsed < n ms leave the clock's
-// next stamp at least n - elapsed ms ahead of the wall clock, whether
-// they are drawn one by one or reserved for envelopes of 32.
+// TestBurstLeadsWallClock pins DESIGN §12's lead. 20 000 writes of
+// distinct keys leave the floor within a few milliseconds of the wall
+// clock: each is stamped at the floor. One key written n times in
+// elapsed < n ms runs its own chain ahead, one millisecond a write, so
+// it leads the wall clock by at least n - 1 - elapsed ms.
 func TestBurstLeadsWallClock(t *testing.T) {
 	const n = 20000
-	for _, per := range []int{1, 32} {
-		c := newHLC(ring.InstanceID(fmt.Sprintf("burst-%d", per)))
-		start := wallMillis()
-		for drawn := 0; drawn < n; drawn += per {
-			c.Reserve(per)
+	d, _, _ := startDeployment(t, Config{NumPartitions: 8}, 1)
+	in := d.Instance(0)
+	write := func(key string) {
+		t.Helper()
+		resp := in.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("v")})
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("insert %s = %s (%s)", key, resp.Status, resp.Err)
 		}
-		end := wallMillis()
-		elapsed := end - start
-		if elapsed >= n {
-			t.Fatalf("%d stamps took %d ms: no burst", n, elapsed)
+		wire.PutResponse(resp)
+	}
+	for i := 0; i < n; i++ {
+		write(fmt.Sprintf("burst-%d", i))
+	}
+	if lead := int64(in.clock.Floor()>>storage.StampNodeBits) - int64(wallMillis()); lead > 2 {
+		t.Fatalf("%d writes of distinct keys left the floor %d ms ahead of the wall clock", n, lead)
+	}
+
+	start := wallMillis()
+	for i := 0; i < n; i++ {
+		write("hot")
+	}
+	end := wallMillis()
+	elapsed := end - start
+	if elapsed >= n-1 {
+		t.Fatalf("%d writes took %d ms: no burst", n, elapsed)
+	}
+	_, ver, _ := storeVer(t, in, in.partitionOf("hot"), "hot")
+	if lead := int64(ver>>storage.StampNodeBits) - int64(end); lead < int64(n-1-elapsed) {
+		t.Fatalf("one key written %d times in %d ms leads the wall clock by %d ms, want >= %d", n, elapsed, lead, n-1-elapsed)
+	}
+}
+
+// Once the owner's store forgets a stamp that a replica's copy keeps,
+// the owner still stamps the key's next write above it, and the replica
+// applies the leg: the clock observed the stamp when the store took it
+// for a tombstone or reaped it. Each case leaves the replica holding a
+// stamp at or above the floor's wall time; without the observe the
+// owner would stamp the rewrite at the floor, and the replica would
+// refuse it.
+//   - chain: n writes of the key in one envelope run its stamps n ms
+//     ahead of the floor, and its remove buries it above them.
+//   - floor ahead: the floor leads wall time (a stamp observed an hour
+//     ahead) and the key's pair is below it, so its remove is buried at
+//     the floor itself.
+//   - reaped: a chain of writes of an expired value, which the owner's
+//     TTL reaper deletes while the replica's copy stays.
+//
+// In the first two the owner's tombstones are aged past RemoveGrace and
+// a remove of an absent key in the partition reclaims the key's.
+func TestRewriteAfterReclaimPassesReplicaTombstone(t *testing.T) {
+	const n = 500
+	chain := func(value []byte, remove bool) []*wire.Request {
+		subs := make([]*wire.Request, 0, n+1)
+		for i := 0; i < n; i++ {
+			subs = append(subs, &wire.Request{Op: wire.OpInsert, Value: value})
 		}
-		if lead := int64(c.Next()>>hlcNodeBits) - int64(end); lead < int64(n-elapsed) {
-			t.Fatalf("%d stamps in %d ms (%d per draw) lead the wall clock by %d ms, want >= %d", n, elapsed, per, lead, n-elapsed)
+		if remove {
+			subs = append(subs, &wire.Request{Op: wire.OpRemove})
 		}
+		return subs
+	}
+	cases := []struct {
+		name    string
+		prepare func(owner *Instance) []*wire.Request
+		reclaim bool
+	}{
+		{"chain", func(*Instance) []*wire.Request { return chain([]byte("v"), true) }, true},
+		{"floor ahead", func(owner *Instance) []*wire.Request {
+			owner.clock.Observe(uint64(time.Now().Add(time.Hour).UnixMilli()) << storage.StampNodeBits)
+			return []*wire.Request{{Op: wire.OpRemove}}
+		}, true},
+		{"reaped", func(*Instance) []*wire.Request {
+			return chain(tenant.Wrap([]byte("v"), 0, time.Now().Add(-time.Second)), false)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: 1}, 2)
+			owner := d.Instance(0)
+			key, p := ownedKey(t, owner)
+			replica := replicaOf(t, d, p)
+			if resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("first"),
+				Consistency: wire.ConsistencyAll}); resp.Status != wire.StatusOK {
+				t.Fatalf("insert = %s (%s)", resp.Status, resp.Err)
+			}
+			subs := tc.prepare(owner)
+			for _, r := range subs {
+				r.Key, r.Consistency = key, wire.ConsistencyAll
+			}
+			for i, r := range batchSubs(t, owner.Handle(wire.NewBatchRequest(subs)), len(subs)) {
+				if r.Status != wire.StatusOK {
+					t.Fatalf("sub-op %d (%s): %s (%s)", i, subs[i].Op, r.Status, r.Err)
+				}
+			}
+			if tc.reclaim {
+				aged := time.Now().Add(novoht.RemoveGrace + time.Second).UnixMilli()
+				owner.storeIfPresent(p).SetWallClock(func() int64 { return aged })
+				other := ""
+				for i := 0; other == ""; i++ {
+					if k := fmt.Sprintf("other-%d", i); owner.partitionOf(k) == p {
+						other = k
+					}
+				}
+				if resp := owner.Handle(&wire.Request{Op: wire.OpRemove, Key: other}); resp.Status != wire.StatusNotFound {
+					t.Fatalf("remove of absent %s = %s (%s)", other, resp.Status, resp.Err)
+				}
+			} else {
+				owner.reapExpired()
+			}
+			if _, _, ok := storeVer(t, owner, p, key); ok {
+				t.Fatal("the owner's store still holds the key")
+			}
+
+			resp := owner.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("again"), Consistency: wire.ConsistencyAll})
+			if resp.Status != wire.StatusOK {
+				t.Fatalf("rewrite = %s (%s)", resp.Status, resp.Err)
+			}
+			_, ownerVer, _ := storeVer(t, owner, p, key)
+			if v, ver, ok := storeVer(t, replica, p, key); !ok || string(v) != "again" || ver != ownerVer {
+				t.Fatalf("replica holds %q@%#x (found %v) after the rewrite, want %q@%#x", v, ver, ok, "again", ownerVer)
+			}
+		})
 	}
 }

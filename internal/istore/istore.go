@@ -35,24 +35,24 @@ func (s *ChunkServer) Handle(req *wire.Request) *wire.Response {
 		s.mu.Lock()
 		s.blocks[req.Key] = append([]byte(nil), req.Value...)
 		s.mu.Unlock()
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpLookup:
 		s.mu.RLock()
 		b, ok := s.blocks[req.Key]
 		s.mu.RUnlock()
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
-		return &wire.Response{Status: wire.StatusOK, Value: append([]byte(nil), b...)}
+		return wire.Reply(wire.StatusOK, append([]byte(nil), b...))
 	case wire.OpRemove:
 		s.mu.Lock()
 		delete(s.blocks, req.Key)
 		s.mu.Unlock()
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "istore: unsupported op"}
+	return wire.ErrorReply("istore: unsupported op")
 }
 
 // Blocks reports how many blocks this server holds.

@@ -74,17 +74,17 @@ func (d *Dispatcher) Handle(req *wire.Request) *wire.Response {
 		}
 		if len(d.queue) == 0 {
 			d.mu.Unlock()
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
 		t := d.queue[0]
 		d.queue = d.queue[1:]
 		d.mu.Unlock()
 		d.dispatched.Add(1)
-		return &wire.Response{Status: wire.StatusOK, Value: encodeOne(t)}
+		return wire.Reply(wire.StatusOK, encodeOne(t))
 	case req.Op == wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "falkon: unsupported request"}
+	return wire.ErrorReply("falkon: unsupported request")
 }
 
 func encodeOne(t *matrix.Task) []byte { return matrix.EncodeTaskForWire(t) }

@@ -88,26 +88,26 @@ func (n *Node) Handle(req *wire.Request) *wire.Response {
 	case req.Op == wire.OpLookup && req.Key == keySteal:
 		batch := n.popBatch()
 		if len(batch) == 0 {
-			return &wire.Response{Status: wire.StatusNotFound}
+			return wire.Reply(wire.StatusNotFound, nil)
 		}
 		n.stolen.Add(int64(len(batch)))
-		return &wire.Response{Status: wire.StatusOK, Value: encodeTaskList(batch)}
+		return wire.Reply(wire.StatusOK, encodeTaskList(batch))
 	case req.Op == wire.OpInsert && req.Key == keySubmit:
 		ts, err := decodeTaskList(req.Value)
 		if err != nil {
-			return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+			return wire.ErrorReply(err.Error())
 		}
 		n.Enqueue(ts...)
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	case req.Op == wire.OpLookup && req.Key == keyLoad:
 		n.mu.Lock()
 		l := len(n.queue)
 		n.mu.Unlock()
-		return &wire.Response{Status: wire.StatusOK, Value: []byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)}}
+		return wire.Reply(wire.StatusOK, []byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)})
 	case req.Op == wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Reply(wire.StatusOK, nil)
 	}
-	return &wire.Response{Status: wire.StatusError, Err: "matrix: unsupported request"}
+	return wire.ErrorReply("matrix: unsupported request")
 }
 
 // Enqueue adds tasks to the local queue.

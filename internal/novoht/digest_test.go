@@ -1,7 +1,6 @@
 package novoht
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -47,11 +46,11 @@ func mutateRandomly(t *testing.T, s *Store, rng *rand.Rand, prefix string, n, ke
 		var err error
 		switch rng.Intn(9) {
 		case 0:
-			_, err = s.RemoveV(k, 0)
+			_, _, err = s.RemoveV(k, 0)
 		case 1:
-			_, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), 0)
+			_, _, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), 0)
 		case 2:
-			_, err = s.PutIfAbsentV(k, val, 0)
+			_, _, err = s.PutIfAbsentV(k, val, 0)
 		case 3:
 			var cur []byte
 			var ok bool
@@ -60,16 +59,13 @@ func mutateRandomly(t *testing.T, s *Store, rng *rand.Rand, prefix string, n, ke
 				if !ok {
 					cur = nil
 				}
-				_, _, err = s.CasV(k, cur, val, 0)
+				_, _, _, err = s.CasV(k, cur, val, 0)
 			}
 		case 4:
 			// Writers sharing keys keep separate clocks, so another
-			// writer's newer stamp refuses this one, like a lost
-			// last-writer-wins race.
+			// writer's newer stamp lifts this one above it.
 			clock++
-			if err = s.PutV(k, val, clock); errors.Is(err, storage.ErrStale) {
-				err = nil
-			}
+			_, err = s.PutV(k, val, clock)
 		case 5:
 			_, err = s.PutLWW(k, val, stamp())
 		case 6:
@@ -160,11 +156,11 @@ func TestDigestAppendChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutV("dir", []byte("head;"), 9); err != nil {
+	if _, err := s.PutV("dir", []byte("head;"), 9); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		if _, err := s.AppendV(nil, "dir", []byte(fmt.Sprintf("entry-%05d;", i)), 0); err != nil {
+		if _, _, err := s.AppendV(nil, "dir", []byte(fmt.Sprintf("entry-%05d;", i)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

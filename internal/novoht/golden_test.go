@@ -51,25 +51,25 @@ func kindsScript(torn bool) func(s *Store) error {
 			s.Put("b", []byte("bravo")),
 			appendErr(s.AppendV(nil, "a", []byte("+1"), 0)),
 			appendErr(s.AppendV(nil, "c", []byte("new"), 0)),
-			s.PutV("d", []byte("delta"), 100),
+			putErr(s.PutV("d", []byte("delta"), 100)),
 			appendErr(s.AppendV(nil, "d", []byte("+x"), 0)), // keeps version 100
-			boolErr(s.RemoveV("b", 0)),
-			s.PutV("e", []byte("echo"), 200),
+			stampErr(s.RemoveV("b", 0)),
+			putErr(s.PutV("e", []byte("echo"), 200)),
 			boolErr(s.RemoveLWW("e", 300)),
-			s.PutV("f", []byte("old"), 500),
+			putErr(s.PutV("f", []byte("old"), 500)),
 			// The tree that wrote this file applied an older stamp over
-			// a newer one. The store now refuses that (storage.ErrStale),
-			// so the script logs the record alone; replay keeps the
-			// newest version.
+			// a newer one. The store now stamps such a write above the
+			// stored one, so the script logs the record alone; replay
+			// keeps the newest version.
 			logRecord(s, recPut, "f", []byte("stale"), 400),
-			s.PutV("g", []byte("golf"), 50),
+			putErr(s.PutV("g", []byte("golf"), 50)),
 			s.Put("g", []byte("x")),
 			s.Put("h", nil),
 			boolErr(s.RemoveLWW("h", 7)),
-			s.PutV("i", []byte("india"), 1<<40),
+			putErr(s.PutV("i", []byte("india"), 1<<40)),
 			func() error {
 				if torn {
-					return s.PutV("z", []byte("torn"), 900)
+					return putErr(s.PutV("z", []byte("torn"), 900))
 				}
 				return nil
 			}(),
@@ -81,16 +81,16 @@ func kindsScript(torn bool) func(s *Store) error {
 // instance writes today.
 func appendVScript(s *Store) error {
 	return firstErr(
-		s.PutV("a", []byte("alpha"), 10),
+		putErr(s.PutV("a", []byte("alpha"), 10)),
 		appendErr(s.AppendV(nil, "a", []byte("+1"), 11)),
 		appendErr(s.AppendV(nil, "n", []byte("new"), 12)),
 		s.Put("l", []byte("legacy")),
 		appendErr(s.AppendV(nil, "l", []byte("+v"), 13)),
-		s.PutV("d", []byte("delta"), 20),
+		putErr(s.PutV("d", []byte("delta"), 20)),
 		appendErr(s.AppendV(nil, "d", []byte("+0"), 0)), // keeps version 20
 		casErr(s.CasV("a", []byte("alpha+1"), []byte("swapped"), 14)),
-		boolErr(s.PutIfAbsentV("p", []byte("pia"), 15)),
-		boolErr(s.RemoveV("n", 16)),
+		stampErr(s.PutIfAbsentV("p", []byte("pia"), 15)),
+		stampErr(s.RemoveV("n", 16)),
 		appendErr(s.AppendV(nil, "e", []byte("solo"), 17)),
 	)
 }
@@ -128,10 +128,12 @@ func logRecord(s *Store, typ byte, key string, val []byte, ver uint64) error {
 	return err
 }
 
-func appendErr(_ []byte, err error) error      { return err }
-func boolErr(_ bool, err error) error          { return err }
-func casErr(_ bool, _ []byte, err error) error { return err }
-func goldenPath(file string) string            { return filepath.Join("testdata", file) }
+func putErr(_ uint64, err error) error                   { return err }
+func appendErr(_ []byte, _ uint64, err error) error      { return err }
+func boolErr(_ bool, err error) error                    { return err }
+func stampErr(_ bool, _ uint64, err error) error         { return err }
+func casErr(_ bool, _ []byte, _ uint64, err error) error { return err }
+func goldenPath(file string) string                      { return filepath.Join("testdata", file) }
 func readGolden(t testing.TB, file string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(goldenPath(file))

@@ -13,10 +13,12 @@ import (
 
 // TestIndexEquivalence drives a volatile store and a Go map with the
 // same random history: puts of new keys, overwrites that fit the cell
-// and ones that outgrow it, appends, removes of present and absent
-// keys, buries that leave tombstones, stale writes the tombstones
-// refuse, reclaims as the store's clock passes RemoveGrace, enough
-// keys to grow the index several times, and full and per-leaf
+// and ones that outgrow it, appends, compare-and-swaps, conditional
+// puts, removes of present and absent keys, buries that leave
+// tombstones, stale replicated writes the pairs and tombstones refuse,
+// owner writes stamped at or below the stored stamp that the store
+// lifts above it, reclaims as the store's clock passes RemoveGrace,
+// enough keys to grow the index several times, and full and per-leaf
 // iterations. After every step the store must agree with the map. The "collide" variant swaps the probe hash for one with four
 // values, all homed in the last slots of the table, so every probe
 // chain is long and wraps around the end, and backward-shift delete
@@ -76,17 +78,42 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 		k := fmt.Sprintf("k%0*d", 1+rng.Intn(6), rng.Intn(keys))
 		cur, present := model[k]
 		now = int64(i) * stepMs
-		switch op := rng.Intn(10); {
+		// stored is the stamp an owner's write of k must land above: the
+		// pair's, else the tombstone's. One owner write in three is given
+		// a stamp at or below it, as a writer that read its floor before
+		// another writer of k reached the store is; the store lands it
+		// one millisecond above (storage.StampAbove).
+		stored := tombs[k].ver
+		if present {
+			stored = cur.ver
+		}
+		stamp := func() (given, want uint64) {
+			if stored > 0 && rng.Intn(3) == 0 {
+				given = stored - uint64(rng.Intn(int(min(stored, 3))))
+			} else {
+				clock++
+				given = clock
+			}
+			return given, storage.StampAbove(stored, given)
+		}
+		checkStamp := func(op string, got, want uint64) {
+			if got != want {
+				t.Fatalf("step %d: %s(%q) over stamp %d stored %d, want %d", i, op, k, stored, got, want)
+			}
+		}
+		switch op := rng.Intn(12); {
 		case op < 4:
 			v := value(i)
 			if present && rng.Intn(2) == 0 {
 				v = bytes.Repeat([]byte{'='}, len(cur.val)) // same length: in place
 			}
-			clock++
-			if err := s.PutV(k, v, clock); err != nil {
+			ver, want := stamp()
+			got, err := s.PutV(k, v, ver)
+			if err != nil {
 				t.Fatal(err)
 			}
-			model[k] = pair{string(v), clock}
+			checkStamp("PutV", got, want)
+			model[k] = pair{string(v), want}
 			delete(tombs, k)
 		case op < 6:
 			d := value(i)
@@ -94,12 +121,14 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 			// Version 0 keeps the pair's stamp; a new one replaces it.
 			ver, keep := uint64(0), cur.ver
 			if rng.Intn(2) == 0 {
-				clock++
-				ver, keep = clock, clock
+				ver, keep = stamp()
 			}
-			got, err := s.AppendV([]byte{}, k, d, ver)
+			got, gotVer, err := s.AppendV([]byte{}, k, d, ver)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ver > 0 {
+				checkStamp("AppendV", gotVer, keep)
 			}
 			model[k] = pair{cur.val + string(d), keep}
 			delete(tombs, k)
@@ -107,19 +136,20 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 				t.Fatalf("step %d: AppendV(%q) returned %q, want %q", i, k, got, model[k].val)
 			}
 		case op < 8 && rng.Intn(2) == 0:
-			ok, err := s.RemoveV(k, 0)
+			ok, _, err := s.RemoveV(k, 0)
 			if err != nil || ok != present {
 				t.Fatalf("step %d: RemoveV(%q) = %v, %v; present %v", i, k, ok, err, present)
 			}
 			delete(model, k)
 		case op < 8:
-			clock++
-			ok, err := s.BuryV(k, clock)
+			ver, want := stamp()
+			ok, got, err := s.BuryV(k, ver)
 			if err != nil || ok != present {
 				t.Fatalf("step %d: BuryV(%q) = %v, %v; present %v", i, k, ok, err, present)
 			}
+			checkStamp("BuryV", got, want)
 			delete(model, k)
-			tombs[k] = tomb{clock, i}
+			tombs[k] = tomb{want, i}
 			for tk, tb := range tombs {
 				if tb.at < i-graceSteps {
 					delete(tombs, tk)
@@ -128,16 +158,45 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 		case op < 9:
 			// A stale copy: at the tombstone's stamp or the pair's, it
 			// is refused; onto a key with neither, it lands.
-			ver := cur.ver
-			if tb, ok := tombs[k]; ok {
-				ver = tb.ver
-			}
-			ok, err := s.PutLWW(k, []byte("stale"), ver)
+			ok, err := s.PutLWW(k, []byte("stale"), stored)
 			if err != nil || ok == (present || tombs[k].ver > 0) {
-				t.Fatalf("step %d: PutLWW(%q, v%d) = %v, %v; present %v, tombstone %+v", i, k, ver, ok, err, present, tombs[k])
+				t.Fatalf("step %d: PutLWW(%q, v%d) = %v, %v; present %v, tombstone %+v", i, k, stored, ok, err, present, tombs[k])
 			}
 			if ok {
-				model[k] = pair{"stale", ver}
+				model[k] = pair{"stale", stored}
+			}
+		case op < 10:
+			// A compare-and-swap that matches half the time: the pair's
+			// value, or absence, is what it expects.
+			var old []byte
+			if match := rng.Intn(2) == 0; match && present {
+				old = append([]byte{}, cur.val...)
+			} else if !match {
+				old = []byte("no such value")
+			}
+			swap := (old == nil) != present && (old == nil || string(old) == cur.val)
+			v := value(i)
+			ver, want := stamp()
+			ok, seen, got, err := s.CasV(k, old, v, ver)
+			if err != nil || ok != swap || !ok && string(seen) != cur.val {
+				t.Fatalf("step %d: CasV(%q, %q) = %v, %q, %v; present %v, value %q", i, k, old, ok, seen, err, present, cur.val)
+			}
+			if ok {
+				checkStamp("CasV", got, want)
+				model[k] = pair{string(v), want}
+				delete(tombs, k)
+			}
+		case op < 11:
+			v := value(i)
+			ver, want := stamp()
+			ok, got, err := s.PutIfAbsentV(k, v, ver)
+			if err != nil || ok == present {
+				t.Fatalf("step %d: PutIfAbsentV(%q) = %v, %v; present %v", i, k, ok, err, present)
+			}
+			if ok {
+				checkStamp("PutIfAbsentV", got, want)
+				model[k] = pair{string(v), want}
+				delete(tombs, k)
 			}
 		default:
 			v, ver, ok, _ := s.GetAppendV(scratch[:0], k)
@@ -152,8 +211,8 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 				t.Fatalf("step %d: store keeps %d tombstones, model %d", i, s.ntomb, len(tombs))
 			}
 			for k, tb := range tombs {
-				if ver := s.Version(k); ver != tb.ver {
-					t.Fatalf("step %d: Version(%q) = %d, want the tombstone's %d", i, k, ver, tb.ver)
+				if ver := storedVer(s, k); ver != tb.ver {
+					t.Fatalf("step %d: stored stamp of %q = %d, want the tombstone's %d", i, k, ver, tb.ver)
 				}
 			}
 		}

@@ -243,10 +243,10 @@ func (s *Store) replayRecord(r replayed, base int64) {
 	switch r.typ {
 	case recPut, recPutV:
 		if old != nil {
-			// Crash replay keeps the newest version. The store refuses a
-			// stamp older than the stored one (storage.ErrStale), so this
-			// skips only records of logs written before that rule, where
-			// an older stamp was applied over a newer one.
+			// Crash replay keeps the newest version. The store stamps
+			// every write above the stored one, so this skips only
+			// records of logs written before that rule, where an older
+			// stamp was applied over a newer one.
 			if ver > 0 && old.ver() > ver {
 				dead(recordSize(key, int64(len(val)), ver))
 				return

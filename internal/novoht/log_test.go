@@ -65,11 +65,11 @@ func writeInterleaved(t *testing.T, l *Log, stores, from, to int, rng *rand.Rand
 		var err error
 		switch rng.Intn(4) {
 		case 0:
-			_, err = s.RemoveV(k, ver)
+			_, _, err = s.RemoveV(k, ver)
 		case 1:
-			_, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), ver)
+			_, _, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), ver)
 		default:
-			err = s.PutV(k, []byte(fmt.Sprintf("v%d", i)), ver)
+			_, err = s.PutV(k, []byte(fmt.Sprintf("v%d", i)), ver)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSharedLogTornTailEveryOffset(t *testing.T) {
 	}
 	prefix := int64(len(snapshotFiles(t, path)[""]))
 	last := l.Store(l.route("last-3"))
-	if err := last.PutV("last-3", []byte("the record cut at every offset"), 1000); err != nil {
+	if _, err := last.PutV("last-3", []byte("the record cut at every offset"), 1000); err != nil {
 		t.Fatal(err)
 	}
 	after := logPairs(t, l, "after the last record")
@@ -140,7 +140,7 @@ func TestSharedLogTornTailEveryOffset(t *testing.T) {
 		if got := logPairs(t, r, fmt.Sprintf("cut %d", cut)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %d: replayed\n %v\nwant %v", cut, got, want)
 		}
-		if err := r.Store(0).PutV("after-0", []byte("x"), 2000); err != nil {
+		if _, err := r.Store(0).PutV("after-0", []byte("x"), 2000); err != nil {
 			t.Fatalf("cut %d: write after recovery: %v", cut, err)
 		}
 		if err := r.Close(); err != nil {
@@ -238,14 +238,14 @@ func TestCleanRacesWritersAndAppends(t *testing.T) {
 				var err error
 				switch rng.Intn(5) {
 				case 0:
-					_, err = s.RemoveV(k, ver)
+					_, _, err = s.RemoveV(k, ver)
 					delete(model, k)
 				case 1, 2:
-					_, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), ver)
+					_, _, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), ver)
 					model[k] = pair{model[k].val + fmt.Sprintf("+%d", i), ver}
 				default:
 					v := fmt.Sprintf("w%d-%d", w, i)
-					err = s.PutV(k, []byte(v), ver)
+					_, err = s.PutV(k, []byte(v), ver)
 					model[k] = pair{v, ver}
 				}
 				if err != nil {

@@ -42,10 +42,12 @@
 // of a pre-image than its last partial word, an Append hashes only its
 // delta and that word, and only a new key computes its leaf.
 //
-// A remove may keep a tombstone (BuryV, BuryLWW): a cell holding the
-// key and the remove's stamp, which reads as absent and refuses every
-// write of the key stamped at or below it until RemoveGrace of wall
-// time has passed. Tombstones live in memory only.
+// The store orders a key's writes: an owner's write given a stamp at or
+// below the key's stored one lands one millisecond above it
+// (storage.StampAbove). A remove may keep a tombstone (BuryV, BuryLWW):
+// a cell holding the key and the remove's stamp, which reads as absent
+// and holds the stamp until RemoveGrace of wall time has passed.
+// Tombstones live in memory only.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 package novoht
@@ -133,13 +135,14 @@ const RemoveGrace = 20 * time.Second
 // means "older than any stamped write": it is what pairs logged before
 // versioning replay with, and what Put writes.
 //
-// A key's stamps rise in the order its writes apply: PutV,
-// PutIfAbsentV, AppendV, CasV and RemoveV given a non-zero ver apply
-// nothing and return storage.ErrStale when the key holds a version, a
-// tombstone's included, at least as new. So crash replay, which keeps
-// the newest version, rebuilds exactly the live store, and a sweep
-// that removes "the copy it saw" by stamping just above it cannot
-// remove a later write.
+// A key's stamps rise in the order its writes apply. The owner's
+// mutations (PutV, PutIfAbsentV, AppendV, CasV, RemoveV, BuryV) given a
+// non-zero ver store it above the key's stored version, a tombstone's
+// included (stampFor), and return the stamp stored; the replicated ones
+// (PutLWW, RemoveLWW, BuryLWW) apply only a newer ver. So crash replay,
+// which keeps the newest version, rebuilds exactly the live store, and
+// a sweep that removes "the copy it saw" by stamping just above it
+// cannot remove a later write.
 type Store struct {
 	log     *Log
 	wal     *wal // the log's WAL; nil for a volatile store
@@ -259,50 +262,48 @@ func (s *Store) DigestLeaves() []uint64 {
 // value. It serves stores used outside an instance (benchmarks,
 // figures); an instance stamps every write.
 func (s *Store) Put(key string, val []byte) error {
-	return s.PutV(key, val, 0)
+	_, err := s.PutV(key, val, 0)
+	return err
 }
 
-// PutV stores val under key with the given version stamp, replacing
-// any existing value and version; a non-zero ver at or below the
-// stored version is refused with storage.ErrStale. Put is exactly
-// PutV(key, val, 0).
-func (s *Store) PutV(key string, val []byte, ver uint64) error {
-	defer s.timeOp(s.putLat)()
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	h, i := s.lookup(key)
-	end, err := s.putLocked(key, h, i, val, ver)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.finishMutation(end)
+// PutV stores val under key, replacing any existing value and version,
+// and returns the stamp it stored: ver, or above the stored version
+// when a non-zero ver is at or below it (see Store). Put is PutV(key,
+// val, 0).
+func (s *Store) PutV(key string, val []byte, ver uint64) (uint64, error) {
+	_, ver, err := s.put(key, val, ver, nil)
+	return ver, err
 }
 
 // PutLWW stores (val, ver) only when ver is strictly newer than the
 // stored version, a pair's or a tombstone's; a key with neither always
 // accepts the write. It reports whether the store was modified.
 func (s *Store) PutLWW(key string, val []byte, ver uint64) (bool, error) {
+	ok, _, err := s.put(key, val, ver, func(p cell) bool { return p != nil && p.ver() >= ver })
+	return ok, err
+}
+
+// put is the one put path: unless skip (nil for none) keeps the write
+// out given the key's stored cell (nil when absent), it stores val
+// stamped by stampFor, reporting whether it did and the stamp stored.
+func (s *Store) put(key string, val []byte, ver uint64, skip func(p cell) bool) (bool, uint64, error) {
 	defer s.timeOp(s.putLat)()
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return false, ErrClosed
+		return false, 0, ErrClosed
 	}
 	h, i := s.lookup(key)
-	if p := s.cellAt(i); p != nil && p.ver() >= ver {
+	if skip != nil && skip(s.cellAt(i)) {
 		s.mu.Unlock()
-		return false, nil
+		return false, 0, nil
 	}
-	end, err := s.putLocked(key, h, i, val, ver)
+	ver, end, err := s.putLocked(key, h, i, val, ver)
 	s.mu.Unlock()
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
-	return true, s.finishMutation(end)
+	return true, ver, s.finishMutation(end)
 }
 
 // timeOp starts timing an operation against h, returning the function
@@ -321,19 +322,17 @@ func (s *Store) timeOp(h *metrics.Histogram) func() {
 func nopTimer() {}
 
 // putLocked applies a Put under s.mu to key, whose probe hash is h and
-// slot i (-1 when absent): the record is submitted to the WAL (offsets
-// assigned in submission order, which the store lock makes per-key
-// order) and the pair updated along with the digest. It returns the
-// log offset the caller must wait durable, or storage.ErrStale when the
-// stored version, a pair's or a tombstone's, is at least ver (stale).
-func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (int64, error) {
+// slot i (-1 when absent), stamped above the stored version (stampFor):
+// the record is submitted to the WAL (offsets assigned in submission
+// order, which the store lock makes per-key order) and the pair updated
+// along with the digest. It returns the stamp stored and the log offset
+// the caller must wait durable.
+func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (uint64, int64, error) {
 	old := s.cellAt(i)
-	if stale(old, ver) {
-		return 0, storage.ErrStale
-	}
+	ver = stampFor(old, ver)
 	voff, end, err := s.appendRecord(recPut, key, val, ver)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var p cell
 	var leaf int
@@ -355,7 +354,7 @@ func (s *Store) putLocked(key string, h uint64, i int, val []byte, ver uint64) (
 	p.setFH(storage.PairWords(storage.PairStart(len(key)), p.stream()))
 	s.leaves[leaf] ^= x ^ p.pairHash()
 	s.counted()
-	return end, nil
+	return ver, end, nil
 }
 
 // addCell puts p, a new cell of key, in slot i when i holds key's
@@ -387,11 +386,15 @@ func (s *Store) counted() {
 	}
 }
 
-// stale reports whether a mutation stamped ver must be refused with
-// storage.ErrStale because the stored pair or tombstone p (nil when
-// none) is at least as new, so a key's stamps rise in log order.
-// Version 0 applies unconditionally.
-func stale(p cell, ver uint64) bool { return p != nil && ver > 0 && p.ver() >= ver }
+// stampFor returns the stamp an owner's mutation given ver stores over
+// the pair or tombstone p (nil when none): storage.StampAbove of p's
+// version, so a key's stamps rise in log order. Version 0 stays 0.
+func stampFor(p cell, ver uint64) uint64 {
+	if p == nil || ver == 0 {
+		return ver
+	}
+	return storage.StampAbove(p.ver(), ver)
+}
 
 // appendRecord encodes and submits one log record, returning the
 // in-log offset of its value bytes and the offset its last byte will
@@ -449,26 +452,11 @@ func (s *Store) finishMutation(end int64) error {
 	return s.log.commit(end)
 }
 
-// PutIfAbsentV stores (val, ver) only when key is not present; it
-// reports whether the store was modified.
-func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, error) {
-	defer s.timeOp(s.putLat)()
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	h, i := s.lookup(key)
-	if p := s.cellAt(i); p != nil && !p.tomb() {
-		s.mu.Unlock()
-		return false, nil
-	}
-	end, err := s.putLocked(key, h, i, val, ver)
-	s.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return true, s.finishMutation(end)
+// PutIfAbsentV stores val only when key is not present, stamped as PutV
+// stamps; it reports whether the store was modified and the stamp it
+// stored.
+func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, uint64, error) {
+	return s.put(key, val, ver, func(p cell) bool { return p != nil && !p.tomb() })
 }
 
 // Get returns a copy of the value stored under key.
@@ -494,81 +482,73 @@ func (s *Store) GetAppendV(dst []byte, key string) ([]byte, uint64, bool, error)
 	return append(dst, p.val()...), p.ver(), true, nil
 }
 
-// Version returns the stamp stored for key, a pair's or a tombstone's,
-// and 0 when there is neither: the stamp a write refused with
-// storage.ErrStale must draw above.
-func (s *Store) Version(key string) uint64 {
-	h := probeHash(s.seed, key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if p := s.cellAt(s.idx.find(key, h)); p != nil {
-		return p.ver()
-	}
-	return 0
-}
-
-// RemoveV deletes key, reporting whether it was present; the log
-// record carries ver. A non-zero ver at or below the stored version
-// is refused with storage.ErrStale.
-func (s *Store) RemoveV(key string, ver uint64) (bool, error) {
+// RemoveV deletes key, reporting whether it was present, and returns
+// the stamp its log record carries, stamped as PutV stamps (0 when key
+// was absent).
+func (s *Store) RemoveV(key string, ver uint64) (bool, uint64, error) {
 	return s.removeVer(key, ver, false, false)
 }
 
 // RemoveLWW deletes key only when ver is strictly newer than the
 // stored version, reporting whether the key was removed.
 func (s *Store) RemoveLWW(key string, ver uint64) (bool, error) {
-	return s.removeVer(key, ver, true, false)
+	ok, _, err := s.removeVer(key, ver, true, false)
+	return ok, err
 }
 
-// BuryV is RemoveV that leaves a tombstone stamped ver in key's place,
-// also when key is absent. Until the store reclaims it, RemoveGrace of
-// wall time later, every write of key stamped at or below ver is
-// refused as if the pair were still stored at ver, so a copy of the
+// BuryV is RemoveV that leaves a tombstone in key's place, also when key
+// is absent, and returns its stamp. Until the store reclaims it,
+// RemoveGrace of wall time later, a replicated write of key stamped at
+// or below the tombstone is refused and an owner's write lands above
+// it, as if the pair were still stored at its stamp, so a copy of the
 // pair collected before the remove cannot land after it. A tombstone
 // reads as absent, is never logged or copied by a clean, and has no
 // share in the digest, so a restart loses it. A version-0 bury keeps
 // none: it would refuse nothing.
-func (s *Store) BuryV(key string, ver uint64) (bool, error) {
+func (s *Store) BuryV(key string, ver uint64) (bool, uint64, error) {
 	return s.removeVer(key, ver, false, true)
 }
 
-// BuryLWW is RemoveLWW that leaves a tombstone, as BuryV does.
+// BuryLWW is RemoveLWW that leaves a tombstone stamped ver, as BuryV
+// does, unless one at least as new is there.
 func (s *Store) BuryLWW(key string, ver uint64) (bool, error) {
-	return s.removeVer(key, ver, true, true)
+	ok, _, err := s.removeVer(key, ver, true, true)
+	return ok, err
 }
 
-// removeVer is the shared remove path; when lww is set the delete is
-// skipped unless ver beats the stored version, and when bury is set a
-// tombstone stamped ver takes the key's place unless one at least as
-// new is there.
-func (s *Store) removeVer(key string, ver uint64, lww, bury bool) (bool, error) {
+// removeVer is the shared remove path. When lww is set the delete is
+// skipped unless ver beats the stored version; otherwise the remove is
+// stamped above it (stampFor). When bury is set a tombstone takes the
+// key's place. It returns the stamp logged or buried, 0 for neither.
+func (s *Store) removeVer(key string, ver uint64, lww, bury bool) (bool, uint64, error) {
 	bury = bury && ver > 0
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return false, ErrClosed
+		return false, 0, ErrClosed
 	}
 	h, i := s.lookup(key)
 	p := s.cellAt(i)
+	if !lww {
+		ver = stampFor(p, ver)
+	}
 	if p == nil || p.tomb() {
-		if bury && (p == nil || p.ver() < ver) {
+		if !bury || p != nil && p.ver() >= ver {
+			ver = 0
+		} else {
 			s.layTomb(h, i, key, ver)
 		}
 		s.mu.Unlock()
-		return false, nil
+		return false, ver, nil
 	}
 	if lww && p.ver() >= ver {
 		s.mu.Unlock()
-		return false, nil
-	}
-	if stale(p, ver) {
-		s.mu.Unlock()
-		return false, storage.ErrStale
+		return false, 0, nil
 	}
 	_, end, err := s.appendRecord(recRemove, key, nil, ver)
 	if err != nil {
 		s.mu.Unlock()
-		return false, err
+		return false, 0, err
 	}
 	if s.wal != nil {
 		s.log.deadBytes.Add(recordSize(key, 0, ver))
@@ -582,7 +562,7 @@ func (s *Store) removeVer(key string, ver uint64, lww, bury bool) (bool, error) 
 	}
 	s.counted()
 	s.mu.Unlock()
-	return true, s.finishMutation(end)
+	return true, ver, s.finishMutation(end)
 }
 
 // tombEntry is one laid tombstone and the wall time, in Unix
@@ -618,9 +598,9 @@ func (s *Store) layTomb(h uint64, i int, key string, ver uint64) {
 
 // reclaim drops, oldest first, the tombstones laid before now minus
 // RemoveGrace: by the wall time of their removes, not by their stamps,
-// which a burst of writes runs ahead of wall time. An entry whose key
-// was written or buried again since no longer holds the key's slot and
-// is only dropped from the list.
+// which a hot key's chain of writes runs ahead of wall time. An entry
+// whose key was written or buried again since no longer holds the
+// key's slot and is only dropped from the list.
 func (s *Store) reclaim(now int64) {
 	cutoff := now - RemoveGrace.Milliseconds()
 	for s.tombHead < len(s.tombs) && s.tombs[s.tombHead].at < cutoff {
@@ -651,32 +631,28 @@ func (s *Store) SetWallClock(now func() int64) {
 }
 
 // AppendV concatenates delta to the value stored under key, creating
-// the key when absent, and stamps the pair with ver (version 0 leaves
-// the stamp as it was, as a pre-versioning append record replays; a
-// non-zero ver at or below the stored version is refused with
-// storage.ErrStale). It logs only the delta, as one record, and holds
-// only the store's lock: the operation FusionFS uses for lock-free
-// concurrent directory updates.
+// the key when absent, stamps the pair as PutV stamps and returns the
+// stamp (version 0 leaves the stamp as it was, as a pre-versioning
+// append record replays). It logs only the delta, as one record, and
+// holds only the store's lock: the operation FusionFS uses for
+// lock-free concurrent directory updates.
 // When dst is non-nil the accumulated value is appended to it and
 // returned (a replica leg carries the whole value); a nil dst copies
 // nothing.
-func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, error) {
+func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byte, uint64, error) {
 	defer s.timeOp(s.appendLat)()
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return dst, ErrClosed
+		return dst, 0, ErrClosed
 	}
 	h, i := s.lookup(key)
 	p := s.cellAt(i)
-	if stale(p, ver) {
-		s.mu.Unlock()
-		return dst, storage.ErrStale
-	}
+	ver = stampFor(p, ver)
 	_, end, err := s.appendRecord(recAppend, key, delta, ver)
 	if err != nil {
 		s.mu.Unlock()
-		return dst, err
+		return dst, 0, err
 	}
 	// Append records never supersede earlier log bytes (replay needs
 	// the whole chain), so no bytes die until the next clean.
@@ -703,40 +679,26 @@ func (s *Store) AppendV(dst []byte, key string, delta []byte, ver uint64) ([]byt
 		dst = append(dst, p.val()...)
 	}
 	s.mu.Unlock()
-	return dst, s.finishMutation(end)
+	return dst, ver, s.finishMutation(end)
 }
 
-// CasV atomically replaces the value under key with (newVal, ver)
-// when the current value equals oldVal. A nil oldVal means "expect
-// absent". It returns the value observed when the swap fails, and
-// storage.ErrStale when it would swap but a non-zero ver is at or
-// below the stored version.
-func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, error) {
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return false, nil, ErrClosed
-	}
-	h, i := s.lookup(key)
-	p := s.cellAt(i)
-	if p != nil && p.tomb() {
-		p = nil
-	}
-	switch {
-	case p == nil && oldVal != nil:
-		s.mu.Unlock()
-		return false, nil, nil
-	case p != nil && (oldVal == nil || string(p.val()) != string(oldVal)):
-		v := append([]byte(nil), p.val()...)
-		s.mu.Unlock()
-		return false, v, nil
-	}
-	end, err := s.putLocked(key, h, i, newVal, ver)
-	s.mu.Unlock()
-	if err != nil {
-		return false, nil, err
-	}
-	return true, nil, s.finishMutation(end)
+// CasV atomically replaces the value under key with newVal, stamped as
+// PutV stamps, when the current value equals oldVal. A nil oldVal means
+// "expect absent". It returns the value observed when the swap fails,
+// and the stamp stored when it succeeds.
+func (s *Store) CasV(key string, oldVal, newVal []byte, ver uint64) (bool, []byte, uint64, error) {
+	var seen []byte
+	ok, ver, err := s.put(key, newVal, ver, func(p cell) bool {
+		if p == nil || p.tomb() {
+			return oldVal != nil
+		}
+		if oldVal == nil || string(p.val()) != string(oldVal) {
+			seen = append([]byte(nil), p.val()...)
+			return true
+		}
+		return false
+	})
+	return ok, seen, ver, err
 }
 
 // Len reports the number of keys stored, tombstones not counted.

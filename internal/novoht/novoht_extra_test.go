@@ -53,7 +53,7 @@ func TestRecoveryAppendOnlyKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "app.log")
 	s, _ := Open(Options{Path: path})
 	for i := 0; i < 5; i++ {
-		if _, err := s.AppendV(nil, "dir", []byte{byte('a' + i)}, 0); err != nil {
+		if _, _, err := s.AppendV(nil, "dir", []byte{byte('a' + i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,14 +43,14 @@ func TestPutGetRemove(t *testing.T) {
 	if v, _, _ := s.Get("a"); string(v) != "2" {
 		t.Errorf("overwrite: got %q", v)
 	}
-	removed, err := s.RemoveV("a", 0)
+	removed, _, err := s.RemoveV("a", 0)
 	if err != nil || !removed {
 		t.Fatalf("Remove = %v %v", removed, err)
 	}
 	if _, ok, _ := s.Get("a"); ok {
 		t.Error("key present after Remove")
 	}
-	if removed, _ := s.RemoveV("a", 0); removed {
+	if removed, _, _ := s.RemoveV("a", 0); removed {
 		t.Error("second Remove reported true")
 	}
 	if s.Len() != 0 {
@@ -71,11 +71,11 @@ func TestEmptyValueAndKey(t *testing.T) {
 
 func TestPutIfAbsent(t *testing.T) {
 	s := openTemp(t, Options{})
-	ok, err := s.PutIfAbsentV("k", []byte("v1"), 0)
+	ok, _, err := s.PutIfAbsentV("k", []byte("v1"), 0)
 	if err != nil || !ok {
 		t.Fatalf("first PutIfAbsent = %v %v", ok, err)
 	}
-	ok, err = s.PutIfAbsentV("k", []byte("v2"), 0)
+	ok, _, err = s.PutIfAbsentV("k", []byte("v2"), 0)
 	if err != nil || ok {
 		t.Fatalf("second PutIfAbsent = %v %v", ok, err)
 	}
@@ -88,13 +88,13 @@ func TestAppend(t *testing.T) {
 	s := openTemp(t, Options{})
 	// Append creates when absent (FusionFS appends directory entries
 	// under a key that may not exist yet).
-	if _, err := s.AppendV(nil, "dir", []byte("a,"), 0); err != nil {
+	if _, _, err := s.AppendV(nil, "dir", []byte("a,"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendV(nil, "dir", []byte("b,"), 0); err != nil {
+	if _, _, err := s.AppendV(nil, "dir", []byte("b,"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AppendV(nil, "dir", []byte("c"), 0); err != nil {
+	if _, _, err := s.AppendV(nil, "dir", []byte("c"), 0); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := s.Get("dir")
@@ -112,7 +112,7 @@ func TestAppendConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := s.AppendV(nil, "shared", []byte{byte('a' + w)}, 0); err != nil {
+				if _, _, err := s.AppendV(nil, "shared", []byte{byte('a' + w)}, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -138,17 +138,17 @@ func TestAppendConcurrent(t *testing.T) {
 func TestCas(t *testing.T) {
 	s := openTemp(t, Options{})
 	// Expect-absent insert.
-	ok, cur, err := s.CasV("t", nil, []byte("queued"), 0)
+	ok, cur, _, err := s.CasV("t", nil, []byte("queued"), 0)
 	if err != nil || !ok || cur != nil {
 		t.Fatalf("cas absent = %v %q %v", ok, cur, err)
 	}
 	// Wrong expectation.
-	ok, cur, err = s.CasV("t", []byte("running"), []byte("done"), 0)
+	ok, cur, _, err = s.CasV("t", []byte("running"), []byte("done"), 0)
 	if err != nil || ok || string(cur) != "queued" {
 		t.Fatalf("cas mismatch = %v %q %v", ok, cur, err)
 	}
 	// Correct swap.
-	ok, _, err = s.CasV("t", []byte("queued"), []byte("running"), 0)
+	ok, _, _, err = s.CasV("t", []byte("queued"), []byte("running"), 0)
 	if err != nil || !ok {
 		t.Fatalf("cas swap = %v %v", ok, err)
 	}
@@ -156,12 +156,12 @@ func TestCas(t *testing.T) {
 		t.Errorf("after cas: %q", v)
 	}
 	// Expect-absent on present key fails and reports current.
-	ok, cur, _ = s.CasV("t", nil, []byte("x"), 0)
+	ok, cur, _, _ = s.CasV("t", nil, []byte("x"), 0)
 	if ok || string(cur) != "running" {
 		t.Errorf("cas expect-absent on present = %v %q", ok, cur)
 	}
 	// Cas on missing key with expectation fails.
-	ok, cur, _ = s.CasV("missing", []byte("x"), []byte("y"), 0)
+	ok, cur, _, _ = s.CasV("missing", []byte("x"), []byte("y"), 0)
 	if ok || cur != nil {
 		t.Errorf("cas missing = %v %q", ok, cur)
 	}
@@ -179,11 +179,11 @@ func TestRecovery(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i += 2 {
-		if _, err := s.RemoveV(fmt.Sprintf("k%03d", i), 0); err != nil {
+		if _, _, err := s.RemoveV(fmt.Sprintf("k%03d", i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.AppendV(nil, "k099", []byte("-suffix"), 0); err != nil {
+	if _, _, err := s.AppendV(nil, "k099", []byte("-suffix"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -393,10 +393,10 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Put("k", nil); err != ErrClosed {
 		t.Errorf("Put after close = %v", err)
 	}
-	if _, err := s.RemoveV("k", 0); err != ErrClosed {
+	if _, _, err := s.RemoveV("k", 0); err != ErrClosed {
 		t.Errorf("Remove after close = %v", err)
 	}
-	if _, err := s.AppendV(nil, "k", nil, 0); err != ErrClosed {
+	if _, _, err := s.AppendV(nil, "k", nil, 0); err != ErrClosed {
 		t.Errorf("Append after close = %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -452,12 +452,12 @@ func TestPropertyModelCheck(t *testing.T) {
 			ver := uint64(i + 1) // stamped like an instance's writes
 			switch op.Kind % 4 {
 			case 0:
-				if s.PutV(key, op.Val, ver) != nil {
+				if _, err := s.PutV(key, op.Val, ver); err != nil {
 					return false
 				}
 				model[key] = append([]byte{}, op.Val...)
 			case 1:
-				removed, err := s.RemoveV(key, ver)
+				removed, _, err := s.RemoveV(key, ver)
 				if err != nil {
 					return false
 				}
@@ -467,7 +467,7 @@ func TestPropertyModelCheck(t *testing.T) {
 				}
 				delete(model, key)
 			case 2:
-				if _, err := s.AppendV(nil, key, op.Val, ver); err != nil {
+				if _, _, err := s.AppendV(nil, key, op.Val, ver); err != nil {
 					return false
 				}
 				model[key] = append(model[key], op.Val...)
@@ -588,7 +588,7 @@ func BenchmarkNoVoHTSpread(b *testing.B) {
 		s := ss[int(j)%stores]
 		if i&1 == 0 {
 			scratch, _, _, _ = s.GetAppendV(scratch[:0], ks[j])
-		} else if err := s.PutV(ks[j], val, 0); err != nil {
+		} else if _, err := s.PutV(ks[j], val, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 							}
 							model[k] = v
 						case 2:
-							ok, err := s.PutIfAbsentV(k, v, 0)
+							ok, _, err := s.PutIfAbsentV(k, v, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -74,13 +74,13 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 								model[k] = v
 							}
 						case 3:
-							if _, err := s.AppendV(nil, k, v, 0); err != nil {
+							if _, _, err := s.AppendV(nil, k, v, 0); err != nil {
 								errCh <- err
 								return
 							}
 							model[k] = append(append([]byte(nil), model[k]...), v...)
 						case 4:
-							ok, cur, err := s.CasV(k, model[k], v, 0)
+							ok, cur, _, err := s.CasV(k, model[k], v, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -91,7 +91,7 @@ func TestConcurrentEquivalenceRandomized(t *testing.T) {
 							}
 							model[k] = v
 						case 5:
-							ok, err := s.RemoveV(k, 0)
+							ok, _, err := s.RemoveV(k, 0)
 							if err != nil {
 								errCh <- err
 								return
@@ -247,15 +247,15 @@ func crashReplay(t *testing.T, seed int64, mode storage.Durability) {
 				switch op := rng.Intn(4); {
 				case op == 0 && cur != "":
 					h.states = append(h.states, "")
-					_, err = s.RemoveV(k, ver)
+					_, _, err = s.RemoveV(k, ver)
 				case op == 1 && cur != "":
 					delta := fmt.Sprintf("+a%d", i)
 					h.states = append(h.states, cur+delta)
-					_, err = s.AppendV(nil, k, []byte(delta), ver)
+					_, _, err = s.AppendV(nil, k, []byte(delta), ver)
 				default:
 					next := fmt.Sprintf("w%d-v%d", w, i)
 					h.states = append(h.states, next)
-					err = s.PutV(k, []byte(next), ver)
+					_, err = s.PutV(k, []byte(next), ver)
 				}
 				if err != nil {
 					// ErrBroken: the crash fired mid-mutation, so this
@@ -408,14 +408,14 @@ func TestCloseReopenEquivalence(t *testing.T) {
 	}
 	for i := 0; i < 64; i += 3 {
 		k := fmt.Sprintf("k%03d", i)
-		if _, err := s.RemoveV(k, 0); err != nil {
+		if _, _, err := s.RemoveV(k, 0); err != nil {
 			t.Fatal(err)
 		}
 		delete(model, k)
 	}
 	for i := 1; i < 64; i += 3 {
 		k := fmt.Sprintf("k%03d", i)
-		if _, err := s.AppendV(nil, k, []byte("+tail"), 0); err != nil {
+		if _, _, err := s.AppendV(nil, k, []byte("+tail"), 0); err != nil {
 			t.Fatal(err)
 		}
 		model[k] = append(model[k], []byte("+tail")...)

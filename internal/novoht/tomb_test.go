@@ -6,22 +6,35 @@ import (
 	"errors"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"zht/internal/storage"
 )
 
-// A tombstone reads as absent, refuses every write of its key stamped
-// at or below it, and lets a newer write through; it has no share in
-// the digest and no place in Len or an iteration.
+// storedVer returns the stamp s holds for key, a pair's or a
+// tombstone's, and 0 for neither.
+func storedVer(s *Store, key string) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if p := s.cellAt(s.idx.find(key, probeHash(s.seed, key))); p != nil {
+		return p.ver()
+	}
+	return 0
+}
+
+// A tombstone reads as absent, refuses every replicated write of its
+// key stamped at or below it, and lifts an owner's write given such a
+// stamp one millisecond above it, keeping the writer's node bits; it
+// has no share in the digest and no place in Len or an iteration.
 func TestTombstoneRefusesStaleWrites(t *testing.T) {
 	s := openTemp(t, Options{})
-	if err := s.PutV("k", []byte("v"), 5); err != nil {
+	if _, err := s.PutV("k", []byte("v"), 5); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := s.BuryV("k", 7); err != nil || !ok {
-		t.Fatalf("BuryV of a present key = %v, %v", ok, err)
+	if ok, ver, err := s.BuryV("k", 7); err != nil || !ok || ver != 7 {
+		t.Fatalf("BuryV of a present key = %v, %d, %v", ok, ver, err)
 	}
 	if ok, err := s.BuryLWW("absent", 9); err != nil || ok {
 		t.Fatalf("BuryLWW of an absent key = %v, %v; want false, nil", ok, err)
@@ -37,36 +50,40 @@ func TestTombstoneRefusesStaleWrites(t *testing.T) {
 		if _, ok, _ := s.Get(key); ok {
 			t.Errorf("Get(%q) found a tombstone", key)
 		}
-		if got := s.Version(key); got != ver {
-			t.Errorf("Version(%q) = %d, want the tombstone's %d", key, got, ver)
+		if got := storedVer(s, key); got != ver {
+			t.Errorf("stored stamp of %q = %d, want the tombstone's %d", key, got, ver)
 		}
 		if ok, err := s.PutLWW(key, []byte("stale"), ver); ok || err != nil {
 			t.Errorf("PutLWW(%q) at the tombstone's stamp = %v, %v", key, ok, err)
 		}
-		if err := s.PutV(key, []byte("stale"), ver-1); !errors.Is(err, storage.ErrStale) {
-			t.Errorf("PutV(%q) below the tombstone = %v, want ErrStale", key, err)
-		}
-		if _, err := s.AppendV(nil, key, []byte("+"), ver); !errors.Is(err, storage.ErrStale) {
-			t.Errorf("AppendV(%q) at the tombstone = %v, want ErrStale", key, err)
-		}
-		if _, err := s.PutIfAbsentV(key, []byte("stale"), ver); !errors.Is(err, storage.ErrStale) {
-			t.Errorf("PutIfAbsentV(%q) at the tombstone = %v, want ErrStale", key, err)
-		}
-		if ok, err := s.RemoveV(key, ver+1); ok || err != nil {
+		if ok, _, err := s.RemoveV(key, ver+1); ok || err != nil {
 			t.Errorf("RemoveV(%q) of a tombstone = %v, %v; want absent", key, ok, err)
 		}
 	}
-	// A newer write replaces the tombstone; a CAS expecting absence
-	// sees it absent.
-	if ok, err := s.PutLWW("k", []byte("new"), 8); !ok || err != nil {
-		t.Fatalf("PutLWW above the tombstone = %v, %v", ok, err)
+	// Owner writes given the stored stamp or less land one millisecond
+	// above it, with their own node bits: the put above the tombstone,
+	// the append above the put, and so on.
+	const node = 1
+	if got, err := s.PutV("k", []byte("put"), 6); err != nil || got != storage.Stamp(1, 6) {
+		t.Fatalf("PutV below the tombstone = %#x, %v; want %#x", got, err, storage.Stamp(1, 6))
 	}
-	if ok, _, err := s.CasV("absent", nil, []byte("cas"), 10); !ok || err != nil {
-		t.Fatalf("CasV expecting absence over a tombstone = %v, %v", ok, err)
+	if _, got, err := s.AppendV(nil, "k", []byte("+"), storage.Stamp(1, node)); err != nil || got != storage.Stamp(2, node) {
+		t.Fatalf("AppendV below the pair = %#x, %v; want %#x", got, err, storage.Stamp(2, node))
+	}
+	if ok, got, err := s.PutIfAbsentV("absent", []byte("pia"), 9); err != nil || !ok || got != storage.Stamp(1, 9) {
+		t.Fatalf("PutIfAbsentV at the tombstone = %v, %#x, %v; want true, %#x", ok, got, err, storage.Stamp(1, 9))
+	}
+	if ok, got, err := s.BuryV("absent", node); err != nil || !ok || got != storage.Stamp(2, node) {
+		t.Fatalf("BuryV below the pair = %v, %#x, %v; want true, %#x", ok, got, err, storage.Stamp(2, node))
+	}
+	// A CAS expecting absence sees the tombstone absent and lands above it.
+	if ok, _, got, err := s.CasV("absent", nil, []byte("cas"), storage.Stamp(1, node)); !ok || err != nil || got != storage.Stamp(3, node) {
+		t.Fatalf("CasV expecting absence over a tombstone = %v, %#x, %v; want true, %#x", ok, got, err, storage.Stamp(3, node))
 	}
 	checkDigest(t, s, "after the tombstones were written over")
-	if got := pairsOf(t, s); len(got) != 2 || got["k"] != (pair{"new", 8}) || got["absent"] != (pair{"cas", 10}) {
-		t.Fatalf("contents = %v", got)
+	want := map[string]pair{"k": {"put+", storage.Stamp(2, node)}, "absent": {"cas", storage.Stamp(3, node)}}
+	if got := pairsOf(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("contents = %v, want %v", got, want)
 	}
 	if s.ntomb != 0 {
 		t.Fatalf("%d tombstones left after both keys were written", s.ntomb)
@@ -74,7 +91,7 @@ func TestTombstoneRefusesStaleWrites(t *testing.T) {
 }
 
 // TestTombstonesExpireByWallTime: with stamps an hour ahead of wall
-// time, as a burst of writes leaves an instance's clock, a tombstone
+// time, as a hot key's chain of writes leaves them, a tombstone
 // laid longer than RemoveGrace ago by wall time is reclaimed when the
 // next is laid, and a younger one is kept. Reclaimed by their stamps,
 // neither would expire while the clock leads.
@@ -91,14 +108,14 @@ func TestTombstonesExpireByWallTime(t *testing.T) {
 	if _, err := s.BuryLWW("young", stamp+1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Version("old"); got != 0 {
+	if got := storedVer(s, "old"); got != 0 {
 		t.Errorf("a tombstone older than RemoveGrace by wall time was kept at stamp %d", got)
 	}
 	if ok, err := s.PutLWW("old", []byte("v"), stamp); !ok || err != nil {
 		t.Errorf("PutLWW over a reclaimed tombstone = %v, %v; want it applied", ok, err)
 	}
-	if got := s.Version("young"); got != stamp+1 {
-		t.Errorf("a tombstone younger than RemoveGrace by wall time was reclaimed: Version = %d", got)
+	if got := storedVer(s, "young"); got != stamp+1 {
+		t.Errorf("a tombstone younger than RemoveGrace by wall time was reclaimed: stored stamp %d", got)
 	}
 	if ok, err := s.PutLWW("young", []byte("v"), stamp+1); ok || err != nil {
 		t.Errorf("PutLWW at a kept tombstone = %v, %v; want it refused", ok, err)
@@ -112,11 +129,11 @@ func TestCleanDropsTombstones(t *testing.T) {
 	s := openTemp(t, Options{})
 	path := s.log.opts.Path
 	for _, k := range []string{"gone", "kept"} {
-		if err := s.PutV(k, []byte("v-"+k), 3); err != nil {
+		if _, err := s.PutV(k, []byte("v-"+k), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ok, err := s.BuryV("gone", 4); !ok || err != nil {
+	if ok, _, err := s.BuryV("gone", 4); !ok || err != nil {
 		t.Fatalf("BuryV = %v, %v", ok, err)
 	}
 	if err := s.Compact(); err != nil {

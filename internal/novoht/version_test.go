@@ -1,7 +1,6 @@
 package novoht
 
 import (
-	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -18,7 +17,7 @@ func TestVersionedPutGet(t *testing.T) {
 	s := openTemp(t, Options{})
 	var _ storage.KV = s // the benchmark module's view of a store
 
-	if err := s.PutV("k", []byte("v1"), 10); err != nil {
+	if _, err := s.PutV("k", []byte("v1"), 10); err != nil {
 		t.Fatal(err)
 	}
 	buf, ver, ok, err := s.GetAppendV(nil, "k")
@@ -37,19 +36,19 @@ func TestVersionedPutGet(t *testing.T) {
 		t.Fatalf("ver after plain Put = %d, want 0", ver)
 	}
 	// Every other mutation stamps the pair it leaves.
-	if _, err := s.AppendV(nil, "k", []byte("+"), 11); err != nil {
+	if _, _, err := s.AppendV(nil, "k", []byte("+"), 11); err != nil {
 		t.Fatal(err)
 	}
 	if v, ver, _, _ := s.GetAppendV(nil, "k"); string(v) != "v2+" || ver != 11 {
 		t.Fatalf("after AppendV = %q %d, want v2+ 11", v, ver)
 	}
-	if ok, _, err := s.CasV("k", []byte("v2+"), []byte("v3"), 12); err != nil || !ok {
+	if ok, _, _, err := s.CasV("k", []byte("v2+"), []byte("v3"), 12); err != nil || !ok {
 		t.Fatalf("CasV = %v %v", ok, err)
 	}
 	if v, ver, _, _ := s.GetAppendV(nil, "k"); string(v) != "v3" || ver != 12 {
 		t.Fatalf("after CasV = %q %d, want v3 12", v, ver)
 	}
-	if ok, err := s.PutIfAbsentV("n", []byte("x"), 13); err != nil || !ok {
+	if ok, _, err := s.PutIfAbsentV("n", []byte("x"), 13); err != nil || !ok {
 		t.Fatalf("PutIfAbsentV = %v %v", ok, err)
 	}
 	if _, ver, _, _ := s.GetAppendV(nil, "n"); ver != 13 {
@@ -82,7 +81,7 @@ func TestRemoveLWW(t *testing.T) {
 	if removed, err := s.RemoveLWW("missing", 9); err != nil || removed {
 		t.Fatalf("RemoveLWW missing = %v %v", removed, err)
 	}
-	if err := s.PutV("k", []byte("v"), 5); err != nil {
+	if _, err := s.PutV("k", []byte("v"), 5); err != nil {
 		t.Fatal(err)
 	}
 	if removed, _ := s.RemoveLWW("k", 5); removed {
@@ -102,10 +101,10 @@ func TestRemoveLWW(t *testing.T) {
 func TestVersionSurvivesReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.log")
 	s := openTemp(t, Options{Path: path})
-	if err := s.PutV("a", []byte("va"), 7); err != nil {
+	if _, err := s.PutV("a", []byte("va"), 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutV("b", []byte("vb"), 1<<50); err != nil {
+	if _, err := s.PutV("b", []byte("vb"), 1<<50); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("c", []byte("vc")); err != nil {
@@ -132,7 +131,7 @@ func TestVersionSurvivesCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.log")
 	s := openTemp(t, Options{Path: path})
 	for i := 0; i < 50; i++ {
-		if err := s.PutV("k", []byte("x"), uint64(i+1)); err != nil {
+		if _, err := s.PutV("k", []byte("x"), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,54 +150,65 @@ func TestVersionSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// A stamped mutation never lowers a key's stamp: one at or below the
-// stored version applies nothing, logs nothing and returns
-// storage.ErrStale. So the log's stamps rise per key in apply order
-// and crash replay, which keeps the newest, rebuilds exactly the live
-// store. Version 0 still applies unconditionally.
+// An owner write given a stamp at or below the key's stored one never
+// lowers the key's stamp: it lands one millisecond above the stored
+// stamp with the writer's node bits (storage.StampAbove), returns that
+// stamp and logs exactly one record carrying it. So the log's stamps
+// rise per key in apply order, and crash replay, which keeps the
+// newest, rebuilds exactly the live store. Version 0 still applies
+// unconditionally.
 func TestStaleStampRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.log")
 	s := openTemp(t, Options{Path: path})
-	if err := firstErr(s.PutV("k", []byte("B"), 12), s.PutV("r", []byte("R"), 20)); err != nil {
+	st := storage.Stamp
+	if err := firstErr(putErr(s.PutV("k", []byte("B"), st(5, 2))), putErr(s.PutV("r", []byte("R"), st(9, 2)))); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats().LogBytes
 	for _, tc := range []struct {
-		op  string
-		err error
+		op   string
+		key  string
+		vlen int
+		do   func() (uint64, error)
+		want uint64
 	}{
-		{"PutV(k, A, 11) after PutV(k, B, 12)", s.PutV("k", []byte("A"), 11)},
-		{"PutV at the stored stamp", s.PutV("k", []byte("A"), 12)},
-		{"RemoveV(r, 19) after PutV(r, R, 20)", boolErr(s.RemoveV("r", 19))},
-		{"AppendV at the stored stamp", appendErr(s.AppendV(nil, "k", []byte("+a"), 12))},
-		{"CasV that would swap", casErr(s.CasV("k", []byte("B"), []byte("A"), 11))},
+		{"PutV below the stored stamp", "k", 1, func() (uint64, error) { return s.PutV("k", []byte("A"), st(4, 7)) }, st(6, 7)},
+		{"PutV at the stored stamp", "k", 2, func() (uint64, error) { return s.PutV("k", []byte("A2"), st(6, 7)) }, st(7, 7)},
+		{"AppendV below, at the stored millisecond", "k", 2, func() (uint64, error) {
+			_, ver, err := s.AppendV(nil, "k", []byte("+a"), st(7, 1))
+			return ver, err
+		}, st(8, 1)},
+		{"CasV that swaps below", "k", 1, func() (uint64, error) {
+			_, _, ver, err := s.CasV("k", []byte("A2+a"), []byte("C"), st(3, 9))
+			return ver, err
+		}, st(9, 9)},
+		{"RemoveV below", "r", 0, func() (uint64, error) {
+			_, ver, err := s.RemoveV("r", st(9, 1))
+			return ver, err
+		}, st(10, 1)},
 	} {
-		if !errors.Is(tc.err, storage.ErrStale) {
-			t.Errorf("%s = %v, want storage.ErrStale", tc.op, tc.err)
+		before := s.Stats().LogBytes
+		got, err := tc.do()
+		if err != nil || got != tc.want {
+			t.Errorf("%s = %#x, %v; want %#x", tc.op, got, err, tc.want)
+		}
+		if grown, want := s.Stats().LogBytes-before, recordSize(tc.key, int64(tc.vlen), tc.want); grown != want {
+			t.Errorf("%s grew the log by %d B, want one %d B record", tc.op, grown, want)
 		}
 	}
-	if grown := s.Stats().LogBytes - before; grown != 0 {
-		t.Fatalf("refused writes grew the log by %d B", grown)
-	}
 	// A CAS whose compare fails reports the mismatch, stamp or not.
-	if ok, cur, err := s.CasV("k", []byte("x"), []byte("y"), 1); err != nil || ok || string(cur) != "B" {
-		t.Fatalf("mismatching CasV = %v %q %v, want false \"B\" nil", ok, cur, err)
-	}
-	if want := map[string]pair{"k": {"B", 12}, "r": {"R", 20}}; !reflect.DeepEqual(pairsOf(t, s), want) {
-		t.Fatalf("after refused writes %v, want %v", pairsOf(t, s), want)
+	if ok, cur, _, err := s.CasV("k", []byte("x"), []byte("y"), 1); err != nil || ok || string(cur) != "C" {
+		t.Fatalf("mismatching CasV = %v %q %v, want false \"C\" nil", ok, cur, err)
 	}
 
-	// Newer stamps apply, and so does version 0.
+	// Version 0 applies and keeps the stamp an append finds.
 	if err := firstErr(
-		s.PutV("k", []byte("A"), 13),
-		boolErr(s.RemoveV("r", 21)),
 		s.Put("z", []byte("zero")),
 		appendErr(s.AppendV(nil, "k", []byte("+0"), 0)),
 	); err != nil {
 		t.Fatal(err)
 	}
 	live := pairsOf(t, s)
-	if want := map[string]pair{"k": {"A+0", 13}, "z": {"zero", 0}}; !reflect.DeepEqual(live, want) {
+	if want := map[string]pair{"k": {"C+0", st(9, 9)}, "z": {"zero", 0}}; !reflect.DeepEqual(live, want) {
 		t.Fatalf("live %v, want %v", live, want)
 	}
 	if err := s.Close(); err != nil {

@@ -77,9 +77,9 @@ func TestAsyncWriteThroughLone(t *testing.T) {
 		case 0, 1:
 			err = s.Put(k, []byte(fmt.Sprintf("v%d", i)))
 		case 2:
-			_, err = s.AppendV(nil, k, []byte("+"), 0)
+			_, _, err = s.AppendV(nil, k, []byte("+"), 0)
 		case 3:
-			_, err = s.RemoveV(k, 0)
+			_, _, err = s.RemoveV(k, 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -118,10 +118,10 @@ func TestDigestFixedVectorsV2(t *testing.T) {
 		for i := range earlier {
 			earlier[i] ^= 0xff
 		}
-		if err := s.PutV(v.key, earlier, 0); err != nil {
+		if _, err := s.PutV(v.key, earlier, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutV(v.key, []byte(v.val), v.ver); err != nil {
+		if _, err := s.PutV(v.key, []byte(v.val), v.ver); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.DigestLeaves(); !reflect.DeepEqual(got, want) {
@@ -138,11 +138,11 @@ func TestDigestFixedVectorsV2(t *testing.T) {
 			}
 			return 0
 		}
-		if err := s.PutV(v.key, nil, stamp(v.val == "")); err != nil {
+		if _, err := s.PutV(v.key, nil, stamp(v.val == "")); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < len(v.val); i++ {
-			if _, err := s.AppendV(nil, v.key, []byte{v.val[i]}, stamp(i == len(v.val)-1)); err != nil {
+			if _, _, err := s.AppendV(nil, v.key, []byte{v.val[i]}, stamp(i == len(v.val)-1)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -53,7 +53,10 @@ func (b bdbStore) Remove(key string) (bool, error) { return b.Delete([]byte(key)
 // tier's Remove.
 type novohtPoint struct{ *novoht.Store }
 
-func (n novohtPoint) Remove(key string) (bool, error) { return n.RemoveV(key, 0) }
+func (n novohtPoint) Remove(key string) (bool, error) {
+	ok, _, err := n.RemoveV(key, 0)
+	return ok, err
+}
 
 // fullEngines are the NoVoHT configurations a ZHT deployment opens:
 // a volatile store, a WAL-backed store that owns its log, and one
@@ -184,19 +187,19 @@ func TestConformanceConditionalOps(t *testing.T) {
 	for name, open := range fullEngines() {
 		t.Run(name, func(t *testing.T) {
 			kv := open(t)
-			if ok, err := kv.PutIfAbsentV("k", []byte("first"), 1); err != nil || !ok {
+			if ok, _, err := kv.PutIfAbsentV("k", []byte("first"), 1); err != nil || !ok {
 				t.Fatalf("PutIfAbsentV(absent) = %v, %v", ok, err)
 			}
-			if ok, err := kv.PutIfAbsentV("k", []byte("second"), 2); err != nil || ok {
+			if ok, _, err := kv.PutIfAbsentV("k", []byte("second"), 2); err != nil || ok {
 				t.Fatalf("PutIfAbsentV(present) = %v, %v", ok, err)
 			}
 			wantValue(t, kv, "k", "first")
 
 			// AppendV hands back the accumulated value only when asked.
-			if got, err := kv.AppendV([]byte("dst:"), "k", []byte("+a"), 3); err != nil || string(got) != "dst:first+a" {
+			if got, _, err := kv.AppendV([]byte("dst:"), "k", []byte("+a"), 3); err != nil || string(got) != "dst:first+a" {
 				t.Fatalf("AppendV(dst) = %q, %v", got, err)
 			}
-			if got, err := kv.AppendV(nil, "new", []byte("created"), 4); err != nil || got != nil {
+			if got, _, err := kv.AppendV(nil, "new", []byte("created"), 4); err != nil || got != nil {
 				t.Fatalf("AppendV(nil) = %q, %v", got, err)
 			}
 			wantValue(t, kv, "k", "first+a")
@@ -219,7 +222,7 @@ func TestConformanceCas(t *testing.T) {
 			cas := func(key string, old, new []byte, wantOK bool, wantSeen []byte) {
 				t.Helper()
 				ver++
-				ok, seen, err := kv.CasV(key, old, new, ver)
+				ok, seen, _, err := kv.CasV(key, old, new, ver)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,16 +286,18 @@ func TestConformanceLWW(t *testing.T) {
 			}
 			lww("remove", 11, false) // nothing left to remove
 
-			// PutV replaces the pair unless its stamp is not newer
-			// (ErrStale), and Put writes version 0 over any stamp.
-			if err := kv.PutV("k", []byte("e"), 2); err != nil {
+			// PutV replaces the pair, one millisecond above the stored
+			// stamp when its own is not newer (storage.StampAbove), and
+			// Put writes version 0 over any stamp.
+			if _, err := kv.PutV("k", []byte("e"), 2); err != nil {
 				t.Fatal(err)
 			}
 			wantVer("e", 2)
-			if err := kv.PutV("k", []byte("stale"), 2); !errors.Is(err, storage.ErrStale) {
-				t.Fatalf("PutV at the stored stamp = %v, want ErrStale", err)
+			above := storage.Stamp(1, 2) // stamp 2 is millisecond 0, node bits 2
+			if ver, err := kv.PutV("k", []byte("lifted"), 2); err != nil || ver != above {
+				t.Fatalf("PutV at the stored stamp = %#x, %v; want %#x", ver, err, above)
 			}
-			wantVer("e", 2)
+			wantVer("lifted", above)
 			if err := kv.Put("k", []byte("f")); err != nil {
 				t.Fatal(err)
 			}

@@ -1,15 +1,16 @@
 // Package storage holds what ZHT's storage engine, NoVoHT
 // (internal/novoht), shares with the code around it: the durability
 // modes a write-ahead log can offer, the crash-injection fault hooks,
-// the store statistics and errors, and the pair/leaf hashes of the
-// repair digest every store maintains.
+// the store statistics and errors, the layout of a version stamp and
+// the rule that orders a key's stamps (StampAbove), and the pair/leaf
+// hashes of the repair digest every store maintains.
 //
 // The paper makes NoVoHT ZHT's storage (§III.I) and tries BerkeleyDB
 // and KyotoCabinet only as Figure 6 comparisons; in this tree those two
 // are Figure 6 adapters (internal/baselines) that no instance opens.
 // So there is one store type, *novoht.Store, and every consumer in the
 // module holds it directly; its methods carry the store contract (the
-// version stamp rules, ErrStale, the digest).
+// version stamp rules, the digest).
 //
 // Durability levels follow the classic group-commit design, with the
 // callers themselves as the log writer: the caller that finds records
@@ -130,11 +131,24 @@ type Fault interface {
 	BeforeSync() error
 }
 
-// ErrStale reports a stamped mutation refused because the key holds a
-// version at least as new. A writer that drew its stamp before taking
-// the store's lock lost a race with a concurrent writer of the key;
-// it redraws a stamp and retries.
-var ErrStale = errors.New("storage: version stamp is not newer than the stored pair's")
+// StampNodeBits is how many low bits of a version stamp carry the
+// writer's node hash, below Unix milliseconds, so stamps of two nodes
+// never tie (DESIGN.md §12).
+const StampNodeBits = 16
+
+// Stamp packs ms over the low StampNodeBits of node.
+func Stamp(ms, node uint64) uint64 { return ms<<StampNodeBits | node&(1<<StampNodeBits-1) }
+
+// StampAbove returns the stamp an owner's write given ver stores over a
+// key whose pair or tombstone holds stored: ver when it is newer, else
+// one millisecond above stored with ver's node bits, so a key's stamps
+// rise in the order its writes apply, whatever stamp each writer drew.
+func StampAbove(stored, ver uint64) uint64 {
+	if ver > stored {
+		return ver
+	}
+	return Stamp(stored>>StampNodeBits+1, ver)
+}
 
 // ErrBroken reports an operation on a store whose WAL failed (a
 // crash-injection fault or a real I/O error); the store is read-only

@@ -18,7 +18,10 @@
 //     pools, tunable consistency, and the multi-tenant front door —
 //     names its canonical metrics, and each must be registered in that
 //     subsystem's source (and so, by the catalogue rule, catalogued
-//     in OBSERVABILITY.md), so neither side may silently drop one.
+//     in OBSERVABILITY.md), so neither side may silently drop one, or
+//   - a TestX, BenchmarkX or FuzzX that one of the testDocs names in
+//     backticks is defined in no _test.go of the root module, so a
+//     renamed or deleted test takes its citations with it.
 //
 // Run from the repository root: go run ./internal/tools/docscheck
 package main
@@ -52,6 +55,7 @@ func main() {
 	for _, c := range contracts {
 		checkContract(c, fail)
 	}
+	checkTestNames(".", testDocs, fail)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -269,6 +273,57 @@ func checkMetricCatalogue(root string, fail func(string, ...any)) {
 		for _, m := range catalogueRe.FindAllStringSubmatch(line, -1) {
 			if !strings.Contains(m[1], "*") && names[m[1]] == nil {
 				fail("OBSERVABILITY.md:%d: metric %q is catalogued but registered in no non-test source", i+1, m[1])
+			}
+		}
+	}
+}
+
+// testDocs are the markdown files whose backticked test names
+// checkTestNames resolves.
+var testDocs = []string{"DESIGN.md", "OBSERVABILITY.md", "README.md", "EXPERIMENTS.md"}
+
+var (
+	codeSpanRe = regexp.MustCompile("`[^`\n]+`")
+	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// checkTestNames requires every test, benchmark and fuzz target that
+// one of docs under root names in an inline code span to be a func of
+// some _test.go file of the module at root: outside testdata/ trees,
+// hidden directories and nested modules (benchmark/ has its own
+// go.mod).
+func checkTestNames(root string, docs []string, fail func(string, ...any)) {
+	defined := map[string]bool{}
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+		case d.IsDir():
+			if _, gomod := os.Stat(filepath.Join(path, "go.mod")); path != root &&
+				(gomod == nil || d.Name() == "testdata" || d.Name()[0] == '.') {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(path, "_test.go"):
+			src, _ := os.ReadFile(path)
+			for _, m := range testFuncRe.FindAllSubmatch(src, -1) {
+				defined[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	for _, doc := range docs {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			fail("%s: %v", doc, err)
+			continue
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, span := range codeSpanRe.FindAllString(line, -1) {
+				for _, name := range testNameRe.FindAllString(span, -1) {
+					if !defined[name] {
+						fail("%s:%d: %s is defined in no _test.go", doc, i+1, name)
+					}
+				}
 			}
 		}
 	}

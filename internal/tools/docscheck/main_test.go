@@ -111,3 +111,23 @@ func TestMetricCatalogueBothWays(t *testing.T) {
 		t.Errorf("failures = %q, want %q", got, want)
 	}
 }
+
+// TestCitedTestNamesResolve pins the test-name rule: a test or
+// benchmark named in a doc's code span resolves to a func of a _test.go
+// file, so one that was renamed or deleted fails, and so does one
+// defined only in a nested module or a testdata/ tree; prose mentions
+// and fenced blocks are not citations.
+func TestCitedTestNamesResolve(t *testing.T) {
+	var got []string
+	checkTestNames("testdata/testnames", []string{"DESIGN.md"},
+		func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) })
+	want := []string{
+		"DESIGN.md:8: TestGone is defined in no _test.go",
+		"DESIGN.md:8: FuzzGone is defined in no _test.go",
+		"DESIGN.md:10: TestInNestedModule is defined in no _test.go",
+		"DESIGN.md:10: TestInTestdata is defined in no _test.go",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failures = %q, want %q", got, want)
+	}
+}

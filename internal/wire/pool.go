@@ -187,6 +187,26 @@ func GetResponse() *Response {
 	return responsePool.Get().(*Response)
 }
 
+// Reply draws a pooled response answering st with val, which stays the
+// caller's (PutResponse does not recycle it). A handler answers only
+// with pooled responses (Reply, ErrorReply, or one drawn and filled
+// in), since the transport returns every handler response to the pool.
+// Neither helper takes a Response by value: a Response literal in a
+// function on a request path grows that function's stack frame even
+// where it never runs, and every request pays for the larger frame.
+func Reply(st Status, val []byte) *Response {
+	r := GetResponse()
+	r.Status, r.Value = st, val
+	return r
+}
+
+// ErrorReply draws a pooled StatusError response carrying msg.
+func ErrorReply(msg string) *Response {
+	r := GetResponse()
+	r.Status, r.Err = StatusError, msg
+	return r
+}
+
 // PutResponse zeroes r and returns it to the pool. If r's Value was
 // attached with SetPooledValue, the scratch buffer goes back to the
 // buffer pool too. Callers must not touch r (or a pooled Value)
