@@ -173,19 +173,22 @@ verify:
 	echo "verify: $$(echo $$passed | wc -w) passed, $$(echo $$failed | wc -w) failed:$${failed:- none}"; \
 	[ -z "$$failed" ]
 
-# flake measures how often the chaos and consistency soaks and the
-# client outage run fail: each runs 40 times without the race
-# detector, every failing run is printed with its seeds and first log
-# lines, and the last line is the census.
+# flake measures how often the chaos and consistency soaks, the client
+# outage run and core's races of concurrent writers of one key (adds
+# over an expired pair, replicated batches) fail: each runs 40 times
+# without the race detector, one package at a time, every failing run
+# is printed with its seeds and first log lines, and the last line is
+# the census, a subtest counted under its own name too.
 # The seeds are fixed, so a failure here is one the scheduler chose.
 # flake-race is the same census under the race detector, 10 runs each
 # (the schedules verify's test-race step sees). Not part of verify:
 # they take minutes and measure a rate.
 flake flake-race:
-	@$(GO) test $(if $(filter flake-race,$@),-race -count=10,-count=40) -v -timeout 60m \
-		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals)$$' \
-		./internal/chaos 2>&1 | awk ' \
-		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; buf = ""; n = 0; next } ; \
+	@$(GO) test $(if $(filter flake-race,$@),-race -count=10,-count=40) -p 1 -v -timeout 60m \
+		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals|TestConcurrentAddOverExpired|TestConcurrentReplicatedBatchesConverge)$$' \
+		./internal/chaos ./internal/core 2>&1 | awk ' \
+		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; if (name !~ /\//) { buf = ""; n = 0 }; next } ; \
+		/^ +--- FAIL/ { fails[$$3]++; next } ; \
 		/^    / { if (n++ < 6) buf = buf "\n" $$0; next } ; \
 		/^--- FAIL/ { fails[$$3]++; bad++; print "FAIL " $$3 " run " runs[$$3] buf; next } ; \
 		/^panic:|^FAIL\t/ { print } ; \

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -205,29 +204,28 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 
 // applyBatch is the instance's one write pipeline. It runs KV ops —
 // an envelope's sub-ops, or a single op as a batch of one — through
-// migration gate, post-gate ownership, store, mutation stripes, apply,
-// commit, replicate, and write-level enforcement, paying each lock,
-// the WAL commit and each replica round trip once per envelope rather
-// than once per partition or per record.
+// migration gate, post-gate ownership, store, apply, commit, replicate,
+// and write-level enforcement, paying the WAL commit and each replica
+// round trip once per envelope rather than once per partition or per
+// record.
 // It answers sub-op i into resps[i], a zeroed response the caller owns.
 // A migration gate that must wait detaches detach first.
 //
 // Every group that passed its migration gate holds its partition's
-// in-flight count, and the mutation stripes of every mutated key are
-// locked ascending, so no cycle can form between concurrent envelopes.
-// Both are held across the apply and every synchronous replica round:
-// a migration's drain waits for the group, and each key's replica
-// order matches its apply order while envelopes touching disjoint keys
-// overlap — feeding the stores' group-commit WALs whole batches.
+// in-flight count across the apply and every synchronous replica
+// round, so a migration's drain waits for the group. No lock above the
+// store is held: each store stamps a key's writes in the order it
+// applies them, and replicas take the newest stamp (DESIGN.md §12), so
+// envelopes overlap freely — feeding the stores' group-commit WALs
+// whole batches.
 //
 // applyBatch only sequences the phases and holds the locks, so its
 // frame stays small under the replica round trip: a TCP server runs a
 // detached request's successor on a fresh goroutine, whose stack each
 // extra frame on this path can force to grow once more.
 func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) {
-	muts, table := in.lockBatch(subs, resps, sc, detach)
+	table := in.lockBatch(subs, resps, sc, detach)
 	defer addInflight(sc.groups, -1)
-	defer in.unlockMuts(muts)
 	if in.applyGroups(subs, resps, sc) {
 		in.commitGroups(subs, resps, sc)
 	}
@@ -239,11 +237,10 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 }
 
 // lockBatch groups the sorted tags by partition, answers every group
-// that may not be served here with its routing verdict, enters the
-// in-flight count of the rest (applyBatch exits those still live) and
-// locks the stripes they need; it returns the stripes for applyBatch
-// to release, with the table snapshot ownership was judged on.
-func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) (muts uint64, table *ring.Table) {
+// that may not be served here with its routing verdict and enters the
+// in-flight count of the rest (applyBatch exits those still live); it
+// returns the table snapshot ownership was judged on.
+func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) *ring.Table {
 	if len(sc.tags) > 1 {
 		slices.Sort(sc.tags)
 	}
@@ -288,7 +285,7 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 	// gates: an op racing a just-completed migration would otherwise
 	// pass its gate, then consult a pre-migration table and apply a
 	// write to a partition that has already moved away.
-	table = in.tableRef()
+	table := in.tableRef()
 	var wrongOwner *wire.Response
 	for gi := range groups {
 		g := &groups[gi]
@@ -308,22 +305,21 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 			sc.fan(g, resps, wrongOwner)
 			continue
 		}
+		if !failover {
+			continue
+		}
+		// Read-repair: a failover read means this replica is the
+		// partition's acting authority; schedule a digest compare
+		// against the other replicas so stale ranges heal without
+		// waiting for the next anti-entropy tick.
 		for _, t := range tags[g.lo:g.hi] {
-			sub := subs[t&0xffffffff]
-			if in.mutates(sub) {
-				muts |= 1 << (in.hashf(sub.Key) % lockStripes)
-			} else if failover && sub.Op == wire.OpLookup {
-				// Read-repair: a failover read means this replica is the
-				// partition's acting authority; schedule a digest compare
-				// against the other replicas so stale ranges heal without
-				// waiting for the next anti-entropy tick.
+			if subs[t&0xffffffff].Op == wire.OpLookup {
 				in.scheduleReadRepair(table, g.p)
-				failover = false
+				break
 			}
 		}
 	}
-	in.lockMuts(muts)
-	return muts, table
+	return table
 }
 
 // applyGroups applies every live group's sub-ops. Every mutation is
@@ -582,18 +578,5 @@ func addInflight(groups []batchGroup, d int32) {
 		if groups[gi].live {
 			groups[gi].part.inflight.Add(d)
 		}
-	}
-}
-
-// lockMuts locks the mutation stripes set in mask, ascending.
-func (in *Instance) lockMuts(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		in.mutLocks[bits.TrailingZeros64(m)].Lock()
-	}
-}
-
-func (in *Instance) unlockMuts(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		in.mutLocks[bits.TrailingZeros64(m)].Unlock()
 	}
 }

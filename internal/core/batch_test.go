@@ -334,11 +334,12 @@ func TestBatchStragglerPromotion(t *testing.T) {
 
 // TestConcurrentReplicatedBatchesConverge runs replicated batches and
 // single ops over one small key set from several goroutines while a
-// node joins — envelopes contend for the same mutation stripes and
-// migrations drain the partitions' in-flight counts — and then requires every
-// key's copies to agree: per-key replica order held under contention,
-// and no lock order deadlocked. Random per-call latency widens the
-// window in which a leg could overtake an earlier one for its key.
+// node joins — envelopes write the same keys concurrently and
+// migrations drain the partitions' in-flight counts — and then requires
+// every key's copies to agree: the stamps the stores drew ordered each
+// key's legs under contention, and nothing deadlocked. Random per-call
+// latency widens the window in which a leg could overtake an earlier
+// one for its key.
 func TestConcurrentReplicatedBatchesConverge(t *testing.T) {
 	cfg := Config{NumPartitions: 64, Replicas: 2, RetryBase: time.Millisecond}
 	d, reg, c := startDeployment(t, cfg, 4)
@@ -373,7 +374,7 @@ func TestConcurrentReplicatedBatchesConverge(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for round := 0; round < 100; round++ {
 				if w%3 == 2 {
-					// Single ops share the stripes with the envelopes.
+					// Single ops write the envelopes' keys too.
 					op := randOp(rng, w)
 					check(op, seqApply(c, op).Err)
 					continue

@@ -64,17 +64,6 @@ type Instance struct {
 	log *novoht.Log
 	// parts holds partition p's state at index p (partition).
 	parts []partition
-	// mutLocks serialize each KEY's mutation+replication pair
-	// (striped by key hash). Stamps (PutLWW) refuse a reordered
-	// insert, append or CAS leg; the stripes, with legs, still keep a
-	// remove from overtaking an older write of the key on a copy that
-	// lacks it (the remove's tombstone refuses the older leg only for
-	// novoht.RemoveGrace, in memory; ROADMAP item 2) and make mutate's
-	// add over an expired pair one check-then-put. Striping by key rather
-	// than by partition lets mutations of different keys overlap inside
-	// one partition store, which is what feeds the store's group-commit
-	// WAL more than one record per fsync. Lookups bypass these locks.
-	mutLocks [lockStripes]sync.Mutex
 
 	bmu   sync.Mutex // guards bcast
 	bcast map[string][]byte
@@ -92,7 +81,7 @@ type Instance struct {
 	// write leg overtaking a newer one would be refused by its stamp
 	// anyway; the order guards a remove overtaking an older write on a
 	// copy that lacks the key, which a backlog held past the remove
-	// tombstone's grace would otherwise bring back (mutLocks).
+	// tombstone's grace (novoht.RemoveGrace) would otherwise bring back.
 	legs *repair.LegQueue
 	// loopWG tracks the anti-entropy loop and read-repair goroutines;
 	// Close waits for it after closing `closed` so no repair work
@@ -136,10 +125,6 @@ func (g *asyncGroup) wait() {
 		g.idle.Wait()
 	}
 }
-
-// lockStripes is the stripe count of mutLocks; 64 lets the batch path
-// name any set of stripes as one uint64 bitmask.
-const lockStripes = 64
 
 // partState tracks a partition's migration lifecycle on the node
 // giving it away. While migrating, requests queue on done.
@@ -469,7 +454,7 @@ func (in *Instance) handle(req *wire.Request) *wire.Response {
 // handleKV serves the four basic operations plus CAS as a batch of
 // one: past the admission and size gates, the op runs through the same
 // applyBatch an envelope's sub-ops do — migration gate, in-flight
-// count, ownership, mutation stripe, apply, replica legs, write level.
+// count, ownership, apply, replica legs, write level.
 func (in *Instance) handleKV(req *wire.Request) *wire.Response {
 	release, refused := in.admit(req)
 	if refused != nil {
@@ -549,19 +534,11 @@ func (in *Instance) applyMutation(s *novoht.Store, req *wire.Request, resp *wire
 			ver, err = s.PutV(req.Key, req.Value, floor)
 			break
 		}
+		// An expired TTL envelope counts as absent (lazy expiry must not
+		// block a fresh add, memcached `add` semantics); the store judges
+		// it in the same critical section as the put.
 		var ok bool
-		if ok, ver, err = s.PutIfAbsentV(req.Key, req.Value, floor); err != nil || ok {
-			break
-		}
-		// Occupied — but an expired TTL envelope counts as absent (lazy
-		// expiry must not block a fresh add, memcached `add` semantics):
-		// overwrite it. Only the occupied path pays the extra Get. With
-		// replicas the key's mutation stripe makes check-then-put
-		// atomic; without, two adds racing an expired pair can both
-		// succeed, the same benign race as two adds on an absent key.
-		if v, found, gerr := s.Get(req.Key); gerr == nil && found && tenant.Expired(v) {
-			ver, err = s.PutV(req.Key, req.Value, floor)
-		} else {
+		if ok, ver, err = s.PutIfAbsentV(req.Key, req.Value, floor, tenant.Expired); err == nil && !ok {
 			resp.Status = wire.StatusExists
 		}
 	case wire.OpRemove:

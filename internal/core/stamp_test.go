@@ -244,8 +244,8 @@ func partitionPairs(t *testing.T, in *Instance, partitions int) map[string]strin
 	return out
 }
 
-// At r = 0 no mutation stripe orders two writers of one key, so they
-// can read their floors in one order and reach the store in the other.
+// No lock above the store orders two writers of one key, so they can
+// read their floors in one order and reach the store in the other.
 // The store stamps the later arrival above the stored stamp, so a key's
 // stamps rise in log order and a restart replays exactly the live
 // state. Each round races four writers on a fresh key: two inserts

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -213,5 +214,80 @@ func TestBatchBusyRetryHonorsMaxHint(t *testing.T) {
 	// envelope; honoring only rs[0] (the old bug) would return in ~1ms.
 	if elapsed < fake.big {
 		t.Errorf("busy retry slept %v, want >= %v (max hint across sub-responses)", elapsed, fake.big)
+	}
+}
+
+// TestConcurrentAddOverExpired: an expired TTL pair counts as absent to
+// an add, and the store judges that in the same critical section that
+// stores the add, so of eight adds racing over one expired pair exactly
+// one wins, at r = 0 as at r = 1. The store then holds the winner's
+// value, and at r = 1 the replica holds it at the owner's stamp.
+func TestConcurrentAddOverExpired(t *testing.T) {
+	for _, r := range []int{0, 1} {
+		t.Run(fmt.Sprintf("r%d", r), func(t *testing.T) {
+			d, _, _ := startDeployment(t, Config{NumPartitions: 8, Replicas: r, RetryBase: time.Millisecond}, 1+r)
+			in := d.Instance(0)
+			key, p := ownedKey(t, in)
+			var rep *Instance
+			if r > 0 {
+				rep = replicaOf(t, d, p)
+			}
+			expired := tenant.Wrap([]byte("stale"), 0, time.Now().Add(-time.Second))
+
+			const rounds, adders = 2000, 8
+			doubled := 0
+			for round := 0; round < rounds; round++ {
+				if resp := in.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: expired}); resp.Status != wire.StatusOK {
+					t.Fatalf("round %d: storing the expired pair = %s (%s)", round, resp.Status, resp.Err)
+				}
+				var start, done sync.WaitGroup
+				var won [adders]bool
+				start.Add(1)
+				for w := range adders {
+					done.Add(1)
+					go func() {
+						defer done.Done()
+						req := &wire.Request{Op: wire.OpInsert, Flags: wire.FlagIfAbsent, Key: key, Value: []byte{'a' + byte(w)}}
+						start.Wait()
+						switch resp := in.Handle(req); resp.Status {
+						case wire.StatusOK:
+							won[w] = true
+						case wire.StatusExists:
+						default:
+							t.Errorf("round %d: add %d = %s (%s)", round, w, resp.Status, resp.Err)
+						}
+					}()
+				}
+				start.Done()
+				done.Wait()
+
+				winner, wins := -1, 0
+				for w, ok := range won {
+					if ok {
+						winner, wins = w, wins+1
+					}
+				}
+				if wins != 1 {
+					if wins > 1 {
+						doubled++
+						continue
+					}
+					t.Fatalf("round %d: no add won over the expired pair", round)
+				}
+				v, ver, ok := storeVer(t, in, p, key)
+				if !ok || len(v) != 1 || v[0] != 'a'+byte(winner) {
+					t.Fatalf("round %d: add %d won, the store holds %q (present %v)", round, winner, v, ok)
+				}
+				if rep != nil {
+					d.Drain()
+					if rv, rver, ok := storeVer(t, rep, p, key); !ok || string(rv) != string(v) || rver != ver {
+						t.Fatalf("round %d: replica holds %q@%x (present %v), owner %q@%x", round, rv, rver, ok, v, ver)
+					}
+				}
+			}
+			if doubled > 0 {
+				t.Errorf("%d of %d rounds had more than one add win over the expired pair", doubled, rounds)
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ func mutateRandomly(t *testing.T, s *Store, rng *rand.Rand, prefix string, n, ke
 		case 1:
 			_, _, err = s.AppendV(nil, k, []byte(fmt.Sprintf("+%d", i)), 0)
 		case 2:
-			_, _, err = s.PutIfAbsentV(k, val, 0)
+			_, _, err = s.PutIfAbsentV(k, val, 0, nil)
 		case 3:
 			var cur []byte
 			var ok bool

@@ -89,7 +89,7 @@ func appendVScript(s *Store) error {
 		putErr(s.PutV("d", []byte("delta"), 20)),
 		appendErr(s.AppendV(nil, "d", []byte("+0"), 0)), // keeps version 20
 		casErr(s.CasV("a", []byte("alpha+1"), []byte("swapped"), 14)),
-		stampErr(s.PutIfAbsentV("p", []byte("pia"), 15)),
+		stampErr(s.PutIfAbsentV("p", []byte("pia"), 15, nil)),
 		stampErr(s.RemoveV("n", 16)),
 		appendErr(s.AppendV(nil, "e", []byte("solo"), 17)),
 	)

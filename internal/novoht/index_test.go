@@ -14,10 +14,10 @@ import (
 // TestIndexEquivalence drives a volatile store and a Go map with the
 // same random history: puts of new keys, overwrites that fit the cell
 // and ones that outgrow it, appends, compare-and-swaps, conditional
-// puts, removes of present and absent keys, buries that leave
-// tombstones, stale replicated writes the pairs and tombstones refuse,
-// owner writes stamped at or below the stored stamp that the store
-// lifts above it, reclaims as the store's clock passes RemoveGrace,
+// puts (some counting a stored value as dead), removes of present and
+// absent keys, buries that leave tombstones, stale replicated writes
+// the pairs and tombstones refuse, owner writes stamped at or below the
+// stored stamp that the store lifts above it, reclaims as the store's clock passes RemoveGrace,
 // enough keys to grow the index several times, and full and per-leaf
 // iterations. After every step the store must agree with the map. The "collide" variant swaps the probe hash for one with four
 // values, all homed in the last slots of the table, so every probe
@@ -187,11 +187,18 @@ func indexEquivalence(t *testing.T, rng *rand.Rand, keys, steps int) {
 				delete(tombs, k)
 			}
 		case op < 11:
+			// Half the conditional puts count a value of odd length as
+			// dead, so they replace it above its stamp.
 			v := value(i)
 			ver, want := stamp()
-			ok, got, err := s.PutIfAbsentV(k, v, ver)
-			if err != nil || ok == present {
-				t.Fatalf("step %d: PutIfAbsentV(%q) = %v, %v; present %v", i, k, ok, err, present)
+			var dead func([]byte) bool
+			if rng.Intn(2) == 0 {
+				dead = func(v []byte) bool { return len(v)%2 == 1 }
+			}
+			absent := !present || dead != nil && dead([]byte(cur.val))
+			ok, got, err := s.PutIfAbsentV(k, v, ver, dead)
+			if err != nil || ok != absent {
+				t.Fatalf("step %d: PutIfAbsentV(%q) = %v, %v; absent %v", i, k, ok, err, absent)
 			}
 			if ok {
 				checkStamp("PutIfAbsentV", got, want)

@@ -454,9 +454,14 @@ func (s *Store) finishMutation(end int64) error {
 
 // PutIfAbsentV stores val only when key is not present, stamped as PutV
 // stamps; it reports whether the store was modified and the stamp it
-// stored.
-func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64) (bool, uint64, error) {
-	return s.put(key, val, ver, func(p cell) bool { return p != nil && !p.tomb() })
+// stored. A stored value that dead (nil for none) reports as gone, such
+// as an expired TTL envelope, counts as absent: dead runs under the
+// store lock, so the check and the put are one step. It must not call
+// the store, nor keep the val it is given, the store's own copy.
+func (s *Store) PutIfAbsentV(key string, val []byte, ver uint64, dead func(val []byte) bool) (bool, uint64, error) {
+	return s.put(key, val, ver, func(p cell) bool {
+		return p != nil && !p.tomb() && (dead == nil || !dead(p.val()))
+	})
 }
 
 // Get returns a copy of the value stored under key.

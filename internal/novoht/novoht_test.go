@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"zht/internal/storage"
 )
 
 func openTemp(t *testing.T, opts Options) *Store {
@@ -71,16 +73,47 @@ func TestEmptyValueAndKey(t *testing.T) {
 
 func TestPutIfAbsent(t *testing.T) {
 	s := openTemp(t, Options{})
-	ok, _, err := s.PutIfAbsentV("k", []byte("v1"), 0)
+	ok, _, err := s.PutIfAbsentV("k", []byte("v1"), 0, nil)
 	if err != nil || !ok {
 		t.Fatalf("first PutIfAbsent = %v %v", ok, err)
 	}
-	ok, _, err = s.PutIfAbsentV("k", []byte("v2"), 0)
+	ok, _, err = s.PutIfAbsentV("k", []byte("v2"), 0, nil)
 	if err != nil || ok {
 		t.Fatalf("second PutIfAbsent = %v %v", ok, err)
 	}
 	if v, _, _ := s.Get("k"); string(v) != "v1" {
 		t.Errorf("value clobbered: %q", v)
+	}
+
+	// A value that dead reports gone counts as absent: the put replaces
+	// it above its stamp. A live value is refused as with a nil dead, and
+	// a tombstone is absent whatever dead would say of it.
+	dead := func(v []byte) bool { return bytes.HasPrefix(v, []byte("dead")) }
+	if _, err := s.PutV("d", []byte("dead-pair"), storage.Stamp(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _, err := s.PutIfAbsentV("d", []byte("x"), storage.Stamp(9, 2), nil); err != nil || ok {
+		t.Fatalf("PutIfAbsentV over a dead value, nil dead = %v, %v; want refused", ok, err)
+	}
+	want := storage.Stamp(6, 2)
+	if ok, got, err := s.PutIfAbsentV("d", []byte("fresh"), storage.Stamp(3, 2), dead); err != nil || !ok || got != want {
+		t.Fatalf("PutIfAbsentV over a dead value = %v, %#x, %v; want true, %#x", ok, got, err, want)
+	}
+	if v, ver, _, _ := s.GetAppendV(nil, "d"); string(v) != "fresh" || ver != want {
+		t.Fatalf("after replacing the dead value: %q@%#x, want %q@%#x", v, ver, "fresh", want)
+	}
+	for _, k := range []string{"d", "k"} {
+		if ok, _, err := s.PutIfAbsentV(k, []byte("again"), storage.Stamp(9, 2), dead); err != nil || ok {
+			t.Fatalf("PutIfAbsentV(%q) over a live value = %v, %v; want refused", k, ok, err)
+		}
+	}
+	if _, _, err := s.BuryV("t", storage.Stamp(7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	live := func([]byte) bool { return false }
+	want = storage.Stamp(8, 2)
+	if ok, got, err := s.PutIfAbsentV("t", []byte("over-tomb"), storage.Stamp(2, 2), live); err != nil || !ok || got != want {
+		t.Fatalf("PutIfAbsentV over a tombstone = %v, %#x, %v; want true, %#x", ok, got, err, want)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestTombstoneRefusesStaleWrites(t *testing.T) {
 	if _, got, err := s.AppendV(nil, "k", []byte("+"), storage.Stamp(1, node)); err != nil || got != storage.Stamp(2, node) {
 		t.Fatalf("AppendV below the pair = %#x, %v; want %#x", got, err, storage.Stamp(2, node))
 	}
-	if ok, got, err := s.PutIfAbsentV("absent", []byte("pia"), 9); err != nil || !ok || got != storage.Stamp(1, 9) {
+	if ok, got, err := s.PutIfAbsentV("absent", []byte("pia"), 9, nil); err != nil || !ok || got != storage.Stamp(1, 9) {
 		t.Fatalf("PutIfAbsentV at the tombstone = %v, %#x, %v; want true, %#x", ok, got, err, storage.Stamp(1, 9))
 	}
 	if ok, got, err := s.BuryV("absent", node); err != nil || !ok || got != storage.Stamp(2, node) {

@@ -48,7 +48,7 @@ func TestVersionedPutGet(t *testing.T) {
 	if v, ver, _, _ := s.GetAppendV(nil, "k"); string(v) != "v3" || ver != 12 {
 		t.Fatalf("after CasV = %q %d, want v3 12", v, ver)
 	}
-	if ok, _, err := s.PutIfAbsentV("n", []byte("x"), 13); err != nil || !ok {
+	if ok, _, err := s.PutIfAbsentV("n", []byte("x"), 13, nil); err != nil || !ok {
 		t.Fatalf("PutIfAbsentV = %v %v", ok, err)
 	}
 	if _, ver, _, _ := s.GetAppendV(nil, "n"); ver != 13 {

@@ -187,10 +187,10 @@ func TestConformanceConditionalOps(t *testing.T) {
 	for name, open := range fullEngines() {
 		t.Run(name, func(t *testing.T) {
 			kv := open(t)
-			if ok, _, err := kv.PutIfAbsentV("k", []byte("first"), 1); err != nil || !ok {
+			if ok, _, err := kv.PutIfAbsentV("k", []byte("first"), 1, nil); err != nil || !ok {
 				t.Fatalf("PutIfAbsentV(absent) = %v, %v", ok, err)
 			}
-			if ok, _, err := kv.PutIfAbsentV("k", []byte("second"), 2); err != nil || ok {
+			if ok, _, err := kv.PutIfAbsentV("k", []byte("second"), 2, nil); err != nil || ok {
 				t.Fatalf("PutIfAbsentV(present) = %v, %v", ok, err)
 			}
 			wantValue(t, kv, "k", "first")
@@ -426,7 +426,7 @@ func TestConformanceDigest(t *testing.T) {
 			kv.Put("e", []byte("5"))
 			kv.AppendV(nil, "e", []byte("+y"), 0) // keeps version 0
 			check("appends")
-			kv.PutIfAbsentV("d", []byte("4"), 4)
+			kv.PutIfAbsentV("d", []byte("4"), 4, nil)
 			kv.CasV("a", []byte("1+x"), []byte("swapped"), 5)
 			check("conditional writes")
 			kv.PutLWW("b", []byte("newer"), 8)
