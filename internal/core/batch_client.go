@@ -29,22 +29,20 @@ type BatchResult struct {
 	Err error
 }
 
-// outcome is one routed request's state: the address a migration
-// redirected it to, and once done its answer. Until then err holds why
-// the last round left it unsettled.
+// outcome is one routed request's state: once done its answer. Until
+// then err holds why the last round left it unsettled.
 type outcome struct {
-	redirect string
-	val      []byte
-	ver      uint64
-	err      error
-	done     bool
+	val  []byte
+	ver  uint64
+	err  error
+	done bool
 }
 
 // message is one destination's share of a round: a run of the round's
 // requests starting at tag lo, and the call carrying them.
 type message struct {
 	addr    string
-	id      ring.InstanceID // the ring instance addressed; empty for a redirect
+	id      ring.InstanceID // the ring instance addressed
 	lo      int
 	reqs    []*wire.Request
 	call    transport.Pending
@@ -60,14 +58,13 @@ type message struct {
 // holds the requests in tag order so each message's requests are one
 // contiguous slice of it.
 type route struct {
-	vals   []wire.Request  // the requests, input order
-	reqs   []*wire.Request // reqs[i] == &vals[i]
-	outs   []outcome       // input order
-	tags   []int64         // destination, partition, request index: sorted (group)
-	subs   []*wire.Request // tag order
-	msgs   []message
-	redirs []string // this round's redirect destinations
-	left   int      // requests not settled yet
+	vals []wire.Request  // the requests, input order
+	reqs []*wire.Request // reqs[i] == &vals[i]
+	outs []outcome       // input order
+	tags []int64         // destination, partition, request index: sorted (group)
+	subs []*wire.Request // tag order
+	msgs []message
+	left int // requests not settled yet
 }
 
 var routePool = sync.Pool{New: func() any { return new(route) }}
@@ -108,7 +105,7 @@ func (rt *route) release() {
 
 // reset empties the round's grouping; group overwrites every message.
 func (rt *route) reset() {
-	rt.tags, rt.subs, rt.msgs, rt.redirs = rt.tags[:0], rt.subs[:0], rt.msgs[:0], rt.redirs[:0]
+	rt.tags, rt.subs, rt.msgs = rt.tags[:0], rt.subs[:0], rt.msgs[:0]
 }
 
 // settle records request i's answer.
@@ -166,12 +163,12 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 // is on the wire before the first answer is awaited, so they work in
 // parallel while this goroutine waits for each in turn; a round with
 // one destination is a plain call on this goroutine. Routing feedback —
-// a stale table, a migration redirect, a shed, an unreachable
-// destination — leaves a request for the next round, so a batch's
-// stragglers re-route as envelopes too. All rounds share deadline,
-// which every attempt carries in wire.Request.Budget, so an operation
-// resolves or fails with ErrUnavailable within it instead of
-// compounding per-layer timeouts; at most routeAttempts rounds run.
+// a stale table, a shed, an unreachable destination — leaves a request
+// for the next round, so a batch's stragglers re-route as envelopes
+// too. All rounds share deadline, which every attempt carries in
+// wire.Request.Budget, so an operation resolves or fails with
+// ErrUnavailable within it instead of compounding per-layer timeouts;
+// at most routeAttempts rounds run.
 func (c *Client) route(rt *route, deadline time.Time) {
 	rt.left = len(rt.reqs)
 	for attempt := 0; rt.left > 0; attempt++ {
@@ -207,7 +204,7 @@ func (c *Client) route(rt *route, deadline time.Time) {
 				for k := range m.reqs {
 					rt.outs[rt.tags[m.lo+k]&0xffffffff].err = err
 				}
-				if m.id == "" || expired(deadline) {
+				if expired(deadline) {
 					continue
 				}
 				if rerr := c.reportFailure(table, m.id, m.addr, deadline); rerr != nil {
@@ -236,11 +233,6 @@ func (c *Client) route(rt *route, deadline time.Time) {
 						wrong = fmt.Errorf("zht: wrong owner at %s (epoch %d)", m.addr, table.Epoch)
 					}
 					o.err = wrong
-				case wire.StatusMigrating:
-					// Follow the redirect next round; membership will
-					// catch up lazily.
-					o.redirect = resp.Redirect
-					o.err = fmt.Errorf("zht: partition migrating at %s", m.addr)
 				case wire.StatusBusy:
 					// The exchange already backed off through its retry
 					// budget; pause once more and re-route (the table may
@@ -263,45 +255,34 @@ func (c *Client) route(rt *route, deadline time.Time) {
 }
 
 // group sorts rt's unsettled requests by destination — the owner from
-// table, its first alive replica while the owner is not Alive, or a
-// migration redirect — and returns one message per destination, none
-// once every request settled. A request with no destination settles as
-// unavailable. Within a destination the requests run in partition
-// order, and in input order within a partition, so a key's ops keep
-// their order and each envelope reaches its instance already in the
-// order the instance's apply sorts it into. A partition number too wide
+// table, or its first alive replica while the owner is not Alive — and
+// returns one message per destination, none once every request
+// settled. A request with no destination settles as unavailable.
+// Within a destination the requests run in partition order, and in
+// input order within a partition, so a key's ops keep their order and
+// each envelope reaches its instance already in the order the
+// instance's apply sorts it into. A partition number too wide
 // to fit in a tag beside the destination is left out, leaving input
 // order within a destination.
 func (c *Client) group(rt *route, table *ring.Table) []message {
-	n := len(table.Instances)
 	pBits := bits.Len(uint(table.NumPartitions - 1))
-	if bits.Len(uint(n+len(rt.reqs)))+pBits > 31 {
+	if bits.Len(uint(len(table.Instances)))+pBits > 31 {
 		pBits = 0
 	}
 	dstShift := 32 + pBits
 	for i, r := range rt.reqs {
-		o := &rt.outs[i]
-		if o.done {
+		if rt.outs[i].done {
 			continue
 		}
 		p := table.Partition(c.hashf(r.Key))
-		var dst int
-		if o.redirect != "" {
-			if dst = slices.Index(rt.redirs, o.redirect); dst < 0 {
-				dst = len(rt.redirs)
-				rt.redirs = append(rt.redirs, o.redirect)
+		dst := table.Owner[p]
+		if table.Status[dst] != ring.Alive {
+			rep := failoverTarget(table, p, c.cfg.Replicas)
+			if rep.ID == "" {
+				rt.settle(i, nil, 0, fmt.Errorf("%w: no alive replica for partition %d", ErrUnavailable, p))
+				continue
 			}
-			dst += n
-			o.redirect = ""
-		} else {
-			if dst = table.Owner[p]; table.Status[dst] != ring.Alive {
-				rep := failoverTarget(table, p, c.cfg.Replicas)
-				if rep.ID == "" {
-					rt.settle(i, nil, 0, fmt.Errorf("%w: no alive replica for partition %d", ErrUnavailable, p))
-					continue
-				}
-				dst = table.IndexOf(rep.ID)
-			}
+			dst = table.IndexOf(rep.ID)
 		}
 		r.Epoch = table.Epoch
 		rt.tags = append(rt.tags, int64(dst)<<dstShift|int64(p&(1<<pBits-1))<<32|int64(i))
@@ -315,11 +296,8 @@ func (c *Client) group(rt *route, table *ring.Table) []message {
 		}
 		rt.msgs = append(rt.msgs, message{lo: k})
 		m := &rt.msgs[len(rt.msgs)-1]
-		if d := int(t >> dstShift); d < n {
-			m.addr, m.id = table.Instances[d].Addr, table.Instances[d].ID
-		} else {
-			m.addr = rt.redirs[d-n]
-		}
+		d := &table.Instances[t>>dstShift]
+		m.addr, m.id = d.Addr, d.ID
 	}
 	for j := range rt.msgs {
 		hi := len(rt.subs)

@@ -211,7 +211,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // It answers sub-op i into resps[i], a zeroed response the caller owns.
 // A migration gate that must wait detaches detach first.
 //
-// Every group that passed its migration gate holds its partition's
+// Every group that passed the migration gate holds its partition's
 // in-flight count across the apply and every synchronous replica
 // round, so a migration's drain waits for the group. No lock above the
 // store is held: each store stamps a key's writes in the order it
@@ -258,31 +258,38 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 	}
 	groups := sc.groups
 
-	// Migration gates (a partition being given away queues its ops until
-	// the move resolves, §III.C), then the in-flight count of every
-	// group that passed, held through the apply so a migration's drain
-	// waits for it and its final sync cannot miss an acknowledged write.
-	// A migration that began before the counts were entered, whose drain
-	// may have read zero, sends the envelope back through the gates. No
-	// count is held while a gate waits: a join moves its partitions one
-	// at a time before it commits.
-	for {
-		for gi := range groups {
-			if g := &groups[gi]; g.live {
-				if resp := in.migrationGate(g.p, detach); resp != nil {
-					sc.fan(g, resps, resp)
-				}
-			}
+	// The gate (a partition being given away queues its ops until the
+	// move resolves, §III.C): each live group enters its partition's
+	// in-flight count, held through the apply so a migration's drain
+	// waits for it and its final sync cannot miss an acknowledged write,
+	// and only then reads the migration record, so a move that began
+	// before the count was entered, whose drain may have read zero, is
+	// seen. A group that finds a move exits every count the envelope
+	// holds, waits for the move to resolve and starts the pass again: no
+	// count is held while the envelope waits, since a join moves its
+	// partitions one at a time before it commits.
+	for gi := 0; gi < len(groups); gi++ {
+		g := &groups[gi]
+		if !g.live {
+			continue
 		}
-		addInflight(groups, 1)
-		if !in.anyMigrating(groups) {
-			break
+		g.part.inflight.Add(1)
+		if testGatePass != nil {
+			testGatePass(in, g.p)
 		}
-		addInflight(groups, -1)
+		ps := g.part.mig.Load()
+		if ps == nil {
+			continue
+		}
+		addInflight(groups[:gi+1], -1)
+		if resp := in.awaitMove(ps, detach); resp != nil {
+			sc.fan(g, resps, resp)
+		}
+		gi = -1 // start the pass again
 	}
 
 	// Ownership is evaluated on one table snapshot taken AFTER the
-	// gates: an op racing a just-completed migration would otherwise
+	// gate: an op racing a just-completed migration would otherwise
 	// pass its gate, then consult a pre-migration table and apply a
 	// write to a partition that has already moved away.
 	table := in.tableRef()
@@ -558,17 +565,6 @@ func (in *Instance) syncEnvelope(addr string, sc *batchScratch) {
 		in.met.syncErrors.Add(int64(failed))
 		in.legs.HandOff(addr, wire.NewBatchRequest(sc.legs[:failed]))
 	}
-}
-
-// anyMigrating reports whether a migration began on any live group's
-// partition.
-func (in *Instance) anyMigrating(groups []batchGroup) bool {
-	for gi := range groups {
-		if ps := in.part(groups[gi].p).mig.Load(); groups[gi].live && ps != nil && ps.migrating.Load() {
-			return true
-		}
-	}
-	return false
 }
 
 // addInflight adds d to the in-flight count of every live group's

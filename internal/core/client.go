@@ -72,7 +72,7 @@ var (
 )
 
 // routeAttempts bounds the rounds one routed call may run (each
-// re-route follows a table refresh, redirect, shed or failover) before
+// re-route follows a table refresh, shed or failover) before
 // its unsettled requests give up.
 const routeAttempts = 8
 
@@ -469,8 +469,7 @@ func (c *Client) Broadcast(key string, val []byte) error {
 
 // statusToErr translates a terminal response status into the
 // client's error vocabulary. done=false marks the routing statuses
-// (WrongOwner, Migrating, Busy) the caller must react to instead of
-// returning.
+// (WrongOwner, Busy) the caller must react to instead of returning.
 func statusToErr(op wire.Op, resp *wire.Response) (err error, done bool) {
 	switch resp.Status {
 	case wire.StatusOK:
@@ -488,7 +487,7 @@ func statusToErr(op wire.Op, resp *wire.Response) (err error, done bool) {
 		// partition is unavailable at that level, the same class as a
 		// read quorum refusal.
 		return fmt.Errorf("%w: %s refused: %s", ErrUnavailable, op, resp.Err), true
-	case wire.StatusWrongOwner, wire.StatusMigrating, wire.StatusBusy:
+	case wire.StatusWrongOwner, wire.StatusBusy:
 		return nil, false
 	default:
 		return fmt.Errorf("zht: unexpected status %s", resp.Status), true

@@ -65,10 +65,9 @@ type Config struct {
 	// DefaultRetryMax. A test hook: no binary sets it.
 	retryMax time.Duration
 	// OpDeadline bounds one client operation end to end: all of its
-	// transport retries, table refreshes, redirects, and replica
-	// failovers share this single time budget (propagated to servers
-	// via wire.Request.Budget) instead of compounding their own
-	// timeouts. Past it the operation fails with ErrUnavailable.
+	// transport retries, table refreshes and replica failovers share
+	// this single time budget (propagated to servers via
+	// wire.Request.Budget) instead of compounding their own timeouts. Past it the operation fails with ErrUnavailable.
 	// 0 means DefaultOpDeadline; negative disables the deadline.
 	OpDeadline time.Duration
 	// AntiEntropy is the period of the instance's replica anti-entropy

@@ -173,45 +173,45 @@ func TestMigrateAbortRollsBack(t *testing.T) {
 	}
 }
 
-// TestMigrationGateKeepsNewerRecord: a gate that finds a completed
-// migration drops its record, but a migration of the same partition
-// that began after the gate read the verdict keeps its own record, so
-// ops still queue behind it instead of being served during its export.
+// TestMigrationGateKeepsNewerRecord: a move's record lives only while
+// the move is open. Completing a move drops it, so a new move of the
+// same partition begins at once, and an op on the partition queues
+// behind that new move until it resolves.
 func TestMigrationGateKeepsNewerRecord(t *testing.T) {
-	d, _, _ := startDeployment(t, Config{NumPartitions: 16, RetryBase: time.Millisecond}, 2)
+	cfg := Config{NumPartitions: 16, RetryBase: time.Millisecond}
+	d, _, _ := startDeployment(t, cfg, 2)
 	in := d.Instance(0)
-	p := in.Table().PartitionsOf(0)[0]
+	tab := in.Table()
+	p := tab.PartitionsOf(0)[0]
 	if !in.beginMigration(p) {
 		t.Fatal("first migration did not begin")
 	}
-	in.completeMigration(p, "joiner-addr", true)
-	testGateVerdict = func(gin *Instance, gp int) {
-		if gin == in && gp == p && !in.beginMigration(p) {
-			t.Error("second migration did not begin")
-		}
+	in.completeMigration(p)
+	if in.part(p).mig.Load() != nil {
+		t.Fatal("a completed migration left its record")
 	}
-	resp := in.migrationGate(p, &wire.Request{})
-	testGateVerdict = nil
-	if resp != nil {
-		t.Fatalf("gate over a completed migration answered %s (%s), want nil", resp.Status, resp.Err)
-	}
-	if !in.anyMigrating([]batchGroup{{p: p, live: true}}) {
-		t.Fatal("partition lost the record of the migration that began after the gate's verdict")
+	if !in.beginMigration(p) {
+		t.Fatal("second migration did not begin")
 	}
 	// An op on p queues behind the new migration until it resolves.
-	req := &wire.Request{}
+	req := &wire.Request{Op: wire.OpInsert, Key: keyForPartition(t, cfg, tab, p), Value: []byte("v")}
 	var detached atomic.Bool
 	req.SetDetach(func() { detached.Store(true) })
 	queued := make(chan *wire.Response, 1)
-	go func() { queued <- in.migrationGate(p, req) }()
+	go func() { queued <- in.Handle(req) }()
 	for deadline := time.Now().Add(5 * time.Second); !detached.Load(); {
+		select {
+		case resp := <-queued:
+			t.Fatalf("op answered %s while its partition was migrating", resp.Status)
+		default:
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("op on a migrating partition never queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	in.completeMigration(p, "", false)
-	if resp := <-queued; resp != nil {
+	in.completeMigration(p)
+	if resp := <-queued; resp.Status != wire.StatusOK {
 		t.Fatalf("queued op after rollback: %s (%s), want served", resp.Status, resp.Err)
 	}
 }

@@ -170,7 +170,7 @@ func TestInlineHandlerNeverCallsOut(t *testing.T) {
 			t.Fatalf("%s answered %s while its partition was locked", c.name, resp.Status)
 		default:
 		}
-		in.completeMigration(p, "", false)
+		in.completeMigration(p)
 		resp := <-done
 		if c.req.Op == wire.OpBatch {
 			resp = batchSubs(t, resp, 2)[0]

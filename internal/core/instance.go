@@ -126,41 +126,34 @@ func (g *asyncGroup) wait() {
 	}
 }
 
-// partState tracks a partition's migration lifecycle on the node
-// giving it away. While migrating, requests queue on done.
-// completeMigration writes the verdict (redirect, ok) before it clears
-// migrating and closes done, so a reader that sees migrating false, or
-// waited on done, reads the final verdict.
+// partState is an open outgoing move of a partition: it exists from
+// beginMigration until completeMigration, which closes done for a
+// commit and a rollback alike. Requests that meet it wait on done and
+// then pass the gate again.
 type partState struct {
-	migrating atomic.Bool
-	done      chan struct{}
-	redirect  string // new owner address once complete; empty = failed
-	ok        bool
+	done chan struct{}
 }
 
 // partition is one partition's state on this instance. The hot path
 // reads store and mig with one atomic load each and enters and exits
 // inflight once; the struct is padded to one 64-byte cache line, so no
-// two partitions' in-flight counts share one. mu serialises the
-// migration transitions and nothing else; each of its critical
-// sections is a leaf, taking no other core lock.
+// two partitions' in-flight counts share one.
 type partition struct {
 	id int // its index in Instance.parts
 	// store is the partition's store once created: at boot when the log
 	// replayed some of it, on demand otherwise (open). It is never
 	// removed.
 	store atomic.Pointer[novoht.Store]
-	// mig is the migration record, nil while the partition is not being
-	// given away.
+	// mig is the open outgoing move, nil while the partition is not
+	// being given away.
 	mig atomic.Pointer[partState]
 	// rrAt is when the last read-repair round was admitted, in Unix
 	// nanoseconds (scheduleReadRepair).
 	rrAt atomic.Int64
-	mu   sync.Mutex
 	// inflight counts the envelopes past the gate still applying or
 	// replicating ops on the partition (lockBatch); lockForMove drains it.
 	inflight atomic.Int32
-	_        [16]byte
+	_        [24]byte
 }
 
 // NewInstance creates an instance. self must already appear in table.
@@ -396,7 +389,7 @@ func (in *Instance) Handle(req *wire.Request) *wire.Response {
 // when nothing replicates from here and the WAL acknowledges before it
 // syncs. An async mutation writes its WAL record inline, which is a
 // syscall but never waits on another request. (A lookup can still meet
-// a migrating partition; migrationGate detaches before it waits.) An
+// a migrating partition; awaitMove detaches before it waits.) An
 // envelope is inline here because handleBatch decides once it has
 // decoded its sub-ops: it detaches only if one of them is not inline.
 func (in *Instance) servesInline(req *wire.Request) bool {
@@ -795,9 +788,10 @@ func (in *Instance) afterTableChange(old, nt *ring.Table) {
 		ownedBefore := myOld >= 0 && old.Owner[p] == myOld
 		ownedNow := myNew >= 0 && nt.Owner[p] == myNew
 		if ownedBefore && !ownedNow {
-			// Outgoing migration completed: release queued requests
-			// with a redirect to the new owner.
-			in.completeMigration(p, nt.OwnerOf(p).Addr, true)
+			// Outgoing migration completed: release the queued
+			// requests to the post-gate ownership check, which answers
+			// them WrongOwner with this table.
+			in.completeMigration(p)
 		}
 		if ownedNow && in.cfg.Replicas > 0 && ring.CopySetChanged(old, nt, p, in.cfg.Replicas) {
 			in.rebuildReplicas(nt, p)
@@ -825,7 +819,7 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 	case string(migrateLockMarker):
 		return in.handleMigrateLock(p)
 	case string(migrateAbortMarker):
-		in.completeMigration(p, "", false)
+		in.completeMigration(p)
 		return wire.Reply(wire.StatusOK, nil)
 	}
 	return wire.ErrorReply("core: unknown migrate request")
@@ -835,7 +829,7 @@ func (in *Instance) handleMigrate(req *wire.Request) *wire.Response {
 // already streamed the partition's content and now asks us to stop
 // serving it. We lock the partition (lockForMove) and reply — the
 // requester then runs its locked final sync and commits the delta,
-// which resolves the queued requests with redirects.
+// which releases the queued requests to the fresh table.
 func (in *Instance) handleMigrateLock(p int) *wire.Response {
 	table := in.tableRef()
 	if table.OwnerOf(p).ID != in.self.ID {
@@ -855,7 +849,7 @@ func (in *Instance) handleMigrateLock(p int) *wire.Response {
 // requests queue behind its gate — and drains the appliers already
 // past the gate: once p's in-flight count reads zero, every envelope
 // that entered it has finished applying (and replicating), and any
-// that enters later sees the migration on its re-check and backs out.
+// that enters later reads the migration's record and backs out.
 // It returns the migration's record, or nil when p is already migrating.
 func (in *Instance) lockForMove(p int) *partState {
 	pt := in.part(p)
@@ -878,7 +872,7 @@ func (in *Instance) migrationWatchdog(p int, ps *partState) {
 		select {
 		case <-ps.done:
 		case <-timer.C:
-			in.completeMigration(p, "", false)
+			in.completeMigration(p)
 		case <-in.closed:
 		}
 	}()
@@ -887,92 +881,43 @@ func (in *Instance) migrationWatchdog(p int, ps *partState) {
 // beginMigration locks pt for an outgoing move and returns the
 // migration's record, or nil when a migration is already in flight.
 func (pt *partition) beginMigration() *partState {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if ps := pt.mig.Load(); ps != nil && ps.migrating.Load() {
+	ps := &partState{done: make(chan struct{})}
+	if !pt.mig.CompareAndSwap(nil, ps) {
 		return nil
 	}
-	ps := &partState{done: make(chan struct{})}
-	ps.migrating.Store(true)
-	pt.mig.Store(ps)
 	return ps
 }
 
-// completeMigration resolves a pending outgoing migration. ok=true
-// publishes redirect to the queued requests; ok=false discards them
-// with errors (the paper's rollback path).
-func (in *Instance) completeMigration(p int, redirect string, ok bool) {
-	pt := in.part(p)
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	ps := pt.mig.Load()
-	if ps == nil || !ps.migrating.Load() {
-		return
-	}
-	ps.redirect = redirect
-	ps.ok = ok
-	ps.migrating.Store(false)
-	close(ps.done)
-	if !ok {
-		pt.mig.Store(nil) // rolled back: we still own the partition
+// completeMigration ends partition p's open outgoing move, committed
+// or rolled back, and releases the requests queued behind it: each
+// passes the gate again, and the post-gate ownership check serves it
+// or answers it WrongOwner with the current table.
+func (in *Instance) completeMigration(p int) {
+	if ps := in.part(p).mig.Swap(nil); ps != nil {
+		close(ps.done)
 	}
 }
 
-// migrationGate returns nil when partition p is serveable; otherwise
-// it blocks on an in-flight migration (detaching req, if any, first:
-// the delta that ends the wait may arrive on the same connection) and
-// returns the queued verdict, or returns a redirect when p has already
-// moved away.
-func (in *Instance) migrationGate(p int, req *wire.Request) *wire.Response {
-	pt := in.part(p)
-	ps := pt.mig.Load()
-	if ps == nil {
-		if testGatePass != nil {
-			testGatePass(in, p)
-		}
+// awaitMove waits for the move ps to resolve, detaching req first (the
+// delta that ends the wait may arrive on the same connection). It
+// returns nil once the move resolved, or the answer for a move that
+// never does or an instance that closed.
+func (in *Instance) awaitMove(ps *partState, req *wire.Request) *wire.Response {
+	req.Detach()
+	select {
+	case <-ps.done:
 		return nil
+	case <-time.After(migrationTimeout + time.Second):
+		return wire.ErrorReply("core: migration stuck")
+	case <-in.closed:
+		return wire.ErrorReply("core: instance closed")
 	}
-	if ps.migrating.Load() {
-		req.Detach()
-		select {
-		case <-ps.done:
-		case <-time.After(migrationTimeout + time.Second):
-			return wire.ErrorReply("core: migration stuck")
-		case <-in.closed:
-			return wire.ErrorReply("core: instance closed")
-		}
-	}
-	if !ps.ok {
-		if ps.redirect == "" && in.ownsNow(p) {
-			// Migration rolled back; serve normally.
-			return nil
-		}
-		return wire.ErrorReply("core: migration failed")
-	}
-	if testGateVerdict != nil {
-		testGateVerdict(in, p)
-	}
-	// Migration complete: drop the record. If our table reflects the
-	// move, the post-gate ownership check answers WrongOwner with the
-	// fresh table, so zero-hop routing is restored. If we own p again,
-	// ownership has since RETURNED (ok=true is only recorded after the
-	// table flipped it away, so the receiver itself departed and handed
-	// the partition back), and the op is served here. Only the record
-	// judged here is dropped: a migration of p that began since keeps
-	// its own.
-	pt.mig.CompareAndSwap(ps, nil)
-	return nil
 }
 
-// Test hooks in migrationGate, nil outside tests: testGateVerdict runs
-// between reading a completed migration's verdict and dropping its
-// record, testGatePass when p has no record, before the caller enters
-// p's in-flight count.
-var testGateVerdict, testGatePass func(in *Instance, p int)
-
-func (in *Instance) ownsNow(p int) bool {
-	return in.tableRef().OwnerOf(p).ID == in.self.ID
-}
+// testGatePass, nil outside tests, runs in lockBatch between a group's
+// entry into its partition's in-flight count and its read of the
+// partition's migration record.
+var testGatePass func(in *Instance, p int)
 
 // failoverTarget returns the instance that serves partition p while its
 // owner is not Alive — the one clients address and the one that accepts

@@ -26,10 +26,10 @@ import (
 //     partition for a short final sync (no whole-partition pauses,
 //     no rehashing),
 //  4. commit the incremental membership update on the relieved
-//     instance, which releases its queued requests with redirects
-//     when the delta lands, then announce it to the other instances
-//     whose copies it moves (Instance.announce); the rest of the ring
-//     learns of it through gossip.
+//     instance, which answers its queued requests WrongOwner with the
+//     new table when the delta lands, then announce it to the other
+//     instances whose copies it moves (Instance.announce); the rest of
+//     the ring learns of it through gossip.
 //
 // The newcomer's handler must already be reachable at newcomer.Addr
 // before Join is called (use a HandlerSwitch to bind the address
@@ -184,13 +184,13 @@ func Depart(inst *Instance) error {
 
 	// Phase 2: lock each partition locally (queueing new requests),
 	// drain in-flight appliers, and push the residual divergence
-	// unthrottled. Queued requests release with redirects when the
-	// delta is applied locally below.
+	// unthrottled. Queued requests are answered WrongOwner with the
+	// new table when the delta is applied locally below.
 	var begun []int
 	rollback := func() {
 		inst.met.migAborts.Inc()
 		for _, p := range begun {
-			inst.completeMigration(p, "", false)
+			inst.completeMigration(p)
 		}
 	}
 	for tgtIdx, parts := range moves {
@@ -209,8 +209,9 @@ func Depart(inst *Instance) error {
 		}
 	}
 
-	// Applying the delta locally flips ownership and releases the
-	// queued requests with redirects; then it is announced.
+	// Applying the delta locally flips ownership and answers the
+	// queued requests WrongOwner with the new table; then it is
+	// announced.
 	if _, err := inst.applyAndAnnounce(table, delta); err != nil {
 		rollback()
 		return err

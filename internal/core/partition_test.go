@@ -9,6 +9,8 @@ import (
 	"unsafe"
 
 	"zht/internal/novoht"
+	"zht/internal/ring"
+	"zht/internal/transport"
 	"zht/internal/wire"
 )
 
@@ -109,7 +111,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 
 	// Once the migration completes, the next one is again won once.
 	for round := 0; round < 3; round++ {
-		in.completeMigration(p, "", false)
+		in.completeMigration(p)
 		wins.Store(0)
 		race(func(int) {
 			if pt.beginMigration() != nil {
@@ -120,7 +122,7 @@ func TestPartitionConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("round %d: %d of %d racing beginMigration calls won, want 1", round, got, workers)
 		}
 	}
-	in.completeMigration(p, "", false)
+	in.completeMigration(p)
 }
 
 // TestMoveWaitsOnlyForItsPartition: a migration's drain waits for the
@@ -182,7 +184,7 @@ func TestMoveWaitsOnlyForItsPartition(t *testing.T) {
 		}
 		movedQ <- released.Load()
 	}()
-	for !in.anyMigrating([]batchGroup{{p: q, live: true}}) {
+	for in.part(q).mig.Load() == nil {
 		time.Sleep(100 * time.Microsecond)
 	}
 	// Moving q-64 waits for nothing in flight.
@@ -198,15 +200,17 @@ func TestMoveWaitsOnlyForItsPartition(t *testing.T) {
 	if !<-movedQ {
 		t.Errorf("move of %d returned while its insert was in flight", q)
 	}
-	in.completeMigration(q-64, "", false)
-	in.completeMigration(q, "", false)
+	in.completeMigration(q - 64)
+	in.completeMigration(q)
 }
 
 // TestGateWaitHoldsNoFence: an envelope queued at one partition's
 // migration gate holds no partition's in-flight count, so a move of
 // another partition it touches is not stalled behind it (a join moves
 // its partitions one at a time before it commits), and once both moves
-// roll back every sub-op is served.
+// roll back every sub-op is served. A move stalled behind the envelope
+// fails the test when the fallback fires, not at the test binary's
+// timeout.
 func TestGateWaitHoldsNoFence(t *testing.T) {
 	cfg := Config{NumPartitions: 16, RetryBase: time.Millisecond, AntiEntropy: -1}
 	d, _, _ := startDeployment(t, cfg, 2)
@@ -225,7 +229,7 @@ func TestGateWaitHoldsNoFence(t *testing.T) {
 	rollbackB := func() {
 		once.Do(func() {
 			rolledBack.Store(true)
-			in.completeMigration(b, "", false)
+			in.completeMigration(b)
 		})
 	}
 	defer rollbackB()
@@ -244,8 +248,15 @@ func TestGateWaitHoldsNoFence(t *testing.T) {
 	go func() { served <- in.Handle(env) }()
 	<-detached
 
-	if in.lockForMove(a) == nil {
-		t.Fatalf("move of %d did not begin", a)
+	movedA := make(chan *partState, 1)
+	go func() { movedA <- in.lockForMove(a) }()
+	select {
+	case ps := <-movedA:
+		if ps == nil {
+			t.Fatalf("move of %d did not begin", a)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("move of %d still draining after 10 s: the envelope queued at %d's gate holds a count", a, b)
 	}
 	if rolledBack.Load() {
 		t.Errorf("move of %d waited for an envelope queued at %d's gate", a, b)
@@ -255,7 +266,7 @@ func TestGateWaitHoldsNoFence(t *testing.T) {
 		t.Fatal("envelope was answered while both its partitions were moving")
 	default:
 	}
-	in.completeMigration(a, "", false)
+	in.completeMigration(a)
 	rollbackB()
 	rs, err := wire.UnpackBatchResponses(<-served, len(subs))
 	if err != nil {
@@ -268,23 +279,25 @@ func TestGateWaitHoldsNoFence(t *testing.T) {
 	}
 }
 
-// TestMoveAfterGateRequeues: a move that begins after an op passed its
-// gate but before the op entered the partition's in-flight count finds
-// nothing to drain, so the op must see the move on its re-check and
-// queue behind it rather than apply a write the move's final sync has
-// already missed.
+// TestMoveAfterGateRequeues: a move that begins after an op entered
+// its partition's in-flight count but before it read the migration
+// record waits for the op in its drain, so the op must see the record,
+// exit its count and queue behind the move rather than apply a write
+// while the move is open.
 func TestMoveAfterGateRequeues(t *testing.T) {
 	cfg := Config{NumPartitions: 16, RetryBase: time.Millisecond, AntiEntropy: -1}
 	d, _, _ := startDeployment(t, cfg, 2)
 	in := d.Instance(0)
 	tab := in.Table()
 	p := tab.PartitionsOf(0)[0]
+	moved := make(chan *partState, 1)
 	var once sync.Once
 	testGatePass = func(gin *Instance, gp int) {
 		if gin == in && gp == p {
 			once.Do(func() {
-				if in.lockForMove(p) == nil {
-					t.Errorf("move of %d did not begin", p)
+				go func() { moved <- in.lockForMove(p) }()
+				for in.part(p).mig.Load() == nil {
+					time.Sleep(100 * time.Microsecond)
 				}
 			})
 		}
@@ -293,17 +306,119 @@ func TestMoveAfterGateRequeues(t *testing.T) {
 
 	req := &wire.Request{Op: wire.OpInsert, Key: keyForPartition(t, cfg, tab, p), Value: []byte("v")}
 	detached := make(chan struct{})
-	req.SetDetach(func() { close(detached) })
+	var detachOnce sync.Once
+	req.SetDetach(func() { detachOnce.Do(func() { close(detached) }) })
 	served := make(chan *wire.Response, 1)
 	go func() { served <- in.Handle(req) }()
 	select {
 	case <-detached:
 	case resp := <-served:
-		t.Fatalf("insert answered %s while the move of %d was open, after its drain returned", resp.Status, p)
+		t.Fatalf("insert answered %s while the move of %d was open", resp.Status, p)
 	}
-	in.completeMigration(p, "", false)
+	if ps := <-moved; ps == nil {
+		t.Fatalf("move of %d did not begin", p)
+	}
+	in.completeMigration(p)
 	if resp := <-served; resp.Status != wire.StatusOK {
 		t.Fatalf("insert after rollback: %s (%s)", resp.Status, resp.Err)
+	}
+}
+
+// TestQueuedOpAtCommitAnsweredWrongOwner: an op queued at the gate of
+// a move that commits is answered WrongOwner with the committed table,
+// and a client whose op queued there lands it on the new owner in its
+// next round.
+func TestQueuedOpAtCommitAnsweredWrongOwner(t *testing.T) {
+	cfg := Config{NumPartitions: 16, RetryBase: time.Millisecond, AntiEntropy: -1}
+	// Every server marks the client's insert: the gate detaches a
+	// request before it waits, which closes clientQueued.
+	reg := transport.NewRegistry()
+	clientQueued := make(chan struct{})
+	var queuedOnce sync.Once
+	listen := func(addr string, h transport.Handler) (transport.Listener, error) {
+		return reg.Listen(addr, func(req *wire.Request) *wire.Response {
+			if string(req.Value) == "routed" {
+				req.SetDetach(func() { queuedOnce.Do(func() { close(clientQueued) }) })
+			}
+			return h(req)
+		})
+	}
+	d, err := Bootstrap(cfg, InprocEndpoints(2), listen, reg.NewClient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, to := d.Instance(0), d.Instance(1)
+	tab := in.Table()
+	p := tab.PartitionsOf(0)[0]
+	if in.lockForMove(p) == nil {
+		t.Fatalf("move of %d did not begin", p)
+	}
+
+	req := &wire.Request{Op: wire.OpInsert, Key: keyForPartition(t, cfg, tab, p), Value: []byte("direct")}
+	detached := make(chan struct{})
+	var detachOnce sync.Once
+	req.SetDetach(func() { detachOnce.Do(func() { close(detached) }) })
+	served := make(chan *wire.Response, 1)
+	go func() { served <- in.Handle(req) }()
+	select {
+	case <-detached:
+	case resp := <-served:
+		t.Fatalf("insert answered %s while the move of %d was open", resp.Status, p)
+	}
+	key := keyForPartition(t, cfg, tab, p) + "-client"
+	for in.partitionOf(key) != p {
+		key += "x"
+	}
+	inserted := make(chan error, 1)
+	go func() { inserted <- c.Insert(key, []byte("routed")) }()
+	select {
+	case <-clientQueued:
+	case err := <-inserted:
+		t.Fatalf("client insert returned %v while the move of %d was open", err, p)
+	}
+
+	// Commit as a join does: the new owner holds the new table before
+	// the giver applies it and releases its queue.
+	d0 := ring.Delta{FromEpoch: tab.Epoch, Reassign: map[int]ring.InstanceID{p: to.ID()}}
+	frame := ring.EncodeDelta(d0)
+	if _, err := to.applyDelta(d0, frame); err != nil {
+		t.Fatal(err)
+	}
+	nt, err := in.applyDelta(d0, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := <-served
+	if resp.Status != wire.StatusWrongOwner {
+		t.Fatalf("queued insert after commit: %s (%s), want %s", resp.Status, resp.Err, wire.StatusWrongOwner)
+	}
+	got, err := ring.DecodeTable(resp.Table)
+	if err != nil {
+		t.Fatalf("WrongOwner table: %v", err)
+	}
+	if got.Epoch != nt.Epoch || got.OwnerOf(p).ID != to.ID() {
+		t.Fatalf("WrongOwner carried epoch %d with %d owned by %s, want the committed epoch %d with %s",
+			got.Epoch, p, got.OwnerOf(p).ID, nt.Epoch, to.ID())
+	}
+
+	if err := <-inserted; err != nil {
+		t.Fatalf("client insert across the commit: %v", err)
+	}
+	if e := c.Table().Epoch; e != nt.Epoch {
+		t.Errorf("client table at epoch %d, want the committed %d", e, nt.Epoch)
+	}
+	if v, found, _ := to.storeIfPresent(p).Get(key); !found || string(v) != "routed" {
+		t.Errorf("new owner holds %q (found %v), want the client's insert", v, found)
+	}
+	if s := in.storeIfPresent(p); s != nil {
+		if _, found, _ := s.Get(key); found {
+			t.Error("old owner applied the client's insert")
+		}
 	}
 }
 

@@ -122,7 +122,6 @@ func (w *frameWriter) sendAndUnlock() (int, error) {
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
-	mode    ServerMode
 	met     srvMetrics
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -138,7 +137,7 @@ type srvConn struct {
 	br *bufio.Reader
 	w  frameWriter
 	// handlers counts handlers still running after they gave the read
-	// loop away (Detach) or were spawned (SpawnPerRequest).
+	// loop away (Detach).
 	handlers sync.WaitGroup
 }
 
@@ -149,8 +148,11 @@ func ListenTCP(addr string, h Handler, mode ServerMode, opts ...ServerOption) (*
 	if err != nil {
 		return nil, err
 	}
+	if mode == SpawnPerRequest {
+		h = spawnPerRequest(h)
+	}
 	s := &TCPServer{
-		ln: ln, handler: h, mode: mode,
+		ln: ln, handler: h,
 		met:   serverMetrics(opts),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -229,10 +231,6 @@ func (sc *srvConn) readLoop() {
 		}
 		s.met.requests.Inc()
 		seq := req.Seq
-		if s.mode == SpawnPerRequest {
-			sc.spawn(req, frame)
-			continue
-		}
 		req.SetDetach(detach)
 		s.met.inflight.Inc()
 		resp := s.handler(req)
@@ -259,33 +257,23 @@ func (sc *srvConn) readLoop() {
 	sc.c.Close()
 }
 
-// spawn is the §III.D ablation: the multithreaded prototype spun up a
-// thread per request and paid a synchronized handoff on top. Reproduce
-// that cost profile — copy the request, spawn a worker, rendezvous
-// through a channel — before the response takes the same write path
-// as every other.
-func (sc *srvConn) spawn(req *wire.Request, frame []byte) {
-	s := sc.s
-	reqCopy := *req
-	reqCopy.Value = append([]byte(nil), req.Value...)
-	reqCopy.Aux = append([]byte(nil), req.Aux...)
-	seq := req.Seq
-	wire.PutRequest(req)
-	putFrameBuf(frame)
-	done := make(chan *wire.Response, 1)
-	sc.handlers.Add(1)
-	go func() {
-		s.met.inflight.Inc()
-		r := s.handler(&reqCopy)
-		s.met.inflight.Dec()
-		done <- r
-	}()
-	go func() {
-		defer sc.handlers.Done()
-		resp := <-done
-		resp.Seq = seq
-		sc.write(resp)
-	}()
+// spawnPerRequest is the §III.D ablation: the multithreaded prototype
+// spun up a thread per request and paid a synchronized handoff on top.
+// It reproduces that cost profile around h: the request gives the read
+// loop away, is copied, runs on a fresh goroutine and is handed back
+// through a channel, and its response takes the same write path as
+// every other.
+func spawnPerRequest(h Handler) Handler {
+	return func(req *wire.Request) *wire.Response {
+		req.Detach()
+		c := *req
+		c.SetDetach(nil)
+		c.Value = append([]byte(nil), req.Value...)
+		c.Aux = append([]byte(nil), req.Aux...)
+		done := make(chan *wire.Response, 1)
+		go func() { done <- h(&c) }()
+		return <-done
+	}
 }
 
 // write encodes and sends one response, which it owns. After a write

@@ -136,10 +136,10 @@ const (
 	// key's partition; the response carries the server's current
 	// membership table so the client can lazily refresh (§III.C).
 	StatusWrongOwner
-	// StatusMigrating — the partition is locked for migration; the
-	// request was queued and answered with a redirect to the new
-	// location once the move completed, or the client should retry
-	// at the address in Redirect.
+	// StatusMigrating — no server sends it: a request queued behind a
+	// migration is answered StatusWrongOwner once the move resolves.
+	// It keeps its number so the statuses after it, and the byte
+	// format, do not move.
 	StatusMigrating
 	// StatusCasMismatch — compare-and-swap expectation failed; the
 	// current value is returned.
@@ -239,8 +239,8 @@ type Request struct {
 	// not an absolute timestamp — so it survives clock skew between
 	// machines. Transports bound their blocking (dial, round trip,
 	// retransmission) by it, and servers may propagate it into nested
-	// server-to-server calls so one client operation's retries,
-	// redirects, and failovers share a single end-to-end deadline.
+	// server-to-server calls so one client operation's retries and
+	// failovers share a single end-to-end deadline.
 	Budget uint64
 	// Consistency selects the per-request consistency level for KV
 	// reads and writes. ConsistencyDefault (zero) defers to the
@@ -286,8 +286,8 @@ type Response struct {
 	// Table, when present, is an encoded up-to-date membership table
 	// (sent with StatusWrongOwner and membership fetches).
 	Table []byte
-	// Redirect is the address now serving the request's partition
-	// (sent after a migration completes).
+	// Redirect is never set by a server (see StatusMigrating); it
+	// stays in the byte format.
 	Redirect string
 	// Err carries human-readable detail for StatusError.
 	Err string
