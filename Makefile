@@ -175,18 +175,19 @@ verify:
 
 # flake measures how often the chaos and consistency soaks, the client
 # outage run, core's races of concurrent writers of one key (adds over
-# an expired pair, replicated batches) and its migration-gate races
-# fail: each runs 40 times without the race detector, one package at a
-# time, every failing run is printed with its seeds and first log
-# lines, and the last line is the census, a subtest counted under its
-# own name too.
+# an expired pair, replicated batches), its migration-gate races and
+# its timed routing heals (a dead owner's re-failover, a remove under
+# partition, the WrongOwner pause) fail: each runs 40 times without
+# the race detector, one package at a time, every failing run is
+# printed with its seeds and first log lines, and the last line is the
+# census, a subtest counted under its own name too.
 # The seeds are fixed, so a failure here is one the scheduler chose.
 # flake-race is the same census under the race detector, 10 runs each
 # (the schedules verify's test-race step sees). Not part of verify:
 # they take minutes and measure a rate.
 flake flake-race:
 	@$(GO) test $(if $(filter flake-race,$@),-race -count=10,-count=40) -p 1 -v -timeout 60m \
-		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals|TestConcurrentAddOverExpired|TestConcurrentReplicatedBatchesConverge|TestMoveAfterGateRequeues|TestGateWaitHoldsNoFence|TestMoveWaitsOnlyForItsPartition|TestMigrationGateKeepsNewerRecord)$$' \
+		-run '^(TestChaosSoak|TestAutoscaleChaosSoak|TestQuorumReadYourWritesUnderChaos|TestClientOnlyOutageHeals|TestConcurrentAddOverExpired|TestConcurrentReplicatedBatchesConverge|TestMoveAfterGateRequeues|TestGateWaitHoldsNoFence|TestMoveWaitsOnlyForItsPartition|TestMigrationGateKeepsNewerRecord|TestReportFailsOverDeadOwner|TestRemoveUnderPartitionStaysRemoved|TestWrongOwnerWithoutNewerTablePauses)$$' \
 		./internal/chaos ./internal/core 2>&1 | awk ' \
 		/^=== RUN/ { name = $$3; if (!runs[name]++) order[++k] = name; if (name !~ /\//) { buf = ""; n = 0 }; next } ; \
 		/^ +--- FAIL/ { fails[$$3]++; next } ; \

@@ -229,6 +229,11 @@ func (c *Client) route(rt *route, deadline time.Time) {
 					if t, err := ring.DecodeTable(resp.Table); err == nil {
 						c.adoptTable(t)
 					}
+					// An answer that brought no newer table would route
+					// the next round the same way: pause first, as after a
+					// shed, while the instance catches up to the epoch the
+					// request carried.
+					shed = shed || c.snapshot() == table
 					if wrong == nil {
 						wrong = fmt.Errorf("zht: wrong owner at %s (epoch %d)", m.addr, table.Epoch)
 					}
@@ -255,15 +260,13 @@ func (c *Client) route(rt *route, deadline time.Time) {
 }
 
 // group sorts rt's unsettled requests by destination — the owner from
-// table, or its first alive replica while the owner is not Alive — and
-// returns one message per destination, none once every request
-// settled. A request with no destination settles as unavailable.
-// Within a destination the requests run in partition order, and in
-// input order within a partition, so a key's ops keep their order and
-// each envelope reaches its instance already in the order the
-// instance's apply sorts it into. A partition number too wide
-// to fit in a tag beside the destination is left out, leaving input
-// order within a destination.
+// table — and returns one message per destination, none once every
+// request settled. Within a destination the requests run in partition
+// order, and in input order within a partition, so a key's ops keep
+// their order and each envelope reaches its instance already in the
+// order the instance's apply sorts it into. A partition number too
+// wide to fit in a tag beside the destination is left out, leaving
+// input order within a destination.
 func (c *Client) group(rt *route, table *ring.Table) []message {
 	pBits := bits.Len(uint(table.NumPartitions - 1))
 	if bits.Len(uint(len(table.Instances)))+pBits > 31 {
@@ -275,17 +278,8 @@ func (c *Client) group(rt *route, table *ring.Table) []message {
 			continue
 		}
 		p := table.Partition(c.hashf(r.Key))
-		dst := table.Owner[p]
-		if table.Status[dst] != ring.Alive {
-			rep := failoverTarget(table, p, c.cfg.Replicas)
-			if rep.ID == "" {
-				rt.settle(i, nil, 0, fmt.Errorf("%w: no alive replica for partition %d", ErrUnavailable, p))
-				continue
-			}
-			dst = table.IndexOf(rep.ID)
-		}
 		r.Epoch = table.Epoch
-		rt.tags = append(rt.tags, int64(dst)<<dstShift|int64(p&(1<<pBits-1))<<32|int64(i))
+		rt.tags = append(rt.tags, int64(table.Owner[p])<<dstShift|int64(p&(1<<pBits-1))<<32|int64(i))
 	}
 	slices.Sort(rt.tags)
 	tags := rt.tags

@@ -224,7 +224,7 @@ func (in *Instance) handleBatch(req *wire.Request) *wire.Response {
 // detached request's successor on a fresh goroutine, whose stack each
 // extra frame on this path can force to grow once more.
 func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) {
-	table := in.lockBatch(subs, resps, sc, detach)
+	table := in.lockBatch(resps, sc, detach)
 	defer addInflight(sc.groups, -1)
 	if in.applyGroups(subs, resps, sc) {
 		in.commitGroups(subs, resps, sc)
@@ -240,7 +240,7 @@ func (in *Instance) applyBatch(subs []*wire.Request, resps []*wire.Response, sc 
 // that may not be served here with its routing verdict and enters the
 // in-flight count of the rest (applyBatch exits those still live); it
 // returns the table snapshot ownership was judged on.
-func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *batchScratch, detach *wire.Request) *ring.Table {
+func (in *Instance) lockBatch(resps []*wire.Response, sc *batchScratch, detach *wire.Request) *ring.Table {
 	if len(sc.tags) > 1 {
 		slices.Sort(sc.tags)
 	}
@@ -296,35 +296,14 @@ func (in *Instance) lockBatch(subs []*wire.Request, resps []*wire.Response, sc *
 	var wrongOwner *wire.Response
 	for gi := range groups {
 		g := &groups[gi]
-		if !g.live {
+		if !g.live || table.OwnerOf(g.p).ID == in.self.ID {
 			continue
 		}
-		ownerIdx := table.Owner[g.p]
-		// Failover service: the first alive replica answers for a failed
-		// owner (§III.H — queries for data on the failed node are
-		// answered by the replicas).
-		failover := table.Instances[ownerIdx].ID != in.self.ID
-		if failover && !(table.Status[ownerIdx] != ring.Alive && failoverTarget(table, g.p, in.cfg.Replicas).ID == in.self.ID) {
-			if wrongOwner == nil {
-				wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
-			}
-			g.part.inflight.Add(-1)
-			sc.fan(g, resps, wrongOwner)
-			continue
+		if wrongOwner == nil {
+			wrongOwner = &wire.Response{Status: wire.StatusWrongOwner, Table: ring.EncodeTable(table)}
 		}
-		if !failover {
-			continue
-		}
-		// Read-repair: a failover read means this replica is the
-		// partition's acting authority; schedule a digest compare
-		// against the other replicas so stale ranges heal without
-		// waiting for the next anti-entropy tick.
-		for _, t := range tags[g.lo:g.hi] {
-			if subs[t&0xffffffff].Op == wire.OpLookup {
-				in.scheduleReadRepair(table, g.p)
-				break
-			}
-		}
+		g.part.inflight.Add(-1)
+		sc.fan(g, resps, wrongOwner)
 	}
 	return table
 }

@@ -512,65 +512,6 @@ func TestSyncReplicationErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestFailoverServeWithTwoFailedNodes is the regression test for
-// failoverTarget: with the partition's owner AND the next node
-// clockwise both failed, the first alive successor must elect itself
-// and serve — even in a Replicas=0 deployment, where the old code
-// (ReplicasOf with a zero count, no status scan) returned nothing and
-// rejected the valid failover serve with WrongOwner.
-func TestFailoverServeWithTwoFailedNodes(t *testing.T) {
-	cfg := Config{NumPartitions: 16, Replicas: 0, RetryBase: time.Millisecond}
-	d, _, _ := startDeployment(t, cfg, 5)
-	base := d.Instance(0).Table()
-
-	// Pick any partition and fail its owner, then the resulting first
-	// failover candidate — two failed nodes.
-	p := 0
-	nt := base.Clone()
-	nt.Status[nt.Owner[p]] = ring.Failed
-	firstCand := nt.ReplicasOf(p, 1)
-	if len(firstCand) == 0 {
-		t.Fatal("no failover candidate in 5-node ring")
-	}
-	nt.Status[nt.IndexOf(firstCand[0].ID)] = ring.Failed
-	secondCand := nt.ReplicasOf(p, 1)
-	if len(secondCand) == 0 {
-		t.Fatal("no second failover candidate")
-	}
-	nt.Epoch = base.Epoch + 1
-
-	var serving *Instance
-	for _, in := range d.Instances() {
-		if in.ID() == secondCand[0].ID {
-			serving = in
-		}
-	}
-	if serving == nil {
-		t.Fatal("second candidate not in deployment")
-	}
-	if resp := serving.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(nt)}); resp.Status != wire.StatusOK {
-		t.Fatalf("table adoption: %s %s", resp.Status, resp.Err)
-	}
-	if got := failoverTarget(serving.Table(), p, cfg.Replicas).ID; got != serving.ID() {
-		t.Fatalf("failoverTarget = %q, want self %q (two failed nodes skipped)", got, serving.ID())
-	}
-
-	// Find a key in partition p and serve it on the failover node.
-	var key string
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("ff-%d", i)
-		if base.Partition(serving.hashf(key)) == p {
-			break
-		}
-	}
-	if resp := serving.Handle(&wire.Request{Op: wire.OpInsert, Key: key, Value: []byte("v")}); resp.Status != wire.StatusOK {
-		t.Fatalf("failover serve rejected: %s %s", resp.Status, resp.Err)
-	}
-	if resp := serving.Handle(&wire.Request{Op: wire.OpLookup, Key: key}); resp.Status != wire.StatusOK || string(resp.Value) != "v" {
-		t.Fatalf("failover read-back: %s %q", resp.Status, resp.Value)
-	}
-}
-
 // TestGroupOrdersByPartition: the client sends each destination's
 // sub-ops in partition order, and in input order within a partition, so
 // a key's ops keep their input order and the instance's sort of the

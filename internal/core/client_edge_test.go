@@ -150,9 +150,7 @@ func TestTransientGlitchRevives(t *testing.T) {
 }
 
 func TestDeltaHandlerFromPeerInstance(t *testing.T) {
-	// failoverTarget exercised through failover reads: covered in
-	// failure tests; here exercise the OpMembership fetch path used
-	// by seeding.
+	// The OpMembership fetch path used by seeding.
 	d, reg, _ := startDeployment(t, testCfg(), 2)
 	resp := d.Instance(0).Handle(&wire.Request{Op: wire.OpMembership})
 	if resp.Status != wire.StatusOK || resp.Table == nil {

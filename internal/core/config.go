@@ -72,12 +72,10 @@ type Config struct {
 	OpDeadline time.Duration
 	// AntiEntropy is the period of the instance's replica anti-entropy
 	// loop: each tick, every partition this instance replicates is
-	// digest-synced against the partition's authority (owner, or first
-	// alive replica when the owner is down) and divergent leaf ranges
-	// are pulled (DESIGN.md §9). It also gates read-repair on failover
-	// reads. 0 disables the loop entirely (the seed behavior):
-	// replicas then converge only through write-time legs, hinted
-	// handoff, and failure-triggered rebuilds.
+	// digest-synced against the partition's owner and divergent leaf
+	// ranges are pulled (DESIGN.md §9). 0 disables the loop entirely
+	// (the seed behavior): replicas then converge only through
+	// write-time legs, hinted handoff, and failure-triggered rebuilds.
 	AntiEntropy time.Duration
 	// HandoffCap bounds a destination's leg queue once sends to it fail
 	// (its hinted-handoff backlog); further entries are dropped (counted

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +75,86 @@ func TestDuplicateFailureReportIdempotent(t *testing.T) {
 	}
 	if resp.Table == nil {
 		t.Error("duplicate report should carry the current table")
+	}
+}
+
+// TestReportFailsOverDeadOwner: a table names a dead owner the way one
+// arises (DESIGN.md §10). After an earlier failure of instance 2, two
+// managers commit changes at one epoch: one fails instance 1, whose
+// partitions go to instance 3; the other admits a newcomer, wins the
+// tie (ring.Table.After) and then fails instance 0, whose partitions
+// go to instance 1. The survivors kept the losing table and replay the
+// winner's frame onto it, so instance 0's partitions name instance 1,
+// Failed, whose successor is Failed too. A client insert there reports
+// the owner, the report fails it over again and the insert lands.
+func TestReportFailsOverDeadOwner(t *testing.T) {
+	for _, replicas := range []int{0, 1} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			cfg := Config{NumPartitions: 16, Replicas: replicas, RetryBase: time.Millisecond}
+			d, reg, c := startDeployment(t, cfg, 5)
+			base := d.Instance(0).Table()
+			apply := func(tab *ring.Table, dl ring.Delta) *ring.Table {
+				t.Helper()
+				nt, err := tab.Apply(dl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nt
+			}
+			fail := func(tab *ring.Table, i int) ring.Delta {
+				t.Helper()
+				dl, err := tab.PlanFailure(base.Instances[i].ID, max(replicas, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dl
+			}
+			prior := apply(base, fail(base, 2))
+			loser := apply(prior, fail(prior, 1))
+			join, _, err := prior.PlanJoin(ring.Instance{ID: "newcomer", Addr: "newcomer", Node: "newcomer"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			winner := apply(prior, join)
+			if !winner.After(loser) {
+				t.Fatal("the join does not win the tie")
+			}
+			frame := ring.EncodeDelta(fail(winner, 0))
+
+			for i := 0; i < 3; i++ {
+				reg.SetDown(d.Instance(i).Addr(), true)
+			}
+			for _, in := range []*Instance{d.Instance(3), d.Instance(4)} {
+				for _, aux := range [][]byte{ring.EncodeTable(loser), frame} {
+					if resp := in.Handle(&wire.Request{Op: wire.OpDelta, Aux: aux}); resp.Status != wire.StatusOK {
+						t.Fatalf("%s: %s %s", in.ID(), resp.Status, resp.Err)
+					}
+				}
+			}
+			c.adoptTable(d.Instance(3).Table())
+			dead := c.Table()
+			p := slices.IndexFunc(dead.Owner, func(o int) bool { return dead.Status[o] != ring.Alive })
+			if p < 0 {
+				t.Fatal("no partition names a dead owner")
+			}
+			if o := dead.Owner[p]; dead.Status[(o+1)%len(dead.Instances)] != ring.Failed {
+				t.Fatalf("partition %d: the successor of its owner %s is not Failed", p, dead.Instances[o].ID)
+			}
+
+			key := keyForPartition(t, cfg, dead, p)
+			if err := c.Insert(key, []byte("v")); err != nil {
+				t.Fatalf("insert on a dead owner's partition: %v", err)
+			}
+			tab := c.Table()
+			for q, o := range tab.Owner {
+				if tab.Status[o] != ring.Alive {
+					t.Fatalf("client table names non-alive owner %s of %d (epoch %d)", tab.Instances[o].ID, q, tab.Epoch)
+				}
+			}
+			if v, err := c.Lookup(key); err != nil || string(v) != "v" {
+				t.Fatalf("read-back: %q %v", v, err)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,9 +84,8 @@ type Instance struct {
 	// copy that lacks the key, which a backlog held past the remove
 	// tombstone's grace (novoht.RemoveGrace) would otherwise bring back.
 	legs *repair.LegQueue
-	// loopWG tracks the anti-entropy loop and read-repair goroutines;
-	// Close waits for it after closing `closed` so no repair work
-	// races store shutdown.
+	// loopWG tracks the anti-entropy loop; Close waits for it after
+	// closing `closed` so no repair work races store shutdown.
 	loopWG sync.WaitGroup
 }
 
@@ -147,13 +147,10 @@ type partition struct {
 	// mig is the open outgoing move, nil while the partition is not
 	// being given away.
 	mig atomic.Pointer[partState]
-	// rrAt is when the last read-repair round was admitted, in Unix
-	// nanoseconds (scheduleReadRepair).
-	rrAt atomic.Int64
 	// inflight counts the envelopes past the gate still applying or
 	// replicating ops on the partition (lockBatch); lockForMove drains it.
 	inflight atomic.Int32
-	_        [24]byte
+	_        [36]byte
 }
 
 // NewInstance creates an instance. self must already appear in table.
@@ -919,21 +916,6 @@ func (in *Instance) awaitMove(ps *partState, req *wire.Request) *wire.Response {
 // partition's migration record.
 var testGatePass func(in *Instance, p int)
 
-// failoverTarget returns the instance that serves partition p while its
-// owner is not Alive — the one clients address and the one that accepts
-// the failover serve: p's first replica, which is Alive because
-// ReplicasOf lists only Alive instances. The replica count is floored
-// at 1, the floor handleReport's PlanFailure uses too, so a Replicas=0
-// deployment can still elect a failover target instead of rejecting
-// every request for a dead owner's partitions. The zero Instance means
-// no replica is alive.
-func failoverTarget(table *ring.Table, p, replicas int) ring.Instance {
-	if reps := table.ReplicasOf(p, max(replicas, 1)); len(reps) > 0 {
-		return reps[0]
-	}
-	return ring.Instance{}
-}
-
 // handleReport processes a failure report: verify the accused is
 // really unreachable, then fail it over and announce the update
 // (manager role, §III.C unplanned departures).
@@ -944,7 +926,7 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	if idx < 0 {
 		return wire.ErrorReply("core: report for unknown instance")
 	}
-	if table.Status[idx] != ring.Alive {
+	if failedOver(table, idx) {
 		// Already handled; return the fresher table.
 		r := wire.Reply(wire.StatusOK, nil)
 		r.Table = ring.EncodeTable(table)
@@ -958,12 +940,12 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 		}
 	}
 	// This table may not show yet that the accused departed or failed
-	// over. The failover target of its partitions hears every such
-	// change: catch up from it before planning.
+	// over. The first replica of its partitions, which takes them over,
+	// hears every such change: catch up from it before planning.
 	if parts := table.PartitionsOf(idx); len(parts) > 0 {
-		if tgt := failoverTarget(table, parts[0], in.cfg.Replicas); tgt.ID != "" && tgt.ID != in.self.ID {
-			in.gossipPull(tgt.Addr)
-			if table = in.tableRef(); table.Status[idx] != ring.Alive {
+		if reps := table.ReplicasOf(parts[0], 1); len(reps) > 0 && reps[0].ID != in.self.ID {
+			in.gossipPull(reps[0].Addr)
+			if table = in.tableRef(); failedOver(table, idx) {
 				r := wire.Reply(wire.StatusOK, nil)
 				r.Table = ring.EncodeTable(table)
 				return r
@@ -981,6 +963,15 @@ func (in *Instance) handleReport(req *wire.Request) *wire.Response {
 	r := wire.Reply(wire.StatusOK, nil)
 	r.Table = ring.EncodeTable(nt)
 	return r
+}
+
+// failedOver reports whether the instance at idx needs no failover: it
+// is not Alive and owns no partition. One that is not Alive but still
+// owns partitions is failed over again — the table that replays a tied
+// epoch's winning frame onto the losing change can name it (DESIGN.md
+// §10).
+func failedOver(table *ring.Table, idx int) bool {
+	return table.Status[idx] != ring.Alive && !slices.Contains(table.Owner, idx)
 }
 
 // applyAndAnnounce applies d, planned on old, to the local table and
@@ -1114,7 +1105,7 @@ func (in *Instance) Close() error {
 	in.closeMu.Unlock()
 	in.gossip.Close() // before async drain: a pull can spawn async work
 	in.Drain()
-	in.loopWG.Wait() // anti-entropy + read-repair exit on closed
+	in.loopWG.Wait() // anti-entropy exits on closed
 	in.legs.Close()  // discards the handoff backlogs
 	return in.log.Close()
 }

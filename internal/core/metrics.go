@@ -83,7 +83,6 @@ type instanceMetrics struct {
 	digestSyncs     *metrics.Counter // zht.repair.digest_syncs
 	digestSkips     *metrics.Counter // zht.repair.digest_version_skips
 	rangesPulled    *metrics.Counter // zht.repair.ranges_pulled
-	readRepairs     *metrics.Counter // zht.repair.read_repairs
 	handoffQueued   *metrics.Counter // zht.repair.handoff.queued
 	handoffReplayed *metrics.Counter // zht.repair.handoff.replayed
 	handoffDropped  *metrics.Counter // zht.repair.handoff.dropped
@@ -121,7 +120,6 @@ func newInstanceMetrics(reg *metrics.Registry) instanceMetrics {
 		digestSyncs:     reg.Counter("zht.repair.digest_syncs"),
 		digestSkips:     reg.Counter("zht.repair.digest_version_skips"),
 		rangesPulled:    reg.Counter("zht.repair.ranges_pulled"),
-		readRepairs:     reg.Counter("zht.repair.read_repairs"),
 		handoffQueued:   reg.Counter("zht.repair.handoff.queued"),
 		handoffReplayed: reg.Counter("zht.repair.handoff.replayed"),
 		handoffDropped:  reg.Counter("zht.repair.handoff.dropped"),

@@ -10,7 +10,7 @@ import (
 
 // The leaf stream: the one way stamped pairs move between copies of a
 // partition outside replica legs (DESIGN.md §10). Migration, replica
-// rebuild, anti-entropy and read-repair all diff Merkle digests
+// rebuild and anti-entropy all diff Merkle digests
 // (OpDigest) and move the divergent leaves' contents in chunks of
 // OpRepairPull pulls or pushes, so a transfer costs what diverged, not
 // what exists. A migration streams while the old owner keeps serving:

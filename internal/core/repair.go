@@ -17,9 +17,8 @@ import (
 // Instance-side half of the replica anti-entropy subsystem
 // (DESIGN.md §9). internal/repair owns the mechanisms — digests, the
 // leg queue, payload codecs — and this file owns the policy: how a
-// queued leg is sent, which peer is a partition's authority, when to
-// digest-sync, what a failover read schedules, and how a divergent
-// leaf's contents are replaced.
+// queued leg is sent, when to digest-sync against a partition's owner,
+// and how a divergent leaf's contents are replaced.
 
 var errLegNotSent = errors.New("core: replica leg shed by a busy peer")
 
@@ -75,8 +74,8 @@ func (in *Instance) handleDigest(req *wire.Request) *wire.Response {
 // remoteDigest decodes a peer's digest payload, refusing and counting
 // one made of another pair-hash version than this build's: its leaves
 // differ wherever a pair lives, so a diff against it would move every
-// non-empty leaf. Anti-entropy and read-repair skip that peer, and a
-// migration catch-up fails on it.
+// non-empty leaf. Anti-entropy and a replica rebuild skip that peer,
+// and a migration catch-up fails on it.
 func (in *Instance) remoteDigest(b []byte) ([]uint64, error) {
 	ver, leaves, err := repair.DecodeDigest(b)
 	if err != nil {
@@ -94,8 +93,8 @@ func (in *Instance) remoteDigest(b []byte) ([]uint64, error) {
 //   - pull (Value empty): answer with this store's pairs in the
 //     requested leaves — the authority side of an anti-entropy sync.
 //   - push (Value = encoded pairs): replace the requested leaves'
-//     local contents with the authoritative set — the replica side of
-//     read-repair.
+//     local contents with the authoritative set — the receiving side of
+//     a migration or a replica rebuild.
 func (in *Instance) handleRepairPull(req *wire.Request) *wire.Response {
 	p := int(req.Partition)
 	if in.part(p) == nil {
@@ -111,8 +110,8 @@ func (in *Instance) handleRepairPull(req *wire.Request) *wire.Response {
 			return wire.ErrorReply(err.Error())
 		}
 		// FlagWholesale distinguishes a live owner's complete image
-		// (migration pushes — absentees may be deleted) from an acting
-		// authority's best-effort push (read-repair — upsert only).
+		// (migration pushes — absentees may be deleted) from a
+		// best-effort push (a replica rebuild — upsert only).
 		if err := in.applyLeafContent(p, leaves, pairs, req.Flags&wire.FlagWholesale != 0); err != nil {
 			return wire.ErrorReply(err.Error())
 		}
@@ -154,14 +153,12 @@ func (in *Instance) collectLeafPairs(p int, leaves []int) ([]repair.Pair, error)
 //     write this replica already holds — repair must never replace
 //     newer with older).
 //   - Local keys the authority lacks are deleted only when wholesale
-//     is set — the pair set is a live owner's complete image, so an
+//     is set — the pair set is the owner's complete image, so an
 //     absent key was removed (tombstones do not travel). Under a
-//     non-wholesale sync (the authority is itself a failover replica)
-//     a local extra is kept: it may be an acked write the acting
-//     authority missed, and deleting it could drop the write from its
-//     last copy. The cost is bounded divergence — the leaf re-pulls
-//     each round until the true owner returns or re-replication
-//     rebuilds the set.
+//     non-wholesale sync (a replica's rebuild push, or a pull from a
+//     peer that no longer owns the partition) a local extra is kept:
+//     it may be an acked write the sender missed, and deleting it
+//     could drop the write from its last copy.
 //
 // Its deletes and installs are staged and committed once, as one
 // request, before it returns.
@@ -229,20 +226,6 @@ func (sp stalePair) remove(s *novoht.Store) (bool, error) {
 	return s.RemoveLWW(sp.key, sp.ver+1)
 }
 
-// repairAuthority returns the instance whose copy of partition p is
-// authoritative for repair: the owner while it is alive, else the
-// failover target (failoverTarget: the same election the failover
-// serve and the client's failover routing use, so reads and repair
-// agree on who is canonical). Returns false when nobody alive holds p.
-func (in *Instance) repairAuthority(table *ring.Table, p int) (ring.Instance, bool) {
-	idx := table.Owner[p]
-	if table.Status[idx] == ring.Alive {
-		return table.Instances[idx], true
-	}
-	rep := failoverTarget(table, p, in.cfg.Replicas)
-	return rep, rep.ID != ""
-}
-
 // holdsReplica reports whether this instance is in partition p's
 // replica set.
 func (in *Instance) holdsReplica(table *ring.Table, p int) bool {
@@ -255,7 +238,7 @@ func (in *Instance) holdsReplica(table *ring.Table, p int) bool {
 }
 
 // antiEntropyLoop periodically digest-syncs every partition this
-// instance replicates against the partition's authority, bounding how
+// instance replicates against the partition's owner, bounding how
 // long any divergence — dropped legs past the handoff cap, faults
 // internal/chaos injects — can persist.
 func (in *Instance) antiEntropyLoop() {
@@ -311,8 +294,8 @@ func (in *Instance) reapExpired() {
 	_ = in.log.Commit()
 }
 
-// antiEntropyRound runs one sweep: partitions are grouped by
-// authority address and each group's digest probes ride one batched
+// antiEntropyRound runs one sweep: partitions are grouped by owner
+// address and each group's digest probes ride one batched
 // envelope (CallBatch), so a sweep costs one round trip per peer plus
 // one pull per divergent partition.
 func (in *Instance) antiEntropyRound() {
@@ -325,24 +308,21 @@ func (in *Instance) antiEntropyRound() {
 	}
 	targets := make(map[string][]int)
 	for p := 0; p < table.NumPartitions; p++ {
-		auth, ok := in.repairAuthority(table, p)
-		if !ok || auth.ID == in.self.ID {
+		owner := table.OwnerOf(p)
+		if owner.ID == in.self.ID || !in.holdsReplica(table, p) {
 			continue
 		}
-		if !in.holdsReplica(table, p) {
-			continue
-		}
-		targets[auth.Addr] = append(targets[auth.Addr], p)
+		targets[owner.Addr] = append(targets[owner.Addr], p)
 	}
 	for addr, ps := range targets {
 		in.digestSync(addr, ps)
 	}
 }
 
-// digestSync compares local digests for ps against the authority at
-// addr and pulls divergent leaves. Errors are dropped: the next tick
-// retries, and an unreachable authority is the failure detector's
-// problem, not this loop's.
+// digestSync compares local digests for ps against the owner at addr
+// and pulls divergent leaves. Errors are dropped: the next tick
+// retries, and an unreachable owner is the failure detector's problem,
+// not this loop's.
 func (in *Instance) digestSync(addr string, ps []int) {
 	reqs := make([]*wire.Request, len(ps))
 	for i, p := range ps {
@@ -369,50 +349,19 @@ func (in *Instance) digestSync(addr string, ps []int) {
 		if len(diff) == 0 {
 			continue
 		}
-		// The pull is wholesale (local absentees deleted) only when the
-		// authority is the partition's live owner — the one node whose
-		// image is complete.
-		table := in.tableRef()
-		idx := table.Owner[p]
-		wholesale := table.Status[idx] == ring.Alive && table.Instances[idx].Addr == addr
+		// The pull is wholesale (local absentees deleted) only while addr
+		// still owns p — the one node whose image is complete.
+		wholesale := in.tableRef().OwnerOf(p).Addr == addr
 		t, _ := in.pullChunks(addr, p, diff, wholesale, nil)
 		in.met.rangesPulled.Add(int64(t.leaves))
 	}
 }
 
-// scheduleReadRepair asynchronously repairs partition p's other
-// replicas from this instance — the acting authority serving a
-// failover read — at most once per anti-entropy period per partition.
-// Disabled (like the loop) when AntiEntropy is zero, so failover
-// reads in repair-less deployments behave exactly as before.
-func (in *Instance) scheduleReadRepair(table *ring.Table, p int) {
-	if in.cfg.AntiEntropy <= 0 || in.cfg.Replicas <= 0 {
-		return
-	}
-	// One CAS admits one round per period: of two racing failover
-	// reads, the loser sees the winner's time, or fails its swap.
-	pt, now := in.part(p), time.Now().UnixNano()
-	if last := pt.rrAt.Load(); now-last < int64(in.cfg.AntiEntropy) || !pt.rrAt.CompareAndSwap(last, now) {
-		return
-	}
-	select {
-	case <-in.closed:
-		return
-	default:
-	}
-	in.met.readRepairs.Inc()
-	in.loopWG.Add(1)
-	go func() {
-		defer in.loopWG.Done()
-		in.pushToReplicas(table, p)
-	}()
-}
-
 // pushToReplicas converges every other replica of partition p in table
 // toward this instance's copy: per replica, one digest diff, then an
 // upsert-only push of the divergent leaves. Errors are dropped: a
-// rebuild or read-repair is best effort, and anti-entropy, where it
-// runs, retries what a push missed.
+// rebuild is best effort, and anti-entropy, where it runs, retries what
+// a push missed.
 func (in *Instance) pushToReplicas(table *ring.Table, p int) {
 	for _, r := range table.ReplicasOf(p, in.cfg.Replicas) {
 		if r.ID != in.self.ID {

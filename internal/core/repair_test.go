@@ -15,7 +15,6 @@ import (
 	"zht/internal/metrics"
 	"zht/internal/novoht"
 	"zht/internal/repair"
-	"zht/internal/ring"
 	"zht/internal/storage"
 	"zht/internal/transport"
 	"zht/internal/wire"
@@ -239,88 +238,6 @@ func TestAntiEntropyRepairsOverflowedHandoff(t *testing.T) {
 	}
 }
 
-// TestFailoverLookupsScheduleReadRepair: a lookup served by a failed
-// owner's first alive replica schedules a read-repair round for its
-// partition, whether it arrives as a single op or inside a batch.
-func TestFailoverLookupsScheduleReadRepair(t *testing.T) {
-	mreg := metrics.NewRegistry()
-	cfg := Config{
-		NumPartitions: 16, Replicas: 1,
-		RetryBase: time.Millisecond,
-		// Long enough that the loop never ticks during the test; the
-		// read-repair rate limit then admits one round per partition.
-		AntiEntropy: time.Hour,
-		Metrics:     mreg,
-	}
-	d, _, c := startDeployment(t, cfg, 3)
-	base := d.Instance(0).Table()
-	victim := d.Instance(1)
-
-	// The victim is marked Failed but keeps its partitions: the state in
-	// which a replica serves for it.
-	failed := base.Clone()
-	failed.Status[failed.IndexOf(victim.ID())] = ring.Failed
-	failed.Epoch = base.Epoch + 1
-
-	// Two keys the victim owns, in different partitions (each lookup
-	// gets its own rate-limit slot), with their acting replicas.
-	var keys []string
-	var serving []*Instance
-	seen := map[int]bool{}
-	for i := 0; len(keys) < 2; i++ {
-		k := fmt.Sprintf("rr-%d", i)
-		p := base.Partition(victim.hashf(k))
-		if base.OwnerOf(p).ID != victim.ID() || seen[p] {
-			continue
-		}
-		seen[p] = true
-		if err := c.Insert(k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		for _, in := range d.Instances() {
-			if in.ID() == failoverTarget(failed, p, in.cfg.Replicas).ID {
-				serving = append(serving, in)
-			}
-		}
-		keys = append(keys, k)
-	}
-	d.Drain()
-	for _, in := range serving {
-		if resp := in.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(failed)}); resp.Status != wire.StatusOK {
-			t.Fatalf("table adoption: %s %s", resp.Status, resp.Err)
-		}
-	}
-
-	// The counter counts rounds as they are admitted, before the lookup
-	// answers, so each check is exact.
-	repairs := mreg.Counter("zht.repair.read_repairs")
-	wantRepairs := func(want int64) {
-		t.Helper()
-		if got := repairs.Value(); got != want {
-			t.Fatalf("read_repairs = %d, want %d", got, want)
-		}
-	}
-	lookup := func(in *Instance, key string) {
-		t.Helper()
-		if resp := in.Handle(&wire.Request{Op: wire.OpLookup, Key: key}); resp.Status != wire.StatusOK || string(resp.Value) != "v" {
-			t.Fatalf("failover lookup: %s %q", resp.Status, resp.Value)
-		}
-	}
-
-	lookup(serving[0], keys[0])
-	wantRepairs(1)
-	env := serving[1].Handle(wire.NewBatchRequest([]*wire.Request{{Op: wire.OpLookup, Key: keys[1]}}))
-	rs, err := wire.DecodeResponses(env.Value)
-	if err != nil || len(rs) != 1 || rs[0].Status != wire.StatusOK || string(rs[0].Value) != "v" {
-		t.Fatalf("batched failover lookup: %s %v %+v", env.Status, err, rs)
-	}
-	wantRepairs(2)
-	// A second failover read of keys[0]'s partition within the period
-	// is served but schedules no round: the rate limit holds.
-	lookup(serving[0], keys[0])
-	wantRepairs(2)
-}
-
 // TestRepairOpsOverWire exercises OpDigest and OpRepairPull as a peer
 // would: digest fetch, divergent-leaf pull, and push-apply.
 func TestRepairOpsOverWire(t *testing.T) {
@@ -393,8 +310,8 @@ func TestRepairOpsOverWire(t *testing.T) {
 	}
 }
 
-// TestUpsertPushKeepsNewerVersions: a non-wholesale push (a rebuild or
-// read-repair) carries a snapshot of the pusher's leaves, so it must
+// TestUpsertPushKeepsNewerVersions: a non-wholesale push (a rebuild)
+// carries a snapshot of the pusher's leaves, so it must
 // not roll back a key the receiver has since taken a newer version of
 // — the push races the key's next replica leg — while keys it holds
 // older or not at all take the pushed pair.
@@ -437,8 +354,8 @@ func TestUpsertPushKeepsNewerVersions(t *testing.T) {
 
 // TestStaleCopyDoesNotResurrectRemove pins the removal half of the
 // autoscale soak's "no acked write lost" contract: a copy of a pair
-// collected before an acknowledged remove — an upsert-only rebuild or
-// read-repair push, an upsert-only repair pull — lands after it on the
+// collected before an acknowledged remove — an upsert-only rebuild
+// push, an upsert-only repair pull — lands after it on the
 // owner and the replica, and the key must stay removed on both. That
 // holds too when the replica lacked the pair as the remove leg reached
 // it (it missed a leg, or a rebuild was still filling it). A later
@@ -597,11 +514,10 @@ func skipRemovedKeyAlive(t *testing.T, how string) {
 
 // TestRemoveUnderPartitionStaysRemoved: at Replicas=2 a remove is
 // acked while the second replica is cut off, and the owner fails
-// before its handed-off leg is sent. Once the replica heals and repairs
-// against the first replica, now the partition's acting authority,
-// every copy should lack the key. The authority is not the live owner,
-// so the repair is upsert-only and keeps the healed replica's copy
-// alive.
+// before its handed-off leg is sent. Once the replica heals, a failure
+// report makes the first replica the owner, and the healed replica's
+// repair against it, the partition's live owner, is wholesale: every
+// copy lacks the key.
 func TestRemoveUnderPartitionStaysRemoved(t *testing.T) {
 	cfg := Config{NumPartitions: 16, Replicas: 2, WriteLevel: wire.ConsistencyQuorum,
 		RetryBase:   time.Minute, // the handed-off leg is not retried during the test
@@ -620,27 +536,28 @@ func TestRemoveUnderPartitionStaysRemoved(t *testing.T) {
 	if err := c.Remove(key); err != nil {
 		t.Fatalf("QUORUM remove with one replica cut off: %v", err)
 	}
+	// The remove leg to the cut replica has failed once and waits out
+	// the minute-long retry: it cannot land after the heal and remove
+	// the key in the repair's place.
+	await(t, "the remove leg to fail", func() bool { return owner.legs.Failing(cut.Addr()) })
 
-	// The owner fails; the healed replica repairs against the first.
+	// The owner fails, the replica heals, and a report fails the owner
+	// over to the first replica.
 	reg.SetDown(owner.Addr(), true)
-	failed := table.Clone()
-	failed.Status[failed.IndexOf(owner.ID())] = ring.Failed
-	failed.Epoch++
-	for _, in := range []*Instance{first, cut} {
-		if resp := in.Handle(&wire.Request{Op: wire.OpDelta, Aux: ring.EncodeTable(failed)}); resp.Status != wire.StatusOK {
-			t.Fatalf("table adoption: %s %s", resp.Status, resp.Err)
-		}
-	}
 	reg.SetDown(cut.Addr(), false)
+	if resp := first.Handle(&wire.Request{Op: wire.OpReport, Key: string(owner.ID())}); resp.Status != wire.StatusOK {
+		t.Fatalf("failure report: %s %s", resp.Status, resp.Err)
+	}
+	if got := cut.Table().OwnerOf(p).ID; got != first.ID() {
+		t.Fatalf("the healed replica's table names %s the owner, want %s", got, first.ID())
+	}
+	first.Drain()
 	cut.antiEntropyRound()
 
 	if _, ok, err := storeGet(first, p, key); err != nil || ok {
-		t.Fatalf("the acting authority holds the removed key: ok=%v err=%v", ok, err)
+		t.Fatalf("the new owner holds the removed key: ok=%v err=%v", ok, err)
 	}
 	if _, ok, err := storeGet(cut, p, key); err != nil || ok {
-		if err == nil {
-			skipRemovedKeyAlive(t, "on a replica healed by an upsert-only repair")
-		}
 		t.Fatalf("the healed replica holds the removed key: ok=%v err=%v", ok, err)
 	}
 }
@@ -1032,7 +949,7 @@ func (dt *digestTap) CallBatch(addr string, reqs []*wire.Request) ([]*wire.Respo
 // the repair package's golden, to anti-entropy on a replica whose copy
 // diverges from the owner's: the round diffs no leaf, pulls no range,
 // and counts one digest_version_skips. The digest diff that migration
-// catch-ups and read-repair pushes run fails on it, counting one more.
+// catch-ups and rebuild pushes run fails on it, counting one more.
 // Answered with the owner's own digest again, the round pulls the
 // divergent leaf.
 func TestDigestOfAnotherVersionIsSkipped(t *testing.T) {

@@ -161,6 +161,40 @@ func TestStaleClientAdoptsServerTableOverLocalMark(t *testing.T) {
 	}
 }
 
+// TestWrongOwnerWithoutNewerTablePauses: the client and two instances
+// hold a table in which a partition moved to B, which still holds the
+// old one. B's WrongOwner answer carries no newer table, so the client
+// pauses before the next round, as after a shed, while B catches up
+// through the gossip pull the request's epoch triggers — which takes
+// the 5 ms the two instances take to answer — and the insert lands
+// instead of burning its rounds.
+func TestWrongOwnerWithoutNewerTablePauses(t *testing.T) {
+	cfg := Config{NumPartitions: 16, RetryBase: time.Millisecond}
+	d, reg, c := startDeployment(t, cfg, 3)
+	base := c.Table()
+	b := d.Instance(1)
+	reg.SetLatency(func(dst string) time.Duration {
+		if dst == b.Addr() {
+			return 0
+		}
+		return 5 * time.Millisecond
+	})
+	p := base.PartitionsOf(0)[0]
+	moved := ring.EncodeDelta(ring.Delta{FromEpoch: base.Epoch, Reassign: map[int]ring.InstanceID{p: b.ID()}})
+	for _, in := range []*Instance{d.Instance(0), d.Instance(2)} {
+		if resp := in.Handle(&wire.Request{Op: wire.OpDelta, Aux: moved}); resp.Status != wire.StatusOK {
+			t.Fatalf("%s: %s %s", in.ID(), resp.Status, resp.Err)
+		}
+	}
+	c.adoptTable(d.Instance(0).Table())
+	if err := c.Insert(keyForPartition(t, cfg, base, p), []byte("v")); err != nil {
+		t.Fatalf("insert on the moved partition: %v", err)
+	}
+	if got, want := b.Epoch(), c.Table().Epoch; got != want {
+		t.Fatalf("B at epoch %d, the client at %d", got, want)
+	}
+}
+
 // TestBatchSubOpUnavailableCounted checks that a batch sub-op that
 // settles with ErrUnavailable on its first answer (a write quorum the
 // down replica cannot meet) counts in zht.client.unavailable, as a

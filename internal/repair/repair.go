@@ -21,8 +21,8 @@
 //
 // The package deliberately depends only on internal/storage (the digest
 // contract), internal/wire (the envelopes the leg queue carries), and
-// internal/metrics; the send policy, anti-entropy loop and read-repair
-// policy that drive it live in internal/core.
+// internal/metrics; the send policy and anti-entropy loop that drive
+// it live in internal/core.
 package repair
 
 import (

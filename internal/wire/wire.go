@@ -208,9 +208,9 @@ const (
 	// FlagWholesale marks a repair-pull push whose pair set is the
 	// partition owner's complete image for the pushed leaves: the
 	// receiver may delete local keys absent from it. Pushes without
-	// the flag (an acting authority that is itself a replica) only
-	// upsert — the pusher's image may be missing acked writes, so
-	// deleting against it could lose them.
+	// the flag (a replica rebuild) only upsert — the pusher's image
+	// may be missing acked writes, so deleting against it could lose
+	// them.
 	FlagWholesale
 )
 
